@@ -219,180 +219,17 @@ fn alloc_probe() -> AllocReport {
 // 2 + 3. Wire throughput / latency through real sockets.
 // ---------------------------------------------------------------------
 
-/// The serving-path variants under measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arm {
-    /// The pre-reactor baseline (see [`BaselineServer`]).
-    Seed,
-    /// This PR's thread-per-connection front end (in-place line
-    /// splitting, zero-alloc hot path, prompt shutdown).
-    Threads,
-    /// The epoll readiness loop.
-    Epoll,
-}
-
-impl Arm {
-    fn name(&self) -> &'static str {
-        match self {
-            Arm::Seed => "threads_seed_baseline",
-            Arm::Threads => "threads",
-            Arm::Epoll => "epoll",
-        }
+/// The wire-name of a front end in the report (the two front ends are
+/// the serving-path variants under measurement).
+fn arm_name(frontend: Frontend) -> &'static str {
+    match frontend {
+        Frontend::Threads => "threads",
+        Frontend::Epoll => "epoll",
     }
 }
 
-enum RunningServer {
-    Managed(ServerHandle),
-    Baseline(BaselineServer),
-}
-
-impl RunningServer {
-    fn spawn(arm: Arm) -> RunningServer {
-        match arm {
-            Arm::Seed => RunningServer::Baseline(BaselineServer::spawn()),
-            Arm::Threads => RunningServer::Managed(spawn_server(Frontend::Threads).0),
-            Arm::Epoll => RunningServer::Managed(spawn_server(Frontend::Epoll).0),
-        }
-    }
-
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            RunningServer::Managed(handle) => handle.addr(),
-            RunningServer::Baseline(server) => server.addr,
-        }
-    }
-
-    fn service(&self) -> CleaningService {
-        match self {
-            RunningServer::Managed(handle) => handle.service().clone(),
-            RunningServer::Baseline(server) => server.service.clone(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            RunningServer::Managed(handle) => handle.shutdown().expect("shutdown"),
-            RunningServer::Baseline(server) => server.shutdown(),
-        }
-    }
-}
-
-fn spawn_server(frontend: Frontend) -> (ServerHandle, CleaningService) {
-    let service = kv_service(512);
-    let handle =
-        Server::spawn_with("127.0.0.1:0", service.clone(), frontend).expect("bind ephemeral");
-    (handle, service)
-}
-
-// ---------------------------------------------------------------------
-// Seed baseline: the pre-reactor serving path, replicated verbatim as
-// an ablation arm. One thread per connection parked on a 200 ms read
-// timeout, a 25 ms sleep-poll accept loop, `drain(..).collect()` per
-// line, tree parse + tree render + a fresh `String` per response, one
-// write per response. This is what "thread-per-connection baseline"
-// means in BENCH_server.json.
-// ---------------------------------------------------------------------
-
-struct BaselineServer {
-    addr: std::net::SocketAddr,
-    service: CleaningService,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl BaselineServer {
-    fn spawn() -> BaselineServer {
-        use std::sync::atomic::AtomicBool;
-        let service = kv_service(512);
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().unwrap();
-        let accept_service = service.clone();
-        let thread = std::thread::spawn(move || {
-            listener.set_nonblocking(true).unwrap();
-            let live = Arc::new(AtomicBool::new(true));
-            let mut conns = Vec::new();
-            while !accept_service.shutdown_requested() {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let service = accept_service.clone();
-                        let live = Arc::clone(&live);
-                        conns.push(std::thread::spawn(move || {
-                            baseline_connection(stream, &service, &live)
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(25));
-                    }
-                    Err(_) => break,
-                }
-            }
-            live.store(false, Ordering::Release);
-            for conn in conns {
-                let _ = conn.join();
-            }
-        });
-        BaselineServer {
-            addr,
-            service,
-            thread: Some(thread),
-        }
-    }
-
-    fn shutdown(mut self) {
-        self.service
-            .handle(&cerfix_server::Request::parse_line(r#"{"op":"shutdown"}"#).unwrap());
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-fn baseline_connection(
-    mut stream: TcpStream,
-    service: &CleaningService,
-    live: &std::sync::atomic::AtomicBool,
-) {
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    while live.load(Ordering::Acquire) {
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-                    let Ok(line) = std::str::from_utf8(&line_bytes) else {
-                        continue;
-                    };
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    // The seed wire path: tree parse, typed dispatch,
-                    // tree render into a fresh String.
-                    let response = match cerfix_server::Request::parse_line(trimmed) {
-                        Ok(request) => service.handle(&request),
-                        Err(_) => continue,
-                    };
-                    let mut rendered = response.render();
-                    rendered.push('\n');
-                    if writer.write_all(rendered.as_bytes()).is_err() {
-                        return;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-    }
+fn spawn_server(frontend: Frontend) -> ServerHandle {
+    Server::spawn_with("127.0.0.1:0", kv_service(512), frontend).expect("bind ephemeral")
 }
 
 /// Read raw bytes until `lines` newlines were seen. The bench client
@@ -426,19 +263,19 @@ struct MuxConn {
 /// scheduler churn; a single multiplexing driver applies the same
 /// pipelining pressure to both front ends and leaves the server
 /// architecture as the only variable.
-fn pipelined_throughput(arm: Arm, conns: usize, window: usize, rounds: usize) -> f64 {
-    pipelined_throughput_on(RunningServer::spawn(arm), conns, window, rounds)
+fn pipelined_throughput(arm: Frontend, conns: usize, window: usize, rounds: usize) -> f64 {
+    pipelined_throughput_on(spawn_server(arm), conns, window, rounds)
 }
 
 /// The same measurement over an already-spawned server (how the
 /// tracing-overhead arm runs a non-default service configuration).
 fn pipelined_throughput_on(
-    server: RunningServer,
+    server: ServerHandle,
     conns: usize,
     window: usize,
     rounds: usize,
 ) -> f64 {
-    let service = server.service();
+    let service = server.service().clone();
     let addr = server.addr();
     let mut muxed: Vec<MuxConn> = (0..conns)
         .map(|conn_idx| {
@@ -551,14 +388,14 @@ fn pipelined_throughput_on(
     assert_eq!(service.metrics().requests, (timed + conns) as u64);
     assert_eq!(service.metrics().errors, 0);
     drop(muxed);
-    server.shutdown();
+    server.shutdown().expect("shutdown");
     timed as f64 / elapsed.as_secs_f64()
 }
 
 /// Batch-`clean` throughput: pipelined heavy ops through the reactor's
 /// worker-pool dispatch (tuples/sec).
-fn clean_throughput(arm: Arm, conns: usize, batches: usize, batch: usize) -> f64 {
-    let server = RunningServer::spawn(arm);
+fn clean_throughput(arm: Frontend, conns: usize, batches: usize, batch: usize) -> f64 {
+    let server = spawn_server(arm);
     let addr = server.addr();
     let barrier = Arc::new(Barrier::new(conns + 1));
     let mut joins = Vec::new();
@@ -594,13 +431,13 @@ fn clean_throughput(arm: Arm, conns: usize, batches: usize, batch: usize) -> f64
         join.join().expect("client");
     }
     let elapsed = started.elapsed();
-    server.shutdown();
+    server.shutdown().expect("shutdown");
     (conns * batches * batch) as f64 / elapsed.as_secs_f64()
 }
 
 /// Closed-loop (window = 1) latency distribution, microseconds.
-fn closed_loop_latency(arm: Arm, conns: usize, per_conn: usize) -> (f64, f64) {
-    let server = RunningServer::spawn(arm);
+fn closed_loop_latency(arm: Frontend, conns: usize, per_conn: usize) -> (f64, f64) {
+    let server = spawn_server(arm);
     let addr = server.addr();
     let barrier = Arc::new(Barrier::new(conns + 1));
     let mut joins = Vec::new();
@@ -645,7 +482,7 @@ fn closed_loop_latency(arm: Arm, conns: usize, per_conn: usize) -> (f64, f64) {
         .into_iter()
         .flat_map(|j| j.join().expect("client"))
         .collect();
-    server.shutdown();
+    server.shutdown().expect("shutdown");
     rtts.sort_unstable();
     let pct = |p: f64| rtts[((rtts.len() - 1) as f64 * p) as usize] as f64 / 1000.0;
     (pct(0.50), pct(0.99))
@@ -757,7 +594,13 @@ struct ThroughputCell {
     clean_tuples_per_sec: f64,
 }
 
-const ARMS: [Arm; 3] = [Arm::Seed, Arm::Threads, Arm::Epoll];
+const ARMS: [Frontend; 2] = [Frontend::Threads, Frontend::Epoll];
+
+/// The retired `threads_seed_baseline` arm (a replica of the pre-reactor
+/// serving path: sleep-poll accept loop, tree parse, tree render and a
+/// fresh `String` per response), frozen at its last full run so the
+/// recorded trajectory survives every rewrite of `BENCH_server.json`.
+const SEED_BASELINE_FROZEN: &str = r#"{"commit": "9479bce", "cores": 1, "pipelined": [{"connections": 8, "pipelined_reqs_per_sec": 11570, "clean_tuples_per_sec": 42993}, {"connections": 64, "pipelined_reqs_per_sec": 86957, "clean_tuples_per_sec": 86637}, {"connections": 256, "pipelined_reqs_per_sec": 110915, "clean_tuples_per_sec": 80395}], "epoll_speedup_at_64_conns": 3.06, "closed_loop_latency_us": {"p50": 60.3, "p99": 770.9}}"#;
 
 fn bench_wire_suite(_c: &mut Criterion) {
     println!("\n== serving path: epoll reactor vs thread-per-connection ==");
@@ -781,54 +624,43 @@ fn bench_wire_suite(_c: &mut Criterion) {
             let clean = clean_throughput(arm, conns.min(32), clean_batches, 16);
             println!(
                 "{:>21}, {conns:>4} conns: {:>9.0} pipelined req/s, {:>9.0} clean tuples/s",
-                arm.name(),
+                arm_name(arm),
                 reqs,
                 clean
             );
             cells.push(ThroughputCell {
-                arm: arm.name(),
+                arm: arm_name(arm),
                 conns,
                 reqs_per_sec: reqs,
                 clean_tuples_per_sec: clean,
             });
         }
     }
-    let speedup_at = |conns: usize, baseline: &str| -> Option<f64> {
-        let get = |arm: &str| {
-            cells
-                .iter()
-                .find(|c| c.arm == arm && c.conns == conns)
-                .map(|c| c.reqs_per_sec)
-        };
-        Some(get("epoll")? / get(baseline)?)
-    };
-    // Headline at the acceptance point (64 connections). Note the 256-
-    // connection rows in the JSON: the seed baseline *recovers* there
-    // (its per-response Nagle stalls overlap across more connections)
-    // while the reactor stays flat.
+    // Headline at the acceptance point (64 connections).
     let headline_conns = 64;
-    let vs_seed = speedup_at(headline_conns, "threads_seed_baseline").unwrap_or(1.0);
-    let vs_threads = speedup_at(headline_conns, "threads").unwrap_or(1.0);
-    println!(
-        "epoll speedup at {headline_conns} conns: {vs_seed:.2}x vs seed baseline, {vs_threads:.2}x vs improved threads"
-    );
+    let reqs_at = |arm: Frontend| {
+        cells
+            .iter()
+            .find(|c| c.arm == arm_name(arm) && c.conns == headline_conns)
+            .map(|c| c.reqs_per_sec)
+    };
+    let vs_threads = match (reqs_at(Frontend::Epoll), reqs_at(Frontend::Threads)) {
+        (Some(epoll), Some(threads)) => epoll / threads,
+        _ => 1.0,
+    };
+    println!("epoll speedup at {headline_conns} conns: {vs_threads:.2}x vs threads");
 
     // Tracing overhead: the epoll front end with its default trace
     // ring (what every arm above ran with) vs tracing disabled.
     // Recorded into BENCH_server.json, not asserted — the budget is
     // <2% and single-run jitter on shared hosts exceeds that.
     let overhead_conns = 8;
-    let traced = pipelined_throughput(Arm::Epoll, overhead_conns, window, rounds);
+    let traced = pipelined_throughput(Frontend::Epoll, overhead_conns, window, rounds);
     let untraced = {
         let service = kv_service_cfg(512, 0);
         let handle =
             Server::spawn_with("127.0.0.1:0", service, Frontend::Epoll).expect("bind ephemeral");
-        pipelined_throughput_on(
-            RunningServer::Managed(handle),
-            overhead_conns,
-            window,
-            rounds,
-        )
+        pipelined_throughput_on(handle, overhead_conns, window, rounds)
     };
     let overhead_pct = (1.0 - traced / untraced) * 100.0;
     println!(
@@ -837,11 +669,10 @@ fn bench_wire_suite(_c: &mut Criterion) {
 
     let latency_conns = 8;
     let per_conn = if fast_mode() { 200 } else { 1000 };
-    let (s_p50, s_p99) = closed_loop_latency(Arm::Seed, latency_conns, per_conn);
-    let (t_p50, t_p99) = closed_loop_latency(Arm::Threads, latency_conns, per_conn);
-    let (e_p50, e_p99) = closed_loop_latency(Arm::Epoll, latency_conns, per_conn);
+    let (t_p50, t_p99) = closed_loop_latency(Frontend::Threads, latency_conns, per_conn);
+    let (e_p50, e_p99) = closed_loop_latency(Frontend::Epoll, latency_conns, per_conn);
     println!(
-        "closed-loop latency (8 conns): seed p50 {s_p50:.0}µs p99 {s_p99:.0}µs | threads p50 {t_p50:.0}µs p99 {t_p99:.0}µs | epoll p50 {e_p50:.0}µs p99 {e_p99:.0}µs"
+        "closed-loop latency (8 conns): threads p50 {t_p50:.0}µs p99 {t_p99:.0}µs | epoll p50 {e_p50:.0}µs p99 {e_p99:.0}µs"
     );
 
     let dur_iters = if fast_mode() { 120 } else { 400 };
@@ -854,26 +685,19 @@ fn bench_wire_suite(_c: &mut Criterion) {
     write_json(
         &cells,
         headline_conns,
-        vs_seed,
         vs_threads,
-        [
-            ("threads_seed_baseline", s_p50, s_p99),
-            ("threads", t_p50, t_p99),
-            ("epoll", e_p50, e_p99),
-        ],
+        [("threads", t_p50, t_p99), ("epoll", e_p50, e_p99)],
         &report,
         (traced, untraced, overhead_pct),
         (dur_iters, local_lat, quorum_lat),
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     cells: &[ThroughputCell],
     headline_conns: usize,
-    vs_seed: f64,
     vs_threads: f64,
-    latency: [(&str, f64, f64); 3],
+    latency: [(&str, f64, f64); 2],
     alloc: &AllocReport,
     tracing: (f64, f64, f64),
     durability: (usize, (f64, f64), (f64, f64)),
@@ -899,7 +723,7 @@ fn write_json(
     }
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     let json = format!(
-        "{{\n  \"bench\": \"wire\",\n  \"mode\": \"{mode}\",\n  \"environment\": {{\"cores\": {cores}, \"note\": \"single-core hosts serialize service CPU, bench client and front end on one core; the reactor's pool dispatch and wakeup amortization widen these gaps with core count\"}},\n  \"arms\": [\"threads_seed_baseline\", \"threads\", \"epoll\"],\n  \"pipelined\": [\n{rows}\n  ],\n  \"pipelined_speedup_at_{headline_conns}_conns\": {{\"epoll_vs_seed_baseline\": {vs_seed:.2}, \"epoll_vs_threads\": {vs_threads:.2}}},\n  \"closed_loop_latency_us\": {{\n{lat}\n  }},\n  \"allocs_per_request_warmed\": {{\"session.get\": {ag}, \"session.fix\": {af}, \"session.validate\": {av}}},\n  \"tracing_overhead\": {{\"traced_reqs_per_sec\": {traced:.0}, \"untraced_reqs_per_sec\": {untraced:.0}, \"overhead_pct\": {opct:.2}, \"budget_pct\": 2.0}},\n  \"commit_durability_latency_us\": {{\"commits\": {dcommits}, \"local_fsync\": {{\"p50\": {dlp50:.1}, \"p99\": {dlp99:.1}}}, \"quorum_ack_2_replicas\": {{\"p50\": {dqp50:.1}, \"p99\": {dqp99:.1}}}}}\n}}\n",
+        "{{\n  \"bench\": \"wire\",\n  \"mode\": \"{mode}\",\n  \"environment\": {{\"cores\": {cores}, \"note\": \"single-core hosts serialize service CPU, bench client and front end on one core; the reactor's pool dispatch and wakeup amortization widen these gaps with core count\"}},\n  \"arms\": [\"threads\", \"epoll\"],\n  \"pipelined\": [\n{rows}\n  ],\n  \"pipelined_speedup_at_{headline_conns}_conns\": {{\"epoll_vs_threads\": {vs_threads:.2}}},\n  \"closed_loop_latency_us\": {{\n{lat}\n  }},\n  \"allocs_per_request_warmed\": {{\"session.get\": {ag}, \"session.fix\": {af}, \"session.validate\": {av}}},\n  \"tracing_overhead\": {{\"traced_reqs_per_sec\": {traced:.0}, \"untraced_reqs_per_sec\": {untraced:.0}, \"overhead_pct\": {opct:.2}, \"budget_pct\": 2.0}},\n  \"commit_durability_latency_us\": {{\"commits\": {dcommits}, \"local_fsync\": {{\"p50\": {dlp50:.1}, \"p99\": {dlp99:.1}}}, \"quorum_ack_2_replicas\": {{\"p50\": {dqp50:.1}, \"p99\": {dqp99:.1}}}}},\n  \"seed_baseline_frozen\": {SEED_BASELINE_FROZEN}\n}}\n",
         mode = if fast_mode() { "smoke" } else { "full" },
         ag = alloc.get,
         af = alloc.fix,

@@ -14,11 +14,11 @@
 //! | 1     | `>= high`        | `< high`      | heavy reads          |
 //! | 2     | `>= 2*high`      | (to 1)        | heavy reads + session mutations |
 //!
-//! What gets shed is decided by [`Priority`] class, not arrival order:
-//! operational introspection (`health`, `log.read`, `metrics`,
-//! `cluster.status`, …) is never shed — an overloaded server that goes
-//! dark to its operators cannot be diagnosed; expensive scans (`clean`,
-//! `regions`, `check`, `audit.read`) go first; session mutations go
+//! What gets shed is decided by the op's [`Priority`] class — a column
+//! of the op table in [`crate::ops`] — not arrival order: operational
+//! introspection and the control plane are never shed (an overloaded
+//! server that goes dark to its operators cannot be diagnosed),
+//! expensive whole-relation scans go first, and session mutations go
 //! only at the highest level. Shed requests get a retryable
 //! `overloaded` error that cost no engine, journal or fsync work.
 
@@ -35,19 +35,6 @@ pub(crate) enum Priority {
     Session,
     /// Expensive whole-relation reads: first against the wall.
     Heavy,
-}
-
-/// The shed class of `op`. Unknown ops classify as [`Priority::Session`]
-/// — they will be rejected by the parser anyway, and classifying them
-/// as Critical would let garbage bypass the shedder.
-pub(crate) fn priority(op: &str) -> Priority {
-    match op {
-        "hello" | "health" | "metrics" | "stats" | "metrics.prom" | "metrics.history"
-        | "trace.read" | "log.read" | "cluster.status" | "config.set" | "replica.sync"
-        | "replica.promote" | "scrub" | "server.drain" | "shutdown" => Priority::Critical,
-        "clean" | "regions" | "check" | "audit.read" => Priority::Heavy,
-        _ => Priority::Session,
-    }
 }
 
 /// Queue-depth-driven shed level with hysteresis. All state is one
@@ -138,45 +125,6 @@ impl Shedder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn introspection_is_never_shed() {
-        for op in [
-            "hello",
-            "health",
-            "metrics",
-            "stats",
-            "metrics.prom",
-            "metrics.history",
-            "trace.read",
-            "log.read",
-            "cluster.status",
-            "config.set",
-            "replica.sync",
-            "replica.promote",
-            "scrub",
-            "server.drain",
-            "shutdown",
-        ] {
-            assert_eq!(priority(op), Priority::Critical, "{op}");
-        }
-        for op in ["clean", "regions", "check", "audit.read"] {
-            assert_eq!(priority(op), Priority::Heavy, "{op}");
-        }
-        for op in [
-            "session.create",
-            "session.get",
-            "session.validate",
-            "session.fix",
-            "session.commit",
-            "session.abort",
-            "rules.reload",
-            "master.append",
-            "definitely-not-an-op",
-        ] {
-            assert_eq!(priority(op), Priority::Session, "{op}");
-        }
-    }
 
     #[test]
     fn levels_raise_and_lower_with_hysteresis() {

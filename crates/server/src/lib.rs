@@ -74,6 +74,7 @@ mod diag;
 mod fsprobe;
 mod metrics;
 mod net;
+mod ops;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 mod reactor;
@@ -300,21 +301,25 @@ mod tests {
         assert!(service.metrics().errors >= 4);
     }
 
-    /// The hot slice-parse/direct-render paths must be byte-identical
-    /// to the tree parser + tree renderer — two identical services run
-    /// the same script, one through `handle_line` (fast-capable), one
-    /// through the typed `handle` + `render` (tree only).
+    /// The slice scanner and the tree parser are two parsers feeding one
+    /// handler per op: the scanned and the tree-parsed form of the same
+    /// request get the same reply, the same error count and the same
+    /// latency class. Two identical services run one script, one fed
+    /// each line as written, the other fed it with the `op` key escaped
+    /// (`"\u006fp"`), which sends any line to the tree parser. The
+    /// script ends with the irregular shapes on which the scanner itself
+    /// falls back to the tree.
     #[test]
-    fn hot_paths_render_byte_identical_to_tree() {
-        let fast = kv_service(1);
+    fn scanned_and_tree_parsed_requests_get_the_same_reply() {
+        let scanned = kv_service(1);
         let tree = kv_service(1);
         let script = [
             r#"{"op":"session.create","tuple":["k3","WRONG","n"]}"#,
             r#"{"op":"session.get","session":1}"#,
             r#"{"op":"session.validate","session":1,"validations":{"key":"k3"}}"#,
             r#"{"op":"session.fix","session":1}"#,
-            // Escaped payloads unescape identically ("k3" = "k3").
-            r#"{"op":"session.validate","session":1,"validations":{"val":"k3"}}"#,
+            // Escaped payloads unescape identically ("k\u0033" = "k3").
+            r#"{"op":"session.validate","session":1,"validations":{"val":"k\u0033"}}"#,
             r#"{"op":"session.validate","session":1,"validations":{"note":"n"}}"#,
             r#"{"op":"session.get","session":1}"#,
             r#"{"op":"session.commit","session":1}"#,
@@ -324,15 +329,126 @@ mod tests {
             r#"{"op":"session.validate","session":1,"validations":{"key":null}}"#,
             r#"{"op":"session.create","tuple":["k5","x","y"]}"#,
             r#"{"op":"session.validate","session":2,"validations":{}}"#,
+            // Irregular shapes: an escaped top-level key, an escaped `op`
+            // value, `session` as a string, a container cell value, an
+            // invalid `\u` escape.
+            r#"{"op":"session.get","\u0073ession":2}"#,
+            r#"{"op":"session.\u0067et","session":2}"#,
+            r#"{"op":"session.get","session":"2"}"#,
+            r#"{"op":"session.validate","session":2,"validations":{"key":["k5"]}}"#,
+            r#"{"op":"session.validate","session":2,"validations":{"key":"\uZZZZ"}}"#,
             r#"{"op":"session.abort","session":2}"#,
         ];
         for line in script {
-            let fast_out = fast.handle_line(line);
-            let tree_out = tree.handle(&Request::parse_line(line).unwrap()).render();
-            assert_eq!(fast_out, tree_out, "line: {line}");
+            let forced = line.replacen(r#""op""#, r#""\u006fp""#, 1);
+            assert!(protocol::scan_line(&forced).hot.is_none(), "{forced}");
+            assert_eq!(
+                scanned.handle_line(line),
+                tree.handle_line(&forced),
+                "line: {line}"
+            );
         }
-        // Error counters agree too (same error classification).
-        assert_eq!(fast.metrics().errors, tree.metrics().errors);
+        let (scanned, tree) = (scanned.metrics(), tree.metrics());
+        assert_eq!(scanned.errors, tree.errors);
+        assert_eq!(scanned.errors, 7, "seven of the script's lines are errors");
+        let classes = |m: &MetricsSnapshot| -> Vec<(&str, u64)> {
+            m.latency.iter().map(|l| (l.op, l.count)).collect()
+        };
+        assert_eq!(classes(&scanned), classes(&tree));
+    }
+
+    /// Everything the op table drives, checked row by row: the wire
+    /// name parses to and re-encodes from the row's `Request`; a
+    /// follower refuses exactly the `writes` rows with `not_primary` and
+    /// serves the rest; a level-2 shedder sheds exactly the rows that
+    /// are not critical.
+    #[test]
+    fn op_table_drives_parsing_gating_and_shedding() {
+        use ops::{OpId, OPS};
+        // The three ops that change a node's role or stop it go last.
+        let mut rows: Vec<_> = OPS.iter().collect();
+        rows.sort_by_key(|op| {
+            matches!(
+                op.id,
+                Some(OpId::ReplicaPromote | OpId::Drain | OpId::Shutdown)
+            )
+        });
+        // Every sample round-trips through its row's wire name; the
+        // first (minimal) one of each op is served below.
+        let lines: Vec<String> = rows
+            .iter()
+            .map(|op| {
+                let lines: Vec<String> =
+                    protocol::tests::samples(op.id.expect("table rows are ops"))
+                        .into_iter()
+                        .map(|request| {
+                            assert!(std::ptr::eq(request.op(), *op), "{}", op.name);
+                            let line = request.to_json().render();
+                            assert!(line.starts_with(&format!("{{\"op\":\"{}\"", op.name)));
+                            assert_eq!(Request::parse_line(&line).unwrap(), request, "{line}");
+                            line
+                        })
+                        .collect();
+                lines.into_iter().next().expect("every op has a sample")
+            })
+            .collect();
+
+        // A follower of a primary that is not there: it never catches
+        // up, and it must not need to in order to refuse or serve.
+        let dir = data_dir("op-table-follower");
+        let (master, rules) = kv_setup();
+        let follower = CleaningService::with_storage(
+            master,
+            rules,
+            ServiceConfig {
+                workers: 1,
+                replicate_from: Some("127.0.0.1:1".into()),
+                ..ServiceConfig::default()
+            },
+            manual_storage(&dir, 64),
+        )
+        .unwrap();
+        for (op, line) in rows.iter().zip(&lines) {
+            let reply = follower.handle_line(line);
+            assert_eq!(
+                reply.contains("\"error\":\"not_primary"),
+                op.writes,
+                "{} on a follower → {reply}",
+                op.name
+            );
+        }
+        drop(follower);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Level 2: one worker held, twice the watermark queued behind it.
+        let (master, rules) = kv_setup();
+        let service = CleaningService::new(
+            master,
+            rules,
+            ServiceConfig {
+                workers: 1,
+                shed_watermark: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let held = Arc::new(std::sync::Mutex::new(held));
+        for _ in 0..5 {
+            let held = Arc::clone(&held);
+            service.submit_job(move || {
+                let _ = held.lock().unwrap().recv();
+            });
+        }
+        for (op, line) in rows.iter().zip(&lines) {
+            let reply = service.handle_line(line);
+            assert_eq!(
+                reply.contains("\"error\":\"overloaded"),
+                op.class != admission::Priority::Critical,
+                "{} at shed level 2 → {reply}",
+                op.name
+            );
+        }
+        drop(release);
     }
 
     #[test]
@@ -340,8 +456,8 @@ mod tests {
         let service = kv_service(1);
         let mut client = LocalClient::in_process(&service);
         client.create_session(row("k3", "WRONG", "n")).unwrap();
-        // Hot path (session.get), tree path (check), and error path all
-        // echo the id as the first response field, verbatim.
+        // A scanned op (session.get), a tree-parsed one (check) and the
+        // error replies all echo the id as the first field, verbatim.
         for (line, op_is_error) in [
             (r#"{"op":"session.get","session":1,"id":7}"#, false),
             (r#"{"op":"check","id":"c-1"}"#, false),

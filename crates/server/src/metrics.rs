@@ -2,6 +2,7 @@
 //! Prometheus text format with full histogram buckets, over
 //! `metrics.prom` (see [`ServiceMetrics::render_prom`]).
 
+use crate::ops::{self, Op};
 use cerfix::EngineStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -10,51 +11,6 @@ use std::time::{Duration, Instant};
 /// `[2^i, 2^(i+1))` nanoseconds. 40 buckets reach ~9 minutes — far past
 /// any op this service runs.
 const LATENCY_BUCKETS: usize = 40;
-
-/// The op classes latency is tracked for: every protocol op, the
-/// malformed-line class (`parse_error`), and the class unrecognized ops
-/// fall into (`other` — kept distinct so malformed lines and unknown
-/// ops are not conflated). Indexed by [`op_index`].
-pub const LATENCY_OPS: [&str; 28] = [
-    "hello",
-    "session.create",
-    "session.get",
-    "session.validate",
-    "session.fix",
-    "session.commit",
-    "session.abort",
-    "clean",
-    "regions",
-    "check",
-    "audit.read",
-    "rules.reload",
-    "master.append",
-    "metrics",
-    "metrics.prom",
-    "trace.read",
-    "replica.sync",
-    "replica.promote",
-    "health",
-    "log.read",
-    "metrics.history",
-    "cluster.status",
-    "config.set",
-    "scrub",
-    "server.drain",
-    "shutdown",
-    "parse_error",
-    "other",
-];
-
-/// The latency class for `op`: its own slot when the op is known,
-/// otherwise the `other` class. (`parse_error` is a deliberate class of
-/// its own — callers name it explicitly for unparseable lines.)
-pub(crate) fn op_index(op: &str) -> usize {
-    LATENCY_OPS
-        .iter()
-        .position(|&o| o == op)
-        .unwrap_or(LATENCY_OPS.len() - 1)
-}
 
 /// One op's latency histogram (fixed atomics — observing never locks or
 /// allocates, which keeps it on the zero-allocation request path).
@@ -331,8 +287,8 @@ impl ServiceMetrics {
             connections_total: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
-            latency: (0..LATENCY_OPS.len()).map(|_| OpHistogram::new()).collect(),
-            engine_totals: (0..LATENCY_OPS.len())
+            latency: (0..ops::SLOTS).map(|_| OpHistogram::new()).collect(),
+            engine_totals: (0..ops::SLOTS)
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
             batch_latency: OpHistogram::new(),
@@ -360,15 +316,15 @@ impl ServiceMetrics {
     }
 
     /// Record one request's service latency under its op class.
-    pub(crate) fn observe_latency(&self, op: &str, elapsed: Duration) {
-        self.latency[op_index(op)].observe(elapsed);
+    pub(crate) fn observe_latency(&self, op: &Op, elapsed: Duration) {
+        self.latency[op.slot].observe(elapsed);
     }
 
     /// Charge a request's engine-stat delta to its op class. Four
     /// relaxed adds, no locks or allocation — hot-path safe (and the
     /// zero-work ops skip even this at the call site).
-    pub(crate) fn add_engine_stats(&self, op_idx: usize, stats: &EngineStats) {
-        let totals = &self.engine_totals[op_idx.min(LATENCY_OPS.len() - 1)];
+    pub(crate) fn add_engine_stats(&self, op: &Op, stats: &EngineStats) {
+        let totals = &self.engine_totals[op.slot];
         totals[0].fetch_add(stats.fixpoint_runs as u64, Ordering::Relaxed);
         totals[1].fetch_add(stats.rule_attempts as u64, Ordering::Relaxed);
         totals[2].fetch_add(stats.master_lookups as u64, Ordering::Relaxed);
@@ -591,13 +547,12 @@ impl ServiceMetrics {
             sessions_refused_draining: self.sessions_refused_draining.load(Ordering::Relaxed),
             drains_started: self.drains_started.load(Ordering::Relaxed),
             connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            latency: LATENCY_OPS
-                .iter()
+            latency: ops::classes()
                 .zip(&self.latency)
-                .filter_map(|(&op, hist)| {
+                .filter_map(|(op, hist)| {
                     let (count, p50_ns, p99_ns) = hist.summarize();
                     (count > 0).then_some(OpLatency {
-                        op,
+                        op: op.name,
                         count,
                         p50_ns,
                         p99_ns,
@@ -823,16 +778,20 @@ impl ServiceMetrics {
             self.reactor_wakeups.load(Ordering::Relaxed) as f64,
         );
         // Per-op request latency: full buckets, ops with traffic only
-        // (19 op classes x 40 empty buckets would be pure noise).
+        // (every op class x 40 empty buckets would be pure noise).
         prom_header(
             out,
             "cerfix_request_duration_seconds",
             "Service time per request, by op class.",
             "histogram",
         );
-        for (op, hist) in LATENCY_OPS.iter().zip(&self.latency) {
+        for (op, hist) in ops::classes().zip(&self.latency) {
             if hist.count() > 0 {
-                hist.render_prom(out, "cerfix_request_duration_seconds", Some(("op", op)));
+                hist.render_prom(
+                    out,
+                    "cerfix_request_duration_seconds",
+                    Some(("op", op.name)),
+                );
             }
         }
         prom_header(
@@ -888,10 +847,10 @@ impl ServiceMetrics {
         ];
         for (i, (name, help)) in stats_names.iter().enumerate() {
             prom_header(out, name, help, "counter");
-            for (op, totals) in LATENCY_OPS.iter().zip(&self.engine_totals) {
+            for (op, totals) in ops::classes().zip(&self.engine_totals) {
                 let value = totals[i].load(Ordering::Relaxed);
                 if value > 0 {
-                    prom_sample(out, name, Some(("op", op)), value as f64);
+                    prom_sample(out, name, Some(("op", op.name)), value as f64);
                 }
             }
         }
@@ -1036,6 +995,7 @@ impl Default for ServiceMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::OpId;
 
     #[test]
     fn counters_accumulate() {
@@ -1085,10 +1045,11 @@ mod tests {
         m.connection_closed();
         m.add_bytes_in(100);
         m.add_bytes_out(300);
+        let get = OpId::SessionGet.row();
         for _ in 0..50 {
-            m.observe_latency("session.get", Duration::from_micros(10));
+            m.observe_latency(get, Duration::from_micros(10));
         }
-        m.observe_latency("session.get", Duration::from_millis(5));
+        m.observe_latency(get, Duration::from_millis(5));
         let s = m.snapshot();
         assert_eq!(s.connections_open, 1);
         assert_eq!(s.connections_total, 2);
@@ -1107,10 +1068,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_op_classes_land_in_other_not_parse_error() {
+    fn the_two_non_op_classes_have_slots_of_their_own() {
         let m = ServiceMetrics::new();
-        m.observe_latency("not-a-real-op", Duration::from_micros(1));
-        m.observe_latency("parse_error", Duration::from_micros(1));
+        m.observe_latency(&ops::OTHER, Duration::from_micros(1));
+        m.observe_latency(&ops::PARSE_ERROR, Duration::from_micros(1));
         let s = m.snapshot();
         let other = s.latency.iter().find(|l| l.op == "other").unwrap();
         assert_eq!(other.count, 1);
@@ -1132,9 +1093,9 @@ mod tests {
     #[test]
     fn engine_stats_accumulate_per_op_class() {
         let m = ServiceMetrics::new();
-        let idx = op_index("session.validate");
+        let validate = OpId::SessionValidate.row();
         m.add_engine_stats(
-            idx,
+            validate,
             &EngineStats {
                 fixpoint_runs: 1,
                 rule_attempts: 4,
@@ -1143,7 +1104,7 @@ mod tests {
             },
         );
         m.add_engine_stats(
-            idx,
+            validate,
             &EngineStats {
                 fixpoint_runs: 1,
                 rule_attempts: 2,
@@ -1163,7 +1124,7 @@ mod tests {
     fn prom_rendering_has_full_buckets_and_correct_shapes() {
         let m = ServiceMetrics::new();
         m.request();
-        m.observe_latency("session.get", Duration::from_micros(10));
+        m.observe_latency(OpId::SessionGet.row(), Duration::from_micros(10));
         m.observe_batch_latency(Duration::from_micros(250));
         m.observe_reactor_loop(Duration::from_micros(50));
         m.reactor_poll();

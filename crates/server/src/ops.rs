@@ -1,0 +1,251 @@
+//! The op table: the one place a protocol op is described.
+//!
+//! Every op is one row of [`OPS`] — wire name, shed class, whether it
+//! mutates state (and so needs a writable primary), and where the epoll
+//! front end runs it. The row's index is the op's latency slot.
+//! [`scan_line`](crate::protocol::scan_line) resolves a line's `op`
+//! string to its row once, and everything that used to keep a list of
+//! its own reads that row instead: the admission shedder (`class`), the
+//! mutation gate (`writes`), the reactor's inline-or-pool decision
+//! (`runs_on`), the latency histograms and trace spans (`slot`), and
+//! the tree parser (`Request::parse`).
+//!
+//! Adding an op is one row here, one [`Request`](crate::Request)
+//! variant with its parse arm, and one handler arm in the service; the
+//! exhaustive matches over [`OpId`] and `Request` make the compiler
+//! reject a variant without a row or a handler.
+
+use crate::admission::Priority::{self, Critical, Heavy, Session};
+
+/// Where the epoll front end runs an op (the threaded front end runs
+/// everything on the connection's own thread).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RunsOn {
+    /// On the reactor thread: µs-scale work that never blocks.
+    Inline,
+    /// On the worker pool: multi-tuple batches, whole-relation analyses,
+    /// engine swaps, reads of the data directory, peer dials — work that
+    /// would park every connection behind it on the reactor thread.
+    Pool,
+    /// Inline in memory mode; on the pool when the service is journaled,
+    /// because the op then waits for its group fsync.
+    PoolWhenJournaled,
+}
+use RunsOn::{Inline, Pool, PoolWhenJournaled};
+
+/// One row of the op table.
+#[derive(Debug)]
+pub(crate) struct Op {
+    /// Which op this is; `None` for the two latency classes that are
+    /// not ops ([`PARSE_ERROR`], [`OTHER`]).
+    pub id: Option<OpId>,
+    /// The `"op"` string on the wire (and the latency class label).
+    pub name: &'static str,
+    /// Shed class: what the admission shedder refuses first.
+    pub class: Priority,
+    /// The op mutates journaled state, so it needs a primary with
+    /// writable storage.
+    pub writes: bool,
+    /// Where the epoll front end runs it.
+    pub runs_on: RunsOn,
+    /// Index into the latency histograms and per-op engine totals (the
+    /// row's index in [`OPS`]).
+    pub slot: usize,
+}
+
+impl Op {
+    /// Does the epoll reactor ship this op to the worker pool?
+    pub(crate) fn on_pool(&self, journaled: bool) -> bool {
+        match self.runs_on {
+            Inline => false,
+            Pool => true,
+            PoolWhenJournaled => journaled,
+        }
+    }
+}
+
+/// Declares [`OpId`], [`OPS`] and [`lookup`] from one list of rows, so
+/// the enum, the table and the name match cannot disagree.
+macro_rules! op_table {
+    ($($id:ident = $name:literal $(| $alias:literal)?, $class:ident, $writes:literal, $runs_on:ident;)*) => {
+        /// An op's identity: its row index in [`OPS`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum OpId { $($id),* }
+
+        /// The op table, in latency-slot order.
+        pub(crate) static OPS: &[Op] = &[$(Op {
+            id: Some(OpId::$id),
+            name: $name,
+            class: $class,
+            writes: $writes,
+            runs_on: $runs_on,
+            slot: OpId::$id as usize,
+        }),*];
+
+        /// The op a wire `op` string names (aliases included).
+        pub(crate) fn lookup(name: &str) -> Option<OpId> {
+            match name {
+                $($name $(| $alias)? => Some(OpId::$id),)*
+                _ => None,
+            }
+        }
+    };
+}
+
+// Shed classes. Critical — operational introspection, replication and
+// the control plane — is never shed: an overloaded server that goes
+// dark to its operators and peers cannot be diagnosed. Heavy —
+// whole-relation reads — goes first; Session — real user work — only at
+// the highest shed level.
+//
+// `replica.sync` stays inline although it reads the journal: a quorum
+// commit's latency is the follower's next sync, and a pool hop would
+// put it behind every queued batch.
+op_table! {
+//  id              wire name                     class     writes  runs on
+    Hello          = "hello",                     Critical, false,  Inline;
+    SessionCreate  = "session.create",            Session,  true,   Inline;
+    SessionGet     = "session.get",               Session,  false,  Inline;
+    SessionValidate = "session.validate",         Session,  true,   Inline;
+    SessionFix     = "session.fix",               Session,  true,   Inline;
+    SessionCommit  = "session.commit",            Session,  true,   PoolWhenJournaled;
+    SessionAbort   = "session.abort",             Session,  true,   Inline;
+    Clean          = "clean",                     Heavy,    false,  Pool;
+    Regions        = "regions",                   Heavy,    false,  Pool;
+    Check          = "check",                     Heavy,    false,  Pool;
+    AuditRead      = "audit.read",                Heavy,    false,  Pool;
+    RulesReload    = "rules.reload",              Session,  true,   Pool;
+    MasterAppend   = "master.append",             Session,  true,   Pool;
+    // `stats` is an alias kept for operational tooling symmetry.
+    Metrics        = "metrics" | "stats",         Critical, false,  Inline;
+    MetricsProm    = "metrics.prom",              Critical, false,  Inline;
+    TraceRead      = "trace.read",                Critical, false,  Inline;
+    ReplicaSync    = "replica.sync",              Critical, false,  Inline;
+    // Joins the tail thread and cuts a snapshot.
+    ReplicaPromote = "replica.promote",           Critical, false,  Pool;
+    Health         = "health",                    Critical, false,  Inline;
+    LogRead        = "log.read",                  Critical, false,  Inline;
+    MetricsHistory = "metrics.history",           Critical, false,  Inline;
+    // Fans out to peers over TCP.
+    ClusterStatus  = "cluster.status",            Critical, false,  Pool;
+    ConfigSet      = "config.set",                Critical, true,   PoolWhenJournaled;
+    // Reads the whole journal, snapshot and audit spill.
+    Scrub          = "scrub",                     Critical, false,  Pool;
+    Drain          = "server.drain",              Critical, false,  Inline;
+    Shutdown       = "shutdown",                  Critical, false,  Inline;
+}
+
+impl OpId {
+    /// This op's row.
+    pub(crate) fn row(self) -> &'static Op {
+        &OPS[self as usize]
+    }
+}
+
+/// Latency class of a line that is not JSON. Never resolved from a
+/// name, so its class and placement are never consulted.
+pub(crate) static PARSE_ERROR: Op = Op {
+    id: None,
+    name: "parse_error",
+    class: Session,
+    writes: false,
+    runs_on: Pool,
+    slot: OPS.len(),
+};
+
+/// Latency class of a well-formed line that names no row: a missing or
+/// non-string `op`, or a name not in the table. Shed as `Session` — the
+/// parser will reject the line anyway, and `Critical` would let garbage
+/// bypass the shedder.
+pub(crate) static OTHER: Op = Op {
+    id: None,
+    name: "other",
+    class: Session,
+    writes: false,
+    runs_on: Inline,
+    slot: OPS.len() + 1,
+};
+
+/// Number of latency slots: one per row plus the two classes above.
+pub(crate) const SLOTS: usize = OPS.len() + 2;
+
+/// Every latency class in slot order.
+pub(crate) fn classes() -> impl Iterator<Item = &'static Op> {
+    OPS.iter().chain([&PARSE_ERROR, &OTHER])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slots_are_distinct_and_only_ops_have_names_on_the_wire() {
+        for (slot, class) in classes().enumerate() {
+            assert_eq!(class.slot, slot, "{}", class.name);
+            assert_eq!(lookup(class.name), class.id, "{}", class.name);
+        }
+        assert_eq!(classes().count(), SLOTS);
+        assert_eq!(lookup("stats"), Some(OpId::Metrics));
+    }
+
+    /// Placement, pinned on the classification (no timing): ops that
+    /// read the data directory, cut snapshots or wait for an fsync never
+    /// run on the reactor thread.
+    #[test]
+    fn blocking_ops_leave_the_reactor_thread() {
+        let pooled = |name: &str, journaled| lookup(name).unwrap().row().on_pool(journaled);
+        for name in ["scrub", "replica.promote", "cluster.status", "clean"] {
+            assert!(pooled(name, false) && pooled(name, true), "{name}");
+        }
+        for name in ["config.set", "session.commit"] {
+            assert!(!pooled(name, false), "{name} is µs-scale in memory mode");
+            assert!(pooled(name, true), "{name} waits for its group fsync");
+        }
+        for name in ["replica.sync", "session.get", "session.validate", "health"] {
+            assert!(!pooled(name, false) && !pooled(name, true), "{name}");
+        }
+        // An unknown name gets its error inline.
+        assert!(!OTHER.on_pool(true));
+    }
+
+    /// The README's protocol table is this table: the same ops, in any
+    /// order, with the same class / writes / runs-on columns.
+    #[test]
+    fn readme_protocol_table_matches_the_op_table() {
+        let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+        let reference = readme
+            .split("### Protocol reference")
+            .nth(1)
+            .expect("README has a protocol reference");
+        let mut documented: Vec<String> = reference
+            .lines()
+            .skip_while(|line| !line.starts_with("| op |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let name = cells[1].split('`').nth(1).expect("op name in backticks");
+                format!("{name} | {} | {} | {}", cells[2], cells[3], cells[4])
+            })
+            .collect();
+        documented.sort_unstable();
+        let mut table: Vec<String> = OPS
+            .iter()
+            .map(|op| {
+                format!(
+                    "{} | {} | {} | {}",
+                    op.name,
+                    format!("{:?}", op.class).to_lowercase(),
+                    if op.writes { "yes" } else { "no" },
+                    match op.runs_on {
+                        Inline => "inline",
+                        Pool => "pool",
+                        PoolWhenJournaled => "pool when journaled",
+                    }
+                )
+            })
+            .collect();
+        table.sort_unstable();
+        assert_eq!(documented, table);
+    }
+}

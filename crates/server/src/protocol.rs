@@ -5,11 +5,14 @@
 //! fields, or `"ok": false` with an `"error"` string. The full field
 //! reference lives in the repository README ("cerfix-server protocol").
 //!
-//! This module converts between [`Json`] and the typed [`Request`] enum;
-//! responses are built directly as [`Json`] by the service (they are
+//! This module holds the two parsers — the tree parser that converts
+//! [`Json`] to the typed [`Request`] enum, and the allocation-free slice
+//! scanner that reads the session ops in regular shape — plus the
+//! client-side encoder. Responses are written by the service (they are
 //! write-only on the server side) and picked apart field-wise by the
 //! [`Client`](crate::Client).
 
+use crate::ops::{self, Op, OpId};
 use crate::wire::scan::{ObjectScanner, RawValue};
 use crate::wire::{Json, WireError};
 use cerfix_relation::Value;
@@ -20,50 +23,27 @@ use cerfix_relation::Value;
 /// warmed request path performs no steady-state allocations.
 #[derive(Debug, Default)]
 pub struct RequestScratch {
-    /// Resolved `(attribute id, value)` validations for the hot
-    /// `session.validate` path.
+    /// The `(attribute id, value)` validations of the
+    /// `session.validate` being served, resolved against the schema by
+    /// whichever parser read the line.
     pub(crate) validations: Vec<(usize, Value)>,
     /// Unescape buffer for string payloads containing escapes.
     pub(crate) unescape: String,
 }
 
-/// A hot request shape recognized by the single-pass slice scanner —
-/// the session ops a pipelining client hammers. Everything else (and
-/// any line the scanner finds irregular) takes the tree-parser path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::enum_variant_names)] // the ops ARE session.*; names mirror the wire
-pub(crate) enum HotOp<'a> {
-    SessionGet {
-        session: u64,
-    },
-    SessionFix {
-        session: u64,
-    },
-    SessionValidate {
-        session: u64,
-        /// Raw `{...}` span of the `validations` object (re-scanned by
-        /// the service against its schema).
-        validations: &'a str,
-    },
-    SessionCommit {
-        session: u64,
-    },
-    SessionAbort {
-        session: u64,
-    },
-}
-
-impl HotOp<'_> {
-    /// The op name, for latency classification.
-    pub(crate) fn op(&self) -> &'static str {
-        match self {
-            HotOp::SessionGet { .. } => "session.get",
-            HotOp::SessionFix { .. } => "session.fix",
-            HotOp::SessionValidate { .. } => "session.validate",
-            HotOp::SessionCommit { .. } => "session.commit",
-            HotOp::SessionAbort { .. } => "session.abort",
-        }
-    }
+/// A parsed line, as either parser hands it to the service: the tree
+/// parser always yields a [`Request`]; the slice scanner reads the
+/// session ops a pipelining client hammers, when in regular shape,
+/// without building a tree.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Parsed<'a> {
+    /// A fully parsed request. From the scanner: `session.get` / `fix`
+    /// / `commit` / `abort`, whose variants own no heap data.
+    Request(Request),
+    /// A scanned `session.validate`: the raw `{...}` span of the
+    /// `validations` object, which the service resolves against its
+    /// schema into [`RequestScratch`].
+    Validate { session: u64, validations: &'a str },
 }
 
 /// What one scanner pass over a request line found.
@@ -71,11 +51,14 @@ impl HotOp<'_> {
 pub(crate) struct ScannedLine<'a> {
     /// Raw span of a client-supplied `id` field, echoed in the response.
     pub(crate) id: Option<&'a str>,
-    /// The recognized hot shape, when the line is one.
-    pub(crate) hot: Option<HotOp<'a>>,
-    /// The plain `op` string, when the scanner saw one — feeds the
-    /// admission shedder before the tree parser spends any work.
-    pub(crate) op: Option<&'a str>,
+    /// The scanner's own parse, when the line is a session op in
+    /// regular shape; every other line goes to the tree parser.
+    pub(crate) hot: Option<Parsed<'a>>,
+    /// The row the plain `op` string names ([`ops::OTHER`] for a name
+    /// not in the table), when the scanner saw one — it feeds the
+    /// admission shedder, the reactor's placement and the latency class
+    /// before the tree parser spends any work.
+    pub(crate) op: Option<&'static Op>,
     /// Client request deadline in milliseconds from receipt. A value
     /// the scanner cannot read as `u64` is treated as absent, matching
     /// the tree parser's unknown-field tolerance.
@@ -83,36 +66,42 @@ pub(crate) struct ScannedLine<'a> {
 }
 
 /// Single allocation-free pass over a request line: extracts the
-/// response-correlation `id` (any op) and recognizes the hot session
-/// shapes. A malformed line yields neither — the tree parser then owns
-/// the error message.
+/// response-correlation `id` (any op), resolves `op` to its table row
+/// and recognizes the hot session shapes. A malformed line yields none
+/// of them — the tree parser then owns the error message.
 pub(crate) fn scan_line(line: &str) -> ScannedLine<'_> {
     let Some(mut scanner) = ObjectScanner::new(line) else {
         return ScannedLine::default();
     };
     let mut id = None;
     let mut op = None;
+    let mut op_seen = false;
     let mut session = None;
     let mut validations = None;
     let mut deadline_ms = None;
-    // `fastable` drops on any field the scanner cannot vouch for; `id`
-    // keeps being collected so even tree-path responses echo it.
+    // `fastable` drops on a `session` or `validations` the scanner
+    // cannot vouch for; `id` keeps being collected so even tree-path
+    // responses echo it.
     let mut fastable = true;
+    // An escaped key may spell `op` and, coming first, be the one the
+    // tree parser reads: the scanner then cannot name the row at all
+    // (and with no row there is no hot shape either).
+    let mut escaped_key = false;
     while let Some((key, value, span)) = scanner.next_field() {
         let Some(key) = key.as_plain() else {
-            fastable = false;
+            escaped_key = true;
             continue;
         };
         match key {
             // First occurrence wins, matching `Json::get` on the tree.
-            "op" => match value {
-                RawValue::Str(s) if op.is_none() => match s.as_plain() {
-                    Some(plain) => op = Some(plain),
-                    None => fastable = false,
-                },
-                _ if op.is_none() => fastable = false,
-                _ => {}
-            },
+            "op" if !op_seen => {
+                op_seen = true;
+                if let RawValue::Str(s) = value {
+                    op = s
+                        .as_plain()
+                        .map(|name| ops::lookup(name).map_or(&ops::OTHER, OpId::row));
+                }
+            }
             "session" if session.is_none() => match value.as_u64() {
                 Some(s) => session = Some(s),
                 None => fastable = false,
@@ -130,22 +119,22 @@ pub(crate) fn scan_line(line: &str) -> ScannedLine<'_> {
         // Malformed line: the id span cannot be trusted either.
         return ScannedLine::default();
     }
-    let hot = if fastable {
-        match (op, session) {
-            (Some("session.get"), Some(session)) => Some(HotOp::SessionGet { session }),
-            (Some("session.fix"), Some(session)) => Some(HotOp::SessionFix { session }),
-            (Some("session.commit"), Some(session)) => Some(HotOp::SessionCommit { session }),
-            (Some("session.abort"), Some(session)) => Some(HotOp::SessionAbort { session }),
-            (Some("session.validate"), Some(session)) => {
-                validations.map(|validations| HotOp::SessionValidate {
-                    session,
-                    validations,
-                })
-            }
+    if escaped_key {
+        op = None;
+    }
+    let hot = match (fastable, op.and_then(|op| op.id), session) {
+        (true, Some(id), Some(session)) => match id {
+            OpId::SessionGet => Some(Parsed::Request(Request::SessionGet { session })),
+            OpId::SessionFix => Some(Parsed::Request(Request::SessionFix { session })),
+            OpId::SessionCommit => Some(Parsed::Request(Request::SessionCommit { session })),
+            OpId::SessionAbort => Some(Parsed::Request(Request::SessionAbort { session })),
+            OpId::SessionValidate => validations.map(|validations| Parsed::Validate {
+                session,
+                validations,
+            }),
             _ => None,
-        }
-    } else {
-        None
+        },
+        _ => None,
     };
     ScannedLine {
         id,
@@ -367,10 +356,52 @@ fn need<'a>(json: &'a Json, key: &str) -> Result<&'a Json, WireError> {
         .ok_or_else(|| WireError(format!("missing field `{key}`")))
 }
 
-fn need_session(json: &Json) -> Result<u64, WireError> {
-    need(json, "session")?
-        .as_u64()
-        .ok_or_else(|| WireError("`session` must be a non-negative integer".into()))
+/// Read `value` through `get` (`Json::as_u64`, `as_str`, …); an
+/// ill-typed value is an error naming what `key` must be.
+fn typed<'a, T>(
+    value: &'a Json,
+    key: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+    must_be: &str,
+) -> Result<T, WireError> {
+    get(value).ok_or_else(|| WireError(format!("`{key}` must be {must_be}")))
+}
+
+/// An optional field: absent is `None`, present but ill-typed an error.
+fn opt<'a, T>(
+    json: &'a Json,
+    key: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+    must_be: &str,
+) -> Result<Option<T>, WireError> {
+    json.get(key)
+        .map(|value| typed(value, key, get, must_be))
+        .transpose()
+}
+
+fn need_u64(json: &Json, key: &str) -> Result<u64, WireError> {
+    typed(
+        need(json, key)?,
+        key,
+        Json::as_u64,
+        "a non-negative integer",
+    )
+}
+
+fn need_str(json: &Json, key: &str, must_be: &str) -> Result<String, WireError> {
+    typed(need(json, key)?, key, Json::as_str, must_be).map(str::to_string)
+}
+
+fn opt_u64(json: &Json, key: &str) -> Result<Option<u64>, WireError> {
+    opt(json, key, Json::as_u64, "a non-negative integer")
+}
+
+fn opt_bool(json: &Json, key: &str) -> Result<Option<bool>, WireError> {
+    opt(json, key, Json::as_bool, "a boolean")
+}
+
+fn opt_str(json: &Json, key: &str) -> Result<Option<String>, WireError> {
+    Ok(opt(json, key, Json::as_str, "a string")?.map(str::to_string))
 }
 
 fn values_array(json: &Json, what: &str) -> Result<Vec<Value>, WireError> {
@@ -378,6 +409,15 @@ fn values_array(json: &Json, what: &str) -> Result<Vec<Value>, WireError> {
         .ok_or_else(|| WireError(format!("`{what}` must be an array of cell values")))?
         .iter()
         .map(Json::to_value)
+        .collect()
+}
+
+fn tuples_array(json: &Json) -> Result<Vec<Vec<Value>>, WireError> {
+    need(json, "tuples")?
+        .as_arr()
+        .ok_or_else(|| WireError("`tuples` must be an array".into()))?
+        .iter()
+        .map(|t| values_array(t, "tuples[i]"))
         .collect()
 }
 
@@ -394,54 +434,63 @@ fn string_array(json: &Json, what: &str) -> Result<Vec<String>, WireError> {
 }
 
 impl Request {
-    /// The `"op"` string naming this request.
-    pub fn op(&self) -> &'static str {
+    /// This request's row in the op table.
+    pub(crate) fn op(&self) -> &'static Op {
         match self {
-            Request::Hello => "hello",
-            Request::SessionCreate { .. } => "session.create",
-            Request::SessionGet { .. } => "session.get",
-            Request::SessionValidate { .. } => "session.validate",
-            Request::SessionFix { .. } => "session.fix",
-            Request::SessionCommit { .. } => "session.commit",
-            Request::SessionAbort { .. } => "session.abort",
-            Request::Clean { .. } => "clean",
-            Request::Regions { .. } => "regions",
-            Request::Check { .. } => "check",
-            Request::AuditRead { .. } => "audit.read",
-            Request::RulesReload { .. } => "rules.reload",
-            Request::MasterAppend { .. } => "master.append",
-            Request::Metrics => "metrics",
-            Request::MetricsProm => "metrics.prom",
-            Request::TraceRead { .. } => "trace.read",
-            Request::ReplicaSync { .. } => "replica.sync",
-            Request::ReplicaPromote => "replica.promote",
-            Request::Health => "health",
-            Request::LogRead { .. } => "log.read",
-            Request::MetricsHistory { .. } => "metrics.history",
-            Request::ClusterStatus { .. } => "cluster.status",
-            Request::ConfigSet { .. } => "config.set",
-            Request::Scrub => "scrub",
-            Request::Drain { .. } => "server.drain",
-            Request::Shutdown => "shutdown",
+            Request::Hello => OpId::Hello,
+            Request::SessionCreate { .. } => OpId::SessionCreate,
+            Request::SessionGet { .. } => OpId::SessionGet,
+            Request::SessionValidate { .. } => OpId::SessionValidate,
+            Request::SessionFix { .. } => OpId::SessionFix,
+            Request::SessionCommit { .. } => OpId::SessionCommit,
+            Request::SessionAbort { .. } => OpId::SessionAbort,
+            Request::Clean { .. } => OpId::Clean,
+            Request::Regions { .. } => OpId::Regions,
+            Request::Check { .. } => OpId::Check,
+            Request::AuditRead { .. } => OpId::AuditRead,
+            Request::RulesReload { .. } => OpId::RulesReload,
+            Request::MasterAppend { .. } => OpId::MasterAppend,
+            Request::Metrics => OpId::Metrics,
+            Request::MetricsProm => OpId::MetricsProm,
+            Request::TraceRead { .. } => OpId::TraceRead,
+            Request::ReplicaSync { .. } => OpId::ReplicaSync,
+            Request::ReplicaPromote => OpId::ReplicaPromote,
+            Request::Health => OpId::Health,
+            Request::LogRead { .. } => OpId::LogRead,
+            Request::MetricsHistory { .. } => OpId::MetricsHistory,
+            Request::ClusterStatus { .. } => OpId::ClusterStatus,
+            Request::ConfigSet { .. } => OpId::ConfigSet,
+            Request::Scrub => OpId::Scrub,
+            Request::Drain { .. } => OpId::Drain,
+            Request::Shutdown => OpId::Shutdown,
         }
+        .row()
     }
 
     /// Parse one protocol line.
     pub fn parse_line(line: &str) -> Result<Request, WireError> {
         let json = Json::parse(line)?;
-        let op = need(&json, "op")?
-            .as_str()
-            .ok_or_else(|| WireError("`op` must be a string".into()))?;
-        Ok(match op {
-            "hello" => Request::Hello,
-            "session.create" => Request::SessionCreate {
-                tuple: values_array(need(&json, "tuple")?, "tuple")?,
+        Request::parse(Request::id_of(&json)?, &json)
+    }
+
+    /// The op a parsed line's `op` field names.
+    pub(crate) fn id_of(json: &Json) -> Result<OpId, WireError> {
+        let name = typed(need(json, "op")?, "op", Json::as_str, "a string")?;
+        ops::lookup(name).ok_or_else(|| WireError(format!("unknown op `{name}`")))
+    }
+
+    /// Read op `id`'s fields out of a parsed line.
+    pub(crate) fn parse(id: OpId, json: &Json) -> Result<Request, WireError> {
+        Ok(match id {
+            OpId::Hello => Request::Hello,
+            OpId::SessionCreate => Request::SessionCreate {
+                tuple: values_array(need(json, "tuple")?, "tuple")?,
             },
-            "session.get" => Request::SessionGet {
-                session: need_session(&json)?,
+            OpId::SessionGet => Request::SessionGet {
+                session: need_u64(json, "session")?,
             },
-            "session.validate" => {
-                let validations = match need(&json, "validations")? {
+            OpId::SessionValidate => {
+                let validations = match need(json, "validations")? {
                     Json::Obj(fields) => fields
                         .iter()
                         .map(|(name, v)| Ok((name.clone(), v.to_value()?)))
@@ -453,179 +502,93 @@ impl Request {
                     }
                 };
                 Request::SessionValidate {
-                    session: need_session(&json)?,
+                    session: need_u64(json, "session")?,
                     validations,
                 }
             }
-            "session.fix" => Request::SessionFix {
-                session: need_session(&json)?,
+            OpId::SessionFix => Request::SessionFix {
+                session: need_u64(json, "session")?,
             },
-            "session.commit" => Request::SessionCommit {
-                session: need_session(&json)?,
+            OpId::SessionCommit => Request::SessionCommit {
+                session: need_u64(json, "session")?,
             },
-            "session.abort" => Request::SessionAbort {
-                session: need_session(&json)?,
+            OpId::SessionAbort => Request::SessionAbort {
+                session: need_u64(json, "session")?,
             },
-            "clean" => {
-                let tuples = need(&json, "tuples")?
-                    .as_arr()
-                    .ok_or_else(|| WireError("`tuples` must be an array".into()))?
-                    .iter()
-                    .map(|t| values_array(t, "tuples[i]"))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                let trust = match json.get("trust") {
+            OpId::Clean => Request::Clean {
+                tuples: tuples_array(json)?,
+                trust: match json.get("trust") {
                     Some(t) => string_array(t, "trust")?,
                     None => Vec::new(),
-                };
-                Request::Clean { tuples, trust }
-            }
-            "regions" => Request::Regions {
-                top_k: match json.get("top_k") {
-                    Some(k) => Some(
-                        k.as_u64()
-                            .ok_or_else(|| WireError("`top_k` must be an integer".into()))?
-                            as usize,
-                    ),
-                    None => None,
                 },
             },
-            "check" => Request::Check {
+            OpId::Regions => Request::Regions {
+                top_k: opt(json, "top_k", Json::as_u64, "an integer")?.map(|k| k as usize),
+            },
+            OpId::Check => Request::Check {
                 mode: json.get("mode").and_then(Json::as_str).map(str::to_string),
             },
-            "audit.read" => Request::AuditRead {
-                start: match json.get("start") {
-                    Some(s) => s.as_u64().ok_or_else(|| {
-                        WireError("`start` must be a non-negative integer".into())
-                    })?,
-                    None => 0,
-                },
-                count: match json.get("count") {
-                    Some(c) => Some(c.as_u64().ok_or_else(|| {
-                        WireError("`count` must be a non-negative integer".into())
-                    })?),
-                    None => None,
-                },
+            OpId::AuditRead => Request::AuditRead {
+                start: opt_u64(json, "start")?.unwrap_or(0),
+                count: opt_u64(json, "count")?,
             },
-            "rules.reload" => Request::RulesReload {
-                rules: need(&json, "rules")?
-                    .as_str()
-                    .ok_or_else(|| WireError("`rules` must be a DSL string".into()))?
-                    .to_string(),
+            OpId::RulesReload => Request::RulesReload {
+                rules: need_str(json, "rules", "a DSL string")?,
             },
-            "master.append" => Request::MasterAppend {
-                tuples: need(&json, "tuples")?
-                    .as_arr()
-                    .ok_or_else(|| WireError("`tuples` must be an array".into()))?
-                    .iter()
-                    .map(|t| values_array(t, "tuples[i]"))
-                    .collect::<Result<Vec<_>, WireError>>()?,
+            OpId::MasterAppend => Request::MasterAppend {
+                tuples: tuples_array(json)?,
             },
-            // `stats` is an alias kept for operational tooling symmetry.
-            "metrics" | "stats" => Request::Metrics,
-            "metrics.prom" => Request::MetricsProm,
-            "trace.read" => Request::TraceRead {
-                limit: match json.get("limit") {
-                    Some(l) => Some(l.as_u64().ok_or_else(|| {
-                        WireError("`limit` must be a non-negative integer".into())
-                    })?),
-                    None => None,
-                },
+            OpId::Metrics => Request::Metrics,
+            OpId::MetricsProm => Request::MetricsProm,
+            OpId::TraceRead => Request::TraceRead {
+                limit: opt_u64(json, "limit")?,
             },
-            "replica.sync" => {
-                Request::ReplicaSync {
-                    follower: need(&json, "follower")?
-                        .as_str()
-                        .ok_or_else(|| WireError("`follower` must be a string id".into()))?
-                        .to_string(),
-                    epoch: need(&json, "epoch")?.as_u64().ok_or_else(|| {
-                        WireError("`epoch` must be a non-negative integer".into())
-                    })?,
-                    offset: need(&json, "offset")?.as_u64().ok_or_else(|| {
-                        WireError("`offset` must be a non-negative integer".into())
-                    })?,
-                    max: match json.get("max") {
-                        Some(m) => Some(m.as_u64().ok_or_else(|| {
-                            WireError("`max` must be a non-negative integer".into())
-                        })?),
-                        None => None,
-                    },
-                    // Absent on the wire from pre-v7 followers.
-                    resync: match json.get("resync") {
-                        Some(r) => r
-                            .as_bool()
-                            .ok_or_else(|| WireError("`resync` must be a boolean".into()))?,
-                        None => false,
-                    },
-                }
-            }
-            "replica.promote" => Request::ReplicaPromote,
-            "health" => Request::Health,
-            "log.read" => Request::LogRead {
-                limit: match json.get("limit") {
-                    Some(l) => Some(l.as_u64().ok_or_else(|| {
-                        WireError("`limit` must be a non-negative integer".into())
-                    })?),
-                    None => None,
-                },
-                level: match json.get("level") {
-                    Some(l) => Some(
-                        l.as_str()
-                            .ok_or_else(|| WireError("`level` must be a string".into()))?
-                            .to_string(),
-                    ),
-                    None => None,
-                },
-                subsystem: match json.get("subsystem") {
-                    Some(s) => Some(
-                        s.as_str()
-                            .ok_or_else(|| WireError("`subsystem` must be a string".into()))?
-                            .to_string(),
-                    ),
-                    None => None,
-                },
+            OpId::ReplicaSync => Request::ReplicaSync {
+                follower: need_str(json, "follower", "a string id")?,
+                epoch: need_u64(json, "epoch")?,
+                offset: need_u64(json, "offset")?,
+                max: opt_u64(json, "max")?,
+                // Absent on the wire from pre-v7 followers.
+                resync: opt_bool(json, "resync")?.unwrap_or(false),
             },
-            "metrics.history" => Request::MetricsHistory {
-                limit: match json.get("limit") {
-                    Some(l) => Some(l.as_u64().ok_or_else(|| {
-                        WireError("`limit` must be a non-negative integer".into())
-                    })?),
-                    None => None,
-                },
+            OpId::ReplicaPromote => Request::ReplicaPromote,
+            OpId::Health => Request::Health,
+            OpId::LogRead => Request::LogRead {
+                limit: opt_u64(json, "limit")?,
+                level: opt_str(json, "level")?,
+                subsystem: opt_str(json, "subsystem")?,
             },
-            "cluster.status" => Request::ClusterStatus {
-                fanout: match json.get("fanout") {
-                    Some(f) => f
-                        .as_bool()
-                        .ok_or_else(|| WireError("`fanout` must be a boolean".into()))?,
-                    None => true,
-                },
+            OpId::MetricsHistory => Request::MetricsHistory {
+                limit: opt_u64(json, "limit")?,
             },
-            "config.set" => Request::ConfigSet {
-                key: need(&json, "key")?
-                    .as_str()
-                    .ok_or_else(|| WireError("`key` must be a string".into()))?
-                    .to_string(),
-                value: need(&json, "value")?
-                    .as_u64()
-                    .ok_or_else(|| WireError("`value` must be a non-negative integer".into()))?,
+            OpId::ClusterStatus => Request::ClusterStatus {
+                fanout: opt_bool(json, "fanout")?.unwrap_or(true),
             },
-            "scrub" => Request::Scrub,
-            "server.drain" => Request::Drain {
-                wait_ms: match json.get("wait_ms") {
-                    Some(w) => Some(w.as_u64().ok_or_else(|| {
-                        WireError("`wait_ms` must be a non-negative integer".into())
-                    })?),
-                    None => None,
-                },
+            OpId::ConfigSet => Request::ConfigSet {
+                key: need_str(json, "key", "a string")?,
+                value: need_u64(json, "value")?,
             },
-            "shutdown" => Request::Shutdown,
-            other => return Err(WireError(format!("unknown op `{other}`"))),
+            OpId::Scrub => Request::Scrub,
+            OpId::Drain => Request::Drain {
+                wait_ms: opt_u64(json, "wait_ms")?,
+            },
+            OpId::Shutdown => Request::Shutdown,
         })
     }
 
-    /// Encode for the wire (used by clients).
+    /// Encode for the wire (used by clients). Optional fields are
+    /// written only when set.
     pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![("op".into(), Json::str(self.op()))];
+        let mut fields: Vec<(String, Json)> = vec![("op".into(), Json::str(self.op().name))];
+        let mut put = |key: &str, value: Option<Json>| {
+            if let Some(value) = value {
+                fields.push((key.into(), value));
+            }
+        };
+        let num = |n: u64| Json::Num(n as f64);
+        let text = |s: &String| Json::str(s.clone());
+        let cells = |t: &Vec<Value>| Json::Arr(t.iter().map(Json::from_value).collect());
+        let rows = |tuples: &[Vec<Value>]| Json::Arr(tuples.iter().map(cells).collect());
         match self {
             Request::Hello
             | Request::Metrics
@@ -634,39 +597,25 @@ impl Request {
             | Request::Health
             | Request::Scrub
             | Request::Shutdown => {}
-            Request::Drain { wait_ms } => {
-                if let Some(wait_ms) = wait_ms {
-                    fields.push(("wait_ms".into(), Json::Num(*wait_ms as f64)));
-                }
-            }
+            Request::Drain { wait_ms } => put("wait_ms", wait_ms.map(num)),
             Request::LogRead {
                 limit,
                 level,
                 subsystem,
             } => {
-                if let Some(limit) = limit {
-                    fields.push(("limit".into(), Json::Num(*limit as f64)));
-                }
-                if let Some(level) = level {
-                    fields.push(("level".into(), Json::str(level.clone())));
-                }
-                if let Some(subsystem) = subsystem {
-                    fields.push(("subsystem".into(), Json::str(subsystem.clone())));
-                }
+                put("limit", limit.map(num));
+                put("level", level.as_ref().map(text));
+                put("subsystem", subsystem.as_ref().map(text));
             }
-            Request::MetricsHistory { limit } => {
-                if let Some(limit) = limit {
-                    fields.push(("limit".into(), Json::Num(*limit as f64)));
-                }
+            Request::MetricsHistory { limit } | Request::TraceRead { limit } => {
+                put("limit", limit.map(num))
             }
             Request::ClusterStatus { fanout } => {
-                if !fanout {
-                    fields.push(("fanout".into(), Json::Bool(false)));
-                }
+                put("fanout", (!fanout).then_some(Json::Bool(false)))
             }
             Request::ConfigSet { key, value } => {
-                fields.push(("key".into(), Json::str(key.clone())));
-                fields.push(("value".into(), Json::Num(*value as f64)));
+                put("key", Some(text(key)));
+                put("value", Some(num(*value)));
             }
             Request::ReplicaSync {
                 follower,
@@ -675,194 +624,159 @@ impl Request {
                 max,
                 resync,
             } => {
-                fields.push(("follower".into(), Json::str(follower.clone())));
-                fields.push(("epoch".into(), Json::Num(*epoch as f64)));
-                fields.push(("offset".into(), Json::Num(*offset as f64)));
-                if let Some(max) = max {
-                    fields.push(("max".into(), Json::Num(*max as f64)));
-                }
+                put("follower", Some(text(follower)));
+                put("epoch", Some(num(*epoch)));
+                put("offset", Some(num(*offset)));
+                put("max", max.map(num));
                 // Encoded only when set, so pre-v7 primaries still
                 // parse the common case.
-                if *resync {
-                    fields.push(("resync".into(), Json::Bool(true)));
-                }
+                put("resync", resync.then_some(Json::Bool(true)));
             }
-            Request::TraceRead { limit } => {
-                if let Some(limit) = limit {
-                    fields.push(("limit".into(), Json::Num(*limit as f64)));
-                }
-            }
-            Request::SessionCreate { tuple } => {
-                fields.push((
-                    "tuple".into(),
-                    Json::Arr(tuple.iter().map(Json::from_value).collect()),
-                ));
-            }
+            Request::SessionCreate { tuple } => put("tuple", Some(cells(tuple))),
             Request::SessionGet { session }
             | Request::SessionFix { session }
             | Request::SessionCommit { session }
-            | Request::SessionAbort { session } => {
-                fields.push(("session".into(), Json::Num(*session as f64)));
-            }
+            | Request::SessionAbort { session } => put("session", Some(num(*session))),
             Request::SessionValidate {
                 session,
                 validations,
             } => {
-                fields.push(("session".into(), Json::Num(*session as f64)));
-                fields.push((
-                    "validations".into(),
-                    Json::Obj(
-                        validations
-                            .iter()
-                            .map(|(name, value)| (name.clone(), Json::from_value(value)))
-                            .collect(),
-                    ),
-                ));
+                put("session", Some(num(*session)));
+                let validations = validations
+                    .iter()
+                    .map(|(name, value)| (name.clone(), Json::from_value(value)))
+                    .collect();
+                put("validations", Some(Json::Obj(validations)));
             }
             Request::Clean { tuples, trust } => {
-                fields.push((
-                    "tuples".into(),
-                    Json::Arr(
-                        tuples
-                            .iter()
-                            .map(|t| Json::Arr(t.iter().map(Json::from_value).collect()))
-                            .collect(),
-                    ),
-                ));
-                fields.push((
-                    "trust".into(),
-                    Json::Arr(trust.iter().map(|s| Json::str(s.clone())).collect()),
-                ));
+                put("tuples", Some(rows(tuples)));
+                put("trust", Some(Json::Arr(trust.iter().map(text).collect())));
             }
-            Request::Regions { top_k } => {
-                if let Some(k) = top_k {
-                    fields.push(("top_k".into(), Json::Num(*k as f64)));
-                }
-            }
-            Request::Check { mode } => {
-                if let Some(mode) = mode {
-                    fields.push(("mode".into(), Json::str(mode.clone())));
-                }
-            }
+            Request::Regions { top_k } => put("top_k", top_k.map(|k| num(k as u64))),
+            Request::Check { mode } => put("mode", mode.as_ref().map(text)),
             Request::AuditRead { start, count } => {
-                fields.push(("start".into(), Json::Num(*start as f64)));
-                if let Some(count) = count {
-                    fields.push(("count".into(), Json::Num(*count as f64)));
-                }
+                put("start", Some(num(*start)));
+                put("count", count.map(num));
             }
-            Request::RulesReload { rules } => {
-                fields.push(("rules".into(), Json::str(rules.clone())));
-            }
-            Request::MasterAppend { tuples } => {
-                fields.push((
-                    "tuples".into(),
-                    Json::Arr(
-                        tuples
-                            .iter()
-                            .map(|t| Json::Arr(t.iter().map(Json::from_value).collect()))
-                            .collect(),
-                    ),
-                ));
-            }
+            Request::RulesReload { rules } => put("rules", Some(text(rules))),
+            Request::MasterAppend { tuples } => put("tuples", Some(rows(tuples))),
         }
         Json::Obj(fields)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn round_trip(request: Request) {
-        let line = request.to_json().render();
-        assert_eq!(Request::parse_line(&line).unwrap(), request, "{line}");
-    }
-
-    #[test]
-    fn all_ops_round_trip() {
-        round_trip(Request::Hello);
-        round_trip(Request::SessionCreate {
-            tuple: vec![
-                Value::str("a"),
-                Value::Null,
-                Value::Int(3),
-                Value::Bool(true),
+    /// Well-formed requests for op `id`: the first one minimal, the
+    /// rest covering its optional fields. Exhaustive, so a new op cannot
+    /// skip the table-driven test in `lib.rs` that feeds on it.
+    pub(crate) fn samples(id: OpId) -> Vec<Request> {
+        match id {
+            OpId::Hello => vec![Request::Hello],
+            OpId::SessionCreate => vec![Request::SessionCreate {
+                tuple: vec![
+                    Value::str("a"),
+                    Value::Null,
+                    Value::Int(3),
+                    Value::Bool(true),
+                ],
+            }],
+            OpId::SessionGet => vec![Request::SessionGet { session: 7 }],
+            OpId::SessionValidate => vec![Request::SessionValidate {
+                session: 7,
+                validations: vec![("zip".into(), Value::str("EH8 4AH"))],
+            }],
+            OpId::SessionFix => vec![Request::SessionFix { session: 7 }],
+            OpId::SessionCommit => vec![Request::SessionCommit { session: 9 }],
+            OpId::SessionAbort => vec![Request::SessionAbort { session: 9 }],
+            OpId::Clean => vec![Request::Clean {
+                tuples: vec![vec![Value::str("x")], vec![Value::str("y")]],
+                trust: vec!["key".into()],
+            }],
+            OpId::Regions => vec![
+                Request::Regions { top_k: None },
+                Request::Regions { top_k: Some(4) },
             ],
-        });
-        round_trip(Request::SessionGet { session: 7 });
-        round_trip(Request::SessionValidate {
-            session: 7,
-            validations: vec![("zip".into(), Value::str("EH8 4AH"))],
-        });
-        round_trip(Request::SessionFix { session: 7 });
-        round_trip(Request::SessionCommit { session: 9 });
-        round_trip(Request::SessionAbort { session: 9 });
-        round_trip(Request::Clean {
-            tuples: vec![vec![Value::str("x")], vec![Value::str("y")]],
-            trust: vec!["key".into()],
-        });
-        round_trip(Request::Regions { top_k: Some(4) });
-        round_trip(Request::Regions { top_k: None });
-        round_trip(Request::Check {
-            mode: Some("strict".into()),
-        });
-        round_trip(Request::Check { mode: None });
-        round_trip(Request::AuditRead {
-            start: 128,
-            count: Some(64),
-        });
-        round_trip(Request::AuditRead {
-            start: 0,
-            count: None,
-        });
-        round_trip(Request::RulesReload {
-            rules: "er phi1: match zip=zip fix AC:=AC when ()".into(),
-        });
-        round_trip(Request::MasterAppend {
-            tuples: vec![vec![Value::str("G12"), Value::Null], vec![Value::Int(3)]],
-        });
-        round_trip(Request::Metrics);
-        round_trip(Request::MetricsProm);
-        round_trip(Request::TraceRead { limit: Some(16) });
-        round_trip(Request::TraceRead { limit: None });
-        round_trip(Request::ReplicaSync {
-            follower: "127.0.0.1:9102".into(),
-            epoch: 3,
-            offset: 4096,
-            max: Some(512),
-            resync: false,
-        });
-        round_trip(Request::ReplicaSync {
-            follower: "b".into(),
-            epoch: 0,
-            offset: 0,
-            max: None,
-            resync: true,
-        });
-        round_trip(Request::ReplicaPromote);
-        round_trip(Request::Health);
-        round_trip(Request::LogRead {
-            limit: Some(32),
-            level: Some("warn".into()),
-            subsystem: Some("replication".into()),
-        });
-        round_trip(Request::LogRead {
-            limit: None,
-            level: None,
-            subsystem: None,
-        });
-        round_trip(Request::MetricsHistory { limit: Some(60) });
-        round_trip(Request::MetricsHistory { limit: None });
-        round_trip(Request::ClusterStatus { fanout: true });
-        round_trip(Request::ClusterStatus { fanout: false });
-        round_trip(Request::ConfigSet {
-            key: "slow_ms".into(),
-            value: 250,
-        });
-        round_trip(Request::Scrub);
-        round_trip(Request::Drain { wait_ms: Some(500) });
-        round_trip(Request::Drain { wait_ms: None });
-        round_trip(Request::Shutdown);
+            OpId::Check => vec![
+                Request::Check { mode: None },
+                Request::Check {
+                    mode: Some("strict".into()),
+                },
+            ],
+            OpId::AuditRead => vec![
+                Request::AuditRead {
+                    start: 0,
+                    count: None,
+                },
+                Request::AuditRead {
+                    start: 128,
+                    count: Some(64),
+                },
+            ],
+            OpId::RulesReload => vec![Request::RulesReload {
+                rules: "er phi1: match zip=zip fix AC:=AC when ()".into(),
+            }],
+            OpId::MasterAppend => vec![Request::MasterAppend {
+                tuples: vec![vec![Value::str("G12"), Value::Null], vec![Value::Int(3)]],
+            }],
+            OpId::Metrics => vec![Request::Metrics],
+            OpId::MetricsProm => vec![Request::MetricsProm],
+            OpId::TraceRead => vec![
+                Request::TraceRead { limit: None },
+                Request::TraceRead { limit: Some(16) },
+            ],
+            OpId::ReplicaSync => vec![
+                Request::ReplicaSync {
+                    follower: "b".into(),
+                    epoch: 0,
+                    offset: 0,
+                    max: None,
+                    resync: false,
+                },
+                Request::ReplicaSync {
+                    follower: "127.0.0.1:9102".into(),
+                    epoch: 3,
+                    offset: 4096,
+                    max: Some(512),
+                    resync: true,
+                },
+            ],
+            OpId::ReplicaPromote => vec![Request::ReplicaPromote],
+            OpId::Health => vec![Request::Health],
+            OpId::LogRead => vec![
+                Request::LogRead {
+                    limit: None,
+                    level: None,
+                    subsystem: None,
+                },
+                Request::LogRead {
+                    limit: Some(32),
+                    level: Some("warn".into()),
+                    subsystem: Some("replication".into()),
+                },
+            ],
+            OpId::MetricsHistory => vec![
+                Request::MetricsHistory { limit: None },
+                Request::MetricsHistory { limit: Some(60) },
+            ],
+            // No fan-out first: the minimal form must not dial peers.
+            OpId::ClusterStatus => vec![
+                Request::ClusterStatus { fanout: false },
+                Request::ClusterStatus { fanout: true },
+            ],
+            OpId::ConfigSet => vec![Request::ConfigSet {
+                key: "slow_ms".into(),
+                value: 250,
+            }],
+            OpId::Scrub => vec![Request::Scrub],
+            OpId::Drain => vec![
+                Request::Drain { wait_ms: None },
+                Request::Drain { wait_ms: Some(500) },
+            ],
+            OpId::Shutdown => vec![Request::Shutdown],
+        }
     }
 
     #[test]
@@ -947,10 +861,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_line_recognizes_hot_shapes_and_ids() {
+    fn scan_line_parses_regular_session_shapes_and_ids() {
         let scanned = scan_line(r#"{"op":"session.get","session":7,"id":42}"#);
         assert_eq!(scanned.id, Some("42"));
-        assert_eq!(scanned.hot, Some(HotOp::SessionGet { session: 7 }));
+        assert_eq!(
+            scanned.hot,
+            Some(Parsed::Request(Request::SessionGet { session: 7 }))
+        );
 
         let scanned = scan_line(
             r#"{"id":"x-1","op":"session.validate","session":3,"validations":{"zip":"EH8"}}"#,
@@ -958,7 +875,7 @@ mod tests {
         assert_eq!(scanned.id, Some("\"x-1\""));
         assert_eq!(
             scanned.hot,
-            Some(HotOp::SessionValidate {
+            Some(Parsed::Validate {
                 session: 3,
                 validations: r#"{"zip":"EH8"}"#,
             })
@@ -986,20 +903,39 @@ mod tests {
     #[test]
     fn scan_line_first_occurrence_wins_like_tree_get() {
         let scanned = scan_line(r#"{"op":"session.get","session":1,"session":2,"id":7,"id":8}"#);
-        assert_eq!(scanned.hot, Some(HotOp::SessionGet { session: 1 }));
+        assert_eq!(
+            scanned.hot,
+            Some(Parsed::Request(Request::SessionGet { session: 1 }))
+        );
         assert_eq!(scanned.id, Some("7"));
     }
 
     #[test]
-    fn scan_line_collects_op_and_deadline() {
+    fn scan_line_resolves_the_row_and_collects_the_deadline() {
+        let row = |line| scan_line(line).op.map(|op| op.name);
         let scanned = scan_line(r#"{"op":"clean","tuples":[],"deadline_ms":250}"#);
-        assert_eq!(scanned.op, Some("clean"));
+        assert_eq!(scanned.op.and_then(|op| op.id), Some(OpId::Clean));
         assert_eq!(scanned.deadline_ms, Some(250));
+        // A row is resolved whether or not the rest of the line is
+        // well-typed; the alias resolves to its op's row; a name not in
+        // the table is the `other` class; an op the scanner cannot see
+        // (escaped, not a string, absent, malformed line) is no row.
+        assert_eq!(row(r#"{"op":"session.get"}"#), Some("session.get"));
+        assert_eq!(row(r#"{"op":"stats"}"#), Some("metrics"));
+        assert_eq!(row(r#"{"op":"warp"}"#), Some("other"));
+        assert_eq!(row(r#"{"op":"\u0063lean","tuples":[]}"#), None);
+        assert_eq!(row(r#"{"\u006fp":"clean","tuples":[]}"#), None);
+        // ...even when a plain `op` follows: the tree reads the first.
+        assert_eq!(row(r#"{"\u006fp":"clean","op":"hello"}"#), None);
+        assert_eq!(row(r#"{"op":7,"op":"hello"}"#), None);
+        assert_eq!(row(r#"{"op":7}"#), None);
+        assert_eq!(row("{}"), None);
+        assert_eq!(row(r#"{"op":"clean""#), None);
 
         // A deadline the scanner cannot read as u64 is treated as absent,
         // like any other unknown/ill-typed field on the tree path.
         let scanned = scan_line(r#"{"op":"hello","deadline_ms":"soon"}"#);
-        assert_eq!(scanned.op, Some("hello"));
+        assert_eq!(scanned.op.and_then(|op| op.id), Some(OpId::Hello));
         assert_eq!(scanned.deadline_ms, None);
         assert_eq!(
             scan_line(r#"{"op":"hello","deadline_ms":-5}"#).deadline_ms,

@@ -33,9 +33,8 @@
 //! code in the crate, kept to six syscalls (no new dependencies).
 
 use crate::net::{LineBuffer, MAX_LINE_BYTES, NON_UTF8_REPLY, OVERSIZE_REPLY};
-use crate::protocol::RequestScratch;
+use crate::protocol::{scan_line, RequestScratch, ScannedLine};
 use crate::service::CleaningService;
-use crate::wire::scan::{ObjectScanner, RawValue};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -263,45 +262,20 @@ impl Conn {
     }
 }
 
-/// Ops worth shipping to the worker pool instead of running on the
-/// reactor: multi-tuple batch work, whole-relation analyses, engine
-/// swaps, paged audit reads — and, on a journaled service, `commit`
-/// (it waits for its group fsync). Interactive session ops (µs-scale
-/// fixpoints) run inline.
+/// Does this line go to the worker pool instead of running on the
+/// reactor? The op's row says (`runs_on` in [`crate::ops`]): multi-tuple
+/// batch work, whole-relation analyses, engine swaps, data-directory
+/// reads and peer dials always do; ops that wait for a group fsync do on
+/// a journaled service; interactive session ops (µs-scale fixpoints) run
+/// inline.
 ///
 /// Anything the scanner cannot classify — malformed lines, but also
 /// valid JSON hiding its op behind string escapes — counts as heavy:
 /// misclassifying a real `clean` as light would park every connection
 /// behind it on the reactor thread, while the reverse merely costs one
 /// pool dispatch.
-fn is_heavy(line: &str, journaled: bool) -> bool {
-    let Some(mut scanner) = ObjectScanner::new(line) else {
-        return true;
-    };
-    let mut op = None;
-    while let Some((key, value, _)) = scanner.next_field() {
-        match key.as_plain() {
-            Some("op") => {
-                if let RawValue::Str(s) = value {
-                    op = s.as_plain();
-                }
-                break;
-            }
-            Some(_) => {}
-            None => return true, // escaped key: cannot vouch for the op
-        }
-    }
-    match op {
-        // `cluster.status` fans out to peers over TCP — never on the
-        // reactor thread.
-        Some(
-            "clean" | "regions" | "check" | "audit.read" | "rules.reload" | "master.append"
-            | "cluster.status",
-        ) => true,
-        Some("session.commit") => journaled,
-        Some(_) => false,
-        None => true,
-    }
+fn is_heavy(scanned: &ScannedLine<'_>, journaled: bool) -> bool {
+    scanned.op.is_none_or(|op| op.on_pool(journaled))
 }
 
 /// Reading pauses while the peer is not draining responses, while a
@@ -641,7 +615,9 @@ impl Reactor {
             if trimmed.is_empty() {
                 continue;
             }
-            if is_heavy(trimmed, journaled) {
+            let started = Instant::now();
+            let scanned = scan_line(trimmed);
+            if is_heavy(&scanned, journaled) {
                 // Seal this line plus everything already behind it into
                 // one ordered batch for the worker pool. (The batch pool
                 // and `submit_job` touch disjoint fields, so the batch
@@ -659,16 +635,20 @@ impl Reactor {
                 return;
             }
             // Inline: render straight into the connection's response
-            // buffer (appended after everything already queued),
-            // through the same shared per-line responder as the
-            // threaded loop and the batch jobs.
-            crate::net::respond_line(
-                &self.service,
-                line_bytes,
+            // buffer (appended after everything already queued). The
+            // UTF-8 check, blank skip and trim of `respond_line` — what
+            // the threaded loop and the batch jobs go through — ran
+            // above, and the line is already scanned, so it enters the
+            // service one step further in.
+            self.service.handle_scanned(
+                trimmed,
+                scanned,
                 &mut conn.out,
                 &mut self.scratch,
                 received,
+                started,
             );
+            conn.out.push('\n');
         }
     }
 

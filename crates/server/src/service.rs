@@ -9,11 +9,13 @@
 //! requests across workers, and an [`AnalysisCache`] memoizes region
 //! searches and consistency verdicts per rule set.
 //!
-//! The service is transport-agnostic: [`CleaningService::handle`] maps a
-//! typed [`Request`] to a JSON response, and
-//! [`CleaningService::handle_line`] wraps that in wire parsing — the TCP
-//! server and the in-process client both speak through it, so tests
-//! exercise the exact production code path without sockets.
+//! The service is transport-agnostic: [`CleaningService::handle_line`]
+//! maps one wire line to one reply line — the TCP server and the
+//! in-process client both speak through it, so tests exercise the exact
+//! production code path without sockets — and
+//! [`CleaningService::handle`] is the same path entered with a typed
+//! [`Request`]. Each op is described once, as a row of the op table in
+//! [`crate::ops`], and implemented once, as an arm of `dispatch`.
 //!
 //! ## Durability (optional)
 //!
@@ -36,15 +38,15 @@
 //! rule reload holds it in write mode across *swap + journal-append* so
 //! the journal's event order is the order events were applied in.
 
-use crate::admission::{priority, Priority, Shedder};
+use crate::admission::{Priority, Shedder};
 use crate::cache::{ruleset_fingerprint, AnalysisCache};
 use crate::client::{Client, RetryPolicy};
 use crate::diag::{DiagSink, Level, Subsystem};
 use crate::metrics::{
-    op_index, prom_header, prom_histogram_from_buckets, prom_metric, prom_sample, ServiceMetrics,
-    LATENCY_OPS,
+    prom_header, prom_histogram_from_buckets, prom_metric, prom_sample, ServiceMetrics,
 };
-use crate::protocol::{scan_line, HotOp, Request, RequestScratch, PROTOCOL_VERSION};
+use crate::ops::{self, Op, OpId};
+use crate::protocol::{scan_line, Parsed, Request, RequestScratch, ScannedLine, PROTOCOL_VERSION};
 use crate::replication::{hex_encode, lock_followers, ReplicationState, Role};
 use crate::session::{SessionError, SessionManager};
 use crate::timeseries::{Sample, TimeSeries};
@@ -527,10 +529,16 @@ impl CleaningService {
             .unwrap_or_else(|| "follower".into())
     }
 
-    /// Refuse mutations this node must not accept: a follower is
-    /// read-only (redirect to its primary), and a deposed primary — one
-    /// that has seen a replica cursor from a higher epoch — is fenced.
-    fn check_primary(&self) -> Result<(), String> {
+    /// The gate every op whose row says `writes` passes before it runs.
+    /// Refuses mutations this node must not accept — a follower is
+    /// read-only (redirect to its primary), and a deposed primary, one
+    /// that has seen a replica cursor from a higher epoch, is fenced —
+    /// and mutations the storage layer cannot honor: a degraded
+    /// (disk-full) node answers `degraded: disk_full`, and a node whose
+    /// journal is poisoned by an fsync failure answers `storage_error` —
+    /// accepting a mutation that can never reach disk would be an ack
+    /// the node cannot keep. Reads stay unaffected.
+    fn check_writable(&self) -> Result<(), String> {
         let role = self
             .inner
             .replication
@@ -559,17 +567,6 @@ impl CleaningService {
                  this node is no longer primary"
             ));
         }
-        Ok(())
-    }
-
-    /// Refuse mutations the storage layer cannot honor: on top of
-    /// [`check_primary`](Self::check_primary), a degraded (disk-full)
-    /// node answers `degraded: disk_full`, and a node whose journal is
-    /// poisoned by an fsync failure answers `storage_error` — accepting
-    /// a mutation that can never reach disk would be an ack the node
-    /// cannot keep. Reads stay unaffected.
-    fn check_writable(&self) -> Result<(), String> {
-        self.check_primary()?;
         if self.inner.degraded.load(Ordering::Acquire) {
             return Err(
                 "degraded: disk_full — service is read-only until disk space returns".to_string(),
@@ -838,15 +835,7 @@ impl CleaningService {
         }
         // Probes double as shed-level observations, so the shedder also
         // decays while no admission checks are running.
-        if let Some((from, to)) = self.inner.shedder.observe(depth) {
-            self.inner.diag.warn(
-                Subsystem::Admission,
-                format_args!(
-                    "shed level {from} -> {to} (worker queue depth {depth}, watermark {})",
-                    self.inner.shedder.high()
-                ),
-            );
-        }
+        self.observe_queue_depth(depth);
         let shed_level = self.inner.shedder.level();
         if shed_level > 0 {
             causes.push(format!(
@@ -1414,10 +1403,13 @@ impl CleaningService {
     /// Handle one wire line, rendering the response into `out`
     /// (appended; callers clear between requests) with `scratch` as the
     /// reusable parse buffer. This is the production entry point for
-    /// both TCP front ends: the hot session ops (`session.get` / `fix` /
-    /// `validate` / `commit` / `abort`) run a borrowed slice-parse and a
-    /// direct render — zero steady-state allocations per request in
-    /// memory mode — while everything else takes the tree parser.
+    /// both TCP front ends. Every op has one handler; what differs is
+    /// how a line reaches it. The session ops a pipelining client
+    /// hammers (`session.get` / `fix` / `validate` / `commit` / `abort`)
+    /// are read by the slice scanner and answered through a
+    /// [`JsonWriter`] — zero steady-state allocations per request in
+    /// memory mode; every other line goes through the tree parser, and
+    /// the cold ops build a [`Json`] tree for their reply.
     ///
     /// A client-supplied top-level `"id"` field is echoed verbatim as
     /// the first field of the response, so pipelining clients can
@@ -1441,113 +1433,56 @@ impl CleaningService {
         received: Instant,
     ) {
         let started = Instant::now();
-        let scanned = scan_line(line);
+        self.handle_scanned(line, scan_line(line), out, scratch, received, started);
+    }
+
+    /// [`handle_line_at`](Self::handle_line_at) for a caller that has
+    /// already scanned the line (the epoll reactor scans to place it):
+    /// `started` is the instant just before that scan.
+    pub(crate) fn handle_scanned(
+        &self,
+        line: &str,
+        scanned: ScannedLine<'_>,
+        out: &mut String,
+        scratch: &mut RequestScratch,
+        received: Instant,
+        started: Instant,
+    ) {
         let queue_wait = started.saturating_duration_since(received);
+        self.inner.metrics.request();
         self.inner.metrics.observe_queue_wait(queue_wait);
         let mut span = Span {
             parse_ns: started.elapsed().as_nanos() as u64,
             queue_ns: queue_wait.as_nanos() as u64,
             ..Span::default()
         };
-        // Deadline check before any engine, journal or fsync cost is
-        // paid. `deadline_ms: 0` is deterministically expired; an
-        // absurd deadline that overflows `Instant` arithmetic can
-        // never expire and is simply dropped.
-        if let Some(deadline) = scanned
-            .deadline_ms
-            .and_then(|ms| received.checked_add(Duration::from_millis(ms)))
-        {
-            if started >= deadline {
-                let ms = scanned.deadline_ms.unwrap_or(0);
-                let op = scanned.op.unwrap_or("other");
-                self.inner.metrics.request();
-                self.inner.metrics.shed_deadline();
-                self.write_error(
-                    &format!("deadline_exceeded: deadline of {ms}ms expired before work began"),
-                    scanned.id,
-                    out,
-                );
-                let elapsed = started.elapsed();
-                self.inner.metrics.observe_latency(op, elapsed);
-                self.finish_span(&mut span, op, scanned.id, elapsed);
-                return;
-            }
-            span.deadline = Some(deadline);
+        let raw_id = scanned.id;
+        // The class the request is charged to: the scanner's row until
+        // a parser names the request actually served.
+        let mut op = scanned.op.unwrap_or(&ops::OTHER);
+        if let Err(message) = self.serve(
+            line, scanned, &mut op, out, scratch, received, started, &mut span,
+        ) {
+            self.write_error(&message, raw_id, out);
         }
-        // Admission: when the scanner produced a plain op string the
-        // shed decision costs two atomic loads, before even the hot
-        // path runs. Lines it could not classify are checked after the
-        // tree parse instead (never twice).
-        if let Some(op) = scanned.op {
-            if let Some(message) = self.shed_check(op) {
-                self.inner.metrics.request();
-                self.inner.metrics.shed_overload();
-                self.write_error(&message, scanned.id, out);
-                let elapsed = started.elapsed();
-                self.inner.metrics.observe_latency(op, elapsed);
-                self.finish_span(&mut span, op, scanned.id, elapsed);
-                return;
-            }
-        }
-        if let Some(hot) = scanned.hot {
-            if self.try_hot(&hot, scanned.id, out, scratch, started, &mut span) {
-                return;
-            }
-        }
-        self.inner.metrics.request();
-        let op = match Request::parse_line(line) {
-            Ok(request) => {
-                // Tree parse counts as parse time too.
-                span.parse_ns = started.elapsed().as_nanos() as u64;
-                let late_shed = if scanned.op.is_none() {
-                    self.shed_check(request.op())
-                } else {
-                    None
-                };
-                let response = match late_shed {
-                    Some(message) => {
-                        self.inner.metrics.shed_overload();
-                        self.error(message)
-                    }
-                    None => self.dispatch(&request, &mut span),
-                };
-                let render_started = Instant::now();
-                render_response_into(&response, scanned.id, out);
-                span.serialize_ns = render_started.elapsed().as_nanos() as u64;
-                request.op()
-            }
-            Err(e) => {
-                // A well-formed request naming an op we don't know is
-                // `other` traffic; `parse_error` is malformed JSON.
-                let op = if e.0.starts_with("unknown op ") {
-                    "other"
-                } else {
-                    "parse_error"
-                };
-                let response = self.error(e.0);
-                render_response_into(&response, scanned.id, out);
-                op
-            }
-        };
         let elapsed = started.elapsed();
         self.inner.metrics.observe_latency(op, elapsed);
-        self.finish_span(&mut span, op, scanned.id, elapsed);
+        self.finish_span(&mut span, op, raw_id, elapsed);
     }
 
     /// Close out a request's trace span: charge its engine-stat delta
     /// to its op class and, when tracing is on, derive the trace id and
     /// residual dispatch time and publish it into the ring. Atomics
     /// only — no allocation, hot-path safe.
-    fn finish_span(&self, span: &mut Span, op: &str, raw_id: Option<&str>, total: Duration) {
-        let op_idx = op_index(op);
+    fn finish_span(&self, span: &mut Span, op: &Op, raw_id: Option<&str>, total: Duration) {
         if span.stats != cerfix::EngineStats::default() {
-            self.inner.metrics.add_engine_stats(op_idx, &span.stats);
+            self.inner.metrics.add_engine_stats(op, &span.stats);
         }
         if !self.inner.trace.enabled() {
             return;
         }
         span.trace_id = self.inner.trace.trace_id(raw_id);
-        span.op = op_idx;
+        span.op = op.slot;
         span.total_ns = total.as_nanos() as u64;
         span.dispatch_ns = span.total_ns.saturating_sub(
             span.parse_ns + span.engine_ns + span.fsync_ns + span.quorum_ns + span.serialize_ns,
@@ -1555,92 +1490,167 @@ impl CleaningService {
         self.inner.trace.record(span);
     }
 
-    /// Dispatch one typed request.
-    pub fn handle(&self, request: &Request) -> Json {
-        self.inner.metrics.request();
-        let started = Instant::now();
-        let mut span = Span::default();
-        let response = self.dispatch(request, &mut span);
-        let elapsed = started.elapsed();
-        self.inner.metrics.observe_latency(request.op(), elapsed);
-        self.finish_span(&mut span, request.op(), None, elapsed);
-        response
+    /// One request, start to reply: deadline → shed → parse (unless the
+    /// scanner already did) → writable gate → handler. A handler writes
+    /// its own success reply into `out` and nothing before it can no
+    /// longer fail; every `Err` becomes the error reply in one place.
+    #[allow(clippy::too_many_arguments)]
+    fn serve(
+        &self,
+        line: &str,
+        scanned: ScannedLine<'_>,
+        op: &mut &'static Op,
+        out: &mut String,
+        scratch: &mut RequestScratch,
+        received: Instant,
+        started: Instant,
+        span: &mut Span,
+    ) -> Result<(), String> {
+        // Deadline check before any engine, journal or fsync cost is
+        // paid. `deadline_ms: 0` is deterministically expired; an
+        // absurd deadline that overflows `Instant` arithmetic can
+        // never expire and is simply dropped.
+        if let Some(ms) = scanned.deadline_ms {
+            if let Some(deadline) = received.checked_add(Duration::from_millis(ms)) {
+                if started >= deadline {
+                    self.inner.metrics.shed_deadline();
+                    return Err(format!(
+                        "deadline_exceeded: deadline of {ms}ms expired before work began"
+                    ));
+                }
+                span.deadline = Some(deadline);
+            }
+        }
+        // Admission: when the scanner named the row the shed decision
+        // costs two atomic loads, before any parser runs. Lines it
+        // could not classify are checked after the tree parse instead
+        // (never twice).
+        if scanned.op.is_some() {
+            self.shed_check(op)?;
+        }
+        let parsed = match scanned.hot {
+            Some(parsed) => parsed,
+            None => {
+                let request = parse_tree(line, op)?;
+                // Tree parse counts as parse time too.
+                span.parse_ns = started.elapsed().as_nanos() as u64;
+                if scanned.op.is_none() {
+                    self.shed_check(op)?;
+                }
+                Parsed::Request(request)
+            }
+        };
+        // Gate on the request actually served, whichever parser read it.
+        *op = match &parsed {
+            Parsed::Request(request) => request.op(),
+            Parsed::Validate { .. } => OpId::SessionValidate.row(),
+        };
+        if op.writes {
+            self.check_writable()?;
+        }
+        match parsed {
+            Parsed::Request(request) => self.dispatch(request, scanned.id, out, scratch, span),
+            Parsed::Validate {
+                session,
+                validations,
+            } => {
+                if self.resolve_validations_into(validations, scratch)? {
+                    return self.session_validate(session, scanned.id, out, scratch, span);
+                }
+                // Validations the scanner does not vouch for (container
+                // values, broken escapes): the tree parser owns them,
+                // and the wording of their errors.
+                let request = parse_tree(line, op)?;
+                self.dispatch(request, scanned.id, out, scratch, span)
+            }
+        }
     }
 
-    fn dispatch(&self, request: &Request, span: &mut Span) -> Json {
-        let result = match request {
-            Request::Hello => Ok(self.hello()),
-            Request::SessionCreate { tuple } => self
-                .check_writable()
-                .and_then(|()| self.session_create(tuple)),
-            Request::SessionGet { session } => self.session_get(*session),
+    /// Serve one typed request: a thin entry over the line path — the
+    /// request is rendered, served as a line, and its reply parsed back.
+    pub fn handle(&self, request: &Request) -> Json {
+        let reply = self.handle_line(&request.to_json().render());
+        Json::parse(&reply).expect("the service renders valid JSON replies")
+    }
+
+    /// The one handler of each op. The session ops write their reply
+    /// through a [`JsonWriter`]; the cold ops build a [`Json`] tree,
+    /// rendered here.
+    fn dispatch(
+        &self,
+        request: Request,
+        raw_id: Option<&str>,
+        out: &mut String,
+        scratch: &mut RequestScratch,
+        span: &mut Span,
+    ) -> Result<(), String> {
+        let reply = match request {
+            Request::SessionCreate { tuple } => return self.session_create(&tuple, raw_id, out),
+            Request::SessionGet { session } => {
+                return self.session_view(session, None, raw_id, out)
+            }
             Request::SessionValidate {
                 session,
                 validations,
-            } => self
-                .check_writable()
-                .and_then(|()| self.session_validate(*session, validations, span)),
-            Request::SessionFix { session } => self
-                .check_writable()
-                .and_then(|()| self.session_validate(*session, &[], span)),
-            Request::SessionCommit { session } => self
-                .check_writable()
-                .and_then(|()| self.session_commit(*session, span)),
-            Request::SessionAbort { session } => self
-                .check_writable()
-                .and_then(|()| self.session_abort(*session)),
-            Request::Clean { tuples, trust } => self.clean_batch(tuples.clone(), trust),
-            Request::Regions { top_k } => Ok(self.regions(*top_k)),
-            Request::Check { mode } => self.check(mode.as_deref()),
-            Request::AuditRead { start, count } => Ok(self.audit_read(*start, *count)),
-            Request::RulesReload { rules } => self
-                .check_writable()
-                .and_then(|()| self.rules_reload(rules)),
-            Request::MasterAppend { tuples } => self
-                .check_writable()
-                .and_then(|()| self.master_append(tuples)),
+            } => {
+                scratch.validations.clear();
+                for (name, value) in validations {
+                    let attr = self.resolve_attr(&name)?;
+                    scratch.validations.push((attr, value));
+                }
+                return self.session_validate(session, raw_id, out, scratch, span);
+            }
+            Request::SessionFix { session } => {
+                scratch.validations.clear();
+                return self.session_validate(session, raw_id, out, scratch, span);
+            }
+            Request::SessionCommit { session } => {
+                return self.session_commit(session, raw_id, out, span)
+            }
+            Request::SessionAbort { session } => return self.session_abort(session, raw_id, out),
+            Request::Hello => self.hello(),
+            Request::Clean { tuples, trust } => self.clean_batch(tuples, &trust)?,
+            Request::Regions { top_k } => self.regions(top_k),
+            Request::Check { mode } => self.check(mode.as_deref())?,
+            Request::AuditRead { start, count } => self.audit_read(start, count),
+            Request::RulesReload { rules } => self.rules_reload(&rules)?,
+            Request::MasterAppend { tuples } => self.master_append(&tuples)?,
             Request::ReplicaSync {
                 follower,
                 epoch,
                 offset,
                 max,
                 resync,
-            } => self.replica_sync(follower, *epoch, *offset, *max, *resync),
-            Request::ReplicaPromote => self.replica_promote(),
-            Request::Metrics => Ok(self.metrics_response()),
-            Request::MetricsProm => Ok(self.metrics_prom_response()),
-            Request::TraceRead { limit } => Ok(self.trace_read(*limit)),
-            Request::Health => Ok(self.health_response()),
+            } => self.replica_sync(&follower, epoch, offset, max, resync)?,
+            Request::ReplicaPromote => self.replica_promote()?,
+            Request::Metrics => self.metrics_response(),
+            Request::MetricsProm => self.metrics_prom_response(),
+            Request::TraceRead { limit } => self.trace_read(limit),
+            Request::Health => self.health_response(),
             Request::LogRead {
                 limit,
                 level,
                 subsystem,
-            } => self.log_read(*limit, level.as_deref(), subsystem.as_deref()),
-            Request::MetricsHistory { limit } => Ok(self.metrics_history(*limit)),
-            Request::ClusterStatus { fanout } => Ok(self.cluster_status(*fanout)),
-            Request::ConfigSet { key, value } => self
-                .check_writable()
-                .and_then(|()| self.config_set(key, *value)),
-            Request::Scrub => self.scrub_response(),
-            Request::Drain { wait_ms } => self.server_drain(*wait_ms),
+            } => self.log_read(limit, level.as_deref(), subsystem.as_deref())?,
+            Request::MetricsHistory { limit } => self.metrics_history(limit),
+            Request::ClusterStatus { fanout } => self.cluster_status(fanout),
+            Request::ConfigSet { key, value } => self.config_set(&key, value)?,
+            Request::Scrub => self.scrub_response()?,
+            Request::Drain { wait_ms } => self.server_drain(wait_ms)?,
             Request::Shutdown => {
                 self.inner.shutdown.store(true, Ordering::Release);
                 self.notify_shutdown();
-                Ok(Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("stopping", Json::Bool(true)),
-                ]))
+                Json::obj([("ok", Json::Bool(true)), ("stopping", Json::Bool(true))])
             }
         };
-        result.unwrap_or_else(|message| self.error(message))
+        let render_started = Instant::now();
+        render_response_into(&reply, raw_id, out);
+        span.serialize_ns = render_started.elapsed().as_nanos() as u64;
+        Ok(())
     }
 
-    /// Admission decision for one request: feed the shedder the current
-    /// queue depth, then shed by priority class. `Some` carries the
-    /// retryable `overloaded` error. Two atomic loads when the shedder
-    /// is disarmed — cheap enough for every request.
-    fn shed_check(&self, op: &str) -> Option<String> {
-        let depth = self.inner.pool.queue_depth();
+    /// Feed the shedder one queue-depth observation; log a level change.
+    fn observe_queue_depth(&self, depth: usize) {
         if let Some((from, to)) = self.inner.shedder.observe(depth) {
             self.inner.diag.warn(
                 Subsystem::Admission,
@@ -1650,15 +1660,24 @@ impl CleaningService {
                 ),
             );
         }
-        let class = priority(op);
-        if !self.inner.shedder.sheds(class) {
-            return None;
+    }
+
+    /// Admission decision for one request: feed the shedder the current
+    /// queue depth, then shed by the op's class. `Err` carries the
+    /// retryable `overloaded` error. Two atomic loads when the shedder
+    /// is disarmed — cheap enough for every request.
+    fn shed_check(&self, op: &Op) -> Result<(), String> {
+        let depth = self.inner.pool.queue_depth();
+        self.observe_queue_depth(depth);
+        if !self.inner.shedder.sheds(op.class) {
+            return Ok(());
         }
-        let what = match class {
+        self.inner.metrics.shed_overload();
+        let what = match op.class {
             Priority::Heavy => "heavy reads",
             _ => "session mutations",
         };
-        Some(format!(
+        Err(format!(
             "overloaded: shedding {what} at level {} (worker queue depth {depth} over watermark {}); retry with backoff",
             self.inner.shedder.level(),
             self.inner.shedder.high(),
@@ -1735,13 +1754,7 @@ impl CleaningService {
         ]))
     }
 
-    fn error(&self, message: String) -> Json {
-        self.inner.metrics.error();
-        Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message))])
-    }
-
-    /// Render an error response directly (fast-path twin of
-    /// [`error`](Self::error); byte-identical output).
+    /// Count and render an error reply.
     fn write_error(&self, message: &str, raw_id: Option<&str>, out: &mut String) {
         self.inner.metrics.error();
         let mut w = JsonWriter::new(out);
@@ -2009,89 +2022,10 @@ impl CleaningService {
         ]))
     }
 
-    /// Execute a hot-scanned request directly. Returns false when the
-    /// line must fall back to the tree parser (so wire-level error
-    /// messages stay identical); in that case nothing was executed,
-    /// counted or written.
-    fn try_hot(
-        &self,
-        hot: &HotOp<'_>,
-        raw_id: Option<&str>,
-        out: &mut String,
-        scratch: &mut RequestScratch,
-        started: Instant,
-        span: &mut Span,
-    ) -> bool {
-        // The mutation gate applies on the hot path too: a follower's
-        // fast-scanned `session.commit` must bounce exactly like the
-        // tree-parsed one, and so must a degraded or storage-poisoned
-        // node's (reads — `session.get` — stay allowed).
-        let gate_err = match *hot {
-            HotOp::SessionGet { .. } => None,
-            _ => self.check_writable().err(),
-        };
-        if let Some(message) = gate_err {
-            self.inner.metrics.request();
-            self.write_error(&message, raw_id, out);
-            let elapsed = started.elapsed();
-            self.inner.metrics.observe_latency(hot.op(), elapsed);
-            self.finish_span(span, hot.op(), raw_id, elapsed);
-            return true;
-        }
-        match *hot {
-            HotOp::SessionValidate {
-                session,
-                validations,
-            } => {
-                match self.resolve_validations_into(validations, scratch) {
-                    Ok(true) => {}
-                    // Wire shape the scanner does not vouch for: let the
-                    // tree parser own it (and its error message).
-                    Ok(false) => return false,
-                    Err(message) => {
-                        self.inner.metrics.request();
-                        self.write_error(&message, raw_id, out);
-                        let elapsed = started.elapsed();
-                        self.inner
-                            .metrics
-                            .observe_latency("session.validate", elapsed);
-                        self.finish_span(span, "session.validate", raw_id, elapsed);
-                        return true;
-                    }
-                }
-                self.inner.metrics.request();
-                self.hot_validate(session, raw_id, out, scratch, span);
-            }
-            HotOp::SessionFix { session } => {
-                scratch.validations.clear();
-                self.inner.metrics.request();
-                self.hot_validate(session, raw_id, out, scratch, span);
-            }
-            HotOp::SessionGet { session } => {
-                self.inner.metrics.request();
-                self.hot_view(session, None, raw_id, out);
-            }
-            HotOp::SessionCommit { session } => {
-                self.inner.metrics.request();
-                self.hot_commit(session, raw_id, out, span);
-            }
-            HotOp::SessionAbort { session } => {
-                self.inner.metrics.request();
-                self.hot_abort(session, raw_id, out);
-            }
-        }
-        let elapsed = started.elapsed();
-        self.inner.metrics.observe_latency(hot.op(), elapsed);
-        // The hot paths render while they execute, so serialization time
-        // rides inside the span's residual dispatch share.
-        self.finish_span(span, hot.op(), raw_id, elapsed);
-        true
-    }
-
-    /// Re-scan a `validations` object span into `scratch.validations`.
-    /// `Ok(true)` = resolved; `Ok(false)` = fall back to the tree
-    /// parser; `Err` = a service-level error (unknown attribute) with
-    /// the same message the tree path produces.
+    /// Resolve a scanned `validations` object span against the schema
+    /// into `scratch.validations`. `Ok(true)` = resolved; `Ok(false)` =
+    /// a shape the scanner does not vouch for, left to the tree parser;
+    /// `Err` = a service-level error (unknown attribute).
     fn resolve_validations_into(
         &self,
         span: &str,
@@ -2121,206 +2055,12 @@ impl CleaningService {
                     };
                     Value::str(content)
                 }
-                // Containers as cell values: tree path owns the error.
+                // Containers as cell values: the tree parser owns the error.
                 RawValue::Arr(_) | RawValue::Obj(_) => return Ok(false),
             };
             scratch.validations.push((attr, value));
         }
         Ok(scanner.ok())
-    }
-
-    fn hot_validate(
-        &self,
-        id: u64,
-        raw_id: Option<&str>,
-        out: &mut String,
-        scratch: &mut RequestScratch,
-        span: &mut Span,
-    ) {
-        match self.apply_validations_resolved(id, &scratch.validations, span) {
-            Ok(report) => {
-                self.inner.metrics.cells_fixed(report.fixes.len() as u64);
-                self.hot_view(id, Some(&report), raw_id, out);
-            }
-            Err(message) => self.write_error(&message, raw_id, out),
-        }
-    }
-
-    /// Direct-render twin of [`session_view`](Self::session_view)
-    /// (byte-identical output, guarded by tests). Writes nothing before
-    /// the session lookup succeeds, so error responses stay clean.
-    fn hot_view(
-        &self,
-        id: u64,
-        report: Option<&FixpointReport>,
-        raw_id: Option<&str>,
-        out: &mut String,
-    ) {
-        let engine = self.engine();
-        let monitor = self.monitor_for(&engine);
-        let schema = self.input_schema();
-        let result = self.inner.sessions.with_session(id, |session| {
-            let status = monitor.status(session);
-            let mut w = JsonWriter::new(out);
-            w.begin_response(raw_id);
-            w.key("ok");
-            w.bool_val(true);
-            w.key("session");
-            w.num(id as f64);
-            w.key("status");
-            w.str_val(match &status {
-                SessionStatus::AwaitingUser { .. } => "awaiting_user",
-                SessionStatus::Complete => "complete",
-                SessionStatus::Stuck { .. } => "stuck",
-            });
-            w.key("tuple");
-            w.begin_arr();
-            for v in session.tuple.values() {
-                w.value(v);
-            }
-            w.end_arr();
-            w.key("rounds");
-            w.num(session.rounds as f64);
-            w.key("validated");
-            w.begin_arr();
-            for a in session.validated.iter() {
-                w.str_val(schema.attr_name(a));
-            }
-            w.end_arr();
-            match status {
-                SessionStatus::AwaitingUser { suggestion } => {
-                    w.key("suggestion");
-                    w.begin_arr();
-                    for &a in &suggestion {
-                        w.str_val(schema.attr_name(a));
-                    }
-                    w.end_arr();
-                }
-                SessionStatus::Stuck { unvalidated } => {
-                    w.key("unvalidated");
-                    w.begin_arr();
-                    for &a in &unvalidated {
-                        w.str_val(schema.attr_name(a));
-                    }
-                    w.end_arr();
-                }
-                SessionStatus::Complete => {}
-            }
-            if let Some(report) = report {
-                w.key("fixes");
-                w.begin_arr();
-                for fix in &report.fixes {
-                    w.begin_obj();
-                    w.key("attr");
-                    w.str_val(schema.attr_name(fix.attr));
-                    w.key("old");
-                    w.value(&fix.old);
-                    w.key("new");
-                    w.value(&fix.new);
-                    w.key("rule");
-                    w.num(fix.rule as f64);
-                    w.key("master_row");
-                    w.num(fix.master_row as f64);
-                    w.end_obj();
-                }
-                w.end_arr();
-                w.key("newly_validated");
-                w.begin_arr();
-                for &a in &report.newly_validated {
-                    w.str_val(schema.attr_name(a));
-                }
-                w.end_arr();
-            }
-            w.end_obj();
-        });
-        if let Err(e) = result {
-            self.write_error(&e.to_string(), raw_id, out);
-        }
-    }
-
-    /// Direct-render twin of [`session_commit`](Self::session_commit).
-    fn hot_commit(&self, id: u64, raw_id: Option<&str>, out: &mut String, span: &mut Span) {
-        let result = self.with_gate(|| -> Result<_, String> {
-            let session = self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
-            let seq = self.journal(&JournalEvent::SessionCommitted { session: id });
-            let commit = seq.and_then(|seq| self.commit_position(seq).map(|pos| (seq, pos)));
-            Ok((session, commit))
-        });
-        match result {
-            Ok((session, commit)) => {
-                self.inner.metrics.session_committed();
-                if let (Some(binding), Some((seq, (epoch, position)))) =
-                    (&self.inner.storage, commit)
-                {
-                    let sync_started = Instant::now();
-                    let synced = self.sync_commit(binding, seq);
-                    span.fsync_ns += sync_started.elapsed().as_nanos() as u64;
-                    if let Err(message) = synced {
-                        // Applied in memory and queued in the journal,
-                        // but NOT durable — the ack must say so.
-                        self.write_error(&message, raw_id, out);
-                        return;
-                    }
-                    if self.inner.replication.cluster > 1 {
-                        if let Err(message) = self.wait_for_quorum(epoch, position, span) {
-                            self.write_error(&message, raw_id, out);
-                            return;
-                        }
-                    }
-                }
-                let schema = self.input_schema();
-                let mut w = JsonWriter::new(out);
-                w.begin_response(raw_id);
-                w.key("ok");
-                w.bool_val(true);
-                w.key("session");
-                w.num(id as f64);
-                w.key("complete");
-                w.bool_val(session.is_complete());
-                w.key("tuple");
-                w.begin_arr();
-                for v in session.tuple.values() {
-                    w.value(v);
-                }
-                w.end_arr();
-                w.key("rounds");
-                w.num(session.rounds as f64);
-                w.key("user_validated");
-                w.num(session.user_validated.len() as f64);
-                w.key("auto_validated");
-                w.num(session.auto_validated.len() as f64);
-                w.key("validated");
-                w.begin_arr();
-                for a in session.validated.iter() {
-                    w.str_val(schema.attr_name(a));
-                }
-                w.end_arr();
-                w.end_obj();
-            }
-            Err(message) => self.write_error(&message, raw_id, out),
-        }
-    }
-
-    /// Direct-render twin of [`session_abort`](Self::session_abort).
-    fn hot_abort(&self, id: u64, raw_id: Option<&str>, out: &mut String) {
-        let result = self.with_gate(|| -> Result<(), String> {
-            self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
-            self.journal(&JournalEvent::SessionAborted { session: id });
-            Ok(())
-        });
-        match result {
-            Ok(()) => {
-                self.inner.metrics.session_aborted();
-                let mut w = JsonWriter::new(out);
-                w.begin_response(raw_id);
-                w.key("ok");
-                w.bool_val(true);
-                w.key("session");
-                w.num(id as f64);
-                w.end_obj();
-            }
-            Err(message) => self.write_error(&message, raw_id, out),
-        }
     }
 
     fn hello(&self) -> Json {
@@ -2378,7 +2118,12 @@ impl CleaningService {
         Json::obj(fields)
     }
 
-    fn session_create(&self, values: &[Value]) -> Result<Json, String> {
+    fn session_create(
+        &self,
+        values: &[Value],
+        raw_id: Option<&str>,
+        out: &mut String,
+    ) -> Result<(), String> {
         // In-flight sessions finish during a drain; fresh ones belong
         // on another node.
         if self.is_draining() {
@@ -2416,123 +2161,70 @@ impl CleaningService {
             Ok(id)
         })?;
         self.inner.metrics.session_created();
-        self.session_view(id, None)
+        self.session_view(id, None, raw_id, out)
     }
 
-    fn with_monitor_session<R>(
+    /// Write the common session snapshot, with optional fixpoint-report
+    /// extras. Writes nothing before the session lookup succeeds, so an
+    /// error reply stays clean.
+    fn session_view(
         &self,
         id: u64,
-        f: impl FnOnce(&DataMonitor<'_>, &mut MonitorSession) -> R,
-    ) -> Result<R, String> {
+        report: Option<&FixpointReport>,
+        raw_id: Option<&str>,
+        out: &mut String,
+    ) -> Result<(), String> {
         let engine = self.engine();
         let monitor = self.monitor_for(&engine);
+        let schema = self.input_schema();
         self.inner
             .sessions
-            .with_session(id, |session| f(&monitor, session))
+            .with_session(id, |session| {
+                let status = monitor.status(session);
+                let mut w = begin_session_reply(out, raw_id, id);
+                w.key("status");
+                w.str_val(match &status {
+                    SessionStatus::AwaitingUser { .. } => "awaiting_user",
+                    SessionStatus::Complete => "complete",
+                    SessionStatus::Stuck { .. } => "stuck",
+                });
+                write_tuple(&mut w, &session.tuple);
+                w.key("rounds");
+                w.num(session.rounds as f64);
+                write_attrs(&mut w, schema, "validated", session.validated.iter());
+                match status {
+                    SessionStatus::AwaitingUser { suggestion } => {
+                        write_attrs(&mut w, schema, "suggestion", suggestion)
+                    }
+                    SessionStatus::Stuck { unvalidated } => {
+                        write_attrs(&mut w, schema, "unvalidated", unvalidated)
+                    }
+                    SessionStatus::Complete => {}
+                }
+                if let Some(report) = report {
+                    w.key("fixes");
+                    w.begin_arr();
+                    for fix in &report.fixes {
+                        w.begin_obj();
+                        w.key("attr");
+                        w.str_val(schema.attr_name(fix.attr));
+                        w.key("old");
+                        w.value(&fix.old);
+                        w.key("new");
+                        w.value(&fix.new);
+                        w.key("rule");
+                        w.num(fix.rule as f64);
+                        w.key("master_row");
+                        w.num(fix.master_row as f64);
+                        w.end_obj();
+                    }
+                    w.end_arr();
+                    let newly = report.newly_validated.iter().copied();
+                    write_attrs(&mut w, schema, "newly_validated", newly);
+                }
+                w.end_obj();
+            })
             .map_err(|e: SessionError| e.to_string())
-    }
-
-    /// The common session snapshot, with optional fixpoint-report extras.
-    fn session_view(&self, id: u64, report: Option<FixpointReport>) -> Result<Json, String> {
-        let schema = self.input_schema().clone();
-        self.with_monitor_session(id, |monitor, session| {
-            let status = monitor.status(session);
-            let mut fields: Vec<(&'static str, Json)> = vec![
-                ("ok", Json::Bool(true)),
-                ("session", Json::Num(id as f64)),
-                (
-                    "status",
-                    Json::str(match &status {
-                        SessionStatus::AwaitingUser { .. } => "awaiting_user",
-                        SessionStatus::Complete => "complete",
-                        SessionStatus::Stuck { .. } => "stuck",
-                    }),
-                ),
-                (
-                    "tuple",
-                    Json::Arr(
-                        session
-                            .tuple
-                            .values()
-                            .iter()
-                            .map(Json::from_value)
-                            .collect(),
-                    ),
-                ),
-                ("rounds", Json::Num(session.rounds as f64)),
-                (
-                    "validated",
-                    Json::Arr(
-                        session
-                            .validated
-                            .iter()
-                            .map(|a| Json::str(schema.attr_name(a)))
-                            .collect(),
-                    ),
-                ),
-            ];
-            match status {
-                SessionStatus::AwaitingUser { suggestion } => fields.push((
-                    "suggestion",
-                    Json::Arr(
-                        suggestion
-                            .iter()
-                            .map(|&a| Json::str(schema.attr_name(a)))
-                            .collect(),
-                    ),
-                )),
-                SessionStatus::Stuck { unvalidated } => fields.push((
-                    "unvalidated",
-                    Json::Arr(
-                        unvalidated
-                            .iter()
-                            .map(|&a| Json::str(schema.attr_name(a)))
-                            .collect(),
-                    ),
-                )),
-                SessionStatus::Complete => {}
-            }
-            if let Some(report) = report {
-                fields.push((
-                    "fixes",
-                    Json::Arr(
-                        report
-                            .fixes
-                            .iter()
-                            .map(|fix| {
-                                Json::obj([
-                                    ("attr", Json::str(schema.attr_name(fix.attr))),
-                                    ("old", Json::from_value(&fix.old)),
-                                    ("new", Json::from_value(&fix.new)),
-                                    ("rule", Json::Num(fix.rule as f64)),
-                                    ("master_row", Json::Num(fix.master_row as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields.push((
-                    "newly_validated",
-                    Json::Arr(
-                        report
-                            .newly_validated
-                            .iter()
-                            .map(|&a| Json::str(schema.attr_name(a)))
-                            .collect(),
-                    ),
-                ));
-            }
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        })
-    }
-
-    fn session_get(&self, id: u64) -> Result<Json, String> {
-        self.session_view(id, None)
     }
 
     fn resolve_attr(&self, name: &str) -> Result<usize, String> {
@@ -2552,33 +2244,22 @@ impl CleaningService {
         ))
     }
 
-    fn session_validate(
-        &self,
-        id: u64,
-        validations: &[(String, Value)],
-        span: &mut Span,
-    ) -> Result<Json, String> {
-        let resolved: Vec<(usize, Value)> = validations
-            .iter()
-            .map(|(name, value)| Ok((self.resolve_attr(name)?, value.clone())))
-            .collect::<Result<_, String>>()?;
-        let report = self.apply_validations_resolved(id, &resolved, span)?;
-        self.inner.metrics.cells_fixed(report.fixes.len() as u64);
-        self.session_view(id, Some(report))
-    }
-
-    /// Apply already-resolved validations to a session — the shared core
-    /// of the tree and hot `session.validate`/`session.fix` paths.
+    /// `session.validate` / `session.fix`: apply the validations a
+    /// parser resolved into `scratch` (none for `fix`), run the
+    /// correcting process, and write the session view with the report.
     /// Journals *before* applying, inside the session lock: a mixed
     /// batch can mutate some cells and then fail, and replay must
     /// reproduce exactly that — the event is the attempt, and the
     /// deterministic engine re-derives its outcome.
-    fn apply_validations_resolved(
+    fn session_validate(
         &self,
         id: u64,
-        resolved: &[(usize, Value)],
+        raw_id: Option<&str>,
+        out: &mut String,
+        scratch: &RequestScratch,
         span: &mut Span,
-    ) -> Result<FixpointReport, String> {
+    ) -> Result<(), String> {
+        let resolved = &scratch.validations;
         let report = self.with_gate(|| {
             let engine = self.engine();
             let monitor = self.monitor_for(&engine);
@@ -2605,10 +2286,17 @@ impl CleaningService {
         })?;
         let report = report.map_err(|e| e.to_string())?;
         span.stats += report.stats;
-        Ok(report)
+        self.inner.metrics.cells_fixed(report.fixes.len() as u64);
+        self.session_view(id, Some(&report), raw_id, out)
     }
 
-    fn session_commit(&self, id: u64, span: &mut Span) -> Result<Json, String> {
+    fn session_commit(
+        &self,
+        id: u64,
+        raw_id: Option<&str>,
+        out: &mut String,
+        span: &mut Span,
+    ) -> Result<(), String> {
         let (session, commit) = self.with_gate(|| -> Result<_, String> {
             let session = self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
             let seq = self.journal(&JournalEvent::SessionCommitted { session: id });
@@ -2631,55 +2319,31 @@ impl CleaningService {
                 self.wait_for_quorum(epoch, position, span)?;
             }
         }
+        let mut w = begin_session_reply(out, raw_id, id);
+        w.key("complete");
+        w.bool_val(session.is_complete());
+        write_tuple(&mut w, &session.tuple);
+        w.key("rounds");
+        w.num(session.rounds as f64);
+        w.key("user_validated");
+        w.num(session.user_validated.len() as f64);
+        w.key("auto_validated");
+        w.num(session.auto_validated.len() as f64);
         let schema = self.input_schema();
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("session", Json::Num(id as f64)),
-            ("complete", Json::Bool(session.is_complete())),
-            (
-                "tuple",
-                Json::Arr(
-                    session
-                        .tuple
-                        .values()
-                        .iter()
-                        .map(Json::from_value)
-                        .collect(),
-                ),
-            ),
-            ("rounds", Json::Num(session.rounds as f64)),
-            (
-                "user_validated",
-                Json::Num(session.user_validated.len() as f64),
-            ),
-            (
-                "auto_validated",
-                Json::Num(session.auto_validated.len() as f64),
-            ),
-            (
-                "validated",
-                Json::Arr(
-                    session
-                        .validated
-                        .iter()
-                        .map(|a| Json::str(schema.attr_name(a)))
-                        .collect(),
-                ),
-            ),
-        ]))
+        write_attrs(&mut w, schema, "validated", session.validated.iter());
+        w.end_obj();
+        Ok(())
     }
 
-    fn session_abort(&self, id: u64) -> Result<Json, String> {
+    fn session_abort(&self, id: u64, raw_id: Option<&str>, out: &mut String) -> Result<(), String> {
         self.with_gate(|| -> Result<(), String> {
             self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
             self.journal(&JournalEvent::SessionAborted { session: id });
             Ok(())
         })?;
         self.inner.metrics.session_aborted();
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("session", Json::Num(id as f64)),
-        ]))
+        begin_session_reply(out, raw_id, id).end_obj();
+        Ok(())
     }
 
     /// Batch clean: each tuple gets its `trust` columns validated as-is,
@@ -3902,6 +3566,60 @@ pub(crate) struct HealthReport {
     pub lag_seconds: f64,
 }
 
+/// Open a session op's success reply: the `id` echo, `ok`, `session`.
+fn begin_session_reply<'a>(
+    out: &'a mut String,
+    raw_id: Option<&str>,
+    session: u64,
+) -> JsonWriter<'a> {
+    let mut w = JsonWriter::new(out);
+    w.begin_response(raw_id);
+    w.key("ok");
+    w.bool_val(true);
+    w.key("session");
+    w.num(session as f64);
+    w
+}
+
+/// Write `"tuple": [cells]`.
+fn write_tuple(w: &mut JsonWriter<'_>, tuple: &Tuple) {
+    w.key("tuple");
+    w.begin_arr();
+    for v in tuple.values() {
+        w.value(v);
+    }
+    w.end_arr();
+}
+
+/// Write `key: [attribute names]`.
+fn write_attrs(
+    w: &mut JsonWriter<'_>,
+    schema: &SchemaRef,
+    key: &str,
+    attrs: impl IntoIterator<Item = usize>,
+) {
+    w.key(key);
+    w.begin_arr();
+    for a in attrs {
+        w.str_val(schema.attr_name(a));
+    }
+    w.end_arr();
+}
+
+/// Tree-parse one line — [`Request::parse_line`], charging the line to
+/// the most specific class it gets as far as naming: `parse_error` when
+/// it is not JSON, otherwise the row its `op` names (the caller's
+/// default stands when it names none).
+fn parse_tree(line: &str, op: &mut &'static Op) -> Result<Request, String> {
+    let json = Json::parse(line).map_err(|e| {
+        *op = &ops::PARSE_ERROR;
+        e.0
+    })?;
+    let id = Request::id_of(&json).map_err(|e| e.0)?;
+    *op = id.row();
+    Request::parse(id, &json).map_err(|e| e.0)
+}
+
 /// 99th-percentile upper bound from `(exclusive upper bound, count)`
 /// histogram buckets; 0 with no observations.
 fn bucket_p99_ns(buckets: &[(u64, u64)]) -> u64 {
@@ -3963,7 +3681,11 @@ fn span_json(span: &Span) -> Json {
         ("synthetic", Json::Bool(span.synthetic_id())),
         (
             "op",
-            Json::str(LATENCY_OPS[span.op.min(LATENCY_OPS.len() - 1)]),
+            Json::str(
+                ops::classes()
+                    .nth(span.op)
+                    .map_or(ops::OTHER.name, |op| op.name),
+            ),
         ),
         ("total_ns", Json::Num(span.total_ns as f64)),
         ("parse_ns", Json::Num(span.parse_ns as f64)),

@@ -50,7 +50,7 @@ pub(crate) struct Span {
     /// Correlation id: the numeric wire `"id"` verbatim, an FNV-1a hash
     /// of a non-numeric id, or a synthesized id (high bit set).
     pub trace_id: u64,
-    /// Latency-class index into [`crate::metrics::LATENCY_OPS`].
+    /// Latency slot of the request's op class (see [`crate::ops`]).
     pub op: usize,
     /// End-to-end service time (transport excluded), nanoseconds.
     pub total_ns: u64,
@@ -65,8 +65,8 @@ pub(crate) struct Span {
     /// Time blocked waiting for follower quorum acks (zero outside
     /// quorum-mode commits).
     pub quorum_ns: u64,
-    /// Response rendering (tree path; fused into dispatch on the
-    /// direct-render hot path).
+    /// Rendering of a cold op's reply tree (the session ops write
+    /// their reply as they execute, inside the dispatch share).
     pub serialize_ns: u64,
     /// Receipt → dispatch queue wait (worker-pool queueing for batched
     /// heavy ops; ~0 on the inline path). Kept OUTSIDE `total_ns`,

@@ -841,11 +841,11 @@ pub mod scan {
 }
 
 /// Direct JSON writer: builds a response straight into a caller-supplied
-/// `String`, no intermediate [`Json`] tree. Produces byte-identical
-/// output to rendering the equivalent tree (guarded by tests), so the
-/// fast service paths and the tree fallback are indistinguishable on the
-/// wire. Comma state is a bitmask over nesting depth — the writer itself
-/// never allocates beyond what it appends to `out`.
+/// `String`, no intermediate [`Json`] tree. Formats exactly as the tree
+/// renderer does (guarded by tests), so a reply reads the same whichever
+/// of the two its op's handler uses. Comma state is a bitmask over
+/// nesting depth — the writer itself never allocates beyond what it
+/// appends to `out`.
 pub struct JsonWriter<'a> {
     out: &'a mut String,
     /// Bit d set ⇔ a value was already written at depth d (so the next
@@ -1116,7 +1116,7 @@ mod tests {
 
     #[test]
     fn json_writer_matches_tree_render() {
-        // The exact response shape the fast paths write by hand.
+        // The response shape the session ops write by hand.
         let tree = Json::obj([
             ("ok", Json::Bool(true)),
             ("session", Json::Num(7.0)),

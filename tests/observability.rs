@@ -290,6 +290,11 @@ fn metrics_prom_is_valid_and_has_all_new_instruments() {
     service.handle_line("{\"op\":\"clean\",\"tuples\":[[\"k1\",\"x\",\"n\"]],\"trust\":[\"key\"]}");
     service.handle_line("{\"op\":\"metrics\"}");
     service.handle_line("{\"op\":\"nonsense.op\"}");
+    // A known op failing field validation, the `stats` alias shed by its
+    // deadline, and a line that is not JSON.
+    service.handle_line("{\"op\":\"session.get\"}");
+    service.handle_line("{\"op\":\"stats\",\"deadline_ms\":0}");
+    service.handle_line("{\"op\":\"session.get\",");
 
     let body = scrape(&service);
     let samples = validate_prom(&body).expect("valid Prometheus text");
@@ -336,8 +341,29 @@ fn metrics_prom_is_valid_and_has_all_new_instruments() {
             > 0.0,
         "engine stats attributed to session.validate"
     );
-    // The unknown op landed in `other`, not `parse_error`.
-    assert!(samples.contains_key("cerfix_request_duration_seconds_count{op=\"other\"}"));
+    // Latency classes: the row is resolved when the line is scanned,
+    // so a request that names a known op is charged to it even when it
+    // fails field validation or is shed through an alias; `other` is an
+    // op name not in the table, `parse_error` malformed JSON only.
+    let count = |op: &str| {
+        samples
+            .get(&format!(
+                "cerfix_request_duration_seconds_count{{op=\"{op}\"}}"
+            ))
+            .copied()
+    };
+    assert_eq!(
+        count("session.get"),
+        Some(2.0),
+        "served once, rejected once"
+    );
+    assert_eq!(
+        count("metrics"),
+        Some(2.0),
+        "`metrics` and the shed `stats`"
+    );
+    assert_eq!(count("other"), Some(1.0));
+    assert_eq!(count("parse_error"), Some(1.0));
 }
 
 /// Journaled services expose the group-commit flush profile: fsync
