@@ -65,7 +65,7 @@ impl AnalysisCache {
     /// The region search for `(fingerprint, master_generation)`,
     /// computing it with `compute` on first use. The flag is `true` on a
     /// cache hit.
-    pub fn regions(
+    pub(crate) fn regions(
         &self,
         fingerprint: u64,
         master_generation: u64,
@@ -74,10 +74,10 @@ impl AnalysisCache {
     ) -> (Arc<RegionSearch>, bool) {
         let mut map = self.regions.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = map.get(&(fingerprint, master_generation)) {
-            metrics.cache_hit();
+            metrics.cache_hits.inc();
             return (Arc::clone(hit), true);
         }
-        metrics.cache_miss();
+        metrics.cache_misses.inc();
         let computed = Arc::new(compute());
         map.insert((fingerprint, master_generation), Arc::clone(&computed));
         (computed, false)
@@ -121,7 +121,7 @@ impl AnalysisCache {
     /// The compiled plan for `(fingerprint, master_generation)`,
     /// compiling with `compute` on first use. The flag is `true` on a
     /// cache hit.
-    pub fn plan(
+    pub(crate) fn plan(
         &self,
         fingerprint: u64,
         master_generation: u64,
@@ -130,10 +130,10 @@ impl AnalysisCache {
     ) -> (Arc<CompiledRules>, bool) {
         let mut map = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = map.get(&(fingerprint, master_generation)) {
-            metrics.cache_hit();
+            metrics.cache_hits.inc();
             return (Arc::clone(hit), true);
         }
-        metrics.cache_miss();
+        metrics.cache_misses.inc();
         let computed = Arc::new(compute());
         map.insert((fingerprint, master_generation), Arc::clone(&computed));
         (computed, false)
@@ -143,7 +143,7 @@ impl AnalysisCache {
     /// mode)`, computing it with `compute` on first use. The flag is
     /// `true` on a cache hit. (Generation-keyed for the same reason as
     /// regions: verdicts depend on master data.)
-    pub fn consistency(
+    pub(crate) fn consistency(
         &self,
         fingerprint: u64,
         master_generation: u64,
@@ -156,10 +156,10 @@ impl AnalysisCache {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = map.get(&(fingerprint, master_generation, mode.to_string())) {
-            metrics.cache_hit();
+            metrics.cache_hits.inc();
             return (Arc::clone(hit), true);
         }
-        metrics.cache_miss();
+        metrics.cache_misses.inc();
         let computed = Arc::new(compute());
         map.insert(
             (fingerprint, master_generation, mode.to_string()),
@@ -221,14 +221,13 @@ mod tests {
             assert_eq!(hit, round > 0);
         }
         assert_eq!(computes, 1);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.cache_hits, 2);
-        assert_eq!(snap.cache_misses, 1);
+        assert_eq!(metrics.cache_hits.get(), 2);
+        assert_eq!(metrics.cache_misses.get(), 1);
         // A different master generation is a different key: a master
         // append can never serve regions certified against old data.
         let (_, hit) = cache.regions(1, 7, &metrics, empty_search);
         assert!(!hit);
-        assert_eq!(metrics.snapshot().cache_misses, 2);
+        assert_eq!(metrics.cache_misses.get(), 2);
         assert!(cache.cached_regions(1, 0).is_some());
         assert!(cache.cached_regions(1, 7).is_some());
         assert!(cache.cached_regions(1, 3).is_none());

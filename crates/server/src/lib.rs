@@ -90,7 +90,7 @@ pub use client::{
     AuditPage, AuditRecordView, CleanOutcomeView, Client, ClientError, CommitView, LocalClient,
     LocalTransport, RetryBudget, RetryPolicy, SessionView, TcpTransport, Transport,
 };
-pub use metrics::{MetricsSnapshot, OpLatency, ServiceMetrics};
+pub use metrics::{MetricsSnapshot, OpLatency};
 pub use net::{Frontend, Server, ServerHandle};
 pub use protocol::RequestScratch;
 pub use protocol::{Request, PROTOCOL_VERSION};
@@ -918,5 +918,232 @@ mod tests {
             assert_eq!(outcome[0].tuple[1], Value::str(val));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The instrument table is the oracle for every exposition. On a
+    /// journaled primary with one registered follower and traffic on the
+    /// engine path, each row must show up — once, with the row's type —
+    /// in the `metrics` reply, the `metrics.history` sample and the
+    /// Prometheus text, and the three must show the same number.
+    #[test]
+    fn every_instrument_row_reaches_every_exposition() {
+        use crate::metrics::{Kind, FAMILIES, SCALARS};
+        use std::collections::{HashMap, HashSet};
+
+        let dir = data_dir("instruments");
+        let service = kv_service_journaled(&dir, 8);
+        let mut client = LocalClient::in_process(&service);
+        for key in ["k1", "k2"] {
+            let view = client.create_session(row(key, "WRONG", "n")).unwrap();
+            client
+                .validate(view.session, vec![("key".into(), Value::str(key))])
+                .unwrap();
+            client.commit(view.session).unwrap();
+        }
+        let synced =
+            service.handle_line(r#"{"op":"replica.sync","follower":"f1","epoch":0,"offset":0}"#);
+        assert!(synced.contains("\"ok\":true"), "{synced}");
+        service.sample_timeseries();
+
+        let parse = |line: &str| wire::Json::parse(service.handle_line(line).trim()).unwrap();
+        let before = service.metrics();
+        let reply = parse(r#"{"op":"metrics"}"#);
+        let after = service.metrics();
+        let history = parse(r#"{"op":"metrics.history"}"#);
+        let sample = &history.get("samples").and_then(wire::Json::as_arr).unwrap()[0];
+        let prom = parse(r#"{"op":"metrics.prom"}"#);
+        let text = prom.get("body").and_then(wire::Json::as_str).unwrap();
+
+        // The text, indexed: `# TYPE`s and `# HELP`s per family, and
+        // every sample line's `name{labels}`.
+        let mut types: HashMap<&str, Vec<&str>> = HashMap::new();
+        let mut helps: HashMap<&str, usize> = HashMap::new();
+        let mut samples: Vec<&str> = Vec::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').unwrap();
+                types.entry(name).or_default().push(kind);
+            } else if let Some(rest) = line.strip_prefix("# HELP ") {
+                *helps.entry(rest.split_once(' ').unwrap().0).or_default() += 1;
+            } else {
+                samples.push(line.rsplit_once(' ').unwrap().0);
+            }
+        }
+        let exposed = |family: &str, kind: &str, series: &dyn Fn(&str) -> bool| {
+            assert_eq!(types.get(family), Some(&vec![kind]), "{family}: one TYPE");
+            assert_eq!(helps.get(family), Some(&1), "{family}: one HELP");
+            assert!(samples.iter().any(|s| series(s)), "{family}: a sample");
+            assert_eq!(
+                family.ends_with("_total"),
+                kind == "counter",
+                "{family}: counters, and only counters, end in _total"
+            );
+        };
+
+        let mut names = HashSet::new();
+        let mut keys = HashSet::new();
+        for row in SCALARS {
+            assert!(keys.insert(row.field), "{}: key declared twice", row.field);
+            assert!(names.insert(row.prom), "{}: name declared twice", row.prom);
+            let shown = reply
+                .get(row.field)
+                .unwrap_or_else(|| panic!("{}", row.field));
+            let value = match row.kind {
+                Kind::Flag => u64::from(shown.as_bool().expect(row.field)),
+                Kind::Counter | Kind::Gauge => shown.as_u64().expect(row.field),
+            };
+            // The reply sits between two snapshots; equal unless the row
+            // counts the `metrics` request itself.
+            let (lo, hi) = ((row.get)(&before), (row.get)(&after));
+            assert!(
+                lo <= value && value <= hi,
+                "{}: {lo} <= {value} <= {hi}",
+                row.field
+            );
+            assert!(sample.get(row.field).is_some(), "{}: in history", row.field);
+            let series = match row.label {
+                Some((key, value)) => format!("{}{{{key}=\"{value}\"}}", row.prom),
+                None => row.prom.to_string(),
+            };
+            exposed(row.prom, row.prom_type(), &|s| s == series);
+        }
+        for row in FAMILIES {
+            assert!(names.insert(row.prom), "{}: name declared twice", row.prom);
+            exposed(row.prom, row.kind, &|s| {
+                let rest = s.strip_prefix(row.prom).unwrap_or("x");
+                let rest = match row.kind {
+                    "histogram" => rest.strip_prefix("_bucket").unwrap_or("x"),
+                    _ => rest,
+                };
+                rest.is_empty() || rest.starts_with('{')
+            });
+        }
+        // Nothing is exposed that is not a row.
+        assert_eq!(types.len(), names.len());
+
+        // Each validate ran the engine once; its span's engine stats are
+        // what its op class was charged, family for family.
+        let validate = ops::OpId::SessionValidate.row();
+        let mut charged = cerfix::EngineStats::default();
+        for span in service.trace().ring().read_recent(usize::MAX) {
+            if span.op == validate.slot {
+                charged.fixpoint_runs += span.stats.fixpoint_runs;
+                charged.rule_attempts += span.stats.rule_attempts;
+                charged.master_lookups += span.stats.master_lookups;
+                charged.index_probes += span.stats.index_probes;
+            }
+        }
+        assert_eq!(charged.fixpoint_runs, 2);
+        for (family, total) in [
+            ("fixpoint_runs", charged.fixpoint_runs),
+            ("rule_attempts", charged.rule_attempts),
+            ("master_lookups", charged.master_lookups),
+            ("index_probes", charged.index_probes),
+        ] {
+            assert!(total > 0, "{family}");
+            let line = format!("cerfix_engine_{family}_total{{op=\"session.validate\"}} {total}");
+            assert!(text.lines().any(|l| l == line), "{line}");
+        }
+        // The follower registered at the start of this epoch lags by
+        // everything durable, in both views of the one computation.
+        let lag = reply
+            .get("replication")
+            .and_then(|r| r.get("f1"))
+            .and_then(|f| f.get("lag_events"))
+            .and_then(wire::Json::as_u64)
+            .expect("replication.f1.lag_events");
+        assert!(lag > 0);
+        let lag_line = format!("cerfix_replication_lag_events{{follower=\"f1\"}} {lag}");
+        assert!(text.lines().any(|line| line == lag_line), "{lag_line}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A request's engine-stat delta lands field for field in the
+    /// family of the same name (distinct totals, so a cross-wired field
+    /// fails), and only under the op it was charged to.
+    #[test]
+    fn engine_stats_accumulate_per_op_class() {
+        let service = kv_service(1);
+        let validate = ops::OpId::SessionValidate.row();
+        for (fixpoint_runs, rule_attempts, master_lookups, index_probes) in
+            [(1, 4, 5, 5), (1, 2, 2, 0)]
+        {
+            service.metrics_raw().add_engine_stats(
+                validate,
+                &cerfix::EngineStats {
+                    fixpoint_runs,
+                    rule_attempts,
+                    master_lookups,
+                    index_probes,
+                },
+            );
+        }
+        let text = metrics::prom_text(&service);
+        for sample in [
+            "cerfix_engine_fixpoint_runs_total{op=\"session.validate\"} 2",
+            "cerfix_engine_rule_attempts_total{op=\"session.validate\"} 6",
+            "cerfix_engine_master_lookups_total{op=\"session.validate\"} 7",
+            "cerfix_engine_index_probes_total{op=\"session.validate\"} 5",
+        ] {
+            assert!(text.lines().any(|line| line == sample), "{sample}");
+        }
+        let engine_samples = text
+            .lines()
+            .filter(|line| line.starts_with("cerfix_engine_"))
+            .count();
+        assert_eq!(engine_samples, 4, "no other op class was charged");
+    }
+
+    /// A node that has served nothing still declares every scalar and
+    /// every stored family (`absent()`-style alerts see the same family
+    /// set before and after the first request); only the per-follower
+    /// and journal families wait for a follower or a journal.
+    #[test]
+    fn idle_node_declares_every_stored_family() {
+        use crate::metrics::{FAMILIES, SCALARS};
+
+        let service = kv_service(1);
+        let text = metrics::prom_text(&service);
+        let declared = |name: &str, kind: &str| {
+            text.lines()
+                .any(|line| line == format!("# TYPE {name} {kind}"))
+        };
+        for row in SCALARS {
+            assert!(declared(row.prom, row.prom_type()), "{}", row.prom);
+        }
+        for row in FAMILIES {
+            let waits = row.prom.starts_with("cerfix_replication_lag_")
+                || row.prom.starts_with("cerfix_journal_");
+            assert_eq!(declared(row.prom, row.kind), !waits, "{}", row.prom);
+        }
+    }
+
+    /// The connection gauge goes both ways and the byte counters add:
+    /// what the front ends bump is what the snapshot and the text show.
+    #[test]
+    fn connection_telemetry_reaches_snapshot_and_text() {
+        let service = kv_service(1);
+        let m = service.metrics_raw();
+        for _ in 0..2 {
+            m.connections_open.inc();
+            m.connections_total.inc();
+        }
+        m.connections_open.dec();
+        m.bytes_in.add(100);
+        m.bytes_out.add(300);
+        let s = service.metrics();
+        assert_eq!(s.connections_open, 1);
+        assert_eq!(s.connections_total, 2);
+        assert_eq!(s.bytes_in, 100);
+        assert_eq!(s.bytes_out, 300);
+        let text = metrics::prom_text(&service);
+        for sample in [
+            "cerfix_connections_open 1",
+            "cerfix_connections_total 2",
+            "cerfix_bytes_in_total 100",
+            "cerfix_bytes_out_total 300",
+        ] {
+            assert!(text.lines().any(|line| line == sample), "{sample}");
+        }
     }
 }

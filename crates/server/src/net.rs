@@ -445,10 +445,11 @@ impl LineBuffer {
 fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &AtomicBool) {
     use std::io::Write;
     let metrics = service.metrics_raw();
-    metrics.connection_opened();
+    metrics.connections_open.inc();
+    metrics.connections_total.inc();
     let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else {
-        metrics.connection_closed();
+        metrics.connections_open.dec();
         return;
     };
     let mut buf = LineBuffer::new();
@@ -465,7 +466,7 @@ fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &Ato
             Ok(0) => break, // client closed (or shutdown half-close)
             Ok(n) => {
                 buf.extend(&chunk[..n]);
-                metrics.add_bytes_in(n as u64);
+                metrics.bytes_in.add(n as u64);
                 // Every line in this chunk shares one arrival stamp —
                 // queue wait and deadlines are measured from the read,
                 // not from when the dispatch loop got around to the line.
@@ -479,10 +480,10 @@ fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &Ato
                     // pipelined burst go out while later requests are
                     // still being served.
                     if writer.write_all(out.as_bytes()).is_err() {
-                        metrics.connection_closed();
+                        metrics.connections_open.dec();
                         return;
                     }
-                    metrics.add_bytes_out(out.len() as u64);
+                    metrics.bytes_out.add(out.len() as u64);
                 }
                 // Complete lines drained above; only an unbounded
                 // *partial* line is hostile.
@@ -495,7 +496,7 @@ fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &Ato
             Err(_) => break,
         }
     }
-    metrics.connection_closed();
+    metrics.connections_open.dec();
 }
 
 /// A running server on a background thread.

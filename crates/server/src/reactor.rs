@@ -315,7 +315,8 @@ fn submit_batch(service: &CleaningService, shared: &Arc<Shared>, id: u64, batch:
         // number that grows first when the pool saturates.
         service_for_job
             .metrics_raw()
-            .observe_batch_latency(submitted.elapsed());
+            .batch_latency
+            .observe(submitted.elapsed());
         shared.put_scratch(scratch);
         shared
             .completions
@@ -416,7 +417,7 @@ impl Reactor {
                 }
             }
             let timeout = if self.draining.is_some() { 50 } else { -1 };
-            self.service.metrics_raw().reactor_poll();
+            self.service.metrics_raw().reactor_polls.inc();
             let n = match ffi::wait(self.epfd, &mut events, timeout) {
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -431,7 +432,7 @@ impl Reactor {
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => {
-                        self.service.metrics_raw().reactor_wakeup();
+                        self.service.metrics_raw().reactor_wakeups.inc();
                         self.shared.wake.drain();
                     }
                     conn => self.conn_ready(conn, mask),
@@ -440,7 +441,8 @@ impl Reactor {
             self.drain_completions();
             self.service
                 .metrics_raw()
-                .observe_reactor_loop(loop_started.elapsed());
+                .reactor_loop
+                .observe(loop_started.elapsed());
         }
         Ok(())
     }
@@ -499,7 +501,9 @@ impl Reactor {
                     {
                         continue;
                     }
-                    self.service.metrics_raw().connection_opened();
+                    let metrics = self.service.metrics_raw();
+                    metrics.connections_open.inc();
+                    metrics.connections_total.inc();
                     self.conns.insert(
                         id,
                         Conn {
@@ -561,7 +565,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.buf.extend(&chunk[..n]);
-                    self.service.metrics_raw().add_bytes_in(n as u64);
+                    self.service.metrics_raw().bytes_in.add(n as u64);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -696,7 +700,7 @@ impl Reactor {
                     }
                     Ok(n) => {
                         conn.out_pos += n;
-                        self.service.metrics_raw().add_bytes_out(n as u64);
+                        self.service.metrics_raw().bytes_out.add(n as u64);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -759,7 +763,7 @@ impl Reactor {
     fn close_conn(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
             let _ = ffi::ctl(self.epfd, ffi::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-            self.service.metrics_raw().connection_closed();
+            self.service.metrics_raw().connections_open.dec();
             self.shared.put_string(conn.out);
             // In-flight batch completions for this id are discarded in
             // `drain_completions`.
@@ -781,7 +785,7 @@ impl Drop for Reactor {
         // Surviving connections close with their streams; settle the
         // open-connections gauge for them.
         for _ in 0..self.conns.len() {
-            self.service.metrics_raw().connection_closed();
+            self.service.metrics_raw().connections_open.dec();
         }
         self.conns.clear();
         self.service.remove_shutdown_hook(self.hook);

@@ -157,6 +157,69 @@ impl ReplicationState {
     pub fn quorum(&self) -> usize {
         (self.cluster + 2) / 2
     }
+
+    /// Every registered follower's lag behind this node's durable
+    /// cursor `(epoch, offset)`, sorted by name — the one computation
+    /// behind `metrics.replication`, `cerfix_replication_lag_*` and
+    /// `cluster.status.followers`.
+    pub(crate) fn follower_lags(&self, (cur_epoch, cur_durable): (u64, u64)) -> Vec<FollowerLag> {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let mut lags: Vec<FollowerLag> = lock_followers(self)
+            .iter()
+            .map(|(name, f)| {
+                // A cursor from an older epoch has acked nothing of this
+                // one; a cursor from a later epoch covers all of it.
+                let lag_events = match f.epoch.cmp(&cur_epoch) {
+                    Greater => 0,
+                    Equal => cur_durable.saturating_sub(f.offset),
+                    Less => cur_durable,
+                };
+                let current =
+                    f.epoch > cur_epoch || (f.epoch == cur_epoch && f.offset >= cur_durable);
+                FollowerLag {
+                    name: name.clone(),
+                    epoch: f.epoch,
+                    offset: f.offset,
+                    lag_events,
+                    lag_seconds: if current {
+                        0.0
+                    } else {
+                        f.caught_up_at.elapsed().as_secs_f64()
+                    },
+                    last_seen_secs: f.last_seen.elapsed().as_secs_f64(),
+                }
+            })
+            .collect();
+        lags.sort_by(|a, b| a.name.cmp(&b.name));
+        lags
+    }
+}
+
+/// One follower's lag as the primary sees it.
+pub(crate) struct FollowerLag {
+    /// The address the follower advertised.
+    pub name: String,
+    /// Cursor coordinates from its last sync.
+    pub epoch: u64,
+    pub offset: u64,
+    /// Durable events here it has not acknowledged.
+    pub lag_events: u64,
+    /// How long it has been behind (0 while caught up).
+    pub lag_seconds: f64,
+    /// Seconds since its last sync.
+    pub last_seen_secs: f64,
+}
+
+impl FollowerLag {
+    /// The cursor and lag as reply fields.
+    pub(crate) fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("epoch", Json::Num(self.epoch as f64)),
+            ("offset", Json::Num(self.offset as f64)),
+            ("lag_events", Json::Num(self.lag_events as f64)),
+            ("lag_seconds", Json::Num(self.lag_seconds)),
+        ]
+    }
 }
 
 /// Hex-encode a binary frame for the wire (lowercase, two digits per

@@ -42,12 +42,10 @@ use crate::admission::{Priority, Shedder};
 use crate::cache::{ruleset_fingerprint, AnalysisCache};
 use crate::client::{Client, RetryPolicy};
 use crate::diag::{DiagSink, Level, Subsystem};
-use crate::metrics::{
-    prom_header, prom_histogram_from_buckets, prom_metric, prom_sample, ServiceMetrics,
-};
+use crate::metrics::{self, MetricsSnapshot, ServiceMetrics};
 use crate::ops::{self, Op, OpId};
 use crate::protocol::{scan_line, Parsed, Request, RequestScratch, ScannedLine, PROTOCOL_VERSION};
-use crate::replication::{hex_encode, lock_followers, ReplicationState, Role};
+use crate::replication::{hex_encode, lock_followers, FollowerLag, ReplicationState, Role};
 use crate::session::{SessionError, SessionManager};
 use crate::timeseries::{Sample, TimeSeries};
 use crate::trace::{Span, TraceSink};
@@ -478,12 +476,12 @@ impl CleaningService {
     /// before closing.
     pub fn admit_connection(&self) -> Result<(), String> {
         if self.is_draining() {
-            self.inner.metrics.connection_refused();
+            self.inner.metrics.connections_refused.inc();
             return Err("draining: server is draining; connect to another node".to_string());
         }
         let quota = self.inner.config.max_connections;
-        if quota > 0 && self.inner.metrics.connections_open() >= quota as u64 {
-            self.inner.metrics.connection_refused();
+        if quota > 0 && self.inner.metrics.connections_open.get() >= quota as u64 {
+            self.inner.metrics.connections_refused.inc();
             return Err(format!(
                 "overloaded: connection quota of {quota} reached; retry with backoff"
             ));
@@ -514,10 +512,7 @@ impl CleaningService {
     /// This node's durable journal cursor `(epoch, offset)` — what the
     /// tail loop pulls from and acks with. `None` without storage.
     pub(crate) fn durable_cursor(&self) -> Option<(u64, u64)> {
-        self.inner
-            .storage
-            .as_ref()
-            .map(|binding| binding.storage.durable_position())
+        self.storage().map(Storage::durable_position)
     }
 
     /// The follower id this node reports in `replica.sync` requests.
@@ -592,10 +587,8 @@ impl CleaningService {
     /// from [`is_degraded`](Self::is_degraded): poison is permanent
     /// until a snapshot rebuilds the journal file).
     pub fn is_poisoned_journal(&self) -> bool {
-        self.inner
-            .storage
-            .as_ref()
-            .is_some_and(|binding| binding.storage.journal().poisoned().is_some())
+        self.storage()
+            .is_some_and(|storage| storage.journal().poisoned().is_some())
     }
 
     /// Wait for `seq` to be durable and translate the outcome into the
@@ -686,7 +679,6 @@ impl CleaningService {
             .spill_errors_seen
             .swap(spill_errors, Ordering::AcqRel);
         if spill_errors > seen {
-            self.inner.metrics.audit_spill_errors(spill_errors);
             self.inner.diag.error(
                 Subsystem::Journal,
                 format_args!(
@@ -725,22 +717,10 @@ impl CleaningService {
         &self.inner.audit
     }
 
-    /// Counters.
-    pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
-        self.refresh_storage_gauges();
-        self.inner.metrics.snapshot()
-    }
-
-    fn refresh_storage_gauges(&self) {
-        if let Some(binding) = &self.inner.storage {
-            self.inner.metrics.journal_totals(
-                binding.storage.journal().bytes_appended(),
-                binding.storage.journal().events_appended(),
-            );
-        }
-        self.inner
-            .metrics
-            .audit_spilled(self.inner.audit.spilled() as u64);
+    /// A point-in-time copy of every scalar instrument: stored ones
+    /// loaded, sampled ones read from their owner now.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot::take(self)
     }
 
     /// The structured diagnostic log sink (replication and transport
@@ -755,8 +735,7 @@ impl CleaningService {
     /// too. `metrics.history` reads the window back, and
     /// `cluster.status` derives its req/s figure from it.
     pub fn sample_timeseries(&self) {
-        self.refresh_storage_gauges();
-        self.inner.timeseries.record(self.inner.metrics.snapshot());
+        self.inner.timeseries.record(self.metrics());
     }
 
     /// Evaluate health now and log ready/not-ready transitions to the
@@ -939,10 +918,35 @@ impl CleaningService {
         }
     }
 
-    /// The raw counters, for front ends recording transport telemetry
-    /// (connection gauge, byte counters).
+    /// The stored instruments, for front ends recording transport
+    /// telemetry (connection gauge, byte counters).
     pub(crate) fn metrics_raw(&self) -> &ServiceMetrics {
         &self.inner.metrics
+    }
+
+    /// Where the sampled instruments of the table in `metrics.rs` read
+    /// their values: each one's owner.
+    pub(crate) fn storage(&self) -> Option<&Storage> {
+        self.inner.storage.as_ref().map(|binding| &binding.storage)
+    }
+
+    pub(crate) fn trace(&self) -> &TraceSink {
+        &self.inner.trace
+    }
+
+    pub(crate) fn shedder(&self) -> &Shedder {
+        &self.inner.shedder
+    }
+
+    /// Jobs waiting in the worker-pool queue right now.
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.inner.pool.queue_depth()
+    }
+
+    /// Per-follower lag against this node's durable cursor.
+    pub(crate) fn follower_lags(&self) -> Vec<FollowerLag> {
+        let cursor = self.durable_cursor().unwrap_or((0, 0));
+        self.inner.replication.follower_lags(cursor)
     }
 
     /// Run a job on the service worker pool (the epoll reactor's
@@ -968,7 +972,10 @@ impl CleaningService {
             evicted
         });
         if !evicted.is_empty() {
-            self.inner.metrics.sessions_evicted(evicted.len() as u64);
+            self.inner
+                .metrics
+                .sessions_evicted
+                .add(evicted.len() as u64);
         }
         evicted.len()
     }
@@ -1020,7 +1027,7 @@ impl CleaningService {
             sessions,
         };
         binding.storage.install_snapshot(&data)?;
-        self.inner.metrics.snapshot_written();
+        self.inner.metrics.snapshots_written.inc();
         // Cache the encoded snapshot: it is what a follower whose
         // cursor predates the new epoch gets resynced from.
         *self
@@ -1074,7 +1081,7 @@ impl CleaningService {
         }
         self.replay_events(&recovered.events, false)?;
         let live = self.inner.sessions.len() as u64;
-        self.inner.metrics.sessions_recovered(live);
+        self.inner.metrics.sessions_recovered.add(live);
         Ok(())
     }
 
@@ -1449,8 +1456,8 @@ impl CleaningService {
         started: Instant,
     ) {
         let queue_wait = started.saturating_duration_since(received);
-        self.inner.metrics.request();
-        self.inner.metrics.observe_queue_wait(queue_wait);
+        self.inner.metrics.requests.inc();
+        self.inner.metrics.queue_wait.observe(queue_wait);
         let mut span = Span {
             parse_ns: started.elapsed().as_nanos() as u64,
             queue_ns: queue_wait.as_nanos() as u64,
@@ -1466,7 +1473,7 @@ impl CleaningService {
             self.write_error(&message, raw_id, out);
         }
         let elapsed = started.elapsed();
-        self.inner.metrics.observe_latency(op, elapsed);
+        self.inner.metrics.latency[op].observe(elapsed);
         self.finish_span(&mut span, op, raw_id, elapsed);
     }
 
@@ -1513,7 +1520,7 @@ impl CleaningService {
         if let Some(ms) = scanned.deadline_ms {
             if let Some(deadline) = received.checked_add(Duration::from_millis(ms)) {
                 if started >= deadline {
-                    self.inner.metrics.shed_deadline();
+                    self.inner.metrics.requests_shed_deadline.inc();
                     return Err(format!(
                         "deadline_exceeded: deadline of {ms}ms expired before work began"
                     ));
@@ -1623,8 +1630,8 @@ impl CleaningService {
                 resync,
             } => self.replica_sync(&follower, epoch, offset, max, resync)?,
             Request::ReplicaPromote => self.replica_promote()?,
-            Request::Metrics => self.metrics_response(),
-            Request::MetricsProm => self.metrics_prom_response(),
+            Request::Metrics => metrics::metrics_json(self),
+            Request::MetricsProm => metrics::prom_response(self),
             Request::TraceRead { limit } => self.trace_read(limit),
             Request::Health => self.health_response(),
             Request::LogRead {
@@ -1672,7 +1679,7 @@ impl CleaningService {
         if !self.inner.shedder.sheds(op.class) {
             return Ok(());
         }
-        self.inner.metrics.shed_overload();
+        self.inner.metrics.requests_shed_overload.inc();
         let what = match op.class {
             Priority::Heavy => "heavy reads",
             _ => "session mutations",
@@ -1696,7 +1703,7 @@ impl CleaningService {
         let bound = Duration::from_millis(wait_ms.unwrap_or(DEFAULT_DRAIN_WAIT_MS));
         let newly = !self.inner.draining.swap(true, Ordering::AcqRel);
         if newly {
-            self.inner.metrics.drain_started();
+            self.inner.metrics.drains_started.inc();
             self.inner.diag.info(
                 Subsystem::Admission,
                 format_args!(
@@ -1756,7 +1763,7 @@ impl CleaningService {
 
     /// Count and render an error reply.
     fn write_error(&self, message: &str, raw_id: Option<&str>, out: &mut String) {
-        self.inner.metrics.error();
+        self.inner.metrics.errors.inc();
         let mut w = JsonWriter::new(out);
         w.begin_response(raw_id);
         w.key("ok");
@@ -1841,7 +1848,8 @@ impl CleaningService {
             .collect();
         self.inner
             .metrics
-            .replication_events_served(frames.len() as u64);
+            .replication_events_served
+            .add(frames.len() as u64);
         // `from` echoes the requested cursor: a follower rejects any
         // response whose echo mismatches its cursor, so a duplicated or
         // reordered response on a faulty network can never re-apply.
@@ -1956,7 +1964,7 @@ impl CleaningService {
             if acked >= needed {
                 drop(followers);
                 let elapsed = started.elapsed();
-                self.inner.metrics.observe_ack_latency(elapsed);
+                self.inner.metrics.ack_latency.observe(elapsed);
                 span.quorum_ns += elapsed.as_nanos() as u64;
                 return Ok(());
             }
@@ -1965,13 +1973,13 @@ impl CleaningService {
                 drop(followers);
                 span.quorum_ns += started.elapsed().as_nanos() as u64;
                 if deadline_cut {
-                    self.inner.metrics.shed_deadline();
+                    self.inner.metrics.requests_shed_deadline.inc();
                     return Err(format!(
                         "deadline_exceeded: commit is durable locally but the request \
                          deadline expired with only {acked}/{needed} follower acks"
                     ));
                 }
-                self.inner.metrics.quorum_timeout();
+                self.inner.metrics.quorum_timeouts.inc();
                 return Err(format!(
                     "quorum_timeout: commit is durable locally but only {acked}/{needed} \
                      follower acks arrived within {:?}",
@@ -2127,7 +2135,7 @@ impl CleaningService {
         // In-flight sessions finish during a drain; fresh ones belong
         // on another node.
         if self.is_draining() {
-            self.inner.metrics.session_refused_draining();
+            self.inner.metrics.sessions_refused_draining.inc();
             return Err(
                 "draining: server is draining; create the session on another node".to_string(),
             );
@@ -2160,7 +2168,7 @@ impl CleaningService {
             });
             Ok(id)
         })?;
-        self.inner.metrics.session_created();
+        self.inner.metrics.sessions_created.inc();
         self.session_view(id, None, raw_id, out)
     }
 
@@ -2286,7 +2294,10 @@ impl CleaningService {
         })?;
         let report = report.map_err(|e| e.to_string())?;
         span.stats += report.stats;
-        self.inner.metrics.cells_fixed(report.fixes.len() as u64);
+        self.inner
+            .metrics
+            .cells_fixed
+            .add(report.fixes.len() as u64);
         self.session_view(id, Some(&report), raw_id, out)
     }
 
@@ -2303,7 +2314,7 @@ impl CleaningService {
             let commit = seq.and_then(|seq| self.commit_position(seq).map(|pos| (seq, pos)));
             Ok((session, commit))
         })?;
-        self.inner.metrics.session_committed();
+        self.inner.metrics.sessions_committed.inc();
         // Commit is the protocol's durability point: wait for the group
         // fsync (outside the gate — a snapshot may proceed meanwhile),
         // then — under quorum-ack durability — for a majority of the
@@ -2341,7 +2352,7 @@ impl CleaningService {
             self.journal(&JournalEvent::SessionAborted { session: id });
             Ok(())
         })?;
-        self.inner.metrics.session_aborted();
+        self.inner.metrics.sessions_aborted.inc();
         begin_session_reply(out, raw_id, id).end_obj();
         Ok(())
     }
@@ -2387,8 +2398,8 @@ impl CleaningService {
             cells_fixed += json.get("cells_fixed").and_then(Json::as_u64).unwrap_or(0);
             rendered.push(json);
         }
-        self.inner.metrics.tuples_cleaned(n as u64);
-        self.inner.metrics.cells_fixed(cells_fixed);
+        self.inner.metrics.tuples_cleaned.add(n as u64);
+        self.inner.metrics.cells_fixed.add(cells_fixed);
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("count", Json::Num(n as f64)),
@@ -2548,9 +2559,11 @@ impl CleaningService {
             .storage
             .scrub()
             .map_err(|e| format!("scrub failed to read the data directory: {e}"))?;
+        self.inner.metrics.scrubs_run.inc();
         self.inner
             .metrics
-            .scrub_run(report.corruptions.len() as u64);
+            .scrub_corruptions
+            .add(report.corruptions.len() as u64);
         if !report.clean() {
             self.inner.diag.error(
                 Subsystem::Journal,
@@ -2632,7 +2645,7 @@ impl CleaningService {
         if let (Some(binding), Some(seq)) = (&self.inner.storage, seq) {
             self.sync_commit(binding, seq)?; // a reload ack must survive restart
         }
-        self.inner.metrics.rules_reload();
+        self.inner.metrics.rules_reloaded.inc();
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("rules", Json::Num(rules_len as f64)),
@@ -2696,10 +2709,10 @@ impl CleaningService {
         if let (Some(binding), Some(seq)) = (&self.inner.storage, seq) {
             self.sync_commit(binding, seq)?; // an append ack must survive restart
         }
-        self.inner.metrics.master_append();
+        self.inner.metrics.master_appends.inc();
         if let Some(n) = recertified {
-            self.inner.metrics.regions_recertified(n);
-            self.inner.metrics.regions_cache_patched();
+            self.inner.metrics.regions_recertified.add(n);
+            self.inner.metrics.regions_cache_patched.inc();
         }
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
@@ -2714,488 +2727,34 @@ impl CleaningService {
         ]))
     }
 
-    fn metrics_response(&self) -> Json {
-        let snapshot = self.metrics();
-        let mut fields = vec![
-            ("ok", Json::Bool(true)),
-            ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-            ("protocol", Json::Num(PROTOCOL_VERSION as f64)),
-            ("uptime_secs", Json::Num(snapshot.uptime_secs as f64)),
-            ("requests", Json::Num(snapshot.requests as f64)),
-            ("errors", Json::Num(snapshot.errors as f64)),
-            (
-                "sessions_created",
-                Json::Num(snapshot.sessions_created as f64),
-            ),
-            (
-                "sessions_committed",
-                Json::Num(snapshot.sessions_committed as f64),
-            ),
-            (
-                "sessions_aborted",
-                Json::Num(snapshot.sessions_aborted as f64),
-            ),
-            (
-                "sessions_evicted",
-                Json::Num(snapshot.sessions_evicted as f64),
-            ),
-            (
-                "sessions_recovered",
-                Json::Num(snapshot.sessions_recovered as f64),
-            ),
-            ("live_sessions", Json::Num(self.live_sessions() as f64)),
-            ("tuples_cleaned", Json::Num(snapshot.tuples_cleaned as f64)),
-            ("cells_fixed", Json::Num(snapshot.cells_fixed as f64)),
-            ("cache_hits", Json::Num(snapshot.cache_hits as f64)),
-            ("cache_misses", Json::Num(snapshot.cache_misses as f64)),
-            (
-                "connections_open",
-                Json::Num(snapshot.connections_open as f64),
-            ),
-            (
-                "connections_total",
-                Json::Num(snapshot.connections_total as f64),
-            ),
-            ("bytes_in", Json::Num(snapshot.bytes_in as f64)),
-            ("bytes_out", Json::Num(snapshot.bytes_out as f64)),
-            (
-                "requests_shed_overload",
-                Json::Num(snapshot.requests_shed_overload as f64),
-            ),
-            (
-                "requests_shed_deadline",
-                Json::Num(snapshot.requests_shed_deadline as f64),
-            ),
-            (
-                "sessions_refused_draining",
-                Json::Num(snapshot.sessions_refused_draining as f64),
-            ),
-            ("drains_started", Json::Num(snapshot.drains_started as f64)),
-            (
-                "connections_refused",
-                Json::Num(snapshot.connections_refused as f64),
-            ),
-            ("shed_level", Json::Num(self.inner.shedder.level() as f64)),
-            ("draining", Json::Bool(self.is_draining())),
-            ("workers", Json::Num(self.workers() as f64)),
-            ("audit_records", Json::Num(self.inner.audit.len() as f64)),
-            (
-                "audit_spilled_records",
-                Json::Num(snapshot.audit_spilled_records as f64),
-            ),
-            ("rules_reloaded", Json::Num(snapshot.rules_reloaded as f64)),
-            ("master_appends", Json::Num(snapshot.master_appends as f64)),
-            (
-                "regions_recertified",
-                Json::Num(snapshot.regions_recertified as f64),
-            ),
-            (
-                "regions_cache_patched",
-                Json::Num(snapshot.regions_cache_patched as f64),
-            ),
-            (
-                "storage",
-                Json::str(if self.is_journaled() {
-                    "journaled"
-                } else {
-                    "memory"
-                }),
-            ),
-        ];
-        if let Some(binding) = &self.inner.storage {
-            fields.extend([
-                ("journal_bytes", Json::Num(snapshot.journal_bytes as f64)),
-                ("journal_events", Json::Num(snapshot.journal_events as f64)),
-                ("journal_epoch", Json::Num(binding.storage.epoch() as f64)),
-                (
-                    "snapshots_written",
-                    Json::Num(snapshot.snapshots_written as f64),
-                ),
-                ("degraded", Json::Bool(self.is_degraded())),
-                (
-                    "journal_poisoned",
-                    Json::Bool(binding.storage.journal().poisoned().is_some()),
-                ),
-                (
-                    "audit_spill_errors",
-                    Json::Num(binding.storage.spill().write_errors() as f64),
-                ),
-                ("scrubs_run", Json::Num(snapshot.scrubs_run as f64)),
-                (
-                    "scrub_corruptions",
-                    Json::Num(snapshot.scrub_corruptions as f64),
-                ),
-            ]);
-        }
-        let repl = &self.inner.replication;
-        let role = self.role();
-        fields.push(("role", Json::str(role.name())));
-        if let Role::Follower { primary } = &role {
-            fields.push(("primary", Json::str(primary.clone())));
-        }
-        fields.push(("cluster_size", Json::Num(repl.cluster as f64)));
-        fields.push(("quorum", Json::Num(repl.quorum() as f64)));
-        fields.push((
-            "replication_events_served",
-            Json::Num(snapshot.replication_events_served as f64),
-        ));
-        fields.push((
-            "quorum_timeouts",
-            Json::Num(snapshot.quorum_timeouts as f64),
-        ));
-        // Per-follower lag, as the primary sees it: cursor coordinates
-        // from the last sync, events not yet acked, and how long the
-        // follower has been behind (0 while caught up).
-        {
-            let followers = lock_followers(repl);
-            if !followers.is_empty() {
-                let (cur_epoch, cur_durable) = self.durable_cursor().unwrap_or((0, 0));
-                fields.push((
-                    "replication",
-                    Json::Obj(
-                        followers
-                            .iter()
-                            .map(|(name, f)| {
-                                let current = f.epoch > cur_epoch
-                                    || (f.epoch == cur_epoch && f.offset >= cur_durable);
-                                let lag_events = match f.epoch.cmp(&cur_epoch) {
-                                    std::cmp::Ordering::Greater => 0,
-                                    std::cmp::Ordering::Equal => {
-                                        cur_durable.saturating_sub(f.offset)
-                                    }
-                                    std::cmp::Ordering::Less => cur_durable,
-                                };
-                                let lag_seconds = if current {
-                                    0.0
-                                } else {
-                                    f.caught_up_at.elapsed().as_secs_f64()
-                                };
-                                (
-                                    name.clone(),
-                                    Json::obj([
-                                        ("epoch", Json::Num(f.epoch as f64)),
-                                        ("offset", Json::Num(f.offset as f64)),
-                                        ("lag_events", Json::Num(lag_events as f64)),
-                                        ("lag_seconds", Json::Num(lag_seconds)),
-                                        (
-                                            "last_seen_secs",
-                                            Json::Num(f.last_seen.elapsed().as_secs_f64()),
-                                        ),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-        }
-        // Per-op service-latency summaries (ops with traffic only): how
-        // long requests spend in the service, transport excluded.
-        if !snapshot.latency.is_empty() {
-            fields.push((
-                "latency",
-                Json::Obj(
-                    snapshot
-                        .latency
-                        .iter()
-                        .map(|l| {
-                            (
-                                l.op.to_string(),
-                                Json::obj([
-                                    ("count", Json::Num(l.count as f64)),
-                                    ("p50_us", Json::Num(l.p50_ns as f64 / 1000.0)),
-                                    ("p99_us", Json::Num(l.p99_ns as f64 / 1000.0)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        // Search diagnostics of the active engine's region state, so
-        // operators can watch the incremental data phase (and delta
-        // re-certification after master appends) doing less work.
+    /// Search diagnostics of the active engine's region state (the
+    /// `metrics` reply's `region_search` object), so operators can watch
+    /// the incremental data phase — and delta re-certification after
+    /// master appends — doing less work.
+    pub(crate) fn region_search_json(&self) -> Option<Json> {
         let engine = self.engine();
-        if let Some(search) = &engine.search {
-            let stats = &search.result.stats;
-            fields.push((
-                "region_search",
-                Json::obj([
-                    ("contexts", Json::Num(stats.contexts as f64)),
-                    ("candidates", Json::Num(stats.candidates as f64)),
-                    ("truth_profiles", Json::Num(stats.truth_profiles as f64)),
-                    ("closure_probes", Json::Num(stats.closure_probes as f64)),
-                    ("lattice_hits", Json::Num(stats.lattice_hits as f64)),
-                    (
-                        "certification_fixpoints",
-                        Json::Num(stats.engine.fixpoint_runs as f64),
-                    ),
-                    ("recertified", Json::Num(stats.recertified as f64)),
-                    (
-                        "candidates_reused",
-                        Json::Num(stats.candidates_reused as f64),
-                    ),
-                    (
-                        "master_generation",
-                        Json::Num(search.master_generation() as f64),
-                    ),
-                ]),
-            ));
-        }
-        Json::obj(fields)
-    }
-
-    /// `metrics.prom`: the full Prometheus text exposition (every
-    /// histogram bucket, not just p50/p99), shipped inside a one-line
-    /// JSON envelope so it rides the wire protocol — operators (or a
-    /// scrape sidecar) unwrap `body` and serve it over HTTP.
-    fn metrics_prom_response(&self) -> Json {
-        self.refresh_storage_gauges();
-        let mut body = String::with_capacity(16 * 1024);
-        self.inner.metrics.render_prom(&mut body);
-        prom_header(
-            &mut body,
-            "cerfix_build_info",
-            "Build metadata (value is always 1).",
-            "gauge",
-        );
-        prom_sample(
-            &mut body,
-            "cerfix_build_info",
-            Some(("version", env!("CARGO_PKG_VERSION"))),
-            1.0,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_protocol_version",
-            "Wire protocol version this server speaks.",
-            "gauge",
-            PROTOCOL_VERSION as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_sessions_live",
-            "Interactive sessions currently live.",
-            "gauge",
-            self.live_sessions() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_workers",
-            "Worker threads in the batch pool.",
-            "gauge",
-            self.workers() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_worker_queue_depth",
-            "Jobs waiting in the worker-pool queue right now.",
-            "gauge",
-            self.inner.pool.queue_depth() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_shed_level",
-            "Admission shed level: 0 admit all, 1 shed heavy reads, 2 shed sessions too.",
-            "gauge",
-            self.inner.shedder.level() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_shed_watermark",
-            "Worker-queue depth at which the shedder enters level 1.",
-            "gauge",
-            self.inner.shedder.high() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_draining",
-            "1 while a graceful drain is in progress.",
-            "gauge",
-            if self.is_draining() { 1.0 } else { 0.0 },
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_audit_records",
-            "Audit records reachable (memory window + spill).",
-            "gauge",
-            self.inner.audit.len() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_trace_spans_recorded_total",
-            "Request spans published into the trace ring.",
-            "counter",
-            self.inner.trace.ring().recorded() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_trace_slow_spans_total",
-            "Spans that crossed the slow-request threshold.",
-            "counter",
-            self.inner.trace.slow().recorded() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_diag_events_emitted_total",
-            "Diagnostic events admitted into the structured log.",
-            "counter",
-            self.inner.diag.emitted() as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_diag_events_suppressed_total",
-            "Diagnostic events dropped by the per-subsystem rate limiter.",
-            "counter",
-            self.inner.diag.suppressed() as f64,
-        );
-        let health = self.probe_health();
-        prom_metric(
-            &mut body,
-            "cerfix_healthy",
-            "1 when this node is ready to serve its role, else 0.",
-            "gauge",
-            if health.ready { 1.0 } else { 0.0 },
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_live",
-            "1 while the process and its journal flusher are up.",
-            "gauge",
-            if health.live { 1.0 } else { 0.0 },
-        );
-        prom_header(
-            &mut body,
-            "cerfix_degraded",
-            "1 while the service is degraded to read-only, by cause.",
-            "gauge",
-        );
-        prom_sample(
-            &mut body,
-            "cerfix_degraded",
-            Some(("cause", "disk_full")),
-            if self.is_degraded() { 1.0 } else { 0.0 },
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_journal_poisoned",
-            "1 once a journal fsync failure has permanently poisoned the writer.",
-            "gauge",
-            self.inner.storage.as_ref().map_or(0.0, |binding| {
-                if binding.storage.journal().poisoned().is_some() {
-                    1.0
-                } else {
-                    0.0
-                }
-            }),
-        );
-        let role = self.role();
-        prom_header(
-            &mut body,
-            "cerfix_role",
-            "Replication role of this node (1 for the labelled role).",
-            "gauge",
-        );
-        prom_sample(&mut body, "cerfix_role", Some(("role", role.name())), 1.0);
-        prom_metric(
-            &mut body,
-            "cerfix_cluster_size",
-            "Configured replication cluster size N.",
-            "gauge",
-            self.inner.replication.cluster as f64,
-        );
-        prom_metric(
-            &mut body,
-            "cerfix_replication_quorum",
-            "Durable copies a quorum-ack commit waits for.",
-            "gauge",
-            self.inner.replication.quorum() as f64,
-        );
-        {
-            let followers = lock_followers(&self.inner.replication);
-            if !followers.is_empty() {
-                let (cur_epoch, cur_durable) = self.durable_cursor().unwrap_or((0, 0));
-                prom_header(
-                    &mut body,
-                    "cerfix_replication_lag_seconds",
-                    "Seconds since this follower last covered everything durable here.",
-                    "gauge",
-                );
-                for (name, f) in followers.iter() {
-                    let current =
-                        f.epoch > cur_epoch || (f.epoch == cur_epoch && f.offset >= cur_durable);
-                    let lag = if current {
-                        0.0
-                    } else {
-                        f.caught_up_at.elapsed().as_secs_f64()
-                    };
-                    prom_sample(
-                        &mut body,
-                        "cerfix_replication_lag_seconds",
-                        Some(("follower", name)),
-                        lag,
-                    );
-                }
-                prom_header(
-                    &mut body,
-                    "cerfix_replication_lag_events",
-                    "Durable journal events this follower has not acknowledged.",
-                    "gauge",
-                );
-                for (name, f) in followers.iter() {
-                    let lag_events = match f.epoch.cmp(&cur_epoch) {
-                        std::cmp::Ordering::Greater => 0,
-                        std::cmp::Ordering::Equal => cur_durable.saturating_sub(f.offset),
-                        std::cmp::Ordering::Less => cur_durable,
-                    };
-                    prom_sample(
-                        &mut body,
-                        "cerfix_replication_lag_events",
-                        Some(("follower", name)),
-                        lag_events as f64,
-                    );
-                }
-            }
-        }
-        if let Some(binding) = &self.inner.storage {
-            prom_metric(
-                &mut body,
-                "cerfix_journal_epoch",
-                "Journal truncation epoch (bumps on snapshot).",
-                "gauge",
-                binding.storage.epoch() as f64,
-            );
-            let profile = binding.storage.journal().flush_profile();
-            let fsync: Vec<(f64, u64)> = profile
-                .fsync_ns_buckets
-                .iter()
-                .map(|&(upper, count)| (upper as f64 * 1e-9, count))
-                .collect();
-            prom_histogram_from_buckets(
-                &mut body,
-                "cerfix_journal_fsync_duration_seconds",
-                "Group-commit write+fsync latency per flush cycle.",
-                &fsync,
-                profile.fsync_ns_total as f64 * 1e-9,
-            );
-            let batch: Vec<(f64, u64)> = profile
-                .batch_events_buckets
-                .iter()
-                .map(|&(upper, count)| (upper as f64, count))
-                .collect();
-            prom_histogram_from_buckets(
-                &mut body,
-                "cerfix_journal_flush_batch_events",
-                "Events retired per group-commit flush (batch size).",
-                &batch,
-                profile.batch_events_total as f64,
-            );
-        }
-        Json::obj([
-            ("ok", Json::Bool(true)),
-            ("content_type", Json::str("text/plain; version=0.0.4")),
-            ("body", Json::Str(body)),
-        ])
+        let search = engine.search.as_ref()?;
+        let stats = &search.result.stats;
+        Some(Json::obj([
+            ("contexts", Json::Num(stats.contexts as f64)),
+            ("candidates", Json::Num(stats.candidates as f64)),
+            ("truth_profiles", Json::Num(stats.truth_profiles as f64)),
+            ("closure_probes", Json::Num(stats.closure_probes as f64)),
+            ("lattice_hits", Json::Num(stats.lattice_hits as f64)),
+            (
+                "certification_fixpoints",
+                Json::Num(stats.engine.fixpoint_runs as f64),
+            ),
+            ("recertified", Json::Num(stats.recertified as f64)),
+            (
+                "candidates_reused",
+                Json::Num(stats.candidates_reused as f64),
+            ),
+            (
+                "master_generation",
+                Json::Num(search.master_generation() as f64),
+            ),
+        ]))
     }
 
     /// `trace.read`: decode the most recent request spans (newest
@@ -3307,7 +2866,7 @@ impl CleaningService {
             ("retained", Json::Num(self.inner.timeseries.len() as f64)),
             (
                 "samples",
-                Json::Arr(samples.iter().map(sample_json).collect()),
+                Json::Arr(samples.iter().map(Sample::json).collect()),
             ),
         ])
     }
@@ -3407,42 +2966,12 @@ impl CleaningService {
             fields.push(("primary", Json::str(primary.clone())));
         }
         if matches!(role, Role::Primary) {
-            let followers = lock_followers(&self.inner.replication);
-            if !followers.is_empty() {
-                let (cur_epoch, cur_durable) = self.durable_cursor().unwrap_or((0, 0));
-                fields.push((
-                    "followers",
-                    Json::Obj(
-                        followers
-                            .iter()
-                            .map(|(name, f)| {
-                                let current = f.epoch > cur_epoch
-                                    || (f.epoch == cur_epoch && f.offset >= cur_durable);
-                                let lag_events = match f.epoch.cmp(&cur_epoch) {
-                                    std::cmp::Ordering::Greater => 0,
-                                    std::cmp::Ordering::Equal => {
-                                        cur_durable.saturating_sub(f.offset)
-                                    }
-                                    std::cmp::Ordering::Less => cur_durable,
-                                };
-                                let lag_seconds = if current {
-                                    0.0
-                                } else {
-                                    f.caught_up_at.elapsed().as_secs_f64()
-                                };
-                                (
-                                    name.clone(),
-                                    Json::obj([
-                                        ("epoch", Json::Num(f.epoch as f64)),
-                                        ("offset", Json::Num(f.offset as f64)),
-                                        ("lag_events", Json::Num(lag_events as f64)),
-                                        ("lag_seconds", Json::Num(lag_seconds)),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ));
+            let lags = self.follower_lags();
+            if !lags.is_empty() {
+                let per_follower = lags
+                    .iter()
+                    .map(|lag| (lag.name.clone(), Json::obj(lag.fields())));
+                fields.push(("followers", Json::Obj(per_follower.collect())));
             }
         }
         Json::obj(fields)
@@ -3636,41 +3165,6 @@ fn bucket_p99_ns(buckets: &[(u64, u64)]) -> u64 {
         }
     }
     buckets.last().map_or(0, |&(bound, _)| bound)
-}
-
-/// One time-series sample as wire JSON: the counters rate math needs,
-/// plus the per-op latency summaries for rate/p99 columns.
-fn sample_json(sample: &Sample) -> Json {
-    let s = &sample.snapshot;
-    Json::obj([
-        ("unix_ms", Json::Num(sample.unix_ms as f64)),
-        ("uptime_secs", Json::Num(s.uptime_secs as f64)),
-        ("requests", Json::Num(s.requests as f64)),
-        ("errors", Json::Num(s.errors as f64)),
-        ("sessions_committed", Json::Num(s.sessions_committed as f64)),
-        ("cells_fixed", Json::Num(s.cells_fixed as f64)),
-        ("journal_events", Json::Num(s.journal_events as f64)),
-        ("quorum_timeouts", Json::Num(s.quorum_timeouts as f64)),
-        ("connections_open", Json::Num(s.connections_open as f64)),
-        (
-            "latency",
-            Json::Obj(
-                s.latency
-                    .iter()
-                    .map(|l| {
-                        (
-                            l.op.to_string(),
-                            Json::obj([
-                                ("count", Json::Num(l.count as f64)),
-                                ("p50_us", Json::Num(l.p50_ns as f64 / 1000.0)),
-                                ("p99_us", Json::Num(l.p99_ns as f64 / 1000.0)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// One trace span as wire JSON. The trace id rides as a decimal string

@@ -13,6 +13,7 @@
 //! hot path.
 
 use crate::metrics::MetricsSnapshot;
+use crate::wire::Json;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::SystemTime;
@@ -28,6 +29,18 @@ pub(crate) struct Sample {
     pub unix_ms: u64,
     /// The counters at that instant.
     pub snapshot: MetricsSnapshot,
+}
+
+impl Sample {
+    /// The sample as `metrics.history` wire JSON: the capture time, then
+    /// whatever the instrument table says a snapshot holds.
+    pub(crate) fn json(&self) -> Json {
+        Json::obj(
+            [("unix_ms", Json::Num(self.unix_ms as f64))]
+                .into_iter()
+                .chain(self.snapshot.history_fields()),
+        )
+    }
 }
 
 /// Bounded ring of timestamped snapshots, oldest evicted first.

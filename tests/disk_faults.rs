@@ -31,6 +31,7 @@
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
+use cerfix_server::wire::Json;
 use cerfix_server::{
     CleaningService, Client, Frontend, LocalClient, Server, ServiceConfig, StorageConfig,
 };
@@ -431,6 +432,67 @@ fn free_space_watermark_degrades_before_the_disk_is_actually_full() {
     client
         .master_append(vec![vec![Value::str("k-after"), Value::str("v")]])
         .expect("writes must resume once free space exceeds the watermark");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One number, one source: an audit-spill write failure shows in
+/// `metrics`, `metrics.prom` and `CleaningService::metrics()` at once.
+/// All three read the spill's own total; none reads a mirror that waits
+/// for the housekeeper's `probe_storage` (never called here).
+#[test]
+fn audit_spill_write_errors_agree_across_every_exposition() {
+    let dir = tmp_dir("spill-errors");
+    let fault = FaultFs::new(FaultPlan::default());
+    let (master, rules) = kv_fixture();
+    let mut storage = fault_storage(&dir, &fault);
+    storage.audit_window = 1; // every record past the first spills
+    let config = ServiceConfig {
+        workers: 2,
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
+    let service = CleaningService::with_storage(master, rules, config, storage).unwrap();
+    let field = |op: &str, key: &str| {
+        let reply = service.handle_line(&format!("{{\"op\":\"{op}\"}}"));
+        Json::parse(reply.trim()).unwrap().get(key).cloned()
+    };
+    let json_errors = || field("metrics", "audit_spill_errors").and_then(|v| v.as_u64());
+
+    // Disk full. A batch clean journals nothing, so the only write the
+    // next flush cycles attempt is the spill's, and it fails.
+    let written = fault.bytes_written();
+    fault.update_plan(|plan| plan.capacity_bytes = Some(written));
+    let tuples: Vec<Vec<Value>> = (0..4)
+        .map(|i| {
+            vec![
+                Value::str(format!("k{i}")),
+                Value::str("?"),
+                Value::str("n"),
+            ]
+        })
+        .collect();
+    LocalClient::in_process(&service)
+        .clean(tuples, vec!["key".into()])
+        .expect("a clean needs no disk");
+    wait_for("the spill flush to fail", || json_errors() > Some(0));
+    // Space returns so the retry can land and the total stop moving.
+    fault.add_capacity(1 << 20);
+    // The total is monotonic: two equal `metrics` reads bracket the
+    // other two expositions exactly, however the flusher is scheduled.
+    let (errors, snapshot, prom) = loop {
+        let before = json_errors().unwrap();
+        let snapshot = service.metrics().audit_spill_errors;
+        let prom = field("metrics.prom", "body").unwrap();
+        if json_errors() == Some(before) {
+            break (before, snapshot, prom);
+        }
+    };
+    assert_eq!(snapshot, errors);
+    let line = format!("cerfix_audit_spill_write_errors_total {errors}");
+    assert!(
+        prom.as_str().unwrap().lines().any(|l| l == line),
+        "metrics.prom disagrees with metrics: want `{line}`"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

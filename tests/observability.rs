@@ -4,8 +4,8 @@
 //! Covers: a pipelined burst whose spans correlate one-to-one with the
 //! client-supplied request ids on both front ends; `metrics.prom`
 //! emitting structurally valid Prometheus text (full histograms,
-//! cumulative buckets, `+Inf`, `_count` agreement) with every new
-//! instrument present; counter monotonicity across scrapes while a
+//! cumulative buckets, `+Inf`, `_count` agreement) with traffic
+//! attributed to the right op; counter monotonicity across scrapes while a
 //! writer thread hammers the service (proptest); stage timings and
 //! engine-stat deltas inside `trace.read` spans; the version /
 //! protocol / uptime fields on `hello` and `metrics`; health probes
@@ -269,12 +269,12 @@ fn pipelined_burst_spans_correlate_exactly_with_request_ids() {
     }
 }
 
-/// The exposition is valid Prometheus text and carries every new
-/// instrument — full per-op latency buckets, worker/reactor histograms,
-/// queue depth, session occupancy, per-op engine-stat attribution and
+/// The exposition is valid Prometheus text and says the right things
+/// about the traffic: full per-op latency buckets, worker/reactor
+/// histograms, per-op engine-stat attribution, latency classes and
 /// build info.
 #[test]
-fn metrics_prom_is_valid_and_has_all_new_instruments() {
+fn metrics_prom_is_valid_and_attributes_traffic_to_ops() {
     let service = kv_service(20, 2);
     let created =
         service.handle_line("{\"op\":\"session.create\",\"tuple\":[\"k3\",\"WRONG\",\"n\"]}");
@@ -298,24 +298,9 @@ fn metrics_prom_is_valid_and_has_all_new_instruments() {
 
     let body = scrape(&service);
     let samples = validate_prom(&body).expect("valid Prometheus text");
-    for required in [
-        "cerfix_uptime_seconds",
-        "cerfix_requests_total",
-        "cerfix_sessions_live",
-        "cerfix_workers",
-        "cerfix_worker_queue_depth",
-        "cerfix_trace_spans_recorded_total",
-        "cerfix_protocol_version",
-        "cerfix_healthy",
-        "cerfix_live",
-        "cerfix_diag_events_emitted_total",
-        "cerfix_diag_events_suppressed_total",
-    ] {
-        assert!(
-            samples.contains_key(required),
-            "missing instrument {required}"
-        );
-    }
+    // Which families exist is the instrument table's business (the
+    // in-crate `every_instrument_row_reaches_every_exposition` walks
+    // it); this test checks what the text says about this traffic.
     assert_eq!(
         samples.get(&format!(
             "cerfix_build_info{{version=\"{}\"}}",
