@@ -602,6 +602,11 @@ const ARMS: [Frontend; 2] = [Frontend::Threads, Frontend::Epoll];
 /// recorded trajectory survives every rewrite of `BENCH_server.json`.
 const SEED_BASELINE_FROZEN: &str = r#"{"commit": "9479bce", "cores": 1, "pipelined": [{"connections": 8, "pipelined_reqs_per_sec": 11570, "clean_tuples_per_sec": 42993}, {"connections": 64, "pipelined_reqs_per_sec": 86957, "clean_tuples_per_sec": 86637}, {"connections": 256, "pipelined_reqs_per_sec": 110915, "clean_tuples_per_sec": 80395}], "epoll_speedup_at_64_conns": 3.06, "closed_loop_latency_us": {"p50": 60.3, "p99": 770.9}}"#;
 
+/// Earlier `quorum_ack_2_replicas` figures, kept the same way: the
+/// quorum arm before `replica.sync` became a long poll, when every
+/// commit waited out the follower's 5 ms `POLL_INTERVAL`.
+const QUORUM_ACK_HISTORY: &str = r#"[{"commit": "9c9f05d", "cores": 1, "quorum_ack_2_replicas": {"p50": 6523.4, "p99": 9322.1}, "note": "follower polled every 5 ms (POLL_INTERVAL)"}]"#;
+
 fn bench_wire_suite(_c: &mut Criterion) {
     println!("\n== serving path: epoll reactor vs thread-per-connection ==");
     let report = alloc_probe();
@@ -723,7 +728,7 @@ fn write_json(
     }
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     let json = format!(
-        "{{\n  \"bench\": \"wire\",\n  \"mode\": \"{mode}\",\n  \"environment\": {{\"cores\": {cores}, \"note\": \"single-core hosts serialize service CPU, bench client and front end on one core; the reactor's pool dispatch and wakeup amortization widen these gaps with core count\"}},\n  \"arms\": [\"threads\", \"epoll\"],\n  \"pipelined\": [\n{rows}\n  ],\n  \"pipelined_speedup_at_{headline_conns}_conns\": {{\"epoll_vs_threads\": {vs_threads:.2}}},\n  \"closed_loop_latency_us\": {{\n{lat}\n  }},\n  \"allocs_per_request_warmed\": {{\"session.get\": {ag}, \"session.fix\": {af}, \"session.validate\": {av}}},\n  \"tracing_overhead\": {{\"traced_reqs_per_sec\": {traced:.0}, \"untraced_reqs_per_sec\": {untraced:.0}, \"overhead_pct\": {opct:.2}, \"budget_pct\": 2.0}},\n  \"commit_durability_latency_us\": {{\"commits\": {dcommits}, \"local_fsync\": {{\"p50\": {dlp50:.1}, \"p99\": {dlp99:.1}}}, \"quorum_ack_2_replicas\": {{\"p50\": {dqp50:.1}, \"p99\": {dqp99:.1}}}}},\n  \"seed_baseline_frozen\": {SEED_BASELINE_FROZEN}\n}}\n",
+        "{{\n  \"bench\": \"wire\",\n  \"mode\": \"{mode}\",\n  \"environment\": {{\"cores\": {cores}, \"note\": \"single-core hosts serialize service CPU, bench client and front end on one core; the reactor's pool dispatch and wakeup amortization widen these gaps with core count\"}},\n  \"arms\": [\"threads\", \"epoll\"],\n  \"pipelined\": [\n{rows}\n  ],\n  \"pipelined_speedup_at_{headline_conns}_conns\": {{\"epoll_vs_threads\": {vs_threads:.2}}},\n  \"closed_loop_latency_us\": {{\n{lat}\n  }},\n  \"allocs_per_request_warmed\": {{\"session.get\": {ag}, \"session.fix\": {af}, \"session.validate\": {av}}},\n  \"tracing_overhead\": {{\"traced_reqs_per_sec\": {traced:.0}, \"untraced_reqs_per_sec\": {untraced:.0}, \"overhead_pct\": {opct:.2}, \"budget_pct\": 2.0}},\n  \"commit_durability_latency_us\": {{\"commits\": {dcommits}, \"local_fsync\": {{\"p50\": {dlp50:.1}, \"p99\": {dlp99:.1}}}, \"quorum_ack_2_replicas\": {{\"p50\": {dqp50:.1}, \"p99\": {dqp99:.1}}}, \"history\": {QUORUM_ACK_HISTORY}}},\n  \"seed_baseline_frozen\": {SEED_BASELINE_FROZEN}\n}}\n",
         mode = if fast_mode() { "smoke" } else { "full" },
         ag = alloc.get,
         af = alloc.fix,

@@ -447,6 +447,12 @@ impl Client<TcpTransport> {
     pub fn current_addr(&self) -> &str {
         &self.transport.addr
     }
+
+    /// A second handle on the connection's socket, for a thread that
+    /// must break a blocked read from outside (`shutdown(Both)`).
+    pub(crate) fn socket(&self) -> std::io::Result<TcpStream> {
+        self.transport.writer.try_clone()
+    }
 }
 
 impl Client<LocalTransport> {

@@ -150,7 +150,7 @@ mod tests {
     }
 
     /// Fresh temp data dir for a journaled-service test.
-    fn data_dir(name: &str) -> std::path::PathBuf {
+    pub(crate) fn data_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cerfix-server-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
@@ -167,7 +167,10 @@ mod tests {
         cfg
     }
 
-    fn kv_service_journaled(dir: &std::path::Path, audit_window: usize) -> CleaningService {
+    pub(crate) fn kv_service_journaled(
+        dir: &std::path::Path,
+        audit_window: usize,
+    ) -> CleaningService {
         let (master, rules) = kv_setup();
         CleaningService::with_storage(
             master,

@@ -19,7 +19,8 @@
 //! timeouts anywhere. Housekeeping (idle-session sweeps, snapshot
 //! policy) runs on a dedicated timer thread shared by both front ends.
 
-use crate::protocol::RequestScratch;
+use crate::ops::OpId;
+use crate::protocol::{scan_line, RequestScratch};
 use crate::service::CleaningService;
 use std::collections::HashMap;
 use std::io::Read;
@@ -52,12 +53,18 @@ pub(crate) const NON_UTF8_REPLY: &str =
 /// reactor's inline path and its worker-pool batch jobs, so all
 /// execution paths are wire-identical by construction (and the
 /// chunking proptest holds them to it).
+///
+/// `may_hold`: the caller is a connection's own thread, which a
+/// caught-up `replica.sync` that asks to wait may keep until there is
+/// something to say ([`HeldSync`](crate::replication::HeldSync)). A
+/// pool worker never holds — it answers the empty batch at once.
 pub(crate) fn respond_line(
     service: &CleaningService,
     line_bytes: &[u8],
     out: &mut String,
     scratch: &mut RequestScratch,
     received: Instant,
+    may_hold: bool,
 ) -> bool {
     let Ok(line) = std::str::from_utf8(line_bytes) else {
         out.push_str(NON_UTF8_REPLY);
@@ -67,7 +74,20 @@ pub(crate) fn respond_line(
     if trimmed.is_empty() {
         return false;
     }
-    service.handle_line_at(trimmed, out, scratch, received);
+    let started = Instant::now();
+    let scanned = scan_line(trimmed);
+    let held = if may_hold && scanned.is(OpId::ReplicaSync) {
+        service.sync_arrival(trimmed)
+    } else {
+        None
+    };
+    match held {
+        Some(held) => {
+            service.wait_out(&held);
+            service.serve_held(trimmed, held, out, scratch);
+        }
+        None => service.handle_scanned(trimmed, scanned, out, scratch, received, started),
+    }
     out.push('\n');
     true
 }
@@ -473,7 +493,7 @@ fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &Ato
                 let received = Instant::now();
                 while let Some(line_bytes) = buf.next_line() {
                     out.clear();
-                    if !respond_line(service, line_bytes, &mut out, &mut scratch, received) {
+                    if !respond_line(service, line_bytes, &mut out, &mut scratch, received, true) {
                         continue; // blank line
                     }
                     // One write per response: first responses of a

@@ -100,7 +100,9 @@ macro_rules! op_table {
 //
 // `replica.sync` stays inline although it reads the journal: a quorum
 // commit's latency is the follower's next sync, and a pool hop would
-// put it behind every queued batch.
+// put it behind every queued batch. A caught-up one that asks to wait
+// does not run at all until there is something to say — the front end
+// keeps it (`replication::HeldSync`), off this thread and off the pool.
 op_table! {
 //  id              wire name                     class     writes  runs on
     Hello          = "hello",                     Critical, false,  Inline;

@@ -38,7 +38,8 @@ pub struct RequestScratch {
 #[derive(Debug, PartialEq)]
 pub(crate) enum Parsed<'a> {
     /// A fully parsed request. From the scanner: `session.get` / `fix`
-    /// / `commit` / `abort`, whose variants own no heap data.
+    /// / `commit` / `abort`, whose variants own no heap data. (A front
+    /// end that kept a `replica.sync` hands its parse back this way.)
     Request(Request),
     /// A scanned `session.validate`: the raw `{...}` span of the
     /// `validations` object, which the service resolves against its
@@ -63,6 +64,13 @@ pub(crate) struct ScannedLine<'a> {
     /// the scanner cannot read as `u64` is treated as absent, matching
     /// the tree parser's unknown-field tolerance.
     pub(crate) deadline_ms: Option<u64>,
+}
+
+impl ScannedLine<'_> {
+    /// Does the plain `op` string name this op?
+    pub(crate) fn is(&self, id: OpId) -> bool {
+        self.op.is_some_and(|op| op.id == Some(id))
+    }
 }
 
 /// Single allocation-free pass over a request line: extracts the
@@ -176,8 +184,12 @@ pub(crate) fn scan_line(line: &str) -> ScannedLine<'_> {
 /// the `overloaded` / `draining` retryable error contract from the
 /// priority-class admission shedder, `server.drain` (stop accepting,
 /// finish in-flight work within a bound, final snapshot, clean exit)
-/// and the `peer_timeout_ms` key on `config.set`.
-pub const PROTOCOL_VERSION: u64 = 8;
+/// and the `peer_timeout_ms` key on `config.set`;
+/// version 9 made `replica.sync` a long poll — an optional `wait_ms`
+/// field: a primary with nothing durable past the cursor keeps the
+/// request (up to that long) until there is, instead of answering an
+/// empty batch at once.
+pub const PROTOCOL_VERSION: u64 = 9;
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,7 +285,7 @@ pub enum Request {
     },
     /// Pull a batch of journal events from an `(epoch, offset)` cursor —
     /// the follower side of journal-tailing replication. The cursor is
-    /// the follower's *durable* position, so each poll also acks
+    /// the follower's *durable* position, so each request also acks
     /// everything before it (quorum-ack commits count these cursors).
     ReplicaSync {
         /// Stable follower identity (its listen address), keyed in the
@@ -289,6 +301,11 @@ pub enum Request {
         /// sent by a follower whose journal is poisoned (fsync failure)
         /// or corrupt, repairing itself from the primary's state.
         resync: bool,
+        /// Long poll: with nothing durable past the cursor, keep the
+        /// request up to this many milliseconds — until there is, or
+        /// the epoch changes — instead of answering an empty batch at
+        /// once. Absent (pre-v9 followers): answer at once.
+        wait_ms: Option<u64>,
     },
     /// Promote this (follower) node to primary: bump the snapshot epoch
     /// so the old primary's stale-epoch stream is fenced off, stop
@@ -550,6 +567,7 @@ impl Request {
                 max: opt_u64(json, "max")?,
                 // Absent on the wire from pre-v7 followers.
                 resync: opt_bool(json, "resync")?.unwrap_or(false),
+                wait_ms: opt_u64(json, "wait_ms")?,
             },
             OpId::ReplicaPromote => Request::ReplicaPromote,
             OpId::Health => Request::Health,
@@ -623,6 +641,7 @@ impl Request {
                 offset,
                 max,
                 resync,
+                wait_ms,
             } => {
                 put("follower", Some(text(follower)));
                 put("epoch", Some(num(*epoch)));
@@ -631,6 +650,7 @@ impl Request {
                 // Encoded only when set, so pre-v7 primaries still
                 // parse the common case.
                 put("resync", resync.then_some(Json::Bool(true)));
+                put("wait_ms", wait_ms.map(num));
             }
             Request::SessionCreate { tuple } => put("tuple", Some(cells(tuple))),
             Request::SessionGet { session }
@@ -734,6 +754,7 @@ pub(crate) mod tests {
                     offset: 0,
                     max: None,
                     resync: false,
+                    wait_ms: None,
                 },
                 Request::ReplicaSync {
                     follower: "127.0.0.1:9102".into(),
@@ -741,6 +762,7 @@ pub(crate) mod tests {
                     offset: 4096,
                     max: Some(512),
                     resync: true,
+                    wait_ms: Some(500),
                 },
             ],
             OpId::ReplicaPromote => vec![Request::ReplicaPromote],
@@ -780,7 +802,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replica_sync_resync_defaults_false_for_pre_v7_followers() {
+    fn replica_sync_optional_fields_default_for_older_followers() {
         assert_eq!(
             Request::parse_line(r#"{"op":"replica.sync","follower":"a","epoch":1,"offset":2}"#)
                 .unwrap(),
@@ -790,6 +812,7 @@ pub(crate) mod tests {
                 offset: 2,
                 max: None,
                 resync: false,
+                wait_ms: None,
             }
         );
     }

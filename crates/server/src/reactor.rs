@@ -19,6 +19,12 @@
 //!   splices the batch's responses back in order. At most one batch per
 //!   connection is ever in flight, so responses always come back in
 //!   request order.
+//! * **Held requests park, they do not block** — a caught-up follower's
+//!   `replica.sync` that asks to wait is kept in its connection's slot,
+//!   occupying neither this thread nor a pool worker. The journal wakes
+//!   the loop through the wakeup fd when its durable position moves, and
+//!   the nearest hold expiry is the `epoll_wait` timeout; a released
+//!   request is then served inline like any other line.
 //! * **Backpressure, interest-driven** — responses accumulate in a
 //!   per-connection buffer flushed opportunistically; `EPOLLOUT` is
 //!   armed only while unflushed bytes remain, and a connection whose
@@ -33,8 +39,11 @@
 //! code in the crate, kept to six syscalls (no new dependencies).
 
 use crate::net::{LineBuffer, MAX_LINE_BYTES, NON_UTF8_REPLY, OVERSIZE_REPLY};
+use crate::ops::OpId;
 use crate::protocol::{scan_line, RequestScratch, ScannedLine};
+use crate::replication::HeldSync;
 use crate::service::CleaningService;
+use cerfix_storage::DurableWatch;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -247,6 +256,10 @@ struct Conn {
     out_pos: usize,
     /// A batch job is in flight (at most one per connection).
     in_flight: bool,
+    /// A `replica.sync` line this connection is being kept on, and its
+    /// hold. Like a batch in flight it keeps the lines behind it
+    /// waiting, so responses still leave in request order.
+    held: Option<(String, HeldSync)>,
     /// Peer half-closed its write side (pipelined burst then EOF): no
     /// more input, but buffered requests still get served and flushed.
     peer_done: bool,
@@ -259,6 +272,12 @@ struct Conn {
 impl Conn {
     fn unflushed(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// A reply is owed that is not in `out` yet: no later line may be
+    /// served, and the connection may not be reaped.
+    fn busy(&self) -> bool {
+        self.in_flight || self.held.is_some()
     }
 }
 
@@ -278,6 +297,34 @@ fn is_heavy(scanned: &ScannedLine<'_>, journaled: bool) -> bool {
     scanned.op.is_none_or(|op| op.on_pool(journaled))
 }
 
+/// Where the reactor runs one line.
+enum Placement {
+    /// Here, on the reactor thread.
+    Inline,
+    /// On the worker pool, with every line behind it.
+    Pool,
+    /// Nowhere yet: a caught-up `replica.sync` that asked to wait. The
+    /// connection is parked until the hold is over, then the line runs
+    /// inline — it never blocks this thread and never takes a pool
+    /// worker (a quorum commit waits for this very follower *on* one).
+    Held(HeldSync),
+}
+
+fn place(
+    service: &CleaningService,
+    line: &str,
+    scanned: &ScannedLine<'_>,
+    journaled: bool,
+) -> Placement {
+    if is_heavy(scanned, journaled) {
+        return Placement::Pool;
+    }
+    let held = scanned
+        .is(OpId::ReplicaSync)
+        .then(|| service.sync_arrival(line));
+    held.flatten().map_or(Placement::Inline, Placement::Held)
+}
+
 /// Reading pauses while the peer is not draining responses, while a
 /// batch is in flight and the undispatched input backlog is large, or
 /// permanently once the connection is closing (an oversized-line reject
@@ -285,7 +332,7 @@ fn is_heavy(scanned: &ScannedLine<'_>, journaled: bool) -> bool {
 fn reading_paused(conn: &Conn) -> bool {
     conn.closing
         || conn.unflushed() > WRITE_HIGH_WATER
-        || (conn.in_flight && conn.buf.partial_len() > READ_BACKLOG_CAP)
+        || (conn.busy() && conn.buf.partial_len() > READ_BACKLOG_CAP)
 }
 
 /// Ship one ordered batch of request lines to the worker pool. The job
@@ -309,6 +356,7 @@ fn submit_batch(service: &CleaningService, shared: &Arc<Shared>, id: u64, batch:
                 &mut out,
                 &mut scratch,
                 submitted,
+                false, // a pool worker never keeps a request
             );
         }
         // Submit→executed latency: queue wait plus execution, the
@@ -348,6 +396,12 @@ struct Reactor {
     hook: u64,
     draining: Option<Instant>,
     accepting: bool,
+    /// Connections kept on a held `replica.sync`.
+    held: Vec<u64>,
+    /// The journal's wake-up call for them: registered with the first
+    /// hold, dropped with the last, so a flush costs a server without
+    /// followers nothing.
+    watch: Option<DurableWatch>,
 }
 
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -395,6 +449,8 @@ impl Reactor {
             hook,
             draining: None,
             accepting: true,
+            held: Vec::new(),
+            watch: None,
         })
     }
 
@@ -408,15 +464,16 @@ impl Reactor {
                 self.begin_drain();
             }
             if let Some(started) = self.draining {
-                let idle = self
-                    .conns
-                    .values()
-                    .all(|c| !c.in_flight && c.unflushed() == 0);
+                let idle = self.conns.values().all(|c| !c.busy() && c.unflushed() == 0);
                 if idle || started.elapsed() > DRAIN_DEADLINE {
                     break;
                 }
             }
-            let timeout = if self.draining.is_some() { 50 } else { -1 };
+            let timeout = if self.draining.is_some() {
+                50
+            } else {
+                self.next_hold_expiry_ms()
+            };
             self.service.metrics_raw().reactor_polls.inc();
             let n = match ffi::wait(self.epfd, &mut events, timeout) {
                 Ok(n) => n,
@@ -439,6 +496,9 @@ impl Reactor {
                 }
             }
             self.drain_completions();
+            if !self.held.is_empty() {
+                self.release_holds();
+            }
             self.service
                 .metrics_raw()
                 .reactor_loop
@@ -512,6 +572,7 @@ impl Reactor {
                             out: self.shared.take_string(),
                             out_pos: 0,
                             in_flight: false,
+                            held: None,
                             peer_done: false,
                             closing: false,
                             interest: ffi::EPOLLIN,
@@ -601,7 +662,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
-            if conn.in_flight || conn.closing {
+            if conn.busy() || conn.closing {
                 return;
             }
             let Some(line_bytes) = conn.buf.next_line() else {
@@ -621,22 +682,42 @@ impl Reactor {
             }
             let started = Instant::now();
             let scanned = scan_line(trimmed);
-            if is_heavy(&scanned, journaled) {
-                // Seal this line plus everything already behind it into
-                // one ordered batch for the worker pool. (The batch pool
-                // and `submit_job` touch disjoint fields, so the batch
-                // is assembled while the line slices still borrow the
-                // connection's read buffer.)
-                let mut batch = self.shared.take_batch();
-                batch.extend_from_slice(trimmed.as_bytes());
-                batch.push(b'\n');
-                while let Some(rest) = conn.buf.next_line() {
-                    batch.extend_from_slice(rest);
+            match place(&self.service, trimmed, &scanned, journaled) {
+                Placement::Pool => {
+                    // Seal this line plus everything already behind it
+                    // into one ordered batch for the worker pool. (The
+                    // batch pool and `submit_job` touch disjoint fields,
+                    // so the batch is assembled while the line slices
+                    // still borrow the connection's read buffer.)
+                    let mut batch = self.shared.take_batch();
+                    batch.extend_from_slice(trimmed.as_bytes());
                     batch.push(b'\n');
+                    while let Some(rest) = conn.buf.next_line() {
+                        batch.extend_from_slice(rest);
+                        batch.push(b'\n');
+                    }
+                    conn.in_flight = true;
+                    submit_batch(&self.service, &self.shared, id, batch);
+                    return;
                 }
-                conn.in_flight = true;
-                submit_batch(&self.service, &self.shared, id, batch);
-                return;
+                Placement::Held(held) => {
+                    let mut line = self.shared.take_string();
+                    line.push_str(trimmed);
+                    conn.held = Some((line, held));
+                    self.held.push(id);
+                    if self.watch.is_none() {
+                        // From here on the journal wakes the loop when
+                        // its durable position moves; a move since
+                        // `place` looked is caught by `release_holds`,
+                        // which this iteration still runs.
+                        let wake = Arc::clone(&self.shared);
+                        self.watch = self.service.storage().map(|storage| {
+                            storage.journal().watch(Arc::new(move || wake.wake.wake()))
+                        });
+                    }
+                    return;
+                }
+                Placement::Inline => {}
             }
             // Inline: render straight into the connection's response
             // buffer (appended after everything already queued). The
@@ -685,6 +766,52 @@ impl Reactor {
             }
             self.shared.put_string(completion.out);
             self.pump(completion.conn);
+        }
+    }
+
+    /// Milliseconds until the nearest hold expires (rounded up, so the
+    /// loop wakes at or after it) — the `epoll_wait` timeout; `-1`, no
+    /// timeout at all, while nothing is held.
+    fn next_hold_expiry_ms(&self) -> i32 {
+        let now = Instant::now();
+        self.held
+            .iter()
+            .filter_map(|id| self.conns.get(id)?.held.as_ref())
+            .map(|(_, held)| held.deadline.saturating_duration_since(now))
+            .min()
+            .map_or(-1, |left| left.as_micros().div_ceil(1000) as i32)
+    }
+
+    /// Answer every held sync whose hold is over — or whose peer has
+    /// stopped sending, so that a dead follower's slot is not kept for
+    /// the rest of the hold — inline, then carry on with the lines
+    /// behind it.
+    fn release_holds(&mut self) {
+        let mut at = 0;
+        while at < self.held.len() {
+            let id = self.held[at];
+            let over = self.conns.get(&id).is_none_or(|conn| match &conn.held {
+                Some((_, held)) => conn.peer_done || self.service.hold_over(held),
+                None => true,
+            });
+            if !over {
+                at += 1;
+                continue;
+            }
+            self.held.swap_remove(at);
+            let Some(conn) = self.conns.get_mut(&id) else {
+                continue; // closed while held
+            };
+            if let Some((line, held)) = conn.held.take() {
+                self.service
+                    .serve_held(&line, held, &mut conn.out, &mut self.scratch);
+                conn.out.push('\n');
+                self.shared.put_string(line);
+                self.pump(id);
+            }
+        }
+        if self.held.is_empty() {
+            self.watch = None;
         }
     }
 
@@ -755,7 +882,7 @@ impl Reactor {
         let Some(conn) = self.conns.get(&id) else {
             return;
         };
-        if (conn.peer_done || conn.closing) && !conn.in_flight && conn.unflushed() == 0 {
+        if (conn.peer_done || conn.closing) && !conn.busy() && conn.unflushed() == 0 {
             self.close_conn(id);
         }
     }
@@ -765,8 +892,11 @@ impl Reactor {
             let _ = ffi::ctl(self.epfd, ffi::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
             self.service.metrics_raw().connections_open.dec();
             self.shared.put_string(conn.out);
+            if let Some((line, _)) = conn.held {
+                self.shared.put_string(line);
+            }
             // In-flight batch completions for this id are discarded in
-            // `drain_completions`.
+            // `drain_completions`, its hold in `release_holds`.
         }
     }
 }
@@ -790,5 +920,50 @@ impl Drop for Reactor {
         self.conns.clear();
         self.service.remove_shutdown_hook(self.hook);
         ffi::close_fd(self.epfd);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::{data_dir, kv_service_journaled};
+
+    /// Placement, pinned on the classification (no timing): a caught-up
+    /// `replica.sync` that asks to wait is *held* — it neither blocks
+    /// the reactor thread nor takes a pool worker, on which the commit
+    /// that waits for this follower's next cursor may be sitting.
+    #[test]
+    fn a_held_sync_runs_neither_inline_nor_on_the_pool() {
+        let dir = data_dir("placement");
+        let service = kv_service_journaled(&dir, 64);
+        let placed = |line: &str| place(&service, line, &scan_line(line), true);
+        let sync = r#"{"op":"replica.sync","follower":"f","epoch":0,"offset":0"#;
+        let Placement::Held(held) = placed(&format!("{sync},\"wait_ms\":60000}}")) else {
+            panic!("a caught-up sync that asks to wait is held");
+        };
+        assert!(!service.hold_over(&held));
+        // Its cursor was the follower's ack, recorded on arrival.
+        assert_eq!(service.follower_lags().len(), 1);
+        // Without `wait_ms` (pre-v9), with a forced resync, or with
+        // something durable past the cursor it is served at once, inline.
+        for inline in [
+            format!("{sync}}}"),
+            format!("{sync},\"wait_ms\":60000,\"resync\":true}}"),
+            r#"{"op":"health"}"#.to_string(),
+        ] {
+            assert!(matches!(placed(&inline), Placement::Inline), "{inline}");
+        }
+        service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":250}"#);
+        assert!(service.hold_over(&held), "a durable event ends the hold");
+        assert!(matches!(
+            placed(&format!("{sync},\"wait_ms\":60000}}")),
+            Placement::Inline
+        ));
+        assert!(matches!(
+            placed(r#"{"op":"session.commit","session":1}"#),
+            Placement::Pool
+        ));
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,6 @@
-//! Replication: roles, the follower journal-tail loop, and the hex
-//! frame codec shared with the `replica.sync` handler.
+//! Replication: roles, the follower journal-tail loop, the primary's
+//! `replica.sync` / `replica.promote` handlers and quorum-ack gate, and
+//! the hex frame codec the two sides share.
 //!
 //! CerFix's correcting process is deterministic and Church-Rosser, so
 //! the write-ahead journal doubles as a replication stream: a follower
@@ -7,11 +8,16 @@
 //! through the same recovery path provably converges to the same state
 //! — no repair re-validation on failover.
 //!
-//! The protocol is pull-based over the ordinary wire protocol. A
+//! The protocol is a long-poll pull over the ordinary wire protocol. A
 //! follower's cursor is its own journal's durable position
 //! `(epoch, offset)`; each `replica.sync` request both *asks* for
 //! events past the cursor and *acknowledges* everything before it
-//! (which is what quorum-ack commits on the primary wait for). Events
+//! (which is what quorum-ack commits on the primary wait for). A
+//! caught-up follower's request is *held* by the primary's front end
+//! ([`HeldSync`]) until the journal's durable position moves, so one
+//! request is both "ack through the cursor" and "wake me when there is
+//! more": a quorum commit costs the local fsync, one loopback hop and
+//! the follower's fsync — no timer anywhere on the path. Events
 //! travel as hex-encoded [`JournalEvent`] frames — byte-identical to
 //! what the primary journaled, so the follower's journal file mirrors
 //! the primary's frame-for-frame and a restart resumes from its own
@@ -29,13 +35,15 @@
 
 use crate::client::{jitter_seed, jittered, Client, ClientError, RetryPolicy};
 use crate::diag::Subsystem;
-use crate::protocol::Request;
+use crate::protocol::{scan_line, Parsed, Request, RequestScratch};
 use crate::service::CleaningService;
-use crate::wire::Json;
+use crate::trace::Span;
+use crate::wire::{Json, JsonWriter};
 use cerfix_storage::{JournalEvent, SnapshotData};
 use std::collections::HashMap;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -117,6 +125,11 @@ pub(crate) struct ReplicationState {
     /// The tail-loop thread, joined on promote so no replicated event
     /// can land after the epoch bump.
     pub tail: Mutex<Option<JoinHandle<()>>>,
+    /// A clone of the tail thread's connection to the primary. Its
+    /// requests are held over there for up to [`SYNC_HOLD`]; whoever
+    /// sets `stop` shuts this socket down so the blocked read returns
+    /// at once ([`CleaningService::interrupt_tail`]).
+    pub tail_socket: Mutex<Option<TcpStream>>,
     /// Encoded [`SnapshotData`] of the current epoch — what a
     /// stale-cursor follower is resynced from. Refreshed on every
     /// snapshot install (boot recovery included).
@@ -145,6 +158,7 @@ impl ReplicationState {
             ack_timeout,
             stop: AtomicBool::new(false),
             tail: Mutex::new(None),
+            tail_socket: Mutex::new(None),
             last_snapshot: Mutex::new(None),
             primary_epoch: AtomicU64::new(0),
             primary_durable: AtomicU64::new(0),
@@ -222,17 +236,17 @@ impl FollowerLag {
     }
 }
 
-/// Hex-encode a binary frame for the wire (lowercase, two digits per
-/// byte). Hex over base64: no new dependency, and journal frames are
-/// small enough that 2x expansion is irrelevant next to the fsync.
-pub(crate) fn hex_encode(bytes: &[u8]) -> String {
+/// Hex-encode a binary frame onto `out` for the wire (lowercase, two
+/// digits per byte). Hex over base64: no new dependency, and journal
+/// frames are small enough that 2x expansion is irrelevant next to the
+/// fsync.
+pub(crate) fn push_hex(bytes: &[u8], out: &mut String) {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
+    out.reserve(bytes.len() * 2);
     for &b in bytes {
         out.push(DIGITS[(b >> 4) as usize] as char);
         out.push(DIGITS[(b & 0xf) as usize] as char);
     }
-    out
 }
 
 /// Decode a hex frame; `None` on odd length or a non-hex digit.
@@ -258,9 +272,13 @@ pub(crate) fn hex_decode(s: &str) -> Option<Vec<u8>> {
 
 /// Events per `replica.sync` pull the tail loop asks for.
 const TAIL_BATCH: u64 = 512;
-/// Poll interval while caught up (also the floor on follower ack
-/// latency, so it stays well under commit ack timeouts).
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
+/// How long the tail loop asks the primary to keep a caught-up
+/// `replica.sync` (`wait_ms`). An expired hold is the heartbeat that
+/// keeps `last_seen` and the lag clocks moving on an idle group, so it
+/// stays well under the tail's 2 s request timeout and `--max-lag`.
+const SYNC_HOLD: Duration = Duration::from_millis(500);
+/// Longest hold a primary grants, whatever `wait_ms` asks for.
+const MAX_HOLD: Duration = Duration::from_secs(60);
 /// First reconnect backoff; doubles per failure.
 const BACKOFF_BASE: Duration = Duration::from_millis(20);
 /// Reconnect backoff cap.
@@ -305,10 +323,12 @@ fn pause(service: &CleaningService, delay: Duration) -> bool {
 }
 
 /// The follower tail loop: pull journal frames from the primary at the
-/// local durable cursor, journal + replay + fsync them, repeat. Every
-/// failure path reconnects with capped jittered backoff and resumes
-/// from the cursor — a partition or torn stream costs a redial, not a
-/// resync. Exits on stop (promotion), shutdown, or divergence (a
+/// local durable cursor, journal + replay + fsync them, and ask again
+/// at once — the new cursor is the ack, and the primary holds the
+/// request until there is more. Every failure path reconnects with
+/// capped jittered backoff and resumes from the cursor — a partition or
+/// torn stream costs a redial, not a resync. Exits on stop (promotion),
+/// shutdown (either also breaks a held read), or divergence (a
 /// replayed event that cannot apply — which determinism rules out
 /// unless the nodes booted from different master data).
 pub(crate) fn run_tail(service: CleaningService, primary: String) {
@@ -335,6 +355,13 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                     Subsystem::Replication,
                     format_args!("connected to primary {primary}"),
                 );
+                // Published before the next `stopped` check: whoever
+                // sets `stop` afterwards finds this socket to break.
+                *service
+                    .replication()
+                    .tail_socket
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner) = client.socket().ok();
                 client
             }
             Err(_) => {
@@ -359,7 +386,9 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 offset,
                 max: Some(TAIL_BATCH),
                 resync: force_resync,
+                wait_ms: Some(SYNC_HOLD.as_millis() as u64),
             };
+            let asked = Instant::now();
             let response = match client.request(&request) {
                 Ok(response) => response,
                 Err(ClientError::Server(message)) => {
@@ -383,8 +412,17 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                     continue 'connect;
                 }
             };
-            // A healthy round trip resets the backoff ladder.
-            backoff = BACKOFF_BASE;
+            let frames = response.get("events").and_then(Json::as_arr).unwrap_or(&[]);
+            // "Nothing new" in under half the hold asked for: the primary
+            // does not hold (pre-v9), or is draining or stopping. Asking
+            // again at once would spin, so it counts as a refusal.
+            let unheld = frames.is_empty()
+                && response.get("snapshot").is_none()
+                && asked.elapsed() < SYNC_HOLD / 2;
+            // Any other healthy round trip resets the backoff ladder.
+            if !unheld {
+                backoff = BACKOFF_BASE;
+            }
             if response.get("from").and_then(Json::as_u64) != Some(offset) {
                 // Not the answer to the cursor we just sent: a faulty
                 // path (duplicate/reordered line) desynced the stream.
@@ -455,13 +493,19 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                     }
                 }
             }
-            let frames = response.get("events").and_then(Json::as_arr).unwrap_or(&[]);
-            if frames.is_empty() {
-                // Caught up: ack-by-polling keeps quorum commits live.
+            if unheld {
+                // Paced like a refusal, one rung up the ladder each time.
                 note_tail_progress(&service, served_epoch, served_durable);
-                if !pause(&service, POLL_INTERVAL) {
+                if !pause(&service, jittered(backoff, &mut seed)) {
                     return;
                 }
+                backoff = (backoff * 2).min(BACKOFF_MAX);
+                continue;
+            }
+            if frames.is_empty() {
+                // Caught up, and the hold ran out: this was the
+                // heartbeat. Ask again at once.
+                note_tail_progress(&service, served_epoch, served_durable);
                 continue;
             }
             let mut events = Vec::with_capacity(frames.len());
@@ -521,6 +565,443 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
     }
 }
 
+/// A `replica.sync` a front end is keeping instead of answering: the
+/// follower is caught up and asked to wait (`wait_ms`). The cursor it
+/// carried was recorded as the follower's ack when it arrived
+/// ([`CleaningService::sync_arrival`]); the hold only delays the reply,
+/// and is over ([`CleaningService::hold_over`]) as soon as there is
+/// something to say. A hold is a parked connection, never a busy
+/// thread: the epoll reactor keeps it in its connection table, the
+/// threaded front end on the connection's own thread — a commit waits
+/// for its quorum *on* a pool worker, so a hold there could deadlock.
+pub(crate) struct HeldSync {
+    /// The parsed request, served at release without a second parse.
+    request: Request,
+    /// The follower's cursor: the hold lasts while the journal's durable
+    /// position is `(epoch, <= offset)`.
+    epoch: u64,
+    offset: u64,
+    /// Hold expiry: then the ordinary empty reply — the heartbeat.
+    pub(crate) deadline: Instant,
+}
+
+/// Write a `replica.sync` reply: the cursor echo, then the snapshot or
+/// event frames as hex written in place. `from` echoes the requested
+/// cursor: a follower rejects any response whose echo mismatches its
+/// cursor, so a duplicated or reordered response on a faulty network
+/// can never re-apply.
+fn write_sync_reply(
+    out: &mut String,
+    raw_id: Option<&str>,
+    (epoch, durable): (u64, u64),
+    from: u64,
+    snapshot: Option<&[u8]>,
+    events: &[JournalEvent],
+) {
+    let mut w = JsonWriter::new(out);
+    w.begin_response(raw_id);
+    w.key("ok");
+    w.bool_val(true);
+    w.key("epoch");
+    w.num(epoch as f64);
+    w.key("from");
+    w.num(from as f64);
+    w.key("durable");
+    w.num(durable as f64);
+    if let Some(snapshot) = snapshot {
+        w.key("snapshot");
+        w.str_with(|out| push_hex(snapshot, out));
+    }
+    w.key("events");
+    w.begin_arr();
+    for event in events {
+        w.str_with(|out| push_hex(&event.encode(), out));
+    }
+    w.end_arr();
+    w.end_obj();
+}
+
+impl CleaningService {
+    /// A front end read a `replica.sync` line off a connection it may
+    /// park. When the request asks to wait and nothing durable lies
+    /// past its cursor, record the cursor — it is the follower's ack,
+    /// and a commit waiting on it must not wait out the hold as well —
+    /// and return the hold. `None`: serve the line now, like any other.
+    ///
+    /// The caller starts watching the journal
+    /// ([`Journal::watch`](cerfix_storage::Journal::watch)) before this
+    /// look at the durable position, or looks again
+    /// ([`hold_over`](Self::hold_over)) once it does: a move in between
+    /// must not be missed, or a commit waits out the hold.
+    pub(crate) fn sync_arrival(&self, line: &str) -> Option<HeldSync> {
+        let request = Request::parse_line(line).ok()?;
+        let Request::ReplicaSync {
+            epoch,
+            offset,
+            resync: false,
+            wait_ms: Some(wait_ms),
+            ..
+        } = request
+        else {
+            return None;
+        };
+        let held = HeldSync {
+            epoch,
+            offset,
+            deadline: Instant::now() + Duration::from_millis(wait_ms).min(MAX_HOLD),
+            request,
+        };
+        if self.hold_over(&held) {
+            return None;
+        }
+        if let Request::ReplicaSync { follower, .. } = &held.request {
+            // Caught up by definition: the durable position is the cursor's.
+            self.record_follower(follower, epoch, offset, epoch, offset);
+        }
+        Some(held)
+    }
+
+    /// May a held sync be answered now? Yes once something durable lies
+    /// past its cursor or the epoch changed (the reply carries events,
+    /// or the snapshot), once waiting is pointless (journal poisoned or
+    /// stopped, server draining or shutting down), and when the hold
+    /// expires.
+    pub(crate) fn hold_over(&self, held: &HeldSync) -> bool {
+        let Some(storage) = self.storage() else {
+            return true;
+        };
+        let journal = storage.journal();
+        let (epoch, durable) = journal.durable_position();
+        epoch != held.epoch
+            || durable > held.offset
+            || journal.poisoned().is_some()
+            || !journal.is_alive()
+            || self.is_draining()
+            || self.shutdown_requested()
+            || Instant::now() >= held.deadline
+    }
+
+    /// Keep the calling thread — a connection's own, in the threaded
+    /// front end — until `held` is over.
+    pub(crate) fn wait_out(&self, held: &HeldSync) {
+        let Some(storage) = self.storage() else {
+            return;
+        };
+        let signal = Arc::new((Mutex::new(false), Condvar::new()));
+        let waker = Arc::clone(&signal);
+        let _watch = storage.journal().watch(Arc::new(move || {
+            *waker.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            waker.1.notify_one();
+        }));
+        // Watching before each look: a move in between sets the flag.
+        while !self.hold_over(held) {
+            let mut woken = signal.0.lock().unwrap_or_else(PoisonError::into_inner);
+            if !*woken {
+                let left = held.deadline.saturating_duration_since(Instant::now());
+                woken = signal
+                    .1
+                    .wait_timeout(woken, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            *woken = false;
+        }
+    }
+
+    /// Answer a held sync. The request's clock starts here — arrival
+    /// stamp, span, latency and the slow log all exclude the hold, which
+    /// was the follower's choice and no work of ours.
+    pub(crate) fn serve_held(
+        &self,
+        line: &str,
+        held: HeldSync,
+        out: &mut String,
+        scratch: &mut RequestScratch,
+    ) {
+        let released = Instant::now();
+        let mut scanned = scan_line(line);
+        scanned.hot = Some(Parsed::Request(held.request));
+        self.handle_scanned(line, scanned, out, scratch, released, released);
+    }
+
+    /// Drain or shutdown began: every front end looks at its held syncs
+    /// again (and finds them over).
+    pub(crate) fn wake_held_syncs(&self) {
+        if let Some(storage) = self.storage() {
+            storage.journal().wake_watchers();
+        }
+    }
+
+    /// `stop` or shutdown was just set: break the tail thread's read,
+    /// which the primary may be holding for up to [`SYNC_HOLD`].
+    pub(crate) fn interrupt_tail(&self) {
+        let socket = self
+            .replication()
+            .tail_socket
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(socket) = socket {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// `replica.sync`: serve journal events past the follower's durable
+    /// cursor `(epoch, offset)`. The cursor doubles as the follower's
+    /// acknowledgement — everything before it is fsynced over there —
+    /// so this call also feeds the quorum-ack commit gate. A cursor
+    /// whose epoch predates ours gets the current snapshot instead
+    /// (its events were truncated away); one ahead of ours means we
+    /// have been deposed, and the request fences us. `wait_ms` is the
+    /// front end's business ([`HeldSync`]): by the time a request is
+    /// here it is answered.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn replica_sync(
+        &self,
+        follower: &str,
+        epoch: u64,
+        offset: u64,
+        max: Option<u64>,
+        resync: bool,
+        raw_id: Option<&str>,
+        out: &mut String,
+        span: &mut Span,
+    ) -> Result<(), String> {
+        let Some(storage) = self.storage() else {
+            return Err("replication requires a journaled server (--data-dir)".into());
+        };
+        self.replication()
+            .max_epoch_seen
+            .fetch_max(epoch, Ordering::AcqRel);
+        if resync {
+            // The follower's journal is poisoned or corrupt: cut a
+            // fresh snapshot (the epoch bump guarantees it installs
+            // over there, and installing truncates — and thereby
+            // un-poisons — the follower's journal) and serve it.
+            self.diag().info(
+                Subsystem::Replication,
+                format_args!("follower {follower} requested a forced snapshot re-sync"),
+            );
+            self.snapshot_now().map_err(|e| e.to_string())?;
+            let snapshot = self.cached_snapshot()?;
+            let position = (storage.epoch(), storage.durable_position().1);
+            self.record_follower(follower, epoch, offset, position.0, position.1);
+            write_sync_reply(out, raw_id, position, offset, Some(&snapshot), &[]);
+            return Ok(());
+        }
+        let max = max.unwrap_or(512).clamp(1, 2048) as usize;
+        let read = storage
+            .read_journal_from(offset, max)
+            .map_err(|e| format!("journal read failed: {e}"))?;
+        let position = (read.epoch, read.durable_events);
+        self.record_follower(follower, epoch, offset, position.0, position.1);
+        if epoch > read.epoch {
+            return Err(format!(
+                "stale_epoch: follower {follower} is at epoch {epoch}, this node is at {}",
+                read.epoch
+            ));
+        }
+        let snapshot = if epoch < read.epoch {
+            Some(self.cached_snapshot()?)
+        } else {
+            None
+        };
+        // A stale cursor gets the snapshot alone: events of the new
+        // epoch mean nothing before it is installed.
+        let events: &[JournalEvent] = if snapshot.is_some() {
+            &[]
+        } else {
+            &read.events
+        };
+        self.metrics_raw()
+            .replication_events_served
+            .add(events.len() as u64);
+        let render_started = Instant::now();
+        let snapshot = snapshot.as_ref().map(|bytes| bytes.as_slice());
+        write_sync_reply(out, raw_id, position, offset, snapshot, events);
+        span.serialize_ns = render_started.elapsed().as_nanos() as u64;
+        Ok(())
+    }
+
+    /// Update the follower registry from a sync request's cursor and
+    /// wake any commit waiting on quorum acks.
+    fn record_follower(
+        &self,
+        follower: &str,
+        epoch: u64,
+        offset: u64,
+        cur_epoch: u64,
+        cur_durable: u64,
+    ) {
+        let caught_up = epoch > cur_epoch || (epoch == cur_epoch && offset >= cur_durable);
+        let now = Instant::now();
+        let mut followers = lock_followers(self.replication());
+        // Looked up before the name is copied: only a follower's first
+        // sync allocates.
+        if let Some(entry) = followers.get_mut(follower) {
+            entry.epoch = epoch;
+            entry.offset = offset;
+            entry.last_seen = now;
+            if caught_up {
+                entry.caught_up_at = now;
+            }
+        } else {
+            followers.insert(
+                follower.to_string(),
+                FollowerStatus {
+                    epoch,
+                    offset,
+                    last_seen: now,
+                    caught_up_at: now,
+                },
+            );
+        }
+        drop(followers);
+        self.replication().ack_cv.notify_all();
+    }
+
+    /// The committed snapshot bytes a stale follower resyncs from. If
+    /// none are cached (this epoch's snapshot predates this process and
+    /// left no file we recovered), cut a fresh one — that both seeds
+    /// the cache and gives the follower the newest possible epoch.
+    ///
+    /// Read inside the storage gate: a snapshot in progress truncates
+    /// the journal — which is what releases a held sync — a moment
+    /// before it refreshes the cache, and the follower must not be
+    /// handed the epoch before.
+    fn cached_snapshot(&self) -> Result<Arc<Vec<u8>>, String> {
+        let cached = || {
+            self.with_gate(|| {
+                self.replication()
+                    .last_snapshot
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone()
+            })
+        };
+        if let Some(cached) = cached() {
+            return Ok(cached);
+        }
+        self.snapshot_now().map_err(|e| e.to_string())?;
+        cached().ok_or_else(|| "no snapshot available for resync".into())
+    }
+
+    /// The commit's replication coordinates: `(epoch, position)` of the
+    /// journal frame `seq` — what follower acks are measured against.
+    /// Must run inside the storage gate (same critical section as the
+    /// append), so a concurrent snapshot cannot shift the mapping.
+    pub(crate) fn commit_position(&self, seq: u64) -> Option<(u64, u64)> {
+        self.storage()
+            .map(|storage| (storage.epoch(), storage.position_of(seq)))
+    }
+
+    /// Block until ⌈(N+1)/2⌉ cluster members have a durable copy of the
+    /// commit at `(epoch, position)`. Our own fsync already counts, so
+    /// quorum − 1 follower acks are needed; a follower ack is a sync
+    /// cursor at or past the position (or from a later epoch — the
+    /// commit rode inside the snapshot that started it). On timeout the
+    /// commit stays applied and locally durable, but the client gets a
+    /// `quorum_timeout` error instead of an acknowledgement.
+    pub(crate) fn wait_for_quorum(
+        &self,
+        epoch: u64,
+        position: u64,
+        span: &mut Span,
+    ) -> Result<(), String> {
+        let repl = self.replication();
+        let needed = repl.quorum().saturating_sub(1);
+        if needed == 0 {
+            return Ok(());
+        }
+        let started = Instant::now();
+        // A client deadline tightens (never widens) the ack-timeout
+        // bound: the caller has stopped listening past it, so waiting
+        // longer only burns a dispatch slot.
+        let mut deadline = started + repl.ack_timeout;
+        let mut deadline_cut = false;
+        if let Some(client_deadline) = span.deadline {
+            if client_deadline < deadline {
+                deadline = client_deadline;
+                deadline_cut = true;
+            }
+        }
+        let mut followers = lock_followers(repl);
+        loop {
+            let acked = followers
+                .values()
+                .filter(|f| f.epoch > epoch || (f.epoch == epoch && f.offset >= position))
+                .count();
+            if acked >= needed {
+                drop(followers);
+                let elapsed = started.elapsed();
+                self.metrics_raw().ack_latency.observe(elapsed);
+                span.quorum_ns += elapsed.as_nanos() as u64;
+                return Ok(());
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                drop(followers);
+                span.quorum_ns += started.elapsed().as_nanos() as u64;
+                if deadline_cut {
+                    self.metrics_raw().requests_shed_deadline.inc();
+                    return Err(format!(
+                        "deadline_exceeded: commit is durable locally but the request \
+                         deadline expired with only {acked}/{needed} follower acks"
+                    ));
+                }
+                self.metrics_raw().quorum_timeouts.inc();
+                return Err(format!(
+                    "quorum_timeout: commit is durable locally but only {acked}/{needed} \
+                     follower acks arrived within {:?}",
+                    repl.ack_timeout
+                ));
+            }
+            followers = repl
+                .ack_cv
+                .wait_timeout(followers, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// `replica.promote`: turn this follower into the primary. Stops
+    /// and joins the tail thread first (no replicated event can land
+    /// after the transition), then cuts a snapshot — the epoch bump is
+    /// the fence: our next sync against the old primary (or any peer's)
+    /// carries the higher epoch and makes it refuse further mutations.
+    /// Idempotent on a node that is already primary.
+    pub(crate) fn replica_promote(&self) -> Result<Json, String> {
+        let Some(storage) = self.storage() else {
+            return Err("replication requires a journaled server (--data-dir)".into());
+        };
+        let repl = self.replication();
+        let was_follower = matches!(
+            &*repl.role.read().unwrap_or_else(|e| e.into_inner()),
+            Role::Follower { .. }
+        );
+        if was_follower {
+            repl.stop.store(true, Ordering::Release);
+            self.interrupt_tail();
+            let handle = repl
+                .tail
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            if let Some(handle) = handle {
+                let _ = handle.join();
+            }
+            *repl.role.write().unwrap_or_else(|e| e.into_inner()) = Role::Primary;
+            self.snapshot_now().map_err(|e| e.to_string())?;
+        }
+        Ok(Json::obj([
+            ("ok", Json::Bool(true)),
+            ("role", Json::str("primary")),
+            ("epoch", Json::Num(storage.epoch() as f64)),
+            ("promoted", Json::Bool(was_follower)),
+        ]))
+    }
+}
+
 /// Convenience for locking the follower registry without poison noise.
 pub(crate) fn lock_followers(
     state: &ReplicationState,
@@ -538,7 +1019,8 @@ mod tests {
     #[test]
     fn hex_round_trips() {
         let bytes: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
-        let hex = hex_encode(&bytes);
+        let mut hex = String::new();
+        push_hex(&bytes, &mut hex);
         assert_eq!(hex.len(), 512);
         assert_eq!(hex_decode(&hex).as_deref(), Some(bytes.as_slice()));
         assert_eq!(hex_decode(""), Some(Vec::new()));

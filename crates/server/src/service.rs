@@ -45,7 +45,7 @@ use crate::diag::{DiagSink, Level, Subsystem};
 use crate::metrics::{self, MetricsSnapshot, ServiceMetrics};
 use crate::ops::{self, Op, OpId};
 use crate::protocol::{scan_line, Parsed, Request, RequestScratch, ScannedLine, PROTOCOL_VERSION};
-use crate::replication::{hex_encode, lock_followers, FollowerLag, ReplicationState, Role};
+use crate::replication::{lock_followers, FollowerLag, ReplicationState, Role};
 use crate::session::{SessionError, SessionManager};
 use crate::timeseries::{Sample, TimeSeries};
 use crate::trace::{Span, TraceSink};
@@ -433,7 +433,7 @@ impl CleaningService {
 
     /// Run `f` with the storage gate held for reading (mutating ops);
     /// a no-op wrapper for in-memory services.
-    fn with_gate<R>(&self, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn with_gate<R>(&self, f: impl FnOnce() -> R) -> R {
         match &self.inner.storage {
             Some(binding) => {
                 let _gate = binding.gate.read().unwrap_or_else(|e| e.into_inner());
@@ -908,6 +908,10 @@ impl CleaningService {
     }
 
     fn notify_shutdown(&self) {
+        // Neither a `replica.sync` held here nor one of ours held by
+        // the primary may sit out its hold.
+        self.wake_held_syncs();
+        self.interrupt_tail();
         let hooks = self
             .inner
             .shutdown_hooks
@@ -1628,7 +1632,10 @@ impl CleaningService {
                 offset,
                 max,
                 resync,
-            } => self.replica_sync(&follower, epoch, offset, max, resync)?,
+                wait_ms: _, // the front end's business: see `HeldSync`
+            } => {
+                return self.replica_sync(&follower, epoch, offset, max, resync, raw_id, out, span)
+            }
             Request::ReplicaPromote => self.replica_promote()?,
             Request::Metrics => metrics::metrics_json(self),
             Request::MetricsProm => metrics::prom_response(self),
@@ -1703,6 +1710,8 @@ impl CleaningService {
         let bound = Duration::from_millis(wait_ms.unwrap_or(DEFAULT_DRAIN_WAIT_MS));
         let newly = !self.inner.draining.swap(true, Ordering::AcqRel);
         if newly {
+            // A held `replica.sync` is released, not waited for.
+            self.wake_held_syncs();
             self.inner.metrics.drains_started.inc();
             self.inner.diag.info(
                 Subsystem::Admission,
@@ -1771,263 +1780,6 @@ impl CleaningService {
         w.key("error");
         w.str_val(message);
         w.end_obj();
-    }
-
-    /// `replica.sync`: serve journal events past the follower's durable
-    /// cursor `(epoch, offset)`. The cursor doubles as the follower's
-    /// acknowledgement — everything before it is fsynced over there —
-    /// so this call also feeds the quorum-ack commit gate. A cursor
-    /// whose epoch predates ours gets the current snapshot instead
-    /// (its events were truncated away); one ahead of ours means we
-    /// have been deposed, and the request fences us.
-    fn replica_sync(
-        &self,
-        follower: &str,
-        epoch: u64,
-        offset: u64,
-        max: Option<u64>,
-        resync: bool,
-    ) -> Result<Json, String> {
-        let Some(binding) = &self.inner.storage else {
-            return Err("replication requires a journaled server (--data-dir)".into());
-        };
-        self.inner
-            .replication
-            .max_epoch_seen
-            .fetch_max(epoch, Ordering::AcqRel);
-        if resync {
-            // The follower's journal is poisoned or corrupt: cut a
-            // fresh snapshot (the epoch bump guarantees it installs
-            // over there, and installing truncates — and thereby
-            // un-poisons — the follower's journal) and serve it.
-            self.inner.diag.info(
-                Subsystem::Replication,
-                format_args!("follower {follower} requested a forced snapshot re-sync"),
-            );
-            self.snapshot_now().map_err(|e| e.to_string())?;
-            let snapshot = self.cached_snapshot()?;
-            let cur_epoch = binding.storage.epoch();
-            let (_, durable) = binding.storage.durable_position();
-            self.record_follower(follower, epoch, offset, cur_epoch, durable);
-            return Ok(Json::obj([
-                ("ok", Json::Bool(true)),
-                ("epoch", Json::Num(cur_epoch as f64)),
-                ("from", Json::Num(offset as f64)),
-                ("durable", Json::Num(durable as f64)),
-                ("snapshot", Json::Str(hex_encode(&snapshot))),
-                ("events", Json::Arr(Vec::new())),
-            ]));
-        }
-        let max = max.unwrap_or(512).clamp(1, 2048) as usize;
-        let read = binding
-            .storage
-            .read_journal_from(offset, max)
-            .map_err(|e| format!("journal read failed: {e}"))?;
-        self.record_follower(follower, epoch, offset, read.epoch, read.durable_events);
-        if epoch > read.epoch {
-            return Err(format!(
-                "stale_epoch: follower {follower} is at epoch {epoch}, this node is at {}",
-                read.epoch
-            ));
-        }
-        if epoch < read.epoch {
-            let snapshot = self.cached_snapshot()?;
-            return Ok(Json::obj([
-                ("ok", Json::Bool(true)),
-                ("epoch", Json::Num(read.epoch as f64)),
-                ("from", Json::Num(offset as f64)),
-                ("durable", Json::Num(read.durable_events as f64)),
-                ("snapshot", Json::Str(hex_encode(&snapshot))),
-                ("events", Json::Arr(Vec::new())),
-            ]));
-        }
-        let frames: Vec<Json> = read
-            .events
-            .iter()
-            .map(|event| Json::Str(hex_encode(&event.encode())))
-            .collect();
-        self.inner
-            .metrics
-            .replication_events_served
-            .add(frames.len() as u64);
-        // `from` echoes the requested cursor: a follower rejects any
-        // response whose echo mismatches its cursor, so a duplicated or
-        // reordered response on a faulty network can never re-apply.
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("epoch", Json::Num(read.epoch as f64)),
-            ("from", Json::Num(offset as f64)),
-            ("durable", Json::Num(read.durable_events as f64)),
-            ("events", Json::Arr(frames)),
-        ]))
-    }
-
-    /// Update the follower registry from a sync request's cursor and
-    /// wake any commit waiting on quorum acks.
-    fn record_follower(
-        &self,
-        follower: &str,
-        epoch: u64,
-        offset: u64,
-        cur_epoch: u64,
-        cur_durable: u64,
-    ) {
-        let caught_up = epoch > cur_epoch || (epoch == cur_epoch && offset >= cur_durable);
-        let now = Instant::now();
-        let mut followers = lock_followers(&self.inner.replication);
-        let entry =
-            followers
-                .entry(follower.to_string())
-                .or_insert(crate::replication::FollowerStatus {
-                    epoch,
-                    offset,
-                    last_seen: now,
-                    caught_up_at: now,
-                });
-        entry.epoch = epoch;
-        entry.offset = offset;
-        entry.last_seen = now;
-        if caught_up {
-            entry.caught_up_at = now;
-        }
-        drop(followers);
-        self.inner.replication.ack_cv.notify_all();
-    }
-
-    /// The committed snapshot bytes a stale follower resyncs from. If
-    /// none are cached (this epoch's snapshot predates this process and
-    /// left no file we recovered), cut a fresh one — that both seeds
-    /// the cache and gives the follower the newest possible epoch.
-    fn cached_snapshot(&self) -> Result<Arc<Vec<u8>>, String> {
-        let cached = self
-            .inner
-            .replication
-            .last_snapshot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if let Some(cached) = cached {
-            return Ok(cached);
-        }
-        self.snapshot_now().map_err(|e| e.to_string())?;
-        self.inner
-            .replication
-            .last_snapshot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-            .ok_or_else(|| "no snapshot available for resync".into())
-    }
-
-    /// The commit's replication coordinates: `(epoch, position)` of the
-    /// journal frame `seq` — what follower acks are measured against.
-    /// Must run inside the storage gate (same critical section as the
-    /// append), so a concurrent snapshot cannot shift the mapping.
-    fn commit_position(&self, seq: u64) -> Option<(u64, u64)> {
-        self.inner
-            .storage
-            .as_ref()
-            .map(|binding| (binding.storage.epoch(), binding.storage.position_of(seq)))
-    }
-
-    /// Block until ⌈(N+1)/2⌉ cluster members have a durable copy of the
-    /// commit at `(epoch, position)`. Our own fsync already counts, so
-    /// quorum − 1 follower acks are needed; a follower ack is a sync
-    /// cursor at or past the position (or from a later epoch — the
-    /// commit rode inside the snapshot that started it). On timeout the
-    /// commit stays applied and locally durable, but the client gets a
-    /// `quorum_timeout` error instead of an acknowledgement.
-    fn wait_for_quorum(&self, epoch: u64, position: u64, span: &mut Span) -> Result<(), String> {
-        let repl = &self.inner.replication;
-        let needed = repl.quorum().saturating_sub(1);
-        if needed == 0 {
-            return Ok(());
-        }
-        let started = Instant::now();
-        // A client deadline tightens (never widens) the ack-timeout
-        // bound: the caller has stopped listening past it, so waiting
-        // longer only burns a dispatch slot.
-        let mut deadline = started + repl.ack_timeout;
-        let mut deadline_cut = false;
-        if let Some(client_deadline) = span.deadline {
-            if client_deadline < deadline {
-                deadline = client_deadline;
-                deadline_cut = true;
-            }
-        }
-        let mut followers = lock_followers(repl);
-        loop {
-            let acked = followers
-                .values()
-                .filter(|f| f.epoch > epoch || (f.epoch == epoch && f.offset >= position))
-                .count();
-            if acked >= needed {
-                drop(followers);
-                let elapsed = started.elapsed();
-                self.inner.metrics.ack_latency.observe(elapsed);
-                span.quorum_ns += elapsed.as_nanos() as u64;
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(followers);
-                span.quorum_ns += started.elapsed().as_nanos() as u64;
-                if deadline_cut {
-                    self.inner.metrics.requests_shed_deadline.inc();
-                    return Err(format!(
-                        "deadline_exceeded: commit is durable locally but the request \
-                         deadline expired with only {acked}/{needed} follower acks"
-                    ));
-                }
-                self.inner.metrics.quorum_timeouts.inc();
-                return Err(format!(
-                    "quorum_timeout: commit is durable locally but only {acked}/{needed} \
-                     follower acks arrived within {:?}",
-                    repl.ack_timeout
-                ));
-            }
-            followers = repl
-                .ack_cv
-                .wait_timeout(followers, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-
-    /// `replica.promote`: turn this follower into the primary. Stops
-    /// and joins the tail thread first (no replicated event can land
-    /// after the transition), then cuts a snapshot — the epoch bump is
-    /// the fence: our next sync against the old primary (or any peer's)
-    /// carries the higher epoch and makes it refuse further mutations.
-    /// Idempotent on a node that is already primary.
-    fn replica_promote(&self) -> Result<Json, String> {
-        let Some(binding) = &self.inner.storage else {
-            return Err("replication requires a journaled server (--data-dir)".into());
-        };
-        let repl = &self.inner.replication;
-        let was_follower = matches!(
-            &*repl.role.read().unwrap_or_else(|e| e.into_inner()),
-            Role::Follower { .. }
-        );
-        if was_follower {
-            repl.stop.store(true, Ordering::Release);
-            let handle = repl
-                .tail
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-            *repl.role.write().unwrap_or_else(|e| e.into_inner()) = Role::Primary;
-            self.snapshot_now().map_err(|e| e.to_string())?;
-        }
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("role", Json::str("primary")),
-            ("epoch", Json::Num(binding.storage.epoch() as f64)),
-            ("promoted", Json::Bool(was_follower)),
-        ]))
     }
 
     /// Resolve a scanned `validations` object span against the schema

@@ -924,6 +924,15 @@ impl<'a> JsonWriter<'a> {
         render_string(s, self.out);
     }
 
+    /// A string value whose content `fill` appends as is — for payloads
+    /// that need no escaping (hex frames), written in place.
+    pub fn str_with(&mut self, fill: impl FnOnce(&mut String)) {
+        self.sep();
+        self.out.push('"');
+        fill(self.out);
+        self.out.push('"');
+    }
+
     /// A numeric value (same formatting as [`Json::Num`]).
     pub fn num(&mut self, n: f64) {
         self.sep();

@@ -53,8 +53,9 @@ use crate::codec::{self, CodecError};
 use crate::events::JournalEvent;
 use crate::spill::AuditSpill;
 use crate::vfs::{StorageFile, StorageFs};
+use crate::watch::{DurableWatch, Waker, Watchers};
 use crate::StorageError;
-use std::io::SeekFrom;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -352,6 +353,31 @@ struct Shared {
     companion: Mutex<Option<Arc<AuditSpill>>>,
     /// Group-commit telemetry, recorded by the flusher thread.
     flush_stats: FlushStats,
+    /// Who to wake when the durable position moves ([`Journal::watch`]).
+    watchers: Arc<Watchers>,
+    /// Where the last cursor read stopped.
+    read_hint: Mutex<ReadHint>,
+}
+
+/// The frame boundaries the last cursor read found in epoch `epoch`,
+/// where it started and where it stopped, each `(events, byte)`: that
+/// event position starts at that file byte. Both, so that two followers
+/// reading the same tail in step both start from a boundary. The
+/// default, byte 0, is inside the header: no boundary, so never used.
+#[derive(Clone, Copy, Default)]
+struct ReadHint {
+    epoch: u64,
+    marks: [(u64, u64); 2],
+}
+
+impl Shared {
+    /// The durable position moved, or never will again (poisoned,
+    /// crashed, stopped): release `sync` waiters and call the watchers.
+    /// Never called with a journal lock held.
+    fn notify_durable(&self) {
+        self.durable_cv.notify_all();
+        self.watchers.notify();
+    }
 }
 
 /// Buckets in the flush-profile histograms: bucket `i` covers
@@ -497,6 +523,8 @@ impl Journal {
             events_appended: AtomicU64::new(0),
             companion: Mutex::new(None),
             flush_stats: FlushStats::new(),
+            watchers: Arc::default(),
+            read_hint: Mutex::new(ReadHint::default()),
         });
         let flusher_shared = Arc::clone(&shared);
         let flusher = std::thread::Builder::new()
@@ -641,6 +669,24 @@ impl Journal {
         (filestate.epoch, filestate.durable_events)
     }
 
+    /// Call `waker` each time the durable position `(epoch, events)`
+    /// moves — a group fsync, a snapshot truncation — or the journal
+    /// poisons, crashes or stops, until the returned watch is dropped.
+    /// The waker carries no state: the watcher re-reads
+    /// [`durable_position`](Self::durable_position), so it must register
+    /// first and look second, or a move between the two is missed. It
+    /// runs on whichever thread moved the position (the flusher, mostly)
+    /// with no journal lock held.
+    pub fn watch(&self, waker: Waker) -> DurableWatch {
+        self.shared.watchers.register(waker)
+    }
+
+    /// Call every watcher now: something outside the journal that they
+    /// also wait on has changed (the server drains or shuts down).
+    pub fn wake_watchers(&self) {
+        self.shared.notify_durable();
+    }
+
     /// The epoch-file position that covers `seq`: the number of events
     /// the epoch file holds once `seq` is durable. Sequence numbers
     /// restart at 1 per process while file offsets persist across
@@ -654,63 +700,70 @@ impl Journal {
     /// `offset` — the primary side of `replica.sync`. Only complete,
     /// fsync-covered frames are served; a concurrent snapshot truncation
     /// yields an empty batch at the new epoch (the caller re-cursors).
+    ///
+    /// A follower reads in order, so each read remembers where it
+    /// stopped ([`ReadHint`]) and the next starts there: a sync costs
+    /// the bytes it serves, not the length of the journal.
     pub fn read_durable_from(&self, offset: u64, max: usize) -> std::io::Result<CursorRead> {
         for _ in 0..3 {
-            let (epoch, durable_len, durable_events) = {
+            let (mut read, durable_len) = {
                 let filestate = lock(&self.shared.filestate);
-                (
-                    filestate.epoch,
-                    filestate.durable_len,
-                    filestate.durable_events,
-                )
-            };
-            if offset >= durable_events || max == 0 {
-                return Ok(CursorRead {
-                    epoch,
-                    durable_events,
+                let read = CursorRead {
+                    epoch: filestate.epoch,
+                    durable_events: filestate.durable_events,
                     events: Vec::new(),
-                });
+                };
+                (read, filestate.durable_len)
+            };
+            if offset >= read.durable_events || max == 0 {
+                return Ok(read);
             }
-            let bytes = std::fs::read(&self.path)?;
-            let limit = (durable_len as usize).min(bytes.len());
-            if limit < JOURNAL_HEADER as usize
-                || &bytes[0..4] != MAGIC
-                || u64::from_le_bytes(bytes[8..16].try_into().unwrap()) != epoch
-            {
-                // Truncated to a new epoch between the position capture
-                // and the read; retry against the fresh state.
+            // The durable prefix of an epoch file only ever grows, so a
+            // frame boundary found once stays one until the epoch ends.
+            let hint = *lock(&self.shared.read_hint);
+            let mark = hint.marks.into_iter().rfind(|&(events, byte)| {
+                hint.epoch == read.epoch
+                    && events <= offset
+                    && (JOURNAL_HEADER..=durable_len).contains(&byte)
+            });
+            let (mut skipped, start) = mark.unwrap_or((0, JOURNAL_HEADER));
+            let mut bytes = Vec::with_capacity((durable_len - start) as usize);
+            let mut file = std::fs::File::open(&self.path)?;
+            file.seek(SeekFrom::Start(start))?;
+            file.take(durable_len - start).read_to_end(&mut bytes)?;
+            if lock(&self.shared.filestate).epoch != read.epoch {
+                // Truncated to a new epoch while we read: these bytes
+                // are not this epoch's prefix. Retry on the fresh state.
                 continue;
             }
-            let mut events = Vec::new();
-            let mut skipped = 0u64;
-            let mut at = JOURNAL_HEADER as usize;
-            while at < limit {
-                let Ok(Some((payload, frame_len))) = codec::read_frame(&bytes[at..limit]) else {
+            let (mut at, mut first) = (0, 0);
+            while at < bytes.len() && read.events.len() < max {
+                let Ok(Some((payload, frame_len))) = codec::read_frame(&bytes[at..]) else {
                     break;
                 };
                 if skipped < offset {
                     skipped += 1; // length-prefixed: skip without decoding
+                    first = at + frame_len;
                 } else {
-                    match JournalEvent::decode(payload) {
-                        Ok(event) => events.push(event),
-                        Err(e) => {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!("durable frame at {at} failed to decode: {e}"),
-                            ))
-                        }
-                    }
-                    if events.len() >= max {
-                        break;
-                    }
+                    read.events.push(JournalEvent::decode(payload).map_err(|e| {
+                        let at = start + at as u64;
+                        let detail = format!("durable frame at {at} failed to decode: {e}");
+                        std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
+                    })?);
                 }
                 at += frame_len;
             }
-            return Ok(CursorRead {
-                epoch,
-                durable_events,
-                events,
-            });
+            if read.events.is_empty() && mark.is_some() {
+                // Owed events and found none: never start there again.
+                *lock(&self.shared.read_hint) = ReadHint::default();
+                continue;
+            }
+            let served = skipped + read.events.len() as u64;
+            *lock(&self.shared.read_hint) = ReadHint {
+                epoch: read.epoch,
+                marks: [(skipped, start + first as u64), (served, start + at as u64)],
+            };
+            return Ok(read);
         }
         let (epoch, durable_events) = self.durable_position();
         Ok(CursorRead {
@@ -782,7 +835,7 @@ impl Journal {
             *lock(&self.shared.fail) = FailState::Poisoned { error: msg };
             drop(filestate);
             self.shared.durable_seq.fetch_max(retired, Ordering::AcqRel);
-            self.shared.durable_cv.notify_all();
+            self.shared.notify_durable();
             return Err(e);
         }
         filestate.durable_len = JOURNAL_HEADER;
@@ -799,7 +852,7 @@ impl Journal {
         // Everything up to `retired` is trivially durable now (the
         // snapshot holds it); release any sync waiters.
         self.shared.durable_seq.fetch_max(retired, Ordering::AcqRel);
-        self.shared.durable_cv.notify_all();
+        self.shared.notify_durable();
         Ok(())
     }
 
@@ -823,7 +876,7 @@ impl Journal {
         // should hang inside a crashed process simulation.
         self.shared.durable_seq.fetch_max(retired, Ordering::AcqRel);
         self.kick_flusher();
-        self.shared.durable_cv.notify_all();
+        self.shared.notify_durable();
         Ok(())
     }
 
@@ -961,11 +1014,11 @@ fn flusher_loop(shared: &Shared, interval: Duration) {
         }
         if !bytes_were_empty && retired {
             shared.durable_seq.fetch_max(seq_hi, Ordering::AcqRel);
-            shared.durable_cv.notify_all();
+            shared.notify_durable();
         } else if failed {
             // Wake waiters so they observe the typed failure now
             // instead of at their next 50 ms poll.
-            shared.durable_cv.notify_all();
+            shared.notify_durable();
         }
         if shared.stop.load(Ordering::Acquire) {
             let drained = lock(&shared.pending).buf.is_empty();
@@ -973,7 +1026,7 @@ fn flusher_loop(shared: &Shared, interval: Duration) {
             // is failing (frames restored to pending) or the journal is
             // poisoned, give up instead of retrying forever inside Drop.
             if drained || failed {
-                shared.durable_cv.notify_all();
+                shared.notify_durable();
                 return;
             }
             continue;
@@ -1332,6 +1385,82 @@ mod tests {
         let read = journal.read_durable_from(0, 10).unwrap();
         assert_eq!(read.epoch, 1);
         assert_eq!(read.events, vec![ev(7)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cursor read starts where the last one stopped, and whatever
+    /// order cursors come in — ahead of the hint, behind it, across a
+    /// truncation — it serves what a walk from the header serves.
+    #[test]
+    fn cursor_reads_resume_from_the_last_one_and_agree_with_a_full_walk() {
+        let dir = tmp_dir("cursor-hint");
+        let path = dir.join("journal.wal");
+        let scan = scan_journal(&path).unwrap();
+        let journal = Journal::open(&path, &scan, 0, Duration::from_millis(1), &real_fs()).unwrap();
+        let events: Vec<JournalEvent> = (0..40).map(ev).collect();
+        let mut last = 0;
+        for event in &events {
+            last = journal.append(event);
+        }
+        journal.sync(last).unwrap();
+        let hint = || *lock(&journal.shared.read_hint);
+        for (offset, max) in [(0, 7), (7, 7), (14, 1), (20, 5), (3, 4), (39, 9), (15, 25)] {
+            let read = journal.read_durable_from(offset, max).unwrap();
+            let end = (offset as usize + max).min(events.len());
+            assert_eq!(read.events, events[offset as usize..end], "from {offset}");
+            assert_eq!((hint().epoch, hint().marks[1].0), (0, end as u64));
+            assert_eq!(hint().marks[0].0, offset, "where it started");
+        }
+        // In step, a second follower starts where the first one did, and
+        // the next read where the last one stopped.
+        journal.read_durable_from(0, 10).unwrap();
+        let [started, stopped] = hint().marks;
+        journal.read_durable_from(0, 10).unwrap();
+        assert_eq!(hint().marks, [started, stopped]);
+        journal.read_durable_from(10, 10).unwrap();
+        assert_eq!(hint().marks[0], stopped);
+        journal.truncate_to_epoch(1).unwrap();
+        let seq = journal.append(&ev(99));
+        journal.sync(seq).unwrap();
+        // The old epoch's boundary means nothing in the new file.
+        assert_eq!(journal.read_durable_from(0, 10).unwrap().events, [ev(99)]);
+        assert_eq!((hint().epoch, hint().marks[1].0), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn watchers_hear_every_move_of_the_durable_position_until_dropped() {
+        let dir = tmp_dir("watch");
+        let path = dir.join("journal.wal");
+        let scan = scan_journal(&path).unwrap();
+        let journal =
+            Journal::open(&path, &scan, 0, Duration::from_secs(3600), &real_fs()).unwrap();
+        let woken = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&woken);
+        let watch = journal.watch(Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        }));
+        let heard = || woken.swap(0, Ordering::SeqCst);
+        // The flusher wakes the watchers just after it releases `sync`.
+        let hears = |what: &str| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while heard() == 0 {
+                assert!(Instant::now() < deadline, "no wake for the {what}");
+                std::thread::yield_now();
+            }
+        };
+        journal.sync(journal.append(&ev(1))).unwrap();
+        hears("group fsync");
+        assert_eq!(journal.durable_position(), (0, 1));
+        journal.truncate_to_epoch(1).unwrap();
+        hears("snapshot truncation");
+        journal.wake_watchers();
+        assert_eq!(heard(), 1, "explicit wake");
+        drop(watch);
+        assert_eq!(journal.shared.watchers.count.load(Ordering::SeqCst), 0);
+        journal.sync(journal.append(&ev(2))).unwrap();
+        journal.simulate_crash().unwrap();
+        assert_eq!(heard(), 0, "a dropped watch hears nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

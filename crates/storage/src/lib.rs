@@ -64,6 +64,7 @@ pub mod scrub;
 pub mod snapshot;
 mod spill;
 pub mod vfs;
+mod watch;
 
 pub use codec::CodecError;
 pub use events::{
@@ -77,6 +78,7 @@ pub use scrub::{scrub_dir, Corruption, ScrubReport};
 pub use snapshot::{load_snapshot, write_snapshot, SNAPSHOT_FILE, SNAPSHOT_TMP};
 pub use spill::{AuditSpill, SpillScan};
 pub use vfs::{FaultFs, FaultPlan, RealFs, StorageFile, StorageFs};
+pub use watch::{DurableWatch, Waker};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,7 +7,9 @@
 //! cumulative buckets, `+Inf`, `_count` agreement) with traffic
 //! attributed to the right op; counter monotonicity across scrapes while a
 //! writer thread hammers the service (proptest); stage timings and
-//! engine-stat deltas inside `trace.read` spans; the version /
+//! engine-stat deltas inside `trace.read` spans; a held `replica.sync`
+//! whose span, latency and slow-log verdict leave the hold out; the
+//! version /
 //! protocol / uptime fields on `hello` and `metrics`; health probes
 //! flipping (with `cerfix_healthy` and the structured log agreeing)
 //! when the journal dies; `log.read` level/subsystem filtering;
@@ -480,6 +482,91 @@ fn trace_read_reports_stage_timings_and_engine_stats() {
         trace.get("spans").and_then(Json::as_arr).map(<[Json]>::len),
         Some(0)
     );
+}
+
+/// A held `replica.sync` is a parked connection, not a slow request:
+/// its clock starts when it is released, so the span's `total_ns`, the
+/// `replica.sync` latency and the `--slow-ms` slow log all leave the
+/// hold out (and the stages still sum to the total).
+#[test]
+fn a_held_syncs_span_and_slow_log_exclude_the_hold() {
+    const HOLD_MS: u64 = 400;
+    const SLOW_MS: u64 = 100;
+    for frontend in FRONTENDS {
+        let dir = std::env::temp_dir().join(format!(
+            "cerfix-obs-hold-{}-{}",
+            frontend.name(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (master, rules) = kv_setup(20);
+        let service = CleaningService::with_storage(
+            Arc::new(master),
+            Arc::new(rules),
+            ServiceConfig {
+                workers: 2,
+                precompute_regions: false,
+                slow_ms: SLOW_MS,
+                ..ServiceConfig::default()
+            },
+            StorageConfig::new(&dir),
+        )
+        .expect("open storage");
+        let server = Server::spawn_with("127.0.0.1:0", service.clone(), frontend).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let asked = std::time::Instant::now();
+        writeln!(
+            stream,
+            "{{\"op\":\"replica.sync\",\"follower\":\"f\",\"epoch\":0,\"offset\":0,\
+             \"wait_ms\":{HOLD_MS},\"id\":77}}"
+        )
+        .unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        let held_ns = asked.elapsed().as_nanos() as u64;
+        assert!(held_ns >= HOLD_MS * 1_000_000, "the hold ran its course");
+        assert!(reply.contains("\"events\":[]"), "{reply}");
+
+        let trace = service.handle(&Request::TraceRead { limit: Some(64) });
+        let spans = trace.get("spans").and_then(Json::as_arr).unwrap();
+        let span = spans
+            .iter()
+            .find(|s| s.get("trace").and_then(Json::as_str) == Some("77"))
+            .expect("the released sync's span");
+        assert_eq!(span.get("op").and_then(Json::as_str), Some("replica.sync"));
+        let total = span.get("total_ns").and_then(Json::as_u64).unwrap();
+        assert!(
+            total < SLOW_MS * 1_000_000,
+            "span total {total} ns includes the {HOLD_MS} ms hold"
+        );
+        assert_eq!(span.get("queue_ns").and_then(Json::as_u64), Some(0));
+        let stages: u64 = [
+            "parse_ns",
+            "dispatch_ns",
+            "engine_ns",
+            "fsync_ns",
+            "quorum_ns",
+            "serialize_ns",
+        ]
+        .iter()
+        .map(|k| span.get(k).and_then(Json::as_u64).unwrap())
+        .sum();
+        assert_eq!(stages, total, "stages sum to the total");
+        let slow = trace.get("slow").and_then(Json::as_arr).unwrap();
+        assert!(slow.is_empty(), "a hold is not a slow request: {slow:?}");
+        let metrics = service.metrics();
+        assert_eq!(metrics.trace_slow_spans, 0);
+        let latency = metrics
+            .latency
+            .iter()
+            .find(|l| l.op == "replica.sync")
+            .expect("replica.sync latency");
+        assert_eq!(latency.count, 1);
+        assert!(latency.p99_ns < SLOW_MS * 1_000_000);
+        server.shutdown().unwrap();
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `hello` and `metrics` both identify the build: version string,

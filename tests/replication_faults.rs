@@ -31,6 +31,12 @@
 //!    follower partitioned past `--max-lag` flips exactly its own
 //!    readiness — visible in `cluster.status`, the `cerfix_healthy`
 //!    gauge and the structured diagnostic log.
+//! 6. **Long-poll `replica.sync`**: a caught-up follower's request is
+//!    held by the primary and released by an event, never by a timer on
+//!    the commit path. Counters, not clocks: with the hold set far above
+//!    the test's runtime every quorum commit still acks and costs one
+//!    sync; each release cause is driven by hand over a raw connection;
+//!    on both front ends.
 
 use cerfix_gen::{make_workload, uk, NoiseSpec};
 use cerfix_relation::Value;
@@ -902,6 +908,451 @@ fn lagging_follower_past_max_lag_flips_exactly_its_readiness() {
     let _ = client.shutdown();
     let _ = follower.wait();
     let _ = primary.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// 6. Long-poll `replica.sync`: held requests and what releases them.
+// ---------------------------------------------------------------------
+
+/// A hold no test outlives (the primary caps it at a minute): a commit
+/// released by its expiry fails the test through `ack_timeout` first.
+const FOREVER_MS: u64 = 600_000;
+
+/// An in-process primary over real TCP whose journal moves only when a
+/// commit syncs it (hour-long flush interval), so durable advances —
+/// and with them released syncs — can be counted.
+struct HoldRig {
+    primary: CleaningService,
+    server: Option<cerfix_server::ServerHandle>,
+    addr: SocketAddr,
+    dir: PathBuf,
+    tuple: Vec<Value>,
+    master: Arc<cerfix::MasterData>,
+    rules: Arc<cerfix_rules::RuleSet>,
+}
+
+fn hold_storage(dir: &Path) -> StorageConfig {
+    let mut cfg = manual_storage(dir);
+    cfg.flush_interval = Duration::from_secs(3600);
+    cfg
+}
+
+fn hold_rig(name: &str, frontend: Frontend, workers: usize, cluster_size: usize) -> HoldRig {
+    let mut rng = StdRng::seed_from_u64(11);
+    let scenario = uk::scenario(40, &mut rng);
+    let master = Arc::new(scenario.master_data());
+    let rules = Arc::new(scenario.rules.clone());
+    let dir = tmp_dir(&format!("hold-{name}-{}-{workers}", frontend.name()));
+    let primary = CleaningService::with_storage(
+        Arc::clone(&master),
+        Arc::clone(&rules),
+        ServiceConfig {
+            workers,
+            precompute_regions: false,
+            cluster_size,
+            ack_timeout: Duration::from_secs(10),
+            advertise: Some("primary".into()),
+            ..ServiceConfig::default()
+        },
+        hold_storage(&dir.join("p")),
+    )
+    .unwrap();
+    let server = Server::spawn_with("127.0.0.1:0", primary.clone(), frontend).unwrap();
+    HoldRig {
+        addr: server.addr(),
+        primary,
+        server: Some(server),
+        dir,
+        tuple: scenario.universe[0].values().to_vec(),
+        master,
+        rules,
+    }
+}
+
+impl HoldRig {
+    /// `replica.sync` requests answered so far (a held one counts when
+    /// it is released).
+    fn syncs_answered(&self) -> u64 {
+        self.primary
+            .metrics()
+            .latency
+            .iter()
+            .find(|l| l.op == "replica.sync")
+            .map_or(0, |l| l.count)
+    }
+
+    fn registered(&self, follower: &str) -> bool {
+        follower_stat(&self.primary.handle(&Request::Metrics), follower).is_some()
+    }
+
+    /// One locally durable commit, made in process.
+    fn commit_locally(&self) -> u64 {
+        let mut client = LocalClient::in_process(&self.primary);
+        let view = client.create_session(self.tuple.clone()).unwrap();
+        client.commit(view.session).unwrap();
+        view.session
+    }
+
+    fn stop(mut self) {
+        if let Some(server) = self.server.take() {
+            server.shutdown().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// A follower played by hand: one raw connection, one line at a time.
+struct RawFollower {
+    reader: std::io::BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl RawFollower {
+    fn connect(addr: SocketAddr) -> RawFollower {
+        let writer = TcpStream::connect(addr).unwrap();
+        // A reply that never comes fails the test instead of hanging it.
+        writer
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        RawFollower {
+            reader: std::io::BufReader::new(writer.try_clone().unwrap()),
+            writer,
+        }
+    }
+
+    fn sync(&mut self, name: &str, (epoch, offset): (u64, u64), wait_ms: Option<u64>) {
+        let wait = wait_ms.map_or(String::new(), |ms| format!(",\"wait_ms\":{ms}"));
+        let line = format!(
+            "{{\"op\":\"replica.sync\",\"follower\":\"{name}\",\"epoch\":{epoch},\"offset\":{offset}{wait}}}\n"
+        );
+        // A write the server no longer takes shows as a missing reply.
+        let _ = self.writer.write_all(line.as_bytes());
+    }
+
+    /// The next reply line; `None` if the server closed (or reset) the
+    /// connection. A reply that does not come in time is a failure.
+    fn reply(&mut self) -> Option<Json> {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line) {
+            Ok(0) => None,
+            Ok(_) => Some(Json::parse(line.trim()).expect("a JSON reply")),
+            Err(e) => {
+                let timed_out = matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                );
+                assert!(!timed_out, "no reply in time");
+                None
+            }
+        }
+    }
+
+    fn events(reply: &Json) -> usize {
+        reply.get("events").and_then(Json::as_arr).unwrap().len()
+    }
+}
+
+/// A follower that acks whatever it is sent and asks again at once,
+/// keeping every request open "forever". Returns when the server goes.
+fn acking_follower(addr: SocketAddr, name: &'static str) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut conn = RawFollower::connect(addr);
+        conn.writer.set_read_timeout(None).unwrap();
+        let mut cursor = (0, 0);
+        loop {
+            conn.sync(name, cursor, Some(FOREVER_MS));
+            let Some(reply) = conn.reply() else { return };
+            cursor.1 += RawFollower::events(&reply) as u64;
+        }
+    })
+}
+
+/// (a) + (b): with the hold far above the test's runtime, N quorum
+/// commits all ack, each costs one sync, and none timed out — so no
+/// commit was released by a timer. With one worker too: the commit
+/// waits for its quorum *on* that worker, so a hold that took a worker
+/// would deadlock until `ack_timeout`.
+fn quorum_commits_are_acked_by_events(frontend: Frontend, workers: usize) {
+    const N: u64 = 40;
+    let rig = hold_rig("acked", frontend, workers, 2);
+    let follower = acking_follower(rig.addr, "fake");
+    wait_for("the follower's first (held) sync", || {
+        rig.registered("fake")
+    });
+    assert_eq!(rig.syncs_answered(), 0, "caught up: held, not answered");
+    let mut client = Client::connect(rig.addr).unwrap();
+    for _ in 0..N {
+        let view = client.create_session(rig.tuple.clone()).unwrap();
+        client.commit(view.session).expect("quorum-acked commit");
+    }
+    let syncs = rig.syncs_answered();
+    assert!(
+        (N..=N + 2).contains(&syncs),
+        "{N} commits released {syncs} syncs ({} front end, {workers} workers)",
+        frontend.name()
+    );
+    assert_eq!(rig.primary.metrics().quorum_timeouts, 0);
+    rig.stop();
+    follower.join().unwrap();
+}
+
+#[test]
+fn quorum_commits_are_acked_by_events_not_timers() {
+    for frontend in [Frontend::Threads, Frontend::Epoll] {
+        quorum_commits_are_acked_by_events(frontend, 2);
+        quorum_commits_are_acked_by_events(frontend, 1);
+    }
+}
+
+/// (c) + (d): every cause that releases a held sync, by hand.
+fn held_sync_release_causes(frontend: Frontend) {
+    let rig = hold_rig("causes", frontend, 2, 1);
+    let mut conn = RawFollower::connect(rig.addr);
+    let mut other = Client::connect(rig.addr).unwrap();
+
+    // A request without `wait_ms` (pre-v9) is answered at once, even
+    // with nothing to say.
+    conn.sync("raw", (0, 0), None);
+    let reply = conn.reply().unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(RawFollower::events(&reply), 0);
+    assert_eq!(rig.syncs_answered(), 1);
+
+    // Hold expiry: the ordinary empty reply, `from` echoed, not early.
+    let asked = Instant::now();
+    conn.sync("raw", (0, 0), Some(120));
+    let reply = conn.reply().unwrap();
+    assert!(asked.elapsed() >= Duration::from_millis(120));
+    assert_eq!(reply.get("from").and_then(Json::as_u64), Some(0));
+    assert_eq!(RawFollower::events(&reply), 0);
+    assert_eq!(rig.syncs_answered(), 2);
+
+    // Held: its cursor is recorded on arrival, and other traffic comes
+    // and goes while it stays unanswered.
+    conn.sync("raw2", (0, 0), Some(FOREVER_MS));
+    wait_for("the held sync's cursor", || rig.registered("raw2"));
+    for _ in 0..20 {
+        other.hello().unwrap();
+    }
+    assert_eq!(rig.syncs_answered(), 2, "still held");
+
+    // Durable advance releases it with the events.
+    let committed = rig.commit_locally();
+    let reply = conn.reply().unwrap();
+    assert_eq!(reply.get("from").and_then(Json::as_u64), Some(0));
+    assert_eq!(RawFollower::events(&reply), 2, "create + commit");
+    assert_eq!(rig.syncs_answered(), 3);
+
+    // A snapshot on the primary (epoch change) releases it with the
+    // snapshot of the new epoch.
+    conn.sync("raw", (0, 2), Some(FOREVER_MS));
+    wait_for("held again", || {
+        follower_stat(&rig.primary.handle(&Request::Metrics), "raw").map(|f| f.1) == Some(2)
+    });
+    let open = LocalClient::in_process(&rig.primary)
+        .create_session(rig.tuple.clone())
+        .unwrap()
+        .session;
+    assert!(rig.primary.snapshot_now().unwrap());
+    let reply = conn.reply().unwrap();
+    assert_eq!(reply.get("epoch").and_then(Json::as_u64), Some(1));
+    // The snapshot of the epoch it was released by — not the one before
+    // (the cache is refreshed a moment after the journal is truncated),
+    // and not a second one cut because the cache looked empty.
+    let hex = reply.get("snapshot").and_then(Json::as_str).unwrap();
+    let bytes: Vec<u8> = (0..hex.len() / 2)
+        .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(
+        cerfix_storage::SnapshotData::decode(&bytes).unwrap().epoch,
+        1
+    );
+    assert_eq!(rig.primary.metrics().snapshots_written, 1);
+
+    // A held connection that goes away gives its slot back (the epoll
+    // reactor sees the close at once; a connection thread at the end of
+    // its hold, so that one is short).
+    let before = rig.primary.metrics().connections_open;
+    let hold = match frontend {
+        Frontend::Epoll => FOREVER_MS,
+        Frontend::Threads => 200,
+    };
+    let mut gone = RawFollower::connect(rig.addr);
+    gone.sync("gone", (1, 0), Some(hold));
+    wait_for("held", || rig.registered("gone"));
+    drop(gone);
+    wait_for("the closed connection's slot", || {
+        rig.primary.metrics().connections_open == before
+    });
+
+    // `server.drain` releases a hold instead of waiting for it, and the
+    // drained server loses nothing it acknowledged.
+    conn.sync("raw", (1, 0), Some(FOREVER_MS));
+    wait_for("held at the new epoch", || {
+        follower_stat(&rig.primary.handle(&Request::Metrics), "raw").map(|f| f.0) == Some(1)
+    });
+    let answered = rig.syncs_answered();
+    rig.primary.handle(&Request::Drain { wait_ms: Some(50) });
+    let reply = conn.reply().unwrap();
+    assert_eq!(RawFollower::events(&reply), 0);
+    assert!(rig.syncs_answered() > answered);
+    let HoldRig {
+        primary,
+        server,
+        dir,
+        master,
+        rules,
+        ..
+    } = rig;
+    // The drain monitor shuts the server down by itself.
+    server.unwrap().shutdown().unwrap();
+    drop(primary);
+    let reopened = CleaningService::with_storage(
+        master,
+        rules,
+        ServiceConfig {
+            precompute_regions: false,
+            ..ServiceConfig::default()
+        },
+        hold_storage(&dir.join("p")),
+    )
+    .unwrap();
+    let mut check = LocalClient::in_process(&reopened);
+    assert!(check.get_session(committed).is_err(), "acked commit kept");
+    assert!(check.get_session(open).is_ok(), "open session handed off");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_held_sync_is_released_by_each_cause() {
+    for frontend in [Frontend::Threads, Frontend::Epoll] {
+        held_sync_release_causes(frontend);
+    }
+}
+
+/// Shutdown with a sync held "forever" does not wait for it.
+#[test]
+fn shutdown_does_not_wait_for_a_held_sync() {
+    for frontend in [Frontend::Threads, Frontend::Epoll] {
+        let rig = hold_rig("shutdown", frontend, 2, 1);
+        let mut conn = RawFollower::connect(rig.addr);
+        conn.sync("raw", (0, 0), Some(FOREVER_MS));
+        wait_for("held", || rig.registered("raw"));
+        let committed = rig.commit_locally();
+        assert_eq!(RawFollower::events(&conn.reply().unwrap()), 2);
+        conn.sync("raw", (0, 2), Some(FOREVER_MS));
+        wait_for("held again", || {
+            follower_stat(&rig.primary.handle(&Request::Metrics), "raw").map(|f| f.1) == Some(2)
+        });
+        let asked = Instant::now();
+        let primary = rig.primary.clone();
+        rig.stop();
+        assert!(
+            asked.elapsed() < Duration::from_secs(15),
+            "shutdown sat out the hold"
+        );
+        // Released with the empty reply, or cut off: never left hanging.
+        if let Some(reply) = conn.reply() {
+            assert_eq!(RawFollower::events(&reply), 0);
+        }
+        assert!(LocalClient::in_process(&primary)
+            .get_session(committed)
+            .is_err());
+    }
+}
+
+/// `replica.promote` (and shutdown) on a follower break the read the
+/// primary is holding: the tail thread is joined in well under the hold.
+#[test]
+fn promote_breaks_the_followers_held_read() {
+    for frontend in [Frontend::Threads, Frontend::Epoll] {
+        let rig = hold_rig("promote", frontend, 2, 1);
+        let follower = CleaningService::with_storage(
+            Arc::clone(&rig.master),
+            Arc::clone(&rig.rules),
+            ServiceConfig {
+                precompute_regions: false,
+                replicate_from: Some(rig.addr.to_string()),
+                advertise: Some("f1".into()),
+                ..ServiceConfig::default()
+            },
+            hold_storage(&rig.dir.join("f")),
+        )
+        .unwrap();
+        wait_for("follower registration", || rig.registered("f1"));
+        // Start from a fresh hold: the heartbeat just went by, so a
+        // promote that waited for the next one would take the whole
+        // hold (500 ms).
+        let answered = rig.syncs_answered();
+        wait_for("a heartbeat", || rig.syncs_answered() > answered);
+        let asked = Instant::now();
+        let reply = follower.handle(&Request::ReplicaPromote);
+        let took = asked.elapsed();
+        assert_eq!(reply.get("promoted").and_then(Json::as_bool), Some(true));
+        assert!(took < Duration::from_millis(250), "promote took {took:?}");
+        follower.handle(&Request::Shutdown);
+        drop(follower);
+        rig.stop();
+    }
+}
+
+/// (d) A primary that answers "nothing new" at once (pre-v9: it ignores
+/// `wait_ms`) is not spun on: the follower backs off as on a refusal.
+#[test]
+fn a_follower_does_not_spin_on_a_primary_that_does_not_hold() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let asked = Arc::new(Mutex::new(Vec::<Instant>::new()));
+    let log = Arc::clone(&asked);
+    std::thread::spawn(move || {
+        // One connection at a time is all a tail loop opens.
+        while let Ok((stream, _)) = listener.accept() {
+            let mut writer = stream.try_clone().unwrap();
+            for line in std::io::BufReader::new(stream).lines() {
+                let Ok(line) = line else { break };
+                let request = Json::parse(&line).unwrap();
+                assert!(request.get("wait_ms").and_then(Json::as_u64).is_some());
+                let offset = request.get("offset").and_then(Json::as_u64).unwrap();
+                log.lock().unwrap().push(Instant::now());
+                let reply = format!(
+                    "{{\"ok\":true,\"epoch\":0,\"from\":{offset},\"durable\":{offset},\"events\":[]}}\n"
+                );
+                if writer.write_all(reply.as_bytes()).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    let mut rng = StdRng::seed_from_u64(11);
+    let scenario = uk::scenario(40, &mut rng);
+    let dir = tmp_dir("unheld");
+    let follower = CleaningService::with_storage(
+        Arc::new(scenario.master_data()),
+        Arc::new(scenario.rules.clone()),
+        ServiceConfig {
+            precompute_regions: false,
+            replicate_from: Some(addr.to_string()),
+            advertise: Some("f1".into()),
+            ..ServiceConfig::default()
+        },
+        hold_storage(&dir),
+    )
+    .unwrap();
+    wait_for("the backoff ladder to reach its cap", || {
+        asked.lock().unwrap().len() >= 8
+    });
+    // 20, 40, … 500 ms (±25 %): the eighth request is well over a second
+    // after the first, where a spinning follower sends thousands.
+    let asked = asked.lock().unwrap().clone();
+    let spread = asked[7].duration_since(asked[0]);
+    assert!(
+        spread >= Duration::from_millis(900),
+        "8 syncs in {spread:?}"
+    );
+    follower.handle(&Request::Shutdown);
+    drop(follower);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
