@@ -11,7 +11,7 @@
 //! datasets) that is exactly 2 of 10 attributes — the paper's 20%/80%.
 //! The UK demo scenario's tiny 9-attribute schema has 3 inherently
 //! user-only fields (phn, type, item), so its floor is higher (~50%);
-//! both are reported, and `EXPERIMENTS.md` records the comparison.
+//! both are reported.
 
 use cerfix::{find_regions, AuditStats, DataMonitor, RegionFinderOptions};
 use cerfix_bench::{clean_with_oracle, pct, print_table, rng_for, scale_from_args, workload_for};

@@ -1,7 +1,7 @@
 //! # cerfix-bench — experiment harness
 //!
 //! Shared utilities for the `exp_*` binaries (one per table/figure of the
-//! evaluation, see `EXPERIMENTS.md`) and the criterion benches.
+//! evaluation).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

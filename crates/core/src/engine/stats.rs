@@ -3,7 +3,7 @@
 //! Wall-clock benchmarks flake; attempt counts do not. Both fixpoint
 //! engines (the pass-based reference in [`fixpoint`] and the
 //! delta-driven engine in [`delta`]) fill an [`EngineStats`] so tests
-//! and the `bench_fixpoint` smoke guard can assert — exactly, on every
+//! (`tests/engine_equivalence.rs`) can assert — exactly, on every
 //! machine — that the delta engine performs strictly less work.
 //!
 //! [`fixpoint`]: crate::engine::run_fixpoint

@@ -572,8 +572,8 @@ pub fn search_regions(
 
 /// The pre-lattice data phase: one full diagnostic [`certify_region`]
 /// (universe × candidates fixpoints) per candidate, single-threaded.
-/// Kept as the equivalence **oracle** and the ablation/baseline arm of
-/// `bench_regions` — property tests assert it produces exactly the same
+/// Kept as the equivalence **oracle** — property tests
+/// (`tests/region_incremental.rs`) assert it produces exactly the same
 /// regions as [`search_regions`] on every input.
 pub fn find_regions_from_scratch(
     rules: &RuleSet,

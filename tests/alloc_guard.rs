@@ -1,0 +1,139 @@
+//! Allocations per request on the warmed session path: `session.get` 0,
+//! `session.fix` 0, `session.validate` 1 (the validated value's
+//! `Arc<str>`).
+//!
+//! A counting global allocator wraps the full `handle_line_into`
+//! parse → execute → render path of an in-process service **with request
+//! tracing and the structured diagnostic log enabled** (default ring
+//! sizes, at least one event recorded) — the configuration operators
+//! run, not a stripped one. Counts, not wall-clock: cannot flake on
+//! machine speed.
+//!
+//! This file holds exactly one `#[test]`: the counter is process-wide,
+//! and a sibling test on another thread would allocate into the window.
+
+use cerfix::MasterData;
+use cerfix_relation::{RelationBuilder, Schema};
+use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
+use cerfix_server::{CleaningService, RequestScratch, ServiceConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counter bump touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// key → val lookup service over 64 master rows: per-op service work is
+/// a couple of index probes, so the serving path is what gets counted.
+fn kv_service() -> CleaningService {
+    let input = Schema::of_strings("in", ["key", "val", "note"]).unwrap();
+    let ms = Schema::of_strings("m", ["key", "val"]).unwrap();
+    let mut builder = RelationBuilder::new(ms.clone());
+    for i in 0..64 {
+        builder = builder.row_strs([format!("k{i}"), format!("v{i}")]);
+    }
+    let master = MasterData::new(builder.build().unwrap());
+    let mut rules = RuleSet::new(input.clone(), ms.clone());
+    let kv = EditingRule::new(
+        "kv",
+        &input,
+        &ms,
+        vec![(0, 0)],
+        vec![(1, 1)],
+        PatternTuple::empty(),
+    );
+    rules.add(kv.unwrap()).unwrap();
+    let config = ServiceConfig {
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
+    assert!(config.trace_buffer > 0, "tracing is on by default");
+    CleaningService::new(Arc::new(master), Arc::new(rules), config)
+}
+
+#[test]
+fn warmed_session_ops_allocate_zero_zero_one() {
+    const WARM: u64 = 256;
+    const MEASURE: u64 = 4096;
+    // A handful of one-time lazy growths elsewhere in the process may
+    // land inside a window; a steady-state regression costs ≥ MEASURE.
+    const STRAY_SLACK: u64 = 16;
+
+    let service = kv_service();
+    let set = service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":500}"#);
+    assert!(
+        set.contains("\"ok\":true"),
+        "config.set primes the diag log: {set}"
+    );
+    let log = service.handle_line(r#"{"op":"log.read","limit":1}"#);
+    assert!(log.contains("\"enabled\":true"), "diag ring live: {log}");
+    // One session, driven to completion: the steady-state shape.
+    service.handle_line(r#"{"op":"session.create","tuple":["k3","WRONG","n"]}"#);
+    let done = service.handle_line(
+        r#"{"op":"session.validate","session":1,"validations":{"key":"k3","note":"n"}}"#,
+    );
+    assert!(done.contains("\"complete\""), "fixture session completes");
+
+    let mut out = String::new();
+    let mut scratch = RequestScratch::default();
+    let mut measure = |line: &str| -> u64 {
+        for _ in 0..WARM {
+            out.clear();
+            service.handle_line_into(line, &mut out, &mut scratch);
+        }
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..MEASURE {
+            out.clear();
+            service.handle_line_into(line, &mut out, &mut scratch);
+        }
+        let spent = ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(out.contains("\"ok\":true"), "probe op must succeed: {out}");
+        spent
+    };
+    let get_total = measure(r#"{"op":"session.get","session":1,"id":9}"#);
+    let fix_total = measure(r#"{"op":"session.fix","session":1}"#);
+    let validate_total =
+        measure(r#"{"op":"session.validate","session":1,"validations":{"key":"k3"}}"#);
+
+    assert!(
+        get_total <= STRAY_SLACK,
+        "session.get: {get_total} allocations over {MEASURE} warmed requests (must be 0 each)"
+    );
+    assert!(
+        fix_total <= STRAY_SLACK,
+        "session.fix: {fix_total} allocations over {MEASURE} warmed requests (must be 0 each)"
+    );
+    assert!(
+        validate_total <= MEASURE + STRAY_SLACK,
+        "session.validate: {validate_total} allocations over {MEASURE} warmed requests (must be 1 each)"
+    );
+    // The request counter is exact: 2 diag-priming requests, 2 session
+    // set-up requests, and the get/fix/validate triple per iteration.
+    assert_eq!(
+        service.metrics().requests,
+        4 + 3 * (WARM + MEASURE),
+        "request counter drifted"
+    );
+}

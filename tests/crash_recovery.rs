@@ -35,6 +35,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::{spawn_serve, ServerProcess};
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cerfix-crash-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -520,63 +523,8 @@ fn spawn_server(
     master: &Path,
     rules: &Path,
     frontend: &str,
-) -> (std::process::Child, std::net::SocketAddr) {
-    spawn_server_with(dir, master, rules, frontend, &[])
-}
-
-fn spawn_server_with(
-    dir: &Path,
-    master: &Path,
-    rules: &Path,
-    frontend: &str,
-    extra: &[&str],
-) -> (std::process::Child, std::net::SocketAddr) {
-    use std::io::BufRead;
-    let data_dir = dir.join("data");
-    let mut args = vec![
-        "serve",
-        "--master",
-        master.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-        "--input-header",
-        "key,val,note",
-        "--addr",
-        "127.0.0.1:0",
-        "--workers",
-        "2",
-        "--frontend",
-        frontend,
-        "--data-dir",
-        data_dir.to_str().unwrap(),
-        "--flush-interval-ms",
-        "1",
-    ];
-    args.extend_from_slice(extra);
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cerfix"))
-        .args(&args)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn cerfix serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = std::io::BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read server banner");
-        assert!(n > 0, "server exited before announcing its address");
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            let addr = rest.split_whitespace().next().unwrap();
-            break addr.parse().expect("parse server addr");
-        }
-    };
-    // Keep draining stdout so the child never blocks on a full pipe.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        use std::io::Read;
-        let _ = reader.read_to_string(&mut sink);
-    });
-    (child, addr)
+) -> (ServerProcess, std::net::SocketAddr) {
+    spawn_serve(&dir.join("data"), master, rules, frontend, &[])
 }
 
 /// kill -9 over TCP against the threaded front end.
@@ -709,7 +657,7 @@ fn three_node_cluster_survives_follower_and_primary_kills() {
     let (master, rules) = write_kill_fixture(&dir);
     let quorum = ["--quorum", "3", "--ack-timeout-ms", "8000"];
 
-    let (mut primary, paddr) = spawn_server_with(
+    let (mut primary, paddr) = spawn_serve(
         &dir.join("p"),
         &master,
         &rules,
@@ -726,7 +674,7 @@ fn three_node_cluster_survives_follower_and_primary_kills() {
     let spawn_follower = |dir: &Path, name: &'static str, from: &str| {
         let args = follower_args(name, from);
         let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-        spawn_server_with(dir, &master, &rules, "threads", &refs)
+        spawn_serve(dir, &master, &rules, "threads", &refs)
     };
     let (mut f1, _) = spawn_follower(&dir.join("f1"), "f1", &paddr_s);
     let (f2, _f2addr) = spawn_follower(&dir.join("f2"), "f2", &paddr_s);

@@ -8,11 +8,12 @@
 //!   identical final tuples, validated sets, and fix lists (same fixes,
 //!   same order), and error identically on inconsistent instances —
 //!   Church–Rosser equivalence preserved.
-//! * **Deterministic work guards** — on the UK rules and on a
-//!   mined-rules fixture (`discover_rules` over master data), the delta
-//!   engine performs strictly fewer rule attempts than the pass-based
-//!   engine and no more master lookups. Counts, not wall-clock: this
-//!   cannot flake on machine speed.
+//! * **Deterministic work guards** — on the UK rules, on a mined-rules
+//!   fixture (`discover_rules` over master data) and on an RNG-free
+//!   chain with exact checked-in attempt counts, the delta engine
+//!   performs strictly fewer rule attempts than the pass-based engine
+//!   and no more master lookups. Counts, not wall-clock: this cannot
+//!   flake on machine speed.
 
 use cerfix::{run_fixpoint, run_fixpoint_delta, CompiledRules, EngineStats, MasterData};
 use cerfix_gen::uk;
@@ -179,31 +180,29 @@ proptest! {
     }
 }
 
-/// Deterministic work guard on the UK rules: across the whole truth
-/// universe (seeded from the paper's size-4 region), the delta engine
-/// attempts strictly fewer rules and performs no more lookups.
-#[test]
-fn uk_delta_performs_strictly_fewer_attempts() {
-    let (rules, master, universe) = uk_fixture();
-    let plan = CompiledRules::compile(&rules, &master);
-    let input = rules.input_schema().clone();
-    let seed: AttrSet = ["zip", "phn", "type", "item"]
-        .iter()
-        .map(|n| input.attr_id(n).expect("uk attr"))
-        .collect();
-
+/// Run both engines over `truths`, each masked down to `seed`, and
+/// return (pass-based, delta) work totals after the relative guard every
+/// fixture shares: the delta engine attempts strictly fewer rules,
+/// performs no more master lookups, and answers each from a warmed index.
+fn work_totals(
+    rules: &RuleSet,
+    master: &MasterData,
+    truths: &[Tuple],
+    seed: &AttrSet,
+) -> (EngineStats, EngineStats) {
+    let plan = CompiledRules::compile(rules, master);
     let mut pass = EngineStats::default();
     let mut delta = EngineStats::default();
-    for truth in &universe {
-        let masked = cerfix::region::masked_input(truth, &seed);
+    for truth in truths {
+        let masked = cerfix::region::masked_input(truth, seed);
         let mut t1 = masked.clone();
         let mut v1 = seed.clone();
-        pass += run_fixpoint(&rules, &master, &mut t1, &mut v1)
+        pass += run_fixpoint(rules, master, &mut t1, &mut v1)
             .expect("consistent")
             .stats;
         let mut t2 = masked;
         let mut v2 = seed.clone();
-        delta += run_fixpoint_delta(&plan, &master, &mut t2, &mut v2)
+        delta += run_fixpoint_delta(&plan, master, &mut t2, &mut v2)
             .expect("consistent")
             .stats;
     }
@@ -218,6 +217,21 @@ fn uk_delta_performs_strictly_fewer_attempts() {
         delta.index_probes, delta.master_lookups,
         "warmed path: every lookup is an index probe"
     );
+    (pass, delta)
+}
+
+/// Deterministic work guard on the UK rules: across the whole truth
+/// universe (seeded from the paper's size-4 region), the delta engine
+/// attempts strictly fewer rules and performs no more lookups.
+#[test]
+fn uk_delta_performs_strictly_fewer_attempts() {
+    let (rules, master, universe) = uk_fixture();
+    let input = rules.input_schema().clone();
+    let seed: AttrSet = ["zip", "phn", "type", "item"]
+        .iter()
+        .map(|n| input.attr_id(n).expect("uk attr"))
+        .collect();
+    work_totals(&rules, &master, &universe, &seed);
 }
 
 /// Same guard on a mined rule set: FDs discovered from master data and
@@ -235,30 +249,57 @@ fn mined_rules_delta_performs_strictly_fewer_attempts() {
     for d in mined {
         rules.add(d.rule).expect("unique mined names");
     }
-    let plan = CompiledRules::compile(&rules, &master);
-
     let universe = uk::truth_universe(&relation);
     let zip: AttrSet = [input.attr_id("zip").expect("zip")].into();
-    let mut pass = EngineStats::default();
-    let mut delta = EngineStats::default();
-    for truth in universe.iter().take(60) {
-        let masked = cerfix::region::masked_input(truth, &zip);
-        let mut t1 = masked.clone();
-        let mut v1 = zip.clone();
-        pass += run_fixpoint(&rules, &master, &mut t1, &mut v1)
-            .expect("mined rules consistent on their own master")
-            .stats;
-        let mut t2 = masked;
-        let mut v2 = zip.clone();
-        delta += run_fixpoint_delta(&plan, &master, &mut t2, &mut v2)
-            .expect("mined rules consistent on their own master")
-            .stats;
+    work_totals(&rules, &master, &universe[..60], &zip);
+}
+
+/// Exact work counts on a hand-built, RNG-free chain: 10 attributes
+/// `a0..a9`, 30 rules covering the 9 edges `a_i → a_{i+1}` round-robin
+/// in **reverse** edge order (the worst case for the pass-based engine:
+/// seeding `a0` forces one pass per chain stage), 100 per-entity-unique
+/// master rows, 50 fixpoints seeded with `{a0}`. Independent of machine
+/// and of the random generators — if an engine change shifts the
+/// counts, re-derive BOTH the numbers and the reasoning:
+///
+/// * delta: the full chain validates, so every rule becomes eligible
+///   exactly once and is attempted exactly once ⇒ 30 attempts/tuple.
+/// * pass-based: the 30 rules are 3 interleaved reverse-ordered copies
+///   of the 9 chain edges, so each pass advances 3 chain stages (one per
+///   copy); 9 edges ⇒ 3 productive passes + 1 quiescent ⇒ 4 passes × 30
+///   rules = 120 attempts/tuple.
+#[test]
+fn chain_attempt_counts_are_exact() {
+    const ATTRS: usize = 10;
+    const RULES: usize = 30;
+    const TUPLES: usize = 50;
+    let names: Vec<String> = (0..ATTRS).map(|i| format!("a{i}")).collect();
+    let input = Schema::of_strings("chain_in", names.iter().map(String::as_str)).unwrap();
+    let ms = Schema::of_strings("chain_m", names.iter().map(String::as_str)).unwrap();
+    let mut rules = RuleSet::new(input.clone(), ms.clone());
+    for k in 0..RULES {
+        let edge = (ATTRS - 2) - (k % (ATTRS - 1));
+        let rule = EditingRule::new(
+            format!("r{k}"),
+            &input,
+            &ms,
+            vec![(edge, edge)],
+            vec![(edge + 1, edge + 1)],
+            PatternTuple::empty(),
+        );
+        rules.add(rule.unwrap()).unwrap();
     }
-    assert!(
-        delta.rule_attempts < pass.rule_attempts,
-        "delta {} attempts vs pass-based {}",
-        delta.rule_attempts,
-        pass.rule_attempts
-    );
-    assert!(delta.master_lookups <= pass.master_lookups);
+    let mut builder = RelationBuilder::new(ms);
+    let mut truths = Vec::new();
+    for e in 0..100 {
+        let row: Vec<String> = (0..ATTRS).map(|j| format!("{j}x{e}")).collect();
+        builder = builder.row_strs(row.iter().map(String::as_str));
+        truths.push(Tuple::of_strings(input.clone(), row).unwrap());
+    }
+    let master = MasterData::new(builder.build().unwrap());
+
+    let seed: AttrSet = [0].into();
+    let (pass, delta) = work_totals(&rules, &master, &truths[..TUPLES], &seed);
+    assert_eq!(pass.rule_attempts, 120 * TUPLES, "pass-based attempts");
+    assert_eq!(delta.rule_attempts, RULES * TUPLES, "delta attempts");
 }

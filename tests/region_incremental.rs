@@ -12,10 +12,11 @@
 //! * **Delta equivalence** — splitting the master into a base plus an
 //!   appended suffix, `search(base)` + [`recheck_regions`] equals a full
 //!   `search(full)` — same regions, same verdict counters.
-//! * **Deterministic work guards** — on the UK fixture the incremental
-//!   path runs strictly fewer certification fixpoints than the oracle,
-//!   and a master-append recheck probes a small fraction of what the
-//!   full re-search probes. Counts, not wall-clock: cannot flake.
+//! * **Deterministic work guards** — on the UK fixture and on a
+//!   100-rule mesh the incremental path runs strictly fewer
+//!   certification fixpoints than the oracle (none), and a master-append
+//!   recheck probes a small fraction of what the full re-search probes.
+//!   Counts, not wall-clock: cannot flake.
 
 use cerfix::{
     find_regions_from_scratch, recheck_regions, search_regions, MasterData, RegionFinderOptions,
@@ -191,52 +192,228 @@ fn uk_fixture() -> (RuleSet, MasterData, Vec<Tuple>) {
     (scenario.rules, master, scenario.universe)
 }
 
-/// The work guard of the tentpole: on the UK fixture the memoized
-/// lattice path certifies with strictly fewer fixpoint runs than the
-/// from-scratch oracle (which runs `universe × candidates` of them).
-#[test]
-fn uk_incremental_runs_strictly_fewer_fixpoints() {
-    let (rules, master, universe) = uk_fixture();
-    let oracle = find_regions_from_scratch(&rules, &master, &universe, &options(1));
-    let incremental = search_regions(&rules, &master, &universe, &options(1));
-    assert_same_regions(&oracle, &incremental.result, "uk");
+/// A brand-new UK entity (fresh zip/phone keys): its master row and the
+/// two truths — home and mobile phone — it adds to the universe.
+fn uk_new_entity(rules: &RuleSet, master: &MasterData) -> (Tuple, Vec<Tuple>) {
+    let row = [
+        "Zoe",
+        "Quinn",
+        "0161",
+        "5550001",
+        "077999888",
+        "9 Void St",
+        "Mcr",
+        "M1 1AA",
+        "01/01/90",
+        "F",
+    ];
+    let home = [
+        "Zoe",
+        "Quinn",
+        "0161",
+        "5550001",
+        "1",
+        "9 Void St",
+        "Mcr",
+        "M1 1AA",
+        "CD",
+    ];
+    let mobile = [
+        "Zoe",
+        "Quinn",
+        "0161",
+        "077999888",
+        "2",
+        "9 Void St",
+        "Mcr",
+        "M1 1AA",
+        "DVD",
+    ];
+    let input = rules.input_schema();
+    (
+        Tuple::of_strings(master.schema().clone(), row).unwrap(),
+        vec![
+            Tuple::of_strings(input.clone(), home).unwrap(),
+            Tuple::of_strings(input.clone(), mobile).unwrap(),
+        ],
+    )
+}
 
-    let oracle_fixpoints = oracle.stats.engine.fixpoint_runs;
-    let incremental_fixpoints = incremental.result.stats.engine.fixpoint_runs;
-    assert!(
-        oracle_fixpoints > universe.len(),
-        "oracle must simulate universe × candidates processes, got {oracle_fixpoints}"
-    );
-    assert!(
-        incremental_fixpoints < oracle_fixpoints,
-        "incremental {incremental_fixpoints} vs oracle {oracle_fixpoints} fixpoints"
-    );
-    assert_eq!(
-        incremental_fixpoints, 0,
-        "the UK universe is master-derived: no truth is poisoned, every \
-         probe is a closure"
-    );
-    let stats = &incremental.result.stats;
-    assert!(stats.closure_probes > 0);
-    assert!(stats.lattice_hits > 0, "sibling covers must share prefixes");
-    assert_eq!(stats.truth_profiles, universe.len());
-    // Profiles cost one lookup per rule per truth; the oracle pays per
-    // candidate per truth per firing.
-    assert!(
-        stats.engine.master_lookups <= oracle.stats.engine.master_lookups,
-        "incremental may not look up more than the oracle"
-    );
+const MESH_ENTITIES: usize = 300;
+
+/// Row `e` of the mesh fixture: the gate value picks one of 4 contexts,
+/// every other cell is unique to the entity.
+fn mesh_row(names: &[String], e: usize) -> Vec<String> {
+    let cell = |(i, name): (usize, &String)| match i {
+        0 => format!("v{}", e % 4),
+        _ => format!("{name}~{e}"),
+    };
+    names.iter().enumerate().map(cell).collect()
+}
+
+/// A deterministic "mesh" built to stress the region search at the
+/// mined-rules scale (`n_rules` = 100 or 500): one gate attribute (3
+/// gated values + else = 4 contexts), two islands of 3 cyclically-fixable
+/// key attributes each, and payload attributes split between the
+/// islands — so every context enumerates 9 minimal covers (one key per
+/// island) and the data phase certifies 4 × 9 = 36 candidates against a
+/// universe of one truth per master row. Master keys are per-entity
+/// unique: every candidate certifies, nothing is poisoned.
+fn mesh_fixture(n_rules: usize) -> (RuleSet, MasterData, Vec<Tuple>) {
+    const KEYS: usize = 3; // per island
+    const PAYLOADS: usize = 6; // per island
+    let mut names: Vec<String> = vec!["g".into()];
+    for island in ["a", "b"] {
+        names.extend((0..KEYS).map(|k| format!("{island}k{k}")));
+        names.extend((0..PAYLOADS).map(|p| format!("{island}p{p}")));
+    }
+    let input = Schema::of_strings("mesh_in", names.iter().map(String::as_str)).unwrap();
+    let ms = Schema::of_strings("mesh_m", names.iter().map(String::as_str)).unwrap();
+    let id = |n: &str| input.attr_id(n).unwrap();
+
+    let mut rules = RuleSet::new(input.clone(), ms.clone());
+    let mut add = |name: String, lhs: String, rhs: String, pattern: PatternTuple| {
+        let (lhs, rhs) = (id(&lhs), id(&rhs));
+        let rule = EditingRule::new(
+            name,
+            &input,
+            &ms,
+            vec![(lhs, lhs)],
+            vec![(rhs, rhs)],
+            pattern,
+        );
+        rules.add(rule.unwrap()).unwrap();
+    };
+    // Island key cycles: any one key recovers its island's other keys.
+    for island in ["a", "b"] {
+        for k in 0..KEYS {
+            add(
+                format!("cyc_{island}{k}"),
+                format!("{island}k{k}"),
+                format!("{island}k{}", (k + 1) % KEYS),
+                PatternTuple::empty(),
+            );
+        }
+    }
+    // Payload rules up to `n_rules`: key → payload, three of four gated.
+    for r in 0..n_rules - 2 * KEYS {
+        let island = ["a", "b"][r % 2];
+        let pattern = match r % 4 {
+            3 => PatternTuple::empty(),
+            v => PatternTuple::empty().with_eq(id("g"), Value::str(format!("v{v}"))),
+        };
+        add(
+            format!("pay{r}"),
+            format!("{island}k{}", (r / 2) % KEYS),
+            format!("{island}p{}", (r / 4) % PAYLOADS),
+            pattern,
+        );
+    }
+
+    let mut builder = RelationBuilder::new(ms);
+    let mut universe = Vec::with_capacity(MESH_ENTITIES);
+    for e in 0..MESH_ENTITIES {
+        let row = mesh_row(&names, e);
+        builder = builder.row_strs(row.iter().map(String::as_str));
+        universe.push(Tuple::of_strings(input.clone(), row).unwrap());
+    }
+    (rules, MasterData::new(builder.build().unwrap()), universe)
+}
+
+/// A brand-new mesh entity: master row and truth are the same cells.
+fn mesh_new_entity(rules: &RuleSet, master: &MasterData) -> (Tuple, Vec<Tuple>) {
+    let ms = master.schema();
+    let names: Vec<String> = ms.attributes().iter().map(|a| a.name().into()).collect();
+    let row = mesh_row(&names, MESH_ENTITIES + 1);
+    (
+        Tuple::of_strings(ms.clone(), row.iter().map(String::as_str)).unwrap(),
+        vec![Tuple::of_strings(rules.input_schema().clone(), row).unwrap()],
+    )
+}
+
+/// The work-guard fixtures: the search's exact shape (`contexts`,
+/// `candidates`) and one brand-new entity for the append guard.
+struct Fixture {
+    name: &'static str,
+    rules: RuleSet,
+    master: MasterData,
+    universe: Vec<Tuple>,
+    contexts: usize,
+    candidates: usize,
+    new_entity: fn(&RuleSet, &MasterData) -> (Tuple, Vec<Tuple>),
+}
+
+fn fixtures() -> Vec<Fixture> {
+    let fixture = |name, (rules, master, universe), contexts, candidates, new_entity| Fixture {
+        name,
+        rules,
+        master,
+        universe,
+        contexts,
+        candidates,
+        new_entity,
+    };
+    vec![
+        fixture("uk", uk_fixture(), 6, 8, uk_new_entity),
+        fixture("mesh100", mesh_fixture(100), 4, 36, mesh_new_entity),
+        fixture("mesh500", mesh_fixture(500), 4, 36, mesh_new_entity),
+    ]
+}
+
+/// The work guard of the tentpole: the memoized lattice path certifies
+/// with strictly fewer fixpoint runs than the from-scratch oracle (which
+/// runs `universe × candidates` of them) — none at all, on the UK
+/// fixture and on the mesh at 100 and 500 rules — and searches the same
+/// space (`contexts`, `candidates` exact per fixture).
+#[test]
+fn incremental_runs_strictly_fewer_fixpoints() {
+    for fixture in fixtures() {
+        let (name, rules, master) = (fixture.name, &fixture.rules, &fixture.master);
+        let universe = &fixture.universe;
+        let oracle = find_regions_from_scratch(rules, master, universe, &options(1));
+        let incremental = search_regions(rules, master, universe, &options(1));
+        assert_same_regions(&oracle, &incremental.result, name);
+
+        let oracle_fixpoints = oracle.stats.engine.fixpoint_runs;
+        let incremental_fixpoints = incremental.result.stats.engine.fixpoint_runs;
+        assert!(
+            oracle_fixpoints > universe.len(),
+            "{name}: oracle must simulate universe × candidates processes, got {oracle_fixpoints}"
+        );
+        assert!(
+            incremental_fixpoints < oracle_fixpoints,
+            "{name}: incremental {incremental_fixpoints} vs oracle {oracle_fixpoints} fixpoints"
+        );
+        assert_eq!(
+            incremental_fixpoints, 0,
+            "{name}: the universe is master-derived: no truth is poisoned, every \
+             probe is a closure"
+        );
+        let stats = &incremental.result.stats;
+        assert_eq!(stats.contexts, fixture.contexts, "{name}: contexts");
+        assert_eq!(stats.candidates, fixture.candidates, "{name}: candidates");
+        assert!(stats.closure_probes > 0);
+        assert!(stats.lattice_hits > 0, "sibling covers must share prefixes");
+        assert_eq!(stats.truth_profiles, universe.len());
+        // Profiles cost one lookup per rule per truth; the oracle pays per
+        // candidate per truth per firing.
+        assert!(
+            stats.engine.master_lookups <= oracle.stats.engine.master_lookups,
+            "{name}: incremental may not look up more than the oracle"
+        );
+    }
 }
 
 /// Parallelism is work-stealing but the merge is order-stable: results
 /// are identical at every thread count.
 #[test]
-fn uk_parallel_is_deterministic() {
-    let (rules, master, universe) = uk_fixture();
-    let reference = search_regions(&rules, &master, &universe, &options(1));
-    for threads in [2, 3, 8] {
-        let parallel = search_regions(&rules, &master, &universe, &options(threads));
-        assert_same_regions(&reference.result, &parallel.result, "threads");
+fn parallel_is_deterministic() {
+    for f in fixtures() {
+        let reference = search_regions(&f.rules, &f.master, &f.universe, &options(1));
+        for threads in [2, 3, 8] {
+            let parallel = search_regions(&f.rules, &f.master, &f.universe, &options(threads));
+            assert_same_regions(&reference.result, &parallel.result, f.name);
+        }
     }
 }
 
@@ -244,98 +421,56 @@ fn uk_parallel_is_deterministic() {
 /// re-certifies only what the new keys touch — an order of magnitude
 /// fewer probes than the full re-search, deterministically.
 #[test]
-fn uk_master_append_recheck_is_cheap() {
-    let (rules, mut master, mut universe) = uk_fixture();
-    let prior = search_regions(&rules, &master, &universe, &options(1));
-    assert!(!prior.result.regions.is_empty());
+fn master_append_recheck_is_cheap() {
+    for fixture in fixtures() {
+        let Fixture {
+            name,
+            rules,
+            mut master,
+            mut universe,
+            new_entity,
+            ..
+        } = fixture;
+        let prior = search_regions(&rules, &master, &universe, &options(1));
+        assert!(!prior.result.regions.is_empty());
 
-    // A brand-new entity: fresh zip/phone keys.
-    let ms = master.schema().clone();
-    let new_row = Tuple::of_strings(
-        ms,
-        [
-            "Zoe",
-            "Quinn",
-            "0161",
-            "5550001",
-            "077999888",
-            "9 Void St",
-            "Mcr",
-            "M1 1AA",
-            "01/01/90",
-            "F",
-        ],
-    )
-    .unwrap();
-    let delta = master.append_rows(vec![new_row.clone()]).unwrap();
-    assert_eq!(delta.appended, 1);
-    assert!(
-        delta.touched_keys.iter().all(|(_, keys)| keys.len() <= 1),
-        "one row touches at most one key per index"
-    );
-    let input = rules.input_schema().clone();
-    universe.push(
-        Tuple::of_strings(
-            input.clone(),
-            [
-                "Zoe",
-                "Quinn",
-                "0161",
-                "5550001",
-                "1",
-                "9 Void St",
-                "Mcr",
-                "M1 1AA",
-                "CD",
-            ],
-        )
-        .unwrap(),
-    );
-    universe.push(
-        Tuple::of_strings(
-            input,
-            [
-                "Zoe",
-                "Quinn",
-                "0161",
-                "077999888",
-                "2",
-                "9 Void St",
-                "Mcr",
-                "M1 1AA",
-                "DVD",
-            ],
-        )
-        .unwrap(),
-    );
+        let (new_row, new_truths) = new_entity(&rules, &master);
+        let delta = master.append_rows(vec![new_row]).unwrap();
+        assert_eq!(delta.appended, 1);
+        assert!(
+            delta.touched_keys.iter().all(|(_, keys)| keys.len() <= 1),
+            "one row touches at most one key per index"
+        );
+        universe.extend(new_truths);
 
-    let patched = recheck_regions(&rules, &master, &universe, &prior, &options(1));
-    let full = search_regions(&rules, &master, &universe, &options(1));
-    assert_same_regions(&full.result, &patched.result, "uk recheck");
+        let patched = recheck_regions(&rules, &master, &universe, &prior, &options(1));
+        let full = search_regions(&rules, &master, &universe, &options(1));
+        assert_same_regions(&full.result, &patched.result, name);
 
-    // Total certification work: per-truth rule profiles (the master
-    // lookups), lattice closures, and fallback fixpoints.
-    let probes = |search: &RegionSearch| {
-        let stats = &search.result.stats;
-        stats.truth_profiles + stats.closure_probes + stats.engine.fixpoint_runs
-    };
-    let (delta_probes, full_probes) = (probes(&patched), probes(&full));
-    assert!(
-        full_probes >= 10 * delta_probes.max(1),
-        "delta recheck must probe ≥10× less: {delta_probes} vs {full_probes}"
-    );
-    assert!(
-        patched.result.stats.candidates_reused > 0,
-        "untouched candidates must be reused"
-    );
-    // The from-scratch oracle would have re-run every fixpoint; the
-    // delta path runs none on this unpoisoned fixture.
-    let oracle_full = find_regions_from_scratch(&rules, &master, &universe, &options(1));
-    assert!(
-        oracle_full.stats.engine.fixpoint_runs
-            >= 10 * patched.result.stats.engine.fixpoint_runs.max(1),
-        "≥10× fewer certification fixpoints than a full from-scratch re-search"
-    );
+        // Total certification work: per-truth rule profiles (the master
+        // lookups), lattice closures, and fallback fixpoints.
+        let probes = |search: &RegionSearch| {
+            let stats = &search.result.stats;
+            stats.truth_profiles + stats.closure_probes + stats.engine.fixpoint_runs
+        };
+        let (delta_probes, full_probes) = (probes(&patched), probes(&full));
+        assert!(
+            full_probes >= 10 * delta_probes.max(1),
+            "{name}: delta recheck must probe ≥10× less: {delta_probes} vs {full_probes}"
+        );
+        assert!(
+            patched.result.stats.candidates_reused > 0,
+            "{name}: untouched candidates must be reused"
+        );
+        // The from-scratch oracle would have re-run every fixpoint; the
+        // delta path runs none on these unpoisoned fixtures.
+        let oracle_full = find_regions_from_scratch(&rules, &master, &universe, &options(1));
+        assert!(
+            oracle_full.stats.engine.fixpoint_runs
+                >= 10 * patched.result.stats.engine.fixpoint_runs.max(1),
+            "{name}: ≥10× fewer certification fixpoints than a full from-scratch re-search"
+        );
+    }
 }
 
 /// Appends that poison existing keys (a second, disagreeing row) must

@@ -51,10 +51,12 @@ use std::collections::HashMap;
 use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+mod common;
+use common::spawn_serve;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cerfix-repl-{name}-{}", std::process::id()));
@@ -77,60 +79,6 @@ fn write_fixture(dir: &Path) -> (PathBuf, PathBuf) {
 
 fn row(k: &str, v: &str, n: &str) -> Vec<Value> {
     vec![Value::str(k), Value::str(v), Value::str(n)]
-}
-
-/// Spawn the real `cerfix serve` binary with replication flags and parse
-/// its listen address from the banner.
-fn spawn_node(
-    data_dir: &Path,
-    master: &Path,
-    rules: &Path,
-    frontend: &str,
-    extra: &[&str],
-) -> (Child, SocketAddr) {
-    let mut args = vec![
-        "serve",
-        "--master",
-        master.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-        "--input-header",
-        "key,val,note",
-        "--addr",
-        "127.0.0.1:0",
-        "--workers",
-        "2",
-        "--frontend",
-        frontend,
-        "--data-dir",
-        data_dir.to_str().unwrap(),
-        "--flush-interval-ms",
-        "1",
-    ];
-    args.extend_from_slice(extra);
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cerfix"))
-        .args(&args)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn cerfix serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = std::io::BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read server banner");
-        assert!(n > 0, "server exited before announcing its address");
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            let addr = rest.split_whitespace().next().unwrap();
-            break addr.parse().expect("parse server addr");
-        }
-    };
-    // Keep draining stdout so the child never blocks on a full pipe.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        let _ = reader.read_to_string(&mut sink);
-    });
-    (child, addr)
 }
 
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -331,7 +279,7 @@ fn pump(
 fn kill_nine_primary_mid_burst_loses_no_acked_commit() {
     let dir = tmp_dir("kill9-quorum");
     let (master, rules) = write_fixture(&dir);
-    let (primary, paddr) = spawn_node(
+    let (primary, paddr) = spawn_serve(
         &dir.join("p"),
         &master,
         &rules,
@@ -346,7 +294,7 @@ fn kill_nine_primary_mid_burst_loses_no_acked_commit() {
         ],
     );
     let paddr_s = paddr.to_string();
-    let (mut follower, faddr) = spawn_node(
+    let (mut follower, faddr) = spawn_serve(
         &dir.join("f"),
         &master,
         &rules,
@@ -455,7 +403,7 @@ fn kill_nine_primary_mid_burst_loses_no_acked_commit() {
 fn partitioned_follower_resumes_from_cursor_without_resync() {
     let dir = tmp_dir("partition");
     let (master, rules) = write_fixture(&dir);
-    let (mut primary, paddr) = spawn_node(
+    let (mut primary, paddr) = spawn_serve(
         &dir.join("p"),
         &master,
         &rules,
@@ -464,7 +412,7 @@ fn partitioned_follower_resumes_from_cursor_without_resync() {
     );
     let proxy = start_proxy(paddr);
     let proxy_s = proxy.addr.to_string();
-    let (mut follower, faddr) = spawn_node(
+    let (mut follower, faddr) = spawn_serve(
         &dir.join("f"),
         &master,
         &rules,
@@ -555,7 +503,7 @@ fn partitioned_follower_resumes_from_cursor_without_resync() {
 fn slow_follower_times_out_quorum_commits_then_recovers() {
     let dir = tmp_dir("slow-follower");
     let (master, rules) = write_fixture(&dir);
-    let (mut primary, paddr) = spawn_node(
+    let (mut primary, paddr) = spawn_serve(
         &dir.join("p"),
         &master,
         &rules,
@@ -571,7 +519,7 @@ fn slow_follower_times_out_quorum_commits_then_recovers() {
     );
     let proxy = start_proxy(paddr);
     let proxy_s = proxy.addr.to_string();
-    let (mut follower, faddr) = spawn_node(
+    let (mut follower, faddr) = spawn_serve(
         &dir.join("f"),
         &master,
         &rules,
@@ -677,7 +625,7 @@ fn cluster_status_reports_all_three_nodes_from_any_node() {
     let p = reserved_addr();
     let f1 = reserved_addr();
     let f2 = reserved_addr();
-    let (mut primary, paddr) = spawn_node(
+    let (mut primary, paddr) = spawn_serve(
         &dir.join("p"),
         &master,
         &rules,
@@ -685,7 +633,7 @@ fn cluster_status_reports_all_three_nodes_from_any_node() {
         &["--addr", &p, "--advertise", &p],
     );
     let paddr_s = paddr.to_string();
-    let (mut follower1, _) = spawn_node(
+    let (mut follower1, _) = spawn_serve(
         &dir.join("f1"),
         &master,
         &rules,
@@ -699,7 +647,7 @@ fn cluster_status_reports_all_three_nodes_from_any_node() {
             &f1,
         ],
     );
-    let (mut follower2, _) = spawn_node(
+    let (mut follower2, _) = spawn_serve(
         &dir.join("f2"),
         &master,
         &rules,
@@ -791,7 +739,7 @@ fn lagging_follower_past_max_lag_flips_exactly_its_readiness() {
     let (master, rules) = write_fixture(&dir);
     let p = reserved_addr();
     let f = reserved_addr();
-    let (mut primary, paddr) = spawn_node(
+    let (mut primary, paddr) = spawn_serve(
         &dir.join("p"),
         &master,
         &rules,
@@ -800,7 +748,7 @@ fn lagging_follower_past_max_lag_flips_exactly_its_readiness() {
     );
     let proxy = start_proxy(paddr);
     let proxy_s = proxy.addr.to_string();
-    let (mut follower, faddr) = spawn_node(
+    let (mut follower, faddr) = spawn_serve(
         &dir.join("f"),
         &master,
         &rules,

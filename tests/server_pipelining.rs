@@ -65,37 +65,65 @@ fn spawn(frontend: Frontend) -> (ServerHandle, CleaningService) {
     (handle, service)
 }
 
-/// N requests written before any read: responses arrive in order, each
-/// echoing its request id as the first field.
+/// N requests written before any read, on each of 8 connections at
+/// once (a validate / fix / get mix on the connection's own session):
+/// responses arrive in order, each echoing its request id as the first
+/// field, every request is answered exactly once, and the server's
+/// counters agree — `requests == sent`, `errors == 0`.
 #[test]
 fn pipelined_requests_answer_in_order_with_ids() {
+    const CONNS: usize = 8;
+    const N: usize = 192;
     for frontend in FRONTENDS {
-        let (handle, _service) = spawn(frontend);
+        let (handle, service) = spawn(frontend);
         let mut client = Client::connect(handle.addr()).expect("connect");
-        let view = client
-            .create_session(vec![Value::str("k3"), Value::str("WRONG"), Value::str("n")])
-            .expect("create");
-
-        let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
-        stream.set_nodelay(true).unwrap();
-        const N: usize = 200;
-        let mut burst = String::new();
-        for i in 0..N {
-            burst.push_str(&format!(
-                "{{\"op\":\"session.get\",\"session\":{},\"id\":{i}}}\n",
-                view.session
-            ));
+        let streams: Vec<TcpStream> = (0..CONNS)
+            .map(|conn| {
+                let key = format!("k{conn}");
+                let session = client
+                    .create_session(vec![Value::str(&key), Value::str("WRONG"), Value::str("n")])
+                    .expect("create")
+                    .session;
+                let mut burst = String::new();
+                for i in 0..N {
+                    burst.push_str(&match i % 3 {
+                        0 => format!(
+                            "{{\"op\":\"session.validate\",\"session\":{session},\"validations\":{{\"key\":\"{key}\"}},\"id\":{i}}}\n"
+                        ),
+                        1 => format!("{{\"op\":\"session.fix\",\"session\":{session},\"id\":{i}}}\n"),
+                        _ => format!("{{\"op\":\"session.get\",\"session\":{session},\"id\":{i}}}\n"),
+                    });
+                }
+                let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+                stream.set_nodelay(true).unwrap();
+                stream.write_all(burst.as_bytes()).expect("write burst");
+                stream
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("half-close");
+                stream
+            })
+            .collect();
+        for stream in streams {
+            let mut reader = BufReader::new(stream);
+            for i in 0..N {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("response line");
+                assert!(
+                    line.starts_with(&format!("{{\"id\":{i},\"ok\":true,")),
+                    "{frontend:?} response {i} out of order or unechoed: {line}"
+                );
+            }
+            let mut rest = String::new();
+            let _ = reader.read_to_string(&mut rest);
+            assert!(rest.is_empty(), "{frontend:?}: trailing bytes {rest:?}");
         }
-        stream.write_all(burst.as_bytes()).expect("write burst");
-        let mut reader = BufReader::new(stream);
-        for i in 0..N {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("response line");
-            assert!(
-                line.starts_with(&format!("{{\"id\":{i},\"ok\":true,")),
-                "{frontend:?} response {i} out of order or unechoed: {line}"
-            );
-        }
+        let metrics = service.metrics();
+        assert_eq!(
+            metrics.requests,
+            (CONNS * (1 + N)) as u64,
+            "{frontend:?}: one create + {N} pipelined requests per connection"
+        );
+        assert_eq!(metrics.errors, 0, "{frontend:?}");
         handle.shutdown().expect("shutdown");
     }
 }
