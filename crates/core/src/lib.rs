@@ -81,7 +81,7 @@ pub use error::{CerfixError, Result};
 pub use exec::{ordered_map, WorkerPool};
 pub use explorer::Explorer;
 pub use master::MasterDelta;
-pub use master::{CertainLookup, MasterData};
+pub use master::{universe_from_master, CertainLookup, MasterData};
 pub use monitor::{
     clean_stream, clean_stream_parallel, CappedUser, CleanOutcome, DataMonitor, MonitorSession,
     OracleUser, PreferringUser, SessionStatus, SilentUser, StreamReport, UserAgent,

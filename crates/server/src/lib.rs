@@ -304,14 +304,13 @@ mod tests {
         assert!(service.metrics().errors >= 4);
     }
 
-    /// The slice scanner and the tree parser are two parsers feeding one
-    /// handler per op: the scanned and the tree-parsed form of the same
-    /// request get the same reply, the same error count and the same
-    /// latency class. Two identical services run one script, one fed
-    /// each line as written, the other fed it with the `op` key escaped
-    /// (`"\u006fp"`), which sends any line to the tree parser. The
-    /// script ends with the irregular shapes on which the scanner itself
-    /// falls back to the tree.
+    /// However a line is spelled it is read by the one parser: the plain
+    /// and the escaped spelling of the same request get the same reply,
+    /// the same error count and the same latency class. Two identical
+    /// services run one script, one fed each line as written, the other
+    /// fed it with the `op` key escaped (`"\u006fp"`). The script ends
+    /// with irregular shapes: escapes where the protocol's own names
+    /// sit, ill-typed fields, a line that is not JSON.
     #[test]
     fn scanned_and_tree_parsed_requests_get_the_same_reply() {
         let scanned = kv_service(1);
@@ -334,7 +333,8 @@ mod tests {
             r#"{"op":"session.validate","session":2,"validations":{}}"#,
             // Irregular shapes: an escaped top-level key, an escaped `op`
             // value, `session` as a string, a container cell value, an
-            // invalid `\u` escape.
+            // invalid `\u` escape (not JSON: a syntax error, which names
+            // its byte — five further on in the escaped spelling).
             r#"{"op":"session.get","\u0073ession":2}"#,
             r#"{"op":"session.\u0067et","session":2}"#,
             r#"{"op":"session.get","session":"2"}"#,
@@ -344,10 +344,10 @@ mod tests {
         ];
         for line in script {
             let forced = line.replacen(r#""op""#, r#""\u006fp""#, 1);
-            assert!(protocol::scan_line(&forced).hot.is_none(), "{forced}");
+            let shifted = format!(" at byte {}\"", 59 + forced.len() - line.len());
             assert_eq!(
                 scanned.handle_line(line),
-                tree.handle_line(&forced),
+                tree.handle_line(&forced).replace(&shifted, " at byte 59\""),
                 "line: {line}"
             );
         }
@@ -459,19 +459,25 @@ mod tests {
         let service = kv_service(1);
         let mut client = LocalClient::in_process(&service);
         client.create_session(row("k3", "WRONG", "n")).unwrap();
-        // A scanned op (session.get), a tree-parsed one (check) and the
-        // error replies all echo the id as the first field, verbatim.
+        // A session op (its reply written direct), a cold one (check,
+        // its reply a rendered tree) and the error replies all echo the
+        // id as the first field, verbatim.
         for (line, op_is_error) in [
             (r#"{"op":"session.get","session":1,"id":7}"#, false),
             (r#"{"op":"check","id":"c-1"}"#, false),
             (r#"{"op":"session.get","session":999,"id":1.25}"#, true),
             (r#"{"op":"warp","id":[1,2]}"#, true),
+            // Any JSON value is an id, echoed byte for byte: a nested
+            // one, one spelled with escapes.
+            (
+                r#"{"op":"session.get","session":1,"id":{"a":[1,{"b":null}]}}"#,
+                false,
+            ),
+            (r#"{"op":"check","id":"c\u002d\n\"2"}"#, false),
         ] {
             let with_id = service.handle_line(line);
-            let id_span = wire::Json::parse(line)
-                .ok()
-                .and_then(|j| j.get("id").map(|v| v.render()));
-            let id_span = id_span.expect("id present");
+            let id_span = line.split_once(r#""id":"#).expect("id present").1;
+            let id_span = &id_span[..id_span.len() - 1];
             assert!(
                 with_id.starts_with(&format!("{{\"id\":{id_span},")),
                 "{line} → {with_id}"
@@ -485,6 +491,81 @@ mod tests {
         // Without an id, no id field appears.
         let without = service.handle_line(r#"{"op":"session.get","session":1}"#);
         assert!(!without.contains("\"id\""));
+    }
+
+    /// A reply is JSON whatever the request was: a line that is not —
+    /// however deep inside a field nobody reads the damage sits — is
+    /// answered `ok:false` with the lexer's positioned error, charged to
+    /// `parse_error`, and nothing of it is echoed. (Before the lexer
+    /// validated what it skipped, all but the last of these were served,
+    /// the `id` ones with the broken span as the reply's first field.)
+    #[test]
+    fn a_malformed_span_is_never_served_nor_echoed() {
+        let service = kv_service(1);
+        let mut client = LocalClient::in_process(&service);
+        client.create_session(row("k3", "WRONG", "n")).unwrap();
+        let deep = "[".repeat(200);
+        let get = |field: &str| format!(r#"{{"op":"session.get","session":1,{field}}}"#);
+        let lines = [
+            (get(r#""id":[}"#), "[}"),
+            (get(r#""id":{"a" 1 2 3]"#), r#"{"a" 1 2 3]"#),
+            (get(r#""id":"a\qb""#), r#"a\qb"#),
+            (get(r#""id":01"#), "01"),
+            (get(r#""id":1."#), "1."),
+            (get(r#""x":[1,,2]"#), "[1,,2]"),
+            (get(r#""x":{]"#), "{]"),
+            (get(&format!(r#""x":{deep}"#)), "[["),
+            (
+                r#"{"op":"session.validate","session":1,"validations":{"note":"\ud800"}}"#.into(),
+                r#"\ud800"#,
+            ),
+        ];
+        for (line, span) in &lines {
+            let reply = service.handle_line(line);
+            let json =
+                wire::Json::parse(&reply).unwrap_or_else(|e| panic!("{line} → {reply}: {e}"));
+            assert_eq!(json.get("ok"), Some(&wire::Json::Bool(false)), "{line}");
+            let error = json.get("error").and_then(wire::Json::as_str).unwrap();
+            assert!(error.contains(" at byte "), "{line} → {error}");
+            assert!(json.get("id").is_none(), "{line} → {reply}");
+            assert!(!reply.contains(span), "{line} → {reply}");
+        }
+        let metrics = service.metrics();
+        let class = metrics.latency.iter().find(|l| l.op == "parse_error");
+        assert_eq!(class.map(|l| l.count), Some(lines.len() as u64));
+        // The session none of them reached is as it was.
+        assert_eq!(client.get_session(1).unwrap().rounds, 0);
+    }
+
+    /// The conformance table (`wire::tests::conformance`) through every
+    /// view over the one lexer: the tree builder and the bare validator
+    /// on the text itself; the tree builder, the field scanner and the
+    /// request path on the text as a member's value — for the last, a
+    /// field no op reads on a `session.get` that is otherwise fine. The
+    /// verdicts must all be the table's.
+    #[test]
+    fn every_view_of_the_lexer_gives_the_same_verdict() {
+        use wire::scan::{validate, ObjectScanner};
+        let service = kv_service(1);
+        let mut client = LocalClient::in_process(&service);
+        client.create_session(row("k3", "WRONG", "n")).unwrap();
+        let rows = wire::tests::conformance();
+        assert!(rows.len() >= 60, "{} rows", rows.len());
+        for (text, accept) in rows {
+            let member = format!(r#"{{"v":{text}}}"#);
+            let mut scanner = ObjectScanner::new(&member).unwrap();
+            while scanner.next_field().is_some() {}
+            let served =
+                service.handle_line(&format!(r#"{{"op":"session.get","session":1,"x":{text}}}"#));
+            let verdicts = [
+                wire::Json::parse(&text).is_ok(),
+                validate(&text).is_ok(),
+                wire::Json::parse(&member).is_ok(),
+                scanner.finish().is_ok(),
+                served.contains("\"ok\":true"),
+            ];
+            assert_eq!(verdicts, [accept; 5], "{text:?}");
+        }
     }
 
     #[test]

@@ -77,16 +77,16 @@ pub(crate) fn respond_line(
     let started = Instant::now();
     let scanned = scan_line(trimmed);
     let held = if may_hold && scanned.is(OpId::ReplicaSync) {
-        service.sync_arrival(trimmed)
+        service.sync_arrival(&scanned)
     } else {
         None
     };
     match held {
         Some(held) => {
             service.wait_out(&held);
-            service.serve_held(trimmed, held, out, scratch);
+            service.serve_held(held, out, scratch);
         }
-        None => service.handle_scanned(trimmed, scanned, out, scratch, received, started),
+        None => service.handle_scanned(&scanned, out, scratch, received, started),
     }
     out.push('\n');
     true

@@ -3,12 +3,13 @@
 //! Every op is one row of [`OPS`] — wire name, shed class, whether it
 //! mutates state (and so needs a writable primary), and where the epoll
 //! front end runs it. The row's index is the op's latency slot.
-//! [`scan_line`](crate::protocol::scan_line) resolves a line's `op`
-//! string to its row once, and everything that used to keep a list of
-//! its own reads that row instead: the admission shedder (`class`), the
-//! mutation gate (`writes`), the reactor's inline-or-pool decision
-//! (`runs_on`), the latency histograms and trace spans (`slot`), and
-//! the tree parser (`Request::parse`).
+//! [`scan_line`](crate::protocol::scan_line), the one pass over a
+//! request line, resolves its `op` string to its row, and everything
+//! that used to keep a list of its own reads that row instead: the
+//! admission shedder (`class`), the mutation gate (`writes`), the
+//! reactor's inline-or-pool decision (`runs_on`), the latency
+//! histograms and trace spans (`slot`), and the field reader
+//! (`Request::parse`).
 //!
 //! Adding an op is one row here, one [`Request`](crate::Request)
 //! variant with its parse arm, and one handler arm in the service; the
@@ -157,8 +158,8 @@ pub(crate) static PARSE_ERROR: Op = Op {
 
 /// Latency class of a well-formed line that names no row: a missing or
 /// non-string `op`, or a name not in the table. Shed as `Session` — the
-/// parser will reject the line anyway, and `Critical` would let garbage
-/// bypass the shedder.
+/// line is refused anyway, and `Critical` would let garbage bypass the
+/// shedder.
 pub(crate) static OTHER: Op = Op {
     id: None,
     name: "other",

@@ -5,15 +5,21 @@
 //! fields, or `"ok": false` with an `"error"` string. The full field
 //! reference lives in the repository README ("cerfix-server protocol").
 //!
-//! This module holds the two parsers — the tree parser that converts
-//! [`Json`] to the typed [`Request`] enum, and the allocation-free slice
-//! scanner that reads the session ops in regular shape — plus the
-//! client-side encoder. Responses are written by the service (they are
-//! write-only on the server side) and picked apart field-wise by the
-//! [`Client`](crate::Client).
+//! This module holds the one request parser. [`scan_line`] is its one
+//! pass over a line's bytes: the [`wire::scan`](crate::wire::scan) lexer
+//! validates the line while the pass resolves the op's table row, keeps
+//! the `id` span and `deadline_ms`, and files every field an op may
+//! read, still borrowed, into a [`Fields`] view — nothing allocated, so
+//! the service can refuse a request (deadline, shedding) before any of
+//! it is materialised. [`Request::parse`] then reads an op's fields off
+//! that view into the typed [`Request`]; a line that is not JSON never
+//! gets that far — its [`ScannedLine`] carries the lexer's error. The
+//! client-side encoder lives here too. Responses are written by the
+//! service (they are write-only on the server side) and picked apart
+//! field-wise by the [`Client`](crate::Client).
 
 use crate::ops::{self, Op, OpId};
-use crate::wire::scan::{ObjectScanner, RawValue};
+use crate::wire::scan::{self, ObjectScanner, RawValue};
 use crate::wire::{Json, WireError};
 use cerfix_relation::Value;
 
@@ -24,132 +30,231 @@ use cerfix_relation::Value;
 #[derive(Debug, Default)]
 pub struct RequestScratch {
     /// The `(attribute id, value)` validations of the
-    /// `session.validate` being served, resolved against the schema by
-    /// whichever parser read the line.
+    /// `session.validate` being served, resolved against the schema as
+    /// they are read off the line.
     pub(crate) validations: Vec<(usize, Value)>,
     /// Unescape buffer for string payloads containing escapes.
     pub(crate) unescape: String,
 }
 
-/// A parsed line, as either parser hands it to the service: the tree
-/// parser always yields a [`Request`]; the slice scanner reads the
-/// session ops a pipelining client hammers, when in regular shape,
-/// without building a tree.
-#[derive(Debug, PartialEq)]
-pub(crate) enum Parsed<'a> {
-    /// A fully parsed request. From the scanner: `session.get` / `fix`
-    /// / `commit` / `abort`, whose variants own no heap data. (A front
-    /// end that kept a `replica.sync` hands its parse back this way.)
-    Request(Request),
-    /// A scanned `session.validate`: the raw `{...}` span of the
-    /// `validations` object, which the service resolves against its
-    /// schema into [`RequestScratch`].
-    Validate { session: u64, validations: &'a str },
+/// Declares [`Field`] — every top-level field some op reads — from one
+/// list of wire names, so the enum, its names and the name match cannot
+/// disagree. A field not named here is tolerated and ignored, on every
+/// op.
+macro_rules! field_table {
+    ($($field:ident = $name:literal,)*) => {
+        /// A field's identity: its slot in [`Fields`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Field { $($field),* }
+
+        impl Field {
+            const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// The field a top-level key names.
+            fn named(key: &str) -> Option<Field> {
+                match key {
+                    $($name => Some(Field::$field),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-/// What one scanner pass over a request line found.
+field_table! {
+    Op = "op",
+    Session = "session",
+    Validations = "validations",
+    Tuple = "tuple",
+    Tuples = "tuples",
+    Trust = "trust",
+    TopK = "top_k",
+    Mode = "mode",
+    Start = "start",
+    Count = "count",
+    Rules = "rules",
+    Limit = "limit",
+    Follower = "follower",
+    Epoch = "epoch",
+    Offset = "offset",
+    Max = "max",
+    Resync = "resync",
+    WaitMs = "wait_ms",
+    Level = "level",
+    Subsystem = "subsystem",
+    Fanout = "fanout",
+    Key = "key",
+    Value = "value",
+    // Read for every op, ahead of its own fields.
+    DeadlineMs = "deadline_ms",
+}
+
+impl Field {
+    fn name(self) -> &'static str {
+        Field::NAMES[self as usize]
+    }
+}
+
+/// The top-level fields of one request line, still borrowed from it: a
+/// slot per [`Field`], filled by the first occurrence of its key.
+#[derive(Debug, Default)]
+pub(crate) struct Fields<'a>([Option<RawValue<'a>>; Field::NAMES.len()]);
+
+impl<'a> Fields<'a> {
+    fn get(&self, field: Field) -> Option<RawValue<'a>> {
+        self.0[field as usize]
+    }
+
+    fn need(&self, field: Field) -> Result<RawValue<'a>, WireError> {
+        self.get(field)
+            .ok_or_else(|| WireError(format!("missing field `{}`", field.name())))
+    }
+
+    /// A field the op cannot do without, read through `read`
+    /// (`RawValue::as_u64`, …): an ill-typed value is an error naming
+    /// what the field must be.
+    fn typed<T>(
+        &self,
+        field: Field,
+        read: impl FnOnce(RawValue<'a>) -> Option<T>,
+        must_be: &str,
+    ) -> Result<T, WireError> {
+        read(self.need(field)?)
+            .ok_or_else(|| WireError(format!("`{}` must be {must_be}", field.name())))
+    }
+
+    /// An optional field: absent is `None`, present but ill-typed an
+    /// error.
+    fn opt<T>(
+        &self,
+        field: Field,
+        read: impl FnOnce(RawValue<'a>) -> Option<T>,
+        must_be: &str,
+    ) -> Result<Option<T>, WireError> {
+        if self.get(field).is_none() {
+            return Ok(None);
+        }
+        self.typed(field, read, must_be).map(Some)
+    }
+
+    fn need_u64(&self, field: Field) -> Result<u64, WireError> {
+        self.typed(field, |v| v.as_u64(), "a non-negative integer")
+    }
+
+    fn opt_u64(&self, field: Field) -> Result<Option<u64>, WireError> {
+        self.opt(field, |v| v.as_u64(), "a non-negative integer")
+    }
+
+    fn opt_bool(&self, field: Field) -> Result<Option<bool>, WireError> {
+        self.opt(field, |v| v.as_bool(), "a boolean")
+    }
+
+    fn need_str(&self, field: Field, must_be: &str, buf: &mut String) -> Result<String, WireError> {
+        self.typed(field, |v| v.as_str(buf).map(str::to_string), must_be)
+    }
+
+    fn opt_str(&self, field: Field, buf: &mut String) -> Result<Option<String>, WireError> {
+        self.opt(field, |v| v.as_str(buf).map(str::to_string), "a string")
+    }
+
+    /// The op the line's `op` field names.
+    pub(crate) fn op_id(&self, buf: &mut String) -> Result<OpId, WireError> {
+        let name = self.need_str(Field::Op, "a string", buf)?;
+        ops::lookup(&name).ok_or_else(|| WireError(format!("unknown op `{name}`")))
+    }
+
+    /// The one reader of a `validations` object: each `(attribute name,
+    /// asserted value)` pair goes to `each` as it is read — the service
+    /// resolves the name against its schema into [`RequestScratch`],
+    /// [`Request::parse_line`] keeps it for the owned form.
+    pub(crate) fn validations<E: From<WireError>>(
+        &self,
+        buf: &mut String,
+        mut each: impl FnMut(&str, Value) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let fields = self.need(Field::Validations)?.as_obj();
+        let mut fields = fields
+            .ok_or_else(|| WireError("`validations` must be an object of attr → value".into()))?;
+        while let Some((name, value, _)) = fields.next_field() {
+            let value = value.to_value(buf)?;
+            each(name.unescape_into(buf), value)?;
+        }
+        Ok(())
+    }
+}
+
+/// What the one pass over a request line found.
 #[derive(Debug, Default)]
 pub(crate) struct ScannedLine<'a> {
-    /// Raw span of a client-supplied `id` field, echoed in the response.
+    /// Why the line is not JSON, when it is not. Nothing else is set
+    /// then: a span of a malformed line cannot be trusted.
+    pub(crate) syntax: Option<WireError>,
+    /// Raw span of a client-supplied `id` field, echoed in the response
+    /// byte for byte — safe, because the lexer validated it.
     pub(crate) id: Option<&'a str>,
-    /// The scanner's own parse, when the line is a session op in
-    /// regular shape; every other line goes to the tree parser.
-    pub(crate) hot: Option<Parsed<'a>>,
-    /// The row the plain `op` string names ([`ops::OTHER`] for a name
-    /// not in the table), when the scanner saw one — it feeds the
-    /// admission shedder, the reactor's placement and the latency class
-    /// before the tree parser spends any work.
+    /// The row the `op` string names ([`ops::OTHER`] for a name not in
+    /// the table; `None` for an `op` that is absent or not a string). It
+    /// feeds the admission shedder, the reactor's placement and the
+    /// latency class before any field is materialised.
     pub(crate) op: Option<&'static Op>,
-    /// Client request deadline in milliseconds from receipt. A value
-    /// the scanner cannot read as `u64` is treated as absent, matching
-    /// the tree parser's unknown-field tolerance.
-    pub(crate) deadline_ms: Option<u64>,
+    /// Every field an op may read.
+    pub(crate) fields: Fields<'a>,
 }
 
 impl ScannedLine<'_> {
-    /// Does the plain `op` string name this op?
+    /// Does the `op` string name this op?
     pub(crate) fn is(&self, id: OpId) -> bool {
         self.op.is_some_and(|op| op.id == Some(id))
     }
+
+    /// Client request deadline in milliseconds from receipt. A value
+    /// that does not read as `u64` is treated as absent, like a field
+    /// no op reads.
+    pub(crate) fn deadline_ms(&self) -> Option<u64> {
+        self.fields.get(Field::DeadlineMs)?.as_u64()
+    }
 }
 
-/// Single allocation-free pass over a request line: extracts the
-/// response-correlation `id` (any op), resolves `op` to its table row
-/// and recognizes the hot session shapes. A malformed line yields none
-/// of them — the tree parser then owns the error message.
+/// The single pass over a request line, lexing and validating as it
+/// goes; allocation-free unless a key or the `op` name is spelled with
+/// escapes. The first occurrence of a key wins.
+///
+/// Inlined, so that the view — some 600 bytes — is filled where the
+/// caller keeps it instead of being copied there (a `session.get`
+/// through `handle_line_into`: 780 → 650 ns).
+#[inline(always)]
 pub(crate) fn scan_line(line: &str) -> ScannedLine<'_> {
+    let mut scanned = ScannedLine::default();
+    if let Err(error) = scan_into(line, &mut scanned) {
+        // Nothing of a malformed line is kept, only why it is one.
+        scanned = ScannedLine::default();
+        scanned.syntax = Some(error);
+    }
+    scanned
+}
+
+fn scan_into<'a>(line: &'a str, scanned: &mut ScannedLine<'a>) -> Result<(), WireError> {
+    let mut unescape = String::new();
     let Some(mut scanner) = ObjectScanner::new(line) else {
-        return ScannedLine::default();
+        // Not an object: not JSON at all, or JSON with no `op` to read.
+        return scan::validate(line);
     };
-    let mut id = None;
-    let mut op = None;
-    let mut op_seen = false;
-    let mut session = None;
-    let mut validations = None;
-    let mut deadline_ms = None;
-    // `fastable` drops on a `session` or `validations` the scanner
-    // cannot vouch for; `id` keeps being collected so even tree-path
-    // responses echo it.
-    let mut fastable = true;
-    // An escaped key may spell `op` and, coming first, be the one the
-    // tree parser reads: the scanner then cannot name the row at all
-    // (and with no row there is no hot shape either).
-    let mut escaped_key = false;
     while let Some((key, value, span)) = scanner.next_field() {
-        let Some(key) = key.as_plain() else {
-            escaped_key = true;
-            continue;
-        };
-        match key {
-            // First occurrence wins, matching `Json::get` on the tree.
-            "op" if !op_seen => {
-                op_seen = true;
-                if let RawValue::Str(s) = value {
-                    op = s
-                        .as_plain()
-                        .map(|name| ops::lookup(name).map_or(&ops::OTHER, OpId::row));
+        match key.unescape_into(&mut unescape) {
+            "id" if scanned.id.is_none() => scanned.id = Some(span),
+            key => {
+                if let Some(field) = Field::named(key) {
+                    scanned.fields.0[field as usize].get_or_insert(value);
                 }
             }
-            "session" if session.is_none() => match value.as_u64() {
-                Some(s) => session = Some(s),
-                None => fastable = false,
-            },
-            "validations" if validations.is_none() => match value {
-                RawValue::Obj(span) => validations = Some(span),
-                _ => fastable = false,
-            },
-            "id" if id.is_none() => id = Some(span),
-            "deadline_ms" if deadline_ms.is_none() => deadline_ms = value.as_u64(),
-            _ => {}
         }
     }
-    if !scanner.ok() {
-        // Malformed line: the id span cannot be trusted either.
-        return ScannedLine::default();
+    scanner.finish()?;
+    if let Some(RawValue::Str(name)) = scanned.fields.get(Field::Op) {
+        let name = name.unescape_into(&mut unescape);
+        scanned.op = Some(ops::lookup(name).map_or(&ops::OTHER, OpId::row));
     }
-    if escaped_key {
-        op = None;
-    }
-    let hot = match (fastable, op.and_then(|op| op.id), session) {
-        (true, Some(id), Some(session)) => match id {
-            OpId::SessionGet => Some(Parsed::Request(Request::SessionGet { session })),
-            OpId::SessionFix => Some(Parsed::Request(Request::SessionFix { session })),
-            OpId::SessionCommit => Some(Parsed::Request(Request::SessionCommit { session })),
-            OpId::SessionAbort => Some(Parsed::Request(Request::SessionAbort { session })),
-            OpId::SessionValidate => validations.map(|validations| Parsed::Validate {
-                session,
-                validations,
-            }),
-            _ => None,
-        },
-        _ => None,
-    };
-    ScannedLine {
-        id,
-        hot,
-        op,
-        deadline_ms,
-    }
+    Ok(())
 }
 
 /// Protocol revision, reported by `hello` and checked by clients.
@@ -368,86 +473,53 @@ pub enum Request {
     Shutdown,
 }
 
-fn need<'a>(json: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    json.get(key)
-        .ok_or_else(|| WireError(format!("missing field `{key}`")))
+/// Read an array of cell values — one `Arc<str>` per string cell, the
+/// `Vec` sized up front when the caller can guess (`capacity`).
+fn values_array(
+    value: RawValue<'_>,
+    what: &str,
+    capacity: usize,
+    buf: &mut String,
+) -> Result<Vec<Value>, WireError> {
+    let cells = value.as_arr();
+    let mut cells =
+        cells.ok_or_else(|| WireError(format!("`{what}` must be an array of cell values")))?;
+    let mut values = Vec::with_capacity(capacity);
+    while let Some(cell) = cells.next_value() {
+        values.push(cell.to_value(buf)?);
+    }
+    Ok(values)
 }
 
-/// Read `value` through `get` (`Json::as_u64`, `as_str`, …); an
-/// ill-typed value is an error naming what `key` must be.
-fn typed<'a, T>(
-    value: &'a Json,
-    key: &str,
-    get: impl Fn(&'a Json) -> Option<T>,
-    must_be: &str,
-) -> Result<T, WireError> {
-    get(value).ok_or_else(|| WireError(format!("`{key}` must be {must_be}")))
+fn tuples_array(fields: &Fields<'_>, buf: &mut String) -> Result<Vec<Vec<Value>>, WireError> {
+    let rows = fields.need(Field::Tuples)?.as_arr();
+    let mut rows = rows.ok_or_else(|| WireError("`tuples` must be an array".into()))?;
+    let mut tuples: Vec<Vec<Value>> = Vec::new();
+    while let Some(row) = rows.next_value() {
+        // Rows of one batch are as long as each other.
+        let arity = tuples.last().map_or(0, Vec::len);
+        tuples.push(values_array(row, "tuples[i]", arity, buf)?);
+    }
+    Ok(tuples)
 }
 
-/// An optional field: absent is `None`, present but ill-typed an error.
-fn opt<'a, T>(
-    json: &'a Json,
-    key: &str,
-    get: impl Fn(&'a Json) -> Option<T>,
-    must_be: &str,
-) -> Result<Option<T>, WireError> {
-    json.get(key)
-        .map(|value| typed(value, key, get, must_be))
-        .transpose()
-}
-
-fn need_u64(json: &Json, key: &str) -> Result<u64, WireError> {
-    typed(
-        need(json, key)?,
-        key,
-        Json::as_u64,
-        "a non-negative integer",
-    )
-}
-
-fn need_str(json: &Json, key: &str, must_be: &str) -> Result<String, WireError> {
-    typed(need(json, key)?, key, Json::as_str, must_be).map(str::to_string)
-}
-
-fn opt_u64(json: &Json, key: &str) -> Result<Option<u64>, WireError> {
-    opt(json, key, Json::as_u64, "a non-negative integer")
-}
-
-fn opt_bool(json: &Json, key: &str) -> Result<Option<bool>, WireError> {
-    opt(json, key, Json::as_bool, "a boolean")
-}
-
-fn opt_str(json: &Json, key: &str) -> Result<Option<String>, WireError> {
-    Ok(opt(json, key, Json::as_str, "a string")?.map(str::to_string))
-}
-
-fn values_array(json: &Json, what: &str) -> Result<Vec<Value>, WireError> {
-    json.as_arr()
-        .ok_or_else(|| WireError(format!("`{what}` must be an array of cell values")))?
-        .iter()
-        .map(Json::to_value)
-        .collect()
-}
-
-fn tuples_array(json: &Json) -> Result<Vec<Vec<Value>>, WireError> {
-    need(json, "tuples")?
-        .as_arr()
-        .ok_or_else(|| WireError("`tuples` must be an array".into()))?
-        .iter()
-        .map(|t| values_array(t, "tuples[i]"))
-        .collect()
-}
-
-fn string_array(json: &Json, what: &str) -> Result<Vec<String>, WireError> {
-    json.as_arr()
-        .ok_or_else(|| WireError(format!("`{what}` must be an array of strings")))?
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| WireError(format!("`{what}` entries must be strings")))
-        })
-        .collect()
+fn string_array(
+    value: RawValue<'_>,
+    what: &str,
+    buf: &mut String,
+) -> Result<Vec<String>, WireError> {
+    let items = value.as_arr();
+    let mut items =
+        items.ok_or_else(|| WireError(format!("`{what}` must be an array of strings")))?;
+    let mut strings = Vec::new();
+    while let Some(item) = items.next_value() {
+        let item = item.as_str(buf);
+        strings.push(
+            item.ok_or_else(|| WireError(format!("`{what}` entries must be strings")))?
+                .to_string(),
+        );
+    }
+    Ok(strings)
 }
 
 impl Request {
@@ -484,111 +556,118 @@ impl Request {
         .row()
     }
 
-    /// Parse one protocol line.
+    /// Parse one protocol line into the owned form.
     pub fn parse_line(line: &str) -> Result<Request, WireError> {
-        let json = Json::parse(line)?;
-        Request::parse(Request::id_of(&json)?, &json)
+        let scanned = scan_line(line);
+        if let Some(error) = scanned.syntax {
+            return Err(error);
+        }
+        let buf = &mut String::new();
+        let id = scanned.fields.op_id(buf)?;
+        let mut request = Request::parse(id, &scanned.fields, buf)?;
+        if let Request::SessionValidate { validations, .. } = &mut request {
+            scanned.fields.validations(buf, |name, value| {
+                validations.push((name.to_string(), value));
+                Ok::<(), WireError>(())
+            })?;
+        }
+        Ok(request)
     }
 
-    /// The op a parsed line's `op` field names.
-    pub(crate) fn id_of(json: &Json) -> Result<OpId, WireError> {
-        let name = typed(need(json, "op")?, "op", Json::as_str, "a string")?;
-        ops::lookup(name).ok_or_else(|| WireError(format!("unknown op `{name}`")))
-    }
-
-    /// Read op `id`'s fields out of a parsed line.
-    pub(crate) fn parse(id: OpId, json: &Json) -> Result<Request, WireError> {
+    /// Read op `id`'s fields off a scanned line; `buf` unescapes the
+    /// strings that need it. The `validations` of a `session.validate`
+    /// stay on the view (the variant's own list comes back empty): the
+    /// names in them mean something only against a schema, so whoever
+    /// wants them reads them through [`Fields::validations`] into the
+    /// form it needs — [`parse_line`](Self::parse_line) into the owned
+    /// pairs, the service into [`RequestScratch`], resolved.
+    pub(crate) fn parse(
+        id: OpId,
+        fields: &Fields<'_>,
+        buf: &mut String,
+    ) -> Result<Request, WireError> {
         Ok(match id {
             OpId::Hello => Request::Hello,
             OpId::SessionCreate => Request::SessionCreate {
-                tuple: values_array(need(json, "tuple")?, "tuple")?,
+                tuple: values_array(fields.need(Field::Tuple)?, "tuple", 0, buf)?,
             },
             OpId::SessionGet => Request::SessionGet {
-                session: need_u64(json, "session")?,
+                session: fields.need_u64(Field::Session)?,
             },
-            OpId::SessionValidate => {
-                let validations = match need(json, "validations")? {
-                    Json::Obj(fields) => fields
-                        .iter()
-                        .map(|(name, v)| Ok((name.clone(), v.to_value()?)))
-                        .collect::<Result<Vec<_>, WireError>>()?,
-                    _ => {
-                        return Err(WireError(
-                            "`validations` must be an object of attr → value".into(),
-                        ))
-                    }
-                };
-                Request::SessionValidate {
-                    session: need_u64(json, "session")?,
-                    validations,
-                }
-            }
+            OpId::SessionValidate => Request::SessionValidate {
+                session: fields.need_u64(Field::Session)?,
+                validations: Vec::new(),
+            },
             OpId::SessionFix => Request::SessionFix {
-                session: need_u64(json, "session")?,
+                session: fields.need_u64(Field::Session)?,
             },
             OpId::SessionCommit => Request::SessionCommit {
-                session: need_u64(json, "session")?,
+                session: fields.need_u64(Field::Session)?,
             },
             OpId::SessionAbort => Request::SessionAbort {
-                session: need_u64(json, "session")?,
+                session: fields.need_u64(Field::Session)?,
             },
             OpId::Clean => Request::Clean {
-                tuples: tuples_array(json)?,
-                trust: match json.get("trust") {
-                    Some(t) => string_array(t, "trust")?,
+                tuples: tuples_array(fields, buf)?,
+                trust: match fields.get(Field::Trust) {
+                    Some(trust) => string_array(trust, "trust", buf)?,
                     None => Vec::new(),
                 },
             },
             OpId::Regions => Request::Regions {
-                top_k: opt(json, "top_k", Json::as_u64, "an integer")?.map(|k| k as usize),
+                top_k: fields
+                    .opt(Field::TopK, |v| v.as_u64(), "an integer")?
+                    .map(|k| k as usize),
             },
             OpId::Check => Request::Check {
-                mode: json.get("mode").and_then(Json::as_str).map(str::to_string),
+                mode: fields
+                    .get(Field::Mode)
+                    .and_then(|mode| mode.as_str(buf).map(str::to_string)),
             },
             OpId::AuditRead => Request::AuditRead {
-                start: opt_u64(json, "start")?.unwrap_or(0),
-                count: opt_u64(json, "count")?,
+                start: fields.opt_u64(Field::Start)?.unwrap_or(0),
+                count: fields.opt_u64(Field::Count)?,
             },
             OpId::RulesReload => Request::RulesReload {
-                rules: need_str(json, "rules", "a DSL string")?,
+                rules: fields.need_str(Field::Rules, "a DSL string", buf)?,
             },
             OpId::MasterAppend => Request::MasterAppend {
-                tuples: tuples_array(json)?,
+                tuples: tuples_array(fields, buf)?,
             },
             OpId::Metrics => Request::Metrics,
             OpId::MetricsProm => Request::MetricsProm,
             OpId::TraceRead => Request::TraceRead {
-                limit: opt_u64(json, "limit")?,
+                limit: fields.opt_u64(Field::Limit)?,
             },
             OpId::ReplicaSync => Request::ReplicaSync {
-                follower: need_str(json, "follower", "a string id")?,
-                epoch: need_u64(json, "epoch")?,
-                offset: need_u64(json, "offset")?,
-                max: opt_u64(json, "max")?,
+                follower: fields.need_str(Field::Follower, "a string id", buf)?,
+                epoch: fields.need_u64(Field::Epoch)?,
+                offset: fields.need_u64(Field::Offset)?,
+                max: fields.opt_u64(Field::Max)?,
                 // Absent on the wire from pre-v7 followers.
-                resync: opt_bool(json, "resync")?.unwrap_or(false),
-                wait_ms: opt_u64(json, "wait_ms")?,
+                resync: fields.opt_bool(Field::Resync)?.unwrap_or(false),
+                wait_ms: fields.opt_u64(Field::WaitMs)?,
             },
             OpId::ReplicaPromote => Request::ReplicaPromote,
             OpId::Health => Request::Health,
             OpId::LogRead => Request::LogRead {
-                limit: opt_u64(json, "limit")?,
-                level: opt_str(json, "level")?,
-                subsystem: opt_str(json, "subsystem")?,
+                limit: fields.opt_u64(Field::Limit)?,
+                level: fields.opt_str(Field::Level, buf)?,
+                subsystem: fields.opt_str(Field::Subsystem, buf)?,
             },
             OpId::MetricsHistory => Request::MetricsHistory {
-                limit: opt_u64(json, "limit")?,
+                limit: fields.opt_u64(Field::Limit)?,
             },
             OpId::ClusterStatus => Request::ClusterStatus {
-                fanout: opt_bool(json, "fanout")?.unwrap_or(true),
+                fanout: fields.opt_bool(Field::Fanout)?.unwrap_or(true),
             },
             OpId::ConfigSet => Request::ConfigSet {
-                key: need_str(json, "key", "a string")?,
-                value: need_u64(json, "value")?,
+                key: fields.need_str(Field::Key, "a string", buf)?,
+                value: fields.need_u64(Field::Value)?,
             },
             OpId::Scrub => Request::Scrub,
             OpId::Drain => Request::Drain {
-                wait_ms: opt_u64(json, "wait_ms")?,
+                wait_ms: fields.opt_u64(Field::WaitMs)?,
             },
             OpId::Shutdown => Request::Shutdown,
         })
@@ -883,54 +962,86 @@ pub(crate) mod tests {
         }
     }
 
+    /// What a scanned line is served from: its op's fields off the
+    /// view, in the owned form (`parse_line` is exactly that).
+    fn parsed(line: &str) -> Result<Request, String> {
+        Request::parse_line(line).map_err(|e| e.0)
+    }
+
     #[test]
     fn scan_line_parses_regular_session_shapes_and_ids() {
-        let scanned = scan_line(r#"{"op":"session.get","session":7,"id":42}"#);
+        let line = r#"{"op":"session.get","session":7,"id":42}"#;
+        let scanned = scan_line(line);
         assert_eq!(scanned.id, Some("42"));
-        assert_eq!(
-            scanned.hot,
-            Some(Parsed::Request(Request::SessionGet { session: 7 }))
-        );
+        assert!(scanned.is(OpId::SessionGet));
+        assert_eq!(parsed(line), Ok(Request::SessionGet { session: 7 }));
 
-        let scanned = scan_line(
-            r#"{"id":"x-1","op":"session.validate","session":3,"validations":{"zip":"EH8"}}"#,
-        );
+        let line =
+            r#"{"id":"x-1","op":"session.validate","session":3,"validations":{"zip":"EH8"}}"#;
+        let scanned = scan_line(line);
         assert_eq!(scanned.id, Some("\"x-1\""));
-        assert_eq!(
-            scanned.hot,
-            Some(Parsed::Validate {
-                session: 3,
-                validations: r#"{"zip":"EH8"}"#,
-            })
-        );
+        assert!(scanned.is(OpId::SessionValidate));
+        let mut read = Vec::new();
+        let each = |name: &str, value| {
+            read.push((name.to_string(), value));
+            Ok::<(), WireError>(())
+        };
+        scanned
+            .fields
+            .validations(&mut String::new(), each)
+            .unwrap();
+        assert_eq!(read, vec![("zip".to_string(), Value::str("EH8"))]);
 
-        for (line, why) in [
-            (r#"{"op":"clean","tuples":[],"id":9}"#, "not a hot op"),
-            (r#"{"op":"session.get"}"#, "missing session"),
-            (r#"{"op":"session.get","session":-1,"id":9}"#, "bad session"),
-            (r#"{"op":"session.validate","session":1}"#, "no validations"),
+        // The row is named whatever the rest of the line holds; what is
+        // wrong with the rest is the field reader's to say.
+        for (line, error) in [
+            (r#"{"op":"session.get"}"#, "missing field `session`"),
+            (
+                r#"{"op":"session.get","session":-1,"id":9}"#,
+                "`session` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"session.validate","session":1}"#,
+                "missing field `validations`",
+            ),
+            (
+                r#"{"op":"session.validate","session":1,"validations":{"key":["k5"]}}"#,
+                "cannot use an array as a cell value",
+            ),
         ] {
-            assert_eq!(scan_line(line).hot, None, "{why}");
+            assert!(
+                scan_line(line).op.is_some_and(|op| op.id.is_some()),
+                "{line}"
+            );
+            assert_eq!(parsed(line), Err(error.to_string()), "{line}");
         }
-        // The id is still collected for tree-path responses...
+        // Every line's id is kept, whatever its op...
         assert_eq!(
             scan_line(r#"{"op":"clean","tuples":[],"id":9}"#).id,
             Some("9")
         );
-        // ...but not from malformed lines.
+        // ...but not a malformed line's: nothing of it is, only why.
         let malformed = scan_line(r#"{"id":5,"op":"#);
         assert_eq!(malformed.id, None);
-        assert_eq!(malformed.hot, None);
+        assert!(malformed.op.is_none());
+        assert_eq!(
+            malformed.syntax,
+            Some(WireError("unexpected end of input at byte 13".into()))
+        );
     }
 
+    /// The first occurrence of a key wins — on the view as on the tree
+    /// (`Json::get`), which is what a client reading its own line back
+    /// would see. (That a line with duplicate keys is JSON at all is a
+    /// row of the conformance table.)
     #[test]
     fn scan_line_first_occurrence_wins_like_tree_get() {
-        let scanned = scan_line(r#"{"op":"session.get","session":1,"session":2,"id":7,"id":8}"#);
-        assert_eq!(
-            scanned.hot,
-            Some(Parsed::Request(Request::SessionGet { session: 1 }))
-        );
-        assert_eq!(scanned.id, Some("7"));
+        let line = r#"{"op":"session.get","session":1,"session":2,"id":7,"id":8}"#;
+        assert_eq!(parsed(line), Ok(Request::SessionGet { session: 1 }));
+        assert_eq!(scan_line(line).id, Some("7"));
+        let tree = Json::parse(line).unwrap();
+        assert_eq!(tree.get("session").and_then(Json::as_u64), Some(1));
+        assert_eq!(tree.get("id").and_then(Json::as_u64), Some(7));
     }
 
     #[test]
@@ -938,36 +1049,41 @@ pub(crate) mod tests {
         let row = |line| scan_line(line).op.map(|op| op.name);
         let scanned = scan_line(r#"{"op":"clean","tuples":[],"deadline_ms":250}"#);
         assert_eq!(scanned.op.and_then(|op| op.id), Some(OpId::Clean));
-        assert_eq!(scanned.deadline_ms, Some(250));
+        assert_eq!(scanned.deadline_ms(), Some(250));
         // A row is resolved whether or not the rest of the line is
         // well-typed; the alias resolves to its op's row; a name not in
-        // the table is the `other` class; an op the scanner cannot see
-        // (escaped, not a string, absent, malformed line) is no row.
+        // the table is the `other` class; escapes in the key or the name
+        // spell the same op; an `op` that is not a string or not there
+        // (or a line that is not JSON) is no row.
         assert_eq!(row(r#"{"op":"session.get"}"#), Some("session.get"));
         assert_eq!(row(r#"{"op":"stats"}"#), Some("metrics"));
         assert_eq!(row(r#"{"op":"warp"}"#), Some("other"));
-        assert_eq!(row(r#"{"op":"\u0063lean","tuples":[]}"#), None);
-        assert_eq!(row(r#"{"\u006fp":"clean","tuples":[]}"#), None);
-        // ...even when a plain `op` follows: the tree reads the first.
-        assert_eq!(row(r#"{"\u006fp":"clean","op":"hello"}"#), None);
+        assert_eq!(row(r#"{"op":"\u0063lean","tuples":[]}"#), Some("clean"));
+        assert_eq!(row(r#"{"\u006fp":"clean","tuples":[]}"#), Some("clean"));
+        // ...the first `op`, however it is spelled.
+        assert_eq!(row(r#"{"\u006fp":"clean","op":"hello"}"#), Some("clean"));
         assert_eq!(row(r#"{"op":7,"op":"hello"}"#), None);
         assert_eq!(row(r#"{"op":7}"#), None);
         assert_eq!(row("{}"), None);
+        assert_eq!(row("[1]"), None);
         assert_eq!(row(r#"{"op":"clean""#), None);
+        // Only the last of those is not JSON.
+        assert!(scan_line("[1]").syntax.is_none());
+        assert!(scan_line(r#"{"op":"clean""#).syntax.is_some());
 
-        // A deadline the scanner cannot read as u64 is treated as absent,
-        // like any other unknown/ill-typed field on the tree path.
+        // A deadline that does not read as u64 is treated as absent,
+        // like any other field no op reads.
         let scanned = scan_line(r#"{"op":"hello","deadline_ms":"soon"}"#);
         assert_eq!(scanned.op.and_then(|op| op.id), Some(OpId::Hello));
-        assert_eq!(scanned.deadline_ms, None);
+        assert_eq!(scanned.deadline_ms(), None);
         assert_eq!(
-            scan_line(r#"{"op":"hello","deadline_ms":-5}"#).deadline_ms,
+            scan_line(r#"{"op":"hello","deadline_ms":-5}"#).deadline_ms(),
             None
         );
 
         // Zero is a real (deterministically expired) deadline.
         assert_eq!(
-            scan_line(r#"{"op":"hello","deadline_ms":0}"#).deadline_ms,
+            scan_line(r#"{"op":"hello","deadline_ms":0}"#).deadline_ms(),
             Some(0)
         );
     }

@@ -256,10 +256,10 @@ struct Conn {
     out_pos: usize,
     /// A batch job is in flight (at most one per connection).
     in_flight: bool,
-    /// A `replica.sync` line this connection is being kept on, and its
-    /// hold. Like a batch in flight it keeps the lines behind it
-    /// waiting, so responses still leave in request order.
-    held: Option<(String, HeldSync)>,
+    /// The `replica.sync` this connection is being kept on. Like a
+    /// batch in flight it keeps the lines behind it waiting, so
+    /// responses still leave in request order.
+    held: Option<HeldSync>,
     /// Peer half-closed its write side (pipelined burst then EOF): no
     /// more input, but buffered requests still get served and flushed.
     peer_done: bool,
@@ -288,13 +288,12 @@ impl Conn {
 /// a journaled service; interactive session ops (µs-scale fixpoints) run
 /// inline.
 ///
-/// Anything the scanner cannot classify — malformed lines, but also
-/// valid JSON hiding its op behind string escapes — counts as heavy:
-/// misclassifying a real `clean` as light would park every connection
-/// behind it on the reactor thread, while the reverse merely costs one
-/// pool dispatch.
+/// A line that names no row — not JSON, no `op`, a name not in the table
+/// — runs inline: its scan already holds the error it will be answered
+/// with, so there is no work to move. (Every spelling of an op, escapes
+/// included, resolves to its row, so no real `clean` hides here.)
 fn is_heavy(scanned: &ScannedLine<'_>, journaled: bool) -> bool {
-    scanned.op.is_none_or(|op| op.on_pool(journaled))
+    scanned.op.is_some_and(|op| op.on_pool(journaled))
 }
 
 /// Where the reactor runs one line.
@@ -310,18 +309,13 @@ enum Placement {
     Held(HeldSync),
 }
 
-fn place(
-    service: &CleaningService,
-    line: &str,
-    scanned: &ScannedLine<'_>,
-    journaled: bool,
-) -> Placement {
+fn place(service: &CleaningService, scanned: &ScannedLine<'_>, journaled: bool) -> Placement {
     if is_heavy(scanned, journaled) {
         return Placement::Pool;
     }
     let held = scanned
         .is(OpId::ReplicaSync)
-        .then(|| service.sync_arrival(line));
+        .then(|| service.sync_arrival(scanned));
     held.flatten().map_or(Placement::Inline, Placement::Held)
 }
 
@@ -682,7 +676,7 @@ impl Reactor {
             }
             let started = Instant::now();
             let scanned = scan_line(trimmed);
-            match place(&self.service, trimmed, &scanned, journaled) {
+            match place(&self.service, &scanned, journaled) {
                 Placement::Pool => {
                     // Seal this line plus everything already behind it
                     // into one ordered batch for the worker pool. (The
@@ -701,9 +695,7 @@ impl Reactor {
                     return;
                 }
                 Placement::Held(held) => {
-                    let mut line = self.shared.take_string();
-                    line.push_str(trimmed);
-                    conn.held = Some((line, held));
+                    conn.held = Some(held);
                     self.held.push(id);
                     if self.watch.is_none() {
                         // From here on the journal wakes the loop when
@@ -726,8 +718,7 @@ impl Reactor {
             // above, and the line is already scanned, so it enters the
             // service one step further in.
             self.service.handle_scanned(
-                trimmed,
-                scanned,
+                &scanned,
                 &mut conn.out,
                 &mut self.scratch,
                 received,
@@ -777,7 +768,7 @@ impl Reactor {
         self.held
             .iter()
             .filter_map(|id| self.conns.get(id)?.held.as_ref())
-            .map(|(_, held)| held.deadline.saturating_duration_since(now))
+            .map(|held| held.deadline.saturating_duration_since(now))
             .min()
             .map_or(-1, |left| left.as_micros().div_ceil(1000) as i32)
     }
@@ -791,7 +782,7 @@ impl Reactor {
         while at < self.held.len() {
             let id = self.held[at];
             let over = self.conns.get(&id).is_none_or(|conn| match &conn.held {
-                Some((_, held)) => conn.peer_done || self.service.hold_over(held),
+                Some(held) => conn.peer_done || self.service.hold_over(held),
                 None => true,
             });
             if !over {
@@ -802,11 +793,10 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&id) else {
                 continue; // closed while held
             };
-            if let Some((line, held)) = conn.held.take() {
+            if let Some(held) = conn.held.take() {
                 self.service
-                    .serve_held(&line, held, &mut conn.out, &mut self.scratch);
+                    .serve_held(held, &mut conn.out, &mut self.scratch);
                 conn.out.push('\n');
-                self.shared.put_string(line);
                 self.pump(id);
             }
         }
@@ -892,9 +882,6 @@ impl Reactor {
             let _ = ffi::ctl(self.epfd, ffi::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
             self.service.metrics_raw().connections_open.dec();
             self.shared.put_string(conn.out);
-            if let Some((line, _)) = conn.held {
-                self.shared.put_string(line);
-            }
             // In-flight batch completions for this id are discarded in
             // `drain_completions`, its hold in `release_holds`.
         }
@@ -936,7 +923,7 @@ mod tests {
     fn a_held_sync_runs_neither_inline_nor_on_the_pool() {
         let dir = data_dir("placement");
         let service = kv_service_journaled(&dir, 64);
-        let placed = |line: &str| place(&service, line, &scan_line(line), true);
+        let placed = |line: &str| place(&service, &scan_line(line), true);
         let sync = r#"{"op":"replica.sync","follower":"f","epoch":0,"offset":0"#;
         let Placement::Held(held) = placed(&format!("{sync},\"wait_ms\":60000}}")) else {
             panic!("a caught-up sync that asks to wait is held");

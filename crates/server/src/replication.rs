@@ -35,7 +35,8 @@
 
 use crate::client::{jitter_seed, jittered, Client, ClientError, RetryPolicy};
 use crate::diag::Subsystem;
-use crate::protocol::{scan_line, Parsed, Request, RequestScratch};
+use crate::ops::OpId;
+use crate::protocol::{Request, RequestScratch, ScannedLine};
 use crate::service::CleaningService;
 use crate::trace::Span;
 use crate::wire::{Json, JsonWriter};
@@ -575,8 +576,10 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
 /// threaded front end on the connection's own thread — a commit waits
 /// for its quorum *on* a pool worker, so a hold there could deadlock.
 pub(crate) struct HeldSync {
-    /// The parsed request, served at release without a second parse.
+    /// The request as its one scan read it — the line itself is not
+    /// kept — and the `id` it asked to have echoed.
     request: Request,
+    id: Option<String>,
     /// The follower's cursor: the hold lasts while the journal's durable
     /// position is `(epoch, <= offset)`.
     epoch: u64,
@@ -622,19 +625,21 @@ fn write_sync_reply(
 }
 
 impl CleaningService {
-    /// A front end read a `replica.sync` line off a connection it may
-    /// park. When the request asks to wait and nothing durable lies
+    /// A front end scanned a `replica.sync` line off a connection it
+    /// may park. When the request asks to wait and nothing durable lies
     /// past its cursor, record the cursor — it is the follower's ack,
     /// and a commit waiting on it must not wait out the hold as well —
-    /// and return the hold. `None`: serve the line now, like any other.
+    /// and return the hold. `None`: serve the line now, like any other
+    /// (an ill-formed one gets its error there).
     ///
     /// The caller starts watching the journal
     /// ([`Journal::watch`](cerfix_storage::Journal::watch)) before this
     /// look at the durable position, or looks again
     /// ([`hold_over`](Self::hold_over)) once it does: a move in between
     /// must not be missed, or a commit waits out the hold.
-    pub(crate) fn sync_arrival(&self, line: &str) -> Option<HeldSync> {
-        let request = Request::parse_line(line).ok()?;
+    pub(crate) fn sync_arrival(&self, scanned: &ScannedLine<'_>) -> Option<HeldSync> {
+        let request =
+            Request::parse(OpId::ReplicaSync, &scanned.fields, &mut String::new()).ok()?;
         let Request::ReplicaSync {
             epoch,
             offset,
@@ -650,6 +655,7 @@ impl CleaningService {
             offset,
             deadline: Instant::now() + Duration::from_millis(wait_ms).min(MAX_HOLD),
             request,
+            id: scanned.id.map(str::to_string),
         };
         if self.hold_over(&held) {
             return None;
@@ -708,20 +714,22 @@ impl CleaningService {
         }
     }
 
-    /// Answer a held sync. The request's clock starts here — arrival
-    /// stamp, span, latency and the slow log all exclude the hold, which
-    /// was the follower's choice and no work of ours.
+    /// Answer a held sync from the parse its arrival made. The
+    /// request's clock starts here — arrival stamp, span, latency and
+    /// the slow log all exclude the hold, which was the follower's
+    /// choice and no work of ours.
     pub(crate) fn serve_held(
         &self,
-        line: &str,
         held: HeldSync,
         out: &mut String,
         scratch: &mut RequestScratch,
     ) {
         let released = Instant::now();
-        let mut scanned = scan_line(line);
-        scanned.hot = Some(Parsed::Request(held.request));
-        self.handle_scanned(line, scanned, out, scratch, released, released);
+        let id = held.id.as_deref();
+        let op = OpId::ReplicaSync.row();
+        self.answer(op, id, out, released, released, |out, span| {
+            self.dispatch(held.request, id, out, scratch, span)
+        });
     }
 
     /// Drain or shutdown began: every front end looks at its held syncs

@@ -43,18 +43,18 @@ use crate::cache::{ruleset_fingerprint, AnalysisCache};
 use crate::client::{Client, RetryPolicy};
 use crate::diag::{DiagSink, Level, Subsystem};
 use crate::metrics::{self, MetricsSnapshot, ServiceMetrics};
-use crate::ops::{self, Op, OpId};
-use crate::protocol::{scan_line, Parsed, Request, RequestScratch, ScannedLine, PROTOCOL_VERSION};
+use crate::ops::{self, Op};
+use crate::protocol::{scan_line, Request, RequestScratch, ScannedLine, PROTOCOL_VERSION};
 use crate::replication::{lock_followers, FollowerLag, ReplicationState, Role};
 use crate::session::{SessionError, SessionManager};
 use crate::timeseries::{Sample, TimeSeries};
 use crate::trace::{Span, TraceSink};
-use crate::wire::scan::{ObjectScanner, RawValue};
 use crate::wire::{render_response_into, Json, JsonWriter};
 use cerfix::{
-    check_consistency, recheck_regions, search_regions, AuditLog, AuditRecord, AuditSink,
-    CellEvent, CompiledRules, ConsistencyOptions, DataMonitor, FixpointReport, MasterData,
-    MonitorSession, Region, RegionFinderOptions, RegionSearch, SessionStatus, WorkerPool,
+    check_consistency, recheck_regions, search_regions, universe_from_master, AuditLog,
+    AuditRecord, AuditSink, CellEvent, CompiledRules, ConsistencyOptions, DataMonitor,
+    FixpointReport, MasterData, MonitorSession, Region, RegionFinderOptions, RegionSearch,
+    SessionStatus, WorkerPool,
 };
 use cerfix_relation::{AttrSet, SchemaRef, Tuple, Value};
 use cerfix_rules::{parse_rules, render_er_dsl, RuleDecl, RuleSet};
@@ -1414,13 +1414,14 @@ impl CleaningService {
     /// Handle one wire line, rendering the response into `out`
     /// (appended; callers clear between requests) with `scratch` as the
     /// reusable parse buffer. This is the production entry point for
-    /// both TCP front ends. Every op has one handler; what differs is
-    /// how a line reaches it. The session ops a pipelining client
-    /// hammers (`session.get` / `fix` / `validate` / `commit` / `abort`)
-    /// are read by the slice scanner and answered through a
-    /// [`JsonWriter`] — zero steady-state allocations per request in
-    /// memory mode; every other line goes through the tree parser, and
-    /// the cold ops build a [`Json`] tree for their reply.
+    /// both TCP front ends. Every line is read the same way — one
+    /// validating pass ([`scan_line`]), then its op's fields off the
+    /// view that pass leaves — and every op has one handler. The
+    /// session ops a pipelining client hammers (`session.get` / `fix` /
+    /// `validate` / `commit` / `abort`) own no heap data and answer
+    /// through a [`JsonWriter`] — zero steady-state allocations per
+    /// request in memory mode (one per validated value); the cold ops
+    /// build a [`Json`] tree for their reply.
     ///
     /// A client-supplied top-level `"id"` field is echoed verbatim as
     /// the first field of the response, so pipelining clients can
@@ -1444,36 +1445,51 @@ impl CleaningService {
         received: Instant,
     ) {
         let started = Instant::now();
-        self.handle_scanned(line, scan_line(line), out, scratch, received, started);
+        self.handle_scanned(&scan_line(line), out, scratch, received, started);
     }
 
     /// [`handle_line_at`](Self::handle_line_at) for a caller that has
-    /// already scanned the line (the epoll reactor scans to place it):
+    /// already scanned the line (the front ends scan to place it):
     /// `started` is the instant just before that scan.
     pub(crate) fn handle_scanned(
         &self,
-        line: &str,
-        scanned: ScannedLine<'_>,
+        scanned: &ScannedLine<'_>,
         out: &mut String,
         scratch: &mut RequestScratch,
         received: Instant,
         started: Instant,
     ) {
+        // The class the request is charged to.
+        let op = match scanned.syntax {
+            Some(_) => &ops::PARSE_ERROR,
+            None => scanned.op.unwrap_or(&ops::OTHER),
+        };
+        self.answer(op, scanned.id, out, received, started, |out, span| {
+            self.serve(scanned, op, out, scratch, received, started, span)
+        });
+    }
+
+    /// The frame around every request: count it, run `serve` — which
+    /// writes its own success reply into `out` — turn an `Err` into the
+    /// error reply in one place, then charge latency and the trace span
+    /// to `op`.
+    pub(crate) fn answer(
+        &self,
+        op: &'static Op,
+        raw_id: Option<&str>,
+        out: &mut String,
+        received: Instant,
+        started: Instant,
+        serve: impl FnOnce(&mut String, &mut Span) -> Result<(), String>,
+    ) {
         let queue_wait = started.saturating_duration_since(received);
         self.inner.metrics.requests.inc();
         self.inner.metrics.queue_wait.observe(queue_wait);
         let mut span = Span {
-            parse_ns: started.elapsed().as_nanos() as u64,
             queue_ns: queue_wait.as_nanos() as u64,
             ..Span::default()
         };
-        let raw_id = scanned.id;
-        // The class the request is charged to: the scanner's row until
-        // a parser names the request actually served.
-        let mut op = scanned.op.unwrap_or(&ops::OTHER);
-        if let Err(message) = self.serve(
-            line, scanned, &mut op, out, scratch, received, started, &mut span,
-        ) {
+        if let Err(message) = serve(out, &mut span) {
             self.write_error(&message, raw_id, out);
         }
         let elapsed = started.elapsed();
@@ -1501,27 +1517,65 @@ impl CleaningService {
         self.inner.trace.record(span);
     }
 
-    /// One request, start to reply: deadline → shed → parse (unless the
-    /// scanner already did) → writable gate → handler. A handler writes
-    /// its own success reply into `out` and nothing before it can no
-    /// longer fail; every `Err` becomes the error reply in one place.
+    /// One scanned line, start to reply: syntax → deadline → shed →
+    /// fields ([`admit`](Self::admit)) → writable gate → handler. The
+    /// line is served from its one scan or answered with that scan's
+    /// error — there is no second reading of it.
     #[allow(clippy::too_many_arguments)]
     fn serve(
         &self,
-        line: &str,
-        scanned: ScannedLine<'_>,
-        op: &mut &'static Op,
+        scanned: &ScannedLine<'_>,
+        op: &'static Op,
         out: &mut String,
         scratch: &mut RequestScratch,
         received: Instant,
         started: Instant,
         span: &mut Span,
     ) -> Result<(), String> {
+        let admitted = self.admit(scanned, op, scratch, received, started, span);
+        // In hand or refused, the request is read: parse time ends here.
+        span.parse_ns = started.elapsed().as_nanos() as u64;
+        let request = admitted?;
+        if op.writes {
+            self.check_writable()?;
+        }
+        if let Request::SessionValidate { .. } = request {
+            // Names resolve against the schema as they are read, into
+            // `scratch` — after the gate: a follower redirects whatever
+            // the names.
+            let RequestScratch {
+                validations,
+                unescape,
+            } = scratch;
+            validations.clear();
+            scanned.fields.validations(unescape, |name, value| {
+                validations.push((self.resolve_attr(name)?, value));
+                Ok::<(), String>(())
+            })?;
+        }
+        self.dispatch(request, scanned.id, out, scratch, span)
+    }
+
+    /// The refusals, cheapest first, then the op's fields. Everything
+    /// before the fields reads what the scan already holds and allocates
+    /// nothing, so a refused request costs its lexing and no more.
+    fn admit(
+        &self,
+        scanned: &ScannedLine<'_>,
+        op: &'static Op,
+        scratch: &mut RequestScratch,
+        received: Instant,
+        started: Instant,
+        span: &mut Span,
+    ) -> Result<Request, String> {
+        if let Some(error) = &scanned.syntax {
+            return Err(error.0.clone());
+        }
         // Deadline check before any engine, journal or fsync cost is
         // paid. `deadline_ms: 0` is deterministically expired; an
         // absurd deadline that overflows `Instant` arithmetic can
         // never expire and is simply dropped.
-        if let Some(ms) = scanned.deadline_ms {
+        if let Some(ms) = scanned.deadline_ms() {
             if let Some(deadline) = received.checked_add(Duration::from_millis(ms)) {
                 if started >= deadline {
                     self.inner.metrics.requests_shed_deadline.inc();
@@ -1532,49 +1586,14 @@ impl CleaningService {
                 span.deadline = Some(deadline);
             }
         }
-        // Admission: when the scanner named the row the shed decision
-        // costs two atomic loads, before any parser runs. Lines it
-        // could not classify are checked after the tree parse instead
-        // (never twice).
-        if scanned.op.is_some() {
-            self.shed_check(op)?;
-        }
-        let parsed = match scanned.hot {
-            Some(parsed) => parsed,
-            None => {
-                let request = parse_tree(line, op)?;
-                // Tree parse counts as parse time too.
-                span.parse_ns = started.elapsed().as_nanos() as u64;
-                if scanned.op.is_none() {
-                    self.shed_check(op)?;
-                }
-                Parsed::Request(request)
-            }
+        // Admission: two atomic loads on the row the scan named.
+        self.shed_check(op)?;
+        let id = match op.id {
+            Some(id) => id,
+            // No row: the `op` field says why.
+            None => scanned.fields.op_id(&mut scratch.unescape)?,
         };
-        // Gate on the request actually served, whichever parser read it.
-        *op = match &parsed {
-            Parsed::Request(request) => request.op(),
-            Parsed::Validate { .. } => OpId::SessionValidate.row(),
-        };
-        if op.writes {
-            self.check_writable()?;
-        }
-        match parsed {
-            Parsed::Request(request) => self.dispatch(request, scanned.id, out, scratch, span),
-            Parsed::Validate {
-                session,
-                validations,
-            } => {
-                if self.resolve_validations_into(validations, scratch)? {
-                    return self.session_validate(session, scanned.id, out, scratch, span);
-                }
-                // Validations the scanner does not vouch for (container
-                // values, broken escapes): the tree parser owns them,
-                // and the wording of their errors.
-                let request = parse_tree(line, op)?;
-                self.dispatch(request, scanned.id, out, scratch, span)
-            }
-        }
+        Ok(Request::parse(id, &scanned.fields, &mut scratch.unescape)?)
     }
 
     /// Serve one typed request: a thin entry over the line path — the
@@ -1587,7 +1606,7 @@ impl CleaningService {
     /// The one handler of each op. The session ops write their reply
     /// through a [`JsonWriter`]; the cold ops build a [`Json`] tree,
     /// rendered here.
-    fn dispatch(
+    pub(crate) fn dispatch(
         &self,
         request: Request,
         raw_id: Option<&str>,
@@ -1600,16 +1619,9 @@ impl CleaningService {
             Request::SessionGet { session } => {
                 return self.session_view(session, None, raw_id, out)
             }
-            Request::SessionValidate {
-                session,
-                validations,
-            } => {
-                scratch.validations.clear();
-                for (name, value) in validations {
-                    let attr = self.resolve_attr(&name)?;
-                    scratch.validations.push((attr, value));
-                }
-                return self.session_validate(session, raw_id, out, scratch, span);
+            // `serve` resolved the validations into `scratch`.
+            Request::SessionValidate { session, .. } => {
+                return self.session_validate(session, raw_id, out, scratch, span)
             }
             Request::SessionFix { session } => {
                 scratch.validations.clear();
@@ -1780,47 +1792,6 @@ impl CleaningService {
         w.key("error");
         w.str_val(message);
         w.end_obj();
-    }
-
-    /// Resolve a scanned `validations` object span against the schema
-    /// into `scratch.validations`. `Ok(true)` = resolved; `Ok(false)` =
-    /// a shape the scanner does not vouch for, left to the tree parser;
-    /// `Err` = a service-level error (unknown attribute).
-    fn resolve_validations_into(
-        &self,
-        span: &str,
-        scratch: &mut RequestScratch,
-    ) -> Result<bool, String> {
-        scratch.validations.clear();
-        let Some(mut scanner) = ObjectScanner::new(span) else {
-            return Ok(false);
-        };
-        while let Some((key, value, _)) = scanner.next_field() {
-            let attr = {
-                let Some(name) = key.unescape_into(&mut scratch.unescape) else {
-                    return Ok(false);
-                };
-                self.resolve_attr(name)?
-            };
-            let value = match value {
-                RawValue::Null => Value::Null,
-                RawValue::Bool(b) => Value::Bool(b),
-                RawValue::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => {
-                    Value::Int(n as i64)
-                }
-                RawValue::Num(n) => Value::Float(n),
-                RawValue::Str(s) => {
-                    let Some(content) = s.unescape_into(&mut scratch.unescape) else {
-                        return Ok(false);
-                    };
-                    Value::str(content)
-                }
-                // Containers as cell values: the tree parser owns the error.
-                RawValue::Arr(_) | RawValue::Obj(_) => return Ok(false),
-            };
-            scratch.validations.push((attr, value));
-        }
-        Ok(scanner.ok())
     }
 
     fn hello(&self) -> Json {
@@ -2887,20 +2858,6 @@ fn write_attrs(
     w.end_arr();
 }
 
-/// Tree-parse one line — [`Request::parse_line`], charging the line to
-/// the most specific class it gets as far as naming: `parse_error` when
-/// it is not JSON, otherwise the row its `op` names (the caller's
-/// default stands when it names none).
-fn parse_tree(line: &str, op: &mut &'static Op) -> Result<Request, String> {
-    let json = Json::parse(line).map_err(|e| {
-        *op = &ops::PARSE_ERROR;
-        e.0
-    })?;
-    let id = Request::id_of(&json).map_err(|e| e.0)?;
-    *op = id.row();
-    Request::parse(id, &json).map_err(|e| e.0)
-}
-
 /// 99th-percentile upper bound from `(exclusive upper bound, count)`
 /// histogram buckets; 0 with no observations.
 fn bucket_p99_ns(buckets: &[(u64, u64)]) -> u64 {
@@ -3238,25 +3195,4 @@ fn clean_one(
             ),
         ),
     ]))
-}
-
-/// Master rows reinterpreted over the input schema (by attribute name) —
-/// the truth universe for region certification, mirroring the CLI.
-pub(crate) fn universe_from_master(input: &SchemaRef, master: &MasterData) -> Vec<Tuple> {
-    let mapping: Vec<Option<usize>> = input
-        .attributes()
-        .iter()
-        .map(|a| master.schema().attr_id(a.name()))
-        .collect();
-    master
-        .relation()
-        .iter()
-        .map(|(_, s)| {
-            let values: Vec<Value> = mapping
-                .iter()
-                .map(|m| m.map(|id| s.get(id).clone()).unwrap_or(Value::Null))
-                .collect();
-            Tuple::new(input.clone(), values).expect("string schema accepts all values")
-        })
-        .collect()
 }

@@ -2,12 +2,19 @@
 //!
 //! One JSON value per protocol line (line-delimited JSON). The build
 //! environment is offline, so instead of serde+serde_json this is a
-//! small hand-rolled codec: a [`Json`] tree, a recursive-descent parser
-//! and a compact renderer. Numbers are kept as `f64` — integers are
-//! exact up to 2^53, far beyond any session id or attribute count the
-//! service hands out.
+//! small hand-rolled codec with exactly one reader of bytes: the
+//! validating lexer in [`scan`], which accepts RFC 8259 and nothing
+//! else. Everything that reads JSON is a view over it — the borrowed
+//! field and element scanners the server reads request lines through,
+//! and [`Json::parse`], which builds an owned [`Json`] tree from the
+//! same tokens for whoever reads *replies* (the client, the tests). The
+//! writing side is the tree's compact renderer and the direct
+//! [`JsonWriter`]. Numbers are kept as `f64` — integers are exact up to
+//! 2^53, far beyond any session id or attribute count the service hands
+//! out.
 
 use cerfix_relation::Value;
+use scan::Token;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -38,6 +45,13 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// Inside the service an error is the message its reply carries.
+impl From<WireError> for String {
+    fn from(error: WireError) -> String {
+        error.0
+    }
+}
 
 impl Json {
     /// Shorthand string constructor.
@@ -74,7 +88,7 @@ impl Json {
     /// The numeric payload as u64, if this is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) => num_u64(*n),
             _ => None,
         }
     }
@@ -120,25 +134,54 @@ impl Json {
         Ok(match self {
             Json::Null => Value::Null,
             Json::Bool(b) => Value::Bool(*b),
-            Json::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Value::Int(*n as i64),
-            Json::Num(n) => Value::Float(*n),
+            Json::Num(n) => num_value(*n),
             Json::Str(s) => Value::str(s),
-            other => return Err(WireError(format!("cannot use {other:?} as a cell value"))),
+            Json::Arr(_) => return Err(not_a_cell("an array")),
+            Json::Obj(_) => return Err(not_a_cell("an object")),
         })
     }
 
     /// Parse one JSON value from `text` (must consume the whole string
-    /// up to trailing whitespace). Nesting is capped at [`MAX_DEPTH`]
-    /// so hostile input cannot overflow the parser's stack.
+    /// up to trailing whitespace): the tree builder over the [`scan`]
+    /// lexer's tokens. The lexer owns the grammar — including the
+    /// [`MAX_DEPTH`] nesting cap — and the containers still open are
+    /// kept on a heap stack, so hostile input cannot overflow this
+    /// thread's.
     pub fn parse(text: &str) -> Result<Json, WireError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(WireError(format!("trailing garbage at byte {pos}")));
+        let mut lexer = scan::Lexer::new(text);
+        let mut open: Vec<Json> = Vec::new();
+        let mut keys: Vec<String> = Vec::new();
+        let mut buf = String::new();
+        loop {
+            let value = match lexer.next_token()? {
+                Token::Null => Json::Null,
+                Token::Bool(b) => Json::Bool(b),
+                Token::Num(text) => Json::Num(scan::to_f64(text)),
+                Token::Str(s) => Json::Str(s.unescape_into(&mut buf).to_string()),
+                Token::Key(key) => {
+                    keys.push(key.unescape_into(&mut buf).to_string());
+                    continue;
+                }
+                Token::Open { object } => {
+                    open.push(if object {
+                        Json::Obj(Vec::new())
+                    } else {
+                        Json::Arr(Vec::new())
+                    });
+                    continue;
+                }
+                Token::Close => open.pop().expect("the lexer balances brackets"),
+                Token::End => return Err(WireError("unexpected end of input".into())),
+            };
+            match open.last_mut() {
+                Some(Json::Arr(items)) => items.push(value),
+                Some(Json::Obj(fields)) => {
+                    let key = keys.pop().expect("the lexer puts a key before each member");
+                    fields.push((key, value));
+                }
+                _ => return Ok(lexer.finish().map(|()| value)?),
+            }
         }
-        Ok(value)
     }
 
     /// Compact single-line rendering (safe for line-delimited framing:
@@ -178,181 +221,32 @@ pub fn render_response_into(json: &Json, id: Option<&str>, out: &mut String) {
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), WireError> {
-    if bytes[*pos..].starts_with(token.as_bytes()) {
-        *pos += token.len();
-        Ok(())
-    } else {
-        Err(WireError(format!("expected `{token}` at byte {}", *pos)))
-    }
-}
-
-/// Maximum container nesting [`Json::parse`] accepts. Recursion depth
-/// bounds stack use; anything legitimately deeper than this is not a
+/// Maximum container nesting the lexer accepts — one level per bit of
+/// its bracket stack. Anything legitimately deeper than this is not a
 /// protocol message.
 pub const MAX_DEPTH: usize = 128;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
-    if depth > MAX_DEPTH {
-        return Err(WireError(format!("nesting deeper than {MAX_DEPTH} levels")));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(WireError("unexpected end of input".into())),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(WireError(format!("expected `,` or `]` at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(WireError(format!("expected `,` or `}}` at byte {}", *pos))),
-                }
-            }
-        }
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&other) => Err(WireError(format!(
-            "unexpected byte {:?} at {}",
-            other as char, *pos
-        ))),
+/// A JSON number as a u64, if it is a non-negative integer in the exact
+/// range.
+fn num_u64(n: f64) -> Option<u64> {
+    // (The cast saturates, so only a whole number in range survives the
+    // round trip — and no call into libm for `fract`.)
+    let whole = n as u64;
+    (whole as f64 == n && n <= 2f64.powi(53)).then_some(whole)
+}
+
+/// A JSON number as a cell: integral values in the exact range are
+/// `Int`, the rest `Float`.
+fn num_value(n: f64) -> Value {
+    if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+        Value::Int(n as i64)
+    } else {
+        Value::Float(n)
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| WireError("invalid utf8 in number".into()))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| WireError(format!("invalid number `{text}`")))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(WireError(format!("expected string at byte {}", *pos)));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(WireError("unterminated string".into())),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = parse_hex4(bytes, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: expect \uXXXX low half.
-                            *pos += 1;
-                            expect(bytes, pos, "\\u")
-                                .map_err(|_| WireError("lone high surrogate".into()))?;
-                            *pos -= 1; // parse_hex4 expects pos at the `u`
-                            let lo = parse_hex4(bytes, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(WireError("invalid low surrogate".into()));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| WireError(format!("invalid codepoint {code:#x}")))?,
-                        );
-                    }
-                    _ => return Err(WireError("invalid escape".into())),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| WireError("invalid utf8 in string".into()))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-/// Parse `uXXXX` with `pos` at the `u`; leaves `pos` at the final hex
-/// digit (the caller advances past it).
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, WireError> {
-    let start = *pos + 1;
-    let end = start + 4;
-    if end > bytes.len() {
-        return Err(WireError("truncated \\u escape".into()));
-    }
-    let hex = std::str::from_utf8(&bytes[start..end])
-        .map_err(|_| WireError("invalid \\u escape".into()))?;
-    let code = u32::from_str_radix(hex, 16).map_err(|_| WireError("invalid \\u escape".into()))?;
-    *pos = end - 1;
-    Ok(code)
+fn not_a_cell(what: &str) -> WireError {
+    WireError(format!("cannot use {what} as a cell value"))
 }
 
 fn render_into(json: &Json, out: &mut String) {
@@ -421,21 +315,31 @@ pub(crate) fn render_string(s: &str, out: &mut String) {
 }
 
 pub mod scan {
-    //! Zero-allocation slice scanner for the hot request shapes.
+    //! The JSON lexer: the one place the bytes of a line are read.
     //!
-    //! The tree parser ([`Json::parse`](super::Json::parse)) builds an
-    //! owned value per line — correct, but every string, array and
-    //! object costs a heap allocation. The scanner instead walks the
-    //! line in place and hands out **borrowed** slices: string content
-    //! comes back as `&str` spans of the input (with an `escaped` flag;
-    //! unescaping is deferred to [`RawStr::unescape_into`], which writes
-    //! into a caller-supplied, reusable buffer), and containers come
-    //! back as raw spans to re-scan on demand. The fast request paths in
-    //! [`protocol`](crate::protocol) and the service are built on this;
-    //! anything the scanner finds irregular falls back to the tree
-    //! parser so error messages stay identical.
+    //! [`Lexer`] is a pull tokenizer that is also the validator: it
+    //! keeps the grammar state — an explicit bracket stack, one bit per
+    //! open container, and what may come next — so commas, colons,
+    //! bracket matching, the nesting cap, the RFC 8259 number grammar,
+    //! string escapes with their surrogate pairs and the ban on raw
+    //! control bytes are all checked in the one pass that finds the
+    //! tokens, without allocating. A failure is a [`WireError`] naming
+    //! the byte it happened at (a `Copy` [`Flaw`] until it leaves this
+    //! module: the pass itself carries no `String`). Every reader is a
+    //! view over those tokens: [`Json::parse`](super::Json::parse) builds
+    //! a tree from them; [`ObjectScanner`] and [`ArrayScanner`] hand out **borrowed**
+    //! slices of the line instead — string content as `&str` spans
+    //! (unescaped on demand by [`RawStr::unescape_into`] into a reusable
+    //! buffer), containers as raw spans to re-scan on demand. A
+    //! container is walked to its closing bracket before its span is
+    //! handed out, so every span a scanner returns is valid JSON — which
+    //! is what lets the service echo a request `id` verbatim.
 
-    /// A scanned string: the content between the quotes, escapes intact.
+    use super::{not_a_cell, num_u64, num_value, WireError, MAX_DEPTH};
+    use cerfix_relation::Value;
+
+    /// A scanned string: the content between the quotes, escapes intact
+    /// and already validated.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RawStr<'a> {
         content: &'a str,
@@ -443,77 +347,101 @@ pub mod scan {
     }
 
     impl<'a> RawStr<'a> {
-        /// The string as a borrowed slice, when it contains no escapes
-        /// (the overwhelmingly common case on this protocol).
-        pub fn as_plain(&self) -> Option<&'a str> {
-            (!self.escaped).then_some(self.content)
-        }
-
-        /// Unescape into `buf` (cleared first) and return the result —
-        /// borrowed from the input when no escapes are present, from
-        /// `buf` otherwise. `None` on an invalid escape sequence.
-        pub fn unescape_into<'b>(&self, buf: &'b mut String) -> Option<&'b str>
+        /// The string's value — borrowed from the input when it has no
+        /// escapes (the overwhelmingly common case on this protocol),
+        /// unescaped into `buf` (cleared first) otherwise.
+        pub fn unescape_into<'b>(&self, buf: &'b mut String) -> &'b str
         where
             'a: 'b,
         {
             if !self.escaped {
-                return Some(self.content);
+                return self.content;
             }
             buf.clear();
             let bytes = self.content.as_bytes();
             let mut pos = 0usize;
             while pos < bytes.len() {
-                if bytes[pos] != b'\\' {
+                if bytes[pos] == b'\\' {
+                    let (c, next) = escape(bytes, pos + 1).expect("the lexer validated it");
+                    buf.push(c);
+                    pos = next;
+                } else {
                     // Copy the run up to the next escape in one go.
                     let start = pos;
                     while pos < bytes.len() && bytes[pos] != b'\\' {
                         pos += 1;
                     }
                     buf.push_str(&self.content[start..pos]);
-                    continue;
                 }
-                pos += 1;
-                match bytes.get(pos)? {
-                    b'"' => buf.push('"'),
-                    b'\\' => buf.push('\\'),
-                    b'/' => buf.push('/'),
-                    b'b' => buf.push('\u{8}'),
-                    b'f' => buf.push('\u{c}'),
-                    b'n' => buf.push('\n'),
-                    b'r' => buf.push('\r'),
-                    b't' => buf.push('\t'),
-                    b'u' => {
-                        let hi = hex4(bytes, pos + 1)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require the \uXXXX low half.
-                            if bytes.get(pos + 5) != Some(&b'\\')
-                                || bytes.get(pos + 6) != Some(&b'u')
-                            {
-                                return None;
-                            }
-                            let lo = hex4(bytes, pos + 7)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return None;
-                            }
-                            pos += 10;
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            pos += 4;
-                            hi
-                        };
-                        buf.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                }
-                pos += 1;
             }
-            Some(buf.as_str())
+            buf
         }
     }
 
-    fn hex4(bytes: &[u8], start: usize) -> Option<u32> {
-        let hex = bytes.get(start..start + 4)?;
-        u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
+    /// Decode one escape sequence, `at` pointing just past its
+    /// backslash: the character it stands for and the position after
+    /// it. `None` when it is not one RFC 8259 allows — an unknown
+    /// letter, fewer than four hex digits, half a surrogate pair.
+    fn escape(bytes: &[u8], at: usize) -> Option<(char, usize)> {
+        let hex4 = |at: usize| {
+            let hex = bytes.get(at..at + 4)?;
+            // (`from_str_radix` alone would let a sign through.)
+            let hex = std::str::from_utf8(hex).ok()?;
+            hex.bytes()
+                .all(|b| b.is_ascii_hexdigit())
+                .then(|| u32::from_str_radix(hex, 16).ok())?
+        };
+        let c = match bytes.get(at)? {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = hex4(at + 1)?;
+                if !(0xD800..0xDC00).contains(&hi) {
+                    // (A lone low half is no `char`.)
+                    return Some((char::from_u32(hi)?, at + 5));
+                }
+                // A high half: its `\uXXXX` low half must follow.
+                if bytes.get(at + 5..at + 7) != Some(b"\\u") {
+                    return None;
+                }
+                let lo = hex4(at + 7)?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return None;
+                }
+                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                return Some((char::from_u32(code)?, at + 11));
+            }
+            _ => return None,
+        };
+        Some((c, at + 1))
+    }
+
+    /// Why a text is not JSON, and where.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Flaw {
+        what: &'static str,
+        at: usize,
+    }
+
+    impl From<Flaw> for WireError {
+        fn from(flaw: Flaw) -> WireError {
+            WireError(format!("{} at byte {}", flaw.what, flaw.at))
+        }
+    }
+
+    // The bracket stack is a `u128`, and the nesting error says so.
+    const _: () = assert!(MAX_DEPTH == u128::BITS as usize);
+
+    /// The value of a number token.
+    pub(super) fn to_f64(text: &str) -> f64 {
+        text.parse()
+            .expect("every RFC 8259 number is an f64 literal")
     }
 
     /// One scanned value: scalars carry their payload, containers carry
@@ -536,306 +464,479 @@ pub mod scan {
 
     impl<'a> RawValue<'a> {
         /// The numeric payload as u64, if this is a non-negative
-        /// integer (mirrors [`Json::as_u64`](super::Json::as_u64)).
+        /// integer.
         pub fn as_u64(&self) -> Option<u64> {
             match self {
-                RawValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                    Some(*n as u64)
-                }
+                RawValue::Num(n) => num_u64(*n),
                 _ => None,
             }
         }
+
+        /// The boolean payload, if this is a bool.
+        pub fn as_bool(&self) -> Option<bool> {
+            match self {
+                RawValue::Bool(b) => Some(*b),
+                _ => None,
+            }
+        }
+
+        /// The string payload (unescaped through `buf`), if this is a
+        /// string.
+        pub fn as_str<'b>(&self, buf: &'b mut String) -> Option<&'b str>
+        where
+            'a: 'b,
+        {
+            match self {
+                RawValue::Str(s) => Some(s.unescape_into(buf)),
+                _ => None,
+            }
+        }
+
+        /// A scanner over the elements, if this is an array.
+        pub fn as_arr(&self) -> Option<ArrayScanner<'a>> {
+            match self {
+                RawValue::Arr(span) => ArrayScanner::new(span),
+                _ => None,
+            }
+        }
+
+        /// A scanner over the fields, if this is an object.
+        pub fn as_obj(&self) -> Option<ObjectScanner<'a>> {
+            match self {
+                RawValue::Obj(span) => ObjectScanner::new(span),
+                _ => None,
+            }
+        }
+
+        /// Convert into a relational [`Value`], as
+        /// [`Json::to_value`](super::Json::to_value) does: the one
+        /// allocation is a string cell's own.
+        pub fn to_value(&self, buf: &mut String) -> Result<Value, WireError> {
+            Ok(match self {
+                RawValue::Null => Value::Null,
+                RawValue::Bool(b) => Value::Bool(*b),
+                RawValue::Num(n) => num_value(*n),
+                RawValue::Str(s) => Value::str(s.unescape_into(buf)),
+                RawValue::Arr(_) => return Err(not_a_cell("an array")),
+                RawValue::Obj(_) => return Err(not_a_cell("an object")),
+            })
+        }
     }
 
-    /// Byte cursor shared by the field and element iterators.
-    struct Cursor<'a> {
+    /// One lexical element of a JSON text.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(super) enum Token<'a> {
+        Null,
+        Bool(bool),
+        /// A number: its text, grammar-checked ([`to_f64`] reads it).
+        Num(&'a str),
+        Str(RawStr<'a>),
+        /// An object member's key; its `:` is consumed with it.
+        Key(RawStr<'a>),
+        /// `{` or `[`.
+        Open {
+            object: bool,
+        },
+        /// The bracket closing the innermost open container.
+        Close,
+        /// The text is over, after exactly one complete value.
+        End,
+    }
+
+    /// What the grammar admits next.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Expect {
+        /// A value: at the start of the text, or after a key.
+        Value,
+        /// Just inside a container: its first member, or its end.
+        FirstOrClose,
+        /// After a value: `,` and the next member, or the container's
+        /// end — the end of the text, outside any container.
+        CommaOrClose,
+    }
+
+    /// The validating pull lexer (module docs).
+    pub(super) struct Lexer<'a> {
         text: &'a str,
         pos: usize,
+        /// The bracket stack: bit `d` set ⇔ the container open at depth
+        /// `d` is an object. [`MAX_DEPTH`] is its width.
+        objects: u128,
+        depth: usize,
+        expect: Expect,
     }
 
-    impl<'a> Cursor<'a> {
-        fn bytes(&self) -> &'a [u8] {
-            self.text.as_bytes()
+    impl<'a> Lexer<'a> {
+        pub(super) fn new(text: &'a str) -> Lexer<'a> {
+            Lexer {
+                text,
+                pos: 0,
+                objects: 0,
+                depth: 0,
+                expect: Expect::Value,
+            }
+        }
+
+        fn error(&self, what: &'static str) -> Flaw {
+            Flaw { what, at: self.pos }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.text.as_bytes().get(self.pos).copied()
         }
 
         fn skip_ws(&mut self) {
-            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes().get(self.pos) {
+            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
                 self.pos += 1;
             }
         }
 
-        fn peek(&self) -> Option<u8> {
-            self.bytes().get(self.pos).copied()
+        fn in_object(&self) -> bool {
+            self.depth > 0 && self.objects >> (self.depth - 1) & 1 == 1
         }
 
-        /// Scan a string starting at the opening quote; leaves `pos`
-        /// past the closing quote.
-        fn string(&mut self) -> Option<RawStr<'a>> {
-            let bytes = self.bytes();
-            if bytes.get(self.pos) != Some(&b'"') {
-                return None;
+        /// The next token, or the reason the text is not JSON: the
+        /// grammar's three steps — [`member`](Self::member),
+        /// [`key`](Self::key), [`begin_value`](Self::begin_value) — taken
+        /// as the state says. (A scanner, which knows where in its
+        /// container it is, takes the steps themselves.)
+        ///
+        /// Inlined, like the steps, into each of the few loops that pull
+        /// tokens: handing a `Token` back through memory costs more than
+        /// lexing it (a 40-byte `session.get`: 190 → 90 ns).
+        #[inline(always)]
+        pub(super) fn next_token(&mut self) -> Result<Token<'a>, Flaw> {
+            if self.expect != Expect::Value {
+                if self.depth == 0 {
+                    return self.finish().map(|()| Token::End);
+                }
+                if !self.member()? {
+                    return Ok(Token::Close);
+                }
+                if self.in_object() {
+                    return self.key().map(Token::Key);
+                }
             }
-            let start = self.pos + 1;
-            let mut pos = start;
-            let mut escaped = false;
-            loop {
-                match bytes.get(pos)? {
-                    b'"' => break,
-                    b'\\' => {
-                        escaped = true;
-                        pos += 2;
+            self.begin_value()
+        }
+
+        /// Inside a container, step to its next member — past the `,`
+        /// after a value, or nowhere before the first. `false`: its
+        /// closing bracket came instead, and is consumed.
+        #[inline(always)]
+        fn member(&mut self) -> Result<bool, Flaw> {
+            let close = if self.in_object() { b'}' } else { b']' };
+            self.skip_ws();
+            match self.peek() {
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    self.expect = Expect::CommaOrClose;
+                    Ok(false)
+                }
+                _ if self.expect == Expect::FirstOrClose => Ok(true),
+                Some(b',') => {
+                    self.pos += 1;
+                    Ok(true)
+                }
+                _ if close == b'}' => Err(self.error("expected `,` or `}`")),
+                _ => Err(self.error("expected `,` or `]`")),
+            }
+        }
+
+        /// An object member's key, and the `:` after it.
+        #[inline(always)]
+        fn key(&mut self) -> Result<RawStr<'a>, Flaw> {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(self.error("expected `:`"));
+            }
+            self.pos += 1;
+            self.expect = Expect::Value;
+            Ok(key)
+        }
+
+        /// A value's first token: a scalar whole, or the bracket that
+        /// opens a container.
+        #[inline(always)]
+        fn begin_value(&mut self) -> Result<Token<'a>, Flaw> {
+            self.skip_ws();
+            self.expect = Expect::CommaOrClose;
+            match self.peek() {
+                None => Err(self.error("unexpected end of input")),
+                Some(b'n') => self.literal("null", Token::Null),
+                Some(b't') => self.literal("true", Token::Bool(true)),
+                Some(b'f') => self.literal("false", Token::Bool(false)),
+                Some(b'"') => self.string().map(Token::Str),
+                Some(b'-' | b'0'..=b'9') => self.number().map(Token::Num),
+                Some(open @ (b'[' | b'{')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.error("nesting deeper than 128 levels"));
                     }
-                    _ => pos += 1,
+                    let object = open == b'{';
+                    self.open(object);
+                    Ok(Token::Open { object })
+                }
+                Some(_) => Err(self.error("expected a value")),
+            }
+        }
+
+        /// After the text's one value: nothing but whitespace may follow.
+        pub(super) fn finish(&mut self) -> Result<(), Flaw> {
+            self.skip_ws();
+            match self.peek() {
+                None => Ok(()),
+                Some(_) => Err(self.error("trailing garbage")),
+            }
+        }
+
+        fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, Flaw> {
+            if !self.text[self.pos..].starts_with(word) {
+                return Err(self.error("expected a value"));
+            }
+            self.pos += word.len();
+            Ok(token)
+        }
+
+        /// A string, from its opening quote to past its closing one.
+        #[inline(always)]
+        fn string(&mut self) -> Result<RawStr<'a>, Flaw> {
+            if self.peek() != Some(b'"') {
+                return Err(self.error("expected a string"));
+            }
+            let bytes = self.text.as_bytes();
+            let start = self.pos + 1;
+            let mut escaped = false;
+            let mut pos = start;
+            let flaw = |what, at| Err(Flaw { what, at });
+            loop {
+                match bytes.get(pos) {
+                    None => return flaw("unterminated string", pos),
+                    Some(b'"') => break,
+                    Some(b'\\') => {
+                        escaped = true;
+                        match escape(bytes, pos + 1) {
+                            Some((_, next)) => pos = next,
+                            None => return flaw("invalid escape", pos),
+                        }
+                    }
+                    Some(0..=0x1f) => return flaw("raw control byte in a string", pos),
+                    Some(_) => pos += 1,
                 }
             }
             self.pos = pos + 1;
-            // `start..pos` always lands on char boundaries: it is
-            // delimited by ASCII quotes/backslashes.
-            Some(RawStr {
-                content: self.text.get(start..pos)?,
-                escaped,
-            })
+            // `start..pos` lands on char boundaries: it is delimited by
+            // ASCII quotes.
+            let content = &self.text[start..pos];
+            Ok(RawStr { content, escaped })
         }
 
-        fn number(&mut self) -> Option<f64> {
-            let bytes = self.bytes();
+        /// A number, by the RFC 8259 grammar: `-`? int frac? exp?, no
+        /// leading zeros, a digit on either side of the point.
+        #[inline(always)]
+        fn number(&mut self) -> Result<&'a str, Flaw> {
+            let bytes = self.text.as_bytes();
             let start = self.pos;
-            let mut pos = start;
-            if bytes.get(pos) == Some(&b'-') {
-                pos += 1;
-            }
-            while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(pos) {
-                pos += 1;
-            }
-            self.pos = pos;
-            self.text.get(start..pos)?.parse().ok()
-        }
-
-        /// Skip one container starting at its opening bracket,
-        /// returning the raw span (brackets included). Iterative —
-        /// hostile nesting cannot overflow the stack here (depth is
-        /// enforced by the tree parser if the span is ever parsed).
-        fn container(&mut self) -> Option<&'a str> {
-            let bytes = self.bytes();
-            let start = self.pos;
-            let mut depth = 0usize;
-            let mut pos = start;
-            loop {
-                match bytes.get(pos)? {
-                    b'{' | b'[' => {
-                        depth += 1;
-                        pos += 1;
-                    }
-                    b'}' | b']' => {
-                        depth -= 1;
-                        pos += 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    b'"' => {
-                        pos += 1;
-                        loop {
-                            match bytes.get(pos)? {
-                                b'"' => break,
-                                b'\\' => pos += 2,
-                                _ => pos += 1,
-                            }
-                        }
-                        pos += 1;
-                    }
-                    _ => pos += 1,
+            let digits = |lexer: &mut Self| {
+                let from = lexer.pos;
+                while let Some(b'0'..=b'9') = bytes.get(lexer.pos) {
+                    lexer.pos += 1;
                 }
+                if lexer.pos == from {
+                    return Err(lexer.error("expected a digit"));
+                }
+                Ok(())
+            };
+            if bytes.get(self.pos) == Some(&b'-') {
+                self.pos += 1;
             }
-            self.pos = pos;
-            self.text.get(start..pos)
-        }
-
-        fn value(&mut self) -> Option<RawValue<'a>> {
-            self.skip_ws();
-            match self.peek()? {
-                b'n' => self.literal("null", RawValue::Null),
-                b't' => self.literal("true", RawValue::Bool(true)),
-                b'f' => self.literal("false", RawValue::Bool(false)),
-                b'"' => self.string().map(RawValue::Str),
-                b'-' | b'0'..=b'9' => self.number().map(RawValue::Num),
-                b'[' => self.container().map(RawValue::Arr),
-                b'{' => self.container().map(RawValue::Obj),
-                _ => None,
-            }
-        }
-
-        fn literal(&mut self, token: &str, value: RawValue<'a>) -> Option<RawValue<'a>> {
-            if self.text[self.pos..].starts_with(token) {
-                self.pos += token.len();
-                Some(value)
+            if bytes.get(self.pos) == Some(&b'0') {
+                self.pos += 1; // a leading zero stands alone
             } else {
-                None
+                digits(self)?;
             }
+            if bytes.get(self.pos) == Some(&b'.') {
+                self.pos += 1;
+                digits(self)?;
+            }
+            if let Some(b'e' | b'E') = bytes.get(self.pos) {
+                self.pos += 1;
+                if let Some(b'+' | b'-') = bytes.get(self.pos) {
+                    self.pos += 1;
+                }
+                digits(self)?;
+            }
+            Ok(&self.text[start..self.pos])
+        }
+
+        /// Step over an opening bracket, onto the bracket stack.
+        fn open(&mut self, object: bool) {
+            self.objects = self.objects & !(1u128 << self.depth) | (object as u128) << self.depth;
+            self.depth += 1;
+            self.pos += 1;
+            self.expect = Expect::FirstOrClose;
+        }
+
+        /// One whole value — a container is walked, and so validated, to
+        /// its closing bracket — with the exact bytes it spans.
+        #[inline(always)]
+        fn value(&mut self) -> Result<(RawValue<'a>, &'a str), Flaw> {
+            self.skip_ws();
+            let start = self.pos;
+            let value = match self.begin_value()? {
+                Token::Null => RawValue::Null,
+                Token::Bool(b) => RawValue::Bool(b),
+                Token::Num(text) => RawValue::Num(to_f64(text)),
+                Token::Str(s) => RawValue::Str(s),
+                Token::Open { object } => {
+                    self.skip_container()?;
+                    let span = &self.text[start..self.pos];
+                    if object {
+                        RawValue::Obj(span)
+                    } else {
+                        RawValue::Arr(span)
+                    }
+                }
+                // (`begin_value` yields no other.)
+                Token::Key(_) | Token::Close | Token::End => {
+                    return Err(self.error("expected a value"))
+                }
+            };
+            Ok((value, &self.text[start..self.pos]))
+        }
+
+        /// Walk — and so validate — the rest of the container just
+        /// opened, to its closing bracket. The one loop that pulls tokens
+        /// for nobody, kept out of line: every scanner's step shares it.
+        #[inline(never)]
+        fn skip_container(&mut self) -> Result<(), Flaw> {
+            let outer = self.depth - 1;
+            while self.depth > outer {
+                self.next_token()?;
+            }
+            Ok(())
+        }
+
+        /// Open the container a scanner walks: `text` must start (after
+        /// whitespace) with `bracket`.
+        fn enter(text: &'a str, bracket: u8) -> Option<Lexer<'a>> {
+            let mut lexer = Lexer::new(text);
+            lexer.skip_ws();
+            if lexer.peek() != Some(bracket) {
+                return None;
+            }
+            lexer.open(bracket == b'{');
+            Some(lexer)
         }
     }
 
-    /// Field iterator over one JSON object. Any scan failure (malformed
-    /// input) surfaces as `None` from [`ObjectScanner::next_field`] with
-    /// [`ObjectScanner::ok`] false — callers treat that as "fall back
-    /// to the tree parser".
-    pub struct ObjectScanner<'a> {
-        cursor: Cursor<'a>,
-        first: bool,
-        done: bool,
-        failed: bool,
+    /// Is `text` exactly one JSON value?
+    pub(crate) fn validate(text: &str) -> Result<(), WireError> {
+        let mut lexer = Lexer::new(text);
+        lexer.value()?;
+        Ok(lexer.finish()?)
     }
+
+    /// The walk both scanners make over one container: the lexer, and
+    /// how the walk ended once it has.
+    struct Walk<'a> {
+        lexer: Lexer<'a>,
+        end: Option<Result<(), Flaw>>,
+    }
+
+    impl<'a> Walk<'a> {
+        fn enter(text: &'a str, bracket: u8) -> Option<Walk<'a>> {
+            let lexer = Lexer::enter(text, bracket)?;
+            Some(Walk { lexer, end: None })
+        }
+
+        /// The container's next member, read by `item` — or `None` once
+        /// the walk is over: at the closing bracket (nothing but
+        /// whitespace may follow it) or at the first flaw.
+        fn next<T>(&mut self, item: impl FnOnce(&mut Lexer<'a>) -> Result<T, Flaw>) -> Option<T> {
+            if self.end.is_some() {
+                return None;
+            }
+            let lexer = &mut self.lexer;
+            let step = lexer.member().and_then(|more| match more {
+                true => item(lexer).map(Some),
+                false => lexer.finish().map(|()| None),
+            });
+            match step {
+                Ok(Some(item)) => return Some(item),
+                Ok(None) => self.end = Some(Ok(())),
+                Err(flaw) => self.end = Some(Err(flaw)),
+            }
+            None
+        }
+
+        /// How the walk ended: `Ok` iff it reached the closing bracket
+        /// of a well-formed container.
+        fn finish(self) -> Result<(), WireError> {
+            let end = self
+                .end
+                .ok_or_else(|| WireError("container not walked to its end".into()))?;
+            Ok(end?)
+        }
+    }
+
+    /// One field of an object: its key, its value and the value's exact
+    /// bytes in the input — what an `id` echo writes back verbatim.
+    pub type Field<'a> = (RawStr<'a>, RawValue<'a>, &'a str);
+
+    /// Field iterator over one JSON object.
+    pub struct ObjectScanner<'a>(Walk<'a>);
 
     impl<'a> ObjectScanner<'a> {
         /// Scan `text` as a single object (leading/trailing whitespace
         /// tolerated). `None` if it does not start with `{`.
         pub fn new(text: &'a str) -> Option<ObjectScanner<'a>> {
-            let mut cursor = Cursor { text, pos: 0 };
-            cursor.skip_ws();
-            if cursor.peek() != Some(b'{') {
-                return None;
-            }
-            cursor.pos += 1;
-            Some(ObjectScanner {
-                cursor,
-                first: true,
-                done: false,
-                failed: false,
+            Walk::enter(text, b'{').map(ObjectScanner)
+        }
+
+        /// The next field, or `None` once the object is over —
+        /// [`finish`](Self::finish) tells its clean end (`}`, then
+        /// nothing but whitespace) from malformed input.
+        #[allow(clippy::should_implement_trait)]
+        pub fn next_field(&mut self) -> Option<Field<'a>> {
+            self.0.next(|lexer| {
+                let key = lexer.key()?;
+                let (value, span) = lexer.value()?;
+                Ok((key, value, span))
             })
         }
 
-        /// The next `(key, value, raw value span)` triple, or `None` at
-        /// the end of the object (check [`ok`](Self::ok) to distinguish
-        /// the clean end from malformed input). The raw span is the
-        /// value's exact bytes in the input — what an `id` echo writes
-        /// back verbatim.
-        #[allow(clippy::should_implement_trait)]
-        pub fn next_field(&mut self) -> Option<(RawStr<'a>, RawValue<'a>, &'a str)> {
-            if self.done || self.failed {
-                return None;
-            }
-            self.cursor.skip_ws();
-            if self.first && self.cursor.peek() == Some(b'}') {
-                self.cursor.pos += 1;
-                return self.finish();
-            }
-            if !self.first {
-                match self.cursor.peek() {
-                    Some(b',') => self.cursor.pos += 1,
-                    Some(b'}') => {
-                        self.cursor.pos += 1;
-                        return self.finish();
-                    }
-                    _ => return self.fail(),
-                }
-                self.cursor.skip_ws();
-            }
-            self.first = false;
-            let Some(key) = self.cursor.string() else {
-                return self.fail();
-            };
-            self.cursor.skip_ws();
-            if self.cursor.peek() != Some(b':') {
-                return self.fail();
-            }
-            self.cursor.pos += 1;
-            self.cursor.skip_ws();
-            let start = self.cursor.pos;
-            let Some(value) = self.cursor.value() else {
-                return self.fail();
-            };
-            let span = &self.cursor.text[start..self.cursor.pos];
-            Some((key, value, span))
-        }
-
-        fn finish(&mut self) -> Option<(RawStr<'a>, RawValue<'a>, &'a str)> {
-            self.cursor.skip_ws();
-            if self.cursor.pos != self.cursor.text.len() {
-                self.failed = true; // trailing garbage → tree parser
-            }
-            self.done = true;
-            None
-        }
-
-        fn fail(&mut self) -> Option<(RawStr<'a>, RawValue<'a>, &'a str)> {
-            self.failed = true;
-            None
-        }
-
-        /// True iff scanning ended at a well-formed `}` with nothing
-        /// but whitespace after it.
-        pub fn ok(&self) -> bool {
-            self.done && !self.failed
+        /// How the scan ended: `Ok` iff every field was walked and the
+        /// text was one well-formed object.
+        pub fn finish(self) -> Result<(), WireError> {
+            self.0.finish()
         }
     }
 
     /// Element iterator over one JSON array span (as returned in
     /// [`RawValue::Arr`]).
-    pub struct ArrayScanner<'a> {
-        cursor: Cursor<'a>,
-        first: bool,
-        done: bool,
-        failed: bool,
-    }
+    pub struct ArrayScanner<'a>(Walk<'a>);
 
     impl<'a> ArrayScanner<'a> {
         /// Scan `text` as a single array. `None` if it does not start
         /// with `[`.
         pub fn new(text: &'a str) -> Option<ArrayScanner<'a>> {
-            let mut cursor = Cursor { text, pos: 0 };
-            cursor.skip_ws();
-            if cursor.peek() != Some(b'[') {
-                return None;
-            }
-            cursor.pos += 1;
-            Some(ArrayScanner {
-                cursor,
-                first: true,
-                done: false,
-                failed: false,
-            })
+            Walk::enter(text, b'[').map(ArrayScanner)
         }
 
-        /// The next element, or `None` at the end (check
-        /// [`ok`](Self::ok)).
+        /// The next element, or `None` once the array is over (see
+        /// [`finish`](Self::finish)).
         #[allow(clippy::should_implement_trait)]
         pub fn next_value(&mut self) -> Option<RawValue<'a>> {
-            if self.done || self.failed {
-                return None;
-            }
-            self.cursor.skip_ws();
-            if self.first && self.cursor.peek() == Some(b']') {
-                self.cursor.pos += 1;
-                self.done = true;
-                return None;
-            }
-            if !self.first {
-                match self.cursor.peek() {
-                    Some(b',') => self.cursor.pos += 1,
-                    Some(b']') => {
-                        self.cursor.pos += 1;
-                        self.done = true;
-                        return None;
-                    }
-                    _ => {
-                        self.failed = true;
-                        return None;
-                    }
-                }
-            }
-            self.first = false;
-            match self.cursor.value() {
-                Some(value) => Some(value),
-                None => {
-                    self.failed = true;
-                    None
-                }
-            }
+            self.0.next(|lexer| Ok(lexer.value()?.0))
         }
 
-        /// True iff scanning ended at a well-formed `]`.
-        pub fn ok(&self) -> bool {
-            self.done && !self.failed
+        /// How the scan ended: `Ok` iff every element was walked and
+        /// the text was one well-formed array.
+        pub fn finish(self) -> Result<(), WireError> {
+            self.0.finish()
         }
     }
 }
@@ -968,7 +1069,7 @@ impl<'a> JsonWriter<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1052,17 +1153,18 @@ mod tests {
         let mut seen = Vec::new();
         let mut buf = String::new();
         while let Some((key, value, span)) = scanner.next_field() {
-            let key = key.as_plain().unwrap().to_string();
+            let key = key.unescape_into(&mut buf).to_string();
             match value {
                 scan::RawValue::Str(s) => {
-                    seen.push((key, format!("str:{}", s.unescape_into(&mut buf).unwrap())));
+                    seen.push((key, format!("str:{}", s.unescape_into(&mut buf))));
                 }
                 scan::RawValue::Num(n) => seen.push((key, format!("num:{n} span:{span}"))),
                 scan::RawValue::Arr(raw) => seen.push((key, format!("arr:{raw}"))),
                 other => seen.push((key, format!("{other:?}"))),
             }
         }
-        assert!(scanner.ok());
+        assert_eq!(scanner.finish(), Ok(()));
+        assert!(scan::ObjectScanner::new("[1]").is_none());
         assert_eq!(
             seen,
             vec![
@@ -1075,26 +1177,134 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scanner_matches_tree_parser_verdicts() {
-        // Lines the tree parser accepts must scan cleanly; lines it
-        // rejects must scan as failed (→ the fallback owns the error).
-        for line in [
+    /// The RFC 8259 conformance table: one JSON text per row and
+    /// whether it is one. `tests::every_view_of_the_lexer_gives_the_same_verdict`
+    /// (in `lib.rs`, where there is a service to ask) runs every row
+    /// through each view over the lexer — the tree builder, the field
+    /// scanner, the request path — so the views cannot drift apart.
+    /// Every row gives the same verdict bare and as a member's value.
+    pub(crate) fn conformance() -> Vec<(String, bool)> {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let accept = [
+            // Numbers: zero, sign, fraction, exponent in every spelling.
+            "0",
+            "-0",
+            "7",
+            "-17",
+            "10",
+            "3.5",
+            "0.5",
+            "-0.5e-3",
+            "1e5",
+            "1E+5",
+            "1e-5",
+            "1.0e0",
+            "123456789012",
+            // Strings: empty, every escape, pairs, raw non-ASCII.
+            r#""""#,
+            r#""a""#,
+            r#""\" \\ \/ \b \f \n \r \t""#,
+            r#""\u0041\u00e9\u0000""#,
+            r#""\uD83E\uDD80""#,
+            r#""\ud83e\udd80""#,
+            "\"é🦀\"",
+            // Literals.
+            "null",
+            "true",
+            "false",
+            // Containers: empty, nested, duplicate keys, whitespace.
+            "[]",
+            "{}",
+            "[ ]",
+            "{ }",
+            "[1,2]",
             r#"{"a":1}"#,
-            r#"{}"#,
+            r#"{"a":{"b":[1,{"c":null}]}}"#,
             r#"{"a":"x","b":[true,null],"c":{"d":1.5}}"#,
-            r#"  {"a" : 1 }  "#,
-        ] {
-            let mut scanner = scan::ObjectScanner::new(line).unwrap();
-            while scanner.next_field().is_some() {}
-            assert!(scanner.ok(), "{line}");
-        }
-        for line in [r#"{"a":}"#, r#"{"a":1,}"#, r#"{"a" 1}"#, r#"{"a":1}x"#] {
-            let mut scanner = scan::ObjectScanner::new(line).unwrap();
-            while scanner.next_field().is_some() {}
-            assert!(!scanner.ok(), "{line} must fail the scan");
-        }
-        assert!(scan::ObjectScanner::new("[1]").is_none());
+            r#"{"a":1,"a":2}"#,
+            " [ 1 ,\t2 ,\r\n3 ] ",
+            "{ \"a\" : 1 }",
+            "  {\"a\" : 1 }  ",
+        ];
+        let reject = [
+            // Numbers RFC 8259 does not have.
+            "01",
+            "-01",
+            "1.",
+            ".5",
+            "-",
+            "+1",
+            "1e",
+            "1e+",
+            "1.e5",
+            "0x10",
+            "1.2.3",
+            "--1",
+            "1_000",
+            "Infinity",
+            "NaN",
+            // Strings: bad escapes, lone surrogate halves, raw control
+            // bytes, no end, wrong quotes.
+            r#""\q""#,
+            r#""\u12""#,
+            r#""\u12G4""#,
+            r#""\u+123""#,
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800x""#,
+            "\"a\tb\"",
+            "\"a\nb\"",
+            "\"a\u{0}b\"",
+            "\"a\u{1f}b\"",
+            "\"open",
+            "'single'",
+            // Literals, nearly.
+            "nul",
+            "nulll",
+            "tru",
+            "True",
+            // Containers: stray and missing commas, colons, keys, ends.
+            "[1,]",
+            "[,1]",
+            "[1,,2]",
+            "[1 2]",
+            r#"{"a":1,}"#,
+            "{,}",
+            r#"{"a"}"#,
+            r#"{"a":}"#,
+            r#"{"a" 1}"#,
+            "{a:1}",
+            "{1:1}",
+            "[",
+            "{",
+            "]",
+            "}",
+            "[}",
+            "{]",
+            "[1}",
+            r#"{"a":1]"#,
+            r#"{"a" 1 2 3]"#,
+            // Nothing, and more than one thing.
+            "",
+            " ",
+            "1 2",
+            "{} x",
+            r#"{"a":1}x"#,
+            "[] []",
+            "null,",
+            r#"{"a":1}}"#,
+            "[1]]",
+        ];
+        let mut rows: Vec<(String, bool)> = Vec::new();
+        rows.extend(accept.iter().map(|text| (text.to_string(), true)));
+        rows.extend(reject.iter().map(|text| (text.to_string(), false)));
+        // Nesting: as a member's value a text sits one level deeper, so
+        // the rows stay a level clear of the cap on either side (the
+        // boundary itself: `deep_nesting_rejected_not_overflowed`).
+        rows.push((nested(MAX_DEPTH - 1), true));
+        rows.push((nested(MAX_DEPTH + 1), false));
+        rows
     }
 
     #[test]
@@ -1104,11 +1314,11 @@ mod tests {
         while scanner.next_value().is_some() {
             n += 1;
         }
-        assert!(scanner.ok());
+        assert_eq!(scanner.finish(), Ok(()));
         assert_eq!(n, 4);
         let mut bad = scan::ArrayScanner::new("[1,]").unwrap();
         while bad.next_value().is_some() {}
-        assert!(!bad.ok());
+        assert!(bad.finish().is_err());
     }
 
     #[test]
@@ -1120,7 +1330,7 @@ mod tests {
             panic!("string expected")
         };
         let mut buf = String::new();
-        assert_eq!(s.unescape_into(&mut buf), Some("aA\n\t\\ é 🦀"));
+        assert_eq!(s.unescape_into(&mut buf), "aA\n\t\\ é 🦀");
     }
 
     #[test]
@@ -1198,8 +1408,24 @@ mod tests {
         // Same guard on objects.
         let objects = "{\"a\":".repeat(200_000);
         assert!(Json::parse(&objects).is_err());
-        // Depth just under the cap still parses.
-        let ok = format!("{}1{}", "[".repeat(100), "]".repeat(100));
+        // The cap itself: `MAX_DEPTH` open containers parse, one more
+        // does not — counted from the outermost bracket of the text, so
+        // a value nested in a request line has the line's own `{` above
+        // it. No view builds anything the lexer did not let through.
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(scan::validate(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.0.contains("nesting") && err.0.contains("at byte 128"),
+            "{err}"
+        );
+        assert_eq!(scan::validate(&nested(MAX_DEPTH + 1)), Err(err));
+        let line = format!("{{\"v\":{}}}", nested(MAX_DEPTH));
+        let mut scanner = scan::ObjectScanner::new(&line).unwrap();
+        assert!(scanner.next_field().is_none());
+        assert!(scanner.finish().unwrap_err().0.contains("nesting"));
+        let ok = nested(100);
         assert!(Json::parse(&ok).is_ok());
     }
 }

@@ -68,12 +68,10 @@
 //! `clean`). All columns are strings, matching the demo's form data.
 
 use cerfix::{
-    check_consistency, find_regions, AuditStats, ConsistencyOptions, DataMonitor, MasterData,
-    RegionFinderOptions,
+    check_consistency, find_regions, universe_from_master, AuditStats, ConsistencyOptions,
+    DataMonitor, MasterData, RegionFinderOptions,
 };
-use cerfix_relation::{
-    read_untyped_str, write_relation_file, Relation, Schema, SchemaRef, Tuple, Value,
-};
+use cerfix_relation::{read_untyped_str, write_relation_file, Relation, Schema, SchemaRef, Value};
 use cerfix_rules::{discover_rules, parse_rules, render_er_dsl, RuleDecl, RuleSet};
 use cerfix_server::{CleaningService, Frontend, Server, ServiceConfig};
 use std::collections::BTreeMap;
@@ -173,26 +171,6 @@ fn load_rules(args: &Args, input: &SchemaRef, master: &SchemaRef) -> Result<Rule
     Ok(set)
 }
 
-/// Master rows reinterpreted over the input schema (by name) as the truth
-/// universe for region certification.
-fn universe_from_master(input: &SchemaRef, master: &Relation) -> Vec<Tuple> {
-    let mapping: Vec<Option<usize>> = input
-        .attributes()
-        .iter()
-        .map(|a| master.schema().attr_id(a.name()))
-        .collect();
-    master
-        .iter()
-        .map(|(_, s)| {
-            let values: Vec<Value> = mapping
-                .iter()
-                .map(|m| m.map(|id| s.get(id).clone()).unwrap_or(Value::Null))
-                .collect();
-            Tuple::new(input.clone(), values).expect("string schema accepts all values")
-        })
-        .collect()
-}
-
 fn cmd_check(args: &Args) -> Result<(), String> {
     let master_rel = load_master(args)?;
     let input = input_schema_from(args, &master_rel)?;
@@ -230,8 +208,8 @@ fn cmd_regions(args: &Args) -> Result<(), String> {
     let master_rel = load_master(args)?;
     let input = input_schema_from(args, &master_rel)?;
     let rules = load_rules(args, &input, master_rel.schema())?;
-    let universe = universe_from_master(&input, &master_rel);
     let master = MasterData::new(master_rel);
+    let universe = universe_from_master(&input, &master);
     let top_k = args
         .options
         .get("top-k")

@@ -16,34 +16,10 @@ use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::{CleaningService, RequestScratch, ServiceConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counter bump touches no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// key → val lookup service over 64 master rows: per-op service work is
 /// a couple of index probes, so the serving path is what gets counted.
@@ -103,12 +79,12 @@ fn warmed_session_ops_allocate_zero_zero_one() {
             out.clear();
             service.handle_line_into(line, &mut out, &mut scratch);
         }
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = counting_alloc::count();
         for _ in 0..MEASURE {
             out.clear();
             service.handle_line_into(line, &mut out, &mut scratch);
         }
-        let spent = ALLOCS.load(Ordering::Relaxed) - before;
+        let spent = counting_alloc::count() - before;
         assert!(out.contains("\"ok\":true"), "probe op must succeed: {out}");
         spent
     };

@@ -2,14 +2,17 @@
 //!
 //! The contract under test — for ANY single input line (arbitrary
 //! bytes, truncated JSON, deeply nested JSON, valid requests with junk
-//! fields, hostile `deadline_ms` values), the service's line handler
-//! must (1) never panic, and (2) produce exactly one well-formed JSON
-//! object in response: an `ok` boolean, an `error` string when not ok,
-//! and no embedded newline that would desynchronize a pipelined
-//! client. This exercises the whole stack the wire sees: the
-//! zero-allocation `scan_line` pre-scan (hot-path detection, op and
-//! deadline extraction), the hot-path slice parser, the tree parser
-//! fallback and the admission/deadline checks in front of dispatch.
+//! fields, valid requests damaged inside a span nobody reads, hostile
+//! `deadline_ms` values), the service's line handler must (1) never
+//! panic, and (2) produce exactly one well-formed JSON object in
+//! response: an `ok` boolean, an `error` string when not ok, and no
+//! embedded newline that would desynchronize a pipelined client. This
+//! exercises the whole stack the wire sees: the one validating pass over
+//! the line (`scan_line`: op, `id` span and deadline extraction, the
+//! field view), the field readers behind it, and the admission/deadline
+//! checks in front of dispatch. A reply echoes the request's `id` span
+//! byte for byte, so "well-formed" holds only if every span the pass
+//! walked over was validated, not just skipped.
 
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
@@ -166,11 +169,56 @@ fn arbitrary_line(rng: &mut StdRng) -> String {
         .collect()
 }
 
+/// A valid hot-shape line — a session op with an `id` and one field no
+/// op reads — with one to three bytes changed *inside* the `id` or the
+/// junk field's nested value: damage in a span the request path echoes
+/// or walks past, everything it reads intact.
+fn damaged_span(rng: &mut StdRng) -> String {
+    let nested = |rng: &mut StdRng| {
+        let (a, b, c) = (scalar(rng), scalar(rng), scalar(rng));
+        format!("{{\"a\":[{a},{{\"b\":{b}}}],\"c\":{c}}}")
+    };
+    let session = rng.gen_range(0..3u32);
+    let mut line = match rng.gen_range(0..3u32) {
+        0 => format!("{{\"op\":\"session.get\",\"session\":{session}"),
+        1 => format!("{{\"op\":\"session.fix\",\"session\":{session}"),
+        _ => format!(
+            "{{\"op\":\"session.validate\",\"session\":{session},\"validations\":{{\"key\":\"k1\"}}"
+        ),
+    };
+    let id = if rng.gen_bool(0.5) {
+        scalar(rng)
+    } else {
+        nested(rng)
+    };
+    line.push_str(",\"id\":");
+    let id_span = line.len()..line.len() + id.len();
+    line.push_str(&id);
+    line.push_str(",\"x\":");
+    let junk = nested(rng);
+    let junk_span = line.len()..line.len() + junk.len();
+    line.push_str(&junk);
+    line.push('}');
+    // Every generated byte is ASCII, and so is every replacement.
+    let mut bytes = line.into_bytes();
+    for _ in 0..rng.gen_range(1..=3u32) {
+        let span = if rng.gen_bool(0.5) {
+            id_span.clone()
+        } else {
+            junk_span.clone()
+        };
+        let with = b"{}[]\":,\\ 01eE.-+utx";
+        bytes[rng.gen_range(span)] = with[rng.gen_range(0..with.len())];
+    }
+    String::from_utf8(bytes).expect("ASCII")
+}
+
 fn fuzz_line(rng: &mut StdRng) -> String {
-    let mut line = match rng.gen_range(0..4u32) {
+    let mut line = match rng.gen_range(0..5u32) {
         0 => arbitrary_line(rng),
         1 => valid_shape(rng),
         2 => deeply_nested(rng),
+        3 => damaged_span(rng),
         // Truncations of valid shapes: every prefix must still get a
         // well-formed error response.
         _ => {
@@ -211,6 +259,10 @@ fn assert_well_formed(line: &str, response: &str) {
 #[test]
 fn any_line_gets_exactly_one_well_formed_response() {
     let service = kv_service();
+    // Live sessions, so the session ops are served as well as refused.
+    for _ in 0..2 {
+        service.handle_line(r#"{"op":"session.create","tuple":["k1","WRONG"]}"#);
+    }
     let mut runner = TestRunner::new(
         Config::with_cases(2000),
         "any_line_gets_exactly_one_well_formed_response",
