@@ -67,20 +67,25 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admin;
 mod admission;
 pub mod cache;
 mod client;
 mod diag;
+mod engine;
 mod fsprobe;
+mod health;
 mod metrics;
 mod net;
 mod ops;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 mod reactor;
+mod recovery;
 mod replication;
 mod service;
 mod session;
+mod session_ops;
 mod timeseries;
 mod trace;
 pub mod wire;
@@ -364,7 +369,9 @@ mod tests {
     /// name parses to and re-encodes from the row's `Request`; a
     /// follower refuses exactly the `writes` rows with `not_primary` and
     /// serves the rest; a level-2 shedder sheds exactly the rows that
-    /// are not critical.
+    /// are not critical; and every op's reply is one JSON line that
+    /// opens with the `id` echo and `ok` — byte for byte a checked-in
+    /// literal where the reply holds no clock reading.
     #[test]
     fn op_table_drives_parsing_gating_and_shedding() {
         use ops::{OpId, OPS};
@@ -452,16 +459,81 @@ mod tests {
             );
         }
         drop(release);
+
+        // Every op on a fresh service, in table order, each with an id:
+        // whatever it answers is well-formed and opens the same way.
+        // The literals are the parent commit's bytes (a tree, rendered),
+        // so field order and number formatting are pinned past the tree.
+        let service = kv_service(1);
+        let ids = ["17", "\"req-9\"", "1.50", "null"];
+        let mut pinned = 0;
+        for ((op, line), id) in rows.iter().zip(&lines).zip(ids.iter().cycle()) {
+            let reply = service.handle_line(&format!("{{\"id\":{id},{}", &line[1..]));
+            assert_eq!(
+                wire::scan::validate(&reply),
+                Ok(()),
+                "{} → {reply}",
+                op.name
+            );
+            let rest = reply.strip_prefix(&format!("{{\"id\":{id},"));
+            let rest = rest.unwrap_or_else(|| panic!("{} → {reply}", op.name));
+            assert!(rest.starts_with("\"ok\":"), "{} → {reply}", op.name);
+            if let Some((_, golden)) = GOLDEN_REPLIES.iter().find(|(name, _)| *name == op.name) {
+                assert_eq!(rest, *golden, "{}", op.name);
+                pinned += 1;
+            }
+        }
+        assert_eq!(pinned, GOLDEN_REPLIES.len());
     }
+
+    /// What the ops whose reply is a function of the requests before it
+    /// answer in `op_table_drives_parsing_gating_and_shedding`, after
+    /// the `id` echo.
+    const GOLDEN_REPLIES: &[(&str, &str)] = &[
+        (
+            "session.get",
+            r#""ok":false,"error":"unknown session 7 (expired, finished, or never created)"}"#,
+        ),
+        (
+            "clean",
+            r#""ok":true,"count":2,"complete":1,"cells_fixed":1,"outcomes":[{"index":0,"complete":true,"cells_fixed":1,"validated":3,"tuple":["k1","v1","x"]},{"index":1,"complete":false,"cells_fixed":0,"validated":0,"tuple":[null,"?",null]}]}"#,
+        ),
+        (
+            "regions",
+            r#""ok":true,"cached":true,"top_k":8,"regions":[{"attrs":["key","note"],"size":2,"contexts":1,"rendered":"({key, note}, [()])"}],"candidates":1,"closure_probes":1,"certification_fixpoints":0,"recertified":0,"master_generation":0}"#,
+        ),
+        (
+            "check",
+            r#""ok":true,"cached":false,"mode":"strict","consistent":true,"conflicts":0,"ambiguities":0,"budget_exhausted":false}"#,
+        ),
+        (
+            "audit.read",
+            r#""ok":true,"start":0,"count":3,"next":3,"total":3,"spilled":0,"records":[{"index":0,"tuple":1,"attr":"key","round":1,"kind":"user_validated","old":"k1","new":"k1"},{"index":1,"tuple":1,"attr":"note","round":1,"kind":"user_validated","old":"x","new":"x"},{"index":2,"tuple":1,"attr":"val","round":1,"kind":"rule_fixed","rule":0,"master_row":1,"old":"WRONG","new":"v1"}]}"#,
+        ),
+        (
+            "rules.reload",
+            r#""ok":true,"rules":1,"ruleset":"defb5b2b01d2ec3c","regions":1}"#,
+        ),
+        (
+            "master.append",
+            r#""ok":true,"appended":1,"master_rows":51,"generation":1,"regions_patched":true,"regions_recertified":1}"#,
+        ),
+        ("config.set", r#""ok":true,"key":"slow_ms","value":250}"#),
+        (
+            "server.drain",
+            r#""ok":true,"draining":true,"sessions":0,"wait_ms":10000}"#,
+        ),
+        ("shutdown", r#""ok":true,"stopping":true}"#),
+    ];
 
     #[test]
     fn request_ids_echo_on_every_path() {
         let service = kv_service(1);
         let mut client = LocalClient::in_process(&service);
         client.create_session(row("k3", "WRONG", "n")).unwrap();
-        // A session op (its reply written direct), a cold one (check,
-        // its reply a rendered tree) and the error replies all echo the
-        // id as the first field, verbatim.
+        // A session op (its reply written under the session's lock), a
+        // cold one (check, written once gathered) and the error replies
+        // all echo the id as the first field, verbatim.
         for (line, op_is_error) in [
             (r#"{"op":"session.get","session":1,"id":7}"#, false),
             (r#"{"op":"check","id":"c-1"}"#, false),
@@ -491,6 +563,24 @@ mod tests {
         // Without an id, no id field appears.
         let without = service.handle_line(r#"{"op":"session.get","session":1}"#);
         assert!(!without.contains("\"id\""));
+    }
+
+    /// A handler that fails after it began writing leaves no half reply:
+    /// the frame takes back what it wrote — to where the reply began,
+    /// not to the start of a buffer that may hold earlier replies — and
+    /// the request is answered with exactly one well-formed error line.
+    #[test]
+    fn a_failed_handler_never_leaves_half_a_reply() {
+        let service = kv_service(1);
+        let mut out = String::from("{\"ok\":true}\n");
+        let now = std::time::Instant::now();
+        service.answer(&ops::OTHER, None, &mut out, now, now, |mut reply| {
+            let w = reply.ok();
+            w.key("x");
+            Err("boom".into())
+        });
+        assert_eq!(out, "{\"ok\":true}\n{\"ok\":false,\"error\":\"boom\"}");
+        assert_eq!(service.metrics().errors, 1);
     }
 
     /// A reply is JSON whatever the request was: a line that is not —

@@ -2,20 +2,21 @@
 //! row of the [`instruments!`] table below, and everything that names
 //! an instrument is generated from or loops over that table — the
 //! [`ServiceMetrics`] storage, the public [`MetricsSnapshot`], the
-//! `metrics`/`stats` JSON object ([`metrics_json`]), the Prometheus text
+//! `metrics`/`stats` reply ([`metrics_reply`]), the Prometheus text
 //! of `metrics.prom` ([`prom_text`]) and the `metrics.history` sample
-//! ([`MetricsSnapshot::history_fields`]).
+//! ([`MetricsSnapshot::write_history`]).
 //!
 //! Adding an instrument is one row plus the call that bumps it (a
 //! `stored` row: `metrics.my_counter.inc()` where the thing happens) or
 //! the closure that reads it from its owner (a `sampled` row). Nothing
 //! else in the crate lists instruments.
 
+use crate::health::HealthReport;
 use crate::ops::{self, Op};
 use crate::protocol::PROTOCOL_VERSION;
 use crate::replication::{FollowerLag, Role};
-use crate::service::{CleaningService, HealthReport};
-use crate::wire::Json;
+use crate::service::{CleaningService, Reply};
+use crate::wire::JsonWriter;
 use cerfix::EngineStats;
 use cerfix_storage::FlushProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -225,14 +226,6 @@ pub(crate) struct Scalar {
 }
 
 impl Scalar {
-    fn json(&self, snapshot: &MetricsSnapshot) -> Json {
-        let value = (self.get)(snapshot);
-        match self.kind {
-            Kind::Flag => Json::Bool(value != 0),
-            Kind::Counter | Kind::Gauge => Json::Num(value as f64),
-        }
-    }
-
     /// The row's `# TYPE`.
     pub(crate) fn prom_type(&self) -> &'static str {
         match self.kind {
@@ -606,73 +599,78 @@ impl ServiceMetrics {
 }
 
 impl MetricsSnapshot {
-    /// The scalar rows as `(metrics key, JSON value)` pairs.
-    fn scalar_fields(&self, journaled: bool) -> impl Iterator<Item = (&'static str, Json)> + '_ {
-        SCALARS
+    /// The scalar rows, each under its `metrics` key.
+    fn write_scalars(&self, w: &mut JsonWriter<'_>, journaled: bool) {
+        for row in SCALARS
             .iter()
-            .filter(move |row| journaled || !row.journaled_only)
-            .map(move |row| (row.field, row.json(self)))
+            .filter(|row| journaled || !row.journaled_only)
+        {
+            let value = (row.get)(self);
+            match row.kind {
+                Kind::Flag => w.field(row.field, value != 0),
+                Kind::Counter | Kind::Gauge => w.field(row.field, value),
+            }
+        }
     }
 
-    /// The per-op latency summaries as the `latency` JSON object.
-    fn latency_json(&self) -> Json {
-        let per_op = self.latency.iter().map(|l| {
-            let summary = Json::obj([
-                ("count", Json::Num(l.count as f64)),
-                ("p50_us", Json::Num(l.p50_ns as f64 / 1000.0)),
-                ("p99_us", Json::Num(l.p99_ns as f64 / 1000.0)),
-            ]);
-            (l.op.to_string(), summary)
-        });
-        Json::Obj(per_op.collect())
+    /// The per-op latency summaries as the `latency` object.
+    fn write_latency(&self, w: &mut JsonWriter<'_>) {
+        w.key("latency");
+        w.begin_obj();
+        for l in &self.latency {
+            w.key(l.op);
+            w.begin_obj();
+            w.field("count", l.count);
+            w.field("p50_us", l.p50_ns as f64 / 1000.0);
+            w.field("p99_us", l.p99_ns as f64 / 1000.0);
+            w.end_obj();
+        }
+        w.end_obj();
     }
 
     /// One `metrics.history` sample: every scalar row plus `latency`, so
     /// consumers can diff any counter into a rate.
-    pub(crate) fn history_fields(&self) -> impl Iterator<Item = (&'static str, Json)> + '_ {
-        self.scalar_fields(true)
-            .chain([("latency", self.latency_json())])
+    pub(crate) fn write_history(&self, w: &mut JsonWriter<'_>) {
+        self.write_scalars(w, true);
+        self.write_latency(w);
     }
 }
 
 /// The `metrics` / `stats` reply: every scalar row under its field
 /// name, plus the structured views (per-follower replication lag, per-op
 /// latency, the active engine's region-search diagnostics).
-pub(crate) fn metrics_json(service: &CleaningService) -> Json {
+pub(crate) fn metrics_reply(service: &CleaningService, reply: Reply<'_>) -> Result<(), String> {
     let snapshot = service.metrics();
     let journaled = service.is_journaled();
     let role = service.role();
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-        (
-            "storage",
-            Json::str(if journaled { "journaled" } else { "memory" }),
-        ),
-        ("role", Json::str(role.name())),
-    ];
-    if let Role::Follower { primary } = role {
-        fields.push(("primary", Json::Str(primary)));
-    }
-    fields.extend(snapshot.scalar_fields(journaled));
     let lags = service.follower_lags();
-    if !lags.is_empty() {
-        let per_follower = lags.iter().map(|lag| {
-            let mut view = lag.fields();
-            view.push(("last_seen_secs", Json::Num(lag.last_seen_secs)));
-            (lag.name.clone(), Json::obj(view))
-        });
-        fields.push(("replication", Json::Obj(per_follower.collect())));
-    }
-    // Ops with traffic only: how long requests spend in the service,
-    // transport excluded.
-    if !snapshot.latency.is_empty() {
-        fields.push(("latency", snapshot.latency_json()));
-    }
-    if let Some(search) = service.region_search_json() {
-        fields.push(("region_search", search));
-    }
-    Json::obj(fields)
+    reply.send(|w| {
+        w.field("version", env!("CARGO_PKG_VERSION"));
+        w.field("storage", if journaled { "journaled" } else { "memory" });
+        w.field("role", role.name());
+        if let Role::Follower { primary } = &role {
+            w.field("primary", primary);
+        }
+        snapshot.write_scalars(w, journaled);
+        if !lags.is_empty() {
+            w.key("replication");
+            w.begin_obj();
+            for lag in &lags {
+                w.key(&lag.name);
+                w.begin_obj();
+                lag.write_fields(w);
+                w.field("last_seen_secs", lag.last_seen_secs);
+                w.end_obj();
+            }
+            w.end_obj();
+        }
+        // Ops with traffic only: how long requests spend in the service,
+        // transport excluded.
+        if !snapshot.latency.is_empty() {
+            snapshot.write_latency(w);
+        }
+        service.write_region_search(w);
+    })
 }
 
 /// The Prometheus text exposition (version 0.0.4) of every row: scalars
@@ -707,12 +705,12 @@ pub(crate) fn prom_text(service: &CleaningService) -> String {
 /// `metrics.prom`: [`prom_text`] inside a one-line JSON envelope so it
 /// rides the wire protocol — operators (or a scrape sidecar) unwrap
 /// `body` and serve it over HTTP.
-pub(crate) fn prom_response(service: &CleaningService) -> Json {
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("content_type", Json::str("text/plain; version=0.0.4")),
-        ("body", Json::Str(prom_text(service))),
-    ])
+pub(crate) fn prom_reply(service: &CleaningService, reply: Reply<'_>) -> Result<(), String> {
+    let body = prom_text(service);
+    reply.send(|w| {
+        w.field("content_type", "text/plain; version=0.0.4");
+        w.field("body", &body);
+    })
 }
 
 /// Writer for one Prometheus family: the `# HELP` / `# TYPE` pair goes

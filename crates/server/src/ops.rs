@@ -12,9 +12,11 @@
 //! (`Request::parse`).
 //!
 //! Adding an op is one row here, one [`Request`](crate::Request)
-//! variant with its parse arm, and one handler arm in the service; the
-//! exhaustive matches over [`OpId`] and `Request` make the compiler
-//! reject a variant without a row or a handler.
+//! variant with its parse arm, and one handler — a method that writes
+//! its reply through the `Reply` it is handed — with its arm in the
+//! service's `dispatch`; the exhaustive matches over [`OpId`] and
+//! `Request` make the compiler reject a variant without a row or a
+//! handler.
 
 use crate::admission::Priority::{self, Critical, Heavy, Session};
 

@@ -790,9 +790,14 @@ pub(crate) mod tests {
             OpId::SessionFix => vec![Request::SessionFix { session: 7 }],
             OpId::SessionCommit => vec![Request::SessionCommit { session: 9 }],
             OpId::SessionAbort => vec![Request::SessionAbort { session: 9 }],
+            // Served on the kv fixture of `lib.rs`: one tuple a rule
+            // fixes, one with nothing to trust.
             OpId::Clean => vec![Request::Clean {
-                tuples: vec![vec![Value::str("x")], vec![Value::str("y")]],
-                trust: vec!["key".into()],
+                tuples: vec![
+                    vec![Value::str("k1"), Value::str("WRONG"), Value::str("x")],
+                    vec![Value::Null, Value::str("?"), Value::Null],
+                ],
+                trust: vec!["key".into(), "note".into()],
             }],
             OpId::Regions => vec![
                 Request::Regions { top_k: None },
@@ -815,11 +820,16 @@ pub(crate) mod tests {
                 },
             ],
             OpId::RulesReload => vec![Request::RulesReload {
-                rules: "er phi1: match zip=zip fix AC:=AC when ()".into(),
+                rules: "er vk: match val=val fix key:=key when ()".into(),
             }],
-            OpId::MasterAppend => vec![Request::MasterAppend {
-                tuples: vec![vec![Value::str("G12"), Value::Null], vec![Value::Int(3)]],
-            }],
+            OpId::MasterAppend => vec![
+                Request::MasterAppend {
+                    tuples: vec![vec![Value::str("k100"), Value::str("v100")]],
+                },
+                Request::MasterAppend {
+                    tuples: vec![vec![Value::str("G12"), Value::Null], vec![Value::Int(3)]],
+                },
+            ],
             OpId::Metrics => vec![Request::Metrics],
             OpId::MetricsProm => vec![Request::MetricsProm],
             OpId::TraceRead => vec![

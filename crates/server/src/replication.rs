@@ -37,7 +37,7 @@ use crate::client::{jitter_seed, jittered, Client, ClientError, RetryPolicy};
 use crate::diag::Subsystem;
 use crate::ops::OpId;
 use crate::protocol::{Request, RequestScratch, ScannedLine};
-use crate::service::CleaningService;
+use crate::service::{CleaningService, Reply};
 use crate::trace::Span;
 use crate::wire::{Json, JsonWriter};
 use cerfix_storage::{JournalEvent, SnapshotData};
@@ -227,13 +227,11 @@ pub(crate) struct FollowerLag {
 
 impl FollowerLag {
     /// The cursor and lag as reply fields.
-    pub(crate) fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("epoch", Json::Num(self.epoch as f64)),
-            ("offset", Json::Num(self.offset as f64)),
-            ("lag_events", Json::Num(self.lag_events as f64)),
-            ("lag_seconds", Json::Num(self.lag_seconds)),
-        ]
+    pub(crate) fn write_fields(&self, w: &mut JsonWriter<'_>) {
+        w.field("epoch", self.epoch);
+        w.field("offset", self.offset);
+        w.field("lag_events", self.lag_events);
+        w.field("lag_seconds", self.lag_seconds);
     }
 }
 
@@ -588,40 +586,28 @@ pub(crate) struct HeldSync {
     pub(crate) deadline: Instant,
 }
 
-/// Write a `replica.sync` reply: the cursor echo, then the snapshot or
-/// event frames as hex written in place. `from` echoes the requested
-/// cursor: a follower rejects any response whose echo mismatches its
-/// cursor, so a duplicated or reordered response on a faulty network
-/// can never re-apply.
-fn write_sync_reply(
-    out: &mut String,
-    raw_id: Option<&str>,
+/// Write the fields of a `replica.sync` reply: the cursor echo, then
+/// the snapshot or event frames as hex written in place. `from` echoes
+/// the requested cursor: a follower rejects any response whose echo
+/// mismatches its cursor, so a duplicated or reordered response on a
+/// faulty network can never re-apply.
+fn write_sync_fields(
+    w: &mut JsonWriter<'_>,
     (epoch, durable): (u64, u64),
     from: u64,
     snapshot: Option<&[u8]>,
     events: &[JournalEvent],
 ) {
-    let mut w = JsonWriter::new(out);
-    w.begin_response(raw_id);
-    w.key("ok");
-    w.bool_val(true);
-    w.key("epoch");
-    w.num(epoch as f64);
-    w.key("from");
-    w.num(from as f64);
-    w.key("durable");
-    w.num(durable as f64);
+    w.field("epoch", epoch);
+    w.field("from", from);
+    w.field("durable", durable);
     if let Some(snapshot) = snapshot {
         w.key("snapshot");
         w.str_with(|out| push_hex(snapshot, out));
     }
-    w.key("events");
-    w.begin_arr();
-    for event in events {
-        w.str_with(|out| push_hex(&event.encode(), out));
-    }
-    w.end_arr();
-    w.end_obj();
+    w.array("events", events, |w, event| {
+        w.str_with(|out| push_hex(&event.encode(), out))
+    });
 }
 
 impl CleaningService {
@@ -727,8 +713,8 @@ impl CleaningService {
         let released = Instant::now();
         let id = held.id.as_deref();
         let op = OpId::ReplicaSync.row();
-        self.answer(op, id, out, released, released, |out, span| {
-            self.dispatch(held.request, id, out, scratch, span)
+        self.answer(op, id, out, released, released, |reply| {
+            self.dispatch(held.request, reply, scratch)
         });
     }
 
@@ -763,7 +749,6 @@ impl CleaningService {
     /// have been deposed, and the request fences us. `wait_ms` is the
     /// front end's business ([`HeldSync`]): by the time a request is
     /// here it is answered.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn replica_sync(
         &self,
         follower: &str,
@@ -771,9 +756,7 @@ impl CleaningService {
         offset: u64,
         max: Option<u64>,
         resync: bool,
-        raw_id: Option<&str>,
-        out: &mut String,
-        span: &mut Span,
+        reply: Reply<'_>,
     ) -> Result<(), String> {
         let Some(storage) = self.storage() else {
             return Err("replication requires a journaled server (--data-dir)".into());
@@ -794,8 +777,7 @@ impl CleaningService {
             let snapshot = self.cached_snapshot()?;
             let position = (storage.epoch(), storage.durable_position().1);
             self.record_follower(follower, epoch, offset, position.0, position.1);
-            write_sync_reply(out, raw_id, position, offset, Some(&snapshot), &[]);
-            return Ok(());
+            return reply.send(|w| write_sync_fields(w, position, offset, Some(&snapshot), &[]));
         }
         let max = max.unwrap_or(512).clamp(1, 2048) as usize;
         let read = storage
@@ -824,11 +806,8 @@ impl CleaningService {
         self.metrics_raw()
             .replication_events_served
             .add(events.len() as u64);
-        let render_started = Instant::now();
         let snapshot = snapshot.as_ref().map(|bytes| bytes.as_slice());
-        write_sync_reply(out, raw_id, position, offset, snapshot, events);
-        span.serialize_ns = render_started.elapsed().as_nanos() as u64;
-        Ok(())
+        reply.send(|w| write_sync_fields(w, position, offset, snapshot, events))
     }
 
     /// Update the follower registry from a sync request's cursor and
@@ -978,7 +957,7 @@ impl CleaningService {
     /// the fence: our next sync against the old primary (or any peer's)
     /// carries the higher epoch and makes it refuse further mutations.
     /// Idempotent on a node that is already primary.
-    pub(crate) fn replica_promote(&self) -> Result<Json, String> {
+    pub(crate) fn replica_promote(&self, reply: Reply<'_>) -> Result<(), String> {
         let Some(storage) = self.storage() else {
             return Err("replication requires a journaled server (--data-dir)".into());
         };
@@ -1001,12 +980,11 @@ impl CleaningService {
             *repl.role.write().unwrap_or_else(|e| e.into_inner()) = Role::Primary;
             self.snapshot_now().map_err(|e| e.to_string())?;
         }
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("role", Json::str("primary")),
-            ("epoch", Json::Num(storage.epoch() as f64)),
-            ("promoted", Json::Bool(was_follower)),
-        ]))
+        reply.send(|w| {
+            w.field("role", "primary");
+            w.field("epoch", storage.epoch());
+            w.field("promoted", was_follower);
+        })
     }
 }
 

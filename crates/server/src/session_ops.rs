@@ -1,0 +1,250 @@
+//! The session ops — `session.create` / `get` / `validate` / `fix` /
+//! `commit` / `abort` — and the codec between a live session and its
+//! snapshot form. ([`crate::session`] holds the registry they run on.)
+
+use crate::protocol::RequestScratch;
+use crate::service::{write_attrs, write_tuple, CleaningService, Reply};
+use crate::session::SessionError;
+use cerfix::{FixpointReport, MonitorSession, SessionStatus};
+use cerfix_relation::{AttrSet, SchemaRef, Tuple, Value};
+use cerfix_storage::{JournalEvent, SessionSnapshot};
+use std::time::Instant;
+
+impl CleaningService {
+    pub(crate) fn session_create(&self, values: &[Value], reply: Reply<'_>) -> Result<(), String> {
+        // In-flight sessions finish during a drain; fresh ones belong
+        // on another node.
+        if self.is_draining() {
+            self.inner.metrics.sessions_refused_draining.inc();
+            return Err(
+                "draining: server is draining; create the session on another node".to_string(),
+            );
+        }
+        let schema = self.input_schema().clone();
+        if values.len() != schema.arity() {
+            return Err(format!(
+                "tuple has {} values but schema `{}` has arity {}",
+                values.len(),
+                schema.name(),
+                schema.arity()
+            ));
+        }
+        let tuple = Tuple::new(schema, values.to_vec()).map_err(|e| e.to_string())?;
+        let id = self.with_gate(|| -> Result<u64, String> {
+            let id = self
+                .inner
+                .sessions
+                .create(MonitorSession::new(0, tuple.clone()))
+                .map_err(|e| e.to_string())?;
+            // The monitor uses tuple_id for audit attribution; align it
+            // with the server-assigned id.
+            self.inner
+                .sessions
+                .with_session(id, |session| session.tuple_id = id as usize)
+                .map_err(|e| e.to_string())?;
+            self.journal(&JournalEvent::SessionCreated {
+                session: id,
+                values: values.to_vec(),
+            });
+            Ok(id)
+        })?;
+        self.inner.metrics.sessions_created.inc();
+        self.session_view(id, None, reply)
+    }
+
+    /// Write the common session snapshot, with optional fixpoint-report
+    /// extras — under the session's lock, as it is read.
+    pub(crate) fn session_view(
+        &self,
+        id: u64,
+        report: Option<&FixpointReport>,
+        mut reply: Reply<'_>,
+    ) -> Result<(), String> {
+        let engine = self.engine();
+        let monitor = self.monitor_for(&engine);
+        let schema = self.input_schema();
+        self.inner
+            .sessions
+            .with_session(id, |session| {
+                let status = monitor.status(session);
+                let w = reply.ok();
+                w.field("session", id);
+                let name = match &status {
+                    SessionStatus::AwaitingUser { .. } => "awaiting_user",
+                    SessionStatus::Complete => "complete",
+                    SessionStatus::Stuck { .. } => "stuck",
+                };
+                w.field("status", name);
+                write_tuple(w, &session.tuple);
+                w.field("rounds", session.rounds);
+                write_attrs(w, schema, "validated", session.validated.iter());
+                match status {
+                    SessionStatus::AwaitingUser { suggestion } => {
+                        write_attrs(w, schema, "suggestion", suggestion)
+                    }
+                    SessionStatus::Stuck { unvalidated } => {
+                        write_attrs(w, schema, "unvalidated", unvalidated)
+                    }
+                    SessionStatus::Complete => {}
+                }
+                if let Some(report) = report {
+                    w.array("fixes", &report.fixes, |w, fix| {
+                        w.begin_obj();
+                        w.field("attr", schema.attr_name(fix.attr));
+                        w.field("old", &fix.old);
+                        w.field("new", &fix.new);
+                        w.field("rule", fix.rule);
+                        w.field("master_row", fix.master_row);
+                        w.end_obj();
+                    });
+                    let newly = report.newly_validated.iter().copied();
+                    write_attrs(w, schema, "newly_validated", newly);
+                }
+                w.end_obj();
+            })
+            .map_err(|e: SessionError| e.to_string())
+    }
+
+    /// `session.validate` / `session.fix`: apply the validations a
+    /// parser resolved into `scratch` (none for `fix`), run the
+    /// correcting process, and write the session view with the report.
+    /// Journals *before* applying, inside the session lock: a mixed
+    /// batch can mutate some cells and then fail, and replay must
+    /// reproduce exactly that — the event is the attempt, and the
+    /// deterministic engine re-derives its outcome.
+    pub(crate) fn session_validate(
+        &self,
+        id: u64,
+        scratch: &RequestScratch,
+        reply: Reply<'_>,
+    ) -> Result<(), String> {
+        let resolved = &scratch.validations;
+        let report = self.with_gate(|| {
+            let engine = self.engine();
+            let monitor = self.monitor_for(&engine);
+            self.inner
+                .sessions
+                .with_session(id, |session| {
+                    // Only build the owned event when a journal exists —
+                    // the memory-mode hot path stays allocation-free.
+                    if self.inner.storage.is_some() {
+                        self.journal(&JournalEvent::SessionValidated {
+                            session: id,
+                            validations: resolved
+                                .iter()
+                                .map(|(attr, value)| (*attr as u32, value.clone()))
+                                .collect(),
+                        });
+                    }
+                    let engine_started = Instant::now();
+                    let result = monitor.apply_validation(session, resolved);
+                    reply.span.engine_ns += engine_started.elapsed().as_nanos() as u64;
+                    result
+                })
+                .map_err(|e: SessionError| e.to_string())
+        })?;
+        let report = report.map_err(|e| e.to_string())?;
+        reply.span.stats += report.stats;
+        self.inner
+            .metrics
+            .cells_fixed
+            .add(report.fixes.len() as u64);
+        self.session_view(id, Some(&report), reply)
+    }
+
+    pub(crate) fn session_commit(&self, id: u64, mut reply: Reply<'_>) -> Result<(), String> {
+        let (session, commit) = self.with_gate(|| -> Result<_, String> {
+            let session = self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
+            let seq = self.journal(&JournalEvent::SessionCommitted { session: id });
+            let commit = seq.and_then(|seq| self.commit_position(seq).map(|pos| (seq, pos)));
+            Ok((session, commit))
+        })?;
+        self.inner.metrics.sessions_committed.inc();
+        // Commit is the protocol's durability point: wait for the group
+        // fsync (outside the gate — a snapshot may proceed meanwhile),
+        // then — under quorum-ack durability — for a majority of the
+        // cluster to hold durable copies too.
+        if let (Some(binding), Some((seq, (epoch, position)))) = (&self.inner.storage, commit) {
+            let sync_started = Instant::now();
+            let synced = self.sync_commit(binding, seq);
+            reply.span.fsync_ns += sync_started.elapsed().as_nanos() as u64;
+            // Applied in memory and queued in the journal, but NOT
+            // durable — the ack must say so (quorum-timeout precedent).
+            synced?;
+            if self.inner.replication.cluster > 1 {
+                self.wait_for_quorum(epoch, position, reply.span)?;
+            }
+        }
+        let w = reply.ok();
+        w.field("session", id);
+        w.field("complete", session.is_complete());
+        write_tuple(w, &session.tuple);
+        w.field("rounds", session.rounds);
+        w.field("user_validated", session.user_validated.len());
+        w.field("auto_validated", session.auto_validated.len());
+        let schema = self.input_schema();
+        write_attrs(w, schema, "validated", session.validated.iter());
+        w.end_obj();
+        Ok(())
+    }
+
+    pub(crate) fn session_abort(&self, id: u64, mut reply: Reply<'_>) -> Result<(), String> {
+        self.with_gate(|| -> Result<(), String> {
+            self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
+            self.journal(&JournalEvent::SessionAborted { session: id });
+            Ok(())
+        })?;
+        self.inner.metrics.sessions_aborted.inc();
+        let w = reply.ok();
+        w.field("session", id);
+        w.end_obj();
+        Ok(())
+    }
+}
+
+fn attrset_to_ids(set: &AttrSet) -> Vec<u32> {
+    set.iter().map(|a| a as u32).collect()
+}
+
+fn ids_to_attrset(ids: &[u32], arity: usize) -> Result<AttrSet, String> {
+    let mut set = AttrSet::new();
+    for &id in ids {
+        if id as usize >= arity {
+            return Err(format!("attribute id {id} out of range (arity {arity})"));
+        }
+        set.insert(id as usize);
+    }
+    Ok(set)
+}
+
+pub(crate) fn session_to_snapshot(
+    id: u64,
+    session: &MonitorSession,
+    arity: usize,
+) -> SessionSnapshot {
+    debug_assert_eq!(session.tuple.arity(), arity);
+    SessionSnapshot {
+        session: id,
+        tuple_id: session.tuple_id as u64,
+        rounds: session.rounds as u64,
+        values: session.tuple.values().to_vec(),
+        validated: attrset_to_ids(&session.validated),
+        user_validated: attrset_to_ids(&session.user_validated),
+        auto_validated: attrset_to_ids(&session.auto_validated),
+    }
+}
+
+pub(crate) fn snapshot_to_session(
+    snapshot: &SessionSnapshot,
+    schema: &SchemaRef,
+) -> Result<MonitorSession, String> {
+    let tuple = Tuple::new(schema.clone(), snapshot.values.clone())
+        .map_err(|e| format!("snapshot session {}: {e}", snapshot.session))?;
+    let arity = schema.arity();
+    let mut session = MonitorSession::new(snapshot.tuple_id as usize, tuple);
+    session.rounds = snapshot.rounds as usize;
+    session.validated = ids_to_attrset(&snapshot.validated, arity)?;
+    session.user_validated = ids_to_attrset(&snapshot.user_validated, arity)?;
+    session.auto_validated = ids_to_attrset(&snapshot.auto_validated, arity)?;
+    Ok(session)
+}

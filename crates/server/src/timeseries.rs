@@ -13,7 +13,7 @@
 //! hot path.
 
 use crate::metrics::MetricsSnapshot;
-use crate::wire::Json;
+use crate::wire::JsonWriter;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::SystemTime;
@@ -34,12 +34,11 @@ pub(crate) struct Sample {
 impl Sample {
     /// The sample as `metrics.history` wire JSON: the capture time, then
     /// whatever the instrument table says a snapshot holds.
-    pub(crate) fn json(&self) -> Json {
-        Json::obj(
-            [("unix_ms", Json::Num(self.unix_ms as f64))]
-                .into_iter()
-                .chain(self.snapshot.history_fields()),
-        )
+    pub(crate) fn write(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.field("unix_ms", self.unix_ms);
+        self.snapshot.write_history(w);
+        w.end_obj();
     }
 }
 

@@ -65,8 +65,9 @@ pub(crate) struct Span {
     /// Time blocked waiting for follower quorum acks (zero outside
     /// quorum-mode commits).
     pub quorum_ns: u64,
-    /// Rendering of a cold op's reply tree (the session ops write
-    /// their reply as they execute, inside the dispatch share).
+    /// Writing the reply, for a handler that gathers what it says
+    /// first (`Reply::send`). The session ops write under their
+    /// session's lock, inside the dispatch share, and leave this 0.
     pub serialize_ns: u64,
     /// Receipt → dispatch queue wait (worker-pool queueing for batched
     /// heavy ops; ~0 on the inline path). Kept OUTSIDE `total_ns`,

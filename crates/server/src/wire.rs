@@ -8,14 +8,18 @@
 //! field and element scanners the server reads request lines through,
 //! and [`Json::parse`], which builds an owned [`Json`] tree from the
 //! same tokens for whoever reads *replies* (the client, the tests). The
-//! writing side is the tree's compact renderer and the direct
-//! [`JsonWriter`]. Numbers are kept as `f64` — integers are exact up to
-//! 2^53, far beyond any session id or attribute count the service hands
-//! out.
+//! writing side is one writer too: [`JsonWriter`] appends a reply
+//! straight to the connection's buffer, and rendering a [`Json`] tree
+//! ([`Json::render`]) is that writer walking the tree. A parsed number
+//! is kept as `f64` — integers are exact up to 2^53, far beyond any
+//! session id or attribute count the service hands out.
 
 use cerfix_relation::Value;
 use scan::Token;
 use std::fmt;
+
+mod writer;
+pub use writer::{JsonScalar, JsonWriter};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +121,14 @@ impl Json {
         }
     }
 
+    /// The members in order, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+
     /// Convert a relational [`Value`] for the wire.
     pub fn from_value(value: &Value) -> Json {
         match value {
@@ -188,7 +200,7 @@ impl Json {
     /// strings escape control characters including newlines).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        render_into(self, &mut out);
+        self.render_to(&mut out);
         out
     }
 
@@ -196,28 +208,7 @@ impl Json {
     /// the allocation-free shape of [`render`](Self::render) for callers
     /// that reuse a per-connection buffer.
     pub fn render_to(&self, out: &mut String) {
-        render_into(self, out);
-    }
-}
-
-/// Render a response object into `out`, echoing the client-supplied
-/// request `id` (its raw JSON span, byte-for-byte) as the first field.
-/// With `id` = `None` this is exactly [`Json::render_to`]. Non-object
-/// responses never occur on the wire; they render unchanged.
-pub fn render_response_into(json: &Json, id: Option<&str>, out: &mut String) {
-    match (json, id) {
-        (Json::Obj(fields), Some(raw)) => {
-            out.push_str("{\"id\":");
-            out.push_str(raw);
-            for (key, value) in fields {
-                out.push(',');
-                render_string(key, out);
-                out.push(':');
-                render_into(value, out);
-            }
-            out.push('}');
-        }
-        _ => render_into(json, out),
+        JsonWriter::new(out).json(self);
     }
 }
 
@@ -247,71 +238,6 @@ fn num_value(n: f64) -> Value {
 
 fn not_a_cell(what: &str) -> WireError {
     WireError(format!("cannot use {what} as a cell value"))
-}
-
-fn render_into(json: &Json, out: &mut String) {
-    match json {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => render_num(*n, out),
-        Json::Str(s) => render_string(s, out),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(fields) => {
-            out.push('{');
-            for (i, (key, value)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_string(key, out);
-                out.push(':');
-                render_into(value, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Render a JSON number without intermediate allocation. Integral
-/// finite values in the exact range render as integers.
-pub(crate) fn render_num(n: f64, out: &mut String) {
-    use std::fmt::Write;
-    if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        let _ = write!(out, "{}", n as i64);
-    } else if n.is_finite() {
-        let _ = write!(out, "{n}");
-    } else {
-        // JSON has no Inf/NaN; null is the least-bad rendering.
-        out.push_str("null");
-    }
-}
-
-pub(crate) fn render_string(s: &str, out: &mut String) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 pub mod scan {
@@ -941,133 +867,6 @@ pub mod scan {
     }
 }
 
-/// Direct JSON writer: builds a response straight into a caller-supplied
-/// `String`, no intermediate [`Json`] tree. Formats exactly as the tree
-/// renderer does (guarded by tests), so a reply reads the same whichever
-/// of the two its op's handler uses. Comma state is a bitmask over
-/// nesting depth — the writer itself never allocates beyond what it
-/// appends to `out`.
-pub struct JsonWriter<'a> {
-    out: &'a mut String,
-    /// Bit d set ⇔ a value was already written at depth d (so the next
-    /// key/element needs a comma). Depth is capped well below 64 by the
-    /// response shapes.
-    comma: u64,
-    depth: u32,
-}
-
-impl<'a> JsonWriter<'a> {
-    /// Write into `out` (appended; not cleared).
-    pub fn new(out: &'a mut String) -> JsonWriter<'a> {
-        JsonWriter {
-            out,
-            comma: 0,
-            depth: 0,
-        }
-    }
-
-    fn sep(&mut self) {
-        if self.comma & (1 << self.depth) != 0 {
-            self.out.push(',');
-        }
-        self.comma |= 1 << self.depth;
-    }
-
-    /// Open an object (as a bare value or array element).
-    pub fn begin_obj(&mut self) {
-        self.sep();
-        self.out.push('{');
-        self.depth += 1;
-        self.comma &= !(1 << self.depth);
-    }
-
-    /// Open a response object, echoing the raw request `id` span first.
-    pub fn begin_response(&mut self, id: Option<&str>) {
-        self.begin_obj();
-        if let Some(raw) = id {
-            self.key("id");
-            self.raw(raw);
-        }
-    }
-
-    /// Close the current object.
-    pub fn end_obj(&mut self) {
-        self.depth -= 1;
-        self.out.push('}');
-    }
-
-    /// Open an array (as a bare value or element).
-    pub fn begin_arr(&mut self) {
-        self.sep();
-        self.out.push('[');
-        self.depth += 1;
-        self.comma &= !(1 << self.depth);
-    }
-
-    /// Close the current array.
-    pub fn end_arr(&mut self) {
-        self.depth -= 1;
-        self.out.push(']');
-    }
-
-    /// Write an object key (the next write is its value).
-    pub fn key(&mut self, name: &str) {
-        self.sep();
-        render_string(name, self.out);
-        self.out.push(':');
-        // The key's value must not emit a comma.
-        self.comma &= !(1 << self.depth);
-    }
-
-    /// A string value.
-    pub fn str_val(&mut self, s: &str) {
-        self.sep();
-        render_string(s, self.out);
-    }
-
-    /// A string value whose content `fill` appends as is — for payloads
-    /// that need no escaping (hex frames), written in place.
-    pub fn str_with(&mut self, fill: impl FnOnce(&mut String)) {
-        self.sep();
-        self.out.push('"');
-        fill(self.out);
-        self.out.push('"');
-    }
-
-    /// A numeric value (same formatting as [`Json::Num`]).
-    pub fn num(&mut self, n: f64) {
-        self.sep();
-        render_num(n, self.out);
-    }
-
-    /// A boolean value.
-    pub fn bool_val(&mut self, b: bool) {
-        self.sep();
-        self.out.push_str(if b { "true" } else { "false" });
-    }
-
-    /// A raw, pre-rendered JSON span (written verbatim).
-    pub fn raw(&mut self, raw: &str) {
-        self.sep();
-        self.out.push_str(raw);
-    }
-
-    /// A relational [`Value`], rendered exactly as
-    /// `Json::from_value(v).render()` would.
-    pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => {
-                self.sep();
-                self.out.push_str("null");
-            }
-            Value::Str(s) => self.str_val(s),
-            Value::Int(i) => self.num(*i as f64),
-            Value::Float(f) => self.num(*f),
-            Value::Bool(b) => self.bool_val(*b),
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1333,28 +1132,17 @@ pub(crate) mod tests {
         assert_eq!(s.unescape_into(&mut buf), "aA\n\t\\ é 🦀");
     }
 
+    /// The writer's bytes, spelled out: the shape the session ops write
+    /// (nesting, an escape, a fraction, empty containers, a null), in
+    /// field order. Rendering the parsed document is the same writer
+    /// walking a tree, so it gives the bytes back.
     #[test]
-    fn json_writer_matches_tree_render() {
-        // The response shape the session ops write by hand.
-        let tree = Json::obj([
-            ("ok", Json::Bool(true)),
-            ("session", Json::Num(7.0)),
-            ("tuple", Json::Arr(vec![Json::str("a\nb"), Json::Num(2.5)])),
-            (
-                "fixes",
-                Json::Arr(vec![Json::obj([
-                    ("attr", Json::str("zip")),
-                    ("old", Json::Null),
-                ])]),
-            ),
-        ]);
+    fn json_writer_writes_these_bytes() {
         let mut direct = String::new();
         let mut w = JsonWriter::new(&mut direct);
         w.begin_obj();
-        w.key("ok");
-        w.bool_val(true);
-        w.key("session");
-        w.num(7.0);
+        w.field("ok", true);
+        w.field("session", 7u64);
         w.key("tuple");
         w.begin_arr();
         w.str_val("a\nb");
@@ -1363,39 +1151,81 @@ pub(crate) mod tests {
         w.key("fixes");
         w.begin_arr();
         w.begin_obj();
-        w.key("attr");
-        w.str_val("zip");
-        w.key("old");
-        w.value(&Value::Null);
+        w.field("attr", "zip");
+        w.field("old", &Value::Null);
+        w.field("rule", 3usize);
+        w.end_obj();
+        w.begin_obj();
         w.end_obj();
         w.end_arr();
+        w.key("none");
+        w.begin_arr();
+        w.end_arr();
+        w.field("lag", 0.0);
         w.end_obj();
-        assert_eq!(direct, tree.render());
+        let golden = r#"{"ok":true,"session":7,"tuple":["a\nb",2.5],"fixes":[{"attr":"zip","old":null,"rule":3},{}],"none":[],"lag":0}"#;
+        assert_eq!(direct, golden);
+        assert_eq!(Json::parse(golden).unwrap().render(), golden);
+        // Integers are written as integers: the `f64` rendering below
+        // 2^53, exact above it.
+        for (n, text) in [
+            (0u64, "0"),
+            ((1 << 53) - 1, "9007199254740991"),
+            (u64::MAX, "18446744073709551615"),
+        ] {
+            let mut out = String::new();
+            n.write(&mut JsonWriter::new(&mut out));
+            assert_eq!(out, text);
+            assert!(n > 1 << 53 || Json::Num(n as f64).render() == text);
+        }
+        // A writer begun mid-document owes no comma to what precedes it.
+        let mut tail = String::from("[1");
+        JsonWriter::new(&mut tail).str_val("x");
+        assert_eq!(tail, "[1\"x\"");
     }
 
     #[test]
     fn response_id_echo_is_verbatim_and_first() {
-        let response = Json::obj([("ok", Json::Bool(true)), ("n", Json::Num(3.0))]);
-        for id in ["17", "\"req-9\"", "1.50", "null"] {
+        for (id, echo) in [
+            (Some("17"), r#""id":17,"#),
+            (Some("\"req-9\""), r#""id":"req-9","#),
+            (Some("1.50"), r#""id":1.50,"#),
+            (Some("null"), r#""id":null,"#),
+            (None, ""),
+        ] {
             let mut out = String::new();
-            render_response_into(&response, Some(id), &mut out);
-            assert_eq!(out, format!("{{\"id\":{id},\"ok\":true,\"n\":3}}"));
+            let mut w = JsonWriter::new(&mut out);
+            w.begin_response(id);
+            w.field("ok", true);
+            w.field("n", 3u64);
+            w.end_obj();
+            assert_eq!(out, format!("{{{echo}\"ok\":true,\"n\":3}}"));
         }
-        let mut out = String::new();
-        render_response_into(&response, None, &mut out);
-        assert_eq!(out, response.render());
-        // Writer-side echo agrees.
-        let mut direct = String::new();
-        let mut w = JsonWriter::new(&mut direct);
-        w.begin_response(Some("17"));
-        w.key("ok");
-        w.bool_val(true);
-        w.key("n");
-        w.num(3.0);
-        w.end_obj();
-        let mut expected = String::new();
-        render_response_into(&response, Some("17"), &mut expected);
-        assert_eq!(direct, expected);
+    }
+
+    /// The comma rule has no depth in it: a document as deep as the
+    /// lexer lets through, spliced two levels inside a reply the way
+    /// `cluster.status` splices a peer's, comes out byte for byte (a
+    /// 64-bit comma mask indexed by depth overflowed here) — and two
+    /// levels under the cap the whole reply is a line the lexer accepts.
+    #[test]
+    fn a_document_at_the_nesting_cap_splices_at_depth_two() {
+        for depth in [MAX_DEPTH - 2, MAX_DEPTH] {
+            let text = format!("{}[1]{}", "[1,".repeat(depth - 1), "]".repeat(depth - 1));
+            assert_eq!(scan::validate(&text), Ok(()));
+            let peer = Json::parse(&text).unwrap();
+            let mut out = String::new();
+            let mut w = JsonWriter::new(&mut out);
+            w.begin_obj();
+            w.key("nodes");
+            w.begin_arr();
+            w.json(&peer);
+            w.json(&peer);
+            w.end_arr();
+            w.end_obj();
+            assert_eq!(out, format!(r#"{{"nodes":[{text},{text}]}}"#), "{depth}");
+            assert_eq!(scan::validate(&out).is_ok(), depth < MAX_DEPTH);
+        }
     }
 
     #[test]

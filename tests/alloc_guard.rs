@@ -1,6 +1,7 @@
 //! Allocations per request on the warmed session path: `session.get` 0,
 //! `session.fix` 0, `session.validate` 1 (the validated value's
-//! `Arc<str>`).
+//! `Arc<str>`) — and on a warmed 128-tuple `clean`, at most 20 per tuple
+//! (measured 10.13: what the tuples hold, not a tree of the reply).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -105,11 +106,50 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         validate_total <= MEASURE + STRAY_SLACK,
         "session.validate: {validate_total} allocations over {MEASURE} warmed requests (must be 1 each)"
     );
+
+    // The other half of `tests/parse_guard.rs`: that one bounds what
+    // reading a 128-row `clean` line allocates, this what serving one
+    // does, reply included. Measured per request: 1 297 (10.13 per
+    // tuple — its cells, its `Tuple`, the monitor's report and audit
+    // records); 2 584 (20.19 per tuple) when each outcome was first
+    // built as a `Json` tree — ten allocations per three-cell tuple and
+    // seven per request that this bound keeps out.
+    const ROWS: u64 = 128;
+    const CLEAN_WARM: u64 = 4;
+    const CLEAN_MEASURE: u64 = 16;
+    const CLEAN_BOUND: u64 = 20 * ROWS + 20;
+    let mut line = String::from(r#"{"op":"clean","trust":["key","note"],"tuples":["#);
+    for i in 0..ROWS {
+        let comma = if i > 0 { "," } else { "" };
+        line.push_str(&format!(r#"{comma}["k{}","WRONG","n"]"#, i % 64));
+    }
+    line.push_str("]}");
+    let mut clean = || {
+        out.clear();
+        service.handle_line_into(&line, &mut out, &mut scratch);
+    };
+    for _ in 0..CLEAN_WARM {
+        clean();
+    }
+    let before = counting_alloc::count();
+    for _ in 0..CLEAN_MEASURE {
+        clean();
+    }
+    let clean_total = counting_alloc::count() - before;
+    let totals = format!("\"count\":{ROWS},\"complete\":{ROWS},\"cells_fixed\":{ROWS},");
+    assert!(out.contains(&totals), "every tuple is cleaned: {out}");
+    assert!(
+        clean_total <= CLEAN_MEASURE * CLEAN_BOUND,
+        "clean: {clean_total} allocations over {CLEAN_MEASURE} warmed requests of {ROWS} tuples \
+         (must be at most {CLEAN_BOUND} each)"
+    );
+
     // The request counter is exact: 2 diag-priming requests, 2 session
-    // set-up requests, and the get/fix/validate triple per iteration.
+    // set-up requests, the get/fix/validate triple per iteration, and
+    // the cleans.
     assert_eq!(
         service.metrics().requests,
-        4 + 3 * (WARM + MEASURE),
+        4 + 3 * (WARM + MEASURE) + CLEAN_WARM + CLEAN_MEASURE,
         "request counter drifted"
     );
 }
