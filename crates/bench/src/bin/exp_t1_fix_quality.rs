@@ -2,8 +2,8 @@
 //!
 //! The paper motivates CerFix by the failure mode of heuristic,
 //! constraint-based repair: on Example 1's tuple such methods "may opt to
-//! change t[city] to Ldn; this does not fix the erroneous t[AC] and
-//! worse, messes up the correct attribute t[city]". This experiment
+//! change `t[city]` to Ldn; this does not fix the erroneous `t[AC]` and
+//! worse, messes up the correct attribute `t[city]`". This experiment
 //! quantifies that claim: over noisy UK and HOSP streams, it scores
 //!
 //! * **CerFix** (monitor + oracle user following suggestions), and

@@ -3,16 +3,18 @@
 //! The pass-based engine re-interprets rules from scratch on every pass:
 //! per attempt it materializes the evidence set (`BTreeSet`), the LHS /
 //! RHS attribute vectors, and a projected key vector, then takes the
-//! master index cache's `RwLock` and copies the posting list. A
+//! master index cache's `RwLock` to fetch the index. A
 //! [`CompiledRules`] plan does all of that **once per rule set**:
 //!
 //! * per-rule evidence and RHS **bitmasks** ([`AttrSet`]) — eligibility
-//!   and coverage tests become word operations;
+//!   and coverage tests become word operations, and the master-side RHS
+//!   mask `Bm` is what the index's per-key agreement set is tested
+//!   against (one subset test per certain lookup);
 //! * LHS/RHS key layouts resolved to flat attribute arrays — key
 //!   projection writes into a reused buffer, no per-lookup vectors;
 //! * a resolved `Arc<HashIndex>` **snapshot** per rule — the serving
 //!   path probes master data lock-free (`None` on the unindexed `T6`
-//!   ablation arm, which falls back to scans);
+//!   ablation arm, where `MasterData` scans instead);
 //! * per-attribute **watch lists** mapping each evidence attribute to
 //!   the rules it can unblock — the delta engine
 //!   ([`run_fixpoint_delta`](crate::engine::run_fixpoint_delta)) wakes
@@ -24,7 +26,7 @@
 //! every monitor, stream worker, and certification probe.
 
 use crate::master::MasterData;
-use cerfix_relation::{AttrId, AttrSet, HashIndex, SchemaRef};
+use cerfix_relation::{AttrId, AttrSet, HashIndex, RowId, SchemaRef, Tuple, Value};
 use cerfix_rules::{PatternTuple, RuleId, RuleSet};
 use std::sync::Arc;
 
@@ -47,10 +49,37 @@ pub(crate) struct CompiledRule {
     pub(crate) input_rhs: Box<[AttrId]>,
     /// Master-side RHS attributes `Bm`, flat, position-wise with `B`.
     pub(crate) master_rhs: Box<[AttrId]>,
+    /// `Bm` as a mask: what the matching master rows must agree on.
+    master_rhs_set: AttrSet,
     /// The pattern `tp[Xp]` over the input tuple.
     pub(crate) pattern: PatternTuple,
     /// Snapshot of the master index on `Xm` (`None` ⇒ scan fallback).
     pub(crate) index: Option<Arc<HashIndex>>,
+}
+
+impl CompiledRule {
+    /// The rule's certain lookup for `tuple`: project the join key
+    /// `tuple[X]` into `key_buf` (a reused buffer) and ask `master` — the
+    /// master this plan was compiled against — for the certain witness
+    /// (see `MasterData::certain_match`). `None` is final once the
+    /// rule's evidence is validated: no match, disagreement, or a null
+    /// fix value.
+    pub(crate) fn lookup_witness(
+        &self,
+        master: &MasterData,
+        tuple: &Tuple,
+        key_buf: &mut Vec<Value>,
+    ) -> Option<RowId> {
+        key_buf.clear();
+        key_buf.extend(self.input_lhs.iter().map(|&a| tuple.get(a).clone()));
+        let (_, witness) = master.certain_match(
+            self.index.as_deref(),
+            &self.master_lhs,
+            key_buf,
+            &self.master_rhs_set,
+        );
+        witness
+    }
 }
 
 /// A compiled execution plan for one `(RuleSet, MasterData)` pair.
@@ -81,6 +110,7 @@ impl CompiledRules {
                 watchers[attr].push(pos);
             }
             let master_lhs = rule.master_lhs();
+            let master_rhs = rule.master_rhs();
             let index = master.warmed_index(&master_lhs);
             compiled.push(CompiledRule {
                 id,
@@ -90,7 +120,8 @@ impl CompiledRules {
                 input_lhs: rule.input_lhs().into_boxed_slice(),
                 master_lhs: master_lhs.into_boxed_slice(),
                 input_rhs: rule.input_rhs().into_boxed_slice(),
-                master_rhs: rule.master_rhs().into_boxed_slice(),
+                master_rhs_set: master_rhs.iter().copied().collect(),
+                master_rhs: master_rhs.into_boxed_slice(),
                 pattern: rule.pattern().clone(),
                 index,
             });

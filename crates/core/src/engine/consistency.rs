@@ -118,7 +118,7 @@ pub enum ConsistencyMode {
 /// Tuning knobs for [`check_consistency`].
 #[derive(Debug, Clone)]
 pub struct ConsistencyOptions {
-    /// Quantification mode (see [`ConsistencyMode`]).
+    /// Quantification mode (see `ConsistencyMode`).
     pub mode: ConsistencyMode,
     /// Stop after this many conflicts (the first is enough to reject a
     /// rule set; more help diagnostics).
@@ -141,7 +141,7 @@ impl Default for ConsistencyOptions {
 }
 
 impl ConsistencyOptions {
-    /// Default options in [`ConsistencyMode::EntityCoherent`].
+    /// Default options in `ConsistencyMode::EntityCoherent`.
     pub fn entity_coherent() -> ConsistencyOptions {
         ConsistencyOptions {
             mode: ConsistencyMode::EntityCoherent,

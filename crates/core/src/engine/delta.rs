@@ -27,7 +27,9 @@
 //!
 //! On the allocation side, the plan supplies resolved index snapshots
 //! and flat key layouts, so the per-attempt path clones `Arc`'d values
-//! into two reused buffers and allocates nothing once they are warm.
+//! into one reused key buffer and allocates nothing once it is warm; the
+//! certain lookup itself is one index probe, independent of how many
+//! master rows share the key.
 //!
 //! [`run_fixpoint`]: crate::engine::run_fixpoint
 
@@ -36,7 +38,7 @@ use crate::engine::compile::CompiledRules;
 use crate::engine::fixpoint::FixpointReport;
 use crate::error::Result;
 use crate::master::MasterData;
-use cerfix_relation::{AttrSet, RowId, Tuple, Value};
+use cerfix_relation::{AttrSet, Tuple, Value};
 
 /// Run the correcting process on `tuple` using a compiled plan.
 ///
@@ -74,10 +76,9 @@ pub fn run_fixpoint_delta(
         }
     }
 
-    // Reused buffers: the projected join key and (scan fallback only)
-    // the matching row ids. Nothing else on the attempt path allocates.
+    // Reused buffer for the projected join key. Nothing else on the
+    // attempt path allocates.
     let mut key_buf: Vec<Value> = Vec::new();
-    let mut scan_rows: Vec<RowId> = Vec::new();
 
     let mut cursor = 0usize;
     loop {
@@ -107,30 +108,14 @@ pub fn run_fixpoint_delta(
             continue;
         }
 
-        // Certain lookup against the plan's index snapshot (or a scan on
-        // the unindexed ablation arm).
+        // Certain lookup: one probe of the plan's index snapshot, however
+        // many master rows share the key (a scan on the unindexed
+        // ablation arm). No match, disagreement, or a null fix value:
+        // with frozen evidence the lookup can never improve — the rule
+        // is dead.
         report.stats.master_lookups += 1;
-        key_buf.clear();
-        for &a in rule.input_lhs.iter() {
-            key_buf.push(tuple.get(a).clone());
-        }
-        let rows: &[RowId] = match &rule.index {
-            Some(index) => {
-                report.stats.index_probes += 1;
-                index.lookup(&key_buf)
-            }
-            None => {
-                scan_rows.clear();
-                master.for_each_matching_row(&rule.master_lhs, &key_buf, |id| scan_rows.push(id));
-                &scan_rows
-            }
-        };
-        // No match, disagreement, or a null fix value: with frozen
-        // evidence the lookup can never improve — the rule is dead. The
-        // agreement/null fold is shared with the pass-based path
-        // (`MasterData::certain_witness`), so the semantics cannot drift.
-        let (_, Some(witness)) = master.certain_witness(rows.iter().copied(), &rule.master_rhs)
-        else {
+        report.stats.index_probes += usize::from(rule.index.is_some());
+        let Some(witness) = rule.lookup_witness(master, tuple, &mut key_buf) else {
             continue;
         };
         let first = master.tuple(witness).expect("index row in range");

@@ -11,7 +11,7 @@
 //!
 //! | Paper component     | Module |
 //! |---------------------|--------|
-//! | Master data manager | [`master`]   — `Dm` + per-rule hash indexes |
+//! | Master data manager | [`MasterData`] — `Dm` + per-rule hash indexes, each key carrying what its rows agree on |
 //! | Rule engine         | [`engine`]   — certain application, correcting-process fixpoint, consistency analysis, inference system |
 //! | Region finder       | [`region`]   — top-k certain regions `(Z, Tc)` with data certification |
 //! | Data monitor        | [`monitor`]  — the interactive suggest/validate/fix loop |

@@ -7,10 +7,28 @@
 //!
 //! Per distinct `Xm` attribute list, a [`HashIndex`] is built on first use
 //! and cached, so rule application is O(1) expected per lookup regardless
-//! of `|Dm|`. Experiment `T6` ablates the index against full scans; `T3`
-//! sweeps `|Dm|` to show the resulting flat latency curve.
+//! of `|Dm|` — and regardless of how many master tuples share the key,
+//! which matters because `Xm` need not be a key of `Dm` (HOSP's
+//! `measure` matches a ninth of the relation). The certain-application
+//! invariant has two independent halves:
+//!
+//! 1. **Agreement**: every matching row equals the first on each `Bm`
+//!    attribute. This decomposes per attribute, depends on no rule, and
+//!    is monotone under append (a later row can only break agreement on
+//!    an attribute, never restore it), so the index entry of a key keeps
+//!    the set of attributes its rows agree on, maintained on insert, and
+//!    answers with one subset test ([`HashIndex::certain`]).
+//! 2. **Evidence**: the first row's `Bm` cells are non-null (a null
+//!    master cell is not evidence of anything) — O(`|Bm|`) on the witness
+//!    row alone.
+//!
+//! `MasterData::certain_match` is the one place both halves meet; the
+//! unindexed arm behind it answers the same question by scanning `Dm` and
+//! folding over the matches. Experiment `T6` ablates the index against
+//! full scans; `T3` sweeps `|Dm|` to show the resulting flat latency
+//! curve.
 
-use cerfix_relation::{AttrId, HashIndex, Relation, RowId, SchemaRef, Tuple, Value};
+use cerfix_relation::{AttrId, AttrSet, HashIndex, Relation, RowId, SchemaRef, Tuple, Value};
 use cerfix_rules::EditingRule;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -60,11 +78,11 @@ pub struct MasterDelta {
 /// The master data manager: `Dm` plus per-LHS lookup indexes.
 ///
 /// Indexes are stored as immutable `Arc<HashIndex>` snapshots: the
-/// serving path (compiled rule plans, `for_each_matching_row`) holds an
-/// `Arc` and probes lock-free; the `RwLock` is touched only to fetch or
-/// build a snapshot, never per row. Appends bump [`generation`] so
-/// holders of stale snapshots (e.g. a [`CompiledRules`] plan built
-/// before the append) can detect that they must re-resolve.
+/// serving path (compiled rule plans) holds an `Arc` and probes
+/// lock-free; the `RwLock` is touched only to fetch or build a snapshot.
+/// Appends bump [`generation`] so holders of stale snapshots (e.g. a
+/// [`CompiledRules`] plan built before the append) can detect that they
+/// must re-resolve.
 ///
 /// [`generation`]: MasterData::generation
 /// [`CompiledRules`]: crate::engine::CompiledRules
@@ -163,42 +181,6 @@ impl MasterData {
         Some(Arc::clone(idx))
     }
 
-    /// Call `f` for each master row with `s[attrs] = key` (match
-    /// semantics: null keys match nothing), in row order, without
-    /// allocating a row-id vector. Indexed masters probe a snapshot
-    /// (the read lock is held only to clone the `Arc`); unindexed
-    /// masters scan.
-    pub fn for_each_matching_row(&self, attrs: &[AttrId], key: &[Value], mut f: impl FnMut(RowId)) {
-        if key.iter().any(Value::is_null) {
-            return;
-        }
-        if let Some(idx) = self.warmed_index(attrs) {
-            for &row in idx.lookup(key) {
-                f(row);
-            }
-        } else {
-            for (id, s) in self.relation.iter() {
-                if attrs
-                    .iter()
-                    .zip(key.iter())
-                    .all(|(&a, k)| s.get(a).matches(k))
-                {
-                    f(id);
-                }
-            }
-        }
-    }
-
-    /// Row ids of master tuples `s` with `s[attrs] = key` (match
-    /// semantics: null keys match nothing). Allocates the result vector;
-    /// hot paths use [`for_each_matching_row`](Self::for_each_matching_row)
-    /// or a plan-held index snapshot instead.
-    pub fn matching_rows(&self, attrs: &[AttrId], key: &[Value]) -> Vec<RowId> {
-        let mut rows = Vec::new();
-        self.for_each_matching_row(attrs, key, |id| rows.push(id));
-        rows
-    }
-
     /// The certain-lookup at the heart of rule application: find the
     /// master tuples matching `t` under `rule`'s LHS join, and return the
     /// unique fix values iff all matches agree on every RHS attribute.
@@ -212,76 +194,18 @@ impl MasterData {
         self.certain_lookup_at(&master_lhs, &key, &rule.master_rhs())
     }
 
-    /// Flat-slice form of [`certain_lookup`](Self::certain_lookup), used
-    /// by compiled rule plans: the caller supplies the resolved attribute
-    /// layouts and the projected key (typically from reused buffers), so
-    /// no per-call attribute or row-id vectors are allocated.
+    /// Flat-slice form of [`certain_lookup`](Self::certain_lookup): the
+    /// caller supplies the resolved attribute layouts and the projected
+    /// key.
     pub fn certain_lookup_at(
         &self,
         master_lhs: &[AttrId],
         key: &[Value],
         master_rhs: &[AttrId],
     ) -> CertainLookup {
-        if key.iter().any(Value::is_null) {
-            return CertainLookup::NoMatch;
-        }
-        if let Some(idx) = self.warmed_index(master_lhs) {
-            self.certain_over_rows(idx.lookup(key).iter().copied(), master_rhs)
-        } else {
-            let rows = self.relation.iter().filter_map(|(id, s)| {
-                master_lhs
-                    .iter()
-                    .zip(key.iter())
-                    .all(|(&a, k)| s.get(a).matches(k))
-                    .then_some(id)
-            });
-            self.certain_over_rows(rows, master_rhs)
-        }
-    }
-
-    /// Fold matching rows into `(match count, certain witness)`: the
-    /// witness is `Some` iff at least one row matched, all rows agree on
-    /// every `master_rhs` attribute, and no fix value is null (a null
-    /// master cell is not evidence of anything). This is THE
-    /// certain-application invariant — both engines (the pass-based
-    /// [`certain_lookup`](Self::certain_lookup) path and the compiled
-    /// delta engine) go through it, so the semantics cannot drift.
-    pub(crate) fn certain_witness(
-        &self,
-        rows: impl Iterator<Item = RowId>,
-        master_rhs: &[AttrId],
-    ) -> (usize, Option<RowId>) {
-        let mut matches = 0usize;
-        let mut witness: RowId = 0;
-        let mut ambiguous = false;
-        for row in rows {
-            if matches == 0 {
-                witness = row;
-            } else if !ambiguous {
-                let first = self.relation.row(witness).expect("index row in range");
-                let s = self.relation.row(row).expect("index row in range");
-                ambiguous = master_rhs.iter().any(|&a| s.get(a) != first.get(a));
-            }
-            matches += 1;
-        }
-        if matches == 0 {
-            return (0, None);
-        }
-        let first = self.relation.row(witness).expect("index row in range");
-        if ambiguous || master_rhs.iter().any(|&a| first.get(a).is_null()) {
-            return (matches, None);
-        }
-        (matches, Some(witness))
-    }
-
-    /// Fold matching rows into a [`CertainLookup`] (see
-    /// [`certain_witness`](Self::certain_witness) for the invariant).
-    fn certain_over_rows(
-        &self,
-        rows: impl Iterator<Item = RowId>,
-        master_rhs: &[AttrId],
-    ) -> CertainLookup {
-        match self.certain_witness(rows, master_rhs) {
+        let index = self.warmed_index(master_lhs);
+        let rhs: AttrSet = master_rhs.iter().copied().collect();
+        match self.certain_match(index.as_deref(), master_lhs, key, &rhs) {
             (0, _) => CertainLookup::NoMatch,
             (matches, None) => CertainLookup::Ambiguous { matches },
             (matches, Some(witness)) => {
@@ -295,26 +219,103 @@ impl MasterData {
         }
     }
 
+    /// THE certain-application query, as `(match count, certain
+    /// witness)`: how many master rows have `s[master_lhs] = key`, and —
+    /// iff at least one matched, all of them agree on every `master_rhs`
+    /// attribute, and no fix value is null — the first of them. Every
+    /// engine goes through it (the pass-based
+    /// [`certain_lookup`](Self::certain_lookup) path, the compiled delta
+    /// engine, and region certification's truth profiles), so the
+    /// semantics cannot drift, and it is the only place that chooses
+    /// between probing and scanning.
+    ///
+    /// `index` is a snapshot over `master_lhs` of this master's generation
+    /// (a compiled plan's, or [`warmed_index`](Self::warmed_index)); it
+    /// answers count and agreement in one probe, whatever the number of
+    /// matching rows, leaving only the null check on the witness. `None`
+    /// is the unindexed `T6` arm: scan `Dm` and fold the matches through
+    /// [`certain_witness`](Self::certain_witness).
+    pub(crate) fn certain_match(
+        &self,
+        index: Option<&HashIndex>,
+        master_lhs: &[AttrId],
+        key: &[Value],
+        master_rhs: &AttrSet,
+    ) -> (usize, Option<RowId>) {
+        let Some(index) = index else {
+            let rows = self.relation.iter().filter_map(|(id, s)| {
+                master_lhs
+                    .iter()
+                    .zip(key.iter())
+                    .all(|(&a, k)| s.get(a).matches(k))
+                    .then_some(id)
+            });
+            return self.certain_witness(rows, master_rhs);
+        };
+        let (matches, agreed) = index.certain(key, master_rhs);
+        let witness = agreed.filter(|&row| {
+            let first = self.relation.row(row).expect("index row in range");
+            !master_rhs.iter().any(|a| first.get(a).is_null())
+        });
+        (matches, witness)
+    }
+
+    /// The certain-application invariant as a fold over the matching
+    /// rows: the witness is `Some` iff at least one row matched, all rows
+    /// agree with the first on every `master_rhs` attribute, and no fix
+    /// value of the first is null. This is the scan arm of
+    /// [`certain_match`](Self::certain_match) — and, because it reads
+    /// every row, the oracle the index's maintained agreement sets are
+    /// tested against (`tests/engine_equivalence.rs`).
+    fn certain_witness(
+        &self,
+        rows: impl Iterator<Item = RowId>,
+        master_rhs: &AttrSet,
+    ) -> (usize, Option<RowId>) {
+        let mut matches = 0usize;
+        let mut witness: RowId = 0;
+        let mut ambiguous = false;
+        for row in rows {
+            if matches == 0 {
+                witness = row;
+            } else if !ambiguous {
+                let first = self.relation.row(witness).expect("index row in range");
+                let s = self.relation.row(row).expect("index row in range");
+                ambiguous = master_rhs.iter().any(|a| s.get(a) != first.get(a));
+            }
+            matches += 1;
+        }
+        if matches == 0 {
+            return (0, None);
+        }
+        let first = self.relation.row(witness).expect("index row in range");
+        if ambiguous || master_rhs.iter().any(|a| first.get(a).is_null()) {
+            return (matches, None);
+        }
+        (matches, Some(witness))
+    }
+
     /// Append a master tuple, keeping every materialized index current.
     ///
     /// Master data management (paper §2) is a living repository: new core
     /// entities arrive. Appends are cheap — each cached index gains one
-    /// posting — but callers should re-run consistency checking and
-    /// region finding afterwards, since new rows can introduce key
-    /// ambiguities that invalidate both (the demo pre-computes regions
-    /// for exactly this reason; see `Explorer::recompute_regions`). For
-    /// batches, [`append_rows`](Self::append_rows) additionally reports
-    /// the touched index keys, which is what delta re-certification
+    /// posting and, where the key already had rows, drops from its
+    /// agreement set the attributes the new row differs on — but callers
+    /// should re-run consistency checking and region finding afterwards,
+    /// since new rows can introduce key ambiguities that invalidate both
+    /// (the demo pre-computes regions for exactly this reason; see
+    /// `Explorer::recompute_regions`). For batches,
+    /// [`append_rows`](Self::append_rows) additionally reports the
+    /// touched index keys, which is what delta re-certification
     /// ([`recheck_regions`](crate::region::recheck_regions)) keys on.
     pub fn append(&mut self, tuple: Tuple) -> crate::error::Result<RowId> {
         let row_id = self.relation.push(tuple)?;
-        let tuple = self.relation.row(row_id).expect("just pushed");
         if self.use_indexes {
             let mut cache = self.indexes.write();
             for index in cache.values_mut() {
                 // Snapshots held elsewhere (compiled plans) keep the old
                 // copy; `make_mut` clones only when one is outstanding.
-                Arc::make_mut(index).insert_row(row_id, tuple);
+                Arc::make_mut(index).insert_row(&self.relation, row_id);
             }
         }
         self.generation.fetch_add(1, Ordering::Release);
@@ -342,10 +343,9 @@ impl MasterData {
         for row in rows {
             let row_id = self.relation.push(row).expect("pre-checked schema");
             if self.use_indexes {
-                let tuple = self.relation.row(row_id).expect("just pushed");
                 let mut cache = self.indexes.write();
                 for index in cache.values_mut() {
-                    Arc::make_mut(index).insert_row(row_id, tuple);
+                    Arc::make_mut(index).insert_row(&self.relation, row_id);
                 }
             }
         }

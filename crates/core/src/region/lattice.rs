@@ -40,7 +40,7 @@
 
 use crate::engine::{run_fixpoint_delta, CompiledRules, EngineStats};
 use crate::master::MasterData;
-use cerfix_relation::{AttrId, AttrSet, RowId, Tuple, Value};
+use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
 
 /// Per-truth classification of every compiled rule (see module docs).
 #[derive(Debug, Clone)]
@@ -58,48 +58,20 @@ impl TruthProfile {
         self.poisoned
     }
 
-    /// Classify every rule of `plan` against `truth`: at most one
-    /// certain lookup per *distinct join* — rules sharing `(X, Xm)`
-    /// (common when many rules hang off the same key) share the posting
-    /// list — reused by every candidate probing this truth.
+    /// Classify every rule of `plan` against `truth`: one certain
+    /// lookup per rule whose pattern admits the truth — a single index
+    /// probe each, whatever the number of master rows sharing the key —
+    /// reused by every candidate probing this truth.
     pub(crate) fn build(plan: &CompiledRules, master: &MasterData, truth: &Tuple) -> TruthProfile {
         let mut fireable = AttrSet::new();
         let mut poisoned = false;
         let mut key_buf: Vec<Value> = Vec::new();
-        // Posting lists already fetched for this truth, by join layout.
-        // Linear scan: distinct joins are few (one per rule LHS shape).
-        let mut fetched: Vec<(&[AttrId], &[AttrId], Vec<RowId>)> = Vec::new();
         for (pos, rule) in plan.rules.iter().enumerate() {
             // In a truth-clean state the pattern reads truth values.
             if !rule.pattern.matches(truth) {
                 continue;
             }
-            let rows: &[RowId] = match fetched.iter().position(|(input_lhs, master_lhs, _)| {
-                *input_lhs == &rule.input_lhs[..] && *master_lhs == &rule.master_lhs[..]
-            }) {
-                Some(i) => &fetched[i].2,
-                None => {
-                    key_buf.clear();
-                    for &a in rule.input_lhs.iter() {
-                        key_buf.push(truth.get(a).clone());
-                    }
-                    let mut rows: Vec<RowId> = Vec::new();
-                    if !key_buf.iter().any(Value::is_null) {
-                        match &rule.index {
-                            Some(index) => rows.extend_from_slice(index.lookup(&key_buf)),
-                            None => {
-                                master.for_each_matching_row(&rule.master_lhs, &key_buf, |id| {
-                                    rows.push(id)
-                                })
-                            }
-                        }
-                    } // null keys match nothing: empty posting list
-                    fetched.push((&rule.input_lhs, &rule.master_lhs, rows));
-                    &fetched.last().expect("just pushed").2
-                }
-            };
-            let (_, Some(witness)) = master.certain_witness(rows.iter().copied(), &rule.master_rhs)
-            else {
+            let Some(witness) = rule.lookup_witness(master, truth, &mut key_buf) else {
                 continue; // no match / ambiguous / null fix: dead
             };
             let s = master.tuple(witness).expect("index row in range");

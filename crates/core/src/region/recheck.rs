@@ -3,7 +3,7 @@
 //!
 //! An append can only change a rule's behaviour for truths whose join
 //! key collides with an appended row (`u[X] = s_new[Xm]` for some rule):
-//! everything else probes exactly the posting lists it probed before.
+//! everything else probes exactly the index entries it probed before.
 //! So a prior search's verdicts can be patched by re-certifying only:
 //!
 //! * truths **touched** by a changed key (some entailed rule of their

@@ -2,16 +2,90 @@
 //!
 //! The master data manager builds one index per distinct editing-rule LHS
 //! (`Xm` attribute list) so that the correcting process answers
-//! "which master tuples have `s[Xm] = t[X]`?" in O(1) expected time instead
-//! of scanning `Dm`. Experiment `T6` ablates exactly this structure.
+//! "which master tuples have `s[Xm] = t[X]`, and do they agree on
+//! `s[Bm]`?" in O(1) expected time instead of scanning `Dm`. Experiment
+//! `T6` ablates exactly this structure.
+//!
+//! Both halves of that question are answered by the probe. Per key an
+//! entry holds the matching row ids *and* the set of attributes on which
+//! all of those rows carry the same value, maintained when a row is
+//! inserted: "do the matches agree on `Bm`?" is then one subset test
+//! ([`HashIndex::certain`]), whether the key matches one row or two
+//! thousand. Agreement decomposes per attribute and is monotone under
+//! append — a later row can only take an attribute out of the set, never
+//! put one back — so an insert compares the new row with the key's first
+//! row on the attributes still in the set and nothing else.
 
+use crate::attrset::AttrSet;
 use crate::relation::{Relation, RowId};
 use crate::schema::AttrId;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// A hash index on a fixed attribute list of one relation.
+/// The rows of one key. Most keys of a master index are unique (`zip`,
+/// `phn`), and a lone row agrees with itself on every attribute, so it is
+/// stored inline: no `Vec`, no agreement set, no allocation. Only a key
+/// shared by several rows carries both.
+#[derive(Debug, Clone)]
+enum Posting {
+    One(RowId),
+    Many(Box<Shared>),
+}
+
+/// A key matched by at least two rows.
+#[derive(Debug, Clone)]
+struct Shared {
+    /// The matching rows, in insertion order.
+    rows: Vec<RowId>,
+    /// The attributes (of the whole relation schema, not just some
+    /// rule's `Bm`) on which every row equals `rows[0]`. `Null == Null`
+    /// counts as agreement; whether a null is usable evidence is the
+    /// caller's question about the witness row.
+    agree: AttrSet,
+}
+
+impl Posting {
+    fn rows(&self) -> &[RowId] {
+        match self {
+            Posting::One(row) => std::slice::from_ref(row),
+            Posting::Many(shared) => &shared.rows,
+        }
+    }
+
+    /// Add `row_id` to this key, narrowing the agreement set to the
+    /// attributes on which the new row still equals the first.
+    fn push(&mut self, relation: &Relation, row_id: RowId, row: &Tuple) {
+        match self {
+            Posting::One(first_id) => {
+                let first = relation.row(*first_id).expect("indexed row in range");
+                let agree = (0..relation.schema().arity())
+                    .filter(|&a| first.get(a) == row.get(a))
+                    .collect();
+                *self = Posting::Many(Box::new(Shared {
+                    rows: vec![*first_id, row_id],
+                    agree,
+                }));
+            }
+            Posting::Many(shared) => {
+                let first = relation.row(shared.rows[0]).expect("indexed row in range");
+                let mut from = 0;
+                while let Some(a) = shared.agree.next_at_or_after(from) {
+                    if first.get(a) != row.get(a) {
+                        shared.agree.remove(a);
+                    }
+                    from = a + 1;
+                }
+                shared.rows.push(row_id);
+            }
+        }
+    }
+}
+
+/// A hash index on a fixed attribute list of one relation: per key, the
+/// matching rows and the attributes those rows agree on (see the module
+/// docs).
 ///
 /// Keys containing nulls are *not* indexed: a null master cell can never be
 /// matched by rule semantics (nulls match nothing), so omitting them keeps
@@ -19,22 +93,20 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     attrs: Vec<AttrId>,
-    map: HashMap<Box<[Value]>, Vec<RowId>>,
+    map: HashMap<Box<[Value]>, Posting>,
 }
 
 impl HashIndex {
     /// Build an index over `attrs` for every current row of `relation`.
     pub fn build(relation: &Relation, attrs: impl Into<Vec<AttrId>>) -> HashIndex {
-        let attrs: Vec<AttrId> = attrs.into();
-        let mut map: HashMap<Box<[Value]>, Vec<RowId>> = HashMap::new();
-        for (row_id, tuple) in relation.iter() {
-            let key = tuple.project(&attrs);
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            map.entry(key.into_boxed_slice()).or_default().push(row_id);
+        let mut index = HashIndex {
+            attrs: attrs.into(),
+            map: HashMap::new(),
+        };
+        for row_id in 0..relation.len() {
+            index.insert_row(relation, row_id);
         }
-        HashIndex { attrs, map }
+        index
     }
 
     /// The indexed attribute list (in key order).
@@ -42,33 +114,50 @@ impl HashIndex {
         &self.attrs
     }
 
+    /// The entry of `key`; a key with a null has none (never indexed).
+    fn posting(&self, key: &[Value]) -> Option<&Posting> {
+        if key.iter().any(Value::is_null) {
+            return None;
+        }
+        self.map.get(key)
+    }
+
     /// Row ids whose projection equals `key`, in insertion order. Keys with
     /// nulls return the empty slice (consistent with match semantics).
     pub fn lookup(&self, key: &[Value]) -> &[RowId] {
-        if key.iter().any(Value::is_null) {
-            return &[];
+        self.posting(key).map_or(&[], Posting::rows)
+    }
+
+    /// The certain lookup's index half, in one probe: how many rows match
+    /// `key`, and — iff they all carry the same value on every attribute
+    /// of `rhs` — the first of them. No row is read: agreement was
+    /// settled when the rows were inserted.
+    pub fn certain(&self, key: &[Value], rhs: &AttrSet) -> (usize, Option<RowId>) {
+        match self.posting(key) {
+            None => (0, None),
+            Some(Posting::One(row)) => (1, Some(*row)),
+            Some(Posting::Many(shared)) => (
+                shared.rows.len(),
+                rhs.is_subset(&shared.agree).then_some(shared.rows[0]),
+            ),
         }
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Convenience: look up using the projection of `tuple` onto
-    /// `probe_attrs` (attribute ids in the *probing* tuple's schema).
-    pub fn lookup_tuple(&self, tuple: &Tuple, probe_attrs: &[AttrId]) -> &[RowId] {
-        debug_assert_eq!(probe_attrs.len(), self.attrs.len());
-        let key = tuple.project(probe_attrs);
-        self.lookup(&key)
-    }
-
-    /// Register one additional row (used when master data grows).
-    pub fn insert_row(&mut self, row_id: RowId, tuple: &Tuple) {
-        let key = tuple.project(&self.attrs);
+    /// Register row `row_id` of `relation` (used when master data grows).
+    /// `relation` must be the relation every earlier row came from: the
+    /// new row is compared with the first row of its key.
+    pub fn insert_row(&mut self, relation: &Relation, row_id: RowId) {
+        let row = relation.row(row_id).expect("inserted row in range");
+        let key = row.project(&self.attrs);
         if key.iter().any(Value::is_null) {
             return;
         }
-        self.map
-            .entry(key.into_boxed_slice())
-            .or_default()
-            .push(row_id);
+        match self.map.entry(key.into_boxed_slice()) {
+            Entry::Vacant(slot) => {
+                slot.insert(Posting::One(row_id));
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().push(relation, row_id, row),
+        }
     }
 
     /// Number of distinct keys.
@@ -78,7 +167,7 @@ impl HashIndex {
 
     /// Total number of postings.
     pub fn postings(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.map.values().map(|p| p.rows().len()).sum()
     }
 }
 
@@ -138,23 +227,47 @@ mod tests {
     }
 
     #[test]
-    fn lookup_tuple_cross_schema() {
-        let rel = master();
-        let idx = HashIndex::build(&rel, vec![0]); // master zip
-        let input = Schema::of_strings("t", ["name", "postcode"]).unwrap();
-        let t = Tuple::of_strings(input, ["Bob", "EH8 4AH"]).unwrap();
-        assert_eq!(idx.lookup_tuple(&t, &[1]), &[0, 2]);
+    fn insert_row_extends_index() {
+        let mut rel = master();
+        let mut idx = HashIndex::build(&rel, vec![0]);
+        let schema = rel.schema().clone();
+        let row = rel
+            .push(Tuple::of_strings(schema, ["G12 8QQ", "141", "Gla"]).unwrap())
+            .unwrap();
+        idx.insert_row(&rel, row);
+        assert_eq!(idx.lookup(&[Value::str("G12 8QQ")]), &[3]);
+        assert_eq!(idx.postings(), 4);
     }
 
     #[test]
-    fn insert_row_extends_index() {
-        let rel = master();
-        let mut idx = HashIndex::build(&rel, vec![0]);
+    fn certain_answers_agreement_without_reading_rows() {
+        let mut rel = master();
+        let mut idx = HashIndex::build(&rel, vec![1]); // AC
+        let (zip, city): (AttrSet, AttrSet) = ([0].into(), [2].into());
+        let edi = [Value::str("131")];
+        // Rows 0 and 2 share AC=131 and agree on everything.
+        assert_eq!(idx.certain(&edi, &city), (2, Some(0)));
+        assert_eq!(idx.certain(&edi, &[0, 2].into()), (2, Some(0)));
+        // A lone row agrees with itself; an absent or null key matches nothing.
+        assert_eq!(idx.certain(&[Value::str("020")], &city), (1, Some(1)));
+        assert_eq!(idx.certain(&[Value::str("999")], &city), (0, None));
+        assert_eq!(idx.certain(&[Value::Null], &city), (0, None));
+        // A third 131 row with another zip: zip leaves the agreement set
+        // for good, city stays; the witness is still the first row.
         let schema = rel.schema().clone();
-        let t = Tuple::of_strings(schema, ["G12 8QQ", "141", "Gla"]).unwrap();
-        idx.insert_row(3, &t);
-        assert_eq!(idx.lookup(&[Value::str("G12 8QQ")]), &[3]);
-        assert_eq!(idx.postings(), 4);
+        let row = rel
+            .push(Tuple::of_strings(schema.clone(), ["EH9 1PR", "131", "Edi"]).unwrap())
+            .unwrap();
+        idx.insert_row(&rel, row);
+        assert_eq!(idx.certain(&edi, &zip), (3, None));
+        assert_eq!(idx.certain(&edi, &city), (3, Some(0)));
+        // A unique key turns ambiguous when its second row disagrees.
+        let row = rel
+            .push(Tuple::of_strings(schema, ["SW1A 1AA", "020", "Westminster"]).unwrap())
+            .unwrap();
+        idx.insert_row(&rel, row);
+        assert_eq!(idx.certain(&[Value::str("020")], &city), (2, None));
+        assert_eq!(idx.certain(&[Value::str("020")], &zip), (2, Some(1)));
     }
 
     #[test]

@@ -373,13 +373,16 @@ fn run_threads(listener: TcpListener, service: &CleaningService) -> std::io::Res
                     let _ = stream.shutdown(Shutdown::Both);
                     continue;
                 }
+                // Counted here, not by the connection's own thread: the
+                // next `admit_connection` must see this connection even
+                // if its thread has not been scheduled yet.
+                let open = OpenConnection::count(service.clone());
                 let id = registry.register(&stream);
-                let service = service.clone();
                 let live = Arc::clone(&live);
                 let registry = Arc::clone(&registry);
                 connections.retain(|handle| !handle.is_finished());
                 connections.push(thread::spawn(move || {
-                    serve_connection(stream, &service, &live);
+                    serve_connection(stream, open, &live);
                     registry.deregister(id);
                 }));
             }
@@ -462,14 +465,35 @@ impl LineBuffer {
     }
 }
 
-fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &AtomicBool) {
+/// One admitted connection's share of the `connections_open` gauge:
+/// taken by the acceptor the moment `admit_connection` lets the
+/// connection in, given back exactly once, when the connection's thread
+/// drops it — whichever way that thread leaves.
+struct OpenConnection {
+    service: CleaningService,
+}
+
+impl OpenConnection {
+    fn count(service: CleaningService) -> OpenConnection {
+        let metrics = service.metrics_raw();
+        metrics.connections_open.inc();
+        metrics.connections_total.inc();
+        OpenConnection { service }
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.service.metrics_raw().connections_open.dec();
+    }
+}
+
+fn serve_connection(mut stream: TcpStream, open: OpenConnection, live: &AtomicBool) {
     use std::io::Write;
+    let service = &open.service;
     let metrics = service.metrics_raw();
-    metrics.connections_open.inc();
-    metrics.connections_total.inc();
     let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else {
-        metrics.connections_open.dec();
         return;
     };
     let mut buf = LineBuffer::new();
@@ -500,7 +524,6 @@ fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &Ato
                     // pipelined burst go out while later requests are
                     // still being served.
                     if writer.write_all(out.as_bytes()).is_err() {
-                        metrics.connections_open.dec();
                         return;
                     }
                     metrics.bytes_out.add(out.len() as u64);
@@ -516,7 +539,6 @@ fn serve_connection(mut stream: TcpStream, service: &CleaningService, live: &Ato
             Err(_) => break,
         }
     }
-    metrics.connections_open.dec();
 }
 
 /// A running server on a background thread.

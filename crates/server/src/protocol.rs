@@ -5,15 +5,15 @@
 //! fields, or `"ok": false` with an `"error"` string. The full field
 //! reference lives in the repository README ("cerfix-server protocol").
 //!
-//! This module holds the one request parser. [`scan_line`] is its one
+//! This module holds the one request parser. `scan_line` is its one
 //! pass over a line's bytes: the [`wire::scan`](crate::wire::scan) lexer
 //! validates the line while the pass resolves the op's table row, keeps
 //! the `id` span and `deadline_ms`, and files every field an op may
-//! read, still borrowed, into a [`Fields`] view — nothing allocated, so
+//! read, still borrowed, into a `Fields` view — nothing allocated, so
 //! the service can refuse a request (deadline, shedding) before any of
-//! it is materialised. [`Request::parse`] then reads an op's fields off
+//! it is materialised. `Request::parse` then reads an op's fields off
 //! that view into the typed [`Request`]; a line that is not JSON never
-//! gets that far — its [`ScannedLine`] carries the lexer's error. The
+//! gets that far — its `ScannedLine` carries the lexer's error. The
 //! client-side encoder lives here too. Responses are written by the
 //! service (they are write-only on the server side) and picked apart
 //! field-wise by the [`Client`](crate::Client).

@@ -655,8 +655,8 @@ impl CleaningService {
     /// (appended; callers clear between requests) with `scratch` as the
     /// reusable parse buffer. This is the production entry point for
     /// both TCP front ends. Every line is read the same way — one
-    /// validating pass ([`scan_line`]), then its op's fields off the
-    /// view that pass leaves — and every op has one handler. The
+    /// validating pass (`protocol::scan_line`), then its op's fields off
+    /// the view that pass leaves — and every op has one handler. The
     /// handler writes its reply straight into `out` through the one
     /// [`JsonWriter`]: the session ops a pipelining client hammers
     /// (`session.get` / `fix` / `validate` / `commit` / `abort`) own no

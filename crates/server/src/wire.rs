@@ -243,14 +243,14 @@ fn not_a_cell(what: &str) -> WireError {
 pub mod scan {
     //! The JSON lexer: the one place the bytes of a line are read.
     //!
-    //! [`Lexer`] is a pull tokenizer that is also the validator: it
+    //! `Lexer` is a pull tokenizer that is also the validator: it
     //! keeps the grammar state — an explicit bracket stack, one bit per
     //! open container, and what may come next — so commas, colons,
     //! bracket matching, the nesting cap, the RFC 8259 number grammar,
     //! string escapes with their surrogate pairs and the ban on raw
     //! control bytes are all checked in the one pass that finds the
     //! tokens, without allocating. A failure is a [`WireError`] naming
-    //! the byte it happened at (a `Copy` [`Flaw`] until it leaves this
+    //! the byte it happened at (a `Copy` `Flaw` until it leaves this
     //! module: the pass itself carries no `String`). Every reader is a
     //! view over those tokens: [`Json::parse`](super::Json::parse) builds
     //! a tree from them; [`ObjectScanner`] and [`ArrayScanner`] hand out **borrowed**

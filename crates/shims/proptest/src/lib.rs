@@ -299,7 +299,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::Rng;
 
-    /// Sizes accepted by [`vec`]/[`btree_set`]: an exact count or a
+    /// Sizes accepted by [`vec()`]/[`btree_set`]: an exact count or a
     /// half-open range.
     pub trait SizeRange {
         /// Draw a size.
@@ -323,7 +323,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

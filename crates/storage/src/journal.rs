@@ -702,7 +702,7 @@ impl Journal {
     /// yields an empty batch at the new epoch (the caller re-cursors).
     ///
     /// A follower reads in order, so each read remembers where it
-    /// stopped ([`ReadHint`]) and the next starts there: a sync costs
+    /// stopped (a `ReadHint`) and the next starts there: a sync costs
     /// the bytes it serves, not the length of the journal.
     pub fn read_durable_from(&self, offset: u64, max: usize) -> std::io::Result<CursorRead> {
         for _ in 0..3 {

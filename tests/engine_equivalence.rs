@@ -1,8 +1,15 @@
 //! Engine equivalence: the delta-driven fixpoint must be a drop-in
 //! replacement for the pass-based reference engine.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
+//! * **Index ≡ row walk** — the master index answers "do all rows of this
+//!   key agree on `Bm`?" from a per-key agreement set it maintains on
+//!   insert; the unindexed arm answers it by walking the rows. On random
+//!   masters (duplicate keys, nulls in keys and fix cells, > 64
+//!   attributes), for every key and every `Bm`, the two verdicts are
+//!   equal — before and after random appends, with outstanding index
+//!   snapshots left untouched.
 //! * **Property tests** — on the UK scenario and on fully randomized
 //!   (master, rules, tuple, seed) instances, both engines produce
 //!   identical final tuples, validated sets, and fix lists (same fixes,
@@ -15,9 +22,13 @@
 //!   and no more master lookups. Counts, not wall-clock: this cannot
 //!   flake on machine speed.
 
-use cerfix::{run_fixpoint, run_fixpoint_delta, CompiledRules, EngineStats, MasterData};
-use cerfix_gen::uk;
-use cerfix_relation::{AttrSet, RelationBuilder, Schema, Tuple, Value};
+use cerfix::{
+    run_fixpoint, run_fixpoint_delta, CertainLookup, CompiledRules, EngineStats, MasterData,
+};
+use cerfix_gen::{hosp, uk};
+use cerfix_relation::{
+    AttrId, AttrSet, HashIndex, Relation, RelationBuilder, RowId, Schema, SchemaRef, Tuple, Value,
+};
 use cerfix_rules::{discover_rules, EditingRule, PatternTuple, RuleSet};
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -180,6 +191,228 @@ proptest! {
     }
 }
 
+/// Join layouts the index-vs-row-walk test probes: two single
+/// attributes and their pair, all over small alphabets so keys repeat.
+const JOINS: [&[AttrId]; 3] = [&[0], &[1], &[0, 1]];
+
+/// Every subset of `cols`, the empty one included (no `Bm`: any match is
+/// trivially agreed).
+fn subsets(cols: &[AttrId]) -> Vec<Vec<AttrId>> {
+    (0u32..1 << cols.len())
+        .map(|mask| {
+            (0..cols.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| cols[i])
+                .collect()
+        })
+        .collect()
+}
+
+/// Every key `join` can be probed with on `relation`: each row's
+/// projection (nulls and all — those must match nothing) and an absent
+/// key.
+fn probe_keys(relation: &Relation, join: &[AttrId]) -> Vec<Vec<Value>> {
+    let mut keys: Vec<Vec<Value>> = relation.iter().map(|(_, s)| s.project(join)).collect();
+    keys.push(vec![Value::str("absent"); join.len()]);
+    keys
+}
+
+/// One index's answers to every probe: posting list and `certain`
+/// verdict per key × `Bm` subset, in probe order.
+type IndexAnswers = Vec<(Vec<RowId>, Vec<(usize, Option<RowId>)>)>;
+
+fn index_answers(index: &HashIndex, keys: &[Vec<Value>], rhs_cols: &[AttrId]) -> IndexAnswers {
+    keys.iter()
+        .map(|key| {
+            let verdicts = subsets(rhs_cols)
+                .iter()
+                .map(|rhs| index.certain(key, &rhs.iter().copied().collect()))
+                .collect();
+            (index.lookup(key).to_vec(), verdicts)
+        })
+        .collect()
+}
+
+/// The differential check: for every join × key × `Bm` subset, the
+/// indexed master (entries maintained row by row since they were first
+/// built) answers exactly what the unindexed one computes by walking the
+/// matching rows — count, witness row, values — and each maintained
+/// index equals one built from scratch over the same rows.
+fn assert_index_equals_row_walk(
+    indexed: &MasterData,
+    scanned: &MasterData,
+    rhs_cols: &[AttrId],
+) -> Result<(), TestCaseError> {
+    for join in JOINS {
+        let keys = probe_keys(indexed.relation(), join);
+        for key in &keys {
+            for rhs in subsets(rhs_cols) {
+                prop_assert_eq!(
+                    indexed.certain_lookup_at(join, key, &rhs),
+                    scanned.certain_lookup_at(join, key, &rhs),
+                    "join {:?} key {:?} rhs {:?}",
+                    join,
+                    key,
+                    rhs
+                );
+            }
+        }
+        let maintained = indexed.warmed_index(join).expect("indexed arm");
+        let rebuilt = HashIndex::build(indexed.relation(), join.to_vec());
+        prop_assert_eq!(
+            index_answers(&maintained, &keys, rhs_cols),
+            index_answers(&rebuilt, &keys, rhs_cols),
+            "maintained vs rebuilt index on join {:?}",
+            join
+        );
+    }
+    Ok(())
+}
+
+/// What a compiled plan makes of every master row offered as an input
+/// tuple with the join attributes validated: final tuple, validated set
+/// and fixes (or the error), rendered for comparison.
+fn plan_verdicts(plan: &CompiledRules, master: &MasterData, input: &SchemaRef) -> Vec<String> {
+    master
+        .relation()
+        .iter()
+        .map(|(_, s)| {
+            let mut t = Tuple::new(input.clone(), s.values()).expect("same layout");
+            let mut validated: AttrSet = [0, 1].into();
+            match run_fixpoint_delta(plan, master, &mut t, &mut validated) {
+                Ok(report) => format!("{t:?} {validated:?} {:?}", report.fixes),
+                Err(e) => e.to_string(),
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The index's verdict is the row walk's verdict, always: on a random
+    /// master, then after each of several random `append` /
+    /// `append_rows` / `append_copy` batches — across which index
+    /// snapshots taken earlier (a compiled plan's included) keep
+    /// answering for the master they were taken from.
+    #[test]
+    fn index_verdict_is_the_row_walk_verdict(instance in 0u64..100_000) {
+        let mut rng = StdRng::seed_from_u64(instance);
+        // A master wider than 64 attributes puts the per-key agreement
+        // sets on `AttrSet`'s heap representation.
+        let wide = rng.gen_bool(0.3);
+        let arity = if wide { 70 } else { 6 };
+        let rhs_cols: &[AttrId] = if wide { &[2, 3, 64, 69] } else { &[2, 3, 4, 5] };
+        let names: Vec<String> = (0..arity).map(|i| format!("a{i}")).collect();
+        let input = Schema::of_strings("in", names.iter().map(String::as_str)).unwrap();
+        let ms = Schema::of_strings("m", names.iter().map(String::as_str)).unwrap();
+        // Two values and null per cell, skewed so that the rows of a key
+        // agree about as often as they disagree; a null lands in keys, in
+        // a key's first row and in its later rows alike.
+        let row = |rng: &mut StdRng| {
+            let cells: Vec<Value> = (0..arity)
+                .map(|_| match rng.gen_range(0..10u8) {
+                    0 => Value::Null,
+                    1..=7 => Value::str("v0"),
+                    _ => Value::str("v1"),
+                })
+                .collect();
+            Tuple::new(ms.clone(), cells).unwrap()
+        };
+        let rows = |rng: &mut StdRng, n: usize| (0..n).map(|_| row(rng)).collect::<Vec<_>>();
+
+        let n_rows = rng.gen_range(1..10usize);
+        let relation = Relation::from_tuples(ms.clone(), rows(&mut rng, n_rows)).unwrap();
+        let mut indexed = MasterData::new(relation.clone());
+        let mut scanned = MasterData::new_unindexed(relation);
+        // Also materializes the three indexes the appends must maintain.
+        assert_index_equals_row_walk(&indexed, &scanned, rhs_cols)?;
+
+        let mut rules = RuleSet::new(input.clone(), ms.clone());
+        for (j, join) in JOINS.iter().enumerate() {
+            for &b in rhs_cols {
+                let lhs: Vec<_> = join.iter().map(|&a| (a, a)).collect();
+                let rule = EditingRule::new(
+                    format!("j{j}_b{b}"), &input, &ms, lhs, vec![(b, b)], PatternTuple::empty(),
+                );
+                rules.add(rule.unwrap()).unwrap();
+            }
+        }
+
+        for _ in 0..4 {
+            // Snapshots outstanding across the append: what they answer
+            // now is what they must answer afterwards (`Arc::make_mut`
+            // has to clone rather than update them in place).
+            let before: Vec<_> = JOINS
+                .iter()
+                .map(|join| {
+                    let snapshot = indexed.warmed_index(join).expect("indexed arm");
+                    let keys = probe_keys(indexed.relation(), join);
+                    let answers = index_answers(&snapshot, &keys, rhs_cols);
+                    (snapshot, keys, answers)
+                })
+                .collect();
+            let n = rng.gen_range(1..4usize);
+            match rng.gen_range(0..3u8) {
+                0 => {
+                    let t = row(&mut rng);
+                    indexed.append(t.clone()).unwrap();
+                    scanned.append(t).unwrap();
+                }
+                1 => {
+                    let batch = rows(&mut rng, n);
+                    indexed.append_rows(batch.clone()).unwrap();
+                    scanned.append_rows(batch).unwrap();
+                }
+                _ => {
+                    // The server's shape: the old master keeps serving
+                    // the plan compiled against it while the copy grows.
+                    let plan = CompiledRules::compile(&rules, &indexed);
+                    let old_verdicts = plan_verdicts(&plan, &indexed, &input);
+                    let batch = rows(&mut rng, n);
+                    let (grown, _) = indexed.append_copy(batch.clone()).unwrap();
+                    prop_assert_eq!(
+                        plan_verdicts(&plan, &indexed, &input),
+                        old_verdicts,
+                        "a plan compiled before append_copy answers for the old master"
+                    );
+                    indexed = grown;
+                    scanned = scanned.append_copy(batch).unwrap().0;
+                }
+            }
+            for (snapshot, keys, answers) in &before {
+                prop_assert_eq!(
+                    &index_answers(snapshot, keys, rhs_cols),
+                    answers,
+                    "an outstanding snapshot changed under an append"
+                );
+            }
+            assert_index_equals_row_walk(&indexed, &scanned, rhs_cols)?;
+        }
+
+        // A unique → ambiguous flip, every run: a fresh key's lone row is
+        // a certain witness until a second row of that key disagrees.
+        let b = rhs_cols[0];
+        let key = [Value::str("fresh")];
+        let mut t = Tuple::new(ms.clone(), vec![Value::str("v0"); arity]).unwrap();
+        t.set(0, key[0].clone()).unwrap();
+        let first = indexed.append(t.clone()).unwrap();
+        scanned.append(t.clone()).unwrap();
+        prop_assert_eq!(
+            indexed.certain_lookup_at(&[0], &key, &[b]),
+            CertainLookup::Unique { values: vec![Value::str("v0")], witness: first, matches: 1 }
+        );
+        t.set(b, Value::str("v1")).unwrap();
+        indexed.append(t.clone()).unwrap();
+        scanned.append(t).unwrap();
+        prop_assert_eq!(
+            indexed.certain_lookup_at(&[0], &key, &[b]),
+            CertainLookup::Ambiguous { matches: 2 }
+        );
+        assert_index_equals_row_walk(&indexed, &scanned, rhs_cols)?;
+    }
+}
+
 /// Run both engines over `truths`, each masked down to `seed`, and
 /// return (pass-based, delta) work totals after the relative guard every
 /// fixture shares: the delta engine attempts strictly fewer rules,
@@ -252,6 +485,30 @@ fn mined_rules_delta_performs_strictly_fewer_attempts() {
     let universe = uk::truth_universe(&relation);
     let zip: AttrSet = [input.attr_id("zip").expect("zip")].into();
     work_totals(&rules, &master, &universe[..60], &zip);
+}
+
+/// Exact work counts on HOSP, the one scenario where no join is a key of
+/// the master: `provider` and `zip` match 4 rows each and `measure` a
+/// ninth of the relation, all agreeing. Seeded with `{provider,
+/// measure}` the whole tuple validates, so the delta engine attempts
+/// each of the 8 rules exactly once, and each attempt is one certain
+/// lookup answered by one index probe — however many rows share the key.
+/// (Whether a probe may walk those rows is not a count: `HashIndex::
+/// certain` takes no relation and no row iterator, so it cannot.)
+#[test]
+fn hosp_work_counts_are_exact() {
+    let mut rng = StdRng::seed_from_u64(2011);
+    let scenario = hosp::scenario(400, &mut rng);
+    let master = MasterData::new(scenario.master.clone());
+    let seed: AttrSet = ["provider", "measure"]
+        .iter()
+        .map(|n| scenario.input.attr_id(n).expect("hosp attr"))
+        .collect();
+    let (_, delta) = work_totals(&scenario.rules, &master, &scenario.universe, &seed);
+    let tuples = scenario.universe.len();
+    assert_eq!(delta.rule_attempts, 8 * tuples, "delta attempts");
+    assert_eq!(delta.master_lookups, 8 * tuples, "delta lookups");
+    assert_eq!(delta.index_probes, 8 * tuples, "delta probes");
 }
 
 /// Exact work counts on a hand-built, RNG-free chain: 10 attributes

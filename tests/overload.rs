@@ -373,9 +373,10 @@ fn connection_quota_refuses_with_typed_error_at_accept() {
     });
 
     let mut first = Client::connect(addr).unwrap();
-    first.hello().unwrap(); // round trip ⇒ the connection is registered
 
-    // The second connection gets one typed error line, then EOF —
+    // The acceptor counts a connection when it admits it, so the second
+    // connect — straight after the first, before the first has sent a
+    // byte — is already over the quota: one typed error line, then EOF —
     // no thread, no buffers, no parser time spent on it.
     let second = TcpStream::connect(addr).unwrap();
     second

@@ -258,7 +258,9 @@ fn mid_request_disconnect_leaves_server_healthy() {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(service.metrics().connections_total >= 2);
+        // Both front ends count at accept: exactly the dropped connection
+        // and the client, each once.
+        assert_eq!(service.metrics().connections_total, 2, "{frontend:?}");
         handle.shutdown().expect("shutdown");
     }
 }
