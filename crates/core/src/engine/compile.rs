@@ -6,8 +6,11 @@
 //! master index cache's `RwLock` to fetch the index. A
 //! [`CompiledRules`] plan does all of that **once per rule set**:
 //!
-//! * per-rule evidence and RHS **bitmasks** ([`AttrSet`]) — eligibility
-//!   and coverage tests become word operations, and the master-side RHS
+//! * per-rule evidence and RHS **bitmasks** ([`AttrSet`]), held in the
+//!   master-free [`RuleMasks`] table — eligibility and coverage tests
+//!   become word operations, and the same table is all the inference
+//!   system reads: the monitor's new suggestion is computed from the
+//!   plan, never by re-interpreting the [`RuleSet`]. The master-side RHS
 //!   mask `Bm` is what the index's per-key agreement set is tested
 //!   against (one subset test per certain lookup);
 //! * LHS/RHS key layouts resolved to flat attribute arrays — key
@@ -25,22 +28,20 @@
 //! (the server caches them per rule-set fingerprint) and share it across
 //! every monitor, stream worker, and certification probe.
 
+use crate::engine::inference::RuleMasks;
 use crate::master::MasterData;
 use cerfix_relation::{AttrId, AttrSet, HashIndex, RowId, SchemaRef, Tuple, Value};
 use cerfix_rules::{PatternTuple, RuleId, RuleSet};
 use std::sync::Arc;
 
-/// One rule in execution form: masks, flat layouts, resolved index.
+/// One rule in execution form: flat layouts, pattern, resolved index
+/// (its evidence / RHS masks live in the plan's [`RuleMasks`]).
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledRule {
     /// The rule's id in the source [`RuleSet`] (for fix provenance).
     pub(crate) id: RuleId,
     /// The rule's name (for error messages).
     pub(crate) name: String,
-    /// Evidence mask `X ∪ Xp`: every bit must be validated to fire.
-    pub(crate) evidence: AttrSet,
-    /// RHS mask `B`: all bits validated ⇒ nothing left to do.
-    pub(crate) rhs_set: AttrSet,
     /// Input-side LHS attributes `X`, flat, in rule order.
     pub(crate) input_lhs: Box<[AttrId]>,
     /// Master-side LHS attributes `Xm`, flat, in rule order.
@@ -88,6 +89,9 @@ pub struct CompiledRules {
     /// Rules in rule-id order (positions are dense even when the source
     /// set has deleted-rule gaps).
     pub(crate) rules: Vec<CompiledRule>,
+    /// Evidence / RHS masks per rule position — what eligibility tests
+    /// and the inference system run on.
+    masks: RuleMasks,
     /// `watchers[attr]` = positions (into `rules`) of the rules whose
     /// evidence contains `attr`.
     watchers: Vec<Vec<u32>>,
@@ -101,13 +105,13 @@ impl CompiledRules {
     /// master index for every distinct rule LHS.
     pub fn compile(rules: &RuleSet, master: &MasterData) -> CompiledRules {
         let input_schema = rules.input_schema().clone();
+        let masks = RuleMasks::of(rules);
         let mut compiled: Vec<CompiledRule> = Vec::with_capacity(rules.len());
         let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); input_schema.arity()];
         for (id, rule) in rules.iter() {
-            let pos = compiled.len() as u32;
-            let evidence: AttrSet = rule.evidence_attrs().into_iter().collect();
-            for attr in &evidence {
-                watchers[attr].push(pos);
+            let pos = compiled.len();
+            for attr in masks.evidence(pos) {
+                watchers[attr].push(pos as u32);
             }
             let master_lhs = rule.master_lhs();
             let master_rhs = rule.master_rhs();
@@ -115,8 +119,6 @@ impl CompiledRules {
             compiled.push(CompiledRule {
                 id,
                 name: rule.name().to_string(),
-                evidence,
-                rhs_set: rule.input_rhs().into_iter().collect(),
                 input_lhs: rule.input_lhs().into_boxed_slice(),
                 master_lhs: master_lhs.into_boxed_slice(),
                 input_rhs: rule.input_rhs().into_boxed_slice(),
@@ -128,6 +130,7 @@ impl CompiledRules {
         }
         CompiledRules {
             rules: compiled,
+            masks,
             watchers,
             input_schema,
             master_generation: master.generation(),
@@ -154,6 +157,11 @@ impl CompiledRules {
     /// after appends (the delta engine debug-asserts this).
     pub fn master_generation(&self) -> u64 {
         self.master_generation
+    }
+
+    /// The rules' evidence / RHS masks, by rule position.
+    pub(crate) fn masks(&self) -> &RuleMasks {
+        &self.masks
     }
 
     /// Positions of the rules whose evidence contains `attr`.
@@ -224,12 +232,10 @@ mod tests {
         assert_eq!(plan.watchers(ty), &[0]);
         assert_eq!(plan.watchers(ac), &[1]);
         assert!(
-            plan.rules[0].evidence.contains(ty),
+            plan.masks().evidence(0).contains(ty),
             "pattern attr is evidence"
         );
-        assert!(plan.rules[1]
-            .rhs_set
-            .contains(input.attr_id("city").unwrap()));
+        assert!(plan.masks().rhs(1).contains(input.attr_id("city").unwrap()));
         // Index snapshots resolved (indexed master).
         assert!(plan.rules.iter().all(|r| r.index.is_some()));
         assert_eq!(master.index_count(), 2, "compile warmed both LHS indexes");

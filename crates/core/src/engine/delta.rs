@@ -69,8 +69,9 @@ pub fn run_fixpoint_delta(
     // enqueued (an attempted rule is never re-attempted).
     let mut pending = AttrSet::new();
     let mut enqueued = AttrSet::new();
-    for (pos, rule) in plan.rules.iter().enumerate() {
-        if rule.evidence.is_subset(validated) {
+    let masks = plan.masks();
+    for pos in 0..plan.rules.len() {
+        if masks.evidence(pos).is_subset(validated) {
             pending.insert(pos);
             enqueued.insert(pos);
         }
@@ -99,7 +100,7 @@ pub fn run_fixpoint_delta(
 
         // Another rule validated the whole RHS in the meantime: nothing
         // left to derive (the pass-based engine's AlreadyCovered).
-        if rule.rhs_set.is_subset(validated) {
+        if masks.rhs(pos).is_subset(validated) {
             continue;
         }
         // The pattern reads evidence cells only, and those are validated
@@ -145,7 +146,7 @@ pub fn run_fixpoint_delta(
             let b = report.newly_validated[i];
             for &w in plan.watchers(b) {
                 let w = w as usize;
-                if !enqueued.contains(w) && plan.rules[w].evidence.is_subset(validated) {
+                if !enqueued.contains(w) && masks.evidence(w).is_subset(validated) {
                     enqueued.insert(w);
                     pending.insert(w);
                 }

@@ -8,295 +8,275 @@
 //! hyperedge from its evidence set `X ∪ Xp` to `B`. The closure of a seed
 //! set under enabled rules over-approximates what the data-level fixpoint
 //! can validate (data-level runs can stall on missing or ambiguous master
-//! matches — the region *certification* step accounts for that). The
-//! closure drives both the region finder's candidate generation and the
-//! monitor's new-suggestion computation.
+//! matches — the region *certification* step accounts for that).
+//!
+//! [`AttrSet`] masks are the only currency. [`RuleMasks`] holds one
+//! `(evidence, RHS)` pair per rule, compiled once from the rule set and
+//! needing no master data; *which* rules may be counted on is an
+//! [`AttrSet`] of rule positions the caller computes once per question —
+//! the monitor's live-rule mask (pattern not falsified by validated
+//! cells, rule not stalled), the region finder's context-entailment mask.
+//! Everything else is word sweeps over those masks: one closure
+//! ([`RuleMasks::closure`]) and one minimal-cover search
+//! ([`RuleMasks::minimal_covers`]) serve both the monitor's new
+//! suggestion ([`RuleMasks::suggestion`]: exact for at most 16 candidate
+//! attributes, greedy-then-prune above) and the region finder's static
+//! phase. On schemas and rule sets of at most 64 entries the sets are
+//! single words: a suggestion allocates the list of covers it found and
+//! nothing else.
 
 use cerfix_relation::{AttrId, AttrSet};
-use cerfix_rules::{EditingRule, RuleId, RuleSet};
-use std::collections::BTreeSet;
+use cerfix_rules::RuleSet;
+use std::ops::ControlFlow;
 
-/// Rule filter: decides whether a rule may be counted on during closure.
-/// The monitor passes a filter that drops rules whose patterns are already
-/// falsified by validated cells; the region finder passes tableau-context
-/// entailment.
-pub type RuleFilter<'a> = &'a dyn Fn(RuleId, &EditingRule) -> bool;
+/// Most candidate attributes the suggestion searches exactly
+/// (`2^16` closures at worst); wider candidate sets go greedy.
+const EXACT_LIMIT: usize = 16;
 
-/// Accept every rule.
-pub fn all_rules(_: RuleId, _: &EditingRule) -> bool {
-    true
+/// The rule set as the inference system sees it: per rule position (the
+/// rule's rank in [`RuleSet::iter`] order) its evidence mask `X ∪ Xp` and
+/// its RHS mask `B`. [`CompiledRules`](crate::engine::CompiledRules)
+/// embeds one; the region finder builds one straight from the rules.
+#[derive(Debug, Clone)]
+pub struct RuleMasks {
+    arity: usize,
+    edges: Vec<(AttrSet, AttrSet)>,
 }
 
-/// Compute the closure of `seed` under the enabled rules: repeatedly add
-/// the RHS of every rule whose evidence is contained in the current set.
-pub fn attribute_closure(
-    rules: &RuleSet,
-    seed: &BTreeSet<AttrId>,
-    enabled: RuleFilter<'_>,
-) -> BTreeSet<AttrId> {
-    let mut closed = seed.clone();
-    // Materialize evidence/rhs per enabled rule once.
-    let mut pending: Vec<(BTreeSet<AttrId>, Vec<AttrId>)> = rules
-        .iter()
-        .filter(|&(id, r)| enabled(id, r))
-        .map(|(_, r)| (r.evidence_attrs(), r.input_rhs()))
-        .collect();
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        pending.retain(|(evidence, rhs)| {
-            if evidence.is_subset(&closed) {
-                for &b in rhs {
-                    if closed.insert(b) {
-                        progressed = true;
-                    }
-                }
-                false // rule consumed
-            } else {
-                true
-            }
-        });
-    }
-    closed
-}
-
-/// True iff the closure of `seed` covers the whole input schema.
-pub fn covers_all(rules: &RuleSet, seed: &BTreeSet<AttrId>, enabled: RuleFilter<'_>) -> bool {
-    attribute_closure(rules, seed, enabled).len() == rules.input_schema().arity()
-}
-
-/// Attributes that no enabled rule can fix: these must be validated by the
-/// user in every certain region (`item`, `phn` and `type` in the paper's
-/// UK scenario).
-pub fn unfixable_attrs(rules: &RuleSet, enabled: RuleFilter<'_>) -> BTreeSet<AttrId> {
-    let fixable: BTreeSet<AttrId> = rules
-        .iter()
-        .filter(|&(id, r)| enabled(id, r))
-        .flat_map(|(_, r)| r.input_rhs())
-        .collect();
-    rules
-        .input_schema()
-        .all_attr_ids()
-        .filter(|a| !fixable.contains(a))
-        .collect()
-}
-
-/// Attributes worth considering as extra evidence: anything that appears
-/// in some enabled rule's evidence set. Validating an attribute that no
-/// rule reads (and that rules can fix) is wasted user effort.
-pub fn useful_evidence_attrs(rules: &RuleSet, enabled: RuleFilter<'_>) -> BTreeSet<AttrId> {
-    rules
-        .iter()
-        .filter(|&(id, r)| enabled(id, r))
-        .flat_map(|(_, r)| r.evidence_attrs())
-        .collect()
-}
-
-/// Rule hyperedges in bitset form: `(evidence mask, RHS mask)` per
-/// enabled rule — the compiled currency of the cover search, built once
-/// and reused across every candidate combination.
-fn closure_masks(rules: &RuleSet, enabled: RuleFilter<'_>) -> Vec<(AttrSet, AttrSet)> {
-    rules
-        .iter()
-        .filter(|&(id, r)| enabled(id, r))
-        .map(|(_, r)| {
-            (
-                r.evidence_attrs().iter().copied().collect(),
-                r.input_rhs().into_iter().collect(),
-            )
-        })
-        .collect()
-}
-
-/// Does the closure of `seed` under `masks` span all `arity` attributes?
-/// Pure bitset sweeps — no per-call allocation beyond one consumed mask.
-fn closure_spans(masks: &[(AttrSet, AttrSet)], seed: &AttrSet, arity: usize) -> bool {
-    let mut closed = seed.clone();
-    if closed.len() == arity {
-        return true;
-    }
-    let mut consumed = AttrSet::new();
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for (pos, (evidence, rhs)) in masks.iter().enumerate() {
-            if consumed.contains(pos) || !evidence.is_subset(&closed) {
-                continue;
-            }
-            consumed.insert(pos);
-            for b in rhs {
-                if closed.insert(b) {
-                    progressed = true;
-                }
-            }
-            if closed.len() == arity {
-                return true;
-            }
+impl RuleMasks {
+    /// Compile the masks of `rules`.
+    pub fn of(rules: &RuleSet) -> RuleMasks {
+        RuleMasks {
+            arity: rules.input_schema().arity(),
+            edges: rules
+                .iter()
+                .map(|(_, r)| {
+                    (
+                        r.evidence_attrs().into_iter().collect(),
+                        r.input_rhs().into_iter().collect(),
+                    )
+                })
+                .collect(),
         }
     }
-    false
-}
 
-/// Enumerate **all minimal** extra-evidence sets `S ⊆ candidates` such
-/// that `closure(base ∪ S)` covers the whole schema, in ascending size.
-///
-/// Exhaustive by increasing cardinality with an antichain filter, which is
-/// exact for the schema widths of entity data (the search space is
-/// `2^|candidates|` where candidates are the useful evidence attributes —
-/// at most a dozen in the paper's scenarios). `max_size` bounds the search
-/// and `max_results` the output. The enabled rules are compiled to bitset
-/// hyperedges once; each combination is then tested in pure word
-/// operations (the region finder's static phase runs this per context).
-pub fn minimal_covers(
-    rules: &RuleSet,
-    base: &BTreeSet<AttrId>,
-    candidates: &[AttrId],
-    enabled: RuleFilter<'_>,
-    max_size: usize,
-    max_results: usize,
-) -> Vec<BTreeSet<AttrId>> {
-    let arity = rules.input_schema().arity();
-    let masks = closure_masks(rules, enabled);
-    let base_mask = AttrSet::from(base);
-    let mut results: Vec<BTreeSet<AttrId>> = Vec::new();
-    if closure_spans(&masks, &base_mask, arity) {
-        results.push(BTreeSet::new());
-        return results;
+    /// The mask that enables every rule.
+    pub fn all_rules(&self) -> AttrSet {
+        (0..self.edges.len()).collect()
     }
-    let n = candidates.len();
-    let mut result_masks: Vec<AttrSet> = Vec::new();
-    for size in 1..=max_size.min(n) {
-        let mut combo: Vec<usize> = (0..size).collect();
-        loop {
-            let mut extra = AttrSet::new();
-            extra.extend(combo.iter().map(|&i| candidates[i]));
-            // Antichain: skip supersets of an already-found cover.
-            let dominated = result_masks.iter().any(|r| r.is_subset(&extra));
-            if !dominated {
-                let mut seed = base_mask.clone();
-                seed.extend(extra.iter());
-                if closure_spans(&masks, &seed, arity) {
-                    results.push(extra.iter().collect());
-                    result_masks.push(extra);
-                    if results.len() >= max_results {
-                        return results;
-                    }
+
+    /// Evidence mask `X ∪ Xp` of the rule at `pos`: every bit must be
+    /// validated for the rule to fire.
+    pub(crate) fn evidence(&self, pos: usize) -> &AttrSet {
+        &self.edges[pos].0
+    }
+
+    /// RHS mask `B` of the rule at `pos`.
+    pub(crate) fn rhs(&self, pos: usize) -> &AttrSet {
+        &self.edges[pos].1
+    }
+
+    /// The closure of `seed` under the `enabled` rules: repeatedly add
+    /// the RHS of every rule whose evidence is contained in the current
+    /// set. Stops early once the whole schema is covered.
+    pub fn closure(&self, enabled: &AttrSet, seed: &AttrSet) -> AttrSet {
+        let mut closed = seed.clone();
+        let mut pending = enabled.clone();
+        let mut progressed = true;
+        while progressed && closed.len() < self.arity {
+            progressed = false;
+            let mut cursor = 0;
+            while let Some(pos) = pending.next_at_or_after(cursor) {
+                cursor = pos + 1;
+                let (evidence, rhs) = &self.edges[pos];
+                if evidence.is_subset(&closed) {
+                    pending.remove(pos); // rule consumed
+                    progressed |= closed.union_with(rhs);
                 }
             }
-            if !next_combination(&mut combo, n) {
+        }
+        closed
+    }
+
+    /// True iff the closure of `seed` covers the whole input schema.
+    pub fn spans(&self, enabled: &AttrSet, seed: &AttrSet) -> bool {
+        self.closure(enabled, seed).len() == self.arity
+    }
+
+    /// Attributes that no enabled rule can fix: these must be validated
+    /// by the user in every certain region (`item`, `phn` and `type` in
+    /// the paper's UK scenario).
+    pub fn unfixable(&self, enabled: &AttrSet) -> AttrSet {
+        let mut unfixable: AttrSet = (0..self.arity).collect();
+        for pos in enabled {
+            unfixable.subtract(self.rhs(pos));
+        }
+        unfixable
+    }
+
+    /// Attributes worth considering as extra evidence: anything that
+    /// appears in some enabled rule's evidence set. Validating an
+    /// attribute that no rule reads (and that rules can fix) is wasted
+    /// user effort.
+    pub fn useful_evidence(&self, enabled: &AttrSet) -> AttrSet {
+        let mut useful = AttrSet::new();
+        for pos in enabled {
+            useful.union_with(self.evidence(pos));
+        }
+        useful
+    }
+
+    /// Enumerate **all minimal** extra-evidence sets `S ⊆ candidates`
+    /// (ascending attribute ids) such that `closure(base ∪ S)` covers the
+    /// whole schema, in ascending size and lexicographic order within a
+    /// size.
+    ///
+    /// Exhaustive by increasing cardinality with an antichain filter,
+    /// which is exact for the schema widths of entity data (the search
+    /// space is `2^|candidates|` where candidates are the useful evidence
+    /// attributes — at most a dozen in the paper's scenarios). `max_size`
+    /// bounds the search and `max_results` the output.
+    pub fn minimal_covers(
+        &self,
+        enabled: &AttrSet,
+        base: &AttrSet,
+        candidates: &[AttrId],
+        max_size: usize,
+        max_results: usize,
+    ) -> Vec<AttrSet> {
+        if self.spans(enabled, base) {
+            return vec![AttrSet::new()];
+        }
+        let mut search = CoverSearch {
+            masks: self,
+            enabled,
+            base,
+            max_results,
+            covers: Vec::new(),
+        };
+        for size in 1..=max_size.min(candidates.len()) {
+            if search
+                .extend(&mut AttrSet::new(), candidates, size)
+                .is_break()
+            {
                 break;
             }
         }
+        search.covers
     }
-    results
+
+    /// A single small cover for the monitor's *new suggestion* (paper §2,
+    /// data monitor step 3: "a minimal number of attributes"): the
+    /// unfixable attributes not yet validated, plus the smallest extra
+    /// evidence whose closure spans the schema — the first hit of
+    /// [`minimal_covers`](Self::minimal_covers) when there are at most 16
+    /// candidates, a greedy closure-gain cover pruned to minimality
+    /// above.
+    ///
+    /// A cover always exists: every enabled rule's evidence lies in
+    /// `base ∪ candidates`, so validating all of it fires every enabled
+    /// rule, and what no enabled rule fixes is in `base` already.
+    pub fn suggestion(&self, enabled: &AttrSet, validated: &AttrSet) -> AttrSet {
+        // Anything unfixable and not yet validated must be user-validated.
+        let mut mandatory = self.unfixable(enabled);
+        mandatory.subtract(validated);
+        let mut base = validated.clone();
+        base.union_with(&mandatory);
+        let mut useful = self.useful_evidence(enabled);
+        useful.subtract(&base);
+
+        let count = useful.len();
+        let extra = if count <= EXACT_LIMIT {
+            let mut candidates = [0; EXACT_LIMIT];
+            for (slot, attr) in candidates.iter_mut().zip(&useful) {
+                *slot = attr;
+            }
+            self.minimal_covers(enabled, &base, &candidates[..count], count, 1)
+                .pop()
+                .expect("all the candidates together are a cover")
+        } else {
+            self.greedy_cover(enabled, &base, &useful)
+        };
+        mandatory.union_with(&extra);
+        mandatory
+    }
+
+    /// Greedy set cover over closure gain (first candidate with the
+    /// largest closure wins), pruned to minimality in pick order.
+    fn greedy_cover(&self, enabled: &AttrSet, base: &AttrSet, candidates: &AttrSet) -> AttrSet {
+        let mut chosen: Vec<AttrId> = Vec::new();
+        let mut current = base.clone();
+        while !self.spans(enabled, &current) {
+            let mut best: Option<(AttrId, usize)> = None;
+            for c in candidates {
+                if current.contains(c) {
+                    continue;
+                }
+                let mut trial = current.clone();
+                trial.insert(c);
+                let gain = self.closure(enabled, &trial).len();
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((c, gain));
+                }
+            }
+            let (c, _) = best.expect("all the candidates together are a cover");
+            chosen.push(c);
+            current.insert(c);
+        }
+        // Prune: drop any chosen attr whose removal keeps coverage.
+        let mut pruned: AttrSet = chosen.iter().copied().collect();
+        for &c in &chosen {
+            pruned.remove(c);
+            let mut trial = base.clone();
+            trial.union_with(&pruned);
+            if !self.spans(enabled, &trial) {
+                pruned.insert(c);
+            }
+        }
+        pruned
+    }
 }
 
-/// Advance `combo` to the next k-combination of `0..n` in lexicographic
-/// order; returns false when exhausted.
-fn next_combination(combo: &mut [usize], n: usize) -> bool {
-    let k = combo.len();
-    let mut i = k;
-    while i > 0 {
-        i -= 1;
-        if combo[i] != i + n - k {
-            combo[i] += 1;
-            for j in i + 1..k {
-                combo[j] = combo[j - 1] + 1;
-            }
-            return true;
-        }
-    }
-    false
+/// The state of one [`RuleMasks::minimal_covers`] search.
+struct CoverSearch<'a> {
+    masks: &'a RuleMasks,
+    enabled: &'a AttrSet,
+    base: &'a AttrSet,
+    max_results: usize,
+    covers: Vec<AttrSet>,
 }
 
-/// A single small cover for the monitor's *new suggestion* (paper §2,
-/// data monitor step 3: "a minimal number of attributes").
-///
-/// Finds the smallest extra set via [`minimal_covers`] when the candidate
-/// space is small, falling back to a greedy closure-gain heuristic for
-/// wide schemas. Returns `None` when even validating every candidate
-/// cannot cover the schema (the tuple can only be partially fixed).
-pub fn new_suggestion(
-    rules: &RuleSet,
-    validated: &BTreeSet<AttrId>,
-    enabled: RuleFilter<'_>,
-) -> Option<BTreeSet<AttrId>> {
-    let arity = rules.input_schema().arity();
-    // Anything unfixable and not yet validated must be user-validated.
-    let mut base = validated.clone();
-    let mandatory: BTreeSet<AttrId> = unfixable_attrs(rules, enabled)
-        .into_iter()
-        .filter(|a| !validated.contains(a))
-        .collect();
-    base.extend(mandatory.iter().copied());
-
-    let useful: Vec<AttrId> = useful_evidence_attrs(rules, enabled)
-        .into_iter()
-        .filter(|a| !base.contains(a))
-        .collect();
-
-    // Feasibility: even with every candidate validated?
-    let mut everything = base.clone();
-    everything.extend(useful.iter().copied());
-    if attribute_closure(rules, &everything, enabled).len() != arity {
-        return None;
-    }
-
-    const EXACT_LIMIT: usize = 16;
-    let extra = if useful.len() <= EXACT_LIMIT {
-        minimal_covers(rules, &base, &useful, enabled, useful.len(), 1)
-            .into_iter()
-            .next()
-            .unwrap_or_default()
-    } else {
-        greedy_cover(rules, &base, &useful, enabled)
-    };
-    let mut suggestion = mandatory;
-    suggestion.extend(extra);
-    Some(suggestion)
-}
-
-/// Greedy set cover over closure gain, pruned to minimality.
-fn greedy_cover(
-    rules: &RuleSet,
-    base: &BTreeSet<AttrId>,
-    candidates: &[AttrId],
-    enabled: RuleFilter<'_>,
-) -> BTreeSet<AttrId> {
-    let arity = rules.input_schema().arity();
-    let mut chosen: Vec<AttrId> = Vec::new();
-    let mut current = base.clone();
-    while attribute_closure(rules, &current, enabled).len() != arity {
-        let mut best: Option<(AttrId, usize)> = None;
-        for &c in candidates {
-            if current.contains(&c) {
-                continue;
+impl CoverSearch<'_> {
+    /// Try every way of adding `left` more of `candidates` to `picked`,
+    /// in lexicographic order; breaks once `max_results` covers are found.
+    fn extend(
+        &mut self,
+        picked: &mut AttrSet,
+        candidates: &[AttrId],
+        left: usize,
+    ) -> ControlFlow<()> {
+        if left == 0 {
+            // Antichain: skip supersets of an already-found cover.
+            if self.covers.iter().any(|c| c.is_subset(picked)) {
+                return ControlFlow::Continue(());
             }
-            let mut trial = current.clone();
-            trial.insert(c);
-            let gain = attribute_closure(rules, &trial, enabled).len();
-            if best.is_none_or(|(_, g)| gain > g) {
-                best = Some((c, gain));
+            let mut seed = self.base.clone();
+            seed.union_with(picked);
+            if self.masks.spans(self.enabled, &seed) {
+                self.covers.push(picked.clone());
+                if self.covers.len() >= self.max_results {
+                    return ControlFlow::Break(());
+                }
             }
+            return ControlFlow::Continue(());
         }
-        match best {
-            Some((c, _)) => {
-                chosen.push(c);
-                current.insert(c);
-            }
-            None => break, // no candidates left; caller checked feasibility
+        for i in 0..=candidates.len() - left {
+            picked.insert(candidates[i]);
+            self.extend(picked, &candidates[i + 1..], left - 1)?;
+            picked.remove(candidates[i]);
         }
+        ControlFlow::Continue(())
     }
-    // Prune: drop any chosen attr whose removal keeps coverage.
-    let mut pruned: BTreeSet<AttrId> = chosen.iter().copied().collect();
-    for &c in &chosen {
-        let mut trial = base.clone();
-        trial.extend(pruned.iter().copied().filter(|&a| a != c));
-        if attribute_closure(rules, &trial, enabled).len() == arity {
-            pruned.remove(&c);
-        }
-    }
-    pruned
 }
 
 #[cfg(test)]
@@ -392,16 +372,27 @@ mod tests {
         (input, rules)
     }
 
+    /// Every rule position except those of the named rules.
+    fn all_but(rules: &RuleSet, dropped: &[&str]) -> AttrSet {
+        rules
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, r))| !dropped.contains(&r.name()))
+            .map(|(pos, _)| pos)
+            .collect()
+    }
+
     #[test]
     fn closure_from_zip_phn_type_item() {
         // The size-4 certain region of the UK scenario (type=2 context):
         // closure must reach all nine attributes.
         let (input, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
         let t = |n: &str| input.attr_id(n).unwrap();
-        let seed: BTreeSet<AttrId> = [t("zip"), t("phn"), t("type"), t("item")].into();
-        let closed = attribute_closure(&rules, &seed, &all_rules);
+        let seed: AttrSet = [t("zip"), t("phn"), t("type"), t("item")].into();
+        let closed = masks.closure(&masks.all_rules(), &seed);
         assert_eq!(closed.len(), 9, "zip→AC,str,city; phn/type→FN,LN");
-        assert!(covers_all(&rules, &seed, &all_rules));
+        assert!(masks.spans(&masks.all_rules(), &seed));
     }
 
     #[test]
@@ -410,51 +401,57 @@ mod tests {
         // unreachable when φ6–φ8 are unavailable (type=2 context) — this
         // is why the demo needs a second round suggesting zip.
         let (input, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
         let t = |n: &str| input.attr_id(n).unwrap();
-        let seed: BTreeSet<AttrId> = [t("AC"), t("phn"), t("type"), t("item")].into();
-        // Filter out the home-phone rules, as a type=2 tuple can never
+        let seed: AttrSet = [t("AC"), t("phn"), t("type"), t("item")].into();
+        // Disable the home-phone rules, as a type=2 tuple can never
         // satisfy their pattern.
-        let type2_only = |_: RuleId, r: &EditingRule| !["phi6", "phi7", "phi8"].contains(&r.name());
-        let closed = attribute_closure(&rules, &seed, &type2_only);
-        assert!(!closed.contains(&t("zip")));
-        assert!(!closed.contains(&t("str")));
-        assert!(
-            closed.contains(&t("FN")) && closed.contains(&t("LN")) && closed.contains(&t("city"))
-        );
+        let type2_only = all_but(&rules, &["phi6", "phi7", "phi8"]);
+        let closed = masks.closure(&type2_only, &seed);
+        assert!(!closed.contains(t("zip")));
+        assert!(!closed.contains(t("str")));
+        assert!(closed.contains(t("FN")) && closed.contains(t("LN")) && closed.contains(t("city")));
     }
 
     #[test]
     fn unfixable_attrs_must_be_user_validated() {
         let (input, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
         let t = |n: &str| input.attr_id(n).unwrap();
-        let unfixable = unfixable_attrs(&rules, &all_rules);
+        let unfixable = masks.unfixable(&masks.all_rules());
         assert_eq!(unfixable, [t("phn"), t("type"), t("item")].into());
     }
 
     #[test]
     fn useful_evidence_excludes_item() {
         let (input, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
         let t = |n: &str| input.attr_id(n).unwrap();
-        let useful = useful_evidence_attrs(&rules, &all_rules);
-        assert!(useful.contains(&t("zip")));
-        assert!(useful.contains(&t("AC")));
-        assert!(useful.contains(&t("phn")));
-        assert!(useful.contains(&t("type")));
-        assert!(!useful.contains(&t("item")), "no rule reads item");
-        assert!(!useful.contains(&t("FN")));
+        let useful = masks.useful_evidence(&masks.all_rules());
+        assert!(useful.contains(t("zip")));
+        assert!(useful.contains(t("AC")));
+        assert!(useful.contains(t("phn")));
+        assert!(useful.contains(t("type")));
+        assert!(!useful.contains(t("item")), "no rule reads item");
+        assert!(!useful.contains(t("FN")));
+    }
+
+    /// The useful evidence outside `base`, ascending.
+    fn candidates(masks: &RuleMasks, base: &AttrSet) -> Vec<AttrId> {
+        let mut useful = masks.useful_evidence(&masks.all_rules());
+        useful.subtract(base);
+        useful.iter().collect()
     }
 
     #[test]
     fn minimal_covers_uk() {
         let (input, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
         let t = |n: &str| input.attr_id(n).unwrap();
         // Base: the mandatory unfixable attributes.
-        let base: BTreeSet<AttrId> = [t("phn"), t("type"), t("item")].into();
-        let candidates: Vec<AttrId> = useful_evidence_attrs(&rules, &all_rules)
-            .into_iter()
-            .filter(|a| !base.contains(a))
-            .collect();
-        let covers = minimal_covers(&rules, &base, &candidates, &all_rules, 5, 10);
+        let base: AttrSet = [t("phn"), t("type"), t("item")].into();
+        let covers =
+            masks.minimal_covers(&masks.all_rules(), &base, &candidates(&masks, &base), 5, 10);
         // {zip} alone suffices: closure adds AC,str,city then FN,LN via phn.
         assert!(covers.contains(&[t("zip")].into()), "covers: {covers:?}");
         // No returned cover is a superset of another.
@@ -470,9 +467,10 @@ mod tests {
     #[test]
     fn minimal_covers_empty_when_base_covers() {
         let (input, rules) = uk_rules();
-        let all: BTreeSet<AttrId> = input.all_attr_ids().collect();
-        let covers = minimal_covers(&rules, &all, &[], &all_rules, 3, 5);
-        assert_eq!(covers, vec![BTreeSet::new()]);
+        let masks = RuleMasks::of(&rules);
+        let all: AttrSet = input.all_attr_ids().collect();
+        let covers = masks.minimal_covers(&masks.all_rules(), &all, &[], 3, 5);
+        assert_eq!(covers, vec![AttrSet::new()]);
     }
 
     #[test]
@@ -482,8 +480,9 @@ mod tests {
         // Fig. 3(a) of the paper. ({zip, phn, type, item} is the other
         // size-4 cover; the search returns the lexicographically first.)
         let (input, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
         let t = |n: &str| input.attr_id(n).unwrap();
-        let s = new_suggestion(&rules, &BTreeSet::new(), &all_rules).unwrap();
+        let s = masks.suggestion(&masks.all_rules(), &AttrSet::new());
         assert_eq!(s, [t("AC"), t("phn"), t("type"), t("item")].into());
         assert_eq!(s.len(), 4);
     }
@@ -494,8 +493,9 @@ mod tests {
         // FN, LN, city. The next suggestion must be {zip} (covering str
         // via φ2 and zip itself).
         let (input, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
         let t = |n: &str| input.attr_id(n).unwrap();
-        let validated: BTreeSet<AttrId> = [
+        let validated: AttrSet = [
             t("AC"),
             t("phn"),
             t("type"),
@@ -505,38 +505,34 @@ mod tests {
             t("city"),
         ]
         .into();
-        let type2_only = |_: RuleId, r: &EditingRule| !["phi6", "phi7", "phi8"].contains(&r.name());
-        let s = new_suggestion(&rules, &validated, &type2_only).unwrap();
+        let type2_only = all_but(&rules, &["phi6", "phi7", "phi8"]);
+        let s = masks.suggestion(&type2_only, &validated);
         assert_eq!(s, [t("zip")].into(), "the paper's round-2 suggestion");
     }
 
     #[test]
     fn new_suggestion_none_when_unreachable() {
-        // Remove every rule: a fresh tuple needs all attrs validated, but
-        // they're all "mandatory"; suggestion = all attrs. With an
-        // *impossible* filter the schema is coverable only by validating
-        // everything — which IS feasible, so construct unreachability via
-        // an empty candidate set instead: no rules ⇒ mandatory = all ⇒
-        // base covers ⇒ suggestion = all attrs.
+        // With no rule enabled every attribute is unfixable, hence
+        // mandatory: the base covers and the suggestion is all of them.
+        // (Nothing is ever unreachable: see `RuleMasks::suggestion`.)
         let (input, rules) = uk_rules();
-        let none = |_: RuleId, _: &EditingRule| false;
-        let s = new_suggestion(&rules, &BTreeSet::new(), &none).unwrap();
+        let masks = RuleMasks::of(&rules);
+        let s = masks.suggestion(&AttrSet::new(), &AttrSet::new());
         assert_eq!(s.len(), input.arity(), "user must validate everything");
     }
 
     #[test]
     fn greedy_matches_exact_on_uk() {
         let (_, rules) = uk_rules();
-        let base: BTreeSet<AttrId> = unfixable_attrs(&rules, &all_rules);
-        let candidates: Vec<AttrId> = useful_evidence_attrs(&rules, &all_rules)
-            .into_iter()
-            .filter(|a| !base.contains(a))
-            .collect();
-        let exact = minimal_covers(&rules, &base, &candidates, &all_rules, candidates.len(), 1)
-            .into_iter()
-            .next()
+        let masks = RuleMasks::of(&rules);
+        let all = masks.all_rules();
+        let base = masks.unfixable(&all);
+        let candidates = candidates(&masks, &base);
+        let exact = masks
+            .minimal_covers(&all, &base, &candidates, candidates.len(), 1)
+            .pop()
             .unwrap();
-        let greedy = greedy_cover(&rules, &base, &candidates, &all_rules);
+        let greedy = masks.greedy_cover(&all, &base, &candidates.iter().copied().collect());
         assert_eq!(
             exact.len(),
             greedy.len(),

@@ -16,8 +16,5 @@ pub use compile::CompiledRules;
 pub use consistency::{check_consistency, ConsistencyOptions, ConsistencyReport, Inconsistency};
 pub use delta::run_fixpoint_delta;
 pub use fixpoint::{run_fixpoint, FixpointReport};
-pub use inference::{
-    all_rules, attribute_closure, covers_all, minimal_covers, new_suggestion, unfixable_attrs,
-    useful_evidence_attrs, RuleFilter,
-};
+pub use inference::RuleMasks;
 pub use stats::EngineStats;

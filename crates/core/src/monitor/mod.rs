@@ -24,13 +24,12 @@ pub use stream::{clean_stream, clean_stream_parallel, StreamReport};
 pub use user::{CappedUser, OracleUser, PreferringUser, SilentUser, UserAgent};
 
 use crate::audit::{AuditLog, AuditRecord, CellEvent};
-use crate::engine::{new_suggestion, run_fixpoint_delta, CompiledRules, FixpointReport};
+use crate::engine::{run_fixpoint_delta, CompiledRules, FixpointReport};
 use crate::error::{CerfixError, Result};
 use crate::master::MasterData;
 use crate::region::Region;
-use cerfix_relation::{AttrId, Tuple, Value};
-use cerfix_rules::{EditingRule, RuleId, RuleSet};
-use std::collections::BTreeSet;
+use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
+use cerfix_rules::RuleSet;
 use std::sync::Arc;
 
 /// Outcome of a full interactive cleaning of one tuple.
@@ -192,8 +191,8 @@ impl<'a> DataMonitor<'a> {
         crate::region::certifies_for_with_plan(&self.plan, self.master, attrs, truth)
     }
 
-    /// Rule filter for a session. A rule is counted on for future rounds
-    /// only while it is still *live*:
+    /// The session's live-rule mask (positions in the plan). A rule is
+    /// counted on for future rounds only while it is still *live*:
     ///
     /// * its pattern is not falsified by already-validated cells, and
     /// * it has not already stalled — if the rule's full evidence is
@@ -203,31 +202,22 @@ impl<'a> DataMonitor<'a> {
     ///
     /// Dead rules make their RHS attributes user-mandatory, which is how
     /// the monitor routes around entities absent from master data.
-    fn session_filter<'s>(
-        session: &'s MonitorSession,
-    ) -> impl Fn(RuleId, &EditingRule) -> bool + 's {
-        move |_, rule| {
-            let pattern_ok = rule.pattern().cells().iter().all(|cell| {
-                if session.validated.contains(cell.attr) {
-                    cell.op.matches(session.tuple.get(cell.attr))
-                } else {
-                    true
-                }
+    fn live_rules(&self, session: &MonitorSession) -> AttrSet {
+        let validated = &session.validated;
+        let masks = self.plan.masks();
+        let mut live = AttrSet::new();
+        for (pos, rule) in self.plan.rules.iter().enumerate() {
+            let pattern_ok = rule.pattern.cells().iter().all(|cell| {
+                !validated.contains(cell.attr) || cell.op.matches(session.tuple.get(cell.attr))
             });
-            if !pattern_ok {
-                return false;
-            }
-            let evidence_done = rule
-                .evidence_attrs()
-                .iter()
-                .all(|&a| session.validated.contains(a));
-            let rhs_done = rule
-                .input_rhs()
-                .iter()
-                .all(|&b| session.validated.contains(b));
             // Stalled: had its chance and failed.
-            !evidence_done || rhs_done
+            let stalled =
+                masks.evidence(pos).is_subset(validated) && !masks.rhs(pos).is_subset(validated);
+            if pattern_ok && !stalled {
+                live.insert(pos);
+            }
         }
+        live
     }
 
     /// The monitor's current suggestion for a session.
@@ -240,7 +230,6 @@ impl<'a> DataMonitor<'a> {
         if session.is_complete() {
             return None;
         }
-        let filter = Self::session_filter(session);
         if session.rounds == 0 && !self.regions.is_empty() {
             // Prefer the region needing the fewest extra validations; among
             // ties the smallest region (paper ranking).
@@ -281,12 +270,11 @@ impl<'a> DataMonitor<'a> {
                 }
             }
         }
-        // The inference system reasons over BTree sets; this is the cold
-        // (user-interaction) path, so the conversion cost is irrelevant.
-        let validated: BTreeSet<AttrId> = session.validated.iter().collect();
-        new_suggestion(self.rules, &validated, &filter)
-            .map(|s| s.into_iter().collect::<Vec<AttrId>>())
-            .filter(|s| !s.is_empty())
+        let suggestion = self
+            .plan
+            .masks()
+            .suggestion(&self.live_rules(session), &session.validated);
+        (!suggestion.is_empty()).then(|| suggestion.iter().collect())
     }
 
     /// The session's current status.
@@ -369,7 +357,7 @@ impl<'a> DataMonitor<'a> {
             if !report.fixes.iter().any(|f| f.attr == attr) {
                 // Attribute confirmed by whichever rule validated it; the
                 // fixpoint report does not retain the rule for unchanged
-                // cells, so record rule id 0's confirmation generically.
+                // cells, so the confirmation carries no rule: `usize::MAX`.
                 self.audit.record(AuditRecord {
                     tuple_id: session.tuple_id,
                     attr,

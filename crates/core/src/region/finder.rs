@@ -14,8 +14,10 @@
 //!    rule can be counted on within a context iff the context *entails*
 //!    its pattern (every tuple in the context satisfies it).
 //! 2. **Static phase.** Within a context, attributes unfixable by the
-//!    entailed rules are mandatory; [`minimal_covers`] enumerates the
-//!    minimal extra evidence sets whose closure spans the schema.
+//!    entailed rules are mandatory; [`RuleMasks::minimal_covers`]
+//!    enumerates the minimal extra evidence sets whose closure spans the
+//!    schema — the monitor's inference system, under the context's
+//!    entailment mask instead of a session's live-rule mask.
 //! 3. **Data phase.** Each candidate `(Z, context)` is certified against
 //!    the scenario's truth universe ([`certify_region`]): the closure can
 //!    overshoot when master keys are missing or ambiguous.
@@ -36,14 +38,14 @@
 //! [`TruthProfile`]: crate::region::lattice::TruthProfile
 //! [`ordered_map`]: crate::exec::ordered_map
 
-use crate::engine::{minimal_covers, unfixable_attrs, useful_evidence_attrs, CompiledRules};
+use crate::engine::{CompiledRules, RuleMasks};
 use crate::exec::ordered_map;
 use crate::master::MasterData;
 use crate::region::certify::certify_region;
 use crate::region::lattice::{ContextCertifier, TruthProfile};
 use crate::region::tableau::Region;
 use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
-use cerfix_rules::{EditingRule, PatternOp, PatternTuple, RuleId, RuleSet};
+use cerfix_rules::{EditingRule, PatternOp, PatternTuple, RuleSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -306,40 +308,43 @@ pub(crate) fn static_phase(
     rules: &RuleSet,
     options: &RegionFinderOptions,
 ) -> (Vec<ContextRecord>, Vec<CandidateRecord>) {
+    let masks = RuleMasks::of(rules);
     let contexts = enumerate_contexts(rules);
     let mut records = Vec::with_capacity(contexts.len());
     let mut candidates = Vec::new();
     for (ci, ctx) in contexts.iter().enumerate() {
-        let enabled = |_: RuleId, r: &EditingRule| ctx.entails_rule(r);
-        let mandatory = unfixable_attrs(rules, &enabled);
-        let useful: Vec<AttrId> = useful_evidence_attrs(rules, &enabled)
-            .into_iter()
-            .filter(|a| !mandatory.contains(a))
+        // Rule positions the context entails.
+        let enabled: AttrSet = rules
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, rule))| ctx.entails_rule(rule))
+            .map(|(pos, _)| pos)
             .collect();
-        let covers = minimal_covers(
-            rules,
+        let mandatory = masks.unfixable(&enabled);
+        let mut useful = masks.useful_evidence(&enabled);
+        useful.subtract(&mandatory);
+        let useful: Vec<AttrId> = useful.iter().collect();
+        let covers = masks.minimal_covers(
+            &enabled,
             &mandatory,
             &useful,
-            &enabled,
             options.max_cover_size,
             options.max_covers_per_context,
         );
-        let mandatory_set = AttrSet::from(&mandatory);
         for cover in covers {
-            let cover: Vec<AttrId> = cover.into_iter().collect(); // ascending
-            let mut attrs = mandatory_set.clone();
-            attrs.extend(cover.iter().copied());
+            let mut attrs = mandatory.clone();
+            attrs.union_with(&cover);
             candidates.push(CandidateRecord {
                 context: ci,
                 attrs,
-                cover,
+                cover: cover.iter().collect(), // ascending
                 certified: false,
                 failing: None,
             });
         }
         records.push(ContextRecord {
             pattern: ctx.pattern.clone(),
-            mandatory: mandatory_set,
+            mandatory,
             truths: Vec::new(),
         });
     }
@@ -581,9 +586,12 @@ pub fn find_regions_from_scratch(
     universe: &[Tuple],
     options: &RegionFinderOptions,
 ) -> RegionSearchResult {
-    let mut stats = RegionSearchStats::default();
-    let contexts = enumerate_contexts(rules);
-    stats.contexts = contexts.len();
+    let (contexts, candidates) = static_phase(rules, options);
+    let mut stats = RegionSearchStats {
+        contexts: contexts.len(),
+        candidates: candidates.len(),
+        ..Default::default()
+    };
     // One compiled plan serves every certification probe of the data
     // phase (universe × candidates fixpoints) — the search's hot loop.
     let plan = CompiledRules::compile(rules, master);
@@ -591,41 +599,23 @@ pub fn find_regions_from_scratch(
     // Z (sorted attrs) → region under construction.
     let mut by_attrs: BTreeMap<Vec<AttrId>, Region> = BTreeMap::new();
 
-    for ctx in &contexts {
-        let enabled = |_: RuleId, r: &EditingRule| ctx.entails_rule(r);
-        let mandatory = unfixable_attrs(rules, &enabled);
-        let candidates: Vec<AttrId> = useful_evidence_attrs(rules, &enabled)
-            .into_iter()
-            .filter(|a| !mandatory.contains(a))
-            .collect();
-        let covers = minimal_covers(
-            rules,
-            &mandatory,
-            &candidates,
-            &enabled,
-            options.max_cover_size,
-            options.max_covers_per_context,
-        );
-        for cover in covers {
-            stats.candidates += 1;
-            let mut attrs: AttrSet = AttrSet::from(&mandatory);
-            attrs.extend(cover.iter().copied());
-            let result = certify_region(&plan, master, &attrs, &ctx.pattern, universe);
-            stats.engine += result.engine;
-            if !result.certified {
-                stats.rejected_by_certification += 1;
-                continue;
-            }
-            if options.require_nonvacuous && result.checked == 0 {
-                stats.vacuous += 1;
-                continue;
-            }
-            let key: Vec<AttrId> = attrs.iter().collect();
-            by_attrs
-                .entry(key.clone())
-                .or_insert_with(|| Region::new(key, Vec::new()))
-                .add_pattern(ctx.pattern.clone());
+    for cand in &candidates {
+        let pattern = &contexts[cand.context].pattern;
+        let result = certify_region(&plan, master, &cand.attrs, pattern, universe);
+        stats.engine += result.engine;
+        if !result.certified {
+            stats.rejected_by_certification += 1;
+            continue;
         }
+        if options.require_nonvacuous && result.checked == 0 {
+            stats.vacuous += 1;
+            continue;
+        }
+        let key: Vec<AttrId> = cand.attrs.iter().collect();
+        by_attrs
+            .entry(key.clone())
+            .or_insert_with(|| Region::new(key, Vec::new()))
+            .add_pattern(pattern.clone());
     }
 
     // Drop regions dominated by a certified subset region whose tableau

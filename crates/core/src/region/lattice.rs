@@ -119,9 +119,9 @@ impl ClosureNode {
             if node.validated.len() == arity {
                 break;
             }
-            if plan.rules[pos].evidence.is_subset(&node.validated) {
+            if plan.masks().evidence(pos).is_subset(&node.validated) {
                 node.consumed.insert(pos);
-                for b in &plan.rules[pos].rhs_set {
+                for b in plan.masks().rhs(pos) {
                     if node.validated.insert(b) {
                         newly.push(b);
                     }
@@ -167,12 +167,12 @@ impl ClosureNode {
                 let w = w as usize;
                 if self.consumed.contains(w)
                     || !fireable.contains(w)
-                    || !plan.rules[w].evidence.is_subset(&self.validated)
+                    || !plan.masks().evidence(w).is_subset(&self.validated)
                 {
                     continue;
                 }
                 self.consumed.insert(w);
-                for b in &plan.rules[w].rhs_set {
+                for b in plan.masks().rhs(w) {
                     if self.validated.insert(b) {
                         newly.push(b);
                     }

@@ -222,15 +222,13 @@ mod tests {
         // With provider and measure validated, every other attribute is
         // reachable: provider→{hospital,addr,phone,zip}, zip→{city,state},
         // measure→{mname,condition}.
-        use cerfix::engine::{all_rules, attribute_closure};
         let input = input_schema();
-        let rules = rules();
-        let seed: std::collections::BTreeSet<usize> = [
+        let masks = cerfix::engine::RuleMasks::of(&rules());
+        let seed = [
             input.attr_id("provider").unwrap(),
             input.attr_id("measure").unwrap(),
         ]
         .into();
-        let closed = attribute_closure(&rules, &seed, &all_rules);
-        assert_eq!(closed.len(), input.arity());
+        assert!(masks.spans(&masks.all_rules(), &seed));
     }
 }

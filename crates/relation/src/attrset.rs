@@ -155,6 +155,29 @@ impl AttrSet {
             .all(|(i, &w)| w & !b.get(i).copied().unwrap_or(0) == 0)
     }
 
+    /// Add every attribute of `other`; returns `true` iff the set grew.
+    pub fn union_with(&mut self, other: &AttrSet) -> bool {
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&mut self.repr, &other.repr) {
+            let grew = *b & !*a != 0;
+            *a |= *b;
+            return grew;
+        }
+        other
+            .iter()
+            .fold(false, |grew, attr| self.insert(attr) | grew)
+    }
+
+    /// Remove every attribute of `other`.
+    pub fn subtract(&mut self, other: &AttrSet) {
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&mut self.repr, &other.repr) {
+            *a &= !*b;
+            return;
+        }
+        for attr in other {
+            self.remove(attr);
+        }
+    }
+
     /// Smallest attribute `>= from` in the set, if any. The delta
     /// engine's forward sweep over pending rules is built on this.
     pub fn next_at_or_after(&self, from: AttrId) -> Option<AttrId> {
@@ -227,6 +250,13 @@ impl Iterator for Iter<'_> {
             self.word += 1;
             self.current = *self.words.get(self.word)?;
         }
+    }
+
+    /// Exact, so collecting a set into a `Vec` allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rest = self.words.get(self.word + 1..).unwrap_or(&[]);
+        let left = self.current.count_ones() + rest.iter().map(|w| w.count_ones()).sum::<u32>();
+        (left as usize, Some(left as usize))
     }
 }
 
@@ -323,6 +353,27 @@ mod tests {
         assert!(!wide.is_subset(&big), "heap vs inline subset");
         let wide2: AttrSet = [1, 2, 100, 7].into();
         assert!(wide.is_subset(&wide2));
+    }
+
+    #[test]
+    fn union_and_subtract_across_reprs() {
+        let mut s: AttrSet = [1, 2].into();
+        assert!(s.union_with(&[2, 9].into()));
+        assert!(!s.union_with(&[1, 9].into()), "nothing new");
+        assert_eq!(s, [1, 2, 9].into());
+        assert!(s.union_with(&[9, 130].into()), "inline grows into the heap");
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 2, 9, 130]);
+        assert_eq!(s.iter().size_hint(), (4, Some(4)));
+        let mut it = s.iter();
+        it.next();
+        assert_eq!(it.size_hint(), (3, Some(3)));
+        s.subtract(&[2, 130, 400].into());
+        assert_eq!(s, [1, 9].into());
+        let mut inline: AttrSet = [0, 5, 63].into();
+        inline.subtract(&[5, 7].into());
+        assert_eq!(inline, [0, 63].into());
+        inline.subtract(&[0, 200].into());
+        assert_eq!(inline, [63].into(), "heap subtrahend, inline minuend");
     }
 
     #[test]

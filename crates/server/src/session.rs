@@ -8,6 +8,7 @@
 //! sessions never serialize behind each other's rule engine runs.
 
 use cerfix::MonitorSession;
+use cerfix_relation::Tuple;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -96,9 +97,10 @@ impl SessionManager {
         self.len() >= self.max_sessions
     }
 
-    /// Register `session` and return its server id. Runs an eviction
-    /// sweep first when at capacity.
-    pub fn create(&self, session: MonitorSession) -> Result<u64, SessionError> {
+    /// Open a session over `tuple` and return its server id, which is
+    /// also the session's `tuple_id` (the monitor's audit attribution).
+    /// Runs an eviction sweep first when at capacity.
+    pub fn create(&self, tuple: Tuple) -> Result<u64, SessionError> {
         if self.len() >= self.max_sessions {
             self.evict_idle();
         }
@@ -112,7 +114,7 @@ impl SessionManager {
         map.insert(
             id,
             Arc::new(Mutex::new(SessionEntry {
-                session,
+                session: MonitorSession::new(id as usize, tuple),
                 last_touched: Instant::now(),
             })),
         );
@@ -220,22 +222,26 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cerfix_relation::{Schema, Tuple};
+    use cerfix_relation::Schema;
+
+    fn mk_tuple() -> Tuple {
+        let schema = Schema::of_strings("t", ["a", "b"]).unwrap();
+        Tuple::of_strings(schema, ["1", "2"]).unwrap()
+    }
 
     fn mk_session(id: usize) -> MonitorSession {
-        let schema = Schema::of_strings("t", ["a", "b"]).unwrap();
-        MonitorSession::new(id, Tuple::of_strings(schema, ["1", "2"]).unwrap())
+        MonitorSession::new(id, mk_tuple())
     }
 
     #[test]
     fn create_use_remove() {
         let mgr = SessionManager::new(Duration::from_secs(60), 16);
-        let id = mgr.create(mk_session(0)).unwrap();
+        let id = mgr.create(mk_tuple()).unwrap();
         assert_eq!(mgr.len(), 1);
         let arity = mgr.with_session(id, |s| s.tuple.arity()).unwrap();
         assert_eq!(arity, 2);
         let session = mgr.remove(id).unwrap();
-        assert_eq!(session.tuple_id, 0);
+        assert_eq!(session.tuple_id as u64, id, "the session carries its id");
         assert!(mgr.is_empty());
         assert_eq!(
             mgr.with_session(id, |_| ()),
@@ -247,16 +253,15 @@ mod tests {
     #[test]
     fn ids_are_unique() {
         let mgr = SessionManager::new(Duration::from_secs(60), 64);
-        let ids: std::collections::BTreeSet<u64> = (0..32)
-            .map(|i| mgr.create(mk_session(i)).unwrap())
-            .collect();
+        let ids: std::collections::BTreeSet<u64> =
+            (0..32).map(|_| mgr.create(mk_tuple()).unwrap()).collect();
         assert_eq!(ids.len(), 32);
     }
 
     #[test]
     fn idle_eviction() {
         let mgr = SessionManager::new(Duration::from_millis(10), 16);
-        let id = mgr.create(mk_session(0)).unwrap();
+        let id = mgr.create(mk_tuple()).unwrap();
         assert!(mgr.evict_idle().is_empty(), "fresh session survives");
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(mgr.evict_idle(), vec![id]);
@@ -269,23 +274,23 @@ mod tests {
     #[test]
     fn capacity_enforced_with_eviction_rescue() {
         let mgr = SessionManager::new(Duration::from_millis(5), 2);
-        mgr.create(mk_session(0)).unwrap();
-        mgr.create(mk_session(1)).unwrap();
+        mgr.create(mk_tuple()).unwrap();
+        mgr.create(mk_tuple()).unwrap();
         // Both fresh: third create fails.
         assert!(matches!(
-            mgr.create(mk_session(2)),
+            mgr.create(mk_tuple()),
             Err(SessionError::Full { .. })
         ));
         // Once idle, capacity frees up via the create-path sweep.
         std::thread::sleep(Duration::from_millis(15));
-        assert!(mgr.create(mk_session(3)).is_ok());
+        assert!(mgr.create(mk_tuple()).is_ok());
         assert_eq!(mgr.len(), 1);
     }
 
     #[test]
     fn touch_resets_idle_clock() {
         let mgr = SessionManager::new(Duration::from_millis(30), 16);
-        let id = mgr.create(mk_session(0)).unwrap();
+        let id = mgr.create(mk_tuple()).unwrap();
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(15));
             mgr.with_session(id, |_| ()).unwrap();
@@ -300,7 +305,7 @@ mod tests {
         mgr.restore(12, mk_session(12));
         assert_eq!(mgr.len(), 2);
         assert!(mgr.next_id() >= 13, "allocator moved past restored ids");
-        let fresh = mgr.create(mk_session(0)).unwrap();
+        let fresh = mgr.create(mk_tuple()).unwrap();
         assert!(fresh > 12, "no id collision after recovery");
         let exported = mgr.export();
         assert_eq!(

@@ -34,18 +34,15 @@ impl CleaningService {
             let id = self
                 .inner
                 .sessions
-                .create(MonitorSession::new(0, tuple.clone()))
+                .create(tuple)
                 .map_err(|e| e.to_string())?;
-            // The monitor uses tuple_id for audit attribution; align it
-            // with the server-assigned id.
-            self.inner
-                .sessions
-                .with_session(id, |session| session.tuple_id = id as usize)
-                .map_err(|e| e.to_string())?;
-            self.journal(&JournalEvent::SessionCreated {
-                session: id,
-                values: values.to_vec(),
-            });
+            // Only build the owned event when a journal exists.
+            if self.inner.storage.is_some() {
+                self.journal(&JournalEvent::SessionCreated {
+                    session: id,
+                    values: values.to_vec(),
+                });
+            }
             Ok(id)
         })?;
         self.inner.metrics.sessions_created.inc();

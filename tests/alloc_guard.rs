@@ -2,6 +2,15 @@
 //! `session.fix` 0, `session.validate` 1 (the validated value's
 //! `Arc<str>`) — and on a warmed 128-tuple `clean`, at most 20 per tuple
 //! (measured 10.13: what the tuples hold, not a tree of the reply).
+//! Then the entry path, on the paper's UK rules with no pre-computed
+//! region, so every reply carries a suggestion from the inference
+//! system: `session.create` at most 30 (measured 16: the tuple's nine
+//! cells, the tuple, its registry entry, and two for the suggestion —
+//! the cover search's result list and the `Vec` it is returned in; 234
+//! when the suggestion was derived through `BTreeSet`s), a
+//! `session.validate` that ends `awaiting_user` with a new suggestion at
+//! most 15 (measured 9; was 155), and the completing `session.validate`
+//! 4, as it was (a complete session never asks the inference system).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -48,6 +57,63 @@ fn kv_service() -> CleaningService {
     };
     assert!(config.trace_buffer > 0, "tracing is on by default");
     CleaningService::new(Arc::new(master), Arc::new(rules), config)
+}
+
+/// The paper's UK scenario as a clerk meets it: nine rules, three of
+/// them gated on `type`, the two master tuples of Fig. 2, and no
+/// pre-computed region — every suggestion comes from the inference system.
+fn uk_service() -> CleaningService {
+    let mut rng = rand::SeedableRng::seed_from_u64(0);
+    let master = MasterData::new(cerfix_gen::uk::generate_master(2, &mut rng));
+    let config = ServiceConfig {
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
+    CleaningService::new(Arc::new(master), Arc::new(cerfix_gen::uk::rules()), config)
+}
+
+const ENTRY_WARM: u64 = 64;
+const ENTRY_MEASURE: u64 = 512;
+
+/// Fig. 3 of the paper, `ENTRY_WARM + ENTRY_MEASURE` times over: create
+/// (suggests AC, phn, type, item), validate those (FN, LN and city are
+/// fixed; suggests zip), validate zip (complete), abort. Returns the
+/// allocations inside the measured create / first validate / completing
+/// validate requests.
+fn entry_path_allocations(service: &CleaningService) -> [u64; 3] {
+    let set = service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":500}"#);
+    assert!(set.contains("\"ok\":true"), "diag log primed: {set}");
+    let mut out = String::new();
+    let mut scratch = RequestScratch::default();
+    let mut spent = [0u64; 3];
+    for i in 0..ENTRY_WARM + ENTRY_MEASURE {
+        let id = i + 1;
+        let steps = [
+            (
+                r#"{"op":"session.create","tuple":["M.","Smith","201","075568485","2","1 Nowhere","???","XXX","DVD"]}"#.to_string(),
+                r#""status":"awaiting_user","tuple":["M.","Smith","201","075568485","2","1 Nowhere","???","XXX","DVD"],"rounds":0,"validated":[],"suggestion":["AC","phn","type","item"]"#,
+            ),
+            (
+                format!(r#"{{"op":"session.validate","session":{id},"validations":{{"AC":"020","phn":"075568485","type":"2","item":"DVD"}}}}"#),
+                r#""status":"awaiting_user","tuple":["Mark","Smith","020","075568485","2","1 Nowhere","Ldn","XXX","DVD"],"rounds":1,"validated":["FN","LN","AC","phn","type","city","item"],"suggestion":["zip"]"#,
+            ),
+            (
+                format!(r#"{{"op":"session.validate","session":{id},"validations":{{"zip":"NW1 6XE"}}}}"#),
+                r#""status":"complete","tuple":["Mark","Smith","020","075568485","2","20 Baker St","Ldn","NW1 6XE","DVD"],"rounds":2"#,
+            ),
+        ];
+        for (step, (line, expected)) in steps.iter().enumerate() {
+            out.clear();
+            let before = counting_alloc::count();
+            service.handle_line_into(line, &mut out, &mut scratch);
+            if i >= ENTRY_WARM {
+                spent[step] += counting_alloc::count() - before;
+            }
+            assert!(out.contains(expected), "step {step} of session {id}: {out}");
+        }
+        service.handle_line(&format!(r#"{{"op":"session.abort","session":{id}}}"#));
+    }
+    spent
 }
 
 #[test]
@@ -142,6 +208,25 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         clean_total <= CLEAN_MEASURE * CLEAN_BOUND,
         "clean: {clean_total} allocations over {CLEAN_MEASURE} warmed requests of {ROWS} tuples \
          (must be at most {CLEAN_BOUND} each)"
+    );
+
+    // The entry path: what a clerk's session costs when every reply
+    // carries a suggestion.
+    let [create, awaiting, completing] = entry_path_allocations(&uk_service());
+    assert!(
+        create <= 30 * ENTRY_MEASURE + STRAY_SLACK,
+        "session.create with a suggestion: {create} allocations over {ENTRY_MEASURE} requests \
+         (must be at most 30 each)"
+    );
+    assert!(
+        awaiting <= 15 * ENTRY_MEASURE + STRAY_SLACK,
+        "session.validate ending awaiting_user: {awaiting} allocations over {ENTRY_MEASURE} \
+         requests (must be at most 15 each)"
+    );
+    assert!(
+        completing <= 4 * ENTRY_MEASURE + STRAY_SLACK,
+        "completing session.validate: {completing} allocations over {ENTRY_MEASURE} requests \
+         (must be 4 each)"
     );
 
     // The request counter is exact: 2 diag-priming requests, 2 session

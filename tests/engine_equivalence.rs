@@ -10,6 +10,16 @@
 //!   attributes), for every key and every `Bm`, the two verdicts are
 //!   equal — before and after random appends, with outstanding index
 //!   snapshots left untouched.
+//! * **Mask inference ≡ `BTreeSet` inference** — the monitor's new
+//!   suggestion and the region finder's cover search run on the compiled
+//!   plan's `AttrSet` masks under a mask of enabled rule positions; the
+//!   implementation they replaced (`tests/common/inference_oracle.rs`,
+//!   `BTreeSet`s and a `dyn` rule filter over the `RuleSet`) answers
+//!   every question the same way — same attributes, same order, same
+//!   first hit — on random rule sets and sessions, including patterns
+//!   falsified by validated cells, stalled rules, more than 16 candidate
+//!   attributes (the greedy arm) and 70-attribute schemas (`AttrSet`'s
+//!   heap representation, for attributes and for rule positions).
 //! * **Property tests** — on the UK scenario and on fully randomized
 //!   (master, rules, tuple, seed) instances, both engines produce
 //!   identical final tuples, validated sets, and fix lists (same fixes,
@@ -22,8 +32,10 @@
 //!   and no more master lookups. Counts, not wall-clock: this cannot
 //!   flake on machine speed.
 
+use cerfix::engine::RuleMasks;
 use cerfix::{
-    run_fixpoint, run_fixpoint_delta, CertainLookup, CompiledRules, EngineStats, MasterData,
+    run_fixpoint, run_fixpoint_delta, CertainLookup, CompiledRules, DataMonitor, EngineStats,
+    MasterData, MonitorSession,
 };
 use cerfix_gen::{hosp, uk};
 use cerfix_relation::{
@@ -34,6 +46,10 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+
+#[path = "common/inference_oracle.rs"]
+mod inference_oracle;
 
 fn uk_fixture() -> (RuleSet, MasterData, Vec<Tuple>) {
     let mut rng = StdRng::seed_from_u64(4242);
@@ -97,61 +113,71 @@ fn assert_engines_agree(
     }
 }
 
+/// A random rule set over `arity` same-named input / master attributes
+/// (values `v0..v2`, so master keys collide and lookups miss), with
+/// random pattern gates and — one time in five — a deleted rule, so that
+/// rule ids and plan positions differ.
+fn random_rules(
+    rng: &mut StdRng,
+    arity: usize,
+    n_rules: usize,
+) -> (SchemaRef, RuleSet, MasterData) {
+    let names: Vec<String> = (0..arity).map(|i| format!("a{i}")).collect();
+    let input = Schema::of_strings("in", names.iter().map(String::as_str)).unwrap();
+    let ms = Schema::of_strings("m", names.iter().map(String::as_str)).unwrap();
+    let mut builder = RelationBuilder::new(ms.clone());
+    for _ in 0..rng.gen_range(1..8usize) {
+        let row: Vec<String> = (0..arity).map(|_| random_value(rng)).collect();
+        builder = builder.row_strs(row);
+    }
+    let master = MasterData::new(builder.build().unwrap());
+    let mut rules = RuleSet::new(input.clone(), ms.clone());
+    for r in 0..n_rules {
+        let mut attrs: Vec<usize> = (0..arity).collect();
+        for i in (1..attrs.len()).rev() {
+            attrs.swap(i, rng.gen_range(0..=i));
+        }
+        let (lhs_n, rhs_n) = (rng.gen_range(1..3usize), rng.gen_range(1..3usize));
+        let pairs = |attrs: &[usize]| attrs.iter().map(|&a| (a, a)).collect::<Vec<_>>();
+        let pattern = if rng.gen_bool(0.3) {
+            let (gate, constant) = (attrs[lhs_n + rhs_n], Value::str(random_value(rng)));
+            if rng.gen_bool(0.5) {
+                PatternTuple::empty().with_eq(gate, constant)
+            } else {
+                PatternTuple::empty().with_ne(gate, constant)
+            }
+        } else {
+            PatternTuple::empty()
+        };
+        let (lhs, rhs) = (pairs(&attrs[..lhs_n]), pairs(&attrs[lhs_n..lhs_n + rhs_n]));
+        rules
+            .add(EditingRule::new(format!("r{r}"), &input, &ms, lhs, rhs, pattern).unwrap())
+            .unwrap();
+    }
+    if n_rules > 1 && rng.gen_bool(0.2) {
+        rules.remove("r0").unwrap();
+    }
+    (input, rules, master)
+}
+
+fn random_value(rng: &mut StdRng) -> String {
+    format!("v{}", rng.gen_range(0..3u8))
+}
+
+fn random_tuple(rng: &mut StdRng, input: &SchemaRef) -> Tuple {
+    let cells: Vec<String> = (0..input.arity()).map(|_| random_value(rng)).collect();
+    Tuple::of_strings(input.clone(), cells).unwrap()
+}
+
 /// A fully random instance: small alphabet per column so master key
 /// collisions (and therefore ambiguous keys) arise naturally, random
 /// single- or two-attribute rules, random pattern gates.
 fn random_instance(seed: u64) -> (RuleSet, MasterData, Tuple, AttrSet) {
     let mut rng = StdRng::seed_from_u64(seed);
     const ARITY: usize = 7;
-    let names: Vec<String> = (0..ARITY).map(|i| format!("a{i}")).collect();
-    let input = Schema::of_strings("in", names.iter().map(String::as_str)).unwrap();
-    let ms = Schema::of_strings("m", names.iter().map(String::as_str)).unwrap();
-
-    let val = |rng: &mut StdRng| format!("v{}", rng.gen_range(0..3u8));
-    let n_rows = rng.gen_range(1..8usize);
-    let mut builder = RelationBuilder::new(ms.clone());
-    for _ in 0..n_rows {
-        let row: Vec<String> = (0..ARITY).map(|_| val(&mut rng)).collect();
-        builder = builder.row_strs(row);
-    }
-    let master = MasterData::new(builder.build().unwrap());
-
     let n_rules = rng.gen_range(1..10usize);
-    let mut rules = RuleSet::new(input.clone(), ms.clone());
-    for r in 0..n_rules {
-        let lhs_n = rng.gen_range(1..3usize);
-        let mut attrs: Vec<usize> = (0..ARITY).collect();
-        // Random distinct attributes: first lhs_n are the LHS, the next
-        // 1-2 are the RHS, one more may gate a pattern.
-        for i in (1..attrs.len()).rev() {
-            attrs.swap(i, rng.gen_range(0..=i));
-        }
-        let lhs: Vec<(usize, usize)> = attrs[..lhs_n].iter().map(|&a| (a, a)).collect();
-        let rhs_n = rng.gen_range(1..3usize);
-        let rhs: Vec<(usize, usize)> = attrs[lhs_n..lhs_n + rhs_n]
-            .iter()
-            .map(|&a| (a, a))
-            .collect();
-        let pattern = if rng.gen_bool(0.3) {
-            let gate = attrs[lhs_n + rhs_n];
-            if rng.gen_bool(0.5) {
-                PatternTuple::empty().with_eq(gate, Value::str(val(&mut rng)))
-            } else {
-                PatternTuple::empty().with_ne(gate, Value::str(val(&mut rng)))
-            }
-        } else {
-            PatternTuple::empty()
-        };
-        rules
-            .add(EditingRule::new(format!("r{r}"), &input, &ms, lhs, rhs, pattern).unwrap())
-            .unwrap();
-    }
-
-    let tuple = Tuple::of_strings(
-        input.clone(),
-        (0..ARITY).map(|_| val(&mut rng)).collect::<Vec<_>>(),
-    )
-    .unwrap();
+    let (input, rules, master) = random_rules(&mut rng, ARITY, n_rules);
+    let tuple = random_tuple(&mut rng, &input);
     let seed: AttrSet = (0..ARITY).filter(|_| rng.gen_bool(0.4)).collect();
     (rules, master, tuple, seed)
 }
@@ -559,4 +585,213 @@ fn chain_attempt_counts_are_exact() {
     let (pass, delta) = work_totals(&rules, &master, &truths[..TUPLES], &seed);
     assert_eq!(pass.rule_attempts, 120 * TUPLES, "pass-based attempts");
     assert_eq!(delta.rule_attempts, RULES * TUPLES, "delta attempts");
+}
+
+/// Which arms of the inference system a run of comparisons reached.
+#[derive(Debug, Default)]
+struct InferenceCoverage {
+    suggestions: usize,
+    falsified_patterns: usize,
+    stalled_rules: usize,
+    greedy_arm: usize,
+    wide_schemas: usize,
+    rule_positions_past_64: usize,
+    multi_cover_searches: usize,
+}
+
+/// `DataMonitor::suggestion` (masks, compiled plan) against the oracle's
+/// `new_suggestion` under the oracle's `session_filter`, for one session
+/// state.
+fn assert_suggestion_is_the_oracles(
+    monitor: &DataMonitor<'_>,
+    session: &MonitorSession,
+    coverage: &mut InferenceCoverage,
+) -> Result<(), TestCaseError> {
+    use inference_oracle as oracle;
+    let rules = monitor.rules();
+    let filter = oracle::session_filter(session);
+    let validated: BTreeSet<AttrId> = session.validated.iter().collect();
+    let expected = oracle::new_suggestion(rules, &validated, &filter);
+    // The mask form has no feasibility check (see `RuleMasks::suggestion`):
+    // the oracle's must never be what decides.
+    prop_assert!(expected.is_some(), "oracle found the session infeasible");
+    let expected = expected
+        .map(|s| s.into_iter().collect::<Vec<AttrId>>())
+        .filter(|s| !s.is_empty() && !session.is_complete());
+    prop_assert_eq!(
+        monitor.suggestion(session),
+        expected,
+        "{} rules over {} attributes, tuple {:?}, validated {:?}",
+        rules.len(),
+        session.tuple.arity(),
+        session.tuple.values(),
+        session.validated
+    );
+
+    coverage.suggestions += 1;
+    for (_, rule) in rules.iter() {
+        let cells = rule.pattern().cells();
+        let falsified = cells.iter().any(|c| {
+            session.validated.contains(c.attr) && !c.op.matches(session.tuple.get(c.attr))
+        });
+        coverage.falsified_patterns += usize::from(falsified);
+        coverage.stalled_rules += usize::from(!falsified && !filter(0, rule));
+    }
+    let mut base = oracle::unfixable_attrs(rules, &filter);
+    base.extend(validated.iter().copied());
+    let useful = oracle::useful_evidence_attrs(rules, &filter);
+    coverage.greedy_arm += usize::from(useful.difference(&base).count() > 16);
+    Ok(())
+}
+
+/// One random instance: the inference primitives under a random enabled
+/// mask, then the monitor's suggestion on a session given a random
+/// validated set outright and on one played round by round.
+fn check_inference_instance(
+    instance: u64,
+    coverage: &mut InferenceCoverage,
+) -> Result<(), TestCaseError> {
+    use inference_oracle as oracle;
+    let mut rng = StdRng::seed_from_u64(instance);
+    // Small schemas search exactly; 24 attributes under ~30 rules leave
+    // more than 16 candidates (greedy); 70 attributes and up to 90 rules
+    // put attribute sets and rule-position masks on the heap.
+    let (arity, n_rules) = match rng.gen_range(0..4u8) {
+        0 | 1 => (7, rng.gen_range(1..10usize)),
+        2 => (24, rng.gen_range(20..40usize)),
+        _ => (70, rng.gen_range(40..90usize)),
+    };
+    let (input, rules, master) = random_rules(&mut rng, arity, n_rules);
+    coverage.wide_schemas += usize::from(arity > 64);
+    coverage.rule_positions_past_64 += usize::from(rules.len() > 64);
+
+    // The primitives, under a random enabled mask (by plan position for
+    // the masks, by rule id for the oracle's filter).
+    let masks = RuleMasks::of(&rules);
+    let ids: Vec<usize> = rules.iter().map(|(id, _)| id).collect();
+    let enabled: AttrSet = (0..ids.len()).filter(|_| rng.gen_bool(0.7)).collect();
+    let filter = |id: usize, _: &EditingRule| {
+        enabled.contains(
+            ids.iter()
+                .position(|&i| i == id)
+                .expect("a rule of the set"),
+        )
+    };
+    let seed: AttrSet = (0..arity).filter(|_| rng.gen_bool(0.3)).collect();
+    let seed_tree: BTreeSet<AttrId> = seed.iter().collect();
+    let ascending = |set: &AttrSet| set.iter().collect::<Vec<AttrId>>();
+    let tree = |set: BTreeSet<AttrId>| set.into_iter().collect::<Vec<AttrId>>();
+    let closed = oracle::attribute_closure(&rules, &seed_tree, &filter);
+    prop_assert_eq!(masks.spans(&enabled, &seed), closed.len() == arity);
+    prop_assert_eq!(ascending(&masks.closure(&enabled, &seed)), tree(closed));
+    let unfixable = oracle::unfixable_attrs(&rules, &filter);
+    prop_assert_eq!(
+        ascending(&masks.unfixable(&enabled)),
+        tree(unfixable.clone())
+    );
+    let useful = oracle::useful_evidence_attrs(&rules, &filter);
+    prop_assert_eq!(
+        ascending(&masks.useful_evidence(&enabled)),
+        tree(useful.clone())
+    );
+    // The cover search as the region finder asks it: mandatory base,
+    // several results, a size bound.
+    let candidates: Vec<AttrId> = useful.difference(&unfixable).copied().take(14).collect();
+    let (max_size, max_results) = (rng.gen_range(1..5usize), rng.gen_range(1..9usize));
+    let covers = masks.minimal_covers(
+        &enabled,
+        &masks.unfixable(&enabled),
+        &candidates,
+        max_size,
+        max_results,
+    );
+    let expected = oracle::minimal_covers(
+        &rules,
+        &unfixable,
+        &candidates,
+        &filter,
+        max_size,
+        max_results,
+    );
+    coverage.multi_cover_searches += usize::from(covers.len() > 1);
+    prop_assert_eq!(
+        covers.iter().map(ascending).collect::<Vec<_>>(),
+        expected.into_iter().map(tree).collect::<Vec<_>>()
+    );
+
+    // The monitor's suggestion. A validated set given outright makes
+    // rules look stalled and patterns falsified at will …
+    let monitor = DataMonitor::new(&rules, &master);
+    let mut session = monitor.start(0, random_tuple(&mut rng, &input));
+    let density = [0.1, 0.4, 0.8][rng.gen_range(0..3usize)];
+    session.validated = (0..arity).filter(|_| rng.gen_bool(density)).collect();
+    session.rounds = 1;
+    assert_suggestion_is_the_oracles(&monitor, &session, coverage)?;
+    // … and a session played for a few rounds reaches the states the
+    // correcting process really leaves behind (lookups that missed).
+    let truth = random_tuple(&mut rng, &input);
+    let mut session = monitor.start(1, random_tuple(&mut rng, &input));
+    for _ in 0..4 {
+        assert_suggestion_is_the_oracles(&monitor, &session, coverage)?;
+        let Some(suggestion) = monitor.suggestion(&session) else {
+            break;
+        };
+        // Most of what was suggested, and now and then something that
+        // was not.
+        let validations: Vec<(AttrId, Value)> = (0..arity)
+            .filter(|a| rng.gen_bool(if suggestion.contains(a) { 0.7 } else { 0.05 }))
+            .map(|a| (a, truth.get(a).clone()))
+            .collect();
+        // An inconsistent random rule set may refuse: nothing to compare.
+        if monitor
+            .apply_validation(&mut session, &validations)
+            .is_err()
+        {
+            break;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The mask inference system answers as the `BTreeSet` one did.
+    #[test]
+    fn mask_inference_equals_btreeset_oracle(instance in 0u64..100_000) {
+        check_inference_instance(instance, &mut InferenceCoverage::default())?;
+    }
+}
+
+/// The same comparison over a fixed run of instances, with the count of
+/// what it reached: every arm named in the module docs is exercised, not
+/// just allowed for.
+#[test]
+fn mask_inference_sweep_reaches_every_arm() {
+    let mut coverage = InferenceCoverage::default();
+    for instance in 0..200 {
+        if let Err(e) = check_inference_instance(instance, &mut coverage) {
+            panic!("instance {instance}: {e}");
+        }
+    }
+    let InferenceCoverage {
+        suggestions,
+        falsified_patterns,
+        stalled_rules,
+        greedy_arm,
+        wide_schemas,
+        rule_positions_past_64,
+        multi_cover_searches,
+    } = coverage;
+    assert!(suggestions >= 400, "{coverage:?}");
+    for (reached, arm) in [
+        (falsified_patterns, "patterns falsified by validated cells"),
+        (stalled_rules, "stalled rules"),
+        (greedy_arm, "more than 16 candidates"),
+        (wide_schemas, "70-attribute schemas"),
+        (rule_positions_past_64, "rule positions past 64"),
+        (multi_cover_searches, "searches returning several covers"),
+    ] {
+        assert!(reached >= 10, "only {reached} cases of {arm}: {coverage:?}");
+    }
 }
