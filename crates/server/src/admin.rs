@@ -43,7 +43,7 @@ impl CleaningService {
         let newly = !self.inner.draining.swap(true, Ordering::AcqRel);
         if newly {
             // A held `replica.sync` is released, not waited for.
-            self.wake_held_syncs();
+            self.wake_holds();
             self.inner.metrics.drains_started.inc();
             self.inner.diag.info(
                 Subsystem::Admission,

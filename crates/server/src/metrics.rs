@@ -462,6 +462,8 @@ instruments! {
         bytes_out                 Counter "cerfix_bytes_out_total"                 "Response bytes written to sockets.";
         reactor_polls             Counter "cerfix_reactor_polls_total"             "epoll_wait calls made by the reactor.";
         reactor_wakeups           Counter "cerfix_reactor_wakeups_total"           "Cross-thread eventfd wakeups delivered to the reactor.";
+        reactor_reads             Counter "cerfix_reactor_reads_total"             "read calls the reactor made on connection sockets.";
+        reactor_writes            Counter "cerfix_reactor_writes_total"            "write calls the reactor made on connection sockets.";
         replication_events_served Counter "cerfix_replication_events_served_total" "Journal events served to follower replication cursors.";
         quorum_timeouts           Counter "cerfix_quorum_timeouts_total"           "Commits that timed out waiting for a follower quorum (applied and locally durable, answered quorum_timeout).";
         #[journaled]

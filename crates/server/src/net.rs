@@ -22,6 +22,7 @@
 use crate::ops::OpId;
 use crate::protocol::{scan_line, RequestScratch};
 use crate::service::CleaningService;
+use crate::wire::JsonWriter;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -57,7 +58,9 @@ pub(crate) const NON_UTF8_REPLY: &str =
 /// `may_hold`: the caller is a connection's own thread, which a
 /// caught-up `replica.sync` that asks to wait may keep until there is
 /// something to say ([`HeldSync`](crate::replication::HeldSync)). A
-/// pool worker never holds — it answers the empty batch at once.
+/// pool worker never holds — it answers the empty batch at once — and
+/// the follower ack its sync carries was recorded off the reactor
+/// thread, so the commits parked there are told to look again.
 pub(crate) fn respond_line(
     service: &CleaningService,
     line_bytes: &[u8],
@@ -86,10 +89,29 @@ pub(crate) fn respond_line(
             service.wait_out(&held);
             service.serve_held(held, out, scratch);
         }
-        None => service.handle_scanned(&scanned, out, scratch, received, started),
+        None => {
+            service.handle_scanned(&scanned, out, scratch, received, started);
+            if !may_hold && scanned.is(OpId::ReplicaSync) {
+                service.wake_holds();
+            }
+        }
     }
     out.push('\n');
     true
+}
+
+/// Answer a connection that is not admitted (draining, over the quota)
+/// with its one error line and hang up.
+pub(crate) fn refuse(mut stream: TcpStream, message: &str) {
+    let mut line = String::new();
+    let mut w = JsonWriter::new(&mut line);
+    w.begin_obj();
+    w.field("ok", false);
+    w.field("error", message);
+    w.end_obj();
+    line.push('\n');
+    let _ = std::io::Write::write_all(&mut stream, line.as_bytes());
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Which I/O architecture a [`Server`] runs.
@@ -365,12 +387,7 @@ fn run_threads(listener: TcpListener, service: &CleaningService) -> std::io::Res
                 // one typed error line — cheaper than a thread + buffers
                 // for a connection that would only be told "no" later.
                 if let Err(message) = service.admit_connection() {
-                    use std::io::Write;
-                    let mut stream = stream;
-                    let _ = stream.write_all(
-                        format!("{{\"ok\":false,\"error\":{:?}}}\n", message).as_bytes(),
-                    );
-                    let _ = stream.shutdown(Shutdown::Both);
+                    refuse(stream, &message);
                     continue;
                 }
                 // Counted here, not by the connection's own thread: the

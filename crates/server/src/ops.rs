@@ -24,17 +24,17 @@ use crate::admission::Priority::{self, Critical, Heavy, Session};
 /// everything on the connection's own thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RunsOn {
-    /// On the reactor thread: µs-scale work that never blocks.
+    /// On the reactor thread: µs-scale work that never blocks. A
+    /// journaled `session.commit` is applied there too, and the wait for
+    /// its group fsync is spent parked in its connection's slot, like a
+    /// held `replica.sync` — on no thread at all.
     Inline,
     /// On the worker pool: multi-tuple batches, whole-relation analyses,
     /// engine swaps, reads of the data directory, peer dials — work that
     /// would park every connection behind it on the reactor thread.
     Pool,
-    /// Inline in memory mode; on the pool when the service is journaled,
-    /// because the op then waits for its group fsync.
-    PoolWhenJournaled,
 }
-use RunsOn::{Inline, Pool, PoolWhenJournaled};
+use RunsOn::{Inline, Pool};
 
 /// One row of the op table.
 #[derive(Debug)]
@@ -54,17 +54,6 @@ pub(crate) struct Op {
     /// Index into the latency histograms and per-op engine totals (the
     /// row's index in [`OPS`]).
     pub slot: usize,
-}
-
-impl Op {
-    /// Does the epoll reactor ship this op to the worker pool?
-    pub(crate) fn on_pool(&self, journaled: bool) -> bool {
-        match self.runs_on {
-            Inline => false,
-            Pool => true,
-            PoolWhenJournaled => journaled,
-        }
-    }
 }
 
 /// Declares [`OpId`], [`OPS`] and [`lookup`] from one list of rows, so
@@ -113,7 +102,7 @@ op_table! {
     SessionGet     = "session.get",               Session,  false,  Inline;
     SessionValidate = "session.validate",         Session,  true,   Inline;
     SessionFix     = "session.fix",               Session,  true,   Inline;
-    SessionCommit  = "session.commit",            Session,  true,   PoolWhenJournaled;
+    SessionCommit  = "session.commit",            Session,  true,   Inline;
     SessionAbort   = "session.abort",             Session,  true,   Inline;
     Clean          = "clean",                     Heavy,    false,  Pool;
     Regions        = "regions",                   Heavy,    false,  Pool;
@@ -133,7 +122,8 @@ op_table! {
     MetricsHistory = "metrics.history",           Critical, false,  Inline;
     // Fans out to peers over TCP.
     ClusterStatus  = "cluster.status",            Critical, false,  Pool;
-    ConfigSet      = "config.set",                Critical, true,   PoolWhenJournaled;
+    // Rare, and waits for its group fsync on the thread that runs it.
+    ConfigSet      = "config.set",                Critical, true,   Pool;
     // Reads the whole journal, snapshot and audit spill.
     Scrub          = "scrub",                     Critical, false,  Pool;
     Drain          = "server.drain",              Critical, false,  Inline;
@@ -194,23 +184,23 @@ mod tests {
     }
 
     /// Placement, pinned on the classification (no timing): ops that
-    /// read the data directory, cut snapshots or wait for an fsync never
-    /// run on the reactor thread.
+    /// read the data directory, cut snapshots or block on an fsync never
+    /// run on the reactor thread — and the one op whose fsync wait is on
+    /// the clerk's path, `session.commit`, takes no worker for it either
+    /// (`reactor::tests` pins the other half: it is parked, not run).
     #[test]
     fn blocking_ops_leave_the_reactor_thread() {
-        let pooled = |name: &str, journaled| lookup(name).unwrap().row().on_pool(journaled);
+        let pooled = |name: &str| lookup(name).unwrap().row().runs_on == Pool;
         for name in ["scrub", "replica.promote", "cluster.status", "clean"] {
-            assert!(pooled(name, false) && pooled(name, true), "{name}");
+            assert!(pooled(name), "{name}");
         }
-        for name in ["config.set", "session.commit"] {
-            assert!(!pooled(name, false), "{name} is µs-scale in memory mode");
-            assert!(pooled(name, true), "{name} waits for its group fsync");
-        }
+        assert!(pooled("config.set"), "blocks on its group fsync");
         for name in ["replica.sync", "session.get", "session.validate", "health"] {
-            assert!(!pooled(name, false) && !pooled(name, true), "{name}");
+            assert!(!pooled(name), "{name}");
         }
+        assert!(!pooled("session.commit"), "applied inline, then held");
         // An unknown name gets its error inline.
-        assert!(!OTHER.on_pool(true));
+        assert_eq!(OTHER.runs_on, Inline);
     }
 
     /// The README's protocol table is this table: the same ops, in any
@@ -245,7 +235,6 @@ mod tests {
                     match op.runs_on {
                         Inline => "inline",
                         Pool => "pool",
-                        PoolWhenJournaled => "pool when journaled",
                     }
                 )
             })

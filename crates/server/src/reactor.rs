@@ -10,21 +10,24 @@
 //! * **Pipelining with strict per-connection ordering** — a client may
 //!   write any number of request lines before reading a response.
 //!   Cheap ops execute inline on the reactor; the first CPU-heavy op
-//!   (batch `clean`, region/consistency analysis, engine swaps, a
-//!   journaled commit's group-fsync wait) seals the connection's
-//!   response buffer and ships that line *plus every line already
-//!   buffered behind it* to the service worker pool as one ordered
-//!   batch job. While the batch is in flight the reactor keeps reading
-//!   (bounded) and keeps serving other connections; the completion
-//!   splices the batch's responses back in order. At most one batch per
-//!   connection is ever in flight, so responses always come back in
-//!   request order.
-//! * **Held requests park, they do not block** — a caught-up follower's
-//!   `replica.sync` that asks to wait is kept in its connection's slot,
-//!   occupying neither this thread nor a pool worker. The journal wakes
-//!   the loop through the wakeup fd when its durable position moves, and
-//!   the nearest hold expiry is the `epoll_wait` timeout; a released
-//!   request is then served inline like any other line.
+//!   (batch `clean`, region/consistency analysis, engine swaps) seals
+//!   the connection's response buffer and ships that line *plus every
+//!   line already buffered behind it* to the service worker pool as one
+//!   ordered batch job. While the batch is in flight the reactor keeps
+//!   reading (bounded) and keeps serving other connections; the
+//!   completion splices the batch's responses back in order. At most
+//!   one batch per connection is ever in flight, so responses always
+//!   come back in request order.
+//! * **Held requests park, they do not block** — a journaled
+//!   `session.commit` is applied inline and its acknowledgement, which
+//!   waits for the group fsync (and in a cluster the follower acks), is
+//!   kept in its connection's slot; so is a caught-up follower's
+//!   `replica.sync` that asks to wait. Neither occupies this thread or
+//!   a pool worker, so every connection's commit rides the same flush
+//!   whatever `--workers` is. The journal wakes the loop through the
+//!   wakeup fd when its durable position moves, and the nearest hold
+//!   expiry is the `epoll_wait` timeout; a released request is then
+//!   answered inline, and the lines behind it served.
 //! * **Backpressure, interest-driven** — responses accumulate in a
 //!   per-connection buffer flushed opportunistically; `EPOLLOUT` is
 //!   armed only while unflushed bytes remain, and a connection whose
@@ -39,11 +42,12 @@
 //! code in the crate, kept to six syscalls (no new dependencies).
 
 use crate::net::{LineBuffer, MAX_LINE_BYTES, NON_UTF8_REPLY, OVERSIZE_REPLY};
-use crate::ops::OpId;
+use crate::ops::{OpId, RunsOn};
 use crate::protocol::{scan_line, RequestScratch, ScannedLine};
 use crate::replication::HeldSync;
 use crate::service::CleaningService;
-use cerfix_storage::DurableWatch;
+use crate::session_ops::HeldCommit;
+use cerfix_storage::{DurableWatch, Waker};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -256,10 +260,10 @@ struct Conn {
     out_pos: usize,
     /// A batch job is in flight (at most one per connection).
     in_flight: bool,
-    /// The `replica.sync` this connection is being kept on. Like a
-    /// batch in flight it keeps the lines behind it waiting, so
-    /// responses still leave in request order.
-    held: Option<HeldSync>,
+    /// The request this connection is being kept on. Like a batch in
+    /// flight it keeps the lines behind it waiting, so responses still
+    /// leave in request order.
+    held: Option<Hold>,
     /// Peer half-closed its write side (pipelined burst then EOF): no
     /// more input, but buffered requests still get served and flushed.
     peer_done: bool,
@@ -281,42 +285,50 @@ impl Conn {
     }
 }
 
+/// What a parked connection is kept on: a request that is read, owes a
+/// reply, and waits for the journal — never on this thread, never on a
+/// pool worker.
+// In its connection's slot, not boxed: a box would cost every commit an
+// allocation.
+#[allow(clippy::large_enum_variant)]
+enum Hold {
+    /// A caught-up follower's `replica.sync` that asked to wait: it
+    /// runs, inline, when the hold is over.
+    Sync(HeldSync),
+    /// A journaled `session.commit`, applied inline as it arrived: its
+    /// reply waits for its group fsync (and the follower acks).
+    Commit(HeldCommit),
+}
+
 /// Does this line go to the worker pool instead of running on the
 /// reactor? The op's row says (`runs_on` in [`crate::ops`]): multi-tuple
 /// batch work, whole-relation analyses, engine swaps, data-directory
-/// reads and peer dials always do; ops that wait for a group fsync do on
-/// a journaled service; interactive session ops (µs-scale fixpoints) run
-/// inline.
+/// reads, peer dials and the operator's `config.set` do; interactive
+/// session ops (µs-scale fixpoints) run inline — up to a wait for the
+/// journal, which is held ([`hold_for`]).
 ///
 /// A line that names no row — not JSON, no `op`, a name not in the table
 /// — runs inline: its scan already holds the error it will be answered
 /// with, so there is no work to move. (Every spelling of an op, escapes
 /// included, resolves to its row, so no real `clean` hides here.)
-fn is_heavy(scanned: &ScannedLine<'_>, journaled: bool) -> bool {
-    scanned.op.is_some_and(|op| op.on_pool(journaled))
+fn is_heavy(scanned: &ScannedLine<'_>) -> bool {
+    scanned.op.is_some_and(|op| op.runs_on == RunsOn::Pool)
 }
 
-/// Where the reactor runs one line.
-enum Placement {
-    /// Here, on the reactor thread.
-    Inline,
-    /// On the worker pool, with every line behind it.
-    Pool,
-    /// Nowhere yet: a caught-up `replica.sync` that asked to wait. The
-    /// connection is parked until the hold is over, then the line runs
-    /// inline — it never blocks this thread and never takes a pool
-    /// worker (a quorum commit waits for this very follower *on* one).
-    Held(HeldSync),
-}
-
-fn place(service: &CleaningService, scanned: &ScannedLine<'_>, journaled: bool) -> Placement {
-    if is_heavy(scanned, journaled) {
-        return Placement::Pool;
+/// The hold an inline line's connection is parked on instead of the
+/// line running to its reply here, when it has the journal to wait for.
+fn hold_for(
+    service: &CleaningService,
+    scanned: &ScannedLine<'_>,
+    scratch: &mut RequestScratch,
+    received: Instant,
+    started: Instant,
+) -> Option<Hold> {
+    if scanned.is(OpId::ReplicaSync) {
+        return service.sync_arrival(scanned).map(Hold::Sync);
     }
-    let held = scanned
-        .is(OpId::ReplicaSync)
-        .then(|| service.sync_arrival(scanned));
-    held.flatten().map_or(Placement::Inline, Placement::Held)
+    let commit = service.commit_arrival(scanned, scratch, received, started);
+    commit.map(Hold::Commit)
 }
 
 /// Reading pauses while the peer is not draining responses, while a
@@ -387,15 +399,20 @@ struct Reactor {
     next_conn: u64,
     /// Reactor-thread scratch for inline request handling.
     scratch: RequestScratch,
+    /// Where every socket read lands before its connection's line
+    /// buffer takes it: one buffer for the loop's lifetime, so a read
+    /// costs the bytes it moves and not a zeroed array.
+    chunk: Vec<u8>,
     hook: u64,
     draining: Option<Instant>,
     accepting: bool,
-    /// Connections kept on a held `replica.sync`.
+    /// Connections kept on a [`Hold`].
     held: Vec<u64>,
     /// The journal's wake-up call for them: registered with the first
-    /// hold, dropped with the last, so a flush costs a server without
-    /// followers nothing.
+    /// hold, dropped with the last, so a flush costs a server that holds
+    /// nothing nothing.
     watch: Option<DurableWatch>,
+    waker: Waker,
 }
 
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -432,6 +449,7 @@ impl Reactor {
         // instead of riding out a poll timeout.
         let hook_shared = Arc::clone(&shared);
         let hook = service.add_shutdown_hook(move || hook_shared.wake.wake());
+        let watch_shared = Arc::clone(&shared);
         Ok(Reactor {
             epfd,
             listener,
@@ -440,11 +458,13 @@ impl Reactor {
             conns: HashMap::new(),
             next_conn: 0,
             scratch: RequestScratch::default(),
+            chunk: vec![0; 64 * 1024],
             hook,
             draining: None,
             accepting: true,
             held: Vec::new(),
             watch: None,
+            waker: Arc::new(move || watch_shared.wake.wake()),
         })
     }
 
@@ -532,10 +552,7 @@ impl Reactor {
                     // error line and hangs up — no epoll registration,
                     // no buffers.
                     if let Err(message) = self.service.admit_connection() {
-                        let mut stream = stream;
-                        let _ = stream.write_all(
-                            format!("{{\"ok\":false,\"error\":{message:?}}}\n").as_bytes(),
-                        );
+                        crate::net::refuse(stream, &message);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -603,9 +620,11 @@ impl Reactor {
         self.pump(id);
     }
 
-    /// Read all available bytes. Returns false if the connection died.
+    /// Read what the socket holds. A read that does not fill the buffer
+    /// emptied it: asking again would only buy an `EAGAIN`, and the set
+    /// is level-triggered, so bytes that arrive later fire again.
+    /// Returns false if the connection died.
     fn read_ready(&mut self, id: u64) -> bool {
-        let mut chunk = [0u8; 64 * 1024];
         loop {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return false;
@@ -613,14 +632,18 @@ impl Reactor {
             if conn.peer_done || conn.closing || reading_paused(conn) {
                 return true;
             }
-            match conn.stream.read(&mut chunk) {
+            self.service.metrics_raw().reactor_reads.inc();
+            match conn.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     conn.peer_done = true;
                     return true;
                 }
                 Ok(n) => {
-                    conn.buf.extend(&chunk[..n]);
+                    conn.buf.extend(&self.chunk[..n]);
                     self.service.metrics_raw().bytes_in.add(n as u64);
+                    if n < self.chunk.len() {
+                        return true;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -647,7 +670,6 @@ impl Reactor {
         if self.draining.is_some() {
             return;
         }
-        let journaled = self.service.is_journaled();
         // Arrival stamp for every line handled inline in this pass; the
         // reactor runs this immediately after the read, so inline queue
         // wait is ~zero by construction (batched lines stamp at submit).
@@ -676,40 +698,43 @@ impl Reactor {
             }
             let started = Instant::now();
             let scanned = scan_line(trimmed);
-            match place(&self.service, &scanned, journaled) {
-                Placement::Pool => {
-                    // Seal this line plus everything already behind it
-                    // into one ordered batch for the worker pool. (The
-                    // batch pool and `submit_job` touch disjoint fields,
-                    // so the batch is assembled while the line slices
-                    // still borrow the connection's read buffer.)
-                    let mut batch = self.shared.take_batch();
-                    batch.extend_from_slice(trimmed.as_bytes());
+            if is_heavy(&scanned) {
+                // Seal this line plus everything already behind it into
+                // one ordered batch for the worker pool. (The batch pool
+                // and `submit_job` touch disjoint fields, so the batch
+                // is assembled while the line slices still borrow the
+                // connection's read buffer.)
+                let mut batch = self.shared.take_batch();
+                batch.extend_from_slice(trimmed.as_bytes());
+                batch.push(b'\n');
+                while let Some(rest) = conn.buf.next_line() {
+                    batch.extend_from_slice(rest);
                     batch.push(b'\n');
-                    while let Some(rest) = conn.buf.next_line() {
-                        batch.extend_from_slice(rest);
-                        batch.push(b'\n');
-                    }
-                    conn.in_flight = true;
-                    submit_batch(&self.service, &self.shared, id, batch);
-                    return;
                 }
-                Placement::Held(held) => {
-                    conn.held = Some(held);
-                    self.held.push(id);
-                    if self.watch.is_none() {
-                        // From here on the journal wakes the loop when
-                        // its durable position moves; a move since
-                        // `place` looked is caught by `release_holds`,
-                        // which this iteration still runs.
-                        let wake = Arc::clone(&self.shared);
-                        self.watch = self.service.storage().map(|storage| {
-                            storage.journal().watch(Arc::new(move || wake.wake.wake()))
-                        });
-                    }
-                    return;
+                conn.in_flight = true;
+                submit_batch(&self.service, &self.shared, id, batch);
+                return;
+            }
+            let hold = hold_for(
+                &self.service,
+                &scanned,
+                &mut self.scratch,
+                received,
+                started,
+            );
+            if hold.is_some() {
+                conn.held = hold;
+                self.held.push(id);
+                if self.watch.is_none() {
+                    // From here on the journal wakes the loop when its
+                    // durable position moves; a move since the hold's
+                    // own look — or a commit with nothing to wait for —
+                    // is caught by `release_holds`, which this iteration
+                    // still runs.
+                    let storage = self.service.storage();
+                    self.watch = storage.map(|s| s.journal().watch(Arc::clone(&self.waker)));
                 }
-                Placement::Inline => {}
+                return;
             }
             // Inline: render straight into the connection's response
             // buffer (appended after everything already queued). The
@@ -767,38 +792,55 @@ impl Reactor {
         let now = Instant::now();
         self.held
             .iter()
-            .filter_map(|id| self.conns.get(id)?.held.as_ref())
-            .map(|held| held.deadline.saturating_duration_since(now))
+            .filter_map(|id| match self.conns.get(id)?.held.as_ref()? {
+                Hold::Sync(held) => Some(held.deadline),
+                Hold::Commit(held) => held.deadline,
+            })
+            .map(|deadline| deadline.saturating_duration_since(now))
             .min()
             .map_or(-1, |left| left.as_micros().div_ceil(1000) as i32)
     }
 
-    /// Answer every held sync whose hold is over — or whose peer has
-    /// stopped sending, so that a dead follower's slot is not kept for
-    /// the rest of the hold — inline, then carry on with the lines
-    /// behind it.
+    /// Answer every held request whose hold is over, inline, then carry
+    /// on with the lines behind it. A sync's is also over when its peer
+    /// has stopped sending, so that a dead follower's slot is not kept
+    /// for the rest of the hold; a commit's reply is owed whatever the
+    /// peer does next, and waits for its verdict.
     fn release_holds(&mut self) {
         let mut at = 0;
         while at < self.held.len() {
             let id = self.held[at];
-            let over = self.conns.get(&id).is_none_or(|conn| match &conn.held {
-                Some(held) => conn.peer_done || self.service.hold_over(held),
-                None => true,
-            });
-            if !over {
+            // `None`: keep holding. `Some`: what a commit is answered.
+            let over = match self.conns.get_mut(&id) {
+                Some(conn) => match &mut conn.held {
+                    Some(Hold::Sync(held)) => {
+                        (conn.peer_done || self.service.hold_over(held)).then_some(Ok(()))
+                    }
+                    Some(Hold::Commit(held)) => self.service.commit_verdict(held),
+                    None => Some(Ok(())),
+                },
+                None => Some(Ok(())), // closed while held
+            };
+            let Some(verdict) = over else {
                 at += 1;
                 continue;
-            }
+            };
             self.held.swap_remove(at);
             let Some(conn) = self.conns.get_mut(&id) else {
-                continue; // closed while held
+                continue;
             };
-            if let Some(held) = conn.held.take() {
-                self.service
-                    .serve_held(held, &mut conn.out, &mut self.scratch);
-                conn.out.push('\n');
-                self.pump(id);
+            match conn.held.take() {
+                Some(Hold::Sync(held)) => {
+                    self.service
+                        .serve_held(held, &mut conn.out, &mut self.scratch)
+                }
+                Some(Hold::Commit(held)) => {
+                    self.service.finish_commit(held, verdict, &mut conn.out)
+                }
+                None => continue,
             }
+            conn.out.push('\n');
+            self.pump(id);
         }
         if self.held.is_empty() {
             self.watch = None;
@@ -810,6 +852,7 @@ impl Reactor {
         let mut dead = false;
         if let Some(conn) = self.conns.get_mut(&id) {
             while conn.unflushed() > 0 {
+                self.service.metrics_raw().reactor_writes.inc();
                 match conn.stream.write(&conn.out.as_bytes()[conn.out_pos..]) {
                     Ok(0) => {
                         dead = true;
@@ -899,6 +942,16 @@ impl Drop for Reactor {
             let _ = ffi::wait(self.epfd, &mut events, 20);
             self.drain_completions();
         }
+        // A commit still held is applied and journaled (the journal
+        // flushes as it closes), but its client hears nothing: say so.
+        let held = |c: &&Conn| matches!(c.held, Some(Hold::Commit(_)));
+        let unanswered = self.conns.values().filter(held).count();
+        if unanswered > 0 {
+            self.service.diag().warn(
+                crate::diag::Subsystem::Net,
+                format_args!("{unanswered} applied commit(s) unacknowledged at shutdown"),
+            );
+        }
         // Surviving connections close with their streams; settle the
         // open-connections gauge for them.
         for _ in 0..self.conns.len() {
@@ -913,22 +966,30 @@ impl Drop for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{data_dir, kv_service_journaled};
+    use crate::tests::{data_dir, kv_service, kv_service_journaled};
 
-    /// Placement, pinned on the classification (no timing): a caught-up
-    /// `replica.sync` that asks to wait is *held* — it neither blocks
-    /// the reactor thread nor takes a pool worker, on which the commit
-    /// that waits for this follower's next cursor may be sitting.
+    /// Placement, pinned on the classification (no timing): a request
+    /// that waits for the journal is *held* — it neither blocks the
+    /// reactor thread nor takes a pool worker. A caught-up `replica.sync`
+    /// that asks to wait, on which the commit that waits for this
+    /// follower's next cursor may depend; and a journaled
+    /// `session.commit`, applied inline, whose group fsync is to come.
     #[test]
     fn a_held_sync_runs_neither_inline_nor_on_the_pool() {
         let dir = data_dir("placement");
         let service = kv_service_journaled(&dir, 64);
-        let placed = |line: &str| place(&service, &scan_line(line), true);
+        let now = Instant::now();
+        let held_on = |service: &CleaningService, line: &str| {
+            let scanned = scan_line(line);
+            assert!(!is_heavy(&scanned), "{line}");
+            hold_for(service, &scanned, &mut RequestScratch::default(), now, now)
+        };
+        let held = |line: &str| held_on(&service, line);
         let sync = r#"{"op":"replica.sync","follower":"f","epoch":0,"offset":0"#;
-        let Placement::Held(held) = placed(&format!("{sync},\"wait_ms\":60000}}")) else {
+        let Some(Hold::Sync(held_sync)) = held(&format!("{sync},\"wait_ms\":60000}}")) else {
             panic!("a caught-up sync that asks to wait is held");
         };
-        assert!(!service.hold_over(&held));
+        assert!(!service.hold_over(&held_sync));
         // Its cursor was the follower's ack, recorded on arrival.
         assert_eq!(service.follower_lags().len(), 1);
         // Without `wait_ms` (pre-v9), with a forced resync, or with
@@ -938,18 +999,49 @@ mod tests {
             format!("{sync},\"wait_ms\":60000,\"resync\":true}}"),
             r#"{"op":"health"}"#.to_string(),
         ] {
-            assert!(matches!(placed(&inline), Placement::Inline), "{inline}");
+            assert!(held(&inline).is_none(), "{inline}");
         }
-        service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":250}"#);
-        assert!(service.hold_over(&held), "a durable event ends the hold");
-        assert!(matches!(
-            placed(&format!("{sync},\"wait_ms\":60000}}")),
-            Placement::Inline
-        ));
-        assert!(matches!(
-            placed(r#"{"op":"session.commit","session":1}"#),
-            Placement::Pool
-        ));
+        // `config.set` blocks on its group fsync, on a pool worker.
+        let set = r#"{"op":"config.set","key":"slow_ms","value":250}"#;
+        assert!(is_heavy(&scan_line(set)));
+        service.handle_line(set);
+        assert!(service.hold_over(&held_sync), "a durable event ends it");
+        assert!(held(&format!("{sync},\"wait_ms\":60000}}")).is_none());
+
+        // A commit is applied on the reactor thread, as it arrives —
+        // and its reply is not written there: it is held.
+        let create = r#"{"op":"session.create","tuple":["k1","WRONG","n"]}"#;
+        assert!(service.handle_line(create).contains("\"session\":1"));
+        let commit = r#"{"id":7,"op":"session.commit","session":1}"#;
+        let Some(Hold::Commit(mut held_commit)) = held(commit) else {
+            panic!("a journaled commit is held");
+        };
+        assert_eq!(service.metrics().sessions_committed, 1, "applied");
+        assert_eq!(service.live_sessions(), 0);
+        assert_eq!(service.metrics().requests, 2, "not answered yet");
+        // Held until the flush it asked for lands, then answered with
+        // the blocking path's bytes, its frame run over the wait.
+        let verdict = loop {
+            match service.commit_verdict(&mut held_commit) {
+                Some(verdict) => break verdict,
+                None => std::thread::yield_now(),
+            }
+        };
+        let mut out = String::new();
+        service.finish_commit(held_commit, verdict, &mut out);
+        assert!(service.handle_line(create).contains("\"session\":2"));
+        let blocked = service.handle_line(r#"{"id":7,"op":"session.commit","session":2}"#);
+        assert_eq!(out.replace("\"session\":1", "\"session\":2"), blocked);
+        // A refused one is held all the same, with nothing to wait for;
+        // in memory mode there is no wait to hold.
+        let Some(Hold::Commit(mut refused)) = held(commit) else {
+            panic!("a journaled commit is held");
+        };
+        assert_eq!(service.commit_verdict(&mut refused), Some(Ok(())));
+        out.clear();
+        service.finish_commit(refused, Ok(()), &mut out);
+        assert!(out.starts_with(r#"{"id":7,"ok":false,"error":"unknown session 1 "#));
+        assert!(held_on(&kv_service(1), commit).is_none());
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }

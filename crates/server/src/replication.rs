@@ -571,8 +571,9 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
 /// and is over ([`CleaningService::hold_over`]) as soon as there is
 /// something to say. A hold is a parked connection, never a busy
 /// thread: the epoll reactor keeps it in its connection table, the
-/// threaded front end on the connection's own thread — a commit waits
-/// for its quorum *on* a pool worker, so a hold there could deadlock.
+/// threaded front end on the connection's own thread — a commit in a
+/// pool batch waits for its quorum *on* a worker, so a hold there could
+/// deadlock.
 pub(crate) struct HeldSync {
     /// The request as its one scan read it — the line itself is not
     /// kept — and the `id` it asked to have echoed.
@@ -718,9 +719,10 @@ impl CleaningService {
         });
     }
 
-    /// Drain or shutdown began: every front end looks at its held syncs
-    /// again (and finds them over).
-    pub(crate) fn wake_held_syncs(&self) {
+    /// Something a hold waits on besides the journal has changed — drain
+    /// or shutdown began, a follower's ack was recorded off the reactor
+    /// thread: every front end looks at what it holds again.
+    pub(crate) fn wake_holds(&self) {
         if let Some(storage) = self.storage() {
             storage.journal().wake_watchers();
         }
@@ -882,70 +884,76 @@ impl CleaningService {
             .map(|storage| (storage.epoch(), storage.position_of(seq)))
     }
 
-    /// Block until ⌈(N+1)/2⌉ cluster members have a durable copy of the
-    /// commit at `(epoch, position)`. Our own fsync already counts, so
-    /// quorum − 1 follower acks are needed; a follower ack is a sync
-    /// cursor at or past the position (or from a later epoch — the
-    /// commit rode inside the snapshot that started it). On timeout the
+    /// Until when a commit's wait for follower acks, begun at `since`,
+    /// lasts: `ack_timeout`, which a client deadline tightens (never
+    /// widens) — the caller has stopped listening past it, so waiting
+    /// longer only burns a dispatch slot.
+    pub(crate) fn quorum_deadline(&self, since: Instant, span: &Span) -> Instant {
+        let timeout = since + self.replication().ack_timeout;
+        span.deadline.map_or(timeout, |client| client.min(timeout))
+    }
+
+    /// Have ⌈(N+1)/2⌉ cluster members a durable copy of the commit at
+    /// `(epoch, position)`, waited for since `since`? Our own fsync
+    /// already counts, so quorum − 1 follower acks are needed; a
+    /// follower ack is a sync cursor at or past the position (or from a
+    /// later epoch — the commit rode inside the snapshot that started
+    /// it). `None`: not yet, and the deadline has not passed. Past it the
     /// commit stays applied and locally durable, but the client gets a
-    /// `quorum_timeout` error instead of an acknowledgement.
-    pub(crate) fn wait_for_quorum(
+    /// `quorum_timeout` (or its own `deadline_exceeded`) error instead
+    /// of an acknowledgement.
+    pub(crate) fn quorum_verdict(
         &self,
-        epoch: u64,
-        position: u64,
+        (epoch, position): (u64, u64),
+        since: Instant,
+        followers: &HashMap<String, FollowerStatus>,
         span: &mut Span,
-    ) -> Result<(), String> {
+    ) -> Option<Result<(), String>> {
         let repl = self.replication();
         let needed = repl.quorum().saturating_sub(1);
-        if needed == 0 {
-            return Ok(());
+        let acked = followers
+            .values()
+            .filter(|f| f.epoch > epoch || (f.epoch == epoch && f.offset >= position))
+            .count();
+        let deadline = self.quorum_deadline(since, span);
+        if acked < needed && Instant::now() < deadline {
+            return None;
         }
-        let started = Instant::now();
-        // A client deadline tightens (never widens) the ack-timeout
-        // bound: the caller has stopped listening past it, so waiting
-        // longer only burns a dispatch slot.
-        let mut deadline = started + repl.ack_timeout;
-        let mut deadline_cut = false;
-        if let Some(client_deadline) = span.deadline {
-            if client_deadline < deadline {
-                deadline = client_deadline;
-                deadline_cut = true;
-            }
-        }
+        let elapsed = since.elapsed();
+        span.quorum_ns += elapsed.as_nanos() as u64;
+        Some(if acked >= needed {
+            self.metrics_raw().ack_latency.observe(elapsed);
+            Ok(())
+        } else if deadline < since + repl.ack_timeout {
+            self.metrics_raw().requests_shed_deadline.inc();
+            Err(format!(
+                "deadline_exceeded: commit is durable locally but the request \
+                 deadline expired with only {acked}/{needed} follower acks"
+            ))
+        } else {
+            self.metrics_raw().quorum_timeouts.inc();
+            Err(format!(
+                "quorum_timeout: commit is durable locally but only {acked}/{needed} \
+                 follower acks arrived within {:?}",
+                repl.ack_timeout
+            ))
+        })
+    }
+
+    /// Block until [`quorum_verdict`](Self::quorum_verdict) has one.
+    pub(crate) fn wait_for_quorum(&self, at: (u64, u64), span: &mut Span) -> Result<(), String> {
+        let repl = self.replication();
+        let since = Instant::now();
         let mut followers = lock_followers(repl);
         loop {
-            let acked = followers
-                .values()
-                .filter(|f| f.epoch > epoch || (f.epoch == epoch && f.offset >= position))
-                .count();
-            if acked >= needed {
-                drop(followers);
-                let elapsed = started.elapsed();
-                self.metrics_raw().ack_latency.observe(elapsed);
-                span.quorum_ns += elapsed.as_nanos() as u64;
-                return Ok(());
+            if let Some(verdict) = self.quorum_verdict(at, since, &followers, span) {
+                return verdict;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(followers);
-                span.quorum_ns += started.elapsed().as_nanos() as u64;
-                if deadline_cut {
-                    self.metrics_raw().requests_shed_deadline.inc();
-                    return Err(format!(
-                        "deadline_exceeded: commit is durable locally but the request \
-                         deadline expired with only {acked}/{needed} follower acks"
-                    ));
-                }
-                self.metrics_raw().quorum_timeouts.inc();
-                return Err(format!(
-                    "quorum_timeout: commit is durable locally but only {acked}/{needed} \
-                     follower acks arrived within {:?}",
-                    repl.ack_timeout
-                ));
-            }
+            let deadline = self.quorum_deadline(since, span);
+            let left = deadline.saturating_duration_since(Instant::now());
             followers = repl
                 .ack_cv
-                .wait_timeout(followers, deadline - now)
+                .wait_timeout(followers, left)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }

@@ -551,7 +551,7 @@ impl CleaningService {
     pub(crate) fn notify_shutdown(&self) {
         // Neither a `replica.sync` held here nor one of ours held by
         // the primary may sit out its hold.
-        self.wake_held_syncs();
+        self.wake_holds();
         self.interrupt_tail();
         let hooks = self
             .inner
@@ -781,13 +781,7 @@ impl CleaningService {
         received: Instant,
         started: Instant,
     ) -> Result<(), String> {
-        let admitted = self.admit(scanned, op, scratch, received, started, reply.span);
-        // In hand or refused, the request is read: parse time ends here.
-        reply.span.parse_ns = started.elapsed().as_nanos() as u64;
-        let request = admitted?;
-        if op.writes {
-            self.check_writable()?;
-        }
+        let request = self.admitted(scanned, op, reply.span, scratch, received, started)?;
         if let Request::SessionValidate { .. } = request {
             // Names resolve against the schema as they are read, into
             // `scratch` — after the gate: a follower redirects whatever
@@ -803,6 +797,27 @@ impl CleaningService {
             })?;
         }
         self.dispatch(request, reply, scratch)
+    }
+
+    /// [`admit`](Self::admit), timed as the span's `parse_ns`, then the
+    /// writable gate: the request in hand, or what it is refused with.
+    pub(crate) fn admitted(
+        &self,
+        scanned: &ScannedLine<'_>,
+        op: &'static Op,
+        span: &mut Span,
+        scratch: &mut RequestScratch,
+        received: Instant,
+        started: Instant,
+    ) -> Result<Request, String> {
+        let admitted = self.admit(scanned, op, scratch, received, started, span);
+        // In hand or refused, the request is read: parse time ends here.
+        span.parse_ns = started.elapsed().as_nanos() as u64;
+        let request = admitted?;
+        if op.writes {
+            self.check_writable()?;
+        }
+        Ok(request)
     }
 
     /// The refusals, cheapest first, then the op's fields. Everything

@@ -1,0 +1,576 @@
+//! What the epoll front end may spend on a request — counted, never
+//! timed — and what a waiting commit may occupy.
+//!
+//! * **Syscall budget.** The reactor counts its own `epoll_wait`,
+//!   `read`, `write` and eventfd wake-ups (`cerfix_reactor_*_total`).
+//!   A closed-loop inline request costs exactly one of each of the
+//!   first three and no wake-up; a journaled `session.commit` one read,
+//!   one write, **no worker-pool job** and the flusher's one wake-up; a
+//!   64-request pipelined window two reads and two writes at most.
+//! * **Group commit is not bounded by `--workers`.** A journaled commit
+//!   is applied on the reactor and *parked* until its group fsync: with
+//!   one worker and the first fsync gated shut, four connections'
+//!   commits are all applied, a `clean` on a fifth is answered, and
+//!   opening the gate acknowledges all four with at most two flushes.
+//!   The failure arms hold the parked commit to the blocking path's
+//!   contract: the same `storage_error` bytes when the fsync fails, no
+//!   lost commit and no leaked slot when the peer hangs up, an answer
+//!   when the flush lands during a drain, and a closed connection —
+//!   never a false `ok` — at the drain deadline.
+//!
+//! CI runs this file pinned to one core as well (`taskset -c 0`): the
+//! window between a hold's look at the journal and its watch only
+//! opens when the reactor and the flusher share a core.
+
+#![cfg(target_os = "linux")]
+
+use cerfix::MasterData;
+use cerfix_relation::{RelationBuilder, Schema};
+use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
+use cerfix_server::protocol::Request;
+use cerfix_server::wire::Json;
+use cerfix_server::{
+    CleaningService, Frontend, MetricsSnapshot, Server, ServerHandle, ServiceConfig,
+};
+use cerfix_storage::{FaultFs, FaultPlan, RealFs, StorageConfig, StorageFile, StorageFs};
+use std::io::{BufRead, BufReader, SeekFrom, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+// ---------------------------------------------------------------------
+// Fixture
+// ---------------------------------------------------------------------
+
+fn kv_setup() -> (Arc<MasterData>, Arc<RuleSet>) {
+    let input = Schema::of_strings("in", ["key", "val", "note"]).unwrap();
+    let ms = Schema::of_strings("m", ["key", "val"]).unwrap();
+    let mut builder = RelationBuilder::new(ms.clone());
+    for i in 0..20 {
+        builder = builder.row_strs([format!("k{i}"), format!("v{i}")]);
+    }
+    let master = MasterData::new(builder.build().unwrap());
+    let mut rules = RuleSet::new(input.clone(), ms.clone());
+    let (lhs, rhs) = (vec![(0, 0)], vec![(1, 1)]);
+    let rule = EditingRule::new("kv", &input, &ms, lhs, rhs, PatternTuple::empty()).unwrap();
+    rules.add(rule).unwrap();
+    (Arc::new(master), Arc::new(rules))
+}
+
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cerfix-budget-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A journaled kv service whose journal moves only when a commit asks
+/// it to (hour-long flush and snapshot intervals), over `fs`.
+fn journaled(dir: &Path, workers: usize, fs: Arc<dyn StorageFs>) -> CleaningService {
+    let (master, rules) = kv_setup();
+    let mut storage = StorageConfig::new(dir);
+    storage.flush_interval = Duration::from_secs(3600);
+    storage.snapshot_interval = Duration::from_secs(3600);
+    storage.snapshot_every_events = u64::MAX;
+    storage.fs = fs;
+    let config = ServiceConfig {
+        workers,
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
+    CleaningService::with_storage(master, rules, config, storage).expect("open storage")
+}
+
+/// One raw connection, one line at a time.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Conn {
+    fn open(addr: SocketAddr) -> Conn {
+        let writer = TcpStream::connect(addr).expect("connect");
+        writer.set_nodelay(true).unwrap();
+        // A reply that never comes fails the test instead of hanging it.
+        writer
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        Conn {
+            reader: BufReader::new(writer.try_clone().unwrap()),
+            writer,
+        }
+    }
+
+    fn send(&mut self, line: &str) {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+    }
+
+    /// The next reply line; empty when the server closed the connection.
+    fn recv(&mut self) -> String {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("a reply in time");
+        line
+    }
+
+    fn request(&mut self, line: &str) -> String {
+        self.send(line);
+        self.recv()
+    }
+
+    /// Create a session on this connection; its id.
+    fn create(&mut self, key: &str) -> u64 {
+        let reply = self.request(&format!(
+            "{{\"op\":\"session.create\",\"tuple\":[\"{key}\",\"WRONG\",\"n\"]}}"
+        ));
+        let reply = Json::parse(reply.trim()).expect("a JSON reply");
+        reply.get("session").and_then(Json::as_u64).expect("id")
+    }
+}
+
+fn commit_line(session: u64) -> String {
+    format!("{{\"op\":\"session.commit\",\"session\":{session},\"id\":{session}}}")
+}
+
+fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+// ---------------------------------------------------------------------
+// 1. The syscall budget
+// ---------------------------------------------------------------------
+
+/// The reactor's counters once they stand still: a reply reaches the
+/// client before the loop has counted the `epoll_wait` it goes back to.
+fn settled(service: &CleaningService) -> MetricsSnapshot {
+    let look = |m: &MetricsSnapshot| {
+        (
+            m.reactor_polls,
+            m.reactor_reads,
+            m.reactor_writes,
+            m.reactor_wakeups,
+        )
+    };
+    let mut last = service.metrics();
+    loop {
+        std::thread::sleep(Duration::from_millis(2));
+        let now = service.metrics();
+        if look(&now) == look(&last) {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// Batch jobs the worker pool has run for the reactor
+/// (`cerfix_worker_batch_duration_seconds_count`).
+fn pool_jobs(service: &CleaningService) -> u64 {
+    let reply = service.handle(&Request::MetricsProm);
+    let body = reply.get("body").and_then(Json::as_str).expect("body");
+    let sample = body
+        .lines()
+        .find_map(|l| l.strip_prefix("cerfix_worker_batch_duration_seconds_count "))
+        .expect("the batch histogram renders");
+    sample.trim().parse().expect("a count")
+}
+
+#[test]
+fn a_closed_loop_request_costs_one_poll_one_read_one_write() {
+    const N: u64 = 200;
+    let dir = tmp_dir("syscalls");
+    let service = journaled(&dir, 2, Arc::new(RealFs));
+    let server = Server::spawn_with("127.0.0.1:0", service.clone(), Frontend::Epoll).unwrap();
+    let mut conn = Conn::open(server.addr());
+    let sessions: Vec<u64> = (0..N)
+        .map(|i| conn.create(&format!("k{}", i % 20)))
+        .collect();
+    let first = sessions[0];
+
+    // Inline ops, closed loop: one wake of the loop, one read that takes
+    // the request (not a second that takes `EAGAIN`), one write that
+    // takes the reply, and nobody else's help.
+    let before = settled(&service);
+    for i in 0..N {
+        let reply = conn.request(&match i % 2 {
+            0 => format!("{{\"op\":\"session.get\",\"session\":{first}}}"),
+            _ => format!(
+                "{{\"op\":\"session.validate\",\"session\":{first},\"validations\":{{\"key\":\"k0\"}}}}"
+            ),
+        });
+        assert!(reply.starts_with("{\"ok\":true,"), "{reply}");
+    }
+    let after = settled(&service);
+    assert_eq!(after.reactor_polls - before.reactor_polls, N, "polls");
+    assert_eq!(after.reactor_reads - before.reactor_reads, N, "reads");
+    assert_eq!(after.reactor_writes - before.reactor_writes, N, "writes");
+    assert_eq!(after.reactor_wakeups, before.reactor_wakeups, "wakeups");
+
+    // Journaled commits, closed loop: the request is read once and the
+    // reply written once; the wait in between takes no pool job — the
+    // connection is parked and the flusher's wake-up releases it.
+    let (before, jobs) = (after, pool_jobs(&service));
+    for &session in &sessions {
+        let reply = conn.request(&commit_line(session));
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{session},\"ok\":true,")),
+            "{reply}"
+        );
+    }
+    let after = settled(&service);
+    assert_eq!(after.sessions_committed, N);
+    assert_eq!(after.reactor_reads - before.reactor_reads, N, "reads");
+    assert_eq!(after.reactor_writes - before.reactor_writes, N, "writes");
+    assert_eq!(pool_jobs(&service), jobs, "a held commit takes no worker");
+    let wakeups = after.reactor_wakeups - before.reactor_wakeups;
+    assert!((1..=2 * N).contains(&wakeups), "{wakeups} wake-ups");
+    assert!(after.reactor_polls - before.reactor_polls <= 3 * N, "polls");
+
+    // A pipelined window is read and answered as a window.
+    let before = after;
+    let mut window = String::new();
+    for i in 0..64 {
+        window.push_str(&format!("{{\"op\":\"hello\",\"id\":{i}}}\n"));
+    }
+    conn.writer.write_all(window.as_bytes()).unwrap();
+    for i in 0..64 {
+        let reply = conn.recv();
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{i},\"ok\":true,")),
+            "{reply}"
+        );
+    }
+    let after = settled(&service);
+    assert!(after.reactor_reads - before.reactor_reads <= 2, "reads");
+    assert!(after.reactor_writes - before.reactor_writes <= 2, "writes");
+
+    server.shutdown().unwrap();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// 2. A waiting commit occupies its connection only
+// ---------------------------------------------------------------------
+
+/// The gate a [`GatedFs`] journal `sync_data` waits at while it is shut.
+#[derive(Debug, Default)]
+struct Gate {
+    shut: Mutex<bool>,
+    opened: Condvar,
+    /// Journal syncs that have reached the gate (and maybe passed it).
+    arrived: AtomicU64,
+}
+
+impl Gate {
+    fn shut(&self) {
+        *self.shut.lock().unwrap() = true;
+    }
+
+    fn open(&self) {
+        *self.shut.lock().unwrap() = false;
+        self.opened.notify_all();
+    }
+
+    fn arrived(&self) -> u64 {
+        self.arrived.load(Ordering::SeqCst)
+    }
+}
+
+/// `inner`, with the journal's `sync_data` made to wait at a gate: a
+/// disk whose fsync takes exactly as long as the test says.
+#[derive(Debug)]
+struct GatedFs {
+    inner: Arc<dyn StorageFs>,
+    gate: Arc<Gate>,
+}
+
+impl GatedFs {
+    fn wrap(&self, path: &Path, file: Box<dyn StorageFile>) -> Box<dyn StorageFile> {
+        if path.extension().is_some_and(|ext| ext == "wal") {
+            let gate = Arc::clone(&self.gate);
+            Box::new(GatedFile { file, gate })
+        } else {
+            file
+        }
+    }
+}
+
+impl StorageFs for GatedFs {
+    fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+        Ok(self.wrap(path, self.inner.open_rw(path)?))
+    }
+    fn create_truncated(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+        Ok(self.wrap(path, self.inner.create_truncated(path)?))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+    fn free_bytes(&self, dir: &Path) -> Option<u64> {
+        self.inner.free_bytes(dir)
+    }
+}
+
+#[derive(Debug)]
+struct GatedFile {
+    file: Box<dyn StorageFile>,
+    gate: Arc<Gate>,
+}
+
+impl StorageFile for GatedFile {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.file.write_all(buf)
+    }
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        self.gate.arrived.fetch_add(1, Ordering::SeqCst);
+        let mut shut = self.gate.shut.lock().unwrap();
+        while *shut {
+            shut = self.gate.opened.wait(shut).unwrap();
+        }
+        drop(shut);
+        self.file.sync_data()
+    }
+    fn sync_all(&mut self) -> std::io::Result<()> {
+        self.file.sync_all()
+    }
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.file.set_len(len)
+    }
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.file.seek(pos)
+    }
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.file.read(buf)
+    }
+    fn file_len(&self) -> std::io::Result<u64> {
+        self.file.file_len()
+    }
+}
+
+/// A rig's end of its gate. Opens it when dropped — first, being the
+/// rig's first field — so a failed assertion unwinds past a flusher
+/// stuck in the disk instead of hanging on it.
+struct OpenOnDrop(Arc<Gate>);
+
+impl std::ops::Deref for OpenOnDrop {
+    type Target = Gate;
+    fn deref(&self) -> &Gate {
+        &self.0
+    }
+}
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// A one-worker journaled server behind a gated disk.
+struct GatedRig {
+    gate: OpenOnDrop,
+    service: CleaningService,
+    server: ServerHandle,
+    dir: PathBuf,
+}
+
+fn gated_rig(name: &str, frontend: Frontend, inner: Arc<dyn StorageFs>) -> GatedRig {
+    let dir = tmp_dir(&format!("{name}-{}", frontend.name()));
+    let gate = Arc::new(Gate::default());
+    let fs = Arc::new(GatedFs {
+        inner,
+        gate: Arc::clone(&gate),
+    });
+    let service = journaled(&dir, 1, fs);
+    let server = Server::spawn_with("127.0.0.1:0", service.clone(), frontend).unwrap();
+    GatedRig {
+        gate: OpenOnDrop(gate),
+        service,
+        server,
+        dir,
+    }
+}
+
+impl GatedRig {
+    /// Shut the gate and send `conn`'s commit into it: returns once the
+    /// flusher is inside the gated fsync that covers it.
+    fn commit_into_gate(&self, conn: &mut Conn, session: u64) {
+        let (arrived, committed) = (self.gate.arrived(), self.committed());
+        self.gate.shut();
+        conn.send(&commit_line(session));
+        wait_for("the commit's flush to reach the disk", || {
+            self.gate.arrived() > arrived && self.committed() > committed
+        });
+    }
+
+    fn committed(&self) -> u64 {
+        self.service.metrics().sessions_committed
+    }
+
+    fn stop(self) {
+        self.gate.open();
+        self.server.shutdown().unwrap();
+        drop(self.service);
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+#[test]
+fn group_commit_is_not_bounded_by_workers() {
+    let rig = gated_rig("group", Frontend::Epoll, Arc::new(RealFs));
+    let addr = rig.server.addr();
+    let mut conns: Vec<(Conn, u64)> = (0..4)
+        .map(|i| {
+            let mut conn = Conn::open(addr);
+            let session = conn.create(&format!("k{i}"));
+            (conn, session)
+        })
+        .collect();
+
+    // The first commit's fsync is stuck in the disk. The one worker is
+    // not stuck with it: the other three commits are applied…
+    let syncs = rig.gate.arrived();
+    let (first, session) = &mut conns[0];
+    rig.commit_into_gate(first, *session);
+    for (conn, session) in &mut conns[1..] {
+        conn.send(&commit_line(*session));
+    }
+    wait_for("all four commits to be applied", || rig.committed() == 4);
+    assert_eq!(rig.service.live_sessions(), 0);
+    // …and a batch `clean`, which does need the worker, is answered.
+    let mut fifth = Conn::open(addr);
+    let cleaned =
+        fifth.request(r#"{"op":"clean","tuples":[["k1","x","n"]],"trust":["key","note"]}"#);
+    assert!(cleaned.contains("\"cells_fixed\":1"), "{cleaned}");
+    assert_eq!(rig.gate.arrived(), syncs + 1, "still the first fsync");
+
+    // The disk answers: every commit is acknowledged, and the three that
+    // arrived during the first fsync shared the second.
+    rig.gate.open();
+    for (conn, session) in &mut conns {
+        let reply = conn.recv();
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{session},\"ok\":true,")),
+            "{reply}"
+        );
+    }
+    let flushes = rig.gate.arrived() - syncs;
+    assert!(flushes <= 2, "{flushes} flushes for four commits");
+    rig.stop();
+}
+
+/// An fsync failure reaches a parked commit as it reaches a blocked
+/// one: the same line, byte for byte.
+#[test]
+fn a_held_commit_fails_with_the_blocking_paths_bytes() {
+    let replies: Vec<String> = [Frontend::Epoll, Frontend::Threads]
+        .into_iter()
+        .map(|frontend| {
+            let fault = FaultFs::new(FaultPlan::default());
+            let rig = gated_rig("poison", frontend, Arc::new(fault.clone()));
+            let mut conn = Conn::open(rig.server.addr());
+            let session = conn.create("k1");
+            fault.update_plan(|plan| plan.fail_fsync_at = Some(fault.fsyncs() + 1));
+            rig.commit_into_gate(&mut conn, session);
+            rig.gate.open();
+            let reply = conn.recv();
+            assert!(rig.service.is_poisoned_journal());
+            assert_eq!(rig.committed(), 1, "applied, though not durable");
+            rig.stop();
+            reply
+        })
+        .collect();
+    assert!(
+        replies[0].starts_with(
+            "{\"id\":1,\"ok\":false,\"error\":\"storage_error: applied but not durable \
+             (journal poisoned: fdatasync failed ("
+        ),
+        "{}",
+        replies[0]
+    );
+    assert_eq!(replies[0], replies[1], "epoll vs threads");
+}
+
+/// The peer hangs up on a parked commit: the commit stays applied and
+/// journaled, and the connection's slot comes back.
+#[test]
+fn a_peer_that_hangs_up_on_a_held_commit_loses_only_the_reply() {
+    let rig = gated_rig("hangup", Frontend::Epoll, Arc::new(RealFs));
+    let open = rig.service.metrics().connections_open;
+    let mut conn = Conn::open(rig.server.addr());
+    let session = conn.create("k1");
+    rig.commit_into_gate(&mut conn, session);
+    drop(conn);
+    rig.gate.open();
+    wait_for("the closed connection's slot", || {
+        rig.service.metrics().connections_open == open
+    });
+    let metrics = rig.service.metrics();
+    assert_eq!(metrics.sessions_committed, 1);
+    assert_eq!(metrics.journal_events, 2, "create + commit");
+    let gone = rig
+        .service
+        .handle_line(&format!("{{\"op\":\"session.get\",\"session\":{session}}}"));
+    assert!(gone.contains("unknown session"), "{gone}");
+    // The next connection's commit parks and is released like the first.
+    let mut next = Conn::open(rig.server.addr());
+    let session = next.create("k2");
+    let reply = next.request(&commit_line(session));
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    rig.stop();
+}
+
+/// A drain or shutdown with a commit parked: answered if its flush
+/// lands while the front end winds down; otherwise the connection is
+/// closed at the drain deadline without a reply — an unacknowledged
+/// commit, still applied and journaled, never a false `ok`.
+#[test]
+fn a_held_commit_is_released_by_the_flush_or_the_drain_deadline() {
+    // Drain: the flush lands, the commit is acknowledged, the server
+    // then winds down by itself.
+    let rig = gated_rig("drain", Frontend::Epoll, Arc::new(RealFs));
+    let mut conn = Conn::open(rig.server.addr());
+    let session = conn.create("k1");
+    rig.commit_into_gate(&mut conn, session);
+    rig.service.handle(&Request::Drain { wait_ms: Some(50) });
+    rig.gate.open();
+    let reply = conn.recv();
+    assert!(reply.starts_with("{\"id\":1,\"ok\":true,"), "{reply}");
+    rig.stop();
+
+    // Shutdown with the disk still stuck: the reactor gives the flush
+    // its drain deadline, then closes the connection.
+    let rig = gated_rig("deadline", Frontend::Epoll, Arc::new(RealFs));
+    let mut conn = Conn::open(rig.server.addr());
+    let session = conn.create("k1");
+    rig.commit_into_gate(&mut conn, session);
+    let GatedRig {
+        gate,
+        service,
+        server,
+        dir,
+    } = rig;
+    let stopping = std::thread::spawn(move || server.shutdown());
+    assert_eq!(conn.recv(), "", "closed, not answered");
+    let metrics = service.metrics();
+    assert_eq!(metrics.sessions_committed, 1);
+    assert_eq!(metrics.journal_events, 2, "create + commit");
+    gate.open();
+    stopping.join().unwrap().unwrap();
+    drop(service);
+    let reopened = journaled(&dir, 1, Arc::new(RealFs));
+    assert_eq!(
+        reopened.live_sessions(),
+        0,
+        "the commit outlived the server"
+    );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}

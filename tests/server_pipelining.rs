@@ -9,12 +9,17 @@
 //! mid-request disconnect, oversized-line rejection, and a proptest
 //! that re-chunking one request stream at arbitrary byte boundaries
 //! never changes a single response byte — with the epoll and threaded
-//! front ends agreeing exactly.
+//! front ends agreeing exactly, also on a journaled service where the
+//! epoll front end parks each commit (and the lines behind it) until
+//! its group fsync.
 
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
+use cerfix_server::protocol::Request;
+use cerfix_server::wire::Json;
 use cerfix_server::{CleaningService, Client, Frontend, Server, ServerHandle, ServiceConfig};
+use cerfix_storage::StorageConfig;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -26,6 +31,35 @@ const FRONTENDS: [Frontend; 2] = [Frontend::Epoll, Frontend::Threads];
 /// key → val lookup service over `n` master rows (cheap per-op work, so
 /// transport behavior dominates).
 fn kv_service(n: usize, workers: usize) -> CleaningService {
+    let (master, rules) = kv_setup(n);
+    let config = ServiceConfig {
+        workers,
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
+    CleaningService::new(master, rules, config)
+}
+
+/// The same service, journaled under a fresh directory (returned for
+/// the caller to remove).
+fn kv_service_journaled(n: usize, workers: usize) -> (CleaningService, std::path::PathBuf) {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let unique = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("cerfix-pipelining-{}-{unique}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (master, rules) = kv_setup(n);
+    let config = ServiceConfig {
+        workers,
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
+    let service = CleaningService::with_storage(master, rules, config, StorageConfig::new(&dir))
+        .expect("open storage");
+    (service, dir)
+}
+
+fn kv_setup(n: usize) -> (Arc<MasterData>, Arc<RuleSet>) {
     let input = Schema::of_strings("in", ["key", "val", "note"]).unwrap();
     let ms = Schema::of_strings("m", ["key", "val"]).unwrap();
     let mut builder = RelationBuilder::new(ms.clone());
@@ -47,15 +81,7 @@ fn kv_service(n: usize, workers: usize) -> CleaningService {
             .unwrap(),
         )
         .unwrap();
-    CleaningService::new(
-        Arc::new(master),
-        Arc::new(rules),
-        ServiceConfig {
-            workers,
-            precompute_regions: false,
-            ..ServiceConfig::default()
-        },
-    )
+    (Arc::new(master), Arc::new(rules))
 }
 
 fn spawn(frontend: Frontend) -> (ServerHandle, CleaningService) {
@@ -345,7 +371,18 @@ fn expected_responses(lines: &[String]) -> usize {
 /// Drive `stream_bytes` through a fresh server on `frontend`, chunked
 /// at the given boundaries, and return all response lines.
 fn run_chunked(frontend: Frontend, stream_bytes: &[u8], chunks: &[usize], n: usize) -> Vec<String> {
-    let (handle, _service) = spawn(frontend);
+    run_chunked_on(kv_service(20, 2), frontend, stream_bytes, chunks, n)
+}
+
+/// [`run_chunked`] over a server for `service`.
+fn run_chunked_on(
+    service: CleaningService,
+    frontend: Frontend,
+    stream_bytes: &[u8],
+    chunks: &[usize],
+    n: usize,
+) -> Vec<String> {
+    let handle = Server::spawn_with("127.0.0.1:0", service, frontend).expect("bind ephemeral");
     let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
     stream.set_nodelay(true).unwrap();
     let mut pos = 0usize;
@@ -379,8 +416,82 @@ fn run_chunked(frontend: Frontend, stream_bytes: &[u8], chunks: &[usize], n: usi
     responses
 }
 
+/// Two sessions entered side by side, with lines queued behind each
+/// commit on the same connection: `commit; get other; validate other;
+/// commit`. On a journaled service the epoll front end parks at every
+/// commit; what waited behind it is served when it is released.
+const JOURNALED_SCRIPT: &[&str] = &[
+    r#"{"op":"session.create","tuple":["k1","WRONG","n"],"id":1}"#,
+    r#"{"op":"session.create","tuple":["k2","WRONG","n"],"id":2}"#,
+    r#"{"op":"session.validate","session":1,"validations":{"key":"k1"},"id":3}"#,
+    r#"{"op":"session.commit","session":1,"id":4}"#,
+    r#"{"op":"session.get","session":2,"id":5}"#,
+    r#"{"op":"session.validate","session":2,"validations":{"key":"k2"},"id":6}"#,
+    r#"{"op":"session.commit","session":2,"id":7}"#,
+    r#"{"op":"session.commit","session":2,"id":8}"#,
+    r#"{"op":"session.get","session":1,"id":9}"#,
+    r#"{"op":"session.create","tuple":["k3","WRONG","n"],"id":10}"#,
+    r#"{"op":"session.commit","session":3}"#,
+];
+
+/// Every `session.commit` span `service` has recorded: its stages sum
+/// to its total, wait included, and (`held`) the wait was a real one.
+fn assert_commit_spans_add_up(service: &CleaningService, held: bool) {
+    let trace = service.handle(&Request::TraceRead { limit: Some(64) });
+    let spans = trace.get("spans").and_then(Json::as_arr).expect("spans");
+    let commits: Vec<&Json> = spans
+        .iter()
+        .filter(|s| s.get("op").and_then(Json::as_str) == Some("session.commit"))
+        .collect();
+    assert_eq!(commits.len(), 4, "three commits and one refused");
+    for span in commits {
+        let ns = |key: &str| span.get(key).and_then(Json::as_u64).expect(key);
+        let stages = ["parse_ns", "dispatch_ns", "engine_ns", "fsync_ns"]
+            .into_iter()
+            .chain(["quorum_ns", "serialize_ns"])
+            .map(ns)
+            .sum::<u64>();
+        assert_eq!(stages, ns("total_ns"), "stages sum to the total: {span:?}");
+        let refused = span.get("trace").and_then(Json::as_str) == Some("8");
+        assert!(!held || refused || ns("fsync_ns") > 0, "{span:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Journaled, with lines behind each commit: replies come in request
+    /// order and are the same bytes from the epoll front end (which
+    /// parks the commits), the threaded one (which blocks on them) and
+    /// in-process `handle_line`, however the stream was chunked.
+    #[test]
+    fn journaled_commits_answer_in_order_with_the_same_bytes(
+        chunk_a in 1usize..64,
+        chunk_b in 1usize..512,
+    ) {
+        let bytes = JOURNALED_SCRIPT.join("\n").into_bytes();
+        let bytes = [bytes, b"\n".to_vec()].concat();
+        let n = JOURNALED_SCRIPT.len();
+        let (in_process, dir) = kv_service_journaled(20, 2);
+        let expected: Vec<String> = JOURNALED_SCRIPT
+            .iter()
+            .map(|line| in_process.handle_line(line) + "\n")
+            .collect();
+        drop(in_process);
+        let _ = std::fs::remove_dir_all(&dir);
+        for (frontend, chunks) in [
+            (Frontend::Epoll, vec![chunk_a, chunk_b]),
+            (Frontend::Epoll, vec![bytes.len()]),
+            (Frontend::Threads, vec![chunk_b, chunk_a]),
+        ] {
+            let (service, dir) = kv_service_journaled(20, 2);
+            let replies = run_chunked_on(service.clone(), frontend, &bytes, &chunks, n);
+            prop_assert_eq!(&replies, &expected, "{:?} {:?}", frontend, chunks);
+            assert_commit_spans_add_up(&service, frontend == Frontend::Epoll);
+            drop(service);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 
     /// Chunking a pipelined request stream at arbitrary byte boundaries
     /// never changes a response byte, and the epoll and threaded front
