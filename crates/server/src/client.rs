@@ -10,6 +10,7 @@
 
 use crate::protocol::Request;
 use crate::service::CleaningService;
+use crate::wire::scan::ObjectScanner;
 use crate::wire::{Json, WireError};
 use cerfix_relation::Value;
 use std::io::{BufRead, BufReader, Write};
@@ -223,8 +224,9 @@ impl From<WireError> for ClientError {
 /// for pipelining (the server guarantees responses in request order per
 /// connection).
 pub trait Transport {
-    /// Send `line` (no trailing newline) and return the response line.
-    fn round_trip(&mut self, line: &str) -> Result<String, ClientError>;
+    /// Send `line` (no trailing newline) and read the response line
+    /// into `response` (cleared first).
+    fn round_trip(&mut self, line: &str, response: &mut String) -> Result<(), ClientError>;
 
     /// Queue `line` without waiting for its response.
     fn send(&mut self, line: &str) -> Result<(), ClientError>;
@@ -257,6 +259,10 @@ pub trait Transport {
 pub struct TcpTransport {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The request line and its newline, framed here so that one
+    /// request is one `write`: on a `TCP_NODELAY` socket two writes are
+    /// two segments, and the server may wake twice for one line.
+    frame: Vec<u8>,
     /// Redial target (what `connect` was given).
     addr: String,
     policy: RetryPolicy,
@@ -296,20 +302,18 @@ impl TcpTransport {
 
     fn send_raw(&mut self, line: &str) -> Result<(), ClientError> {
         self.ensure_connected()?;
-        let result = (|| {
-            self.writer.write_all(line.as_bytes())?;
-            self.writer.write_all(b"\n")?;
-            self.writer.flush()
-        })();
-        result.map_err(|e| {
+        self.frame.clear();
+        self.frame.extend_from_slice(line.as_bytes());
+        self.frame.push(b'\n');
+        self.writer.write_all(&self.frame).map_err(|e| {
             self.broken = true;
             ClientError::Io(e)
         })
     }
 
-    fn recv_raw(&mut self) -> Result<String, ClientError> {
-        let mut response = String::new();
-        match self.reader.read_line(&mut response) {
+    fn recv_raw(&mut self, response: &mut String) -> Result<(), ClientError> {
+        response.clear();
+        match self.reader.read_line(response) {
             Ok(0) => {
                 self.broken = true;
                 Err(ClientError::Io(std::io::Error::new(
@@ -317,7 +321,7 @@ impl TcpTransport {
                     "server closed the connection",
                 )))
             }
-            Ok(_) => Ok(response),
+            Ok(_) => Ok(()),
             Err(e) => {
                 self.broken = true;
                 Err(ClientError::Io(e))
@@ -327,11 +331,11 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn round_trip(&mut self, line: &str) -> Result<String, ClientError> {
+    fn round_trip(&mut self, line: &str, response: &mut String) -> Result<(), ClientError> {
         let mut attempt = 0u32;
         loop {
-            match self.send_raw(line).and_then(|()| self.recv_raw()) {
-                Ok(response) => return Ok(response),
+            match self.send_raw(line).and_then(|()| self.recv_raw(response)) {
+                Ok(()) => return Ok(()),
                 // Only transport failures retry — a server-side error
                 // response is an answer, not a delivery failure.
                 Err(ClientError::Io(e)) if attempt < self.policy.retries => {
@@ -349,7 +353,9 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&mut self) -> Result<String, ClientError> {
-        self.recv_raw()
+        let mut response = String::new();
+        self.recv_raw(&mut response)?;
+        Ok(response)
     }
 
     fn repoint(&mut self, addr: &str) -> bool {
@@ -375,8 +381,9 @@ pub struct LocalTransport {
 }
 
 impl Transport for LocalTransport {
-    fn round_trip(&mut self, line: &str) -> Result<String, ClientError> {
-        Ok(self.service.handle_line(line))
+    fn round_trip(&mut self, line: &str, response: &mut String) -> Result<(), ClientError> {
+        *response = self.service.handle_line(line);
+        Ok(())
     }
 
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
@@ -425,6 +432,7 @@ impl Client<TcpTransport> {
             transport: TcpTransport {
                 reader,
                 writer,
+                frame: Vec::new(),
                 addr,
                 policy,
                 broken: false,
@@ -465,6 +473,25 @@ impl Client<LocalTransport> {
             },
         }
     }
+}
+
+/// Did the server answer `"ok":true`? Its `error` otherwise. Scanned,
+/// not parsed, and no further than the verdict: whoever reads the rest
+/// of an `ok` line finds out whether it is well-formed.
+fn check_ok(response_line: &str) -> Result<(), ClientError> {
+    let malformed = || ClientError::Server("malformed server response".to_string());
+    let mut fields = ObjectScanner::new(response_line).ok_or_else(malformed)?;
+    let (mut key_buf, mut buf) = (String::new(), String::new());
+    let mut error = None;
+    while let Some((key, value, _)) = fields.next_field() {
+        match key.unescape_into(&mut key_buf) {
+            "ok" if value.as_bool() == Some(true) => return Ok(()),
+            "error" => error = value.as_str(&mut buf).map(str::to_string),
+            _ => {}
+        }
+    }
+    fields.finish()?;
+    Err(error.map_or_else(malformed, ClientError::Server))
 }
 
 fn get_u64(json: &Json, key: &str) -> Result<u64, ClientError> {
@@ -638,7 +665,17 @@ pub struct CleanOutcomeView {
 }
 
 impl<T: Transport> Client<T> {
-    /// Send a typed request, returning the raw (ok) response object.
+    /// Send a typed request, returning the raw (ok) response object
+    /// (see [`request_line`](Self::request_line)).
+    pub fn request(&mut self, request: &Request) -> Result<Json, ClientError> {
+        let mut response = String::new();
+        self.request_line(&request.to_json().render(), &mut response)?;
+        Ok(Json::parse(response.trim())?)
+    }
+
+    /// Send an already rendered request line and leave the `ok` response
+    /// line in `response` — the one request loop: [`request`](Self::request)
+    /// parses what it leaves, the replication tail scans it in place.
     ///
     /// Self-healing: a `not_primary` redirect re-points the transport
     /// at the advertised primary and re-sends; a retryable
@@ -647,12 +684,11 @@ impl<T: Transport> Client<T> {
     /// fleet of clients facing a persistent overload self-limits
     /// instead of amplifying it. Transports without a budget (the
     /// in-process one) surface the errors unchanged.
-    pub fn request(&mut self, request: &Request) -> Result<Json, ClientError> {
-        let line = request.to_json().render();
+    pub fn request_line(&mut self, line: &str, response: &mut String) -> Result<(), ClientError> {
         let mut attempt = 0u32;
         loop {
-            let response_line = self.transport.round_trip(&line)?;
-            let error = match Self::check_ok(&response_line) {
+            self.transport.round_trip(line, response)?;
+            let error = match check_ok(response) {
                 Err(ClientError::Server(message)) if attempt < MAX_REDIRECTS => message,
                 other => return other,
             };
@@ -671,20 +707,6 @@ impl<T: Transport> Client<T> {
                 return Err(ClientError::Server(error));
             }
             attempt += 1;
-        }
-    }
-
-    fn check_ok(response_line: &str) -> Result<Json, ClientError> {
-        let response = Json::parse(response_line.trim())?;
-        match response.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(response),
-            _ => Err(ClientError::Server(
-                response
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("malformed server response")
-                    .to_string(),
-            )),
         }
     }
 
@@ -712,7 +734,11 @@ impl<T: Transport> Client<T> {
         }
         let mut responses = Vec::with_capacity(sent);
         for _ in 0..sent {
-            match self.transport.recv().and_then(|line| Self::check_ok(&line)) {
+            let received = self.transport.recv().and_then(|line| {
+                check_ok(&line)?;
+                Ok(Json::parse(line.trim())?)
+            });
+            match received {
                 Ok(response) => responses.push(response),
                 Err(e) if first_error.is_none() => first_error = Some(e),
                 Err(_) => {}

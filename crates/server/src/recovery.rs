@@ -4,7 +4,7 @@
 //! events, installing its snapshot), and the snapshot writer.
 
 use crate::engine::{compile_engine, render_ruleset_dsl};
-use crate::replication::Role;
+use crate::replication::{ReceivedFrames, ReplicaApplyError, Role};
 use crate::service::CleaningService;
 use crate::session_ops::{session_to_snapshot, snapshot_to_session};
 use cerfix::{DataMonitor, MonitorSession};
@@ -113,7 +113,7 @@ impl CleaningService {
                 .sessions
                 .advance_next_id(snapshot.next_session_id);
         }
-        self.replay_events(&recovered.events, false)?;
+        self.replay_events(recovered.events, false)?;
         let live = self.inner.sessions.len() as u64;
         self.inner.metrics.sessions_recovered.add(live);
         Ok(())
@@ -125,23 +125,20 @@ impl CleaningService {
     /// delta re-certification pass: a burst of N appends costs one
     /// recompile instead of N (the merged batch lands on the same
     /// master state the per-event replay would, in the same order).
-    fn replay_events(&self, events: &[JournalEvent], live: bool) -> Result<(), String> {
+    fn replay_events(&self, events: Vec<JournalEvent>, live: bool) -> Result<(), String> {
         let schema = self.inner.input_schema.clone();
-        let mut i = 0;
-        while i < events.len() {
-            if let JournalEvent::MasterAppended { rows } = &events[i] {
-                let mut batch = rows.clone();
-                let mut j = i + 1;
-                while let Some(JournalEvent::MasterAppended { rows }) = events.get(j) {
-                    batch.extend(rows.iter().cloned());
-                    j += 1;
-                }
-                self.apply_master_rows(batch)?;
-                i = j;
+        let mut events = events.into_iter().peekable();
+        while let Some(event) = events.next() {
+            let JournalEvent::MasterAppended { rows: mut batch } = event else {
+                self.apply_journal_event(event, &schema, live)?;
                 continue;
+            };
+            let appended =
+                |next: &JournalEvent| matches!(next, JournalEvent::MasterAppended { .. });
+            while let Some(JournalEvent::MasterAppended { rows }) = events.next_if(appended) {
+                batch.extend(rows);
             }
-            self.apply_journal_event(&events[i], &schema, live)?;
-            i += 1;
+            self.apply_master_rows(batch)?;
         }
         Ok(())
     }
@@ -154,25 +151,25 @@ impl CleaningService {
     /// re-recording it would duplicate the archive).
     fn apply_journal_event(
         &self,
-        event: &JournalEvent,
+        event: JournalEvent,
         schema: &SchemaRef,
         live: bool,
     ) -> Result<(), String> {
         match event {
             JournalEvent::SessionCreated { session, values } => {
-                let tuple = Tuple::new(schema.clone(), values.clone())
+                let tuple = Tuple::new(schema.clone(), values)
                     .map_err(|e| format!("replay session {session}: {e}"))?;
                 self.inner
                     .sessions
-                    .restore(*session, MonitorSession::new(*session as usize, tuple));
+                    .restore(session, MonitorSession::new(session as usize, tuple));
             }
             JournalEvent::SessionValidated {
                 session,
                 validations,
             } => {
                 let resolved: Vec<(usize, Value)> = validations
-                    .iter()
-                    .map(|(attr, value)| (*attr as usize, value.clone()))
+                    .into_iter()
+                    .map(|(attr, value)| (attr as usize, value))
                     .collect();
                 let engine = self.engine();
                 // Ignore per-event errors: replaying an op that failed
@@ -182,7 +179,7 @@ impl CleaningService {
                     let _ = self
                         .inner
                         .sessions
-                        .with_session(*session, |state| monitor.apply_validation(state, &resolved));
+                        .with_session(session, |state| monitor.apply_validation(state, &resolved));
                 } else {
                     let monitor = DataMonitor::from_plan(
                         &engine.rules,
@@ -193,21 +190,21 @@ impl CleaningService {
                     let _ = self
                         .inner
                         .sessions
-                        .with_session(*session, |state| monitor.apply_validation(state, &resolved));
+                        .with_session(session, |state| monitor.apply_validation(state, &resolved));
                 }
             }
             JournalEvent::SessionCommitted { session }
             | JournalEvent::SessionAborted { session } => {
-                let _ = self.inner.sessions.remove(*session);
+                let _ = self.inner.sessions.remove(session);
             }
             JournalEvent::SessionsEvicted { sessions } => {
                 for id in sessions {
-                    let _ = self.inner.sessions.remove(*id);
+                    let _ = self.inner.sessions.remove(id);
                 }
             }
             JournalEvent::RulesReloaded { dsl, fingerprint } => {
-                let engine = self.compile_engine_from_dsl(dsl)?;
-                if engine.fingerprint != *fingerprint {
+                let engine = self.compile_engine_from_dsl(&dsl)?;
+                if engine.fingerprint != fingerprint {
                     return Err(format!(
                         "journaled rule set re-parses to fingerprint {:x}, expected {:x}",
                         engine.fingerprint, fingerprint
@@ -216,23 +213,24 @@ impl CleaningService {
                 *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
             }
             JournalEvent::MasterAppended { rows } => {
-                self.apply_master_rows(rows.clone())?;
+                self.apply_master_rows(rows)?;
             }
             JournalEvent::ConfigSet { key, value } => {
                 // Unknown keys replay as no-ops: a journal written by a
                 // newer build must not fail recovery on an older one.
-                let _ = self.apply_config_set(key, *value);
+                let _ = self.apply_config_set(&key, value);
             }
         }
         Ok(())
     }
 
-    /// Follower side of the tail loop: journal the primary's events
-    /// byte-for-byte into our own journal (so our positions mirror the
-    /// primary's and a restart resumes from our durable cursor), replay
-    /// them through the live correcting path, then block on the group
-    /// fsync — the cursor our next `replica.sync` acks with only moves
-    /// once the events are durable *here*.
+    /// Follower side of the tail loop: journal the primary's frames —
+    /// the payload bytes as received, not a re-encoding of `events`,
+    /// which is what they decode to — into our own journal (so our file
+    /// mirrors the primary's and a restart resumes from our durable
+    /// cursor), replay the events through the live correcting path, then
+    /// lead the group fsync — the cursor our next `replica.sync` acks
+    /// with only moves once the events are durable *here*.
     ///
     /// The fsync outcome decides the follower's fate: a failed *write*
     /// is retried in place (the events are already applied, so
@@ -245,8 +243,8 @@ impl CleaningService {
     pub(crate) fn apply_replica_events(
         &self,
         events: Vec<JournalEvent>,
-    ) -> Result<(), crate::replication::ReplicaApplyError> {
-        use crate::replication::ReplicaApplyError;
+        frames: &ReceivedFrames,
+    ) -> Result<(), ReplicaApplyError> {
         let Some(binding) = &self.inner.storage else {
             return Err(ReplicaApplyError::Diverged(
                 "follower has no storage attached".into(),
@@ -255,10 +253,10 @@ impl CleaningService {
         let last_seq = self
             .with_gate(|| -> Result<Option<u64>, String> {
                 let mut last = None;
-                for event in &events {
-                    last = Some(binding.storage.append(event));
+                for payload in frames.payloads() {
+                    last = Some(binding.storage.append_encoded(payload));
                 }
-                self.replay_events(&events, true)?;
+                self.replay_events(events, true)?;
                 Ok(last)
             })
             .map_err(ReplicaApplyError::Diverged)?;

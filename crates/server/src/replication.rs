@@ -17,11 +17,24 @@
 //! ([`HeldSync`]) until the journal's durable position moves, so one
 //! request is both "ack through the cursor" and "wake me when there is
 //! more": a quorum commit costs the local fsync, one loopback hop and
-//! the follower's fsync — no timer anywhere on the path. Events
-//! travel as hex-encoded [`JournalEvent`] frames — byte-identical to
-//! what the primary journaled, so the follower's journal file mirrors
-//! the primary's frame-for-frame and a restart resumes from its own
-//! durable cursor. A cursor whose epoch predates the primary's (the
+//! the follower's fsync — no timer anywhere on the path.
+//!
+//! **Bytes are the one representation of a frame between the two
+//! journal files.** The primary never decodes what it serves:
+//! `replica.sync` takes the frames past the cursor off its journal with
+//! one positioned read
+//! ([`Journal::read_durable_from`](cerfix_storage::Journal::read_durable_from):
+//! CRC-checked spans of the file's bytes) and writes each payload into
+//! the reply as hex, in place. The follower reads the reply without
+//! building a tree (`SyncReply`), hex-decodes every frame into one
+//! reused buffer (`ReceivedFrames`), decodes each **once** — for the
+//! replay, and as the check that it *is* a [`JournalEvent`] — and
+//! journals the payload bytes it received
+//! ([`Storage::append_encoded`](cerfix_storage::Storage::append_encoded)),
+//! not a re-encoding of what it decoded, then leads its own group fsync
+//! (`Journal::sync`). So the follower's journal file equals the
+//! primary's byte for byte and a restart resumes from its own durable
+//! cursor. A cursor whose epoch predates the primary's (the
 //! journal was truncated by a snapshot while the follower was away)
 //! gets a full snapshot resync instead; otherwise followers always
 //! resume from the cursor.
@@ -39,8 +52,9 @@ use crate::ops::OpId;
 use crate::protocol::{Request, RequestScratch, ScannedLine};
 use crate::service::{CleaningService, Reply};
 use crate::trace::Span;
-use crate::wire::{Json, JsonWriter};
-use cerfix_storage::{JournalEvent, SnapshotData};
+use crate::wire::scan::{ObjectScanner, RawValue};
+use crate::wire::JsonWriter;
+use cerfix_storage::{CursorRead, JournalEvent, SnapshotData};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -248,12 +262,10 @@ pub(crate) fn push_hex(bytes: &[u8], out: &mut String) {
     }
 }
 
-/// Decode a hex frame; `None` on odd length or a non-hex digit.
-pub(crate) fn hex_decode(s: &str) -> Option<Vec<u8>> {
+/// Decode a hex frame onto the end of `out`; `false` on odd length or a
+/// non-hex digit (`out` then holds a partial decode to cut off).
+fn hex_decode_into(s: &str, out: &mut Vec<u8>) -> bool {
     let s = s.as_bytes();
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
     let digit = |c: u8| -> Option<u8> {
         match c {
             b'0'..=b'9' => Some(c - b'0'),
@@ -262,11 +274,136 @@ pub(crate) fn hex_decode(s: &str) -> Option<Vec<u8>> {
             _ => None,
         }
     };
-    let mut out = Vec::with_capacity(s.len() / 2);
+    out.reserve(s.len() / 2);
     for pair in s.chunks_exact(2) {
-        out.push((digit(pair[0])? << 4) | digit(pair[1])?);
+        match (digit(pair[0]), digit(pair[1])) {
+            (Some(hi), Some(lo)) => out.push((hi << 4) | lo),
+            _ => return false,
+        }
     }
-    Some(out)
+    s.len().is_multiple_of(2)
+}
+
+/// The frame payloads of one `replica.sync` reply, hex-decoded back to
+/// back into one buffer the tail loop reuses: what the follower replays
+/// (decoded once) and what it journals (these bytes, as received).
+#[derive(Default)]
+pub(crate) struct ReceivedFrames {
+    bytes: Vec<u8>,
+    /// Where each payload ends in `bytes` (the next starts there).
+    ends: Vec<usize>,
+    /// The reply held a frame that is not a whole hex string; it and
+    /// the frames after it were not kept.
+    torn: bool,
+}
+
+impl ReceivedFrames {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.torn = false;
+    }
+
+    /// Decode one more payload — `Some` of a hex string; anything else
+    /// is a torn frame. `false`, and nothing more kept, once torn.
+    fn push_hex(&mut self, hex: Option<&str>) -> bool {
+        let start = self.bytes.len();
+        self.torn |= !hex.is_some_and(|hex| hex_decode_into(hex, &mut self.bytes));
+        if self.torn {
+            self.bytes.truncate(start);
+        } else {
+            self.ends.push(self.bytes.len());
+        }
+        !self.torn
+    }
+
+    /// The reply carried no frame at all, whole or torn.
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty() && !self.torn
+    }
+
+    /// Every payload decoded — once, for the replay — or `None` if a
+    /// frame was torn or is not an event.
+    fn decode(&self) -> Option<Vec<JournalEvent>> {
+        let decode = |payload| JournalEvent::decode(payload).ok();
+        (!self.torn).then(|| self.payloads().map(decode).collect())?
+    }
+
+    /// The payloads, in the order they were sent.
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let payload = &self.bytes[start..end];
+            start = end;
+            payload
+        })
+    }
+}
+
+/// A `replica.sync` reply as the tail loop reads it: one scan of the
+/// line, no tree, the frames hex-decoded into the caller's
+/// [`ReceivedFrames`] on the way.
+struct SyncReply<'a> {
+    /// The cursor echo.
+    from: Option<u64>,
+    /// The primary's `(epoch, durable event count)`.
+    epoch: u64,
+    durable: u64,
+    /// The snapshot's hex, when the reply carries one.
+    snapshot: Option<RawValue<'a>>,
+}
+
+impl<'a> SyncReply<'a> {
+    /// `None` when the line is not one well-formed object.
+    fn scan(line: &'a str, frames: &mut ReceivedFrames) -> Option<SyncReply<'a>> {
+        frames.clear();
+        let mut reply = SyncReply {
+            from: None,
+            epoch: 0,
+            durable: 0,
+            snapshot: None,
+        };
+        let mut fields = ObjectScanner::new(line)?;
+        // Unescape scratch: nothing this protocol sends has an escape,
+        // so neither is ever written to.
+        let (mut key_buf, mut buf) = (String::new(), String::new());
+        while let Some((key, value, _)) = fields.next_field() {
+            match key.unescape_into(&mut key_buf) {
+                "from" => reply.from = value.as_u64(),
+                "epoch" => reply.epoch = value.as_u64().unwrap_or(0),
+                "durable" => reply.durable = value.as_u64().unwrap_or(0),
+                "snapshot" => reply.snapshot = matches!(value, RawValue::Str(_)).then_some(value),
+                "events" => {
+                    let mut sent = value.as_arr();
+                    while let Some(frame) = sent.as_mut().and_then(|sent| sent.next_value()) {
+                        if !frames.push_hex(frame.as_str(&mut buf)) {
+                            break;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        fields.finish().ok()?;
+        Some(reply)
+    }
+}
+
+/// Render the tail loop's next request onto `out` — the line
+/// `Request::ReplicaSync { .. }.to_json()` renders, without the tree.
+fn write_sync_request(out: &mut String, follower: &str, (epoch, offset): (u64, u64), resync: bool) {
+    let mut w = JsonWriter::new(out);
+    w.begin_obj();
+    w.field("op", OpId::ReplicaSync.row().name);
+    w.field("follower", follower);
+    w.field("epoch", epoch);
+    w.field("offset", offset);
+    w.field("max", TAIL_BATCH);
+    if resync {
+        w.field("resync", true);
+    }
+    w.field("wait_ms", SYNC_HOLD.as_millis() as u64);
+    w.end_obj();
 }
 
 /// Events per `replica.sync` pull the tail loop asks for.
@@ -344,6 +481,11 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
     // sync demands a snapshot instead of frames — installing it
     // truncates, and thereby un-poisons, the local journal.
     let mut force_resync = false;
+    // One of each for the life of the loop: the request line, the reply
+    // line, the frames it carried and (never written) unescape scratch.
+    let (mut line, mut response) = (String::new(), String::new());
+    let mut frames = ReceivedFrames::default();
+    let mut unescaped = String::new();
     'connect: loop {
         if stopped(&service) {
             return;
@@ -379,17 +521,14 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 // Storage detached mid-flight: nothing to replicate into.
                 return;
             };
-            let request = Request::ReplicaSync {
-                follower: follower_id.clone(),
-                epoch,
-                offset,
-                max: Some(TAIL_BATCH),
-                resync: force_resync,
-                wait_ms: Some(SYNC_HOLD.as_millis() as u64),
-            };
+            line.clear();
+            write_sync_request(&mut line, &follower_id, (epoch, offset), force_resync);
             let asked = Instant::now();
-            let response = match client.request(&request) {
-                Ok(response) => response,
+            let answered = client
+                .request_line(&line, &mut response)
+                .map(|()| SyncReply::scan(&response, &mut frames));
+            let reply = match answered {
+                Ok(Some(reply)) => reply,
                 Err(ClientError::Server(message)) => {
                     // The primary answered but refused (mid-boot, or we
                     // are somehow ahead of it): back off, keep polling.
@@ -403,7 +542,8 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                     backoff = (backoff * 2).min(BACKOFF_MAX);
                     continue;
                 }
-                Err(_) => {
+                // The connection failed, or what came is not a reply.
+                Ok(None) | Err(_) => {
                     if !pause(&service, jittered(backoff, &mut seed)) {
                         return;
                     }
@@ -411,18 +551,16 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                     continue 'connect;
                 }
             };
-            let frames = response.get("events").and_then(Json::as_arr).unwrap_or(&[]);
+            let nothing_new = frames.is_empty();
             // "Nothing new" in under half the hold asked for: the primary
             // does not hold (pre-v9), or is draining or stopping. Asking
             // again at once would spin, so it counts as a refusal.
-            let unheld = frames.is_empty()
-                && response.get("snapshot").is_none()
-                && asked.elapsed() < SYNC_HOLD / 2;
+            let unheld = nothing_new && reply.snapshot.is_none() && asked.elapsed() < SYNC_HOLD / 2;
             // Any other healthy round trip resets the backoff ladder.
             if !unheld {
                 backoff = BACKOFF_BASE;
             }
-            if response.get("from").and_then(Json::as_u64) != Some(offset) {
+            if reply.from != Some(offset) {
                 // Not the answer to the cursor we just sent: a faulty
                 // path (duplicate/reordered line) desynced the stream.
                 // Reconnect; the fresh connection re-pairs cleanly.
@@ -435,8 +573,7 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 }
                 continue 'connect;
             }
-            let served_epoch = response.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-            let served_durable = response.get("durable").and_then(Json::as_u64).unwrap_or(0);
+            let (served_epoch, served_durable) = (reply.epoch, reply.durable);
             if served_epoch < epoch {
                 // A primary behind our epoch is stale (e.g. the old
                 // primary came back after we were promoted off it and
@@ -453,9 +590,12 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 }
                 continue 'connect;
             }
-            if let Some(hex) = response.get("snapshot").and_then(Json::as_str) {
+            if let Some(hex) = reply.snapshot.and_then(|hex| hex.as_str(&mut unescaped)) {
                 // Cursor predates the primary's epoch: full resync.
-                let decoded = hex_decode(hex).and_then(|bytes| SnapshotData::decode(&bytes).ok());
+                let mut bytes = Vec::new();
+                let decoded = hex_decode_into(hex, &mut bytes)
+                    .then(|| SnapshotData::decode(&bytes).ok())
+                    .flatten();
                 match decoded {
                     Some(data) => {
                         if let Err(message) = service.install_replica_snapshot(data) {
@@ -501,28 +641,15 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 backoff = (backoff * 2).min(BACKOFF_MAX);
                 continue;
             }
-            if frames.is_empty() {
+            if nothing_new {
                 // Caught up, and the hold ran out: this was the
                 // heartbeat. Ask again at once.
                 note_tail_progress(&service, served_epoch, served_durable);
                 continue;
             }
-            let mut events = Vec::with_capacity(frames.len());
-            let mut torn = false;
-            for frame in frames {
-                match frame
-                    .as_str()
-                    .and_then(hex_decode)
-                    .and_then(|bytes| JournalEvent::decode(&bytes).ok())
-                {
-                    Some(event) => events.push(event),
-                    None => {
-                        torn = true;
-                        break;
-                    }
-                }
-            }
-            if torn {
+            // Each frame is decoded once, for the replay; what is
+            // journaled is the bytes it came as.
+            let Some(events) = frames.decode() else {
                 // A torn/corrupt frame never applies partially: drop
                 // the connection and re-pull from the durable cursor.
                 service.diag().warn(
@@ -533,8 +660,8 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                     return;
                 }
                 continue 'connect;
-            }
-            match service.apply_replica_events(events) {
+            };
+            match service.apply_replica_events(events, &frames) {
                 Ok(()) => {}
                 Err(ReplicaApplyError::Poisoned(message)) => {
                     // The batch is applied in memory but can never be
@@ -588,16 +715,17 @@ pub(crate) struct HeldSync {
 }
 
 /// Write the fields of a `replica.sync` reply: the cursor echo, then
-/// the snapshot or event frames as hex written in place. `from` echoes
-/// the requested cursor: a follower rejects any response whose echo
-/// mismatches its cursor, so a duplicated or reordered response on a
-/// faulty network can never re-apply.
+/// the snapshot or the journal's frame payloads as hex written in place
+/// — the bytes the cursor read took off the file, never decoded here.
+/// `from` echoes the requested cursor: a follower rejects any response
+/// whose echo mismatches its cursor, so a duplicated or reordered
+/// response on a faulty network can never re-apply.
 fn write_sync_fields(
     w: &mut JsonWriter<'_>,
     (epoch, durable): (u64, u64),
     from: u64,
     snapshot: Option<&[u8]>,
-    events: &[JournalEvent],
+    frames: Option<&CursorRead>,
 ) {
     w.field("epoch", epoch);
     w.field("from", from);
@@ -606,8 +734,9 @@ fn write_sync_fields(
         w.key("snapshot");
         w.str_with(|out| push_hex(snapshot, out));
     }
-    w.array("events", events, |w, event| {
-        w.str_with(|out| push_hex(&event.encode(), out))
+    let payloads = frames.into_iter().flat_map(CursorRead::payloads);
+    w.array("events", payloads, |w, payload| {
+        w.str_with(|out| push_hex(payload, out))
     });
 }
 
@@ -779,7 +908,7 @@ impl CleaningService {
             let snapshot = self.cached_snapshot()?;
             let position = (storage.epoch(), storage.durable_position().1);
             self.record_follower(follower, epoch, offset, position.0, position.1);
-            return reply.send(|w| write_sync_fields(w, position, offset, Some(&snapshot), &[]));
+            return reply.send(|w| write_sync_fields(w, position, offset, Some(&snapshot), None));
         }
         let max = max.unwrap_or(512).clamp(1, 2048) as usize;
         let read = storage
@@ -800,16 +929,12 @@ impl CleaningService {
         };
         // A stale cursor gets the snapshot alone: events of the new
         // epoch mean nothing before it is installed.
-        let events: &[JournalEvent] = if snapshot.is_some() {
-            &[]
-        } else {
-            &read.events
-        };
+        let frames = snapshot.is_none().then_some(&read);
         self.metrics_raw()
             .replication_events_served
-            .add(events.len() as u64);
+            .add(frames.map_or(0, CursorRead::len) as u64);
         let snapshot = snapshot.as_ref().map(|bytes| bytes.as_slice());
-        reply.send(|w| write_sync_fields(w, position, offset, snapshot, events))
+        reply.send(|w| write_sync_fields(w, position, offset, snapshot, frames))
     }
 
     /// Update the follower registry from a sync request's cursor and
@@ -1010,6 +1135,11 @@ pub(crate) fn lock_followers(
 mod tests {
     use super::*;
 
+    fn hex_decode(hex: &str) -> Option<Vec<u8>> {
+        let mut frames = ReceivedFrames::default();
+        frames.push_hex(Some(hex)).then(|| frames.bytes.clone())
+    }
+
     #[test]
     fn hex_round_trips() {
         let bytes: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
@@ -1026,6 +1156,125 @@ mod tests {
         assert_eq!(hex_decode("abc"), None); // odd length
         assert_eq!(hex_decode("zz"), None); // not hex
         assert_eq!(hex_decode("0g"), None);
+        // A torn frame leaves the ones before it as they were.
+        let mut frames = ReceivedFrames::default();
+        assert!(frames.push_hex(Some("0102")) && !frames.push_hex(Some("03f")));
+        assert!(!frames.push_hex(Some("04")), "nothing after a torn frame");
+        assert_eq!(frames.payloads().collect::<Vec<_>>(), [&[1u8, 2][..]]);
+        assert!(!frames.is_empty() && frames.decode().is_none());
+        frames.clear();
+        assert!(frames.is_empty() && !frames.push_hex(None) && !frames.is_empty());
+    }
+
+    /// This thread's allocations, counted: the lib's tests run on many
+    /// threads, and a window must hold only its own.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every call forwards to `System` with the caller's arguments
+    // unchanged; the counter is a `const`-initialised thread-local `Cell`
+    // with no destructor, so touching it never allocates.
+    #[allow(unsafe_code)]
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+            std::alloc::System.realloc(ptr, layout, new)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    fn allocations_in(work: impl FnOnce()) -> u64 {
+        let before = ALLOCATIONS.with(std::cell::Cell::get);
+        work();
+        ALLOCATIONS.with(std::cell::Cell::get) - before
+    }
+
+    /// One turn of the tail loop, the socket and the replay left out:
+    /// the request is rendered into a reused line, and the reply is read
+    /// without a tree, its frames hex-decoded into one reused buffer —
+    /// what is allocated is the events the frames decode to and the
+    /// `Vec` that holds them.
+    #[test]
+    fn a_tail_turn_allocates_only_the_events_it_decodes() {
+        use cerfix_relation::Value;
+        let events = [
+            JournalEvent::SessionCreated {
+                session: 7,
+                values: vec![Value::str("k1"), Value::str("WRONG"), Value::Null],
+            },
+            JournalEvent::SessionValidated {
+                session: 7,
+                validations: vec![(0, Value::str("k1")), (2, Value::Int(3))],
+            },
+            JournalEvent::SessionCommitted { session: 7 },
+        ];
+        let mut reply = String::from(r#"{"ok":true,"epoch":2,"from":40,"durable":43,"events":["#);
+        for event in &events {
+            reply.push_str(if reply.ends_with('[') { "\"" } else { ",\"" });
+            push_hex(&event.encode(), &mut reply);
+            reply.push('"');
+        }
+        reply.push_str("]}\n");
+
+        let (mut line, mut frames) = (String::new(), ReceivedFrames::default());
+        let turn = |line: &mut String, frames: &mut ReceivedFrames| {
+            line.clear();
+            write_sync_request(line, "f1", (2, 40), false);
+            let read = SyncReply::scan(&reply, frames).expect("a reply");
+            assert_eq!((read.from, read.epoch, read.durable), (Some(40), 2, 43));
+            assert!(read.snapshot.is_none());
+            frames.decode().expect("three events")
+        };
+        // The first turn sizes the reused buffers.
+        assert_eq!(turn(&mut line, &mut frames), events);
+        let request = Request::ReplicaSync {
+            follower: "f1".into(),
+            epoch: 2,
+            offset: 40,
+            max: Some(TAIL_BATCH),
+            resync: false,
+            wait_ms: Some(SYNC_HOLD.as_millis() as u64),
+        };
+        assert_eq!(line, request.to_json().render());
+        let payloads: Vec<Vec<u8>> = events.iter().map(JournalEvent::encode).collect();
+        let decoding = allocations_in(|| {
+            for payload in &payloads {
+                std::hint::black_box(JournalEvent::decode(payload).unwrap());
+            }
+        });
+        let whole = allocations_in(|| drop(std::hint::black_box(turn(&mut line, &mut frames))));
+        assert_eq!(
+            whole,
+            decoding + 1,
+            "the events, and the `Vec` they are handed on in"
+        );
+
+        // A forced re-sync says so; a torn frame stops the read there.
+        line.clear();
+        write_sync_request(&mut line, "f1", (2, 40), true);
+        assert!(
+            line.contains(r#""max":512,"resync":true,"wait_ms":500}"#),
+            "{line}"
+        );
+        let torn = reply.replace("\"]}", "0\"]}");
+        SyncReply::scan(&torn, &mut frames).expect("well-formed JSON");
+        assert!(frames.torn && frames.decode().is_none());
+        assert_eq!(frames.payloads().count(), 2, "the whole frames before it");
+        assert!(SyncReply::scan(&reply[..reply.len() - 3], &mut frames).is_none());
     }
 
     #[test]

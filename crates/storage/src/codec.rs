@@ -244,11 +244,18 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// The `[len][crc]` header that frames `payload`.
+pub fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
 /// Wrap `payload` in a `[len][crc][payload]` frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(payload));
     out.extend_from_slice(payload);
     out
 }

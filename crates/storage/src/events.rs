@@ -439,6 +439,10 @@ mod tests {
             let bytes = event.encode();
             let back = JournalEvent::decode(&bytes).unwrap();
             assert_eq!(back, event);
+            // The encoding is canonical — `encode(decode(p)) == p` — which
+            // is why a follower may journal the payload it was sent
+            // instead of re-encoding what it decoded.
+            assert_eq!(back.encode(), bytes, "{}", event.kind());
         }
     }
 

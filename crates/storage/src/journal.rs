@@ -10,17 +10,44 @@
 //! (a follower may opt into [`ScanMode::Tolerant`] and re-fetch the
 //! corrupt suffix from its primary instead).
 //!
-//! Durability is **group-committed**: [`Journal::append`] only copies
-//! the encoded frame into an in-memory pending buffer under a short
-//! lock and returns a sequence number — no syscalls, no waiting behind
-//! an fsync, on the request path. A dedicated flusher thread wakes on a
-//! short interval (or when a waiter calls [`Journal::sync`]) and
-//! retires the whole pending buffer with one `write` + one `fdatasync`,
-//! so N concurrent requests share one disk round-trip instead of paying
-//! one each. `sync(seq)` blocks until the fsync covering `seq` has
-//! completed — the service calls it on `session.commit` (the protocol's
-//! durability point) and lets every other op ride the background
-//! cadence.
+//! Durability is **group-committed**: [`Journal::append`] only writes
+//! the frame — `[len][crc][payload]`, in place — into an in-memory
+//! pending buffer under a short lock and returns a sequence number — no
+//! syscalls, no waiting behind an fsync, on the request path. A *flush
+//! cycle* retires the whole pending buffer with one `write` + one
+//! `fdatasync`, so N concurrent requests share one disk round-trip
+//! instead of paying one each. `sync(seq)` blocks until the fsync
+//! covering `seq` has completed — the service calls it on
+//! `session.commit` (the protocol's durability point) and lets every
+//! other op ride the background cadence.
+//!
+//! ## Who runs a cycle
+//!
+//! One function, `flush_cycle`, under one lock held from taking the
+//! pending buffer until its bytes are written, fsynced and accounted —
+//! two takers must not write out of order. It has two callers. The
+//! **flusher thread** runs it on a short interval, when kicked
+//! ([`Journal::kick_flusher`]) and to drain on drop. A **blocking
+//! [`Journal::sync`] caller** that finds no cycle under way *leads* one
+//! on its own thread: it was going to sleep until the fsync anyway, so
+//! handing the buffer to the flusher and being woken back costs two
+//! context switches and buys nothing; when a cycle is under way it
+//! kicks and waits, and shares the next with whoever else arrived — the
+//! group commit. A caller that must not block never leads: the epoll
+//! reactor applies a commit, kicks the flusher, parks the connection
+//! and [`watch`](Journal::watch)es for [`Journal::sync_status`] — an
+//! fsync on that thread would stall every connection it serves. Either
+//! way the failure semantics below are the same, because it is the same
+//! function.
+//!
+//! ## The read side
+//!
+//! [`Journal::read_durable_from`] serves a replication cursor the
+//! file's own bytes: one positioned read (on a handle opened once) of
+//! the frames past the cursor, each CRC-checked, none decoded — the
+//! primary is a file server for its followers, and the follower's
+//! [`Journal::append_encoded`] puts the same payload bytes into its own
+//! file.
 //!
 //! ## Fault discipline
 //!
@@ -42,7 +69,7 @@
 //! good, which is exactly what installing a snapshot produces.
 //!
 //! The pending buffer is tagged with the journal epoch: snapshot
-//! truncation bumps the epoch while holding both locks, so a flusher
+//! truncation bumps the epoch while holding both locks, so a cycle
 //! holding taken-but-unwritten pre-snapshot frames detects the bump and
 //! discards them instead of writing them into the new epoch's file.
 //!
@@ -55,10 +82,10 @@ use crate::spill::AuditSpill;
 use crate::vfs::{StorageFile, StorageFs};
 use crate::watch::{DurableWatch, Waker, Watchers};
 use crate::StorageError;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 const MAGIC: &[u8; 4] = b"CFXJ";
@@ -105,20 +132,156 @@ pub struct JournalScan {
     pub corrupt_bytes: u64,
 }
 
-/// One batch of durable events served to a replication cursor by
-/// [`Journal::read_durable_from`].
+/// One batch of durable frames served to a replication cursor by
+/// [`Journal::read_durable_from`]: the file's own bytes, every payload
+/// CRC-checked and none decoded — a frame crosses the replication hop
+/// as the bytes the primary journaled.
 #[derive(Debug)]
 pub struct CursorRead {
-    /// Epoch of the journal file the events came from.
+    /// Epoch of the journal file the frames came from.
     pub epoch: u64,
     /// Total complete frames durable in this epoch's file — the
-    /// primary's position; `durable_events - (offset + events.len())`
-    /// is the reader's remaining lag in events.
+    /// primary's position; `durable_events - (offset + len())` is the
+    /// reader's remaining lag in events.
     pub durable_events: u64,
-    /// Events starting at the requested offset (empty when caught up
-    /// or when the epoch changed under the reader).
-    pub events: Vec<JournalEvent>,
+    /// File bytes holding the served frames back to back: the first
+    /// starts at `first`, each ends where `ends` says (and the next
+    /// starts there).
+    buf: Vec<u8>,
+    first: usize,
+    ends: Vec<usize>,
 }
+
+impl CursorRead {
+    fn empty(epoch: u64, durable_events: u64) -> CursorRead {
+        CursorRead {
+            epoch,
+            durable_events,
+            buf: Vec::new(),
+            first: 0,
+            ends: Vec::new(),
+        }
+    }
+
+    /// Frames served (none when caught up, or when the epoch changed
+    /// under the reader).
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff no frame was served.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The served frames' payloads, in journal order, starting at the
+    /// requested offset: what [`JournalEvent::decode`] reads and
+    /// [`Journal::append_encoded`] takes.
+    pub fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        let mut start = self.first;
+        self.ends.iter().map(move |&end| {
+            let payload = &self.buf[start + codec::FRAME_HEADER..end];
+            start = end;
+            payload
+        })
+    }
+
+    /// Read whole frames from the file span `start..limit`: `skip` of
+    /// them passed over, then up to `max` kept. Returns the file offset
+    /// of `buf[0]`.
+    ///
+    /// Reads are bounded chunks: what the frames still owed should take
+    /// at the file's mean frame size (`mean_frame`), at most
+    /// [`READ_CHUNK`] and at least the frame being completed — a
+    /// follower far behind reads the file about once over its whole
+    /// catch-up, not the remainder per pull. A frame that fails its CRC
+    /// ends the walk: it is never served.
+    fn fill(
+        &mut self,
+        reader: &dyn ReadAt,
+        (start, limit): (u64, u64),
+        mut skip: u64,
+        max: usize,
+        mean_frame: u64,
+    ) -> std::io::Result<u64> {
+        let (mut base, mut at) = (start, 0);
+        while self.ends.len() < max {
+            match codec::read_frame(&self.buf[at..]) {
+                Ok(Some((_, frame_len))) => {
+                    at += frame_len;
+                    if skip > 0 {
+                        skip -= 1; // length-prefixed: passed over, not kept
+                        self.first = at;
+                    } else {
+                        self.ends.push(at);
+                    }
+                    continue;
+                }
+                Ok(None) => {}
+                Err(_) => break,
+            }
+            // The frame at `at` is not whole in `buf` yet.
+            let file_at = base + self.buf.len() as u64;
+            if file_at >= limit {
+                break;
+            }
+            if self.ends.is_empty() {
+                // Nothing kept so far: the bytes passed over can go.
+                self.buf.drain(..at);
+                base += at as u64;
+                (at, self.first) = (0, 0);
+            }
+            let partial = &self.buf[at..];
+            let frame = match partial.first_chunk::<4>() {
+                Some(len) => codec::FRAME_HEADER as u64 + u64::from(u32::from_le_bytes(*len)),
+                None => codec::FRAME_HEADER as u64,
+            };
+            let (have, owed) = (partial.len() as u64, skip + (max - self.ends.len()) as u64);
+            let want = owed
+                .saturating_mul(mean_frame)
+                .saturating_sub(have)
+                .min(READ_CHUNK)
+                .max(frame.saturating_sub(have))
+                .min(limit - file_at);
+            let old = self.buf.len();
+            self.buf.resize(old + want as usize, 0);
+            reader.read_exact_at(&mut self.buf[old..], file_at)?;
+        }
+        Ok(base)
+    }
+}
+
+/// Positioned reads of the journal file (`pread`): cursor reads share
+/// the one handle [`Journal::open`] opened, with no seek to race on.
+/// Reads stay off the [`StorageFs`] write path (see the `vfs` docs).
+trait ReadAt: Send + Sync {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
+}
+
+impl ReadAt for std::fs::File {
+    #[cfg(unix)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
+    }
+
+    #[cfg(windows)]
+    fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+        while !buf.is_empty() {
+            match std::os::windows::fs::FileExt::seek_read(self, buf, offset)? {
+                0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                n => {
+                    buf = &mut buf[n..];
+                    offset += n as u64;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Most bytes one positioned read of a cursor read asks for, unless a
+/// single frame is larger.
+const READ_CHUNK: u64 = 64 * 1024;
 
 /// Read and validate `path` without opening it for writing, refusing
 /// corrupt frames ([`ScanMode::Strict`]). A missing file scans as an
@@ -290,8 +453,8 @@ enum FailState {
     Poisoned { error: String },
 }
 
-/// Encoded-but-unflushed frames. Locked briefly by appenders; the
-/// flusher swaps the buffer out whole.
+/// Encoded-but-unflushed frames. Locked briefly by appenders; a flush
+/// cycle swaps the buffer out whole.
 struct Pending {
     buf: Vec<u8>,
     /// Sequence of the next append (seq 0 = "nothing appended").
@@ -307,7 +470,7 @@ struct Pending {
 }
 
 /// The file and its durability bookkeeping. Held across write+fsync by
-/// the flusher; appenders never touch it.
+/// a flush cycle; appenders never touch it.
 struct FileState {
     file: Box<dyn StorageFile>,
     /// File length guaranteed on disk (fsync'd).
@@ -344,6 +507,10 @@ struct Shared {
     /// Kicks the flusher out of its interval sleep.
     flush_cv: Condvar,
     flush_mutex: Mutex<bool>,
+    /// Held by whoever runs a [`flush_cycle`], from taking the pending
+    /// buffer until its bytes are written, fsynced and accounted: two
+    /// takers must not write out of order.
+    cycle: Mutex<()>,
     stop: AtomicBool,
     /// Total event bytes appended (monotonic; survives truncation).
     bytes_appended: AtomicU64,
@@ -351,7 +518,7 @@ struct Shared {
     /// Flushed+fsynced together with the journal so `sync` is a
     /// durability point for provenance too.
     companion: Mutex<Option<Arc<AuditSpill>>>,
-    /// Group-commit telemetry, recorded by the flusher thread.
+    /// Group-commit telemetry, recorded by each flush cycle.
     flush_stats: FlushStats,
     /// Who to wake when the durable position moves ([`Journal::watch`]).
     watchers: Arc<Watchers>,
@@ -385,7 +552,7 @@ impl Shared {
 const FLUSH_BUCKETS: usize = 32;
 
 /// Lock-free flush telemetry: how long each group fsync took and how
-/// many events it retired. Written only by the flusher thread; readers
+/// many events it retired. Written by whoever runs the cycle; readers
 /// snapshot via [`Journal::flush_profile`].
 struct FlushStats {
     fsync_ns: [AtomicU64; FLUSH_BUCKETS],
@@ -443,6 +610,10 @@ pub struct FlushProfile {
 pub struct Journal {
     shared: Arc<Shared>,
     path: PathBuf,
+    /// The read side of [`read_durable_from`](Self::read_durable_from),
+    /// opened once: `truncate_to_epoch` rewrites the same inode, so the
+    /// handle outlives every epoch.
+    reader: Box<dyn ReadAt>,
     flusher: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -493,6 +664,7 @@ impl Journal {
             (JOURNAL_HEADER, 0)
         };
         file.sync_data()?;
+        let reader = Box::new(std::fs::File::open(path)?);
         let shared = Arc::new(Shared {
             pending: Mutex::new(Pending {
                 buf: Vec::new(),
@@ -518,6 +690,7 @@ impl Journal {
             poisoned: AtomicBool::new(false),
             flush_cv: Condvar::new(),
             flush_mutex: Mutex::new(false),
+            cycle: Mutex::new(()),
             stop: AtomicBool::new(false),
             bytes_appended: AtomicU64::new(0),
             events_appended: AtomicU64::new(0),
@@ -534,6 +707,7 @@ impl Journal {
         Ok(Journal {
             shared,
             path: path.to_path_buf(),
+            reader,
             flusher: Some(flusher),
         })
     }
@@ -541,17 +715,26 @@ impl Journal {
     /// Append one event to the pending buffer; returns its sequence
     /// number for [`sync`](Self::sync). No disk I/O on this path.
     pub fn append(&self, event: &JournalEvent) -> u64 {
-        let framed = codec::frame(&event.encode());
+        self.append_encoded(&event.encode())
+    }
+
+    /// [`append`](Self::append) for an event that is already a frame
+    /// payload — what a follower was sent. The frame is written in
+    /// place, `[len][crc][payload]`, into the pending buffer.
+    pub fn append_encoded(&self, payload: &[u8]) -> u64 {
+        let header = codec::frame_header(payload);
         let seq = {
             let mut pending = lock(&self.shared.pending);
             let seq = pending.next_seq;
             pending.next_seq += 1;
-            pending.buf.extend_from_slice(&framed);
+            pending.buf.extend_from_slice(&header);
+            pending.buf.extend_from_slice(payload);
             seq
         };
+        let framed = (header.len() + payload.len()) as u64;
         self.shared
             .bytes_appended
-            .fetch_add(framed.len() as u64, Ordering::Relaxed);
+            .fetch_add(framed, Ordering::Relaxed);
         self.shared.events_appended.fetch_add(1, Ordering::Relaxed);
         // No flusher kick: the event rides the next interval cycle (or
         // an explicit `sync`). Kicking per append would degenerate group
@@ -605,11 +788,27 @@ impl Journal {
     /// commit). Returns immediately if already durable; returns a typed
     /// error — never hangs — when the journal poisoned, the covering
     /// write failed, or the journal stopped first.
+    ///
+    /// The caller blocks either way, so when no cycle is running it
+    /// *leads* one on its own thread — no hand-off to the flusher and
+    /// back — and only waits on the flusher when a cycle is under way
+    /// (that cycle may have taken the buffer before `seq` was in it;
+    /// the kick has the flusher run the next).
     pub fn sync(&self, seq: u64) -> Result<(), SyncError> {
         if self.shared.durable_seq.load(Ordering::Acquire) >= seq {
             return Ok(());
         }
-        self.kick_flusher();
+        if !self.shared.stop.load(Ordering::Acquire) {
+            let free = match self.shared.cycle.try_lock() {
+                Ok(cycle) => Some(cycle),
+                Err(TryLockError::Poisoned(cycle)) => Some(cycle.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            match free {
+                Some(cycle) => _ = flush_cycle(&self.shared, cycle),
+                None => self.kick_flusher(),
+            }
+        }
         let mut guard = lock(&self.shared.durable_mutex);
         loop {
             if let Some(verdict) = self.sync_status(seq) {
@@ -686,8 +885,8 @@ impl Journal {
     /// The waker carries no state: the watcher re-reads
     /// [`durable_position`](Self::durable_position), so it must register
     /// first and look second, or a move between the two is missed. It
-    /// runs on whichever thread moved the position (the flusher, mostly)
-    /// with no journal lock held.
+    /// runs on whichever thread moved the position (the flusher, or a
+    /// `sync` caller leading its cycle) with no journal lock held.
     pub fn watch(&self, waker: Waker) -> DurableWatch {
         self.shared.watchers.register(waker)
     }
@@ -707,23 +906,21 @@ impl Journal {
         pending.base_events + seq.saturating_sub(pending.retired_seqs)
     }
 
-    /// Read up to `max` durable events starting at epoch-file position
+    /// Read up to `max` durable frames starting at epoch-file position
     /// `offset` — the primary side of `replica.sync`. Only complete,
-    /// fsync-covered frames are served; a concurrent snapshot truncation
-    /// yields an empty batch at the new epoch (the caller re-cursors).
+    /// fsync-covered frames are served, CRC-checked and never decoded;
+    /// a concurrent snapshot truncation yields an empty batch at the new
+    /// epoch (the caller re-cursors).
     ///
     /// A follower reads in order, so each read remembers where it
-    /// stopped (a `ReadHint`) and the next starts there: a sync costs
-    /// the bytes it serves, not the length of the journal.
+    /// stopped (a `ReadHint`) and the next starts there, with one
+    /// positioned read on the handle [`open`](Self::open) opened: a sync
+    /// costs the bytes it serves, not the length of the journal.
     pub fn read_durable_from(&self, offset: u64, max: usize) -> std::io::Result<CursorRead> {
         for _ in 0..3 {
             let (mut read, durable_len) = {
                 let filestate = lock(&self.shared.filestate);
-                let read = CursorRead {
-                    epoch: filestate.epoch,
-                    durable_events: filestate.durable_events,
-                    events: Vec::new(),
-                };
+                let read = CursorRead::empty(filestate.epoch, filestate.durable_events);
                 (read, filestate.durable_len)
             };
             if offset >= read.durable_events || max == 0 {
@@ -737,51 +934,37 @@ impl Journal {
                     && events <= offset
                     && (JOURNAL_HEADER..=durable_len).contains(&byte)
             });
-            let (mut skipped, start) = mark.unwrap_or((0, JOURNAL_HEADER));
-            let mut bytes = Vec::with_capacity((durable_len - start) as usize);
-            let mut file = std::fs::File::open(&self.path)?;
-            file.seek(SeekFrom::Start(start))?;
-            file.take(durable_len - start).read_to_end(&mut bytes)?;
+            let (skipped, start) = mark.unwrap_or((0, JOURNAL_HEADER));
+            let mean_frame = (durable_len - JOURNAL_HEADER).div_ceil(read.durable_events);
+            let span = (start, durable_len);
+            let filled = read.fill(&*self.reader, span, offset - skipped, max, mean_frame);
             if lock(&self.shared.filestate).epoch != read.epoch {
                 // Truncated to a new epoch while we read: these bytes
-                // are not this epoch's prefix. Retry on the fresh state.
+                // (or this short read) are not this epoch's prefix.
+                // Retry on the fresh state.
                 continue;
             }
-            let (mut at, mut first) = (0, 0);
-            while at < bytes.len() && read.events.len() < max {
-                let Ok(Some((payload, frame_len))) = codec::read_frame(&bytes[at..]) else {
-                    break;
-                };
-                if skipped < offset {
-                    skipped += 1; // length-prefixed: skip without decoding
-                    first = at + frame_len;
-                } else {
-                    read.events.push(JournalEvent::decode(payload).map_err(|e| {
-                        let at = start + at as u64;
-                        let detail = format!("durable frame at {at} failed to decode: {e}");
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
-                    })?);
+            let base = filled?;
+            let Some(&last) = read.ends.last() else {
+                if mark.is_none() {
+                    return Ok(read);
                 }
-                at += frame_len;
-            }
-            if read.events.is_empty() && mark.is_some() {
-                // Owed events and found none: never start there again.
+                // Owed frames and found none: never start there again.
                 *lock(&self.shared.read_hint) = ReadHint::default();
                 continue;
-            }
-            let served = skipped + read.events.len() as u64;
+            };
+            let served = offset + read.len() as u64;
             *lock(&self.shared.read_hint) = ReadHint {
                 epoch: read.epoch,
-                marks: [(skipped, start + first as u64), (served, start + at as u64)],
+                marks: [
+                    (offset, base + read.first as u64),
+                    (served, base + last as u64),
+                ],
             };
             return Ok(read);
         }
         let (epoch, durable_events) = self.durable_position();
-        Ok(CursorRead {
-            epoch,
-            durable_events,
-            events: Vec::new(),
-        })
+        Ok(CursorRead::empty(epoch, durable_events))
     }
 
     /// Most recent journal write/fsync failure, if any. Write failures
@@ -925,112 +1108,142 @@ fn write_durable(filestate: &mut FileState, bytes: &[u8]) -> Result<(), WriteFau
     Ok(())
 }
 
-fn flusher_loop(shared: &Shared, interval: Duration) {
-    loop {
-        // Swap the pending buffer out whole, remembering which epoch it
-        // belongs to and the highest sequence it covers.
-        let (bytes, seq_hi, epoch_at_take) = {
-            let mut pending = lock(&shared.pending);
-            (
-                std::mem::take(&mut pending.buf),
-                pending.next_seq - 1,
-                pending.epoch,
-            )
-        };
-        // `retired`: the frames no longer need writing (fsync'd, or
-        // owned by a snapshot / crash sim) — only then may durable_seq
-        // advance and commit waiters be released. A FAILED write must
-        // not ack: the bytes go back to the front of the pending buffer
-        // and the commit waiter gets a typed error (it may retry the
-        // sync; a later cycle can still land the frames). A failed
-        // FSYNC poisons the journal outright — after fdatasync reports
-        // an error the page-cache state is unknowable, so "retry and
-        // see it succeed" could ack data the kernel already dropped.
-        let bytes_were_empty = bytes.is_empty();
-        let mut retired = false;
-        let mut failed = false;
-        if !bytes.is_empty() {
-            let mut filestate = lock(&shared.filestate);
-            if filestate.dead || filestate.epoch != epoch_at_take {
-                // Crash sim, or a snapshot truncation between take and
-                // here retagged the epoch: these frames are already
-                // owned elsewhere — discard and retire.
-                retired = true;
-            } else if shared.poisoned.load(Ordering::Acquire) {
-                // Poisoned: discard, never write. Waiters observe the
-                // poison through sync()'s failure check.
-                failed = true;
-            } else {
-                let flush_started = Instant::now();
-                match write_durable(&mut filestate, &bytes) {
-                    Ok(()) => {
+/// One group-commit cycle: retire the whole pending buffer with one
+/// `write` + one `fdatasync`, then release the waiters it covers. Run by
+/// the flusher thread (interval, kick, drain) and by a blocking
+/// [`Journal::sync`] caller that found no cycle under way; `cycle` is
+/// the lock that makes them take turns. Returns true when the cycle
+/// failed: frames restored to pending, or discarded by a poisoned
+/// journal.
+fn flush_cycle(shared: &Shared, cycle: MutexGuard<'_, ()>) -> bool {
+    // Swap the pending buffer out whole, remembering which epoch it
+    // belongs to and the highest sequence it covers.
+    let (bytes, seq_hi, epoch_at_take) = {
+        let mut pending = lock(&shared.pending);
+        (
+            std::mem::take(&mut pending.buf),
+            pending.next_seq - 1,
+            pending.epoch,
+        )
+    };
+    // `retired`: the frames no longer need writing (fsync'd, or
+    // owned by a snapshot / crash sim) — only then may durable_seq
+    // advance and commit waiters be released. A FAILED write must
+    // not ack: the bytes go back to the front of the pending buffer
+    // and the commit waiter gets a typed error (it may retry the
+    // sync; a later cycle can still land the frames). A failed
+    // FSYNC poisons the journal outright — after fdatasync reports
+    // an error the page-cache state is unknowable, so "retry and
+    // see it succeed" could ack data the kernel already dropped.
+    let bytes_were_empty = bytes.is_empty();
+    let mut retired = false;
+    let mut failed = false;
+    if !bytes.is_empty() {
+        let mut filestate = lock(&shared.filestate);
+        if filestate.dead || filestate.epoch != epoch_at_take {
+            // Crash sim, or a snapshot truncation between take and
+            // here retagged the epoch: these frames are already
+            // owned elsewhere — discard and retire.
+            retired = true;
+        } else if shared.poisoned.load(Ordering::Acquire) {
+            // Poisoned: discard, never write. Waiters observe the
+            // poison through sync()'s failure check.
+            failed = true;
+        } else {
+            let flush_started = Instant::now();
+            match write_durable(&mut filestate, &bytes) {
+                Ok(()) => {
+                    retired = true;
+                    // Batch size: events this fsync newly covered.
+                    let events = seq_hi.saturating_sub(shared.durable_seq.load(Ordering::Acquire));
+                    filestate.durable_events += events;
+                    // A fully successful flush clears any earlier
+                    // transient write failure (the retry landed).
+                    filestate.error = None;
+                    shared.flush_stats.record(flush_started.elapsed(), events);
+                    *lock(&shared.fail) = FailState::None;
+                    shared.failed_hi.store(0, Ordering::Release);
+                }
+                Err(WriteFault::Write(e)) => {
+                    failed = true;
+                    filestate.needs_repair = true;
+                    filestate.error = Some(e.to_string());
+                    *lock(&shared.fail) = FailState::WriteFailed {
+                        error: e.to_string(),
+                        enospc: is_enospc(&e),
+                    };
+                    shared.failed_hi.fetch_max(seq_hi, Ordering::AcqRel);
+                    drop(filestate);
+                    // Restore order: failed frames precede anything
+                    // appended since the take — unless a truncation
+                    // retired them while the write was failing.
+                    let mut pending = lock(&shared.pending);
+                    if pending.epoch == epoch_at_take {
+                        let mut restored = bytes;
+                        restored.extend_from_slice(&pending.buf);
+                        pending.buf = restored;
+                    } else {
                         retired = true;
-                        // Batch size: events this fsync newly covered.
-                        let events =
-                            seq_hi.saturating_sub(shared.durable_seq.load(Ordering::Acquire));
-                        filestate.durable_events += events;
-                        // A fully successful flush clears any earlier
-                        // transient write failure (the retry landed).
-                        filestate.error = None;
-                        shared.flush_stats.record(flush_started.elapsed(), events);
-                        *lock(&shared.fail) = FailState::None;
-                        shared.failed_hi.store(0, Ordering::Release);
+                        failed = false;
                     }
-                    Err(WriteFault::Write(e)) => {
-                        failed = true;
-                        filestate.needs_repair = true;
-                        filestate.error = Some(e.to_string());
-                        *lock(&shared.fail) = FailState::WriteFailed {
-                            error: e.to_string(),
-                            enospc: is_enospc(&e),
-                        };
-                        shared.failed_hi.fetch_max(seq_hi, Ordering::AcqRel);
-                        drop(filestate);
-                        // Restore order: failed frames precede anything
-                        // appended since the take — unless a truncation
-                        // retired them while the write was failing.
-                        let mut pending = lock(&shared.pending);
-                        if pending.epoch == epoch_at_take {
-                            let mut restored = bytes;
-                            restored.extend_from_slice(&pending.buf);
-                            pending.buf = restored;
-                        } else {
-                            retired = true;
-                            failed = false;
-                        }
-                    }
-                    Err(WriteFault::Fsync(e)) => {
-                        failed = true;
-                        let msg = format!(
-                            "fdatasync failed ({e}); journal poisoned — \
-                             page-cache state unknown, no retry"
-                        );
-                        filestate.error = Some(msg.clone());
-                        // durable_len stays where the last good fsync
-                        // left it; the bytes written above are dropped
-                        // on the floor along with all pending frames.
-                        shared.poisoned.store(true, Ordering::Release);
-                        *lock(&shared.fail) = FailState::Poisoned { error: msg };
-                    }
+                }
+                Err(WriteFault::Fsync(e)) => {
+                    failed = true;
+                    let msg = format!(
+                        "fdatasync failed ({e}); journal poisoned — \
+                         page-cache state unknown, no retry"
+                    );
+                    filestate.error = Some(msg.clone());
+                    // durable_len stays where the last good fsync
+                    // left it; the bytes written above are dropped
+                    // on the floor along with all pending frames.
+                    shared.poisoned.store(true, Ordering::Release);
+                    *lock(&shared.fail) = FailState::Poisoned { error: msg };
                 }
             }
         }
-        // Companion (audit spill) rides every cycle, not just ones with
-        // journal traffic: batch cleans produce audit records without
-        // journal events. A no-op when its buffer is empty; failures
-        // park in the spill's own error state for the service to read.
-        let companion = lock(&shared.companion).clone();
-        if let Some(spill) = companion {
-            let _ = spill.sync();
+    }
+    // Companion (audit spill) rides every cycle, not just ones with
+    // journal traffic: batch cleans produce audit records without
+    // journal events. A no-op when its buffer is empty; failures
+    // park in the spill's own error state for the service to read.
+    let companion = lock(&shared.companion).clone();
+    if let Some(spill) = companion {
+        let _ = spill.sync();
+    }
+    let covered = !bytes_were_empty && retired;
+    if covered {
+        shared.durable_seq.fetch_max(seq_hi, Ordering::AcqRel);
+    }
+    // The next taker counts its batch from `durable_seq`: set, then
+    // let it in — and wake nobody with a journal lock held. A failure
+    // wakes waiters too, so they observe the typed error now instead
+    // of at their next 50 ms poll.
+    drop(cycle);
+    if covered || failed {
+        shared.notify_durable();
+    }
+    failed
+}
+
+fn flusher_loop(shared: &Shared, interval: Duration) {
+    loop {
+        // An interval or a kick, whichever is first; a stopping journal
+        // drains without pausing.
+        if !shared.stop.load(Ordering::Acquire) {
+            let guard = lock(&shared.flush_mutex);
+            let mut guard = if *guard {
+                guard
+            } else {
+                shared
+                    .flush_cv
+                    .wait_timeout(guard, interval)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            };
+            *guard = false;
         }
-        if !bytes_were_empty && retired {
-            shared.durable_seq.fetch_max(seq_hi, Ordering::AcqRel);
-            shared.notify_durable();
-        } else if failed {
-            // Wake waiters so they observe the typed failure now
-            // instead of at their next 50 ms poll.
-            shared.notify_durable();
-        }
+        let failed = flush_cycle(shared, lock(&shared.cycle));
         if shared.stop.load(Ordering::Acquire) {
             let drained = lock(&shared.pending).buf.is_empty();
             // Drain what arrived between take and stop — but if the disk
@@ -1040,19 +1253,7 @@ fn flusher_loop(shared: &Shared, interval: Duration) {
                 shared.notify_durable();
                 return;
             }
-            continue;
         }
-        let guard = lock(&shared.flush_mutex);
-        let mut guard = if *guard {
-            guard
-        } else {
-            shared
-                .flush_cv
-                .wait_timeout(guard, interval)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0
-        };
-        *guard = false;
     }
 }
 

@@ -13,6 +13,13 @@ fn real_fs() -> Arc<dyn StorageFs> {
     Arc::new(RealFs)
 }
 
+/// What a cursor read served, decoded.
+fn events(read: &CursorRead) -> Vec<JournalEvent> {
+    read.payloads()
+        .map(|payload| JournalEvent::decode(payload).unwrap())
+        .collect()
+}
+
 fn ev(session: u64) -> JournalEvent {
     JournalEvent::SessionCreated {
         session,
@@ -289,8 +296,8 @@ fn cursor_reads_and_positions_survive_reopen_and_truncation() {
     assert_eq!(journal.durable_position(), (0, 6));
     let read = journal.read_durable_from(2, 3).unwrap();
     assert_eq!((read.epoch, read.durable_events), (0, 6));
-    assert_eq!(read.events, vec![ev(2), ev(3), ev(4)]);
-    assert!(journal.read_durable_from(6, 8).unwrap().events.is_empty());
+    assert_eq!(events(&read), vec![ev(2), ev(3), ev(4)]);
+    assert!(journal.read_durable_from(6, 8).unwrap().is_empty());
     drop(journal);
     // Seqs restart at 1 on reopen; file positions do not.
     let scan = scan_journal(&path).unwrap();
@@ -300,7 +307,7 @@ fn cursor_reads_and_positions_survive_reopen_and_truncation() {
     assert_eq!(journal.position_of(seq), 7);
     journal.sync(seq).unwrap();
     assert_eq!(
-        journal.read_durable_from(6, 10).unwrap().events,
+        events(&journal.read_durable_from(6, 10).unwrap()),
         vec![ev(6)]
     );
     // Truncation restarts positions in the new epoch.
@@ -311,7 +318,7 @@ fn cursor_reads_and_positions_survive_reopen_and_truncation() {
     journal.sync(seq).unwrap();
     let read = journal.read_durable_from(0, 10).unwrap();
     assert_eq!(read.epoch, 1);
-    assert_eq!(read.events, vec![ev(7)]);
+    assert_eq!(events(&read), vec![ev(7)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -324,17 +331,21 @@ fn cursor_reads_resume_from_the_last_one_and_agree_with_a_full_walk() {
     let path = dir.join("journal.wal");
     let scan = scan_journal(&path).unwrap();
     let journal = Journal::open(&path, &scan, 0, Duration::from_millis(1), &real_fs()).unwrap();
-    let events: Vec<JournalEvent> = (0..40).map(ev).collect();
+    let appended: Vec<JournalEvent> = (0..40).map(ev).collect();
     let mut last = 0;
-    for event in &events {
+    for event in &appended {
         last = journal.append(event);
     }
     journal.sync(last).unwrap();
     let hint = || *lock(&journal.shared.read_hint);
     for (offset, max) in [(0, 7), (7, 7), (14, 1), (20, 5), (3, 4), (39, 9), (15, 25)] {
         let read = journal.read_durable_from(offset, max).unwrap();
-        let end = (offset as usize + max).min(events.len());
-        assert_eq!(read.events, events[offset as usize..end], "from {offset}");
+        let end = (offset as usize + max).min(appended.len());
+        assert_eq!(
+            events(&read),
+            appended[offset as usize..end],
+            "from {offset}"
+        );
         assert_eq!((hint().epoch, hint().marks[1].0), (0, end as u64));
         assert_eq!(hint().marks[0].0, offset, "where it started");
     }
@@ -350,7 +361,7 @@ fn cursor_reads_resume_from_the_last_one_and_agree_with_a_full_walk() {
     let seq = journal.append(&ev(99));
     journal.sync(seq).unwrap();
     // The old epoch's boundary means nothing in the new file.
-    assert_eq!(journal.read_durable_from(0, 10).unwrap().events, [ev(99)]);
+    assert_eq!(events(&journal.read_durable_from(0, 10).unwrap()), [ev(99)]);
     assert_eq!((hint().epoch, hint().marks[1].0), (1, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -420,4 +431,261 @@ fn group_commit_under_concurrent_appenders() {
     assert_eq!(scan.events.len(), 201);
     assert_eq!(scan.torn_bytes, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A follower far behind reads the journal about once over its whole
+/// catch-up: each pull reads what it serves (in bounded chunks sized by
+/// the file's mean frame), not the rest of the file.
+#[test]
+fn a_full_catch_up_reads_the_file_about_once() {
+    struct CountingReader(std::fs::File, Arc<AtomicU64>);
+    impl ReadAt for CountingReader {
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            self.1.fetch_add(buf.len() as u64, Ordering::Relaxed);
+            self.0.read_exact_at(buf, offset)
+        }
+    }
+    const EVENTS: u64 = 10_000;
+    let dir = tmp_dir("catch-up");
+    let path = dir.join("journal.wal");
+    let scan = scan_journal(&path).unwrap();
+    let mut journal =
+        Journal::open(&path, &scan, 0, Duration::from_secs(3600), &real_fs()).unwrap();
+    // Frames of 29 to 68 bytes, in no order a mean would fit exactly.
+    let event = |i: u64| JournalEvent::SessionCreated {
+        session: i,
+        values: vec![Value::str("x".repeat((i * 7 % 40) as usize))],
+    };
+    let last = (0..EVENTS).fold(0, |_, i| journal.append(&event(i)));
+    journal.sync(last).unwrap();
+    let read_bytes = Arc::new(AtomicU64::new(0));
+    let file = std::fs::File::open(&path).unwrap();
+    journal.reader = Box::new(CountingReader(file, Arc::clone(&read_bytes)));
+    let mut offset = 0;
+    while offset < EVENTS {
+        let read = journal.read_durable_from(offset, 512).unwrap();
+        assert_eq!(read.len() as u64, 512.min(EVENTS - offset), "from {offset}");
+        let first = JournalEvent::decode(read.payloads().next().unwrap()).unwrap();
+        assert_eq!(first, event(offset));
+        offset += read.len() as u64;
+    }
+    let (read, file_len) = (read_bytes.load(Ordering::Relaxed), journal.durable_len());
+    assert!(
+        read * 10 <= file_len * 11,
+        "{read} bytes read to serve a {file_len}-byte journal"
+    );
+    // One frame larger than a chunk is still served whole.
+    let big = JournalEvent::RulesReloaded {
+        dsl: "r".repeat(3 * READ_CHUNK as usize),
+        fingerprint: 1,
+    };
+    journal.sync(journal.append(&big)).unwrap();
+    assert_eq!(
+        events(&journal.read_durable_from(EVENTS, 512).unwrap()),
+        [big]
+    );
+    drop(journal);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`RealFs`] whose journal file records the thread each `sync_data`
+/// runs on, and waits at a gate while the test holds it shut.
+#[derive(Debug, Default)]
+struct WitnessFs {
+    synced_on: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    shut: Arc<(Mutex<bool>, Condvar)>,
+}
+
+#[derive(Debug)]
+struct WitnessFile {
+    file: Box<dyn StorageFile>,
+    synced_on: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    shut: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl StorageFile for WitnessFile {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.file.write_all(buf)
+    }
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        lock(&self.synced_on).push(std::thread::current().id());
+        let mut shut = lock(&self.shut.0);
+        while *shut {
+            shut = self.shut.1.wait(shut).unwrap();
+        }
+        drop(shut);
+        self.file.sync_data()
+    }
+    fn sync_all(&mut self) -> std::io::Result<()> {
+        self.file.sync_all()
+    }
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.file.set_len(len)
+    }
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.file.seek(pos)
+    }
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.file.read(buf)
+    }
+    fn file_len(&self) -> std::io::Result<u64> {
+        self.file.file_len()
+    }
+}
+
+impl StorageFs for WitnessFs {
+    fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+        Ok(Box::new(WitnessFile {
+            file: RealFs.open_rw(path)?,
+            synced_on: Arc::clone(&self.synced_on),
+            shut: Arc::clone(&self.shut),
+        }))
+    }
+    fn create_truncated(&self, path: &Path) -> std::io::Result<Box<dyn StorageFile>> {
+        RealFs.create_truncated(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        RealFs.rename(from, to)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        RealFs.sync_dir(dir)
+    }
+    fn free_bytes(&self, dir: &Path) -> Option<u64> {
+        RealFs.free_bytes(dir)
+    }
+}
+
+/// Settle `seq` the way a caller that may not block does: kick the
+/// flusher and watch for the verdict — the cycle runs on its thread.
+fn settle_on_the_flusher(journal: &Journal, seq: u64) -> Result<(), SyncError> {
+    journal.kick_flusher();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(verdict) = journal.sync_status(seq) {
+            return verdict;
+        }
+        assert!(Instant::now() < deadline, "the flusher never settled {seq}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_blocking_sync_leads_its_own_cycle_and_concurrent_ones_share_the_next() {
+    let dir = tmp_dir("led");
+    let path = dir.join("journal.wal");
+    let witness = WitnessFs::default();
+    let (synced_on, shut) = (Arc::clone(&witness.synced_on), Arc::clone(&witness.shut));
+    let fs: Arc<dyn StorageFs> = Arc::new(witness);
+    let scan = scan_journal(&path).unwrap();
+    let journal = Arc::new(Journal::open(&path, &scan, 0, Duration::from_secs(3600), &fs).unwrap());
+    let syncs = || lock(&synced_on).clone();
+    let me = std::thread::current().id();
+    assert_eq!(syncs(), [me], "opening syncs the header");
+
+    // Alone: the caller's own thread writes and fsyncs. Kicked: the
+    // flusher's does.
+    journal.sync(journal.append(&ev(0))).unwrap();
+    assert_eq!(syncs(), [me, me], "a lone sync leads");
+    settle_on_the_flusher(&journal, journal.append(&ev(1))).unwrap();
+    assert_eq!(syncs().len(), 3);
+    assert_ne!(syncs()[2], me, "a kick is served by the flusher thread");
+
+    // Four at once: the first leads and sticks in the disk; the other
+    // three, appended meanwhile, find a cycle under way, wait, and are
+    // covered together by the one that follows it.
+    *lock(&shut.0) = true;
+    let sync_on_a_thread = |seq: u64| {
+        let journal = Arc::clone(&journal);
+        std::thread::spawn(move || journal.sync(seq))
+    };
+    let leader = sync_on_a_thread(journal.append(&ev(2)));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while syncs().len() < 4 {
+        assert!(
+            Instant::now() < deadline,
+            "the leader never reached the disk"
+        );
+        std::thread::yield_now();
+    }
+    let waiters: Vec<_> = (3..6)
+        .map(|i| sync_on_a_thread(journal.append(&ev(i))))
+        .collect();
+    *lock(&shut.0) = false;
+    shut.1.notify_all();
+    leader.join().unwrap().unwrap();
+    for waiter in waiters {
+        waiter.join().unwrap().unwrap();
+    }
+    assert_eq!(syncs().len(), 5, "two fsyncs cover the four");
+    assert_eq!(journal.durable_position(), (0, 6));
+    let journal = Arc::into_inner(journal).unwrap();
+    drop(journal);
+    let scan = scan_journal(&path).unwrap();
+    assert_eq!(
+        scan.events,
+        (0..6).map(ev).collect::<Vec<_>>(),
+        "append order"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failing disk reads the same through a cycle the caller leads as
+/// through the flusher's: the same typed error, the same frames put
+/// back in the same order (ENOSPC), the same poison (fsync).
+#[test]
+fn a_led_cycle_fails_as_the_flushers_does() {
+    type Settle = fn(&Journal, u64) -> Result<(), SyncError>;
+    let paths: [(&str, Settle); 2] = [
+        ("led", |journal, seq| journal.sync(seq)),
+        ("flusher", settle_on_the_flusher),
+    ];
+    let outcomes: Vec<(SyncError, SyncError)> = paths
+        .into_iter()
+        .map(|(name, settle)| {
+            let dir = tmp_dir(&format!("led-faults-{name}"));
+            let path = dir.join("journal.wal");
+            let fault = FaultFs::new(FaultPlan::default());
+            let fs: Arc<dyn StorageFs> = Arc::new(fault.clone());
+            let scan = scan_journal(&path).unwrap();
+            let journal = Journal::open(&path, &scan, 0, Duration::from_secs(3600), &fs).unwrap();
+            settle(&journal, journal.append(&ev(0))).unwrap();
+            // ENOSPC: both waiters fail, the frames go back in order and
+            // land, ahead of a later append, once there is room.
+            fault.update_plan(|p| p.capacity_bytes = Some(fault.bytes_written()));
+            let (first, second) = (journal.append(&ev(1)), journal.append(&ev(2)));
+            let full = settle(&journal, second).unwrap_err();
+            assert_eq!(journal.sync_status(first), Some(Err(full.clone())));
+            assert!(
+                journal.poisoned().is_none(),
+                "{name}: ENOSPC does not poison"
+            );
+            fault.add_capacity(1 << 20);
+            settle(&journal, journal.append(&ev(3))).unwrap();
+            assert_eq!(journal.sync_status(first), Some(Ok(())));
+            assert!(
+                journal.last_error().is_none(),
+                "{name}: cleared by the retry"
+            );
+            // A failed fsync poisons: nothing after it is ever durable.
+            let durable = journal.durable_len();
+            fault.update_plan(|p| p.fail_fsync_at = Some(fault.fsyncs() + 1));
+            let poisoned = settle(&journal, journal.append(&ev(4))).unwrap_err();
+            assert_eq!(journal.durable_len(), durable, "{name}: no false advance");
+            assert_eq!(
+                settle(&journal, journal.append(&ev(5))),
+                Err(poisoned.clone())
+            );
+            drop(journal);
+            let on_disk = scan_journal(&path).unwrap().events;
+            assert_eq!(on_disk[..4], (0..4).map(ev).collect::<Vec<_>>(), "{name}");
+            let _ = std::fs::remove_dir_all(&dir);
+            (full, poisoned)
+        })
+        .collect();
+    assert!(matches!(
+        outcomes[0].0,
+        SyncError::WriteFailed { enospc: true, .. }
+    ));
+    assert!(matches!(outcomes[0].1, SyncError::Poisoned { .. }));
+    assert_eq!(outcomes[0], outcomes[1], "led vs flusher");
 }

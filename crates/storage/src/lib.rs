@@ -9,9 +9,11 @@
 //! * [`Journal`] — a crash-safe, length-prefixed + CRC-checksummed
 //!   **write-ahead journal** of session events (create / validate /
 //!   commit / abort / evict / rules-reload) with group-fsync batching:
-//!   appends are memory-only on the request path; a flusher thread
-//!   retires them with one `write`+`fdatasync` per cycle, and
-//!   `session.commit` waits for its group's fsync.
+//!   appends are memory-only on the request path; a flush cycle — the
+//!   flusher thread's, or one a blocking `sync` caller leads itself —
+//!   retires them with one `write`+`fdatasync`, and `session.commit`
+//!   waits for its group's fsync. The same file is the replication
+//!   stream: cursor reads serve its frames as bytes, never decoded.
 //! * [`snapshot`] — periodic atomic **snapshots** of all live session
 //!   state (tmp + fsync + rename), after which the journal is truncated
 //!   to a new epoch. Recovery = load snapshot + replay the journal
@@ -290,8 +292,15 @@ impl Storage {
     /// Journal one event (group-committed in the background); returns
     /// the sequence number for [`sync`](Self::sync).
     pub fn append(&self, event: &JournalEvent) -> u64 {
+        self.append_encoded(&event.encode())
+    }
+
+    /// [`append`](Self::append) for an event that is already a frame
+    /// payload: a follower journals the bytes its primary sent, so the
+    /// two journal files stay equal byte for byte.
+    pub fn append_encoded(&self, payload: &[u8]) -> u64 {
         self.events_since_snapshot.fetch_add(1, Ordering::Relaxed);
-        self.journal.append(event)
+        self.journal.append_encoded(payload)
     }
 
     /// Block until the fsync covering `seq` (journal *and* audit spill)
@@ -345,7 +354,7 @@ impl Storage {
         self.journal.position_of(seq)
     }
 
-    /// Read up to `max` durable events from epoch-file position
+    /// Read up to `max` durable frames from epoch-file position
     /// `offset` — the primary side of a `replica.sync` pull.
     pub fn read_journal_from(&self, offset: u64, max: usize) -> std::io::Result<CursorRead> {
         self.journal.read_durable_from(offset, max)

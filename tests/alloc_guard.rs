@@ -11,6 +11,11 @@
 //! `session.validate` that ends `awaiting_user` with a new suggestion at
 //! most 15 (measured 9; was 155), and the completing `session.validate`
 //! 4, as it was (a complete session never asks the inference system).
+//! Last, the same session replicated — a journaled primary, a follower
+//! tailing it over loopback, quorum 2 — at most 215 allocations on both
+//! nodes together (measured 206; 313 while each frame was decoded and
+//! re-encoded on the primary and read through a `Json` tree, hex-decoded
+//! into its own `Vec` and re-encoded on the follower).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -25,7 +30,9 @@
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
-use cerfix_server::{CleaningService, RequestScratch, ServiceConfig};
+use cerfix_server::{
+    CleaningService, Frontend, RequestScratch, Server, ServiceConfig, StorageConfig,
+};
 use std::sync::Arc;
 
 #[path = "common/counting_alloc.rs"]
@@ -114,6 +121,79 @@ fn entry_path_allocations(service: &CleaningService) -> [u64; 3] {
         service.handle_line(&format!(r#"{{"op":"session.abort","session":{id}}}"#));
     }
     spent
+}
+
+/// Most allocations one replicated session may make, both nodes and
+/// every thread counted (measured 206; 313 when frames were decoded,
+/// re-encoded and read through a `Json` tree on the way).
+const REPLICATED_BOUND: u64 = 215;
+
+/// The UK clerk's session — create, two validates, commit — on a
+/// journaled primary with a follower tailing it over loopback, quorum 2:
+/// allocations per session, process-wide, so both nodes' share. Four
+/// frames cross the hop per session; on the follower each costs what
+/// decoding and replaying the event costs — reading the reply builds no
+/// tree and copies no frame.
+fn replicated_session_allocations() -> u64 {
+    let dir = std::env::temp_dir().join(format!("cerfix-alloc-guard-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let node = |name: &str, config: ServiceConfig| {
+        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let master = MasterData::new(cerfix_gen::uk::generate_master(2, &mut rng));
+        let config = ServiceConfig {
+            precompute_regions: false,
+            advertise: Some(name.to_string()),
+            ..config
+        };
+        let storage = StorageConfig::new(dir.join(name));
+        let rules = Arc::new(cerfix_gen::uk::rules());
+        CleaningService::with_storage(Arc::new(master), rules, config, storage).unwrap()
+    };
+    let primary = node(
+        "primary",
+        ServiceConfig {
+            cluster_size: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let server = Server::spawn_with("127.0.0.1:0", primary.clone(), Frontend::auto()).unwrap();
+    let follower = node(
+        "follower",
+        ServiceConfig {
+            replicate_from: Some(server.addr().to_string()),
+            ..ServiceConfig::default()
+        },
+    );
+    let mut out = String::new();
+    let mut scratch = RequestScratch::default();
+    let mut before = 0;
+    for i in 0..ENTRY_WARM + ENTRY_MEASURE {
+        if i == ENTRY_WARM {
+            before = counting_alloc::count();
+        }
+        let id = i + 1;
+        let steps = [
+            r#"{"op":"session.create","tuple":["M.","Smith","201","075568485","2","1 Nowhere","???","XXX","DVD"]}"#.to_string(),
+            format!(r#"{{"op":"session.validate","session":{id},"validations":{{"AC":"020","phn":"075568485","type":"2","item":"DVD"}}}}"#),
+            format!(r#"{{"op":"session.validate","session":{id},"validations":{{"zip":"NW1 6XE"}}}}"#),
+            format!(r#"{{"op":"session.commit","session":{id}}}"#),
+        ];
+        for line in &steps {
+            out.clear();
+            primary.handle_line_into(line, &mut out, &mut scratch);
+            assert!(out.starts_with("{\"ok\":true"), "session {id}: {out}");
+        }
+    }
+    let spent = counting_alloc::count() - before;
+    // Every commit was acknowledged by the follower's durable cursor.
+    assert_eq!(
+        follower.metrics().journal_events,
+        4 * (ENTRY_WARM + ENTRY_MEASURE)
+    );
+    server.shutdown().unwrap();
+    drop((primary, follower));
+    let _ = std::fs::remove_dir_all(&dir);
+    spent / ENTRY_MEASURE
 }
 
 #[test]
@@ -227,6 +307,15 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         completing <= 4 * ENTRY_MEASURE + STRAY_SLACK,
         "completing session.validate: {completing} allocations over {ENTRY_MEASURE} requests \
          (must be 4 each)"
+    );
+
+    // The replicated session: the same clerk on a primary whose commits
+    // wait for a follower's fsynced ack.
+    let per_session = replicated_session_allocations();
+    assert!(
+        per_session <= REPLICATED_BOUND,
+        "a replicated session: {per_session} allocations on primary and follower together \
+         (must be at most {REPLICATED_BOUND})"
     );
 
     // The request counter is exact: 2 diag-priming requests, 2 session

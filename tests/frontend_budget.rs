@@ -6,7 +6,8 @@
 //!   A closed-loop inline request costs exactly one of each of the
 //!   first three and no wake-up; a journaled `session.commit` one read,
 //!   one write, **no worker-pool job** and the flusher's one wake-up; a
-//!   64-request pipelined window two reads and two writes at most.
+//!   64-request pipelined window two reads and two writes at most; a
+//!   `Client::request` is one `write`, so one reactor read.
 //! * **Group commit is not bounded by `--workers`.** A journaled commit
 //!   is applied on the reactor and *parked* until its group fsync: with
 //!   one worker and the first fsync gated shut, four connections'
@@ -30,7 +31,7 @@ use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::protocol::Request;
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Frontend, MetricsSnapshot, Server, ServerHandle, ServiceConfig,
+    CleaningService, Client, Frontend, MetricsSnapshot, Server, ServerHandle, ServiceConfig,
 };
 use cerfix_storage::{FaultFs, FaultPlan, RealFs, StorageConfig, StorageFile, StorageFs};
 use std::io::{BufRead, BufReader, SeekFrom, Write};
@@ -249,6 +250,29 @@ fn a_closed_loop_request_costs_one_poll_one_read_one_write() {
     assert!(after.reactor_reads - before.reactor_reads <= 2, "reads");
     assert!(after.reactor_writes - before.reactor_writes <= 2, "writes");
 
+    server.shutdown().unwrap();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The library client frames a request and its newline into one
+/// `write`: on a `TCP_NODELAY` socket two writes are two segments, and
+/// the reactor could wake — and read — twice for one line.
+#[test]
+fn a_client_request_is_one_write_and_one_reactor_read() {
+    const N: u64 = 200;
+    let dir = tmp_dir("client-write");
+    let service = journaled(&dir, 2, Arc::new(RealFs));
+    let server = Server::spawn_with("127.0.0.1:0", service.clone(), Frontend::Epoll).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.hello().unwrap();
+    let before = settled(&service);
+    for _ in 0..N {
+        client.request(&Request::Hello).unwrap();
+    }
+    let after = settled(&service);
+    assert_eq!(after.reactor_reads - before.reactor_reads, N, "reads");
+    assert_eq!(after.reactor_polls - before.reactor_polls, N, "polls");
     server.shutdown().unwrap();
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
