@@ -4,6 +4,7 @@
 
 use crate::client::{Client, RetryPolicy};
 use crate::diag::{Level, Subsystem};
+use crate::errors::{ErrorCode, ServeError};
 use crate::ops;
 use crate::protocol::{Request, PROTOCOL_VERSION};
 use crate::replication::{lock_followers, Role};
@@ -38,7 +39,7 @@ impl CleaningService {
         &self,
         wait_ms: Option<u64>,
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let bound = Duration::from_millis(wait_ms.unwrap_or(DEFAULT_DRAIN_WAIT_MS));
         let newly = !self.inner.draining.swap(true, Ordering::AcqRel);
         if newly {
@@ -92,7 +93,9 @@ impl CleaningService {
                     service.inner.shutdown.store(true, Ordering::Release);
                     service.notify_shutdown();
                 })
-                .map_err(|e| format!("storage_error: drain monitor spawn failed: {e}"))?;
+                .map_err(|e| {
+                    ErrorCode::StorageError.error(format!("drain monitor spawn failed: {e}"))
+                })?;
         }
         let sessions = self.live_sessions();
         reply.send(|w| {
@@ -103,13 +106,13 @@ impl CleaningService {
     }
 
     /// `shutdown`: latch the flag and wake everything that waits on it.
-    pub(crate) fn shutdown(&self, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn shutdown(&self, reply: Reply<'_>) -> Result<(), ServeError> {
         self.inner.shutdown.store(true, Ordering::Release);
         self.notify_shutdown();
         reply.send(|w| w.field("stopping", true))
     }
 
-    pub(crate) fn hello(&self, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn hello(&self, reply: Reply<'_>) -> Result<(), ServeError> {
         let engine = self.engine();
         let role = self.role();
         let schema = self.input_schema();
@@ -155,7 +158,7 @@ impl CleaningService {
         start: u64,
         count: Option<u64>,
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let count = count.unwrap_or(AUDIT_READ_DEFAULT).min(AUDIT_READ_MAX);
         let audit = &self.inner.audit;
         let records = audit.read_range(start as usize, count as usize);
@@ -190,14 +193,13 @@ impl CleaningService {
     /// in-flight writes are never misdiagnosed as damage. Corruption
     /// findings are logged and counted, and reported as typed
     /// `{file, offset, detail}` entries — torn tails stay legal.
-    pub(crate) fn scrub_response(&self, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn scrub_response(&self, reply: Reply<'_>) -> Result<(), ServeError> {
         let Some(binding) = &self.inner.storage else {
-            return Err("scrub requires a journaled server (--data-dir)".into());
+            return Err(
+                ErrorCode::BadRequest.error("scrub requires a journaled server (--data-dir)")
+            );
         };
-        let report = binding
-            .storage
-            .scrub()
-            .map_err(|e| format!("scrub failed to read the data directory: {e}"))?;
+        let report = binding.storage.scrub()?;
         self.inner.metrics.scrubs_run.inc();
         self.inner
             .metrics
@@ -237,11 +239,15 @@ impl CleaningService {
 
     /// `trace.read`: decode the most recent request spans (newest
     /// first) plus the slow-request ring for operators.
-    pub(crate) fn trace_read(&self, limit: Option<u64>, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn trace_read(
+        &self,
+        limit: Option<u64>,
+        reply: Reply<'_>,
+    ) -> Result<(), ServeError> {
         let sink = &self.inner.trace;
         let limit = limit.unwrap_or(64).min(4096) as usize;
-        let spans = sink.ring().read_recent(limit);
-        let slow = sink.slow().read_recent(limit.min(64));
+        let spans = sink.ring().recent_spans(limit);
+        let slow = sink.slow().recent_spans(limit.min(64));
         reply.send(|w| {
             w.field("enabled", sink.enabled());
             w.field("slow_ms", sink.slow_ns() / 1_000_000);
@@ -259,25 +265,28 @@ impl CleaningService {
         level: Option<&str>,
         subsystem: Option<&str>,
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let min_level = match level {
-            Some(name) => Level::parse(name)
-                .ok_or_else(|| format!("unknown level `{name}` (debug | info | warn | error)"))?,
+            Some(name) => Level::parse(name).ok_or_else(|| {
+                ErrorCode::BadRequest.error(format!(
+                    "unknown level `{name}` (debug | info | warn | error)"
+                ))
+            })?,
             None => Level::Debug,
         };
         let subsystem = match subsystem {
             Some(name) => Some(Subsystem::parse(name).ok_or_else(|| {
-                format!(
+                ErrorCode::BadRequest.error(format!(
                     "unknown subsystem `{name}` \
                      (server | net | journal | replication | health | config | admission)"
-                )
+                ))
             })?),
             None => None,
         };
         let limit = limit.unwrap_or(64).min(4096) as usize;
         let sink = &self.inner.diag;
         let ring = sink.ring();
-        let events = ring.read_recent(limit, min_level, subsystem);
+        let events = ring.recent_events(limit, min_level, subsystem);
         reply.send(|w| {
             w.field("enabled", ring.enabled());
             w.field("recorded", ring.recorded());
@@ -301,7 +310,7 @@ impl CleaningService {
         &self,
         limit: Option<u64>,
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let limit = limit.unwrap_or(120).min(600) as usize;
         let samples = self.inner.timeseries.history(limit);
         let retained = self.inner.timeseries.len();
@@ -319,7 +328,7 @@ impl CleaningService {
     /// primary has seen, then dials its siblings from that list — so
     /// one request to *any* member reaches the whole group. Peers are
     /// always asked with `fanout: false`, so the fan-out never recurses.
-    pub(crate) fn cluster_status(&self, fanout: bool, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn cluster_status(&self, fanout: bool, reply: Reply<'_>) -> Result<(), ServeError> {
         let repl = &self.inner.replication;
         let mut own = String::new();
         self.node_status(&mut JsonWriter::new(&mut own));
@@ -413,7 +422,7 @@ impl CleaningService {
 
     /// Fetch one peer's self-view for the fan-out; why not, when it
     /// cannot be had.
-    fn peer_status(&self, addr: &str) -> Result<Json, String> {
+    fn peer_status(&self, addr: &str) -> Result<Json, ServeError> {
         let policy = RetryPolicy {
             retries: 0,
             request_timeout: Some(Duration::from_millis(
@@ -421,23 +430,26 @@ impl CleaningService {
             )),
             ..RetryPolicy::default()
         };
-        let mut client = Client::connect_with(addr, policy).map_err(|e| e.to_string())?;
-        let response = client
-            .request(&Request::ClusterStatus { fanout: false })
-            .map_err(|e| e.to_string())?;
+        let mut client = Client::connect_with(addr, policy)?;
+        let response = client.request(&Request::ClusterStatus { fanout: false })?;
         response
             .get("nodes")
             .and_then(Json::as_arr)
             .and_then(|nodes| nodes.first())
             .cloned()
-            .ok_or_else(|| "malformed cluster.status reply".to_string())
+            .ok_or_else(|| ErrorCode::Internal.error("malformed cluster.status reply"))
     }
 
     /// `config.set`: apply a runtime tunable and journal it, so the
     /// setting survives restart and propagates to followers through
     /// the replication stream.
-    pub(crate) fn config_set(&self, key: &str, value: u64, reply: Reply<'_>) -> Result<(), String> {
-        let seq = self.with_gate(|| -> Result<Option<u64>, String> {
+    pub(crate) fn config_set(
+        &self,
+        key: &str,
+        value: u64,
+        reply: Reply<'_>,
+    ) -> Result<(), ServeError> {
+        let seq = self.with_gate(|| -> Result<Option<u64>, ServeError> {
             self.apply_config_set(key, value)?;
             Ok(self.journal(&JournalEvent::ConfigSet {
                 key: key.to_string(),
@@ -459,7 +471,7 @@ impl CleaningService {
     /// Apply one runtime tunable — the shared core of the live
     /// `config.set` op and journal replay (boot recovery, follower
     /// tail).
-    pub(crate) fn apply_config_set(&self, key: &str, value: u64) -> Result<(), String> {
+    pub(crate) fn apply_config_set(&self, key: &str, value: u64) -> Result<(), ServeError> {
         match key {
             "slow_ms" => self
                 .inner
@@ -484,10 +496,10 @@ impl CleaningService {
                 .peer_timeout_ms
                 .store(value.max(1), Ordering::Relaxed),
             other => {
-                return Err(format!(
+                return Err(ErrorCode::BadRequest.error(format!(
                     "unknown config key `{other}` \
                      (slow_ms | trace_buffer | diag_buffer | peer_timeout_ms)"
-                ))
+                )))
             }
         }
         Ok(())
@@ -497,8 +509,9 @@ impl CleaningService {
 /// Write one peer's `cluster.status` document. The registry key we
 /// dialed is authoritative for the address column (a peer without
 /// `--advertise` reports the "local" placeholder); an unreachable peer
-/// becomes an `ok: false` document instead of an error.
-fn write_peer_status(w: &mut JsonWriter<'_>, addr: &str, doc: &Result<Json, String>) {
+/// becomes an `ok: false` document — the fields of an error line,
+/// after its address — instead of an error.
+fn write_peer_status(w: &mut JsonWriter<'_>, addr: &str, doc: &Result<Json, ServeError>) {
     match doc {
         Ok(doc) => match doc.as_obj() {
             Some(fields) => {
@@ -518,8 +531,7 @@ fn write_peer_status(w: &mut JsonWriter<'_>, addr: &str, doc: &Result<Json, Stri
         Err(error) => {
             w.begin_obj();
             w.field("addr", addr);
-            w.field("ok", false);
-            w.field("error", error);
+            error.write(w);
             w.end_obj();
         }
     }

@@ -8,6 +8,7 @@
 //! documented response fields apart once, instead of every caller
 //! spelunking through JSON.
 
+use crate::errors::ErrorCode;
 use crate::protocol::Request;
 use crate::service::CleaningService;
 use crate::wire::scan::ObjectScanner;
@@ -159,22 +160,6 @@ impl RetryBudget {
     }
 }
 
-/// The new-primary address inside a `not_primary` error, when the
-/// follower knows one ("… primary is 127.0.0.1:7117"). Addresses are
-/// host:port; a follower that lost its primary says "unknown", which
-/// is not followable.
-fn redirect_target(message: &str) -> Option<&str> {
-    if !message.starts_with("not_primary") {
-        return None;
-    }
-    let addr = message.rsplit("primary is ").next()?.trim();
-    if addr.contains(':') && !addr.contains(' ') {
-        Some(addr)
-    } else {
-        None
-    }
-}
-
 /// xorshift64*: tiny, stateless-dependency PRNG for jitter only.
 pub(crate) fn next_rand(seed: &mut u64) -> u64 {
     let mut x = *seed;
@@ -193,7 +178,27 @@ pub enum ClientError {
     /// Malformed response.
     Wire(WireError),
     /// The server answered `{"ok":false,...}`.
-    Server(String),
+    Server {
+        /// The reply's `code` — `None` from a pre-v10 server, or for a
+        /// code this client's table does not have; such a reply is not
+        /// retried.
+        code: Option<ErrorCode>,
+        /// The reply's `error` text.
+        message: String,
+        /// The reply's `redirect`: the address to take the request to.
+        redirect: Option<String>,
+    },
+}
+
+impl ClientError {
+    /// The code the server refused with, when this is a refusal and it
+    /// carried one.
+    pub fn code(&self) -> Option<ErrorCode> {
+        match self {
+            ClientError::Server { code, .. } => *code,
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for ClientError {
@@ -201,7 +206,7 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Io(e) => write!(f, "io: {e}"),
             ClientError::Wire(e) => write!(f, "{e}"),
-            ClientError::Server(message) => write!(f, "server error: {message}"),
+            ClientError::Server { message, .. } => write!(f, "server error: {message}"),
         }
     }
 }
@@ -479,19 +484,25 @@ impl Client<LocalTransport> {
 /// not parsed, and no further than the verdict: whoever reads the rest
 /// of an `ok` line finds out whether it is well-formed.
 fn check_ok(response_line: &str) -> Result<(), ClientError> {
-    let malformed = || ClientError::Server("malformed server response".to_string());
+    let malformed = || WireError("malformed server response".to_string());
     let mut fields = ObjectScanner::new(response_line).ok_or_else(malformed)?;
     let (mut key_buf, mut buf) = (String::new(), String::new());
-    let mut error = None;
+    let (mut code, mut message, mut redirect) = (None, None, None);
     while let Some((key, value, _)) = fields.next_field() {
         match key.unescape_into(&mut key_buf) {
             "ok" if value.as_bool() == Some(true) => return Ok(()),
-            "error" => error = value.as_str(&mut buf).map(str::to_string),
+            "code" => code = value.as_str(&mut buf).and_then(ErrorCode::parse),
+            "error" => message = value.as_str(&mut buf).map(str::to_string),
+            "redirect" => redirect = value.as_str(&mut buf).map(str::to_string),
             _ => {}
         }
     }
     fields.finish()?;
-    Err(error.map_or_else(malformed, ClientError::Server))
+    Err(ClientError::Server {
+        code,
+        message: message.ok_or_else(malformed)?,
+        redirect,
+    })
 }
 
 fn get_u64(json: &Json, key: &str) -> Result<u64, ClientError> {
@@ -677,34 +688,42 @@ impl<T: Transport> Client<T> {
     /// line in `response` — the one request loop: [`request`](Self::request)
     /// parses what it leaves, the replication tail scans it in place.
     ///
-    /// Self-healing: a `not_primary` redirect re-points the transport
-    /// at the advertised primary and re-sends; a retryable
-    /// `overloaded` / `draining` rejection backs off and re-sends.
-    /// Both paths spend the transport's [`RetryBudget`] first, so a
-    /// fleet of clients facing a persistent overload self-limits
-    /// instead of amplifying it. Transports without a budget (the
-    /// in-process one) surface the errors unchanged.
+    /// Self-healing: a refusal that carries a `redirect` (a follower's
+    /// `not_primary`) re-points the transport at that address and
+    /// re-sends; one whose code is [retryable](ErrorCode::retryable)
+    /// (`overloaded`, `draining`) backs off and re-sends. Both paths
+    /// spend the transport's [`RetryBudget`] first, so a fleet of
+    /// clients facing a persistent overload self-limits instead of
+    /// amplifying it. Transports without a budget (the in-process one)
+    /// surface the errors unchanged, and so does a reply without a
+    /// `code`.
     pub fn request_line(&mut self, line: &str, response: &mut String) -> Result<(), ClientError> {
         let mut attempt = 0u32;
         loop {
             self.transport.round_trip(line, response)?;
-            let error = match check_ok(response) {
-                Err(ClientError::Server(message)) if attempt < MAX_REDIRECTS => message,
+            let (code, message, redirect) = match check_ok(response) {
+                Err(ClientError::Server {
+                    code,
+                    message,
+                    redirect,
+                }) if attempt < MAX_REDIRECTS => (code, message, redirect),
                 other => return other,
             };
-            if let Some(addr) = redirect_target(&error) {
-                if !(self.transport.spend_retry() && self.transport.repoint(addr)) {
-                    return Err(ClientError::Server(error));
-                }
-            } else if error.starts_with("overloaded:") || error.starts_with("draining:") {
-                if !self.transport.spend_retry() {
-                    return Err(ClientError::Server(error));
-                }
+            let again = match &redirect {
+                Some(addr) => self.transport.spend_retry() && self.transport.repoint(addr),
+                None => code.is_some_and(ErrorCode::retryable) && self.transport.spend_retry(),
+            };
+            if !again {
+                return Err(ClientError::Server {
+                    code,
+                    message,
+                    redirect,
+                });
+            }
+            if redirect.is_none() {
                 // Linear backoff is enough here: the budget, not the
                 // delay curve, is what bounds total retry pressure.
                 std::thread::sleep(Duration::from_millis(20 * (attempt as u64 + 1)));
-            } else {
-                return Err(ClientError::Server(error));
             }
             attempt += 1;
         }
@@ -988,25 +1007,6 @@ mod tests {
         assert!(!refilling.try_spend());
         std::thread::sleep(Duration::from_millis(30));
         assert!(refilling.try_spend(), "refilled after ~6 token-periods");
-    }
-
-    #[test]
-    fn redirect_target_parses_not_primary_errors() {
-        assert_eq!(
-            redirect_target(
-                "not_primary: this node is a read-only follower; primary is 127.0.0.1:7117"
-            ),
-            Some("127.0.0.1:7117")
-        );
-        // A follower that lost its primary is not followable.
-        assert_eq!(
-            redirect_target("not_primary: this node is a read-only follower; primary is unknown"),
-            None
-        );
-        // Other errors never parse as redirects.
-        assert_eq!(redirect_target("overloaded: shedding heavy reads"), None);
-        assert_eq!(redirect_target("unknown session 9"), None);
-        assert_eq!(redirect_target("not_primary"), None);
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! Every noteworthy server-side event — a replication stream refusing
 //! a stale primary, a snapshot failing, a health probe flipping to
 //! not-ready — is a [`DiagEvent`]: a level, a subsystem, a unix
-//! timestamp and a formatted message. Events are published into a
-//! fixed-size seqlock ring (the same claim-`fetch_add` + sequence
-//! bracket protocol as `trace.rs`), so emitting never locks and never
-//! allocates: the message is formatted into a fixed stack buffer and
-//! stored as packed words. That keeps the CI-guarded
-//! `session.get = 0 allocs/req` invariant intact with the diag log
-//! enabled, and makes it safe to emit from the reactor and flusher
-//! threads.
+//! timestamp and a formatted message. Events are published into the
+//! crate's one seqlock ring ([`crate::seqring`], which `trace.rs` holds
+//! too), so emitting never locks and never allocates: the message is
+//! formatted into a fixed stack buffer and stored as packed words. That
+//! keeps the CI-guarded `session.get = 0 allocs/req` invariant intact
+//! with the diag log enabled, and makes it safe to emit from the reactor
+//! and flusher threads.
 //!
 //! Sinks: the in-process ring is always the source of truth and is
 //! read over the wire by `log.read` (filterable by level and
@@ -24,12 +23,13 @@
 //! over the cap is counted in `suppressed` instead of flooding the
 //! ring, stderr, or the disk.
 
+use crate::seqring::{rlock, SeqRing};
 use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::SystemTime;
 
 /// Longest message stored per event; longer messages are truncated at
@@ -40,8 +40,8 @@ const MSG_BYTES: usize = 240;
 /// Message payload words per slot (8 bytes each).
 const TEXT_WORDS: usize = MSG_BYTES / 8;
 
-/// Largest ring size `--diag-buffer` / `config.set` is clamped to.
-const MAX_SLOTS: usize = 1 << 20;
+/// Words per slot: a meta word, the timestamp, the message.
+const SLOT_WORDS: usize = 2 + TEXT_WORDS;
 
 /// Events admitted per subsystem per second; the rest are counted as
 /// suppressed.
@@ -207,134 +207,53 @@ impl fmt::Write for FixedWriter {
     }
 }
 
-/// One seqlock slot: the sequence bracket, a meta word packing
-/// `level | subsystem << 8 | len << 16`, the timestamp, and the
-/// message bytes packed little-endian into words.
-struct Slot {
-    seq: AtomicU64,
-    meta: AtomicU64,
-    unix_ms: AtomicU64,
-    text: [AtomicU64; TEXT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            unix_ms: AtomicU64::new(0),
-            text: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Fixed-size multi-writer event ring; same claim/seqlock protocol as
-/// `trace::TraceRing`, with a wider slot for the message bytes.
-pub(crate) struct DiagRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
-}
+/// The event ring: a meta word packing `level | subsystem << 8 |
+/// len << 16`, the timestamp, and the message bytes packed
+/// little-endian into words.
+pub(crate) type DiagRing = SeqRing<SLOT_WORDS>;
 
 impl DiagRing {
-    /// A ring holding `capacity` events, rounded up to a power of two
-    /// (clamped to [`MAX_SLOTS`]); 0 disables the ring.
-    pub(crate) fn new(capacity: usize) -> DiagRing {
-        let len = match capacity {
-            0 => 0,
-            n => n.next_power_of_two().min(MAX_SLOTS),
-        };
-        DiagRing {
-            slots: (0..len).map(|_| Slot::new()).collect(),
-            mask: len.wrapping_sub(1) as u64,
-            head: AtomicU64::new(0),
-        }
-    }
-
-    /// True iff the ring records anything.
-    pub(crate) fn enabled(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
-    /// Events ever recorded (monotonic, survives wrap-around).
-    pub(crate) fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    fn record(&self, unix_ms: u64, level: Level, subsystem: Subsystem, msg: &FixedWriter) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let claim = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(claim & self.mask) as usize];
-        slot.seq.store(claim * 2 + 1, Ordering::Release);
-        fence(Ordering::Release);
-        let meta = level as u64 | (subsystem as u64) << 8 | (msg.len as u64) << 16;
-        slot.meta.store(meta, Ordering::Relaxed);
-        slot.unix_ms.store(unix_ms, Ordering::Relaxed);
-        for (word, chunk) in slot.text.iter().zip(msg.buf.chunks_exact(8)) {
+    fn record_event(&self, unix_ms: u64, level: Level, subsystem: Subsystem, msg: &FixedWriter) {
+        let mut words = [0u64; SLOT_WORDS];
+        words[0] = level as u64 | (subsystem as u64) << 8 | (msg.len as u64) << 16;
+        words[1] = unix_ms;
+        for (word, chunk) in words[2..].iter_mut().zip(msg.buf.chunks_exact(8)) {
             let mut bytes = [0u8; 8];
             bytes.copy_from_slice(chunk);
-            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+            *word = u64::from_le_bytes(bytes);
         }
-        fence(Ordering::Release);
-        slot.seq.store(claim * 2 + 2, Ordering::Release);
+        self.record(&words);
     }
 
     /// Copy out up to `limit` of the most recent events matching the
-    /// filters, newest first. Slots mid-overwrite are skipped.
-    pub(crate) fn read_recent(
+    /// filters, newest first.
+    pub(crate) fn recent_events(
         &self,
         limit: usize,
         min_level: Level,
         subsystem: Option<Subsystem>,
     ) -> Vec<DiagEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let window = (self.slots.len() as u64).min(head);
-        let mut events = Vec::new();
-        for back in 0..window {
-            if events.len() >= limit {
-                break;
-            }
-            let claim = head - 1 - back;
-            let slot = &self.slots[(claim & self.mask) as usize];
-            let expect = claim * 2 + 2;
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue;
-            }
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let unix_ms = slot.unix_ms.load(Ordering::Relaxed);
-            let mut bytes = [0u8; MSG_BYTES];
-            for (chunk, word) in bytes.chunks_exact_mut(8).zip(&slot.text) {
-                chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
-            }
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != expect {
-                continue;
-            }
+        self.read_recent(limit, |claim, words| {
+            let meta = words[0];
             let level = Level::from_u64(meta & 0xff);
             let sub = Subsystem::from_u64(meta >> 8 & 0xff);
             if level < min_level || subsystem.is_some_and(|want| want != sub) {
-                continue;
+                return None;
+            }
+            let mut bytes = [0u8; MSG_BYTES];
+            for (chunk, word) in bytes.chunks_exact_mut(8).zip(&words[2..]) {
+                chunk.copy_from_slice(&word.to_le_bytes());
             }
             let len = ((meta >> 16) as usize).min(MSG_BYTES);
-            let message = String::from_utf8_lossy(&bytes[..len]).into_owned();
-            events.push(DiagEvent {
+            Some(DiagEvent {
                 seq: claim,
-                unix_ms,
+                unix_ms: words[1],
                 level,
                 subsystem: sub,
-                message,
-            });
-        }
-        events
+                message: String::from_utf8_lossy(&bytes[..len]).into_owned(),
+            })
+        })
     }
-}
-
-/// Read a possibly poisoned lock — sink state stays consistent even if
-/// a holder panicked.
-fn rlock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The service's diagnostic log: the event ring (swappable at runtime
@@ -383,7 +302,7 @@ impl DiagSink {
 
     /// The ring's current capacity in slots.
     pub(crate) fn capacity(&self) -> usize {
-        rlock(&self.ring).slots.len()
+        rlock(&self.ring).capacity()
     }
 
     /// Swap in a fresh ring of `buffer` slots (`config.set
@@ -458,7 +377,7 @@ impl DiagSink {
         self.emitted.fetch_add(1, Ordering::Relaxed);
         let mut msg = FixedWriter::new();
         let _ = msg.write_fmt(args);
-        rlock(&self.ring).record(unix_ms, level, subsystem, &msg);
+        rlock(&self.ring).record_event(unix_ms, level, subsystem, &msg);
         let text = std::str::from_utf8(&msg.buf[..msg.len]).unwrap_or("<non-utf8>");
         if level >= Level::Info && self.stderr.load(Ordering::Relaxed) {
             eprintln!(
@@ -510,7 +429,7 @@ mod tests {
         sink.warn(Subsystem::Replication, format_args!("torn frame from p1"));
         sink.error(Subsystem::Journal, format_args!("disk gone"));
 
-        let all = sink.ring().read_recent(16, Level::Debug, None);
+        let all = sink.ring().recent_events(16, Level::Debug, None);
         assert_eq!(all.len(), 4);
         assert_eq!(all[0].message, "disk gone");
         assert_eq!(all[0].level, Level::Error);
@@ -518,11 +437,11 @@ mod tests {
         assert_eq!(all[3].message, "probe 1");
         assert!(all[0].seq > all[3].seq, "newest first");
 
-        let warns = sink.ring().read_recent(16, Level::Warn, None);
+        let warns = sink.ring().recent_events(16, Level::Warn, None);
         assert_eq!(warns.len(), 2);
         let repl = sink
             .ring()
-            .read_recent(16, Level::Debug, Some(Subsystem::Replication));
+            .recent_events(16, Level::Debug, Some(Subsystem::Replication));
         assert_eq!(repl.len(), 1);
         assert_eq!(repl[0].message, "torn frame from p1");
         assert_eq!(sink.emitted(), 4);
@@ -533,7 +452,7 @@ mod tests {
         let sink = quiet(4);
         let long = format!("{}é", "x".repeat(MSG_BYTES - 1));
         sink.warn(Subsystem::Server, format_args!("{long}"));
-        let events = sink.ring().read_recent(1, Level::Debug, None);
+        let events = sink.ring().recent_events(1, Level::Debug, None);
         assert_eq!(events[0].message.len(), MSG_BYTES - 1);
         assert!(events[0].message.chars().all(|c| c == 'x'));
     }
@@ -558,7 +477,7 @@ mod tests {
         assert!(!sink.ring().enabled());
         sink.error(Subsystem::Server, format_args!("still counted"));
         assert_eq!(sink.emitted(), 1);
-        assert!(sink.ring().read_recent(8, Level::Debug, None).is_empty());
+        assert!(sink.ring().recent_events(8, Level::Debug, None).is_empty());
     }
 
     #[test]
@@ -567,7 +486,7 @@ mod tests {
         sink.resize(4);
         assert_eq!(sink.capacity(), 4);
         sink.info(Subsystem::Config, format_args!("diag_buffer set to 4"));
-        let events = sink.ring().read_recent(8, Level::Debug, None);
+        let events = sink.ring().recent_events(8, Level::Debug, None);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].subsystem, Subsystem::Config);
     }

@@ -4,6 +4,7 @@
 //! `master.append`.
 
 use crate::cache::{ruleset_fingerprint, AnalysisCache};
+use crate::errors::{ErrorCode, ServeError};
 use crate::metrics::ServiceMetrics;
 use crate::service::{
     write_attrs, write_tuple, CleaningService, Reply, ServiceConfig, ServiceInner,
@@ -44,21 +45,24 @@ impl CleaningService {
     /// Parse DSL against the service schemas and compile a full engine
     /// state (plan + regions served from the analysis cache) over the
     /// current master.
-    pub(crate) fn compile_engine_from_dsl(&self, dsl: &str) -> Result<Arc<EngineState>, String> {
+    pub(crate) fn compile_engine_from_dsl(
+        &self,
+        dsl: &str,
+    ) -> Result<Arc<EngineState>, ServeError> {
         let boot = self.engine();
         let input = boot.rules.input_schema().clone();
         let master_schema = boot.rules.master_schema().clone();
         let mut set = RuleSet::new(input.clone(), master_schema.clone());
-        for decl in parse_rules(dsl, &input, &master_schema).map_err(|e| e.to_string())? {
+        for decl in parse_rules(dsl, &input, &master_schema)? {
             match decl {
                 RuleDecl::Er(rule) => {
-                    set.add(rule).map_err(|e| e.to_string())?;
+                    set.add(rule)?;
                 }
                 other => {
-                    return Err(format!(
+                    return Err(ErrorCode::BadRequest.error(format!(
                         "`{}` is not an editing rule; derive CFDs/MDs before loading",
                         other.name()
-                    ))
+                    )))
                 }
             }
         }
@@ -75,7 +79,7 @@ impl CleaningService {
     /// current master, recompile, patch cached regions by delta
     /// re-certification, and swap — the same deterministic path the live
     /// `master.append` op takes, minus journaling.
-    pub(crate) fn apply_master_rows(&self, rows: Vec<Vec<Value>>) -> Result<(), String> {
+    pub(crate) fn apply_master_rows(&self, rows: Vec<Vec<Value>>) -> Result<(), ServeError> {
         let _swap = self
             .inner
             .swap_lock
@@ -103,18 +107,18 @@ impl CleaningService {
         tuples: Vec<Vec<Value>>,
         trust: &[String],
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let schema = self.input_schema().clone();
         let trusted: Vec<usize> = trust
             .iter()
             .map(|name| self.resolve_attr(name))
-            .collect::<Result<_, String>>()?;
+            .collect::<Result<_, ServeError>>()?;
         let n = tuples.len();
         let inner = Arc::clone(&self.inner);
         let engine = self.engine();
         let trusted = Arc::new(trusted);
         let audit_base = self.inner.sessions.allocate_ids(n as u64);
-        let outcomes: Vec<Result<Cleaned, String>> =
+        let outcomes: Vec<Result<Cleaned, ServeError>> =
             self.inner.pool.map_ordered(tuples, move |idx, values| {
                 clean_one(
                     &inner,
@@ -126,7 +130,7 @@ impl CleaningService {
                     values,
                 )
             });
-        let outcomes: Vec<Cleaned> = outcomes.into_iter().collect::<Result<_, String>>()?;
+        let outcomes: Vec<Cleaned> = outcomes.into_iter().collect::<Result<_, ServeError>>()?;
         let complete = outcomes.iter().filter(|outcome| outcome.complete).count();
         let cells_fixed: usize = outcomes.iter().map(|outcome| outcome.cells_fixed).sum();
         self.inner.metrics.tuples_cleaned.add(n as u64);
@@ -148,7 +152,7 @@ impl CleaningService {
         })
     }
 
-    pub(crate) fn regions(&self, top_k: Option<usize>, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn regions(&self, top_k: Option<usize>, reply: Reply<'_>) -> Result<(), ServeError> {
         let top_k = top_k.unwrap_or(self.inner.config.region_top_k);
         let inner = &self.inner;
         let engine = self.engine();
@@ -193,11 +197,14 @@ impl CleaningService {
         })
     }
 
-    pub(crate) fn check(&self, mode: Option<&str>, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn check(&self, mode: Option<&str>, reply: Reply<'_>) -> Result<(), ServeError> {
         let (mode, options) = match mode.unwrap_or("strict") {
             "strict" => ("strict", ConsistencyOptions::default()),
             "entity-coherent" => ("entity-coherent", ConsistencyOptions::entity_coherent()),
-            other => return Err(format!("unknown mode `{other}` (strict | entity-coherent)")),
+            other => {
+                return Err(ErrorCode::BadRequest
+                    .error(format!("unknown mode `{other}` (strict | entity-coherent)")))
+            }
         };
         let inner = &self.inner;
         let engine = self.engine();
@@ -222,7 +229,7 @@ impl CleaningService {
     /// and its journal event happen under the storage write gate, so
     /// every journaled session event is on the correct side of the
     /// reload during replay.
-    pub(crate) fn rules_reload(&self, dsl: &str, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn rules_reload(&self, dsl: &str, reply: Reply<'_>) -> Result<(), ServeError> {
         // Serialize against other engine swaps (a concurrent
         // master.append must not be overwritten by a state compiled over
         // the old master), then parse + compile outside the storage gate:
@@ -271,9 +278,9 @@ impl CleaningService {
         &self,
         tuples: &[Vec<Value>],
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         if tuples.is_empty() {
-            return Err("`tuples` must contain at least one row".into());
+            return Err(ErrorCode::BadRequest.error("`tuples` must contain at least one row"));
         }
         let swap = self
             .inner
@@ -417,28 +424,25 @@ fn append_engine_master(
     engine: &EngineState,
     rows: Vec<Vec<Value>>,
     inner: &ServiceInner,
-) -> Result<(Arc<EngineState>, usize, Option<u64>), String> {
+) -> Result<(Arc<EngineState>, usize, Option<u64>), ServeError> {
     let master_schema = engine.rules.master_schema().clone();
     let tuples: Vec<Tuple> = rows
         .into_iter()
         .enumerate()
         .map(|(i, values)| {
             if values.len() != master_schema.arity() {
-                return Err(format!(
+                return Err(ErrorCode::BadRequest.error(format!(
                     "row {i} has {} values but master schema `{}` has arity {}",
                     values.len(),
                     master_schema.name(),
                     master_schema.arity()
-                ));
+                )));
             }
-            Tuple::new(master_schema.clone(), values).map_err(|e| e.to_string())
+            Ok(Tuple::new(master_schema.clone(), values)?)
         })
-        .collect::<Result<_, String>>()?;
+        .collect::<Result<_, ServeError>>()?;
     let appended = tuples.len();
-    let (new_master, _delta) = engine
-        .master
-        .append_copy(tuples)
-        .map_err(|e| e.to_string())?;
+    let (new_master, _delta) = engine.master.append_copy(tuples)?;
     let new_master = Arc::new(new_master);
     let (plan, _) = inner.cache.plan(
         engine.fingerprint,
@@ -528,16 +532,16 @@ fn clean_one(
     audit_id: usize,
     idx: usize,
     values: Vec<Value>,
-) -> Result<Cleaned, String> {
+) -> Result<Cleaned, ServeError> {
     if values.len() != schema.arity() {
-        return Err(format!(
+        return Err(ErrorCode::BadRequest.error(format!(
             "tuple {idx} has {} values but schema `{}` has arity {}",
             values.len(),
             schema.name(),
             schema.arity()
-        ));
+        )));
     }
-    let tuple = Tuple::new(schema.clone(), values).map_err(|e| e.to_string())?;
+    let tuple = Tuple::new(schema.clone(), values)?;
     let monitor = DataMonitor::from_plan(&engine.rules, &engine.master, Arc::clone(&engine.plan))
         .with_shared_regions(Arc::clone(&engine.regions))
         .with_audit(Arc::clone(&inner.audit));
@@ -549,9 +553,7 @@ fn clean_one(
             (!v.is_null()).then(|| (a, v.clone()))
         })
         .collect();
-    let report = monitor
-        .apply_validation(&mut session, &validations)
-        .map_err(|e| e.to_string())?;
+    let report = monitor.apply_validation(&mut session, &validations)?;
     Ok(Cleaned {
         complete: session.is_complete(),
         cells_fixed: report.fixes.len(),

@@ -4,65 +4,73 @@
 //! a group-fsync outcome into the protocol's error contract.
 
 use crate::diag::Subsystem;
+use crate::errors::{ErrorCode, ServeError};
 use crate::replication::Role;
 use crate::service::{CleaningService, Reply, StorageBinding};
-use cerfix_storage::SyncError;
+use crate::session::SessionError;
+use cerfix_storage::{Storage, SyncError};
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
 
 impl CleaningService {
-    /// The gate every op whose row says `writes` passes before it runs.
-    /// Refuses mutations this node must not accept — a follower is
-    /// read-only (redirect to its primary), and a deposed primary, one
-    /// that has seen a replica cursor from a higher epoch, is fenced —
-    /// and mutations the storage layer cannot honor: a degraded
-    /// (disk-full) node answers `degraded: disk_full`, and a node whose
-    /// journal is poisoned by an fsync failure answers `storage_error` —
-    /// accepting a mutation that can never reach disk would be an ack
-    /// the node cannot keep. Reads stay unaffected.
-    pub(crate) fn check_writable(&self) -> Result<(), String> {
-        let role = self
-            .inner
-            .replication
-            .role
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Role::Follower { primary } = &*role {
-            return Err(format!(
-                "not_primary: this node is a read-only follower; primary is {primary}"
-            ));
-        }
-        drop(role);
-        let seen = self
-            .inner
-            .replication
-            .max_epoch_seen
-            .load(Ordering::Acquire);
-        let epoch = self
-            .inner
-            .storage
-            .as_ref()
-            .map_or(0, |binding| binding.storage.epoch());
-        if seen > epoch {
-            return Err(format!(
-                "stale_epoch: fenced at epoch {epoch} by a replica at epoch {seen}; \
-                 this node is no longer primary"
-            ));
-        }
-        if self.inner.degraded.load(Ordering::Acquire) {
-            return Err(
-                "degraded: disk_full — service is read-only until disk space returns".to_string(),
-            );
-        }
-        if let Some(binding) = &self.inner.storage {
-            if let Some(err) = binding.storage.journal().poisoned() {
-                return Err(format!(
-                    "storage_error: journal poisoned by fsync failure ({err}); \
+    /// The gate every op whose row says `writes` passes before it runs:
+    /// the first of [`write_refusals`](Self::write_refusals), if any.
+    /// Reads stay unaffected.
+    pub(crate) fn check_writable(&self) -> Result<(), ServeError> {
+        self.write_refusals().next().map_or(Ok(()), Err)
+    }
+
+    /// Why this node refuses mutations right now — evaluated as it is
+    /// walked, so a writable node pays the four checks and no allocation.
+    /// Mutations this node must not accept: a follower is read-only
+    /// (redirect to its primary), and a deposed primary, one that has
+    /// seen a replica cursor from a higher epoch, is fenced. Mutations
+    /// the storage layer cannot honor: a full disk makes the node
+    /// read-only, and a journal poisoned by an fsync failure refuses
+    /// them — accepting a mutation that can never reach disk would be
+    /// an ack the node cannot keep. The health probe names the same
+    /// conditions in the same words.
+    fn write_refusals(&self) -> impl Iterator<Item = ServeError> + '_ {
+        let checks: [fn(&CleaningService) -> Option<ServeError>; 4] = [
+            |service| match service.role() {
+                Role::Primary => None,
+                Role::Follower { primary } => Some(
+                    ErrorCode::NotPrimary
+                        .error(format!(
+                            "this node is a read-only follower; primary is {primary}"
+                        ))
+                        .redirect_to(&primary),
+                ),
+            },
+            |service| {
+                let seen = service
+                    .inner
+                    .replication
+                    .max_epoch_seen
+                    .load(Ordering::Acquire);
+                let epoch = service.storage().map_or(0, Storage::epoch);
+                (seen > epoch).then(|| {
+                    ErrorCode::StaleEpoch.error(format!(
+                        "fenced at epoch {epoch} by a replica at epoch {seen}; \
+                         this node is no longer primary"
+                    ))
+                })
+            },
+            |service| {
+                service.is_degraded().then(|| {
+                    ErrorCode::Degraded
+                        .error("disk_full — service is read-only until disk space returns")
+                })
+            },
+            |service| {
+                let err = service.storage()?.journal().poisoned()?;
+                Some(ErrorCode::StorageError.error(format!(
+                    "journal poisoned by fsync failure ({err}); \
                      mutations refused until operator intervention or re-sync"
-                ));
-            }
-        }
-        Ok(())
+                )))
+            },
+        ];
+        checks.into_iter().filter_map(move |check| check(self))
     }
 
     /// True while the service is in degraded read-only mode.
@@ -90,34 +98,22 @@ impl CleaningService {
     ///   diag log and reported as `storage_error` — fsyncgate: the page
     ///   cache may have dropped the dirty page, so retrying locally
     ///   could silently lose the write.
-    pub(crate) fn sync_commit(&self, binding: &StorageBinding, seq: u64) -> Result<(), String> {
+    pub(crate) fn sync_commit(&self, binding: &StorageBinding, seq: u64) -> Result<(), ServeError> {
         self.sync_verdict(binding.storage.sync(seq))
     }
 
     /// [`sync_commit`](Self::sync_commit)'s translation, for a waiter
     /// that asked the journal without blocking (a held commit).
-    pub(crate) fn sync_verdict(&self, synced: Result<(), SyncError>) -> Result<(), String> {
-        match synced {
-            Ok(()) => Ok(()),
-            Err(SyncError::WriteFailed { error, enospc }) => {
-                if enospc {
-                    self.enter_degraded(&format!("journal write: {error}"));
-                }
-                Err(format!(
-                    "storage_error: applied but not durable (journal write failed: {error}); \
-                     retry after the disk recovers"
-                ))
-            }
-            Err(SyncError::Poisoned { error }) => {
-                self.note_poisoned(&error);
-                Err(format!(
-                    "storage_error: applied but not durable (journal poisoned: {error})"
-                ))
-            }
-            Err(SyncError::Stopped) => {
-                Err("storage_error: applied but not durable (journal stopped)".to_string())
-            }
+    pub(crate) fn sync_verdict(&self, synced: Result<(), SyncError>) -> Result<(), ServeError> {
+        match &synced {
+            Err(SyncError::WriteFailed {
+                error,
+                enospc: true,
+            }) => self.enter_degraded(&format!("journal write: {error}")),
+            Err(SyncError::Poisoned { error }) => self.note_poisoned(error),
+            _ => {}
         }
+        Ok(synced?)
     }
 
     /// Flip the degraded latch on (idempotent); log the transition.
@@ -239,25 +235,34 @@ impl CleaningService {
             live = false;
             causes.push("shutting down".to_string());
         }
-        if let Some(binding) = &self.inner.storage {
-            let journal = binding.storage.journal();
-            if let Some(err) = journal.poisoned() {
+        // What refuses mutations makes the node not ready, under the
+        // name the refused mutation is told. A follower is read-only by
+        // role, not by fault.
+        let mut poisoned = false;
+        for refusal in self.write_refusals() {
+            match refusal.code() {
+                ErrorCode::NotPrimary => continue,
                 // fsyncgate: a failed fsync may have dropped dirty
                 // pages, so the journal is permanently untrustworthy —
                 // a liveness failure, not a transient hiccup.
-                live = false;
-                causes.push(format!("storage_error: journal poisoned: {err}"));
-            } else if !journal.is_alive() {
-                live = false;
-                causes.push("journal flusher stopped (disk dead or shut down)".to_string());
-            } else if let Some(err) = journal.last_error() {
-                // A failed *write* is retried by the flusher with the
-                // frames intact — degraded but recoverable, so the node
-                // stays live and reports not-ready.
-                causes.push(format!("journal write error (retrying): {err}"));
+                ErrorCode::StorageError => (live, poisoned) = (false, true),
+                _ => {}
             }
-            if self.inner.degraded.load(Ordering::Acquire) {
-                causes.push("degraded: disk_full (read-only)".to_string());
+            causes.push(refusal.to_string());
+        }
+        if let Some(binding) = &self.inner.storage {
+            let journal = binding.storage.journal();
+            // A poisoned journal is named above; short of that:
+            if !poisoned {
+                if !journal.is_alive() {
+                    live = false;
+                    causes.push("journal flusher stopped (disk dead or shut down)".to_string());
+                } else if let Some(err) = journal.last_error() {
+                    // A failed *write* is retried by the flusher with the
+                    // frames intact — degraded but recoverable, so the
+                    // node stays live and reports not-ready.
+                    causes.push(format!("journal write error (retrying): {err}"));
+                }
             }
             // The slow-request threshold doubles as the fsync budget:
             // commits block on fsync, so a p99 past it means acked
@@ -284,57 +289,38 @@ impl CleaningService {
         self.observe_queue_depth(depth);
         let shed_level = self.inner.shedder.level();
         if shed_level > 0 {
-            causes.push(format!(
-                "overloaded: shedding at level {shed_level} (worker queue depth {depth}, \
-                 watermark {})",
+            let shedding = ErrorCode::Overloaded.error(format!(
+                "shedding at level {shed_level} (worker queue depth {depth}, watermark {})",
                 self.inner.shedder.high()
             ));
+            causes.push(shedding.to_string());
         }
         if self.inner.sessions.at_capacity() {
-            causes.push(format!(
-                "overloaded: session registry at its quota of {}",
-                self.inner.sessions.max_sessions()
-            ));
+            // What the `session.create` that hits the quota is told.
+            let max_sessions = self.inner.sessions.max_sessions();
+            causes.push(ServeError::from(SessionError::Full { max_sessions }).to_string());
         }
         if self.is_draining() {
-            causes.push("draining: graceful drain in progress".to_string());
+            let draining = ErrorCode::Draining.error("graceful drain in progress");
+            causes.push(draining.to_string());
         }
         let role = self.role();
         let mut lag_seconds = 0.0;
-        match &role {
-            Role::Primary => {
-                let seen = self
-                    .inner
-                    .replication
-                    .max_epoch_seen
-                    .load(Ordering::Acquire);
-                let epoch = self
-                    .inner
-                    .storage
-                    .as_ref()
-                    .map_or(0, |binding| binding.storage.epoch());
-                if seen > epoch {
-                    causes.push(format!(
-                        "deposed: fenced at epoch {epoch} by a replica at epoch {seen}"
-                    ));
-                }
-            }
-            Role::Follower { primary } => {
-                lag_seconds = self
-                    .inner
-                    .replication
-                    .tail_current_at
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .elapsed()
-                    .as_secs_f64();
-                let max = self.inner.config.max_lag.as_secs_f64();
-                if lag_seconds > max {
-                    causes.push(format!(
-                        "replication lag {lag_seconds:.1}s past max-lag {max:.1}s \
-                         (primary {primary})"
-                    ));
-                }
+        if let Role::Follower { primary } = &role {
+            lag_seconds = self
+                .inner
+                .replication
+                .tail_current_at
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .elapsed()
+                .as_secs_f64();
+            let max = self.inner.config.max_lag.as_secs_f64();
+            if lag_seconds > max {
+                causes.push(format!(
+                    "replication lag {lag_seconds:.1}s past max-lag {max:.1}s \
+                     (primary {primary})"
+                ));
             }
         }
         let ready = live && causes.is_empty();
@@ -348,7 +334,7 @@ impl CleaningService {
 
     /// `health`: liveness/readiness verdict with the reasons spelled
     /// out. Probing also logs ready/not-ready transitions.
-    pub(crate) fn health_response(&self, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn health_response(&self, reply: Reply<'_>) -> Result<(), ServeError> {
         let report = self.probe_health();
         let role = self.role();
         reply.send(|w| {

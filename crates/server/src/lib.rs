@@ -73,6 +73,7 @@ pub mod cache;
 mod client;
 mod diag;
 mod engine;
+mod errors;
 mod fsprobe;
 mod health;
 mod metrics;
@@ -83,6 +84,7 @@ pub mod protocol;
 mod reactor;
 mod recovery;
 mod replication;
+mod seqring;
 mod service;
 mod session;
 mod session_ops;
@@ -95,6 +97,7 @@ pub use client::{
     AuditPage, AuditRecordView, CleanOutcomeView, Client, ClientError, CommitView, LocalClient,
     LocalTransport, RetryBudget, RetryPolicy, SessionView, TcpTransport, Transport,
 };
+pub use errors::{ErrorCode, ServeError};
 pub use metrics::{MetricsSnapshot, OpLatency};
 pub use net::{Frontend, Server, ServerHandle};
 pub use protocol::RequestScratch;
@@ -231,10 +234,10 @@ mod tests {
         assert_eq!(service.live_sessions(), 0);
 
         // Committed sessions are gone.
-        assert!(matches!(
-            client.get_session(view.session),
-            Err(ClientError::Server(_))
-        ));
+        assert_eq!(
+            client.get_session(view.session).unwrap_err().code(),
+            Some(ErrorCode::NotFound)
+        );
     }
 
     #[test]
@@ -283,26 +286,35 @@ mod tests {
         let service = kv_service(1);
         let mut client = LocalClient::in_process(&service);
         // Wrong arity.
-        assert!(matches!(
-            client.create_session(vec![Value::str("only-one")]),
-            Err(ClientError::Server(_))
-        ));
+        assert_eq!(
+            client
+                .create_session(vec![Value::str("only-one")])
+                .unwrap_err()
+                .code(),
+            Some(ErrorCode::BadRequest)
+        );
         // Unknown session.
-        assert!(matches!(
-            client.get_session(999),
-            Err(ClientError::Server(_))
-        ));
+        assert_eq!(
+            client.get_session(999).unwrap_err().code(),
+            Some(ErrorCode::NotFound)
+        );
         // Unknown attribute.
         let view = client.create_session(row("k1", "x", "y")).unwrap();
-        assert!(matches!(
-            client.validate(view.session, vec![("nope".into(), Value::str("v"))]),
-            Err(ClientError::Server(_))
-        ));
+        assert_eq!(
+            client
+                .validate(view.session, vec![("nope".into(), Value::str("v"))])
+                .unwrap_err()
+                .code(),
+            Some(ErrorCode::BadRequest)
+        );
         // Null validation value is rejected by the monitor.
-        assert!(matches!(
-            client.validate(view.session, vec![("key".into(), Value::Null)]),
-            Err(ClientError::Server(_))
-        ));
+        assert_eq!(
+            client
+                .validate(view.session, vec![("key".into(), Value::Null)])
+                .unwrap_err()
+                .code(),
+            Some(ErrorCode::BadRequest)
+        );
         // Malformed raw line.
         let response = service.handle_line("this is not json");
         assert!(response.contains("\"ok\":false"));
@@ -369,7 +381,8 @@ mod tests {
     /// name parses to and re-encodes from the row's `Request`; a
     /// follower refuses exactly the `writes` rows with `not_primary` and
     /// serves the rest; a level-2 shedder sheds exactly the rows that
-    /// are not critical; and every op's reply is one JSON line that
+    /// are not critical, in the words it shed them with before replies
+    /// had a `code`; and every op's reply is one JSON line that
     /// opens with the `id` echo and `ok` — byte for byte a checked-in
     /// literal where the reply holds no clock reading.
     #[test]
@@ -418,10 +431,15 @@ mod tests {
             manual_storage(&dir, 64),
         )
         .unwrap();
+        let code = |reply: &str| {
+            let reply = wire::Json::parse(reply).unwrap();
+            let code = reply.get("code").and_then(wire::Json::as_str);
+            code.map(|code| ErrorCode::parse(code).expect("a code of the table"))
+        };
         for (op, line) in rows.iter().zip(&lines) {
             let reply = follower.handle_line(line);
             assert_eq!(
-                reply.contains("\"error\":\"not_primary"),
+                code(&reply) == Some(ErrorCode::NotPrimary),
                 op.writes,
                 "{} on a follower → {reply}",
                 op.name
@@ -449,12 +467,28 @@ mod tests {
                 let _ = held.lock().unwrap().recv();
             });
         }
+        while service.queue_depth() != 4 {
+            std::thread::yield_now(); // the worker takes the first job
+        }
         for (op, line) in rows.iter().zip(&lines) {
             let reply = service.handle_line(line);
+            let what = match op.class {
+                admission::Priority::Critical => {
+                    let shed = code(&reply) == Some(ErrorCode::Overloaded);
+                    assert!(!shed, "{} at shed level 2 → {reply}", op.name);
+                    continue;
+                }
+                admission::Priority::Heavy => "heavy reads",
+                admission::Priority::Session => "session mutations",
+            };
+            // The v9 line (captured at `93d9706`) with a `code` in it.
             assert_eq!(
-                reply.contains("\"error\":\"overloaded"),
-                op.class != admission::Priority::Critical,
-                "{} at shed level 2 → {reply}",
+                reply,
+                format!(
+                    "{{\"ok\":false,\"code\":\"overloaded\",\"error\":\"overloaded: shedding {what} \
+                     at level 2 (worker queue depth 4 over watermark 2); retry with backoff\"}}"
+                ),
+                "{}",
                 op.name
             );
         }
@@ -492,7 +526,7 @@ mod tests {
     const GOLDEN_REPLIES: &[(&str, &str)] = &[
         (
             "session.get",
-            r#""ok":false,"error":"unknown session 7 (expired, finished, or never created)"}"#,
+            r#""ok":false,"code":"not_found","error":"unknown session 7 (expired, finished, or never created)"}"#,
         ),
         (
             "clean",
@@ -577,9 +611,12 @@ mod tests {
         service.answer(&ops::OTHER, None, &mut out, now, now, |mut reply| {
             let w = reply.ok();
             w.key("x");
-            Err("boom".into())
+            Err(ErrorCode::Internal.error("boom"))
         });
-        assert_eq!(out, "{\"ok\":true}\n{\"ok\":false,\"error\":\"boom\"}");
+        assert_eq!(
+            out,
+            "{\"ok\":true}\n{\"ok\":false,\"code\":\"internal\",\"error\":\"boom\"}"
+        );
         assert_eq!(service.metrics().errors, 1);
     }
 
@@ -673,10 +710,10 @@ mod tests {
         let attached = other.get_session(view.session).unwrap();
         assert_eq!(attached.tuple[1], Value::str("v7"));
         other.abort(view.session).unwrap();
-        assert!(matches!(
-            client.get_session(view.session),
-            Err(ClientError::Server(_))
-        ));
+        assert_eq!(
+            client.get_session(view.session).unwrap_err().code(),
+            Some(ErrorCode::NotFound)
+        );
         handle.shutdown().unwrap();
     }
 
@@ -931,10 +968,10 @@ mod tests {
         .unwrap();
         assert_eq!(service.live_sessions(), 0, "evicted session not revived");
         let mut client = LocalClient::in_process(&service);
-        assert!(matches!(
-            client.get_session(gone.session),
-            Err(ClientError::Server(_))
-        ));
+        assert_eq!(
+            client.get_session(gone.session).unwrap_err().code(),
+            Some(ErrorCode::NotFound)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1199,7 +1236,7 @@ mod tests {
         // what its op class was charged, family for family.
         let validate = ops::OpId::SessionValidate.row();
         let mut charged = cerfix::EngineStats::default();
-        for span in service.trace().ring().read_recent(usize::MAX) {
+        for span in service.trace().ring().recent_spans(usize::MAX) {
             if span.op == validate.slot {
                 charged.fixpoint_runs += span.stats.fixpoint_runs;
                 charged.rule_attempts += span.stats.rule_attempts;

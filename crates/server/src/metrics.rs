@@ -11,6 +11,7 @@
 //! the closure that reads it from its owner (a `sampled` row). Nothing
 //! else in the crate lists instruments.
 
+use crate::errors::ServeError;
 use crate::health::HealthReport;
 use crate::ops::{self, Op};
 use crate::protocol::PROTOCOL_VERSION;
@@ -641,7 +642,7 @@ impl MetricsSnapshot {
 /// The `metrics` / `stats` reply: every scalar row under its field
 /// name, plus the structured views (per-follower replication lag, per-op
 /// latency, the active engine's region-search diagnostics).
-pub(crate) fn metrics_reply(service: &CleaningService, reply: Reply<'_>) -> Result<(), String> {
+pub(crate) fn metrics_reply(service: &CleaningService, reply: Reply<'_>) -> Result<(), ServeError> {
     let snapshot = service.metrics();
     let journaled = service.is_journaled();
     let role = service.role();
@@ -707,7 +708,7 @@ pub(crate) fn prom_text(service: &CleaningService) -> String {
 /// `metrics.prom`: [`prom_text`] inside a one-line JSON envelope so it
 /// rides the wire protocol — operators (or a scrape sidecar) unwrap
 /// `body` and serve it over HTTP.
-pub(crate) fn prom_reply(service: &CleaningService, reply: Reply<'_>) -> Result<(), String> {
+pub(crate) fn prom_reply(service: &CleaningService, reply: Reply<'_>) -> Result<(), ServeError> {
     let body = prom_text(service);
     reply.send(|w| {
         w.field("content_type", "text/plain; version=0.0.4");

@@ -19,10 +19,10 @@
 //! timeouts anywhere. Housekeeping (idle-session sweeps, snapshot
 //! policy) runs on a dedicated timer thread shared by both front ends.
 
+use crate::errors::{ErrorCode, ServeError};
 use crate::ops::OpId;
 use crate::protocol::{scan_line, RequestScratch};
 use crate::service::CleaningService;
-use crate::wire::JsonWriter;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -39,12 +39,17 @@ const SWEEP_EVERY: Duration = Duration::from_secs(1);
 /// *partial* line is bounded — a burst of complete pipelined lines
 /// larger than this is fine (they drain as they arrive).
 pub(crate) const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
-/// Reply sent before hanging up on an over-long line.
-pub(crate) const OVERSIZE_REPLY: &str =
-    "{\"ok\":false,\"error\":\"request line exceeds 8 MiB; closing\"}\n";
-/// Reply to a line that is not valid UTF-8 (the connection survives).
-pub(crate) const NON_UTF8_REPLY: &str =
-    "{\"ok\":false,\"error\":\"request line is not valid UTF-8\"}\n";
+
+/// What an over-long line is answered with before the hang-up.
+pub(crate) fn oversize_line() -> ServeError {
+    ErrorCode::BadRequest.error("request line exceeds 8 MiB; closing")
+}
+
+/// What a line that is not valid UTF-8 is answered with (the connection
+/// survives).
+pub(crate) fn non_utf8_line() -> ServeError {
+    ErrorCode::BadRequest.error("request line is not valid UTF-8")
+}
 
 /// Handle one raw request line, appending its newline-terminated
 /// response to `out`. Returns false for blank lines (no response).
@@ -70,7 +75,7 @@ pub(crate) fn respond_line(
     may_hold: bool,
 ) -> bool {
     let Ok(line) = std::str::from_utf8(line_bytes) else {
-        out.push_str(NON_UTF8_REPLY);
+        service.refuse_line(&non_utf8_line(), out);
         return true;
     };
     let trimmed = line.trim();
@@ -102,14 +107,9 @@ pub(crate) fn respond_line(
 
 /// Answer a connection that is not admitted (draining, over the quota)
 /// with its one error line and hang up.
-pub(crate) fn refuse(mut stream: TcpStream, message: &str) {
+pub(crate) fn refuse(service: &CleaningService, mut stream: TcpStream, error: &ServeError) {
     let mut line = String::new();
-    let mut w = JsonWriter::new(&mut line);
-    w.begin_obj();
-    w.field("ok", false);
-    w.field("error", message);
-    w.end_obj();
-    line.push('\n');
+    service.refuse_line(error, &mut line);
     let _ = std::io::Write::write_all(&mut stream, line.as_bytes());
     let _ = stream.shutdown(Shutdown::Both);
 }
@@ -386,8 +386,8 @@ fn run_threads(listener: TcpListener, service: &CleaningService) -> std::io::Res
                 // at its connection quota refuses at accept time with
                 // one typed error line — cheaper than a thread + buffers
                 // for a connection that would only be told "no" later.
-                if let Err(message) = service.admit_connection() {
-                    refuse(stream, &message);
+                if let Err(error) = service.admit_connection() {
+                    refuse(service, stream, &error);
                     continue;
                 }
                 // Counted here, not by the connection's own thread: the
@@ -548,7 +548,9 @@ fn serve_connection(mut stream: TcpStream, open: OpenConnection, live: &AtomicBo
                 // Complete lines drained above; only an unbounded
                 // *partial* line is hostile.
                 if buf.partial_len() > MAX_LINE_BYTES {
-                    let _ = writer.write_all(OVERSIZE_REPLY.as_bytes());
+                    out.clear();
+                    service.refuse_line(&oversize_line(), &mut out);
+                    let _ = writer.write_all(out.as_bytes());
                     break;
                 }
             }

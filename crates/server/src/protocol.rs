@@ -293,8 +293,12 @@ fn scan_into<'a>(line: &'a str, scanned: &mut ScannedLine<'a>) -> Result<(), Wir
 /// version 9 made `replica.sync` a long poll — an optional `wait_ms`
 /// field: a primary with nothing durable past the cursor keeps the
 /// request (up to that long) until there is, instead of answering an
-/// empty batch at once.
-pub const PROTOCOL_VERSION: u64 = 9;
+/// empty batch at once;
+/// version 10 gave every `ok:false` reply a `code` field — a row of the
+/// error table in `errors.rs` — and a follower's `not_primary` a
+/// `redirect` field; `error` keeps its text, so a v9 peer reads a v10
+/// refusal as it always did.
+pub const PROTOCOL_VERSION: u64 = 10;
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]

@@ -41,7 +41,7 @@
 //! The raw `epoll`/`eventfd` bindings live in [`ffi`] — the only unsafe
 //! code in the crate, kept to six syscalls (no new dependencies).
 
-use crate::net::{LineBuffer, MAX_LINE_BYTES, NON_UTF8_REPLY, OVERSIZE_REPLY};
+use crate::net::{non_utf8_line, oversize_line, LineBuffer, MAX_LINE_BYTES};
 use crate::ops::{OpId, RunsOn};
 use crate::protocol::{scan_line, RequestScratch, ScannedLine};
 use crate::replication::HeldSync;
@@ -551,8 +551,8 @@ impl Reactor {
                     // one at its connection quota answers with one typed
                     // error line and hangs up — no epoll registration,
                     // no buffers.
-                    if let Err(message) = self.service.admit_connection() {
-                        crate::net::refuse(stream, &message);
+                    if let Err(error) = self.service.admit_connection() {
+                        crate::net::refuse(&self.service, stream, &error);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -683,13 +683,13 @@ impl Reactor {
             }
             let Some(line_bytes) = conn.buf.next_line() else {
                 if conn.buf.partial_len() > MAX_LINE_BYTES {
-                    conn.out.push_str(OVERSIZE_REPLY);
+                    self.service.refuse_line(&oversize_line(), &mut conn.out);
                     conn.closing = true;
                 }
                 return;
             };
             let Ok(line) = std::str::from_utf8(line_bytes) else {
-                conn.out.push_str(NON_UTF8_REPLY);
+                self.service.refuse_line(&non_utf8_line(), &mut conn.out);
                 continue;
             };
             let trimmed = line.trim();
@@ -1040,7 +1040,9 @@ mod tests {
         assert_eq!(service.commit_verdict(&mut refused), Some(Ok(())));
         out.clear();
         service.finish_commit(refused, Ok(()), &mut out);
-        assert!(out.starts_with(r#"{"id":7,"ok":false,"error":"unknown session 1 "#));
+        assert!(
+            out.starts_with(r#"{"id":7,"ok":false,"code":"not_found","error":"unknown session 1 "#)
+        );
         assert!(held_on(&kv_service(1), commit).is_none());
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);

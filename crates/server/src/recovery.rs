@@ -4,6 +4,7 @@
 //! events, installing its snapshot), and the snapshot writer.
 
 use crate::engine::{compile_engine, render_ruleset_dsl};
+use crate::errors::{ErrorCode, ServeError};
 use crate::replication::{ReceivedFrames, ReplicaApplyError, Role};
 use crate::service::CleaningService;
 use crate::session_ops::{session_to_snapshot, snapshot_to_session};
@@ -88,7 +89,7 @@ impl CleaningService {
     /// deterministic correcting process that produced it live. Replay
     /// runs on detached monitors — provenance already sits in the audit
     /// segment; re-recording it would duplicate the archive.
-    pub(crate) fn recover(&self, recovered: RecoveredState) -> Result<(), String> {
+    pub(crate) fn recover(&self, recovered: RecoveredState) -> Result<(), ServeError> {
         let schema = self.inner.input_schema.clone();
         if let Some(snapshot) = &recovered.snapshot {
             if !snapshot.master_appended.is_empty() {
@@ -98,10 +99,10 @@ impl CleaningService {
             if snapshot.fingerprint != boot.fingerprint && !snapshot.rules_dsl.is_empty() {
                 let engine = self.compile_engine_from_dsl(&snapshot.rules_dsl)?;
                 if engine.fingerprint != snapshot.fingerprint {
-                    return Err(format!(
+                    return Err(ErrorCode::Internal.error(format!(
                         "snapshot rule set re-parses to fingerprint {:x}, expected {:x}",
                         engine.fingerprint, snapshot.fingerprint
-                    ));
+                    )));
                 }
                 *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
             }
@@ -125,7 +126,7 @@ impl CleaningService {
     /// delta re-certification pass: a burst of N appends costs one
     /// recompile instead of N (the merged batch lands on the same
     /// master state the per-event replay would, in the same order).
-    fn replay_events(&self, events: Vec<JournalEvent>, live: bool) -> Result<(), String> {
+    fn replay_events(&self, events: Vec<JournalEvent>, live: bool) -> Result<(), ServeError> {
         let schema = self.inner.input_schema.clone();
         let mut events = events.into_iter().peekable();
         while let Some(event) = events.next() {
@@ -154,11 +155,12 @@ impl CleaningService {
         event: JournalEvent,
         schema: &SchemaRef,
         live: bool,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         match event {
             JournalEvent::SessionCreated { session, values } => {
-                let tuple = Tuple::new(schema.clone(), values)
-                    .map_err(|e| format!("replay session {session}: {e}"))?;
+                let tuple = Tuple::new(schema.clone(), values).map_err(|e| {
+                    ErrorCode::Internal.error(format!("replay session {session}: {e}"))
+                })?;
                 self.inner
                     .sessions
                     .restore(session, MonitorSession::new(session as usize, tuple));
@@ -205,10 +207,10 @@ impl CleaningService {
             JournalEvent::RulesReloaded { dsl, fingerprint } => {
                 let engine = self.compile_engine_from_dsl(&dsl)?;
                 if engine.fingerprint != fingerprint {
-                    return Err(format!(
+                    return Err(ErrorCode::Internal.error(format!(
                         "journaled rule set re-parses to fingerprint {:x}, expected {:x}",
                         engine.fingerprint, fingerprint
-                    ));
+                    )));
                 }
                 *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
             }
@@ -247,11 +249,11 @@ impl CleaningService {
     ) -> Result<(), ReplicaApplyError> {
         let Some(binding) = &self.inner.storage else {
             return Err(ReplicaApplyError::Diverged(
-                "follower has no storage attached".into(),
+                ErrorCode::Internal.error("follower has no storage attached"),
             ));
         };
         let last_seq = self
-            .with_gate(|| -> Result<Option<u64>, String> {
+            .with_gate(|| -> Result<Option<u64>, ServeError> {
                 let mut last = None;
                 for payload in frames.payloads() {
                     last = Some(binding.storage.append_encoded(payload));
@@ -292,16 +294,16 @@ impl CleaningService {
     /// from the boot master/rules before applying the snapshot's
     /// appended rows — they are relative to boot, and our own appends
     /// are a prefix of the primary's history anyway.
-    pub(crate) fn install_replica_snapshot(&self, data: SnapshotData) -> Result<(), String> {
+    pub(crate) fn install_replica_snapshot(&self, data: SnapshotData) -> Result<(), ServeError> {
         let Some(binding) = &self.inner.storage else {
-            return Err("follower has no storage attached".into());
+            return Err(ErrorCode::Internal.error("follower has no storage attached"));
         };
         if data.epoch <= binding.storage.epoch() {
-            return Err(format!(
+            return Err(ErrorCode::StaleEpoch.error(format!(
                 "snapshot epoch {} is not ahead of local epoch {}",
                 data.epoch,
                 binding.storage.epoch()
-            ));
+            )));
         }
         let schema = self.inner.input_schema.clone();
         let encoded = data.encode();
@@ -336,10 +338,10 @@ impl CleaningService {
         if data.fingerprint != boot.fingerprint && !data.rules_dsl.is_empty() {
             let engine = self.compile_engine_from_dsl(&data.rules_dsl)?;
             if engine.fingerprint != data.fingerprint {
-                return Err(format!(
+                return Err(ErrorCode::Internal.error(format!(
                     "snapshot rule set re-parses to fingerprint {:x}, expected {:x}",
                     engine.fingerprint, data.fingerprint
-                ));
+                )));
             }
             *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
         }
@@ -348,10 +350,7 @@ impl CleaningService {
             self.inner.sessions.restore(session.session, restored);
         }
         self.inner.sessions.advance_next_id(data.next_session_id);
-        binding
-            .storage
-            .install_snapshot(&data)
-            .map_err(|e| e.to_string())?;
+        binding.storage.install_snapshot(&data)?;
         drop(gate);
         *self
             .inner

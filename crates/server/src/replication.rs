@@ -48,6 +48,7 @@
 
 use crate::client::{jitter_seed, jittered, Client, ClientError, RetryPolicy};
 use crate::diag::Subsystem;
+use crate::errors::{ErrorCode, ServeError};
 use crate::ops::OpId;
 use crate::protocol::{Request, RequestScratch, ScannedLine};
 use crate::service::{CleaningService, Reply};
@@ -96,7 +97,7 @@ pub(crate) enum ReplicaApplyError {
     Poisoned(String),
     /// A replayed event did not apply — determinism rules this out
     /// unless the nodes booted from different master data. Fatal.
-    Diverged(String),
+    Diverged(ServeError),
     /// The journal or service is shutting down; exit quietly.
     Stopped,
 }
@@ -529,7 +530,7 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 .map(|()| SyncReply::scan(&response, &mut frames));
             let reply = match answered {
                 Ok(Some(reply)) => reply,
-                Err(ClientError::Server(message)) => {
+                Err(ClientError::Server { message, .. }) => {
                     // The primary answered but refused (mid-boot, or we
                     // are somehow ahead of it): back off, keep polling.
                     service.diag().warn(
@@ -888,9 +889,9 @@ impl CleaningService {
         max: Option<u64>,
         resync: bool,
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let Some(storage) = self.storage() else {
-            return Err("replication requires a journaled server (--data-dir)".into());
+            return Err(needs_journal());
         };
         self.replication()
             .max_epoch_seen
@@ -904,23 +905,21 @@ impl CleaningService {
                 Subsystem::Replication,
                 format_args!("follower {follower} requested a forced snapshot re-sync"),
             );
-            self.snapshot_now().map_err(|e| e.to_string())?;
+            self.snapshot_now()?;
             let snapshot = self.cached_snapshot()?;
             let position = (storage.epoch(), storage.durable_position().1);
             self.record_follower(follower, epoch, offset, position.0, position.1);
             return reply.send(|w| write_sync_fields(w, position, offset, Some(&snapshot), None));
         }
         let max = max.unwrap_or(512).clamp(1, 2048) as usize;
-        let read = storage
-            .read_journal_from(offset, max)
-            .map_err(|e| format!("journal read failed: {e}"))?;
+        let read = storage.read_journal_from(offset, max)?;
         let position = (read.epoch, read.durable_events);
         self.record_follower(follower, epoch, offset, position.0, position.1);
         if epoch > read.epoch {
-            return Err(format!(
-                "stale_epoch: follower {follower} is at epoch {epoch}, this node is at {}",
+            return Err(ErrorCode::StaleEpoch.error(format!(
+                "follower {follower} is at epoch {epoch}, this node is at {}",
                 read.epoch
-            ));
+            )));
         }
         let snapshot = if epoch < read.epoch {
             Some(self.cached_snapshot()?)
@@ -983,7 +982,7 @@ impl CleaningService {
     /// the journal — which is what releases a held sync — a moment
     /// before it refreshes the cache, and the follower must not be
     /// handed the epoch before.
-    fn cached_snapshot(&self) -> Result<Arc<Vec<u8>>, String> {
+    fn cached_snapshot(&self) -> Result<Arc<Vec<u8>>, ServeError> {
         let cached = || {
             self.with_gate(|| {
                 self.replication()
@@ -996,8 +995,8 @@ impl CleaningService {
         if let Some(cached) = cached() {
             return Ok(cached);
         }
-        self.snapshot_now().map_err(|e| e.to_string())?;
-        cached().ok_or_else(|| "no snapshot available for resync".into())
+        self.snapshot_now()?;
+        cached().ok_or_else(|| ErrorCode::Internal.error("no snapshot available for resync"))
     }
 
     /// The commit's replication coordinates: `(epoch, position)` of the
@@ -1033,7 +1032,7 @@ impl CleaningService {
         since: Instant,
         followers: &HashMap<String, FollowerStatus>,
         span: &mut Span,
-    ) -> Option<Result<(), String>> {
+    ) -> Option<Result<(), ServeError>> {
         let repl = self.replication();
         let needed = repl.quorum().saturating_sub(1);
         let acked = followers
@@ -1051,22 +1050,26 @@ impl CleaningService {
             Ok(())
         } else if deadline < since + repl.ack_timeout {
             self.metrics_raw().requests_shed_deadline.inc();
-            Err(format!(
-                "deadline_exceeded: commit is durable locally but the request \
+            Err(ErrorCode::DeadlineExceeded.error(format!(
+                "commit is durable locally but the request \
                  deadline expired with only {acked}/{needed} follower acks"
-            ))
+            )))
         } else {
             self.metrics_raw().quorum_timeouts.inc();
-            Err(format!(
-                "quorum_timeout: commit is durable locally but only {acked}/{needed} \
+            Err(ErrorCode::QuorumTimeout.error(format!(
+                "commit is durable locally but only {acked}/{needed} \
                  follower acks arrived within {:?}",
                 repl.ack_timeout
-            ))
+            )))
         })
     }
 
     /// Block until [`quorum_verdict`](Self::quorum_verdict) has one.
-    pub(crate) fn wait_for_quorum(&self, at: (u64, u64), span: &mut Span) -> Result<(), String> {
+    pub(crate) fn wait_for_quorum(
+        &self,
+        at: (u64, u64),
+        span: &mut Span,
+    ) -> Result<(), ServeError> {
         let repl = self.replication();
         let since = Instant::now();
         let mut followers = lock_followers(repl);
@@ -1090,9 +1093,9 @@ impl CleaningService {
     /// the fence: our next sync against the old primary (or any peer's)
     /// carries the higher epoch and makes it refuse further mutations.
     /// Idempotent on a node that is already primary.
-    pub(crate) fn replica_promote(&self, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn replica_promote(&self, reply: Reply<'_>) -> Result<(), ServeError> {
         let Some(storage) = self.storage() else {
-            return Err("replication requires a journaled server (--data-dir)".into());
+            return Err(needs_journal());
         };
         let repl = self.replication();
         let was_follower = matches!(
@@ -1111,7 +1114,7 @@ impl CleaningService {
                 let _ = handle.join();
             }
             *repl.role.write().unwrap_or_else(|e| e.into_inner()) = Role::Primary;
-            self.snapshot_now().map_err(|e| e.to_string())?;
+            self.snapshot_now()?;
         }
         reply.send(|w| {
             w.field("role", "primary");
@@ -1119,6 +1122,11 @@ impl CleaningService {
             w.field("promoted", was_follower);
         })
     }
+}
+
+/// What a memory-mode node answers `replica.sync` and `replica.promote`.
+fn needs_journal() -> ServeError {
+    ErrorCode::BadRequest.error("replication requires a journaled server (--data-dir)")
 }
 
 /// Convenience for locking the follower registry without poison noise.

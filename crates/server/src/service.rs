@@ -17,7 +17,8 @@
 //! [`Request`]. Each op is described once, as a row of the op table in
 //! [`crate::ops`], and implemented once, as a handler `dispatch` calls:
 //! a method that takes the [`Reply`] it writes into and returns
-//! `Result<(), String>`. This module holds the state, its construction
+//! `Result<(), ServeError>` — a row of the error table in
+//! [`crate::errors`] and a sentence. This module holds the state, its construction
 //! and the frame every request passes (`handle_line*` → `answer` →
 //! `serve` → `admit` → `dispatch`); the handlers live beside the state
 //! they work on — [`crate::session_ops`], [`crate::engine`],
@@ -49,6 +50,7 @@ use crate::admission::{Priority, Shedder};
 use crate::cache::AnalysisCache;
 use crate::diag::{DiagSink, Subsystem};
 use crate::engine::{compile_engine, EngineState};
+use crate::errors::{ErrorCode, ServeError};
 use crate::metrics::{self, MetricsSnapshot, ServiceMetrics};
 use crate::ops::{self, Op};
 use crate::protocol::{scan_line, Request, RequestScratch, ScannedLine};
@@ -300,7 +302,7 @@ impl CleaningService {
         let service = CleaningService::build(master, rules, config, Some(storage));
         service
             .recover(recovered)
-            .map_err(|message| std::io::Error::new(std::io::ErrorKind::InvalidData, message))?;
+            .map_err(|error| std::io::Error::new(std::io::ErrorKind::InvalidData, error))?;
         *service
             .inner
             .replication
@@ -442,21 +444,21 @@ impl CleaningService {
     }
 
     /// Admit or refuse one fresh TCP connection (drain + global quota).
-    /// `Err` carries the one-line JSON error the front end should write
-    /// before closing.
-    pub fn admit_connection(&self) -> Result<(), String> {
-        if self.is_draining() {
-            self.inner.metrics.connections_refused.inc();
-            return Err("draining: server is draining; connect to another node".to_string());
-        }
+    /// `Err` is what the front end answers — one line, through
+    /// `refuse_line` — before closing.
+    pub fn admit_connection(&self) -> Result<(), ServeError> {
         let quota = self.inner.config.max_connections;
-        if quota > 0 && self.inner.metrics.connections_open.get() >= quota as u64 {
-            self.inner.metrics.connections_refused.inc();
-            return Err(format!(
-                "overloaded: connection quota of {quota} reached; retry with backoff"
-            ));
-        }
-        Ok(())
+        let refused = if self.is_draining() {
+            ErrorCode::Draining.error("server is draining; connect to another node")
+        } else if quota > 0 && self.inner.metrics.connections_open.get() >= quota as u64 {
+            ErrorCode::Overloaded.error(format!(
+                "connection quota of {quota} reached; retry with backoff"
+            ))
+        } else {
+            return Ok(());
+        };
+        self.inner.metrics.connections_refused.inc();
+        Err(refused)
     }
 
     /// True iff this service journals to a data directory.
@@ -724,7 +726,7 @@ impl CleaningService {
         out: &mut String,
         received: Instant,
         started: Instant,
-        serve: impl FnOnce(Reply<'_>) -> Result<(), String>,
+        serve: impl FnOnce(Reply<'_>) -> Result<(), ServeError>,
     ) {
         let queue_wait = started.saturating_duration_since(received);
         self.inner.metrics.requests.inc();
@@ -739,9 +741,9 @@ impl CleaningService {
             raw_id,
             span: &mut span,
         };
-        if let Err(message) = serve(reply) {
+        if let Err(error) = serve(reply) {
             out.truncate(mark);
-            self.write_error(&message, raw_id, out);
+            self.write_error(&error, raw_id, out);
         }
         let elapsed = started.elapsed();
         self.inner.metrics.latency[op].observe(elapsed);
@@ -780,7 +782,7 @@ impl CleaningService {
         scratch: &mut RequestScratch,
         received: Instant,
         started: Instant,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let request = self.admitted(scanned, op, reply.span, scratch, received, started)?;
         if let Request::SessionValidate { .. } = request {
             // Names resolve against the schema as they are read, into
@@ -793,7 +795,7 @@ impl CleaningService {
             validations.clear();
             scanned.fields.validations(unescape, |name, value| {
                 validations.push((self.resolve_attr(name)?, value));
-                Ok::<(), String>(())
+                Ok::<(), ServeError>(())
             })?;
         }
         self.dispatch(request, reply, scratch)
@@ -809,7 +811,7 @@ impl CleaningService {
         scratch: &mut RequestScratch,
         received: Instant,
         started: Instant,
-    ) -> Result<Request, String> {
+    ) -> Result<Request, ServeError> {
         let admitted = self.admit(scanned, op, scratch, received, started, span);
         // In hand or refused, the request is read: parse time ends here.
         span.parse_ns = started.elapsed().as_nanos() as u64;
@@ -831,9 +833,9 @@ impl CleaningService {
         received: Instant,
         started: Instant,
         span: &mut Span,
-    ) -> Result<Request, String> {
+    ) -> Result<Request, ServeError> {
         if let Some(error) = &scanned.syntax {
-            return Err(error.0.clone());
+            return Err(ErrorCode::ParseError.error(&error.0));
         }
         // Deadline check before any engine, journal or fsync cost is
         // paid. `deadline_ms: 0` is deterministically expired; an
@@ -843,9 +845,8 @@ impl CleaningService {
             if let Some(deadline) = received.checked_add(Duration::from_millis(ms)) {
                 if started >= deadline {
                     self.inner.metrics.requests_shed_deadline.inc();
-                    return Err(format!(
-                        "deadline_exceeded: deadline of {ms}ms expired before work began"
-                    ));
+                    return Err(ErrorCode::DeadlineExceeded
+                        .error(format!("deadline of {ms}ms expired before work began")));
                 }
                 span.deadline = Some(deadline);
             }
@@ -875,7 +876,7 @@ impl CleaningService {
         request: Request,
         reply: Reply<'_>,
         scratch: &mut RequestScratch,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         match request {
             Request::SessionCreate { tuple } => self.session_create(&tuple, reply),
             Request::SessionGet { session } => self.session_view(session, None, reply),
@@ -937,10 +938,9 @@ impl CleaningService {
     }
 
     /// Admission decision for one request: feed the shedder the current
-    /// queue depth, then shed by the op's class. `Err` carries the
-    /// retryable `overloaded` error. Two atomic loads when the shedder
-    /// is disarmed — cheap enough for every request.
-    fn shed_check(&self, op: &Op) -> Result<(), String> {
+    /// queue depth, then shed by the op's class. Two atomic loads when
+    /// the shedder is disarmed — cheap enough for every request.
+    fn shed_check(&self, op: &Op) -> Result<(), ServeError> {
         let depth = self.inner.pool.queue_depth();
         self.observe_queue_depth(depth);
         if !self.inner.shedder.sheds(op.class) {
@@ -951,25 +951,33 @@ impl CleaningService {
             Priority::Heavy => "heavy reads",
             _ => "session mutations",
         };
-        Err(format!(
-            "overloaded: shedding {what} at level {} (worker queue depth {depth} over watermark {}); retry with backoff",
+        Err(ErrorCode::Overloaded.error(format!(
+            "shedding {what} at level {} (worker queue depth {depth} over watermark {}); retry with backoff",
             self.inner.shedder.level(),
             self.inner.shedder.high(),
-        ))
+        )))
     }
 
-    /// Count and write an error reply — the one place a failure is put
-    /// on the wire.
-    fn write_error(&self, message: &str, raw_id: Option<&str>, out: &mut String) {
+    /// Count and write an error reply — the one place an `ok:false`
+    /// line is put on the wire.
+    fn write_error(&self, error: &ServeError, raw_id: Option<&str>, out: &mut String) {
         self.inner.metrics.errors.inc();
         let mut w = JsonWriter::new(out);
         w.begin_response(raw_id);
-        w.field("ok", false);
-        w.field("error", message);
+        error.write(&mut w);
         w.end_obj();
     }
 
-    pub(crate) fn resolve_attr(&self, name: &str) -> Result<usize, String> {
+    /// The newline-terminated error line of something that is not a
+    /// request: a connection refused at accept time
+    /// ([`admit_connection`](Self::admit_connection)), a line no parser
+    /// sees (over-long, not UTF-8).
+    pub(crate) fn refuse_line(&self, error: &ServeError, out: &mut String) {
+        self.write_error(error, None, out);
+        out.push('\n');
+    }
+
+    pub(crate) fn resolve_attr(&self, name: &str) -> Result<usize, ServeError> {
         let schema = self.input_schema();
         if let Some(id) = schema.attr_id(name) {
             return Ok(id);
@@ -980,10 +988,10 @@ impl CleaningService {
                 return Ok(id);
             }
         }
-        Err(format!(
+        Err(ErrorCode::BadRequest.error(format!(
             "unknown attribute `{name}` (schema `{}`)",
             schema.name()
-        ))
+        )))
     }
 }
 
@@ -1011,7 +1019,10 @@ impl<'a> Reply<'a> {
     /// The whole success reply of a handler that has gathered what it
     /// says: opened, `fields` written, closed — and timed, as the span's
     /// `serialize_ns`. Always `Ok`, so a handler ends with it.
-    pub(crate) fn send(mut self, fields: impl FnOnce(&mut JsonWriter<'a>)) -> Result<(), String> {
+    pub(crate) fn send(
+        mut self,
+        fields: impl FnOnce(&mut JsonWriter<'a>),
+    ) -> Result<(), ServeError> {
         let started = Instant::now();
         let w = self.ok();
         fields(w);

@@ -2,11 +2,11 @@
 //! `commit` / `abort` — and the codec between a live session and its
 //! snapshot form. ([`crate::session`] holds the registry they run on.)
 
+use crate::errors::{ErrorCode, ServeError};
 use crate::ops::OpId;
 use crate::protocol::{Request, RequestScratch, ScannedLine};
 use crate::replication::lock_followers;
 use crate::service::{write_attrs, write_tuple, CleaningService, Reply};
-use crate::session::SessionError;
 use crate::trace::Span;
 use cerfix::{FixpointReport, MonitorSession, SessionStatus};
 use cerfix_relation::{AttrSet, SchemaRef, Tuple, Value};
@@ -40,7 +40,7 @@ pub(crate) struct HeldCommit {
     started: Instant,
     span: Span,
     /// The commit, or what its admission refused it with.
-    applied: Result<AppliedCommit, String>,
+    applied: Result<AppliedCommit, ServeError>,
     /// When the fsync wait began, when the quorum wait did, and when
     /// that becomes pointless (the fsync wait always ends by itself).
     parked: Instant,
@@ -49,31 +49,31 @@ pub(crate) struct HeldCommit {
 }
 
 impl CleaningService {
-    pub(crate) fn session_create(&self, values: &[Value], reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn session_create(
+        &self,
+        values: &[Value],
+        reply: Reply<'_>,
+    ) -> Result<(), ServeError> {
         // In-flight sessions finish during a drain; fresh ones belong
         // on another node.
         if self.is_draining() {
             self.inner.metrics.sessions_refused_draining.inc();
             return Err(
-                "draining: server is draining; create the session on another node".to_string(),
+                ErrorCode::Draining.error("server is draining; create the session on another node")
             );
         }
         let schema = self.input_schema().clone();
         if values.len() != schema.arity() {
-            return Err(format!(
+            return Err(ErrorCode::BadRequest.error(format!(
                 "tuple has {} values but schema `{}` has arity {}",
                 values.len(),
                 schema.name(),
                 schema.arity()
-            ));
+            )));
         }
-        let tuple = Tuple::new(schema, values.to_vec()).map_err(|e| e.to_string())?;
-        let id = self.with_gate(|| -> Result<u64, String> {
-            let id = self
-                .inner
-                .sessions
-                .create(tuple)
-                .map_err(|e| e.to_string())?;
+        let tuple = Tuple::new(schema, values.to_vec())?;
+        let id = self.with_gate(|| -> Result<u64, ServeError> {
+            let id = self.inner.sessions.create(tuple)?;
             // Only build the owned event when a journal exists.
             if self.inner.storage.is_some() {
                 self.journal(&JournalEvent::SessionCreated {
@@ -94,7 +94,7 @@ impl CleaningService {
         id: u64,
         report: Option<&FixpointReport>,
         mut reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let engine = self.engine();
         let monitor = self.monitor_for(&engine);
         let schema = self.input_schema();
@@ -137,7 +137,7 @@ impl CleaningService {
                 }
                 w.end_obj();
             })
-            .map_err(|e: SessionError| e.to_string())
+            .map_err(ServeError::from)
     }
 
     /// `session.validate` / `session.fix`: apply the validations a
@@ -152,7 +152,7 @@ impl CleaningService {
         id: u64,
         scratch: &RequestScratch,
         reply: Reply<'_>,
-    ) -> Result<(), String> {
+    ) -> Result<(), ServeError> {
         let resolved = &scratch.validations;
         let report = self.with_gate(|| {
             let engine = self.engine();
@@ -176,9 +176,8 @@ impl CleaningService {
                     reply.span.engine_ns += engine_started.elapsed().as_nanos() as u64;
                     result
                 })
-                .map_err(|e: SessionError| e.to_string())
-        })?;
-        let report = report.map_err(|e| e.to_string())?;
+                .map_err(ServeError::from)
+        })??;
         reply.span.stats += report.stats;
         self.inner
             .metrics
@@ -189,9 +188,9 @@ impl CleaningService {
 
     /// `session.commit` up to its durability point: the session leaves
     /// the registry and its event enters the journal, in one gate hold.
-    fn commit_apply(&self, id: u64) -> Result<AppliedCommit, String> {
-        let (session, journaled) = self.with_gate(|| -> Result<_, String> {
-            let session = self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
+    fn commit_apply(&self, id: u64) -> Result<AppliedCommit, ServeError> {
+        let (session, journaled) = self.with_gate(|| -> Result<_, ServeError> {
+            let session = self.inner.sessions.remove(id)?;
             let seq = self.journal(&JournalEvent::SessionCommitted { session: id });
             let journaled = seq.and_then(|seq| self.commit_position(seq).map(|at| (seq, at)));
             Ok((session, journaled))
@@ -204,7 +203,7 @@ impl CleaningService {
         })
     }
 
-    pub(crate) fn session_commit(&self, id: u64, reply: Reply<'_>) -> Result<(), String> {
+    pub(crate) fn session_commit(&self, id: u64, reply: Reply<'_>) -> Result<(), ServeError> {
         let commit = self.commit_apply(id)?;
         // Commit is the protocol's durability point: wait for the group
         // fsync (outside the gate — a snapshot may proceed meanwhile),
@@ -224,7 +223,7 @@ impl CleaningService {
         self.commit_reply(&commit, reply)
     }
 
-    fn commit_reply(&self, commit: &AppliedCommit, mut reply: Reply<'_>) -> Result<(), String> {
+    fn commit_reply(&self, commit: &AppliedCommit, mut reply: Reply<'_>) -> Result<(), ServeError> {
         let session = &commit.session;
         let w = reply.ok();
         w.field("session", commit.id);
@@ -284,7 +283,7 @@ impl CleaningService {
     /// ([`Journal::watch`](cerfix_storage::Journal::watch)) before it
     /// asks, or asks again once it does; a follower's ack it sees arrive
     /// itself or is woken for ([`wake_holds`](Self::wake_holds)).
-    pub(crate) fn commit_verdict(&self, held: &mut HeldCommit) -> Option<Result<(), String>> {
+    pub(crate) fn commit_verdict(&self, held: &mut HeldCommit) -> Option<Result<(), ServeError>> {
         let Some((seq, at)) = held.applied.as_ref().ok().and_then(|c| c.journaled) else {
             return Some(Ok(())); // refused: nothing to wait for
         };
@@ -307,7 +306,7 @@ impl CleaningService {
     pub(crate) fn finish_commit(
         &self,
         held: HeldCommit,
-        verdict: Result<(), String>,
+        verdict: Result<(), ServeError>,
         out: &mut String,
     ) {
         let op = OpId::SessionCommit.row();
@@ -324,9 +323,9 @@ impl CleaningService {
         });
     }
 
-    pub(crate) fn session_abort(&self, id: u64, mut reply: Reply<'_>) -> Result<(), String> {
-        self.with_gate(|| -> Result<(), String> {
-            self.inner.sessions.remove(id).map_err(|e| e.to_string())?;
+    pub(crate) fn session_abort(&self, id: u64, mut reply: Reply<'_>) -> Result<(), ServeError> {
+        self.with_gate(|| -> Result<(), ServeError> {
+            self.inner.sessions.remove(id)?;
             self.journal(&JournalEvent::SessionAborted { session: id });
             Ok(())
         })?;
@@ -342,11 +341,12 @@ fn attrset_to_ids(set: &AttrSet) -> Vec<u32> {
     set.iter().map(|a| a as u32).collect()
 }
 
-fn ids_to_attrset(ids: &[u32], arity: usize) -> Result<AttrSet, String> {
+fn ids_to_attrset(ids: &[u32], arity: usize) -> Result<AttrSet, ServeError> {
     let mut set = AttrSet::new();
     for &id in ids {
         if id as usize >= arity {
-            return Err(format!("attribute id {id} out of range (arity {arity})"));
+            return Err(ErrorCode::Internal
+                .error(format!("attribute id {id} out of range (arity {arity})")));
         }
         set.insert(id as usize);
     }
@@ -373,9 +373,10 @@ pub(crate) fn session_to_snapshot(
 pub(crate) fn snapshot_to_session(
     snapshot: &SessionSnapshot,
     schema: &SchemaRef,
-) -> Result<MonitorSession, String> {
-    let tuple = Tuple::new(schema.clone(), snapshot.values.clone())
-        .map_err(|e| format!("snapshot session {}: {e}", snapshot.session))?;
+) -> Result<MonitorSession, ServeError> {
+    let tuple = Tuple::new(schema.clone(), snapshot.values.clone()).map_err(|e| {
+        ErrorCode::Internal.error(format!("snapshot session {}: {e}", snapshot.session))
+    })?;
     let arity = schema.arity();
     let mut session = MonitorSession::new(snapshot.tuple_id as usize, tuple);
     session.rounds = snapshot.rounds as usize;

@@ -1,30 +1,27 @@
-//! Per-request tracing: fixed-size lock-free span rings.
+//! Per-request tracing: spans in fixed-size lock-free rings.
 //!
 //! A [`Span`] is the execution record of one wire request — its trace
 //! id (derived from the client-supplied `"id"` when present), per-stage
 //! timings (parse, dispatch, engine, fsync-wait, serialize) and the
 //! [`EngineStats`] delta the request charged to the correcting engine.
-//! Spans are built on the caller's stack and published into a
-//! [`TraceRing`]: a power-of-two array of seqlock slots claimed by a
-//! single `fetch_add`, written with relaxed atomic stores. Recording
-//! therefore never locks and never allocates, which is what lets the
-//! CI-guarded `session.get = 0 allocs/req` invariant hold with tracing
-//! enabled.
+//! Spans are built on the caller's stack and published, as 14 words,
+//! into a [`TraceRing`] — the crate's one seqlock ring
+//! ([`crate::seqring`]): recording never locks and never allocates,
+//! which is what lets the CI-guarded `session.get = 0 allocs/req`
+//! invariant hold with tracing enabled.
 //!
 //! A [`TraceSink`] pairs the main ring with a small slow-request ring:
 //! spans whose total latency crosses the configured threshold are
 //! duplicated there, so a burst of fast requests cannot wash a slow
 //! outlier out of the window before an operator reads `trace.read`.
 //!
-//! Readers ([`TraceRing::read_recent`]) walk backwards from the claim
-//! head and validate each slot's sequence before and after copying its
-//! words; a slot being overwritten concurrently is simply skipped.
-//! Telemetry reads allocate (a `Vec` of spans) — they are off the hot
-//! path by construction.
+//! Telemetry reads ([`TraceRing::recent_spans`]) allocate (a `Vec` of
+//! spans) — they are off the hot path by construction.
 
+use crate::seqring::{rlock, SeqRing};
 use cerfix::EngineStats;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 /// Words per slot: trace id, op index, eight timings, four engine-stat
@@ -34,9 +31,6 @@ const SLOT_WORDS: usize = 14;
 /// Slots in the slow-request ring (fixed; the threshold, not the
 /// buffer, is the operator's knob).
 const SLOW_SLOTS: usize = 64;
-
-/// Largest main-ring size `--trace-buffer` is clamped to.
-const MAX_SLOTS: usize = 1 << 20;
 
 /// Set on trace ids the server synthesized because the request carried
 /// no usable `"id"` — keeps them disjoint from echoed client ids.
@@ -131,112 +125,19 @@ impl Span {
     }
 }
 
-/// One seqlock slot. `seq` encodes the claim generation: `2g + 1` while
-/// the writer of claim `g` is storing words, `2g + 2` once it is done.
-/// A reader accepts a slot only when it observes the same "done" value
-/// on both sides of its copy.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Fixed-size multi-writer span ring. Writers claim monotonically
-/// increasing indices with one `fetch_add` and publish via the slot
-/// seqlock; the ring keeps the most recent `len` spans.
-pub(crate) struct TraceRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    /// Next claim index (monotonic; total spans ever recorded).
-    head: AtomicU64,
-}
+/// The span ring: the most recent spans, 14 words each.
+pub(crate) type TraceRing = SeqRing<SLOT_WORDS>;
 
 impl TraceRing {
-    /// A ring holding `capacity` spans, rounded up to a power of two
-    /// (clamped to [`MAX_SLOTS`]); 0 disables the ring entirely.
-    pub(crate) fn new(capacity: usize) -> TraceRing {
-        let len = match capacity {
-            0 => 0,
-            n => n.next_power_of_two().min(MAX_SLOTS),
-        };
-        TraceRing {
-            slots: (0..len).map(|_| Slot::new()).collect(),
-            mask: len.wrapping_sub(1) as u64,
-            head: AtomicU64::new(0),
-        }
+    /// Publish one span.
+    pub(crate) fn record_span(&self, span: &Span) {
+        self.record(&span.to_words());
     }
 
-    /// True iff the ring records anything.
-    pub(crate) fn enabled(&self) -> bool {
-        !self.slots.is_empty()
+    /// Up to `limit` of the most recent spans, newest first.
+    pub(crate) fn recent_spans(&self, limit: usize) -> Vec<Span> {
+        self.read_recent(limit, |_, words| Some(Span::from_words(*words)))
     }
-
-    /// Spans ever recorded (monotonic, survives wrap-around).
-    pub(crate) fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Publish one span. Lock-free and allocation-free: a claim
-    /// `fetch_add` plus relaxed word stores bracketed by the slot's
-    /// sequence. A reader racing this slot observes a torn sequence and
-    /// skips it.
-    pub(crate) fn record(&self, span: &Span) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let claim = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(claim & self.mask) as usize];
-        slot.seq.store(claim * 2 + 1, Ordering::Release);
-        fence(Ordering::Release);
-        for (word, value) in slot.words.iter().zip(span.to_words()) {
-            word.store(value, Ordering::Relaxed);
-        }
-        fence(Ordering::Release);
-        slot.seq.store(claim * 2 + 2, Ordering::Release);
-    }
-
-    /// Copy out up to `limit` of the most recent spans, newest first.
-    /// Slots mid-overwrite (or lost to a lapping writer during the
-    /// copy) are skipped — telemetry, not a log.
-    pub(crate) fn read_recent(&self, limit: usize) -> Vec<Span> {
-        let head = self.head.load(Ordering::Acquire);
-        let window = (self.slots.len() as u64).min(head);
-        let mut spans = Vec::with_capacity(limit.min(window as usize));
-        for back in 0..window {
-            if spans.len() >= limit {
-                break;
-            }
-            let claim = head - 1 - back;
-            let slot = &self.slots[(claim & self.mask) as usize];
-            let expect = claim * 2 + 2;
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue;
-            }
-            let mut words = [0u64; SLOT_WORDS];
-            for (out, word) in words.iter_mut().zip(&slot.words) {
-                *out = word.load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) == expect {
-                spans.push(Span::from_words(words));
-            }
-        }
-        spans
-    }
-}
-
-/// Read a possibly poisoned lock — ring swaps can't corrupt the data,
-/// so a panicked holder is survivable.
-fn rlock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The service's tracing state: the main span ring, the slow-request
@@ -295,7 +196,7 @@ impl TraceSink {
 
     /// The main ring's current capacity in slots.
     pub(crate) fn capacity(&self) -> usize {
-        rlock(&self.ring).slots.len()
+        rlock(&self.ring).capacity()
     }
 
     /// The main ring (for `trace.read`).
@@ -315,9 +216,9 @@ impl TraceSink {
         if !ring.enabled() {
             return;
         }
-        ring.record(span);
+        ring.record_span(span);
         if span.total_ns >= self.slow_ns() {
-            rlock(&self.slow).record(span);
+            rlock(&self.slow).record_span(span);
         }
     }
 
@@ -377,17 +278,17 @@ mod tests {
     fn ring_keeps_most_recent_spans_newest_first() {
         let ring = TraceRing::new(4);
         for i in 0..10u64 {
-            ring.record(&span(i, 100));
+            ring.record_span(&span(i, 100));
         }
         assert_eq!(ring.recorded(), 10);
-        let spans = ring.read_recent(16);
+        let spans = ring.recent_spans(16);
         let ids: Vec<u64> = spans.iter().map(|s| s.trace_id).collect();
         assert_eq!(ids, vec![9, 8, 7, 6]);
         // Round-trip preserves every field.
         assert_eq!(spans[0], span(9, 100));
         // Limit truncates from the newest end.
-        assert_eq!(ring.read_recent(2).len(), 2);
-        assert_eq!(ring.read_recent(2)[0].trace_id, 9);
+        assert_eq!(ring.recent_spans(2).len(), 2);
+        assert_eq!(ring.recent_spans(2)[0].trace_id, 9);
     }
 
     #[test]
@@ -403,9 +304,9 @@ mod tests {
     fn capacity_rounds_up_to_power_of_two() {
         let ring = TraceRing::new(5);
         for i in 0..8u64 {
-            ring.record(&span(i, 1));
+            ring.record_span(&span(i, 1));
         }
-        assert_eq!(ring.read_recent(64).len(), 8);
+        assert_eq!(ring.recent_spans(64).len(), 8);
     }
 
     #[test]
@@ -414,10 +315,10 @@ mod tests {
         sink.record(&span(1, 9_999));
         sink.record(&span(2, 10_000));
         sink.record(&span(3, 50_000));
-        let slow = sink.slow().read_recent(16);
+        let slow = sink.slow().recent_spans(16);
         let ids: Vec<u64> = slow.iter().map(|s| s.trace_id).collect();
         assert_eq!(ids, vec![3, 2]);
-        assert_eq!(sink.ring().read_recent(16).len(), 3);
+        assert_eq!(sink.ring().recent_spans(16).len(), 3);
     }
 
     #[test]
@@ -433,7 +334,7 @@ mod tests {
         assert_eq!(sink.capacity(), 4);
         sink.record(&span(2, 1_000));
         assert_eq!(sink.ring().recorded(), 1);
-        assert_eq!(sink.ring().read_recent(4)[0], span(2, 1_000));
+        assert_eq!(sink.ring().recent_spans(4)[0], span(2, 1_000));
 
         // config.set slow_ms: the new threshold gates the slow ring.
         assert_eq!(sink.slow().recorded(), 0);
@@ -460,34 +361,5 @@ mod tests {
         let b = sink.trace_id(None);
         assert_ne!(a, b);
         assert!(a & SYNTHETIC_BIT != 0 && b & SYNTHETIC_BIT != 0);
-    }
-
-    #[test]
-    fn concurrent_writers_never_tear_reads() {
-        let ring = std::sync::Arc::new(TraceRing::new(8));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let ring = std::sync::Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..2_000u64 {
-                    // Every writer's words are internally consistent:
-                    // trace_id == total_ns, so a torn read is visible.
-                    let id = t * 1_000_000 + i;
-                    ring.record(&span(id, id));
-                }
-            }));
-        }
-        for _ in 0..200 {
-            for s in ring.read_recent(8) {
-                assert_eq!(s.trace_id, s.total_ns, "torn span escaped the seqlock");
-            }
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ring.recorded(), 8_000);
-        for s in ring.read_recent(8) {
-            assert_eq!(s.trace_id, s.total_ns);
-        }
     }
 }

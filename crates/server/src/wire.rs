@@ -50,13 +50,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Inside the service an error is the message its reply carries.
-impl From<WireError> for String {
-    fn from(error: WireError) -> String {
-        error.0
-    }
-}
-
 impl Json {
     /// Shorthand string constructor.
     pub fn str(s: impl Into<String>) -> Json {

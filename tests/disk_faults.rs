@@ -33,7 +33,7 @@ use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Client, Frontend, LocalClient, Server, ServiceConfig, StorageConfig,
+    CleaningService, Client, ErrorCode, Frontend, LocalClient, Server, ServiceConfig, StorageConfig,
 };
 use cerfix_storage::{
     FaultFs, FaultPlan, JournalEvent, ScanMode, SnapshotData, Storage, StorageError, SyncError,
@@ -343,15 +343,16 @@ fn enospc_degrades_to_read_only_and_recovers_when_space_returns() {
         match client.master_append(vec![vec![Value::str(format!("fill{i}")), Value::str("v")]]) {
             Ok(_) => {}
             Err(e) => {
-                refused = Some(e.to_string());
+                refused = Some(e);
                 break;
             }
         }
     }
-    let message = refused.expect("a 6000-byte budget must fill within 400 appends");
-    assert!(
-        message.contains("storage_error"),
-        "ENOSPC ack must be the typed applied-but-not-durable error: {message}"
+    let refused = refused.expect("a 6000-byte budget must fill within 400 appends");
+    assert_eq!(
+        refused.code(),
+        Some(ErrorCode::StorageError),
+        "ENOSPC ack must be the applied-but-not-durable error: {refused}"
     );
     assert!(service.is_degraded(), "ENOSPC must flip the degraded latch");
 
@@ -359,10 +360,10 @@ fn enospc_degrades_to_read_only_and_recovers_when_space_returns() {
     client.metrics().expect("reads must survive degradation");
     let denied = client
         .master_append(vec![vec![Value::str("k-denied"), Value::str("v")]])
-        .unwrap_err()
-        .to_string();
-    assert!(
-        denied.contains("degraded: disk_full"),
+        .unwrap_err();
+    assert_eq!(
+        denied.code(),
+        Some(ErrorCode::Degraded),
         "degraded mutations must name the cause: {denied}"
     );
 
@@ -420,9 +421,8 @@ fn free_space_watermark_degrades_before_the_disk_is_actually_full() {
     assert!(tripped, "8192-byte budget never dipped under the watermark");
     let denied = client
         .master_append(vec![vec![Value::str("k-denied"), Value::str("v")]])
-        .unwrap_err()
-        .to_string();
-    assert!(denied.contains("degraded: disk_full"), "{denied}");
+        .unwrap_err();
+    assert_eq!(denied.code(), Some(ErrorCode::Degraded), "{denied}");
 
     fault.add_capacity(1 << 20);
     wait_for("watermark degradation to clear", || {
@@ -518,10 +518,9 @@ fn fsync_failure_poisons_the_journal_and_refuses_mutations() {
     fault.update_plan(|plan| plan.fail_fsync_at = Some(fault.fsyncs() + 1));
     let err = client
         .master_append(vec![vec![Value::str("k-poison"), Value::str("v")]])
-        .unwrap_err()
-        .to_string();
+        .unwrap_err();
     assert!(
-        err.contains("storage_error") && err.contains("poisoned"),
+        err.code() == Some(ErrorCode::StorageError) && err.to_string().contains("poisoned"),
         "the ack must say the journal poisoned: {err}"
     );
 
@@ -530,10 +529,9 @@ fn fsync_failure_poisons_the_journal_and_refuses_mutations() {
     assert!(!service.is_degraded(), "poison is not the degraded latch");
     let refused = client
         .master_append(vec![vec![Value::str("k-refused"), Value::str("v")]])
-        .unwrap_err()
-        .to_string();
+        .unwrap_err();
     assert!(
-        refused.contains("storage_error") && refused.contains("poisoned"),
+        refused.code() == Some(ErrorCode::StorageError) && refused.to_string().contains("poisoned"),
         "later mutations must be refused up front: {refused}"
     );
     client

@@ -513,7 +513,8 @@ fn a_held_commit_fails_with_the_blocking_paths_bytes() {
         .collect();
     assert!(
         replies[0].starts_with(
-            "{\"id\":1,\"ok\":false,\"error\":\"storage_error: applied but not durable \
+            "{\"id\":1,\"ok\":false,\"code\":\"storage_error\",\
+             \"error\":\"storage_error: applied but not durable \
              (journal poisoned: fdatasync failed ("
         ),
         "{}",

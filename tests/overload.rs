@@ -39,8 +39,8 @@ use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Client, Frontend, LocalClient, Request, RetryBudget, Server, ServiceConfig,
-    StorageConfig,
+    CleaningService, Client, ClientError, ErrorCode, Frontend, LocalClient, Request, RetryBudget,
+    Server, ServiceConfig, StorageConfig,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -48,6 +48,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The `code` of an `ok:false` line.
+fn code_of(line: &str) -> Option<ErrorCode> {
+    let reply = Json::parse(line.trim()).ok()?;
+    reply
+        .get("code")
+        .and_then(Json::as_str)
+        .and_then(ErrorCode::parse)
+}
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cerfix-overload-{name}-{}", std::process::id()));
@@ -163,8 +172,7 @@ fn client_deadline_cuts_quorum_ack_wait_short() {
         view.session
     ));
     let elapsed = started.elapsed();
-    assert!(response.contains("deadline_exceeded"), "{response}");
-    assert!(!response.contains("quorum_timeout"), "{response}");
+    assert_eq!(code_of(&response), Some(ErrorCode::DeadlineExceeded));
     assert!(
         elapsed >= Duration::from_millis(200),
         "cut before the deadline: {elapsed:?}"
@@ -273,8 +281,8 @@ fn overload_sheds_heavy_then_sessions_and_recovers() {
             .and_then(Json::as_arr)
             .is_some_and(|causes| {
                 causes.iter().any(|c| {
-                    c.as_str()
-                        .is_some_and(|s| s.contains("overloaded: shedding"))
+                    let shedding = format!("{}: shedding", ErrorCode::Overloaded);
+                    c.as_str().is_some_and(|s| s.starts_with(&shedding))
                 })
             })
         {
@@ -282,17 +290,14 @@ fn overload_sheds_heavy_then_sessions_and_recovers() {
         }
         // Heavy reads go first (shed level 1)…
         match probe.request(&Request::Regions { top_k: Some(1) }) {
-            Err(e) if e.to_string().contains("overloaded: shedding heavy reads") => {
+            Err(e) if e.code() == Some(ErrorCode::Overloaded) => {
                 saw_heavy_shed = true;
             }
             _ => {}
         }
         // …session mutations only at level 2.
         match probe.create_session(row("k1", "BAD", "n")) {
-            Err(e)
-                if e.to_string()
-                    .contains("overloaded: shedding session mutations") =>
-            {
+            Err(e) if e.code() == Some(ErrorCode::Overloaded) => {
                 saw_session_shed = true;
             }
             Ok(view) => {
@@ -354,10 +359,26 @@ fn session_quota_surfaces_overloaded_health_cause() {
         "missing session-quota cause: {causes:?}"
     );
 
-    // Freeing a slot clears the cause — the quota is a gauge, not a latch.
+    // The create that hits the quota is told the same thing, in the
+    // overload vocabulary: a client with no retry budget (the in-process
+    // one) surfaces it, one with a budget backs off and tries again.
+    let create = "{\"op\":\"session.create\",\"tuple\":[\"k3\",\"BAD\",\"n\"]}";
+    let refused = service.handle_line(create);
+    assert_eq!(code_of(&refused), Some(ErrorCode::Overloaded));
+    let refused = Json::parse(&refused).unwrap();
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("overloaded: session registry at its quota of 2")
+    );
+    let err = client.create_session(row("k3", "BAD", "n")).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Overloaded), "{err}");
+
+    // Freeing a slot clears the cause — the quota is a gauge, not a
+    // latch — and the same create succeeds.
     client.abort(a.session).unwrap();
     let health = Json::parse(&service.handle_line("{\"op\":\"health\"}")).unwrap();
     assert_eq!(health.get("ready").and_then(Json::as_bool), Some(true));
+    client.create_session(row("k3", "BAD", "n")).unwrap();
 }
 
 #[test]
@@ -386,12 +407,15 @@ fn connection_quota_refuses_with_typed_error_at_accept() {
     BufReader::new(second).read_line(&mut line).unwrap();
     let json = Json::parse(line.trim()).unwrap();
     assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(code_of(&line), Some(ErrorCode::Overloaded));
     let error = json.get("error").and_then(Json::as_str).unwrap();
     assert_eq!(
         error,
         "overloaded: connection quota of 1 reached; retry with backoff"
     );
     assert!(service.metrics().connections_refused >= 1);
+    // A refusal at accept time is an error line, and counted as one.
+    assert_eq!(service.metrics().errors, 1);
 
     let _ = first.shutdown();
     let _ = server_thread.join();
@@ -446,12 +470,15 @@ fn drain_preserves_acked_commits_and_open_sessions() {
         .unwrap();
     assert!(output.status.success(), "cerfix drain failed: {output:?}");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("draining"), "{stdout}");
+    assert!(
+        stdout.starts_with(&format!("{addr} draining: 1 live session(s)")),
+        "{stdout}"
+    );
 
     // Existing connections keep being served, but new sessions are
-    // refused with the typed, retryable error…
+    // refused with the retryable `draining`…
     let err = client.create_session(row("k8", "WRONG", "n")).unwrap_err();
-    assert!(err.to_string().contains("draining:"), "{err}");
+    assert_eq!(err.code(), Some(ErrorCode::Draining), "{err}");
     // …and fresh connections are refused at accept time.
     let refused = TcpStream::connect(addr).unwrap();
     refused
@@ -459,8 +486,9 @@ fn drain_preserves_acked_commits_and_open_sessions() {
         .unwrap();
     let mut line = String::new();
     BufReader::new(refused).read_line(&mut line).unwrap();
-    assert!(
-        line.contains("draining: server is draining"),
+    assert_eq!(
+        code_of(&line),
+        Some(ErrorCode::Draining),
         "refusal line: {line:?}"
     );
 
@@ -549,7 +577,11 @@ fn client_repoints_to_primary_and_respects_retry_budget() {
         .unwrap()
         .with_retry_budget(RetryBudget::new(0, 0.0));
     let err = broke.create_session(row("k1", "WRONG", "n")).unwrap_err();
-    assert!(err.to_string().contains("not_primary"), "{err}");
+    assert_eq!(err.code(), Some(ErrorCode::NotPrimary), "{err}");
+    match err {
+        ClientError::Server { redirect, .. } => assert_eq!(redirect, Some(paddr.to_string())),
+        other => panic!("{other}"),
+    }
 
     // A budgeted client follows the redirect transparently: the
     // follower's error names the primary, the client re-dials it, and
@@ -604,7 +636,7 @@ fn drive(addr: std::net::SocketAddr, clients: usize, secs: u64) -> (u64, u64, Ve
                             good += 1;
                             latencies.push(started.elapsed());
                         }
-                        Err(e) if e.to_string().contains("overloaded") => {
+                        Err(e) if e.code() == Some(ErrorCode::Overloaded) => {
                             shed += 1;
                             // The error contract says "retry with
                             // backoff" — honor it so the shed path

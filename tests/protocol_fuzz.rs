@@ -18,7 +18,7 @@ use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::wire::Json;
-use cerfix_server::{CleaningService, ServiceConfig};
+use cerfix_server::{CleaningService, ErrorCode, ServiceConfig};
 use proptest::test_runner::{Config, TestRunner};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -253,6 +253,11 @@ fn assert_well_formed(line: &str, response: &str) {
             json.get("error").and_then(Json::as_str).is_some(),
             "error response without `error` string for {line:?}: {response:?}"
         );
+        let code = json.get("code").and_then(Json::as_str);
+        assert!(
+            code.and_then(ErrorCode::parse).is_some(),
+            "error response without a `code` of the table for {line:?}: {response:?}"
+        );
     }
 }
 
@@ -299,11 +304,12 @@ fn hostile_deadlines_are_rejected_or_honored_never_fatal() {
     ] {
         let response = service.handle_line(line);
         assert_well_formed(line, &response);
-        assert_eq!(
-            response.contains("deadline_exceeded"),
-            expect_expired,
-            "{line} → {response}"
-        );
+        let expired = Json::parse(&response)
+            .unwrap()
+            .get("code")
+            .and_then(Json::as_str)
+            == Some(ErrorCode::DeadlineExceeded.as_str());
+        assert_eq!(expired, expect_expired, "{line} → {response}");
     }
     let metrics = service.metrics();
     assert_eq!(metrics.requests_shed_deadline, 2);

@@ -42,8 +42,8 @@ use cerfix_gen::{make_workload, uk, NoiseSpec};
 use cerfix_relation::Value;
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Client, Frontend, LocalClient, Request, RetryBudget, Server, ServiceConfig,
-    SessionView, StorageConfig, TcpTransport,
+    CleaningService, Client, ErrorCode, Frontend, LocalClient, Request, RetryBudget, Server,
+    ServiceConfig, SessionView, StorageConfig, TcpTransport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -434,7 +434,7 @@ fn partitioned_follower_resumes_from_cursor_without_resync() {
         client.metrics().is_ok_and(|m| caught_up(&m, "f1", 0))
     });
     let err = fc.create_session(row("k2", "x", "y")).unwrap_err();
-    assert!(err.to_string().contains("not_primary"), "{err}");
+    assert_eq!(err.code(), Some(ErrorCode::NotPrimary), "{err}");
     let hello = fc.hello().unwrap();
     assert_eq!(hello.get("role").and_then(Json::as_str), Some("follower"));
     assert_eq!(
@@ -548,7 +548,7 @@ fn slow_follower_times_out_quorum_commits_then_recovers() {
         )
         .unwrap();
     let err = client.commit(view.session).unwrap_err();
-    assert!(err.to_string().contains("quorum_timeout"), "{err}");
+    assert_eq!(err.code(), Some(ErrorCode::QuorumTimeout), "{err}");
     assert!(
         client.get_session(view.session).is_err(),
         "timed-out commit must still be applied locally"

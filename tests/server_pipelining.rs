@@ -18,7 +18,9 @@ use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::protocol::Request;
 use cerfix_server::wire::Json;
-use cerfix_server::{CleaningService, Client, Frontend, Server, ServerHandle, ServiceConfig};
+use cerfix_server::{
+    CleaningService, Client, ErrorCode, Frontend, Server, ServerHandle, ServiceConfig,
+};
 use cerfix_storage::StorageConfig;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -292,12 +294,31 @@ fn mid_request_disconnect_leaves_server_healthy() {
 }
 
 /// A newline-less stream is rejected once the partial line passes the
-/// 8 MiB bound — with an error reply before the close.
+/// 8 MiB bound — with an error reply before the close. Like the line
+/// that is not UTF-8 sent ahead of it (which the connection survives),
+/// it is an error line as any other: coded, and counted.
 #[test]
 fn oversized_partial_line_is_rejected() {
     for frontend in FRONTENDS {
-        let (handle, _service) = spawn(frontend);
+        let (handle, service) = spawn(frontend);
         let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut refusal = |what: &str, errors: u64| {
+            let mut response = String::new();
+            let _ = reader.read_line(&mut response);
+            assert!(
+                response.contains(what),
+                "{frontend:?}: expected the {what:?} reply, got {response:?}"
+            );
+            let reply = Json::parse(response.trim()).expect("a JSON line");
+            let code = reply.get("code").and_then(Json::as_str);
+            assert_eq!(code, Some(ErrorCode::BadRequest.as_str()), "{response}");
+            assert_eq!(service.metrics().errors, errors, "{what}");
+        };
+        stream
+            .write_all(b"{\"op\":\"hel\xff\xfe\"}\n")
+            .expect("write");
+        refusal("not valid UTF-8", 1);
         let chunk = vec![b'x'; 1024 * 1024];
         // Write until the server hangs up (it must, after ~8 MiB).
         let mut wrote = 0usize;
@@ -308,13 +329,7 @@ fn oversized_partial_line_is_rejected() {
             }
         }
         assert!(wrote >= 8 * 1024 * 1024 || wrote < 32 * chunk.len());
-        let mut response = String::new();
-        let mut reader = BufReader::new(stream);
-        let _ = reader.read_line(&mut response);
-        assert!(
-            response.contains("exceeds 8 MiB"),
-            "{frontend:?}: expected oversize reply, got {response:?}"
-        );
+        refusal("exceeds 8 MiB", 2);
         handle.shutdown().expect("shutdown");
     }
 }
