@@ -13,9 +13,7 @@ use cerfix::MasterData;
 use cerfix_bench::print_table;
 use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
-use cerfix_server::{
-    CleaningService, Frontend, LocalClient, Request, Server, ServiceConfig, StorageConfig,
-};
+use cerfix_server::{CleaningService, LocalClient, Request, Server, ServiceConfig, StorageConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,8 +97,7 @@ fn main() {
         ..config()
     };
     let primary = open(primary_config, "primary");
-    let handle = Server::spawn_with("127.0.0.1:0", primary.clone(), Frontend::Threads)
-        .expect("bind quorum primary");
+    let handle = Server::spawn("127.0.0.1:0", primary.clone()).expect("bind quorum primary");
     let follower_config = ServiceConfig {
         replicate_from: Some(handle.addr().to_string()),
         advertise: Some("exp-follower".into()),

@@ -17,7 +17,7 @@
 //! fast: the first `Err` stops remaining work and is returned.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
@@ -109,6 +109,8 @@ struct PoolShared {
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<thread::JoinHandle<()>>,
+    /// Jobs ever submitted (a statistic: it publishes nothing else).
+    submitted: AtomicU64,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -137,7 +139,11 @@ impl WorkerPool {
                     .expect("spawn worker thread")
             })
             .collect();
-        WorkerPool { shared, handles }
+        WorkerPool {
+            shared,
+            handles,
+            submitted: AtomicU64::new(0),
+        }
     }
 
     fn worker_loop(shared: &PoolShared) {
@@ -176,8 +182,15 @@ impl WorkerPool {
         lock(&self.shared.queue).len()
     }
 
+    /// Jobs submitted since the pool was built, `map_ordered`'s helpers
+    /// included.
+    pub fn jobs_submitted(&self) -> u64 {
+        self.submitted.load(Ordering::Relaxed)
+    }
+
     /// Enqueue a fire-and-forget job.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
         lock(&self.shared.queue).push_back(Box::new(job));
         self.shared.work_ready.notify_one();
     }
@@ -188,8 +201,7 @@ impl WorkerPool {
     /// **Caller-runs:** the calling thread participates in the batch —
     /// it pulls pending items alongside the pool workers instead of only
     /// waiting. This keeps the call deadlock-free even when it is made
-    /// *from a pool worker* (a batch job that fans out a sub-batch, the
-    /// shape the epoll reactor's request batches take): with every
+    /// *from a pool worker* (a job that fans out a sub-batch): with every
     /// worker busy, the caller simply processes its own items. It also
     /// means concurrent `map_ordered` calls from different request
     /// threads interleave fairly on one pool.
@@ -300,9 +312,9 @@ impl Drop for WorkerPool {
         let current = thread::current().id();
         for handle in self.handles.drain(..) {
             // The pool can be dropped *from one of its own workers*: a
-            // job holding the last service handle (e.g. an epoll batch
-            // job outliving a server shutdown) drops it — and the pool
-            // with it — when it finishes. Joining ourselves would be an
+            // job holding the last service handle (e.g. a job outliving
+            // a server shutdown) drops it — and the pool with it — when
+            // it finishes. Joining ourselves would be an
             // instant deadlock (EDEADLK); detach instead — this worker
             // exits its loop right after the current job.
             if handle.thread().id() == current {

@@ -28,7 +28,7 @@ const DEFAULT_DRAIN_WAIT_MS: u64 = 10_000;
 
 impl CleaningService {
     /// `server.drain`: begin a graceful drain. Idempotent — the first
-    /// call latches the draining flag (front ends stop admitting
+    /// call latches the draining flag (the front end stops admitting
     /// connections, `session.create` answers `draining`) and starts a
     /// monitor thread that waits for in-flight sessions to finish (or
     /// for the bound to expire), takes a final snapshot, and then runs
@@ -83,7 +83,7 @@ impl CleaningService {
                     }
                     // The final snapshot hands still-open sessions to
                     // the restarted process; shutdown then stops the
-                    // front ends, which snapshot once more on exit
+                    // front end, which snapshots once more on exit
                     // (idempotent).
                     let _ = service.snapshot_now();
                     service.inner.diag.info(

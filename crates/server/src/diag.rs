@@ -9,7 +9,7 @@
 //! too), so emitting never locks and never allocates: the message is
 //! formatted into a fixed stack buffer and stored as packed words. That
 //! keeps the CI-guarded `session.get = 0 allocs/req` invariant intact
-//! with the diag log enabled, and makes it safe to emit from the reactor
+//! with the diag log enabled, and makes it safe to emit from connection
 //! and flusher threads.
 //!
 //! Sinks: the in-process ring is always the source of truth and is

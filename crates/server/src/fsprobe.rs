@@ -5,7 +5,7 @@
 //! [`FaultFs`](cerfix_storage::FaultFs) answers from its synthetic
 //! budget; on a real deployment we ask the kernel via `statvfs(3)`.
 //! The storage crate forbids `unsafe`, so the single raw syscall lives
-//! here next to the reactor's FFI island.
+//! here, the server crate's one FFI island.
 
 /// Bytes available to unprivileged writers on the filesystem holding
 /// `path` (`f_bavail * f_frsize`). `None` when the probe is

@@ -99,12 +99,7 @@ impl CleaningService {
     ///   cache may have dropped the dirty page, so retrying locally
     ///   could silently lose the write.
     pub(crate) fn sync_commit(&self, binding: &StorageBinding, seq: u64) -> Result<(), ServeError> {
-        self.sync_verdict(binding.storage.sync(seq))
-    }
-
-    /// [`sync_commit`](Self::sync_commit)'s translation, for a waiter
-    /// that asked the journal without blocking (a held commit).
-    pub(crate) fn sync_verdict(&self, synced: Result<(), SyncError>) -> Result<(), ServeError> {
+        let synced = binding.storage.sync(seq);
         match &synced {
             Err(SyncError::WriteFailed {
                 error,

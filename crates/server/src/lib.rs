@@ -60,10 +60,9 @@
 //! assert_eq!(after.tuple[2], Value::str("131"));
 //! ```
 
-// `deny` (not `forbid`) so the two FFI islands — the epoll reactor's
-// raw syscalls and the fsprobe's `statvfs` free-space probe — can carve
-// out their `#[allow(unsafe_code)]`; every other module stays
-// unsafe-free.
+// `deny` (not `forbid`) so the one FFI island — the fsprobe's `statvfs`
+// free-space probe — can carve out its `#[allow(unsafe_code)]`; every
+// other module stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -80,8 +79,6 @@ mod metrics;
 mod net;
 mod ops;
 pub mod protocol;
-#[cfg(target_os = "linux")]
-mod reactor;
 mod recovery;
 mod replication;
 mod seqring;
@@ -145,7 +142,7 @@ mod tests {
     }
 
     /// key → val lookup service over 50 master rows.
-    pub(crate) fn kv_service(workers: usize) -> CleaningService {
+    fn kv_service(workers: usize) -> CleaningService {
         let (master, rules) = kv_setup();
         CleaningService::new(
             master,
@@ -463,7 +460,7 @@ mod tests {
         let held = Arc::new(std::sync::Mutex::new(held));
         for _ in 0..5 {
             let held = Arc::clone(&held);
-            service.submit_job(move || {
+            service.inner.pool.submit(move || {
                 let _ = held.lock().unwrap().recv();
             });
         }
@@ -1330,7 +1327,7 @@ mod tests {
     }
 
     /// The connection gauge goes both ways and the byte counters add:
-    /// what the front ends bump is what the snapshot and the text show.
+    /// what the front end bumps is what the snapshot and the text show.
     #[test]
     fn connection_telemetry_reaches_snapshot_and_text() {
         let service = kv_service(1);

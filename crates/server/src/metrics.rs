@@ -461,10 +461,8 @@ instruments! {
         connections_refused       Counter "cerfix_connections_refused_total"       "Connections refused by the global quota or drain.";
         bytes_in                  Counter "cerfix_bytes_in_total"                  "Request bytes read off sockets.";
         bytes_out                 Counter "cerfix_bytes_out_total"                 "Response bytes written to sockets.";
-        reactor_polls             Counter "cerfix_reactor_polls_total"             "epoll_wait calls made by the reactor.";
-        reactor_wakeups           Counter "cerfix_reactor_wakeups_total"           "Cross-thread eventfd wakeups delivered to the reactor.";
-        reactor_reads             Counter "cerfix_reactor_reads_total"             "read calls the reactor made on connection sockets.";
-        reactor_writes            Counter "cerfix_reactor_writes_total"            "write calls the reactor made on connection sockets.";
+        net_reads                 Counter "cerfix_net_reads_total"                 "read calls made on connection sockets.";
+        net_writes                Counter "cerfix_net_writes_total"                "write_all calls made on connection sockets: one per read's replies, and one ahead of a line that waits.";
         replication_events_served Counter "cerfix_replication_events_served_total" "Journal events served to follower replication cursors.";
         quorum_timeouts           Counter "cerfix_quorum_timeouts_total"           "Commits that timed out waiting for a follower quorum (applied and locally durable, answered quorum_timeout).";
         #[journaled]
@@ -487,6 +485,8 @@ instruments! {
             = |s| s.workers() as u64;
         worker_queue_depth     Gauge   "cerfix_worker_queue_depth"            "Jobs waiting in the worker-pool queue right now."
             = |s| s.queue_depth() as u64;
+        worker_jobs            Counter "cerfix_worker_jobs_total"             "Jobs submitted to the worker pool (a clean's fan-out)."
+            = |s| s.inner.pool.jobs_submitted();
         live_sessions          Gauge   "cerfix_sessions_live"                 "Interactive sessions currently live."
             = |s| s.live_sessions() as u64;
         shed_level             Gauge   "cerfix_shed_level"                    "Admission shed level: 0 admit all, 1 shed heavy reads, 2 shed sessions too."
@@ -535,9 +535,7 @@ instruments! {
     // `EngineStats` delta.
     families {
         latency:        PerOp<OpHistogram> = "cerfix_request_duration_seconds"      "Service time per request, by op class.";
-        queue_wait:     OpHistogram        = "cerfix_request_queue_wait_seconds"    "Receipt to dispatch queue wait per request (worker-pool queueing for batched heavy ops; ~0 inline).";
-        batch_latency:  OpHistogram        = "cerfix_worker_batch_duration_seconds" "Worker-pool batch latency, submit to fully executed.";
-        reactor_loop:   OpHistogram        = "cerfix_reactor_loop_duration_seconds" "Reactor loop iteration working time (wait excluded).";
+        queue_wait:     OpHistogram        = "cerfix_request_queue_wait_seconds"    "Receipt to dispatch queue wait per request (behind the lines of the same read).";
         ack_latency:    OpHistogram        = "cerfix_commit_ack_duration_seconds"   "Quorum-ack wait on commit: local fsync to follower quorum.";
         fixpoint_runs:  PerOp<Cell>        = "cerfix_engine_fixpoint_runs_total"    "Fixpoint runs, by op class.";
         rule_attempts:  PerOp<Cell>        = "cerfix_engine_rule_attempts_total"    "Rules attempted by the correcting engine, by op class.";
@@ -897,8 +895,8 @@ mod tests {
         assert!(!out.contains("op=\"clean\""));
 
         let mut out = String::new();
-        let name = "cerfix_worker_batch_duration_seconds";
-        m.batch_latency
+        let name = "cerfix_commit_ack_duration_seconds";
+        m.ack_latency
             .expose(&mut Family::new(&mut out, name, "histogram", "help"));
         assert!(out.contains(&format!("{name}_bucket{{le=\"+Inf\"}} 0")));
         assert!(out.contains(&format!("{name}_count 0")));

@@ -1,30 +1,30 @@
-//! TCP front ends: line-delimited JSON over `std::net`.
+//! The TCP front end: line-delimited JSON over `std::net`.
 //!
-//! Two interchangeable front ends serve the same [`CleaningService`]
-//! behind one [`Server`] API:
+//! One OS thread per connection, blocking reads. A connection's thread
+//! answers the complete lines of one `read` in order and sends their
+//! replies with one `write_all`: a closed-loop request costs one read
+//! and one write, a pipelined window that arrives in one chunk one
+//! write. A line that makes the thread wait — a journaled
+//! `session.commit`'s group fsync and quorum, a held `replica.sync` —
+//! first writes what is already answered, so a pipelining client never
+//! waits for a reply that is computed. Heavy ops run on the connection's
+//! thread too; a `clean` fans its tuples out on the service's worker
+//! pool, whose queue the admission shedder watches.
 //!
-//! * [`Frontend::Epoll`] (Linux) — a readiness loop on raw `epoll`
-//!   (see [`reactor`](crate::reactor)): one reactor thread multiplexes
-//!   every connection with nonblocking sockets, per-connection
-//!   read/write buffers with backpressure, and CPU-heavy ops dispatched
-//!   to the service worker pool. Responses are written back in request
-//!   order per connection, so clients may pipeline freely.
-//! * [`Frontend::Threads`] — portable thread-per-connection fallback:
-//!   blocking reads, one OS thread per client.
-//!
-//! Both complete a shutdown in milliseconds: the service's shutdown
-//! hooks wake the epoll loop through its wakeup fd, and unblock the
-//! threaded front end by half-closing every connection (read side) and
-//! poking the blocked `accept` with a loopback connect — no poll
-//! timeouts anywhere. Housekeeping (idle-session sweeps, snapshot
-//! policy) runs on a dedicated timer thread shared by both front ends.
+//! Shutdown completes in milliseconds: the service's shutdown hook
+//! half-closes every connection (read side) and pokes the blocked
+//! `accept` with a loopback connect — no poll timeouts anywhere. A
+//! connection still writing to a peer that does not read is cut off
+//! after `DRAIN_DEADLINE`. Housekeeping (idle-session sweeps, snapshot
+//! policy) runs on a dedicated timer thread.
 
 use crate::errors::{ErrorCode, ServeError};
+use crate::metrics::ServiceMetrics;
 use crate::ops::OpId;
 use crate::protocol::{scan_line, RequestScratch};
 use crate::service::CleaningService;
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -38,119 +38,29 @@ const SWEEP_EVERY: Duration = Duration::from_secs(1);
 /// fits comfortably, a newline-less byte stream does not. Only the
 /// *partial* line is bounded — a burst of complete pipelined lines
 /// larger than this is fine (they drain as they arrive).
-pub(crate) const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
+const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
+/// Replies held past this are written before the read's remaining
+/// lines are answered, so what a connection holds stays bounded however
+/// many lines one read brings.
+const WRITE_HIGH_WATER: usize = 1024 * 1024;
+/// How long a shutdown waits for connections to write their last
+/// replies before it cuts off the ones whose peer does not read.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
 
-/// What an over-long line is answered with before the hang-up.
-pub(crate) fn oversize_line() -> ServeError {
-    ErrorCode::BadRequest.error("request line exceeds 8 MiB; closing")
-}
-
-/// What a line that is not valid UTF-8 is answered with (the connection
-/// survives).
-pub(crate) fn non_utf8_line() -> ServeError {
-    ErrorCode::BadRequest.error("request line is not valid UTF-8")
-}
-
-/// Handle one raw request line, appending its newline-terminated
-/// response to `out`. Returns false for blank lines (no response).
-///
-/// This is THE per-line semantics of the protocol — UTF-8 check, blank
-/// skip, trim, dispatch — shared by the threaded connection loop, the
-/// reactor's inline path and its worker-pool batch jobs, so all
-/// execution paths are wire-identical by construction (and the
-/// chunking proptest holds them to it).
-///
-/// `may_hold`: the caller is a connection's own thread, which a
-/// caught-up `replica.sync` that asks to wait may keep until there is
-/// something to say ([`HeldSync`](crate::replication::HeldSync)). A
-/// pool worker never holds — it answers the empty batch at once — and
-/// the follower ack its sync carries was recorded off the reactor
-/// thread, so the commits parked there are told to look again.
-pub(crate) fn respond_line(
-    service: &CleaningService,
-    line_bytes: &[u8],
-    out: &mut String,
-    scratch: &mut RequestScratch,
-    received: Instant,
-    may_hold: bool,
-) -> bool {
-    let Ok(line) = std::str::from_utf8(line_bytes) else {
-        service.refuse_line(&non_utf8_line(), out);
-        return true;
-    };
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return false;
-    }
-    let started = Instant::now();
-    let scanned = scan_line(trimmed);
-    let held = if may_hold && scanned.is(OpId::ReplicaSync) {
-        service.sync_arrival(&scanned)
-    } else {
-        None
-    };
-    match held {
-        Some(held) => {
-            service.wait_out(&held);
-            service.serve_held(held, out, scratch);
-        }
-        None => {
-            service.handle_scanned(&scanned, out, scratch, received, started);
-            if !may_hold && scanned.is(OpId::ReplicaSync) {
-                service.wake_holds();
-            }
-        }
-    }
-    out.push('\n');
-    true
-}
-
-/// Answer a connection that is not admitted (draining, over the quota)
-/// with its one error line and hang up.
-pub(crate) fn refuse(service: &CleaningService, mut stream: TcpStream, error: &ServeError) {
-    let mut line = String::new();
-    service.refuse_line(error, &mut line);
-    let _ = std::io::Write::write_all(&mut stream, line.as_bytes());
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Which I/O architecture a [`Server`] runs.
+/// Which I/O architecture a [`Server`] runs: there is one. It is kept,
+/// with [`Frontend::auto`] and [`Server::spawn_with`], because the
+/// benchmark under `ledger/` names them; removing them is a
+/// benchmark-only change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Frontend {
-    /// One OS thread per connection, blocking reads (portable).
+    /// One OS thread per connection, blocking reads.
     Threads,
-    /// Readiness loop over raw `epoll` (Linux). On other platforms this
-    /// silently falls back to [`Frontend::Threads`].
-    Epoll,
 }
 
 impl Frontend {
-    /// The best front end for this platform: epoll on Linux, threads
-    /// elsewhere.
+    /// The front end: [`Frontend::Threads`].
     pub fn auto() -> Frontend {
-        if cfg!(target_os = "linux") {
-            Frontend::Epoll
-        } else {
-            Frontend::Threads
-        }
-    }
-
-    /// Parse a `--frontend` value (`epoll` / `threads` / `auto`).
-    pub fn parse(name: &str) -> Option<Frontend> {
-        match name {
-            "epoll" => Some(Frontend::Epoll),
-            "threads" => Some(Frontend::Threads),
-            "auto" => Some(Frontend::auto()),
-            _ => None,
-        }
-    }
-
-    /// The name `parse` accepts for this front end.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Frontend::Threads => "threads",
-            Frontend::Epoll => "epoll",
-        }
+        Frontend::Threads
     }
 }
 
@@ -158,28 +68,13 @@ impl Frontend {
 pub struct Server {
     service: CleaningService,
     listener: TcpListener,
-    frontend: Frontend,
 }
 
 impl Server {
-    /// Bind `addr` (e.g. `127.0.0.1:7117`, or port 0 for ephemeral) with
-    /// the platform-default front end.
+    /// Bind `addr` (e.g. `127.0.0.1:7117`, or port 0 for ephemeral).
     pub fn bind(addr: impl ToSocketAddrs, service: CleaningService) -> std::io::Result<Server> {
-        Server::bind_with(addr, service, Frontend::auto())
-    }
-
-    /// Bind with an explicit front end.
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        service: CleaningService,
-        frontend: Frontend,
-    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        Ok(Server {
-            service,
-            listener,
-            frontend,
-        })
+        Ok(Server { service, listener })
     }
 
     /// The bound address (useful with port 0).
@@ -187,22 +82,11 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The front end this server will run.
-    pub fn frontend(&self) -> Frontend {
-        self.frontend
-    }
-
     /// Serve until a `shutdown` request arrives. Blocks the calling
     /// thread.
     pub fn run(self) -> std::io::Result<()> {
         let housekeeper = Housekeeper::start(self.service.clone());
-        let result = match self.frontend {
-            Frontend::Threads => run_threads(self.listener, &self.service),
-            #[cfg(target_os = "linux")]
-            Frontend::Epoll => crate::reactor::run_epoll(self.listener, &self.service),
-            #[cfg(not(target_os = "linux"))]
-            Frontend::Epoll => run_threads(self.listener, &self.service),
-        };
+        let result = run_threads(self.listener, &self.service);
         housekeeper.stop();
         // A graceful shutdown leaves a fresh snapshot so the next boot
         // replays an empty journal (best effort).
@@ -216,16 +100,7 @@ impl Server {
         addr: impl ToSocketAddrs,
         service: CleaningService,
     ) -> std::io::Result<ServerHandle> {
-        Server::spawn_with(addr, service, Frontend::auto())
-    }
-
-    /// [`spawn`](Self::spawn) with an explicit front end.
-    pub fn spawn_with(
-        addr: impl ToSocketAddrs,
-        service: CleaningService,
-        frontend: Frontend,
-    ) -> std::io::Result<ServerHandle> {
-        let server = Server::bind_with(addr, service.clone(), frontend)?;
+        let server = Server::bind(addr, service.clone())?;
         let addr = server.local_addr()?;
         let thread = thread::Builder::new()
             .name("cerfix-server-accept".into())
@@ -237,11 +112,20 @@ impl Server {
             thread: Some(thread),
         })
     }
+
+    /// [`spawn`](Self::spawn), for a caller that names the front end.
+    pub fn spawn_with(
+        addr: impl ToSocketAddrs,
+        service: CleaningService,
+        _frontend: Frontend,
+    ) -> std::io::Result<ServerHandle> {
+        Server::spawn(addr, service)
+    }
 }
 
 /// Periodic service housekeeping on its own timer thread (idle-session
-/// eviction, snapshot policy) — so neither front end needs a poll
-/// timeout in its accept path. Stops within one condvar notification.
+/// eviction, snapshot policy) — so the accept path needs no poll
+/// timeout. Stops within one condvar notification.
 struct Housekeeper {
     stop: Arc<(Mutex<bool>, Condvar)>,
     thread: Option<thread::JoinHandle<()>>,
@@ -305,12 +189,15 @@ impl Housekeeper {
     }
 }
 
-/// Live connection streams of the threaded front end, so a shutdown can
-/// half-close every read side immediately (the "self-pipe" equivalent
-/// for blocking reads: a blocked `read` returns 0 while any response
-/// still in flight writes out normally).
+/// Live connection streams, so a shutdown can half-close every read
+/// side immediately (the "self-pipe" equivalent for blocking reads: a
+/// blocked `read` returns 0 while any reply still in flight writes out
+/// normally), wait for the connections to close, and cut off the ones
+/// that do not.
 struct ConnRegistry {
     streams: Mutex<HashMap<u64, TcpStream>>,
+    /// Notified each time a connection leaves `streams`.
+    closed: Condvar,
     next_id: AtomicU64,
 }
 
@@ -318,32 +205,47 @@ impl ConnRegistry {
     fn new() -> ConnRegistry {
         ConnRegistry {
             streams: Mutex::new(HashMap::new()),
+            closed: Condvar::new(),
             next_id: AtomicU64::new(1),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.streams.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn register(&self, stream: &TcpStream) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            self.streams
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(id, clone);
+            self.lock().insert(id, clone);
         }
         id
     }
 
     fn deregister(&self, id: u64) {
-        self.streams
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
+        self.lock().remove(&id);
+        self.closed.notify_all();
     }
 
-    fn shutdown_all(&self) {
-        let streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
-        for stream in streams.values() {
-            let _ = stream.shutdown(Shutdown::Read);
+    fn shutdown_all(&self, how: Shutdown) {
+        for stream in self.lock().values() {
+            let _ = stream.shutdown(how);
+        }
+    }
+
+    /// Wait until every connection has closed, or `deadline` passes.
+    fn wait_closed(&self, deadline: Instant) {
+        let mut streams = self.lock();
+        while !streams.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            streams = self
+                .closed
+                .wait_timeout(streams, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
@@ -367,7 +269,7 @@ fn run_threads(listener: TcpListener, service: &CleaningService) -> std::io::Res
     let live = Arc::new(AtomicBool::new(true));
     let hook_registry = Arc::clone(&registry);
     let hook = service.add_shutdown_hook(move || {
-        hook_registry.shutdown_all();
+        hook_registry.shutdown_all(Shutdown::Read);
         // A blocked accept has no fd to poke portably; a throwaway
         // loopback connect returns it immediately.
         let _ = TcpStream::connect(local);
@@ -393,25 +295,25 @@ fn run_threads(listener: TcpListener, service: &CleaningService) -> std::io::Res
                 // Counted here, not by the connection's own thread: the
                 // next `admit_connection` must see this connection even
                 // if its thread has not been scheduled yet.
-                let open = OpenConnection::count(service.clone());
-                let id = registry.register(&stream);
+                let open = OpenConnection::open(service.clone(), &registry, &stream);
                 let live = Arc::clone(&live);
-                let registry = Arc::clone(&registry);
                 connections.retain(|handle| !handle.is_finished());
                 connections.push(thread::spawn(move || {
                     serve_connection(stream, open, &live);
-                    registry.deregister(id);
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => break Err(e),
         }
     };
-    // Stop serving new requests on existing connections, then let their
-    // threads wind down (reads are already unblocked by the hook; cover
-    // the non-`shutdown`-op exit path too).
+    // Stop serving new requests on existing connections (reads are
+    // already unblocked by the hook; cover the non-`shutdown`-op exit
+    // path too), let them write what they owe, then cut off a
+    // connection still blocked writing to a peer that does not read.
     live.store(false, Ordering::Release);
-    registry.shutdown_all();
+    registry.shutdown_all(Shutdown::Read);
+    registry.wait_closed(Instant::now() + DRAIN_DEADLINE);
+    registry.shutdown_all(Shutdown::Both);
     for handle in connections {
         let _ = handle.join();
     }
@@ -419,11 +321,19 @@ fn run_threads(listener: TcpListener, service: &CleaningService) -> std::io::Res
     result
 }
 
+/// Answer a connection that is not admitted (draining, over the quota)
+/// with its one error line and hang up.
+fn refuse(service: &CleaningService, mut stream: TcpStream, error: &ServeError) {
+    let mut line = String::new();
+    service.refuse_line(error, &mut line);
+    let _ = stream.write_all(line.as_bytes());
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
 /// Growable read buffer with in-place line splitting: lines are handed
 /// out as borrowed slices and consumed by offset — no per-line `Vec`
-/// drain/collect — and the newline scan never revisits bytes. Shared by
-/// the threaded connection loop and the epoll reactor.
-pub(crate) struct LineBuffer {
+/// drain/collect — and the newline scan never revisits bytes.
+struct LineBuffer {
     buf: Vec<u8>,
     /// Bytes before `start` are consumed.
     start: usize,
@@ -432,7 +342,7 @@ pub(crate) struct LineBuffer {
 }
 
 impl LineBuffer {
-    pub(crate) fn new() -> LineBuffer {
+    fn new() -> LineBuffer {
         LineBuffer {
             buf: Vec::new(),
             start: 0,
@@ -440,15 +350,15 @@ impl LineBuffer {
         }
     }
 
-    /// Append freshly-read bytes (both connection loops read into a
-    /// long-lived scratch chunk and append — no per-read zeroing).
-    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+    /// Append freshly-read bytes (the connection loop reads into a
+    /// long-lived scratch chunk and appends — no per-read zeroing).
+    fn extend(&mut self, bytes: &[u8]) {
         self.compact();
         self.buf.extend_from_slice(bytes);
     }
 
     /// The next complete line (without its `\n`), consuming it.
-    pub(crate) fn next_line(&mut self) -> Option<&[u8]> {
+    fn next_line(&mut self) -> Option<&[u8]> {
         let from = self.scanned.max(self.start);
         match self.buf[from..].iter().position(|&b| b == b'\n') {
             Some(rel) => {
@@ -467,7 +377,7 @@ impl LineBuffer {
 
     /// Bytes of the current partial line (no newline yet) — what the
     /// 8 MiB bound applies to.
-    pub(crate) fn partial_len(&self) -> usize {
+    fn partial_len(&self) -> usize {
         self.buf.len() - self.start
     }
 
@@ -482,82 +392,169 @@ impl LineBuffer {
     }
 }
 
-/// One admitted connection's share of the `connections_open` gauge:
-/// taken by the acceptor the moment `admit_connection` lets the
-/// connection in, given back exactly once, when the connection's thread
-/// drops it — whichever way that thread leaves.
+/// One admitted connection's share of the `connections_open` gauge and
+/// its place in the [`ConnRegistry`]: taken by the acceptor the moment
+/// `admit_connection` lets the connection in, given back exactly once,
+/// when the connection's thread drops it — whichever way that thread
+/// leaves. A shutdown waiting for the connections to close is told.
 struct OpenConnection {
     service: CleaningService,
+    registry: Arc<ConnRegistry>,
+    id: u64,
 }
 
 impl OpenConnection {
-    fn count(service: CleaningService) -> OpenConnection {
+    fn open(
+        service: CleaningService,
+        registry: &Arc<ConnRegistry>,
+        stream: &TcpStream,
+    ) -> OpenConnection {
         let metrics = service.metrics_raw();
         metrics.connections_open.inc();
         metrics.connections_total.inc();
-        OpenConnection { service }
+        OpenConnection {
+            service,
+            registry: Arc::clone(registry),
+            id: registry.register(stream),
+        }
     }
 }
 
 impl Drop for OpenConnection {
     fn drop(&mut self) {
         self.service.metrics_raw().connections_open.dec();
+        self.registry.deregister(self.id);
+    }
+}
+
+/// The replies a connection owes its peer, held until the lines of one
+/// read are answered and then written together.
+struct Replies<'a> {
+    writer: TcpStream,
+    out: String,
+    metrics: &'a ServiceMetrics,
+}
+
+impl Replies<'_> {
+    /// Write everything held, in one `write_all` (none when nothing is
+    /// held). False once the peer is gone.
+    fn flush(&mut self) -> bool {
+        if self.out.is_empty() {
+            return true;
+        }
+        // Counted before the call, so a peer that has its reply already
+        // sees it counted.
+        self.metrics.net_writes.inc();
+        let written = self.writer.write_all(self.out.as_bytes()).is_ok();
+        if written {
+            self.metrics.bytes_out.add(self.out.len() as u64);
+        }
+        self.out.clear();
+        written
     }
 }
 
 fn serve_connection(mut stream: TcpStream, open: OpenConnection, live: &AtomicBool) {
-    use std::io::Write;
     let service = &open.service;
     let metrics = service.metrics_raw();
     let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
+    let Ok(writer) = stream.try_clone() else {
         return;
+    };
+    let mut replies = Replies {
+        writer,
+        out: String::new(),
+        metrics,
     };
     let mut buf = LineBuffer::new();
     let mut chunk = vec![0u8; 16 * 1024];
-    let mut out = String::new();
     let mut scratch = RequestScratch::default();
     // Blocking reads, no timeout: shutdown half-closes the read side
     // through the registry, so a parked read returns 0 immediately.
-    loop {
-        if !live.load(Ordering::Acquire) || service.shutdown_requested() {
-            break;
-        }
-        match stream.read(&mut chunk) {
+    while live.load(Ordering::Acquire) && !service.shutdown_requested() {
+        let read = stream.read(&mut chunk);
+        metrics.net_reads.inc();
+        let n = match read {
             Ok(0) => break, // client closed (or shutdown half-close)
-            Ok(n) => {
-                buf.extend(&chunk[..n]);
-                metrics.bytes_in.add(n as u64);
-                // Every line in this chunk shares one arrival stamp —
-                // queue wait and deadlines are measured from the read,
-                // not from when the dispatch loop got around to the line.
-                let received = Instant::now();
-                while let Some(line_bytes) = buf.next_line() {
-                    out.clear();
-                    if !respond_line(service, line_bytes, &mut out, &mut scratch, received, true) {
-                        continue; // blank line
-                    }
-                    // One write per response: first responses of a
-                    // pipelined burst go out while later requests are
-                    // still being served.
-                    if writer.write_all(out.as_bytes()).is_err() {
-                        return;
-                    }
-                    metrics.bytes_out.add(out.len() as u64);
-                }
-                // Complete lines drained above; only an unbounded
-                // *partial* line is hostile.
-                if buf.partial_len() > MAX_LINE_BYTES {
-                    out.clear();
-                    service.refuse_line(&oversize_line(), &mut out);
-                    let _ = writer.write_all(out.as_bytes());
-                    break;
-                }
-            }
+            Ok(n) => n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break,
+        };
+        buf.extend(&chunk[..n]);
+        metrics.bytes_in.add(n as u64);
+        // Every line in this chunk shares one arrival stamp — queue wait
+        // and deadlines are measured from the read, not from when the
+        // loop got around to the line.
+        let received = Instant::now();
+        while let Some(line_bytes) = buf.next_line() {
+            let mut written =
+                respond_line(service, line_bytes, &mut replies, &mut scratch, received);
+            if replies.out.len() > WRITE_HIGH_WATER {
+                written &= replies.flush();
+            }
+            if !written {
+                return;
+            }
+        }
+        // Complete lines answered above; only an unbounded *partial*
+        // line is hostile.
+        let oversize = buf.partial_len() > MAX_LINE_BYTES;
+        if oversize {
+            let error = ErrorCode::BadRequest.error("request line exceeds 8 MiB; closing");
+            service.refuse_line(&error, &mut replies.out);
+        }
+        if !replies.flush() || oversize {
+            break;
         }
     }
+}
+
+/// Answer one raw request line into `replies`: UTF-8 check, blank skip,
+/// trim, scan, dispatch — THE per-line semantics of the protocol, and
+/// the chunking proptest holds them independent of how lines arrive.
+/// A line that makes this thread wait writes what `replies` holds first.
+/// False once a write has failed.
+fn respond_line(
+    service: &CleaningService,
+    line_bytes: &[u8],
+    replies: &mut Replies<'_>,
+    scratch: &mut RequestScratch,
+    received: Instant,
+) -> bool {
+    let Ok(line) = std::str::from_utf8(line_bytes) else {
+        let error = ErrorCode::BadRequest.error("request line is not valid UTF-8");
+        service.refuse_line(&error, &mut replies.out);
+        return true; // the connection survives
+    };
+    let trimmed = line.trim();
+    if trimmed.is_empty() {
+        return true; // blank line: no reply
+    }
+    let started = Instant::now();
+    let scanned = scan_line(trimmed);
+    // A caught-up follower's sync that asks to wait is kept on this
+    // thread until there is something to say.
+    let held = if scanned.is(OpId::ReplicaSync) {
+        service.sync_arrival(&scanned)
+    } else {
+        None
+    };
+    if let Some(held) = held {
+        if !replies.flush() {
+            return false;
+        }
+        service.wait_out(&held);
+        service.serve_held(held, &mut replies.out, scratch);
+    } else {
+        // A journaled commit waits for its group fsync (and quorum).
+        let waits = scanned.is(OpId::SessionCommit) && service.is_journaled();
+        if waits && !replies.flush() {
+            return false;
+        }
+        service.handle_scanned(&scanned, &mut replies.out, scratch, received, started);
+    }
+    replies.out.push('\n');
+    true
 }
 
 /// A running server on a background thread.
@@ -579,8 +576,9 @@ impl ServerHandle {
     }
 
     /// Request shutdown and join the accept thread. Completes in
-    /// milliseconds: the shutdown hooks wake both front ends out of
-    /// band (no poll timeouts to ride out).
+    /// milliseconds — the shutdown hook wakes the accept and every
+    /// blocked read out of band — or, with a peer that does not read
+    /// what it is owed, after a one-second drain deadline.
     pub fn shutdown(mut self) -> std::io::Result<()> {
         self.service.handle(&crate::protocol::Request::Shutdown);
         match self.thread.take() {
@@ -630,16 +628,5 @@ mod tests {
             }
         }
         assert_eq!(lines, vec![b"hello".to_vec(), b"world".to_vec()]);
-    }
-
-    #[test]
-    fn frontend_parse_and_auto() {
-        assert_eq!(Frontend::parse("threads"), Some(Frontend::Threads));
-        assert_eq!(Frontend::parse("epoll"), Some(Frontend::Epoll));
-        assert_eq!(Frontend::parse("auto"), Some(Frontend::auto()));
-        assert_eq!(Frontend::parse("uring"), None);
-        if cfg!(target_os = "linux") {
-            assert_eq!(Frontend::auto(), Frontend::Epoll);
-        }
     }
 }

@@ -1,14 +1,13 @@
 //! The op table: the one place a protocol op is described.
 //!
-//! Every op is one row of [`OPS`] — wire name, shed class, whether it
-//! mutates state (and so needs a writable primary), and where the epoll
-//! front end runs it. The row's index is the op's latency slot.
+//! Every op is one row of [`OPS`] — wire name, shed class, and whether
+//! it mutates state (and so needs a writable primary). The row's index
+//! is the op's latency slot.
 //! [`scan_line`](crate::protocol::scan_line), the one pass over a
 //! request line, resolves its `op` string to its row, and everything
 //! that used to keep a list of its own reads that row instead: the
 //! admission shedder (`class`), the mutation gate (`writes`), the
-//! reactor's inline-or-pool decision (`runs_on`), the latency
-//! histograms and trace spans (`slot`), and the field reader
+//! latency histograms and trace spans (`slot`), and the field reader
 //! (`Request::parse`).
 //!
 //! Adding an op is one row here, one [`Request`](crate::Request)
@@ -19,22 +18,6 @@
 //! handler.
 
 use crate::admission::Priority::{self, Critical, Heavy, Session};
-
-/// Where the epoll front end runs an op (the threaded front end runs
-/// everything on the connection's own thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunsOn {
-    /// On the reactor thread: µs-scale work that never blocks. A
-    /// journaled `session.commit` is applied there too, and the wait for
-    /// its group fsync is spent parked in its connection's slot, like a
-    /// held `replica.sync` — on no thread at all.
-    Inline,
-    /// On the worker pool: multi-tuple batches, whole-relation analyses,
-    /// engine swaps, reads of the data directory, peer dials — work that
-    /// would park every connection behind it on the reactor thread.
-    Pool,
-}
-use RunsOn::{Inline, Pool};
 
 /// One row of the op table.
 #[derive(Debug)]
@@ -49,8 +32,6 @@ pub(crate) struct Op {
     /// The op mutates journaled state, so it needs a primary with
     /// writable storage.
     pub writes: bool,
-    /// Where the epoll front end runs it.
-    pub runs_on: RunsOn,
     /// Index into the latency histograms and per-op engine totals (the
     /// row's index in [`OPS`]).
     pub slot: usize,
@@ -59,7 +40,7 @@ pub(crate) struct Op {
 /// Declares [`OpId`], [`OPS`] and [`lookup`] from one list of rows, so
 /// the enum, the table and the name match cannot disagree.
 macro_rules! op_table {
-    ($($id:ident = $name:literal $(| $alias:literal)?, $class:ident, $writes:literal, $runs_on:ident;)*) => {
+    ($($id:ident = $name:literal $(| $alias:literal)?, $class:ident, $writes:literal;)*) => {
         /// An op's identity: its row index in [`OPS`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub(crate) enum OpId { $($id),* }
@@ -70,7 +51,6 @@ macro_rules! op_table {
             name: $name,
             class: $class,
             writes: $writes,
-            runs_on: $runs_on,
             slot: OpId::$id as usize,
         }),*];
 
@@ -89,45 +69,35 @@ macro_rules! op_table {
 // dark to its operators and peers cannot be diagnosed. Heavy —
 // whole-relation reads — goes first; Session — real user work — only at
 // the highest shed level.
-//
-// `replica.sync` stays inline although it reads the journal: a quorum
-// commit's latency is the follower's next sync, and a pool hop would
-// put it behind every queued batch. A caught-up one that asks to wait
-// does not run at all until there is something to say — the front end
-// keeps it (`replication::HeldSync`), off this thread and off the pool.
 op_table! {
-//  id              wire name                     class     writes  runs on
-    Hello          = "hello",                     Critical, false,  Inline;
-    SessionCreate  = "session.create",            Session,  true,   Inline;
-    SessionGet     = "session.get",               Session,  false,  Inline;
-    SessionValidate = "session.validate",         Session,  true,   Inline;
-    SessionFix     = "session.fix",               Session,  true,   Inline;
-    SessionCommit  = "session.commit",            Session,  true,   Inline;
-    SessionAbort   = "session.abort",             Session,  true,   Inline;
-    Clean          = "clean",                     Heavy,    false,  Pool;
-    Regions        = "regions",                   Heavy,    false,  Pool;
-    Check          = "check",                     Heavy,    false,  Pool;
-    AuditRead      = "audit.read",                Heavy,    false,  Pool;
-    RulesReload    = "rules.reload",              Session,  true,   Pool;
-    MasterAppend   = "master.append",             Session,  true,   Pool;
+//  id              wire name                     class     writes
+    Hello          = "hello",                     Critical, false;
+    SessionCreate  = "session.create",            Session,  true;
+    SessionGet     = "session.get",               Session,  false;
+    SessionValidate = "session.validate",         Session,  true;
+    SessionFix     = "session.fix",               Session,  true;
+    SessionCommit  = "session.commit",            Session,  true;
+    SessionAbort   = "session.abort",             Session,  true;
+    Clean          = "clean",                     Heavy,    false;
+    Regions        = "regions",                   Heavy,    false;
+    Check          = "check",                     Heavy,    false;
+    AuditRead      = "audit.read",                Heavy,    false;
+    RulesReload    = "rules.reload",              Session,  true;
+    MasterAppend   = "master.append",             Session,  true;
     // `stats` is an alias kept for operational tooling symmetry.
-    Metrics        = "metrics" | "stats",         Critical, false,  Inline;
-    MetricsProm    = "metrics.prom",              Critical, false,  Inline;
-    TraceRead      = "trace.read",                Critical, false,  Inline;
-    ReplicaSync    = "replica.sync",              Critical, false,  Inline;
-    // Joins the tail thread and cuts a snapshot.
-    ReplicaPromote = "replica.promote",           Critical, false,  Pool;
-    Health         = "health",                    Critical, false,  Inline;
-    LogRead        = "log.read",                  Critical, false,  Inline;
-    MetricsHistory = "metrics.history",           Critical, false,  Inline;
-    // Fans out to peers over TCP.
-    ClusterStatus  = "cluster.status",            Critical, false,  Pool;
-    // Rare, and waits for its group fsync on the thread that runs it.
-    ConfigSet      = "config.set",                Critical, true,   Pool;
-    // Reads the whole journal, snapshot and audit spill.
-    Scrub          = "scrub",                     Critical, false,  Pool;
-    Drain          = "server.drain",              Critical, false,  Inline;
-    Shutdown       = "shutdown",                  Critical, false,  Inline;
+    Metrics        = "metrics" | "stats",         Critical, false;
+    MetricsProm    = "metrics.prom",              Critical, false;
+    TraceRead      = "trace.read",                Critical, false;
+    ReplicaSync    = "replica.sync",              Critical, false;
+    ReplicaPromote = "replica.promote",           Critical, false;
+    Health         = "health",                    Critical, false;
+    LogRead        = "log.read",                  Critical, false;
+    MetricsHistory = "metrics.history",           Critical, false;
+    ClusterStatus  = "cluster.status",            Critical, false;
+    ConfigSet      = "config.set",                Critical, true;
+    Scrub          = "scrub",                     Critical, false;
+    Drain          = "server.drain",              Critical, false;
+    Shutdown       = "shutdown",                  Critical, false;
 }
 
 impl OpId {
@@ -138,13 +108,12 @@ impl OpId {
 }
 
 /// Latency class of a line that is not JSON. Never resolved from a
-/// name, so its class and placement are never consulted.
+/// name, so its class is never consulted.
 pub(crate) static PARSE_ERROR: Op = Op {
     id: None,
     name: "parse_error",
     class: Session,
     writes: false,
-    runs_on: Pool,
     slot: OPS.len(),
 };
 
@@ -157,7 +126,6 @@ pub(crate) static OTHER: Op = Op {
     name: "other",
     class: Session,
     writes: false,
-    runs_on: Inline,
     slot: OPS.len() + 1,
 };
 
@@ -183,28 +151,8 @@ mod tests {
         assert_eq!(lookup("stats"), Some(OpId::Metrics));
     }
 
-    /// Placement, pinned on the classification (no timing): ops that
-    /// read the data directory, cut snapshots or block on an fsync never
-    /// run on the reactor thread — and the one op whose fsync wait is on
-    /// the clerk's path, `session.commit`, takes no worker for it either
-    /// (`reactor::tests` pins the other half: it is parked, not run).
-    #[test]
-    fn blocking_ops_leave_the_reactor_thread() {
-        let pooled = |name: &str| lookup(name).unwrap().row().runs_on == Pool;
-        for name in ["scrub", "replica.promote", "cluster.status", "clean"] {
-            assert!(pooled(name), "{name}");
-        }
-        assert!(pooled("config.set"), "blocks on its group fsync");
-        for name in ["replica.sync", "session.get", "session.validate", "health"] {
-            assert!(!pooled(name), "{name}");
-        }
-        assert!(!pooled("session.commit"), "applied inline, then held");
-        // An unknown name gets its error inline.
-        assert_eq!(OTHER.runs_on, Inline);
-    }
-
     /// The README's protocol table is this table: the same ops, in any
-    /// order, with the same class / writes / runs-on columns.
+    /// order, with the same class / writes columns.
     #[test]
     fn readme_protocol_table_matches_the_op_table() {
         let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
@@ -220,7 +168,7 @@ mod tests {
             .map(|line| {
                 let cells: Vec<&str> = line.split('|').map(str::trim).collect();
                 let name = cells[1].split('`').nth(1).expect("op name in backticks");
-                format!("{name} | {} | {} | {}", cells[2], cells[3], cells[4])
+                format!("{name} | {} | {}", cells[2], cells[3])
             })
             .collect();
         documented.sort_unstable();
@@ -228,14 +176,10 @@ mod tests {
             .iter()
             .map(|op| {
                 format!(
-                    "{} | {} | {} | {}",
+                    "{} | {} | {}",
                     op.name,
                     format!("{:?}", op.class).to_lowercase(),
                     if op.writes { "yes" } else { "no" },
-                    match op.runs_on {
-                        Inline => "inline",
-                        Pool => "pool",
-                    }
                 )
             })
             .collect();

@@ -194,8 +194,9 @@ pub(crate) struct ScannedLine<'a> {
     pub(crate) id: Option<&'a str>,
     /// The row the `op` string names ([`ops::OTHER`] for a name not in
     /// the table; `None` for an `op` that is absent or not a string). It
-    /// feeds the admission shedder, the reactor's placement and the
-    /// latency class before any field is materialised.
+    /// feeds the admission shedder, the front end's look at whether the
+    /// line waits, and the latency class before any field is
+    /// materialised.
     pub(crate) op: Option<&'static Op>,
     /// Every field an op may read.
     pub(crate) fields: Fields<'a>,

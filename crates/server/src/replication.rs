@@ -697,11 +697,8 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
 /// carried was recorded as the follower's ack when it arrived
 /// ([`CleaningService::sync_arrival`]); the hold only delays the reply,
 /// and is over ([`CleaningService::hold_over`]) as soon as there is
-/// something to say. A hold is a parked connection, never a busy
-/// thread: the epoll reactor keeps it in its connection table, the
-/// threaded front end on the connection's own thread — a commit in a
-/// pool batch waits for its quorum *on* a worker, so a hold there could
-/// deadlock.
+/// something to say. The front end keeps it on the connection's own
+/// thread ([`CleaningService::wait_out`]), never on a pool worker.
 pub(crate) struct HeldSync {
     /// The request as its one scan read it — the line itself is not
     /// kept — and the `id` it asked to have echoed.
@@ -804,8 +801,8 @@ impl CleaningService {
             || Instant::now() >= held.deadline
     }
 
-    /// Keep the calling thread — a connection's own, in the threaded
-    /// front end — until `held` is over.
+    /// Keep the calling thread — a connection's own — until `held` is
+    /// over.
     pub(crate) fn wait_out(&self, held: &HeldSync) {
         let Some(storage) = self.storage() else {
             return;
@@ -849,9 +846,8 @@ impl CleaningService {
         });
     }
 
-    /// Something a hold waits on besides the journal has changed — drain
-    /// or shutdown began, a follower's ack was recorded off the reactor
-    /// thread: every front end looks at what it holds again.
+    /// Something a held sync waits on besides the journal has changed —
+    /// drain or shutdown began: every held sync looks again.
     pub(crate) fn wake_holds(&self) {
         if let Some(storage) = self.storage() {
             storage.journal().wake_watchers();
@@ -1008,80 +1004,59 @@ impl CleaningService {
             .map(|storage| (storage.epoch(), storage.position_of(seq)))
     }
 
-    /// Until when a commit's wait for follower acks, begun at `since`,
-    /// lasts: `ack_timeout`, which a client deadline tightens (never
-    /// widens) — the caller has stopped listening past it, so waiting
-    /// longer only burns a dispatch slot.
-    pub(crate) fn quorum_deadline(&self, since: Instant, span: &Span) -> Instant {
-        let timeout = since + self.replication().ack_timeout;
-        span.deadline.map_or(timeout, |client| client.min(timeout))
-    }
-
-    /// Have ⌈(N+1)/2⌉ cluster members a durable copy of the commit at
-    /// `(epoch, position)`, waited for since `since`? Our own fsync
-    /// already counts, so quorum − 1 follower acks are needed; a
-    /// follower ack is a sync cursor at or past the position (or from a
-    /// later epoch — the commit rode inside the snapshot that started
-    /// it). `None`: not yet, and the deadline has not passed. Past it the
+    /// Block until ⌈(N+1)/2⌉ cluster members have a durable copy of the
+    /// commit at `(epoch, position)`. Our own fsync already counts, so
+    /// quorum − 1 follower acks are needed; a follower ack is a sync
+    /// cursor at or past the position (or from a later epoch — the
+    /// commit rode inside the snapshot that started it). On timeout the
     /// commit stays applied and locally durable, but the client gets a
     /// `quorum_timeout` (or its own `deadline_exceeded`) error instead
     /// of an acknowledgement.
-    pub(crate) fn quorum_verdict(
-        &self,
-        (epoch, position): (u64, u64),
-        since: Instant,
-        followers: &HashMap<String, FollowerStatus>,
-        span: &mut Span,
-    ) -> Option<Result<(), ServeError>> {
-        let repl = self.replication();
-        let needed = repl.quorum().saturating_sub(1);
-        let acked = followers
-            .values()
-            .filter(|f| f.epoch > epoch || (f.epoch == epoch && f.offset >= position))
-            .count();
-        let deadline = self.quorum_deadline(since, span);
-        if acked < needed && Instant::now() < deadline {
-            return None;
-        }
-        let elapsed = since.elapsed();
-        span.quorum_ns += elapsed.as_nanos() as u64;
-        Some(if acked >= needed {
-            self.metrics_raw().ack_latency.observe(elapsed);
-            Ok(())
-        } else if deadline < since + repl.ack_timeout {
-            self.metrics_raw().requests_shed_deadline.inc();
-            Err(ErrorCode::DeadlineExceeded.error(format!(
-                "commit is durable locally but the request \
-                 deadline expired with only {acked}/{needed} follower acks"
-            )))
-        } else {
-            self.metrics_raw().quorum_timeouts.inc();
-            Err(ErrorCode::QuorumTimeout.error(format!(
-                "commit is durable locally but only {acked}/{needed} \
-                 follower acks arrived within {:?}",
-                repl.ack_timeout
-            )))
-        })
-    }
-
-    /// Block until [`quorum_verdict`](Self::quorum_verdict) has one.
     pub(crate) fn wait_for_quorum(
         &self,
-        at: (u64, u64),
+        (epoch, position): (u64, u64),
         span: &mut Span,
     ) -> Result<(), ServeError> {
         let repl = self.replication();
+        let needed = repl.quorum().saturating_sub(1);
         let since = Instant::now();
+        // A client deadline tightens (never widens) the ack-timeout
+        // bound: the caller has stopped listening past it, so waiting
+        // longer only burns a thread.
+        let timeout = since + repl.ack_timeout;
+        let deadline = span.deadline.map_or(timeout, |client| client.min(timeout));
         let mut followers = lock_followers(repl);
         loop {
-            if let Some(verdict) = self.quorum_verdict(at, since, &followers, span) {
-                return verdict;
+            let acked = followers
+                .values()
+                .filter(|f| f.epoch > epoch || (f.epoch == epoch && f.offset >= position))
+                .count();
+            let now = Instant::now();
+            if acked >= needed || now >= deadline {
+                drop(followers);
+                let elapsed = since.elapsed();
+                span.quorum_ns += elapsed.as_nanos() as u64;
+                return if acked >= needed {
+                    self.metrics_raw().ack_latency.observe(elapsed);
+                    Ok(())
+                } else if deadline < timeout {
+                    self.metrics_raw().requests_shed_deadline.inc();
+                    Err(ErrorCode::DeadlineExceeded.error(format!(
+                        "commit is durable locally but the request \
+                         deadline expired with only {acked}/{needed} follower acks"
+                    )))
+                } else {
+                    self.metrics_raw().quorum_timeouts.inc();
+                    Err(ErrorCode::QuorumTimeout.error(format!(
+                        "commit is durable locally but only {acked}/{needed} \
+                         follower acks arrived within {:?}",
+                        repl.ack_timeout
+                    )))
+                };
             }
-            let deadline = self.quorum_deadline(since, span);
-            let left = deadline.saturating_duration_since(Instant::now());
             followers = repl
                 .ack_cv
-                .wait_timeout(followers, left)
+                .wait_timeout(followers, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
@@ -1283,6 +1258,35 @@ mod tests {
         assert!(frames.torn && frames.decode().is_none());
         assert_eq!(frames.payloads().count(), 2, "the whole frames before it");
         assert!(SyncReply::scan(&reply[..reply.len() - 3], &mut frames).is_none());
+    }
+
+    /// A caught-up `replica.sync` that asks to wait is held, its cursor
+    /// recorded as the follower's ack on arrival; without `wait_ms`
+    /// (pre-v9), with a forced resync, or with something durable past
+    /// the cursor it is served at once.
+    #[test]
+    fn a_caught_up_sync_that_asks_to_wait_is_held() {
+        use crate::protocol::scan_line;
+        use crate::tests::{data_dir, kv_service_journaled};
+        let dir = data_dir("held-sync");
+        let service = kv_service_journaled(&dir, 64);
+        let held = |line: &str| service.sync_arrival(&scan_line(line));
+        let sync = r#"{"op":"replica.sync","follower":"f","epoch":0,"offset":0"#;
+        let waits = format!("{sync},\"wait_ms\":60000}}");
+        let held_sync = held(&waits).expect("a caught-up sync that asks to wait is held");
+        assert!(!service.hold_over(&held_sync));
+        assert_eq!(service.follower_lags().len(), 1, "its cursor is an ack");
+        for at_once in [
+            format!("{sync}}}"),
+            format!("{sync},\"wait_ms\":60000,\"resync\":true}}"),
+        ] {
+            assert!(held(&at_once).is_none(), "{at_once}");
+        }
+        service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":250}"#);
+        assert!(service.hold_over(&held_sync), "a durable event ends it");
+        assert!(held(&waits).is_none());
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! with relaxed atomic stores in between. Recording therefore never
 //! locks and never allocates, which is what lets the CI-guarded
 //! `session.get = 0 allocs/req` invariant hold with tracing and the
-//! diagnostic log enabled, and makes it safe to record from the reactor
+//! diagnostic log enabled, and makes it safe to record from connection
 //! and flusher threads. Readers walk backwards from the claim head and
 //! accept a slot only when they observe the same "done" value on both
 //! sides of their copy; a slot being overwritten concurrently is simply

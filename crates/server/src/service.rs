@@ -132,9 +132,8 @@ pub struct ServiceConfig {
     /// this depth also sheds session mutations). `0` — the default —
     /// derives the watermark from the worker count.
     pub shed_watermark: usize,
-    /// Global TCP connection quota across both front-ends; connections
-    /// over it are refused with an `overloaded` error line. `0`
-    /// disables the quota.
+    /// Global TCP connection quota; connections over it are refused
+    /// with an `overloaded` error line. `0` disables the quota.
     pub max_connections: usize,
 }
 
@@ -243,9 +242,9 @@ pub(crate) struct ServiceInner {
     pub(crate) peer_timeout_ms: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     /// Out-of-band wakeups run when a `shutdown` request is accepted —
-    /// how the TCP front ends (epoll wakeup fd, threaded self-connect +
-    /// connection teardown) learn about shutdown in milliseconds instead
-    /// of on their next poll. Hooks must be idempotent.
+    /// how the TCP front end (self-connect + connection half-close)
+    /// learns about shutdown in milliseconds instead of on its next
+    /// poll. Hooks must be idempotent.
     shutdown_hooks: Mutex<Vec<(u64, ShutdownHook)>>,
     next_hook_id: AtomicU64,
 }
@@ -437,7 +436,7 @@ impl CleaningService {
         self.inner.pool.threads()
     }
 
-    /// True once a graceful drain has begun: front ends must refuse
+    /// True once a graceful drain has begun: the front end refuses
     /// fresh connections and new sessions are answered `draining`.
     pub fn is_draining(&self) -> bool {
         self.inner.draining.load(Ordering::Acquire)
@@ -514,7 +513,7 @@ impl CleaningService {
     }
 
     /// Record one counter snapshot into the in-process time-series
-    /// ring. The TCP front ends call this from their housekeeping loop
+    /// ring. The TCP front end calls this from its housekeeping loop
     /// (about once a second); embedders with their own runtime can
     /// too. `metrics.history` reads the window back, and
     /// `cluster.status` derives its req/s figure from it.
@@ -565,7 +564,7 @@ impl CleaningService {
         }
     }
 
-    /// The stored instruments, for front ends recording transport
+    /// The stored instruments, for the front end recording transport
     /// telemetry (connection gauge, byte counters).
     pub(crate) fn metrics_raw(&self) -> &ServiceMetrics {
         &self.inner.metrics
@@ -594,14 +593,6 @@ impl CleaningService {
     pub(crate) fn follower_lags(&self) -> Vec<FollowerLag> {
         let cursor = self.durable_cursor().unwrap_or((0, 0));
         self.inner.replication.follower_lags(cursor)
-    }
-
-    /// Run a job on the service worker pool (the epoll reactor's
-    /// dispatch path for CPU-heavy request batches). Jobs may themselves
-    /// fan out on the pool — `map_ordered` is caller-participating, so
-    /// a batched `clean` inside a job cannot deadlock.
-    pub(crate) fn submit_job(&self, job: impl FnOnce() + Send + 'static) {
-        self.inner.pool.submit(job);
     }
 
     /// Evict idle sessions now; returns how many were reaped. The TCP
@@ -655,8 +646,7 @@ impl CleaningService {
 
     /// Handle one wire line, rendering the response into `out`
     /// (appended; callers clear between requests) with `scratch` as the
-    /// reusable parse buffer. This is the production entry point for
-    /// both TCP front ends. Every line is read the same way — one
+    /// reusable parse buffer. Every line is read the same way — one
     /// validating pass (`protocol::scan_line`), then its op's fields off
     /// the view that pass leaves — and every op has one handler. The
     /// handler writes its reply straight into `out` through the one
@@ -676,8 +666,8 @@ impl CleaningService {
     }
 
     /// [`handle_line_into`](Self::handle_line_into) with an explicit
-    /// receipt instant: `received` is when the line arrived (socket
-    /// read, or worker-pool submit for batched heavy ops), so the
+    /// receipt instant: `received` is when the line arrived (the socket
+    /// read that brought it), so the
     /// receipt→dispatch gap is accounted as queue wait and a client
     /// `deadline_ms` is measured from arrival — work whose caller has
     /// already given up is shed before any engine or fsync cost.
@@ -693,7 +683,8 @@ impl CleaningService {
     }
 
     /// [`handle_line_at`](Self::handle_line_at) for a caller that has
-    /// already scanned the line (the front ends scan to place it):
+    /// already scanned the line (the front end scans to see whether it
+    /// waits):
     /// `started` is the instant just before that scan.
     pub(crate) fn handle_scanned(
         &self,
@@ -783,7 +774,13 @@ impl CleaningService {
         received: Instant,
         started: Instant,
     ) -> Result<(), ServeError> {
-        let request = self.admitted(scanned, op, reply.span, scratch, received, started)?;
+        let admitted = self.admit(scanned, op, scratch, received, started, reply.span);
+        // In hand or refused, the request is read: parse time ends here.
+        reply.span.parse_ns = started.elapsed().as_nanos() as u64;
+        let request = admitted?;
+        if op.writes {
+            self.check_writable()?;
+        }
         if let Request::SessionValidate { .. } = request {
             // Names resolve against the schema as they are read, into
             // `scratch` — after the gate: a follower redirects whatever
@@ -799,27 +796,6 @@ impl CleaningService {
             })?;
         }
         self.dispatch(request, reply, scratch)
-    }
-
-    /// [`admit`](Self::admit), timed as the span's `parse_ns`, then the
-    /// writable gate: the request in hand, or what it is refused with.
-    pub(crate) fn admitted(
-        &self,
-        scanned: &ScannedLine<'_>,
-        op: &'static Op,
-        span: &mut Span,
-        scratch: &mut RequestScratch,
-        received: Instant,
-        started: Instant,
-    ) -> Result<Request, ServeError> {
-        let admitted = self.admit(scanned, op, scratch, received, started, span);
-        // In hand or refused, the request is read: parse time ends here.
-        span.parse_ns = started.elapsed().as_nanos() as u64;
-        let request = admitted?;
-        if op.writes {
-            self.check_writable()?;
-        }
-        Ok(request)
     }
 
     /// The refusals, cheapest first, then the op's fields. Everything

@@ -3,50 +3,12 @@
 //! snapshot form. ([`crate::session`] holds the registry they run on.)
 
 use crate::errors::{ErrorCode, ServeError};
-use crate::ops::OpId;
-use crate::protocol::{Request, RequestScratch, ScannedLine};
-use crate::replication::lock_followers;
+use crate::protocol::RequestScratch;
 use crate::service::{write_attrs, write_tuple, CleaningService, Reply};
-use crate::trace::Span;
 use cerfix::{FixpointReport, MonitorSession, SessionStatus};
 use cerfix_relation::{AttrSet, SchemaRef, Tuple, Value};
 use cerfix_storage::{JournalEvent, SessionSnapshot};
 use std::time::Instant;
-
-/// A `session.commit` up to its durability point: the session is out of
-/// the registry and its event in the journal. What is left is the wait,
-/// and the reply.
-pub(crate) struct AppliedCommit {
-    id: u64,
-    session: MonitorSession,
-    /// The event's journal sequence and replication coordinates
-    /// `(epoch, position)`; `None` in memory mode.
-    journaled: Option<(u64, (u64, u64))>,
-}
-
-/// A journaled `session.commit` the epoll reactor keeps instead of
-/// blocking on: admitted and applied as it arrived
-/// ([`CleaningService::commit_arrival`]), answered when its verdict is
-/// in ([`CleaningService::commit_verdict`]). Like a
-/// [`HeldSync`](crate::replication::HeldSync) it is a parked connection,
-/// never a busy thread, so however many connections commit at once they
-/// ride one flush. If its connection goes away the commit stays applied
-/// and journaled; only the acknowledgement is lost.
-pub(crate) struct HeldCommit {
-    /// The request's frame, run when the reply is written: the `id` to
-    /// echo, the arrival stamps, the stages timed so far.
-    id: Option<String>,
-    received: Instant,
-    started: Instant,
-    span: Span,
-    /// The commit, or what its admission refused it with.
-    applied: Result<AppliedCommit, ServeError>,
-    /// When the fsync wait began, when the quorum wait did, and when
-    /// that becomes pointless (the fsync wait always ends by itself).
-    parked: Instant,
-    synced: Option<Instant>,
-    pub(crate) deadline: Option<Instant>,
-}
 
 impl CleaningService {
     pub(crate) fn session_create(
@@ -186,9 +148,7 @@ impl CleaningService {
         self.session_view(id, Some(&report), reply)
     }
 
-    /// `session.commit` up to its durability point: the session leaves
-    /// the registry and its event enters the journal, in one gate hold.
-    fn commit_apply(&self, id: u64) -> Result<AppliedCommit, ServeError> {
+    pub(crate) fn session_commit(&self, id: u64, mut reply: Reply<'_>) -> Result<(), ServeError> {
         let (session, journaled) = self.with_gate(|| -> Result<_, ServeError> {
             let session = self.inner.sessions.remove(id)?;
             let seq = self.journal(&JournalEvent::SessionCommitted { session: id });
@@ -196,20 +156,11 @@ impl CleaningService {
             Ok((session, journaled))
         })?;
         self.inner.metrics.sessions_committed.inc();
-        Ok(AppliedCommit {
-            id,
-            session,
-            journaled,
-        })
-    }
-
-    pub(crate) fn session_commit(&self, id: u64, reply: Reply<'_>) -> Result<(), ServeError> {
-        let commit = self.commit_apply(id)?;
         // Commit is the protocol's durability point: wait for the group
         // fsync (outside the gate — a snapshot may proceed meanwhile),
         // then — under quorum-ack durability — for a majority of the
         // cluster to hold durable copies too.
-        if let (Some(binding), Some((seq, at))) = (&self.inner.storage, commit.journaled) {
+        if let (Some(binding), Some((seq, at))) = (&self.inner.storage, journaled) {
             let sync_started = Instant::now();
             let synced = self.sync_commit(binding, seq);
             reply.span.fsync_ns += sync_started.elapsed().as_nanos() as u64;
@@ -220,13 +171,8 @@ impl CleaningService {
                 self.wait_for_quorum(at, reply.span)?;
             }
         }
-        self.commit_reply(&commit, reply)
-    }
-
-    fn commit_reply(&self, commit: &AppliedCommit, mut reply: Reply<'_>) -> Result<(), ServeError> {
-        let session = &commit.session;
         let w = reply.ok();
-        w.field("session", commit.id);
+        w.field("session", id);
         w.field("complete", session.is_complete());
         write_tuple(w, &session.tuple);
         w.field("rounds", session.rounds);
@@ -236,91 +182,6 @@ impl CleaningService {
         write_attrs(w, schema, "validated", session.validated.iter());
         w.end_obj();
         Ok(())
-    }
-
-    /// The reactor scanned a line it is about to run inline. A
-    /// `session.commit` on a journaled service is run here instead, up
-    /// to its durability point — admitted, applied, the flusher told to
-    /// go now — and comes back as the hold the reactor parks. `None`:
-    /// serve the line like any other.
-    pub(crate) fn commit_arrival(
-        &self,
-        scanned: &ScannedLine<'_>,
-        scratch: &mut RequestScratch,
-        received: Instant,
-        started: Instant,
-    ) -> Option<HeldCommit> {
-        let journal = self.storage()?.journal();
-        let op = scanned.op.filter(|op| op.id == Some(OpId::SessionCommit))?;
-        let mut span = Span::default();
-        let admitted = self.admitted(scanned, op, &mut span, scratch, received, started);
-        let applied = admitted.and_then(|request| {
-            let Request::SessionCommit { session } = request else {
-                unreachable!("the line's op is session.commit");
-            };
-            let commit = self.commit_apply(session)?;
-            journal.kick_flusher();
-            Ok(commit)
-        });
-        Some(HeldCommit {
-            id: scanned.id.map(str::to_string),
-            received,
-            started,
-            span,
-            applied,
-            parked: Instant::now(),
-            synced: None,
-            deadline: None,
-        })
-    }
-
-    /// May a held commit be answered now, and with what? With the
-    /// blocking path's verdicts, in its order: the group fsync's
-    /// ([`sync_verdict`](Self::sync_verdict)), then, in a cluster, the
-    /// quorum's ([`quorum_verdict`](Self::quorum_verdict), its deadline
-    /// counted as there from when the commit is durable here). `None`:
-    /// not yet. The caller watches the journal
-    /// ([`Journal::watch`](cerfix_storage::Journal::watch)) before it
-    /// asks, or asks again once it does; a follower's ack it sees arrive
-    /// itself or is woken for ([`wake_holds`](Self::wake_holds)).
-    pub(crate) fn commit_verdict(&self, held: &mut HeldCommit) -> Option<Result<(), ServeError>> {
-        let Some((seq, at)) = held.applied.as_ref().ok().and_then(|c| c.journaled) else {
-            return Some(Ok(())); // refused: nothing to wait for
-        };
-        if held.synced.is_none() {
-            let synced = self.sync_verdict(self.storage()?.journal().sync_status(seq)?);
-            held.span.fsync_ns = held.parked.elapsed().as_nanos() as u64;
-            if synced.is_err() || self.inner.replication.cluster == 1 {
-                return Some(synced);
-            }
-            let since = Instant::now();
-            held.synced = Some(since);
-            held.deadline = Some(self.quorum_deadline(since, &held.span));
-        }
-        let followers = lock_followers(self.replication());
-        self.quorum_verdict(at, held.synced?, &followers, &mut held.span)
-    }
-
-    /// Answer a held commit: the request's frame runs now, from its
-    /// arrival stamps, so latency and the span cover the wait.
-    pub(crate) fn finish_commit(
-        &self,
-        held: HeldCommit,
-        verdict: Result<(), ServeError>,
-        out: &mut String,
-    ) {
-        let op = OpId::SessionCommit.row();
-        let (id, received, started) = (held.id.as_deref(), held.received, held.started);
-        self.answer(op, id, out, received, started, |reply| {
-            let queue_ns = reply.span.queue_ns;
-            *reply.span = Span {
-                queue_ns,
-                ..held.span
-            };
-            let commit = held.applied?;
-            verdict?;
-            self.commit_reply(&commit, reply)
-        });
     }
 
     pub(crate) fn session_abort(&self, id: u64, mut reply: Reply<'_>) -> Result<(), ServeError> {

@@ -33,12 +33,10 @@
 //! handing the buffer to the flusher and being woken back costs two
 //! context switches and buys nothing; when a cycle is under way it
 //! kicks and waits, and shares the next with whoever else arrived — the
-//! group commit. A caller that must not block never leads: the epoll
-//! reactor applies a commit, kicks the flusher, parks the connection
-//! and [`watch`](Journal::watch)es for [`Journal::sync_status`] — an
-//! fsync on that thread would stall every connection it serves. Either
-//! way the failure semantics below are the same, because it is the same
-//! function.
+//! group commit. A caller that must not block never leads: it kicks the
+//! flusher and [`watch`](Journal::watch)es for [`Journal::sync_status`].
+//! Either way the failure semantics below are the same, because it is
+//! the same function.
 //!
 //! ## The read side
 //!

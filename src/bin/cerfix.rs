@@ -11,7 +11,6 @@
 //! cerfix discover --master M.csv [--input-header a,b,c] [--min-keys N]
 //! cerfix serve   --master M.csv --rules R.dsl [--addr 127.0.0.1:7117] \
 //!                [--workers N] [--input-header a,b,c] [--session-ttl-secs S] \
-//!                [--frontend epoll|threads|auto] \
 //!                [--data-dir DIR] [--flush-interval-ms N] [--snapshot-interval-secs N]
 //!                [--trace-buffer N] [--slow-ms T] [--diag-buffer N] [--diag-file F]
 //!                [--max-lag SECS]
@@ -73,7 +72,7 @@ use cerfix::{
 };
 use cerfix_relation::{read_untyped_str, write_relation_file, Relation, Schema, SchemaRef, Value};
 use cerfix_rules::{discover_rules, parse_rules, render_er_dsl, RuleDecl, RuleSet};
-use cerfix_server::{CleaningService, Frontend, Server, ServiceConfig};
+use cerfix_server::{CleaningService, Server, ServiceConfig};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -113,7 +112,6 @@ fn usage() -> ExitCode {
          cerfix discover --master M.csv [--input-header a,b,c] [--min-keys N]\n  \
          cerfix serve    --master M.csv --rules R.dsl [--addr 127.0.0.1:7117] [--workers N]\n  \
                           [--input-header a,b,c] [--session-ttl-secs S] [--max-sessions N]\n  \
-                          [--frontend epoll|threads|auto]\n  \
                           [--data-dir DIR] [--flush-interval-ms N] [--snapshot-interval-secs N]\n  \
                           [--min-free-bytes N] [--trace-buffer N] [--slow-ms T] [--diag-buffer N]\n  \
                           [--diag-file F] [--replicate-from ADDR] [--quorum N] [--ack-timeout-ms T]\n  \
@@ -466,19 +464,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ),
         None => {}
     }
-    let frontend_name = args
-        .options
-        .get("frontend")
-        .map(String::as_str)
-        .unwrap_or("auto");
-    let frontend = Frontend::parse(frontend_name)
-        .ok_or_else(|| format!("--frontend `{frontend_name}` (epoll | threads | auto)"))?;
-    let server = Server::bind_with(addr.as_str(), service, frontend)
-        .map_err(|e| format!("bind {addr}: {e}"))?;
+    let server = Server::bind(addr.as_str(), service).map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "cerfix-server listening on {} ({n_rules} rules, {n_master} master rows, {workers} workers, {} front end)",
+        "cerfix-server listening on {} ({n_rules} rules, {n_master} master rows, {workers} workers)",
         server.local_addr().map_err(|e| e.to_string())?,
-        server.frontend().name(),
     );
     println!("protocol: one JSON object per line; try {{\"op\":\"hello\"}}");
     server.run().map_err(|e| format!("serve: {e}"))

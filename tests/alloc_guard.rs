@@ -30,9 +30,7 @@
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
-use cerfix_server::{
-    CleaningService, Frontend, RequestScratch, Server, ServiceConfig, StorageConfig,
-};
+use cerfix_server::{CleaningService, RequestScratch, Server, ServiceConfig, StorageConfig};
 use std::sync::Arc;
 
 #[path = "common/counting_alloc.rs"]
@@ -156,7 +154,7 @@ fn replicated_session_allocations() -> u64 {
             ..ServiceConfig::default()
         },
     );
-    let server = Server::spawn_with("127.0.0.1:0", primary.clone(), Frontend::auto()).unwrap();
+    let server = Server::spawn("127.0.0.1:0", primary.clone()).unwrap();
     let follower = node(
         "follower",
         ServiceConfig {

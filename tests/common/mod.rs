@@ -40,7 +40,6 @@ pub fn spawn_serve(
     data_dir: &Path,
     master: &Path,
     rules: &Path,
-    frontend: &str,
     extra: &[&str],
 ) -> (ServerProcess, SocketAddr) {
     let mut args = vec![
@@ -55,8 +54,6 @@ pub fn spawn_serve(
         "127.0.0.1:0",
         "--workers",
         "2",
-        "--frontend",
-        frontend,
         "--data-dir",
         data_dir.to_str().unwrap(),
         "--flush-interval-ms",

@@ -518,35 +518,18 @@ fn write_kill_fixture(dir: &Path) -> (PathBuf, PathBuf) {
     (master, rules)
 }
 
-fn spawn_server(
-    dir: &Path,
-    master: &Path,
-    rules: &Path,
-    frontend: &str,
-) -> (ServerProcess, std::net::SocketAddr) {
-    spawn_serve(&dir.join("data"), master, rules, frontend, &[])
+fn spawn_server(dir: &Path, master: &Path, rules: &Path) -> (ServerProcess, std::net::SocketAddr) {
+    spawn_serve(&dir.join("data"), master, rules, &[])
 }
 
-/// kill -9 over TCP against the threaded front end.
+/// kill -9 of `cerfix serve` over TCP.
 #[test]
 fn kill_dash_nine_over_tcp_resumes_sessions() {
-    kill_dash_nine_with_frontend("threads");
-}
-
-/// Same harness against the epoll readiness-loop front end: the
-/// reactor's buffered/batched request path must leave exactly the same
-/// journal, and recovery must see identical state.
-#[test]
-fn kill_dash_nine_over_tcp_resumes_sessions_epoll() {
-    kill_dash_nine_with_frontend("epoll");
-}
-
-fn kill_dash_nine_with_frontend(frontend: &str) {
     use cerfix_server::Client;
-    let dir = tmp_dir(&format!("kill9-{frontend}"));
+    let dir = tmp_dir("kill9");
     let (master, rules) = write_kill_fixture(&dir);
 
-    let (mut child, addr) = spawn_server(&dir, &master, &rules, frontend);
+    let (mut child, addr) = spawn_server(&dir, &master, &rules);
     let mut client = Client::connect(addr).expect("connect");
     let row = |k: &str, v: &str, n: &str| vec![Value::str(k), Value::str(v), Value::str(n)];
 
@@ -576,7 +559,7 @@ fn kill_dash_nine_with_frontend(frontend: &str) {
     child.kill().expect("kill -9");
     let _ = child.wait();
 
-    let (mut child, addr) = spawn_server(&dir, &master, &rules, frontend);
+    let (mut child, addr) = spawn_server(&dir, &master, &rules);
     let mut client = Client::connect(addr).expect("reconnect");
     let after = client.get_session(open.session).expect("session resumed");
     assert_eq!(after.tuple, view_before.tuple);
@@ -661,7 +644,6 @@ fn three_node_cluster_survives_follower_and_primary_kills() {
         &dir.join("p"),
         &master,
         &rules,
-        "threads",
         &[&quorum[..], &["--advertise", "primary"][..]].concat(),
     );
     let paddr_s = paddr.to_string();
@@ -674,7 +656,7 @@ fn three_node_cluster_survives_follower_and_primary_kills() {
     let spawn_follower = |dir: &Path, name: &'static str, from: &str| {
         let args = follower_args(name, from);
         let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-        spawn_serve(dir, &master, &rules, "threads", &refs)
+        spawn_serve(dir, &master, &rules, &refs)
     };
     let (mut f1, _) = spawn_follower(&dir.join("f1"), "f1", &paddr_s);
     let (f2, _f2addr) = spawn_follower(&dir.join("f2"), "f2", &paddr_s);

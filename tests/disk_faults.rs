@@ -33,7 +33,7 @@ use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Client, ErrorCode, Frontend, LocalClient, Server, ServiceConfig, StorageConfig,
+    CleaningService, Client, ErrorCode, LocalClient, Server, ServiceConfig, StorageConfig,
 };
 use cerfix_storage::{
     FaultFs, FaultPlan, JournalEvent, ScanMode, SnapshotData, Storage, StorageError, SyncError,
@@ -562,7 +562,7 @@ fn follower_poisoned_journal_self_repairs_by_snapshot_resync() {
         quiet_storage(&pdir),
     )
     .unwrap();
-    let server = Server::bind_with("127.0.0.1:0", primary, Frontend::Threads).unwrap();
+    let server = Server::bind("127.0.0.1:0", primary).unwrap();
     let paddr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || {
         let _ = server.run();

@@ -1,39 +1,33 @@
-//! What the epoll front end may spend on a request — counted, never
-//! timed — and what a waiting commit may occupy.
+//! What the front end may spend on a request — counted, never timed —
+//! and what a waiting commit may occupy.
 //!
-//! * **Syscall budget.** The reactor counts its own `epoll_wait`,
-//!   `read`, `write` and eventfd wake-ups (`cerfix_reactor_*_total`).
-//!   A closed-loop inline request costs exactly one of each of the
-//!   first three and no wake-up; a journaled `session.commit` one read,
-//!   one write, **no worker-pool job** and the flusher's one wake-up; a
-//!   64-request pipelined window two reads and two writes at most; a
-//!   `Client::request` is one `write`, so one reactor read.
+//! * **Syscall budget.** The connection loop counts its own socket
+//!   `read` and `write_all` calls (`cerfix_net_{reads,writes}_total`).
+//!   A closed-loop request costs exactly one of each; so does a
+//!   journaled `session.commit`, which takes **no worker-pool job**; a
+//!   64-request pipelined window that arrives in one chunk is answered
+//!   in one write; a `Client::request` is one `write`, so one server
+//!   read; and the replies ahead of a held `replica.sync` are written
+//!   before its wait begins.
 //! * **Group commit is not bounded by `--workers`.** A journaled commit
-//!   is applied on the reactor and *parked* until its group fsync: with
-//!   one worker and the first fsync gated shut, four connections'
-//!   commits are all applied, a `clean` on a fifth is answered, and
-//!   opening the gate acknowledges all four with at most two flushes.
-//!   The failure arms hold the parked commit to the blocking path's
-//!   contract: the same `storage_error` bytes when the fsync fails, no
-//!   lost commit and no leaked slot when the peer hangs up, an answer
-//!   when the flush lands during a drain, and a closed connection —
-//!   never a false `ok` — at the drain deadline.
+//!   waits for its group fsync on its connection's own thread: with one
+//!   worker and the first fsync gated shut, eight connections' commits
+//!   are all applied, a `clean` on a ninth is answered, and opening the
+//!   gate acknowledges all eight with at most two flushes. A peer that
+//!   hangs up on a waiting commit loses only the reply; a flush that
+//!   lands during a drain is answered, and a shutdown closes the
+//!   connection — never a false `ok` — at the drain deadline.
 //!
-//! CI runs this file pinned to one core as well (`taskset -c 0`): the
-//! window between a hold's look at the journal and its watch only
-//! opens when the reactor and the flusher share a core.
-
-#![cfg(target_os = "linux")]
+//! CI runs this file pinned to one core as well (`taskset -c 0`), where
+//! the connection threads and the journal's flusher share the core.
 
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::protocol::Request;
 use cerfix_server::wire::Json;
-use cerfix_server::{
-    CleaningService, Client, Frontend, MetricsSnapshot, Server, ServerHandle, ServiceConfig,
-};
-use cerfix_storage::{FaultFs, FaultPlan, RealFs, StorageConfig, StorageFile, StorageFs};
+use cerfix_server::{CleaningService, Client, Server, ServerHandle, ServiceConfig};
+use cerfix_storage::{RealFs, StorageConfig, StorageFile, StorageFs};
 use std::io::{BufRead, BufReader, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -147,56 +141,29 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 // 1. The syscall budget
 // ---------------------------------------------------------------------
 
-/// The reactor's counters once they stand still: a reply reaches the
-/// client before the loop has counted the `epoll_wait` it goes back to.
-fn settled(service: &CleaningService) -> MetricsSnapshot {
-    let look = |m: &MetricsSnapshot| {
-        (
-            m.reactor_polls,
-            m.reactor_reads,
-            m.reactor_writes,
-            m.reactor_wakeups,
-        )
-    };
-    let mut last = service.metrics();
-    loop {
-        std::thread::sleep(Duration::from_millis(2));
-        let now = service.metrics();
-        if look(&now) == look(&last) {
-            return now;
-        }
-        last = now;
-    }
-}
-
-/// Batch jobs the worker pool has run for the reactor
-/// (`cerfix_worker_batch_duration_seconds_count`).
-fn pool_jobs(service: &CleaningService) -> u64 {
-    let reply = service.handle(&Request::MetricsProm);
-    let body = reply.get("body").and_then(Json::as_str).expect("body");
-    let sample = body
-        .lines()
-        .find_map(|l| l.strip_prefix("cerfix_worker_batch_duration_seconds_count "))
-        .expect("the batch histogram renders");
-    sample.trim().parse().expect("a count")
+/// `(reads, writes)` the connection loops have made so far. Counted
+/// before the reply they bring or take leaves, so a client that has its
+/// reply reads the count exactly — no settling.
+fn syscalls(service: &CleaningService) -> (u64, u64) {
+    let m = service.metrics();
+    (m.net_reads, m.net_writes)
 }
 
 #[test]
-fn a_closed_loop_request_costs_one_poll_one_read_one_write() {
+fn a_closed_loop_request_costs_one_read_one_write() {
     const N: u64 = 200;
     let dir = tmp_dir("syscalls");
     let service = journaled(&dir, 2, Arc::new(RealFs));
-    let server = Server::spawn_with("127.0.0.1:0", service.clone(), Frontend::Epoll).unwrap();
+    let server = Server::spawn("127.0.0.1:0", service.clone()).unwrap();
     let mut conn = Conn::open(server.addr());
     let sessions: Vec<u64> = (0..N)
         .map(|i| conn.create(&format!("k{}", i % 20)))
         .collect();
     let first = sessions[0];
 
-    // Inline ops, closed loop: one wake of the loop, one read that takes
-    // the request (not a second that takes `EAGAIN`), one write that
-    // takes the reply, and nobody else's help.
-    let before = settled(&service);
+    // Closed loop: one read that takes the request, one write that takes
+    // the reply.
+    let before = syscalls(&service);
     for i in 0..N {
         let reply = conn.request(&match i % 2 {
             0 => format!("{{\"op\":\"session.get\",\"session\":{first}}}"),
@@ -206,16 +173,14 @@ fn a_closed_loop_request_costs_one_poll_one_read_one_write() {
         });
         assert!(reply.starts_with("{\"ok\":true,"), "{reply}");
     }
-    let after = settled(&service);
-    assert_eq!(after.reactor_polls - before.reactor_polls, N, "polls");
-    assert_eq!(after.reactor_reads - before.reactor_reads, N, "reads");
-    assert_eq!(after.reactor_writes - before.reactor_writes, N, "writes");
-    assert_eq!(after.reactor_wakeups, before.reactor_wakeups, "wakeups");
+    let after = syscalls(&service);
+    assert_eq!(after.0 - before.0, N, "reads");
+    assert_eq!(after.1 - before.1, N, "writes");
 
     // Journaled commits, closed loop: the request is read once and the
-    // reply written once; the wait in between takes no pool job — the
-    // connection is parked and the flusher's wake-up releases it.
-    let (before, jobs) = (after, pool_jobs(&service));
+    // reply written once; the wait in between is the connection's own,
+    // and takes no pool job.
+    let (before, jobs) = (after, service.metrics().worker_jobs);
     for &session in &sessions {
         let reply = conn.request(&commit_line(session));
         assert!(
@@ -223,16 +188,14 @@ fn a_closed_loop_request_costs_one_poll_one_read_one_write() {
             "{reply}"
         );
     }
-    let after = settled(&service);
-    assert_eq!(after.sessions_committed, N);
-    assert_eq!(after.reactor_reads - before.reactor_reads, N, "reads");
-    assert_eq!(after.reactor_writes - before.reactor_writes, N, "writes");
-    assert_eq!(pool_jobs(&service), jobs, "a held commit takes no worker");
-    let wakeups = after.reactor_wakeups - before.reactor_wakeups;
-    assert!((1..=2 * N).contains(&wakeups), "{wakeups} wake-ups");
-    assert!(after.reactor_polls - before.reactor_polls <= 3 * N, "polls");
+    let after = syscalls(&service);
+    assert_eq!(service.metrics().sessions_committed, N);
+    assert_eq!(after.0 - before.0, N, "reads");
+    assert_eq!(after.1 - before.1, N, "writes");
+    assert_eq!(service.metrics().worker_jobs, jobs, "a commit takes no job");
 
-    // A pipelined window is read and answered as a window.
+    // A pipelined window that arrives in one chunk is answered in one
+    // write.
     let before = after;
     let mut window = String::new();
     for i in 0..64 {
@@ -246,9 +209,9 @@ fn a_closed_loop_request_costs_one_poll_one_read_one_write() {
             "{reply}"
         );
     }
-    let after = settled(&service);
-    assert!(after.reactor_reads - before.reactor_reads <= 2, "reads");
-    assert!(after.reactor_writes - before.reactor_writes <= 2, "writes");
+    let after = syscalls(&service);
+    assert_eq!(after.0 - before.0, 1, "one chunk, one read");
+    assert_eq!(after.1 - before.1, 1, "writes");
 
     server.shutdown().unwrap();
     drop(service);
@@ -257,22 +220,60 @@ fn a_closed_loop_request_costs_one_poll_one_read_one_write() {
 
 /// The library client frames a request and its newline into one
 /// `write`: on a `TCP_NODELAY` socket two writes are two segments, and
-/// the reactor could wake — and read — twice for one line.
+/// the server could wake — and read — twice for one line.
 #[test]
-fn a_client_request_is_one_write_and_one_reactor_read() {
+fn a_client_request_is_one_write_and_one_server_read() {
     const N: u64 = 200;
     let dir = tmp_dir("client-write");
     let service = journaled(&dir, 2, Arc::new(RealFs));
-    let server = Server::spawn_with("127.0.0.1:0", service.clone(), Frontend::Epoll).unwrap();
+    let server = Server::spawn("127.0.0.1:0", service.clone()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     client.hello().unwrap();
-    let before = settled(&service);
+    let before = syscalls(&service);
     for _ in 0..N {
         client.request(&Request::Hello).unwrap();
     }
-    let after = settled(&service);
-    assert_eq!(after.reactor_reads - before.reactor_reads, N, "reads");
-    assert_eq!(after.reactor_polls - before.reactor_polls, N, "polls");
+    let after = syscalls(&service);
+    assert_eq!(after.0 - before.0, N, "reads");
+    server.shutdown().unwrap();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replies ahead of a `replica.sync` that asks to wait are written
+/// before the connection's thread starts waiting: they arrive while the
+/// sync is still held.
+#[test]
+fn replies_ahead_of_a_held_sync_arrive_while_it_is_held() {
+    let dir = tmp_dir("held-sync");
+    let service = journaled(&dir, 2, Arc::new(RealFs));
+    let server = Server::spawn("127.0.0.1:0", service.clone()).unwrap();
+    let syncs_answered = || {
+        let metrics = service.metrics();
+        let sync = metrics.latency.iter().find(|l| l.op == "replica.sync");
+        sync.map_or(0, |l| l.count)
+    };
+    let mut conn = Conn::open(server.addr());
+    conn.writer
+        .write_all(
+            concat!(
+                "{\"op\":\"hello\",\"id\":1}\n",
+                "{\"op\":\"replica.sync\",\"follower\":\"f\",\"epoch\":0,\"offset\":0,",
+                "\"wait_ms\":60000,\"id\":2}\n",
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    let hello = conn.recv();
+    assert!(hello.starts_with("{\"id\":1,\"ok\":true,"), "{hello}");
+    assert_eq!(syncs_answered(), 0, "the sync is still held");
+    // A commit on another connection is a durable event: it releases it.
+    let mut other = Conn::open(server.addr());
+    let session = other.create("k1");
+    other.request(&commit_line(session));
+    let sync = conn.recv();
+    assert!(sync.starts_with("{\"id\":2,\"ok\":true,"), "{sync}");
+    assert_eq!(syncs_answered(), 1);
     server.shutdown().unwrap();
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
@@ -405,15 +406,15 @@ struct GatedRig {
     dir: PathBuf,
 }
 
-fn gated_rig(name: &str, frontend: Frontend, inner: Arc<dyn StorageFs>) -> GatedRig {
-    let dir = tmp_dir(&format!("{name}-{}", frontend.name()));
+fn gated_rig(name: &str, inner: Arc<dyn StorageFs>) -> GatedRig {
+    let dir = tmp_dir(name);
     let gate = Arc::new(Gate::default());
     let fs = Arc::new(GatedFs {
         inner,
         gate: Arc::clone(&gate),
     });
     let service = journaled(&dir, 1, fs);
-    let server = Server::spawn_with("127.0.0.1:0", service.clone(), frontend).unwrap();
+    let server = Server::spawn("127.0.0.1:0", service.clone()).unwrap();
     GatedRig {
         gate: OpenOnDrop(gate),
         service,
@@ -424,7 +425,7 @@ fn gated_rig(name: &str, frontend: Frontend, inner: Arc<dyn StorageFs>) -> Gated
 
 impl GatedRig {
     /// Shut the gate and send `conn`'s commit into it: returns once the
-    /// flusher is inside the gated fsync that covers it.
+    /// fsync that covers it is inside the gate.
     fn commit_into_gate(&self, conn: &mut Conn, session: u64) {
         let (arrived, committed) = (self.gate.arrived(), self.committed());
         self.gate.shut();
@@ -448,9 +449,10 @@ impl GatedRig {
 
 #[test]
 fn group_commit_is_not_bounded_by_workers() {
-    let rig = gated_rig("group", Frontend::Epoll, Arc::new(RealFs));
+    const CONNS: usize = 8;
+    let rig = gated_rig("group", Arc::new(RealFs));
     let addr = rig.server.addr();
-    let mut conns: Vec<(Conn, u64)> = (0..4)
+    let mut conns: Vec<(Conn, u64)> = (0..CONNS)
         .map(|i| {
             let mut conn = Conn::open(addr);
             let session = conn.create(&format!("k{i}"));
@@ -459,23 +461,30 @@ fn group_commit_is_not_bounded_by_workers() {
         .collect();
 
     // The first commit's fsync is stuck in the disk. The one worker is
-    // not stuck with it: the other three commits are applied…
-    let syncs = rig.gate.arrived();
+    // not what the others wait behind: they are all applied…
+    let (syncs, jobs) = (rig.gate.arrived(), rig.service.metrics().worker_jobs);
     let (first, session) = &mut conns[0];
     rig.commit_into_gate(first, *session);
     for (conn, session) in &mut conns[1..] {
         conn.send(&commit_line(*session));
     }
-    wait_for("all four commits to be applied", || rig.committed() == 4);
+    wait_for("every commit to be applied", || {
+        rig.committed() == CONNS as u64
+    });
     assert_eq!(rig.service.live_sessions(), 0);
-    // …and a batch `clean`, which does need the worker, is answered.
-    let mut fifth = Conn::open(addr);
+    assert_eq!(
+        rig.service.metrics().worker_jobs,
+        jobs,
+        "no commit took a job"
+    );
+    // …and a batch `clean` on another connection is answered meanwhile.
+    let mut other = Conn::open(addr);
     let cleaned =
-        fifth.request(r#"{"op":"clean","tuples":[["k1","x","n"]],"trust":["key","note"]}"#);
+        other.request(r#"{"op":"clean","tuples":[["k1","x","n"]],"trust":["key","note"]}"#);
     assert!(cleaned.contains("\"cells_fixed\":1"), "{cleaned}");
     assert_eq!(rig.gate.arrived(), syncs + 1, "still the first fsync");
 
-    // The disk answers: every commit is acknowledged, and the three that
+    // The disk answers: every commit is acknowledged, and the ones that
     // arrived during the first fsync shared the second.
     rig.gate.open();
     for (conn, session) in &mut conns {
@@ -486,48 +495,15 @@ fn group_commit_is_not_bounded_by_workers() {
         );
     }
     let flushes = rig.gate.arrived() - syncs;
-    assert!(flushes <= 2, "{flushes} flushes for four commits");
+    assert!(flushes <= 2, "{flushes} flushes for {CONNS} commits");
     rig.stop();
 }
 
-/// An fsync failure reaches a parked commit as it reaches a blocked
-/// one: the same line, byte for byte.
-#[test]
-fn a_held_commit_fails_with_the_blocking_paths_bytes() {
-    let replies: Vec<String> = [Frontend::Epoll, Frontend::Threads]
-        .into_iter()
-        .map(|frontend| {
-            let fault = FaultFs::new(FaultPlan::default());
-            let rig = gated_rig("poison", frontend, Arc::new(fault.clone()));
-            let mut conn = Conn::open(rig.server.addr());
-            let session = conn.create("k1");
-            fault.update_plan(|plan| plan.fail_fsync_at = Some(fault.fsyncs() + 1));
-            rig.commit_into_gate(&mut conn, session);
-            rig.gate.open();
-            let reply = conn.recv();
-            assert!(rig.service.is_poisoned_journal());
-            assert_eq!(rig.committed(), 1, "applied, though not durable");
-            rig.stop();
-            reply
-        })
-        .collect();
-    assert!(
-        replies[0].starts_with(
-            "{\"id\":1,\"ok\":false,\"code\":\"storage_error\",\
-             \"error\":\"storage_error: applied but not durable \
-             (journal poisoned: fdatasync failed ("
-        ),
-        "{}",
-        replies[0]
-    );
-    assert_eq!(replies[0], replies[1], "epoll vs threads");
-}
-
-/// The peer hangs up on a parked commit: the commit stays applied and
+/// The peer hangs up on a waiting commit: the commit stays applied and
 /// journaled, and the connection's slot comes back.
 #[test]
 fn a_peer_that_hangs_up_on_a_held_commit_loses_only_the_reply() {
-    let rig = gated_rig("hangup", Frontend::Epoll, Arc::new(RealFs));
+    let rig = gated_rig("hangup", Arc::new(RealFs));
     let open = rig.service.metrics().connections_open;
     let mut conn = Conn::open(rig.server.addr());
     let session = conn.create("k1");
@@ -544,7 +520,7 @@ fn a_peer_that_hangs_up_on_a_held_commit_loses_only_the_reply() {
         .service
         .handle_line(&format!("{{\"op\":\"session.get\",\"session\":{session}}}"));
     assert!(gone.contains("unknown session"), "{gone}");
-    // The next connection's commit parks and is released like the first.
+    // The next connection's commit waits and is answered like the first.
     let mut next = Conn::open(rig.server.addr());
     let session = next.create("k2");
     let reply = next.request(&commit_line(session));
@@ -552,15 +528,15 @@ fn a_peer_that_hangs_up_on_a_held_commit_loses_only_the_reply() {
     rig.stop();
 }
 
-/// A drain or shutdown with a commit parked: answered if its flush
-/// lands while the front end winds down; otherwise the connection is
+/// A drain or shutdown with a commit waiting: answered if its flush
+/// lands while the server winds down; otherwise the connection is
 /// closed at the drain deadline without a reply — an unacknowledged
 /// commit, still applied and journaled, never a false `ok`.
 #[test]
 fn a_held_commit_is_released_by_the_flush_or_the_drain_deadline() {
     // Drain: the flush lands, the commit is acknowledged, the server
     // then winds down by itself.
-    let rig = gated_rig("drain", Frontend::Epoll, Arc::new(RealFs));
+    let rig = gated_rig("drain", Arc::new(RealFs));
     let mut conn = Conn::open(rig.server.addr());
     let session = conn.create("k1");
     rig.commit_into_gate(&mut conn, session);
@@ -570,9 +546,9 @@ fn a_held_commit_is_released_by_the_flush_or_the_drain_deadline() {
     assert!(reply.starts_with("{\"id\":1,\"ok\":true,"), "{reply}");
     rig.stop();
 
-    // Shutdown with the disk still stuck: the reactor gives the flush
+    // Shutdown with the disk still stuck: the server gives the flush
     // its drain deadline, then closes the connection.
-    let rig = gated_rig("deadline", Frontend::Epoll, Arc::new(RealFs));
+    let rig = gated_rig("deadline", Arc::new(RealFs));
     let mut conn = Conn::open(rig.server.addr());
     let session = conn.create("k1");
     rig.commit_into_gate(&mut conn, session);

@@ -2,7 +2,7 @@
 //! attribution and the Prometheus exposition.
 //!
 //! Covers: a pipelined burst whose spans correlate one-to-one with the
-//! client-supplied request ids on both front ends; `metrics.prom`
+//! client-supplied request ids; `metrics.prom`
 //! emitting structurally valid Prometheus text (full histograms,
 //! cumulative buckets, `+Inf`, `_count` agreement) with traffic
 //! attributed to the right op; counter monotonicity across scrapes while a
@@ -21,15 +21,13 @@ use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::protocol::Request;
 use cerfix_server::wire::Json;
-use cerfix_server::{CleaningService, Client, Frontend, Server, ServiceConfig, StorageConfig};
+use cerfix_server::{CleaningService, Client, Server, ServiceConfig, StorageConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-const FRONTENDS: [Frontend; 2] = [Frontend::Epoll, Frontend::Threads];
 
 /// key → val lookup service over `n` master rows (same shape as the
 /// pipelining suite: cheap ops, so tracing/metrics behavior dominates).
@@ -209,71 +207,67 @@ fn validate_prom(body: &str) -> Result<HashMap<String, f64>, String> {
 }
 
 /// A pipelined burst of id-tagged hot requests yields exactly-correlated
-/// spans — trace id == request id, order preserved — on both the epoll
-/// and the threaded front end.
+/// spans — trace id == request id, order preserved.
 #[test]
 fn pipelined_burst_spans_correlate_exactly_with_request_ids() {
     const N: usize = 64;
-    for frontend in FRONTENDS {
-        let service = kv_service(20, 2);
-        let handle =
-            Server::spawn_with("127.0.0.1:0", service.clone(), frontend).expect("bind ephemeral");
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let view = client
-            .create_session(vec![Value::str("k3"), Value::str("WRONG"), Value::str("n")])
-            .expect("create");
+    let service = kv_service(20, 2);
+    let handle = Server::spawn("127.0.0.1:0", service.clone()).expect("bind ephemeral");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let view = client
+        .create_session(vec![Value::str("k3"), Value::str("WRONG"), Value::str("n")])
+        .expect("create");
 
-        let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
-        stream.set_nodelay(true).unwrap();
-        let mut burst = String::new();
-        for i in 0..N {
-            burst.push_str(&format!(
-                "{{\"op\":\"session.get\",\"session\":{},\"id\":{i}}}\n",
-                view.session
-            ));
-        }
-        stream.write_all(burst.as_bytes()).expect("write burst");
-        let mut reader = BufReader::new(stream);
-        for _ in 0..N {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("response line");
-        }
-
-        let trace = client
-            .request(&Request::TraceRead {
-                limit: Some(4 * N as u64),
-            })
-            .expect("trace.read");
-        assert_eq!(trace.get("enabled").and_then(Json::as_bool), Some(true));
-        // The burst lines are the only id-tagged requests: every other
-        // request (the Client never attaches ids) traces synthetically.
-        let correlated: Vec<String> = trace
-            .get("spans")
-            .and_then(Json::as_arr)
-            .expect("spans array")
-            .iter()
-            .filter(|span| span.get("synthetic").and_then(Json::as_bool) == Some(false))
-            .map(|span| {
-                assert_eq!(span.get("op").and_then(Json::as_str), Some("session.get"));
-                assert!(span.get("total_ns").and_then(Json::as_u64).unwrap_or(0) > 0);
-                span.get("trace")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string()
-            })
-            .collect();
-        let expected: Vec<String> = (0..N).rev().map(|i| i.to_string()).collect();
-        assert_eq!(
-            correlated, expected,
-            "{frontend:?}: spans newest-first must mirror the burst ids exactly"
-        );
-        handle.shutdown().expect("shutdown");
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    stream.set_nodelay(true).unwrap();
+    let mut burst = String::new();
+    for i in 0..N {
+        burst.push_str(&format!(
+            "{{\"op\":\"session.get\",\"session\":{},\"id\":{i}}}\n",
+            view.session
+        ));
     }
+    stream.write_all(burst.as_bytes()).expect("write burst");
+    let mut reader = BufReader::new(stream);
+    for _ in 0..N {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response line");
+    }
+
+    let trace = client
+        .request(&Request::TraceRead {
+            limit: Some(4 * N as u64),
+        })
+        .expect("trace.read");
+    assert_eq!(trace.get("enabled").and_then(Json::as_bool), Some(true));
+    // The burst lines are the only id-tagged requests: every other
+    // request (the Client never attaches ids) traces synthetically.
+    let correlated: Vec<String> = trace
+        .get("spans")
+        .and_then(Json::as_arr)
+        .expect("spans array")
+        .iter()
+        .filter(|span| span.get("synthetic").and_then(Json::as_bool) == Some(false))
+        .map(|span| {
+            assert_eq!(span.get("op").and_then(Json::as_str), Some("session.get"));
+            assert!(span.get("total_ns").and_then(Json::as_u64).unwrap_or(0) > 0);
+            span.get("trace")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    let expected: Vec<String> = (0..N).rev().map(|i| i.to_string()).collect();
+    assert_eq!(
+        correlated, expected,
+        "spans newest-first must mirror the burst ids exactly"
+    );
+    handle.shutdown().expect("shutdown");
 }
 
 /// The exposition is valid Prometheus text and says the right things
-/// about the traffic: full per-op latency buckets, worker/reactor
-/// histograms, per-op engine-stat attribution, latency classes and
+/// about the traffic: full per-op latency buckets, the queue-wait
+/// histogram, per-op engine-stat attribution, latency classes and
 /// build info.
 #[test]
 fn metrics_prom_is_valid_and_attributes_traffic_to_ops() {
@@ -316,9 +310,8 @@ fn metrics_prom_is_valid_and_attributes_traffic_to_ops() {
         .filter(|l| l.starts_with("cerfix_request_duration_seconds_bucket{op=\"session.get\""))
         .count();
     assert_eq!(get_buckets, 41, "full bucket exposition, not a summary");
-    // Worker/reactor histograms always render (even without traffic).
-    assert!(samples.contains_key("cerfix_worker_batch_duration_seconds_count"));
-    assert!(samples.contains_key("cerfix_reactor_loop_duration_seconds_count"));
+    // Unlabelled histograms always render.
+    assert!(samples.contains_key("cerfix_request_queue_wait_seconds_count"));
     // Engine work from the fixing validate is attributed to its op.
     assert!(
         samples
@@ -492,81 +485,75 @@ fn trace_read_reports_stage_timings_and_engine_stats() {
 fn a_held_syncs_span_and_slow_log_exclude_the_hold() {
     const HOLD_MS: u64 = 400;
     const SLOW_MS: u64 = 100;
-    for frontend in FRONTENDS {
-        let dir = std::env::temp_dir().join(format!(
-            "cerfix-obs-hold-{}-{}",
-            frontend.name(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (master, rules) = kv_setup(20);
-        let service = CleaningService::with_storage(
-            Arc::new(master),
-            Arc::new(rules),
-            ServiceConfig {
-                workers: 2,
-                precompute_regions: false,
-                slow_ms: SLOW_MS,
-                ..ServiceConfig::default()
-            },
-            StorageConfig::new(&dir),
-        )
-        .expect("open storage");
-        let server = Server::spawn_with("127.0.0.1:0", service.clone(), frontend).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let asked = std::time::Instant::now();
-        writeln!(
-            stream,
-            "{{\"op\":\"replica.sync\",\"follower\":\"f\",\"epoch\":0,\"offset\":0,\
-             \"wait_ms\":{HOLD_MS},\"id\":77}}"
-        )
-        .unwrap();
-        let mut reply = String::new();
-        BufReader::new(&stream).read_line(&mut reply).unwrap();
-        let held_ns = asked.elapsed().as_nanos() as u64;
-        assert!(held_ns >= HOLD_MS * 1_000_000, "the hold ran its course");
-        assert!(reply.contains("\"events\":[]"), "{reply}");
+    let dir = std::env::temp_dir().join(format!("cerfix-obs-hold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (master, rules) = kv_setup(20);
+    let service = CleaningService::with_storage(
+        Arc::new(master),
+        Arc::new(rules),
+        ServiceConfig {
+            workers: 2,
+            precompute_regions: false,
+            slow_ms: SLOW_MS,
+            ..ServiceConfig::default()
+        },
+        StorageConfig::new(&dir),
+    )
+    .expect("open storage");
+    let server = Server::spawn("127.0.0.1:0", service.clone()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let asked = std::time::Instant::now();
+    writeln!(
+        stream,
+        "{{\"op\":\"replica.sync\",\"follower\":\"f\",\"epoch\":0,\"offset\":0,\
+         \"wait_ms\":{HOLD_MS},\"id\":77}}"
+    )
+    .unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    let held_ns = asked.elapsed().as_nanos() as u64;
+    assert!(held_ns >= HOLD_MS * 1_000_000, "the hold ran its course");
+    assert!(reply.contains("\"events\":[]"), "{reply}");
 
-        let trace = service.handle(&Request::TraceRead { limit: Some(64) });
-        let spans = trace.get("spans").and_then(Json::as_arr).unwrap();
-        let span = spans
-            .iter()
-            .find(|s| s.get("trace").and_then(Json::as_str) == Some("77"))
-            .expect("the released sync's span");
-        assert_eq!(span.get("op").and_then(Json::as_str), Some("replica.sync"));
-        let total = span.get("total_ns").and_then(Json::as_u64).unwrap();
-        assert!(
-            total < SLOW_MS * 1_000_000,
-            "span total {total} ns includes the {HOLD_MS} ms hold"
-        );
-        assert_eq!(span.get("queue_ns").and_then(Json::as_u64), Some(0));
-        let stages: u64 = [
-            "parse_ns",
-            "dispatch_ns",
-            "engine_ns",
-            "fsync_ns",
-            "quorum_ns",
-            "serialize_ns",
-        ]
+    let trace = service.handle(&Request::TraceRead { limit: Some(64) });
+    let spans = trace.get("spans").and_then(Json::as_arr).unwrap();
+    let span = spans
         .iter()
-        .map(|k| span.get(k).and_then(Json::as_u64).unwrap())
-        .sum();
-        assert_eq!(stages, total, "stages sum to the total");
-        let slow = trace.get("slow").and_then(Json::as_arr).unwrap();
-        assert!(slow.is_empty(), "a hold is not a slow request: {slow:?}");
-        let metrics = service.metrics();
-        assert_eq!(metrics.trace_slow_spans, 0);
-        let latency = metrics
-            .latency
-            .iter()
-            .find(|l| l.op == "replica.sync")
-            .expect("replica.sync latency");
-        assert_eq!(latency.count, 1);
-        assert!(latency.p99_ns < SLOW_MS * 1_000_000);
-        server.shutdown().unwrap();
-        drop(service);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        .find(|s| s.get("trace").and_then(Json::as_str) == Some("77"))
+        .expect("the released sync's span");
+    assert_eq!(span.get("op").and_then(Json::as_str), Some("replica.sync"));
+    let total = span.get("total_ns").and_then(Json::as_u64).unwrap();
+    assert!(
+        total < SLOW_MS * 1_000_000,
+        "span total {total} ns includes the {HOLD_MS} ms hold"
+    );
+    assert_eq!(span.get("queue_ns").and_then(Json::as_u64), Some(0));
+    let stages: u64 = [
+        "parse_ns",
+        "dispatch_ns",
+        "engine_ns",
+        "fsync_ns",
+        "quorum_ns",
+        "serialize_ns",
+    ]
+    .iter()
+    .map(|k| span.get(k).and_then(Json::as_u64).unwrap())
+    .sum();
+    assert_eq!(stages, total, "stages sum to the total");
+    let slow = trace.get("slow").and_then(Json::as_arr).unwrap();
+    assert!(slow.is_empty(), "a hold is not a slow request: {slow:?}");
+    let metrics = service.metrics();
+    assert_eq!(metrics.trace_slow_spans, 0);
+    let latency = metrics
+        .latency
+        .iter()
+        .find(|l| l.op == "replica.sync")
+        .expect("replica.sync latency");
+    assert_eq!(latency.count, 1);
+    assert!(latency.p99_ns < SLOW_MS * 1_000_000);
+    server.shutdown().unwrap();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `hello` and `metrics` both identify the build: version string,

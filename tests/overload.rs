@@ -39,8 +39,8 @@ use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Client, ClientError, ErrorCode, Frontend, LocalClient, Request, RetryBudget,
-    Server, ServiceConfig, StorageConfig,
+    CleaningService, Client, ClientError, ErrorCode, LocalClient, Request, RetryBudget, Server,
+    ServiceConfig, StorageConfig,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -212,20 +212,20 @@ fn overload_sheds_heavy_then_sessions_and_recovers() {
         precompute_regions: false,
         ..ServiceConfig::default()
     });
-    // The epoll reactor is the frontend whose heavy requests park as
-    // fire-and-forget batch jobs in the worker queue — the instrument
-    // the shedder watches. (The threads frontend is caller-runs: its
-    // heavy work occupies connection threads, not the queue.)
-    let server = Server::bind_with("127.0.0.1:0", service.clone(), Frontend::Epoll).unwrap();
+    // A `clean` runs on its connection's thread and fans its tuples out
+    // on the worker pool: each flooding connection's batch puts its
+    // helper jobs in the worker queue — the instrument the shedder
+    // watches.
+    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || {
         let _ = server.run();
     });
 
     // Flood: 8 connections each keep one 800-tuple dirty `clean` batch
-    // in flight. With a single worker, one admitted batch occupies it
-    // while the other connections' batch jobs queue — depth ≥ 4 = 2×
-    // the watermark, i.e. shed level 2. Batches that arrive while the
+    // in flight. With a single worker, one batch's helper job occupies
+    // it while the other connections' helper jobs queue — depth ≥ 4 =
+    // 2× the watermark, i.e. shed level 2. Batches that arrive while the
     // shedder is armed are themselves shed (cheap, typed) and resent,
     // so the server oscillates through armed and disarmed windows
     // until the flood stops.
@@ -387,7 +387,7 @@ fn connection_quota_refuses_with_typed_error_at_accept() {
         max_connections: 1,
         ..base_config()
     });
-    let server = Server::bind_with("127.0.0.1:0", service.clone(), Frontend::Threads).unwrap();
+    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || {
         let _ = server.run();
@@ -429,7 +429,7 @@ fn connection_quota_refuses_with_typed_error_at_accept() {
 fn drain_preserves_acked_commits_and_open_sessions() {
     let dir = tmp_dir("drain");
     let service = disk_service(&dir, base_config());
-    let server = Server::bind_with("127.0.0.1:0", service.clone(), Frontend::Threads).unwrap();
+    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || {
         let _ = server.run();
@@ -548,7 +548,7 @@ fn client_repoints_to_primary_and_respects_retry_budget() {
         manual_storage(&pdir),
     )
     .unwrap();
-    let pserver = Server::bind_with("127.0.0.1:0", primary.clone(), Frontend::Threads).unwrap();
+    let pserver = Server::bind("127.0.0.1:0", primary.clone()).unwrap();
     let paddr = pserver.local_addr().unwrap();
     let pthread = std::thread::spawn(move || {
         let _ = pserver.run();
@@ -565,7 +565,7 @@ fn client_repoints_to_primary_and_respects_retry_budget() {
         manual_storage(&fdir),
     )
     .unwrap();
-    let fserver = Server::bind_with("127.0.0.1:0", follower.clone(), Frontend::Threads).unwrap();
+    let fserver = Server::bind("127.0.0.1:0", follower.clone()).unwrap();
     let faddr = fserver.local_addr().unwrap();
     let fthread = std::thread::spawn(move || {
         let _ = fserver.run();
@@ -676,7 +676,7 @@ fn overload_smoke_goodput_under_double_load() {
         precompute_regions: false,
         ..ServiceConfig::default()
     });
-    let server = Server::bind_with("127.0.0.1:0", service.clone(), Frontend::Threads).unwrap();
+    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
     let addr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || {
         let _ = server.run();

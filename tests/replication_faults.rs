@@ -35,15 +35,14 @@
 //!    held by the primary and released by an event, never by a timer on
 //!    the commit path. Counters, not clocks: with the hold set far above
 //!    the test's runtime every quorum commit still acks and costs one
-//!    sync; each release cause is driven by hand over a raw connection;
-//!    on both front ends.
+//!    sync; each release cause is driven by hand over a raw connection.
 
 use cerfix_gen::{make_workload, uk, NoiseSpec};
 use cerfix_relation::Value;
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Client, ErrorCode, Frontend, LocalClient, Request, RetryBudget, Server,
-    ServiceConfig, SessionView, StorageConfig, TcpTransport,
+    CleaningService, Client, ErrorCode, LocalClient, Request, RetryBudget, Server, ServiceConfig,
+    SessionView, StorageConfig, TcpTransport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -283,7 +282,6 @@ fn kill_nine_primary_mid_burst_loses_no_acked_commit() {
         &dir.join("p"),
         &master,
         &rules,
-        "threads",
         &[
             "--quorum",
             "2",
@@ -298,7 +296,6 @@ fn kill_nine_primary_mid_burst_loses_no_acked_commit() {
         &dir.join("f"),
         &master,
         &rules,
-        "threads",
         &["--replicate-from", &paddr_s, "--advertise", "f1"],
     );
 
@@ -403,20 +400,14 @@ fn kill_nine_primary_mid_burst_loses_no_acked_commit() {
 fn partitioned_follower_resumes_from_cursor_without_resync() {
     let dir = tmp_dir("partition");
     let (master, rules) = write_fixture(&dir);
-    let (mut primary, paddr) = spawn_serve(
-        &dir.join("p"),
-        &master,
-        &rules,
-        "epoll",
-        &["--advertise", "primary"],
-    );
+    let (mut primary, paddr) =
+        spawn_serve(&dir.join("p"), &master, &rules, &["--advertise", "primary"]);
     let proxy = start_proxy(paddr);
     let proxy_s = proxy.addr.to_string();
     let (mut follower, faddr) = spawn_serve(
         &dir.join("f"),
         &master,
         &rules,
-        "epoll",
         &["--replicate-from", &proxy_s, "--advertise", "f1"],
     );
 
@@ -507,7 +498,6 @@ fn slow_follower_times_out_quorum_commits_then_recovers() {
         &dir.join("p"),
         &master,
         &rules,
-        "threads",
         &[
             "--quorum",
             "2",
@@ -523,7 +513,6 @@ fn slow_follower_times_out_quorum_commits_then_recovers() {
         &dir.join("f"),
         &master,
         &rules,
-        "threads",
         &["--replicate-from", &proxy_s, "--advertise", "slow"],
     );
     let mut client = Client::connect(paddr).unwrap();
@@ -629,7 +618,6 @@ fn cluster_status_reports_all_three_nodes_from_any_node() {
         &dir.join("p"),
         &master,
         &rules,
-        "threads",
         &["--addr", &p, "--advertise", &p],
     );
     let paddr_s = paddr.to_string();
@@ -637,7 +625,6 @@ fn cluster_status_reports_all_three_nodes_from_any_node() {
         &dir.join("f1"),
         &master,
         &rules,
-        "threads",
         &[
             "--replicate-from",
             &paddr_s,
@@ -651,7 +638,6 @@ fn cluster_status_reports_all_three_nodes_from_any_node() {
         &dir.join("f2"),
         &master,
         &rules,
-        "epoll",
         &[
             "--replicate-from",
             &paddr_s,
@@ -743,7 +729,6 @@ fn lagging_follower_past_max_lag_flips_exactly_its_readiness() {
         &dir.join("p"),
         &master,
         &rules,
-        "threads",
         &["--addr", &p, "--advertise", &p],
     );
     let proxy = start_proxy(paddr);
@@ -752,7 +737,6 @@ fn lagging_follower_past_max_lag_flips_exactly_its_readiness() {
         &dir.join("f"),
         &master,
         &rules,
-        "threads",
         &[
             "--replicate-from",
             &proxy_s,
@@ -886,12 +870,12 @@ fn hold_storage(dir: &Path) -> StorageConfig {
     cfg
 }
 
-fn hold_rig(name: &str, frontend: Frontend, workers: usize, cluster_size: usize) -> HoldRig {
+fn hold_rig(name: &str, workers: usize, cluster_size: usize) -> HoldRig {
     let mut rng = StdRng::seed_from_u64(11);
     let scenario = uk::scenario(40, &mut rng);
     let master = Arc::new(scenario.master_data());
     let rules = Arc::new(scenario.rules.clone());
-    let dir = tmp_dir(&format!("hold-{name}-{}-{workers}", frontend.name()));
+    let dir = tmp_dir(&format!("hold-{name}-{workers}"));
     let primary = CleaningService::with_storage(
         Arc::clone(&master),
         Arc::clone(&rules),
@@ -906,7 +890,7 @@ fn hold_rig(name: &str, frontend: Frontend, workers: usize, cluster_size: usize)
         hold_storage(&dir.join("p")),
     )
     .unwrap();
-    let server = Server::spawn_with("127.0.0.1:0", primary.clone(), frontend).unwrap();
+    let server = Server::spawn("127.0.0.1:0", primary.clone()).unwrap();
     HoldRig {
         addr: server.addr(),
         primary,
@@ -1018,12 +1002,12 @@ fn acking_follower(addr: SocketAddr, name: &'static str) -> std::thread::JoinHan
 
 /// (a) + (b): with the hold far above the test's runtime, N quorum
 /// commits all ack, each costs one sync, and none timed out — so no
-/// commit was released by a timer. With one worker too: the commit
-/// waits for its quorum *on* that worker, so a hold that took a worker
-/// would deadlock until `ack_timeout`.
-fn quorum_commits_are_acked_by_events(frontend: Frontend, workers: usize) {
+/// commit was released by a timer. With one worker too: the commit and
+/// the held sync each wait on their connection's thread, so a hold that
+/// took a worker would show as a deadlock until `ack_timeout`.
+fn quorum_commits_are_acked_by_events(workers: usize) {
     const N: u64 = 40;
-    let rig = hold_rig("acked", frontend, workers, 2);
+    let rig = hold_rig("acked", workers, 2);
     let follower = acking_follower(rig.addr, "fake");
     wait_for("the follower's first (held) sync", || {
         rig.registered("fake")
@@ -1037,8 +1021,7 @@ fn quorum_commits_are_acked_by_events(frontend: Frontend, workers: usize) {
     let syncs = rig.syncs_answered();
     assert!(
         (N..=N + 2).contains(&syncs),
-        "{N} commits released {syncs} syncs ({} front end, {workers} workers)",
-        frontend.name()
+        "{N} commits released {syncs} syncs ({workers} workers)"
     );
     assert_eq!(rig.primary.metrics().quorum_timeouts, 0);
     rig.stop();
@@ -1047,15 +1030,14 @@ fn quorum_commits_are_acked_by_events(frontend: Frontend, workers: usize) {
 
 #[test]
 fn quorum_commits_are_acked_by_events_not_timers() {
-    for frontend in [Frontend::Threads, Frontend::Epoll] {
-        quorum_commits_are_acked_by_events(frontend, 2);
-        quorum_commits_are_acked_by_events(frontend, 1);
-    }
+    quorum_commits_are_acked_by_events(2);
+    quorum_commits_are_acked_by_events(1);
 }
 
 /// (c) + (d): every cause that releases a held sync, by hand.
-fn held_sync_release_causes(frontend: Frontend) {
-    let rig = hold_rig("causes", frontend, 2, 1);
+#[test]
+fn a_held_sync_is_released_by_each_cause() {
+    let rig = hold_rig("causes", 2, 1);
     let mut conn = RawFollower::connect(rig.addr);
     let mut other = Client::connect(rig.addr).unwrap();
 
@@ -1118,16 +1100,11 @@ fn held_sync_release_causes(frontend: Frontend) {
     );
     assert_eq!(rig.primary.metrics().snapshots_written, 1);
 
-    // A held connection that goes away gives its slot back (the epoll
-    // reactor sees the close at once; a connection thread at the end of
-    // its hold, so that one is short).
+    // A held connection that goes away gives its slot back (its thread
+    // sees the close at the end of its hold, so that one is short).
     let before = rig.primary.metrics().connections_open;
-    let hold = match frontend {
-        Frontend::Epoll => FOREVER_MS,
-        Frontend::Threads => 200,
-    };
     let mut gone = RawFollower::connect(rig.addr);
-    gone.sync("gone", (1, 0), Some(hold));
+    gone.sync("gone", (1, 0), Some(200));
     wait_for("held", || rig.registered("gone"));
     drop(gone);
     wait_for("the closed connection's slot", || {
@@ -1173,77 +1150,66 @@ fn held_sync_release_causes(frontend: Frontend) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_held_sync_is_released_by_each_cause() {
-    for frontend in [Frontend::Threads, Frontend::Epoll] {
-        held_sync_release_causes(frontend);
-    }
-}
-
 /// Shutdown with a sync held "forever" does not wait for it.
 #[test]
 fn shutdown_does_not_wait_for_a_held_sync() {
-    for frontend in [Frontend::Threads, Frontend::Epoll] {
-        let rig = hold_rig("shutdown", frontend, 2, 1);
-        let mut conn = RawFollower::connect(rig.addr);
-        conn.sync("raw", (0, 0), Some(FOREVER_MS));
-        wait_for("held", || rig.registered("raw"));
-        let committed = rig.commit_locally();
-        assert_eq!(RawFollower::events(&conn.reply().unwrap()), 2);
-        conn.sync("raw", (0, 2), Some(FOREVER_MS));
-        wait_for("held again", || {
-            follower_stat(&rig.primary.handle(&Request::Metrics), "raw").map(|f| f.1) == Some(2)
-        });
-        let asked = Instant::now();
-        let primary = rig.primary.clone();
-        rig.stop();
-        assert!(
-            asked.elapsed() < Duration::from_secs(15),
-            "shutdown sat out the hold"
-        );
-        // Released with the empty reply, or cut off: never left hanging.
-        if let Some(reply) = conn.reply() {
-            assert_eq!(RawFollower::events(&reply), 0);
-        }
-        assert!(LocalClient::in_process(&primary)
-            .get_session(committed)
-            .is_err());
+    let rig = hold_rig("shutdown", 2, 1);
+    let mut conn = RawFollower::connect(rig.addr);
+    conn.sync("raw", (0, 0), Some(FOREVER_MS));
+    wait_for("held", || rig.registered("raw"));
+    let committed = rig.commit_locally();
+    assert_eq!(RawFollower::events(&conn.reply().unwrap()), 2);
+    conn.sync("raw", (0, 2), Some(FOREVER_MS));
+    wait_for("held again", || {
+        follower_stat(&rig.primary.handle(&Request::Metrics), "raw").map(|f| f.1) == Some(2)
+    });
+    let asked = Instant::now();
+    let primary = rig.primary.clone();
+    rig.stop();
+    assert!(
+        asked.elapsed() < Duration::from_secs(15),
+        "shutdown sat out the hold"
+    );
+    // Released with the empty reply, or cut off: never left hanging.
+    if let Some(reply) = conn.reply() {
+        assert_eq!(RawFollower::events(&reply), 0);
     }
+    assert!(LocalClient::in_process(&primary)
+        .get_session(committed)
+        .is_err());
 }
 
 /// `replica.promote` (and shutdown) on a follower break the read the
 /// primary is holding: the tail thread is joined in well under the hold.
 #[test]
 fn promote_breaks_the_followers_held_read() {
-    for frontend in [Frontend::Threads, Frontend::Epoll] {
-        let rig = hold_rig("promote", frontend, 2, 1);
-        let follower = CleaningService::with_storage(
-            Arc::clone(&rig.master),
-            Arc::clone(&rig.rules),
-            ServiceConfig {
-                precompute_regions: false,
-                replicate_from: Some(rig.addr.to_string()),
-                advertise: Some("f1".into()),
-                ..ServiceConfig::default()
-            },
-            hold_storage(&rig.dir.join("f")),
-        )
-        .unwrap();
-        wait_for("follower registration", || rig.registered("f1"));
-        // Start from a fresh hold: the heartbeat just went by, so a
-        // promote that waited for the next one would take the whole
-        // hold (500 ms).
-        let answered = rig.syncs_answered();
-        wait_for("a heartbeat", || rig.syncs_answered() > answered);
-        let asked = Instant::now();
-        let reply = follower.handle(&Request::ReplicaPromote);
-        let took = asked.elapsed();
-        assert_eq!(reply.get("promoted").and_then(Json::as_bool), Some(true));
-        assert!(took < Duration::from_millis(250), "promote took {took:?}");
-        follower.handle(&Request::Shutdown);
-        drop(follower);
-        rig.stop();
-    }
+    let rig = hold_rig("promote", 2, 1);
+    let follower = CleaningService::with_storage(
+        Arc::clone(&rig.master),
+        Arc::clone(&rig.rules),
+        ServiceConfig {
+            precompute_regions: false,
+            replicate_from: Some(rig.addr.to_string()),
+            advertise: Some("f1".into()),
+            ..ServiceConfig::default()
+        },
+        hold_storage(&rig.dir.join("f")),
+    )
+    .unwrap();
+    wait_for("follower registration", || rig.registered("f1"));
+    // Start from a fresh hold: the heartbeat just went by, so a
+    // promote that waited for the next one would take the whole
+    // hold (500 ms).
+    let answered = rig.syncs_answered();
+    wait_for("a heartbeat", || rig.syncs_answered() > answered);
+    let asked = Instant::now();
+    let reply = follower.handle(&Request::ReplicaPromote);
+    let took = asked.elapsed();
+    assert_eq!(reply.get("promoted").and_then(Json::as_bool), Some(true));
+    assert!(took < Duration::from_millis(250), "promote took {took:?}");
+    follower.handle(&Request::Shutdown);
+    drop(follower);
+    rig.stop();
 }
 
 /// (d) A primary that answers "nothing new" at once (pre-v9: it ignores
@@ -1357,7 +1323,7 @@ fn interleaving_case(seed: u64) {
         manual_storage(&pdir),
     )
     .unwrap();
-    let server = Server::bind_with("127.0.0.1:0", primary.clone(), Frontend::Threads).unwrap();
+    let server = Server::bind("127.0.0.1:0", primary.clone()).unwrap();
     let paddr = server.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || {
         let _ = server.run();

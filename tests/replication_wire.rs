@@ -14,7 +14,7 @@
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
-use cerfix_server::{CleaningService, Frontend, Server, ServiceConfig, StorageConfig};
+use cerfix_server::{CleaningService, Server, ServiceConfig, StorageConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,7 +121,7 @@ fn a_followers_journal_is_its_primarys_byte_for_byte() {
             ..ServiceConfig::default()
         },
     );
-    let server = Server::spawn_with("127.0.0.1:0", primary.clone(), Frontend::auto()).unwrap();
+    let server = Server::spawn("127.0.0.1:0", primary.clone()).unwrap();
     let follower = journaled(
         &dir.join("follower"),
         ServiceConfig {

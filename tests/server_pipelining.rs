@@ -1,34 +1,30 @@
-//! Pipelining and adversarial-client behavior of the TCP front ends.
+//! Pipelining and adversarial-client behavior of the TCP front end.
 //!
 //! A protocol client may write any number of request lines before
-//! reading a single response; both front ends must answer **in request
+//! reading a single response; the server must answer **in request
 //! order**, echoing client-supplied `id`s, regardless of how the bytes
 //! were chunked on the way in. Covers: deep pipelining with `id`
-//! correlation, heavy ops (worker-pool batches) interleaved with light
-//! ones on one connection, slow-loris byte-at-a-time requests, a
-//! mid-request disconnect, oversized-line rejection, and a proptest
-//! that re-chunking one request stream at arbitrary byte boundaries
-//! never changes a single response byte — with the epoll and threaded
-//! front ends agreeing exactly, also on a journaled service where the
-//! epoll front end parks each commit (and the lines behind it) until
-//! its group fsync.
+//! correlation, heavy ops interleaved with light ones on one
+//! connection, slow-loris byte-at-a-time requests, a mid-request
+//! disconnect, oversized-line rejection, a shutdown with a peer that
+//! stops reading, and a proptest that re-chunking one request stream at
+//! arbitrary byte boundaries never changes a single response byte —
+//! also on a journaled service, where each commit waits for its group
+//! fsync with lines queued behind it, and where the replies must equal
+//! in-process `handle_line`'s.
 
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::protocol::Request;
 use cerfix_server::wire::Json;
-use cerfix_server::{
-    CleaningService, Client, ErrorCode, Frontend, Server, ServerHandle, ServiceConfig,
-};
+use cerfix_server::{CleaningService, Client, ErrorCode, Server, ServerHandle, ServiceConfig};
 use cerfix_storage::StorageConfig;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
-
-const FRONTENDS: [Frontend; 2] = [Frontend::Epoll, Frontend::Threads];
+use std::time::{Duration, Instant};
 
 /// key → val lookup service over `n` master rows (cheap per-op work, so
 /// transport behavior dominates).
@@ -86,10 +82,9 @@ fn kv_setup(n: usize) -> (Arc<MasterData>, Arc<RuleSet>) {
     (Arc::new(master), Arc::new(rules))
 }
 
-fn spawn(frontend: Frontend) -> (ServerHandle, CleaningService) {
+fn spawn() -> (ServerHandle, CleaningService) {
     let service = kv_service(20, 2);
-    let handle =
-        Server::spawn_with("127.0.0.1:0", service.clone(), frontend).expect("bind ephemeral");
+    let handle = Server::spawn("127.0.0.1:0", service.clone()).expect("bind ephemeral");
     (handle, service)
 }
 
@@ -102,58 +97,56 @@ fn spawn(frontend: Frontend) -> (ServerHandle, CleaningService) {
 fn pipelined_requests_answer_in_order_with_ids() {
     const CONNS: usize = 8;
     const N: usize = 192;
-    for frontend in FRONTENDS {
-        let (handle, service) = spawn(frontend);
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let streams: Vec<TcpStream> = (0..CONNS)
-            .map(|conn| {
-                let key = format!("k{conn}");
-                let session = client
-                    .create_session(vec![Value::str(&key), Value::str("WRONG"), Value::str("n")])
-                    .expect("create")
-                    .session;
-                let mut burst = String::new();
-                for i in 0..N {
-                    burst.push_str(&match i % 3 {
-                        0 => format!(
-                            "{{\"op\":\"session.validate\",\"session\":{session},\"validations\":{{\"key\":\"{key}\"}},\"id\":{i}}}\n"
-                        ),
-                        1 => format!("{{\"op\":\"session.fix\",\"session\":{session},\"id\":{i}}}\n"),
-                        _ => format!("{{\"op\":\"session.get\",\"session\":{session},\"id\":{i}}}\n"),
-                    });
-                }
-                let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
-                stream.set_nodelay(true).unwrap();
-                stream.write_all(burst.as_bytes()).expect("write burst");
-                stream
-                    .shutdown(std::net::Shutdown::Write)
-                    .expect("half-close");
-                stream
-            })
-            .collect();
-        for stream in streams {
-            let mut reader = BufReader::new(stream);
+    let (handle, service) = spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let streams: Vec<TcpStream> = (0..CONNS)
+        .map(|conn| {
+            let key = format!("k{conn}");
+            let session = client
+                .create_session(vec![Value::str(&key), Value::str("WRONG"), Value::str("n")])
+                .expect("create")
+                .session;
+            let mut burst = String::new();
             for i in 0..N {
-                let mut line = String::new();
-                reader.read_line(&mut line).expect("response line");
-                assert!(
-                    line.starts_with(&format!("{{\"id\":{i},\"ok\":true,")),
-                    "{frontend:?} response {i} out of order or unechoed: {line}"
-                );
+                burst.push_str(&match i % 3 {
+                    0 => format!(
+                        "{{\"op\":\"session.validate\",\"session\":{session},\"validations\":{{\"key\":\"{key}\"}},\"id\":{i}}}\n"
+                    ),
+                    1 => format!("{{\"op\":\"session.fix\",\"session\":{session},\"id\":{i}}}\n"),
+                    _ => format!("{{\"op\":\"session.get\",\"session\":{session},\"id\":{i}}}\n"),
+                });
             }
-            let mut rest = String::new();
-            let _ = reader.read_to_string(&mut rest);
-            assert!(rest.is_empty(), "{frontend:?}: trailing bytes {rest:?}");
+            let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+            stream.set_nodelay(true).unwrap();
+            stream.write_all(burst.as_bytes()).expect("write burst");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            stream
+        })
+        .collect();
+    for stream in streams {
+        let mut reader = BufReader::new(stream);
+        for i in 0..N {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("response line");
+            assert!(
+                line.starts_with(&format!("{{\"id\":{i},\"ok\":true,")),
+                "response {i} out of order or unechoed: {line}"
+            );
         }
-        let metrics = service.metrics();
-        assert_eq!(
-            metrics.requests,
-            (CONNS * (1 + N)) as u64,
-            "{frontend:?}: one create + {N} pipelined requests per connection"
-        );
-        assert_eq!(metrics.errors, 0, "{frontend:?}");
-        handle.shutdown().expect("shutdown");
+        let mut rest = String::new();
+        let _ = reader.read_to_string(&mut rest);
+        assert!(rest.is_empty(), "trailing bytes {rest:?}");
     }
+    let metrics = service.metrics();
+    assert_eq!(
+        metrics.requests,
+        (CONNS * (1 + N)) as u64,
+        "one create + {N} pipelined requests per connection"
+    );
+    assert_eq!(metrics.errors, 0);
+    handle.shutdown().expect("shutdown");
 }
 
 /// A failing request mid-batch must not desynchronize the client: the
@@ -162,135 +155,124 @@ fn pipelined_requests_answer_in_order_with_ids() {
 #[test]
 fn pipeline_error_mid_batch_does_not_desync_client() {
     use cerfix_server::protocol::Request;
-    for frontend in FRONTENDS {
-        let (handle, _service) = spawn(frontend);
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let view = client
-            .create_session(vec![Value::str("k3"), Value::str("WRONG"), Value::str("n")])
-            .expect("create");
-        let batch = [
-            Request::SessionGet {
-                session: view.session,
-            },
-            Request::SessionGet { session: 999 }, // unknown → ok:false
-            Request::Hello,
-        ];
-        assert!(client.pipeline(&batch).is_err(), "mid-batch error surfaces");
-        // The next round trip pairs correctly (no stale buffered line).
-        let hello = client.hello().expect("client still synchronized");
-        assert_eq!(
-            hello
-                .get("service")
-                .and_then(cerfix_server::wire::Json::as_str),
-            Some("cerfix-server")
-        );
-        let again = client
-            .get_session(view.session)
-            .expect("session still live");
-        assert_eq!(again.session, view.session);
-        handle.shutdown().expect("shutdown");
-    }
+    let (handle, _service) = spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let view = client
+        .create_session(vec![Value::str("k3"), Value::str("WRONG"), Value::str("n")])
+        .expect("create");
+    let batch = [
+        Request::SessionGet {
+            session: view.session,
+        },
+        Request::SessionGet { session: 999 }, // unknown → ok:false
+        Request::Hello,
+    ];
+    assert!(client.pipeline(&batch).is_err(), "mid-batch error surfaces");
+    // The next round trip pairs correctly (no stale buffered line).
+    let hello = client.hello().expect("client still synchronized");
+    assert_eq!(
+        hello
+            .get("service")
+            .and_then(cerfix_server::wire::Json::as_str),
+        Some("cerfix-server")
+    );
+    let again = client
+        .get_session(view.session)
+        .expect("session still live");
+    assert_eq!(again.session, view.session);
+    handle.shutdown().expect("shutdown");
 }
 
 /// Heavy ops (worker-pool batches) interleaved with light ops on one
 /// pipelined connection still answer strictly in request order.
 #[test]
 fn heavy_and_light_ops_interleave_in_order() {
-    for frontend in FRONTENDS {
-        let (handle, _service) = spawn(frontend);
-        let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
-        // Note: the two-tuple `clean` reserves session ids 1–2 for audit
-        // attribution, so the interactive session created next gets 3.
-        let burst = concat!(
-            "{\"op\":\"hello\",\"id\":0}\n",
-            "{\"op\":\"clean\",\"tuples\":[[\"k1\",\"x\",\"n\"],[\"k2\",\"y\",\"n\"]],\"trust\":[\"key\",\"note\"],\"id\":1}\n",
-            "{\"op\":\"session.create\",\"tuple\":[\"k3\",\"WRONG\",\"n\"],\"id\":2}\n",
-            "{\"op\":\"check\",\"id\":3}\n",
-            "{\"op\":\"session.validate\",\"session\":3,\"validations\":{\"key\":\"k3\"},\"id\":4}\n",
-            "{\"op\":\"clean\",\"tuples\":[[\"k4\",\"z\",\"n\"]],\"trust\":[\"key\",\"note\"],\"id\":5}\n",
-            "{\"op\":\"session.get\",\"session\":3,\"id\":6}\n",
+    let (handle, _service) = spawn();
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    // Note: the two-tuple `clean` reserves session ids 1–2 for audit
+    // attribution, so the interactive session created next gets 3.
+    let burst = concat!(
+        "{\"op\":\"hello\",\"id\":0}\n",
+        "{\"op\":\"clean\",\"tuples\":[[\"k1\",\"x\",\"n\"],[\"k2\",\"y\",\"n\"]],\"trust\":[\"key\",\"note\"],\"id\":1}\n",
+        "{\"op\":\"session.create\",\"tuple\":[\"k3\",\"WRONG\",\"n\"],\"id\":2}\n",
+        "{\"op\":\"check\",\"id\":3}\n",
+        "{\"op\":\"session.validate\",\"session\":3,\"validations\":{\"key\":\"k3\"},\"id\":4}\n",
+        "{\"op\":\"clean\",\"tuples\":[[\"k4\",\"z\",\"n\"]],\"trust\":[\"key\",\"note\"],\"id\":5}\n",
+        "{\"op\":\"session.get\",\"session\":3,\"id\":6}\n",
+    );
+    stream.write_all(burst.as_bytes()).expect("write burst");
+    let mut reader = BufReader::new(stream);
+    for i in 0..7 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response line");
+        assert!(
+            line.starts_with(&format!("{{\"id\":{i},\"ok\":true,")),
+            "response {i}: {line}"
         );
-        stream.write_all(burst.as_bytes()).expect("write burst");
-        let mut reader = BufReader::new(stream);
-        for i in 0..7 {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("response line");
-            assert!(
-                line.starts_with(&format!("{{\"id\":{i},\"ok\":true,")),
-                "{frontend:?} response {i}: {line}"
-            );
-            if i == 4 {
-                assert!(line.contains("\"v3\""), "rule fix flowed through: {line}");
-            }
+        if i == 4 {
+            assert!(line.contains("\"v3\""), "rule fix flowed through: {line}");
         }
-        handle.shutdown().expect("shutdown");
     }
+    handle.shutdown().expect("shutdown");
 }
 
 /// Slow-loris: a request trickling in a few bytes per write across many
 /// poll iterations is answered normally once its newline arrives.
 #[test]
 fn slow_loris_partial_lines_assemble() {
-    for frontend in FRONTENDS {
-        let (handle, _service) = spawn(frontend);
-        let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
-        stream.set_nodelay(true).unwrap();
-        let request = b"{\"op\":\"session.create\",\"tuple\":[\"k5\",\"WRONG\",\"n\"],\"id\":77}\n";
-        for (i, chunk) in request.chunks(3).enumerate() {
-            stream.write_all(chunk).expect("trickle");
-            if i % 4 == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+    let (handle, _service) = spawn();
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    stream.set_nodelay(true).unwrap();
+    let request = b"{\"op\":\"session.create\",\"tuple\":[\"k5\",\"WRONG\",\"n\"],\"id\":77}\n";
+    for (i, chunk) in request.chunks(3).enumerate() {
+        stream.write_all(chunk).expect("trickle");
+        if i % 4 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("response");
-        assert!(
-            line.starts_with("{\"id\":77,\"ok\":true,"),
-            "{frontend:?}: {line}"
-        );
-        handle.shutdown().expect("shutdown");
     }
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("response");
+    assert!(line.starts_with("{\"id\":77,\"ok\":true,"), "{line}");
+    handle.shutdown().expect("shutdown");
 }
 
 /// A client that dies mid-request must not wedge the server or leak the
 /// connection gauge; later clients are unaffected.
 #[test]
 fn mid_request_disconnect_leaves_server_healthy() {
-    for frontend in FRONTENDS {
-        let (handle, service) = spawn(frontend);
-        {
-            let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
-            stream
-                .write_all(b"{\"op\":\"session.create\",\"tu")
-                .expect("partial write");
-            // Dropped here: connection dies with half a request buffered.
-        }
-        // The server notices, reaps the connection, and keeps serving.
-        let mut client = Client::connect(handle.addr()).expect("connect after disconnect");
-        let view = client
-            .create_session(vec![Value::str("k1"), Value::str("WRONG"), Value::str("n")])
-            .expect("service healthy");
-        assert_eq!(view.session, 1, "no half-request ever executed");
-        drop(client);
-        // Gauge settles back to zero once both sockets are reaped.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        loop {
-            if service.metrics().connections_open == 0 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{frontend:?}: connections_open stuck at {}",
-                service.metrics().connections_open
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Both front ends count at accept: exactly the dropped connection
-        // and the client, each once.
-        assert_eq!(service.metrics().connections_total, 2, "{frontend:?}");
-        handle.shutdown().expect("shutdown");
+    let (handle, service) = spawn();
+    {
+        let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+        stream
+            .write_all(b"{\"op\":\"session.create\",\"tu")
+            .expect("partial write");
+        // Dropped here: connection dies with half a request buffered.
     }
+    // The server notices, reaps the connection, and keeps serving.
+    let mut client = Client::connect(handle.addr()).expect("connect after disconnect");
+    let view = client
+        .create_session(vec![Value::str("k1"), Value::str("WRONG"), Value::str("n")])
+        .expect("service healthy");
+    assert_eq!(view.session, 1, "no half-request ever executed");
+    drop(client);
+    // Gauge settles back to zero once both sockets are reaped.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    loop {
+        if service.metrics().connections_open == 0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "connections_open stuck at {}",
+            service.metrics().connections_open
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Counted at accept: exactly the dropped connection and the client,
+    // each once.
+    assert_eq!(service.metrics().connections_total, 2);
+    handle.shutdown().expect("shutdown");
 }
 
 /// A newline-less stream is rejected once the partial line passes the
@@ -299,44 +281,70 @@ fn mid_request_disconnect_leaves_server_healthy() {
 /// it is an error line as any other: coded, and counted.
 #[test]
 fn oversized_partial_line_is_rejected() {
-    for frontend in FRONTENDS {
-        let (handle, service) = spawn(frontend);
-        let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut refusal = |what: &str, errors: u64| {
-            let mut response = String::new();
-            let _ = reader.read_line(&mut response);
-            assert!(
-                response.contains(what),
-                "{frontend:?}: expected the {what:?} reply, got {response:?}"
-            );
-            let reply = Json::parse(response.trim()).expect("a JSON line");
-            let code = reply.get("code").and_then(Json::as_str);
-            assert_eq!(code, Some(ErrorCode::BadRequest.as_str()), "{response}");
-            assert_eq!(service.metrics().errors, errors, "{what}");
-        };
-        stream
-            .write_all(b"{\"op\":\"hel\xff\xfe\"}\n")
-            .expect("write");
-        refusal("not valid UTF-8", 1);
-        let chunk = vec![b'x'; 1024 * 1024];
-        // Write until the server hangs up (it must, after ~8 MiB).
-        let mut wrote = 0usize;
-        for _ in 0..32 {
-            match stream.write_all(&chunk) {
-                Ok(()) => wrote += chunk.len(),
-                Err(_) => break,
-            }
+    let (handle, service) = spawn();
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut refusal = |what: &str, errors: u64| {
+        let mut response = String::new();
+        let _ = reader.read_line(&mut response);
+        assert!(
+            response.contains(what),
+            "expected the {what:?} reply, got {response:?}"
+        );
+        let reply = Json::parse(response.trim()).expect("a JSON line");
+        let code = reply.get("code").and_then(Json::as_str);
+        assert_eq!(code, Some(ErrorCode::BadRequest.as_str()), "{response}");
+        assert_eq!(service.metrics().errors, errors, "{what}");
+    };
+    stream
+        .write_all(b"{\"op\":\"hel\xff\xfe\"}\n")
+        .expect("write");
+    refusal("not valid UTF-8", 1);
+    let chunk = vec![b'x'; 1024 * 1024];
+    // Write until the server hangs up (it must, after ~8 MiB).
+    let mut wrote = 0usize;
+    for _ in 0..32 {
+        match stream.write_all(&chunk) {
+            Ok(()) => wrote += chunk.len(),
+            Err(_) => break,
         }
-        assert!(wrote >= 8 * 1024 * 1024 || wrote < 32 * chunk.len());
-        refusal("exceeds 8 MiB", 2);
-        handle.shutdown().expect("shutdown");
     }
+    assert!(wrote >= 8 * 1024 * 1024 || wrote < 32 * chunk.len());
+    refusal("exceeds 8 MiB", 2);
+    handle.shutdown().expect("shutdown");
+}
+
+/// A peer that pipelines requests and stops reading the replies: once
+/// the socket buffers are full its connection's thread is blocked in a
+/// write, which the read-side half-close does not end. Shutdown still
+/// returns — that connection is cut off at the drain deadline instead
+/// of being waited for.
+#[test]
+fn shutdown_does_not_wait_for_a_peer_that_stops_reading() {
+    let (handle, _service) = spawn();
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    // ~15 KB of reply per 22-byte request: 30 MB owed, more than any
+    // pair of loopback socket buffers holds.
+    let burst = "{\"op\":\"metrics.prom\"}\n".repeat(2000);
+    stream.write_all(burst.as_bytes()).expect("write burst");
+    let mut first = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut first)
+        .expect("the first reply");
+    assert!(first.starts_with("{\"ok\":true,"), "{first}");
+    let started = Instant::now();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(handle.shutdown()));
+    let stopped = finished.recv_timeout(Duration::from_secs(3));
+    let took = started.elapsed();
+    stopped
+        .expect("shutdown returned within 3 s")
+        .expect("shutdown");
+    assert!(took < Duration::from_secs(3), "shutdown took {took:?}");
 }
 
 // ---------------------------------------------------------------------
-// Chunking proptest: byte boundaries never change responses, and the
-// two front ends agree byte-for-byte.
+// Chunking proptest: byte boundaries never change responses.
 // ---------------------------------------------------------------------
 
 /// One deterministic request script (some valid, some malformed, some
@@ -362,7 +370,7 @@ fn script_lines(selector: u64) -> Vec<String> {
         "{\"op\":\"session.create\",\"tuple\":[\"k9\",\"q\",\"r\"],\"id\":10}".into(),
     ];
     // Deterministic subsequence + order shuffle driven by `selector`
-    // (same value ⇒ same script on both front ends).
+    // (same value ⇒ same script in every run).
     let mut lines = Vec::new();
     let mut state = selector | 1;
     for round in 0..2 {
@@ -383,21 +391,20 @@ fn expected_responses(lines: &[String]) -> usize {
     lines.iter().filter(|l| !l.trim().is_empty()).count()
 }
 
-/// Drive `stream_bytes` through a fresh server on `frontend`, chunked
-/// at the given boundaries, and return all response lines.
-fn run_chunked(frontend: Frontend, stream_bytes: &[u8], chunks: &[usize], n: usize) -> Vec<String> {
-    run_chunked_on(kv_service(20, 2), frontend, stream_bytes, chunks, n)
+/// Drive `stream_bytes` through a fresh server, chunked at the given
+/// boundaries, and return all response lines.
+fn run_chunked(stream_bytes: &[u8], chunks: &[usize], n: usize) -> Vec<String> {
+    run_chunked_on(kv_service(20, 2), stream_bytes, chunks, n)
 }
 
 /// [`run_chunked`] over a server for `service`.
 fn run_chunked_on(
     service: CleaningService,
-    frontend: Frontend,
     stream_bytes: &[u8],
     chunks: &[usize],
     n: usize,
 ) -> Vec<String> {
-    let handle = Server::spawn_with("127.0.0.1:0", service, frontend).expect("bind ephemeral");
+    let handle = Server::spawn("127.0.0.1:0", service).expect("bind ephemeral");
     let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
     stream.set_nodelay(true).unwrap();
     let mut pos = 0usize;
@@ -420,21 +427,21 @@ fn run_chunked_on(
     for _ in 0..n {
         let mut line = String::new();
         let read = reader.read_line(&mut line).expect("response line");
-        assert!(read > 0, "{frontend:?}: stream ended early");
+        assert!(read > 0, "stream ended early");
         responses.push(line);
     }
     // Nothing extra follows.
     let mut rest = String::new();
     let _ = reader.read_to_string(&mut rest);
-    assert!(rest.is_empty(), "{frontend:?}: trailing bytes {rest:?}");
+    assert!(rest.is_empty(), "trailing bytes {rest:?}");
     handle.shutdown().expect("shutdown");
     responses
 }
 
 /// Two sessions entered side by side, with lines queued behind each
 /// commit on the same connection: `commit; get other; validate other;
-/// commit`. On a journaled service the epoll front end parks at every
-/// commit; what waited behind it is served when it is released.
+/// commit`. On a journaled service the connection's thread waits at
+/// every commit; what was answered ahead of it is written first.
 const JOURNALED_SCRIPT: &[&str] = &[
     r#"{"op":"session.create","tuple":["k1","WRONG","n"],"id":1}"#,
     r#"{"op":"session.create","tuple":["k2","WRONG","n"],"id":2}"#,
@@ -450,8 +457,8 @@ const JOURNALED_SCRIPT: &[&str] = &[
 ];
 
 /// Every `session.commit` span `service` has recorded: its stages sum
-/// to its total, wait included, and (`held`) the wait was a real one.
-fn assert_commit_spans_add_up(service: &CleaningService, held: bool) {
+/// to its total, wait included, and the wait was a real one.
+fn assert_commit_spans_add_up(service: &CleaningService) {
     let trace = service.handle(&Request::TraceRead { limit: Some(64) });
     let spans = trace.get("spans").and_then(Json::as_arr).expect("spans");
     let commits: Vec<&Json> = spans
@@ -468,7 +475,7 @@ fn assert_commit_spans_add_up(service: &CleaningService, held: bool) {
             .sum::<u64>();
         assert_eq!(stages, ns("total_ns"), "stages sum to the total: {span:?}");
         let refused = span.get("trace").and_then(Json::as_str) == Some("8");
-        assert!(!held || refused || ns("fsync_ns") > 0, "{span:?}");
+        assert!(refused || ns("fsync_ns") > 0, "{span:?}");
     }
 }
 
@@ -476,9 +483,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Journaled, with lines behind each commit: replies come in request
-    /// order and are the same bytes from the epoll front end (which
-    /// parks the commits), the threaded one (which blocks on them) and
-    /// in-process `handle_line`, however the stream was chunked.
+    /// order and are in-process `handle_line`'s bytes, however the
+    /// stream was chunked.
     #[test]
     fn journaled_commits_answer_in_order_with_the_same_bytes(
         chunk_a in 1usize..64,
@@ -494,23 +500,18 @@ proptest! {
             .collect();
         drop(in_process);
         let _ = std::fs::remove_dir_all(&dir);
-        for (frontend, chunks) in [
-            (Frontend::Epoll, vec![chunk_a, chunk_b]),
-            (Frontend::Epoll, vec![bytes.len()]),
-            (Frontend::Threads, vec![chunk_b, chunk_a]),
-        ] {
+        for chunks in [vec![chunk_a, chunk_b], vec![bytes.len()]] {
             let (service, dir) = kv_service_journaled(20, 2);
-            let replies = run_chunked_on(service.clone(), frontend, &bytes, &chunks, n);
-            prop_assert_eq!(&replies, &expected, "{:?} {:?}", frontend, chunks);
-            assert_commit_spans_add_up(&service, frontend == Frontend::Epoll);
+            let replies = run_chunked_on(service.clone(), &bytes, &chunks, n);
+            prop_assert_eq!(&replies, &expected, "{:?}", chunks);
+            assert_commit_spans_add_up(&service);
             drop(service);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
     /// Chunking a pipelined request stream at arbitrary byte boundaries
-    /// never changes a response byte, and the epoll and threaded front
-    /// ends produce identical response streams.
+    /// never changes a response byte.
     #[test]
     fn chunking_never_changes_responses(
         selector in 0u64..u64::MAX,
@@ -525,13 +526,8 @@ proptest! {
             bytes.extend_from_slice(line.as_bytes());
             bytes.push(b'\n');
         }
-        let chunks = [chunk_a, chunk_b, chunk_c];
-        let epoll = run_chunked(Frontend::Epoll, &bytes, &chunks, n);
-        // The threaded arm gets different boundaries on purpose.
-        let threaded = run_chunked(Frontend::Threads, &bytes, &[chunk_c, chunk_a], n);
-        prop_assert_eq!(&epoll, &threaded, "front ends disagree");
-        // And a single-write run agrees too (chunking irrelevant).
-        let whole = run_chunked(Frontend::Epoll, &bytes, &[bytes.len()], n);
-        prop_assert_eq!(&epoll, &whole, "chunk boundaries changed responses");
+        let chunked = run_chunked(&bytes, &[chunk_a, chunk_b, chunk_c], n);
+        let whole = run_chunked(&bytes, &[bytes.len()], n);
+        prop_assert_eq!(&chunked, &whole, "chunk boundaries changed responses");
     }
 }

@@ -11,7 +11,7 @@
 use cerfix::{CleanOutcome, DataMonitor, OracleUser};
 use cerfix_gen::{make_workload, uk, NoiseSpec, Workload};
 use cerfix_relation::{SchemaRef, Tuple, Value};
-use cerfix_server::{CleaningService, Client, CommitView, Frontend, Server, ServiceConfig};
+use cerfix_server::{CleaningService, Client, CommitView, Server, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::SocketAddr;
@@ -90,15 +90,9 @@ fn oracle_session_over_wire(
     client.commit(view.session).expect("commit")
 }
 
+/// Concurrent wire sessions match the single-threaded oracle exactly.
 #[test]
 fn concurrent_wire_sessions_match_single_threaded_monitor() {
-    // Both front ends must match the single-threaded oracle exactly.
-    for frontend in [Frontend::Epoll, Frontend::Threads] {
-        concurrent_sessions_match_monitor(frontend);
-    }
-}
-
-fn concurrent_sessions_match_monitor(frontend: Frontend) {
     let Fixture {
         scenario,
         workload,
@@ -121,8 +115,7 @@ fn concurrent_sessions_match_monitor(frontend: Frontend) {
         })
         .collect();
 
-    let handle =
-        Server::spawn_with("127.0.0.1:0", service.clone(), frontend).expect("bind ephemeral");
+    let handle = Server::spawn("127.0.0.1:0", service.clone()).expect("bind ephemeral");
     let addr: SocketAddr = handle.addr();
     let schema = scenario.input.clone();
 
@@ -184,30 +177,27 @@ fn concurrent_sessions_match_monitor(frontend: Frontend) {
     handle.shutdown().expect("clean shutdown");
 }
 
-/// Shutdown latency: with the wakeup fd (epoll) and the half-close +
-/// self-connect hooks (threads), a server with idle open connections
-/// stops in milliseconds. The pre-reactor implementation rode out a
-/// 200 ms per-connection read timeout plus a 25 ms accept poll — the
-/// bound here fails if either ever creeps back.
+/// Shutdown latency: with the half-close + self-connect hooks, a server
+/// with idle open connections stops in milliseconds. A poll-based loop
+/// would ride out a 200 ms per-connection read timeout plus a 25 ms
+/// accept poll — the bound here fails if either ever creeps back.
 #[test]
 fn shutdown_completes_promptly_with_open_connections() {
-    for frontend in [Frontend::Threads, Frontend::Epoll] {
-        let Fixture { service, .. } = fixture(2);
-        let handle = Server::spawn_with("127.0.0.1:0", service, frontend).expect("bind ephemeral");
-        let mut clients: Vec<Client> = (0..4)
-            .map(|_| Client::connect(handle.addr()).expect("connect"))
-            .collect();
-        for client in &mut clients {
-            client.hello().expect("hello"); // connection fully established & served
-        }
-        let started = Instant::now();
-        handle.shutdown().expect("clean shutdown");
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(150),
-            "{frontend:?} shutdown took {elapsed:?} with idle connections open"
-        );
+    let Fixture { service, .. } = fixture(2);
+    let handle = Server::spawn("127.0.0.1:0", service).expect("bind ephemeral");
+    let mut clients: Vec<Client> = (0..4)
+        .map(|_| Client::connect(handle.addr()).expect("connect"))
+        .collect();
+    for client in &mut clients {
+        client.hello().expect("hello"); // connection fully established & served
     }
+    let started = Instant::now();
+    handle.shutdown().expect("clean shutdown");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "shutdown took {elapsed:?} with idle connections open"
+    );
 }
 
 #[test]

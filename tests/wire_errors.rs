@@ -24,8 +24,8 @@ use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::wire::Json;
 use cerfix_server::{
-    CleaningService, Client, ClientError, ErrorCode, Frontend, LocalClient, Request, Server,
-    ServiceConfig, StorageConfig,
+    CleaningService, Client, ClientError, ErrorCode, LocalClient, Request, Server, ServiceConfig,
+    StorageConfig,
 };
 use cerfix_storage::{FaultFs, FaultPlan};
 use std::io::{BufRead, BufReader};
@@ -180,7 +180,7 @@ fn ask(service: &CleaningService, line: &str) -> Elicited {
 /// connect and read the one line the acceptor answers with.
 fn refused_at_accept(config: ServiceConfig, prepare: impl FnOnce(&mut Client)) -> Elicited {
     let service = memory(config);
-    let server = Server::bind_with("127.0.0.1:0", service.clone(), Frontend::Threads).unwrap();
+    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
     let addr = server.local_addr().unwrap();
     let running = std::thread::spawn(move || server.run());
     let mut first = Client::connect(addr).unwrap();
