@@ -8,14 +8,16 @@
 //! 'Mark'", with the master tuple and rule responsible) and per-attribute
 //! statistics (user-validated vs. CerFix-fixed percentages).
 //!
-//! A log is either *unbounded in memory* (the default, what library
-//! callers and tests use) or *windowed over a sink*: a bounded in-memory
-//! window of the most recent records backed by an [`AuditSink`] — an
-//! append-only archive holding **every** record, which long-lived
-//! services implement with a disk segment (`cerfix-storage`'s audit
-//! spill). Records are globally indexed in append order; [`read_range`]
-//! serves any index from the window when it is still resident and from
-//! the sink otherwise.
+//! A log keeps its records in one of two places. *In memory* it holds
+//! them itself — every record (the default, what library callers and
+//! tests use), or the newest `cap` of them ([`AuditLog::windowed`], a
+//! long-lived service without a disk, which would otherwise grow without
+//! bound). *Over a sink* it holds none: an [`AuditSink`] — an
+//! append-only archive with its own lock, which long-lived services
+//! implement with a disk segment (`cerfix-storage`'s audit spill) — is
+//! the one copy of every record, and the log is a view of it. Records
+//! are globally indexed in append order; [`read_range`] serves an index
+//! from wherever it lives, and an evicted one from nowhere.
 //!
 //! [`read_range`]: AuditLog::read_range
 
@@ -82,13 +84,14 @@ pub struct AuditRecord {
     pub event: CellEvent,
 }
 
-/// Append-only archive behind a windowed [`AuditLog`].
+/// Append-only archive behind an [`AuditLog`] over a sink.
 ///
 /// The sink receives every record in append order and must serve ranged
 /// reads over everything it has received (records are addressed by their
-/// global append index). `cerfix-storage` implements this with an
-/// append-only segment file plus an offset index; tests use an in-memory
-/// vector.
+/// global append index). Its own lock orders concurrent appends: the
+/// `i`-th append it serializes is record `i`. `cerfix-storage`
+/// implements this with an append-only segment file plus an offset
+/// index; tests use an in-memory vector.
 pub trait AuditSink: Send + Sync {
     /// Archive one record. Index `i` of the `i`-th call (0-based) is the
     /// record's global index.
@@ -111,11 +114,17 @@ struct Window {
     base: usize,
 }
 
+/// Where a log's records live.
+enum Store {
+    /// Resident, the newest `cap` kept.
+    Memory { window: RwLock<Window>, cap: usize },
+    /// In the sink alone.
+    Sink(Arc<dyn AuditSink>),
+}
+
 /// Append-only audit log, shareable across concurrent monitor sessions.
 pub struct AuditLog {
-    window: RwLock<Window>,
-    sink: Option<Arc<dyn AuditSink>>,
-    window_cap: usize,
+    store: Store,
 }
 
 impl Default for AuditLog {
@@ -126,83 +135,93 @@ impl Default for AuditLog {
 
 impl std::fmt::Debug for AuditLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let window = self.window.read();
         f.debug_struct("AuditLog")
-            .field("window", &window.records.len())
-            .field("spilled", &window.base)
-            .field("sinked", &self.sink.is_some())
+            .field("records", &self.len())
+            .field("spilled", &self.spilled())
+            .field("sinked", &self.sink().is_some())
             .finish()
     }
 }
 
 impl AuditLog {
-    /// Create an empty, unbounded in-memory log (no sink; nothing is ever
+    /// Create an empty, unbounded in-memory log (nothing is ever
     /// evicted).
     pub fn new() -> AuditLog {
+        AuditLog::windowed(usize::MAX)
+    }
+
+    /// Create an empty in-memory log keeping the newest `cap` records
+    /// (at least one). Older ones are evicted: they still count in
+    /// [`len`](Self::len) and [`spilled`](Self::spilled), but no read
+    /// serves them.
+    pub fn windowed(cap: usize) -> AuditLog {
         AuditLog {
-            window: RwLock::new(Window::default()),
-            sink: None,
-            window_cap: usize::MAX,
+            store: Store::Memory {
+                window: RwLock::new(Window::default()),
+                cap: cap.max(1),
+            },
         }
     }
 
-    /// Create a windowed log over `sink`: at most `window_cap` records
-    /// stay resident in memory; every record is archived to the sink on
-    /// append, and reads beyond the window are served from it.
-    ///
-    /// If the sink already holds records (recovery over an existing
-    /// archive), the window starts empty with its base at `sink.len()`.
-    pub fn with_sink(window_cap: usize, sink: Arc<dyn AuditSink>) -> AuditLog {
-        let base = sink.len();
+    /// Create a log over `sink`, which holds every record: none stays
+    /// resident here. Over a sink that already holds records (recovery
+    /// over an existing archive) the log continues its numbering.
+    pub fn with_sink(sink: Arc<dyn AuditSink>) -> AuditLog {
         AuditLog {
-            window: RwLock::new(Window {
-                records: VecDeque::new(),
-                base,
-            }),
-            sink: Some(sink),
-            window_cap: window_cap.max(1),
+            store: Store::Sink(sink),
         }
     }
 
-    /// The sink, if this log is windowed over one.
+    /// The sink, if this log is over one.
     pub fn sink(&self) -> Option<&Arc<dyn AuditSink>> {
-        self.sink.as_ref()
+        match &self.store {
+            Store::Memory { .. } => None,
+            Store::Sink(sink) => Some(sink),
+        }
     }
 
     /// Append a record.
     pub fn record(&self, record: AuditRecord) {
-        // The sink append happens under the window lock: concurrent
-        // recorders (batch-clean workers) must assign the same global
-        // index on both sides, or window[i] and archive[base+i] diverge
-        // and ranged reads return different records before and after a
-        // restart. Sink appends only buffer in memory, so the critical
-        // section stays short.
-        let mut window = self.window.write();
-        if let Some(sink) = &self.sink {
-            sink.append(&record);
-        }
-        window.records.push_back(record);
-        while window.records.len() > self.window_cap {
-            window.records.pop_front();
-            window.base += 1;
+        match &self.store {
+            Store::Memory { window, cap } => {
+                let mut window = window.write();
+                if window.records.len() == *cap {
+                    window.records.pop_front();
+                    window.base += 1;
+                }
+                window.records.push_back(record);
+            }
+            Store::Sink(sink) => sink.append(&record),
         }
     }
 
-    /// Snapshot of the resident (in-memory) records. Without a sink this
-    /// is every record; with one, it is the most recent window.
+    /// Snapshot of the resident (in-memory) records: every record of an
+    /// unbounded log, the newest of a windowed one, none over a sink.
     pub fn records(&self) -> Vec<AuditRecord> {
-        self.window.read().records.iter().cloned().collect()
+        match &self.store {
+            Store::Memory { window, .. } => window.read().records.iter().cloned().collect(),
+            Store::Sink(_) => Vec::new(),
+        }
     }
 
-    /// Total records ever appended (resident + evicted to the sink).
+    /// Total records ever appended (resident or not).
     pub fn len(&self) -> usize {
-        let window = self.window.read();
-        window.base + window.records.len()
+        match &self.store {
+            Store::Memory { window, .. } => {
+                let window = window.read();
+                window.base + window.records.len()
+            }
+            Store::Sink(sink) => sink.len(),
+        }
     }
 
-    /// Records evicted from the in-memory window (0 without a sink).
+    /// Records not resident in memory: every record over a sink, the
+    /// evicted ones in a windowed log, none in an unbounded one.
     pub fn spilled(&self) -> usize {
-        self.window.read().base
+        match &self.store {
+            Store::Memory { window, .. } => window.read().base,
+            Store::Sink(sink) => sink.len(),
+        }
     }
 
     /// True iff no events have been recorded.
@@ -211,54 +230,47 @@ impl AuditLog {
     }
 
     /// Read up to `count` records starting at global append index
-    /// `start`, in order. Indices below the window base come from the
-    /// sink; resident indices from memory. Out-of-range indices yield an
-    /// empty / shortened result.
+    /// `start`, in order: from the sink, or from memory. Out-of-range
+    /// indices yield an empty / shortened result, and so does a start
+    /// below a windowed log's oldest resident record (those are gone).
     pub fn read_range(&self, start: usize, count: usize) -> Vec<AuditRecord> {
-        let window = self.window.read();
-        let total = window.base + window.records.len();
-        let end = total.min(start.saturating_add(count));
-        if start >= end {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(end - start);
-        if start < window.base {
-            if let Some(sink) = &self.sink {
-                out.extend(sink.read(start, window.base.min(end) - start));
+        match &self.store {
+            Store::Memory { window, .. } => {
+                let window = window.read();
+                let Some(from) = start.checked_sub(window.base) else {
+                    return Vec::new();
+                };
+                window
+                    .records
+                    .iter()
+                    .skip(from)
+                    .take(count)
+                    .cloned()
+                    .collect()
             }
+            Store::Sink(sink) => sink.read(start, count),
         }
-        if end > window.base {
-            let from = start.max(window.base) - window.base;
-            let to = end - window.base;
-            out.extend(window.records.iter().skip(from).take(to - from).cloned());
-        }
-        out
     }
 
-    /// Run `f` over every record in append order — archived records
-    /// first (streamed from the sink in chunks), then the resident
-    /// window. The cold path behind the history queries and
+    /// Run `f` over every readable record in append order — streamed
+    /// from the sink in chunks, or the resident records. The cold path
+    /// behind the history queries and
     /// [`AuditStats`](crate::audit::AuditStats).
     pub fn for_each_record(&self, mut f: impl FnMut(&AuditRecord)) {
-        let window = self.window.read();
-        if window.base > 0 {
-            if let Some(sink) = &self.sink {
+        match &self.store {
+            Store::Memory { window, .. } => window.read().records.iter().for_each(f),
+            Store::Sink(sink) => {
                 const CHUNK: usize = 1024;
-                let mut at = 0;
-                while at < window.base {
-                    let chunk = sink.read(at, CHUNK.min(window.base - at));
+                let (mut at, total) = (0, sink.len());
+                while at < total {
+                    let chunk = sink.read(at, CHUNK.min(total - at));
                     if chunk.is_empty() {
                         break;
                     }
                     at += chunk.len();
-                    for record in &chunk {
-                        f(record);
-                    }
+                    chunk.iter().for_each(&mut f);
                 }
             }
-        }
-        for record in &window.records {
-            f(record);
         }
     }
 
@@ -392,7 +404,7 @@ mod tests {
         assert_eq!(log.len(), 400);
     }
 
-    /// Sink used by the window tests: the full archive in a mutex'd vec.
+    /// Sink used by the sink tests: the full archive in a mutex'd vec.
     #[derive(Debug, Default)]
     struct VecSink {
         records: std::sync::Mutex<Vec<AuditRecord>>,
@@ -411,29 +423,60 @@ mod tests {
         }
     }
 
+    fn confirmed(i: usize) -> AuditRecord {
+        rec(i, i % 3, 1, CellEvent::RuleConfirmed { rule: i })
+    }
+
+    /// Over a sink the log keeps nothing resident: every record is
+    /// spilled, and every read — history queries included — goes
+    /// through the sink. A windowed in-memory log keeps the newest
+    /// records, counts the evicted ones as spilled, and serves no read
+    /// that starts below its oldest resident record.
     #[test]
     fn windowed_log_spills_to_sink_and_reads_across_boundary() {
         let sink = Arc::new(VecSink::default());
-        let log = AuditLog::with_sink(4, Arc::clone(&sink) as Arc<dyn AuditSink>);
+        let log = AuditLog::with_sink(Arc::clone(&sink) as Arc<dyn AuditSink>);
         for i in 0..10 {
-            log.record(rec(i, i % 3, 1, CellEvent::RuleConfirmed { rule: i }));
+            log.record(confirmed(i));
         }
         assert_eq!(log.len(), 10);
-        assert_eq!(log.spilled(), 6, "window of 4 keeps the last 4 resident");
-        assert_eq!(log.records().len(), 4, "resident window");
+        assert_eq!(log.spilled(), 10, "the sink is the window");
+        assert!(log.records().is_empty(), "nothing resident");
         assert_eq!(sink.len(), 10, "sink archives everything");
-        // Ranged read spanning sink + window territory.
-        let range = log.read_range(4, 4);
-        assert_eq!(range.len(), 4);
-        for (offset, record) in range.iter().enumerate() {
-            assert_eq!(record.tuple_id, 4 + offset);
-        }
-        // History queries see evicted records too.
+        assert_eq!(
+            log.read_range(4, 4),
+            (4..8).map(confirmed).collect::<Vec<_>>()
+        );
         assert_eq!(log.tuple_history(0).len(), 1);
         assert_eq!(log.attr_events(0).len(), 4, "tuples 0,3,6,9");
         // Reads past the end clamp.
         assert_eq!(log.read_range(8, 100).len(), 2);
         assert_eq!(log.read_range(100, 10).len(), 0);
+
+        let windowed = AuditLog::windowed(4);
+        for i in 0..10 {
+            windowed.record(confirmed(i));
+        }
+        assert_eq!(windowed.len(), 10, "the total counts evicted records");
+        assert_eq!(
+            windowed.spilled(),
+            6,
+            "window of 4 keeps the last 4 resident"
+        );
+        assert_eq!(
+            windowed.records(),
+            (6..10).map(confirmed).collect::<Vec<_>>()
+        );
+        assert!(
+            windowed.read_range(4, 4).is_empty(),
+            "starts below the window"
+        );
+        assert_eq!(
+            windowed.read_range(7, 100),
+            (7..10).map(confirmed).collect::<Vec<_>>()
+        );
+        assert!(windowed.tuple_history(0).is_empty(), "evicted");
+        assert_eq!(windowed.attr_events(0).len(), 2, "tuples 6,9");
     }
 
     #[test]
@@ -443,7 +486,7 @@ mod tests {
             sink.append(&rec(i, 0, 1, CellEvent::RuleConfirmed { rule: 0 }));
         }
         // Recovery shape: a fresh log over an archive with history.
-        let log = AuditLog::with_sink(8, Arc::clone(&sink) as Arc<dyn AuditSink>);
+        let log = AuditLog::with_sink(Arc::clone(&sink) as Arc<dyn AuditSink>);
         assert_eq!(log.len(), 5);
         assert_eq!(log.spilled(), 5);
         log.record(rec(9, 1, 1, CellEvent::RuleConfirmed { rule: 1 }));

@@ -150,9 +150,10 @@ impl CleaningService {
     }
 
     /// Ranged read over the provenance stream: `start` is a global
-    /// append index; records below the in-memory window come from the
-    /// disk spill. Clients page by advancing `start` past the returned
-    /// records (`next` field).
+    /// append index. A journaled service serves every record from its
+    /// disk spill; an in-memory one serves its resident window, and a
+    /// page starting below it is empty. Clients page by advancing
+    /// `start` past the returned records (`next` field).
     pub(crate) fn audit_read(
         &self,
         start: u64,

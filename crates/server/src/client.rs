@@ -613,8 +613,9 @@ pub struct AuditPage {
     pub next: u64,
     /// Records in the whole provenance stream.
     pub total: u64,
-    /// Of those, records no longer resident in the server's memory
-    /// window (served from the disk spill).
+    /// Of those, records not resident in the server's memory: every
+    /// one on a journaled server (served from its disk spill), the
+    /// evicted ones on an in-memory server (served no more).
     pub spilled: u64,
     /// The records on this page.
     pub records: Vec<AuditRecordView>,

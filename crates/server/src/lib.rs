@@ -163,19 +163,15 @@ mod tests {
 
     /// Storage config where *nothing* is durable except through explicit
     /// sync points (commit / reload) — makes crash tests deterministic.
-    fn manual_storage(dir: &std::path::Path, audit_window: usize) -> StorageConfig {
+    fn manual_storage(dir: &std::path::Path) -> StorageConfig {
         let mut cfg = StorageConfig::new(dir);
         cfg.flush_interval = Duration::from_secs(3600);
         cfg.snapshot_interval = Duration::from_secs(3600);
         cfg.snapshot_every_events = u64::MAX;
-        cfg.audit_window = audit_window;
         cfg
     }
 
-    pub(crate) fn kv_service_journaled(
-        dir: &std::path::Path,
-        audit_window: usize,
-    ) -> CleaningService {
+    pub(crate) fn kv_service_journaled(dir: &std::path::Path) -> CleaningService {
         let (master, rules) = kv_setup();
         CleaningService::with_storage(
             master,
@@ -184,7 +180,7 @@ mod tests {
                 workers: 2,
                 ..ServiceConfig::default()
             },
-            manual_storage(dir, audit_window),
+            manual_storage(dir),
         )
         .expect("open storage")
     }
@@ -425,7 +421,7 @@ mod tests {
                 replicate_from: Some("127.0.0.1:1".into()),
                 ..ServiceConfig::default()
             },
-            manual_storage(&dir, 64),
+            manual_storage(&dir),
         )
         .unwrap();
         let code = |reply: &str| {
@@ -714,6 +710,55 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
+    /// A data directory recovers byte for byte: after a clean shutdown
+    /// and a reopen, every `session.get` and `audit.read` line is the
+    /// line it was, and opening the directory rewrote neither file.
+    #[test]
+    fn a_data_directory_recovers_byte_for_byte() {
+        let dir = data_dir("byte-for-byte");
+        let script = [
+            r#"{"op":"session.create","tuple":["k3","WRONG","n"]}"#,
+            r#"{"op":"session.create","tuple":["k7","x","y"]}"#,
+            r#"{"op":"session.create","tuple":["k9","z","w"]}"#,
+            r#"{"op":"session.create","tuple":["k4","q","r"]}"#,
+            r#"{"op":"session.validate","session":1,"validations":{"key":"k3"}}"#,
+            r#"{"op":"session.validate","session":2,"validations":{"key":"k7","note":"y"}}"#,
+            r#"{"op":"clean","trust":["key","note"],"tuples":[["k1","?","a"],["k2","v2","b"]]}"#,
+            r#"{"op":"session.commit","session":4}"#,
+        ];
+        let lines = |service: &CleaningService| -> Vec<String> {
+            let gets = (1..=4).map(|id| format!(r#"{{"op":"session.get","session":{id}}}"#));
+            let pages = (0..16)
+                .step_by(3)
+                .map(|start| format!(r#"{{"op":"audit.read","start":{start},"count":3}}"#));
+            gets.chain(pages)
+                .map(|line| service.handle_line(&line))
+                .collect()
+        };
+        let files = || ["journal.wal", "audit.seg"].map(|f| std::fs::read(dir.join(f)).unwrap());
+        let (before, written) = {
+            let service = kv_service_journaled(&dir);
+            for line in script {
+                let reply = service.handle_line(line);
+                assert!(reply.starts_with(r#"{"ok":true"#), "{line}: {reply}");
+            }
+            (lines(&service), files())
+        };
+        assert_eq!(
+            files(),
+            written,
+            "a clean shutdown after a commit writes nothing"
+        );
+        let service = kv_service_journaled(&dir);
+        assert_eq!(service.live_sessions(), 3);
+        assert_eq!(lines(&service), before);
+        assert!(before
+            .iter()
+            .any(|line| line.contains(r#""kind":"rule_fixed""#)));
+        assert_eq!(files(), written, "recovery rewrote a file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The acceptance shape of the storage subsystem: kill the service
     /// mid-batch (simulated kill-9: un-fsynced bytes lost), restart over
     /// the same data dir, and every uncommitted session resumes with
@@ -724,7 +769,7 @@ mod tests {
         let dir = data_dir("crash-restart");
         let (s1, s2, s3, views_before, audit_before, metrics_before);
         {
-            let service = kv_service_journaled(&dir, 4);
+            let service = kv_service_journaled(&dir);
             let mut client = LocalClient::in_process(&service);
             // s1: partially validated (one fix applied, note pending).
             s1 = client.create_session(row("k3", "WRONG", "n")).unwrap();
@@ -760,7 +805,7 @@ mod tests {
             assert!(metrics_before.journal_bytes > 0);
             service.simulate_crash().unwrap();
         }
-        let service = kv_service_journaled(&dir, 4);
+        let service = kv_service_journaled(&dir);
         assert_eq!(service.live_sessions(), 3, "s4 committed, rest resumed");
         assert_eq!(service.metrics().sessions_recovered, 3);
         let mut client = LocalClient::in_process(&service);
@@ -802,7 +847,7 @@ mod tests {
         let dir = data_dir("snapshot-suffix");
         let (s1, s2, view1, view2);
         {
-            let service = kv_service_journaled(&dir, 1024);
+            let service = kv_service_journaled(&dir);
             let mut client = LocalClient::in_process(&service);
             s1 = client.create_session(row("k5", "WRONG", "n")).unwrap();
             client
@@ -821,7 +866,7 @@ mod tests {
             view2 = client.get_session(s2.session).unwrap();
             service.simulate_crash().unwrap();
         }
-        let service = kv_service_journaled(&dir, 1024);
+        let service = kv_service_journaled(&dir);
         assert_eq!(service.live_sessions(), 2);
         let mut client = LocalClient::in_process(&service);
         for (before, id) in [(view1, s1.session), (view2, s2.session)] {
@@ -833,25 +878,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `audit.read` pages through window + spill transparently, and the
-    /// spill counter surfaces in metrics.
+    /// A journaled service keeps no audit record resident: `audit.read`
+    /// pages through the spill, a page across its flushed/buffered
+    /// boundary reads what was appended, and every record counts as
+    /// spilled in metrics.
     #[test]
     fn audit_read_spans_window_and_spill() {
         let dir = data_dir("audit-pages");
-        let service = kv_service_journaled(&dir, 4); // tiny window
+        let service = kv_service_journaled(&dir);
         let mut client = LocalClient::in_process(&service);
-        let tuples: Vec<Vec<Value>> = (0..10)
-            .map(|i| row(&format!("k{i}"), "WRONG", "x"))
-            .collect();
-        client
-            .clean(tuples, vec!["key".into(), "note".into()])
-            .unwrap();
-        // 10 tuples × (2 user-validated + 1 rule-fixed) = 30 records.
+        let mut clean = |keys: std::ops::Range<usize>| {
+            let tuples = keys.map(|i| row(&format!("k{i}"), "WRONG", "x")).collect();
+            client
+                .clean(tuples, vec!["key".into(), "note".into()])
+                .unwrap();
+        };
+        // 5 tuples × (2 user-validated + 1 rule-fixed) = 15 records,
+        // flushed; then 15 more, still buffered.
+        clean(0..5);
+        service.storage().unwrap().spill().sync().unwrap();
+        clean(5..10);
+        let mut client = LocalClient::in_process(&service);
         let all = client.audit_read_all(7).unwrap();
+        let page = client.audit_read(12, Some(6)).unwrap();
         assert_eq!(all.len(), 30);
         assert_eq!(service.audit().len(), 30);
-        assert_eq!(service.audit().spilled(), 26, "window keeps 4");
-        assert_eq!(service.metrics().audit_spilled_records, 26);
+        assert!(service.audit().records().is_empty(), "nothing resident");
+        assert_eq!(service.audit().spilled(), 30, "the spill is the window");
+        assert_eq!(service.metrics().audit_spilled_records, 30);
         // Indices are the global stream positions.
         for (i, record) in all.iter().enumerate() {
             assert_eq!(record.index, i as u64);
@@ -859,12 +913,43 @@ mod tests {
         let fixed: Vec<_> = all.iter().filter(|r| r.kind == "rule_fixed").collect();
         assert_eq!(fixed.len(), 10);
         assert!(fixed.iter().all(|r| r.attr == "val"));
-        // A ranged page straddling the spill/window boundary.
-        let page = client.audit_read(24, Some(4)).unwrap();
-        assert_eq!(page.records.len(), 4);
-        assert_eq!(page.next, 28);
-        assert_eq!(page.total, 30);
+        // Once everything is on disk, every read is the same again.
+        service.storage().unwrap().spill().sync().unwrap();
+        let flushed = client.audit_read_all(30).unwrap();
+        assert_eq!(all, flushed);
+        assert_eq!((page.next, page.total, page.spilled), (18, 30, 30));
+        assert_eq!(page.records, flushed[12..18]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An in-memory service keeps the newest `MEMORY_AUDIT_WINDOW`
+    /// records however many it cleans: the total stays exact, evicted
+    /// records count as spilled, and a page below the window is empty.
+    #[test]
+    fn memory_mode_audit_log_is_bounded() {
+        const TUPLES: usize = 20_000;
+        let service = kv_service(2);
+        let mut client = LocalClient::in_process(&service);
+        for batch in 0..TUPLES / 1000 {
+            let tuples = (batch * 1000..(batch + 1) * 1000)
+                .map(|i| row(&format!("k{}", i % 10), "WRONG", "x"))
+                .collect();
+            client
+                .clean(tuples, vec!["key".into(), "note".into()])
+                .unwrap();
+        }
+        let audit = service.audit();
+        let total = 3 * TUPLES;
+        assert_eq!(audit.len(), total);
+        assert!(audit.records().len() <= service::MEMORY_AUDIT_WINDOW);
+        assert_eq!(audit.spilled(), total - service::MEMORY_AUDIT_WINDOW);
+        assert_eq!(
+            service.metrics().audit_spilled_records as usize,
+            total - service::MEMORY_AUDIT_WINDOW
+        );
+        assert!(client.audit_read(0, Some(10)).unwrap().records.is_empty());
+        let tail = client.audit_read(total as u64 - 10, Some(100)).unwrap();
+        assert_eq!((tail.records.len(), tail.next), (10, total as u64));
     }
 
     /// `rules.reload` swaps the engine atomically, is journaled, and
@@ -876,7 +961,7 @@ mod tests {
         let reversed = "er kv2: match val=val fix key:=key when ()";
         let (sid, view_before, fingerprint);
         {
-            let service = kv_service_journaled(&dir, 1024);
+            let service = kv_service_journaled(&dir);
             let mut client = LocalClient::in_process(&service);
             // Old rules: validating key fixes val.
             let old = client.create_session(row("k3", "WRONG", "n")).unwrap();
@@ -906,7 +991,7 @@ mod tests {
             service.simulate_crash().unwrap();
         }
         // Reboot with the ORIGINAL rules: the journaled reload must win.
-        let service = kv_service_journaled(&dir, 1024);
+        let service = kv_service_journaled(&dir);
         let mut client = LocalClient::in_process(&service);
         let hello = client.hello().unwrap();
         assert_eq!(
@@ -942,7 +1027,7 @@ mod tests {
                     session_ttl: Duration::from_millis(10),
                     ..ServiceConfig::default()
                 },
-                manual_storage(&dir, 1024),
+                manual_storage(&dir),
             )
             .unwrap();
             let mut client = LocalClient::in_process(&service);
@@ -960,7 +1045,7 @@ mod tests {
                 workers: 1,
                 ..ServiceConfig::default()
             },
-            manual_storage(&dir, 1024),
+            manual_storage(&dir),
         )
         .unwrap();
         assert_eq!(service.live_sessions(), 0, "evicted session not revived");
@@ -980,7 +1065,7 @@ mod tests {
         assert!(response.contains("\"audit_spilled_records\":0"));
         assert!(response.contains("\"sessions_recovered\":0"));
         let dir = data_dir("stats");
-        let journaled = kv_service_journaled(&dir, 8);
+        let journaled = kv_service_journaled(&dir);
         let response = journaled.handle_line(r#"{"op":"stats"}"#);
         assert!(response.contains("\"storage\":\"journaled\""));
         assert!(response.contains("\"journal_epoch\":0"));
@@ -1088,7 +1173,7 @@ mod tests {
     fn master_append_is_journaled_and_survives_crash() {
         let dir = data_dir("master-append");
         {
-            let service = kv_service_journaled(&dir, 64);
+            let service = kv_service_journaled(&dir);
             let mut client = LocalClient::in_process(&service);
             client
                 .master_append(vec![vec![Value::str("k200"), Value::str("v200")]])
@@ -1098,7 +1183,7 @@ mod tests {
             service.simulate_crash().unwrap();
         }
         {
-            let service = kv_service_journaled(&dir, 64);
+            let service = kv_service_journaled(&dir);
             let mut client = LocalClient::in_process(&service);
             let outcome = client
                 .clean(
@@ -1116,7 +1201,7 @@ mod tests {
                 .unwrap();
             service.simulate_crash().unwrap();
         }
-        let service = kv_service_journaled(&dir, 64);
+        let service = kv_service_journaled(&dir);
         let mut client = LocalClient::in_process(&service);
         for (key, val) in [("k200", "v200"), ("k201", "v201")] {
             let outcome = client
@@ -1139,7 +1224,7 @@ mod tests {
         use std::collections::{HashMap, HashSet};
 
         let dir = data_dir("instruments");
-        let service = kv_service_journaled(&dir, 8);
+        let service = kv_service_journaled(&dir);
         let mut client = LocalClient::in_process(&service);
         for key in ["k1", "k2"] {
             let view = client.create_session(row(key, "WRONG", "n")).unwrap();

@@ -495,9 +495,9 @@ instruments! {
             = |s| s.shedder().high();
         draining               Flag    "cerfix_draining"                      "1 while a graceful drain is in progress."
             = |s| u64::from(s.is_draining());
-        audit_records          Gauge   "cerfix_audit_records"                 "Audit records reachable (memory window + spill)."
+        audit_records          Gauge   "cerfix_audit_records"                 "Audit records ever recorded (resident or spilled)."
             = |s| s.audit().len() as u64;
-        audit_spilled_records  Gauge   "cerfix_audit_spilled_records"         "Audit records evicted from the in-memory window to the disk spill (0 in memory mode, where the window is unbounded)."
+        audit_spilled_records  Gauge   "cerfix_audit_spilled_records"         "Audit records not resident in memory: every record when journaled (the spill holds them), the evicted ones in memory mode."
             = |s| s.audit().spilled() as u64;
         trace_spans_recorded   Counter "cerfix_trace_spans_recorded_total"    "Request spans published into the trace ring."
             = |s| s.trace().ring().recorded();

@@ -1269,7 +1269,7 @@ mod tests {
         use crate::protocol::scan_line;
         use crate::tests::{data_dir, kv_service_journaled};
         let dir = data_dir("held-sync");
-        let service = kv_service_journaled(&dir, 64);
+        let service = kv_service_journaled(&dir);
         let held = |line: &str| service.sync_arrival(&scan_line(line));
         let sync = r#"{"op":"replica.sync","follower":"f","epoch":0,"offset":0"#;
         let waits = format!("{sync},\"wait_ms\":60000}}");

@@ -29,15 +29,16 @@
 //!
 //! Built with [`CleaningService::with_storage`], the service write-ahead
 //! journals every session mutation (create / validate / commit / abort /
-//! evict / rules-reload) through [`cerfix_storage::Storage`], spills
-//! audit provenance to disk behind a bounded in-memory window, and
-//! periodically snapshots live session state (truncating the journal).
+//! evict / rules-reload) through [`cerfix_storage::Storage`], records
+//! audit provenance straight into the disk spill (which is its only
+//! copy), and periodically snapshots live session state (truncating the journal).
 //! On startup it replays snapshot + journal through the same
 //! deterministic correcting process that produced them, so every
 //! uncommitted session resumes with exactly the validated `AttrSet`s
 //! and pending fixes it had. `session.commit` waits for its group
 //! fsync — an acknowledged commit survives kill-9. The default
-//! [`CleaningService::new`] remains purely in-memory.
+//! [`CleaningService::new`] remains purely in-memory, and keeps the
+//! newest `MEMORY_AUDIT_WINDOW` audit records.
 //!
 //! A `storage gate` (an `RwLock<()>`) makes snapshots atomic against
 //! concurrent mutation: every mutating op holds it in read mode across
@@ -71,6 +72,11 @@ use std::time::{Duration, Instant};
 /// Default `cluster.status` peer-dial timeout (`config.set
 /// peer_timeout_ms` overrides at runtime).
 const DEFAULT_PEER_TIMEOUT_MS: u64 = 750;
+
+/// Audit records an in-memory service keeps resident, the newest; older
+/// ones are evicted (counted as spilled, no longer readable). A
+/// journaled service keeps none: its spill is the window.
+pub(crate) const MEMORY_AUDIT_WINDOW: usize = 4096;
 
 /// Tunables for a [`CleaningService`].
 #[derive(Debug, Clone)]
@@ -270,7 +276,8 @@ impl std::fmt::Debug for CleaningService {
 
 impl CleaningService {
     /// Build an in-memory service over shared master data and rules
-    /// (sessions and audit history do not survive the process).
+    /// (sessions and audit history do not survive the process, and only
+    /// the newest `MEMORY_AUDIT_WINDOW` audit records stay readable).
     pub fn new(
         master: Arc<MasterData>,
         rules: Arc<RuleSet>,
@@ -343,13 +350,10 @@ impl CleaningService {
         let boot_master = Arc::clone(&master);
         let boot_rules = Arc::clone(&rules);
         let engine = compile_engine(master, rules, &config, &cache, &metrics);
-        let audit = match &storage {
-            Some(storage) => Arc::new(AuditLog::with_sink(
-                storage.config().audit_window,
-                Arc::clone(storage.spill()) as Arc<dyn AuditSink>,
-            )),
-            None => Arc::new(AuditLog::new()),
-        };
+        let audit = Arc::new(match &storage {
+            Some(storage) => AuditLog::with_sink(Arc::clone(storage.spill()) as Arc<dyn AuditSink>),
+            None => AuditLog::windowed(MEMORY_AUDIT_WINDOW),
+        });
         let trace = TraceSink::new(config.trace_buffer, Duration::from_millis(config.slow_ms));
         let diag = DiagSink::new(config.diag_buffer, config.diag_file.as_ref());
         CleaningService {

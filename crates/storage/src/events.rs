@@ -90,7 +90,14 @@ impl JournalEvent {
 
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let mut payload = Vec::new();
+        self.encode_into(&mut Encoder::new(&mut payload));
+        payload
+    }
+
+    /// Encode as a frame payload at the end of `enc`'s buffer — how
+    /// [`Journal::append`](crate::Journal::append) writes it in place.
+    pub(crate) fn encode_into(&self, enc: &mut Encoder<'_>) {
         match self {
             JournalEvent::SessionCreated { session, values } => {
                 enc.put_u8(1);
@@ -142,7 +149,6 @@ impl JournalEvent {
                 enc.put_u64(*value);
             }
         }
-        enc.into_bytes()
     }
 
     /// Decode from a frame payload.
@@ -230,7 +236,7 @@ pub struct SessionSnapshot {
 }
 
 impl SessionSnapshot {
-    pub(crate) fn encode_into(&self, enc: &mut Encoder) {
+    pub(crate) fn encode_into(&self, enc: &mut Encoder<'_>) {
         enc.put_u64(self.session);
         enc.put_u64(self.tuple_id);
         enc.put_u64(self.rounds);
@@ -277,7 +283,8 @@ pub struct SnapshotData {
 impl SnapshotData {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let mut payload = Vec::new();
+        let mut enc = Encoder::new(&mut payload);
         enc.put_u64(self.epoch);
         enc.put_u64(self.fingerprint);
         enc.put_str(&self.rules_dsl);
@@ -290,7 +297,7 @@ impl SnapshotData {
         for session in &self.sessions {
             session.encode_into(&mut enc);
         }
-        enc.into_bytes()
+        payload
     }
 
     /// Decode from a frame payload.
@@ -330,7 +337,14 @@ impl SnapshotData {
 
 /// Encode one audit record as a spill-segment frame payload.
 pub fn encode_audit_record(record: &AuditRecord) -> Vec<u8> {
-    let mut enc = Encoder::new();
+    let mut payload = Vec::new();
+    put_audit_record(&mut Encoder::new(&mut payload), record);
+    payload
+}
+
+/// Encode one audit record as a frame payload at the end of `enc`'s
+/// buffer — how the spill writes it in place.
+pub(crate) fn put_audit_record(enc: &mut Encoder<'_>, record: &AuditRecord) {
     enc.put_u64(record.tuple_id as u64);
     enc.put_u32(record.attr as u32);
     enc.put_u64(record.round as u64);
@@ -357,7 +371,6 @@ pub fn encode_audit_record(record: &AuditRecord) -> Vec<u8> {
             enc.put_u64(*rule as u64);
         }
     }
-    enc.into_bytes()
 }
 
 /// Decode one audit record from a spill-segment frame payload.
@@ -394,6 +407,7 @@ pub fn decode_audit_record(payload: &[u8]) -> Result<AuditRecord, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn sample_events() -> Vec<JournalEvent> {
         vec![
@@ -493,9 +507,8 @@ mod tests {
         assert!(SnapshotData::decode(&bytes[..bytes.len() - 3]).is_err());
     }
 
-    #[test]
-    fn audit_records_round_trip() {
-        let records = vec![
+    fn sample_records() -> Vec<AuditRecord> {
+        vec![
             AuditRecord {
                 tuple_id: 3,
                 attr: 1,
@@ -522,10 +535,61 @@ mod tests {
                 round: 1,
                 event: CellEvent::RuleConfirmed { rule: usize::MAX },
             },
-        ];
-        for record in records {
+        ]
+    }
+
+    #[test]
+    fn audit_records_round_trip() {
+        for record in sample_records() {
             let bytes = encode_audit_record(&record);
             assert_eq!(decode_audit_record(&bytes).unwrap(), record);
         }
+    }
+
+    /// The on-disk format is pinned, not assumed: an in-place append
+    /// writes exactly `frame(encode(e))` for every journal event kind
+    /// and every audit event kind, and those bytes are the ones written
+    /// when each event was first encoded into a `Vec` of its own and
+    /// then framed (length and CRC-32 of each file's frames below).
+    #[test]
+    fn in_place_appends_write_the_frames_encode_and_frame_build() {
+        use crate::{codec, scan_journal, AuditSpill, Journal, RealFs, StorageFs, JOURNAL_HEADER};
+        use cerfix::AuditSink;
+        use std::sync::Arc;
+        const JOURNAL_FRAMES: (usize, u32) = (341, 0xADA7_E55F);
+        const AUDIT_FRAMES: (usize, u32) = (136, 0x1E1C_336B);
+        let dir = std::env::temp_dir().join(format!("cerfix-events-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fs: Arc<dyn StorageFs> = Arc::new(RealFs);
+        let pinned = |bytes: &[u8]| (bytes.len(), codec::crc32(bytes));
+
+        let path = dir.join("journal.wal");
+        let scan = scan_journal(&path).unwrap();
+        let journal = Journal::open(&path, &scan, 0, Duration::from_secs(3600), &fs).unwrap();
+        let last = sample_events().iter().fold(0, |_, e| journal.append(e));
+        journal.sync(last).unwrap();
+        drop(journal);
+        let framed: Vec<u8> = sample_events()
+            .iter()
+            .flat_map(|e| codec::frame(&e.encode()))
+            .collect();
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(written[JOURNAL_HEADER as usize..], framed);
+        assert_eq!(pinned(&framed), JOURNAL_FRAMES);
+
+        let path = dir.join("audit.seg");
+        let (spill, _) = AuditSpill::open(&path, &fs).unwrap();
+        sample_records().iter().for_each(|r| spill.append(r));
+        spill.sync().unwrap();
+        drop(spill);
+        let framed: Vec<u8> = sample_records()
+            .iter()
+            .flat_map(|r| codec::frame(&encode_audit_record(r)))
+            .collect();
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(written[crate::spill::SEGMENT_HEADER as usize..], framed);
+        assert_eq!(pinned(&framed), AUDIT_FRAMES);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,24 +2,25 @@
 //!
 //! Layout: a 20-byte header (`CFXJ` magic, format version, snapshot
 //! epoch, header CRC) followed by length-prefixed, CRC-checksummed
-//! event frames ([`codec::frame`]). Recovery reads the longest valid
-//! frame prefix and truncates whatever a crash tore off mid-write; a
-//! frame that is *complete but fails its checksum* is not a tear, it is
-//! corruption, and [`scan_journal`] refuses with a typed
+//! event frames ([`codec::append_frame`]). Recovery reads the longest
+//! valid frame prefix and truncates whatever a crash tore off
+//! mid-write; a frame that is *complete but fails its checksum* is not
+//! a tear, it is corruption, and [`scan_journal`] refuses with a typed
 //! [`StorageError::Corrupt`] instead of silently dropping acked events
 //! (a follower may opt into [`ScanMode::Tolerant`] and re-fetch the
 //! corrupt suffix from its primary instead).
 //!
-//! Durability is **group-committed**: [`Journal::append`] only writes
-//! the frame — `[len][crc][payload]`, in place — into an in-memory
-//! pending buffer under a short lock and returns a sequence number — no
-//! syscalls, no waiting behind an fsync, on the request path. A *flush
-//! cycle* retires the whole pending buffer with one `write` + one
-//! `fdatasync`, so N concurrent requests share one disk round-trip
-//! instead of paying one each. `sync(seq)` blocks until the fsync
-//! covering `seq` has completed — the service calls it on
-//! `session.commit` (the protocol's durability point) and lets every
-//! other op ride the background cadence.
+//! Durability is **group-committed**: [`Journal::append`] only encodes
+//! the frame — `[len][crc][payload]`, in place — at the end of an
+//! in-memory pending buffer under a short lock and returns a sequence
+//! number — no syscalls, no waiting behind an fsync, no `Vec` of its
+//! own, on the request path. A *flush cycle* swaps the pending buffer
+//! for a spare and retires it with one `write` + one `fdatasync`, so N
+//! concurrent requests share one disk round-trip instead of paying one
+//! each. `sync(seq)` blocks until the fsync covering `seq` has
+//! completed — the service calls it on `session.commit` (the protocol's
+//! durability point) and lets every other op ride the background
+//! cadence.
 //!
 //! ## Who runs a cycle
 //!
@@ -71,13 +72,13 @@
 //! holding taken-but-unwritten pre-snapshot frames detects the bump and
 //! discards them instead of writing them into the new epoch's file.
 //!
-//! [`codec::frame`]: crate::codec::frame
+//! [`codec::append_frame`]: crate::codec::append_frame
 //! [`StorageError::Corrupt`]: crate::StorageError::Corrupt
 
 use crate::codec::{self, CodecError};
 use crate::events::JournalEvent;
 use crate::spill::AuditSpill;
-use crate::vfs::{StorageFile, StorageFs};
+use crate::vfs::{ReadAt, StorageFile, StorageFs};
 use crate::watch::{DurableWatch, Waker, Watchers};
 use crate::StorageError;
 use std::io::SeekFrom;
@@ -246,34 +247,6 @@ impl CursorRead {
             reader.read_exact_at(&mut self.buf[old..], file_at)?;
         }
         Ok(base)
-    }
-}
-
-/// Positioned reads of the journal file (`pread`): cursor reads share
-/// the one handle [`Journal::open`] opened, with no seek to race on.
-/// Reads stay off the [`StorageFs`] write path (see the `vfs` docs).
-trait ReadAt: Send + Sync {
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
-}
-
-impl ReadAt for std::fs::File {
-    #[cfg(unix)]
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
-    }
-
-    #[cfg(windows)]
-    fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
-        while !buf.is_empty() {
-            match std::os::windows::fs::FileExt::seek_read(self, buf, offset)? {
-                0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
-                n => {
-                    buf = &mut buf[n..];
-                    offset += n as u64;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -452,7 +425,7 @@ enum FailState {
 }
 
 /// Encoded-but-unflushed frames. Locked briefly by appenders; a flush
-/// cycle swaps the buffer out whole.
+/// cycle swaps the buffer out whole for its spare.
 struct Pending {
     buf: Vec<u8>,
     /// Sequence of the next append (seq 0 = "nothing appended").
@@ -507,8 +480,10 @@ struct Shared {
     flush_mutex: Mutex<bool>,
     /// Held by whoever runs a [`flush_cycle`], from taking the pending
     /// buffer until its bytes are written, fsynced and accounted: two
-    /// takers must not write out of order.
-    cycle: Mutex<()>,
+    /// takers must not write out of order. It guards the spare buffer
+    /// the cycle swaps in for the pending one and returns cleared, so
+    /// both keep their capacity from cycle to cycle.
+    cycle: Mutex<Vec<u8>>,
     stop: AtomicBool,
     /// Total event bytes appended (monotonic; survives truncation).
     bytes_appended: AtomicU64,
@@ -688,7 +663,7 @@ impl Journal {
             poisoned: AtomicBool::new(false),
             flush_cv: Condvar::new(),
             flush_mutex: Mutex::new(false),
-            cycle: Mutex::new(()),
+            cycle: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             bytes_appended: AtomicU64::new(0),
             events_appended: AtomicU64::new(0),
@@ -711,28 +686,34 @@ impl Journal {
     }
 
     /// Append one event to the pending buffer; returns its sequence
-    /// number for [`sync`](Self::sync). No disk I/O on this path.
+    /// number for [`sync`](Self::sync). No disk I/O on this path: the
+    /// frame is encoded in place at the end of the buffer.
     pub fn append(&self, event: &JournalEvent) -> u64 {
-        self.append_encoded(&event.encode())
+        self.push(|buf| codec::append_frame(buf, |enc| event.encode_into(enc)))
     }
 
     /// [`append`](Self::append) for an event that is already a frame
-    /// payload — what a follower was sent. The frame is written in
-    /// place, `[len][crc][payload]`, into the pending buffer.
+    /// payload — what a follower was sent.
     pub fn append_encoded(&self, payload: &[u8]) -> u64 {
-        let header = codec::frame_header(payload);
-        let seq = {
+        self.push(|buf| {
+            buf.extend_from_slice(&codec::frame_header(payload));
+            buf.extend_from_slice(payload);
+            codec::FRAME_HEADER + payload.len()
+        })
+    }
+
+    /// Write one frame into the pending buffer with `write` (which
+    /// returns the frame's length) and number it.
+    fn push(&self, write: impl FnOnce(&mut Vec<u8>) -> usize) -> u64 {
+        let (seq, framed) = {
             let mut pending = lock(&self.shared.pending);
             let seq = pending.next_seq;
             pending.next_seq += 1;
-            pending.buf.extend_from_slice(&header);
-            pending.buf.extend_from_slice(payload);
-            seq
+            (seq, write(&mut pending.buf))
         };
-        let framed = (header.len() + payload.len()) as u64;
         self.shared
             .bytes_appended
-            .fetch_add(framed, Ordering::Relaxed);
+            .fetch_add(framed as u64, Ordering::Relaxed);
         self.shared.events_appended.fetch_add(1, Ordering::Relaxed);
         // No flusher kick: the event rides the next interval cycle (or
         // an explicit `sync`). Kicking per append would degenerate group
@@ -1113,16 +1094,15 @@ fn write_durable(filestate: &mut FileState, bytes: &[u8]) -> Result<(), WriteFau
 /// the lock that makes them take turns. Returns true when the cycle
 /// failed: frames restored to pending, or discarded by a poisoned
 /// journal.
-fn flush_cycle(shared: &Shared, cycle: MutexGuard<'_, ()>) -> bool {
-    // Swap the pending buffer out whole, remembering which epoch it
-    // belongs to and the highest sequence it covers.
-    let (bytes, seq_hi, epoch_at_take) = {
+fn flush_cycle(shared: &Shared, mut cycle: MutexGuard<'_, Vec<u8>>) -> bool {
+    // Swap the pending buffer out whole for the (empty) spare,
+    // remembering which epoch it belongs to and the highest sequence it
+    // covers.
+    let bytes = &mut *cycle;
+    let (seq_hi, epoch_at_take) = {
         let mut pending = lock(&shared.pending);
-        (
-            std::mem::take(&mut pending.buf),
-            pending.next_seq - 1,
-            pending.epoch,
-        )
+        std::mem::swap(&mut pending.buf, bytes);
+        (pending.next_seq - 1, pending.epoch)
     };
     // `retired`: the frames no longer need writing (fsync'd, or
     // owned by a snapshot / crash sim) — only then may durable_seq
@@ -1149,7 +1129,7 @@ fn flush_cycle(shared: &Shared, cycle: MutexGuard<'_, ()>) -> bool {
             failed = true;
         } else {
             let flush_started = Instant::now();
-            match write_durable(&mut filestate, &bytes) {
+            match write_durable(&mut filestate, bytes) {
                 Ok(()) => {
                     retired = true;
                     // Batch size: events this fsync newly covered.
@@ -1177,9 +1157,8 @@ fn flush_cycle(shared: &Shared, cycle: MutexGuard<'_, ()>) -> bool {
                     // retired them while the write was failing.
                     let mut pending = lock(&shared.pending);
                     if pending.epoch == epoch_at_take {
-                        let mut restored = bytes;
-                        restored.extend_from_slice(&pending.buf);
-                        pending.buf = restored;
+                        bytes.extend_from_slice(&pending.buf);
+                        std::mem::swap(&mut pending.buf, bytes);
                     } else {
                         retired = true;
                         failed = false;
@@ -1213,6 +1192,9 @@ fn flush_cycle(shared: &Shared, cycle: MutexGuard<'_, ()>) -> bool {
     if covered {
         shared.durable_seq.fetch_max(seq_hi, Ordering::AcqRel);
     }
+    // Written, discarded or copied back to pending: either way the
+    // spare goes back empty, its capacity kept for the next swap.
+    bytes.clear();
     // The next taker counts its batch from `durable_seq`: set, then
     // let it in — and wake nobody with a journal lock held. A failure
     // wakes waiters too, so they observe the typed error now instead

@@ -20,8 +20,9 @@
 //!   suffix through the (deterministic) correcting process.
 //! * [`AuditSpill`] — an append-only, indexed segment of cell-level
 //!   **audit provenance**, implementing the core
-//!   [`AuditSink`](cerfix::AuditSink) so the in-memory audit log keeps
-//!   only a bounded window while `audit.read` serves the full history.
+//!   [`AuditSink`](cerfix::AuditSink): a journaled service's audit log
+//!   keeps no record in memory beyond the spill's unflushed buffer, and
+//!   `audit.read` serves the full history from it.
 //!
 //! [`Storage`] ties the three together under one data directory:
 //!
@@ -154,7 +155,9 @@ impl From<StorageError> for std::io::Error {
     }
 }
 
-/// Tunables for a [`Storage`].
+/// Tunables for a [`Storage`]. There is no audit-window knob: the audit
+/// log over a [`Storage`] keeps no resident records — the spill's
+/// unflushed buffer and its segment are the only copies.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
     /// The data directory (created if absent).
@@ -162,8 +165,6 @@ pub struct StorageConfig {
     /// Group-commit cadence of the journal flusher. Smaller = less data
     /// at risk between fsyncs; larger = better batching.
     pub flush_interval: Duration,
-    /// Audit records kept resident in the in-memory window.
-    pub audit_window: usize,
     /// Take a snapshot when at least this much time has passed *and*
     /// events have been journaled since the last one.
     pub snapshot_interval: Duration,
@@ -181,14 +182,12 @@ pub struct StorageConfig {
 }
 
 impl StorageConfig {
-    /// Defaults for `dir`: 2 ms group commits, 4096-record audit
-    /// window, snapshots every 60 s or 50 000 events, the real
-    /// filesystem, strict corruption handling.
+    /// Defaults for `dir`: 2 ms group commits, snapshots every 60 s or
+    /// 50 000 events, the real filesystem, strict corruption handling.
     pub fn new(dir: impl Into<PathBuf>) -> StorageConfig {
         StorageConfig {
             dir: dir.into(),
             flush_interval: Duration::from_millis(2),
-            audit_window: 4096,
             snapshot_interval: Duration::from_secs(60),
             snapshot_every_events: 50_000,
             fs: Arc::new(RealFs),
@@ -292,7 +291,8 @@ impl Storage {
     /// Journal one event (group-committed in the background); returns
     /// the sequence number for [`sync`](Self::sync).
     pub fn append(&self, event: &JournalEvent) -> u64 {
-        self.append_encoded(&event.encode())
+        self.events_since_snapshot.fetch_add(1, Ordering::Relaxed);
+        self.journal.append(event)
     }
 
     /// [`append`](Self::append) for an event that is already a frame

@@ -2,18 +2,22 @@
 //!
 //! An append-only segment file (`CFXA` header + CRC-framed
 //! [`AuditRecord`]s) with an in-memory offset index for ranged reads —
-//! the durable backend behind the core [`AuditLog`]'s bounded window.
-//! Unlike the journal, the segment is **never truncated by snapshots**:
+//! the one copy of every record behind a journaled [`AuditLog`], which
+//! keeps none resident: the spill is its window. Unlike the journal,
+//! the segment is **never truncated by snapshots**:
 //! it is the full provenance history the paper's auditing module
 //! promises ("keeps track of changes to each tuple"), served over the
 //! wire by the `audit.read` protocol op.
 //!
-//! Appends buffer in memory; [`AuditSpill::sync`] (called by the
-//! journal's group-commit cycle, and directly at durability points)
-//! writes and fsyncs the buffer. Reads address records by global index:
-//! flushed records come from the file via positioned reads, still-
-//! buffered ones from memory — so a read never forces a flush and a
-//! flush never blocks behind a long read of cold history.
+//! Appends frame each record in place at the end of an in-memory
+//! buffer; [`AuditSpill::sync`] (called by the journal's group-commit
+//! cycle, and directly at durability points) writes and fsyncs that
+//! buffer and clears it, keeping its capacity. Reads address records by
+//! global index, and a page's frames are contiguous: the still-buffered
+//! tail is copied under the lock, the flushed head is one positioned
+//! read on a handle opened once, after the lock is released — so a read
+//! never forces a flush and neither appends nor a flush wait behind a
+//! read of cold history.
 //!
 //! On open, the segment is scanned to rebuild the offset index; a torn
 //! tail (crash mid-append) is cut at the last complete frame, mirroring
@@ -21,9 +25,9 @@
 //!
 //! [`AuditLog`]: cerfix::AuditLog
 
-use crate::codec::{self};
-use crate::events::{decode_audit_record, encode_audit_record};
-use crate::vfs::{StorageFile, StorageFs};
+use crate::codec;
+use crate::events::{decode_audit_record, put_audit_record};
+use crate::vfs::{ReadAt, StorageFile, StorageFs};
 use cerfix::{AuditRecord, AuditSink};
 use std::io::{Read, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -73,10 +77,12 @@ struct SpillState {
     write_errors: u64,
 }
 
-/// The audit spill segment. Implements [`AuditSink`] so a windowed
-/// [`AuditLog`](cerfix::AuditLog) archives through it transparently.
+/// The audit spill segment. Implements [`AuditSink`], so an
+/// [`AuditLog`](cerfix::AuditLog) over it records and reads through it.
 pub struct AuditSpill {
     state: Mutex<SpillState>,
+    /// Page reads of flushed records, off the write handle and the lock.
+    reader: Box<dyn ReadAt>,
     path: PathBuf,
 }
 
@@ -175,6 +181,7 @@ impl AuditSpill {
             torn_bytes: torn,
         };
         let recovered = offsets.len();
+        let reader = Box::new(std::fs::File::open(path)?);
         Ok((
             AuditSpill {
                 state: Mutex::new(SpillState {
@@ -189,6 +196,7 @@ impl AuditSpill {
                     error: None,
                     write_errors: 0,
                 }),
+                reader,
                 path: path.to_path_buf(),
             },
             scan,
@@ -196,44 +204,38 @@ impl AuditSpill {
     }
 
     /// Write and fsync everything buffered. Called by the journal's
-    /// group-commit cycle; cheap when nothing is pending. On failure the
-    /// buffer is kept (records stay readable from memory and the write
-    /// is retried next cycle, after truncating any partial bytes back
-    /// to the committed length).
+    /// group-commit cycle; cheap when nothing is pending. On success the
+    /// buffer is cleared, keeping its capacity; on failure it is kept
+    /// (records stay readable from memory and the write is retried next
+    /// cycle, after truncating any partial bytes back to the committed
+    /// length).
     pub fn sync(&self) -> std::io::Result<()> {
-        let mut state = lock(&self.state);
+        let mut guard = lock(&self.state);
+        let state = &mut *guard;
         if state.dead || state.buffer.is_empty() {
             return Ok(());
         }
         let result = (|| {
             if state.needs_repair {
-                let committed = state.committed;
-                state.file.set_len(committed)?;
-                state.file.seek(SeekFrom::Start(committed))?;
+                state.file.set_len(state.committed)?;
+                state.file.seek(SeekFrom::Start(state.committed))?;
                 state.needs_repair = false;
             }
-            let buffer = std::mem::take(&mut state.buffer);
-            let write = state
-                .file
-                .write_all(&buffer)
-                .and_then(|()| state.file.sync_data());
-            match write {
-                Ok(()) => {
-                    state.committed += buffer.len() as u64;
-                    state.durable = state.committed;
-                    state.error = None; // archive caught up again
-                    Ok(())
-                }
-                Err(e) => {
-                    state.buffer = buffer; // nothing new appended: lock held
-                    Err(e)
-                }
-            }
+            state.file.write_all(&state.buffer)?;
+            state.file.sync_data()
         })();
-        if let Err(e) = &result {
-            state.needs_repair = true;
-            state.write_errors += 1;
-            state.error = Some(e.to_string());
+        match &result {
+            Ok(()) => {
+                state.committed += state.buffer.len() as u64;
+                state.durable = state.committed;
+                state.buffer.clear();
+                state.error = None; // archive caught up again
+            }
+            Err(e) => {
+                state.needs_repair = true;
+                state.write_errors += 1;
+                state.error = Some(e.to_string());
+            }
         }
         result
     }
@@ -286,63 +288,59 @@ impl AuditSpill {
 
 impl AuditSink for AuditSpill {
     fn append(&self, record: &AuditRecord) {
-        let framed = codec::frame(&encode_audit_record(record));
         let mut state = lock(&self.state);
         if state.dead {
             return;
         }
         let offset = state.committed + state.buffer.len() as u64;
         state.offsets.push(offset);
-        state.buffer.extend_from_slice(&framed);
+        codec::append_frame(&mut state.buffer, |enc| put_audit_record(enc, record));
     }
 
     fn read(&self, start: usize, count: usize) -> Vec<AuditRecord> {
-        let mut state = lock(&self.state);
-        let end = state.offsets.len().min(start.saturating_add(count));
-        if start >= end {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(end - start);
-        for i in start..end {
-            let offset = state.offsets[i];
-            let record = if offset >= state.committed {
-                // Still buffered: decode straight from memory.
-                let at = (offset - state.committed) as usize;
-                codec::read_frame(&state.buffer[at..])
-                    .ok()
-                    .flatten()
-                    .and_then(|(payload, _)| decode_audit_record(payload).ok())
-            } else {
-                read_record_at(state.file.as_mut(), offset)
-            };
-            match record {
-                Some(record) => out.push(record),
-                None => break, // unreadable region: stop, don't invent
+        // The page's frames lie back to back at file offsets
+        // `first..last`; those past `committed` are still buffered.
+        let (first, flushed, mut bytes, records) = {
+            let state = lock(&self.state);
+            let end = state.offsets.len().min(start.saturating_add(count));
+            if start >= end {
+                return Vec::new();
             }
+            let buffered_to = state.committed + state.buffer.len() as u64;
+            let first = state.offsets[start];
+            let last = state.offsets.get(end).copied().unwrap_or(buffered_to);
+            let split = state.committed.clamp(first, last);
+            let mut bytes = vec![0u8; (last - first) as usize];
+            if split < last {
+                let tail = (split - state.committed) as usize..(last - state.committed) as usize;
+                bytes[(split - first) as usize..].copy_from_slice(&state.buffer[tail]);
+            }
+            (first, (split - first) as usize, bytes, end - start)
+        };
+        if flushed > 0
+            && self
+                .reader
+                .read_exact_at(&mut bytes[..flushed], first)
+                .is_err()
+        {
+            return Vec::new(); // unreadable region: serve nothing, invent nothing
         }
-        // Restore the append position for subsequent writes.
-        let committed = state.committed;
-        let _ = state.file.seek(SeekFrom::Start(committed));
+        let mut out = Vec::with_capacity(records);
+        let mut at = 0;
+        // Stop at the first frame that fails its CRC or does not decode.
+        while let Ok(Some((payload, len))) = codec::read_frame(&bytes[at..]) {
+            let Ok(record) = decode_audit_record(payload) else {
+                break;
+            };
+            out.push(record);
+            at += len;
+        }
         out
     }
 
     fn len(&self) -> usize {
         lock(&self.state).offsets.len()
     }
-}
-
-/// Read one framed record at `offset` via seek+read (the state lock
-/// serializes this against appends).
-fn read_record_at(file: &mut dyn StorageFile, offset: u64) -> Option<AuditRecord> {
-    file.seek(SeekFrom::Start(offset)).ok()?;
-    let mut header = [0u8; codec::FRAME_HEADER];
-    file.read_exact(&mut header).ok()?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let mut framed = vec![0u8; codec::FRAME_HEADER + len];
-    framed[..codec::FRAME_HEADER].copy_from_slice(&header);
-    file.read_exact(&mut framed[codec::FRAME_HEADER..]).ok()?;
-    let (payload, _) = codec::read_frame(&framed).ok()??;
-    decode_audit_record(payload).ok()
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! [`StorageFs`] / [`StorageFile`]. Read-only paths (recovery scans,
 //! replication cursor reads, `scrub`) deliberately stay on `std::fs`:
 //! a fault plan corrupts what reaches the disk, and the ordinary read
-//! path must then *detect* it — exactly the production contract.
+//! path must then *detect* it — exactly the production contract. Online
+//! reads go through `ReadAt`, positioned reads on a handle opened once.
 //!
 //! Two implementations ship:
 //!
@@ -67,6 +68,35 @@ pub trait StorageFile: Send + std::fmt::Debug {
     }
     /// Current file length in bytes.
     fn file_len(&self) -> io::Result<u64>;
+}
+
+/// Positioned reads (`pread`) on a read-only handle opened once: the
+/// journal's cursor reads and the audit spill's page reads, with no
+/// seek to race on. Reads stay off the [`StorageFs`] write path (see
+/// the module docs).
+pub(crate) trait ReadAt: Send + Sync {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
+}
+
+impl ReadAt for File {
+    #[cfg(unix)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
+    }
+
+    #[cfg(windows)]
+    fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+        while !buf.is_empty() {
+            match std::os::windows::fs::FileExt::seek_read(self, buf, offset)? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n => {
+                    buf = &mut buf[n..];
+                    offset += n as u64;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A filesystem the storage layer can be opened against.

@@ -11,11 +11,17 @@
 //! `session.validate` that ends `awaiting_user` with a new suggestion at
 //! most 15 (measured 9; was 155), and the completing `session.validate`
 //! 4, as it was (a complete session never asks the inference system).
-//! Last, the same session replicated — a journaled primary, a follower
-//! tailing it over loopback, quorum 2 — at most 215 allocations on both
-//! nodes together (measured 206; 313 while each frame was decoded and
-//! re-encoded on the primary and read through a `Json` tree, hex-decoded
-//! into its own `Vec` and re-encoded on the follower).
+//! Last, the durable path: a warmed `Journal::append` and a warmed
+//! `AuditSpill::append` allocate 0 (each frame is encoded in place into
+//! a buffer that keeps its capacity across flushes); the same session
+//! with a commit on a journaled node at most 45 (measured 37; 106 while
+//! every event and audit record was encoded into its own `Vec` and each
+//! record also cloned into a resident window); and replicated — a
+//! journaled primary, a follower tailing it over loopback, quorum 2 — at
+//! most 95 on both nodes together (measured 85; 206 before in-place
+//! framing, 313 while each frame was decoded and re-encoded on the
+//! primary and read through a `Json` tree, hex-decoded into its own
+//! `Vec` and re-encoded on the follower).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -27,11 +33,13 @@
 //! This file holds exactly one `#[test]`: the counter is process-wide,
 //! and a sibling test on another thread would allocate into the window.
 
-use cerfix::MasterData;
-use cerfix_relation::{RelationBuilder, Schema};
+use cerfix::{AuditRecord, AuditSink, CellEvent, MasterData};
+use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::{CleaningService, RequestScratch, Server, ServiceConfig, StorageConfig};
+use cerfix_storage::{JournalEvent, Storage};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -121,19 +129,29 @@ fn entry_path_allocations(service: &CleaningService) -> [u64; 3] {
     spent
 }
 
+/// Most allocations one journaled session may make, every thread
+/// counted (measured 37; 106 while each journal event and audit record
+/// was encoded into a `Vec` of its own, copied into a frame, and each
+/// audit record also cloned into a resident window).
+const JOURNALED_BOUND: u64 = 45;
+
 /// Most allocations one replicated session may make, both nodes and
-/// every thread counted (measured 206; 313 when frames were decoded,
-/// re-encoded and read through a `Json` tree on the way).
-const REPLICATED_BOUND: u64 = 215;
+/// every thread counted (measured 85; 206 before the frames were
+/// encoded in place, 313 when they were decoded, re-encoded and read
+/// through a `Json` tree on the way).
+const REPLICATED_BOUND: u64 = 95;
 
 /// The UK clerk's session — create, two validates, commit — on a
-/// journaled primary with a follower tailing it over loopback, quorum 2:
-/// allocations per session, process-wide, so both nodes' share. Four
-/// frames cross the hop per session; on the follower each costs what
-/// decoding and replaying the event costs — reading the reply builds no
-/// tree and copies no frame.
-fn replicated_session_allocations() -> u64 {
-    let dir = std::env::temp_dir().join(format!("cerfix-alloc-guard-{}", std::process::id()));
+/// journaled node, and with `replicated` on a primary with a follower
+/// tailing it over loopback, quorum 2: allocations per session,
+/// process-wide, so both nodes' share. Four frames cross the hop per
+/// session; on the follower each costs what decoding and replaying the
+/// event costs — reading the reply builds no tree and copies no frame.
+fn journaled_session_allocations(replicated: bool) -> u64 {
+    let dir = std::env::temp_dir().join(format!(
+        "cerfix-alloc-guard-{replicated}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let node = |name: &str, config: ServiceConfig| {
         let mut rng = rand::SeedableRng::seed_from_u64(0);
@@ -150,18 +168,21 @@ fn replicated_session_allocations() -> u64 {
     let primary = node(
         "primary",
         ServiceConfig {
-            cluster_size: 2,
+            cluster_size: if replicated { 2 } else { 1 },
             ..ServiceConfig::default()
         },
     );
-    let server = Server::spawn("127.0.0.1:0", primary.clone()).unwrap();
-    let follower = node(
-        "follower",
-        ServiceConfig {
-            replicate_from: Some(server.addr().to_string()),
-            ..ServiceConfig::default()
-        },
-    );
+    let replica = replicated.then(|| {
+        let server = Server::spawn("127.0.0.1:0", primary.clone()).unwrap();
+        let follower = node(
+            "follower",
+            ServiceConfig {
+                replicate_from: Some(server.addr().to_string()),
+                ..ServiceConfig::default()
+            },
+        );
+        (server, follower)
+    });
     let mut out = String::new();
     let mut scratch = RequestScratch::default();
     let mut before = 0;
@@ -183,15 +204,69 @@ fn replicated_session_allocations() -> u64 {
         }
     }
     let spent = counting_alloc::count() - before;
-    // Every commit was acknowledged by the follower's durable cursor.
-    assert_eq!(
-        follower.metrics().journal_events,
-        4 * (ENTRY_WARM + ENTRY_MEASURE)
-    );
-    server.shutdown().unwrap();
-    drop((primary, follower));
+    if let Some((server, follower)) = replica {
+        // Every commit was acknowledged by the follower's durable cursor.
+        assert_eq!(
+            follower.metrics().journal_events,
+            4 * (ENTRY_WARM + ENTRY_MEASURE)
+        );
+        server.shutdown().unwrap();
+        drop(follower);
+    }
+    drop(primary);
     let _ = std::fs::remove_dir_all(&dir);
     spent / ENTRY_MEASURE
+}
+
+/// Allocations of `APPENDS` warmed appends, to a journal and to an
+/// audit spill: the frames are encoded in place into buffers that keep
+/// their capacity from one flush to the next, so both are 0.
+fn warmed_append_allocations() -> (u64, u64) {
+    const APPENDS: u64 = 1000;
+    let dir = std::env::temp_dir().join(format!("cerfix-alloc-append-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = StorageConfig::new(&dir);
+    config.flush_interval = Duration::from_secs(3600);
+    let (storage, _) = Storage::open(config).unwrap();
+    let events: Vec<JournalEvent> = (0..APPENDS)
+        .map(|session| JournalEvent::SessionValidated {
+            session,
+            validations: vec![(0, Value::str("131")), (3, Value::str("60006540"))],
+        })
+        .collect();
+    let records: Vec<AuditRecord> = (0..APPENDS as usize)
+        .map(|tuple_id| AuditRecord {
+            tuple_id,
+            attr: 2,
+            round: 1,
+            event: CellEvent::RuleFixed {
+                rule: 0,
+                master_row: 1,
+                old: Value::str("020"),
+                new: Value::str("131"),
+            },
+        })
+        .collect();
+    let spill = storage.spill();
+    // Two flush cycles leave both of the journal's buffers (pending and
+    // spare) a batch's capacity. The spill's buffer keeps its own; its
+    // offset index (8 bytes a record, by design) grows by doubling, and
+    // three batches leave it room for a fourth.
+    for _ in 0..3 {
+        let last = events.iter().fold(0, |_, e| storage.append(e));
+        records.iter().for_each(|r| spill.append(r));
+        storage.sync(last).unwrap();
+    }
+    let before = counting_alloc::count();
+    let last = events.iter().fold(0, |_, e| storage.append(e));
+    let journal = counting_alloc::count() - before;
+    let before = counting_alloc::count();
+    records.iter().for_each(|r| spill.append(r));
+    let spilled = counting_alloc::count() - before;
+    storage.sync(last).unwrap();
+    drop(storage);
+    let _ = std::fs::remove_dir_all(&dir);
+    (journal, spilled)
 }
 
 #[test]
@@ -307,9 +382,19 @@ fn warmed_session_ops_allocate_zero_zero_one() {
          (must be 4 each)"
     );
 
+    // The journaled session: the same clerk, every event and audit
+    // record framed in place into the journal's and the spill's buffers.
+    let (journal_appends, spill_appends) = warmed_append_allocations();
+    assert_eq!(journal_appends, 0, "warmed Journal::append allocations");
+    assert_eq!(spill_appends, 0, "warmed AuditSpill::append allocations");
+    let per_session = journaled_session_allocations(false);
+    assert!(
+        per_session <= JOURNALED_BOUND,
+        "a journaled session: {per_session} allocations (must be at most {JOURNALED_BOUND})"
+    );
     // The replicated session: the same clerk on a primary whose commits
     // wait for a follower's fsynced ack.
-    let per_session = replicated_session_allocations();
+    let per_session = journaled_session_allocations(true);
     assert!(
         per_session <= REPLICATED_BOUND,
         "a replicated session: {per_session} allocations on primary and follower together \

@@ -444,8 +444,7 @@ fn audit_spill_write_errors_agree_across_every_exposition() {
     let dir = tmp_dir("spill-errors");
     let fault = FaultFs::new(FaultPlan::default());
     let (master, rules) = kv_fixture();
-    let mut storage = fault_storage(&dir, &fault);
-    storage.audit_window = 1; // every record past the first spills
+    let storage = fault_storage(&dir, &fault);
     let config = ServiceConfig {
         workers: 2,
         precompute_regions: false,
