@@ -27,18 +27,49 @@
 //!
 //! On the allocation side, the plan supplies resolved index snapshots
 //! and flat key layouts, so the per-attempt path clones `Arc`'d values
-//! into one reused key buffer and allocates nothing once it is warm; the
-//! certain lookup itself is one index probe, independent of how many
-//! master rows share the key.
+//! into one reused key buffer; the certain lookup itself is one index
+//! probe, independent of how many master rows share the key. That key
+//! buffer, the worklist and the report live in a [`FixpointScratch`] the
+//! engine's driver owns, so a run on a warmed scratch allocates nothing.
 //!
 //! [`run_fixpoint`]: crate::engine::run_fixpoint
 
 use crate::engine::application::apply_fix_values;
 use crate::engine::compile::CompiledRules;
 use crate::engine::fixpoint::FixpointReport;
+use crate::engine::stats::EngineStats;
 use crate::error::Result;
 use crate::master::MasterData;
 use cerfix_relation::{AttrSet, Tuple, Value};
+
+/// The buffers one run of the correcting process fills: its report, the
+/// projected join key and the rule worklist. Whoever drives the engine
+/// owns one and hands it to every run ([`run_fixpoint_delta_into`],
+/// `DataMonitor::apply_validation_into`); each run clears and refills
+/// it, so once the buffers have grown to a run's size a run allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct FixpointScratch {
+    report: FixpointReport,
+    key_buf: Vec<Value>,
+    /// Rule positions awaiting their single attempt.
+    pending: AttrSet,
+    /// Rule positions ever enqueued (an attempted rule is never
+    /// re-attempted).
+    enqueued: AttrSet,
+}
+
+impl FixpointScratch {
+    /// The report of the last run (partial if it failed).
+    pub fn report(&self) -> &FixpointReport {
+        &self.report
+    }
+
+    /// The last run's report, by value.
+    pub fn into_report(self) -> FixpointReport {
+        self.report
+    }
+}
 
 /// Run the correcting process on `tuple` using a compiled plan.
 ///
@@ -46,29 +77,52 @@ use cerfix_relation::{AttrSet, Tuple, Value};
 /// over the plan's source rule set (equivalence-tested), with work
 /// O(firings + |rules|) instead of O(passes × |rules|). `passes` in the
 /// returned report counts worklist sweeps (≥ 1, never more than the
-/// pass-based engine's pass count).
+/// pass-based engine's pass count). [`run_fixpoint_delta_into`] on a
+/// fresh scratch.
 pub fn run_fixpoint_delta(
     plan: &CompiledRules,
     master: &MasterData,
     tuple: &mut Tuple,
     validated: &mut AttrSet,
 ) -> Result<FixpointReport> {
+    let mut scratch = FixpointScratch::default();
+    run_fixpoint_delta_into(plan, master, tuple, validated, &mut scratch)?;
+    Ok(scratch.into_report())
+}
+
+/// [`run_fixpoint_delta`] on buffers the caller owns: `scratch` is
+/// cleared, the run fills it, and the report it returns lives there
+/// until the next run.
+pub fn run_fixpoint_delta_into<'s>(
+    plan: &CompiledRules,
+    master: &MasterData,
+    tuple: &mut Tuple,
+    validated: &mut AttrSet,
+    scratch: &'s mut FixpointScratch,
+) -> Result<&'s FixpointReport> {
     debug_assert_eq!(
         plan.master_generation(),
         master.generation(),
         "compiled plan is stale: master data was appended to after compile"
     );
     debug_assert_eq!(plan.input_schema().arity(), tuple.arity());
-    let mut report = FixpointReport {
-        passes: 1,
-        ..Default::default()
+    let FixpointScratch {
+        report,
+        key_buf,
+        pending,
+        enqueued,
+    } = scratch;
+    report.fixes.clear();
+    report.newly_validated.clear();
+    report.passes = 1;
+    report.rule_firings = 0;
+    report.stats = EngineStats {
+        fixpoint_runs: 1,
+        ..EngineStats::default()
     };
-    report.stats.fixpoint_runs = 1;
 
-    // Rule positions awaiting their single attempt, and positions ever
-    // enqueued (an attempted rule is never re-attempted).
-    let mut pending = AttrSet::new();
-    let mut enqueued = AttrSet::new();
+    pending.clear();
+    enqueued.clear();
     let masks = plan.masks();
     for pos in 0..plan.rules.len() {
         if masks.evidence(pos).is_subset(validated) {
@@ -76,10 +130,6 @@ pub fn run_fixpoint_delta(
             enqueued.insert(pos);
         }
     }
-
-    // Reused buffer for the projected join key. Nothing else on the
-    // attempt path allocates.
-    let mut key_buf: Vec<Value> = Vec::new();
 
     let mut cursor = 0usize;
     loop {
@@ -116,7 +166,7 @@ pub fn run_fixpoint_delta(
         // is dead.
         report.stats.master_lookups += 1;
         report.stats.index_probes += usize::from(rule.index.is_some());
-        let Some(witness) = rule.lookup_witness(master, tuple, &mut key_buf) else {
+        let Some(witness) = rule.lookup_witness(master, tuple, key_buf) else {
             continue;
         };
         let first = master.tuple(witness).expect("index row in range");

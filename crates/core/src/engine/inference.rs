@@ -17,13 +17,13 @@
 //! the monitor's live-rule mask (pattern not falsified by validated
 //! cells, rule not stalled), the region finder's context-entailment mask.
 //! Everything else is word sweeps over those masks: one closure
-//! ([`RuleMasks::closure`]) and one minimal-cover search
-//! ([`RuleMasks::minimal_covers`]) serve both the monitor's new
-//! suggestion ([`RuleMasks::suggestion`]: exact for at most 16 candidate
-//! attributes, greedy-then-prune above) and the region finder's static
-//! phase. On schemas and rule sets of at most 64 entries the sets are
-//! single words: a suggestion allocates the list of covers it found and
-//! nothing else.
+//! ([`RuleMasks::closure`]) and one enumeration of candidate picks by
+//! size serve both the monitor's new suggestion
+//! ([`RuleMasks::suggestion`]: the first cover found, exact for at most
+//! 16 candidate attributes, greedy-then-prune above) and the region
+//! finder's static phase ([`RuleMasks::minimal_covers`]: every minimal
+//! cover). On schemas and rule sets of at most 64 entries the sets are
+//! single words: an exact suggestion allocates nothing.
 
 use cerfix_relation::{AttrId, AttrSet};
 use cerfix_rules::RuleSet;
@@ -147,31 +147,62 @@ impl RuleMasks {
         if self.spans(enabled, base) {
             return vec![AttrSet::new()];
         }
-        let mut search = CoverSearch {
-            masks: self,
-            enabled,
-            base,
-            max_results,
-            covers: Vec::new(),
-        };
+        let mut covers: Vec<AttrSet> = Vec::new();
         for size in 1..=max_size.min(candidates.len()) {
-            if search
-                .extend(&mut AttrSet::new(), candidates, size)
-                .is_break()
-            {
+            let search = for_each_pick(&mut AttrSet::new(), candidates, size, &mut |picked| {
+                // Antichain: skip supersets of an already-found cover.
+                if !covers.iter().any(|c| c.is_subset(picked))
+                    && self.spans_with(enabled, base, picked)
+                {
+                    covers.push(picked.clone());
+                    if covers.len() >= max_results {
+                        return ControlFlow::Break(());
+                    }
+                }
+                ControlFlow::Continue(())
+            });
+            if search.is_break() {
                 break;
             }
         }
-        search.covers
+        covers
+    }
+
+    /// The first cover [`minimal_covers`](Self::minimal_covers) would
+    /// find among all of `candidates` — a smallest one, lexicographically
+    /// first among those — without collecting a list: the search stops
+    /// at the first hit.
+    fn first_cover(&self, enabled: &AttrSet, base: &AttrSet, candidates: &[AttrId]) -> AttrSet {
+        if self.spans(enabled, base) {
+            return AttrSet::new();
+        }
+        (1..=candidates.len())
+            .find_map(|size| {
+                for_each_pick(&mut AttrSet::new(), candidates, size, &mut |picked| {
+                    if self.spans_with(enabled, base, picked) {
+                        ControlFlow::Break(picked.clone())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .break_value()
+            })
+            .expect("all the candidates together are a cover")
+    }
+
+    /// True iff the closure of `base ∪ picked` covers the whole schema.
+    fn spans_with(&self, enabled: &AttrSet, base: &AttrSet, picked: &AttrSet) -> bool {
+        let mut seed = base.clone();
+        seed.union_with(picked);
+        self.spans(enabled, &seed)
     }
 
     /// A single small cover for the monitor's *new suggestion* (paper §2,
     /// data monitor step 3: "a minimal number of attributes"): the
     /// unfixable attributes not yet validated, plus the smallest extra
-    /// evidence whose closure spans the schema — the first hit of
-    /// [`minimal_covers`](Self::minimal_covers) when there are at most 16
-    /// candidates, a greedy closure-gain cover pruned to minimality
-    /// above.
+    /// evidence whose closure spans the schema — the first hit of the
+    /// minimal-cover search when there are at most 16 candidates, a
+    /// greedy closure-gain cover pruned to minimality above.
     ///
     /// A cover always exists: every enabled rule's evidence lies in
     /// `base ∪ candidates`, so validating all of it fires every enabled
@@ -191,9 +222,7 @@ impl RuleMasks {
             for (slot, attr) in candidates.iter_mut().zip(&useful) {
                 *slot = attr;
             }
-            self.minimal_covers(enabled, &base, &candidates[..count], count, 1)
-                .pop()
-                .expect("all the candidates together are a cover")
+            self.first_cover(enabled, &base, &candidates[..count])
         } else {
             self.greedy_cover(enabled, &base, &useful)
         };
@@ -237,46 +266,24 @@ impl RuleMasks {
     }
 }
 
-/// The state of one [`RuleMasks::minimal_covers`] search.
-struct CoverSearch<'a> {
-    masks: &'a RuleMasks,
-    enabled: &'a AttrSet,
-    base: &'a AttrSet,
-    max_results: usize,
-    covers: Vec<AttrSet>,
-}
-
-impl CoverSearch<'_> {
-    /// Try every way of adding `left` more of `candidates` to `picked`,
-    /// in lexicographic order; breaks once `max_results` covers are found.
-    fn extend(
-        &mut self,
-        picked: &mut AttrSet,
-        candidates: &[AttrId],
-        left: usize,
-    ) -> ControlFlow<()> {
-        if left == 0 {
-            // Antichain: skip supersets of an already-found cover.
-            if self.covers.iter().any(|c| c.is_subset(picked)) {
-                return ControlFlow::Continue(());
-            }
-            let mut seed = self.base.clone();
-            seed.union_with(picked);
-            if self.masks.spans(self.enabled, &seed) {
-                self.covers.push(picked.clone());
-                if self.covers.len() >= self.max_results {
-                    return ControlFlow::Break(());
-                }
-            }
-            return ControlFlow::Continue(());
-        }
-        for i in 0..=candidates.len() - left {
-            picked.insert(candidates[i]);
-            self.extend(picked, &candidates[i + 1..], left - 1)?;
-            picked.remove(candidates[i]);
-        }
-        ControlFlow::Continue(())
+/// Visit every way of adding `left` more of `candidates` to `picked`, in
+/// lexicographic order, until `visit` breaks — the enumeration both
+/// cover searches run, one size at a time.
+fn for_each_pick<B>(
+    picked: &mut AttrSet,
+    candidates: &[AttrId],
+    left: usize,
+    visit: &mut impl FnMut(&AttrSet) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    if left == 0 {
+        return visit(picked);
     }
+    for i in 0..=candidates.len() - left {
+        picked.insert(candidates[i]);
+        for_each_pick(picked, &candidates[i + 1..], left - 1, visit)?;
+        picked.remove(candidates[i]);
+    }
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -519,6 +526,26 @@ mod tests {
         let masks = RuleMasks::of(&rules);
         let s = masks.suggestion(&AttrSet::new(), &AttrSet::new());
         assert_eq!(s.len(), input.arity(), "user must validate everything");
+    }
+
+    #[test]
+    fn first_cover_is_the_first_minimal_cover() {
+        let (_, rules) = uk_rules();
+        let masks = RuleMasks::of(&rules);
+        let all = masks.all_rules();
+        // The unfixable attributes plus every subset of the first six as
+        // the base, so some bases span already and the rest need covers
+        // of every size.
+        for mask in 0u32..64 {
+            let mut base: AttrSet = (0..6).filter(|a| mask & (1 << a) != 0).collect();
+            base.union_with(&masks.unfixable(&all));
+            let candidates = candidates(&masks, &base);
+            let listed = masks
+                .minimal_covers(&all, &base, &candidates, candidates.len(), 1)
+                .pop()
+                .unwrap();
+            assert_eq!(masks.first_cover(&all, &base, &candidates), listed);
+        }
     }
 
     #[test]

@@ -73,9 +73,9 @@ pub use audit::{
     explain_cell, explain_tuple, AuditLog, AuditRecord, AuditSink, AuditStats, CellEvent,
 };
 pub use engine::{
-    apply_rule, check_consistency, run_fixpoint, run_fixpoint_delta, ApplyOutcome, CellFix,
-    CompiledRules, ConsistencyOptions, ConsistencyReport, EngineStats, FixpointReport,
-    Inconsistency,
+    apply_rule, check_consistency, run_fixpoint, run_fixpoint_delta, run_fixpoint_delta_into,
+    ApplyOutcome, CellFix, CompiledRules, ConsistencyOptions, ConsistencyReport, EngineStats,
+    FixpointReport, FixpointScratch, Inconsistency,
 };
 pub use error::{CerfixError, Result};
 pub use exec::{ordered_map, WorkerPool};

@@ -24,7 +24,7 @@ pub use stream::{clean_stream, clean_stream_parallel, StreamReport};
 pub use user::{CappedUser, OracleUser, PreferringUser, SilentUser, UserAgent};
 
 use crate::audit::{AuditLog, AuditRecord, CellEvent};
-use crate::engine::{run_fixpoint_delta, CompiledRules, FixpointReport};
+use crate::engine::{run_fixpoint_delta_into, CompiledRules, FixpointReport, FixpointScratch};
 use crate::error::{CerfixError, Result};
 use crate::master::MasterData;
 use crate::region::Region;
@@ -66,8 +66,8 @@ pub struct DataMonitor<'a> {
     regions: std::sync::Arc<[Region]>,
     /// `Arc` so long-lived services attach one shared (possibly
     /// disk-spilled) log to every per-request monitor via
-    /// [`with_audit`](Self::with_audit); standalone monitors own a
-    /// private log.
+    /// [`from_shared_parts`](Self::from_shared_parts); standalone
+    /// monitors own a private log.
     audit: Arc<AuditLog>,
     /// Hard cap on interaction rounds (defensive; a productive round
     /// always validates ≥ 1 attribute, so `arity` rounds suffice).
@@ -87,10 +87,10 @@ impl<'a> DataMonitor<'a> {
     }
 
     /// Create a monitor reusing an already-compiled plan (must have been
-    /// compiled from `rules` against `master`) — the shape
-    /// `cerfix-server` uses per request, alongside
-    /// [`with_shared_regions`](Self::with_shared_regions), so monitor
-    /// construction is a couple of refcount bumps.
+    /// compiled from `rules` against `master`), with a private audit log
+    /// and no regions until [`with_regions`](Self::with_regions).
+    /// Long-lived services build theirs with
+    /// [`from_shared_parts`](Self::from_shared_parts) instead.
     pub fn from_plan(
         rules: &'a RuleSet,
         master: &'a MasterData,
@@ -109,11 +109,10 @@ impl<'a> DataMonitor<'a> {
     }
 
     /// Create a monitor from fully shared parts — plan, regions and
-    /// audit log all pre-`Arc`'d. Unlike chaining
-    /// [`from_plan`](Self::from_plan) with `with_shared_regions` /
-    /// `with_audit`, this allocates nothing (the chained form builds a
-    /// throwaway empty region slice and audit log first), which keeps
-    /// the server's warmed per-request path allocation-free.
+    /// audit log all pre-`Arc`'d, so construction is refcount bumps and
+    /// allocates nothing (unlike [`from_plan`](Self::from_plan), which
+    /// builds an empty region slice and a private audit log): the shape
+    /// every per-request monitor of a long-lived service takes.
     pub fn from_shared_parts(
         rules: &'a RuleSet,
         master: &'a MasterData,
@@ -143,23 +142,6 @@ impl<'a> DataMonitor<'a> {
     /// cost", paper §3).
     pub fn with_regions(mut self, regions: Vec<Region>) -> DataMonitor<'a> {
         self.regions = regions.into();
-        self
-    }
-
-    /// Like [`with_regions`](Self::with_regions), but sharing an already
-    /// `Arc`'d set — a refcount bump per monitor instead of a deep clone
-    /// (the shape `cerfix-server` uses per request).
-    pub fn with_shared_regions(mut self, regions: std::sync::Arc<[Region]>) -> DataMonitor<'a> {
-        self.regions = regions;
-        self
-    }
-
-    /// Attach a shared audit log: every record this monitor produces
-    /// goes to `audit` instead of a private log. Long-lived services use
-    /// this so all per-request monitors feed one durable provenance
-    /// stream.
-    pub fn with_audit(mut self, audit: Arc<AuditLog>) -> DataMonitor<'a> {
-        self.audit = audit;
         self
     }
 
@@ -220,13 +202,19 @@ impl<'a> DataMonitor<'a> {
         live
     }
 
-    /// The monitor's current suggestion for a session.
+    /// The monitor's current suggestion for a session, as a set — the
+    /// one implementation behind [`suggestion`](Self::suggestion),
+    /// [`status`](Self::status) and whatever renders a session straight
+    /// from it. `None` when the session is complete or nothing is left
+    /// to suggest (it is stuck).
     ///
     /// First round: the best pre-computed region — the smallest region
     /// consistent with what is already validated (fewest *additional*
     /// attributes). Later rounds (or with no regions): a minimal new
-    /// suggestion from the inference system.
-    pub fn suggestion(&self, session: &MonitorSession) -> Option<Vec<AttrId>> {
+    /// suggestion from the inference system. Region attributes are
+    /// sorted and an [`AttrSet`] iterates in ascending order, so the set
+    /// lists the attributes in the order the region does.
+    pub fn suggestion_attrs(&self, session: &MonitorSession) -> Option<AttrSet> {
         if session.is_complete() {
             return None;
         }
@@ -259,12 +247,8 @@ impl<'a> DataMonitor<'a> {
                     (extra, r.size(), std::cmp::Reverse(r.tableau().len()))
                 });
             if let Some(region) = best {
-                let extra: Vec<AttrId> = region
-                    .attrs()
-                    .iter()
-                    .copied()
-                    .filter(|&a| !session.validated.contains(a))
-                    .collect();
+                let mut extra: AttrSet = region.attrs().iter().copied().collect();
+                extra.subtract(&session.validated);
                 if !extra.is_empty() {
                     return Some(extra);
                 }
@@ -274,7 +258,15 @@ impl<'a> DataMonitor<'a> {
             .plan
             .masks()
             .suggestion(&self.live_rules(session), &session.validated);
-        (!suggestion.is_empty()).then(|| suggestion.iter().collect())
+        (!suggestion.is_empty()).then_some(suggestion)
+    }
+
+    /// The monitor's current suggestion for a session, in ascending
+    /// attribute order: [`suggestion_attrs`](Self::suggestion_attrs) as
+    /// a list.
+    pub fn suggestion(&self, session: &MonitorSession) -> Option<Vec<AttrId>> {
+        self.suggestion_attrs(session)
+            .map(|attrs| attrs.iter().collect())
     }
 
     /// The session's current status.
@@ -294,12 +286,16 @@ impl<'a> DataMonitor<'a> {
     /// session, then run the correcting process to its fixpoint.
     ///
     /// Every user validation and every rule fix is recorded in the audit
-    /// log with the session's round number.
-    pub fn apply_validation(
+    /// log with the session's round number. The correcting process runs
+    /// on `scratch` (see [`run_fixpoint_delta_into`]), and the round's
+    /// report is returned from it: on a warmed scratch the round itself
+    /// allocates nothing.
+    pub fn apply_validation_into<'s>(
         &self,
         session: &mut MonitorSession,
         validations: &[(AttrId, Value)],
-    ) -> Result<FixpointReport> {
+        scratch: &'s mut FixpointScratch,
+    ) -> Result<&'s FixpointReport> {
         session.rounds += 1;
         let arity = session.tuple.arity();
         for (attr, value) in validations {
@@ -331,11 +327,12 @@ impl<'a> DataMonitor<'a> {
                 });
             }
         }
-        let report = run_fixpoint_delta(
+        let report = run_fixpoint_delta_into(
             &self.plan,
             self.master,
             &mut session.tuple,
             &mut session.validated,
+            scratch,
         )?;
         for fix in &report.fixes {
             self.audit.record(AuditRecord {
@@ -369,6 +366,18 @@ impl<'a> DataMonitor<'a> {
         Ok(report)
     }
 
+    /// [`apply_validation_into`](Self::apply_validation_into) on a fresh
+    /// scratch, returning the report by value.
+    pub fn apply_validation(
+        &self,
+        session: &mut MonitorSession,
+        validations: &[(AttrId, Value)],
+    ) -> Result<FixpointReport> {
+        let mut scratch = FixpointScratch::default();
+        self.apply_validation_into(session, validations, &mut scratch)?;
+        Ok(scratch.into_report())
+    }
+
     /// Drive a full interactive session with a (simulated) user until a
     /// certain fix is reached, the user declines to act, or no certain fix
     /// is reachable.
@@ -379,6 +388,7 @@ impl<'a> DataMonitor<'a> {
         user: &mut dyn UserAgent,
     ) -> Result<CleanOutcome> {
         let mut session = self.start(tuple_id, tuple);
+        let mut scratch = FixpointScratch::default();
         let mut cells_fixed = 0usize;
         let mut user_corrections = 0usize;
         while session.rounds < self.max_rounds {
@@ -395,7 +405,7 @@ impl<'a> DataMonitor<'a> {
                     user_corrections += 1;
                 }
             }
-            let report = self.apply_validation(&mut session, &validations)?;
+            let report = self.apply_validation_into(&mut session, &validations, &mut scratch)?;
             cells_fixed += report.fixes.len();
         }
         Ok(CleanOutcome {

@@ -11,12 +11,14 @@ use crate::service::{
 };
 use crate::wire::JsonWriter;
 use cerfix::{
-    check_consistency, recheck_regions, search_regions, universe_from_master, CompiledRules,
-    ConsistencyOptions, DataMonitor, MasterData, Region, RegionFinderOptions, RegionSearch,
+    check_consistency, recheck_regions, search_regions, universe_from_master, AuditLog,
+    CompiledRules, ConsistencyOptions, DataMonitor, FixpointScratch, MasterData, Region,
+    RegionFinderOptions, RegionSearch,
 };
-use cerfix_relation::{SchemaRef, Tuple, Value};
+use cerfix_relation::{Tuple, Value};
 use cerfix_rules::{parse_rules, render_er_dsl, RuleDecl, RuleSet};
 use cerfix_storage::JournalEvent;
+use std::cell::RefCell;
 use std::sync::{Arc, PoisonError};
 
 /// The swappable execution state: what `rules.reload` and
@@ -39,6 +41,20 @@ pub(crate) struct EngineState {
     /// re-certification patches.
     pub(crate) search: Option<Arc<RegionSearch>>,
     pub(crate) fingerprint: u64,
+}
+
+impl EngineState {
+    /// A monitor over this state recording into `audit` — refcount bumps
+    /// only, so building one per request allocates nothing.
+    pub(crate) fn monitor(&self, audit: &Arc<AuditLog>) -> DataMonitor<'_> {
+        DataMonitor::from_shared_parts(
+            &self.rules,
+            &self.master,
+            Arc::clone(&self.plan),
+            Arc::clone(&self.regions),
+            Arc::clone(audit),
+        )
+    }
 }
 
 impl CleaningService {
@@ -101,34 +117,42 @@ impl CleaningService {
     /// across the worker pool; outcomes return in input order. Batch
     /// cleans are request/response (no session survives them), so they
     /// are not journaled — but their provenance does flow into the
-    /// shared audit log under reserved tuple ids.
+    /// shared audit log under reserved tuple ids. Every row is checked
+    /// before the first is cleaned: a refused batch records nothing.
     pub(crate) fn clean_batch(
         &self,
         tuples: Vec<Vec<Value>>,
         trust: &[String],
         reply: Reply<'_>,
     ) -> Result<(), ServeError> {
-        let schema = self.input_schema().clone();
+        let schema = self.input_schema();
         let trusted: Vec<usize> = trust
             .iter()
             .map(|name| self.resolve_attr(name))
             .collect::<Result<_, ServeError>>()?;
+        let tuples = tuples
+            .into_iter()
+            .enumerate()
+            .map(|(idx, values)| {
+                if values.len() != schema.arity() {
+                    return Err(ErrorCode::BadRequest.error(format!(
+                        "tuple {idx} has {} values but schema `{}` has arity {}",
+                        values.len(),
+                        schema.name(),
+                        schema.arity()
+                    )));
+                }
+                Ok(Tuple::new(schema.clone(), values)?)
+            })
+            .collect::<Result<Vec<Tuple>, ServeError>>()?;
         let n = tuples.len();
         let inner = Arc::clone(&self.inner);
         let engine = self.engine();
         let trusted = Arc::new(trusted);
         let audit_base = self.inner.sessions.allocate_ids(n as u64);
         let outcomes: Vec<Result<Cleaned, ServeError>> =
-            self.inner.pool.map_ordered(tuples, move |idx, values| {
-                clean_one(
-                    &inner,
-                    &engine,
-                    &schema,
-                    &trusted,
-                    audit_base as usize + idx,
-                    idx,
-                    values,
-                )
+            self.inner.pool.map_ordered(tuples, move |idx, tuple| {
+                clean_one(&inner, &engine, &trusted, audit_base as usize + idx, tuple)
             });
         let outcomes: Vec<Cleaned> = outcomes.into_iter().collect::<Result<_, ServeError>>()?;
         let complete = outcomes.iter().filter(|outcome| outcome.complete).count();
@@ -523,41 +547,36 @@ struct Cleaned {
     tuple: Tuple,
 }
 
+thread_local! {
+    /// A pool worker's buffers for the tuples it cleans: the trusted
+    /// cells it validates and the correcting process's scratch, reused
+    /// from one tuple to the next.
+    static CLEAN_SCRATCH: RefCell<(Vec<(usize, Value)>, FixpointScratch)> =
+        RefCell::default();
+}
+
 /// One batch-clean job, run on a pool worker.
 fn clean_one(
     inner: &Arc<ServiceInner>,
     engine: &Arc<EngineState>,
-    schema: &SchemaRef,
     trusted: &[usize],
     audit_id: usize,
-    idx: usize,
-    values: Vec<Value>,
+    tuple: Tuple,
 ) -> Result<Cleaned, ServeError> {
-    if values.len() != schema.arity() {
-        return Err(ErrorCode::BadRequest.error(format!(
-            "tuple {idx} has {} values but schema `{}` has arity {}",
-            values.len(),
-            schema.name(),
-            schema.arity()
-        )));
-    }
-    let tuple = Tuple::new(schema.clone(), values)?;
-    let monitor = DataMonitor::from_plan(&engine.rules, &engine.master, Arc::clone(&engine.plan))
-        .with_shared_regions(Arc::clone(&engine.regions))
-        .with_audit(Arc::clone(&inner.audit));
+    let monitor = engine.monitor(&inner.audit);
     let mut session = monitor.start(audit_id, tuple);
-    let validations: Vec<(usize, Value)> = trusted
-        .iter()
-        .filter_map(|&a| {
+    CLEAN_SCRATCH.with_borrow_mut(|(validations, fixpoint)| {
+        validations.clear();
+        validations.extend(trusted.iter().filter_map(|&a| {
             let v = session.tuple.get(a);
             (!v.is_null()).then(|| (a, v.clone()))
+        }));
+        let report = monitor.apply_validation_into(&mut session, validations, fixpoint)?;
+        Ok(Cleaned {
+            complete: session.is_complete(),
+            cells_fixed: report.fixes.len(),
+            validated: session.validated.len(),
+            tuple: session.tuple,
         })
-        .collect();
-    let report = monitor.apply_validation(&mut session, &validations)?;
-    Ok(Cleaned {
-        complete: session.is_complete(),
-        cells_fixed: report.fixes.len(),
-        validated: session.validated.len(),
-        tuple: session.tuple,
     })
 }

@@ -21,20 +21,25 @@
 use crate::ops::{self, Op, OpId};
 use crate::wire::scan::{self, ObjectScanner, RawValue};
 use crate::wire::{Json, WireError};
+use cerfix::FixpointScratch;
 use cerfix_relation::Value;
 
-/// Reusable per-connection parse/render scratch, threaded through
+/// Reusable per-connection scratch, threaded through
 /// [`CleaningService::handle_line_into`](crate::CleaningService::handle_line_into):
-/// holds the resolved-validation and string-unescape buffers so the
-/// warmed request path performs no steady-state allocations.
+/// the resolved-validation and string-unescape buffers a request is read
+/// into and the buffers the correcting process runs on, so the warmed
+/// request path performs no steady-state allocations. Journal replay —
+/// boot recovery and a follower's tail — runs its validations on one too.
 #[derive(Debug, Default)]
 pub struct RequestScratch {
     /// The `(attribute id, value)` validations of the
     /// `session.validate` being served, resolved against the schema as
-    /// they are read off the line.
+    /// they are read off the line (or widened off a replayed event).
     pub(crate) validations: Vec<(usize, Value)>,
     /// Unescape buffer for string payloads containing escapes.
     pub(crate) unescape: String,
+    /// The correcting process's report, key and worklist buffers.
+    pub(crate) fixpoint: FixpointScratch,
 }
 
 /// Declares [`Field`] — every top-level field some op reads — from one
@@ -478,17 +483,28 @@ pub enum Request {
     Shutdown,
 }
 
-/// Read an array of cell values — one `Arc<str>` per string cell, the
-/// `Vec` sized up front when the caller can guess (`capacity`).
+/// Read an array of cell values — one `Arc<str>` per string cell, and
+/// the `Vec` allocated once: at `capacity` when the caller can guess it,
+/// else at the count a first pass over the cells takes (lexing
+/// allocates nothing), so a tuple built from it keeps that allocation.
 fn values_array(
     value: RawValue<'_>,
     what: &str,
     capacity: usize,
     buf: &mut String,
 ) -> Result<Vec<Value>, WireError> {
-    let cells = value.as_arr();
-    let mut cells =
-        cells.ok_or_else(|| WireError(format!("`{what}` must be an array of cell values")))?;
+    let scan = || {
+        let cells = value.as_arr();
+        cells.ok_or_else(|| WireError(format!("`{what}` must be an array of cell values")))
+    };
+    let capacity = match capacity {
+        0 => {
+            let mut cells = scan()?;
+            std::iter::from_fn(|| cells.next_value()).count()
+        }
+        hint => hint,
+    };
+    let mut cells = scan()?;
     let mut values = Vec::with_capacity(capacity);
     while let Some(cell) = cells.next_value() {
         values.push(cell.to_value(buf)?);

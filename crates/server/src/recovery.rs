@@ -5,11 +5,12 @@
 
 use crate::engine::{compile_engine, render_ruleset_dsl};
 use crate::errors::{ErrorCode, ServeError};
+use crate::protocol::RequestScratch;
 use crate::replication::{ReceivedFrames, ReplicaApplyError, Role};
 use crate::service::CleaningService;
 use crate::session_ops::{session_to_snapshot, snapshot_to_session};
-use cerfix::{DataMonitor, MonitorSession};
-use cerfix_relation::{SchemaRef, Tuple, Value};
+use cerfix::{AuditLog, MonitorSession};
+use cerfix_relation::Tuple;
 use cerfix_storage::{JournalEvent, RecoveredState, SnapshotData, SyncError};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
@@ -114,113 +115,115 @@ impl CleaningService {
                 .sessions
                 .advance_next_id(snapshot.next_session_id);
         }
-        self.replay_events(recovered.events, false)?;
+        self.replay_events(recovered.events, false, &mut RequestScratch::default())?;
         let live = self.inner.sessions.len() as u64;
         self.inner.metrics.sessions_recovered.add(live);
         Ok(())
     }
 
     /// Replay a run of journal events in order — boot recovery and the
-    /// follower tail both come through here. Adjacent `MasterAppended`
-    /// events are coalesced into a single copy-on-append + recompile +
-    /// delta re-certification pass: a burst of N appends costs one
-    /// recompile instead of N (the merged batch lands on the same
-    /// master state the per-event replay would, in the same order).
-    fn replay_events(&self, events: Vec<JournalEvent>, live: bool) -> Result<(), ServeError> {
-        let schema = self.inner.input_schema.clone();
-        let mut events = events.into_iter().peekable();
-        while let Some(event) = events.next() {
-            let JournalEvent::MasterAppended { rows: mut batch } = event else {
-                self.apply_journal_event(event, &schema, live)?;
-                continue;
-            };
-            let appended =
-                |next: &JournalEvent| matches!(next, JournalEvent::MasterAppended { .. });
-            while let Some(JournalEvent::MasterAppended { rows }) = events.next_if(appended) {
-                batch.extend(rows);
-            }
-            self.apply_master_rows(batch)?;
-        }
-        Ok(())
-    }
-
-    /// Apply one replayed journal event. `live` distinguishes the
-    /// follower tail (audit-attached monitors, so the follower's
-    /// provenance stream regenerates byte-for-byte and `audit.read`
-    /// answers match the primary's) from boot recovery (detached
-    /// monitors — provenance already sits in the local audit segment;
-    /// re-recording it would duplicate the archive).
-    fn apply_journal_event(
+    /// follower tail both come through here. Session events between two
+    /// engine swaps share one monitor, and their validations run on
+    /// `scratch`. `live` distinguishes the follower tail (the monitor
+    /// records into the shared audit log, so the follower's provenance
+    /// stream regenerates byte-for-byte and `audit.read` answers match
+    /// the primary's) from boot recovery (provenance already sits in the
+    /// local audit segment; re-recording it would duplicate the archive,
+    /// so the monitor records into a one-record window dropped with the
+    /// run). Adjacent `MasterAppended` events are coalesced into a
+    /// single copy-on-append + recompile + delta re-certification pass:
+    /// a burst of N appends costs one recompile instead of N (the merged
+    /// batch lands on the same master state the per-event replay would,
+    /// in the same order).
+    fn replay_events(
         &self,
-        event: JournalEvent,
-        schema: &SchemaRef,
+        events: Vec<JournalEvent>,
         live: bool,
+        scratch: &mut RequestScratch,
     ) -> Result<(), ServeError> {
-        match event {
-            JournalEvent::SessionCreated { session, values } => {
-                let tuple = Tuple::new(schema.clone(), values).map_err(|e| {
-                    ErrorCode::Internal.error(format!("replay session {session}: {e}"))
-                })?;
-                self.inner
-                    .sessions
-                    .restore(session, MonitorSession::new(session as usize, tuple));
-            }
-            JournalEvent::SessionValidated {
-                session,
-                validations,
-            } => {
-                let resolved: Vec<(usize, Value)> = validations
-                    .into_iter()
-                    .map(|(attr, value)| (attr as usize, value))
-                    .collect();
-                let engine = self.engine();
-                // Ignore per-event errors: replaying an op that failed
-                // live reproduces the failed state too.
-                if live {
-                    let monitor = self.monitor_for(&engine);
-                    let _ = self
-                        .inner
-                        .sessions
-                        .with_session(session, |state| monitor.apply_validation(state, &resolved));
-                } else {
-                    let monitor = DataMonitor::from_plan(
-                        &engine.rules,
-                        &engine.master,
-                        Arc::clone(&engine.plan),
-                    )
-                    .with_shared_regions(Arc::clone(&engine.regions));
-                    let _ = self
-                        .inner
-                        .sessions
-                        .with_session(session, |state| monitor.apply_validation(state, &resolved));
+        let schema = self.inner.input_schema.clone();
+        let audit = if live {
+            Arc::clone(&self.inner.audit)
+        } else {
+            Arc::new(AuditLog::windowed(1))
+        };
+        let mut events = events.into_iter().peekable();
+        while events.peek().is_some() {
+            // One monitor for each run of events between engine swaps.
+            let engine = self.engine();
+            let monitor = engine.monitor(&audit);
+            while let Some(event) = events.next() {
+                match event {
+                    JournalEvent::SessionCreated { session, values } => {
+                        let tuple = Tuple::new(schema.clone(), values).map_err(|e| {
+                            ErrorCode::Internal.error(format!("replay session {session}: {e}"))
+                        })?;
+                        self.inner
+                            .sessions
+                            .restore(session, MonitorSession::new(session as usize, tuple));
+                    }
+                    JournalEvent::SessionValidated {
+                        session,
+                        validations,
+                    } => {
+                        let RequestScratch {
+                            validations: resolved,
+                            fixpoint,
+                            ..
+                        } = &mut *scratch;
+                        resolved.clear();
+                        resolved.extend(
+                            validations
+                                .into_iter()
+                                .map(|(attr, value)| (attr as usize, value)),
+                        );
+                        // Ignore per-event errors: replaying an op that
+                        // failed live reproduces the failed state too.
+                        let _ = self.inner.sessions.with_session(session, |state| {
+                            monitor
+                                .apply_validation_into(state, resolved, fixpoint)
+                                .map(|_| ())
+                        });
+                    }
+                    JournalEvent::SessionCommitted { session }
+                    | JournalEvent::SessionAborted { session } => {
+                        let _ = self.inner.sessions.remove(session);
+                    }
+                    JournalEvent::SessionsEvicted { sessions } => {
+                        for id in sessions {
+                            let _ = self.inner.sessions.remove(id);
+                        }
+                    }
+                    JournalEvent::ConfigSet { key, value } => {
+                        // Unknown keys replay as no-ops: a journal written
+                        // by a newer build must not fail recovery on an
+                        // older one.
+                        let _ = self.apply_config_set(&key, value);
+                    }
+                    JournalEvent::MasterAppended { rows: mut batch } => {
+                        let appended = |next: &JournalEvent| {
+                            matches!(next, JournalEvent::MasterAppended { .. })
+                        };
+                        while let Some(JournalEvent::MasterAppended { rows }) =
+                            events.next_if(appended)
+                        {
+                            batch.extend(rows);
+                        }
+                        self.apply_master_rows(batch)?;
+                        break;
+                    }
+                    JournalEvent::RulesReloaded { dsl, fingerprint } => {
+                        let engine = self.compile_engine_from_dsl(&dsl)?;
+                        if engine.fingerprint != fingerprint {
+                            return Err(ErrorCode::Internal.error(format!(
+                                "journaled rule set re-parses to fingerprint {:x}, expected {:x}",
+                                engine.fingerprint, fingerprint
+                            )));
+                        }
+                        *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
+                        break;
+                    }
                 }
-            }
-            JournalEvent::SessionCommitted { session }
-            | JournalEvent::SessionAborted { session } => {
-                let _ = self.inner.sessions.remove(session);
-            }
-            JournalEvent::SessionsEvicted { sessions } => {
-                for id in sessions {
-                    let _ = self.inner.sessions.remove(id);
-                }
-            }
-            JournalEvent::RulesReloaded { dsl, fingerprint } => {
-                let engine = self.compile_engine_from_dsl(&dsl)?;
-                if engine.fingerprint != fingerprint {
-                    return Err(ErrorCode::Internal.error(format!(
-                        "journaled rule set re-parses to fingerprint {:x}, expected {:x}",
-                        engine.fingerprint, fingerprint
-                    )));
-                }
-                *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
-            }
-            JournalEvent::MasterAppended { rows } => {
-                self.apply_master_rows(rows)?;
-            }
-            JournalEvent::ConfigSet { key, value } => {
-                // Unknown keys replay as no-ops: a journal written by a
-                // newer build must not fail recovery on an older one.
-                let _ = self.apply_config_set(&key, value);
             }
         }
         Ok(())
@@ -246,6 +249,7 @@ impl CleaningService {
         &self,
         events: Vec<JournalEvent>,
         frames: &ReceivedFrames,
+        scratch: &mut RequestScratch,
     ) -> Result<(), ReplicaApplyError> {
         let Some(binding) = &self.inner.storage else {
             return Err(ReplicaApplyError::Diverged(
@@ -258,7 +262,7 @@ impl CleaningService {
                 for payload in frames.payloads() {
                     last = Some(binding.storage.append_encoded(payload));
                 }
-                self.replay_events(events, true)?;
+                self.replay_events(events, true, scratch)?;
                 Ok(last)
             })
             .map_err(ReplicaApplyError::Diverged)?;

@@ -487,6 +487,8 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
     let (mut line, mut response) = (String::new(), String::new());
     let mut frames = ReceivedFrames::default();
     let mut unescaped = String::new();
+    // The buffers every replayed validation runs on.
+    let mut scratch = RequestScratch::default();
     'connect: loop {
         if stopped(&service) {
             return;
@@ -662,7 +664,7 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 }
                 continue 'connect;
             };
-            match service.apply_replica_events(events, &frames) {
+            match service.apply_replica_events(events, &frames, &mut scratch) {
                 Ok(()) => {}
                 Err(ReplicaApplyError::Poisoned(message)) => {
                     // The batch is applied in memory but can never be

@@ -1,13 +1,14 @@
 //! The cleaning service: shared state + the request frame.
 //!
 //! A [`CleaningService`] is the long-lived, shared, concurrent front end
-//! over the core [`DataMonitor`]: one immutable `Arc<MasterData>` plus a
-//! hot-swappable [`EngineState`] (rule set, compiled plan, pre-computed
-//! regions) serves every session (the demo's "master database shared by
-//! many clerks"), a [`SessionManager`] tracks in-flight interactive
-//! sessions with idle eviction, a [`WorkerPool`] fans batch `clean`
-//! requests across workers, and an [`AnalysisCache`] memoizes region
-//! searches and consistency verdicts per rule set.
+//! over the core [`DataMonitor`](cerfix::DataMonitor): one immutable
+//! `Arc<MasterData>` plus a hot-swappable [`EngineState`] (rule set,
+//! compiled plan, pre-computed regions) serves every session (the
+//! demo's "master database shared by many clerks"), a
+//! [`SessionManager`] tracks in-flight interactive sessions with idle
+//! eviction, a [`WorkerPool`] fans batch `clean` requests across
+//! workers, and an [`AnalysisCache`] memoizes region searches and
+//! consistency verdicts per rule set.
 //!
 //! The service is transport-agnostic: [`CleaningService::handle_line`]
 //! maps one wire line to one reply line — the TCP server and the
@@ -60,10 +61,10 @@ use crate::session::SessionManager;
 use crate::timeseries::TimeSeries;
 use crate::trace::{Span, TraceSink};
 use crate::wire::{Json, JsonWriter};
-use cerfix::{AuditLog, AuditSink, DataMonitor, MasterData, WorkerPool};
+use cerfix::{AuditLog, AuditSink, MasterData, WorkerPool};
 use cerfix_relation::{SchemaRef, Tuple, Value};
 use cerfix_rules::RuleSet;
-use cerfix_storage::{JournalEvent, Storage, StorageConfig};
+use cerfix_storage::{JournalEvent, SessionEvent, Storage, StorageConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -425,6 +426,15 @@ impl CleaningService {
             .map(|binding| binding.storage.append(event))
     }
 
+    /// [`journal`](Self::journal) a session event from the values the
+    /// request already holds; nothing is built without a journal.
+    pub(crate) fn journal_session(&self, event: SessionEvent<'_>) -> Option<u64> {
+        self.inner
+            .storage
+            .as_ref()
+            .map(|binding| binding.storage.append_session(event))
+    }
+
     /// The service's input schema (what session tuples must match).
     pub fn input_schema(&self) -> &SchemaRef {
         &self.inner.input_schema
@@ -622,19 +632,6 @@ impl CleaningService {
         evicted.len()
     }
 
-    pub(crate) fn monitor_for<'e>(&'e self, engine: &'e EngineState) -> DataMonitor<'e> {
-        // `from_shared_parts` (not `from_plan` + builder chain) so the
-        // per-request monitor is refcount bumps only — no allocation on
-        // the warmed path.
-        DataMonitor::from_shared_parts(
-            &engine.rules,
-            &engine.master,
-            Arc::clone(&engine.plan),
-            Arc::clone(&engine.regions),
-            Arc::clone(&self.inner.audit),
-        )
-    }
-
     /// Handle one wire line: parse, dispatch, render. Never panics on
     /// malformed input — errors come back as `{"ok":false,...}` lines.
     ///
@@ -654,12 +651,15 @@ impl CleaningService {
     /// validating pass (`protocol::scan_line`), then its op's fields off
     /// the view that pass leaves — and every op has one handler. The
     /// handler writes its reply straight into `out` through the one
-    /// [`JsonWriter`]: the session ops a pipelining client hammers
-    /// (`session.get` / `fix` / `validate` / `commit` / `abort`) own no
-    /// heap data, so a warmed request allocates nothing in memory mode
-    /// (one `Arc<str>` per validated value), and a `clean` allocates
-    /// what its tuples hold, not a tree of its reply
-    /// (`tests/alloc_guard.rs` bounds both).
+    /// [`JsonWriter`], and the correcting process and the monitor's
+    /// suggestion run on `scratch` and on bitsets: the session ops a
+    /// pipelining client hammers (`session.get` / `fix` / `validate` /
+    /// `commit` / `abort`) own no heap data, so a warmed request
+    /// allocates nothing in memory mode but one `Arc<str>` per validated
+    /// value — a validate that fires rules and ends with a new suggestion
+    /// included — and a `clean` allocates the cells its tuples carry and
+    /// one row `Vec` per tuple, not a monitor, a report or a tree of its
+    /// reply (`tests/alloc_guard.rs` pins each).
     ///
     /// A client-supplied top-level `"id"` field is echoed verbatim as
     /// the first field of the response, so pipelining clients can
@@ -792,6 +792,7 @@ impl CleaningService {
             let RequestScratch {
                 validations,
                 unescape,
+                ..
             } = scratch;
             validations.clear();
             scanned.fields.validations(unescape, |name, value| {
@@ -858,7 +859,7 @@ impl CleaningService {
         scratch: &mut RequestScratch,
     ) -> Result<(), ServeError> {
         match request {
-            Request::SessionCreate { tuple } => self.session_create(&tuple, reply),
+            Request::SessionCreate { tuple } => self.session_create(tuple, reply),
             Request::SessionGet { session } => self.session_view(session, None, reply),
             // `serve` resolved the validations into `scratch`.
             Request::SessionValidate { session, .. } => {

@@ -101,6 +101,18 @@ impl SessionManager {
     /// also the session's `tuple_id` (the monitor's audit attribution).
     /// Runs an eviction sweep first when at capacity.
     pub fn create(&self, tuple: Tuple) -> Result<u64, SessionError> {
+        self.create_with(tuple, |_, _| {})
+    }
+
+    /// [`create`](Self::create), running `created` on the new session
+    /// before any other request can reach it — the service journals the
+    /// session's creation from its own cells there, so no event about
+    /// the id can be journaled ahead of it.
+    pub fn create_with(
+        &self,
+        tuple: Tuple,
+        created: impl FnOnce(u64, &MonitorSession),
+    ) -> Result<u64, SessionError> {
         if self.len() >= self.max_sessions {
             self.evict_idle();
         }
@@ -111,10 +123,12 @@ impl SessionManager {
             });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let session = MonitorSession::new(id as usize, tuple);
+        created(id, &session);
         map.insert(
             id,
             Arc::new(Mutex::new(SessionEntry {
-                session: MonitorSession::new(id as usize, tuple),
+                session,
                 last_touched: Instant::now(),
             })),
         );

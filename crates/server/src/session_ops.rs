@@ -5,15 +5,15 @@
 use crate::errors::{ErrorCode, ServeError};
 use crate::protocol::RequestScratch;
 use crate::service::{write_attrs, write_tuple, CleaningService, Reply};
-use cerfix::{FixpointReport, MonitorSession, SessionStatus};
+use cerfix::{FixpointReport, MonitorSession};
 use cerfix_relation::{AttrSet, SchemaRef, Tuple, Value};
-use cerfix_storage::{JournalEvent, SessionSnapshot};
+use cerfix_storage::{JournalEvent, SessionEvent, SessionSnapshot};
 use std::time::Instant;
 
 impl CleaningService {
     pub(crate) fn session_create(
         &self,
-        values: &[Value],
+        values: Vec<Value>,
         reply: Reply<'_>,
     ) -> Result<(), ServeError> {
         // In-flight sessions finish during a drain; fresh ones belong
@@ -33,24 +33,24 @@ impl CleaningService {
                 schema.arity()
             )));
         }
-        let tuple = Tuple::new(schema, values.to_vec())?;
-        let id = self.with_gate(|| -> Result<u64, ServeError> {
-            let id = self.inner.sessions.create(tuple)?;
-            // Only build the owned event when a journal exists.
-            if self.inner.storage.is_some() {
-                self.journal(&JournalEvent::SessionCreated {
+        // The parsed row becomes the tuple, and the event is framed from
+        // the tuple's own cells.
+        let tuple = Tuple::new(schema, values)?;
+        let id = self.with_gate(|| {
+            self.inner.sessions.create_with(tuple, |id, session| {
+                self.journal_session(SessionEvent::Created {
                     session: id,
-                    values: values.to_vec(),
+                    values: session.tuple.values(),
                 });
-            }
-            Ok(id)
+            })
         })?;
         self.inner.metrics.sessions_created.inc();
         self.session_view(id, None, reply)
     }
 
     /// Write the common session snapshot, with optional fixpoint-report
-    /// extras — under the session's lock, as it is read.
+    /// extras — under the session's lock, as it is read. The suggestion
+    /// is the monitor's bitset, written in ascending attribute order.
     pub(crate) fn session_view(
         &self,
         id: u64,
@@ -58,31 +58,33 @@ impl CleaningService {
         mut reply: Reply<'_>,
     ) -> Result<(), ServeError> {
         let engine = self.engine();
-        let monitor = self.monitor_for(&engine);
+        let monitor = engine.monitor(&self.inner.audit);
         let schema = self.input_schema();
         self.inner
             .sessions
             .with_session(id, |session| {
-                let status = monitor.status(session);
+                let complete = session.is_complete();
+                let suggestion = monitor.suggestion_attrs(session);
                 let w = reply.ok();
                 w.field("session", id);
-                let name = match &status {
-                    SessionStatus::AwaitingUser { .. } => "awaiting_user",
-                    SessionStatus::Complete => "complete",
-                    SessionStatus::Stuck { .. } => "stuck",
+                let name = if complete {
+                    "complete"
+                } else if suggestion.is_some() {
+                    "awaiting_user"
+                } else {
+                    "stuck"
                 };
                 w.field("status", name);
                 write_tuple(w, &session.tuple);
                 w.field("rounds", session.rounds);
                 write_attrs(w, schema, "validated", session.validated.iter());
-                match status {
-                    SessionStatus::AwaitingUser { suggestion } => {
-                        write_attrs(w, schema, "suggestion", suggestion)
+                match suggestion {
+                    Some(attrs) => write_attrs(w, schema, "suggestion", attrs.iter()),
+                    None if !complete => {
+                        let open = (0..schema.arity()).filter(|&a| !session.validated.contains(a));
+                        write_attrs(w, schema, "unvalidated", open)
                     }
-                    SessionStatus::Stuck { unvalidated } => {
-                        write_attrs(w, schema, "unvalidated", unvalidated)
-                    }
-                    SessionStatus::Complete => {}
+                    None => {}
                 }
                 if let Some(report) = report {
                     w.array("fixes", &report.fixes, |w, fix| {
@@ -104,48 +106,46 @@ impl CleaningService {
 
     /// `session.validate` / `session.fix`: apply the validations a
     /// parser resolved into `scratch` (none for `fix`), run the
-    /// correcting process, and write the session view with the report.
-    /// Journals *before* applying, inside the session lock: a mixed
-    /// batch can mutate some cells and then fail, and replay must
-    /// reproduce exactly that — the event is the attempt, and the
-    /// deterministic engine re-derives its outcome.
+    /// correcting process on `scratch`'s buffers, and write the session
+    /// view with the report it leaves there. Journals *before* applying,
+    /// inside the session lock: a mixed batch can mutate some cells and
+    /// then fail, and replay must reproduce exactly that — the event is
+    /// the attempt, and the deterministic engine re-derives its outcome.
     pub(crate) fn session_validate(
         &self,
         id: u64,
-        scratch: &RequestScratch,
+        scratch: &mut RequestScratch,
         reply: Reply<'_>,
     ) -> Result<(), ServeError> {
-        let resolved = &scratch.validations;
-        let report = self.with_gate(|| {
+        let RequestScratch {
+            validations,
+            fixpoint,
+            ..
+        } = scratch;
+        self.with_gate(|| {
             let engine = self.engine();
-            let monitor = self.monitor_for(&engine);
+            let monitor = engine.monitor(&self.inner.audit);
             self.inner
                 .sessions
                 .with_session(id, |session| {
-                    // Only build the owned event when a journal exists —
-                    // the memory-mode hot path stays allocation-free.
-                    if self.inner.storage.is_some() {
-                        self.journal(&JournalEvent::SessionValidated {
-                            session: id,
-                            validations: resolved
-                                .iter()
-                                .map(|(attr, value)| (*attr as u32, value.clone()))
-                                .collect(),
-                        });
-                    }
+                    self.journal_session(SessionEvent::Validated {
+                        session: id,
+                        validations,
+                    });
                     let engine_started = Instant::now();
-                    let result = monitor.apply_validation(session, resolved);
+                    let result = monitor.apply_validation_into(session, validations, fixpoint);
                     reply.span.engine_ns += engine_started.elapsed().as_nanos() as u64;
-                    result
+                    result.map(|_| ())
                 })
                 .map_err(ServeError::from)
         })??;
+        let report = fixpoint.report();
         reply.span.stats += report.stats;
         self.inner
             .metrics
             .cells_fixed
             .add(report.fixes.len() as u64);
-        self.session_view(id, Some(&report), reply)
+        self.session_view(id, Some(report), reply)
     }
 
     pub(crate) fn session_commit(&self, id: u64, mut reply: Reply<'_>) -> Result<(), ServeError> {

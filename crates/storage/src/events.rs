@@ -100,21 +100,14 @@ impl JournalEvent {
     pub(crate) fn encode_into(&self, enc: &mut Encoder<'_>) {
         match self {
             JournalEvent::SessionCreated { session, values } => {
-                enc.put_u8(1);
-                enc.put_u64(*session);
-                enc.put_values(values);
+                put_session_created(enc, *session, values);
             }
             JournalEvent::SessionValidated {
                 session,
                 validations,
             } => {
-                enc.put_u8(2);
-                enc.put_u64(*session);
-                enc.put_u32(validations.len() as u32);
-                for (attr, value) in validations {
-                    enc.put_u32(*attr);
-                    enc.put_value(value);
-                }
+                let pairs = validations.iter().map(|(attr, value)| (*attr, value));
+                put_session_validated(enc, *session, pairs);
             }
             JournalEvent::SessionCommitted { session } => {
                 enc.put_u8(3);
@@ -213,6 +206,72 @@ impl JournalEvent {
         };
         dec.finish()?;
         Ok(event)
+    }
+}
+
+/// A session event framed from values its writer already holds: the
+/// borrowed form of [`JournalEvent::SessionCreated`] and
+/// [`JournalEvent::SessionValidated`], which the service journals on
+/// every `session.create` and `session.validate` without first copying
+/// the row or the validations into an owned event. Its frame is the
+/// owned event's, byte for byte — one encoder writes both.
+#[derive(Debug, Clone, Copy)]
+pub enum SessionEvent<'a> {
+    /// [`JournalEvent::SessionCreated`].
+    Created {
+        /// Server-assigned session id.
+        session: u64,
+        /// The raw tuple as entered, in schema order.
+        values: &'a [Value],
+    },
+    /// [`JournalEvent::SessionValidated`], attribute ids as resolved
+    /// against the input schema.
+    Validated {
+        /// Server-assigned session id.
+        session: u64,
+        /// `(attribute id, asserted value)` pairs, in the order they
+        /// are applied.
+        validations: &'a [(usize, Value)],
+    },
+}
+
+impl SessionEvent<'_> {
+    /// Encode as a frame payload at the end of `enc`'s buffer.
+    pub(crate) fn encode_into(&self, enc: &mut Encoder<'_>) {
+        match *self {
+            SessionEvent::Created { session, values } => put_session_created(enc, session, values),
+            SessionEvent::Validated {
+                session,
+                validations,
+            } => {
+                let pairs = validations
+                    .iter()
+                    .map(|(attr, value)| (*attr as u32, value));
+                put_session_validated(enc, session, pairs);
+            }
+        }
+    }
+}
+
+/// The one encoder of a `SessionCreated` payload, owned or borrowed.
+fn put_session_created(enc: &mut Encoder<'_>, session: u64, values: &[Value]) {
+    enc.put_u8(1);
+    enc.put_u64(session);
+    enc.put_values(values);
+}
+
+/// The one encoder of a `SessionValidated` payload, owned or borrowed.
+fn put_session_validated<'v>(
+    enc: &mut Encoder<'_>,
+    session: u64,
+    validations: impl ExactSizeIterator<Item = (u32, &'v Value)>,
+) {
+    enc.put_u8(2);
+    enc.put_u64(session);
+    enc.put_u32(validations.len() as u32);
+    for (attr, value) in validations {
+        enc.put_u32(attr);
+        enc.put_value(value);
     }
 }
 
@@ -457,6 +516,40 @@ mod tests {
             // is why a follower may journal the payload it was sent
             // instead of re-encoding what it decoded.
             assert_eq!(back.encode(), bytes, "{}", event.kind());
+        }
+    }
+
+    #[test]
+    fn session_events_frame_as_their_owned_form() {
+        let values = [Value::str("M."), Value::Null, Value::Int(7)];
+        let validations = [(0, Value::str("Mark")), (2, Value::Float(1.5))];
+        let borrowed = |event: SessionEvent<'_>| {
+            let mut payload = Vec::new();
+            event.encode_into(&mut Encoder::new(&mut payload));
+            payload
+        };
+        let created = SessionEvent::Created {
+            session: 1,
+            values: &values,
+        };
+        let owned = JournalEvent::SessionCreated {
+            session: 1,
+            values: values.to_vec(),
+        };
+        assert_eq!(borrowed(created), owned.encode());
+        for n in [0, 2] {
+            let validated = SessionEvent::Validated {
+                session: 1,
+                validations: &validations[..n],
+            };
+            let owned = JournalEvent::SessionValidated {
+                session: 1,
+                validations: validations[..n]
+                    .iter()
+                    .map(|(attr, value)| (*attr as u32, value.clone()))
+                    .collect(),
+            };
+            assert_eq!(borrowed(validated), owned.encode());
         }
     }
 

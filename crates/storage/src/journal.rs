@@ -76,7 +76,7 @@
 //! [`StorageError::Corrupt`]: crate::StorageError::Corrupt
 
 use crate::codec::{self, CodecError};
-use crate::events::JournalEvent;
+use crate::events::{JournalEvent, SessionEvent};
 use crate::spill::AuditSpill;
 use crate::vfs::{ReadAt, StorageFile, StorageFs};
 use crate::watch::{DurableWatch, Waker, Watchers};
@@ -689,6 +689,12 @@ impl Journal {
     /// number for [`sync`](Self::sync). No disk I/O on this path: the
     /// frame is encoded in place at the end of the buffer.
     pub fn append(&self, event: &JournalEvent) -> u64 {
+        self.push(|buf| codec::append_frame(buf, |enc| event.encode_into(enc)))
+    }
+
+    /// [`append`](Self::append) for a session event borrowing the values
+    /// its writer holds; the frame is the owned event's.
+    pub fn append_session(&self, event: SessionEvent<'_>) -> u64 {
         self.push(|buf| codec::append_frame(buf, |enc| event.encode_into(enc)))
     }
 

@@ -71,7 +71,8 @@ mod watch;
 
 pub use codec::CodecError;
 pub use events::{
-    decode_audit_record, encode_audit_record, JournalEvent, SessionSnapshot, SnapshotData,
+    decode_audit_record, encode_audit_record, JournalEvent, SessionEvent, SessionSnapshot,
+    SnapshotData,
 };
 pub use journal::{
     read_events, scan_journal, scan_journal_with, CursorRead, FlushProfile, Journal, JournalScan,
@@ -293,6 +294,14 @@ impl Storage {
     pub fn append(&self, event: &JournalEvent) -> u64 {
         self.events_since_snapshot.fetch_add(1, Ordering::Relaxed);
         self.journal.append(event)
+    }
+
+    /// [`append`](Self::append) for a session event borrowing the values
+    /// its writer already holds: framed from them, with no owned
+    /// [`JournalEvent`] built first.
+    pub fn append_session(&self, event: SessionEvent<'_>) -> u64 {
+        self.events_since_snapshot.fetch_add(1, Ordering::Relaxed);
+        self.journal.append_session(event)
     }
 
     /// [`append`](Self::append) for an event that is already a frame

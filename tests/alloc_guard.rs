@@ -1,27 +1,33 @@
 //! Allocations per request on the warmed session path: `session.get` 0,
 //! `session.fix` 0, `session.validate` 1 (the validated value's
-//! `Arc<str>`) — and on a warmed 128-tuple `clean`, at most 20 per tuple
-//! (measured 10.13: what the tuples hold, not a tree of the reply).
-//! Then the entry path, on the paper's UK rules with no pre-computed
+//! `Arc<str>`) — and on a warmed 128-tuple `clean`, at most 5 per tuple
+//! (measured 4.13: each tuple's three cells and its row `Vec`; 10.13
+//! while every tuple built a monitor, a validations list and a fresh
+//! fixpoint report). Underneath them all, a warmed
+//! `DataMonitor::apply_validation_into` round on the paper's UK rules —
+//! rules firing, then a new suggestion — allocates 0: the correcting
+//! process runs on the caller's `FixpointScratch`, and the suggestion is
+//! a bitset. Then the entry path, on the UK rules with no pre-computed
 //! region, so every reply carries a suggestion from the inference
-//! system: `session.create` at most 30 (measured 16: the tuple's nine
-//! cells, the tuple, its registry entry, and two for the suggestion —
-//! the cover search's result list and the `Vec` it is returned in; 234
-//! when the suggestion was derived through `BTreeSet`s), a
-//! `session.validate` that ends `awaiting_user` with a new suggestion at
-//! most 15 (measured 9; was 155), and the completing `session.validate`
-//! 4, as it was (a complete session never asks the inference system).
-//! Last, the durable path: a warmed `Journal::append` and a warmed
-//! `AuditSpill::append` allocate 0 (each frame is encoded in place into
-//! a buffer that keeps its capacity across flushes); the same session
-//! with a commit on a journaled node at most 45 (measured 37; 106 while
-//! every event and audit record was encoded into its own `Vec` and each
-//! record also cloned into a resident window); and replicated — a
-//! journaled primary, a follower tailing it over loopback, quorum 2 — at
-//! most 95 on both nodes together (measured 85; 206 before in-place
-//! framing, 313 while each frame was decoded and re-encoded on the
-//! primary and read through a `Json` tree, hex-decoded into its own
-//! `Vec` and re-encoded on the follower).
+//! system: `session.create` at most 12 (measured 11: the tuple's nine
+//! cells, its row and its registry entry; 16 while the row was copied
+//! and grown and the suggestion came back as a `Vec`, 234 when it was
+//! derived through `BTreeSet`s), a `session.validate` that ends
+//! `awaiting_user` with a new suggestion at most 5 (measured 4, its four
+//! values; was 9, and 155 before that), and the completing
+//! `session.validate` 1 (was 4). Last, the durable path: a warmed
+//! `Journal::append` and a warmed `AuditSpill::append` allocate 0 (each
+//! frame is encoded in place into a buffer that keeps its capacity
+//! across flushes); the same session with a commit on a journaled node
+//! at most 24 (measured 21; 37 while each event was framed from an owned
+//! copy of its values, 106 while every event and audit record was
+//! encoded into its own `Vec` and each record also cloned into a
+//! resident window); and replicated — a journaled primary, a follower
+//! tailing it over loopback, quorum 2 — at most 68 on both nodes
+//! together (measured 63; 85 while each replayed event built its own
+//! monitor and report, 206 before in-place framing, 313 while each frame
+//! was decoded and re-encoded on the primary and read through a `Json`
+//! tree, hex-decoded into its own `Vec` and re-encoded on the follower).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -33,8 +39,10 @@
 //! This file holds exactly one `#[test]`: the counter is process-wide,
 //! and a sibling test on another thread would allocate into the window.
 
-use cerfix::{AuditRecord, AuditSink, CellEvent, MasterData};
-use cerfix_relation::{RelationBuilder, Schema, Value};
+use cerfix::{
+    AuditLog, AuditRecord, AuditSink, CellEvent, DataMonitor, FixpointScratch, MasterData,
+};
+use cerfix_relation::{AttrSet, RelationBuilder, Schema, Tuple, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::{CleaningService, RequestScratch, Server, ServiceConfig, StorageConfig};
 use cerfix_storage::{JournalEvent, Storage};
@@ -130,16 +138,18 @@ fn entry_path_allocations(service: &CleaningService) -> [u64; 3] {
 }
 
 /// Most allocations one journaled session may make, every thread
-/// counted (measured 37; 106 while each journal event and audit record
-/// was encoded into a `Vec` of its own, copied into a frame, and each
-/// audit record also cloned into a resident window).
-const JOURNALED_BOUND: u64 = 45;
+/// counted (measured 21; 37 while events were framed from owned copies
+/// and every round built its own report, 106 while each journal event
+/// and audit record was encoded into a `Vec` of its own, copied into a
+/// frame, and each audit record also cloned into a resident window).
+const JOURNALED_BOUND: u64 = 24;
 
 /// Most allocations one replicated session may make, both nodes and
-/// every thread counted (measured 85; 206 before the frames were
-/// encoded in place, 313 when they were decoded, re-encoded and read
-/// through a `Json` tree on the way).
-const REPLICATED_BOUND: u64 = 95;
+/// every thread counted (measured 63; 85 while each replayed validation
+/// built a monitor, a validations list and a report, 206 before the
+/// frames were encoded in place, 313 when they were decoded, re-encoded
+/// and read through a `Json` tree on the way).
+const REPLICATED_BOUND: u64 = 68;
 
 /// The UK clerk's session — create, two validates, commit — on a
 /// journaled node, and with `replicated` on a primary with a follower
@@ -218,6 +228,63 @@ fn journaled_session_allocations(replicated: bool) -> u64 {
     spent / ENTRY_MEASURE
 }
 
+/// Allocations of `ROUNDS` warmed rounds of Fig. 3 on the UK rules,
+/// straight on the monitor: validate AC, phn, type and item (rules
+/// validate FN, LN and city, changing FN and city), then ask for the
+/// next suggestion (zip). The
+/// sessions, the validations, the scratch and a full audit window are
+/// in place before the count starts, so what is counted is the round
+/// itself — 0.
+fn warmed_round_allocations() -> u64 {
+    const ROUNDS: usize = 256;
+    let mut rng = rand::SeedableRng::seed_from_u64(0);
+    let master = MasterData::new(cerfix_gen::uk::generate_master(2, &mut rng));
+    let rules = cerfix_gen::uk::rules();
+    let plan = Arc::new(cerfix::CompiledRules::compile(&rules, &master));
+    let audit = Arc::new(AuditLog::windowed(64));
+    let monitor = DataMonitor::from_shared_parts(&rules, &master, plan, Vec::new().into(), audit);
+    let schema = rules.input_schema();
+    let cells = [
+        "M.",
+        "Smith",
+        "201",
+        "075568485",
+        "2",
+        "1 Nowhere",
+        "???",
+        "XXX",
+        "DVD",
+    ];
+    let dirty = Tuple::of_strings(schema.clone(), cells).unwrap();
+    let round: Vec<(usize, Value)> = [
+        ("AC", "020"),
+        ("phn", "075568485"),
+        ("type", "2"),
+        ("item", "DVD"),
+    ]
+    .iter()
+    .map(|&(name, value)| (schema.attr_id(name).unwrap(), Value::str(value)))
+    .collect();
+    let zip: AttrSet = [schema.attr_id("zip").unwrap()].into_iter().collect();
+    let mut sessions: Vec<_> = (0..ROUNDS + 16)
+        .map(|i| monitor.start(i, dirty.clone()))
+        .collect();
+    let mut scratch = FixpointScratch::default();
+    let (warm, measured) = sessions.split_at_mut(16);
+    let mut play = |session: &mut cerfix::MonitorSession| {
+        let report = monitor
+            .apply_validation_into(session, &round, &mut scratch)
+            .unwrap();
+        assert_eq!(report.newly_validated.len(), 3, "FN, LN and city validated");
+        assert_eq!(report.fixes.len(), 2, "FN and city changed");
+        assert_eq!(monitor.suggestion_attrs(session), Some(zip.clone()));
+    };
+    warm.iter_mut().for_each(&mut play);
+    let before = counting_alloc::count();
+    measured.iter_mut().for_each(&mut play);
+    counting_alloc::count() - before
+}
+
 /// Allocations of `APPENDS` warmed appends, to a journal and to an
 /// audit spill: the frames are encoded in place into buffers that keep
 /// their capacity from one flush to the next, so both are 0.
@@ -277,6 +344,14 @@ fn warmed_session_ops_allocate_zero_zero_one() {
     // land inside a window; a steady-state regression costs ≥ MEASURE.
     const STRAY_SLACK: u64 = 16;
 
+    // The engine underneath every request: a round on the caller's
+    // buffers allocates nothing.
+    assert_eq!(
+        warmed_round_allocations(),
+        0,
+        "warmed apply_validation_into rounds"
+    );
+
     let service = kv_service();
     let set = service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":500}"#);
     assert!(
@@ -328,15 +403,16 @@ fn warmed_session_ops_allocate_zero_zero_one() {
 
     // The other half of `tests/parse_guard.rs`: that one bounds what
     // reading a 128-row `clean` line allocates, this what serving one
-    // does, reply included. Measured per request: 1 297 (10.13 per
-    // tuple — its cells, its `Tuple`, the monitor's report and audit
-    // records); 2 584 (20.19 per tuple) when each outcome was first
-    // built as a `Json` tree — ten allocations per three-cell tuple and
-    // seven per request that this bound keeps out.
+    // does, reply included. Measured per request: 529 (4.13 per tuple —
+    // its three cells and its row; the monitor and its report run on
+    // the pool worker's reused buffers); 1 297 (10.13 per tuple) while
+    // each tuple built its own monitor, validations and report; 2 584
+    // (20.19 per tuple) when each outcome was first built as a `Json`
+    // tree.
     const ROWS: u64 = 128;
     const CLEAN_WARM: u64 = 4;
     const CLEAN_MEASURE: u64 = 16;
-    const CLEAN_BOUND: u64 = 20 * ROWS + 20;
+    const CLEAN_BOUND: u64 = 5 * ROWS + 20;
     let mut line = String::from(r#"{"op":"clean","trust":["key","note"],"tuples":["#);
     for i in 0..ROWS {
         let comma = if i > 0 { "," } else { "" };
@@ -367,19 +443,19 @@ fn warmed_session_ops_allocate_zero_zero_one() {
     // carries a suggestion.
     let [create, awaiting, completing] = entry_path_allocations(&uk_service());
     assert!(
-        create <= 30 * ENTRY_MEASURE + STRAY_SLACK,
+        create <= 12 * ENTRY_MEASURE + STRAY_SLACK,
         "session.create with a suggestion: {create} allocations over {ENTRY_MEASURE} requests \
-         (must be at most 30 each)"
+         (must be at most 12 each)"
     );
     assert!(
-        awaiting <= 15 * ENTRY_MEASURE + STRAY_SLACK,
+        awaiting <= 5 * ENTRY_MEASURE + STRAY_SLACK,
         "session.validate ending awaiting_user: {awaiting} allocations over {ENTRY_MEASURE} \
-         requests (must be at most 15 each)"
+         requests (must be at most 5 each)"
     );
     assert!(
-        completing <= 4 * ENTRY_MEASURE + STRAY_SLACK,
+        completing <= ENTRY_MEASURE + STRAY_SLACK,
         "completing session.validate: {completing} allocations over {ENTRY_MEASURE} requests \
-         (must be 4 each)"
+         (must be 1 each)"
     );
 
     // The journaled session: the same clerk, every event and audit

@@ -24,7 +24,9 @@
 //!   (master, rules, tuple, seed) instances, both engines produce
 //!   identical final tuples, validated sets, and fix lists (same fixes,
 //!   same order), and error identically on inconsistent instances —
-//!   Church–Rosser equivalence preserved.
+//!   Church–Rosser equivalence preserved. And one `FixpointScratch`
+//!   reused across a stream of random tuples, plans and failures reports
+//!   what a fresh run on each tuple reports: no run leaks into the next.
 //! * **Deterministic work guards** — on the UK rules, on a mined-rules
 //!   fixture (`discover_rules` over master data) and on an RNG-free
 //!   chain with exact checked-in attempt counts, the delta engine
@@ -34,8 +36,8 @@
 
 use cerfix::engine::RuleMasks;
 use cerfix::{
-    run_fixpoint, run_fixpoint_delta, CertainLookup, CompiledRules, DataMonitor, EngineStats,
-    MasterData, MonitorSession,
+    run_fixpoint, run_fixpoint_delta, run_fixpoint_delta_into, CertainLookup, CompiledRules,
+    DataMonitor, EngineStats, FixpointScratch, MasterData, MonitorSession,
 };
 use cerfix_gen::{hosp, uk};
 use cerfix_relation::{
@@ -214,6 +216,70 @@ proptest! {
         let unindexed = MasterData::new_unindexed(master.relation().clone());
         let plan = CompiledRules::compile(&rules, &unindexed);
         assert_engines_agree(&rules, &plan, &unindexed, &tuple, &seed)?;
+    }
+}
+
+/// Run `tuple` once fresh and once on `scratch`, and assert the two runs
+/// agree on everything a report carries, the tuple and the validated set.
+fn assert_reused_scratch_agrees(
+    plan: &CompiledRules,
+    master: &MasterData,
+    tuple: &Tuple,
+    seed: &AttrSet,
+    scratch: &mut FixpointScratch,
+) -> Result<(), TestCaseError> {
+    let (mut t_fresh, mut v_fresh) = (tuple.clone(), seed.clone());
+    let fresh = run_fixpoint_delta(plan, master, &mut t_fresh, &mut v_fresh);
+    let (mut t, mut v) = (tuple.clone(), seed.clone());
+    let reused = run_fixpoint_delta_into(plan, master, &mut t, &mut v, scratch);
+    match (fresh, reused) {
+        (Ok(fresh), Ok(report)) => {
+            prop_assert_eq!(&report.fixes, &fresh.fixes);
+            prop_assert_eq!(&report.newly_validated, &fresh.newly_validated);
+            prop_assert_eq!(report.passes, fresh.passes);
+            prop_assert_eq!(report.rule_firings, fresh.rule_firings);
+            prop_assert_eq!(report.stats, fresh.stats);
+        }
+        (Err(fresh), Err(reused)) => prop_assert_eq!(fresh.to_string(), reused.to_string()),
+        (fresh, reused) => {
+            return Err(TestCaseError::Fail(format!(
+                "fresh run {:?}, reused scratch {:?}",
+                fresh.map(|r| r.fixes),
+                reused.map(|r| r.fixes.clone())
+            )))
+        }
+    }
+    prop_assert_eq!(&t, &t_fresh, "final tuples differ");
+    prop_assert_eq!(&v, &v_fresh, "validated sets differ");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One scratch serves a stream of random tuples on one random plan,
+    /// then on another — some with more than 64 rules, so the worklist
+    /// sets leave their inline word — including inconsistent instances
+    /// whose runs fail half-way. Every run equals a fresh one.
+    #[test]
+    fn reused_scratch_equals_fresh_runs(instance in 0u64..100_000) {
+        const ARITY: usize = 7;
+        let mut rng = StdRng::seed_from_u64(instance);
+        let mut scratch = FixpointScratch::default();
+        for _ in 0..2 {
+            let n_rules = if rng.gen_bool(0.25) {
+                rng.gen_range(65..80usize)
+            } else {
+                rng.gen_range(1..10usize)
+            };
+            let (input, rules, master) = random_rules(&mut rng, ARITY, n_rules);
+            let plan = CompiledRules::compile(&rules, &master);
+            for _ in 0..8 {
+                let tuple = random_tuple(&mut rng, &input);
+                let seed: AttrSet = (0..ARITY).filter(|_| rng.gen_bool(0.4)).collect();
+                assert_reused_scratch_agrees(&plan, &master, &tuple, &seed, &mut scratch)?;
+            }
+        }
     }
 }
 

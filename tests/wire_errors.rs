@@ -154,6 +154,56 @@ fn lonely(dir: &Path) -> CleaningService {
 }
 
 // ---------------------------------------------------------------------
+// A refusal has no side effect.
+// ---------------------------------------------------------------------
+
+/// A `clean` whose second row is short is refused before any row is
+/// cleaned: no provenance is recorded for the rows around it, nothing
+/// counts as cleaned — and on a journaled node nothing reaches the
+/// spill, so a restart finds none either.
+#[test]
+fn a_refused_clean_records_no_provenance() {
+    const REFUSED: &str =
+        r#"{"op":"clean","trust":["key"],"tuples":[["k1","x","n"],["k2"],["k3","y","n"]]}"#;
+    let audit_total = |service: &CleaningService| {
+        let reply = service.handle_line(r#"{"op":"audit.read","start":0}"#);
+        let reply = Json::parse(&reply).unwrap();
+        reply.get("total").and_then(Json::as_u64).expect("a total")
+    };
+    let refuse = |service: &CleaningService| {
+        let elicited = ask(service, REFUSED);
+        assert!(
+            matches!(elicited.error, Some(ref e) if e.code() == Some(ErrorCode::BadRequest)),
+            "{}",
+            elicited.line
+        );
+        assert!(
+            elicited.line.contains("tuple 1 has 1 values"),
+            "{}",
+            elicited.line
+        );
+        assert_eq!(audit_total(service), 0, "provenance of a refused clean");
+        assert_eq!(service.metrics().tuples_cleaned, 0);
+    };
+    refuse(&memory(config()));
+
+    let dir = tmp_dir("refused-clean");
+    let service = journaled(&dir, config(), None);
+    refuse(&service);
+    // A commit waits for the group fsync, which covers the audit spill.
+    assert!(service.handle_line(CREATE).starts_with("{\"ok\":true"));
+    let commit = service.handle_line(r#"{"op":"session.commit","session":1}"#);
+    assert!(commit.starts_with("{\"ok\":true"), "{commit}");
+    drop(service);
+    assert_eq!(
+        audit_total(&journaled(&dir, config(), None)),
+        0,
+        "after a restart"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
 // The table, row by row.
 // ---------------------------------------------------------------------
 
