@@ -18,6 +18,8 @@
 //! * a resolved `Arc<HashIndex>` **snapshot** per rule — the serving
 //!   path probes master data lock-free (`None` on the unindexed `T6`
 //!   ablation arm, where `MasterData` scans instead);
+//! * a **key group** per rule — the rules joining on the same `(X, Xm)`,
+//!   which a run asks master data about with one probe ([`KeyMemo`]);
 //! * per-attribute **watch lists** mapping each evidence attribute to
 //!   the rules it can unblock — the delta engine
 //!   ([`run_fixpoint_delta`](crate::engine::run_fixpoint_delta)) wakes
@@ -30,12 +32,13 @@
 
 use crate::engine::inference::RuleMasks;
 use crate::master::MasterData;
-use cerfix_relation::{AttrId, AttrSet, HashIndex, RowId, SchemaRef, Tuple, Value};
+use cerfix_relation::{AttrId, AttrSet, HashIndex, Probe, RowId, SchemaRef, Tuple, Value};
 use cerfix_rules::{PatternTuple, RuleId, RuleSet};
 use std::sync::Arc;
 
 /// One rule in execution form: flat layouts, pattern, resolved index
-/// (its evidence / RHS masks live in the plan's [`RuleMasks`]).
+/// and key group (its evidence / RHS masks live in the plan's
+/// [`RuleMasks`]).
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledRule {
     /// The rule's id in the source [`RuleSet`] (for fix provenance).
@@ -56,30 +59,69 @@ pub(crate) struct CompiledRule {
     pub(crate) pattern: PatternTuple,
     /// Snapshot of the master index on `Xm` (`None` ⇒ scan fallback).
     pub(crate) index: Option<Arc<HashIndex>>,
+    /// The rule's key group: the rules with this rule's `X` and `Xm`
+    /// share one index probe per run (see [`KeyMemo`]).
+    group: usize,
 }
 
 impl CompiledRule {
-    /// The rule's certain lookup for `tuple`: project the join key
-    /// `tuple[X]` into `key_buf` (a reused buffer) and ask `master` — the
-    /// master this plan was compiled against — for the certain witness
-    /// (see `MasterData::certain_match`). `None` is final once the
-    /// rule's evidence is validated: no match, disagreement, or a null
-    /// fix value.
-    pub(crate) fn lookup_witness(
-        &self,
-        master: &MasterData,
-        tuple: &Tuple,
-        key_buf: &mut Vec<Value>,
-    ) -> Option<RowId> {
+    /// Project the join key `tuple[X]` into `key_buf` (a reused buffer).
+    fn key_into(&self, tuple: &Tuple, key_buf: &mut Vec<Value>) {
         key_buf.clear();
         key_buf.extend(self.input_lhs.iter().map(|&a| tuple.get(a).clone()));
-        let (_, witness) = master.certain_match(
-            self.index.as_deref(),
-            &self.master_lhs,
-            key_buf,
-            &self.master_rhs_set,
-        );
-        witness
+    }
+}
+
+/// One run's memo of the index probes it made, one slot per key group:
+/// the first rule of a group that reaches its lookup probes the index
+/// and keeps the posting here, and the group's other rules read it.
+///
+/// That is sound because a rule is attempted only once its evidence —
+/// `X` included — is validated, and validated cells are frozen for the
+/// rest of the run: every rule of a group would build the same key.
+/// Whoever drives a run owns the memo and clears it at the run's start
+/// (a `FixpointScratch` holds one); its slots are sized at the first
+/// probe, so a run that makes no lookup touches none, and refilled in
+/// place, so a warmed memo allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct KeyMemo {
+    /// Groups whose slot holds this run's probe.
+    probed: AttrSet,
+    slots: Vec<Slot>,
+}
+
+/// One group's probe, kept past the borrow of the index.
+#[derive(Debug, Default)]
+struct Slot {
+    matches: usize,
+    first: RowId,
+    shared: bool,
+    agree: AttrSet,
+}
+
+impl Slot {
+    /// Hold `probe` in place of whatever was held, reusing the buffer.
+    fn fill(&mut self, probe: Probe<'_>) {
+        (self.matches, self.first) = (probe.matches, probe.first);
+        self.shared = probe.agree.is_some();
+        if let Some(agree) = probe.agree {
+            self.agree.clone_from(agree);
+        }
+    }
+
+    fn probe(&self) -> Probe<'_> {
+        Probe {
+            matches: self.matches,
+            first: self.first,
+            agree: self.shared.then_some(&self.agree),
+        }
+    }
+}
+
+impl KeyMemo {
+    /// Forget every probe: a new run begins.
+    pub(crate) fn clear(&mut self) {
+        self.probed.clear();
     }
 }
 
@@ -98,34 +140,51 @@ pub struct CompiledRules {
     input_schema: SchemaRef,
     /// Master generation the index snapshots were resolved against.
     master_generation: u64,
+    /// Number of key groups: distinct `(X, Xm)` join layouts.
+    groups: usize,
 }
 
 impl CompiledRules {
     /// Compile `rules` against `master`, warming (and snapshotting) the
-    /// master index for every distinct rule LHS.
+    /// master index for every distinct rule LHS and giving every rule its
+    /// key group: rules with the same input LHS `X` and master LHS `Xm`
+    /// (the same lists, in the same order) ask master data the same
+    /// question of a tuple, so they share one group.
     pub fn compile(rules: &RuleSet, master: &MasterData) -> CompiledRules {
         let input_schema = rules.input_schema().clone();
         let masks = RuleMasks::of(rules);
         let mut compiled: Vec<CompiledRule> = Vec::with_capacity(rules.len());
         let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); input_schema.arity()];
+        let mut groups = 0;
         for (id, rule) in rules.iter() {
             let pos = compiled.len();
             for attr in masks.evidence(pos) {
                 watchers[attr].push(pos as u32);
             }
-            let master_lhs = rule.master_lhs();
+            let (input_lhs, master_lhs) = (rule.input_lhs(), rule.master_lhs());
             let master_rhs = rule.master_rhs();
             let index = master.warmed_index(&master_lhs);
+            let sibling = compiled
+                .iter()
+                .find(|r| *r.input_lhs == *input_lhs && *r.master_lhs == *master_lhs);
+            let group = match sibling {
+                Some(sibling) => sibling.group,
+                None => {
+                    groups += 1;
+                    groups - 1
+                }
+            };
             compiled.push(CompiledRule {
                 id,
                 name: rule.name().to_string(),
-                input_lhs: rule.input_lhs().into_boxed_slice(),
+                input_lhs: input_lhs.into_boxed_slice(),
                 master_lhs: master_lhs.into_boxed_slice(),
                 input_rhs: rule.input_rhs().into_boxed_slice(),
                 master_rhs_set: master_rhs.iter().copied().collect(),
                 master_rhs: master_rhs.into_boxed_slice(),
                 pattern: rule.pattern().clone(),
                 index,
+                group,
             });
         }
         CompiledRules {
@@ -134,7 +193,45 @@ impl CompiledRules {
             watchers,
             input_schema,
             master_generation: master.generation(),
+            groups,
         }
+    }
+
+    /// The certain lookup of the rule at `pos` for `tuple`, against
+    /// `master` — the master this plan was compiled against: the certain
+    /// witness, or `None`, which is final once the rule's evidence is
+    /// validated (no match, disagreement, or a null fix value). The index
+    /// is probed once per key group and run — `memo` holds the posting
+    /// for the group's other rules, and `probes` counts the probes made —
+    /// and `MasterData::certain_verdict` decides for each rule. The
+    /// unindexed `T6` arm scans once per lookup.
+    pub(crate) fn lookup(
+        &self,
+        pos: usize,
+        master: &MasterData,
+        tuple: &Tuple,
+        key_buf: &mut Vec<Value>,
+        memo: &mut KeyMemo,
+        probes: &mut usize,
+    ) -> Option<RowId> {
+        let rule = &self.rules[pos];
+        let Some(index) = rule.index.as_deref() else {
+            rule.key_into(tuple, key_buf);
+            let rhs = &rule.master_rhs_set;
+            return master.certain_match(None, &rule.master_lhs, key_buf, rhs).1;
+        };
+        let group = rule.group;
+        if !memo.probed.contains(group) {
+            rule.key_into(tuple, key_buf);
+            if memo.slots.len() < self.groups {
+                memo.slots.resize_with(self.groups, Slot::default);
+            }
+            memo.slots[group].fill(index.probe(key_buf));
+            memo.probed.insert(group);
+            *probes += 1;
+        }
+        let probe = memo.slots[group].probe();
+        master.certain_verdict(probe, &rule.master_rhs_set).1
     }
 
     /// Number of compiled rules.
@@ -240,6 +337,33 @@ mod tests {
         assert!(plan.rules.iter().all(|r| r.index.is_some()));
         assert_eq!(master.index_count(), 2, "compile warmed both LHS indexes");
         assert_eq!(plan.master_generation(), master.generation());
+    }
+
+    #[test]
+    fn rules_sharing_a_join_layout_share_a_key_group() {
+        let (mut rules, master) = fixture();
+        let (input, ms) = (rules.input_schema().clone(), rules.master_schema().clone());
+        let (zip, ac, city) = (0, 1, 2);
+        // zip→city joins as zip_ac does; AC→zip joins master `zip` on
+        // another input attribute: a group of its own.
+        for (name, lhs, rhs) in [
+            ("zip_city", (zip, zip), (city, city)),
+            ("ac_as_zip", (ac, zip), (city, city)),
+        ] {
+            let rule = EditingRule::new(
+                name,
+                &input,
+                &ms,
+                vec![lhs],
+                vec![rhs],
+                PatternTuple::empty(),
+            );
+            rules.add(rule.unwrap()).unwrap();
+        }
+        let plan = CompiledRules::compile(&rules, &master);
+        let groups: Vec<usize> = plan.rules.iter().map(|r| r.group).collect();
+        assert_eq!(groups, [0, 1, 0, 2]);
+        assert_eq!(plan.groups, 3);
     }
 
     #[test]

@@ -25,17 +25,21 @@
 //! in `tests/engine_equivalence.rs` asserts all four — while total work
 //! drops to O(rule firings + |rules|).
 //!
-//! On the allocation side, the plan supplies resolved index snapshots
-//! and flat key layouts, so the per-attempt path clones `Arc`'d values
-//! into one reused key buffer; the certain lookup itself is one index
-//! probe, independent of how many master rows share the key. That key
-//! buffer, the worklist and the report live in a [`FixpointScratch`] the
-//! engine's driver owns, so a run on a warmed scratch allocates nothing.
+//! On the lookup side, the plan supplies resolved index snapshots, flat
+//! key layouts and key groups: the rules of a group join on the same
+//! `(X, Xm)`, and since a rule is attempted only once `X` is validated
+//! and frozen, they would all ask about the same key. So the first of
+//! them to reach its lookup probes the index — one probe, independent of
+//! how many master rows share the key — and its siblings read the
+//! posting from the run's key memo; each still gets its own verdict on
+//! its own `Bm`. The key buffer, the memo, the worklist and the report
+//! live in a [`FixpointScratch`] the engine's driver owns, so a run on a
+//! warmed scratch allocates nothing.
 //!
 //! [`run_fixpoint`]: crate::engine::run_fixpoint
 
 use crate::engine::application::apply_fix_values;
-use crate::engine::compile::CompiledRules;
+use crate::engine::compile::{CompiledRules, KeyMemo};
 use crate::engine::fixpoint::FixpointReport;
 use crate::engine::stats::EngineStats;
 use crate::error::Result;
@@ -43,15 +47,17 @@ use crate::master::MasterData;
 use cerfix_relation::{AttrSet, Tuple, Value};
 
 /// The buffers one run of the correcting process fills: its report, the
-/// projected join key and the rule worklist. Whoever drives the engine
-/// owns one and hands it to every run ([`run_fixpoint_delta_into`],
-/// `DataMonitor::apply_validation_into`); each run clears and refills
-/// it, so once the buffers have grown to a run's size a run allocates
-/// nothing.
+/// projected join key, the key memo and the rule worklist. Whoever
+/// drives the engine owns one and hands it to every run
+/// ([`run_fixpoint_delta_into`], `DataMonitor::apply_validation_into`);
+/// each run clears and refills it, so once the buffers have grown to a
+/// run's size a run allocates nothing.
 #[derive(Debug, Default)]
 pub struct FixpointScratch {
     report: FixpointReport,
     key_buf: Vec<Value>,
+    /// The index probes of this run, one per key group.
+    keys: KeyMemo,
     /// Rule positions awaiting their single attempt.
     pending: AttrSet,
     /// Rule positions ever enqueued (an attempted rule is never
@@ -109,9 +115,11 @@ pub fn run_fixpoint_delta_into<'s>(
     let FixpointScratch {
         report,
         key_buf,
+        keys,
         pending,
         enqueued,
     } = scratch;
+    keys.clear();
     report.fixes.clear();
     report.newly_validated.clear();
     report.passes = 1;
@@ -159,14 +167,14 @@ pub fn run_fixpoint_delta_into<'s>(
             continue;
         }
 
-        // Certain lookup: one probe of the plan's index snapshot, however
-        // many master rows share the key (a scan on the unindexed
-        // ablation arm). No match, disagreement, or a null fix value:
-        // with frozen evidence the lookup can never improve — the rule
-        // is dead.
+        // Certain lookup: one probe of the plan's index snapshot per key
+        // group, however many master rows share the key and however many
+        // rules join on it (a scan on the unindexed ablation arm). No
+        // match, disagreement, or a null fix value: with frozen evidence
+        // the lookup can never improve — the rule is dead.
         report.stats.master_lookups += 1;
-        report.stats.index_probes += usize::from(rule.index.is_some());
-        let Some(witness) = rule.lookup_witness(master, tuple, key_buf) else {
+        let probes = &mut report.stats.index_probes;
+        let Some(witness) = plan.lookup(pos, master, tuple, key_buf, keys, probes) else {
             continue;
         };
         let first = master.tuple(witness).expect("index row in range");

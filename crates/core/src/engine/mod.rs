@@ -13,6 +13,7 @@ mod stats;
 
 pub use application::{apply_rule, ApplyOutcome, CellFix};
 pub use compile::CompiledRules;
+pub(crate) use compile::KeyMemo;
 pub use consistency::{check_consistency, ConsistencyOptions, ConsistencyReport, Inconsistency};
 pub use delta::{run_fixpoint_delta, run_fixpoint_delta_into, FixpointScratch};
 pub use fixpoint::{run_fixpoint, FixpointReport};

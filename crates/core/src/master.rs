@@ -22,13 +22,17 @@
 //!    master cell is not evidence of anything) — O(`|Bm|`) on the witness
 //!    row alone.
 //!
-//! `MasterData::certain_match` is the one place both halves meet; the
-//! unindexed arm behind it answers the same question by scanning `Dm` and
-//! folding over the matches. Experiment `T6` ablates the index against
+//! `MasterData::certain_verdict` is the one place both halves meet, over
+//! one probe of the key — which the compiled engines share between the
+//! rules that join on the same key in one run; the unindexed arm of
+//! `MasterData::certain_match` answers the same question by scanning `Dm`
+//! and folding over the matches. Experiment `T6` ablates the index against
 //! full scans; `T3` sweeps `|Dm|` to show the resulting flat latency
 //! curve.
 
-use cerfix_relation::{AttrId, AttrSet, HashIndex, Relation, RowId, SchemaRef, Tuple, Value};
+use cerfix_relation::{
+    AttrId, AttrSet, HashIndex, Probe, Relation, RowId, SchemaRef, Tuple, Value,
+};
 use cerfix_rules::EditingRule;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -222,12 +226,11 @@ impl MasterData {
     /// THE certain-application query, as `(match count, certain
     /// witness)`: how many master rows have `s[master_lhs] = key`, and —
     /// iff at least one matched, all of them agree on every `master_rhs`
-    /// attribute, and no fix value is null — the first of them. Every
-    /// engine goes through it (the pass-based
-    /// [`certain_lookup`](Self::certain_lookup) path, the compiled delta
-    /// engine, and region certification's truth profiles), so the
-    /// semantics cannot drift, and it is the only place that chooses
-    /// between probing and scanning.
+    /// attribute, and no fix value is null — the first of them. It is the
+    /// only place that chooses between probing and scanning, and on the
+    /// probing side it is [`certain_verdict`](Self::certain_verdict) over
+    /// one probe — the verdict the compiled engines reach through their
+    /// per-run key memo, so the semantics cannot drift.
     ///
     /// `index` is a snapshot over `master_lhs` of this master's generation
     /// (a compiled plan's, or [`warmed_index`](Self::warmed_index)); it
@@ -252,12 +255,25 @@ impl MasterData {
             });
             return self.certain_witness(rows, master_rhs);
         };
-        let (matches, agreed) = index.certain(key, master_rhs);
-        let witness = agreed.filter(|&row| {
+        self.certain_verdict(index.probe(key), master_rhs)
+    }
+
+    /// One rule's verdict on one key's probe, as `(match count, certain
+    /// witness)`: the probe's first row iff the matching rows agree on
+    /// every `master_rhs` attribute (a subset test against the key's
+    /// agreement set) and none of its fix values is null. A probe answers
+    /// every rule that joins on its key, each with its own `Bm`; this is
+    /// the one function that decides for each.
+    pub(crate) fn certain_verdict(
+        &self,
+        probe: Probe<'_>,
+        master_rhs: &AttrSet,
+    ) -> (usize, Option<RowId>) {
+        let witness = probe.agreed(master_rhs).filter(|&row| {
             let first = self.relation.row(row).expect("index row in range");
             !master_rhs.iter().any(|a| first.get(a).is_null())
         });
-        (matches, witness)
+        (probe.matches, witness)
     }
 
     /// The certain-application invariant as a fold over the matching

@@ -38,7 +38,7 @@
 //!
 //! [`find_regions_from_scratch`]: crate::region::find_regions_from_scratch
 
-use crate::engine::{run_fixpoint_delta, CompiledRules, EngineStats};
+use crate::engine::{run_fixpoint_delta, CompiledRules, EngineStats, KeyMemo};
 use crate::master::MasterData;
 use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
 
@@ -59,19 +59,22 @@ impl TruthProfile {
     }
 
     /// Classify every rule of `plan` against `truth`: one certain
-    /// lookup per rule whose pattern admits the truth — a single index
-    /// probe each, whatever the number of master rows sharing the key —
-    /// reused by every candidate probing this truth.
+    /// lookup per rule whose pattern admits the truth — one index probe
+    /// per key group, whatever the number of master rows sharing the key,
+    /// since every rule of a group reads the same truth key — reused by
+    /// every candidate probing this truth.
     pub(crate) fn build(plan: &CompiledRules, master: &MasterData, truth: &Tuple) -> TruthProfile {
         let mut fireable = AttrSet::new();
         let mut poisoned = false;
         let mut key_buf: Vec<Value> = Vec::new();
+        let (mut keys, mut probes) = (KeyMemo::default(), 0);
         for (pos, rule) in plan.rules.iter().enumerate() {
             // In a truth-clean state the pattern reads truth values.
             if !rule.pattern.matches(truth) {
                 continue;
             }
-            let Some(witness) = rule.lookup_witness(master, truth, &mut key_buf) else {
+            let lookup = plan.lookup(pos, master, truth, &mut key_buf, &mut keys, &mut probes);
+            let Some(witness) = lookup else {
                 continue; // no match / ambiguous / null fix: dead
             };
             let s = master.tuple(witness).expect("index row in range");

@@ -29,9 +29,25 @@ enum Repr {
 /// Replaces `BTreeSet<AttrId>` throughout the rule engine (fixpoint,
 /// rule application, monitor sessions, region certification). Iteration
 /// order is ascending, matching the `BTreeSet` it replaced.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct AttrSet {
     repr: Repr,
+}
+
+impl Clone for AttrSet {
+    fn clone(&self) -> AttrSet {
+        AttrSet {
+            repr: self.repr.clone(),
+        }
+    }
+
+    /// Into a heap set, a heap set is copied without reallocating.
+    fn clone_from(&mut self, source: &AttrSet) {
+        match (&mut self.repr, &source.repr) {
+            (Repr::Heap(words), Repr::Heap(from)) => words.clone_from(from),
+            (repr, from) => *repr = from.clone(),
+        }
+    }
 }
 
 // Equality, ordering and hashing are on the *members*, not the
@@ -394,6 +410,18 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash(&promoted), hash(&a));
+    }
+
+    #[test]
+    fn clone_from_copies_across_reprs() {
+        let (wide, inline): (AttrSet, AttrSet) = ([1, 100].into(), [3].into());
+        let mut target: AttrSet = [2, 130].into();
+        target.clone_from(&wide);
+        assert_eq!(target, wide);
+        target.clone_from(&inline);
+        assert_eq!(target, inline);
+        target.clone_from(&wide);
+        assert_eq!(target, wide);
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub enum RelationError {
         attribute: String,
         /// Declared type name.
         expected: &'static str,
-        /// Actual value rendered for diagnostics.
-        actual: String,
+        /// The value's type name.
+        actual: &'static str,
     },
     /// A tuple from a different schema was inserted into a relation.
     SchemaMismatch {

@@ -83,6 +83,31 @@ impl Posting {
     }
 }
 
+/// What one probe of a key found ([`HashIndex::probe`]): the answer to
+/// every rule that joins on that key, whatever its `Bm`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe<'a> {
+    /// Rows matching the key.
+    pub matches: usize,
+    /// The first of them, in insertion order (meaningless when none
+    /// matched).
+    pub first: RowId,
+    /// The attributes on which every matching row equals the first;
+    /// `None` when at most one row matched, which agrees with itself on
+    /// every attribute.
+    pub agree: Option<&'a AttrSet>,
+}
+
+impl Probe<'_> {
+    /// The agreement half of a certain lookup: the first matching row,
+    /// iff a row matched and all of them carry the same value on every
+    /// attribute of `rhs`.
+    pub fn agreed(&self, rhs: &AttrSet) -> Option<RowId> {
+        let agreed = self.agree.is_none_or(|agree| rhs.is_subset(agree));
+        (self.matches > 0 && agreed).then_some(self.first)
+    }
+}
+
 /// A hash index on a fixed attribute list of one relation: per key, the
 /// matching rows and the attributes those rows agree on (see the module
 /// docs).
@@ -128,19 +153,36 @@ impl HashIndex {
         self.posting(key).map_or(&[], Posting::rows)
     }
 
+    /// One probe of `key`: its posting as the index holds it — how many
+    /// rows match, the first of them, what they all agree on — before
+    /// any rule's `Bm` is asked about. No row is read: agreement was
+    /// settled when the rows were inserted.
+    pub fn probe(&self, key: &[Value]) -> Probe<'_> {
+        match self.posting(key) {
+            None => Probe {
+                matches: 0,
+                first: 0,
+                agree: None,
+            },
+            Some(Posting::One(row)) => Probe {
+                matches: 1,
+                first: *row,
+                agree: None,
+            },
+            Some(Posting::Many(shared)) => Probe {
+                matches: shared.rows.len(),
+                first: shared.rows[0],
+                agree: Some(&shared.agree),
+            },
+        }
+    }
+
     /// The certain lookup's index half, in one probe: how many rows match
     /// `key`, and — iff they all carry the same value on every attribute
-    /// of `rhs` — the first of them. No row is read: agreement was
-    /// settled when the rows were inserted.
+    /// of `rhs` — the first of them.
     pub fn certain(&self, key: &[Value], rhs: &AttrSet) -> (usize, Option<RowId>) {
-        match self.posting(key) {
-            None => (0, None),
-            Some(Posting::One(row)) => (1, Some(*row)),
-            Some(Posting::Many(shared)) => (
-                shared.rows.len(),
-                rhs.is_subset(&shared.agree).then_some(shared.rows[0]),
-            ),
-        }
+        let probe = self.probe(key);
+        (probe.matches, probe.agreed(rhs))
     }
 
     /// Register row `row_id` of `relation` (used when master data grows).

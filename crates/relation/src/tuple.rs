@@ -1,9 +1,21 @@
 //! Tuples: schema-bound value vectors.
 
 use crate::error::{RelationError, Result};
-use crate::schema::{AttrId, SchemaRef};
+use crate::schema::{AttrId, Attribute, SchemaRef};
 use crate::value::Value;
 use std::fmt;
+
+/// `value` may be stored in `attr`, or the error naming both types.
+fn check_type(attr: &Attribute, value: &Value) -> Result<()> {
+    match value.data_type() {
+        Some(actual) if actual != attr.data_type() => Err(RelationError::TypeMismatch {
+            attribute: attr.name().into(),
+            expected: attr.data_type().name(),
+            actual: actual.name(),
+        }),
+        _ => Ok(()),
+    }
+}
 
 /// A tuple bound to a shared schema.
 ///
@@ -26,15 +38,8 @@ impl Tuple {
                 actual: values.len(),
             });
         }
-        for (id, v) in values.iter().enumerate() {
-            let attr = &schema.attributes()[id];
-            if !v.conforms_to(attr.data_type()) {
-                return Err(RelationError::TypeMismatch {
-                    attribute: attr.name().into(),
-                    expected: attr.data_type().name(),
-                    actual: format!("{v:?}"),
-                });
-            }
+        for (attr, v) in schema.attributes().iter().zip(&values) {
+            check_type(attr, v)?;
         }
         Ok(Tuple {
             schema,
@@ -88,13 +93,7 @@ impl Tuple {
                 id,
                 arity: self.schema.arity(),
             })?;
-        if !value.conforms_to(attr.data_type()) {
-            return Err(RelationError::TypeMismatch {
-                attribute: attr.name().into(),
-                expected: attr.data_type().name(),
-                actual: format!("{value:?}"),
-            });
-        }
+        check_type(attr, &value)?;
         self.values[id] = value;
         Ok(())
     }
@@ -202,6 +201,11 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RelationError::TypeMismatch { .. }));
+        // The value's type is named, never the value itself.
+        assert_eq!(
+            err.to_string(),
+            "type mismatch for attribute `age`: expected int, got string"
+        );
     }
 
     #[test]

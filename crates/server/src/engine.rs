@@ -142,7 +142,8 @@ impl CleaningService {
                         schema.arity()
                     )));
                 }
-                Ok(Tuple::new(schema.clone(), values)?)
+                Tuple::new(schema.clone(), values)
+                    .map_err(|e| ErrorCode::BadRequest.error(format!("tuple {idx}: {e}")))
             })
             .collect::<Result<Vec<Tuple>, ServeError>>()?;
         let n = tuples.len();
@@ -462,7 +463,8 @@ fn append_engine_master(
                     master_schema.arity()
                 )));
             }
-            Ok(Tuple::new(master_schema.clone(), values)?)
+            Tuple::new(master_schema.clone(), values)
+                .map_err(|e| ErrorCode::BadRequest.error(format!("row {i}: {e}")))
         })
         .collect::<Result<_, ServeError>>()?;
     let appended = tuples.len();

@@ -540,7 +540,7 @@ instruments! {
         fixpoint_runs:  PerOp<Cell>        = "cerfix_engine_fixpoint_runs_total"    "Fixpoint runs, by op class.";
         rule_attempts:  PerOp<Cell>        = "cerfix_engine_rule_attempts_total"    "Rules attempted by the correcting engine, by op class.";
         master_lookups: PerOp<Cell>        = "cerfix_engine_master_lookups_total"   "Master tuple lookups, by op class.";
-        index_probes:   PerOp<Cell>        = "cerfix_engine_index_probes_total"     "Index-served master lookups, by op class.";
+        index_probes:   PerOp<Cell>        = "cerfix_engine_index_probes_total"     "Master index probes made, by op class: one per key group a run looks up, so rules sharing a join key share one.";
     }
     // Computed by the scrape: labelled by a value, read off the health
     // probe, per follower, or a histogram another crate owns.

@@ -484,44 +484,65 @@ pub enum Request {
 }
 
 /// Read an array of cell values — one `Arc<str>` per string cell, and
-/// the `Vec` allocated once: at `capacity` when the caller can guess it,
-/// else at the count a first pass over the cells takes (lexing
-/// allocates nothing), so a tuple built from it keeps that allocation.
+/// the `Vec` allocated once, at the count a first pass over the cells
+/// takes (lexing allocates nothing), so a tuple built from it keeps that
+/// allocation.
 fn values_array(
     value: RawValue<'_>,
     what: &str,
-    capacity: usize,
     buf: &mut String,
 ) -> Result<Vec<Value>, WireError> {
-    let scan = || {
-        let cells = value.as_arr();
-        cells.ok_or_else(|| WireError(format!("`{what}` must be an array of cell values")))
-    };
-    let capacity = match capacity {
-        0 => {
-            let mut cells = scan()?;
-            std::iter::from_fn(|| cells.next_value()).count()
-        }
-        hint => hint,
-    };
-    let mut cells = scan()?;
-    let mut values = Vec::with_capacity(capacity);
+    let cells = value.as_arr();
+    let mut cells =
+        cells.ok_or_else(|| WireError(format!("`{what}` must be an array of cell values")))?;
+    let mut ahead = cells.clone();
+    let mut values = Vec::with_capacity(std::iter::from_fn(|| ahead.next_value()).count());
     while let Some(cell) = cells.next_value() {
         values.push(cell.to_value(buf)?);
     }
     Ok(values)
 }
 
+/// Read the rows of `tuples`, each walked in place by the rows' own
+/// scanner. A row's `Vec` is allocated once, at its first cell: at the
+/// length of the row before it, since the rows of one batch are as long
+/// as each other — the first row (or one after an empty row) is counted
+/// ahead, on a copy of the scanner.
 fn tuples_array(fields: &Fields<'_>, buf: &mut String) -> Result<Vec<Vec<Value>>, WireError> {
     let rows = fields.need(Field::Tuples)?.as_arr();
     let mut rows = rows.ok_or_else(|| WireError("`tuples` must be an array".into()))?;
     let mut tuples: Vec<Vec<Value>> = Vec::new();
-    while let Some(row) = rows.next_value() {
-        // Rows of one batch are as long as each other.
-        let arity = tuples.last().map_or(0, Vec::len);
-        tuples.push(values_array(row, "tuples[i]", arity, buf)?);
+    loop {
+        let arity = match tuples.last().map_or(0, Vec::len) {
+            0 => {
+                let mut cells = 0;
+                rows.clone().next_array(|_| {
+                    cells += 1;
+                    Ok::<(), WireError>(())
+                });
+                cells
+            }
+            arity => arity,
+        };
+        let mut values: Vec<Value> = Vec::new();
+        let row = rows.next_array(|cell| {
+            if values.capacity() == 0 {
+                values.reserve_exact(arity);
+            }
+            values.push(cell.to_value(buf)?);
+            Ok(())
+        });
+        match row {
+            None => return Ok(tuples),
+            Some(Ok(true)) => tuples.push(values),
+            Some(Ok(false)) => {
+                return Err(WireError(
+                    "`tuples[i]` must be an array of cell values".into(),
+                ))
+            }
+            Some(Err(error)) => return Err(error),
+        }
     }
-    Ok(tuples)
 }
 
 fn string_array(
@@ -610,7 +631,7 @@ impl Request {
         Ok(match id {
             OpId::Hello => Request::Hello,
             OpId::SessionCreate => Request::SessionCreate {
-                tuple: values_array(fields.need(Field::Tuple)?, "tuple", 0, buf)?,
+                tuple: values_array(fields.need(Field::Tuple)?, "tuple", buf)?,
             },
             OpId::SessionGet => Request::SessionGet {
                 session: fields.need_u64(Field::Session)?,

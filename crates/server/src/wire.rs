@@ -242,17 +242,26 @@ pub mod scan {
     //! bracket matching, the nesting cap, the RFC 8259 number grammar,
     //! string escapes with their surrogate pairs and the ban on raw
     //! control bytes are all checked in the one pass that finds the
-    //! tokens, without allocating. A failure is a [`WireError`] naming
-    //! the byte it happened at (a `Copy` `Flaw` until it leaves this
-    //! module: the pass itself carries no `String`). Every reader is a
-    //! view over those tokens: [`Json::parse`](super::Json::parse) builds
-    //! a tree from them; [`ObjectScanner`] and [`ArrayScanner`] hand out **borrowed**
+    //! tokens, without allocating. A string body is crossed a word at a
+    //! time: eight bytes are tested at once for a quote, a backslash or a
+    //! control byte (`u64::from_le_bytes` on a checked slice and three
+    //! borrow tricks), and the first such byte goes to the byte loop,
+    //! which alone judges every escape and every flaw. A failure is a
+    //! [`WireError`] naming the byte it happened at (a `Copy` `Flaw`
+    //! until it leaves this module: the pass itself carries no
+    //! `String`). Every reader is a view over those tokens:
+    //! [`Json::parse`](super::Json::parse) builds a tree from them;
+    //! [`ObjectScanner`] and [`ArrayScanner`] hand out **borrowed**
     //! slices of the line instead — string content as `&str` spans
     //! (unescaped on demand by [`RawStr::unescape_into`] into a reusable
     //! buffer), containers as raw spans to re-scan on demand. A
     //! container is walked to its closing bracket before its span is
     //! handed out, so every span a scanner returns is valid JSON — which
-    //! is what lets the service echo a request `id` verbatim.
+    //! is what lets the service echo a request `id` verbatim. A container
+    //! of containers need not be walked twice: [`ArrayScanner::next_array`]
+    //! walks its next element in place, handing each of that element's
+    //! cells out as the same lexer reaches it — how the rows of a `clean`
+    //! or `master.append` are read.
 
     use super::{not_a_cell, num_u64, num_value, WireError, MAX_DEPTH};
     use cerfix_relation::Value;
@@ -475,6 +484,7 @@ pub mod scan {
     }
 
     /// The validating pull lexer (module docs).
+    #[derive(Clone)]
     pub(super) struct Lexer<'a> {
         text: &'a str,
         pos: usize,
@@ -619,7 +629,10 @@ pub mod scan {
             Ok(token)
         }
 
-        /// A string, from its opening quote to past its closing one.
+        /// A string, from its opening quote to past its closing one. Runs
+        /// of plain bytes are skipped a word at a time ([`plain_run`]);
+        /// the byte loop below decides every byte that is not plain, so
+        /// each escape and each flaw is judged, and placed, by it alone.
         #[inline(always)]
         fn string(&mut self) -> Result<RawStr<'a>, Flaw> {
             if self.peek() != Some(b'"') {
@@ -631,6 +644,7 @@ pub mod scan {
             let mut pos = start;
             let flaw = |what, at| Err(Flaw { what, at });
             loop {
+                pos = plain_run(bytes, pos);
                 match bytes.get(pos) {
                     None => return flaw("unterminated string", pos),
                     Some(b'"') => break,
@@ -751,6 +765,30 @@ pub mod scan {
         }
     }
 
+    /// Past the plain bytes of a string body from `pos`, eight at a time:
+    /// the position of the first `"`, `\` or control byte, or of the last
+    /// (fewer than eight) bytes, which the byte loop takes one by one.
+    #[inline(always)]
+    fn plain_run(bytes: &[u8], mut pos: usize) -> usize {
+        const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+        const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+        // A byte's high bit is set iff that byte of `word` is below `n`
+        // — exact for the lowest such byte, which is the one asked for
+        // (a borrow only ever marks bytes above a true match).
+        let below = |word: u64, n: u8| word.wrapping_sub(ONES * n as u64) & !word & HIGHS;
+        while let Some(chunk) = bytes.get(pos..pos + 8) {
+            let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+            let special = below(word ^ (ONES * b'"' as u64), 1)
+                | below(word ^ (ONES * b'\\' as u64), 1)
+                | below(word, 0x20);
+            if special != 0 {
+                return pos + special.trailing_zeros() as usize / 8;
+            }
+            pos += 8;
+        }
+        pos
+    }
+
     /// Is `text` exactly one JSON value?
     pub(crate) fn validate(text: &str) -> Result<(), WireError> {
         let mut lexer = Lexer::new(text);
@@ -760,6 +798,7 @@ pub mod scan {
 
     /// The walk both scanners make over one container: the lexer, and
     /// how the walk ended once it has.
+    #[derive(Clone)]
     struct Walk<'a> {
         lexer: Lexer<'a>,
         end: Option<Result<(), Flaw>>,
@@ -835,7 +874,9 @@ pub mod scan {
     }
 
     /// Element iterator over one JSON array span (as returned in
-    /// [`RawValue::Arr`]).
+    /// [`RawValue::Arr`]). A clone walks on from where this one stands,
+    /// and leaves it there.
+    #[derive(Clone)]
     pub struct ArrayScanner<'a>(Walk<'a>);
 
     impl<'a> ArrayScanner<'a> {
@@ -852,12 +893,43 @@ pub mod scan {
             self.0.next(|lexer| Ok(lexer.value()?.0))
         }
 
+        /// The next element walked in place as an array: each of *its*
+        /// elements goes to `cell` as this scanner's lexer reaches it, so
+        /// a row is lexed once here, not skipped and then scanned again.
+        /// `None` once the array is over (see [`finish`](Self::finish));
+        /// `Some(Ok(false))` when the element is not an array (it is
+        /// stepped over); `Some(Err(e))` when `cell` refused one with `e`
+        /// (the rest of the element is stepped over).
+        pub fn next_array<E>(
+            &mut self,
+            mut cell: impl FnMut(RawValue<'a>) -> Result<(), E>,
+        ) -> Option<Result<bool, E>> {
+            self.0.next(|lexer| {
+                lexer.skip_ws();
+                if lexer.peek() != Some(b'[') {
+                    lexer.value()?;
+                    return Ok(Ok(false));
+                }
+                lexer.begin_value()?;
+                while lexer.member()? {
+                    if let Err(e) = cell(lexer.value()?.0) {
+                        lexer.skip_container()?;
+                        return Ok(Err(e));
+                    }
+                }
+                Ok(Ok(true))
+            })
+        }
+
         /// How the scan ended: `Ok` iff every element was walked and
         /// the text was one well-formed array.
         pub fn finish(self) -> Result<(), WireError> {
             self.0.finish()
         }
     }
+
+    #[cfg(test)]
+    mod tests;
 }
 
 #[cfg(test)]

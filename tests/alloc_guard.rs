@@ -5,9 +5,12 @@
 //! while every tuple built a monitor, a validations list and a fresh
 //! fixpoint report). Underneath them all, a warmed
 //! `DataMonitor::apply_validation_into` round on the paper's UK rules —
-//! rules firing, then a new suggestion — allocates 0: the correcting
+//! rules firing, their index probes shared through the run's key memo
+//! (four key groups), then a new suggestion — allocates 0: the correcting
 //! process runs on the caller's `FixpointScratch`, and the suggestion is
-//! a bitset. Then the entry path, on the UK rules with no pre-computed
+//! a bitset; and a run that looks nothing up allocates 0 even on a fresh
+//! scratch, since the memo is sized at a run's first probe. Then the
+//! entry path, on the UK rules with no pre-computed
 //! region, so every reply carries a suggestion from the inference
 //! system: `session.create` at most 12 (measured 11: the tuple's nine
 //! cells, its row and its registry entry; 16 while the row was copied
@@ -240,6 +243,8 @@ fn warmed_round_allocations() -> u64 {
     let mut rng = rand::SeedableRng::seed_from_u64(0);
     let master = MasterData::new(cerfix_gen::uk::generate_master(2, &mut rng));
     let rules = cerfix_gen::uk::rules();
+    // Four key groups: φ1–φ3 join on `zip`, φ4–φ5 on `Mphn`, φ6–φ8 on
+    // `(AC, Hphn)`, φ9 on `AC`; a round's probes go through the key memo.
     let plan = Arc::new(cerfix::CompiledRules::compile(&rules, &master));
     let audit = Arc::new(AuditLog::windowed(64));
     let monitor = DataMonitor::from_shared_parts(&rules, &master, plan, Vec::new().into(), audit);
@@ -277,11 +282,42 @@ fn warmed_round_allocations() -> u64 {
             .unwrap();
         assert_eq!(report.newly_validated.len(), 3, "FN, LN and city validated");
         assert_eq!(report.fixes.len(), 2, "FN and city changed");
+        // φ4 and φ5 share the `Mphn` probe; φ9 makes its own.
+        let stats = report.stats;
+        assert_eq!((stats.master_lookups, stats.index_probes), (3, 2));
         assert_eq!(monitor.suggestion_attrs(session), Some(zip.clone()));
     };
     warm.iter_mut().for_each(&mut play);
     let before = counting_alloc::count();
     measured.iter_mut().for_each(&mut play);
+    counting_alloc::count() - before
+}
+
+/// Allocations of `RUNS` runs of the correcting process, each on a fresh
+/// `FixpointScratch`, over completed UK tuples — `wire_hot`'s shape: every
+/// rule is attempted, none looks anything up. The key memo is sized at a
+/// run's first probe, so a run without one allocates nothing — 0.
+fn lookup_free_fresh_scratch_allocations() -> u64 {
+    const RUNS: usize = 256;
+    let mut rng = rand::SeedableRng::seed_from_u64(0);
+    let scenario = cerfix_gen::uk::scenario(2, &mut rng);
+    let master = MasterData::new(scenario.master.clone());
+    let plan = cerfix::CompiledRules::compile(&scenario.rules, &master);
+    let arity = scenario.rules.input_schema().arity();
+    let mut tuples: Vec<(Tuple, AttrSet)> = (0..RUNS)
+        .map(|i| (scenario.universe[i % 4].clone(), (0..arity).collect()))
+        .collect();
+    let before = counting_alloc::count();
+    for (tuple, validated) in &mut tuples {
+        let mut scratch = FixpointScratch::default();
+        let report =
+            cerfix::run_fixpoint_delta_into(&plan, &master, tuple, validated, &mut scratch)
+                .unwrap();
+        assert_eq!(
+            (report.stats.rule_attempts, report.stats.master_lookups),
+            (9, 0)
+        );
+    }
     counting_alloc::count() - before
 }
 
@@ -350,6 +386,11 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         warmed_round_allocations(),
         0,
         "warmed apply_validation_into rounds"
+    );
+    assert_eq!(
+        lookup_free_fresh_scratch_allocations(),
+        0,
+        "lookup-free runs on fresh scratches"
     );
 
     let service = kv_service();

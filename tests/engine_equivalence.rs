@@ -162,6 +162,64 @@ fn random_rules(
     (input, rules, master)
 }
 
+/// A random rule set built around key groups: a few join layouts
+/// `(X, Xm)` — now and then one with an earlier layout's `Xm` under
+/// another `X` — each shared by sibling rules that differ in `Bm` and in
+/// pattern, over a master whose keys repeat, whose rows agree on some
+/// attributes and not on others, and which has null cells. So a key is
+/// certain for one sibling and ambiguous for another, and a null witness
+/// cell is read by one sibling and not by the next.
+fn sibling_rules(rng: &mut StdRng) -> (SchemaRef, RuleSet, MasterData) {
+    const ARITY: usize = 7;
+    let names: Vec<String> = (0..ARITY).map(|i| format!("a{i}")).collect();
+    let input = Schema::of_strings("in", names.iter().map(String::as_str)).unwrap();
+    let ms = Schema::of_strings("m", names.iter().map(String::as_str)).unwrap();
+    let rows = (0..rng.gen_range(2..10usize)).map(|_| {
+        let cells = (0..ARITY).map(|_| match rng.gen_range(0..10u8) {
+            0 => Value::Null,
+            1..=6 => Value::str("v0"),
+            _ => Value::str("v1"),
+        });
+        Tuple::new(ms.clone(), cells.collect::<Vec<_>>()).unwrap()
+    });
+    let master =
+        MasterData::new(Relation::from_tuples(ms.clone(), rows.collect::<Vec<_>>()).unwrap());
+    let shuffled = |rng: &mut StdRng, mut attrs: Vec<AttrId>| {
+        for i in (1..attrs.len()).rev() {
+            attrs.swap(i, rng.gen_range(0..=i));
+        }
+        attrs
+    };
+    let mut layouts: Vec<(Vec<AttrId>, Vec<AttrId>)> = Vec::new();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let width = if rng.gen_bool(0.25) { 2 } else { 1 };
+        let xm = match layouts.last() {
+            Some((_, xm)) if rng.gen_bool(0.6) => xm.clone(),
+            _ => shuffled(rng, (0..ARITY).collect())[..width].to_vec(),
+        };
+        let x = shuffled(rng, (0..ARITY).collect())[..xm.len()].to_vec();
+        layouts.push((x, xm));
+    }
+    let mut rules = RuleSet::new(input.clone(), ms.clone());
+    for (g, (x, xm)) in layouts.iter().enumerate() {
+        for sibling in 0..rng.gen_range(1..4usize) {
+            let free = shuffled(rng, (0..ARITY).filter(|a| !x.contains(a)).collect());
+            let rhs_n = rng.gen_range(1..3usize);
+            let rhs: Vec<_> = free[..rhs_n].iter().map(|&b| (b, b)).collect();
+            let gate = (free[rhs_n], Value::str(random_value(rng)));
+            let pattern = match rng.gen_range(0..4u8) {
+                0 => PatternTuple::empty().with_eq(gate.0, gate.1),
+                1 => PatternTuple::empty().with_ne(gate.0, gate.1),
+                _ => PatternTuple::empty(),
+            };
+            let lhs: Vec<_> = x.iter().copied().zip(xm.iter().copied()).collect();
+            let rule = EditingRule::new(format!("g{g}s{sibling}"), &input, &ms, lhs, rhs, pattern);
+            rules.add(rule.unwrap()).unwrap();
+        }
+    }
+    (input, rules, master)
+}
+
 fn random_value(rng: &mut StdRng) -> String {
     format!("v{}", rng.gen_range(0..3u8))
 }
@@ -220,14 +278,17 @@ proptest! {
 }
 
 /// Run `tuple` once fresh and once on `scratch`, and assert the two runs
-/// agree on everything a report carries, the tuple and the validated set.
+/// agree on everything a report carries, the tuple and the validated set
+/// — and with the pass-based engine, which probes once per lookup.
 fn assert_reused_scratch_agrees(
+    rules: &RuleSet,
     plan: &CompiledRules,
     master: &MasterData,
     tuple: &Tuple,
     seed: &AttrSet,
     scratch: &mut FixpointScratch,
 ) -> Result<(), TestCaseError> {
+    assert_engines_agree(rules, plan, master, tuple, seed)?;
     let (mut t_fresh, mut v_fresh) = (tuple.clone(), seed.clone());
     let fresh = run_fixpoint_delta(plan, master, &mut t_fresh, &mut v_fresh);
     let (mut t, mut v) = (tuple.clone(), seed.clone());
@@ -258,26 +319,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// One scratch serves a stream of random tuples on one random plan,
-    /// then on another — some with more than 64 rules, so the worklist
-    /// sets leave their inline word — including inconsistent instances
-    /// whose runs fail half-way. Every run equals a fresh one.
+    /// then on others — some with more than 64 rules, so the worklist
+    /// sets and the key memo leave their inline word, and some built
+    /// around key groups (`sibling_rules`), whose rules share one probe
+    /// per run — including inconsistent instances whose runs fail
+    /// half-way. Every run equals a fresh one and the pass-based engine's.
     #[test]
     fn reused_scratch_equals_fresh_runs(instance in 0u64..100_000) {
         const ARITY: usize = 7;
         let mut rng = StdRng::seed_from_u64(instance);
         let mut scratch = FixpointScratch::default();
-        for _ in 0..2 {
-            let n_rules = if rng.gen_bool(0.25) {
-                rng.gen_range(65..80usize)
+        for round in 0..3 {
+            let siblings = round == 1 || rng.gen_bool(0.5);
+            let (input, rules, master) = if siblings {
+                sibling_rules(&mut rng)
             } else {
-                rng.gen_range(1..10usize)
+                let n_rules = if rng.gen_bool(0.5) {
+                    rng.gen_range(65..80usize)
+                } else {
+                    rng.gen_range(1..10usize)
+                };
+                random_rules(&mut rng, ARITY, n_rules)
             };
-            let (input, rules, master) = random_rules(&mut rng, ARITY, n_rules);
             let plan = CompiledRules::compile(&rules, &master);
+            // Half the sibling runs start with every join attribute
+            // validated, so the rules of a group meet in one run.
+            let joins: AttrSet = rules.iter().flat_map(|(_, rule)| rule.input_lhs()).collect();
             for _ in 0..8 {
                 let tuple = random_tuple(&mut rng, &input);
-                let seed: AttrSet = (0..ARITY).filter(|_| rng.gen_bool(0.4)).collect();
-                assert_reused_scratch_agrees(&plan, &master, &tuple, &seed, &mut scratch)?;
+                let mut seed: AttrSet = (0..ARITY).filter(|_| rng.gen_bool(0.4)).collect();
+                if siblings && rng.gen_bool(0.5) {
+                    seed = (0..ARITY).filter(|_| rng.gen_bool(0.15)).collect();
+                    seed.union_with(&joins);
+                }
+                assert_reused_scratch_agrees(&rules, &plan, &master, &tuple, &seed, &mut scratch)?;
             }
         }
     }
@@ -508,7 +583,8 @@ proptest! {
 /// Run both engines over `truths`, each masked down to `seed`, and
 /// return (pass-based, delta) work totals after the relative guard every
 /// fixture shares: the delta engine attempts strictly fewer rules,
-/// performs no more master lookups, and answers each from a warmed index.
+/// performs no more master lookups, and answers them from a warmed index
+/// with at most one probe each — fewer where rules share a join key.
 fn work_totals(
     rules: &RuleSet,
     master: &MasterData,
@@ -538,16 +614,25 @@ fn work_totals(
         pass.rule_attempts
     );
     assert!(delta.master_lookups <= pass.master_lookups);
-    assert_eq!(
-        delta.index_probes, delta.master_lookups,
-        "warmed path: every lookup is an index probe"
+    assert!(
+        delta.index_probes <= delta.master_lookups,
+        "a lookup makes at most one index probe"
     );
+    assert!(delta.index_probes > 0 || delta.master_lookups == 0);
     (pass, delta)
 }
 
 /// Deterministic work guard on the UK rules: across the whole truth
 /// universe (seeded from the paper's size-4 region), the delta engine
-/// attempts strictly fewer rules and performs no more lookups.
+/// attempts strictly fewer rules and performs no more lookups — and its
+/// counts are exact. The nine rules fall into four key groups: φ1–φ3 join
+/// `zip=zip`, φ4–φ5 `phn=Mphn`, φ6–φ8 `(AC, phn)=(AC, Hphn)`, φ9
+/// `AC=AC`. Seeded with `{zip, phn, type, item}` every rule becomes
+/// eligible and is attempted once (9 attempts per truth); φ1–φ3 fire
+/// from one `zip` probe; φ6–φ9 find their targets validated and look
+/// nothing up; φ4–φ5 pass their `type = 2` pattern on the mobile truth
+/// only, and fire from one `Mphn` probe. Per entity (a home-phone and a
+/// mobile truth): 3 + 5 = 8 lookups, 1 + 2 = 3 probes.
 #[test]
 fn uk_delta_performs_strictly_fewer_attempts() {
     let (rules, master, universe) = uk_fixture();
@@ -556,7 +641,11 @@ fn uk_delta_performs_strictly_fewer_attempts() {
         .iter()
         .map(|n| input.attr_id(n).expect("uk attr"))
         .collect();
-    work_totals(&rules, &master, &universe, &seed);
+    let (_, delta) = work_totals(&rules, &master, &universe, &seed);
+    let entities = universe.len() / 2;
+    assert_eq!(delta.rule_attempts, 9 * universe.len(), "delta attempts");
+    assert_eq!(delta.master_lookups, 8 * entities, "delta lookups");
+    assert_eq!(delta.index_probes, 3 * entities, "delta probes");
 }
 
 /// Same guard on a mined rule set: FDs discovered from master data and
@@ -584,9 +673,12 @@ fn mined_rules_delta_performs_strictly_fewer_attempts() {
 /// ninth of the relation, all agreeing. Seeded with `{provider,
 /// measure}` the whole tuple validates, so the delta engine attempts
 /// each of the 8 rules exactly once, and each attempt is one certain
-/// lookup answered by one index probe — however many rows share the key.
+/// lookup. The rules join on three keys — h1–h4 on `provider`, h5–h6 on
+/// `zip`, h7–h8 on `measure` — and a run probes each key once, however
+/// many rules join on it and however many rows share it: 3 probes per
+/// tuple.
 /// (Whether a probe may walk those rows is not a count: `HashIndex::
-/// certain` takes no relation and no row iterator, so it cannot.)
+/// probe` takes no relation and no row iterator, so it cannot.)
 #[test]
 fn hosp_work_counts_are_exact() {
     let mut rng = StdRng::seed_from_u64(2011);
@@ -600,7 +692,7 @@ fn hosp_work_counts_are_exact() {
     let tuples = scenario.universe.len();
     assert_eq!(delta.rule_attempts, 8 * tuples, "delta attempts");
     assert_eq!(delta.master_lookups, 8 * tuples, "delta lookups");
-    assert_eq!(delta.index_probes, 8 * tuples, "delta probes");
+    assert_eq!(delta.index_probes, 3 * tuples, "delta probes");
 }
 
 /// Exact work counts on a hand-built, RNG-free chain: 10 attributes

@@ -13,8 +13,8 @@
 //!   hour. The bound separates the designs, not machines.
 //! * **Allocations.** A ledger-shaped line of 128 ten-cell rows costs
 //!   one allocation per string cell and one per row, plus the envelope:
-//!   at most 14 per row + 16 (the tree-building parser spent ≈ 34.6 per
-//!   row).
+//!   exactly 11 per row + 9, at most 14 per row + 16 (the tree-building
+//!   parser spent ≈ 34.6 per row).
 //!
 //! This file holds exactly one `#[test]`: the counter is process-wide,
 //! and a sibling test on another thread would allocate into the window.
@@ -60,6 +60,15 @@ fn parsing_is_linear_in_time_and_frugal_in_allocations() {
     assert!(
         spent <= 14 * ROWS as u64 + 16,
         "{spent} allocations for {ROWS} ten-cell rows"
+    );
+    // Exactly: ten cells and the row's `Vec` per row, and 9 for the
+    // envelope — what the parser spent before rows were walked in place.
+    // The first row is counted before its `Vec` is allocated, and every
+    // later row's is allocated at the length of the one before.
+    assert_eq!(
+        spent,
+        11 * ROWS as u64 + 9,
+        "allocations for {ROWS} ten-cell rows"
     );
 
     // Time, at the line cap.

@@ -18,6 +18,13 @@
 //!   reply and the two are equal byte for byte. (The shed lines, which
 //!   need a held worker pool, are pinned the same way in the server
 //!   crate's `op_table_drives_parsing_gating_and_shedding`.)
+//! * **Rows walked in place answer as before.** `GOLDEN_ROWS` holds
+//!   `clean` and `master.append` lines — rows that are not arrays,
+//!   container and escaped cells, empty rows, a flaw inside a cell, cells
+//!   of the wrong type — with the replies the parser gave before it
+//!   walked rows in place and crossed string bodies a word at a time.
+//!   Only the type errors changed, on purpose (`RETYPED`): they name the
+//!   row, and the value's type instead of its Rust `Debug` form.
 
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema};
@@ -773,4 +780,94 @@ const GOLDEN_V9: &[(&str, &str)] = &[
     (r#"{"id":6,"op":"config.set","key":"slow_ms","value":9}"#, r#"{"id":6,"ok":false,"error":"storage_error: journal poisoned by fsync failure (fdatasync failed (injected EIO (fsync failed)); journal poisoned — page-cache state unknown, no retry); mutations refused until operator intervention or re-sync"}"#),
     (r#"{"op":"session.commit","session":1}"#, r#"{"ok":false,"error":"quorum_timeout: commit is durable locally but only 0/1 follower acks arrived within 30ms"}"#),
     (r#"{"id":12,"op":"session.commit","session":2,"deadline_ms":5}"#, r#"{"id":12,"ok":false,"error":"deadline_exceeded: commit is durable locally but the request deadline expired with only 0/1 follower acks"}"#),
+];
+
+// ---------------------------------------------------------------------
+// Rows walked in place: the replies the parser gave before.
+// ---------------------------------------------------------------------
+
+/// The type errors the row walk's corpus changed on purpose: a `clean`
+/// or `master.append` type error names its row, as the arity errors
+/// always did, and every type error names the value's type, not the
+/// value in Rust's `Debug` spelling (`got int`, not `got Int(5)`).
+const RETYPED: &[(&str, &str)] = &[
+    (
+        r#"{"op":"clean","tuples":[["k1","x","n"],["k2",5,"n"]]}"#,
+        r#"{"ok":false,"code":"bad_request","error":"tuple 1: type mismatch for attribute `val`: expected string, got int"}"#,
+    ),
+    (
+        r#"{"op":"clean","tuples":[["k1","x","n"],["k2","y",true]]}"#,
+        r#"{"ok":false,"code":"bad_request","error":"tuple 1: type mismatch for attribute `note`: expected string, got bool"}"#,
+    ),
+    (
+        r#"{"op":"session.create","tuple":["k1",2.5,"n"]}"#,
+        r#"{"ok":false,"code":"bad_request","error":"type mismatch for attribute `val`: expected string, got float"}"#,
+    ),
+    (
+        r#"{"op":"master.append","tuples":[["k30","x"],["k31",7]]}"#,
+        r#"{"ok":false,"code":"bad_request","error":"row 1: type mismatch for attribute `val`: expected string, got int"}"#,
+    ),
+];
+
+/// `clean` and `master.append` rows walked in place by the rows' own
+/// scanner, through string bodies skipped a word at a time, answer as
+/// the tree of scanners before them did: `GOLDEN_ROWS` holds each line
+/// with the reply the parent commit (`0b7c46e`) gave on one in-memory kv
+/// node, in order — rows that are not arrays, container cells, empty
+/// rows, escaped and long cells, a flaw inside a cell (and the byte it
+/// is reported at), cells of the wrong type, successful batches before
+/// and after an append. Only the `RETYPED` lines differ.
+#[test]
+fn rows_walked_in_place_answer_as_before() {
+    let service = memory(config());
+    for &(line, golden) in GOLDEN_ROWS {
+        let expected = RETYPED
+            .iter()
+            .find(|(retyped, _)| *retyped == line)
+            .map_or(golden, |&(_, reply)| reply);
+        assert_eq!(service.handle_line(line), expected, "{line}");
+    }
+    for (line, _) in RETYPED {
+        assert!(
+            GOLDEN_ROWS.iter().any(|(golden, _)| golden == line),
+            "{line}"
+        );
+    }
+}
+
+#[rustfmt::skip]
+const GOLDEN_ROWS: &[(&str, &str)] = &[
+    (r#"{"op":"clean","tuples":[1]}"#, r#"{"ok":false,"code":"bad_request","error":"`tuples[i]` must be an array of cell values"}"#),
+    (r#"{"op":"clean","tuples":[["k1","x","n"],7]}"#, r#"{"ok":false,"code":"bad_request","error":"`tuples[i]` must be an array of cell values"}"#),
+    (r#"{"op":"clean","tuples":[{"key":"k1"}]}"#, r#"{"ok":false,"code":"bad_request","error":"`tuples[i]` must be an array of cell values"}"#),
+    (r#"{"op":"clean","tuples":[[["n"],"x","n"]]}"#, r#"{"ok":false,"code":"bad_request","error":"cannot use an array as a cell value"}"#),
+    (r#"{"op":"clean","tuples":[["k1",{"a":1},"n"]]}"#, r#"{"ok":false,"code":"bad_request","error":"cannot use an object as a cell value"}"#),
+    (r#"{"op":"clean","tuples":[[]]}"#, r#"{"ok":false,"code":"bad_request","error":"tuple 0 has 0 values but schema `in` has arity 3"}"#),
+    (r#"{"op":"clean","tuples":[["k1","x","n"],[]]}"#, r#"{"ok":false,"code":"bad_request","error":"tuple 1 has 0 values but schema `in` has arity 3"}"#),
+    (r#"{"op":"clean","tuples":[[],["k1","x","n"]]}"#, r#"{"ok":false,"code":"bad_request","error":"tuple 0 has 0 values but schema `in` has arity 3"}"#),
+    (r#"{"op":"clean","tuples":[["a\"b","x","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":1,"complete":0,"cells_fixed":0,"outcomes":[{"index":0,"complete":false,"cells_fixed":0,"validated":1,"tuple":["a\"b","x","n"]}]}"#),
+    (r#"{"op":"clean","tuples":[["k1","x","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":1,"complete":0,"cells_fixed":1,"outcomes":[{"index":0,"complete":false,"cells_fixed":1,"validated":2,"tuple":["k1","v1","n"]}]}"#),
+    (r#"{"op":"clean","tuples":[["k\u0031","x","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":1,"complete":0,"cells_fixed":1,"outcomes":[{"index":0,"complete":false,"cells_fixed":1,"validated":2,"tuple":["k1","v1","n"]}]}"#),
+    (r#"{"op":"clean","tuples":[["k1","x","n"],["k2","y","é\n"]],"trust":["key"]}"#, r#"{"ok":true,"count":2,"complete":0,"cells_fixed":2,"outcomes":[{"index":0,"complete":false,"cells_fixed":1,"validated":2,"tuple":["k1","v1","n"]},{"index":1,"complete":false,"cells_fixed":1,"validated":2,"tuple":["k2","v2","é\n"]}]}"#),
+    (r#"{"op":"clean","tuples":[ [ "k3" , "x" ,null ] ,["k4","y","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":2,"complete":0,"cells_fixed":2,"outcomes":[{"index":0,"complete":false,"cells_fixed":1,"validated":2,"tuple":["k3","v3",null]},{"index":1,"complete":false,"cells_fixed":1,"validated":2,"tuple":["k4","v4","n"]}]}"#),
+    (r#"{"op":"clean","tuples":[["k5","x\"\\\/\b\f\n\r\t🦀 a longer cell that spans words","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":1,"complete":0,"cells_fixed":1,"outcomes":[{"index":0,"complete":false,"cells_fixed":1,"validated":2,"tuple":["k5","v5","n"]}]}"#),
+    ("{\"op\":\"clean\",\"tuples\":[[\"k1\",\"x\",\"n\t\"]]}", r#"{"ok":false,"code":"parse_error","error":"raw control byte in a string at byte 36"}"#),
+    (r#"{"op":"clean","tuples":[["k1","x\q","n"]]}"#, r#"{"ok":false,"code":"parse_error","error":"invalid escape at byte 32"}"#),
+    (r#"{"op":"clean","tuples":[["k1","x\ud800","n"]]}"#, r#"{"ok":false,"code":"parse_error","error":"invalid escape at byte 32"}"#),
+    (r#"{"op":"clean","tuples":[["k1","x","n"],["k2",5,"n"]]}"#, r#"{"ok":false,"code":"bad_request","error":"type mismatch for attribute `val`: expected string, got Int(5)"}"#),
+    (r#"{"op":"clean","tuples":[["k1","x","n"],["k2","y",true]]}"#, r#"{"ok":false,"code":"bad_request","error":"type mismatch for attribute `note`: expected string, got Bool(true)"}"#),
+    (r#"{"op":"session.create","tuple":["k1",2.5,"n"]}"#, r#"{"ok":false,"code":"bad_request","error":"type mismatch for attribute `val`: expected string, got Float(2.5)"}"#),
+    (r#"{"op":"master.append","tuples":[1]}"#, r#"{"ok":false,"code":"bad_request","error":"`tuples[i]` must be an array of cell values"}"#),
+    (r#"{"op":"master.append","tuples":[["k1","x"],7]}"#, r#"{"ok":false,"code":"bad_request","error":"`tuples[i]` must be an array of cell values"}"#),
+    (r#"{"op":"master.append","tuples":[{"key":"k1"}]}"#, r#"{"ok":false,"code":"bad_request","error":"`tuples[i]` must be an array of cell values"}"#),
+    (r#"{"op":"master.append","tuples":[[["n"],"x"]]}"#, r#"{"ok":false,"code":"bad_request","error":"cannot use an array as a cell value"}"#),
+    (r#"{"op":"master.append","tuples":[["k1",{"a":1}]]}"#, r#"{"ok":false,"code":"bad_request","error":"cannot use an object as a cell value"}"#),
+    (r#"{"op":"master.append","tuples":[[]]}"#, r#"{"ok":false,"code":"bad_request","error":"row 0 has 0 values but master schema `m` has arity 2"}"#),
+    (r#"{"op":"master.append","tuples":[["k30","x"],["k31",7]]}"#, r#"{"ok":false,"code":"bad_request","error":"type mismatch for attribute `val`: expected string, got Int(7)"}"#),
+    ("{\"op\":\"master.append\",\"tuples\":[[\"k1\",\"x\t\"]]}", r#"{"ok":false,"code":"parse_error","error":"raw control byte in a string at byte 40"}"#),
+    (r#"{"op":"master.append","tuples":[["a\"b","x"]]}"#, r#"{"ok":true,"appended":1,"master_rows":21,"generation":1,"regions_patched":false,"regions_recertified":0}"#),
+    (r#"{"op":"master.append","tuples":[["k21","x"],["k22","y"]]}"#, r#"{"ok":true,"appended":2,"master_rows":23,"generation":3,"regions_patched":false,"regions_recertified":0}"#),
+    (r#"{"op":"master.append","tuples":[["k\u00324","x"]]}"#, r#"{"ok":true,"appended":1,"master_rows":24,"generation":4,"regions_patched":false,"regions_recertified":0}"#),
+    (r#"{"op":"clean","tuples":[["k24","x","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":1,"complete":0,"cells_fixed":0,"outcomes":[{"index":0,"complete":false,"cells_fixed":0,"validated":2,"tuple":["k24","x","n"]}]}"#),
+    (r#"{"op":"clean","tuples":[["k21","x","n"],["k22","y","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":2,"complete":0,"cells_fixed":0,"outcomes":[{"index":0,"complete":false,"cells_fixed":0,"validated":2,"tuple":["k21","x","n"]},{"index":1,"complete":false,"cells_fixed":0,"validated":2,"tuple":["k22","y","n"]}]}"#),
 ];
