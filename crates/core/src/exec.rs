@@ -1,34 +1,34 @@
-//! Order-stable parallel execution.
+//! Order-stable parallel execution: one executor, [`ordered_map`].
 //!
-//! Two executors share one contract — results come back in **input
-//! order**, regardless of worker count or completion order:
+//! Results come back in **input order**, regardless of worker count or
+//! completion order. It is a scoped, work-stealing fan-out for borrowing
+//! closures: the calling thread and its scoped helpers pull items off a
+//! shared queue one at a time, so a straggler item never serializes a
+//! whole chunk behind it. Region search,
+//! [`clean_stream_parallel`](crate::monitor::clean_stream_parallel) and
+//! `cerfix-server`'s batch `clean` all fan out through it; with one
+//! thread it is a plain loop on the calling thread. A server whose many
+//! requests each fan out draws their helpers from one [`ThreadBudget`],
+//! so the helpers alive at once stay within a fixed count.
 //!
-//! * [`ordered_map`] — a scoped, work-stealing fan-out for borrowing
-//!   closures. Workers pull items off a shared queue one at a time, so a
-//!   straggler item never serializes a whole chunk behind it (the
-//!   previous stream driver chunked statically). Used by
-//!   [`clean_stream_parallel`](crate::monitor::clean_stream_parallel).
-//! * [`WorkerPool`] — a long-lived pool of named threads for `'static`
-//!   jobs, the batch executor behind `cerfix-server`: a service holds one
-//!   pool for its lifetime and fans each batch request across it via
-//!   [`WorkerPool::map_ordered`].
-//!
-//! Both are `std`-only (scoped threads, `Mutex`, `Condvar`) and fail
-//! fast: the first `Err` stops remaining work and is returned.
+//! `std`-only (scoped threads, a `Mutex` and atomics), and fail fast: the
+//! first `Err` stops remaining work and is returned; a panicking item
+//! reaches the caller when the scope joins.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Apply `f` to every item across `threads` workers, returning results in
-/// input order. Work-stealing: each worker pulls the next unprocessed
-/// item, so heterogeneous item costs balance automatically. On the first
-/// `Err` remaining items are abandoned and that error is returned.
+/// Apply `f` to every item across `threads` threads — the caller and
+/// `threads - 1` scoped helpers — returning results in input order.
+/// Work-stealing: each thread pulls the next unprocessed item, so
+/// heterogeneous item costs balance automatically. On the first `Err`
+/// remaining items are abandoned and that error is returned.
 ///
 /// `threads <= 1` (or a short input) degrades to a plain sequential loop
 /// with identical results — callers need no separate code path.
@@ -41,11 +41,11 @@ where
 {
     let n = items.len();
     if threads <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(idx, item)| f(idx, item))
-            .collect();
+        let mut out = Vec::with_capacity(n);
+        for (idx, item) in items.into_iter().enumerate() {
+            out.push(f(idx, item)?);
+        }
+        return Ok(out);
     }
     let queue = Mutex::new(items.into_iter().enumerate());
     let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
@@ -53,28 +53,30 @@ where
     let results = Mutex::new(slots);
     let first_error: Mutex<Option<E>> = Mutex::new(None);
     let failed = AtomicBool::new(false);
+    let work = || loop {
+        if failed.load(Ordering::Relaxed) {
+            return;
+        }
+        let next = lock(&queue).next();
+        let Some((idx, item)) = next else { return };
+        match f(idx, item) {
+            Ok(out) => lock(&results)[idx] = Some(out),
+            Err(e) => {
+                let mut slot = lock(&first_error);
+                if slot.is_none() {
+                    *slot = Some(e);
+                }
+                failed.store(true, Ordering::Relaxed);
+                return;
+            }
+        }
+    };
 
     thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    return;
-                }
-                let next = lock(&queue).next();
-                let Some((idx, item)) = next else { return };
-                match f(idx, item) {
-                    Ok(out) => lock(&results)[idx] = Some(out),
-                    Err(e) => {
-                        let mut slot = lock(&first_error);
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        failed.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
+        for _ in 1..threads.min(n) {
+            scope.spawn(work);
         }
+        work();
     });
 
     if let Some(e) = first_error
@@ -91,247 +93,108 @@ where
         .collect())
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
-    work_ready: Condvar,
-    shutdown: AtomicBool,
+/// A fixed number of helper threads shared by every fan-out drawn from
+/// it. Each [`ordered_map`](ThreadBudget::ordered_map) call runs on its
+/// caller plus as many helpers as are free at that moment, and returns
+/// them when it ends, so however many callers fan out at once, at most
+/// the budget's helpers are alive besides the callers themselves.
+#[derive(Debug)]
+pub struct ThreadBudget {
+    free: AtomicUsize,
 }
 
-/// A long-lived pool of worker threads executing `'static` jobs.
-///
-/// Designed for services: construct once with the configured parallelism,
-/// then [`submit`](WorkerPool::submit) fire-and-forget jobs or fan a
-/// batch out with [`map_ordered`](WorkerPool::map_ordered). Dropping the
-/// pool wakes all workers, lets queued jobs finish, and joins the
-/// threads.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<thread::JoinHandle<()>>,
-    /// Jobs ever submitted (a statistic: it publishes nothing else).
-    submitted: AtomicU64,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.handles.len())
-            .finish()
+impl ThreadBudget {
+    /// A budget of `helpers` threads.
+    pub fn new(helpers: usize) -> ThreadBudget {
+        ThreadBudget {
+            free: AtomicUsize::new(helpers),
+        }
     }
+
+    /// [`ordered_map`] across up to `threads` threads: the caller, plus
+    /// up to `threads - 1` helpers taken from the budget for the call —
+    /// fewer, down to none, when other calls hold them.
+    pub fn ordered_map<T, U, E, F>(&self, threads: usize, items: Vec<T>, f: F) -> Result<Vec<U>, E>
+    where
+        T: Send,
+        U: Send,
+        E: Send,
+        F: Fn(usize, T) -> Result<U, E> + Sync,
+    {
+        let lent = self.lend(threads.saturating_sub(1));
+        ordered_map(1 + lent.helpers, items, f)
+    }
+
+    fn lend(&self, want: usize) -> Lent<'_> {
+        let mut helpers = 0;
+        if want > 0 {
+            let _ = self
+                .free
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |free| {
+                    helpers = want.min(free);
+                    (helpers > 0).then(|| free - helpers)
+                });
+        }
+        Lent {
+            budget: self,
+            helpers,
+        }
+    }
+}
+
+/// Helpers lent to one call; returned when dropped, unwinding included.
+struct Lent<'a> {
+    budget: &'a ThreadBudget,
+    helpers: usize,
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        if self.helpers > 0 {
+            self.budget.free.fetch_add(self.helpers, Ordering::AcqRel);
+        }
+    }
+}
+
+/// A thread count whose [`map_ordered`](WorkerPool::map_ordered) is
+/// [`ordered_map`] at that count — it owns no threads and no queue.
+///
+/// The type exists only for the benchmark ledger's `exec` probe, which
+/// times `map_ordered`; it is deleted when that probe is retired. Code in
+/// this workspace calls [`ordered_map`].
+#[derive(Debug)]
+pub struct WorkerPool {
+    threads: usize,
 }
 
 impl WorkerPool {
-    /// Spawn a pool of `threads.max(1)` workers.
+    /// A fan-out over `threads.max(1)` scoped workers per call.
     pub fn new(threads: usize) -> WorkerPool {
-        let threads = threads.max(1);
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("cerfix-worker-{i}"))
-                    .spawn(move || Self::worker_loop(&shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
         WorkerPool {
-            shared,
-            handles,
-            submitted: AtomicU64::new(0),
+            threads: threads.max(1),
         }
     }
 
-    fn worker_loop(shared: &PoolShared) {
-        loop {
-            let job = {
-                let mut queue = lock(&shared.queue);
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    queue = shared
-                        .work_ready
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            // A panicking job must not take the worker down with it: the
-            // pool outlives any single request, and `map_ordered` callers
-            // on other threads still need the remaining workers.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        }
-    }
-
-    /// Number of worker threads.
+    /// Workers each `map_ordered` call fans out across.
     pub fn threads(&self) -> usize {
-        self.handles.len()
+        self.threads
     }
 
-    /// Jobs currently waiting in the queue (a point-in-time gauge for
-    /// telemetry: one lock acquisition, no allocation; jobs already
-    /// claimed by workers are not counted).
-    pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.queue).len()
-    }
-
-    /// Jobs submitted since the pool was built, `map_ordered`'s helpers
-    /// included.
-    pub fn jobs_submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Enqueue a fire-and-forget job.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        lock(&self.shared.queue).push_back(Box::new(job));
-        self.shared.work_ready.notify_one();
-    }
-
-    /// Fan `items` across the pool, blocking until every result is in,
-    /// and return them in input order.
-    ///
-    /// **Caller-runs:** the calling thread participates in the batch —
-    /// it pulls pending items alongside the pool workers instead of only
-    /// waiting. This keeps the call deadlock-free even when it is made
-    /// *from a pool worker* (a job that fans out a sub-batch): with every
-    /// worker busy, the caller simply processes its own items. It also
-    /// means concurrent `map_ordered` calls from different request
-    /// threads interleave fairly on one pool.
-    ///
-    /// A panicking job is re-raised on the *calling* thread (like a
-    /// scoped-thread join) once every other job has finished — the
-    /// caller never deadlocks waiting on a completion that died.
-    pub fn map_ordered<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
+    /// [`ordered_map`] over `items` with an infallible `f`.
+    pub fn map_ordered<T: Send, U: Send, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: Fn(usize, T) -> U + Send + Sync + 'static,
+        F: Fn(usize, T) -> U + Sync,
     {
-        struct BatchState<U> {
-            slots: Vec<Option<U>>,
-            completed: usize,
-            panic: Option<Box<dyn std::any::Any + Send>>,
-        }
-        struct Batch<T, U, F> {
-            queue: Mutex<VecDeque<(usize, T)>>,
-            state: Mutex<BatchState<U>>,
-            finished: Condvar,
-            f: F,
-            n: usize,
-        }
-        impl<T, U, F> Batch<T, U, F>
-        where
-            F: Fn(usize, T) -> U,
-        {
-            /// Pull and run items until the queue is empty. Returns true
-            /// once this call has observed the whole batch completed.
-            fn run(&self) -> bool {
-                loop {
-                    let next = lock(&self.queue).pop_front();
-                    let Some((idx, item)) = next else {
-                        return lock(&self.state).completed == self.n;
-                    };
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        (self.f)(idx, item)
-                    }));
-                    let mut guard = lock(&self.state);
-                    match result {
-                        Ok(out) => guard.slots[idx] = Some(out),
-                        Err(payload) => {
-                            if guard.panic.is_none() {
-                                guard.panic = Some(payload);
-                            }
-                        }
-                    }
-                    guard.completed += 1;
-                    if guard.completed == self.n {
-                        self.finished.notify_all();
-                        return true;
-                    }
-                }
-            }
-        }
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let batch = Arc::new(Batch {
-            queue: Mutex::new(items.into_iter().enumerate().collect()),
-            state: Mutex::new(BatchState {
-                slots,
-                completed: 0,
-                panic: None,
-            }),
-            finished: Condvar::new(),
-            f,
-            n,
+        let Ok(out) = ordered_map(self.threads, items, |idx, item| {
+            Ok::<U, Infallible>(f(idx, item))
         });
-        // One helper job per worker (capped by the batch size minus the
-        // caller's own share); each drains the shared queue, so a helper
-        // that starts late — or never, on a saturated pool — costs
-        // nothing but its queue check.
-        for _ in 0..self.threads().min(n.saturating_sub(1)) {
-            let batch = Arc::clone(&batch);
-            self.submit(move || {
-                batch.run();
-            });
-        }
-        batch.run();
-        let mut guard = lock(&batch.state);
-        while guard.completed < n {
-            guard = batch
-                .finished
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if let Some(payload) = guard.panic.take() {
-            drop(guard);
-            std::panic::resume_unwind(payload);
-        }
-        std::mem::take(&mut guard.slots)
-            .into_iter()
-            .map(|slot| slot.expect("no panic ⇒ every slot filled"))
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work_ready.notify_all();
-        let current = thread::current().id();
-        for handle in self.handles.drain(..) {
-            // The pool can be dropped *from one of its own workers*: a
-            // job holding the last service handle (e.g. a job outliving
-            // a server shutdown) drops it — and the pool with it — when
-            // it finishes. Joining ourselves would be an
-            // instant deadlock (EDEADLK); detach instead — this worker
-            // exits its loop right after the current job.
-            if handle.thread().id() == current {
-                continue;
-            }
-            // A worker that panicked already unwound; joining propagates
-            // nothing further. Remaining queued jobs are completed first
-            // (workers drain the queue before honoring shutdown).
-            let _ = handle.join();
-        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn ordered_map_preserves_order() {
@@ -383,83 +246,58 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_ordered_propagates_panics() {
-        let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.map_ordered((0..10).collect(), |_, x: usize| {
-                assert!(x != 5, "boom");
-                x
-            })
-        }));
-        assert!(result.is_err(), "panic must reach the caller, not deadlock");
-        // The pool survives and serves later batches.
-        assert_eq!(
-            pool.map_ordered(vec![1, 2], |_, x: i32| x * 10),
-            vec![10, 20]
-        );
-    }
-
-    #[test]
-    fn map_ordered_reentrant_from_worker_does_not_deadlock() {
-        // A batch job that itself fans out a sub-batch on the same pool:
-        // with one worker this deadlocked before caller-runs (the worker
-        // waited on jobs queued behind itself forever).
-        let pool = Arc::new(WorkerPool::new(1));
-        let inner_pool = Arc::clone(&pool);
-        let out = pool.map_ordered(vec![10usize, 20], move |_, x| {
-            inner_pool.map_ordered(vec![x, x + 1], |_, y: usize| y * 2)
-        });
-        assert_eq!(out, vec![vec![20, 22], vec![40, 42]]);
-    }
-
-    #[test]
-    fn pool_survives_many_batches() {
-        let pool = WorkerPool::new(3);
-        for round in 0..20 {
-            let out = pool.map_ordered(vec![round; 10], |_, x: usize| x * x);
-            assert_eq!(out, vec![round * round; 10]);
-        }
-    }
-
-    #[test]
-    fn pool_submit_runs_jobs() {
-        let pool = WorkerPool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..50 {
-            let counter = Arc::clone(&counter);
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
+    fn ordered_map_propagates_panics() {
+        for threads in [1, 4] {
+            let result = std::panic::catch_unwind(|| {
+                ordered_map(threads, (0..10).collect(), |_, x: usize| {
+                    assert!(x != 5, "boom");
+                    Ok::<usize, ()>(x)
+                })
             });
+            assert!(
+                result.is_err(),
+                "{threads} threads: the panic reaches the caller"
+            );
         }
-        drop(pool); // drains the queue before joining
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
     }
 
     #[test]
-    fn dropping_pool_from_its_own_worker_does_not_deadlock() {
-        // A job that owns the last handle to its own pool (the shape a
-        // server batch job takes when it outlives shutdown): the drop
-        // runs on the worker and must neither hang nor panic.
-        let pool = Arc::new(WorkerPool::new(2));
-        let own = Arc::clone(&pool);
-        let done = Arc::new(AtomicUsize::new(0));
-        let observed = Arc::clone(&done);
-        pool.submit(move || {
-            // Give this job the last reference.
-            let own = own;
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            drop(own);
-            observed.fetch_add(1, Ordering::SeqCst);
+    fn budget_lends_only_free_helpers_and_takes_them_back() {
+        let free = |budget: &ThreadBudget| budget.free.load(Ordering::Relaxed);
+        let budget = ThreadBudget::new(2);
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let out: Result<Vec<usize>, ()> = budget.ordered_map(8, (0..64).collect(), |_, x| {
+            assert_eq!(free(&budget), 0, "both helpers lent for the call");
+            lock(&threads).insert(thread::current().id());
+            thread::sleep(std::time::Duration::from_micros(200));
+            Ok(x)
         });
-        drop(pool); // job now holds the only Arc
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while done.load(Ordering::SeqCst) == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "worker wedged dropping its own pool"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        assert_eq!(out.unwrap(), (0..64).collect::<Vec<_>>());
+        assert!(
+            lock(&threads).len() <= 3,
+            "the caller and two helpers at most"
+        );
+        assert_eq!(free(&budget), 2, "returned when the call ends");
+
+        // A call that finds the budget spent runs on its caller alone.
+        let nested: Result<Vec<Vec<usize>>, ()> = budget.ordered_map(3, vec![0, 1], |_, _| {
+            budget.ordered_map(4, (0..8).collect(), |_, y| {
+                assert_eq!(free(&budget), 0);
+                Ok(y)
+            })
+        });
+        assert_eq!(nested.unwrap().len(), 2);
+        assert_eq!(free(&budget), 2);
+
+        // A panicking item returns the helpers too.
+        let result = std::panic::catch_unwind(|| {
+            budget.ordered_map(3, (0..10).collect(), |_, x: usize| {
+                assert!(x != 5, "boom");
+                Ok::<usize, ()>(x)
+            })
+        });
+        assert!(result.is_err());
+        assert_eq!(free(&budget), 2);
     }
 
     #[test]

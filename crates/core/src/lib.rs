@@ -78,7 +78,7 @@ pub use engine::{
     FixpointReport, FixpointScratch, Inconsistency,
 };
 pub use error::{CerfixError, Result};
-pub use exec::{ordered_map, WorkerPool};
+pub use exec::{ordered_map, ThreadBudget, WorkerPool};
 pub use explorer::Explorer;
 pub use master::MasterDelta;
 pub use master::{universe_from_master, CertainLookup, MasterData};

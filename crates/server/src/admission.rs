@@ -1,14 +1,17 @@
 //! Cost-aware admission control: the load shedder.
 //!
 //! Overload protection works by refusing cheap-to-refuse work early
-//! instead of letting the worker queue grow without bound. The
-//! [`Shedder`] watches the worker-pool queue depth (the same instrument
-//! `health` and `metrics.prom` already export) and moves through three
-//! shed levels with hysteresis — the raise thresholds sit above the
-//! lower thresholds so the shedder cannot flap on a queue depth that
-//! hovers at the boundary:
+//! instead of taking on work without bound. The [`Shedder`] watches the
+//! requests the server holds — every request in flight whose class can
+//! be shed, a commit waiting for its fsync included (the
+//! `cerfix_requests_in_flight` gauge) — and moves through three shed
+//! levels with hysteresis: the raise thresholds sit above the lower
+//! thresholds so the shedder cannot flap on a count that hovers at the
+//! boundary. A request is admitted on the count of the *other* requests
+//! in flight; the `health` probe feeds the same count, so the level
+//! decays while the server is idle.
 //!
-//! | level | entered at depth | left at depth | sheds                |
+//! | level | entered at count | left at count | sheds                |
 //! |-------|------------------|---------------|----------------------|
 //! | 0     | —                | `< high/2`    | nothing              |
 //! | 1     | `>= high`        | `< high`      | heavy reads          |
@@ -37,22 +40,22 @@ pub(crate) enum Priority {
     Heavy,
 }
 
-/// Queue-depth-driven shed level with hysteresis. All state is one
-/// relaxed atomic — `observe` and `sheds` are hot-path safe (two loads
-/// and at most one store; races between concurrent observers settle on
-/// the next observation).
+/// Shed level with hysteresis, driven by the requests in flight. All
+/// state is one relaxed atomic — `observe` and `sheds` are hot-path
+/// safe (two loads and at most one store; races between concurrent
+/// observers settle on the next observation).
 #[derive(Debug)]
 pub(crate) struct Shedder {
     /// Current shed level: 0 (admit all), 1 (shed heavy), 2 (shed
     /// heavy + session mutations).
     level: AtomicU64,
-    /// The queue-depth high watermark that enters level 1.
+    /// The requests-in-flight high watermark that enters level 1.
     high: u64,
 }
 
 impl Shedder {
-    /// A shedder tripping at queue depth `high` (clamped to >= 2 so the
-    /// hysteresis bands stay distinct).
+    /// A shedder tripping at `high` requests in flight (clamped to >= 2
+    /// so the hysteresis bands stay distinct).
     pub(crate) fn new(high: usize) -> Shedder {
         Shedder {
             level: AtomicU64::new(0),
@@ -70,35 +73,34 @@ impl Shedder {
         self.level.load(Ordering::Relaxed)
     }
 
-    /// Feed one queue-depth observation. Returns `Some((from, to))`
-    /// when the shed level changed, so the caller can log the
-    /// transition.
-    pub(crate) fn observe(&self, depth: usize) -> Option<(u64, u64)> {
-        let depth = depth as u64;
+    /// Feed one observation of the requests in flight. Returns
+    /// `Some((from, to))` when the shed level changed, so the caller can
+    /// log the transition.
+    pub(crate) fn observe(&self, in_flight: u64) -> Option<(u64, u64)> {
         let level = self.level.load(Ordering::Relaxed);
         let next = match level {
             0 => {
-                if depth >= 2 * self.high {
+                if in_flight >= 2 * self.high {
                     2
-                } else if depth >= self.high {
+                } else if in_flight >= self.high {
                     1
                 } else {
                     0
                 }
             }
             1 => {
-                if depth >= 2 * self.high {
+                if in_flight >= 2 * self.high {
                     2
-                } else if depth < self.high / 2 {
+                } else if in_flight < self.high / 2 {
                     0
                 } else {
                     1
                 }
             }
             _ => {
-                if depth < self.high / 2 {
+                if in_flight < self.high / 2 {
                     0
-                } else if depth < self.high {
+                } else if in_flight < self.high {
                     1
                 } else {
                     2
@@ -132,7 +134,7 @@ mod tests {
         assert_eq!(shedder.level(), 0);
         assert!(!shedder.sheds(Priority::Heavy));
 
-        // Depth at the watermark: level 1, heavy shed, sessions admitted.
+        // At the watermark: level 1, heavy shed, sessions admitted.
         assert_eq!(shedder.observe(100), Some((0, 1)));
         assert!(shedder.sheds(Priority::Heavy));
         assert!(!shedder.sheds(Priority::Session));

@@ -21,6 +21,13 @@ use cerfix_storage::JournalEvent;
 use std::cell::RefCell;
 use std::sync::{Arc, PoisonError};
 
+/// Tuples a batch `clean` gives each thread it fans out to, at least. A
+/// helper thread and the engine scratch it builds cost about what a
+/// handful of tuples do; a batch shorter than two of these shares stays
+/// on the connection's thread, and a 128-tuple batch uses four threads at
+/// most, whatever `workers` is.
+const CLEAN_TUPLES_PER_THREAD: usize = 32;
+
 /// The swappable execution state: what `rules.reload` and
 /// `master.append` replace atomically while sessions stay live. The
 /// master rides inside so every request observes a (rules, plan, master,
@@ -114,11 +121,14 @@ impl CleaningService {
 
     /// Batch clean: each tuple gets its `trust` columns validated as-is,
     /// then the correcting process runs to its fixpoint. Tuples fan out
-    /// across the worker pool; outcomes return in input order. Batch
-    /// cleans are request/response (no session survives them), so they
-    /// are not journaled — but their provenance does flow into the
-    /// shared audit log under reserved tuple ids. Every row is checked
-    /// before the first is cleaned: a refused batch records nothing.
+    /// across the connection's thread and, one per
+    /// `CLEAN_TUPLES_PER_THREAD` tuples, helpers lent by the service's
+    /// budget (`ThreadBudget::ordered_map`, at most `workers` threads in
+    /// all); outcomes return in input order. Batch cleans are request/response (no session
+    /// survives them), so they are not journaled — but their provenance
+    /// does flow into the shared audit log under reserved tuple ids.
+    /// Every row is checked before the first is cleaned: a refused batch
+    /// records nothing.
     pub(crate) fn clean_batch(
         &self,
         tuples: Vec<Vec<Value>>,
@@ -147,15 +157,15 @@ impl CleaningService {
             })
             .collect::<Result<Vec<Tuple>, ServeError>>()?;
         let n = tuples.len();
-        let inner = Arc::clone(&self.inner);
         let engine = self.engine();
-        let trusted = Arc::new(trusted);
-        let audit_base = self.inner.sessions.allocate_ids(n as u64);
-        let outcomes: Vec<Result<Cleaned, ServeError>> =
-            self.inner.pool.map_ordered(tuples, move |idx, tuple| {
-                clean_one(&inner, &engine, &trusted, audit_base as usize + idx, tuple)
-            });
-        let outcomes: Vec<Cleaned> = outcomes.into_iter().collect::<Result<_, ServeError>>()?;
+        let audit_base = self.inner.sessions.allocate_ids(n as u64) as usize;
+        let threads = (n / CLEAN_TUPLES_PER_THREAD).clamp(1, self.workers());
+        let outcomes = self
+            .inner
+            .fan_out
+            .ordered_map(threads, tuples, |idx, tuple| {
+                clean_one(&self.inner, &engine, &trusted, audit_base + idx, tuple)
+            })?;
         let complete = outcomes.iter().filter(|outcome| outcome.complete).count();
         let cells_fixed: usize = outcomes.iter().map(|outcome| outcome.cells_fixed).sum();
         self.inner.metrics.tuples_cleaned.add(n as u64);
@@ -540,7 +550,7 @@ pub(crate) fn render_ruleset_dsl(rules: &RuleSet) -> String {
         .join("\n")
 }
 
-/// What one batch-clean job found: plain data — the batch sums its
+/// What cleaning one tuple of a batch found: plain data — the batch sums its
 /// counters from it, and the reply is written from it after the fan-in.
 struct Cleaned {
     complete: bool,
@@ -550,16 +560,16 @@ struct Cleaned {
 }
 
 thread_local! {
-    /// A pool worker's buffers for the tuples it cleans: the trusted
-    /// cells it validates and the correcting process's scratch, reused
-    /// from one tuple to the next.
+    /// A cleaning thread's buffers: the trusted cells it validates and
+    /// the correcting process's scratch, reused from one tuple (on the
+    /// connection's own thread, one request) to the next.
     static CLEAN_SCRATCH: RefCell<(Vec<(usize, Value)>, FixpointScratch)> =
         RefCell::default();
 }
 
-/// One batch-clean job, run on a pool worker.
+/// Clean one tuple of a batch, on whichever thread the fan-out gave it.
 fn clean_one(
-    inner: &Arc<ServiceInner>,
+    inner: &ServiceInner,
     engine: &Arc<EngineState>,
     trusted: &[usize],
     audit_id: usize,

@@ -77,7 +77,7 @@ errors! {
     ParseError     = "parse_error",       false,   false,    None,              "the line is not RFC 8259 JSON; `error` names the byte";
     BadRequest     = "bad_request",       false,   false,    None,              "the line is JSON but not a request this node can serve: no such op, a missing or ill-typed field, a value the schema, the rules or the node's mode (memory / journaled) rules out, an over-long or non-UTF-8 line";
     NotFound       = "not_found",         false,   false,    None,              "the session id names no live session (expired, finished, or never created)";
-    Overloaded     = "overloaded",        true,    true,     None,              "shed by admission control (worker queue past the watermark) or over a quota (`--max-sessions`, `--max-connections`); nothing was done";
+    Overloaded     = "overloaded",        true,    true,     None,              "shed by admission control (requests in flight past the watermark) or over a quota (`--max-sessions`, `--max-connections`); nothing was done";
     Draining       = "draining",          true,    true,     None,              "the node is draining: it refuses fresh connections and new sessions — take them to another node";
     NotPrimary     = "not_primary",       false,   true,     Some("redirect"),  "a follower was asked to write; `redirect` is its primary's address, which a client follows instead of retrying here";
     StaleEpoch     = "stale_epoch",       false,   true,     None,              "a primary fenced by a replica at a higher epoch was asked to write, or a `replica.sync` carried a cursor from an epoch this node has not reached";

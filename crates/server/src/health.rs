@@ -220,7 +220,7 @@ impl CleaningService {
 
     /// Compute liveness/readiness from real signals: journal flusher
     /// alive and error-free, fsync p99 under the slow-request budget,
-    /// worker queue not saturated, and the role-specific conditions —
+    /// nothing being shed, and the role-specific conditions —
     /// a primary must not be fenced by a higher-epoch replica, a
     /// follower must not lag its primary past `max_lag`.
     fn health_eval(&self) -> HealthReport {
@@ -272,20 +272,15 @@ impl CleaningService {
                 ));
             }
         }
-        let depth = self.inner.pool.queue_depth();
-        let bound = self.workers().max(1) * 256;
-        if depth > bound {
-            causes.push(format!(
-                "worker queue depth {depth} over the saturation bound {bound}"
-            ));
-        }
         // Probes double as shed-level observations, so the shedder also
-        // decays while no admission checks are running.
-        self.observe_queue_depth(depth);
+        // decays while no admission checks are running. A probe is never
+        // in flight itself: every request counted is another's.
+        let in_flight = self.metrics_raw().requests_in_flight.get();
+        self.observe_load(in_flight);
         let shed_level = self.inner.shedder.level();
         if shed_level > 0 {
             let shedding = ErrorCode::Overloaded.error(format!(
-                "shedding at level {shed_level} (worker queue depth {depth}, watermark {})",
+                "shedding at level {shed_level} ({in_flight} requests in flight, watermark {})",
                 self.inner.shedder.high()
             ));
             causes.push(shedding.to_string());

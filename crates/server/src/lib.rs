@@ -8,9 +8,11 @@
 //!
 //! * [`CleaningService`] — shared `Arc<MasterData>` + `Arc<RuleSet>`
 //!   behind a session manager (create / attach / validate / fix /
-//!   commit / abort by session id, with idle eviction), a worker pool
-//!   for batch cleans, and a per-ruleset cache of region searches and
-//!   consistency verdicts.
+//!   commit / abort by session id, with idle eviction), a per-ruleset
+//!   cache of region searches and consistency verdicts, and an admission
+//!   shedder fed the requests in flight. A long batch `clean` fans its
+//!   tuples out across up to `--workers` threads: its connection's own
+//!   and scoped helpers from one service-wide budget of `workers - 1`.
 //! * [`Server`] — a line-delimited-JSON-over-TCP front end
 //!   (`std::net`, no async runtime, no serialization dependency — see
 //!   [`wire`]).
@@ -374,8 +376,8 @@ mod tests {
     /// name parses to and re-encodes from the row's `Request`; a
     /// follower refuses exactly the `writes` rows with `not_primary` and
     /// serves the rest; a level-2 shedder sheds exactly the rows that
-    /// are not critical, in the words it shed them with before replies
-    /// had a `code`; and every op's reply is one JSON line that
+    /// are not critical, with the one `overloaded` line that names the
+    /// requests in flight; and every op's reply is one JSON line that
     /// opens with the `id` echo and `ok` — byte for byte a checked-in
     /// literal where the reply holds no clock reading.
     #[test]
@@ -441,7 +443,7 @@ mod tests {
         drop(follower);
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Level 2: one worker held, twice the watermark queued behind it.
+        // Level 2: twice the watermark's requests held in flight.
         let (master, rules) = kv_setup();
         let service = CleaningService::new(
             master,
@@ -452,17 +454,7 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        let (release, held) = std::sync::mpsc::channel::<()>();
-        let held = Arc::new(std::sync::Mutex::new(held));
-        for _ in 0..5 {
-            let held = Arc::clone(&held);
-            service.inner.pool.submit(move || {
-                let _ = held.lock().unwrap().recv();
-            });
-        }
-        while service.queue_depth() != 4 {
-            std::thread::yield_now(); // the worker takes the first job
-        }
+        let held: Vec<_> = (0..4).map(|_| service.hold_request()).collect();
         for (op, line) in rows.iter().zip(&lines) {
             let reply = service.handle_line(line);
             let what = match op.class {
@@ -474,18 +466,24 @@ mod tests {
                 admission::Priority::Heavy => "heavy reads",
                 admission::Priority::Session => "session mutations",
             };
-            // The v9 line (captured at `93d9706`) with a `code` in it.
+            // The load the shedder saw is the other requests in flight.
             assert_eq!(
                 reply,
                 format!(
                     "{{\"ok\":false,\"code\":\"overloaded\",\"error\":\"overloaded: shedding {what} \
-                     at level 2 (worker queue depth 4 over watermark 2); retry with backoff\"}}"
+                     at level 2 (4 requests in flight over watermark 2); retry with backoff\"}}"
                 ),
                 "{}",
                 op.name
             );
         }
-        drop(release);
+        assert_eq!(
+            service.metrics().requests_in_flight,
+            4,
+            "every shed request let go"
+        );
+        drop(held);
+        assert_eq!(service.metrics().requests_in_flight, 0);
 
         // Every op on a fresh service, in table order, each with an id:
         // whatever it answers is well-formed and opens the same way.

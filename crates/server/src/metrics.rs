@@ -41,7 +41,7 @@ impl Cell {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Gauges only (`connections_open`).
+    /// Gauges only (`connections_open`, `requests_in_flight`).
     pub(crate) fn dec(&self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
@@ -440,6 +440,7 @@ instruments! {
     // One relaxed atomic each, bumped where the thing happens.
     stored {
         requests                  Counter "cerfix_requests_total"                  "Protocol requests handled (including failed ones).";
+        requests_in_flight        Gauge   "cerfix_requests_in_flight"              "Requests being served whose op class can be shed, a commit waiting for its fsync included: the admission shedder's input.";
         errors                    Counter "cerfix_errors_total"                    "Requests answered with an error.";
         sessions_created          Counter "cerfix_sessions_created_total"          "Sessions created.";
         sessions_committed        Counter "cerfix_sessions_committed_total"        "Sessions committed (reached session.commit).";
@@ -481,17 +482,13 @@ instruments! {
             = |s| s.metrics_raw().uptime_secs();
         protocol               Gauge   "cerfix_protocol_version"              "Wire protocol version this server speaks."
             = |_| PROTOCOL_VERSION;
-        workers                Gauge   "cerfix_workers"                       "Worker threads in the batch pool."
+        workers                Gauge   "cerfix_workers"                       "Threads a batch clean may fan its tuples out across."
             = |s| s.workers() as u64;
-        worker_queue_depth     Gauge   "cerfix_worker_queue_depth"            "Jobs waiting in the worker-pool queue right now."
-            = |s| s.queue_depth() as u64;
-        worker_jobs            Counter "cerfix_worker_jobs_total"             "Jobs submitted to the worker pool (a clean's fan-out)."
-            = |s| s.inner.pool.jobs_submitted();
         live_sessions          Gauge   "cerfix_sessions_live"                 "Interactive sessions currently live."
             = |s| s.live_sessions() as u64;
         shed_level             Gauge   "cerfix_shed_level"                    "Admission shed level: 0 admit all, 1 shed heavy reads, 2 shed sessions too."
             = |s| s.shedder().level();
-        shed_watermark         Gauge   "cerfix_shed_watermark"                "Worker-queue depth at which the shedder enters level 1."
+        shed_watermark         Gauge   "cerfix_shed_watermark"                "Requests in flight at which the shedder enters level 1."
             = |s| s.shedder().high();
         draining               Flag    "cerfix_draining"                      "1 while a graceful drain is in progress."
             = |s| u64::from(s.is_draining());

@@ -8,8 +8,8 @@
 //! `session.commit`'s group fsync and quorum, a held `replica.sync` —
 //! first writes what is already answered, so a pipelining client never
 //! waits for a reply that is computed. Heavy ops run on the connection's
-//! thread too; a `clean` fans its tuples out on the service's worker
-//! pool, whose queue the admission shedder watches.
+//! thread too; a `clean` fans its tuples out across scoped threads it
+//! joins before replying.
 //!
 //! Shutdown completes in milliseconds: the service's shutdown hook
 //! half-closes every connection (read side) and pokes the blocked

@@ -344,8 +344,9 @@ pub enum Request {
         /// Server-assigned session id.
         session: u64,
     },
-    /// Batch-clean tuples, trusting the named columns (fanned across
-    /// the service worker pool; outcomes come back in input order).
+    /// Batch-clean tuples, trusting the named columns (a long batch is
+    /// fanned across up to `workers` threads; outcomes come back in
+    /// input order).
     Clean {
         /// Input tuples, each in schema order.
         tuples: Vec<Vec<Value>>,
@@ -427,8 +428,9 @@ pub enum Request {
     /// tailing, and start accepting session mutations.
     ReplicaPromote,
     /// Liveness/readiness probe: alive/ready booleans computed from
-    /// real signals (journal flusher, fsync latency, queue depth,
-    /// replication lag, epoch fencing), with the failing causes named.
+    /// real signals (journal flusher, fsync latency, the shed level and
+    /// the requests in flight behind it, replication lag, epoch
+    /// fencing), with the failing causes named.
     Health,
     /// Read recent events from the structured diagnostic log ring,
     /// newest first.

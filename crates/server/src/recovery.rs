@@ -91,33 +91,47 @@ impl CleaningService {
     /// runs on detached monitors — provenance already sits in the audit
     /// segment; re-recording it would duplicate the archive.
     pub(crate) fn recover(&self, recovered: RecoveredState) -> Result<(), ServeError> {
-        let schema = self.inner.input_schema.clone();
         if let Some(snapshot) = &recovered.snapshot {
-            if !snapshot.master_appended.is_empty() {
-                self.apply_master_rows(snapshot.master_appended.clone())?;
-            }
-            let boot = self.engine();
-            if snapshot.fingerprint != boot.fingerprint && !snapshot.rules_dsl.is_empty() {
-                let engine = self.compile_engine_from_dsl(&snapshot.rules_dsl)?;
-                if engine.fingerprint != snapshot.fingerprint {
-                    return Err(ErrorCode::Internal.error(format!(
-                        "snapshot rule set re-parses to fingerprint {:x}, expected {:x}",
-                        engine.fingerprint, snapshot.fingerprint
-                    )));
-                }
-                *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
-            }
-            for session in &snapshot.sessions {
-                let restored = snapshot_to_session(session, &schema)?;
-                self.inner.sessions.restore(session.session, restored);
-            }
-            self.inner
-                .sessions
-                .advance_next_id(snapshot.next_session_id);
+            self.apply_snapshot(snapshot)?;
         }
         self.replay_events(recovered.events, false, &mut RequestScratch::default())?;
         let live = self.inner.sessions.len() as u64;
         self.inner.metrics.sessions_recovered.add(live);
+        Ok(())
+    }
+
+    /// Apply a snapshot onto the engine in place: its appended master
+    /// rows, its rule set (when it is not the one running), its
+    /// sessions and its next session id.
+    fn apply_snapshot(&self, snapshot: &SnapshotData) -> Result<(), ServeError> {
+        if !snapshot.master_appended.is_empty() {
+            self.apply_master_rows(snapshot.master_appended.clone())?;
+        }
+        if snapshot.fingerprint != self.engine().fingerprint && !snapshot.rules_dsl.is_empty() {
+            self.install_rules(&snapshot.rules_dsl, snapshot.fingerprint, "snapshot")?;
+        }
+        for session in &snapshot.sessions {
+            let restored = snapshot_to_session(session, &self.inner.input_schema)?;
+            self.inner.sessions.restore(session.session, restored);
+        }
+        self.inner
+            .sessions
+            .advance_next_id(snapshot.next_session_id);
+        Ok(())
+    }
+
+    /// Compile a rule set from its DSL and swap it in, provided it
+    /// re-parses to the `fingerprint` its `source` (a snapshot, the
+    /// journal) recorded.
+    fn install_rules(&self, dsl: &str, fingerprint: u64, source: &str) -> Result<(), ServeError> {
+        let engine = self.compile_engine_from_dsl(dsl)?;
+        if engine.fingerprint != fingerprint {
+            return Err(ErrorCode::Internal.error(format!(
+                "{source} rule set re-parses to fingerprint {:x}, expected {:x}",
+                engine.fingerprint, fingerprint
+            )));
+        }
+        *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
         Ok(())
     }
 
@@ -213,14 +227,7 @@ impl CleaningService {
                         break;
                     }
                     JournalEvent::RulesReloaded { dsl, fingerprint } => {
-                        let engine = self.compile_engine_from_dsl(&dsl)?;
-                        if engine.fingerprint != fingerprint {
-                            return Err(ErrorCode::Internal.error(format!(
-                                "journaled rule set re-parses to fingerprint {:x}, expected {:x}",
-                                engine.fingerprint, fingerprint
-                            )));
-                        }
-                        *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
+                        self.install_rules(&dsl, fingerprint, "journaled")?;
                         break;
                     }
                 }
@@ -309,7 +316,6 @@ impl CleaningService {
                 binding.storage.epoch()
             )));
         }
-        let schema = self.inner.input_schema.clone();
         let encoded = data.encode();
         let gate = binding.gate.write().unwrap_or_else(|e| e.into_inner());
         for (id, _) in self.inner.sessions.export() {
@@ -335,25 +341,7 @@ impl CleaningService {
                 .unwrap_or_else(PoisonError::into_inner)
                 .clear();
         }
-        if !data.master_appended.is_empty() {
-            self.apply_master_rows(data.master_appended.clone())?;
-        }
-        let boot = self.engine();
-        if data.fingerprint != boot.fingerprint && !data.rules_dsl.is_empty() {
-            let engine = self.compile_engine_from_dsl(&data.rules_dsl)?;
-            if engine.fingerprint != data.fingerprint {
-                return Err(ErrorCode::Internal.error(format!(
-                    "snapshot rule set re-parses to fingerprint {:x}, expected {:x}",
-                    engine.fingerprint, data.fingerprint
-                )));
-            }
-            *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
-        }
-        for session in &data.sessions {
-            let restored = snapshot_to_session(session, &schema)?;
-            self.inner.sessions.restore(session.session, restored);
-        }
-        self.inner.sessions.advance_next_id(data.next_session_id);
+        self.apply_snapshot(&data)?;
         binding.storage.install_snapshot(&data)?;
         drop(gate);
         *self

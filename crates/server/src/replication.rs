@@ -700,7 +700,7 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
 /// ([`CleaningService::sync_arrival`]); the hold only delays the reply,
 /// and is over ([`CleaningService::hold_over`]) as soon as there is
 /// something to say. The front end keeps it on the connection's own
-/// thread ([`CleaningService::wait_out`]), never on a pool worker.
+/// thread ([`CleaningService::wait_out`]).
 pub(crate) struct HeldSync {
     /// The request as its one scan read it — the line itself is not
     /// kept — and the `id` it asked to have echoed.

@@ -6,9 +6,13 @@
 //! compiled plan, pre-computed regions) serves every session (the
 //! demo's "master database shared by many clerks"), a
 //! [`SessionManager`] tracks in-flight interactive sessions with idle
-//! eviction, a [`WorkerPool`] fans batch `clean` requests across
-//! workers, and an [`AnalysisCache`] memoizes region searches and
-//! consistency verdicts per rule set.
+//! eviction, and an [`AnalysisCache`] memoizes region searches and
+//! consistency verdicts per rule set. A request is served on the thread
+//! that read it; a batch `clean` long enough to pay for it fans its
+//! tuples out across up to `ServiceConfig::workers` threads — its own and
+//! scoped helpers drawn from one service-wide [`cerfix::ThreadBudget`] of
+//! `workers - 1`, so concurrent cleans never hold more than that many
+//! helpers between them.
 //!
 //! The service is transport-agnostic: [`CleaningService::handle_line`]
 //! maps one wire line to one reply line — the TCP server and the
@@ -53,7 +57,7 @@ use crate::cache::AnalysisCache;
 use crate::diag::{DiagSink, Subsystem};
 use crate::engine::{compile_engine, EngineState};
 use crate::errors::{ErrorCode, ServeError};
-use crate::metrics::{self, MetricsSnapshot, ServiceMetrics};
+use crate::metrics::{self, Cell, MetricsSnapshot, ServiceMetrics};
 use crate::ops::{self, Op};
 use crate::protocol::{scan_line, Request, RequestScratch, ScannedLine};
 use crate::replication::{FollowerLag, ReplicationState, Role};
@@ -61,7 +65,7 @@ use crate::session::SessionManager;
 use crate::timeseries::TimeSeries;
 use crate::trace::{Span, TraceSink};
 use crate::wire::{Json, JsonWriter};
-use cerfix::{AuditLog, AuditSink, MasterData, WorkerPool};
+use cerfix::{AuditLog, AuditSink, MasterData, ThreadBudget};
 use cerfix_relation::{SchemaRef, Tuple, Value};
 use cerfix_rules::RuleSet;
 use cerfix_storage::{JournalEvent, SessionEvent, Storage, StorageConfig};
@@ -74,6 +78,11 @@ use std::time::{Duration, Instant};
 /// peer_timeout_ms` overrides at runtime).
 const DEFAULT_PEER_TIMEOUT_MS: u64 = 750;
 
+/// CPU time of a 128-tuple batch `clean` on one core, in µs — the
+/// heaviest request the default shed watermark is sized against
+/// (`ServiceConfig::shed_watermark`).
+const HEAVY_REQUEST_CPU_US: u64 = 500;
+
 /// Audit records an in-memory service keeps resident, the newest; older
 /// ones are evicted (counted as spilled, no longer readable). A
 /// journaled service keeps none: its spill is the window.
@@ -82,7 +91,9 @@ pub(crate) const MEMORY_AUDIT_WINDOW: usize = 4096;
 /// Tunables for a [`CleaningService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads in the batch pool.
+    /// Threads a batch `clean` may fan its tuples out across: the
+    /// connection's own, plus scoped helpers from a service-wide budget
+    /// of `workers - 1` (`1` cleans them on the connection's own thread).
     pub workers: usize,
     /// Idle time after which a session may be evicted.
     pub session_ttl: Duration,
@@ -134,10 +145,16 @@ pub struct ServiceConfig {
     /// actually full, and recovers automatically when space returns.
     /// `0` disables the watermark; an ENOSPC write still degrades.
     pub min_free_bytes: u64,
-    /// Worker-queue depth at which the admission shedder starts
+    /// Requests in flight at which the admission shedder starts
     /// refusing heavy reads with a retryable `overloaded` error (twice
-    /// this depth also sheds session mutations). `0` — the default —
-    /// derives the watermark from the worker count.
+    /// this many also sheds session mutations). `0` — the default —
+    /// derives the watermark from the slow-request budget at startup:
+    /// `slow_ms` over the ≈ 0.5 ms of CPU the heaviest common request (a
+    /// 128-tuple `clean`) takes, 1 000 at the default `slow_ms` — the
+    /// backlog one core clears within the budget. It does not scale with
+    /// `workers`: a commit waiting on its group fsync holds no core, so
+    /// the clerks a healthy node serves at once set the count, not its
+    /// CPUs.
     pub shed_watermark: usize,
     /// Global TCP connection quota; connections over it are refused
     /// with an `overloaded` error line. `0` disables the quota.
@@ -191,7 +208,6 @@ pub(crate) struct ServiceInner {
     /// The input schema never changes across reloads (rule sets are
     /// re-parsed against it), so it is cached here unguarded.
     pub(crate) input_schema: SchemaRef,
-    pub(crate) pool: WorkerPool,
     pub(crate) sessions: SessionManager,
     pub(crate) cache: AnalysisCache,
     pub(crate) metrics: ServiceMetrics,
@@ -234,8 +250,11 @@ pub(crate) struct ServiceInner {
     pub(crate) boot_master: Arc<MasterData>,
     pub(crate) boot_rules: Arc<RuleSet>,
     pub(crate) config: ServiceConfig,
-    /// The queue-depth-driven load shedder (admission control).
+    /// The load shedder (admission control), fed the requests in flight.
     pub(crate) shedder: Shedder,
+    /// The helper threads every batch `clean` draws from: `workers - 1`
+    /// between them, however many cleans run at once.
+    pub(crate) fan_out: ThreadBudget,
     /// Graceful-drain latch: set by `server.drain`. While set, front
     /// ends refuse fresh connections and `session.create` answers
     /// `draining`; in-flight sessions keep being served until the drain
@@ -257,7 +276,7 @@ pub(crate) struct ServiceInner {
 }
 
 /// The concurrent multi-session cleaning service. Cheap to clone (an
-/// `Arc` handle); all clones share sessions, cache, pool and metrics.
+/// `Arc` handle); all clones share sessions, cache and metrics.
 #[derive(Clone)]
 pub struct CleaningService {
     pub(crate) inner: Arc<ServiceInner>,
@@ -268,7 +287,7 @@ impl std::fmt::Debug for CleaningService {
         f.debug_struct("CleaningService")
             .field("rules", &self.engine().rules.len())
             .field("master_rows", &self.engine().master.len())
-            .field("workers", &self.inner.pool.threads())
+            .field("workers", &self.workers())
             .field("live_sessions", &self.inner.sessions.len())
             .field("journaled", &self.inner.storage.is_some())
             .finish()
@@ -359,7 +378,6 @@ impl CleaningService {
         let diag = DiagSink::new(config.diag_buffer, config.diag_file.as_ref());
         CleaningService {
             inner: Arc::new(ServiceInner {
-                pool: WorkerPool::new(config.workers),
                 sessions: SessionManager::new(config.session_ttl, config.max_sessions),
                 engine: RwLock::new(engine),
                 input_schema,
@@ -385,11 +403,9 @@ impl CleaningService {
                 shedder: Shedder::new(if config.shed_watermark > 0 {
                     config.shed_watermark
                 } else {
-                    // Auto: trip well before the health probe's
-                    // workers*256 saturation bound so shedding starts
-                    // while the probe still reports ready.
-                    config.workers.max(1) * 64
+                    (config.slow_ms.saturating_mul(1000) / HEAVY_REQUEST_CPU_US) as usize
                 }),
+                fan_out: ThreadBudget::new(config.workers.max(1) - 1),
                 draining: AtomicBool::new(false),
                 drain_monitor_started: AtomicBool::new(false),
                 peer_timeout_ms: AtomicU64::new(DEFAULT_PEER_TIMEOUT_MS),
@@ -445,9 +461,9 @@ impl CleaningService {
         self.inner.sessions.len()
     }
 
-    /// Worker threads in the batch pool.
+    /// Threads a batch `clean` may fan out across.
     pub fn workers(&self) -> usize {
-        self.inner.pool.threads()
+        self.inner.config.workers.max(1)
     }
 
     /// True once a graceful drain has begun: the front end refuses
@@ -598,9 +614,11 @@ impl CleaningService {
         &self.inner.shedder
     }
 
-    /// Jobs waiting in the worker-pool queue right now.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.inner.pool.queue_depth()
+    /// Count one request as held — in `requests_in_flight`, the
+    /// shedder's input — until the guard drops.
+    pub(crate) fn hold_request(&self) -> InFlight<'_> {
+        self.inner.metrics.requests_in_flight.inc();
+        InFlight(&self.inner.metrics.requests_in_flight)
     }
 
     /// Per-follower lag against this node's durable cursor.
@@ -713,7 +731,8 @@ impl CleaningService {
     /// turn an `Err` into the error reply in one place, then charge
     /// latency and the trace span to `op`. Whatever a handler wrote
     /// before it failed is taken back first, so a request is answered
-    /// with exactly one well-formed line.
+    /// with exactly one well-formed line. A request whose class can be
+    /// shed is held in flight for the whole frame, unwinding included.
     pub(crate) fn answer(
         &self,
         op: &'static Op,
@@ -723,6 +742,7 @@ impl CleaningService {
         started: Instant,
         serve: impl FnOnce(Reply<'_>) -> Result<(), ServeError>,
     ) {
+        let _held = (op.class != Priority::Critical).then(|| self.hold_request());
         let queue_wait = started.saturating_duration_since(received);
         self.inner.metrics.requests.inc();
         self.inner.metrics.queue_wait.observe(queue_wait);
@@ -905,25 +925,28 @@ impl CleaningService {
         }
     }
 
-    /// Feed the shedder one queue-depth observation; log a level change.
-    pub(crate) fn observe_queue_depth(&self, depth: usize) {
-        if let Some((from, to)) = self.inner.shedder.observe(depth) {
+    /// Feed the shedder the requests in flight besides the observer's
+    /// own; log a level change.
+    pub(crate) fn observe_load(&self, in_flight: u64) {
+        if let Some((from, to)) = self.inner.shedder.observe(in_flight) {
             self.inner.diag.warn(
                 Subsystem::Admission,
                 format_args!(
-                    "shed level {from} -> {to} (worker queue depth {depth}, watermark {})",
+                    "shed level {from} -> {to} ({in_flight} requests in flight, watermark {})",
                     self.inner.shedder.high()
                 ),
             );
         }
     }
 
-    /// Admission decision for one request: feed the shedder the current
-    /// queue depth, then shed by the op's class. Two atomic loads when
-    /// the shedder is disarmed — cheap enough for every request.
+    /// Admission decision for one request: feed the shedder the other
+    /// requests in flight, then shed by the op's class. Three relaxed
+    /// atomic loads when the shedder is disarmed — cheap enough for
+    /// every request.
     fn shed_check(&self, op: &Op) -> Result<(), ServeError> {
-        let depth = self.inner.pool.queue_depth();
-        self.observe_queue_depth(depth);
+        let own = u64::from(op.class != Priority::Critical);
+        let others = self.metrics_raw().requests_in_flight.get() - own;
+        self.observe_load(others);
         if !self.inner.shedder.sheds(op.class) {
             return Ok(());
         }
@@ -933,7 +956,7 @@ impl CleaningService {
             _ => "session mutations",
         };
         Err(ErrorCode::Overloaded.error(format!(
-            "shedding {what} at level {} (worker queue depth {depth} over watermark {}); retry with backoff",
+            "shedding {what} at level {} ({others} requests in flight over watermark {}); retry with backoff",
             self.inner.shedder.level(),
             self.inner.shedder.high(),
         )))
@@ -973,6 +996,15 @@ impl CleaningService {
             "unknown attribute `{name}` (schema `{}`)",
             schema.name()
         )))
+    }
+}
+
+/// A request held in flight: released when dropped.
+pub(crate) struct InFlight<'a>(&'a Cell);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.dec();
     }
 }
 

@@ -63,9 +63,10 @@ pub(crate) struct Span {
     /// first (`Reply::send`). The session ops write under their
     /// session's lock, inside the dispatch share, and leave this 0.
     pub serialize_ns: u64,
-    /// Receipt → dispatch queue wait (worker-pool queueing for batched
-    /// heavy ops; ~0 on the inline path). Kept OUTSIDE `total_ns`,
-    /// which starts when service begins.
+    /// Receipt → dispatch queue wait: the time a line waits behind the
+    /// lines of the same `read` that come before it (~0 for a lone
+    /// request). Kept OUTSIDE `total_ns`, which starts when service
+    /// begins.
     pub queue_ns: u64,
     /// Absolute request deadline, when the client sent `deadline_ms` —
     /// threaded through dispatch so quorum waits can cut off early.

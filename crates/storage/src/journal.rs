@@ -440,10 +440,22 @@ struct Pending {
     retired_seqs: u64,
 }
 
-/// The file and its durability bookkeeping. Held across write+fsync by
-/// a flush cycle; appenders never touch it.
+/// The file. Held across write+fsync by a flush cycle (and by a
+/// truncation or a crash simulation); appenders never touch it, and
+/// neither does a reader of the journal's position or health.
 struct FileState {
     file: Box<dyn StorageFile>,
+    /// A write failed: the file may hold un-fsynced partial bytes past
+    /// `durable_len` and the cursor position is unknown. The next
+    /// attempt truncates back to `durable_len` before writing.
+    needs_repair: bool,
+}
+
+/// What the file is known to hold. Changed only by a holder of
+/// [`FileState`], and never held across I/O — so a
+/// health probe, a metrics read or a replication cursor is answered
+/// while a flush waits on the disk.
+struct FileStatus {
     /// File length guaranteed on disk (fsync'd).
     durable_len: u64,
     /// Complete frames inside `durable_len` — the replication position
@@ -452,10 +464,6 @@ struct FileState {
     epoch: u64,
     /// After a simulated crash: all writes become no-ops.
     dead: bool,
-    /// A write failed: the file may hold un-fsynced partial bytes past
-    /// `durable_len` and the cursor position is unknown. The next
-    /// attempt truncates back to `durable_len` before writing.
-    needs_repair: bool,
     /// Most recent write/fsync failure; cleared by a later fully
     /// successful flush (sticky while poisoned).
     error: Option<String>,
@@ -464,6 +472,8 @@ struct FileState {
 struct Shared {
     pending: Mutex<Pending>,
     filestate: Mutex<FileState>,
+    /// Taken after `filestate` (and `pending`) when both are held.
+    status: Mutex<FileStatus>,
     /// Highest sequence number covered by a completed fsync.
     durable_seq: AtomicU64,
     durable_cv: Condvar,
@@ -648,11 +658,13 @@ impl Journal {
             }),
             filestate: Mutex::new(FileState {
                 file,
+                needs_repair: false,
+            }),
+            status: Mutex::new(FileStatus {
                 durable_len: start_len,
                 durable_events: start_events,
                 epoch,
                 dead: false,
-                needs_repair: false,
                 error: None,
             }),
             durable_seq: AtomicU64::new(0),
@@ -817,7 +829,7 @@ impl Journal {
 
     /// The current snapshot epoch in the header.
     pub fn epoch(&self) -> u64 {
-        lock(&self.shared.filestate).epoch
+        lock(&self.shared.status).epoch
     }
 
     /// Total event bytes appended since open (monotonic).
@@ -854,14 +866,14 @@ impl Journal {
     /// File length guaranteed on disk — what a kill-9 plus a lost page
     /// cache could roll the file back to.
     pub fn durable_len(&self) -> u64 {
-        lock(&self.shared.filestate).durable_len
+        lock(&self.shared.status).durable_len
     }
 
     /// The replication position: `(epoch, durable event count)` read
     /// atomically. A follower whose cursor equals this is caught up.
     pub fn durable_position(&self) -> (u64, u64) {
-        let filestate = lock(&self.shared.filestate);
-        (filestate.epoch, filestate.durable_events)
+        let status = lock(&self.shared.status);
+        (status.epoch, status.durable_events)
     }
 
     /// Call `waker` each time the durable position `(epoch, events)`
@@ -904,9 +916,9 @@ impl Journal {
     pub fn read_durable_from(&self, offset: u64, max: usize) -> std::io::Result<CursorRead> {
         for _ in 0..3 {
             let (mut read, durable_len) = {
-                let filestate = lock(&self.shared.filestate);
-                let read = CursorRead::empty(filestate.epoch, filestate.durable_events);
-                (read, filestate.durable_len)
+                let status = lock(&self.shared.status);
+                let read = CursorRead::empty(status.epoch, status.durable_events);
+                (read, status.durable_len)
             };
             if offset >= read.durable_events || max == 0 {
                 return Ok(read);
@@ -923,7 +935,12 @@ impl Journal {
             let mean_frame = (durable_len - JOURNAL_HEADER).div_ceil(read.durable_events);
             let span = (start, durable_len);
             let filled = read.fill(&*self.reader, span, offset - skipped, max, mean_frame);
-            if lock(&self.shared.filestate).epoch != read.epoch {
+            // Behind any truncation under way, which publishes its epoch
+            // only once its I/O is done.
+            let file = lock(&self.shared.filestate);
+            let epoch = lock(&self.shared.status).epoch;
+            drop(file);
+            if epoch != read.epoch {
                 // Truncated to a new epoch while we read: these bytes
                 // (or this short read) are not this epoch's prefix.
                 // Retry on the fresh state.
@@ -957,7 +974,7 @@ impl Journal {
     /// and landed); a poison failure is sticky until a snapshot
     /// truncation rebuilds the file.
     pub fn last_error(&self) -> Option<String> {
-        lock(&self.shared.filestate).error.clone()
+        lock(&self.shared.status).error.clone()
     }
 
     /// The poison failure, when an fsync error has permanently stopped
@@ -977,7 +994,7 @@ impl Journal {
     /// accepting writes — the journal half of a liveness probe. False
     /// after shutdown or a (simulated) crash.
     pub fn is_alive(&self) -> bool {
-        !self.shared.stop.load(Ordering::Acquire) && !lock(&self.shared.filestate).dead
+        !self.shared.stop.load(Ordering::Acquire) && !lock(&self.shared.status).dead
     }
 
     /// Discard every journaled event and start epoch `new_epoch`: the
@@ -992,7 +1009,7 @@ impl Journal {
     pub fn truncate_to_epoch(&self, new_epoch: u64) -> std::io::Result<()> {
         let mut filestate = lock(&self.shared.filestate);
         let mut pending = lock(&self.shared.pending);
-        if filestate.dead {
+        if lock(&self.shared.status).dead {
             return Ok(());
         }
         let retired = pending.next_seq.saturating_sub(1);
@@ -1009,7 +1026,7 @@ impl Journal {
             // Poison so no later flush writes into it (recovery is safe
             // either way: the snapshot owns the state).
             let msg = format!("journal rebuild failed: {e}");
-            filestate.error = Some(msg.clone());
+            lock(&self.shared.status).error = Some(msg.clone());
             self.shared.poisoned.store(true, Ordering::Release);
             *lock(&self.shared.fail) = FailState::Poisoned { error: msg };
             drop(filestate);
@@ -1017,13 +1034,16 @@ impl Journal {
             self.shared.notify_durable();
             return Err(e);
         }
-        filestate.durable_len = JOURNAL_HEADER;
-        filestate.durable_events = 0;
-        filestate.epoch = new_epoch;
         // set_len(0) + fresh fsynced header put the file in a known-good
         // state: clear repair, error and poison.
+        *lock(&self.shared.status) = FileStatus {
+            durable_len: JOURNAL_HEADER,
+            durable_events: 0,
+            epoch: new_epoch,
+            dead: false,
+            error: None,
+        };
         filestate.needs_repair = false;
-        filestate.error = None;
         drop(filestate);
         self.shared.poisoned.store(false, Ordering::Release);
         *lock(&self.shared.fail) = FailState::None;
@@ -1045,8 +1065,11 @@ impl Journal {
         pending.buf.clear();
         let retired = pending.next_seq.saturating_sub(1);
         drop(pending);
-        filestate.dead = true;
-        let durable = filestate.durable_len;
+        let durable = {
+            let mut status = lock(&self.shared.status);
+            status.dead = true;
+            status.durable_len
+        };
         filestate.file.set_len(durable)?;
         filestate.file.sync_data()?;
         drop(filestate);
@@ -1074,14 +1097,18 @@ enum WriteFault {
 
 /// Append `bytes` and fsync, repairing the file back to its last
 /// durable length first if an earlier attempt failed partway (partial
-/// un-fsynced bytes, unknown cursor). `durable_len` advances only on
-/// full success.
-fn write_durable(filestate: &mut FileState, bytes: &[u8]) -> Result<(), WriteFault> {
+/// un-fsynced bytes, unknown cursor) at `durable_len`. The caller
+/// advances `durable_len` only on full success.
+fn write_durable(
+    filestate: &mut FileState,
+    durable_len: u64,
+    bytes: &[u8],
+) -> Result<(), WriteFault> {
     if filestate.needs_repair {
         let repaired = filestate
             .file
-            .set_len(filestate.durable_len)
-            .and_then(|()| filestate.file.seek(SeekFrom::Start(filestate.durable_len)));
+            .set_len(durable_len)
+            .and_then(|()| filestate.file.seek(SeekFrom::Start(durable_len)));
         match repaired {
             Ok(_) => filestate.needs_repair = false,
             Err(e) => return Err(WriteFault::Write(e)),
@@ -1089,7 +1116,6 @@ fn write_durable(filestate: &mut FileState, bytes: &[u8]) -> Result<(), WriteFau
     }
     filestate.file.write_all(bytes).map_err(WriteFault::Write)?;
     filestate.file.sync_data().map_err(WriteFault::Fsync)?;
-    filestate.durable_len += bytes.len() as u64;
     Ok(())
 }
 
@@ -1124,7 +1150,11 @@ fn flush_cycle(shared: &Shared, mut cycle: MutexGuard<'_, Vec<u8>>) -> bool {
     let mut failed = false;
     if !bytes.is_empty() {
         let mut filestate = lock(&shared.filestate);
-        if filestate.dead || filestate.epoch != epoch_at_take {
+        let (dead, epoch, durable_len) = {
+            let status = lock(&shared.status);
+            (status.dead, status.epoch, status.durable_len)
+        };
+        if dead || epoch != epoch_at_take {
             // Crash sim, or a snapshot truncation between take and
             // here retagged the epoch: these frames are already
             // owned elsewhere — discard and retire.
@@ -1135,15 +1165,18 @@ fn flush_cycle(shared: &Shared, mut cycle: MutexGuard<'_, Vec<u8>>) -> bool {
             failed = true;
         } else {
             let flush_started = Instant::now();
-            match write_durable(&mut filestate, bytes) {
+            match write_durable(&mut filestate, durable_len, bytes) {
                 Ok(()) => {
                     retired = true;
                     // Batch size: events this fsync newly covered.
                     let events = seq_hi.saturating_sub(shared.durable_seq.load(Ordering::Acquire));
-                    filestate.durable_events += events;
+                    let mut status = lock(&shared.status);
+                    status.durable_len += bytes.len() as u64;
+                    status.durable_events += events;
                     // A fully successful flush clears any earlier
                     // transient write failure (the retry landed).
-                    filestate.error = None;
+                    status.error = None;
+                    drop(status);
                     shared.flush_stats.record(flush_started.elapsed(), events);
                     *lock(&shared.fail) = FailState::None;
                     shared.failed_hi.store(0, Ordering::Release);
@@ -1151,7 +1184,7 @@ fn flush_cycle(shared: &Shared, mut cycle: MutexGuard<'_, Vec<u8>>) -> bool {
                 Err(WriteFault::Write(e)) => {
                     failed = true;
                     filestate.needs_repair = true;
-                    filestate.error = Some(e.to_string());
+                    lock(&shared.status).error = Some(e.to_string());
                     *lock(&shared.fail) = FailState::WriteFailed {
                         error: e.to_string(),
                         enospc: is_enospc(&e),
@@ -1176,7 +1209,7 @@ fn flush_cycle(shared: &Shared, mut cycle: MutexGuard<'_, Vec<u8>>) -> bool {
                         "fdatasync failed ({e}); journal poisoned — \
                          page-cache state unknown, no retry"
                     );
-                    filestate.error = Some(msg.clone());
+                    lock(&shared.status).error = Some(msg.clone());
                     // durable_len stays where the last good fsync
                     // left it; the bytes written above are dropped
                     // on the floor along with all pending frames.

@@ -1,9 +1,10 @@
 //! Allocations per request on the warmed session path: `session.get` 0,
 //! `session.fix` 0, `session.validate` 1 (the validated value's
-//! `Arc<str>`) — and on a warmed 128-tuple `clean`, at most 5 per tuple
-//! (measured 4.13: each tuple's three cells and its row `Vec`; 10.13
-//! while every tuple built a monitor, a validations list and a fresh
-//! fixpoint report). Underneath them all, a warmed
+//! `Arc<str>`) — and on a warmed 128-tuple `clean`, at one worker and
+//! at eight, at most 5 per tuple (measured 4.09 and 4.22: each tuple's
+//! three cells and its row `Vec`, plus the three scoped helpers a
+//! 128-tuple request fans out to at any worker count past three; 10.13 while every tuple built a monitor, a validations list
+//! and a fresh fixpoint report). Underneath them all, a warmed
 //! `DataMonitor::apply_validation_into` round on the paper's UK rules —
 //! rules firing, their index probes shared through the run's key memo
 //! (four key groups), then a new suggestion — allocates 0: the correcting
@@ -57,7 +58,8 @@ mod counting_alloc;
 
 /// key → val lookup service over 64 master rows: per-op service work is
 /// a couple of index probes, so the serving path is what gets counted.
-fn kv_service() -> CleaningService {
+/// `workers` is pinned: a `clean` fans out by it.
+fn kv_service(workers: usize) -> CleaningService {
     let input = Schema::of_strings("in", ["key", "val", "note"]).unwrap();
     let ms = Schema::of_strings("m", ["key", "val"]).unwrap();
     let mut builder = RelationBuilder::new(ms.clone());
@@ -76,6 +78,7 @@ fn kv_service() -> CleaningService {
     );
     rules.add(kv.unwrap()).unwrap();
     let config = ServiceConfig {
+        workers,
         precompute_regions: false,
         ..ServiceConfig::default()
     };
@@ -393,7 +396,7 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         "lookup-free runs on fresh scratches"
     );
 
-    let service = kv_service();
+    let service = kv_service(1);
     let set = service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":500}"#);
     assert!(
         set.contains("\"ok\":true"),
@@ -444,12 +447,18 @@ fn warmed_session_ops_allocate_zero_zero_one() {
 
     // The other half of `tests/parse_guard.rs`: that one bounds what
     // reading a 128-row `clean` line allocates, this what serving one
-    // does, reply included. Measured per request: 529 (4.13 per tuple —
-    // its three cells and its row; the monitor and its report run on
-    // the pool worker's reused buffers); 1 297 (10.13 per tuple) while
-    // each tuple built its own monitor, validations and report; 2 584
-    // (20.19 per tuple) when each outcome was first built as a `Json`
-    // tree.
+    // does, reply included — at one worker and at eight. Measured per
+    // request: 523 at `workers: 1` (4.09 per tuple — its three cells and
+    // its row; the monitor and its report run on the connection thread's
+    // reused buffers, and the fan-out's results are allocated once);
+    // 537–543 at `workers: 8` (about 4.22: a 128-tuple batch takes three
+    // scoped helpers however many workers there are — one per 32 tuples
+    // past the connection's own thread — and each builds its engine
+    // buffers; the same at 4, 16 and 64 workers, 531 at 2); 529
+    // (4.13) while a long-lived pool cleaned them; 1 297 (10.13 per
+    // tuple) while each tuple built its own monitor, validations and
+    // report; 2 584 (20.19 per tuple) when each outcome was first built
+    // as a `Json` tree.
     const ROWS: u64 = 128;
     const CLEAN_WARM: u64 = 4;
     const CLEAN_MEASURE: u64 = 16;
@@ -460,25 +469,34 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         line.push_str(&format!(r#"{comma}["k{}","WRONG","n"]"#, i % 64));
     }
     line.push_str("]}");
-    let mut clean = || {
-        out.clear();
-        service.handle_line_into(&line, &mut out, &mut scratch);
+    let mut clean_allocations = |service: &CleaningService| {
+        let mut clean = || {
+            out.clear();
+            service.handle_line_into(&line, &mut out, &mut scratch);
+        };
+        for _ in 0..CLEAN_WARM {
+            clean();
+        }
+        let before = counting_alloc::count();
+        for _ in 0..CLEAN_MEASURE {
+            clean();
+        }
+        let total = counting_alloc::count() - before;
+        let totals = format!("\"count\":{ROWS},\"complete\":{ROWS},\"cells_fixed\":{ROWS},");
+        assert!(out.contains(&totals), "every tuple is cleaned: {out}");
+        total
     };
-    for _ in 0..CLEAN_WARM {
-        clean();
+    let wide = kv_service(8);
+    for (workers, total) in [
+        (1, clean_allocations(&service)),
+        (8, clean_allocations(&wide)),
+    ] {
+        assert!(
+            total <= CLEAN_MEASURE * CLEAN_BOUND,
+            "clean at {workers} workers: {total} allocations over {CLEAN_MEASURE} warmed \
+             requests of {ROWS} tuples (must be at most {CLEAN_BOUND} each)"
+        );
     }
-    let before = counting_alloc::count();
-    for _ in 0..CLEAN_MEASURE {
-        clean();
-    }
-    let clean_total = counting_alloc::count() - before;
-    let totals = format!("\"count\":{ROWS},\"complete\":{ROWS},\"cells_fixed\":{ROWS},");
-    assert!(out.contains(&totals), "every tuple is cleaned: {out}");
-    assert!(
-        clean_total <= CLEAN_MEASURE * CLEAN_BOUND,
-        "clean: {clean_total} allocations over {CLEAN_MEASURE} warmed requests of {ROWS} tuples \
-         (must be at most {CLEAN_BOUND} each)"
-    );
 
     // The entry path: what a clerk's session costs when every reply
     // carries a suggestion.

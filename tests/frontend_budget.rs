@@ -4,11 +4,11 @@
 //! * **Syscall budget.** The connection loop counts its own socket
 //!   `read` and `write_all` calls (`cerfix_net_{reads,writes}_total`).
 //!   A closed-loop request costs exactly one of each; so does a
-//!   journaled `session.commit`, which takes **no worker-pool job**; a
-//!   64-request pipelined window that arrives in one chunk is answered
-//!   in one write; a `Client::request` is one `write`, so one server
-//!   read; and the replies ahead of a held `replica.sync` are written
-//!   before its wait begins.
+//!   journaled `session.commit`; a 64-request pipelined window that
+//!   arrives in one chunk is answered in one write; a `Client::request`
+//!   is one `write`, so one server read; and the replies ahead of a held
+//!   `replica.sync` are written before its wait begins — a wait that is
+//!   not counted as load.
 //! * **Group commit is not bounded by `--workers`.** A journaled commit
 //!   waits for its group fsync on its connection's own thread: with one
 //!   worker and the first fsync gated shut, eight connections' commits
@@ -17,6 +17,11 @@
 //!   hangs up on a waiting commit loses only the reply; a flush that
 //!   lands during a drain is answered, and a shutdown closes the
 //!   connection — never a false `ok` — at the drain deadline.
+//! * **Waiting commits are load.** The admission shedder counts every
+//!   request the server holds, not only `clean`s: commits parked at the
+//!   gate shed heavy reads and then new sessions, while `health` and
+//!   `metrics` keep answering, and the level falls once they are
+//!   acknowledged.
 //!
 //! CI runs this file pinned to one core as well (`taskset -c 0`), where
 //! the connection threads and the journal's flusher share the core.
@@ -26,7 +31,9 @@ use cerfix_relation::{RelationBuilder, Schema};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::protocol::Request;
 use cerfix_server::wire::Json;
-use cerfix_server::{CleaningService, Client, Server, ServerHandle, ServiceConfig};
+use cerfix_server::{
+    CleaningService, Client, ErrorCode, RetryBudget, Server, ServerHandle, ServiceConfig,
+};
 use cerfix_storage::{RealFs, StorageConfig, StorageFile, StorageFs};
 use std::io::{BufRead, BufReader, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -63,17 +70,24 @@ fn tmp_dir(name: &str) -> PathBuf {
 /// A journaled kv service whose journal moves only when a commit asks
 /// it to (hour-long flush and snapshot intervals), over `fs`.
 fn journaled(dir: &Path, workers: usize, fs: Arc<dyn StorageFs>) -> CleaningService {
+    journaled_with(dir, config(workers), fs)
+}
+
+fn config(workers: usize) -> ServiceConfig {
+    ServiceConfig {
+        workers,
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    }
+}
+
+fn journaled_with(dir: &Path, config: ServiceConfig, fs: Arc<dyn StorageFs>) -> CleaningService {
     let (master, rules) = kv_setup();
     let mut storage = StorageConfig::new(dir);
     storage.flush_interval = Duration::from_secs(3600);
     storage.snapshot_interval = Duration::from_secs(3600);
     storage.snapshot_every_events = u64::MAX;
     storage.fs = fs;
-    let config = ServiceConfig {
-        workers,
-        precompute_regions: false,
-        ..ServiceConfig::default()
-    };
     CleaningService::with_storage(master, rules, config, storage).expect("open storage")
 }
 
@@ -178,9 +192,8 @@ fn a_closed_loop_request_costs_one_read_one_write() {
     assert_eq!(after.1 - before.1, N, "writes");
 
     // Journaled commits, closed loop: the request is read once and the
-    // reply written once; the wait in between is the connection's own,
-    // and takes no pool job.
-    let (before, jobs) = (after, service.metrics().worker_jobs);
+    // reply written once; the wait in between is the connection's own.
+    let before = after;
     for &session in &sessions {
         let reply = conn.request(&commit_line(session));
         assert!(
@@ -192,7 +205,6 @@ fn a_closed_loop_request_costs_one_read_one_write() {
     assert_eq!(service.metrics().sessions_committed, N);
     assert_eq!(after.0 - before.0, N, "reads");
     assert_eq!(after.1 - before.1, N, "writes");
-    assert_eq!(service.metrics().worker_jobs, jobs, "a commit takes no job");
 
     // A pipelined window that arrives in one chunk is answered in one
     // write.
@@ -267,6 +279,8 @@ fn replies_ahead_of_a_held_sync_arrive_while_it_is_held() {
     let hello = conn.recv();
     assert!(hello.starts_with("{\"id\":1,\"ok\":true,"), "{hello}");
     assert_eq!(syncs_answered(), 0, "the sync is still held");
+    // A held sync is never load: the shedder's input does not count it.
+    assert_eq!(service.metrics().requests_in_flight, 0);
     // A commit on another connection is a durable event: it releases it.
     let mut other = Conn::open(server.addr());
     let session = other.create("k1");
@@ -407,13 +421,17 @@ struct GatedRig {
 }
 
 fn gated_rig(name: &str, inner: Arc<dyn StorageFs>) -> GatedRig {
+    gated_rig_with(name, inner, config(1))
+}
+
+fn gated_rig_with(name: &str, inner: Arc<dyn StorageFs>, config: ServiceConfig) -> GatedRig {
     let dir = tmp_dir(name);
     let gate = Arc::new(Gate::default());
     let fs = Arc::new(GatedFs {
         inner,
         gate: Arc::clone(&gate),
     });
-    let service = journaled(&dir, 1, fs);
+    let service = journaled_with(&dir, config, fs);
     let server = Server::spawn("127.0.0.1:0", service.clone()).unwrap();
     GatedRig {
         gate: OpenOnDrop(gate),
@@ -462,7 +480,7 @@ fn group_commit_is_not_bounded_by_workers() {
 
     // The first commit's fsync is stuck in the disk. The one worker is
     // not what the others wait behind: they are all applied…
-    let (syncs, jobs) = (rig.gate.arrived(), rig.service.metrics().worker_jobs);
+    let syncs = rig.gate.arrived();
     let (first, session) = &mut conns[0];
     rig.commit_into_gate(first, *session);
     for (conn, session) in &mut conns[1..] {
@@ -472,11 +490,6 @@ fn group_commit_is_not_bounded_by_workers() {
         rig.committed() == CONNS as u64
     });
     assert_eq!(rig.service.live_sessions(), 0);
-    assert_eq!(
-        rig.service.metrics().worker_jobs,
-        jobs,
-        "no commit took a job"
-    );
     // …and a batch `clean` on another connection is answered meanwhile.
     let mut other = Conn::open(addr);
     let cleaned =
@@ -574,4 +587,79 @@ fn a_held_commit_is_released_by_the_flush_or_the_drain_deadline() {
     );
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// 3. Waiting commits are load
+// ---------------------------------------------------------------------
+
+/// The shedder counts what the server holds, whatever the op: with a
+/// watermark of 2, two commits parked at the gate shed heavy reads
+/// (level 1), four shed new sessions too (level 2). Operators still get
+/// `health` — naming the shedding — and `metrics`; once the commits are
+/// acknowledged, heavy reads are admitted again.
+#[test]
+fn parked_commits_raise_the_shed_level() {
+    let config = ServiceConfig {
+        shed_watermark: 2,
+        ..config(1)
+    };
+    let rig = gated_rig_with("shed", Arc::new(RealFs), config);
+    let addr = rig.server.addr();
+    let mut conns: Vec<(Conn, u64)> = (0..4)
+        .map(|i| {
+            let mut conn = Conn::open(addr);
+            let session = conn.create(&format!("k{i}"));
+            (conn, session)
+        })
+        .collect();
+    // An empty retry budget: every refusal surfaces.
+    let mut probe = Client::connect(addr)
+        .unwrap()
+        .with_retry_budget(RetryBudget::new(0, 0.0));
+    let in_flight = || rig.service.metrics().requests_in_flight;
+    let regions = Request::Regions { top_k: Some(1) };
+    let tuple = || vec!["k9".into(), "x".into(), "n".into()];
+
+    let (first, session) = &mut conns[0];
+    rig.commit_into_gate(first, *session);
+    let (second, session) = &mut conns[1];
+    second.send(&commit_line(*session));
+    wait_for("two commits parked", || in_flight() == 2);
+    let shed = probe.request(&regions).err().and_then(|e| e.code());
+    assert_eq!(shed, Some(ErrorCode::Overloaded), "level 1 sheds regions");
+    let create = probe.create_session(tuple());
+    assert!(create.is_ok(), "level 1 admits sessions: {create:?}");
+
+    for (conn, session) in &mut conns[2..] {
+        conn.send(&commit_line(*session));
+    }
+    wait_for("four commits parked", || in_flight() == 4);
+    let shed = probe.create_session(tuple()).err().and_then(|e| e.code());
+    assert_eq!(shed, Some(ErrorCode::Overloaded), "level 2 sheds sessions");
+    let health = probe
+        .request(&Request::Health)
+        .expect("health is never shed");
+    let causes = health.get("causes").and_then(Json::as_arr).unwrap();
+    let shedding = format!("{}: shedding at level 2", ErrorCode::Overloaded);
+    assert!(
+        causes
+            .iter()
+            .any(|c| c.as_str().is_some_and(|c| c.starts_with(&shedding))),
+        "{causes:?}"
+    );
+    probe.metrics().expect("metrics is never shed");
+
+    rig.gate.open();
+    for (conn, session) in &mut conns {
+        let reply = conn.recv();
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{session},\"ok\":true,")),
+            "{reply}"
+        );
+    }
+    wait_for("the commits to let go", || in_flight() == 0);
+    probe.request(&regions).expect("regions admitted again");
+    assert_eq!(in_flight(), 0, "a served request lets go");
+    rig.stop();
 }

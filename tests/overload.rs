@@ -12,8 +12,9 @@
 //!    worker, a flood of heavy `clean` batches trips the shedder —
 //!    heavy reads and then session mutations get retryable
 //!    `overloaded` errors, `health` keeps answering (Critical is never
-//!    shed) and reports the cause, and once the queue drains the
-//!    hysteresis disarms and heavy reads are admitted again.
+//!    shed) and reports the cause, and once the flood's requests are
+//!    answered the hysteresis disarms and heavy reads are admitted
+//!    again.
 //! 3. **Quotas**: a full session registry flips readiness with an
 //!    `overloaded` cause; a connection past `--max-connections` is
 //!    refused at accept time with one typed error line.
@@ -212,9 +213,8 @@ fn overload_sheds_heavy_then_sessions_and_recovers() {
         precompute_regions: false,
         ..ServiceConfig::default()
     });
-    // A `clean` runs on its connection's thread and fans its tuples out
-    // on the worker pool: each flooding connection's batch puts its
-    // helper jobs in the worker queue — the instrument the shedder
+    // Each flooding connection's `clean` is a request in flight while
+    // its connection's thread cleans it — the count the shedder
     // watches.
     let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
     let addr = server.local_addr().unwrap();
@@ -223,12 +223,11 @@ fn overload_sheds_heavy_then_sessions_and_recovers() {
     });
 
     // Flood: 8 connections each keep one 800-tuple dirty `clean` batch
-    // in flight. With a single worker, one batch's helper job occupies
-    // it while the other connections' helper jobs queue — depth ≥ 4 =
-    // 2× the watermark, i.e. shed level 2. Batches that arrive while the
-    // shedder is armed are themselves shed (cheap, typed) and resent,
-    // so the server oscillates through armed and disarmed windows
-    // until the flood stops.
+    // in flight — 4 or more of them at once is 2× the watermark, i.e.
+    // shed level 2. Batches that arrive while the shedder is armed are
+    // themselves shed (cheap, typed) and resent, so the server
+    // oscillates through armed and disarmed windows until the flood
+    // stops.
     let mut flood_line = String::from("{\"op\":\"clean\",\"trust\":[],\"tuples\":[");
     for i in 0..800 {
         if i > 0 {
@@ -320,7 +319,7 @@ fn overload_sheds_heavy_then_sessions_and_recovers() {
     );
     assert!(service.metrics().requests_shed_overload >= 2);
 
-    // Hysteresis: once the queue drains, the next observation disarms
+    // Hysteresis: once the flood is answered, the next observation disarms
     // the shedder and heavy reads are admitted again.
     wait_for("shedder to disarm after the flood", || {
         probe.request(&Request::Regions { top_k: Some(1) }).is_ok()
