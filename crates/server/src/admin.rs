@@ -8,6 +8,7 @@ use crate::errors::{ErrorCode, ServeError};
 use crate::ops;
 use crate::protocol::{Request, PROTOCOL_VERSION};
 use crate::replication::{lock_followers, Role};
+use crate::seqring::slots_for;
 use crate::service::{write_attrs, CleaningService, Reply};
 use crate::trace::Span;
 use crate::wire::{Json, JsonWriter};
@@ -479,14 +480,15 @@ impl CleaningService {
                 .trace
                 .set_slow_ns(value.saturating_mul(1_000_000)),
             // Resizing discards the ring's contents, so a replayed or
-            // repeated set of the current size must be a no-op.
+            // repeated set of the current size must be a no-op — the
+            // size the ring rounds the value to, not the value.
             "trace_buffer" => {
-                if self.inner.trace.capacity() != value as usize {
+                if self.inner.trace.capacity() != slots_for(value as usize) {
                     self.inner.trace.resize(value as usize);
                 }
             }
             "diag_buffer" => {
-                if self.inner.diag.capacity() != value as usize {
+                if self.inner.diag.capacity() != slots_for(value as usize) {
                     self.inner.diag.resize(value as usize);
                 }
             }

@@ -28,6 +28,17 @@ struct Slot<const WORDS: usize> {
     words: [AtomicU64; WORDS],
 }
 
+/// The slots a ring asked to hold `capacity` records has: rounded up to
+/// a power of two and clamped to [`MAX_SLOTS`]; 0 disables the ring. A
+/// caller comparing a requested size with a ring's capacity compares
+/// through this.
+pub(crate) fn slots_for(capacity: usize) -> usize {
+    match capacity {
+        0 => 0,
+        n => n.min(MAX_SLOTS).next_power_of_two(),
+    }
+}
+
 /// Fixed-size multi-writer ring keeping the most recent `len` records.
 pub(crate) struct SeqRing<const WORDS: usize> {
     slots: Box<[Slot<WORDS>]>,
@@ -37,13 +48,10 @@ pub(crate) struct SeqRing<const WORDS: usize> {
 }
 
 impl<const WORDS: usize> SeqRing<WORDS> {
-    /// A ring holding `capacity` records, rounded up to a power of two
-    /// (clamped to [`MAX_SLOTS`]); 0 disables the ring entirely.
+    /// A ring of [`slots_for`]`(capacity)` slots; 0 disables the ring
+    /// entirely.
     pub(crate) fn new(capacity: usize) -> SeqRing<WORDS> {
-        let len = match capacity {
-            0 => 0,
-            n => n.next_power_of_two().min(MAX_SLOTS),
-        };
+        let len = slots_for(capacity);
         SeqRing {
             slots: (0..len)
                 .map(|_| Slot {

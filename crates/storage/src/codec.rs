@@ -3,16 +3,18 @@
 //! Hand-rolled little-endian encoding (the build is offline; no serde
 //! backend). Every on-disk unit — a journal event, a snapshot body, an
 //! audit record — is framed as `[len: u32][crc32: u32][payload]` where
-//! the CRC covers the payload only, so a torn tail (partial header,
-//! partial payload, or bit rot) is detected and cut at the last complete
-//! frame instead of corrupting recovery.
+//! the CRC covers the payload only. A frame cut short is the torn tail
+//! of a crashed write; a whole frame that fails its CRC or does not
+//! decode is corruption (`walk_frames` draws that line for every file).
 //!
 //! Decoding is strict: trailing bytes inside a frame, out-of-range tags
-//! and truncated fields are all [`CodecError`]s, never panics — the
-//! reader treats any of them as the torn tail of a crashed write.
+//! and truncated fields are all [`CodecError`]s, never panics.
 
+use crate::StorageError;
 use cerfix_relation::Value;
 use std::fmt;
+use std::io::Read;
+use std::path::Path;
 
 /// Frame header size: payload length + CRC32, both `u32` LE.
 pub const FRAME_HEADER: usize = 8;
@@ -301,10 +303,9 @@ pub fn append_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Encoder<'_>)) ->
 /// Try to read one frame at the start of `bytes`.
 ///
 /// `Ok(Some((payload, frame_len)))` on a complete, checksummed frame;
-/// `Ok(None)` when `bytes` is a truncated frame (a torn tail — caller
-/// stops and truncates); `Err` when the header is intact but the CRC
-/// fails (bit rot / overwritten region — also treated as the end of the
-/// valid prefix by readers, but distinguishable for diagnostics).
+/// `Ok(None)` when `bytes` is a truncated frame; `Err` when the header
+/// is intact but the CRC fails. A file's frames are walked by
+/// `walk_frames`; this reads one frame of a buffer already in memory.
 pub fn read_frame(bytes: &[u8]) -> Result<Option<(&[u8], usize)>, CodecError> {
     if bytes.len() < FRAME_HEADER {
         return Ok(None);
@@ -318,6 +319,68 @@ pub fn read_frame(bytes: &[u8]) -> Result<Option<(&[u8], usize)>, CodecError> {
         return Err(CodecError("frame checksum mismatch".into()));
     }
     Ok(Some((payload, FRAME_HEADER + len)))
+}
+
+/// Where a `walk_frames` stopped: after `frames` verified frames, at
+/// file offset `end`, the end of the valid prefix.
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    /// Frames that passed their CRC and that the caller decoded.
+    pub(crate) frames: usize,
+    /// Just past the last of them.
+    pub(crate) end: u64,
+    /// `Some` when the walk stopped at a whole frame, at `end`, that
+    /// failed its CRC or did not decode; `None` when it stopped at the
+    /// end of the file or at a torn tail, the bytes past `end`.
+    pub(crate) corrupt: Option<StorageError>,
+}
+
+/// Walk the frames of `file` from offset `at` up to offset `len`,
+/// reading them forward from `reader` (positioned at `at`), and hand
+/// each verified payload, with its frame's offset, to `each` to decode.
+///
+/// The crate's one verdict on how a file ends: a frame that is not
+/// whole before `len` is a torn tail, the legal residue of a crashed
+/// append, which whoever opens the file for writing cuts; a whole frame
+/// that fails its CRC, or that `each` rejects, is corruption, and the
+/// walk stops there with the file untouched. One payload buffer is
+/// reused, so a walk holds its largest frame, not the file.
+pub(crate) fn walk_frames<E: fmt::Display>(
+    file: &Path,
+    mut reader: impl Read,
+    mut at: u64,
+    len: u64,
+    mut each: impl FnMut(u64, &[u8]) -> Result<(), E>,
+) -> std::io::Result<Walk> {
+    let mut walk = Walk {
+        end: at,
+        ..Walk::default()
+    };
+    let (mut header, mut payload) = ([0u8; FRAME_HEADER], Vec::new());
+    while at + FRAME_HEADER as u64 <= len {
+        reader.read_exact(&mut header)?;
+        let payload_len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let end = at + FRAME_HEADER as u64 + u64::from(payload_len);
+        if end > len {
+            break;
+        }
+        payload.resize(payload_len as usize, 0);
+        reader.read_exact(&mut payload)?;
+        let detail = if crc32(&payload) != crc {
+            Some("frame checksum mismatch".to_string())
+        } else {
+            each(at, &payload)
+                .err()
+                .map(|e| format!("frame payload: {e}"))
+        };
+        if let Some(detail) = detail {
+            walk.corrupt = Some(StorageError::corrupt(file, at, detail));
+            break;
+        }
+        (walk.frames, walk.end, at) = (walk.frames + 1, end, end);
+    }
+    Ok(walk)
 }
 
 #[cfg(test)]

@@ -75,13 +75,13 @@
 //! [`codec::append_frame`]: crate::codec::append_frame
 //! [`StorageError::Corrupt`]: crate::StorageError::Corrupt
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, CodecError, Walk};
 use crate::events::{JournalEvent, SessionEvent};
 use crate::spill::AuditSpill;
-use crate::vfs::{ReadAt, StorageFile, StorageFs};
+use crate::vfs::{self, ReadAt, StorageFile, StorageFs};
 use crate::watch::{DurableWatch, Waker, Watchers};
 use crate::StorageError;
-use std::io::SeekFrom;
+use std::io::{Read, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
@@ -264,119 +264,70 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, StorageError> {
 /// [`scan_journal`] with an explicit corruption policy (used by
 /// recovery and `cerfix recover --inspect`; followers scan tolerant).
 pub fn scan_journal_with(path: &Path, mode: ScanMode) -> Result<JournalScan, StorageError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(StorageError::Io(e)),
-    };
-    scan_journal_bytes(&path.display().to_string(), &bytes, mode)
-}
-
-/// Scan an in-memory journal image (the whole file, or a durable
-/// prefix of it when scrubbing online under concurrent appends).
-pub(crate) fn scan_journal_bytes(
-    file: &str,
-    bytes: &[u8],
-    mode: ScanMode,
-) -> Result<JournalScan, StorageError> {
-    if bytes.is_empty() {
-        return Ok(JournalScan {
-            epoch: 0,
-            events: Vec::new(),
-            valid_len: 0,
-            torn_bytes: 0,
-            corrupt_bytes: 0,
-        });
-    }
-    if bytes.len() < JOURNAL_HEADER as usize {
-        // Shorter than one header: the torn first write of a fresh
-        // journal (there is nothing a complete frame could have acked).
-        return Ok(JournalScan {
-            epoch: 0,
-            events: Vec::new(),
-            valid_len: 0,
-            torn_bytes: bytes.len() as u64,
-            corrupt_bytes: 0,
-        });
-    }
-    let corrupt = |offset: u64, detail: String| StorageError::Corrupt {
-        file: file.to_string(),
-        offset,
-        detail,
-    };
-    // A full-size file with a broken header is corruption, not a tear:
-    // the header is written first and fsynced before any frame.
-    let header_broken = if &bytes[0..4] != MAGIC {
-        Some("bad magic".to_string())
-    } else {
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(corrupt(
-                4,
-                format!("format version {version} (this build reads {VERSION})"),
-            ));
-        }
-        let header_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-        if codec::crc32(&bytes[0..16]) != header_crc {
-            Some("header CRC mismatch".to_string())
-        } else {
-            None
-        }
-    };
-    if let Some(detail) = header_broken {
-        return match mode {
-            ScanMode::Strict => Err(corrupt(0, detail)),
-            ScanMode::Tolerant => Ok(JournalScan {
-                epoch: 0,
-                events: Vec::new(),
-                valid_len: 0,
-                torn_bytes: 0,
-                corrupt_bytes: bytes.len() as u64,
-            }),
-        };
-    }
-    let epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let (reader, len) = vfs::read_prefix(path, None)?;
     let mut events = Vec::new();
-    let mut at = JOURNAL_HEADER as usize;
-    let mut corrupt_at: Option<(u64, String)> = None;
-    // An incomplete frame ends the valid prefix (the torn tail of a
-    // crashed write — legal, because appends are sequential and the
-    // tail was never fsync-acked). A complete frame with a bad checksum
-    // or garbage payload is corruption and is typed as such.
-    loop {
-        match codec::read_frame(&bytes[at..]) {
-            Ok(None) => break, // torn tail
-            Ok(Some((payload, frame_len))) => match JournalEvent::decode(payload) {
-                Ok(event) => {
-                    events.push(event);
-                    at += frame_len;
-                }
-                Err(e) => {
-                    corrupt_at = Some((at as u64, format!("frame payload: {e}")));
-                    break;
-                }
-            },
-            Err(e) => {
-                corrupt_at = Some((at as u64, e.to_string()));
-                break;
-            }
-        }
-    }
-    let (torn_bytes, corrupt_bytes) = match corrupt_at {
-        None => ((bytes.len() - at) as u64, 0),
-        Some((offset, detail)) => match mode {
-            ScanMode::Strict => return Err(corrupt(offset, detail)),
-            // Nothing after the first corrupt frame can be trusted.
-            ScanMode::Tolerant => (0, (bytes.len() - at) as u64),
-        },
+    let (epoch, walk) = walk_journal(path, reader, len, |event| events.push(event))?;
+    let rest = len - walk.end;
+    let (torn_bytes, corrupt_bytes) = match walk.corrupt {
+        None => (rest, 0),
+        Some(corrupt) if mode == ScanMode::Strict => return Err(corrupt),
+        // Nothing after the first corrupt frame can be trusted.
+        Some(_) => (0, rest),
     };
     Ok(JournalScan {
         epoch,
         events,
-        valid_len: at as u64,
+        valid_len: walk.end,
         torn_bytes,
         corrupt_bytes,
     })
+}
+
+/// The journal's one header check and frame walk, shared by recovery and
+/// `scrub`: the header's epoch, and where the walk over the `len` bytes
+/// of `reader` stopped, each event handed to `event`. A file shorter
+/// than a header is the torn first write of a fresh journal (epoch 0,
+/// nothing walked). A full-size header that does not verify is
+/// corruption at offset 0, in the walk — the header is written and
+/// fsynced before any frame — and an unknown format version is refused
+/// outright.
+pub(crate) fn walk_journal(
+    file: &Path,
+    mut reader: impl Read,
+    len: u64,
+    mut event: impl FnMut(JournalEvent),
+) -> Result<(u64, Walk), StorageError> {
+    if len < JOURNAL_HEADER {
+        return Ok((0, Walk::default()));
+    }
+    let mut header = [0u8; JOURNAL_HEADER as usize];
+    reader.read_exact(&mut header)?;
+    let broken = if &header[0..4] != MAGIC {
+        Some("bad magic")
+    } else {
+        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        if version != VERSION {
+            let detail = format!("format version {version} (this build reads {VERSION})");
+            return Err(StorageError::corrupt(file, 4, detail));
+        }
+        let header_crc = u32::from_le_bytes(header[16..20].try_into().unwrap());
+        (codec::crc32(&header[0..16]) != header_crc).then_some("header CRC mismatch")
+    };
+    if let Some(detail) = broken {
+        let corrupt = Some(StorageError::corrupt(file, 0, detail));
+        return Ok((
+            0,
+            Walk {
+                corrupt,
+                ..Walk::default()
+            },
+        ));
+    }
+    let epoch = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    let walk = codec::walk_frames(file, reader, JOURNAL_HEADER, len, |_, payload| {
+        JournalEvent::decode(payload).map(&mut event)
+    })?;
+    Ok((epoch, walk))
 }
 
 /// Why a [`Journal::sync`] waiter was released without its sequence
@@ -442,13 +393,14 @@ struct Pending {
 
 /// The file. Held across write+fsync by a flush cycle (and by a
 /// truncation or a crash simulation); appenders never touch it, and
-/// neither does a reader of the journal's position or health.
-struct FileState {
-    file: Box<dyn StorageFile>,
+/// neither does a reader of the journal's position or health. The
+/// audit spill holds its segment the same way.
+pub(crate) struct FileState {
+    pub(crate) file: Box<dyn StorageFile>,
     /// A write failed: the file may hold un-fsynced partial bytes past
     /// `durable_len` and the cursor position is unknown. The next
     /// attempt truncates back to `durable_len` before writing.
-    needs_repair: bool,
+    pub(crate) needs_repair: bool,
 }
 
 /// What the file is known to hold. Changed only by a holder of
@@ -1089,17 +1041,18 @@ impl Journal {
 }
 
 /// Which half of the durability pair failed — a write error is
-/// retryable after repair, an fsync error poisons the journal.
-enum WriteFault {
+/// retryable after repair, an fsync error poisons the writer.
+pub(crate) enum WriteFault {
     Write(std::io::Error),
     Fsync(std::io::Error),
 }
 
-/// Append `bytes` and fsync, repairing the file back to its last
-/// durable length first if an earlier attempt failed partway (partial
-/// un-fsynced bytes, unknown cursor) at `durable_len`. The caller
+/// Append `bytes` and fsync — the one durable writer of the journal and
+/// the audit spill. The file is first repaired back to `durable_len` if
+/// an earlier attempt failed partway (partial un-fsynced bytes, unknown
+/// cursor), and a failed write marks it for that repair. The caller
 /// advances `durable_len` only on full success.
-fn write_durable(
+pub(crate) fn write_durable(
     filestate: &mut FileState,
     durable_len: u64,
     bytes: &[u8],
@@ -1114,9 +1067,11 @@ fn write_durable(
             Err(e) => return Err(WriteFault::Write(e)),
         }
     }
-    filestate.file.write_all(bytes).map_err(WriteFault::Write)?;
-    filestate.file.sync_data().map_err(WriteFault::Fsync)?;
-    Ok(())
+    if let Err(e) = filestate.file.write_all(bytes) {
+        filestate.needs_repair = true;
+        return Err(WriteFault::Write(e));
+    }
+    filestate.file.sync_data().map_err(WriteFault::Fsync)
 }
 
 /// One group-commit cycle: retire the whole pending buffer with one
@@ -1183,7 +1138,6 @@ fn flush_cycle(shared: &Shared, mut cycle: MutexGuard<'_, Vec<u8>>) -> bool {
                 }
                 Err(WriteFault::Write(e)) => {
                     failed = true;
-                    filestate.needs_repair = true;
                     lock(&shared.status).error = Some(e.to_string());
                     *lock(&shared.fail) = FailState::WriteFailed {
                         error: e.to_string(),
@@ -1221,8 +1175,9 @@ fn flush_cycle(shared: &Shared, mut cycle: MutexGuard<'_, Vec<u8>>) -> bool {
     }
     // Companion (audit spill) rides every cycle, not just ones with
     // journal traffic: batch cleans produce audit records without
-    // journal events. A no-op when its buffer is empty; failures
-    // park in the spill's own error state for the service to read.
+    // journal events. A no-op when its buffer is empty. Its result is
+    // not the waiters': a spill failure never fails a commit, and
+    // parks in the spill's own status for the service to read.
     let companion = lock(&shared.companion).clone();
     if let Some(spill) = companion {
         let _ = spill.sync();

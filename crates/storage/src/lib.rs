@@ -52,10 +52,19 @@
 //! * a failed journal **fsync** permanently poisons the writer
 //!   ([`SyncError::Poisoned`] — fsyncgate semantics: after `fdatasync`
 //!   errors, a retried-and-"successful" fsync proves nothing);
-//! * **corruption** (a complete frame or snapshot failing its checksum)
-//!   is a typed [`StorageError::Corrupt`] with file and offset — never
-//!   a silently wrong recovery ([`scrub`] is the offline/online
-//!   detector; replica re-sync, in the server crate, is the repair).
+//! * the **audit spill** writes through the journal's durable writer
+//!   under the same rules: a failed write is repaired and retried on the
+//!   next cycle, and a failed fsync poisons the spill until restart — it
+//!   writes nothing more and refuses later records, and its error stays
+//!   set. A spill failure never fails a commit, and a poisoned spill
+//!   never blocks a snapshot;
+//! * **corruption** (a complete frame, header or snapshot failing its
+//!   checksum) is a typed [`StorageError::Corrupt`] with file and offset
+//!   — never a silently wrong recovery, and never a cut: recovery and
+//!   [`scrub`] walk the journal and the audit segment with one frame
+//!   walker, so an open refuses exactly what a scrub reports and leaves
+//!   the file untouched (replica re-sync, in the server crate, is the
+//!   repair).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -126,6 +135,17 @@ impl std::fmt::Display for StorageError {
                 offset,
                 detail,
             } => write!(f, "corrupt: {file} @ {offset}: {detail}"),
+        }
+    }
+}
+
+impl StorageError {
+    /// [`Corrupt`](Self::Corrupt): `file` failed to verify at `offset`.
+    pub(crate) fn corrupt(file: &Path, offset: u64, detail: impl Into<String>) -> StorageError {
+        StorageError::Corrupt {
+            file: file.display().to_string(),
+            offset,
+            detail: detail.into(),
         }
     }
 }
@@ -241,7 +261,9 @@ impl Storage {
     /// Corruption (as opposed to a legal torn tail) is a typed
     /// [`StorageError::Corrupt`] under the default
     /// [`ScanMode::Strict`]; a replica opens with
-    /// [`ScanMode::Tolerant`] and re-fetches instead.
+    /// [`ScanMode::Tolerant`] and re-fetches instead. A corrupt audit
+    /// segment is refused in either mode, the file untouched: its
+    /// records are nowhere else to fetch.
     pub fn open(config: StorageConfig) -> Result<(Storage, RecoveredState), StorageError> {
         std::fs::create_dir_all(&config.dir)?;
         // A tmp left by a crash mid-snapshot is garbage by construction.
@@ -312,11 +334,14 @@ impl Storage {
         self.journal.append_encoded(payload)
     }
 
-    /// Block until the fsync covering `seq` (journal *and* audit spill)
-    /// completes. Returns a typed [`SyncError`] — never hangs — when
-    /// the covering write failed (retryable), the journal poisoned
-    /// (permanent until a snapshot rebuilds the file), or the journal
-    /// stopped.
+    /// Block until the journal fsync covering `seq` completes. The
+    /// flush cycle that runs it also syncs the audit spill before it
+    /// releases the waiters, but the spill's result is not the
+    /// caller's: a spill failure never fails a sync, and is read from
+    /// [`AuditSpill::last_error`]. Returns a typed [`SyncError`] — never
+    /// hangs — when the covering write failed (retryable), the journal
+    /// poisoned (permanent until a snapshot rebuilds the file), or the
+    /// journal stopped.
     pub fn sync(&self, seq: u64) -> Result<(), SyncError> {
         self.journal.sync(seq)
     }
@@ -408,7 +433,9 @@ impl Storage {
     /// contents are known good — unlike any retry against old bytes.
     pub fn install_snapshot(&self, data: &SnapshotData) -> std::io::Result<()> {
         debug_assert!(data.epoch > self.epoch());
-        // Make the audit archive at least as fresh as the snapshot.
+        // Make the audit archive at least as fresh as the snapshot. A
+        // poisoned spill has nothing more to write and syncs as `Ok`, so
+        // it never blocks the journal's one truncation and poison exit.
         self.spill.sync()?;
         snapshot::write_snapshot(self.config.fs.as_ref(), &self.config.dir, data)?;
         self.journal.truncate_to_epoch(data.epoch)?;

@@ -12,17 +12,20 @@
 //! Two entry points:
 //!
 //! * [`scrub_dir`] — offline, against a quiesced directory (the
-//!   `cerfix scrub --data-dir` CLI). Reads whole files.
+//!   `cerfix scrub --data-dir` CLI). Walks every byte of every file.
 //! * [`Storage::scrub`](crate::Storage::scrub) — online, against a live
 //!   node (the `scrub` protocol op). Reads only the *durable* prefix of
 //!   the journal and audit segment, so bytes the flusher is still
 //!   writing are never misread as damage.
 //!
 //! Every file is scanned independently: a corrupt journal does not
-//! hide a corrupt snapshot.
+//! hide a corrupt snapshot. The journal and the audit segment are
+//! walked, frame by frame and without reading them whole, by the same
+//! header check and walk that opens them, so a scrub and an open never
+//! disagree about a file.
 
-use crate::journal::{scan_journal_bytes, ScanMode};
-use crate::{snapshot, spill, StorageError, AUDIT_FILE, JOURNAL_FILE};
+use crate::codec::Walk;
+use crate::{journal, snapshot, spill, vfs, StorageError, AUDIT_FILE, JOURNAL_FILE};
 use std::path::Path;
 
 /// One verified-bad region found by a scrub.
@@ -83,140 +86,68 @@ pub(crate) fn scrub_with_limits(
     audit_limit: Option<u64>,
 ) -> std::io::Result<ScrubReport> {
     let mut report = ScrubReport::default();
-    scrub_journal(&dir.join(JOURNAL_FILE), journal_limit, &mut report)?;
-    scrub_snapshot(dir, &mut report)?;
-    scrub_audit(&dir.join(AUDIT_FILE), audit_limit, &mut report)?;
+    let path = dir.join(JOURNAL_FILE);
+    let (reader, len) = vfs::read_prefix(&path, journal_limit)?;
+    let walked = journal::walk_journal(&path, reader, len, drop).map(|(_, walk)| walk);
+    (report.journal_frames, report.journal_torn_bytes) = report.tally(walked, len)?;
+    match snapshot::load_snapshot(dir) {
+        Ok(snapshot) => report.snapshot_present = snapshot.is_some(),
+        Err(e) => {
+            report.snapshot_present = true;
+            report.found(e)?;
+        }
+    }
+    let path = dir.join(AUDIT_FILE);
+    let (reader, len) = vfs::read_prefix(&path, audit_limit)?;
+    let walked = spill::walk_segment(&path, reader, len, drop);
+    (report.audit_records, report.audit_torn_bytes) = report.tally(walked, len)?;
     Ok(report)
 }
 
-/// Read `path` (missing → empty), clipped to `limit` bytes.
-fn read_limited(path: &Path, limit: Option<u64>) -> std::io::Result<Vec<u8>> {
-    let mut bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    if let Some(limit) = limit {
-        bytes.truncate(limit as usize);
-    }
-    Ok(bytes)
-}
-
-fn scrub_journal(path: &Path, limit: Option<u64>, report: &mut ScrubReport) -> std::io::Result<()> {
-    let bytes = read_limited(path, limit)?;
-    let label = path.display().to_string();
-    match scan_journal_bytes(&label, &bytes, ScanMode::Strict) {
-        Ok(scan) => {
-            report.journal_frames = scan.events.len();
-            report.journal_torn_bytes = scan.torn_bytes;
+impl ScrubReport {
+    /// A walk over a file of `len` bytes, as `(frames, torn bytes)`:
+    /// the verified prefix is counted even when corruption ends it, so
+    /// the report shows how much survives.
+    fn tally(
+        &mut self,
+        walked: Result<Walk, StorageError>,
+        len: u64,
+    ) -> std::io::Result<(usize, u64)> {
+        let walk = match walked {
+            Ok(walk) => walk,
+            Err(e) => return self.found(e).map(|()| (0, 0)),
+        };
+        match walk.corrupt {
+            None => Ok((walk.frames, len - walk.end)),
+            Some(e) => self.found(e).map(|()| (walk.frames, 0)),
         }
-        Err(StorageError::Corrupt {
-            file,
-            offset,
-            detail,
-        }) => {
-            // Count the clean prefix anyway so the report shows how
-            // much survives (what a tolerant follower would keep).
-            if let Ok(scan) = scan_journal_bytes(&label, &bytes, ScanMode::Tolerant) {
-                report.journal_frames = scan.events.len();
-                report.journal_torn_bytes = scan.torn_bytes;
-            }
-            report.corruptions.push(Corruption {
+    }
+
+    /// File a corruption; pass an I/O failure back.
+    fn found(&mut self, e: StorageError) -> std::io::Result<()> {
+        match e {
+            StorageError::Corrupt {
                 file,
                 offset,
                 detail,
-            });
-        }
-        Err(StorageError::Io(e)) => return Err(e),
-    }
-    Ok(())
-}
-
-fn scrub_snapshot(dir: &Path, report: &mut ScrubReport) -> std::io::Result<()> {
-    match snapshot::load_snapshot(dir) {
-        Ok(Some(_)) => report.snapshot_present = true,
-        Ok(None) => {}
-        Err(StorageError::Corrupt {
-            file,
-            offset,
-            detail,
-        }) => {
-            report.snapshot_present = true;
-            report.corruptions.push(Corruption {
-                file,
-                offset,
-                detail,
-            });
-        }
-        Err(StorageError::Io(e)) => return Err(e),
-    }
-    Ok(())
-}
-
-fn scrub_audit(path: &Path, limit: Option<u64>, report: &mut ScrubReport) -> std::io::Result<()> {
-    let bytes = read_limited(path, limit)?;
-    let label = path.display().to_string();
-    let corrupt = |offset: u64, detail: String| Corruption {
-        file: label.clone(),
-        offset,
-        detail,
-    };
-    if bytes.is_empty() {
-        return Ok(()); // no segment yet
-    }
-    if bytes.len() < spill::SEGMENT_HEADER as usize {
-        report.audit_torn_bytes = bytes.len() as u64;
-        return Ok(());
-    }
-    if &bytes[0..4] != spill::MAGIC {
-        report.corruptions.push(corrupt(0, "bad magic".to_string()));
-        return Ok(());
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != spill::VERSION {
-        report.corruptions.push(corrupt(
-            4,
-            format!(
-                "format version {version} (this build reads {})",
-                spill::VERSION
-            ),
-        ));
-        return Ok(());
-    }
-    // Same classification as the journal scan: an incomplete trailing
-    // frame is a torn tail; a complete frame failing its CRC (or
-    // decoding to garbage) is corruption.
-    let mut at = spill::SEGMENT_HEADER as usize;
-    loop {
-        match crate::codec::read_frame(&bytes[at..]) {
-            Ok(None) => {
-                report.audit_torn_bytes = (bytes.len() - at) as u64;
-                break;
+            } => {
+                self.corruptions.push(Corruption {
+                    file,
+                    offset,
+                    detail,
+                });
+                Ok(())
             }
-            Ok(Some((payload, frame_len))) => {
-                if let Err(e) = crate::events::decode_audit_record(payload) {
-                    report
-                        .corruptions
-                        .push(corrupt(at as u64, format!("record payload: {e}")));
-                    break;
-                }
-                report.audit_records += 1;
-                at += frame_len;
-            }
-            Err(e) => {
-                report.corruptions.push(corrupt(at as u64, e.to_string()));
-                break;
-            }
+            StorageError::Io(e) => Err(e),
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::JournalEvent;
-    use crate::{Storage, StorageConfig};
+    use crate::{Storage, StorageConfig, StorageError};
     use cerfix::{AuditRecord, AuditSink, CellEvent};
     use cerfix_relation::Value;
     use std::path::PathBuf;
@@ -306,6 +237,59 @@ mod tests {
         assert_eq!(report.audit_records, 3);
         assert!(report.journal_torn_bytes > 0);
         assert!(report.audit_torn_bytes > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Open and scrub walk a segment with one header check and one frame
+    /// walk, so they agree on every flipped byte of a 10-record segment:
+    /// both clean with the same records and torn bytes (a flipped length
+    /// can make the last frames read as a torn tail), or both corrupt at
+    /// the same offset — and a refused open leaves the file as it was.
+    /// A flipped magic byte is refused, never wiped to a fresh header.
+    #[test]
+    fn open_and_scrub_agree_on_every_flipped_byte() {
+        let dir = tmp_dir("flips");
+        {
+            let (storage, _) = Storage::open(StorageConfig::new(&dir)).unwrap();
+            for i in 0..10 {
+                storage.spill().append(&AuditRecord {
+                    tuple_id: i,
+                    attr: i % 3,
+                    round: 1,
+                    event: CellEvent::UserValidated {
+                        old: Value::Null,
+                        new: Value::str(format!("v{i}")),
+                    },
+                });
+            }
+            storage.spill().sync().unwrap();
+        }
+        let path = dir.join(crate::AUDIT_FILE);
+        let pristine = std::fs::read(&path).unwrap();
+        for at in 0..pristine.len() {
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 0xFF;
+            std::fs::write(&path, &flipped).unwrap();
+            let scrub = scrub_dir(&dir).unwrap();
+            let opened = Storage::open(StorageConfig::new(&dir));
+            match (opened, &scrub.corruptions[..]) {
+                (Ok((_, recovered)), []) => {
+                    assert!(at >= 4, "byte {at}: a bad magic opened");
+                    let found = (recovered.audit_records, recovered.audit_torn_bytes);
+                    let scrubbed = (scrub.audit_records, scrub.audit_torn_bytes);
+                    assert_eq!(found, scrubbed, "byte {at}");
+                }
+                (Err(StorageError::Corrupt { file, offset, .. }), [corruption]) => {
+                    assert_eq!((&file, offset), (&corruption.file, corruption.offset));
+                    assert!(file.ends_with(crate::AUDIT_FILE), "byte {at}: {file}");
+                    let after = std::fs::read(&path).unwrap();
+                    assert!(after == flipped, "byte {at}: a refused open wrote");
+                }
+                (opened, scrubbed) => {
+                    panic!("byte {at}: open {opened:?}, scrub {scrubbed:?}")
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -66,11 +66,7 @@ pub fn load_snapshot(dir: &Path) -> Result<Option<SnapshotData>, StorageError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StorageError::Io(e)),
     };
-    let corrupt = |offset: u64, detail: &str| StorageError::Corrupt {
-        file: path.display().to_string(),
-        offset,
-        detail: detail.to_string(),
-    };
+    let corrupt = |offset: u64, detail: &str| StorageError::corrupt(&path, offset, detail);
     if bytes.len() < 8 + TRAILER {
         return Err(corrupt(0, "truncated"));
     }

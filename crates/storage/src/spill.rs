@@ -9,90 +9,114 @@
 //! promises ("keeps track of changes to each tuple"), served over the
 //! wire by the `audit.read` protocol op.
 //!
-//! Appends frame each record in place at the end of an in-memory
-//! buffer; [`AuditSpill::sync`] (called by the journal's group-commit
-//! cycle, and directly at durability points) writes and fsyncs that
-//! buffer and clears it, keeping its capacity. Reads address records by
-//! global index, and a page's frames are contiguous: the still-buffered
-//! tail is copied under the lock, the flushed head is one positioned
-//! read on a handle opened once, after the lock is released — so a read
-//! never forces a flush and neither appends nor a flush wait behind a
-//! read of cold history.
-//!
-//! On open, the segment is scanned to rebuild the offset index; a torn
-//! tail (crash mid-append) is cut at the last complete frame, mirroring
-//! journal recovery.
+//! Its state is split the way the journal's is: appends frame each
+//! record in place into a buffer and extend the offset index under a
+//! short lock; [`AuditSpill::sync`] (run by the journal's group-commit
+//! cycle, and at durability points) holds the file under a lock of its
+//! own while it writes and fsyncs a copy of that buffer through the
+//! journal's durable writer; the durable length and errors sit in a
+//! status never held across I/O. So a stuck disk stalls only the next
+//! sync. The fault rules are the journal's (see the crate docs), and on
+//! open a torn tail is cut while a corrupt frame or header refuses the
+//! open, the file untouched.
 //!
 //! [`AuditLog`]: cerfix::AuditLog
 
-use crate::codec;
+use crate::codec::{self, Walk};
 use crate::events::{decode_audit_record, put_audit_record};
-use crate::vfs::{ReadAt, StorageFile, StorageFs};
+use crate::journal::{write_durable, FileState, WriteFault};
+use crate::vfs::{ReadAt, StorageFs};
+use crate::StorageError;
 use cerfix::{AuditRecord, AuditSink};
-use std::io::{Read, SeekFrom};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-pub(crate) const MAGIC: &[u8; 4] = b"CFXA";
-pub(crate) const VERSION: u32 = 1;
+const MAGIC: &[u8; 4] = b"CFXA";
+const VERSION: u32 = 1;
+/// Header size: the magic and the format version, a `u32` LE.
 pub(crate) const SEGMENT_HEADER: u64 = 8;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// `io::Read` over a [`StorageFile`] so the recovery scan can stream
-/// through a `BufReader` without caring which vfs backs the file.
-struct ReadAdapter<'a>(&'a mut dyn StorageFile);
-
-impl Read for ReadAdapter<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.0.read(buf)
+/// The segment's one header check and record walk, shared by
+/// [`AuditSpill::open`] and `scrub`: where the walk over the `len` bytes
+/// of `reader` stopped, each record's frame offset handed to `record`.
+/// A file shorter than a header is a fresh segment or its torn first
+/// write (nothing walked); a full-size header that does not verify is
+/// corruption.
+pub(crate) fn walk_segment(
+    file: &Path,
+    mut reader: impl Read,
+    len: u64,
+    mut record: impl FnMut(u64),
+) -> Result<Walk, StorageError> {
+    if len < SEGMENT_HEADER {
+        return Ok(Walk::default());
     }
+    let mut header = [0u8; SEGMENT_HEADER as usize];
+    reader.read_exact(&mut header)?;
+    if &header[0..4] != MAGIC {
+        return Err(StorageError::corrupt(file, 0, "bad magic"));
+    }
+    let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    if version != VERSION {
+        let detail = format!("format version {version} (this build reads {VERSION})");
+        return Err(StorageError::corrupt(file, 4, detail));
+    }
+    let walk = codec::walk_frames(file, reader, SEGMENT_HEADER, len, |at, payload| {
+        decode_audit_record(payload).map(|_| record(at))
+    })?;
+    Ok(walk)
 }
 
-struct SpillState {
-    file: Box<dyn StorageFile>,
-    /// Byte offset of every record's frame, flushed or buffered.
+/// Appends and the offset index: locked briefly, never across I/O.
+struct Appends {
+    /// Byte offset of every record's frame, durable or buffered.
     offsets: Vec<u64>,
-    /// Records already in `offsets` when the segment was opened.
-    recovered: usize,
-    /// File bytes flushed (records at offsets below this are on disk).
-    committed: u64,
-    /// Of `committed`, bytes covered by an fsync.
-    durable: u64,
-    /// Encoded frames past `committed`, not yet written.
+    /// Encoded frames not yet durable: the segment's last bytes.
     buffer: Vec<u8>,
-    /// After a simulated crash: all writes become no-ops.
-    dead: bool,
-    /// A write/fsync failed partway: the file may hold partial bytes
-    /// past `committed` and the cursor is unknown. The next sync
-    /// truncates back to `committed` before writing.
-    needs_repair: bool,
-    /// Most recent write/fsync failure, surfaced via `last_error`;
-    /// cleared when a later sync lands the buffer successfully.
+    /// Segment offset the next frame goes to.
+    next: u64,
+    /// Poisoned, or crashed (simulated): appends are refused and
+    /// nothing more is written.
+    closed: bool,
+}
+
+/// What the segment is known to hold. Never held across I/O.
+struct SpillStatus {
+    /// Segment bytes guaranteed on disk (fsync'd).
+    durable_len: u64,
+    /// Most recent write/fsync failure. A write failure clears when a
+    /// later sync lands the buffer; a poisoning fsync failure stays.
     error: Option<String>,
-    /// Total write/fsync failures over the life of this handle (each
-    /// failed sync cycle counts once), surfaced via `write_errors`.
+    /// Failed syncs since open.
     write_errors: u64,
 }
 
 /// The audit spill segment. Implements [`AuditSink`], so an
 /// [`AuditLog`](cerfix::AuditLog) over it records and reads through it.
 pub struct AuditSpill {
-    state: Mutex<SpillState>,
-    /// Page reads of flushed records, off the write handle and the lock.
+    appends: Mutex<Appends>,
+    /// The segment, and the copy of the buffer being written, held
+    /// across write + fsync.
+    io: Mutex<(FileState, Vec<u8>)>,
+    status: Mutex<SpillStatus>,
+    /// Page reads of durable records, off the write handle and the locks.
     reader: Box<dyn ReadAt>,
+    /// Records already in the segment when it was opened.
+    recovered: usize,
     path: PathBuf,
 }
 
 impl std::fmt::Debug for AuditSpill {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = lock(&self.state);
         f.debug_struct("AuditSpill")
             .field("path", &self.path)
-            .field("records", &state.offsets.len())
-            .field("committed_bytes", &state.committed)
+            .field("records", &self.len())
+            .field("durable_len", &self.durable_len())
             .finish()
     }
 }
@@ -107,177 +131,147 @@ pub struct SpillScan {
 }
 
 impl AuditSpill {
-    /// Open (or create) the segment at `path`, rebuilding the offset
-    /// index and cutting any torn tail. The scan streams the file frame
-    /// by frame with one reusable payload buffer — the archive grows
-    /// without bound by design, so startup memory must not grow with it
-    /// (the index itself costs 8 bytes per record; segment rotation is
-    /// the ROADMAP item that will bound that too).
-    pub fn open(path: &Path, fs: &Arc<dyn StorageFs>) -> std::io::Result<(AuditSpill, SpillScan)> {
-        let mut file = fs.open_rw(path)?;
-        let file_len = file.file_len()?;
+    /// Open (or create) the segment at `path`: walk it to rebuild the
+    /// offset index, then cut a torn tail, or write a fresh segment's
+    /// header, through the durable writer every later sync uses. A
+    /// corrupt header or frame refuses the open with
+    /// [`StorageError::Corrupt`] and leaves the file as it was. The walk
+    /// streams the file with one reusable payload buffer: the archive
+    /// grows without bound by design, so startup memory must not grow
+    /// with it (the index itself costs 8 bytes per record).
+    pub fn open(
+        path: &Path,
+        fs: &Arc<dyn StorageFs>,
+    ) -> Result<(AuditSpill, SpillScan), StorageError> {
+        let file = fs.open_rw(path)?;
+        let len = file.file_len()?;
+        let reader = std::fs::File::open(path)?;
         let mut offsets = Vec::new();
-        let mut valid_len = SEGMENT_HEADER;
-        let mut header = [0u8; SEGMENT_HEADER as usize];
-        file.seek(SeekFrom::Start(0))?;
-        let header_ok = file_len >= SEGMENT_HEADER
-            && file.read_exact(&mut header).is_ok()
-            && &header[0..4] == MAGIC;
-        if !header_ok {
-            // Fresh or unrecognized: rewrite the header.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(MAGIC)?;
-            file.write_all(&VERSION.to_le_bytes())?;
-        } else {
-            let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            if version != VERSION {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("audit segment version {version} (this build reads {VERSION})"),
-                ));
-            }
-            {
-                let mut reader = std::io::BufReader::new(ReadAdapter(file.as_mut()));
-                let mut frame = [0u8; codec::FRAME_HEADER];
-                let mut payload = Vec::new();
-                let mut at = SEGMENT_HEADER;
-                // Stop at the first truncated, checksum-failed or
-                // garbage frame: the torn tail of a crashed append.
-                loop {
-                    if at + codec::FRAME_HEADER as u64 > file_len
-                        || reader.read_exact(&mut frame).is_err()
-                    {
-                        break;
-                    }
-                    let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as u64;
-                    let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-                    if at + codec::FRAME_HEADER as u64 + len > file_len {
-                        break;
-                    }
-                    payload.resize(len as usize, 0);
-                    if reader.read_exact(&mut payload).is_err()
-                        || codec::crc32(&payload) != crc
-                        || decode_audit_record(&payload).is_err()
-                    {
-                        break;
-                    }
-                    offsets.push(at);
-                    at += codec::FRAME_HEADER as u64 + len;
-                }
-                valid_len = at;
-            }
-            file.set_len(valid_len)?;
-            file.seek(SeekFrom::Start(valid_len))?;
+        let walk = walk_segment(path, std::io::BufReader::new(&reader), len, |at| {
+            offsets.push(at)
+        })?;
+        if let Some(corrupt) = walk.corrupt {
+            return Err(corrupt);
         }
-        file.sync_data()?;
-        let torn = if header_ok {
-            file_len - valid_len
-        } else {
-            file_len
+        let header = match walk.end {
+            0 => [MAGIC.as_slice(), &VERSION.to_le_bytes()].concat(),
+            _ => Vec::new(),
         };
+        let mut io = FileState {
+            file,
+            needs_repair: true,
+        };
+        write_durable(&mut io, walk.end, &header)
+            .map_err(|(WriteFault::Write(e) | WriteFault::Fsync(e))| e)?;
+        let durable_len = walk.end + header.len() as u64;
         let scan = SpillScan {
             records: offsets.len(),
-            torn_bytes: torn,
+            torn_bytes: len - walk.end,
         };
-        let recovered = offsets.len();
-        let reader = Box::new(std::fs::File::open(path)?);
-        Ok((
-            AuditSpill {
-                state: Mutex::new(SpillState {
-                    file,
-                    offsets,
-                    recovered,
-                    committed: valid_len,
-                    durable: valid_len,
-                    buffer: Vec::new(),
-                    dead: false,
-                    needs_repair: false,
-                    error: None,
-                    write_errors: 0,
-                }),
-                reader,
-                path: path.to_path_buf(),
-            },
-            scan,
-        ))
+        let spill = AuditSpill {
+            appends: Mutex::new(Appends {
+                offsets,
+                buffer: Vec::new(),
+                next: durable_len,
+                closed: false,
+            }),
+            io: Mutex::new((io, Vec::new())),
+            status: Mutex::new(SpillStatus {
+                durable_len,
+                error: None,
+                write_errors: 0,
+            }),
+            reader: Box::new(reader),
+            recovered: scan.records,
+            path: path.to_path_buf(),
+        };
+        Ok((spill, scan))
     }
 
     /// Write and fsync everything buffered. Called by the journal's
-    /// group-commit cycle; cheap when nothing is pending. On success the
-    /// buffer is cleared, keeping its capacity; on failure it is kept
-    /// (records stay readable from memory and the write is retried next
-    /// cycle, after truncating any partial bytes back to the committed
-    /// length).
+    /// group-commit cycle; cheap when nothing is pending. Appends and
+    /// reads go on while it waits on the disk. On success the synced
+    /// frames leave the buffer, which keeps its capacity; a failed
+    /// write leaves them there (still readable) for the next sync to
+    /// retry, and a failed fsync poisons the spill. A poisoned or
+    /// crashed spill writes nothing more, so its sync is `Ok` with
+    /// nothing done: the loss is reported by
+    /// [`last_error`](Self::last_error).
     pub fn sync(&self) -> std::io::Result<()> {
-        let mut guard = lock(&self.state);
-        let state = &mut *guard;
-        if state.dead || state.buffer.is_empty() {
-            return Ok(());
-        }
-        let result = (|| {
-            if state.needs_repair {
-                state.file.set_len(state.committed)?;
-                state.file.seek(SeekFrom::Start(state.committed))?;
-                state.needs_repair = false;
+        let mut io = lock(&self.io);
+        let (file, batch) = &mut *io;
+        {
+            let appends = lock(&self.appends);
+            if appends.closed || appends.buffer.is_empty() {
+                return Ok(());
             }
-            state.file.write_all(&state.buffer)?;
-            state.file.sync_data()
-        })();
-        match &result {
+            batch.clear();
+            batch.extend_from_slice(&appends.buffer);
+        }
+        let durable_len = lock(&self.status).durable_len;
+        let error = match write_durable(file, durable_len, batch) {
             Ok(()) => {
-                state.committed += state.buffer.len() as u64;
-                state.durable = state.committed;
-                state.buffer.clear();
-                state.error = None; // archive caught up again
+                lock(&self.appends).buffer.drain(..batch.len());
+                let mut status = lock(&self.status);
+                status.durable_len += batch.len() as u64;
+                status.error = None; // archive caught up again
+                return Ok(());
             }
-            Err(e) => {
-                state.needs_repair = true;
-                state.write_errors += 1;
-                state.error = Some(e.to_string());
+            Err(WriteFault::Write(e)) => e,
+            Err(WriteFault::Fsync(e)) => {
+                lock(&self.appends).closed = true;
+                let poisoned = format!("fdatasync failed ({e}); audit spill poisoned, no retry");
+                std::io::Error::new(e.kind(), poisoned)
             }
-        }
-        result
+        };
+        let mut status = lock(&self.status);
+        status.write_errors += 1;
+        status.error = Some(error.to_string());
+        Err(error)
     }
 
     /// Records recovered from disk when the segment was opened (the
     /// archive's pre-existing history).
     pub fn recovered_records(&self) -> usize {
-        lock(&self.state).recovered
+        self.recovered
     }
 
     /// Total segment bytes on disk guaranteed durable.
     pub fn durable_len(&self) -> u64 {
-        lock(&self.state).durable
+        lock(&self.status).durable_len
     }
 
     /// Most recent write failure, if any (appends are infallible on the
-    /// [`AuditSink`] trait; failures park here until a later sync lands
-    /// the buffer). `Some` means the on-disk archive is currently
-    /// *behind* the in-memory index — an `audit.read` answered from disk
-    /// may be shorter than `len()` suggests.
+    /// [`AuditSink`] trait; failures park here). `Some` means the
+    /// on-disk archive is *behind* the in-memory index — an `audit.read`
+    /// answered from disk may be shorter than `len()` suggests. A write
+    /// failure clears when a later sync lands the buffer; a failed fsync
+    /// poisons the spill and its error stays until restart.
     pub fn last_error(&self) -> Option<String> {
-        lock(&self.state).error.clone()
+        lock(&self.status).error.clone()
     }
 
     /// Total write/fsync failures since open (one per failed sync
     /// cycle). Monotonic — unlike [`last_error`](Self::last_error),
     /// which clears on recovery — so stats can expose a counter.
     pub fn write_errors(&self) -> u64 {
-        lock(&self.state).write_errors
+        lock(&self.status).write_errors
     }
 
     /// Simulate a kill-9 with a cold page cache: lose the buffer and
     /// anything written but not fsynced, and go inert.
     pub fn simulate_crash(&self) -> std::io::Result<()> {
-        let mut state = lock(&self.state);
-        state.buffer.clear();
-        state.dead = true;
-        let durable = state.durable;
-        state.offsets.retain(|&o| o < durable);
-        state.file.set_len(durable)?;
-        state.file.sync_data()?;
-        Ok(())
+        let mut io = lock(&self.io);
+        let durable = lock(&self.status).durable_len;
+        {
+            let mut appends = lock(&self.appends);
+            appends.buffer.clear();
+            appends.next = durable;
+            appends.closed = true;
+            appends.offsets.retain(|&o| o < durable);
+        }
+        io.0.file.set_len(durable)?;
+        io.0.file.sync_data()
     }
 
     /// The segment file path.
@@ -288,58 +282,55 @@ impl AuditSpill {
 
 impl AuditSink for AuditSpill {
     fn append(&self, record: &AuditRecord) {
-        let mut state = lock(&self.state);
-        if state.dead {
+        let mut appends = lock(&self.appends);
+        if appends.closed {
             return;
         }
-        let offset = state.committed + state.buffer.len() as u64;
-        state.offsets.push(offset);
-        codec::append_frame(&mut state.buffer, |enc| put_audit_record(enc, record));
+        let at = appends.next;
+        appends.offsets.push(at);
+        appends.next +=
+            codec::append_frame(&mut appends.buffer, |enc| put_audit_record(enc, record)) as u64;
     }
 
     fn read(&self, start: usize, count: usize) -> Vec<AuditRecord> {
-        // The page's frames lie back to back at file offsets
-        // `first..last`; those past `committed` are still buffered.
-        let (first, flushed, mut bytes, records) = {
-            let state = lock(&self.state);
-            let end = state.offsets.len().min(start.saturating_add(count));
+        // The page's frames lie back to back at segment offsets
+        // `first..last`; those from `buffered` on are in the buffer.
+        let (first, durable, mut bytes, records) = {
+            let appends = lock(&self.appends);
+            let end = appends.offsets.len().min(start.saturating_add(count));
             if start >= end {
                 return Vec::new();
             }
-            let buffered_to = state.committed + state.buffer.len() as u64;
-            let first = state.offsets[start];
-            let last = state.offsets.get(end).copied().unwrap_or(buffered_to);
-            let split = state.committed.clamp(first, last);
+            let buffered = appends.next - appends.buffer.len() as u64;
+            let first = appends.offsets[start];
+            let last = appends.offsets.get(end).copied().unwrap_or(appends.next);
+            let split = buffered.clamp(first, last);
             let mut bytes = vec![0u8; (last - first) as usize];
             if split < last {
-                let tail = (split - state.committed) as usize..(last - state.committed) as usize;
-                bytes[(split - first) as usize..].copy_from_slice(&state.buffer[tail]);
+                let tail = (split - buffered) as usize..(last - buffered) as usize;
+                bytes[(split - first) as usize..].copy_from_slice(&appends.buffer[tail]);
             }
             (first, (split - first) as usize, bytes, end - start)
         };
-        if flushed > 0
+        if durable > 0
             && self
                 .reader
-                .read_exact_at(&mut bytes[..flushed], first)
+                .read_exact_at(&mut bytes[..durable], first)
                 .is_err()
         {
             return Vec::new(); // unreadable region: serve nothing, invent nothing
         }
-        let mut out = Vec::with_capacity(records);
-        let mut at = 0;
         // Stop at the first frame that fails its CRC or does not decode.
-        while let Ok(Some((payload, len))) = codec::read_frame(&bytes[at..]) {
-            let Ok(record) = decode_audit_record(payload) else {
-                break;
-            };
-            out.push(record);
-            at += len;
-        }
+        let mut out = Vec::with_capacity(records);
+        let len = bytes.len() as u64;
+        let _ = codec::walk_frames(&self.path, &bytes[..], 0, len, |_, payload| {
+            decode_audit_record(payload).map(|record| out.push(record))
+        });
         out
     }
 
     fn len(&self) -> usize {
-        lock(&self.state).offsets.len()
+        lock(&self.appends).offsets.len()
     }
 }
 

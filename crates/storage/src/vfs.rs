@@ -99,6 +99,21 @@ impl ReadAt for File {
     }
 }
 
+/// A forward reader over the first `limit` bytes of `path` (all of them
+/// when `None`) and the length it covers; a missing file reads as
+/// empty. Recovery scans and `scrub` walk their files through this.
+pub(crate) fn read_prefix(path: &Path, limit: Option<u64>) -> io::Result<(Box<dyn Read>, u64)> {
+    match File::open(path) {
+        Ok(file) => {
+            let len = file.metadata()?.len();
+            let len = limit.map_or(len, |limit| limit.min(len));
+            Ok((Box::new(io::BufReader::new(file)), len))
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok((Box::new(io::empty()), 0)),
+        Err(e) => Err(e),
+    }
+}
+
 /// A filesystem the storage layer can be opened against.
 pub trait StorageFs: Send + Sync + std::fmt::Debug {
     /// Open `path` read+write, creating it if absent, never truncating.

@@ -972,10 +972,24 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
         println!("  {kind}: {count}");
     }
 
-    let audit_path = dir.join(cerfix_storage::AUDIT_FILE);
-    match std::fs::metadata(&audit_path) {
-        Ok(meta) => println!("audit segment: {} bytes on disk", meta.len()),
-        Err(_) => println!("audit segment: none"),
+    // The segment is walked by the header check and frame walk that
+    // opening it runs: what refuses a restart refuses here.
+    let scrub = cerfix_storage::scrub_dir(&dir).map_err(|e| e.to_string())?;
+    let audit_file = cerfix_storage::AUDIT_FILE;
+    if let Some(corrupt) = scrub
+        .corruptions
+        .iter()
+        .find(|c| c.file.ends_with(audit_file))
+    {
+        return Err(format!("audit segment corrupt: {corrupt}"));
+    }
+    if dir.join(audit_file).exists() {
+        println!(
+            "audit segment: {} records, {} torn bytes",
+            scrub.audit_records, scrub.audit_torn_bytes
+        );
+    } else {
+        println!("audit segment: none");
     }
 
     if inspect {

@@ -495,6 +495,89 @@ fn audit_spill_write_errors_agree_across_every_exposition() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed spill fsync poisons the spill, as one poisons the journal,
+/// and nothing else: the spill's durable length freezes, no byte more
+/// reaches `audit.seg`, later records are refused, `audit.read` keeps
+/// warning that the archive is incomplete, commits are still acked, and
+/// a snapshot — the journal's one truncation — still installs.
+#[test]
+fn a_failed_spill_fsync_poisons_the_spill_and_nothing_else() {
+    let dir = tmp_dir("spill-poison");
+    let fault = FaultFs::new(FaultPlan::default());
+    let config = ServiceConfig {
+        workers: 2,
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
+    let service = kv_service(&fault, &dir, config);
+    let mut client = LocalClient::in_process(&service);
+    let mut clean = |from: usize| {
+        let tuples = (from..from + 4)
+            .map(|i| {
+                vec![
+                    Value::str(format!("k{i}")),
+                    Value::str("?"),
+                    Value::str("n"),
+                ]
+            })
+            .collect();
+        client
+            .clean(tuples, vec!["key".into()])
+            .expect("a clean needs no disk");
+    };
+    let request = |line: &str| Json::parse(service.handle_line(line).trim()).unwrap();
+    // Online scrub reads the segment up to the spill's durable length.
+    let durable_records = || {
+        let scrub = request(r#"{"op":"scrub"}"#);
+        scrub.get("audit_records").and_then(Json::as_u64).unwrap()
+    };
+    let records = || service.audit().len() as u64;
+    let segment = dir.join("audit.seg");
+    let segment_len = || std::fs::metadata(&segment).unwrap().len();
+
+    clean(0);
+    wait_for("the first records to be durable", || {
+        durable_records() == records()
+    });
+    let durable = durable_records();
+    // A batch clean journals nothing, so the next fsync is the spill's.
+    fault.update_plan(|plan| plan.fail_fsync_at = Some(fault.fsyncs() + 1));
+    clean(4);
+    let errors = || {
+        let metrics = request(r#"{"op":"metrics"}"#);
+        metrics.get("audit_spill_errors").and_then(Json::as_u64)
+    };
+    wait_for("the spill's fsync to fail", || errors() == Some(1));
+    let (total, written) = (records(), segment_len());
+    assert!(total > durable, "the failed batch stays readable");
+
+    clean(8);
+    assert_eq!(records(), total, "a poisoned spill refuses records");
+    let session =
+        client.create_session(vec![Value::str("k1"), Value::str("WRONG"), Value::str("n")]);
+    client
+        .commit(session.unwrap().session)
+        .expect("a spill failure never fails a commit");
+    assert!(
+        service
+            .snapshot_now()
+            .expect("a poisoned spill blocks no snapshot"),
+        "the snapshot was taken"
+    );
+    assert_eq!(durable_records(), durable, "the durable length moved");
+    assert_eq!(segment_len(), written, "bytes reached the segment");
+    assert_eq!(errors(), Some(1), "a poisoned spill retries nothing");
+    let page = request(r#"{"op":"audit.read","start":0,"count":64}"#);
+    assert_eq!(page.get("truncated").and_then(Json::as_bool), Some(true));
+    let warning = page.get("warning").and_then(Json::as_str).unwrap();
+    assert!(warning.contains("audit spill poisoned"), "{warning}");
+    let served = page.get("records").and_then(Json::as_arr).unwrap().len();
+    assert_eq!(served as u64, total, "every record stays readable");
+    drop(client);
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn fsync_failure_poisons_the_journal_and_refuses_mutations() {
     let dir = tmp_dir("poison");

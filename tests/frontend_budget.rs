@@ -297,12 +297,12 @@ fn replies_ahead_of_a_held_sync_arrive_while_it_is_held() {
 // 2. A waiting commit occupies its connection only
 // ---------------------------------------------------------------------
 
-/// The gate a [`GatedFs`] journal `sync_data` waits at while it is shut.
+/// The gate a [`GatedFs`] file's `sync_data` waits at while it is shut.
 #[derive(Debug, Default)]
 struct Gate {
     shut: Mutex<bool>,
     opened: Condvar,
-    /// Journal syncs that have reached the gate (and maybe passed it).
+    /// Syncs that have reached the gate (and maybe passed it).
     arrived: AtomicU64,
 }
 
@@ -321,17 +321,19 @@ impl Gate {
     }
 }
 
-/// `inner`, with the journal's `sync_data` made to wait at a gate: a
-/// disk whose fsync takes exactly as long as the test says.
+/// `inner`, with the `sync_data` of the files named `*.{gated}` — the
+/// journal's `wal` or the audit spill's `seg` — made to wait at a gate:
+/// a disk whose fsync takes exactly as long as the test says.
 #[derive(Debug)]
 struct GatedFs {
     inner: Arc<dyn StorageFs>,
+    gated: &'static str,
     gate: Arc<Gate>,
 }
 
 impl GatedFs {
     fn wrap(&self, path: &Path, file: Box<dyn StorageFile>) -> Box<dyn StorageFile> {
-        if path.extension().is_some_and(|ext| ext == "wal") {
+        if path.extension().is_some_and(|ext| ext == self.gated) {
             let gate = Arc::clone(&self.gate);
             Box::new(GatedFile { file, gate })
         } else {
@@ -412,7 +414,7 @@ impl Drop for OpenOnDrop {
     }
 }
 
-/// A one-worker journaled server behind a gated disk.
+/// A one-worker journaled server whose journal is behind a gated disk.
 struct GatedRig {
     gate: OpenOnDrop,
     service: CleaningService,
@@ -421,14 +423,20 @@ struct GatedRig {
 }
 
 fn gated_rig(name: &str, inner: Arc<dyn StorageFs>) -> GatedRig {
-    gated_rig_with(name, inner, config(1))
+    gated_rig_with(name, "wal", inner, config(1))
 }
 
-fn gated_rig_with(name: &str, inner: Arc<dyn StorageFs>, config: ServiceConfig) -> GatedRig {
+fn gated_rig_with(
+    name: &str,
+    gated: &'static str,
+    inner: Arc<dyn StorageFs>,
+    config: ServiceConfig,
+) -> GatedRig {
     let dir = tmp_dir(name);
     let gate = Arc::new(Gate::default());
     let fs = Arc::new(GatedFs {
         inner,
+        gated,
         gate: Arc::clone(&gate),
     });
     let service = journaled_with(&dir, config, fs);
@@ -604,7 +612,7 @@ fn parked_commits_raise_the_shed_level() {
         shed_watermark: 2,
         ..config(1)
     };
-    let rig = gated_rig_with("shed", Arc::new(RealFs), config);
+    let rig = gated_rig_with("shed", "wal", Arc::new(RealFs), config);
     let addr = rig.server.addr();
     let mut conns: Vec<(Conn, u64)> = (0..4)
         .map(|i| {
@@ -661,5 +669,77 @@ fn parked_commits_raise_the_shed_level() {
     wait_for("the commits to let go", || in_flight() == 0);
     probe.request(&regions).expect("regions admitted again");
     assert_eq!(in_flight(), 0, "a served request lets go");
+    rig.stop();
+}
+
+// ---------------------------------------------------------------------
+// 4. A stuck spill disk stalls spill I/O only
+// ---------------------------------------------------------------------
+
+/// The audit spill holds its segment across write + fsync under a lock
+/// of its own, apart from its appends, its index and its status. With
+/// the spill's fsync stuck in the disk (inside a commit's flush cycle),
+/// `metrics`, `health`, a batch `clean` — which appends audit records —
+/// and an `audit.read` of records already durable each answer in time.
+#[test]
+fn a_stuck_spill_fsync_stalls_only_spill_io() {
+    const CLEAN: &str = r#"{"op":"clean","tuples":[["k1","x","n"],["k2","x","n"],["k3","x","n"],["k4","x","n"]],"trust":["key","note"]}"#;
+    let rig = gated_rig_with("spill", "seg", Arc::new(RealFs), config(1));
+    let addr = rig.server.addr();
+    let mut conn = Conn::open(addr);
+    // A commit's flush cycle syncs the spill: the first records are
+    // durable once it is acknowledged.
+    assert!(conn.request(CLEAN).contains("\"ok\":true"));
+    let session = conn.create("k5");
+    assert!(conn.request(&commit_line(session)).contains("\"ok\":true"));
+    let page = conn.request(r#"{"op":"audit.read","start":0,"count":0}"#);
+    let durable = Json::parse(page.trim())
+        .unwrap()
+        .get("total")
+        .and_then(Json::as_u64);
+    let durable = durable.filter(|&n| n > 0).expect("durable records");
+
+    // Records wait in the spill's buffer; the next commit's flush cycle
+    // takes them to the disk, where the fsync sticks. Nothing on this
+    // thread may wait on the server from here on: a stuck spill must
+    // fail the test, not hang it.
+    rig.gate.shut();
+    assert!(conn.request(CLEAN).contains("\"ok\":true"));
+    let session = conn.create("k6");
+    let arrived = rig.gate.arrived();
+    conn.send(&commit_line(session));
+    wait_for("the commit's flush to reach the spill's disk", || {
+        rig.gate.arrived() > arrived
+    });
+    let stuck = rig.gate.arrived();
+
+    let audit_read = format!(r#"{{"op":"audit.read","start":0,"count":{durable}}}"#);
+    for (line, answered) in [
+        (r#"{"op":"metrics"}"#, "\"ok\":true"),
+        (r#"{"op":"health"}"#, "\"ok\":true"),
+        (CLEAN, "\"cells_fixed\":4"),
+        (&audit_read, &format!("\"count\":{durable},")),
+    ] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let request = line.to_string();
+        std::thread::spawn(move || {
+            let reply = Conn::open(addr).request(&request);
+            let _ = tx.send(reply);
+        });
+        let reply = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{line}: no answer while the spill's fsync is stuck"));
+        assert!(reply.contains(answered), "{line}: {reply}");
+    }
+    assert_eq!(
+        rig.gate.arrived(),
+        stuck,
+        "the spill's fsync was stuck throughout"
+    );
+    rig.gate.open();
+    assert!(
+        conn.recv().contains("\"ok\":true"),
+        "the commit is acknowledged"
+    );
     rig.stop();
 }

@@ -804,6 +804,41 @@ fn config_set_applies_live_and_survives_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A ring size the ring rounds up (1000 → 1024 slots) names the ring's
+/// current size too: setting it again — as a repeated `config.set` or a
+/// replayed one does — keeps what the ring holds.
+#[test]
+fn repeating_a_rounded_ring_size_keeps_the_ring() {
+    let service = kv_service(8, 2);
+    let set = |key: &str| {
+        let line = format!("{{\"op\":\"config.set\",\"key\":\"{key}\",\"value\":1000}}");
+        assert!(service.handle_line(&line).contains("\"ok\":true"), "{key}");
+    };
+    set("trace_buffer");
+    set("diag_buffer");
+    service.handle_line("{\"op\":\"metrics\",\"id\":4242}");
+    set("trace_buffer");
+    set("diag_buffer");
+    let read = |line: &str, key: &str| {
+        let reply = Json::parse(service.handle_line(line).trim()).unwrap();
+        reply.get(key).and_then(Json::as_arr).unwrap().to_vec()
+    };
+    let spans = read("{\"op\":\"trace.read\",\"limit\":64}", "spans");
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.get("trace").and_then(Json::as_str) == Some("4242")),
+        "the span recorded between the two sets is gone: {spans:?}"
+    );
+    let events = read("{\"op\":\"log.read\",\"subsystem\":\"config\"}", "events");
+    let diag_sets = events
+        .iter()
+        .filter_map(|e| e.get("message").and_then(Json::as_str))
+        .filter(|m| m.contains("diag_buffer set to 1000"))
+        .count();
+    assert_eq!(diag_sets, 2, "the first set's event is gone: {events:?}");
+}
+
 /// `metrics.history` returns the periodic snapshots oldest first, with
 /// monotonic timestamps and counters and per-op latency attached.
 #[test]
