@@ -70,6 +70,8 @@
 
 mod admin;
 mod admission;
+#[cfg(test)]
+mod alloc_count;
 pub mod cache;
 mod client;
 mod diag;

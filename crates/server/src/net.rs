@@ -533,9 +533,10 @@ fn respond_line(
     let started = Instant::now();
     let scanned = scan_line(trimmed);
     // A caught-up follower's sync that asks to wait is kept on this
-    // thread until there is something to say.
+    // thread until there is something to say: it borrows the line, and
+    // the connection's own buffers hold and serve it.
     let held = if scanned.is(OpId::ReplicaSync) {
-        service.sync_arrival(&scanned)
+        service.sync_arrival(&scanned, &mut scratch.unescape)
     } else {
         None
     };
@@ -543,8 +544,8 @@ fn respond_line(
         if !replies.flush() {
             return false;
         }
-        service.wait_out(&held);
-        service.serve_held(held, &mut replies.out, scratch);
+        service.wait_out(&held, &mut scratch.hold);
+        service.serve_held(held, &mut replies.out, &mut scratch.served);
     } else {
         // A journaled commit waits for its group fsync (and quorum).
         let waits = scanned.is(OpId::SessionCommit) && service.is_journaled();

@@ -19,15 +19,18 @@
 //! field-wise by the [`Client`](crate::Client).
 
 use crate::ops::{self, Op, OpId};
+use crate::replication::HoldWaiter;
 use crate::wire::scan::{self, ObjectScanner, RawValue};
 use crate::wire::{Json, WireError};
 use cerfix::FixpointScratch;
 use cerfix_relation::Value;
+use cerfix_storage::CursorRead;
 
 /// Reusable per-connection scratch, threaded through
 /// [`CleaningService::handle_line_into`](crate::CleaningService::handle_line_into):
 /// the resolved-validation and string-unescape buffers a request is read
-/// into and the buffers the correcting process runs on, so the warmed
+/// into, the buffers the correcting process runs on, and those a
+/// follower's `replica.sync` is held and served on, so the warmed
 /// request path performs no steady-state allocations. Journal replay —
 /// boot recovery and a follower's tail — runs its validations on one too.
 #[derive(Debug, Default)]
@@ -40,6 +43,10 @@ pub struct RequestScratch {
     pub(crate) unescape: String,
     /// The correcting process's report, key and worklist buffers.
     pub(crate) fixpoint: FixpointScratch,
+    /// The journal frames a `replica.sync` is served from.
+    pub(crate) served: CursorRead,
+    /// What a held `replica.sync` waits on, from the first one on.
+    pub(crate) hold: Option<HoldWaiter>,
 }
 
 /// Declares [`Field`] — every top-level field some op reads — from one
@@ -162,6 +169,25 @@ impl<'a> Fields<'a> {
         self.opt(field, |v| v.as_str(buf).map(str::to_string), "a string")
     }
 
+    /// The fields of a `replica.sync`, the follower's name left borrowed
+    /// from the line (or from `buf`, when it is spelled with escapes) —
+    /// the one reader of them, for [`Request::parse`] and for a front end
+    /// keeping a held sync in buffers of its own.
+    pub(crate) fn replica_sync<'b>(&self, buf: &'b mut String) -> Result<SyncFields<'b>, WireError>
+    where
+        'a: 'b,
+    {
+        Ok(SyncFields {
+            follower: self.typed(Field::Follower, |v| v.as_str(buf), "a string id")?,
+            epoch: self.need_u64(Field::Epoch)?,
+            offset: self.need_u64(Field::Offset)?,
+            max: self.opt_u64(Field::Max)?,
+            // Absent on the wire from pre-v7 followers.
+            resync: self.opt_bool(Field::Resync)?.unwrap_or(false),
+            wait_ms: self.opt_u64(Field::WaitMs)?,
+        })
+    }
+
     /// The op the line's `op` field names.
     pub(crate) fn op_id(&self, buf: &mut String) -> Result<OpId, WireError> {
         let name = self.need_str(Field::Op, "a string", buf)?;
@@ -186,6 +212,18 @@ impl<'a> Fields<'a> {
         }
         Ok(())
     }
+}
+
+/// The fields of a `replica.sync` ([`Request::ReplicaSync`]), read in
+/// place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SyncFields<'b> {
+    pub(crate) follower: &'b str,
+    pub(crate) epoch: u64,
+    pub(crate) offset: u64,
+    pub(crate) max: Option<u64>,
+    pub(crate) resync: bool,
+    pub(crate) wait_ms: Option<u64>,
 }
 
 /// What the one pass over a request line found.
@@ -683,15 +721,17 @@ impl Request {
             OpId::TraceRead => Request::TraceRead {
                 limit: fields.opt_u64(Field::Limit)?,
             },
-            OpId::ReplicaSync => Request::ReplicaSync {
-                follower: fields.need_str(Field::Follower, "a string id", buf)?,
-                epoch: fields.need_u64(Field::Epoch)?,
-                offset: fields.need_u64(Field::Offset)?,
-                max: fields.opt_u64(Field::Max)?,
-                // Absent on the wire from pre-v7 followers.
-                resync: fields.opt_bool(Field::Resync)?.unwrap_or(false),
-                wait_ms: fields.opt_u64(Field::WaitMs)?,
-            },
+            OpId::ReplicaSync => {
+                let sync = fields.replica_sync(buf)?;
+                Request::ReplicaSync {
+                    follower: sync.follower.to_string(),
+                    epoch: sync.epoch,
+                    offset: sync.offset,
+                    max: sync.max,
+                    resync: sync.resync,
+                    wait_ms: sync.wait_ms,
+                }
+            }
             OpId::ReplicaPromote => Request::ReplicaPromote,
             OpId::Health => Request::Health,
             OpId::LogRead => Request::LogRead {

@@ -6,12 +6,12 @@
 use crate::engine::{compile_engine, render_ruleset_dsl};
 use crate::errors::{ErrorCode, ServeError};
 use crate::protocol::RequestScratch;
-use crate::replication::{ReceivedFrames, ReplicaApplyError, Role};
+use crate::replication::{ReplicaApplyError, Role};
 use crate::service::CleaningService;
 use crate::session_ops::{session_to_snapshot, snapshot_to_session};
 use cerfix::{AuditLog, MonitorSession};
 use cerfix_relation::Tuple;
-use cerfix_storage::{JournalEvent, RecoveredState, SnapshotData, SyncError};
+use cerfix_storage::{EventView, JournalEvent, RecoveredState, SnapshotData, SyncError};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
@@ -94,7 +94,8 @@ impl CleaningService {
         if let Some(snapshot) = &recovered.snapshot {
             self.apply_snapshot(snapshot)?;
         }
-        self.replay_events(recovered.events, false, &mut RequestScratch::default())?;
+        let events = recovered.events.iter().map(JournalEvent::view);
+        self.replay_events(events, false, &mut RequestScratch::default())?;
         let live = self.inner.sessions.len() as u64;
         self.inner.metrics.sessions_recovered.add(live);
         Ok(())
@@ -135,8 +136,12 @@ impl CleaningService {
         Ok(())
     }
 
-    /// Replay a run of journal events in order — boot recovery and the
-    /// follower tail both come through here. Session events between two
+    /// Replay a run of journal events in order — boot recovery (the
+    /// events its scan decoded) and the follower tail (the frames it was
+    /// sent, read in place) both come through here. Each event hands over
+    /// only what the replay keeps: a created session's row is built into
+    /// the `Vec` its tuple holds, a validation's values into `scratch`,
+    /// where they are applied from. Session events between two
     /// engine swaps share one monitor, and their validations run on
     /// `scratch`. `live` distinguishes the follower tail (the monitor
     /// records into the shared audit log, so the follower's provenance
@@ -149,9 +154,9 @@ impl CleaningService {
     /// a burst of N appends costs one recompile instead of N (the merged
     /// batch lands on the same master state the per-event replay would,
     /// in the same order).
-    fn replay_events(
+    fn replay_events<'e>(
         &self,
-        events: Vec<JournalEvent>,
+        events: impl Iterator<Item = EventView<'e>>,
         live: bool,
         scratch: &mut RequestScratch,
     ) -> Result<(), ServeError> {
@@ -161,22 +166,22 @@ impl CleaningService {
         } else {
             Arc::new(AuditLog::windowed(1))
         };
-        let mut events = events.into_iter().peekable();
+        let mut events = events.peekable();
         while events.peek().is_some() {
             // One monitor for each run of events between engine swaps.
             let engine = self.engine();
             let monitor = engine.monitor(&audit);
             while let Some(event) = events.next() {
                 match event {
-                    JournalEvent::SessionCreated { session, values } => {
-                        let tuple = Tuple::new(schema.clone(), values).map_err(|e| {
+                    EventView::SessionCreated { session, values } => {
+                        let tuple = Tuple::new(schema.clone(), values.to_vec()).map_err(|e| {
                             ErrorCode::Internal.error(format!("replay session {session}: {e}"))
                         })?;
                         self.inner
                             .sessions
                             .restore(session, MonitorSession::new(session as usize, tuple));
                     }
-                    JournalEvent::SessionValidated {
+                    EventView::SessionValidated {
                         session,
                         validations,
                     } => {
@@ -188,7 +193,7 @@ impl CleaningService {
                         resolved.clear();
                         resolved.extend(
                             validations
-                                .into_iter()
+                                .iter()
                                 .map(|(attr, value)| (attr as usize, value)),
                         );
                         // Ignore per-event errors: replaying an op that
@@ -199,35 +204,35 @@ impl CleaningService {
                                 .map(|_| ())
                         });
                     }
-                    JournalEvent::SessionCommitted { session }
-                    | JournalEvent::SessionAborted { session } => {
+                    EventView::SessionCommitted { session }
+                    | EventView::SessionAborted { session } => {
                         let _ = self.inner.sessions.remove(session);
                     }
-                    JournalEvent::SessionsEvicted { sessions } => {
-                        for id in sessions {
+                    EventView::SessionsEvicted { sessions } => {
+                        for id in sessions.iter() {
                             let _ = self.inner.sessions.remove(id);
                         }
                     }
-                    JournalEvent::ConfigSet { key, value } => {
+                    EventView::ConfigSet { key, value } => {
                         // Unknown keys replay as no-ops: a journal written
                         // by a newer build must not fail recovery on an
                         // older one.
-                        let _ = self.apply_config_set(&key, value);
+                        let _ = self.apply_config_set(key, value);
                     }
-                    JournalEvent::MasterAppended { rows: mut batch } => {
-                        let appended = |next: &JournalEvent| {
-                            matches!(next, JournalEvent::MasterAppended { .. })
-                        };
-                        while let Some(JournalEvent::MasterAppended { rows }) =
+                    EventView::MasterAppended { rows } => {
+                        let mut batch = rows.to_vec();
+                        let appended =
+                            |next: &EventView<'_>| matches!(next, EventView::MasterAppended { .. });
+                        while let Some(EventView::MasterAppended { rows }) =
                             events.next_if(appended)
                         {
-                            batch.extend(rows);
+                            batch.extend(rows.iter());
                         }
                         self.apply_master_rows(batch)?;
                         break;
                     }
-                    JournalEvent::RulesReloaded { dsl, fingerprint } => {
-                        self.install_rules(&dsl, fingerprint, "journaled")?;
+                    EventView::RulesReloaded { dsl, fingerprint } => {
+                        self.install_rules(dsl, fingerprint, "journaled")?;
                         break;
                     }
                 }
@@ -237,12 +242,13 @@ impl CleaningService {
     }
 
     /// Follower side of the tail loop: journal the primary's frames —
-    /// the payload bytes as received, not a re-encoding of `events`,
-    /// which is what they decode to — into our own journal (so our file
-    /// mirrors the primary's and a restart resumes from our durable
-    /// cursor), replay the events through the live correcting path, then
-    /// lead the group fsync — the cursor our next `replica.sync` acks
-    /// with only moves once the events are durable *here*.
+    /// the payload bytes as received, of which `events` are the in-place
+    /// reading, every one checked whole before this is called — into our
+    /// own journal (so our file mirrors the primary's and a restart
+    /// resumes from our durable cursor), replay the events through the
+    /// live correcting path, then lead the group fsync — the cursor our
+    /// next `replica.sync` acks with only moves once the events are
+    /// durable *here*.
     ///
     /// The fsync outcome decides the follower's fate: a failed *write*
     /// is retried in place (the events are already applied, so
@@ -252,10 +258,10 @@ impl CleaningService {
     /// failure) is unrecoverable locally and reported as
     /// [`ReplicaApplyError::Poisoned`] so the tail loop can demand a
     /// snapshot re-sync from the primary instead of dying.
-    pub(crate) fn apply_replica_events(
+    pub(crate) fn apply_replica_events<'f>(
         &self,
-        events: Vec<JournalEvent>,
-        frames: &ReceivedFrames,
+        events: impl Iterator<Item = EventView<'f>>,
+        payloads: impl Iterator<Item = &'f [u8]>,
         scratch: &mut RequestScratch,
     ) -> Result<(), ReplicaApplyError> {
         let Some(binding) = &self.inner.storage else {
@@ -266,7 +272,7 @@ impl CleaningService {
         let last_seq = self
             .with_gate(|| -> Result<Option<u64>, ServeError> {
                 let mut last = None;
-                for payload in frames.payloads() {
+                for payload in payloads {
                     last = Some(binding.storage.append_encoded(payload));
                 }
                 self.replay_events(events, true, scratch)?;
@@ -351,5 +357,63 @@ impl CleaningService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(encoded));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::alloc_count::allocations_in;
+    use crate::tests::data_dir;
+    use cerfix_relation::Value;
+    use cerfix_storage::{JournalEvent, Storage, StorageConfig};
+
+    /// `Storage::open` hands boot recovery the events its scan decoded,
+    /// moved rather than copied: each recovered event costs what
+    /// `JournalEvent::decode` allocates for it and nothing more.
+    #[test]
+    fn storage_open_allocates_each_recovered_event_once() {
+        let event = |i: u64| match i % 4 {
+            0 => JournalEvent::SessionCreated {
+                session: i,
+                values: vec![Value::str("k1"), Value::str("WRONG"), Value::Null],
+            },
+            1 => JournalEvent::SessionValidated {
+                session: i - 1,
+                validations: vec![(1, Value::str("v1"))],
+            },
+            2 => JournalEvent::ConfigSet {
+                key: "slow_ms".into(),
+                value: i,
+            },
+            _ => JournalEvent::SessionCommitted { session: i - 3 },
+        };
+        // Allocations of a `Storage::open` that recovers `events` events.
+        let opened = |events: u64| {
+            let dir = data_dir(&format!("recover-allocs-{events:03}"));
+            let (storage, _) = Storage::open(StorageConfig::new(&dir)).unwrap();
+            let last = (0..events).fold(0, |_, i| storage.append(&event(i)));
+            storage.sync(last).unwrap();
+            drop(storage);
+            let mut reopened = None;
+            let spent = allocations_in(|| {
+                reopened = Some(Storage::open(StorageConfig::new(&dir)).unwrap());
+            });
+            let (storage, recovered) = reopened.unwrap();
+            assert_eq!(recovered.events, (0..events).map(event).collect::<Vec<_>>());
+            drop(storage);
+            let _ = std::fs::remove_dir_all(&dir);
+            spent
+        };
+        let payloads: Vec<Vec<u8>> = (32..64).map(|i| event(i).encode()).collect();
+        let decoding = allocations_in(|| {
+            for payload in &payloads {
+                drop(std::hint::black_box(JournalEvent::decode(payload).unwrap()));
+            }
+        });
+        assert_eq!(
+            opened(64) - opened(32),
+            decoding + 1,
+            "32 more events: their decoding, and one more doubling of the `Vec` holding them"
+        );
     }
 }

@@ -14,7 +14,8 @@
 //! events past the cursor and *acknowledges* everything before it
 //! (which is what quorum-ack commits on the primary wait for). A
 //! caught-up follower's request is *held* by the primary's front end
-//! ([`HeldSync`]) until the journal's durable position moves, so one
+//! ([`HeldSync`], on buffers the connection owns, so a warmed hold
+//! allocates nothing) until the journal's durable position moves, so one
 //! request is both "ack through the cursor" and "wake me when there is
 //! more": a quorum commit costs the local fsync, one loopback hop and
 //! the follower's fsync — no timer anywhere on the path.
@@ -24,14 +25,17 @@
 //! `replica.sync` takes the frames past the cursor off its journal with
 //! one positioned read
 //! ([`Journal::read_durable_from`](cerfix_storage::Journal::read_durable_from):
-//! CRC-checked spans of the file's bytes) and writes each payload into
-//! the reply as hex, in place. The follower reads the reply without
-//! building a tree (`SyncReply`), hex-decodes every frame into one
-//! reused buffer (`ReceivedFrames`), decodes each **once** — for the
-//! replay, and as the check that it *is* a [`JournalEvent`] — and
-//! journals the payload bytes it received
+//! CRC-checked spans of the file's bytes, read into a buffer the
+//! connection keeps) and writes each payload into the reply as hex, in
+//! place. The follower reads the reply without building a tree
+//! (`SyncReply`), hex-decodes every frame into one reused buffer
+//! (`ReceivedFrames`), checks every payload as a whole
+//! [`JournalEvent`](cerfix_storage::JournalEvent) before the first applies — a batch applies whole or
+//! not at all — and replays each read in place ([`EventView`]): the
+//! replay builds the cells the follower's sessions keep and no event to
+//! take them out of. It journals the payload bytes it received
 //! ([`Storage::append_encoded`](cerfix_storage::Storage::append_encoded)),
-//! not a re-encoding of what it decoded, then leads its own group fsync
+//! not a re-encoding of what it read, then leads its own group fsync
 //! (`Journal::sync`). So the follower's journal file equals the
 //! primary's byte for byte and a restart resumes from its own durable
 //! cursor. A cursor whose epoch predates the primary's (the
@@ -50,12 +54,12 @@ use crate::client::{jitter_seed, jittered, Client, ClientError, RetryPolicy};
 use crate::diag::Subsystem;
 use crate::errors::{ErrorCode, ServeError};
 use crate::ops::OpId;
-use crate::protocol::{Request, RequestScratch, ScannedLine};
+use crate::protocol::{RequestScratch, ScannedLine, SyncFields};
 use crate::service::{CleaningService, Reply};
 use crate::trace::Span;
 use crate::wire::scan::{ObjectScanner, RawValue};
 use crate::wire::JsonWriter;
-use cerfix_storage::{CursorRead, JournalEvent, SnapshotData};
+use cerfix_storage::{CursorRead, EventView, SnapshotData, Waker};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -287,7 +291,7 @@ fn hex_decode_into(s: &str, out: &mut Vec<u8>) -> bool {
 
 /// The frame payloads of one `replica.sync` reply, hex-decoded back to
 /// back into one buffer the tail loop reuses: what the follower replays
-/// (decoded once) and what it journals (these bytes, as received).
+/// (read in place) and what it journals (these bytes, as received).
 #[derive(Default)]
 pub(crate) struct ReceivedFrames {
     bytes: Vec<u8>,
@@ -323,11 +327,14 @@ impl ReceivedFrames {
         self.ends.is_empty() && !self.torn
     }
 
-    /// Every payload decoded — once, for the replay — or `None` if a
-    /// frame was torn or is not an event.
-    fn decode(&self) -> Option<Vec<JournalEvent>> {
-        let decode = |payload| JournalEvent::decode(payload).ok();
-        (!self.torn).then(|| self.payloads().map(decode).collect())?
+    /// Every payload read in place as an event, in the order sent — or
+    /// `None` when a frame was torn or any payload is not a whole event:
+    /// a batch applies whole or not at all, so every payload is checked
+    /// before the first is handed on. Nothing is allocated here; the
+    /// replay builds the cells it keeps.
+    fn events(&self) -> Option<impl Iterator<Item = EventView<'_>>> {
+        let whole = !self.torn && self.payloads().all(|p| EventView::parse(p).is_ok());
+        whole.then(|| self.payloads().filter_map(|p| EventView::parse(p).ok()))
     }
 
     /// The payloads, in the order they were sent.
@@ -650,9 +657,9 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 note_tail_progress(&service, served_epoch, served_durable);
                 continue;
             }
-            // Each frame is decoded once, for the replay; what is
+            // Each frame is read in place for the replay; what is
             // journaled is the bytes it came as.
-            let Some(events) = frames.decode() else {
+            let Some(events) = frames.events() else {
                 // A torn/corrupt frame never applies partially: drop
                 // the connection and re-pull from the durable cursor.
                 service.diag().warn(
@@ -664,7 +671,7 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
                 }
                 continue 'connect;
             };
-            match service.apply_replica_events(events, &frames, &mut scratch) {
+            match service.apply_replica_events(events, frames.payloads(), &mut scratch) {
                 Ok(()) => {}
                 Err(ReplicaApplyError::Poisoned(message)) => {
                     // The batch is applied in memory but can never be
@@ -700,18 +707,32 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
 /// ([`CleaningService::sync_arrival`]); the hold only delays the reply,
 /// and is over ([`CleaningService::hold_over`]) as soon as there is
 /// something to say. The front end keeps it on the connection's own
-/// thread ([`CleaningService::wait_out`]).
-pub(crate) struct HeldSync {
-    /// The request as its one scan read it — the line itself is not
-    /// kept — and the `id` it asked to have echoed.
-    request: Request,
-    id: Option<String>,
-    /// The follower's cursor: the hold lasts while the journal's durable
-    /// position is `(epoch, <= offset)`.
-    epoch: u64,
-    offset: u64,
+/// thread ([`CleaningService::wait_out`]), and it borrows the line, which
+/// stays in the connection's read buffer meanwhile: a hold copies
+/// nothing.
+pub(crate) struct HeldSync<'l> {
+    /// The request's fields as its one scan read them — the hold lasts
+    /// while the journal's durable position is the cursor's
+    /// `(epoch, <= offset)` — and the `id` it asked to have echoed.
+    sync: SyncFields<'l>,
+    id: Option<&'l str>,
     /// Hold expiry: then the ordinary empty reply — the heartbeat.
     pub(crate) deadline: Instant,
+}
+
+/// What a connection waits out its held syncs on: a flag, the condvar
+/// that signals it, and the journal watcher that sets it — built at the
+/// connection's first hold and kept, so a hold after that allocates
+/// nothing.
+pub(crate) struct HoldWaiter {
+    signal: Arc<(Mutex<bool>, Condvar)>,
+    waker: Waker,
+}
+
+impl std::fmt::Debug for HoldWaiter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HoldWaiter")
+    }
 }
 
 /// Write the fields of a `replica.sync` reply: the cursor echo, then
@@ -753,33 +774,26 @@ impl CleaningService {
     /// look at the durable position, or looks again
     /// ([`hold_over`](Self::hold_over)) once it does: a move in between
     /// must not be missed, or a commit waits out the hold.
-    pub(crate) fn sync_arrival(&self, scanned: &ScannedLine<'_>) -> Option<HeldSync> {
-        let request =
-            Request::parse(OpId::ReplicaSync, &scanned.fields, &mut String::new()).ok()?;
-        let Request::ReplicaSync {
-            epoch,
-            offset,
-            resync: false,
-            wait_ms: Some(wait_ms),
-            ..
-        } = request
-        else {
+    pub(crate) fn sync_arrival<'l>(
+        &self,
+        scanned: &ScannedLine<'l>,
+        unescape: &'l mut String,
+    ) -> Option<HeldSync<'l>> {
+        let sync = scanned.fields.replica_sync(unescape).ok()?;
+        let (false, Some(wait_ms)) = (sync.resync, sync.wait_ms) else {
             return None;
         };
         let held = HeldSync {
-            epoch,
-            offset,
             deadline: Instant::now() + Duration::from_millis(wait_ms).min(MAX_HOLD),
-            request,
-            id: scanned.id.map(str::to_string),
+            id: scanned.id,
+            sync,
         };
         if self.hold_over(&held) {
             return None;
         }
-        if let Request::ReplicaSync { follower, .. } = &held.request {
-            // Caught up by definition: the durable position is the cursor's.
-            self.record_follower(follower, epoch, offset, epoch, offset);
-        }
+        // Caught up by definition: the durable position is the cursor's.
+        let (epoch, offset) = (held.sync.epoch, held.sync.offset);
+        self.record_follower(held.sync.follower, epoch, offset, epoch, offset);
         Some(held)
     }
 
@@ -788,14 +802,14 @@ impl CleaningService {
     /// or the snapshot), once waiting is pointless (journal poisoned or
     /// stopped, server draining or shutting down), and when the hold
     /// expires.
-    pub(crate) fn hold_over(&self, held: &HeldSync) -> bool {
+    pub(crate) fn hold_over(&self, held: &HeldSync<'_>) -> bool {
         let Some(storage) = self.storage() else {
             return true;
         };
         let journal = storage.journal();
         let (epoch, durable) = journal.durable_position();
-        epoch != held.epoch
-            || durable > held.offset
+        epoch != held.sync.epoch
+            || durable > held.sync.offset
             || journal.poisoned().is_some()
             || !journal.is_alive()
             || self.is_draining()
@@ -804,17 +818,21 @@ impl CleaningService {
     }
 
     /// Keep the calling thread — a connection's own — until `held` is
-    /// over.
-    pub(crate) fn wait_out(&self, held: &HeldSync) {
+    /// over, woken through the connection's `waiter`.
+    pub(crate) fn wait_out(&self, held: &HeldSync<'_>, waiter: &mut Option<HoldWaiter>) {
         let Some(storage) = self.storage() else {
             return;
         };
-        let signal = Arc::new((Mutex::new(false), Condvar::new()));
-        let waker = Arc::clone(&signal);
-        let _watch = storage.journal().watch(Arc::new(move || {
-            *waker.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
-            waker.1.notify_one();
-        }));
+        let HoldWaiter { signal, waker } = waiter.get_or_insert_with(|| {
+            let signal = Arc::new((Mutex::new(false), Condvar::new()));
+            let flag = Arc::clone(&signal);
+            let waker: Waker = Arc::new(move || {
+                *flag.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
+                flag.1.notify_one();
+            });
+            HoldWaiter { signal, waker }
+        });
+        let _watch = storage.journal().watch(Arc::clone(waker));
         // Watching before each look: a move in between sets the flag.
         while !self.hold_over(held) {
             let mut woken = signal.0.lock().unwrap_or_else(PoisonError::into_inner);
@@ -830,21 +848,15 @@ impl CleaningService {
         }
     }
 
-    /// Answer a held sync from the parse its arrival made. The
-    /// request's clock starts here — arrival stamp, span, latency and
-    /// the slow log all exclude the hold, which was the follower's
-    /// choice and no work of ours.
-    pub(crate) fn serve_held(
-        &self,
-        held: HeldSync,
-        out: &mut String,
-        scratch: &mut RequestScratch,
-    ) {
+    /// Answer a held sync from the fields its arrival read, its frames
+    /// read into the connection's `served`. The request's clock starts
+    /// here — arrival stamp, span, latency and the slow log all exclude
+    /// the hold, which was the follower's choice and no work of ours.
+    pub(crate) fn serve_held(&self, held: HeldSync<'_>, out: &mut String, served: &mut CursorRead) {
         let released = Instant::now();
-        let id = held.id.as_deref();
         let op = OpId::ReplicaSync.row();
-        self.answer(op, id, out, released, released, |reply| {
-            self.dispatch(held.request, reply, scratch)
+        self.answer(op, held.id, out, released, released, |reply| {
+            self.replica_sync(&held.sync, reply, served)
         });
     }
 
@@ -871,26 +883,33 @@ impl CleaningService {
     }
 
     /// `replica.sync`: serve journal events past the follower's durable
-    /// cursor `(epoch, offset)`. The cursor doubles as the follower's
+    /// cursor `(epoch, offset)`, or the snapshot it asks for (`resync`).
+    /// The cursor doubles as the follower's
     /// acknowledgement — everything before it is fsynced over there —
     /// so this call also feeds the quorum-ack commit gate. A cursor
     /// whose epoch predates ours gets the current snapshot instead
     /// (its events were truncated away); one ahead of ours means we
     /// have been deposed, and the request fences us. `wait_ms` is the
     /// front end's business ([`HeldSync`]): by the time a request is
-    /// here it is answered.
+    /// here it is answered. The frames are read into `read`, the
+    /// connection's own.
     pub(crate) fn replica_sync(
         &self,
-        follower: &str,
-        epoch: u64,
-        offset: u64,
-        max: Option<u64>,
-        resync: bool,
+        sync: &SyncFields<'_>,
         reply: Reply<'_>,
+        read: &mut CursorRead,
     ) -> Result<(), ServeError> {
         let Some(storage) = self.storage() else {
             return Err(needs_journal());
         };
+        let SyncFields {
+            follower,
+            epoch,
+            offset,
+            max,
+            resync,
+            ..
+        } = *sync;
         self.replication()
             .max_epoch_seen
             .fetch_max(epoch, Ordering::AcqRel);
@@ -910,7 +929,7 @@ impl CleaningService {
             return reply.send(|w| write_sync_fields(w, position, offset, Some(&snapshot), None));
         }
         let max = max.unwrap_or(512).clamp(1, 2048) as usize;
-        let read = storage.read_journal_from(offset, max)?;
+        storage.read_journal_from(offset, max, read)?;
         let position = (read.epoch, read.durable_events);
         self.record_follower(follower, epoch, offset, position.0, position.1);
         if epoch > read.epoch {
@@ -926,7 +945,7 @@ impl CleaningService {
         };
         // A stale cursor gets the snapshot alone: events of the new
         // epoch mean nothing before it is installed.
-        let frames = snapshot.is_none().then_some(&read);
+        let frames = snapshot.is_none().then_some(&*read);
         self.metrics_raw()
             .replication_events_served
             .add(frames.map_or(0, CursorRead::len) as u64);
@@ -1117,199 +1136,4 @@ pub(crate) fn lock_followers(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hex_decode(hex: &str) -> Option<Vec<u8>> {
-        let mut frames = ReceivedFrames::default();
-        frames.push_hex(Some(hex)).then(|| frames.bytes.clone())
-    }
-
-    #[test]
-    fn hex_round_trips() {
-        let bytes: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
-        let mut hex = String::new();
-        push_hex(&bytes, &mut hex);
-        assert_eq!(hex.len(), 512);
-        assert_eq!(hex_decode(&hex).as_deref(), Some(bytes.as_slice()));
-        assert_eq!(hex_decode(""), Some(Vec::new()));
-        assert_eq!(hex_decode("DEADbeef"), Some(vec![0xde, 0xad, 0xbe, 0xef]));
-    }
-
-    #[test]
-    fn hex_rejects_torn_and_garbage() {
-        assert_eq!(hex_decode("abc"), None); // odd length
-        assert_eq!(hex_decode("zz"), None); // not hex
-        assert_eq!(hex_decode("0g"), None);
-        // A torn frame leaves the ones before it as they were.
-        let mut frames = ReceivedFrames::default();
-        assert!(frames.push_hex(Some("0102")) && !frames.push_hex(Some("03f")));
-        assert!(!frames.push_hex(Some("04")), "nothing after a torn frame");
-        assert_eq!(frames.payloads().collect::<Vec<_>>(), [&[1u8, 2][..]]);
-        assert!(!frames.is_empty() && frames.decode().is_none());
-        frames.clear();
-        assert!(frames.is_empty() && !frames.push_hex(None) && !frames.is_empty());
-    }
-
-    /// This thread's allocations, counted: the lib's tests run on many
-    /// threads, and a window must hold only its own.
-    struct CountingAlloc;
-
-    thread_local! {
-        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    // SAFETY: every call forwards to `System` with the caller's arguments
-    // unchanged; the counter is a `const`-initialised thread-local `Cell`
-    // with no destructor, so touching it never allocates.
-    #[allow(unsafe_code)]
-    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-            std::alloc::System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            std::alloc::System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
-            let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-            std::alloc::System.realloc(ptr, layout, new)
-        }
-    }
-
-    #[global_allocator]
-    static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-    fn allocations_in(work: impl FnOnce()) -> u64 {
-        let before = ALLOCATIONS.with(std::cell::Cell::get);
-        work();
-        ALLOCATIONS.with(std::cell::Cell::get) - before
-    }
-
-    /// One turn of the tail loop, the socket and the replay left out:
-    /// the request is rendered into a reused line, and the reply is read
-    /// without a tree, its frames hex-decoded into one reused buffer —
-    /// what is allocated is the events the frames decode to and the
-    /// `Vec` that holds them.
-    #[test]
-    fn a_tail_turn_allocates_only_the_events_it_decodes() {
-        use cerfix_relation::Value;
-        let events = [
-            JournalEvent::SessionCreated {
-                session: 7,
-                values: vec![Value::str("k1"), Value::str("WRONG"), Value::Null],
-            },
-            JournalEvent::SessionValidated {
-                session: 7,
-                validations: vec![(0, Value::str("k1")), (2, Value::Int(3))],
-            },
-            JournalEvent::SessionCommitted { session: 7 },
-        ];
-        let mut reply = String::from(r#"{"ok":true,"epoch":2,"from":40,"durable":43,"events":["#);
-        for event in &events {
-            reply.push_str(if reply.ends_with('[') { "\"" } else { ",\"" });
-            push_hex(&event.encode(), &mut reply);
-            reply.push('"');
-        }
-        reply.push_str("]}\n");
-
-        let (mut line, mut frames) = (String::new(), ReceivedFrames::default());
-        let turn = |line: &mut String, frames: &mut ReceivedFrames| {
-            line.clear();
-            write_sync_request(line, "f1", (2, 40), false);
-            let read = SyncReply::scan(&reply, frames).expect("a reply");
-            assert_eq!((read.from, read.epoch, read.durable), (Some(40), 2, 43));
-            assert!(read.snapshot.is_none());
-            frames.decode().expect("three events")
-        };
-        // The first turn sizes the reused buffers.
-        assert_eq!(turn(&mut line, &mut frames), events);
-        let request = Request::ReplicaSync {
-            follower: "f1".into(),
-            epoch: 2,
-            offset: 40,
-            max: Some(TAIL_BATCH),
-            resync: false,
-            wait_ms: Some(SYNC_HOLD.as_millis() as u64),
-        };
-        assert_eq!(line, request.to_json().render());
-        let payloads: Vec<Vec<u8>> = events.iter().map(JournalEvent::encode).collect();
-        let decoding = allocations_in(|| {
-            for payload in &payloads {
-                std::hint::black_box(JournalEvent::decode(payload).unwrap());
-            }
-        });
-        let whole = allocations_in(|| drop(std::hint::black_box(turn(&mut line, &mut frames))));
-        assert_eq!(
-            whole,
-            decoding + 1,
-            "the events, and the `Vec` they are handed on in"
-        );
-
-        // A forced re-sync says so; a torn frame stops the read there.
-        line.clear();
-        write_sync_request(&mut line, "f1", (2, 40), true);
-        assert!(
-            line.contains(r#""max":512,"resync":true,"wait_ms":500}"#),
-            "{line}"
-        );
-        let torn = reply.replace("\"]}", "0\"]}");
-        SyncReply::scan(&torn, &mut frames).expect("well-formed JSON");
-        assert!(frames.torn && frames.decode().is_none());
-        assert_eq!(frames.payloads().count(), 2, "the whole frames before it");
-        assert!(SyncReply::scan(&reply[..reply.len() - 3], &mut frames).is_none());
-    }
-
-    /// A caught-up `replica.sync` that asks to wait is held, its cursor
-    /// recorded as the follower's ack on arrival; without `wait_ms`
-    /// (pre-v9), with a forced resync, or with something durable past
-    /// the cursor it is served at once.
-    #[test]
-    fn a_caught_up_sync_that_asks_to_wait_is_held() {
-        use crate::protocol::scan_line;
-        use crate::tests::{data_dir, kv_service_journaled};
-        let dir = data_dir("held-sync");
-        let service = kv_service_journaled(&dir);
-        let held = |line: &str| service.sync_arrival(&scan_line(line));
-        let sync = r#"{"op":"replica.sync","follower":"f","epoch":0,"offset":0"#;
-        let waits = format!("{sync},\"wait_ms\":60000}}");
-        let held_sync = held(&waits).expect("a caught-up sync that asks to wait is held");
-        assert!(!service.hold_over(&held_sync));
-        assert_eq!(service.follower_lags().len(), 1, "its cursor is an ack");
-        for at_once in [
-            format!("{sync}}}"),
-            format!("{sync},\"wait_ms\":60000,\"resync\":true}}"),
-        ] {
-            assert!(held(&at_once).is_none(), "{at_once}");
-        }
-        service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":250}"#);
-        assert!(service.hold_over(&held_sync), "a durable event ends it");
-        assert!(held(&waits).is_none());
-        drop(service);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn quorum_is_majority_of_cluster() {
-        let q = |n| ReplicationState::new(n, Duration::from_secs(1)).quorum();
-        assert_eq!(q(1), 1); // local fsync only
-        assert_eq!(q(2), 2); // primary + the follower
-        assert_eq!(q(3), 2); // primary + 1 of 2 followers
-        assert_eq!(q(4), 3);
-        assert_eq!(q(5), 3);
-    }
-
-    #[test]
-    fn role_names() {
-        assert_eq!(Role::Primary.name(), "primary");
-        assert_eq!(
-            Role::Follower {
-                primary: "x:1".into()
-            }
-            .name(),
-            "follower"
-        );
-    }
-}
+mod tests;

@@ -59,7 +59,7 @@ use crate::engine::{compile_engine, EngineState};
 use crate::errors::{ErrorCode, ServeError};
 use crate::metrics::{self, Cell, MetricsSnapshot, ServiceMetrics};
 use crate::ops::{self, Op};
-use crate::protocol::{scan_line, Request, RequestScratch, ScannedLine};
+use crate::protocol::{scan_line, Request, RequestScratch, ScannedLine, SyncFields};
 use crate::replication::{FollowerLag, ReplicationState, Role};
 use crate::session::SessionManager;
 use crate::timeseries::TimeSeries;
@@ -904,8 +904,18 @@ impl CleaningService {
                 offset,
                 max,
                 resync,
-                wait_ms: _, // the front end's business: see `HeldSync`
-            } => self.replica_sync(&follower, epoch, offset, max, resync, reply),
+                wait_ms, // the front end's business: see `HeldSync`
+            } => {
+                let sync = SyncFields {
+                    follower: &follower,
+                    epoch,
+                    offset,
+                    max,
+                    resync,
+                    wait_ms,
+                };
+                self.replica_sync(&sync, reply, &mut scratch.served)
+            }
             Request::ReplicaPromote => self.replica_promote(reply),
             Request::Metrics => metrics::metrics_reply(self, reply),
             Request::MetricsProm => metrics::prom_reply(self, reply),

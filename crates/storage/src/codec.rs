@@ -15,6 +15,7 @@ use cerfix_relation::Value;
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Frame header size: payload length + CRC32, both `u32` LE.
 pub const FRAME_HEADER: usize = 8;
@@ -173,6 +174,12 @@ impl<'a> Encoder<'a> {
     }
 }
 
+/// A value read in place by [`Decoder`].
+enum Cell<'a> {
+    Str(&'a str),
+    Scalar(Value),
+}
+
 /// Bounds-checked reader over an encoded payload.
 #[derive(Debug)]
 pub struct Decoder<'a> {
@@ -230,33 +237,79 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, CodecError> {
+    /// Length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn get_str(&mut self) -> Result<&'a str, CodecError> {
         let len = self.get_u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError("string is not UTF-8".into()))
+        std::str::from_utf8(bytes).map_err(|_| CodecError("string is not UTF-8".into()))
     }
 
-    /// One relational [`Value`].
-    pub fn get_value(&mut self) -> Result<Value, CodecError> {
+    /// One value read in place: its tag and payload checked, a string
+    /// left borrowed from the payload.
+    fn cell(&mut self) -> Result<Cell<'a>, CodecError> {
         Ok(match self.get_u8()? {
-            0 => Value::Null,
-            1 => Value::str(self.get_str()?),
-            2 => Value::Int(self.get_u64()? as i64),
-            3 => Value::Float(f64::from_bits(self.get_u64()?)),
-            4 => Value::Bool(self.get_u8()? != 0),
+            0 => Cell::Scalar(Value::Null),
+            1 => Cell::Str(self.get_str()?),
+            2 => Cell::Scalar(Value::Int(self.get_u64()? as i64)),
+            3 => Cell::Scalar(Value::Float(f64::from_bits(self.get_u64()?))),
+            4 => Cell::Scalar(Value::Bool(self.get_u8()? != 0)),
             tag => return Err(CodecError(format!("unknown value tag {tag}"))),
         })
     }
 
-    /// Length-prefixed list of values.
-    pub fn get_values(&mut self) -> Result<Vec<Value>, CodecError> {
+    /// One relational [`Value`]; a string's `Arc<str>` is built straight
+    /// from the payload bytes — one allocation.
+    pub fn get_value(&mut self) -> Result<Value, CodecError> {
+        Ok(match self.cell()? {
+            Cell::Str(s) => Value::Str(Arc::from(s)),
+            Cell::Scalar(value) => value,
+        })
+    }
+
+    /// Check one value as [`get_value`](Self::get_value) would read it —
+    /// the same errors — without building it.
+    pub(crate) fn skip_value(&mut self) -> Result<(), CodecError> {
+        self.cell().map(drop)
+    }
+
+    /// The length prefix of a value list, bounded by the bytes left (a
+    /// value is at least its tag byte): a corrupt length cannot ask for
+    /// gigabytes.
+    pub(crate) fn value_count(&mut self) -> Result<usize, CodecError> {
         let n = self.get_u32()? as usize;
-        // Guard against a corrupt length asking for gigabytes.
         if n > self.remaining() {
             return Err(CodecError(format!("value list length {n} exceeds payload")));
         }
-        (0..n).map(|_| self.get_value()).collect()
+        Ok(n)
+    }
+
+    /// Length-prefixed list of values, in a `Vec` sized from its prefix.
+    pub fn get_values(&mut self) -> Result<Vec<Value>, CodecError> {
+        let n = self.value_count()?;
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            values.push(self.get_value()?);
+        }
+        Ok(values)
+    }
+
+    /// Check a value list as [`get_values`](Self::get_values) would read
+    /// it, without building it.
+    pub(crate) fn skip_values(&mut self) -> Result<(), CodecError> {
+        for _ in 0..self.value_count()? {
+            self.skip_value()?;
+        }
+        Ok(())
+    }
+
+    /// Run `check` and return the bytes it consumed.
+    pub(crate) fn spanned(
+        &mut self,
+        check: impl FnOnce(&mut Decoder<'a>) -> Result<(), CodecError>,
+    ) -> Result<&'a [u8], CodecError> {
+        let start = self.at;
+        check(self)?;
+        Ok(&self.bytes[start..self.at])
     }
 
     /// Length-prefixed list of `u32` ids.
@@ -265,7 +318,11 @@ impl<'a> Decoder<'a> {
         if n * 4 > self.remaining() {
             return Err(CodecError(format!("id list length {n} exceeds payload")));
         }
-        (0..n).map(|_| self.get_u32()).collect()
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            ids.push(self.get_u32()?);
+        }
+        Ok(ids)
     }
 }
 

@@ -144,32 +144,144 @@ impl JournalEvent {
         }
     }
 
-    /// Decode from a frame payload.
+    /// Decode from a frame payload: [`EventView::parse`], then every
+    /// list into a `Vec` sized from its length and every string into
+    /// one allocation.
     pub fn decode(payload: &[u8]) -> Result<JournalEvent, CodecError> {
+        EventView::parse(payload).map(|view| view.to_event())
+    }
+
+    /// The event, borrowed: what [`EventView::parse`] reads out of its
+    /// frame, without the frame.
+    pub fn view(&self) -> EventView<'_> {
+        match self {
+            JournalEvent::SessionCreated { session, values } => EventView::SessionCreated {
+                session: *session,
+                values: List::owned(values),
+            },
+            JournalEvent::SessionValidated {
+                session,
+                validations,
+            } => EventView::SessionValidated {
+                session: *session,
+                validations: List::owned(validations),
+            },
+            JournalEvent::SessionCommitted { session } => {
+                EventView::SessionCommitted { session: *session }
+            }
+            JournalEvent::SessionAborted { session } => {
+                EventView::SessionAborted { session: *session }
+            }
+            JournalEvent::SessionsEvicted { sessions } => EventView::SessionsEvicted {
+                sessions: List::owned(sessions),
+            },
+            JournalEvent::RulesReloaded { dsl, fingerprint } => EventView::RulesReloaded {
+                dsl,
+                fingerprint: *fingerprint,
+            },
+            JournalEvent::MasterAppended { rows } => EventView::MasterAppended {
+                rows: List::owned(rows),
+            },
+            JournalEvent::ConfigSet { key, value } => EventView::ConfigSet { key, value: *value },
+        }
+    }
+}
+
+/// A [`JournalEvent`], borrowed: read in place from its frame payload
+/// ([`parse`](Self::parse)) or from an owned event
+/// ([`JournalEvent::view`]). Replay takes events in this form, so a
+/// follower builds only the cells it keeps — a created session's row
+/// straight into the `Vec` its tuple holds, a validation's values
+/// straight into the buffer they are applied from — and builds no event
+/// to take them out of.
+#[derive(Debug, Clone, Copy)]
+pub enum EventView<'a> {
+    /// [`JournalEvent::SessionCreated`].
+    SessionCreated {
+        /// Server-assigned session id.
+        session: u64,
+        /// The raw tuple as entered, in schema order.
+        values: List<'a, Value>,
+    },
+    /// [`JournalEvent::SessionValidated`].
+    SessionValidated {
+        /// Server-assigned session id.
+        session: u64,
+        /// Resolved `(attribute id, asserted value)` pairs.
+        validations: List<'a, (u32, Value)>,
+    },
+    /// [`JournalEvent::SessionCommitted`].
+    SessionCommitted {
+        /// Server-assigned session id.
+        session: u64,
+    },
+    /// [`JournalEvent::SessionAborted`].
+    SessionAborted {
+        /// Server-assigned session id.
+        session: u64,
+    },
+    /// [`JournalEvent::SessionsEvicted`].
+    SessionsEvicted {
+        /// The evicted session ids.
+        sessions: List<'a, u64>,
+    },
+    /// [`JournalEvent::RulesReloaded`].
+    RulesReloaded {
+        /// Canonical DSL rendering of the new rule set.
+        dsl: &'a str,
+        /// Fingerprint of the new rule set.
+        fingerprint: u64,
+    },
+    /// [`JournalEvent::MasterAppended`].
+    MasterAppended {
+        /// The appended rows, in append order.
+        rows: List<'a, Vec<Value>>,
+    },
+    /// [`JournalEvent::ConfigSet`].
+    ConfigSet {
+        /// Knob name.
+        key: &'a str,
+        /// The new value.
+        value: u64,
+    },
+}
+
+impl<'a> EventView<'a> {
+    /// Read a frame payload in place. Everything
+    /// [`JournalEvent::decode`] checks is checked here — tags, lengths,
+    /// UTF-8, no trailing bytes — with the same errors, and nothing is
+    /// allocated: a payload this accepts decodes, and one it refuses
+    /// does not.
+    pub fn parse(payload: &'a [u8]) -> Result<EventView<'a>, CodecError> {
         let mut dec = Decoder::new(payload);
         let event = match dec.get_u8()? {
-            1 => JournalEvent::SessionCreated {
-                session: dec.get_u64()?,
-                values: dec.get_values()?,
-            },
+            1 => {
+                let session = dec.get_u64()?;
+                let n = dec.value_count()?;
+                EventView::SessionCreated {
+                    session,
+                    values: List::framed(&mut dec, n, Decoder::skip_value, Decoder::get_value)?,
+                }
+            }
             2 => {
                 let session = dec.get_u64()?;
                 let n = dec.get_u32()? as usize;
                 if n > payload.len() {
                     return Err(CodecError(format!("validation count {n} exceeds payload")));
                 }
-                let validations = (0..n)
-                    .map(|_| Ok((dec.get_u32()?, dec.get_value()?)))
-                    .collect::<Result<Vec<_>, CodecError>>()?;
-                JournalEvent::SessionValidated {
+                let check = |dec: &mut Decoder<'a>| dec.get_u32().and_then(|_| dec.skip_value());
+                let validations = List::framed(&mut dec, n, check, |dec| {
+                    Ok((dec.get_u32()?, dec.get_value()?))
+                })?;
+                EventView::SessionValidated {
                     session,
                     validations,
                 }
             }
-            3 => JournalEvent::SessionCommitted {
+            3 => EventView::SessionCommitted {
                 session: dec.get_u64()?,
             },
-            4 => JournalEvent::SessionAborted {
+            4 => EventView::SessionAborted {
                 session: dec.get_u64()?,
             },
             5 => {
@@ -177,13 +289,12 @@ impl JournalEvent {
                 if n * 8 > payload.len() {
                     return Err(CodecError(format!("eviction count {n} exceeds payload")));
                 }
-                JournalEvent::SessionsEvicted {
-                    sessions: (0..n)
-                        .map(|_| dec.get_u64())
-                        .collect::<Result<Vec<_>, CodecError>>()?,
+                let check = |dec: &mut Decoder<'a>| dec.get_u64().map(drop);
+                EventView::SessionsEvicted {
+                    sessions: List::framed(&mut dec, n, check, Decoder::get_u64)?,
                 }
             }
-            6 => JournalEvent::RulesReloaded {
+            6 => EventView::RulesReloaded {
                 dsl: dec.get_str()?,
                 fingerprint: dec.get_u64()?,
             },
@@ -192,13 +303,11 @@ impl JournalEvent {
                 if n > payload.len() {
                     return Err(CodecError(format!("row count {n} exceeds payload")));
                 }
-                JournalEvent::MasterAppended {
-                    rows: (0..n)
-                        .map(|_| dec.get_values())
-                        .collect::<Result<Vec<_>, CodecError>>()?,
+                EventView::MasterAppended {
+                    rows: List::framed(&mut dec, n, Decoder::skip_values, Decoder::get_values)?,
                 }
             }
-            8 => JournalEvent::ConfigSet {
+            8 => EventView::ConfigSet {
                 key: dec.get_str()?,
                 value: dec.get_u64()?,
             },
@@ -206,6 +315,122 @@ impl JournalEvent {
         };
         dec.finish()?;
         Ok(event)
+    }
+
+    /// The owned event.
+    pub fn to_event(&self) -> JournalEvent {
+        match *self {
+            EventView::SessionCreated { session, values } => JournalEvent::SessionCreated {
+                session,
+                values: values.to_vec(),
+            },
+            EventView::SessionValidated {
+                session,
+                validations,
+            } => JournalEvent::SessionValidated {
+                session,
+                validations: validations.to_vec(),
+            },
+            EventView::SessionCommitted { session } => JournalEvent::SessionCommitted { session },
+            EventView::SessionAborted { session } => JournalEvent::SessionAborted { session },
+            EventView::SessionsEvicted { sessions } => JournalEvent::SessionsEvicted {
+                sessions: sessions.to_vec(),
+            },
+            EventView::RulesReloaded { dsl, fingerprint } => JournalEvent::RulesReloaded {
+                dsl: dsl.to_string(),
+                fingerprint,
+            },
+            EventView::MasterAppended { rows } => JournalEvent::MasterAppended {
+                rows: rows.to_vec(),
+            },
+            EventView::ConfigSet { key, value } => JournalEvent::ConfigSet {
+                key: key.to_string(),
+                value,
+            },
+        }
+    }
+}
+
+/// A list inside an [`EventView`]: `len` items, encoded back to back in
+/// the frame — every one checked when the view was parsed — or in an
+/// owned event's `Vec`. Items come out owned: a framed string is built
+/// as it is read, an owned item cloned (an `Arc<str>` shared).
+pub struct List<'a, T> {
+    len: usize,
+    items: Items<'a, T>,
+}
+
+enum Items<'a, T> {
+    Framed {
+        bytes: &'a [u8],
+        read: fn(&mut Decoder<'a>) -> Result<T, CodecError>,
+    },
+    Owned(&'a [T]),
+}
+
+impl<'a, T: Clone> List<'a, T> {
+    fn owned(items: &'a [T]) -> List<'a, T> {
+        List {
+            len: items.len(),
+            items: Items::Owned(items),
+        }
+    }
+
+    /// Check `len` items off `dec` with `check`; `read` reads them again
+    /// when the list is iterated.
+    fn framed(
+        dec: &mut Decoder<'a>,
+        len: usize,
+        check: impl Fn(&mut Decoder<'a>) -> Result<(), CodecError>,
+        read: fn(&mut Decoder<'a>) -> Result<T, CodecError>,
+    ) -> Result<List<'a, T>, CodecError> {
+        let bytes = dec.spanned(|dec| (0..len).try_for_each(|_| check(dec)))?;
+        Ok(List {
+            len,
+            items: Items::Framed { bytes, read },
+        })
+    }
+
+    /// The items, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+        let items = self.items;
+        let mut dec = Decoder::new(match items {
+            Items::Framed { bytes, .. } => bytes,
+            Items::Owned(_) => &[],
+        });
+        (0..self.len).map(move |i| match items {
+            Items::Framed { read, .. } => {
+                read(&mut dec).expect("a framed list is checked when its view is parsed")
+            }
+            Items::Owned(items) => items[i].clone(),
+        })
+    }
+
+    /// The items in one `Vec` of exactly their number.
+    pub fn to_vec(&self) -> Vec<T> {
+        self.iter().collect()
+    }
+}
+
+impl<T> Clone for List<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for List<'_, T> {}
+
+impl<T> Clone for Items<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Items<'_, T> {}
+
+impl<T: Clone + std::fmt::Debug> std::fmt::Debug for List<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -364,7 +589,7 @@ impl SnapshotData {
         let mut dec = Decoder::new(payload);
         let epoch = dec.get_u64()?;
         let fingerprint = dec.get_u64()?;
-        let rules_dsl = dec.get_str()?;
+        let rules_dsl = dec.get_str()?.to_string();
         let next_session_id = dec.get_u64()?;
         let n_rows = dec.get_u32()? as usize;
         if n_rows > payload.len() {
@@ -372,16 +597,18 @@ impl SnapshotData {
                 "master row count {n_rows} exceeds payload"
             )));
         }
-        let master_appended = (0..n_rows)
-            .map(|_| dec.get_values())
-            .collect::<Result<Vec<_>, CodecError>>()?;
+        let mut master_appended = Vec::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            master_appended.push(dec.get_values()?);
+        }
         let n = dec.get_u32()? as usize;
         if n > payload.len() {
             return Err(CodecError(format!("session count {n} exceeds payload")));
         }
-        let sessions = (0..n)
-            .map(|_| SessionSnapshot::decode_from(&mut dec))
-            .collect::<Result<Vec<_>, CodecError>>()?;
+        let mut sessions = Vec::with_capacity(n);
+        for _ in 0..n {
+            sessions.push(SessionSnapshot::decode_from(&mut dec)?);
+        }
         dec.finish()?;
         Ok(SnapshotData {
             epoch,

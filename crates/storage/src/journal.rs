@@ -76,7 +76,7 @@
 //! [`StorageError::Corrupt`]: crate::StorageError::Corrupt
 
 use crate::codec::{self, CodecError, Walk};
-use crate::events::{JournalEvent, SessionEvent};
+use crate::events::{EventView, JournalEvent, SessionEvent};
 use crate::spill::AuditSpill;
 use crate::vfs::{self, ReadAt, StorageFile, StorageFs};
 use crate::watch::{DurableWatch, Waker, Watchers};
@@ -135,7 +135,7 @@ pub struct JournalScan {
 /// [`Journal::read_durable_from`]: the file's own bytes, every payload
 /// CRC-checked and none decoded — a frame crosses the replication hop
 /// as the bytes the primary journaled.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CursorRead {
     /// Epoch of the journal file the frames came from.
     pub epoch: u64,
@@ -152,14 +152,12 @@ pub struct CursorRead {
 }
 
 impl CursorRead {
-    fn empty(epoch: u64, durable_events: u64) -> CursorRead {
-        CursorRead {
-            epoch,
-            durable_events,
-            buf: Vec::new(),
-            first: 0,
-            ends: Vec::new(),
-        }
+    /// No frame yet, at `(epoch, durable_events)`; the buffers keep
+    /// their capacity.
+    fn reset(&mut self, epoch: u64, durable_events: u64) {
+        (self.epoch, self.durable_events, self.first) = (epoch, durable_events, 0);
+        self.buf.clear();
+        self.ends.clear();
     }
 
     /// Frames served (none when caught up, or when the epoch changed
@@ -174,7 +172,7 @@ impl CursorRead {
     }
 
     /// The served frames' payloads, in journal order, starting at the
-    /// requested offset: what [`JournalEvent::decode`] reads and
+    /// requested offset: what [`EventView::parse`] reads in place and
     /// [`Journal::append_encoded`] takes.
     pub fn payloads(&self) -> impl Iterator<Item = &[u8]> {
         let mut start = self.first;
@@ -266,7 +264,7 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, StorageError> {
 pub fn scan_journal_with(path: &Path, mode: ScanMode) -> Result<JournalScan, StorageError> {
     let (reader, len) = vfs::read_prefix(path, None)?;
     let mut events = Vec::new();
-    let (epoch, walk) = walk_journal(path, reader, len, |event| events.push(event))?;
+    let (epoch, walk) = walk_journal(path, reader, len, |event| events.push(event.to_event()))?;
     let rest = len - walk.end;
     let (torn_bytes, corrupt_bytes) = match walk.corrupt {
         None => (rest, 0),
@@ -285,7 +283,8 @@ pub fn scan_journal_with(path: &Path, mode: ScanMode) -> Result<JournalScan, Sto
 
 /// The journal's one header check and frame walk, shared by recovery and
 /// `scrub`: the header's epoch, and where the walk over the `len` bytes
-/// of `reader` stopped, each event handed to `event`. A file shorter
+/// of `reader` stopped, each event handed to `event` as read in place
+/// (recovery keeps it; `scrub` only needs it checked). A file shorter
 /// than a header is the torn first write of a fresh journal (epoch 0,
 /// nothing walked). A full-size header that does not verify is
 /// corruption at offset 0, in the walk — the header is written and
@@ -295,7 +294,7 @@ pub(crate) fn walk_journal(
     file: &Path,
     mut reader: impl Read,
     len: u64,
-    mut event: impl FnMut(JournalEvent),
+    mut event: impl FnMut(EventView<'_>),
 ) -> Result<(u64, Walk), StorageError> {
     if len < JOURNAL_HEADER {
         return Ok((0, Walk::default()));
@@ -325,7 +324,7 @@ pub(crate) fn walk_journal(
     }
     let epoch = u64::from_le_bytes(header[8..16].try_into().unwrap());
     let walk = codec::walk_frames(file, reader, JOURNAL_HEADER, len, |_, payload| {
-        JournalEvent::decode(payload).map(&mut event)
+        EventView::parse(payload).map(&mut event)
     })?;
     Ok((epoch, walk))
 }
@@ -864,16 +863,24 @@ impl Journal {
     /// A follower reads in order, so each read remembers where it
     /// stopped (a `ReadHint`) and the next starts there, with one
     /// positioned read on the handle [`open`](Self::open) opened: a sync
-    /// costs the bytes it serves, not the length of the journal.
-    pub fn read_durable_from(&self, offset: u64, max: usize) -> std::io::Result<CursorRead> {
+    /// costs the bytes it serves, not the length of the journal. The
+    /// frames land in `read`, which keeps its buffers' capacity from one
+    /// read to the next: a reader that keeps one allocates nothing once
+    /// it has held its largest batch.
+    pub fn read_durable_from(
+        &self,
+        offset: u64,
+        max: usize,
+        read: &mut CursorRead,
+    ) -> std::io::Result<()> {
         for _ in 0..3 {
-            let (mut read, durable_len) = {
+            let durable_len = {
                 let status = lock(&self.shared.status);
-                let read = CursorRead::empty(status.epoch, status.durable_events);
-                (read, status.durable_len)
+                read.reset(status.epoch, status.durable_events);
+                status.durable_len
             };
             if offset >= read.durable_events || max == 0 {
-                return Ok(read);
+                return Ok(());
             }
             // The durable prefix of an epoch file only ever grows, so a
             // frame boundary found once stays one until the epoch ends.
@@ -901,7 +908,7 @@ impl Journal {
             let base = filled?;
             let Some(&last) = read.ends.last() else {
                 if mark.is_none() {
-                    return Ok(read);
+                    return Ok(());
                 }
                 // Owed frames and found none: never start there again.
                 *lock(&self.shared.read_hint) = ReadHint::default();
@@ -915,10 +922,11 @@ impl Journal {
                     (served, base + last as u64),
                 ],
             };
-            return Ok(read);
+            return Ok(());
         }
         let (epoch, durable_events) = self.durable_position();
-        Ok(CursorRead::empty(epoch, durable_events))
+        read.reset(epoch, durable_events);
+        Ok(())
     }
 
     /// Most recent journal write/fsync failure, if any. Write failures

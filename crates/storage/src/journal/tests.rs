@@ -14,6 +14,13 @@ fn real_fs() -> Arc<dyn StorageFs> {
 }
 
 /// What a cursor read served, decoded.
+/// `read_durable_from` into a fresh `CursorRead`.
+fn read_from(journal: &Journal, offset: u64, max: usize) -> CursorRead {
+    let mut read = CursorRead::default();
+    journal.read_durable_from(offset, max, &mut read).unwrap();
+    read
+}
+
 fn events(read: &CursorRead) -> Vec<JournalEvent> {
     read.payloads()
         .map(|payload| JournalEvent::decode(payload).unwrap())
@@ -294,10 +301,10 @@ fn cursor_reads_and_positions_survive_reopen_and_truncation() {
     assert_eq!(journal.position_of(last), 6);
     journal.sync(last).unwrap();
     assert_eq!(journal.durable_position(), (0, 6));
-    let read = journal.read_durable_from(2, 3).unwrap();
+    let read = read_from(&journal, 2, 3);
     assert_eq!((read.epoch, read.durable_events), (0, 6));
     assert_eq!(events(&read), vec![ev(2), ev(3), ev(4)]);
-    assert!(journal.read_durable_from(6, 8).unwrap().is_empty());
+    assert!(read_from(&journal, 6, 8).is_empty());
     drop(journal);
     // Seqs restart at 1 on reopen; file positions do not.
     let scan = scan_journal(&path).unwrap();
@@ -306,17 +313,14 @@ fn cursor_reads_and_positions_survive_reopen_and_truncation() {
     let seq = journal.append(&ev(6));
     assert_eq!(journal.position_of(seq), 7);
     journal.sync(seq).unwrap();
-    assert_eq!(
-        events(&journal.read_durable_from(6, 10).unwrap()),
-        vec![ev(6)]
-    );
+    assert_eq!(events(&read_from(&journal, 6, 10)), vec![ev(6)]);
     // Truncation restarts positions in the new epoch.
     journal.truncate_to_epoch(1).unwrap();
     assert_eq!(journal.durable_position(), (1, 0));
     let seq = journal.append(&ev(7));
     assert_eq!(journal.position_of(seq), 1);
     journal.sync(seq).unwrap();
-    let read = journal.read_durable_from(0, 10).unwrap();
+    let read = read_from(&journal, 0, 10);
     assert_eq!(read.epoch, 1);
     assert_eq!(events(&read), vec![ev(7)]);
     let _ = std::fs::remove_dir_all(&dir);
@@ -338,8 +342,10 @@ fn cursor_reads_resume_from_the_last_one_and_agree_with_a_full_walk() {
     }
     journal.sync(last).unwrap();
     let hint = || *lock(&journal.shared.read_hint);
+    // One `CursorRead` for every read, as a connection keeps one.
+    let mut read = CursorRead::default();
     for (offset, max) in [(0, 7), (7, 7), (14, 1), (20, 5), (3, 4), (39, 9), (15, 25)] {
-        let read = journal.read_durable_from(offset, max).unwrap();
+        journal.read_durable_from(offset, max, &mut read).unwrap();
         let end = (offset as usize + max).min(appended.len());
         assert_eq!(
             events(&read),
@@ -351,17 +357,17 @@ fn cursor_reads_resume_from_the_last_one_and_agree_with_a_full_walk() {
     }
     // In step, a second follower starts where the first one did, and
     // the next read where the last one stopped.
-    journal.read_durable_from(0, 10).unwrap();
+    read_from(&journal, 0, 10);
     let [started, stopped] = hint().marks;
-    journal.read_durable_from(0, 10).unwrap();
+    read_from(&journal, 0, 10);
     assert_eq!(hint().marks, [started, stopped]);
-    journal.read_durable_from(10, 10).unwrap();
+    read_from(&journal, 10, 10);
     assert_eq!(hint().marks[0], stopped);
     journal.truncate_to_epoch(1).unwrap();
     let seq = journal.append(&ev(99));
     journal.sync(seq).unwrap();
     // The old epoch's boundary means nothing in the new file.
-    assert_eq!(events(&journal.read_durable_from(0, 10).unwrap()), [ev(99)]);
+    assert_eq!(events(&read_from(&journal, 0, 10)), [ev(99)]);
     assert_eq!((hint().epoch, hint().marks[1].0), (1, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -463,7 +469,7 @@ fn a_full_catch_up_reads_the_file_about_once() {
     journal.reader = Box::new(CountingReader(file, Arc::clone(&read_bytes)));
     let mut offset = 0;
     while offset < EVENTS {
-        let read = journal.read_durable_from(offset, 512).unwrap();
+        let read = read_from(&journal, offset, 512);
         assert_eq!(read.len() as u64, 512.min(EVENTS - offset), "from {offset}");
         let first = JournalEvent::decode(read.payloads().next().unwrap()).unwrap();
         assert_eq!(first, event(offset));
@@ -480,10 +486,7 @@ fn a_full_catch_up_reads_the_file_about_once() {
         fingerprint: 1,
     };
     journal.sync(journal.append(&big)).unwrap();
-    assert_eq!(
-        events(&journal.read_durable_from(EVENTS, 512).unwrap()),
-        [big]
-    );
+    assert_eq!(events(&read_from(&journal, EVENTS, 512)), [big]);
     drop(journal);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,9 @@
 //!   flusher thread's, or one a blocking `sync` caller leads itself —
 //!   retires them with one `write`+`fdatasync`, and `session.commit`
 //!   waits for its group's fsync. The same file is the replication
-//!   stream: cursor reads serve its frames as bytes, never decoded.
+//!   stream: cursor reads serve its frames as bytes, never decoded, and
+//!   a follower replays each read in place ([`EventView`]), building
+//!   only the cells it keeps.
 //! * [`snapshot`] — periodic atomic **snapshots** of all live session
 //!   state (tmp + fsync + rename), after which the journal is truncated
 //!   to a new epoch. Recovery = load snapshot + replay the journal
@@ -80,8 +82,8 @@ mod watch;
 
 pub use codec::CodecError;
 pub use events::{
-    decode_audit_record, encode_audit_record, JournalEvent, SessionEvent, SessionSnapshot,
-    SnapshotData,
+    decode_audit_record, encode_audit_record, EventView, JournalEvent, List, SessionEvent,
+    SessionSnapshot, SnapshotData,
 };
 pub use journal::{
     read_events, scan_journal, scan_journal_with, CursorRead, FlushProfile, Journal, JournalScan,
@@ -272,14 +274,6 @@ impl Storage {
         let snapshot_epoch = snapshot.as_ref().map_or(0, |s| s.epoch);
         let journal_path = config.dir.join(JOURNAL_FILE);
         let scan = journal::scan_journal_with(&journal_path, config.scan_mode)?;
-        // The journal's events belong to this snapshot lineage only if
-        // the epochs agree; otherwise the snapshot already covers them
-        // (crash between rename and truncate) and the journal is reset.
-        let (events, journal_torn) = if scan.epoch == snapshot_epoch {
-            (scan.events.clone(), scan.torn_bytes)
-        } else {
-            (Vec::new(), scan.torn_bytes + scan.valid_len)
-        };
         let journal = Journal::open(
             &journal_path,
             &scan,
@@ -287,6 +281,15 @@ impl Storage {
             config.flush_interval,
             &config.fs,
         )?;
+        // The journal's events belong to this snapshot lineage only if
+        // the epochs agree; otherwise the snapshot already covers them
+        // (crash between rename and truncate) and the journal is reset.
+        // The journal has read the count off the scan: the events move.
+        let (events, journal_torn) = if scan.epoch == snapshot_epoch {
+            (scan.events, scan.torn_bytes)
+        } else {
+            (Vec::new(), scan.torn_bytes + scan.valid_len)
+        };
         let (spill, spill_scan) = AuditSpill::open(&config.dir.join(AUDIT_FILE), &config.fs)?;
         let spill = Arc::new(spill);
         journal.set_companion(Arc::clone(&spill));
@@ -389,9 +392,15 @@ impl Storage {
     }
 
     /// Read up to `max` durable frames from epoch-file position
-    /// `offset` — the primary side of a `replica.sync` pull.
-    pub fn read_journal_from(&self, offset: u64, max: usize) -> std::io::Result<CursorRead> {
-        self.journal.read_durable_from(offset, max)
+    /// `offset` into `read` — the primary side of a `replica.sync` pull
+    /// (see [`Journal::read_durable_from`]).
+    pub fn read_journal_from(
+        &self,
+        offset: u64,
+        max: usize,
+        read: &mut CursorRead,
+    ) -> std::io::Result<()> {
+        self.journal.read_durable_from(offset, max, read)
     }
 
     /// Events journaled since the last snapshot.

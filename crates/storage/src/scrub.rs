@@ -88,7 +88,7 @@ pub(crate) fn scrub_with_limits(
     let mut report = ScrubReport::default();
     let path = dir.join(JOURNAL_FILE);
     let (reader, len) = vfs::read_prefix(&path, journal_limit)?;
-    let walked = journal::walk_journal(&path, reader, len, drop).map(|(_, walk)| walk);
+    let walked = journal::walk_journal(&path, reader, len, |_| {}).map(|(_, walk)| walk);
     (report.journal_frames, report.journal_torn_bytes) = report.tally(walked, len)?;
     match snapshot::load_snapshot(dir) {
         Ok(snapshot) => report.snapshot_present = snapshot.is_some(),

@@ -27,11 +27,15 @@
 //! copy of its values, 106 while every event and audit record was
 //! encoded into its own `Vec` and each record also cloned into a
 //! resident window); and replicated — a journaled primary, a follower
-//! tailing it over loopback, quorum 2 — at most 68 on both nodes
-//! together (measured 63; 85 while each replayed event built its own
-//! monitor and report, 206 before in-place framing, 313 while each frame
-//! was decoded and re-encoded on the primary and read through a `Json`
-//! tree, hex-decoded into its own `Vec` and re-encoded on the follower).
+//! tailing it over loopback, quorum 2 — at most 39 on both nodes
+//! together (measured 38: the follower builds only the cells its
+//! sessions keep, and a held sync allocates nothing on the primary; 63
+//! while the follower decoded a batch of owned events, each string
+//! twice, and the primary copied every held sync; 85 while each replayed
+//! event built its own monitor and report, 206 before in-place framing,
+//! 313 while each frame was decoded and re-encoded on the primary and
+//! read through a `Json` tree, hex-decoded into its own `Vec` and
+//! re-encoded on the follower).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -151,18 +155,21 @@ fn entry_path_allocations(service: &CleaningService) -> [u64; 3] {
 const JOURNALED_BOUND: u64 = 24;
 
 /// Most allocations one replicated session may make, both nodes and
-/// every thread counted (measured 63; 85 while each replayed validation
+/// every thread counted (measured 38; 63 while the follower decoded each
+/// batch into owned events, every string twice, and the primary copied
+/// each held sync into fresh buffers; 85 while each replayed validation
 /// built a monitor, a validations list and a report, 206 before the
 /// frames were encoded in place, 313 when they were decoded, re-encoded
 /// and read through a `Json` tree on the way).
-const REPLICATED_BOUND: u64 = 68;
+const REPLICATED_BOUND: u64 = 39;
 
 /// The UK clerk's session — create, two validates, commit — on a
 /// journaled node, and with `replicated` on a primary with a follower
 /// tailing it over loopback, quorum 2: allocations per session,
 /// process-wide, so both nodes' share. Four frames cross the hop per
-/// session; on the follower each costs what decoding and replaying the
-/// event costs — reading the reply builds no tree and copies no frame.
+/// session; on the follower each costs the cells the replay keeps of it
+/// — reading the reply builds no tree, copies no frame and builds no
+/// event.
 fn journaled_session_allocations(replicated: bool) -> u64 {
     let dir = std::env::temp_dir().join(format!(
         "cerfix-alloc-guard-{replicated}-{}",

@@ -10,14 +10,21 @@
 //! * **The follower's journal is the primary's.** A follower journals the
 //!   frame bytes it was sent, so after 200 replicated sessions the two
 //!   `journal.wal` files are equal byte for byte.
+//! * **A batch applies whole or not at all.** A follower reads each frame
+//!   in place and checks every one as a whole event before the first
+//!   applies: a batch with one frame that is not an event is neither
+//!   applied nor journaled, and the cursor stays where it was.
 
 use cerfix::MasterData;
-use cerfix_relation::{RelationBuilder, Schema};
+use cerfix_relation::{RelationBuilder, Schema, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::{CleaningService, Server, ServiceConfig, StorageConfig};
+use cerfix_storage::JournalEvent;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn kv_setup() -> (Arc<MasterData>, Arc<RuleSet>) {
     let input = Schema::of_strings("in", ["key", "val", "note"]).unwrap();
@@ -141,5 +148,150 @@ fn a_followers_journal_is_its_primarys_byte_for_byte() {
     assert_eq!(scan.events.len() as u64, 3 * SESSIONS);
     server.shutdown().unwrap();
     drop((primary, follower));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stand-in primary serves a follower four frames whose third is a
+/// whole hex string that is not an event — an unknown tag, a value cut
+/// short, a string that is not UTF-8. Each time the follower applies
+/// none of the four, journals none, and asks again from the cursor it
+/// had. Served the four whole frames, it applies and journals them all
+/// and asks from past them.
+#[test]
+fn a_batch_with_one_frame_that_is_not_an_event_applies_not_at_all() {
+    let created = |session: u64, key: &str| JournalEvent::SessionCreated {
+        session,
+        values: vec![Value::str(key), Value::str("WRONG"), Value::str("n")],
+    };
+    let batch = [
+        created(1, "k1"),
+        JournalEvent::SessionValidated {
+            session: 1,
+            validations: vec![(0, Value::str("k1"))],
+        },
+        created(2, "k2"),
+        JournalEvent::SessionCommitted { session: 1 },
+    ]
+    .map(|event| event.encode());
+    let third = &batch[2];
+    let not_utf8 = {
+        let at = third.windows(2).position(|w| w == b"k2").unwrap();
+        let mut payload = third.clone();
+        payload[at..at + 2].copy_from_slice(&[0xFF, 0xFE]);
+        payload
+    };
+    let not_events = [
+        ("an unknown tag", [&[99u8][..], &third[1..]].concat()),
+        ("a value cut short", third[..third.len() - 1].to_vec()),
+        ("a string that is not UTF-8", not_utf8),
+    ];
+    for (what, payload) in &not_events {
+        assert!(JournalEvent::decode(payload).is_err(), "{what}");
+    }
+    let reply = |payloads: &[&Vec<u8>]| {
+        let hex: Vec<String> = payloads
+            .iter()
+            .map(|p| {
+                format!(
+                    "\"{}\"",
+                    p.iter().map(|b| format!("{b:02x}")).collect::<String>()
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"ok":true,"epoch":0,"from":0,"durable":4,"events":[{}]}}"#,
+            hex.join(",")
+        ) + "\n"
+    };
+
+    let primary = TcpListener::bind("127.0.0.1:0").unwrap();
+    let dir = tmp_dir("all-or-nothing");
+    let follower = journaled(
+        &dir,
+        ServiceConfig {
+            replicate_from: Some(primary.local_addr().unwrap().to_string()),
+            advertise: Some("follower".into()),
+            ..ServiceConfig::default()
+        },
+    );
+    let journaled_events = || {
+        cerfix_storage::scan_journal(&dir.join("journal.wal"))
+            .unwrap()
+            .events
+            .len()
+    };
+    // The follower's next `replica.sync`, on whichever connection it
+    // comes: a follower that drops a batch also redials.
+    let mut link: Option<(BufReader<TcpStream>, TcpStream)> = None;
+    // Bounded waits, so a follower that stops asking fails the test
+    // rather than hanging it.
+    let patience = Duration::from_secs(10);
+    primary.set_nonblocking(true).unwrap();
+    let accept = || {
+        let deadline = Instant::now() + patience;
+        loop {
+            match primary.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false).unwrap();
+                    stream.set_read_timeout(Some(patience)).unwrap();
+                    return (BufReader::new(stream.try_clone().unwrap()), stream);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("the follower did not dial: {e}"),
+            }
+        }
+    };
+    let next_sync = |link: &mut Option<(BufReader<TcpStream>, TcpStream)>| loop {
+        let (reader, _) = link.get_or_insert_with(accept);
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(n) if n > 0 => return line,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!("no sync within {patience:?}")
+            }
+            _ => *link = None, // the follower hung up: it redials
+        }
+    };
+    let cursor = |sync: &str| {
+        assert!(sync.contains(r#""op":"replica.sync""#), "{sync}");
+        assert!(sync.contains(r#""epoch":0,"#), "{sync}");
+        sync.split(r#""offset":"#)
+            .nth(1)
+            .unwrap()
+            .split(',')
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    let answer = |link: &mut Option<(BufReader<TcpStream>, TcpStream)>, payloads: &[&Vec<u8>]| {
+        let (_, writer) = link.as_mut().expect("a sync to answer");
+        writer.write_all(reply(payloads).as_bytes()).unwrap();
+    };
+    let sync = next_sync(&mut link);
+    assert_eq!(cursor(&sync), "0");
+    for (what, payload) in &not_events {
+        answer(&mut link, &[&batch[0], &batch[1], payload, &batch[3]]);
+        let sync = next_sync(&mut link);
+        assert_eq!(cursor(&sync), "0", "the cursor stays after {what}");
+        assert_eq!(follower.live_sessions(), 0, "nothing applied after {what}");
+        assert_eq!(journaled_events(), 0, "nothing journaled after {what}");
+    }
+    answer(&mut link, &batch.iter().collect::<Vec<_>>());
+    let sync = next_sync(&mut link);
+    assert_eq!(
+        cursor(&sync),
+        "4",
+        "the whole batch moves the cursor past it"
+    );
+    assert_eq!(
+        follower.live_sessions(),
+        1,
+        "session 2 is open, 1 committed"
+    );
+    assert_eq!(journaled_events(), 4);
+    follower.handle_line(r#"{"op":"shutdown"}"#);
+    drop((link, follower));
     let _ = std::fs::remove_dir_all(&dir);
 }
