@@ -67,4 +67,4 @@ pub use predicate::{CompareOp, Predicate};
 pub use relation::{Relation, RowId};
 pub use schema::{AttrId, Attribute, Schema, SchemaRef};
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{Text, Value};

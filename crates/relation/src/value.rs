@@ -5,6 +5,11 @@
 //! implements `Eq`, `Ord` and `Hash` for *all* variants — floats use IEEE
 //! total ordering (`f64::total_cmp`) and hash their bit pattern, which keeps
 //! the three impls mutually consistent.
+//!
+//! A string cell's [`Text`] keeps up to [`Text::INLINE_CAP`] bytes inside
+//! the 24-byte value — the short-string layout column stores use
+//! (Neumann & Freitag, *Umbra*, CIDR 2020) — so comparing, hashing and
+//! copying a short cell reads the cell itself, not a heap line.
 
 use crate::datatype::DataType;
 use serde::{Deserialize, Serialize};
@@ -13,18 +18,20 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A single cell value.
+/// A single cell value, 24 bytes.
 ///
-/// Strings are reference-counted (`Arc<str>`): the correcting process copies
-/// master-data values into input tuples and audit records, and `Arc` makes
-/// those copies O(1) without entangling lifetimes.
+/// A string is a [`Text`]: held inline up to [`Text::INLINE_CAP`] bytes,
+/// a shared `Arc<str>` past that. The correcting process copies
+/// master-data values into input tuples and audit records, and either way
+/// the copy is O(1) without entangling lifetimes; building a short string
+/// allocates nothing.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     /// Missing / unknown. Never equal to anything under rule matching
     /// (see [`Value::matches`]), but equal to itself for indexing.
     Null,
     /// UTF-8 text.
-    Str(Arc<str>),
+    Str(Text),
     /// 64-bit signed integer.
     Int(i64),
     /// 64-bit float (total order).
@@ -33,10 +40,121 @@ pub enum Value {
     Bool(bool),
 }
 
+// Every cell of every relation, tuple and event is a `Value`: a change
+// that grows it must show up here, not in a benchmark.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+
+/// The text of a [`Value::Str`] cell.
+///
+/// A string of at most [`INLINE_CAP`](Text::INLINE_CAP) bytes is held in
+/// place, inside the value; a longer one is a shared `Arc<str>`. Every
+/// string has exactly one representation — inline iff it fits — and only
+/// [`Text::new`] builds one, so equality, ordering and hashing read the
+/// bytes and agree with `str`'s.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the text, `len ≤ INLINE_CAP`; the rest is zero.
+    Inline {
+        len: u8,
+        bytes: [u8; Text::INLINE_CAP],
+    },
+    /// Text longer than `INLINE_CAP` bytes.
+    Shared(Arc<str>),
+}
+
+impl Text {
+    /// The most bytes held in place; longer text is shared.
+    pub const INLINE_CAP: usize = 22;
+
+    /// The text of `s`: a copy in place if it fits, else shared.
+    pub fn new(s: &str) -> Text {
+        if s.len() <= Self::INLINE_CAP {
+            let mut bytes = [0; Self::INLINE_CAP];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Text(Repr::Inline {
+                len: s.len() as u8,
+                bytes,
+            })
+        } else {
+            Text(Repr::Shared(Arc::from(s)))
+        }
+    }
+
+    /// The text, as bytes (no UTF-8 check).
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// The text. Inline text is checked as UTF-8 here (at most
+    /// [`INLINE_CAP`](Text::INLINE_CAP) bytes), since it is held as bytes.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("inline text is copied whole from a `str`"),
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// True iff the text is held in place (it is at most
+    /// [`INLINE_CAP`](Text::INLINE_CAP) bytes long).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Text) -> bool {
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: a, bytes: x }, Repr::Inline { len: b, bytes: y }) => {
+                a == b && x == y
+            }
+            (Repr::Shared(a), Repr::Shared(b)) => a == b,
+            // One representation per string: their lengths differ.
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Text) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    /// Byte-wise, as `str` orders.
+    fn cmp(&self, other: &Text) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Text {
+    /// As `str` hashes: the bytes, then `0xff` (no UTF-8 text holds that
+    /// byte, so the hash is prefix-free).
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 impl Value {
     /// Build a string value.
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Text::new(s.as_ref()))
     }
 
     /// Build an integer value.
@@ -94,7 +212,7 @@ impl Value {
     /// Borrow the string content if this is a string value.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -161,7 +279,7 @@ impl Value {
     pub fn render(&self) -> String {
         match self {
             Value::Null => String::new(),
-            Value::Str(s) => s.to_string(),
+            Value::Str(s) => s.as_str().to_string(),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => {
                 // Keep a trailing `.0` so the text re-parses as a float.
@@ -241,7 +359,7 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str("∅"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) => f.write_str(s.as_str()),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => write!(f, "{x}"),
             Value::Bool(b) => write!(f, "{b}"),

@@ -237,6 +237,64 @@ mod tests {
         );
     }
 
+    /// An Int cell past ±2^53 is exact in a typed master relation; a fix
+    /// copying it out renders its digits, not the nearest `f64`.
+    #[test]
+    fn a_large_int_cell_renders_exactly() {
+        use cerfix_relation::SchemaBuilder;
+        const BIG: i64 = (1 << 53) + 1;
+        let input = SchemaBuilder::new("in")
+            .string("key")
+            .int("val")
+            .string("note")
+            .build()
+            .unwrap();
+        let ms = SchemaBuilder::new("m")
+            .string("key")
+            .int("val")
+            .build()
+            .unwrap();
+        let master = RelationBuilder::new(ms.clone())
+            .row(vec![Value::str("k"), Value::Int(BIG)])
+            .build()
+            .unwrap();
+        let mut rules = RuleSet::new(input.clone(), ms.clone());
+        let rule = EditingRule::new(
+            "kv",
+            &input,
+            &ms,
+            vec![(0, 0)],
+            vec![(1, 1)],
+            PatternTuple::empty(),
+        );
+        rules.add(rule.unwrap()).unwrap();
+        let service = CleaningService::new(
+            Arc::new(MasterData::new(master)),
+            Arc::new(rules),
+            ServiceConfig::default(),
+        );
+        let fixed = format!(r#""tuple":["k",{BIG},"n"]"#);
+        service.handle_line(r#"{"op":"session.create","tuple":["k",0,"n"]}"#);
+        let validated = service
+            .handle_line(r#"{"op":"session.validate","session":1,"validations":{"key":"k"}}"#);
+        assert!(validated.contains(&fixed), "{validated}");
+        let got = service.handle_line(r#"{"op":"session.get","session":1}"#);
+        assert!(got.contains(&fixed), "{got}");
+        let cleaned =
+            service.handle_line(r#"{"op":"clean","tuples":[["k",0,"n"]],"trust":["key","note"]}"#);
+        assert!(cleaned.contains(&fixed), "{cleaned}");
+        // Within ±2^53 the digits are what the `f64` rendering wrote.
+        let mut out = String::new();
+        let mut writer = wire::JsonWriter::new(&mut out);
+        for i in [0, -7, 1 << 53, -(1 << 53), (1 << 53) - 1] {
+            writer.value(&Value::Int(i));
+        }
+        assert_eq!(
+            out,
+            "0,-7,9007199254740992,-9007199254740992,9007199254740991"
+        );
+    }
+
     #[test]
     fn batch_clean_in_order() {
         let service = kv_service(4);

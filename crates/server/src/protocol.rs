@@ -523,8 +523,9 @@ pub enum Request {
     Shutdown,
 }
 
-/// Read an array of cell values — one `Arc<str>` per string cell, and
-/// the `Vec` allocated once, at the count a first pass over the cells
+/// Read an array of cell values — a string cell of more than 22 bytes
+/// allocates its shared text, a shorter one nothing — and the `Vec`
+/// allocated once, at the count a first pass over the cells
 /// takes (lexing allocates nothing), so a tuple built from it keeps that
 /// allocation.
 fn values_array(

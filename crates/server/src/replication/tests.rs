@@ -54,10 +54,11 @@ fn received(payloads: &[Vec<u8>]) -> ReceivedFrames {
 /// checked whole, and each event read in place into what the replay
 /// keeps of it — a created session's row, built in the `Vec` its tuple
 /// holds, and a validation's values, in the buffer they are applied
-/// from. Exactly that is allocated: the row and one `Arc<str>` per
-/// string cell. No event and no batch of them is built.
+/// from. Exactly that is allocated: the row and the one string too long
+/// to be held in its cell. No event and no batch of them is built.
 #[test]
 fn a_tail_turn_allocates_only_the_events_it_decodes() {
+    const LONG: &str = "a value of more than 22 bytes";
     let events = [
         JournalEvent::SessionCreated {
             session: 7,
@@ -65,7 +66,11 @@ fn a_tail_turn_allocates_only_the_events_it_decodes() {
         },
         JournalEvent::SessionValidated {
             session: 7,
-            validations: vec![(0, Value::str("k1")), (2, Value::Int(3))],
+            validations: vec![
+                (0, Value::str("k1")),
+                (1, Value::str(LONG)),
+                (2, Value::Int(3)),
+            ],
         },
         JournalEvent::SessionCommitted { session: 7 },
     ];
@@ -99,13 +104,9 @@ fn a_tail_turn_allocates_only_the_events_it_decodes() {
     // The first turn sizes the reused buffers.
     turn();
     let whole = allocations_in(&mut turn);
-    // "k1" and "WRONG" in the row, "k1" in the validation.
-    const STRINGS: u64 = 3;
-    assert_eq!(
-        whole,
-        1 + STRINGS,
-        "one row `Vec` and one `Arc<str>` per string cell"
-    );
+    // "k1" and "WRONG" in the row and "k1" in the validation live in
+    // their cells; `LONG` is shared.
+    assert_eq!(whole, 2, "one row `Vec` and one long string");
     let request = Request::ReplicaSync {
         follower: "f1".into(),
         epoch: 2,
@@ -119,7 +120,14 @@ fn a_tail_turn_allocates_only_the_events_it_decodes() {
         row.as_deref(),
         Some(&[Value::str("k1"), Value::str("WRONG"), Value::Null][..])
     );
-    assert_eq!(validated, [(0, Value::str("k1")), (2, Value::Int(3))]);
+    assert_eq!(
+        validated,
+        [
+            (0, Value::str("k1")),
+            (1, Value::str(LONG)),
+            (2, Value::Int(3))
+        ]
+    );
 
     // A forced re-sync says so; a torn frame stops the read there.
     line.clear();

@@ -673,11 +673,11 @@ impl CleaningService {
     /// suggestion run on `scratch` and on bitsets: the session ops a
     /// pipelining client hammers (`session.get` / `fix` / `validate` /
     /// `commit` / `abort`) own no heap data, so a warmed request
-    /// allocates nothing in memory mode but one `Arc<str>` per validated
-    /// value — a validate that fires rules and ends with a new suggestion
-    /// included — and a `clean` allocates the cells its tuples carry and
-    /// one row `Vec` per tuple, not a monitor, a report or a tree of its
-    /// reply (`tests/alloc_guard.rs` pins each).
+    /// allocates nothing in memory mode — a validate that fires rules and
+    /// ends with a new suggestion included; only a validated string of
+    /// more than 22 bytes allocates its text — and a `clean` allocates one
+    /// row `Vec` per tuple and its long string cells, not a monitor, a
+    /// report or a tree of its reply (`tests/alloc_guard.rs` pins each).
     ///
     /// A client-supplied top-level `"id"` field is echoed verbatim as
     /// the first field of the response, so pipelining clients can

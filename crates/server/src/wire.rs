@@ -126,7 +126,7 @@ impl Json {
     pub fn from_value(value: &Value) -> Json {
         match value {
             Value::Null => Json::Null,
-            Value::Str(s) => Json::Str(s.to_string()),
+            Value::Str(s) => Json::Str(s.as_str().to_string()),
             Value::Int(i) => Json::Num(*i as f64),
             Value::Float(f) => Json::Num(*f),
             Value::Bool(b) => Json::Bool(*b),

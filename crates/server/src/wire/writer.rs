@@ -184,8 +184,12 @@ impl<'a> JsonWriter<'a> {
     pub fn value(&mut self, v: &Value) {
         match v {
             Value::Null => self.raw("null"),
-            Value::Str(s) => self.str_val(s),
-            Value::Int(i) => self.num(*i as f64),
+            Value::Str(s) => self.str_val(s.as_str()),
+            Value::Int(i) => {
+                use std::fmt::Write;
+                self.sep();
+                let _ = write!(self.out, "{i}");
+            }
             Value::Float(f) => self.num(*f),
             Value::Bool(b) => self.bool_val(*b),
         }

@@ -15,7 +15,6 @@ use cerfix_relation::Value;
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Frame header size: payload length + CRC32, both `u32` LE.
 pub const FRAME_HEADER: usize = 8;
@@ -140,7 +139,7 @@ impl<'a> Encoder<'a> {
             Value::Null => self.put_u8(0),
             Value::Str(s) => {
                 self.put_u8(1);
-                self.put_str(s);
+                self.put_bytes(s.as_bytes());
             }
             Value::Int(i) => {
                 self.put_u8(2);
@@ -257,11 +256,12 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    /// One relational [`Value`]; a string's `Arc<str>` is built straight
-    /// from the payload bytes — one allocation.
+    /// One relational [`Value`]; a string is built straight from the
+    /// payload bytes — in place if it fits a [`Text`](cerfix_relation::Text),
+    /// else one allocation.
     pub fn get_value(&mut self) -> Result<Value, CodecError> {
         Ok(match self.cell()? {
-            Cell::Str(s) => Value::Str(Arc::from(s)),
+            Cell::Str(s) => Value::str(s),
             Cell::Scalar(value) => value,
         })
     }

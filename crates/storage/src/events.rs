@@ -354,7 +354,8 @@ impl<'a> EventView<'a> {
 /// A list inside an [`EventView`]: `len` items, encoded back to back in
 /// the frame — every one checked when the view was parsed — or in an
 /// owned event's `Vec`. Items come out owned: a framed string is built
-/// as it is read, an owned item cloned (an `Arc<str>` shared).
+/// as it is read (in its cell up to 22 bytes, else one allocation), an
+/// owned item cloned (a long string shared).
 pub struct List<'a, T> {
     len: usize,
     items: Items<'a, T>,

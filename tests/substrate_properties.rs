@@ -1,13 +1,20 @@
 //! Property tests over the relational substrate: CSV round-trips for
 //! arbitrary content, total ordering of values, index/scan agreement,
-//! and constraint-set satisfiability versus brute force.
+//! constraint-set satisfiability versus brute force, and one
+//! representation per string cell whichever layer builds it.
 
 use cerfix_relation::{
     read_relation_str, write_relation_str, CompareOp, DataType, HashIndex, Predicate, Relation,
-    Schema, Tuple, Value,
+    Schema, Text, Tuple, Value,
 };
 use cerfix_rules::ConstraintSet;
+use cerfix_server::wire::Json;
+use cerfix_server::Request;
+use cerfix_storage::codec::Decoder;
 use proptest::prelude::*;
+use proptest::test_runner::{TestCaseError, TestCaseResult};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 fn any_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -21,8 +28,108 @@ fn any_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Characters of every UTF-8 width, and the ones CSV and JSON escape.
+const CHARS: [char; 10] = ['a', 'Z', ' ', '"', ',', '\n', '\\', 'é', '€', '𝄞'];
+
+/// Text of 0–64 bytes, multi-byte characters straddling every length —
+/// the inline capacity's 22/23-byte boundary included.
+fn any_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..CHARS.len(), 0..65).prop_map(|picks| {
+        let mut text = String::new();
+        for c in picks.into_iter().map(|i| CHARS[i]) {
+            if text.len() + c.len_utf8() > 64 {
+                break;
+            }
+            text.push(c);
+        }
+        text
+    })
+}
+
+fn hash_of(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// `s` as every layer that reads a string cell builds it: `Value::str`,
+/// the wire parse, the journal / snapshot decoder, and CSV.
+fn built_by_every_layer(s: &str) -> Vec<Value> {
+    let line = format!(
+        r#"{{"op":"session.create","tuple":[{}]}}"#,
+        Json::Str(s.into()).render()
+    );
+    let Ok(Request::SessionCreate { tuple }) = Request::parse_line(&line) else {
+        panic!("a session.create: {line}");
+    };
+    let mut frame = vec![1u8];
+    frame.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    frame.extend_from_slice(s.as_bytes());
+    let decoded = Decoder::new(&frame).get_value().expect("a string value");
+    let mut built = vec![Value::str(s), tuple[0].clone(), decoded];
+    // CSV reads an empty field as null.
+    if !s.is_empty() {
+        let schema = Schema::of_strings("t", ["k"]).unwrap();
+        let csv = format!("k\n\"{}\"\n", s.replace('"', "\"\""));
+        let relation = read_relation_str(schema, &csv).expect("one quoted field");
+        built.push(relation.iter().next().expect("one row").1.get(0).clone());
+    }
+    built
+}
+
+/// The one-representation checks on `s`: inline iff it fits, `Eq` and
+/// `Hash` as `&str`'s (a `Str` hashes its rank, 4, then the `str`), and
+/// the same cell — and the same `HashIndex` key — from every layer.
+fn one_representation(s: &str, other: &str) -> TestCaseResult {
+    let schema = Schema::of_strings("t", ["k"]).unwrap();
+    let mut rel = Relation::empty(schema.clone());
+    for row in [s, other, s] {
+        rel.push(Tuple::new(schema.clone(), vec![Value::str(row)]).unwrap())
+            .unwrap();
+    }
+    let index = HashIndex::build(&rel, vec![0]);
+    let rows = index.lookup(&[Value::str(s)]).to_vec();
+    prop_assert!(rows.len() >= 2, "{s:?} is keyed at rows 0 and 2: {rows:?}");
+    for value in built_by_every_layer(s) {
+        let Value::Str(text) = &value else {
+            return Err(TestCaseError::Fail(format!("{s:?} built as {value:?}")));
+        };
+        prop_assert_eq!(text.is_inline(), s.len() <= Text::INLINE_CAP, "{:?}", s);
+        prop_assert_eq!(text.as_str(), s);
+        prop_assert_eq!(text.as_bytes(), s.as_bytes());
+        prop_assert_eq!(&value, &Value::str(s));
+        prop_assert_eq!(hash_of(&value), hash_of(&(4u8, s)));
+        prop_assert_eq!(index.lookup(std::slice::from_ref(&value)), &rows[..]);
+    }
+    Ok(())
+}
+
+#[test]
+fn one_representation_across_the_inline_boundary() {
+    // Every length 0–31, ending in a character of every width.
+    for pad in 0..=27 {
+        for c in ['a', 'é', '€', '𝄞'] {
+            let s = format!("{}{c}", "x".repeat(pad));
+            let shorter = &s[..pad];
+            one_representation(&s, shorter).unwrap_or_else(|e| panic!("{s:?}: {e}"));
+            one_representation(shorter, &s).unwrap_or_else(|e| panic!("{shorter:?}: {e}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A string cell has one representation whichever layer builds it,
+    /// and `Value`'s `Eq`, `Ord` and `Hash` are `&str`'s.
+    #[test]
+    fn one_representation_per_string(a in any_text(), b in any_text()) {
+        one_representation(&a, &b)?;
+        one_representation(&b, &a)?;
+        let (va, vb) = (Value::str(&a), Value::str(&b));
+        prop_assert_eq!(va == vb, a == b);
+        prop_assert_eq!(va.cmp(&vb), a.cmp(&b));
+    }
 
     /// CSV round-trips arbitrary printable strings, including quotes,
     /// commas and newlines.
