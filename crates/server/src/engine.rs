@@ -1,25 +1,26 @@
-//! Engine state: the hot-swappable (rules, plan, master, regions)
-//! quadruple, how it is compiled, reloaded and appended to, and the ops
-//! that run on it whole — `clean`, `regions`, `check`, `rules.reload`,
+//! Engine state: the hot-swappable (rules, master) pair and everything
+//! derived from it — plan, regions, region search, consistency verdicts —
+//! how it is compiled, reloaded and appended to, and the ops that run on
+//! it whole — `clean`, `regions`, `check`, `rules.reload`,
 //! `master.append`.
 
-use crate::cache::{ruleset_fingerprint, AnalysisCache};
 use crate::errors::{ErrorCode, ServeError};
-use crate::metrics::ServiceMetrics;
 use crate::service::{
     write_attrs, write_tuple, CleaningService, Reply, ServiceConfig, ServiceInner,
 };
 use crate::wire::JsonWriter;
 use cerfix::{
     check_consistency, recheck_regions, search_regions, universe_from_master, AuditLog,
-    CompiledRules, ConsistencyOptions, DataMonitor, FixpointScratch, MasterData, Region,
-    RegionFinderOptions, RegionSearch,
+    CompiledRules, ConsistencyOptions, ConsistencyReport, DataMonitor, FixpointScratch, MasterData,
+    Region, RegionFinderOptions, RegionSearch,
 };
 use cerfix_relation::{Tuple, Value};
 use cerfix_rules::{parse_rules, render_er_dsl, RuleDecl, RuleSet};
 use cerfix_storage::JournalEvent;
 use std::cell::RefCell;
-use std::sync::{Arc, PoisonError};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock, PoisonError};
 
 /// Tuples a batch `clean` gives each thread it fans out to, at least. A
 /// helper thread and the engine scratch it builds cost about what a
@@ -28,29 +29,80 @@ use std::sync::{Arc, PoisonError};
 /// most, whatever `workers` is.
 const CLEAN_TUPLES_PER_THREAD: usize = 32;
 
+/// Stable fingerprint of a rule set: schema names/arities plus the
+/// canonical DSL rendering of every rule, hashed.
+pub fn ruleset_fingerprint(rules: &RuleSet) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    let input = rules.input_schema();
+    let master = rules.master_schema();
+    input.name().hash(&mut hasher);
+    master.name().hash(&mut hasher);
+    for schema in [input, master] {
+        for attr in schema.attributes() {
+            attr.name().hash(&mut hasher);
+        }
+    }
+    for (_, rule) in rules.iter() {
+        render_er_dsl(rule, input, master).hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
 /// The swappable execution state: what `rules.reload` and
 /// `master.append` replace atomically while sessions stay live. The
 /// master rides inside so every request observes a (rules, plan, master,
 /// regions) quadruple that is mutually consistent — a monitor never
-/// serves a plan compiled against a different master generation.
+/// serves a plan compiled against a different master generation. Every
+/// analysis of the (rules, master) pair lives here too, so it drops with
+/// the last request holding the state: nothing else keeps it.
 pub(crate) struct EngineState {
     pub(crate) rules: Arc<RuleSet>,
     /// The master repository this state was compiled against.
     pub(crate) master: Arc<MasterData>,
     /// Compiled execution plan shared by every per-request monitor
-    /// (masks + index snapshots resolved once per ruleset).
+    /// (masks + index snapshots resolved once per state).
     pub(crate) plan: Arc<CompiledRules>,
     /// Pre-computed certain regions handed to every monitor (shared:
-    /// each monitor construction is a refcount bump, not a deep clone).
+    /// each monitor construction is a refcount bump, not a deep clone);
+    /// empty when region pre-computation is off.
     pub(crate) regions: Arc<[Region]>,
-    /// The full region search behind `regions` (None when region
-    /// pre-computation is disabled) — the state master-delta
-    /// re-certification patches.
-    pub(crate) search: Option<Arc<RegionSearch>>,
+    /// The full region search behind `regions` — set at compile time when
+    /// regions are pre-computed, otherwise by the first `regions` request;
+    /// the state master-delta re-certification patches.
+    pub(crate) search: OnceLock<Arc<RegionSearch>>,
+    /// Consistency verdicts, each computed by the first `check` in its
+    /// mode: `strict`, then `entity-coherent`.
+    pub(crate) consistency: [OnceLock<ConsistencyReport>; 2],
     pub(crate) fingerprint: u64,
 }
 
 impl EngineState {
+    /// The state of `rules` over `master` with `plan` and, when one is
+    /// known, its region `search`; its `regions` are the search's top
+    /// when `config` pre-computes them, none otherwise.
+    fn new(
+        rules: Arc<RuleSet>,
+        master: Arc<MasterData>,
+        plan: CompiledRules,
+        search: Option<RegionSearch>,
+        fingerprint: u64,
+        config: &ServiceConfig,
+    ) -> Arc<EngineState> {
+        let regions = match &search {
+            Some(search) if config.precompute_regions => search.top(config.region_top_k),
+            _ => Vec::new(),
+        };
+        Arc::new(EngineState {
+            rules,
+            master,
+            plan: Arc::new(plan),
+            regions: regions.into(),
+            search: search.map_or_else(OnceLock::new, |search| Arc::new(search).into()),
+            consistency: Default::default(),
+            fingerprint,
+        })
+    }
+
     /// A monitor over this state recording into `audit` — refcount bumps
     /// only, so building one per request allocates nothing.
     pub(crate) fn monitor(&self, audit: &Arc<AuditLog>) -> DataMonitor<'_> {
@@ -66,15 +118,15 @@ impl EngineState {
 
 impl CleaningService {
     /// Parse DSL against the service schemas and compile a full engine
-    /// state (plan + regions served from the analysis cache) over the
-    /// current master.
+    /// state (plan, and regions when pre-computed) over the current
+    /// master.
     pub(crate) fn compile_engine_from_dsl(
         &self,
         dsl: &str,
     ) -> Result<Arc<EngineState>, ServeError> {
-        let boot = self.engine();
-        let input = boot.rules.input_schema().clone();
-        let master_schema = boot.rules.master_schema().clone();
+        let current = self.engine();
+        let input = current.rules.input_schema().clone();
+        let master_schema = current.rules.master_schema().clone();
         let mut set = RuleSet::new(input.clone(), master_schema.clone());
         for decl in parse_rules(dsl, &input, &master_schema)? {
             match decl {
@@ -90,16 +142,14 @@ impl CleaningService {
             }
         }
         Ok(compile_engine(
-            Arc::clone(&boot.master),
+            Arc::clone(&current.master),
             Arc::new(set),
             &self.inner.config,
-            &self.inner.cache,
-            &self.inner.metrics,
         ))
     }
 
     /// Apply appended master rows (recovery replay): copy-on-append the
-    /// current master, recompile, patch cached regions by delta
+    /// current master, recompile, patch the region search by delta
     /// re-certification, and swap — the same deterministic path the live
     /// `master.append` op takes, minus journaling.
     pub(crate) fn apply_master_rows(&self, rows: Vec<Vec<Value>>) -> Result<(), ServeError> {
@@ -109,13 +159,8 @@ impl CleaningService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let engine = self.engine();
-        let (next, _, _) = append_engine_master(&engine, rows.clone(), &self.inner)?;
+        let (next, _, _) = append_engine_master(&engine, rows, &self.inner.config)?;
         *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = next;
-        self.inner
-            .master_appended
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend(rows);
         Ok(())
     }
 
@@ -189,27 +234,25 @@ impl CleaningService {
 
     pub(crate) fn regions(&self, top_k: Option<usize>, reply: Reply<'_>) -> Result<(), ServeError> {
         let top_k = top_k.unwrap_or(self.inner.config.region_top_k);
-        let inner = &self.inner;
         let engine = self.engine();
-        // One full search per (ruleset, master generation) serves every
-        // top_k (the search retains the untruncated ranking); a master
-        // append re-keys the cache, so stale regions are unservable.
-        let (search, cached) = inner.cache.regions(
-            engine.fingerprint,
-            engine.master.generation(),
-            &inner.metrics,
-            || {
-                // Materializing the truth universe copies every master
-                // row — only pay that on a cache miss.
-                let universe = universe_from_master(engine.rules.input_schema(), &engine.master);
-                search_regions(
-                    &engine.rules,
-                    &engine.master,
-                    &universe,
-                    &region_options(&self.inner.config),
-                )
-            },
-        );
+        // One full search per state serves every top_k (the search
+        // retains the untruncated ranking); a master append installs a
+        // new state, so stale regions are unservable. Concurrent first
+        // callers wait for the one computing it, and only that one
+        // answers `cached: false`.
+        let mut cached = true;
+        let search = engine.search.get_or_init(|| {
+            cached = false;
+            // Materializing the truth universe copies every master row —
+            // only pay that once per state.
+            let universe = universe_from_master(engine.rules.input_schema(), &engine.master);
+            Arc::new(search_regions(
+                &engine.rules,
+                &engine.master,
+                &universe,
+                &region_options(&self.inner.config),
+            ))
+        });
         let schema = self.input_schema();
         let stats = &search.result.stats;
         reply.send(|w| {
@@ -233,23 +276,20 @@ impl CleaningService {
     }
 
     pub(crate) fn check(&self, mode: Option<&str>, reply: Reply<'_>) -> Result<(), ServeError> {
-        let (mode, options) = match mode.unwrap_or("strict") {
-            "strict" => ("strict", ConsistencyOptions::default()),
-            "entity-coherent" => ("entity-coherent", ConsistencyOptions::entity_coherent()),
+        let (slot, mode, options) = match mode.unwrap_or("strict") {
+            "strict" => (0, "strict", ConsistencyOptions::default()),
+            "entity-coherent" => (1, "entity-coherent", ConsistencyOptions::entity_coherent()),
             other => {
                 return Err(ErrorCode::BadRequest
                     .error(format!("unknown mode `{other}` (strict | entity-coherent)")))
             }
         };
-        let inner = &self.inner;
         let engine = self.engine();
-        let (report, cached) = inner.cache.consistency(
-            engine.fingerprint,
-            engine.master.generation(),
-            mode,
-            &inner.metrics,
-            || check_consistency(&engine.rules, &engine.master, &options),
-        );
+        let mut cached = true;
+        let report = engine.consistency[slot].get_or_init(|| {
+            cached = false;
+            check_consistency(&engine.rules, &engine.master, &options)
+        });
         reply.send(|w| {
             w.field("cached", cached);
             w.field("mode", mode);
@@ -306,7 +346,7 @@ impl CleaningService {
     }
 
     /// Append rows to the master repository: copy-on-append, recompile
-    /// against the new generation, patch cached regions by delta
+    /// against the new generation, patch the region search by delta
     /// re-certification, swap atomically, journal. Serialized with other
     /// engine swaps; in-flight requests keep the consistent old state.
     pub(crate) fn master_append(
@@ -324,42 +364,27 @@ impl CleaningService {
             .unwrap_or_else(PoisonError::into_inner);
         let engine = self.engine();
         let (next, appended, recertified) =
-            append_engine_master(&engine, tuples.to_vec(), &self.inner)?;
+            append_engine_master(&engine, tuples.to_vec(), &self.inner.config)?;
         let (master_rows, generation) = (next.master.len(), next.master.generation());
         let seq = match &self.inner.storage {
             Some(binding) => {
                 let gate = binding.gate.write().unwrap_or_else(|e| e.into_inner());
                 *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = next;
+                // The swap and the event share the gate: a concurrent
+                // snapshot, which reads the appended rows off the
+                // installed master and truncates the journal epoch holding
+                // the event, sees both or neither.
                 let seq = binding.storage.append(&JournalEvent::MasterAppended {
                     rows: tuples.to_vec(),
                 });
-                // Still under the gate: a concurrent snapshot must see the
-                // rows (it truncates the journal epoch holding the event —
-                // extending afterwards would let a crash drop acked rows).
-                self.inner
-                    .master_appended
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .extend(tuples.iter().cloned());
                 drop(gate);
                 Some(seq)
             }
             None => {
                 *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = next;
-                self.inner
-                    .master_appended
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .extend(tuples.iter().cloned());
                 None
             }
         };
-        // Prior-generation analyses are unreachable once the swap lands
-        // (the cache key embeds the generation): retire them so periodic
-        // appends cannot grow the cache without bound.
-        self.inner
-            .cache
-            .retire_generations(engine.fingerprint, generation);
         drop(swap);
         if let (Some(binding), Some(seq)) = (&self.inner.storage, seq) {
             self.sync_commit(binding, seq)?; // an append ack must survive restart
@@ -379,13 +404,13 @@ impl CleaningService {
     }
 
     /// Search diagnostics of the active engine's region state (the
-    /// `metrics` reply's `region_search` object, absent when regions are
-    /// not pre-computed), so operators can watch the incremental data
-    /// phase — and delta re-certification after master appends — doing
-    /// less work.
+    /// `metrics` reply's `region_search` object, absent until the state
+    /// has a search — pre-computed, or run by a `regions` request), so
+    /// operators can watch the incremental data phase — and delta
+    /// re-certification after master appends — doing less work.
     pub(crate) fn write_region_search(&self, w: &mut JsonWriter<'_>) {
         let engine = self.engine();
-        let Some(search) = engine.search.as_ref() else {
+        let Some(search) = engine.search.get() else {
             return;
         };
         let stats = &search.result.stats;
@@ -414,51 +439,33 @@ fn region_options(config: &ServiceConfig) -> RegionFinderOptions {
     }
 }
 
-/// Compile the full engine state for `rules` over `master`: plan and
-/// (optionally) pre-computed regions, both served from the analysis
-/// cache so a reload back to a previously-seen rule set is cheap.
+/// Compile the full engine state for `rules` over `master`: plan and,
+/// when `config` pre-computes them, regions.
 pub(crate) fn compile_engine(
     master: Arc<MasterData>,
     rules: Arc<RuleSet>,
     config: &ServiceConfig,
-    cache: &AnalysisCache,
-    metrics: &ServiceMetrics,
 ) -> Arc<EngineState> {
     master.warm_indexes(rules.iter().map(|(_, r)| r));
     let fingerprint = ruleset_fingerprint(&rules);
-    let (plan, _) = cache.plan(fingerprint, master.generation(), metrics, || {
-        CompiledRules::compile(&rules, &master)
+    let plan = CompiledRules::compile(&rules, &master);
+    let search = config.precompute_regions.then(|| {
+        let universe = universe_from_master(rules.input_schema(), &master);
+        search_regions(&rules, &master, &universe, &region_options(config))
     });
-    let (regions, search) = if config.precompute_regions {
-        let (search, _) = cache.regions(fingerprint, master.generation(), metrics, || {
-            let universe = universe_from_master(rules.input_schema(), &master);
-            search_regions(&rules, &master, &universe, &region_options(config))
-        });
-        (search.top(config.region_top_k), Some(search))
-    } else {
-        (Vec::new(), None)
-    };
-    Arc::new(EngineState {
-        regions: regions.into(),
-        search,
-        fingerprint,
-        plan,
-        rules,
-        master,
-    })
+    EngineState::new(rules, master, plan, search, fingerprint, config)
 }
 
 /// Copy-on-append `rows` onto `engine`'s master and compile the
-/// successor engine state. Cached regions for the old generation are
-/// patched by delta re-certification — only candidates whose entailed
-/// rules watch a touched index key (or whose context gained truths) are
-/// re-probed — and the patched search is installed under the new
-/// generation. Returns `(next state, rows appended, candidates
-/// re-certified)`.
+/// successor engine state. The outgoing state's region search, if it has
+/// one, is patched by delta re-certification — only candidates whose
+/// entailed rules watch a touched index key (or whose context gained
+/// truths) are re-probed — and carried into the successor. Returns
+/// `(next state, rows appended, candidates re-certified)`.
 fn append_engine_master(
     engine: &EngineState,
     rows: Vec<Vec<Value>>,
-    inner: &ServiceInner,
+    config: &ServiceConfig,
 ) -> Result<(Arc<EngineState>, usize, Option<u64>), ServeError> {
     let master_schema = engine.rules.master_schema().clone();
     let tuples: Vec<Tuple> = rows
@@ -480,62 +487,32 @@ fn append_engine_master(
     let appended = tuples.len();
     let (new_master, _delta) = engine.master.append_copy(tuples)?;
     let new_master = Arc::new(new_master);
-    let (plan, _) = inner.cache.plan(
-        engine.fingerprint,
-        new_master.generation(),
-        &inner.metrics,
-        || CompiledRules::compile(&engine.rules, &new_master),
-    );
-    // Patch the cached region search instead of discarding it: the new
-    // universe extends the old one row-for-row, so the delta path
-    // re-certifies only what the appended keys can have changed.
-    let mut recertified = None;
-    // The prior search to patch: the engine's pre-computed one, or — with
-    // pre-computation off — whatever an earlier `regions` request cached
-    // for the outgoing generation.
-    let prior = engine.search.clone().or_else(|| {
-        inner
-            .cache
-            .cached_regions(engine.fingerprint, engine.master.generation())
+    let plan = CompiledRules::compile(&engine.rules, &new_master);
+    // Patch the region search instead of discarding it: the new universe
+    // extends the old one row-for-row, so the delta path re-certifies
+    // only what the appended keys can have changed.
+    let search = engine.search.get().map(|prior| {
+        let universe = universe_from_master(engine.rules.input_schema(), &new_master);
+        recheck_regions(
+            &engine.rules,
+            &new_master,
+            &universe,
+            prior,
+            &region_options(config),
+        )
     });
-    let (regions, search) = match &prior {
-        Some(prior) => {
-            let universe = universe_from_master(engine.rules.input_schema(), &new_master);
-            let patched = recheck_regions(
-                &engine.rules,
-                &new_master,
-                &universe,
-                prior,
-                &region_options(&inner.config),
-            );
-            recertified = Some(patched.result.stats.recertified as u64);
-            let (search, _) = inner.cache.regions(
-                engine.fingerprint,
-                new_master.generation(),
-                &inner.metrics,
-                || patched,
-            );
-            let regions = if engine.search.is_some() {
-                search.top(inner.config.region_top_k)
-            } else {
-                Vec::new() // pre-computation off: monitors stay region-free
-            };
-            (regions, engine.search.is_some().then_some(search))
-        }
-        None => (Vec::new(), None),
-    };
-    Ok((
-        Arc::new(EngineState {
-            rules: Arc::clone(&engine.rules),
-            master: new_master,
-            plan,
-            regions: regions.into(),
-            search,
-            fingerprint: engine.fingerprint,
-        }),
-        appended,
-        recertified,
-    ))
+    let recertified = search
+        .as_ref()
+        .map(|patched| patched.result.stats.recertified as u64);
+    let next = EngineState::new(
+        Arc::clone(&engine.rules),
+        new_master,
+        plan,
+        search,
+        engine.fingerprint,
+        config,
+    );
+    Ok((next, appended, recertified))
 }
 
 /// Canonical DSL rendering of a whole rule set (journals and snapshots
@@ -591,4 +568,61 @@ fn clean_one(
             tuple: session.tuple,
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::{data_dir, kv_service_journaled};
+    use cerfix_relation::Schema;
+    use std::sync::Weak;
+
+    #[test]
+    fn fingerprint_distinguishes_rulesets() {
+        let input = Schema::of_strings("in", ["a", "b"]).unwrap();
+        let master = Schema::of_strings("m", ["a", "b"]).unwrap();
+        let empty = RuleSet::new(input.clone(), master.clone());
+        let mut one = RuleSet::new(input.clone(), master.clone());
+        one.add(
+            cerfix_rules::EditingRule::new(
+                "r",
+                &input,
+                &master,
+                vec![(0, 0)],
+                vec![(1, 1)],
+                cerfix_rules::PatternTuple::empty(),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_ne!(ruleset_fingerprint(&empty), ruleset_fingerprint(&one));
+        assert_eq!(
+            ruleset_fingerprint(&one),
+            ruleset_fingerprint(&one),
+            "stable"
+        );
+    }
+
+    /// A replayed append (the follower tail, boot recovery) installs a
+    /// successor state, and the state it replaces takes its plan and its
+    /// region search with it once nothing holds it: no generation's
+    /// analyses outlive the state they belong to.
+    #[test]
+    fn a_replaced_state_drops_its_plan_and_search() {
+        let dir = data_dir("replaced-state");
+        let service = kv_service_journaled(&dir);
+        let row = |key: &str| vec![vec![Value::str(key), Value::str("v")]];
+        service.apply_master_rows(row("k500")).unwrap();
+        let first = service.engine();
+        let plan: Weak<CompiledRules> = Arc::downgrade(&first.plan);
+        let search: Weak<RegionSearch> = Arc::downgrade(first.search.get().unwrap());
+        drop(first);
+        service.apply_master_rows(row("k501")).unwrap();
+        assert_eq!(service.engine().master.len(), 52);
+        assert!(service.engine().search.get().is_some(), "search carried on");
+        assert_eq!(plan.strong_count(), 0, "first successor's plan");
+        assert_eq!(search.strong_count(), 0, "first successor's search");
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -8,11 +8,12 @@
 //!
 //! * [`CleaningService`] — shared `Arc<MasterData>` + `Arc<RuleSet>`
 //!   behind a session manager (create / attach / validate / fix /
-//!   commit / abort by session id, with idle eviction), a per-ruleset
-//!   cache of region searches and consistency verdicts, and an admission
-//!   shedder fed the requests in flight. A long batch `clean` fans its
-//!   tuples out across up to `--workers` threads: its connection's own
-//!   and scoped helpers from one service-wide budget of `workers - 1`.
+//!   commit / abort by session id, with idle eviction), region searches
+//!   and consistency verdicts kept with the installed rule set and master
+//!   they were computed from, and an admission shedder fed the requests
+//!   in flight. A long batch `clean` fans its tuples out across up to
+//!   `--workers` threads: its connection's own and scoped helpers from
+//!   one service-wide budget of `workers - 1`.
 //! * [`Server`] — a line-delimited-JSON-over-TCP front end
 //!   (`std::net`, no async runtime, no serialization dependency — see
 //!   [`wire`]).
@@ -72,7 +73,6 @@ mod admin;
 mod admission;
 #[cfg(test)]
 mod alloc_count;
-pub mod cache;
 mod client;
 mod diag;
 mod engine;
@@ -93,11 +93,11 @@ mod timeseries;
 mod trace;
 pub mod wire;
 
-pub use cache::{ruleset_fingerprint, AnalysisCache};
 pub use client::{
     AuditPage, AuditRecordView, CleanOutcomeView, Client, ClientError, CommitView, LocalClient,
     LocalTransport, RetryBudget, RetryPolicy, SessionView, TcpTransport, Transport,
 };
+pub use engine::ruleset_fingerprint;
 pub use errors::{ErrorCode, ServeError};
 pub use metrics::{MetricsSnapshot, OpLatency};
 pub use net::{Frontend, Server, ServerHandle};
@@ -325,7 +325,7 @@ mod tests {
         let (cached_again, _) = client.regions(None).unwrap();
         assert!(cached_again);
         // A different k is served from the same retained search (the
-        // ranking is untruncated in the cache): still a hit.
+        // ranking is untruncated in the state): still no recompute.
         let (hit, regions_k1) = client.regions(Some(1)).unwrap();
         assert!(hit, "any top_k comes from the one cached search");
         assert!(regions_k1.len() <= 1);
@@ -1158,7 +1158,7 @@ mod tests {
     fn master_append_serves_new_entities_and_patches_regions() {
         let service = kv_service(2);
         let mut client = LocalClient::in_process(&service);
-        // Warm the region cache (pre-computed at startup) and prove the
+        // The region search is pre-computed at startup; prove the
         // new key is unknown.
         let (cached, _) = client.regions(None).unwrap();
         assert!(cached);
@@ -1185,11 +1185,11 @@ mod tests {
             .unwrap();
         assert!(after[0].complete);
         assert_eq!(after[0].tuple[1], Value::str("v100"));
-        // ...and the cached regions were patched by delta
-        // re-certification, not discarded: the next regions call hits
-        // the new-generation entry.
+        // ...and the region search was patched by delta
+        // re-certification, not discarded: the next regions call reads
+        // the one the new state carries.
         let (cached, regions) = client.regions(None).unwrap();
-        assert!(cached, "patched search installed under the new generation");
+        assert!(cached, "patched search carried into the new state");
         assert!(!regions.is_empty());
         let metrics = service.metrics();
         assert_eq!(metrics.master_appends, 1);
@@ -1213,14 +1213,14 @@ mod tests {
             },
         );
         let mut client = LocalClient::in_process(&service);
-        // No startup search; the first regions call caches on demand.
+        // No startup search; the first regions call runs it on demand.
         let (cached, _) = client.regions(None).unwrap();
         assert!(!cached);
         client
             .master_append(vec![vec![Value::str("k300"), Value::str("v300")]])
             .unwrap();
         // The on-demand search was patched, not discarded: the next call
-        // hits the new-generation entry.
+        // reads the one the new state carries.
         let metrics = service.metrics();
         assert_eq!(metrics.regions_cache_patched, 1);
         let (cached, _) = client.regions(None).unwrap();

@@ -571,7 +571,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The served service (shared counters, sessions, cache).
+    /// The served service (shared counters, sessions, engine state).
     pub fn service(&self) -> &CleaningService {
         &self.service
     }

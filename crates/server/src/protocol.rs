@@ -391,7 +391,7 @@ pub enum Request {
         /// Column names taken as validated per tuple.
         trust: Vec<String>,
     },
-    /// Top-k certain regions (served from the per-ruleset cache).
+    /// Top-k certain regions (served from the installed state's search).
     Regions {
         /// Override the service's default k.
         top_k: Option<usize>,

@@ -3,7 +3,7 @@
 //! them), the follower side of replication (replaying the primary's
 //! events, installing its snapshot), and the snapshot writer.
 
-use crate::engine::{compile_engine, render_ruleset_dsl};
+use crate::engine::render_ruleset_dsl;
 use crate::errors::{ErrorCode, ServeError};
 use crate::protocol::RequestScratch;
 use crate::replication::{ReplicaApplyError, Role};
@@ -54,12 +54,12 @@ impl CleaningService {
             fingerprint: engine.fingerprint,
             rules_dsl: render_ruleset_dsl(&engine.rules),
             next_session_id: self.inner.sessions.next_id(),
-            master_appended: self
-                .inner
-                .master_appended
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
+            // The rows appended since boot, in order, read off the
+            // installed master: journal truncation must not lose them.
+            master_appended: engine.master.relation().rows()[self.inner.boot.master.len()..]
+                .iter()
+                .map(|row| row.values().to_vec())
+                .collect(),
             sessions,
         };
         binding.storage.install_snapshot(&data)?;
@@ -307,10 +307,10 @@ impl CleaningService {
 
     /// Full resync: a follower whose cursor predates the primary's
     /// journal epoch (a snapshot truncated the events it was owed)
-    /// installs the primary's snapshot wholesale. Rebuilds the engine
-    /// from the boot master/rules before applying the snapshot's
-    /// appended rows — they are relative to boot, and our own appends
-    /// are a prefix of the primary's history anyway.
+    /// installs the primary's snapshot wholesale. Swaps the boot state
+    /// back in before applying the snapshot's appended rows — they are
+    /// relative to boot, and our own appends are a prefix of the
+    /// primary's history anyway.
     pub(crate) fn install_replica_snapshot(&self, data: SnapshotData) -> Result<(), ServeError> {
         let Some(binding) = &self.inner.storage else {
             return Err(ErrorCode::Internal.error("follower has no storage attached"));
@@ -333,19 +333,8 @@ impl CleaningService {
                 .swap_lock
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            let engine = compile_engine(
-                Arc::clone(&self.inner.boot_master),
-                Arc::clone(&self.inner.boot_rules),
-                &self.inner.config,
-                &self.inner.cache,
-                &self.inner.metrics,
-            );
-            *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = engine;
-            self.inner
-                .master_appended
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
+            *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) =
+                Arc::clone(&self.inner.boot);
         }
         self.apply_snapshot(&data)?;
         binding.storage.install_snapshot(&data)?;

@@ -28,6 +28,20 @@ struct Slot<const WORDS: usize> {
     words: [AtomicU64; WORDS],
 }
 
+impl<const WORDS: usize> Slot<WORDS> {
+    /// A slot never written: every word 0. A ring is built from this
+    /// constant value rather than per-word closures so that filling it
+    /// compiles to one zeroed allocation; built word by word, the
+    /// start-up write of the trace and diagnostic rings (hundreds of KB)
+    /// touches every page of them.
+    const fn empty() -> Slot<WORDS> {
+        Slot {
+            seq: AtomicU64::new(0),
+            words: [const { AtomicU64::new(0) }; WORDS],
+        }
+    }
+}
+
 /// The slots a ring asked to hold `capacity` records has: rounded up to
 /// a power of two and clamped to [`MAX_SLOTS`]; 0 disables the ring. A
 /// caller comparing a requested size with a ring's capacity compares
@@ -53,12 +67,7 @@ impl<const WORDS: usize> SeqRing<WORDS> {
     pub(crate) fn new(capacity: usize) -> SeqRing<WORDS> {
         let len = slots_for(capacity);
         SeqRing {
-            slots: (0..len)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
+            slots: (0..len).map(|_| Slot::empty()).collect(),
             mask: len.wrapping_sub(1) as u64,
             head: AtomicU64::new(0),
         }

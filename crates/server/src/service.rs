@@ -1,13 +1,12 @@
 //! The cleaning service: shared state + the request frame.
 //!
 //! A [`CleaningService`] is the long-lived, shared, concurrent front end
-//! over the core [`DataMonitor`](cerfix::DataMonitor): one immutable
-//! `Arc<MasterData>` plus a hot-swappable [`EngineState`] (rule set,
-//! compiled plan, pre-computed regions) serves every session (the
-//! demo's "master database shared by many clerks"), a
-//! [`SessionManager`] tracks in-flight interactive sessions with idle
-//! eviction, and an [`AnalysisCache`] memoizes region searches and
-//! consistency verdicts per rule set. A request is served on the thread
+//! over the core [`DataMonitor`](cerfix::DataMonitor): one hot-swappable
+//! [`EngineState`] — rule set and master data, and everything derived
+//! from the pair: compiled plan, regions, region search, consistency
+//! verdicts — serves every session (the demo's "master database shared by
+//! many clerks"), and a [`SessionManager`] tracks in-flight interactive
+//! sessions with idle eviction. A request is served on the thread
 //! that read it; a batch `clean` long enough to pay for it fans its
 //! tuples out across up to `ServiceConfig::workers` threads — its own and
 //! scoped helpers drawn from one service-wide [`cerfix::ThreadBudget`] of
@@ -53,7 +52,6 @@
 //! the journal's event order is the order events were applied in.
 
 use crate::admission::{Priority, Shedder};
-use crate::cache::AnalysisCache;
 use crate::diag::{DiagSink, Subsystem};
 use crate::engine::{compile_engine, EngineState};
 use crate::errors::{ErrorCode, ServeError};
@@ -66,7 +64,7 @@ use crate::timeseries::TimeSeries;
 use crate::trace::{Span, TraceSink};
 use crate::wire::{Json, JsonWriter};
 use cerfix::{AuditLog, AuditSink, MasterData, ThreadBudget};
-use cerfix_relation::{SchemaRef, Tuple, Value};
+use cerfix_relation::{SchemaRef, Tuple};
 use cerfix_rules::RuleSet;
 use cerfix_storage::{JournalEvent, SessionEvent, Storage, StorageConfig};
 use std::path::PathBuf;
@@ -202,14 +200,10 @@ pub(crate) struct ServiceInner {
     /// concurrent swaps must not interleave (a lost master append would
     /// silently drop rows).
     pub(crate) swap_lock: Mutex<()>,
-    /// Master rows appended since boot, in order — snapshots carry them
-    /// so journal truncation cannot lose the append history.
-    pub(crate) master_appended: Mutex<Vec<Vec<Value>>>,
     /// The input schema never changes across reloads (rule sets are
     /// re-parsed against it), so it is cached here unguarded.
     pub(crate) input_schema: SchemaRef,
     pub(crate) sessions: SessionManager,
-    pub(crate) cache: AnalysisCache,
     pub(crate) metrics: ServiceMetrics,
     /// Shared provenance stream: every per-request monitor records into
     /// it. Windowed over the disk spill when storage is attached,
@@ -243,12 +237,12 @@ pub(crate) struct ServiceInner {
     /// Replication state: role, the primary's follower/ack registry and
     /// fencing watermark, a follower's tail-thread handle.
     pub(crate) replication: ReplicationState,
-    /// The boot-time master and rules, retained so a snapshot resync
-    /// can rebuild from scratch (`SnapshotData::master_appended` is
-    /// relative to the boot master — replaying it onto an
-    /// already-appended master would double-apply rows).
-    pub(crate) boot_master: Arc<MasterData>,
-    pub(crate) boot_rules: Arc<RuleSet>,
+    /// The state compiled at boot, retained so a snapshot resync can
+    /// start over from it, and so a snapshot can tell which master rows
+    /// were appended since (`SnapshotData::master_appended` is relative
+    /// to the boot master — replaying it onto an already-appended master
+    /// would double-apply rows).
+    pub(crate) boot: Arc<EngineState>,
     pub(crate) config: ServiceConfig,
     /// The load shedder (admission control), fed the requests in flight.
     pub(crate) shedder: Shedder,
@@ -276,7 +270,7 @@ pub(crate) struct ServiceInner {
 }
 
 /// The concurrent multi-session cleaning service. Cheap to clone (an
-/// `Arc` handle); all clones share sessions, cache and metrics.
+/// `Arc` handle); all clones share sessions, engine state and metrics.
 #[derive(Clone)]
 pub struct CleaningService {
     pub(crate) inner: Arc<ServiceInner>,
@@ -364,12 +358,9 @@ impl CleaningService {
         config: ServiceConfig,
         storage: Option<Storage>,
     ) -> CleaningService {
-        let cache = AnalysisCache::new();
         let metrics = ServiceMetrics::new();
         let input_schema = rules.input_schema().clone();
-        let boot_master = Arc::clone(&master);
-        let boot_rules = Arc::clone(&rules);
-        let engine = compile_engine(master, rules, &config, &cache, &metrics);
+        let boot = compile_engine(master, rules, &config);
         let audit = Arc::new(match &storage {
             Some(storage) => AuditLog::with_sink(Arc::clone(storage.spill()) as Arc<dyn AuditSink>),
             None => AuditLog::windowed(MEMORY_AUDIT_WINDOW),
@@ -379,9 +370,8 @@ impl CleaningService {
         CleaningService {
             inner: Arc::new(ServiceInner {
                 sessions: SessionManager::new(config.session_ttl, config.max_sessions),
-                engine: RwLock::new(engine),
+                engine: RwLock::new(Arc::clone(&boot)),
                 input_schema,
-                cache,
                 metrics,
                 audit,
                 trace,
@@ -396,10 +386,8 @@ impl CleaningService {
                     gate: RwLock::new(()),
                 }),
                 replication: ReplicationState::new(config.cluster_size, config.ack_timeout),
-                boot_master,
-                boot_rules,
+                boot,
                 swap_lock: Mutex::new(()),
-                master_appended: Mutex::new(Vec::new()),
                 shedder: Shedder::new(if config.shed_watermark > 0 {
                     config.shed_watermark
                 } else {

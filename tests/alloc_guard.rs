@@ -48,8 +48,12 @@
 //! run, not a stripped one. Counts, not wall-clock: cannot flake on
 //! machine speed.
 //!
-//! This file holds exactly one `#[test]`: the counter is process-wide,
-//! and a sibling test on another thread would allocate into the window.
+//! This file holds exactly one `#[test]`: the service windows count
+//! process-wide (a flusher, a follower and `clean`'s helpers work on
+//! threads of their own), and a sibling test on another thread would
+//! allocate into them. The two library windows, whose work stays on the
+//! test's thread, count that thread alone: another thread of the binary
+//! once landed 2 allocations in the first of them.
 
 use cerfix::{
     AuditLog, AuditRecord, AuditSink, CellEvent, DataMonitor, FixpointScratch, MasterData,
@@ -253,7 +257,7 @@ fn journaled_session_allocations(replicated: bool) -> u64 {
 /// next suggestion (zip). The
 /// sessions, the validations, the scratch and a full audit window are
 /// in place before the count starts, so what is counted is the round
-/// itself — 0.
+/// itself — 0, on the calling thread's counter.
 fn warmed_round_allocations() -> u64 {
     const ROUNDS: usize = 256;
     let mut rng = rand::SeedableRng::seed_from_u64(0);
@@ -304,15 +308,16 @@ fn warmed_round_allocations() -> u64 {
         assert_eq!(monitor.suggestion_attrs(session), Some(zip.clone()));
     };
     warm.iter_mut().for_each(&mut play);
-    let before = counting_alloc::count();
+    let before = counting_alloc::thread_count();
     measured.iter_mut().for_each(&mut play);
-    counting_alloc::count() - before
+    counting_alloc::thread_count() - before
 }
 
 /// Allocations of `RUNS` runs of the correcting process, each on a fresh
 /// `FixpointScratch`, over completed UK tuples — `wire_hot`'s shape: every
 /// rule is attempted, none looks anything up. The key memo is sized at a
-/// run's first probe, so a run without one allocates nothing — 0.
+/// run's first probe, so a run without one allocates nothing — 0, on
+/// the calling thread's counter.
 fn lookup_free_fresh_scratch_allocations() -> u64 {
     const RUNS: usize = 256;
     let mut rng = rand::SeedableRng::seed_from_u64(0);
@@ -323,7 +328,7 @@ fn lookup_free_fresh_scratch_allocations() -> u64 {
     let mut tuples: Vec<(Tuple, AttrSet)> = (0..RUNS)
         .map(|i| (scenario.universe[i % 4].clone(), (0..arity).collect()))
         .collect();
-    let before = counting_alloc::count();
+    let before = counting_alloc::thread_count();
     for (tuple, validated) in &mut tuples {
         let mut scratch = FixpointScratch::default();
         let report =
@@ -334,7 +339,7 @@ fn lookup_free_fresh_scratch_allocations() -> u64 {
             (9, 0)
         );
     }
-    counting_alloc::count() - before
+    counting_alloc::thread_count() - before
 }
 
 /// Allocations of `APPENDS` warmed appends, to a journal and to an
