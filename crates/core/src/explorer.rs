@@ -136,8 +136,9 @@ impl Explorer {
     }
 
     /// Append rows to the master repository. When a region search is
-    /// cached, it is patched by delta re-certification (only regions
-    /// whose entailed rules watch a touched index key are re-probed);
+    /// cached, it is patched by delta re-certification (only truths an
+    /// appended join key hits, poisoned truths and new ones are
+    /// re-probed);
     /// `universe` must extend the one the cached search was computed
     /// over with the new truths. Returns what changed.
     pub fn append_master(

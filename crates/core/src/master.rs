@@ -29,13 +29,26 @@
 //! and folding over the matches. Experiment `T6` ablates the index against
 //! full scans; `T3` sweeps `|Dm|` to show the resulting flat latency
 //! curve.
+//!
+//! An index is flat (see `cerfix_relation`'s index module): one arena
+//! of key cells, one table from each key's stored hash to an inline slot,
+//! one arena of the rows of shared keys. Building one over `Dm` hashes
+//! each row once and allocates nothing per row, and the copy
+//! [`append_copy`](MasterData::append_copy) makes of each index is a few
+//! flat vector copies. The hash is SipHash under a key drawn per index,
+//! and a hit is confirmed on the full key (a second key with the same
+//! hash chains behind the first): `master.append` takes rows from
+//! clients, so the table must not let them pick colliding keys — the
+//! reason there is no unkeyed hasher here. The indexes sit in a map
+//! ordered by attribute list, so everything that walks them — appends,
+//! [`MasterDelta::touched_keys`] — does so in one order every run.
 
 use cerfix_relation::{
     AttrId, AttrSet, HashIndex, Probe, Relation, RowId, SchemaRef, Tuple, Value,
 };
 use cerfix_rules::EditingRule;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,9 +76,14 @@ pub enum CertainLookup {
     },
 }
 
-/// What one master append batch changed — the input of delta
-/// re-certification ([`recheck_regions`](crate::region::recheck_regions)
-/// re-probes only regions whose entailed rules watch a touched key).
+/// What one master append batch changed, as the indexes saw it.
+///
+/// Delta re-certification does not read it:
+/// [`recheck_regions`](crate::region::recheck_regions) re-derives the
+/// appended join keys itself, per distinct `(X, Xm)` join of the compiled
+/// plan, from the rows past the ones its prior search saw — so it also
+/// covers joins no index has been built for yet — and re-probes only the
+/// truths those keys hit.
 #[derive(Debug, Clone)]
 pub struct MasterDelta {
     /// Row id of the first appended row.
@@ -74,8 +92,9 @@ pub struct MasterDelta {
     pub appended: usize,
     /// The master generation after the append.
     pub generation: u64,
-    /// Per materialized index (by its attribute list): the distinct join
-    /// keys the appended rows introduced or extended.
+    /// Per materialized index, in attribute-list order: the distinct
+    /// join keys the appended rows introduced or extended, in order of
+    /// first appearance — collected as the rows were inserted.
     pub touched_keys: Vec<(Vec<AttrId>, Vec<Vec<Value>>)>,
 }
 
@@ -93,9 +112,10 @@ pub struct MasterDelta {
 #[derive(Debug)]
 pub struct MasterData {
     relation: Relation,
-    /// Index cache keyed by the master-side LHS attribute list.
-    /// `RwLock` so concurrent monitor streams share lazily-built indexes.
-    indexes: RwLock<HashMap<Vec<AttrId>, Arc<HashIndex>>>,
+    /// Index cache keyed by the master-side LHS attribute list, in
+    /// attribute-list order. `RwLock` so concurrent monitor streams share
+    /// lazily-built indexes.
+    indexes: RwLock<BTreeMap<Vec<AttrId>, Arc<HashIndex>>>,
     /// When false, lookups scan the relation (the `T6` ablation arm).
     use_indexes: bool,
     /// Bumped on every append; lets compiled plans detect staleness.
@@ -107,7 +127,7 @@ impl MasterData {
     pub fn new(relation: Relation) -> MasterData {
         MasterData {
             relation,
-            indexes: RwLock::new(HashMap::new()),
+            indexes: RwLock::new(BTreeMap::new()),
             use_indexes: true,
             generation: AtomicU64::new(0),
         }
@@ -120,7 +140,7 @@ impl MasterData {
     pub fn new_unindexed(relation: Relation) -> MasterData {
         MasterData {
             relation,
-            indexes: RwLock::new(HashMap::new()),
+            indexes: RwLock::new(BTreeMap::new()),
             use_indexes: false,
             generation: AtomicU64::new(0),
         }
@@ -322,8 +342,7 @@ impl MasterData {
     /// (the demo pre-computes regions for exactly this reason; see
     /// `Explorer::recompute_regions`). For batches,
     /// [`append_rows`](Self::append_rows) additionally reports the
-    /// touched index keys, which is what delta re-certification
-    /// ([`recheck_regions`](crate::region::recheck_regions)) keys on.
+    /// touched index keys.
     pub fn append(&mut self, tuple: Tuple) -> crate::error::Result<RowId> {
         let row_id = self.relation.push(tuple)?;
         if self.use_indexes {
@@ -341,9 +360,10 @@ impl MasterData {
     /// Append a batch of rows, returning a [`MasterDelta`] describing
     /// exactly what changed: the appended row range, the new generation,
     /// and — per materialized index — the distinct join keys the rows
-    /// introduced or extended (the keys a delta re-certification must
-    /// watch). Validates every row up front, so a failure appends
-    /// nothing.
+    /// introduced or extended, collected as they are inserted (each index
+    /// names the key it filed a row under), in attribute-list order, then
+    /// order of first appearance. The index lock is taken once for the
+    /// batch. Validates every row up front, so a failure appends nothing.
     pub fn append_rows(&mut self, rows: Vec<Tuple>) -> crate::error::Result<MasterDelta> {
         for row in &rows {
             if !self.schema().same_as(row.schema()) {
@@ -357,12 +377,23 @@ impl MasterData {
         let first_row = self.relation.len();
         let appended = rows.len();
         for row in rows {
-            let row_id = self.relation.push(row).expect("pre-checked schema");
-            if self.use_indexes {
-                let mut cache = self.indexes.write();
-                for index in cache.values_mut() {
-                    Arc::make_mut(index).insert_row(&self.relation, row_id);
+            self.relation.push(row).expect("pre-checked schema");
+        }
+        let mut touched_keys = Vec::new();
+        if self.use_indexes {
+            let mut cache = self.indexes.write();
+            for (attrs, index) in cache.iter_mut() {
+                let index = Arc::make_mut(index);
+                let mut seen = HashSet::new();
+                let mut keys = Vec::new();
+                for row_id in first_row..self.relation.len() {
+                    if let Some(key) = index.insert_row(&self.relation, row_id) {
+                        if seen.insert(key) {
+                            keys.push(index.key(key).to_vec());
+                        }
+                    }
                 }
+                touched_keys.push((attrs.clone(), keys));
             }
         }
         self.generation
@@ -371,7 +402,7 @@ impl MasterData {
             first_row,
             appended,
             generation: self.generation(),
-            touched_keys: self.touched_keys(first_row),
+            touched_keys,
         })
     }
 
@@ -398,27 +429,6 @@ impl MasterData {
         };
         let delta = copy.append_rows(rows)?;
         Ok((copy, delta))
-    }
-
-    /// Per materialized index: the distinct keys contributed by rows
-    /// `first_row..` (nulls excluded — they are never indexed).
-    fn touched_keys(&self, first_row: RowId) -> Vec<(Vec<AttrId>, Vec<Vec<Value>>)> {
-        let cache = self.indexes.read();
-        cache
-            .keys()
-            .map(|attrs| {
-                let mut seen: std::collections::HashSet<Vec<Value>> =
-                    std::collections::HashSet::new();
-                let mut keys: Vec<Vec<Value>> = Vec::new();
-                for (_, row) in self.relation.iter().skip(first_row) {
-                    let key = row.project(attrs);
-                    if !key.iter().any(Value::is_null) && seen.insert(key.clone()) {
-                        keys.push(key);
-                    }
-                }
-                (attrs.clone(), keys)
-            })
-            .collect()
     }
 
     /// Number of indexes materialized so far (diagnostics).

@@ -15,71 +15,177 @@
 //! append — a later row can only take an attribute out of the set, never
 //! put one back — so an insert compares the new row with the key's first
 //! row on the attributes still in the set and nothing else.
+//!
+//! # Representation
+//!
+//! An index is flat: a handful of vectors and one table, however many
+//! keys it holds, so building one allocates no box per row and cloning
+//! one (`Arc::make_mut` on append) is a few flat copies.
+//!
+//! * **Keys** live in one arena of cells, `arity` per distinct key, in
+//!   order of first insertion; a key is known by its number. A build
+//!   reserves the arena once, for a key per row, and shrinks it to the
+//!   keys it found, so the arena is never copied to grow.
+//! * **The table** maps a key's 64-bit hash to an inline slot — its
+//!   posting, its key number and a collision link — under an identity
+//!   hasher: the hash is computed once per row, stored, and moved, not
+//!   recomputed, when the table grows.
+//! * **Postings**: a key matched by one row (most of them: `zip`,
+//!   `phn`) keeps that row in its slot. A key shared by several keeps a
+//!   range of one row arena and its agreement set; a range that fills
+//!   moves to the arena's end with twice the room, and a finished build
+//!   packs the arena exactly.
+//!
+//! A hit is always confirmed on the full key, never on the hash alone: a
+//! second key with the same hash takes an overflow slot chained from the
+//! first. The hash is SipHash-1-3 under a random key drawn per index
+//! (`RandomState`), as `HashMap` keys by default. Master rows arrive from
+//! clients (`master.append`), so an unkeyed "fast" hash would let a
+//! client choose keys that all land in one chain; under a keyed hash two
+//! distinct keys share a hash with probability 2⁻⁶⁴.
 
 use crate::attrset::AttrSet;
 use crate::relation::{Relation, RowId};
 use crate::schema::AttrId;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
-/// The rows of one key. Most keys of a master index are unique (`zip`,
-/// `phn`), and a lone row agrees with itself on every attribute, so it is
-/// stored inline: no `Vec`, no agreement set, no allocation. Only a key
-/// shared by several rows carries both.
-#[derive(Debug, Clone)]
-enum Posting {
-    One(RowId),
-    Many(Box<Shared>),
+/// The end of a collision chain.
+const END: u32 = u32::MAX;
+
+/// The rows of one key, in one word: a lone row's id — it agrees with
+/// itself on every attribute, so it needs no set — or [`SHARED`] plus
+/// the number of the key's [`Shared`] entry.
+#[derive(Debug, Clone, Copy)]
+struct Posting(RowId);
+
+/// The bit that marks a [`Posting`] as a [`Shared`] entry's number. No
+/// row id reaches it: a relation's rows are one `Vec`, so there are
+/// fewer than `isize::MAX` of them.
+const SHARED: RowId = 1 << (RowId::BITS - 1);
+
+impl Posting {
+    /// The number of the key's [`Shared`] entry; `None` for a lone row,
+    /// which is the posting's own word.
+    fn shared(self) -> Option<usize> {
+        (self.0 & SHARED != 0).then_some(self.0 & !SHARED)
+    }
+}
+
+/// One distinct key's place in the table or in the overflow list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    posting: Posting,
+    /// The key's number: its cells are the `key`-th run of `arity`
+    /// cells of the key arena.
+    key: u32,
+    /// The overflow slot of the next key with the same hash, or [`END`].
+    next: u32,
 }
 
 /// A key matched by at least two rows.
 #[derive(Debug, Clone)]
 struct Shared {
-    /// The matching rows, in insertion order.
-    rows: Vec<RowId>,
+    /// `rows[start..start + len]` of the row arena are the matching
+    /// rows, in insertion order; `rows[start + len..start + cap]` is
+    /// room reserved for more.
+    start: usize,
+    len: usize,
+    cap: usize,
     /// The attributes (of the whole relation schema, not just some
-    /// rule's `Bm`) on which every row equals `rows[0]`. `Null == Null`
+    /// rule's `Bm`) on which every row equals the first. `Null == Null`
     /// counts as agreement; whether a null is usable evidence is the
     /// caller's question about the witness row.
     agree: AttrSet,
 }
 
-impl Posting {
-    fn rows(&self) -> &[RowId] {
-        match self {
-            Posting::One(row) => std::slice::from_ref(row),
-            Posting::Many(shared) => &shared.rows,
-        }
+impl Shared {
+    fn rows<'a>(&self, arena: &'a [RowId]) -> &'a [RowId] {
+        &arena[self.start..self.start + self.len]
     }
 
     /// Add `row_id` to this key, narrowing the agreement set to the
     /// attributes on which the new row still equals the first.
-    fn push(&mut self, relation: &Relation, row_id: RowId, row: &Tuple) {
-        match self {
-            Posting::One(first_id) => {
-                let first = relation.row(*first_id).expect("indexed row in range");
-                let agree = (0..relation.schema().arity())
-                    .filter(|&a| first.get(a) == row.get(a))
-                    .collect();
-                *self = Posting::Many(Box::new(Shared {
-                    rows: vec![*first_id, row_id],
-                    agree,
-                }));
+    fn push(&mut self, arena: &mut Vec<RowId>, relation: &Relation, row_id: RowId, row: &Tuple) {
+        let first = relation
+            .row(arena[self.start])
+            .expect("indexed row in range");
+        let mut from = 0;
+        while let Some(a) = self.agree.next_at_or_after(from) {
+            if first.get(a) != row.get(a) {
+                self.agree.remove(a);
             }
-            Posting::Many(shared) => {
-                let first = relation.row(shared.rows[0]).expect("indexed row in range");
-                let mut from = 0;
-                while let Some(a) = shared.agree.next_at_or_after(from) {
-                    if first.get(a) != row.get(a) {
-                        shared.agree.remove(a);
-                    }
-                    from = a + 1;
-                }
-                shared.rows.push(row_id);
-            }
+            from = a + 1;
         }
+        if self.len == self.cap {
+            if self.start + self.cap == arena.len() {
+                // The arena's last range grows in place.
+                arena.push(row_id);
+                self.cap += 1;
+                self.len += 1;
+                return;
+            }
+            let start = arena.len();
+            arena.extend_from_within(self.start..self.start + self.len);
+            arena.resize(start + 2 * self.len, 0);
+            self.start = start;
+            self.cap = 2 * self.len;
+        }
+        arena[self.start + self.len] = row_id;
+        self.len += 1;
+    }
+}
+
+/// The table's hasher: a key's hash is already a keyed SipHash, stored
+/// as the table's `u64` key, so hashing it again would add nothing.
+#[derive(Debug, Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an index table is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// How one index hashes its keys: its own keyed SipHash.
+#[derive(Debug, Clone)]
+struct KeyHasher {
+    state: RandomState,
+    /// Every key hashes to 0 (tests of the collision chain).
+    #[cfg(test)]
+    constant: bool,
+}
+
+impl KeyHasher {
+    fn new() -> KeyHasher {
+        KeyHasher {
+            state: RandomState::new(),
+            #[cfg(test)]
+            constant: false,
+        }
+    }
+
+    /// The hash of a key, from its cells in key order.
+    fn hash<'a>(&self, cells: impl Iterator<Item = &'a Value>) -> u64 {
+        #[cfg(test)]
+        if self.constant {
+            return 0;
+        }
+        let mut hasher = self.state.build_hasher();
+        for cell in cells {
+            cell.hash(&mut hasher);
+        }
+        hasher.finish()
     }
 }
 
@@ -109,8 +215,8 @@ impl Probe<'_> {
 }
 
 /// A hash index on a fixed attribute list of one relation: per key, the
-/// matching rows and the attributes those rows agree on (see the module
-/// docs).
+/// matching rows and the attributes those rows agree on, in the flat
+/// layout of the module docs.
 ///
 /// Keys containing nulls are *not* indexed: a null master cell can never be
 /// matched by rule semantics (nulls match nothing), so omitting them keeps
@@ -118,20 +224,70 @@ impl Probe<'_> {
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     attrs: Vec<AttrId>,
-    map: HashMap<Box<[Value]>, Posting>,
+    hasher: KeyHasher,
+    /// Key hash → the slot of the first key with that hash.
+    table: HashMap<u64, Slot, BuildHasherDefault<StoredHash>>,
+    /// Slots of keys whose hash an earlier key already holds.
+    overflow: Vec<Slot>,
+    /// Every distinct key's cells, `attrs.len()` per key.
+    keys: Vec<Value>,
+    /// The keys matched by several rows.
+    shared: Vec<Shared>,
+    /// The row ranges of `shared`.
+    rows: Vec<RowId>,
 }
 
 impl HashIndex {
     /// Build an index over `attrs` for every current row of `relation`.
     pub fn build(relation: &Relation, attrs: impl Into<Vec<AttrId>>) -> HashIndex {
-        let mut index = HashIndex {
-            attrs: attrs.into(),
-            map: HashMap::new(),
+        HashIndex::empty(attrs.into(), KeyHasher::new()).filled(relation)
+    }
+
+    /// An index whose keys all hash alike, so every key shares one
+    /// collision chain.
+    #[cfg(test)]
+    fn with_constant_hash(relation: &Relation, attrs: Vec<AttrId>) -> HashIndex {
+        let hasher = KeyHasher {
+            constant: true,
+            ..KeyHasher::new()
         };
-        for row_id in 0..relation.len() {
-            index.insert_row(relation, row_id);
+        HashIndex::empty(attrs, hasher).filled(relation)
+    }
+
+    fn empty(attrs: Vec<AttrId>, hasher: KeyHasher) -> HashIndex {
+        HashIndex {
+            attrs,
+            hasher,
+            table: HashMap::default(),
+            overflow: Vec::new(),
+            keys: Vec::new(),
+            shared: Vec::new(),
+            rows: Vec::new(),
         }
-        index
+    }
+
+    /// Insert every row of `relation` — into a key arena reserved for a
+    /// key per row, its most — then pack the arenas exactly.
+    fn filled(mut self, relation: &Relation) -> HashIndex {
+        self.keys.reserve_exact(relation.len() * self.attrs.len());
+        for row_id in 0..relation.len() {
+            self.insert_row(relation, row_id);
+        }
+        self.keys.shrink_to_fit();
+        self.overflow.shrink_to_fit();
+        self.shared.shrink_to_fit();
+        let postings = self.shared.iter().map(|s| s.len).sum();
+        if postings < self.rows.len() {
+            let mut rows = Vec::with_capacity(postings);
+            for shared in &mut self.shared {
+                let start = rows.len();
+                rows.extend_from_slice(shared.rows(&self.rows));
+                shared.start = start;
+                shared.cap = shared.len;
+            }
+            self.rows = rows;
+        }
+        self
     }
 
     /// The indexed attribute list (in key order).
@@ -139,18 +295,43 @@ impl HashIndex {
         &self.attrs
     }
 
-    /// The entry of `key`; a key with a null has none (never indexed).
-    fn posting(&self, key: &[Value]) -> Option<&Posting> {
-        if key.iter().any(Value::is_null) {
+    /// The cells of key number `key` (keys are numbered from 0 in order
+    /// of first insertion; [`insert_row`](Self::insert_row) returns the
+    /// number of the key it filed a row under).
+    pub fn key(&self, key: usize) -> &[Value] {
+        let arity = self.attrs.len();
+        &self.keys[key * arity..(key + 1) * arity]
+    }
+
+    /// The slot of `key`; a key with a null has none (never indexed). The
+    /// table narrows the search to the key's hash, and the key's cells
+    /// decide.
+    fn slot(&self, key: &[Value]) -> Option<&Slot> {
+        if key.len() != self.attrs.len() || key.iter().any(Value::is_null) {
             return None;
         }
-        self.map.get(key)
+        let mut slot = self.table.get(&self.hasher.hash(key.iter()))?;
+        loop {
+            if self.key(slot.key as usize) == key {
+                return Some(slot);
+            }
+            if slot.next == END {
+                return None;
+            }
+            slot = &self.overflow[slot.next as usize];
+        }
     }
 
     /// Row ids whose projection equals `key`, in insertion order. Keys with
     /// nulls return the empty slice (consistent with match semantics).
     pub fn lookup(&self, key: &[Value]) -> &[RowId] {
-        self.posting(key).map_or(&[], Posting::rows)
+        let Some(slot) = self.slot(key) else {
+            return &[];
+        };
+        match slot.posting.shared() {
+            None => std::slice::from_ref(&slot.posting.0),
+            Some(shared) => self.shared[shared].rows(&self.rows),
+        }
     }
 
     /// One probe of `key`: its posting as the index holds it — how many
@@ -158,22 +339,27 @@ impl HashIndex {
     /// any rule's `Bm` is asked about. No row is read: agreement was
     /// settled when the rows were inserted.
     pub fn probe(&self, key: &[Value]) -> Probe<'_> {
-        match self.posting(key) {
-            None => Probe {
+        let Some(slot) = self.slot(key) else {
+            return Probe {
                 matches: 0,
                 first: 0,
                 agree: None,
-            },
-            Some(Posting::One(row)) => Probe {
+            };
+        };
+        match slot.posting.shared() {
+            None => Probe {
                 matches: 1,
-                first: *row,
+                first: slot.posting.0,
                 agree: None,
             },
-            Some(Posting::Many(shared)) => Probe {
-                matches: shared.rows.len(),
-                first: shared.rows[0],
-                agree: Some(&shared.agree),
-            },
+            Some(shared) => {
+                let shared = &self.shared[shared];
+                Probe {
+                    matches: shared.len,
+                    first: self.rows[shared.start],
+                    agree: Some(&shared.agree),
+                }
+            }
         }
     }
 
@@ -185,31 +371,92 @@ impl HashIndex {
         (probe.matches, probe.agreed(rhs))
     }
 
-    /// Register row `row_id` of `relation` (used when master data grows).
-    /// `relation` must be the relation every earlier row came from: the
-    /// new row is compared with the first row of its key.
-    pub fn insert_row(&mut self, relation: &Relation, row_id: RowId) {
+    /// Register row `row_id` of `relation` (used when master data grows)
+    /// and return the number of the key it was filed under — a new key's
+    /// or the one it extends — or `None` when its key has a null and is
+    /// not indexed. `relation` must be the relation every earlier row
+    /// came from: the new row is compared with the first row of its key.
+    pub fn insert_row(&mut self, relation: &Relation, row_id: RowId) -> Option<usize> {
         let row = relation.row(row_id).expect("inserted row in range");
-        let key = row.project(&self.attrs);
-        if key.iter().any(Value::is_null) {
-            return;
+        let HashIndex {
+            attrs,
+            hasher,
+            table,
+            overflow,
+            keys,
+            shared,
+            rows,
+        } = self;
+        let cells = || attrs.iter().map(|&a| row.get(a));
+        if cells().any(Value::is_null) {
+            return None;
         }
-        match self.map.entry(key.into_boxed_slice()) {
-            Entry::Vacant(slot) => {
-                slot.insert(Posting::One(row_id));
+        let arity = attrs.len();
+        let fresh = table.len() + overflow.len();
+        let fresh_slot = || Slot {
+            posting: Posting(row_id),
+            key: u32::try_from(fresh).expect("fewer than 2^32 distinct keys"),
+            next: END,
+        };
+        let head = match table.entry(hasher.hash(cells())) {
+            Entry::Vacant(vacant) => {
+                keys.extend(cells().cloned());
+                vacant.insert(fresh_slot());
+                return Some(fresh);
             }
-            Entry::Occupied(mut slot) => slot.get_mut().push(relation, row_id, row),
+            Entry::Occupied(occupied) => occupied.into_mut(),
+        };
+        // Walk the hash's chain to the key, or past its end.
+        let tail = u32::try_from(overflow.len()).expect("fewer than 2^32 distinct keys");
+        let mut at = END;
+        loop {
+            let slot = if at == END {
+                &mut *head
+            } else {
+                &mut overflow[at as usize]
+            };
+            let key = slot.key as usize;
+            if keys[key * arity..(key + 1) * arity].iter().eq(cells()) {
+                match slot.posting.shared() {
+                    None => {
+                        let first_id = slot.posting.0;
+                        let first = relation.row(first_id).expect("indexed row in range");
+                        let agree = (0..relation.schema().arity())
+                            .filter(|&a| first.get(a) == row.get(a))
+                            .collect();
+                        let start = rows.len();
+                        rows.extend([first_id, row_id]);
+                        slot.posting = Posting(SHARED | shared.len());
+                        shared.push(Shared {
+                            start,
+                            len: 2,
+                            cap: 2,
+                            agree,
+                        });
+                    }
+                    Some(at) => shared[at].push(rows, relation, row_id, row),
+                }
+                return Some(key);
+            }
+            if slot.next == END {
+                slot.next = tail;
+                keys.extend(cells().cloned());
+                overflow.push(fresh_slot());
+                return Some(fresh);
+            }
+            at = slot.next;
         }
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.table.len() + self.overflow.len()
     }
 
     /// Total number of postings.
     pub fn postings(&self) -> usize {
-        self.map.values().map(|p| p.rows().len()).sum()
+        let shared: usize = self.shared.iter().map(|s| s.len).sum();
+        self.distinct_keys() - self.shared.len() + shared
     }
 }
 
@@ -318,5 +565,75 @@ mod tests {
         let idx = HashIndex::build(&rel, vec![0]);
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.postings(), 3);
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_chain_keep_their_own_postings() {
+        let schema = Schema::of_strings("m", ["k", "v"]).unwrap();
+        let rows = [("a", "1"), ("b", "2"), ("a", "1"), ("c", "3"), ("b", "4")];
+        let mut rel = Relation::from_tuples(
+            schema.clone(),
+            rows.iter()
+                .map(|(k, v)| Tuple::of_strings(schema.clone(), [*k, *v]).unwrap()),
+        )
+        .unwrap();
+        let mut idx = HashIndex::with_constant_hash(&rel, vec![0]);
+        assert_eq!(idx.table.len(), 1, "one hash, one table slot");
+        assert_eq!(idx.overflow.len(), 2, "two keys chained behind it");
+        assert_eq!(idx.lookup(&[Value::str("a")]), &[0, 2]);
+        assert_eq!(idx.lookup(&[Value::str("b")]), &[1, 4]);
+        assert_eq!(idx.lookup(&[Value::str("c")]), &[3]);
+        // An absent key in the same chain misses.
+        assert!(idx.lookup(&[Value::str("d")]).is_empty());
+        assert_eq!(idx.probe(&[Value::str("d")]).matches, 0);
+        let v: AttrSet = [1].into();
+        assert_eq!(idx.certain(&[Value::str("a")], &v), (2, Some(0)));
+        assert_eq!(idx.certain(&[Value::str("b")], &v), (2, None));
+        assert_eq!(idx.certain(&[Value::str("c")], &v), (1, Some(3)));
+        assert_eq!((idx.distinct_keys(), idx.postings()), (3, 5));
+        // Keys are numbered by first insertion; a new key joins the chain.
+        let d = rel
+            .push(Tuple::of_strings(schema.clone(), ["d", "5"]).unwrap())
+            .unwrap();
+        assert_eq!(idx.insert_row(&rel, d), Some(3));
+        assert_eq!(idx.key(3), &[Value::str("d")]);
+        let c = rel
+            .push(Tuple::of_strings(schema, ["c", "3"]).unwrap())
+            .unwrap();
+        assert_eq!(idx.insert_row(&rel, c), Some(2));
+        assert_eq!(idx.lookup(&[Value::str("c")]), &[3, 6]);
+        assert_eq!(idx.lookup(&[Value::str("d")]), &[5]);
+        assert_eq!(idx.overflow.len(), 3);
+    }
+
+    #[test]
+    fn a_full_range_moves_and_a_build_packs_the_arena() {
+        let schema = Schema::of_strings("m", ["k"]).unwrap();
+        let keys = ["x", "y", "x", "y", "x", "y", "x"];
+        let rel = Relation::from_tuples(
+            schema.clone(),
+            keys.iter()
+                .map(|k| Tuple::of_strings(schema.clone(), [*k]).unwrap()),
+        )
+        .unwrap();
+        let idx = HashIndex::build(&rel, vec![0]);
+        assert_eq!(idx.lookup(&[Value::str("x")]), &[0, 2, 4, 6]);
+        assert_eq!(idx.lookup(&[Value::str("y")]), &[1, 3, 5]);
+        assert_eq!(idx.rows.len(), 7, "packed: no reserved room after a build");
+        let mut grown = idx.clone();
+        let mut rel = rel;
+        for k in ["y", "x", "y"] {
+            let row = rel
+                .push(Tuple::of_strings(schema.clone(), [k]).unwrap())
+                .unwrap();
+            grown.insert_row(&rel, row);
+        }
+        assert_eq!(grown.lookup(&[Value::str("x")]), &[0, 2, 4, 6, 8]);
+        assert_eq!(grown.lookup(&[Value::str("y")]), &[1, 3, 5, 7, 9]);
+        assert_eq!(
+            idx.lookup(&[Value::str("y")]),
+            &[1, 3, 5],
+            "the clone is apart"
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! `master.append`.
 
 use crate::errors::{ErrorCode, ServeError};
+use crate::metrics::ServiceMetrics;
 use crate::service::{
     write_attrs, write_tuple, CleaningService, Reply, ServiceConfig, ServiceInner,
 };
@@ -21,6 +22,7 @@ use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Tuples a batch `clean` gives each thread it fans out to, at least. A
 /// helper thread and the engine scratch it builds cost about what a
@@ -145,6 +147,7 @@ impl CleaningService {
             Arc::clone(&current.master),
             Arc::new(set),
             &self.inner.config,
+            &self.inner.metrics,
         ))
     }
 
@@ -159,7 +162,8 @@ impl CleaningService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let engine = self.engine();
-        let (next, _, _) = append_engine_master(&engine, rows, &self.inner.config)?;
+        let (next, _, _) =
+            append_engine_master(&engine, rows, &self.inner.config, &self.inner.metrics)?;
         *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = next;
         Ok(())
     }
@@ -363,8 +367,12 @@ impl CleaningService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let engine = self.engine();
-        let (next, appended, recertified) =
-            append_engine_master(&engine, tuples.to_vec(), &self.inner.config)?;
+        let (next, appended, recertified) = append_engine_master(
+            &engine,
+            tuples.to_vec(),
+            &self.inner.config,
+            &self.inner.metrics,
+        )?;
         let (master_rows, generation) = (next.master.len(), next.master.generation());
         let seq = match &self.inner.storage {
             Some(binding) => {
@@ -439,13 +447,16 @@ fn region_options(config: &ServiceConfig) -> RegionFinderOptions {
     }
 }
 
-/// Compile the full engine state for `rules` over `master`: plan and,
-/// when `config` pre-computes them, regions.
+/// Compile the full engine state for `rules` over `master`: indexes,
+/// plan and, when `config` pre-computes them, regions — timed into
+/// `metrics`' `cerfix_engine_compile_seconds`.
 pub(crate) fn compile_engine(
     master: Arc<MasterData>,
     rules: Arc<RuleSet>,
     config: &ServiceConfig,
+    metrics: &ServiceMetrics,
 ) -> Arc<EngineState> {
+    let started = Instant::now();
     master.warm_indexes(rules.iter().map(|(_, r)| r));
     let fingerprint = ruleset_fingerprint(&rules);
     let plan = CompiledRules::compile(&rules, &master);
@@ -453,20 +464,25 @@ pub(crate) fn compile_engine(
         let universe = universe_from_master(rules.input_schema(), &master);
         search_regions(&rules, &master, &universe, &region_options(config))
     });
-    EngineState::new(rules, master, plan, search, fingerprint, config)
+    let state = EngineState::new(rules, master, plan, search, fingerprint, config);
+    metrics.engine_compile.observe(started.elapsed());
+    state
 }
 
 /// Copy-on-append `rows` onto `engine`'s master and compile the
 /// successor engine state. The outgoing state's region search, if it has
 /// one, is patched by delta re-certification — only candidates whose
 /// entailed rules watch a touched index key (or whose context gained
-/// truths) are re-probed — and carried into the successor. Returns
+/// truths) are re-probed — and carried into the successor. The build is
+/// timed into `metrics`' `cerfix_engine_compile_seconds`. Returns
 /// `(next state, rows appended, candidates re-certified)`.
 fn append_engine_master(
     engine: &EngineState,
     rows: Vec<Vec<Value>>,
     config: &ServiceConfig,
+    metrics: &ServiceMetrics,
 ) -> Result<(Arc<EngineState>, usize, Option<u64>), ServeError> {
+    let started = Instant::now();
     let master_schema = engine.rules.master_schema().clone();
     let tuples: Vec<Tuple> = rows
         .into_iter()
@@ -512,6 +528,7 @@ fn append_engine_master(
         engine.fingerprint,
         config,
     );
+    metrics.engine_compile.observe(started.elapsed());
     Ok((next, appended, recertified))
 }
 

@@ -1440,7 +1440,7 @@ mod tests {
         }
         let engine_samples = text
             .lines()
-            .filter(|line| line.starts_with("cerfix_engine_"))
+            .filter(|line| line.starts_with("cerfix_engine_") && line.contains("{op="))
             .count();
         assert_eq!(engine_samples, 4, "no other op class was charged");
     }

@@ -532,6 +532,7 @@ instruments! {
         latency:        PerOp<OpHistogram> = "cerfix_request_duration_seconds"      "Service time per request, by op class.";
         queue_wait:     OpHistogram        = "cerfix_request_queue_wait_seconds"    "Receipt to dispatch queue wait per request (behind the lines of the same read).";
         ack_latency:    OpHistogram        = "cerfix_commit_ack_duration_seconds"   "Quorum-ack wait on commit: local fsync to follower quorum.";
+        engine_compile: OpHistogram        = "cerfix_engine_compile_seconds"        "Time to build one engine state (boot, rules.reload, master.append, replayed master rows or rules): master indexes, plan, regions.";
         fixpoint_runs:  PerOp<Cell>        = "cerfix_engine_fixpoint_runs_total"    "Fixpoint runs, by op class.";
         rule_attempts:  PerOp<Cell>        = "cerfix_engine_rule_attempts_total"    "Rules attempted by the correcting engine, by op class.";
         master_lookups: PerOp<Cell>        = "cerfix_engine_master_lookups_total"   "Master tuple lookups, by op class.";
@@ -665,6 +666,15 @@ pub(crate) fn metrics_reply(service: &CleaningService, reply: Reply<'_>) -> Resu
         if !snapshot.latency.is_empty() {
             snapshot.write_latency(w);
         }
+        // What building an engine state costs: boot, every reload and
+        // every master append.
+        let (count, p50_ns, p99_ns) = service.metrics_raw().engine_compile.summarize();
+        w.key("engine_compile");
+        w.begin_obj();
+        w.field("count", count);
+        w.field("p50_us", p50_ns as f64 / 1000.0);
+        w.field("p99_us", p99_ns as f64 / 1000.0);
+        w.end_obj();
         service.write_region_search(w);
     })
 }

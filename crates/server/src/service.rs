@@ -360,7 +360,7 @@ impl CleaningService {
     ) -> CleaningService {
         let metrics = ServiceMetrics::new();
         let input_schema = rules.input_schema().clone();
-        let boot = compile_engine(master, rules, &config);
+        let boot = compile_engine(master, rules, &config, &metrics);
         let audit = Arc::new(match &storage {
             Some(storage) => AuditLog::with_sink(Arc::clone(storage.spill()) as Arc<dyn AuditSink>),
             None => AuditLog::windowed(MEMORY_AUDIT_WINDOW),

@@ -41,6 +41,14 @@
 //! read through a `Json` tree, hex-decoded into its own `Vec` and
 //! re-encoded on the follower).
 //!
+//! Under them all, the master indexes: building one of the UK rules'
+//! four over 20 000 entities at most 64 (measured 16–26: a few vectors
+//! and one table growing, then packed; 20 015–20 124 while each row's key
+//! was a box of its own), cloning one — what `Arc::make_mut` does on a
+//! master append — at most 8 (measured 3–5; was 20 002), and HOSP's two
+//! indexes of 5 000 keys shared by four rows each at most 64 apiece
+//! (measured 43; was 35 013, a box per row and a `Vec` per shared key).
+//!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
 //! tracing and the structured diagnostic log enabled** (default ring
@@ -58,7 +66,7 @@
 use cerfix::{
     AuditLog, AuditRecord, AuditSink, CellEvent, DataMonitor, FixpointScratch, MasterData,
 };
-use cerfix_relation::{AttrSet, RelationBuilder, Schema, Tuple, Value};
+use cerfix_relation::{AttrSet, HashIndex, RelationBuilder, Schema, Tuple, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use cerfix_server::{CleaningService, RequestScratch, Server, ServiceConfig, StorageConfig};
 use cerfix_storage::{JournalEvent, Storage};
@@ -342,6 +350,76 @@ fn lookup_free_fresh_scratch_allocations() -> u64 {
     counting_alloc::thread_count() - before
 }
 
+/// Most allocations building one master index may make, over 20 000
+/// rows (measured 16–26 on UK's four, 43 on each of HOSP's two indexes
+/// whose 5 000 keys hold four rows apiece: the table's doublings, the
+/// key arena reserved once and shrunk to its keys, the row arena's
+/// doublings and its packing; 20 015–20 124 and
+/// 35 013 while every row's key was boxed and every shared key's rows
+/// had a `Vec` of their own).
+const INDEX_BUILD_BOUND: u64 = 64;
+
+/// Most allocations cloning one of UK's indexes may make, as
+/// `Arc::make_mut` does on a master append (measured 3–5: one per
+/// vector; 20 002 while every key was a box of its own, 32 on `AC`,
+/// whose few keys each had a `Vec` of rows).
+const INDEX_CLONE_BOUND: u64 = 8;
+
+/// The distinct master-side join layouts of `rules`: one index each.
+fn index_layouts(rules: &RuleSet) -> Vec<Vec<usize>> {
+    let mut layouts: Vec<Vec<usize>> = Vec::new();
+    for (_, rule) in rules.iter() {
+        let attrs = rule.master_lhs();
+        if !layouts.contains(&attrs) {
+            layouts.push(attrs);
+        }
+    }
+    layouts
+}
+
+/// Per UK index over 20 000 entities — `zip`, `Mphn`, `(AC, Hphn)`,
+/// `AC` — the allocations of building it and of cloning it, on the
+/// calling thread's counter.
+fn uk_index_allocations() -> Vec<(Vec<usize>, u64, u64)> {
+    let mut rng = rand::SeedableRng::seed_from_u64(0);
+    let master = cerfix_gen::uk::generate_master(20_000, &mut rng);
+    index_layouts(&cerfix_gen::uk::rules())
+        .into_iter()
+        .map(|attrs| {
+            let before = counting_alloc::thread_count();
+            let index = HashIndex::build(&master, attrs.clone());
+            let build = counting_alloc::thread_count() - before;
+            let before = counting_alloc::thread_count();
+            let copy = index.clone();
+            let clone = counting_alloc::thread_count() - before;
+            assert_eq!(copy.postings(), master.len(), "{attrs:?}: no null keys");
+            (attrs, build, clone)
+        })
+        .collect()
+}
+
+/// HOSP over 20 000 rows: the allocations of building its two indexes
+/// of 5 000 keys, four rows each (`provider` and `zip`), on the calling
+/// thread's counter, and how many keys they hold between them.
+fn hosp_shared_index_allocations() -> (u64, usize) {
+    let mut rng = rand::SeedableRng::seed_from_u64(0);
+    let master = cerfix_gen::hosp::generate_master(20_000, &mut rng);
+    let mut spent = 0;
+    let mut keys = 0;
+    for attrs in index_layouts(&cerfix_gen::hosp::rules()) {
+        let before = counting_alloc::thread_count();
+        let index = HashIndex::build(&master, attrs.clone());
+        let build = counting_alloc::thread_count() - before;
+        if index.distinct_keys() == 5_000 {
+            assert_eq!(index.postings(), 20_000, "{attrs:?}: four rows a key");
+            spent += build;
+            keys += index.distinct_keys();
+        }
+    }
+    assert_eq!(keys, 10_000, "`provider` and `zip`");
+    (spent, keys)
+}
+
 /// Allocations of `APPENDS` warmed appends, to a journal and to an
 /// audit spill: the frames are encoded in place into buffers that keep
 /// their capacity from one flush to the next, so both are 0.
@@ -412,6 +490,27 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         lookup_free_fresh_scratch_allocations(),
         0,
         "lookup-free runs on fresh scratches"
+    );
+
+    // The master indexes under every lookup: flat, so a build costs the
+    // growth of a few vectors and one table, not a box per row.
+    for (attrs, build, clone) in uk_index_allocations() {
+        assert!(
+            build <= INDEX_BUILD_BOUND,
+            "building the UK index on {attrs:?}: {build} allocations \
+             (must be at most {INDEX_BUILD_BOUND})"
+        );
+        assert!(
+            clone <= INDEX_CLONE_BOUND,
+            "cloning the UK index on {attrs:?}: {clone} allocations \
+             (must be at most {INDEX_CLONE_BOUND})"
+        );
+    }
+    let (hosp, keys) = hosp_shared_index_allocations();
+    assert!(
+        hosp <= 2 * INDEX_BUILD_BOUND,
+        "building HOSP's two indexes of {keys} keys shared by four rows each: {hosp} \
+         allocations (must be at most {INDEX_BUILD_BOUND} each)"
     );
 
     let service = kv_service(1);

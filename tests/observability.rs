@@ -344,6 +344,31 @@ fn metrics_prom_is_valid_and_attributes_traffic_to_ops() {
     );
     assert_eq!(count("other"), Some(1.0));
     assert_eq!(count("parse_error"), Some(1.0));
+
+    // One engine-state build per boot, reload and append, in both views.
+    let compiles = |service: &CleaningService| {
+        let samples = validate_prom(&scrape(service)).expect("valid Prometheus text");
+        let prom = samples.get("cerfix_engine_compile_seconds_count").copied();
+        let metrics = Json::parse(service.handle_line("{\"op\":\"metrics\"}").trim()).unwrap();
+        let shown = metrics
+            .get("engine_compile")
+            .expect("engine_compile object");
+        assert!(shown.get("p50_us").and_then(Json::as_f64).is_some());
+        (prom, shown.get("count").and_then(Json::as_u64))
+    };
+    assert_eq!(compiles(&service), (Some(1.0), Some(1)), "the boot build");
+    let reloaded = service.handle_line(
+        "{\"op\":\"rules.reload\",\"rules\":\"er kv: match key=key fix val:=val when ()\"}",
+    );
+    assert!(reloaded.contains("\"ok\":true"), "{reloaded}");
+    let appended =
+        service.handle_line("{\"op\":\"master.append\",\"tuples\":[[\"k900\",\"v900\"]]}");
+    assert!(appended.contains("\"ok\":true"), "{appended}");
+    assert_eq!(
+        compiles(&service),
+        (Some(3.0), Some(3)),
+        "boot, rules.reload and master.append"
+    );
 }
 
 /// Journaled services expose the group-commit flush profile: fsync
@@ -375,6 +400,9 @@ fn journaled_prom_exposes_fsync_and_batch_histograms() {
     // Commit waits for the group fsync, so the flush profile is
     // non-empty by the time the response lands.
     service.handle_line(&format!("{{\"op\":\"session.commit\",\"session\":{id}}}"));
+    let appended =
+        service.handle_line("{\"op\":\"master.append\",\"tuples\":[[\"k900\",\"v900\"]]}");
+    assert!(appended.contains("\"ok\":true"), "{appended}");
     let body = scrape(&service);
     let samples = validate_prom(&body).expect("valid Prometheus text");
     assert!(samples.contains_key("cerfix_journal_epoch"));
@@ -393,6 +421,32 @@ fn journaled_prom_exposes_fsync_and_batch_histograms() {
             .unwrap_or(0.0)
             >= 1.0,
         "committed events counted into batch sizes"
+    );
+    assert_eq!(
+        samples.get("cerfix_engine_compile_seconds_count"),
+        Some(&2.0),
+        "the boot build and the append's"
+    );
+    drop(service);
+    // A restart builds the boot state, then replays the appended rows
+    // into a second one.
+    let (master, rules) = kv_setup(20);
+    let service = CleaningService::with_storage(
+        Arc::new(master),
+        Arc::new(rules),
+        ServiceConfig {
+            workers: 2,
+            precompute_regions: false,
+            ..ServiceConfig::default()
+        },
+        StorageConfig::new(&dir),
+    )
+    .expect("reopen storage");
+    let samples = validate_prom(&scrape(&service)).expect("valid Prometheus text");
+    assert_eq!(
+        samples.get("cerfix_engine_compile_seconds_count"),
+        Some(&2.0),
+        "the boot build and the replayed append's"
     );
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,11 +1,12 @@
 //! Property tests over the relational substrate: CSV round-trips for
-//! arbitrary content, total ordering of values, index/scan agreement,
+//! arbitrary content, total ordering of values, index/scan agreement
+//! (however the index was built),
 //! constraint-set satisfiability versus brute force, and one
 //! representation per string cell whichever layer builds it.
 
 use cerfix_relation::{
-    read_relation_str, write_relation_str, CompareOp, DataType, HashIndex, Predicate, Relation,
-    Schema, Text, Tuple, Value,
+    read_relation_str, write_relation_str, AttrSet, CompareOp, DataType, HashIndex, Predicate,
+    Relation, Schema, Text, Tuple, Value,
 };
 use cerfix_rules::ConstraintSet;
 use cerfix_server::wire::Json;
@@ -117,6 +118,77 @@ fn one_representation_across_the_inline_boundary() {
     }
 }
 
+/// A cell's text for the index properties: one character repeated to
+/// 0–31 bytes, often near the inline capacity's 22/23-byte boundary.
+fn index_text() -> impl Strategy<Value = String> {
+    let len = prop_oneof![0..=31usize, 21..=24usize];
+    (len, 0..3u8).prop_map(|(len, c)| char::from(b'a' + c).to_string().repeat(len))
+}
+
+/// The scan's answer for `key` over `rel` on `attrs`: the matching rows
+/// in order (none for a key with a null or of the wrong length), and,
+/// when several match, the attributes on which all equal the first.
+fn scan_answer(rel: &Relation, attrs: &[usize], key: &[Value]) -> (Vec<usize>, Option<AttrSet>) {
+    if key.len() != attrs.len() || key.iter().any(Value::is_null) {
+        return (Vec::new(), None);
+    }
+    let rows: Vec<usize> = rel
+        .iter()
+        .filter(|(_, s)| attrs.iter().zip(key).all(|(&a, k)| s.get(a) == k))
+        .map(|(id, _)| id)
+        .collect();
+    if rows.len() < 2 {
+        return (rows, None);
+    }
+    let first = rel.row(rows[0]).unwrap();
+    let agree = (0..rel.schema().arity())
+        .filter(|&a| {
+            rows.iter()
+                .all(|&r| rel.row(r).unwrap().get(a) == first.get(a))
+        })
+        .collect();
+    (rows, Some(agree))
+}
+
+/// Every answer of `index` — `lookup`, `probe`, `distinct_keys`,
+/// `postings` — equals a scan of `rel`, for every row's key, keys that
+/// no row holds, and a key one cell too long.
+fn assert_index_is_scan(
+    index: &HashIndex,
+    rel: &Relation,
+    attrs: &[usize],
+    how: &str,
+) -> TestCaseResult {
+    let mut keys: Vec<Vec<Value>> = rel.iter().map(|(_, s)| s.project(attrs)).collect();
+    keys.push(vec![Value::str("absent"); attrs.len()]);
+    keys.push(vec![Value::str("q".repeat(23)); attrs.len()]);
+    keys.push(vec![Value::str("a"); attrs.len() + 1]);
+    for key in &keys {
+        let (rows, agree) = scan_answer(rel, attrs, key);
+        prop_assert_eq!(index.lookup(key), &rows[..], "{} lookup {:?}", how, key);
+        let probe = index.probe(key);
+        prop_assert_eq!(probe.matches, rows.len(), "{} matches {:?}", how, key);
+        if let Some(&first) = rows.first() {
+            prop_assert_eq!(probe.first, first, "{} first {:?}", how, key);
+        }
+        prop_assert_eq!(probe.agree, agree.as_ref(), "{} agreement {:?}", how, key);
+    }
+    let indexed: Vec<Vec<Value>> = rel
+        .iter()
+        .map(|(_, s)| s.project(attrs))
+        .filter(|key| !key.iter().any(Value::is_null))
+        .collect();
+    let distinct: std::collections::HashSet<&Vec<Value>> = indexed.iter().collect();
+    prop_assert_eq!(
+        index.distinct_keys(),
+        distinct.len(),
+        "{} distinct keys",
+        how
+    );
+    prop_assert_eq!(index.postings(), indexed.len(), "{} postings", how);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -195,6 +267,62 @@ proptest! {
             let via_scan = rel.scan(&[Predicate::new(0, CompareOp::Eq, Value::str(k))]);
             prop_assert_eq!(via_index, via_scan);
         }
+    }
+
+    /// A `HashIndex` answers what a scan does, however it was built: in
+    /// one `build`, row by row through `insert_row`, or cloned part-way
+    /// and appended to — on keys of 1–3 attributes with duplicates, nulls
+    /// and cells either side of the inline boundary. The index cloned
+    /// from keeps answering for the rows it was built over.
+    #[test]
+    fn index_equals_scan_however_built(
+        pool in proptest::collection::vec(index_text(), 3),
+        picks in proptest::collection::vec(0..4usize, 1..4),
+        cells in proptest::collection::vec(proptest::collection::vec(0..4usize, 4), 0..40),
+        cut in 0..=40usize,
+    ) {
+        let schema = Schema::of_strings("t", ["a", "b", "c", "d"]).unwrap();
+        let mut attrs: Vec<usize> = Vec::new();
+        for a in picks {
+            if !attrs.contains(&a) {
+                attrs.push(a);
+            }
+        }
+        let tuples: Vec<Tuple> = cells
+            .iter()
+            .map(|row| {
+                let values: Vec<Value> = row
+                    .iter()
+                    .map(|&i| pool.get(i).map_or(Value::Null, Value::str))
+                    .collect();
+                Tuple::new(schema.clone(), values).unwrap()
+            })
+            .collect();
+        let rel = Relation::from_tuples(schema.clone(), tuples.iter().cloned()).unwrap();
+
+        let built = HashIndex::build(&rel, attrs.clone());
+        assert_index_is_scan(&built, &rel, &attrs, "build")?;
+
+        let mut grown = Relation::empty(schema.clone());
+        let mut inserted = HashIndex::build(&grown, attrs.clone());
+        for t in &tuples {
+            let row = grown.push(t.clone()).unwrap();
+            inserted.insert_row(&grown, row);
+        }
+        assert_index_is_scan(&inserted, &rel, &attrs, "insert_row")?;
+
+        let cut = cut.min(tuples.len());
+        let mut prefix =
+            Relation::from_tuples(schema.clone(), tuples[..cut].iter().cloned()).unwrap();
+        let original = HashIndex::build(&prefix, attrs.clone());
+        let mut appended = original.clone();
+        for t in &tuples[cut..] {
+            let row = prefix.push(t.clone()).unwrap();
+            appended.insert_row(&prefix, row);
+        }
+        assert_index_is_scan(&appended, &rel, &attrs, "clone then append")?;
+        let before = Relation::from_tuples(schema, tuples[..cut].iter().cloned()).unwrap();
+        assert_index_is_scan(&original, &before, &attrs, "cloned from")?;
     }
 
     /// ConstraintSet satisfiability matches brute-force enumeration over
