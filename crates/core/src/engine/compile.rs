@@ -32,7 +32,7 @@
 
 use crate::engine::inference::RuleMasks;
 use crate::master::MasterData;
-use cerfix_relation::{AttrId, AttrSet, HashIndex, Probe, RowId, SchemaRef, Tuple, Value};
+use cerfix_relation::{AttrId, AttrSet, Cells, HashIndex, Probe, RowId, SchemaRef, Value};
 use cerfix_rules::{PatternTuple, RuleId, RuleSet};
 use std::sync::Arc;
 
@@ -66,9 +66,9 @@ pub(crate) struct CompiledRule {
 
 impl CompiledRule {
     /// Project the join key `tuple[X]` into `key_buf` (a reused buffer).
-    fn key_into(&self, tuple: &Tuple, key_buf: &mut Vec<Value>) {
+    fn key_into<T: Cells + ?Sized>(&self, tuple: &T, key_buf: &mut Vec<Value>) {
         key_buf.clear();
-        key_buf.extend(self.input_lhs.iter().map(|&a| tuple.get(a).clone()));
+        key_buf.extend(self.input_lhs.iter().map(|&a| tuple.cell(a).clone()));
     }
 }
 
@@ -205,11 +205,11 @@ impl CompiledRules {
     /// for the group's other rules, and `probes` counts the probes made —
     /// and `MasterData::certain_verdict` decides for each rule. The
     /// unindexed `T6` arm scans once per lookup.
-    pub(crate) fn lookup(
+    pub(crate) fn lookup<T: Cells + ?Sized>(
         &self,
         pos: usize,
         master: &MasterData,
-        tuple: &Tuple,
+        tuple: &T,
         key_buf: &mut Vec<Value>,
         memo: &mut KeyMemo,
         probes: &mut usize,

@@ -81,13 +81,14 @@ pub use error::{CerfixError, Result};
 pub use exec::{ordered_map, ThreadBudget, WorkerPool};
 pub use explorer::Explorer;
 pub use master::MasterDelta;
-pub use master::{universe_from_master, CertainLookup, MasterData};
+pub use master::{CertainLookup, MasterData};
 pub use monitor::{
     clean_stream, clean_stream_parallel, CappedUser, CleanOutcome, DataMonitor, MonitorSession,
     OracleUser, PreferringUser, SessionStatus, SilentUser, StreamReport, UserAgent,
 };
 pub use region::{
     certifies_for, certifies_for_with_plan, certify_region, certify_region_mode, find_regions,
-    find_regions_from_scratch, recheck_regions, search_regions, CertifyMode, CertifyResult, Region,
-    RegionFinderOptions, RegionSearch, RegionSearchResult, RegionSearchStats,
+    find_regions_from_scratch, recheck_regions, search_regions, CertifyMode, CertifyResult,
+    MasterTruth, MasterTruths, Region, RegionFinderOptions, RegionSearch, RegionSearchResult,
+    RegionSearchStats, Universe,
 };

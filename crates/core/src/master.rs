@@ -452,28 +452,6 @@ impl MasterData {
     }
 }
 
-/// Master rows reinterpreted over the input schema (by attribute name;
-/// an input attribute the master does not carry is null) — the truth
-/// universe region certification runs over.
-pub fn universe_from_master(input: &SchemaRef, master: &MasterData) -> Vec<Tuple> {
-    let mapping: Vec<Option<usize>> = input
-        .attributes()
-        .iter()
-        .map(|a| master.schema().attr_id(a.name()))
-        .collect();
-    master
-        .relation()
-        .iter()
-        .map(|(_, s)| {
-            let values: Vec<Value> = mapping
-                .iter()
-                .map(|m| m.map(|id| s.get(id).clone()).unwrap_or(Value::Null))
-                .collect();
-            Tuple::new(input.clone(), values).expect("string schema accepts all values")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,9 +13,13 @@
 //! value equals the truth. A candidate failing for *any* truth is not a
 //! certain region.
 //!
-//! The universe is scenario-provided (`cerfix-gen` derives it from master
-//! data: one truth per master tuple per pattern context), mirroring the
-//! MDM assumption that entities to be cleaned are represented in `Dm`.
+//! Here the universe is a slice of tuples — generator- or test-built
+//! (`cerfix-gen` derives one truth per master tuple per pattern context),
+//! mirroring the MDM assumption that entities to be cleaned are
+//! represented in `Dm`. This per-candidate fixpoint loop is the oracle;
+//! the region search runs the same per-truth check over any
+//! [`Universe`](crate::region::Universe), the master rows read in place
+//! included.
 
 use crate::engine::{CompiledRules, EngineStats};
 use crate::master::MasterData;
@@ -96,6 +100,7 @@ pub fn certify_region_mode(
         failures: Vec::new(),
         engine: EngineStats::default(),
     };
+    let mut input = Tuple::all_null(plan.input_schema().clone());
     for (idx, truth) in universe.iter().enumerate() {
         if !pattern.matches(truth) {
             continue;
@@ -103,7 +108,7 @@ pub fn certify_region_mode(
         result.checked += 1;
         // Input as the monitor sees it after the user validates Z with the
         // true values: Z cells carry truth, the rest is unknown.
-        if !certify_truth_fixpoint(plan, master, attrs, truth, &mut result.engine) {
+        if !certify_truth_fixpoint(plan, master, attrs, truth, &mut input, &mut result.engine) {
             result.certified = false;
             if result.failures.len() < 8 {
                 result.failures.push(idx);
@@ -136,7 +141,8 @@ pub fn certifies_for_with_plan(
     truth: &Tuple,
 ) -> bool {
     let mut engine = EngineStats::default();
-    certify_truth_fixpoint(plan, master, attrs, truth, &mut engine)
+    let mut input = Tuple::all_null(plan.input_schema().clone());
+    certify_truth_fixpoint(plan, master, attrs, truth, &mut input, &mut engine)
 }
 
 /// Build the "unknown form" input for a truth tuple: `Z` validated with

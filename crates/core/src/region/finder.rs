@@ -19,8 +19,16 @@
 //!    schema — the monitor's inference system, under the context's
 //!    entailment mask instead of a session's live-rule mask.
 //! 3. **Data phase.** Each candidate `(Z, context)` is certified against
-//!    the scenario's truth universe ([`certify_region`]): the closure can
-//!    overshoot when master keys are missing or ambiguous.
+//!    the truth universe ([`certify_region`]): the closure can overshoot
+//!    when master keys are missing or ambiguous.
+//!
+//! The universe is any [`Universe`]: the server, `cerfix regions` and
+//! every master append search [`MasterTruths`] — truth `i` is master row
+//! `i` read in place through the input → master attribute map, so a
+//! search copies no row — and generator- and test-built truths are a
+//! slice of tuples. Every step reads a truth through
+//! [`Cells`](cerfix_relation::Cells) alone; the data phase is
+//! monomorphised per universe.
 //!
 //! Certified candidates with the same `Z` merge their contexts into one
 //! tableau; regions are ranked ascending by `|Z|` and cut to `top_k`.
@@ -37,13 +45,15 @@
 //!
 //! [`TruthProfile`]: crate::region::lattice::TruthProfile
 //! [`ordered_map`]: crate::exec::ordered_map
+//! [`MasterTruths`]: crate::region::MasterTruths
 
 use crate::engine::{CompiledRules, RuleMasks};
 use crate::exec::ordered_map;
 use crate::master::MasterData;
 use crate::region::certify::certify_region;
-use crate::region::lattice::{ContextCertifier, TruthProfile};
+use crate::region::lattice::{ContextCertifier, ProfileScratch, TruthProfile};
 use crate::region::tableau::Region;
+use crate::region::universe::Universe;
 use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
 use cerfix_rules::{EditingRule, PatternOp, PatternTuple, RuleSet};
 use std::collections::{BTreeMap, BTreeSet};
@@ -191,6 +201,12 @@ pub struct RegionSearchStats {
     pub contexts: usize,
     /// `(Z, context)` candidates produced by the static phase.
     pub candidates: usize,
+    /// Truths in the universe searched.
+    pub truths: usize,
+    /// Candidates certified with at least one truth in scope — the ones
+    /// that became regions (with `require_nonvacuous`; every certified
+    /// candidate without it).
+    pub certified: usize,
     /// Candidates rejected by data certification.
     pub rejected_by_certification: usize,
     /// Candidates rejected as vacuous (no truth tuple in scope).
@@ -371,6 +387,7 @@ pub(crate) fn build_regions(
             stats.vacuous += 1;
             continue;
         }
+        stats.certified += 1;
         let key: Vec<AttrId> = cand.attrs.iter().collect();
         by_attrs
             .entry(key.clone())
@@ -419,22 +436,33 @@ pub(crate) fn chunk_candidates(
 }
 
 /// Build [`TruthProfile`]s for `needed` universe indices, fanned across
-/// the worker threads, and record which truths are poisoned.
-pub(crate) fn build_profiles(
+/// the worker threads, and record which truths are poisoned. `needed`
+/// is cut into one run per thread, and each run profiles its truths on
+/// one [`ProfileScratch`], so the allocations here do not grow with the
+/// number of truths.
+pub(crate) fn build_profiles<U: Universe + ?Sized>(
     plan: &CompiledRules,
     master: &MasterData,
-    universe: &[Tuple],
+    universe: &U,
     needed: &[usize],
     threads: usize,
     profiles: &mut [Option<TruthProfile>],
     poisoned: &mut [bool],
 ) {
-    let built: Vec<TruthProfile> =
-        ordered_map::<_, _, std::convert::Infallible, _>(threads, needed.to_vec(), |_, idx| {
-            Ok(TruthProfile::build(plan, master, &universe[idx]))
-        })
-        .expect("profile building is infallible");
-    for (&idx, profile) in needed.iter().zip(built) {
+    let run_len = needed.len().div_ceil(threads.max(1)).max(1);
+    let built: Vec<Vec<TruthProfile>> = ordered_map::<_, _, std::convert::Infallible, _>(
+        threads,
+        needed.chunks(run_len).collect(),
+        |_, run: &[usize]| {
+            let mut scratch = ProfileScratch::default();
+            Ok(run
+                .iter()
+                .map(|&idx| TruthProfile::build(plan, master, &universe.truth(idx), &mut scratch))
+                .collect())
+        },
+    )
+    .expect("profile building is infallible");
+    for (&idx, profile) in needed.iter().zip(built.into_iter().flatten()) {
         poisoned[idx] = profile.poisoned();
         profiles[idx] = Some(profile);
     }
@@ -447,10 +475,10 @@ pub(crate) fn build_profiles(
 /// ranked result; long-lived services keep the [`RegionSearch`] so
 /// master appends can be served by
 /// [`recheck_regions`](crate::region::recheck_regions).
-pub fn find_regions(
+pub fn find_regions<U: Universe + ?Sized>(
     rules: &RuleSet,
     master: &MasterData,
-    universe: &[Tuple],
+    universe: &U,
     options: &RegionFinderOptions,
 ) -> RegionSearchResult {
     search_regions(rules, master, universe, options).result
@@ -461,13 +489,16 @@ pub fn find_regions(
 /// fixpoints, candidates fan out across `options.threads` workers, and
 /// the returned [`RegionSearch`] retains the candidate verdicts needed
 /// for master-delta re-certification.
-pub fn search_regions(
+pub fn search_regions<U: Universe + ?Sized>(
     rules: &RuleSet,
     master: &MasterData,
-    universe: &[Tuple],
+    universe: &U,
     options: &RegionFinderOptions,
 ) -> RegionSearch {
-    let mut stats = RegionSearchStats::default();
+    let mut stats = RegionSearchStats {
+        truths: universe.len(),
+        ..Default::default()
+    };
     let plan = CompiledRules::compile(rules, master);
     let (mut contexts, mut candidates) = static_phase(rules, options);
     stats.contexts = contexts.len();
@@ -479,9 +510,10 @@ pub fn search_regions(
     for cand in &candidates {
         has_candidates[cand.context] = true;
     }
-    for (idx, truth) in universe.iter().enumerate() {
+    for idx in 0..universe.len() {
+        let truth = universe.truth(idx);
         for (ci, record) in contexts.iter_mut().enumerate() {
-            if has_candidates[ci] && record.pattern.matches(truth) {
+            if has_candidates[ci] && record.pattern.matches(&truth) {
                 record.truths.push(idx);
             }
         }
@@ -590,6 +622,7 @@ pub fn find_regions_from_scratch(
     let mut stats = RegionSearchStats {
         contexts: contexts.len(),
         candidates: candidates.len(),
+        truths: universe.len(),
         ..Default::default()
     };
     // One compiled plan serves every certification probe of the data
@@ -611,6 +644,7 @@ pub fn find_regions_from_scratch(
             stats.vacuous += 1;
             continue;
         }
+        stats.certified += 1;
         let key: Vec<AttrId> = cand.attrs.iter().collect();
         by_attrs
             .entry(key.clone())

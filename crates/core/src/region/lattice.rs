@@ -36,11 +36,19 @@
 //! adversarial universes and inconsistent rule sets — property-tested in
 //! `tests/region_incremental.rs`.
 //!
+//! Truths are read, never copied: a profile and a fixpoint take the
+//! truth as any [`Cells`] reader — a master row read in place through
+//! the attribute map, on the server — and project keys from it into
+//! buffers a worker keeps ([`ProfileScratch`]). The fixpoint's input
+//! form is written into one tuple per certifier, made at its first
+//! poisoned truth.
+//!
 //! [`find_regions_from_scratch`]: crate::region::find_regions_from_scratch
 
 use crate::engine::{run_fixpoint_delta, CompiledRules, EngineStats, KeyMemo};
 use crate::master::MasterData;
-use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
+use crate::region::universe::Universe;
+use cerfix_relation::{AttrId, AttrSet, Cells, Tuple, Value};
 
 /// Per-truth classification of every compiled rule (see module docs).
 #[derive(Debug, Clone)]
@@ -62,18 +70,26 @@ impl TruthProfile {
     /// lookup per rule whose pattern admits the truth — one index probe
     /// per key group, whatever the number of master rows sharing the key,
     /// since every rule of a group reads the same truth key — reused by
-    /// every candidate probing this truth.
-    pub(crate) fn build(plan: &CompiledRules, master: &MasterData, truth: &Tuple) -> TruthProfile {
+    /// every candidate probing this truth. The key is projected into, and
+    /// the probes held in, `scratch`, which a worker reuses from one
+    /// truth to the next.
+    pub(crate) fn build<T: Cells + ?Sized>(
+        plan: &CompiledRules,
+        master: &MasterData,
+        truth: &T,
+        scratch: &mut ProfileScratch,
+    ) -> TruthProfile {
         let mut fireable = AttrSet::new();
         let mut poisoned = false;
-        let mut key_buf: Vec<Value> = Vec::new();
-        let (mut keys, mut probes) = (KeyMemo::default(), 0);
+        let ProfileScratch { key_buf, keys } = scratch;
+        keys.clear();
+        let mut probes = 0;
         for (pos, rule) in plan.rules.iter().enumerate() {
             // In a truth-clean state the pattern reads truth values.
             if !rule.pattern.matches(truth) {
                 continue;
             }
-            let lookup = plan.lookup(pos, master, truth, &mut key_buf, &mut keys, &mut probes);
+            let lookup = plan.lookup(pos, master, truth, key_buf, keys, &mut probes);
             let Some(witness) = lookup else {
                 continue; // no match / ambiguous / null fix: dead
             };
@@ -82,7 +98,7 @@ impl TruthProfile {
                 .input_rhs
                 .iter()
                 .zip(rule.master_rhs.iter())
-                .all(|(&b, &bm)| s.get(bm) == truth.get(b));
+                .all(|(&b, &bm)| s.get(bm) == truth.cell(b));
             if agrees {
                 fireable.insert(pos);
             } else {
@@ -91,6 +107,15 @@ impl TruthProfile {
         }
         TruthProfile { fireable, poisoned }
     }
+}
+
+/// The buffers [`TruthProfile::build`] runs on: the projected key and
+/// the run's probe memo, kept by one worker across the truths it
+/// profiles so a profile allocates nothing of its own.
+#[derive(Debug, Default)]
+pub(crate) struct ProfileScratch {
+    key_buf: Vec<Value>,
+    keys: KeyMemo,
 }
 
 /// One node of the certification lattice: the closure of some seed under
@@ -202,21 +227,29 @@ pub(crate) struct ProbeStats {
 
 /// Run the real correcting process for one `(Z, truth)` pair and check
 /// full, correct validation — the unit the from-scratch oracle and the
-/// poisoned-truth fallback share, so the two paths cannot drift.
-pub(crate) fn certify_truth_fixpoint(
+/// poisoned-truth fallback share, so the two paths cannot drift. The
+/// input the user would present — `truth[Z]`, everything else null — is
+/// written into `input`, a tuple over the plan's input schema that the
+/// caller reuses from one probe to the next.
+pub(crate) fn certify_truth_fixpoint<T: Cells + ?Sized>(
     plan: &CompiledRules,
     master: &MasterData,
     attrs: &AttrSet,
-    truth: &Tuple,
+    truth: &T,
+    input: &mut Tuple,
     engine: &mut EngineStats,
 ) -> bool {
     let arity = plan.input_schema().arity();
-    let mut t = Tuple::all_null(plan.input_schema().clone());
-    for a in attrs {
-        t.set(a, truth.get(a).clone()).expect("attr in schema");
+    for a in 0..arity {
+        let seed = if attrs.contains(a) {
+            truth.cell(a).clone()
+        } else {
+            Value::Null
+        };
+        input.set(a, seed).expect("attr in schema");
     }
     let mut validated = attrs.clone();
-    match run_fixpoint_delta(plan, master, &mut t, &mut validated) {
+    match run_fixpoint_delta(plan, master, input, &mut validated) {
         Err(_) => {
             *engine += EngineStats {
                 fixpoint_runs: 1,
@@ -228,8 +261,8 @@ pub(crate) fn certify_truth_fixpoint(
             *engine += report.stats;
             validated.len() == arity
                 && (0..arity).all(|a| {
-                    let fixed = t.get(a);
-                    !fixed.is_null() && fixed == truth.get(a)
+                    let fixed = input.get(a);
+                    !fixed.is_null() && fixed == truth.cell(a)
                 })
         }
     }
@@ -245,10 +278,10 @@ pub(crate) fn certify_truth_fixpoint(
 /// attributes) plus a prefix stack of lattice nodes, so consecutive
 /// candidates also reuse the longest shared `Z`-prefix. Poisoned truths
 /// are certified individually by the real fixpoint.
-pub(crate) struct ContextCertifier<'a> {
+pub(crate) struct ContextCertifier<'a, U: Universe + ?Sized> {
     plan: &'a CompiledRules,
     master: &'a MasterData,
-    universe: &'a [Tuple],
+    universe: &'a U,
     /// In-scope universe indices for this context.
     truths: &'a [usize],
     arity: usize,
@@ -266,6 +299,8 @@ pub(crate) struct ContextCertifier<'a> {
     /// shared by candidates in cover order.
     stacks: Vec<Vec<(AttrId, ClosureNode)>>,
     mandatory: AttrSet,
+    /// The poisoned-truth fixpoint's input tuple, made at the first one.
+    input: Option<Tuple>,
     pub(crate) stats: ProbeStats,
 }
 
@@ -277,15 +312,15 @@ pub(crate) struct ProbeOutcome {
     pub(crate) failing: Option<usize>,
 }
 
-impl<'a> ContextCertifier<'a> {
+impl<'a, U: Universe + ?Sized> ContextCertifier<'a, U> {
     pub(crate) fn new(
         plan: &'a CompiledRules,
         master: &'a MasterData,
-        universe: &'a [Tuple],
+        universe: &'a U,
         truths: &'a [usize],
         profiles: &'a [Option<TruthProfile>],
         mandatory: AttrSet,
-    ) -> ContextCertifier<'a> {
+    ) -> ContextCertifier<'a, U> {
         let mut classes: Vec<AttrSet> = Vec::new();
         let mut class_rep: Vec<usize> = Vec::new();
         let mut slot_class: Vec<Option<usize>> = Vec::with_capacity(truths.len());
@@ -323,6 +358,7 @@ impl<'a> ContextCertifier<'a> {
             bases: vec![None; n_classes],
             stacks: vec![Vec::new(); n_classes],
             mandatory,
+            input: None,
             stats: ProbeStats::default(),
         }
     }
@@ -378,11 +414,15 @@ impl<'a> ContextCertifier<'a> {
                 }
             };
             let idx = self.truths[slot];
+            let input = self
+                .input
+                .get_or_insert_with(|| Tuple::all_null(self.plan.input_schema().clone()));
             if !certify_truth_fixpoint(
                 self.plan,
                 self.master,
                 attrs,
-                &self.universe[idx],
+                &self.universe.truth(idx),
+                input,
                 &mut self.stats.engine,
             ) {
                 return ProbeOutcome {
@@ -482,20 +522,20 @@ mod tests {
         let (input, rules, master) = fixture();
         let plan = CompiledRules::compile(&rules, &master);
         let truth = Tuple::of_strings(input.clone(), ["EH8", "131", "Edi", "Elm"]).unwrap();
-        let p = TruthProfile::build(&plan, &master, &truth);
+        let p = TruthProfile::build(&plan, &master, &truth, &mut ProfileScratch::default());
         assert!(!p.poisoned);
         assert!(p.fireable.contains(0) && p.fireable.contains(1) && p.fireable.contains(2));
 
         // G12's city is ambiguous: zip_city dead, the others fire.
         let g12 = Tuple::of_strings(input.clone(), ["G12", "0141", "Gla", "Clyde"]).unwrap();
-        let p = TruthProfile::build(&plan, &master, &g12);
+        let p = TruthProfile::build(&plan, &master, &g12, &mut ProfileScratch::default());
         assert!(!p.poisoned);
         assert!(p.fireable.contains(0) && !p.fireable.contains(1) && p.fireable.contains(2));
 
         // A truth disagreeing with its own master row: zip_ac would fire
         // the master's 131 over the truth's 999 — poisoned.
         let wrong = Tuple::of_strings(input, ["EH8", "999", "Edi", "Elm"]).unwrap();
-        let p = TruthProfile::build(&plan, &master, &wrong);
+        let p = TruthProfile::build(&plan, &master, &wrong, &mut ProfileScratch::default());
         assert!(p.poisoned);
     }
 
@@ -510,13 +550,16 @@ mod tests {
             Tuple::of_strings(input.clone(), ["ZZ9", "999", "No", "Where"]).unwrap(),
         ];
         for truth in &truths {
-            let profile = TruthProfile::build(&plan, &master, truth);
+            let profile =
+                TruthProfile::build(&plan, &master, truth, &mut ProfileScratch::default());
             assert!(!profile.poisoned);
             for mask in 0u32..16 {
                 let seed: AttrSet = (0..arity).filter(|a| mask & (1 << a) != 0).collect();
                 let node = ClosureNode::root_of(&plan, &profile.fireable, &seed);
                 let mut engine = EngineStats::default();
-                let oracle = certify_truth_fixpoint(&plan, &master, &seed, truth, &mut engine);
+                let mut form = Tuple::all_null(input.clone());
+                let oracle =
+                    certify_truth_fixpoint(&plan, &master, &seed, truth, &mut form, &mut engine);
                 assert_eq!(
                     node.complete(arity),
                     oracle,
@@ -531,7 +574,7 @@ mod tests {
         let (input, rules, master) = fixture();
         let plan = CompiledRules::compile(&rules, &master);
         let truth = Tuple::of_strings(input.clone(), ["EH8", "131", "Edi", "Elm"]).unwrap();
-        let profile = TruthProfile::build(&plan, &master, &truth);
+        let profile = TruthProfile::build(&plan, &master, &truth, &mut ProfileScratch::default());
         let zip = input.attr_id("zip").unwrap();
         let strr = input.attr_id("str").unwrap();
         let base = ClosureNode::root_of(&plan, &profile.fireable, &[strr].into());

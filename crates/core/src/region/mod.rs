@@ -5,6 +5,7 @@ mod finder;
 pub(crate) mod lattice;
 mod recheck;
 mod tableau;
+mod universe;
 
 pub use certify::{
     certifies_for, certifies_for_with_plan, certify_region, certify_region_mode, masked_input,
@@ -16,3 +17,4 @@ pub use finder::{
 };
 pub use recheck::recheck_regions;
 pub use tableau::Region;
+pub use universe::{MasterTruth, MasterTruths, Universe};

@@ -10,7 +10,9 @@
 //!   context watches it),
 //! * truths whose profile was **poisoned** (their fixpoints explore
 //!   non-truth keys, which the key analysis cannot bound), and
-//! * **new** truths appended to the universe.
+//! * **new** truths appended to the universe — over
+//!   [`MasterTruths`](crate::region::MasterTruths), the truths of the
+//!   appended rows, read in place like the rest.
 //!
 //! Candidates none of whose in-scope truths fall in that set keep their
 //! verdict; rejected candidates whose recorded failing truth is outside
@@ -29,7 +31,8 @@ use crate::region::finder::{
     RegionSearchState, RegionSearchStats,
 };
 use crate::region::lattice::{ContextCertifier, TruthProfile};
-use cerfix_relation::{Tuple, Value};
+use crate::region::universe::Universe;
+use cerfix_relation::{Cells, Tuple, Value};
 use cerfix_rules::RuleSet;
 use std::collections::HashSet;
 
@@ -37,10 +40,10 @@ use std::collections::HashSet;
 /// universe extended accordingly: `universe[..prior.universe_len()]`
 /// must be the truths the prior search certified). Returns the patched
 /// search, equal to a full [`search_regions`] on the new master.
-pub fn recheck_regions(
+pub fn recheck_regions<U: Universe + ?Sized>(
     rules: &RuleSet,
     master: &MasterData,
-    universe: &[Tuple],
+    universe: &U,
     prior: &RegionSearch,
     options: &crate::region::RegionFinderOptions,
 ) -> RegionSearch {
@@ -79,6 +82,7 @@ pub fn recheck_regions(
     let mut stats = RegionSearchStats {
         contexts: contexts.len(),
         candidates: candidates.len(),
+        truths: universe.len(),
         ..Default::default()
     };
     let plan = CompiledRules::compile(rules, master);
@@ -89,9 +93,10 @@ pub fn recheck_regions(
         has_candidates[cand.context] = true;
     }
     // New truths join their contexts' scopes.
-    for (idx, truth) in universe.iter().enumerate().skip(st.universe_len) {
+    for idx in st.universe_len..universe.len() {
+        let truth = universe.truth(idx);
         for (ci, record) in contexts.iter_mut().enumerate() {
-            if has_candidates[ci] && record.pattern.matches(truth) {
+            if has_candidates[ci] && record.pattern.matches(&truth) {
                 record.truths.push(idx);
             }
         }
@@ -142,12 +147,12 @@ pub fn recheck_regions(
         if appended.is_empty() {
             return false;
         }
-        let truth = &universe[idx];
+        let truth = universe.truth(idx);
         let mut key: Vec<Value> = Vec::new();
         joins.iter().any(|(input_lhs, keys)| {
             !keys.is_empty() && {
                 key.clear();
-                key.extend(input_lhs.iter().map(|&a| truth.get(a).clone()));
+                key.extend(input_lhs.iter().map(|&a| truth.cell(a).clone()));
                 keys.contains(&key)
             }
         })
@@ -227,8 +232,8 @@ pub fn recheck_regions(
             continue;
         }
         let record = &contexts[ci];
-        let mut delta_certifier: Option<ContextCertifier<'_>> = None;
-        let mut full_certifier: Option<ContextCertifier<'_>> = None;
+        let mut delta_certifier: Option<ContextCertifier<'_, U>> = None;
+        let mut full_certifier: Option<ContextCertifier<'_, U>> = None;
         for (i, cand) in candidates.iter_mut().enumerate() {
             if cand.context != ci {
                 continue;

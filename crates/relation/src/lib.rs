@@ -66,5 +66,5 @@ pub use index::{HashIndex, Probe};
 pub use predicate::{CompareOp, Predicate};
 pub use relation::{Relation, RowId};
 pub use schema::{AttrId, Attribute, Schema, SchemaRef};
-pub use tuple::Tuple;
+pub use tuple::{Cells, Tuple};
 pub use value::{Text, Value};

@@ -148,6 +148,32 @@ impl Tuple {
     }
 }
 
+/// Read access to a tuple's cells by attribute id — what pattern
+/// matching and key projection need of a tuple, and all they take.
+///
+/// [`Tuple`] implements it over its own cells; other implementors read
+/// cells they do not own (a row of one schema read through an attribute
+/// map into another), so a reader generic over `Cells` can walk rows in
+/// place instead of copying them into tuples first.
+pub trait Cells {
+    /// The value at `attr`. Panics if `attr` is out of range.
+    fn cell(&self, attr: AttrId) -> &Value;
+}
+
+impl Cells for Tuple {
+    #[inline]
+    fn cell(&self, attr: AttrId) -> &Value {
+        self.get(attr)
+    }
+}
+
+impl<T: Cells + ?Sized> Cells for &T {
+    #[inline]
+    fn cell(&self, attr: AttrId) -> &Value {
+        (**self).cell(attr)
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("(")?;

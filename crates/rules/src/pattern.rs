@@ -10,7 +10,7 @@
 //! checker, which must decide satisfiability of conjunctions of cells —
 //! [`ConstraintSet`] implements that decision procedure exactly.
 
-use cerfix_relation::{AttrId, DataType, SchemaRef, Tuple, Value};
+use cerfix_relation::{AttrId, Cells, DataType, SchemaRef, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -152,9 +152,11 @@ impl PatternTuple {
         set.into_iter().collect()
     }
 
-    /// Evaluate the conjunction against `tuple`.
-    pub fn matches(&self, tuple: &Tuple) -> bool {
-        self.cells.iter().all(|c| c.op.matches(tuple.get(c.attr)))
+    /// Evaluate the conjunction against `tuple` — a
+    /// [`Tuple`](cerfix_relation::Tuple), or any
+    /// other reader of input cells.
+    pub fn matches<T: Cells + ?Sized>(&self, tuple: &T) -> bool {
+        self.cells.iter().all(|c| c.op.matches(tuple.cell(c.attr)))
     }
 
     /// Render with attribute names from `schema`.
@@ -274,7 +276,7 @@ impl ConstraintSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cerfix_relation::Schema;
+    use cerfix_relation::{Schema, Tuple};
 
     fn customer() -> SchemaRef {
         Schema::of_strings("customer", ["AC", "type", "city"]).unwrap()

@@ -11,8 +11,8 @@ use crate::service::{
 };
 use crate::wire::JsonWriter;
 use cerfix::{
-    check_consistency, recheck_regions, search_regions, universe_from_master, AuditLog,
-    CompiledRules, ConsistencyOptions, ConsistencyReport, DataMonitor, FixpointScratch, MasterData,
+    check_consistency, recheck_regions, search_regions, AuditLog, CompiledRules,
+    ConsistencyOptions, ConsistencyReport, DataMonitor, FixpointScratch, MasterData, MasterTruths,
     Region, RegionFinderOptions, RegionSearch,
 };
 use cerfix_relation::{Tuple, Value};
@@ -247,13 +247,13 @@ impl CleaningService {
         let mut cached = true;
         let search = engine.search.get_or_init(|| {
             cached = false;
-            // Materializing the truth universe copies every master row —
-            // only pay that once per state.
-            let universe = universe_from_master(engine.rules.input_schema(), &engine.master);
+            // The search reads the master rows where they lie; the state
+            // keeps its result, so the search runs once per state.
+            let truths = MasterTruths::new(engine.rules.input_schema(), &engine.master);
             Arc::new(search_regions(
                 &engine.rules,
                 &engine.master,
-                &universe,
+                &truths,
                 &region_options(&self.inner.config),
             ))
         });
@@ -426,6 +426,10 @@ impl CleaningService {
         w.begin_obj();
         w.field("contexts", stats.contexts);
         w.field("candidates", stats.candidates);
+        w.field("truths", stats.truths);
+        w.field("certified", stats.certified);
+        w.field("vacuous", stats.vacuous);
+        w.field("rejected_by_certification", stats.rejected_by_certification);
         w.field("truth_profiles", stats.truth_profiles);
         w.field("closure_probes", stats.closure_probes);
         w.field("lattice_hits", stats.lattice_hits);
@@ -461,8 +465,8 @@ pub(crate) fn compile_engine(
     let fingerprint = ruleset_fingerprint(&rules);
     let plan = CompiledRules::compile(&rules, &master);
     let search = config.precompute_regions.then(|| {
-        let universe = universe_from_master(rules.input_schema(), &master);
-        search_regions(&rules, &master, &universe, &region_options(config))
+        let truths = MasterTruths::new(rules.input_schema(), &master);
+        search_regions(&rules, &master, &truths, &region_options(config))
     });
     let state = EngineState::new(rules, master, plan, search, fingerprint, config);
     metrics.engine_compile.observe(started.elapsed());
@@ -504,15 +508,15 @@ fn append_engine_master(
     let (new_master, _delta) = engine.master.append_copy(tuples)?;
     let new_master = Arc::new(new_master);
     let plan = CompiledRules::compile(&engine.rules, &new_master);
-    // Patch the region search instead of discarding it: the new universe
-    // extends the old one row-for-row, so the delta path re-certifies
-    // only what the appended keys can have changed.
+    // Patch the region search instead of discarding it: the new master's
+    // truths extend the old ones row for row, so the delta path
+    // re-certifies only what the appended keys can have changed.
     let search = engine.search.get().map(|prior| {
-        let universe = universe_from_master(engine.rules.input_schema(), &new_master);
+        let truths = MasterTruths::new(engine.rules.input_schema(), &new_master);
         recheck_regions(
             &engine.rules,
             &new_master,
-            &universe,
+            &truths,
             prior,
             &region_options(config),
         )

@@ -67,8 +67,8 @@
 //! `clean`). All columns are strings, matching the demo's form data.
 
 use cerfix::{
-    check_consistency, find_regions, universe_from_master, AuditStats, ConsistencyOptions,
-    DataMonitor, MasterData, RegionFinderOptions,
+    check_consistency, find_regions, AuditStats, ConsistencyOptions, DataMonitor, MasterData,
+    MasterTruths, RegionFinderOptions,
 };
 use cerfix_relation::{read_untyped_str, write_relation_file, Relation, Schema, SchemaRef, Value};
 use cerfix_rules::{discover_rules, parse_rules, render_er_dsl, RuleDecl, RuleSet};
@@ -207,7 +207,7 @@ fn cmd_regions(args: &Args) -> Result<(), String> {
     let input = input_schema_from(args, &master_rel)?;
     let rules = load_rules(args, &input, master_rel.schema())?;
     let master = MasterData::new(master_rel);
-    let universe = universe_from_master(&input, &master);
+    let truths = MasterTruths::new(&input, &master);
     let top_k = args
         .options
         .get("top-k")
@@ -223,7 +223,7 @@ fn cmd_regions(args: &Args) -> Result<(), String> {
     let result = find_regions(
         &rules,
         &master,
-        &universe,
+        &truths,
         &RegionFinderOptions {
             top_k,
             threads,

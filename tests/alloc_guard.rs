@@ -48,6 +48,11 @@
 //! master append — at most 8 (measured 3–5; was 20 002), and HOSP's two
 //! indexes of 5 000 keys shared by four rows each at most 64 apiece
 //! (measured 43; was 35 013, a box per row and a `Vec` per shared key).
+//! And the region search over such masters, at one thread: at most 211
+//! on UK and 168 on HOSP (measured 201 and 160 — the truths are the
+//! master rows read in place, the profiles run on one reused key buffer
+//! and memo; 20 202 and 60 158 while the master was first copied into a
+//! `Vec<Tuple>` and every profile allocated two buffers of its own).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -64,7 +69,8 @@
 //! once landed 2 allocations in the first of them.
 
 use cerfix::{
-    AuditLog, AuditRecord, AuditSink, CellEvent, DataMonitor, FixpointScratch, MasterData,
+    search_regions, AuditLog, AuditRecord, AuditSink, CellEvent, DataMonitor, FixpointScratch,
+    MasterData, MasterTruths, RegionFinderOptions, RegionSearchStats,
 };
 use cerfix_relation::{AttrSet, HashIndex, RelationBuilder, Schema, Tuple, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
@@ -420,6 +426,49 @@ fn hosp_shared_index_allocations() -> (u64, usize) {
     (spent, keys)
 }
 
+/// Most allocations one region search over a 20 000-row master may
+/// make, on the searching thread, per scenario: UK (measured 201 — eight
+/// candidates, no truth in any context's scope) and HOSP (measured 160 —
+/// every truth profiled); each bound is its measurement + 5 %. Neither grows with the master but for the
+/// doubling of the truth-scope lists: the truths are the master rows,
+/// read in place through the input → master attribute map, and the
+/// profiles run on one reused key buffer and probe memo. Measured
+/// 20 002 + 200 and 20 002 + 40 156 while every search first copied the
+/// master into a `Vec<Tuple>` and each profile allocated its own key
+/// buffer and memo.
+const REGION_SEARCH_BOUND: [(&str, u64); 2] = [("uk", 211), ("hosp", 168)];
+
+/// A region search at one thread — so all of it runs on the counted
+/// thread — over 20 000 UK and 20 000 HOSP master rows, indexes built
+/// beforehand: its allocations, and its truths and profiles.
+fn region_search_allocations() -> Vec<(&'static str, u64, RegionSearchStats)> {
+    let mut rng = rand::SeedableRng::seed_from_u64(0);
+    let uk = (
+        cerfix_gen::uk::rules(),
+        cerfix_gen::uk::generate_master(20_000, &mut rng),
+    );
+    let hosp = (
+        cerfix_gen::hosp::rules(),
+        cerfix_gen::hosp::generate_master(20_000, &mut rng),
+    );
+    [("uk", uk), ("hosp", hosp)]
+        .into_iter()
+        .map(|(name, (rules, relation))| {
+            let master = MasterData::new(relation);
+            master.warm_indexes(rules.iter().map(|(_, r)| r));
+            let options = RegionFinderOptions {
+                threads: 1,
+                ..Default::default()
+            };
+            let before = counting_alloc::thread_count();
+            let truths = MasterTruths::new(rules.input_schema(), &master);
+            let search = search_regions(&rules, &master, &truths, &options);
+            let spent = counting_alloc::thread_count() - before;
+            (name, spent, search.result.stats)
+        })
+        .collect()
+}
+
 /// Allocations of `APPENDS` warmed appends, to a journal and to an
 /// audit spill: the frames are encoded in place into buffers that keep
 /// their capacity from one flush to the next, so both are 0.
@@ -512,6 +561,21 @@ fn warmed_session_ops_allocate_zero_zero_one() {
         "building HOSP's two indexes of {keys} keys shared by four rows each: {hosp} \
          allocations (must be at most {INDEX_BUILD_BOUND} each)"
     );
+
+    // The region search over those masters reads the rows in place.
+    for ((name, spent, stats), (bound_name, bound)) in region_search_allocations()
+        .into_iter()
+        .zip(REGION_SEARCH_BOUND)
+    {
+        assert_eq!(name, bound_name);
+        assert_eq!(stats.truths, 20_000, "{name}: one truth per master row");
+        assert!(
+            spent <= bound,
+            "a region search over {name}'s 20 000 master rows: {spent} allocations \
+             (must be at most {bound}; {} truth profiles)",
+            stats.truth_profiles
+        );
+    }
 
     let service = kv_service(1);
     let set = service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":500}"#);

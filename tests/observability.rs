@@ -13,8 +13,9 @@
 //! protocol / uptime fields on `hello` and `metrics`; health probes
 //! flipping (with `cerfix_healthy` and the structured log agreeing)
 //! when the journal dies; `log.read` level/subsystem filtering;
-//! journaled `config.set` tunables surviving a restart; and the
-//! `metrics.history` time-series ring.
+//! journaled `config.set` tunables surviving a restart; the
+//! `metrics.history` time-series ring; and the region search's verdict
+//! counters in `metrics.region_search`.
 
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema, Value};
@@ -631,6 +632,30 @@ fn hello_and_stats_carry_version_protocol_uptime() {
         );
         assert!(json.get("uptime_secs").and_then(Json::as_u64).is_some());
     }
+}
+
+/// `metrics.region_search` says what the boot search certified: on the
+/// UK service — the paper's nine rules over generated entities, regions
+/// pre-computed — every master row is a truth, and all eight candidates
+/// come out vacuous, because a truth read off a master row by attribute
+/// name has no `phn`, `type` or `item` and so falls in no pattern
+/// context. Deriving the truths from the rules will certify some of them
+/// and flip this.
+#[test]
+fn region_search_metrics_show_what_the_uk_service_certifies() {
+    let mut rng = rand::SeedableRng::seed_from_u64(36);
+    let rules = cerfix_gen::uk::rules();
+    let master = MasterData::new(cerfix_gen::uk::generate_master(500, &mut rng));
+    let service = CleaningService::new(Arc::new(master), Arc::new(rules), ServiceConfig::default());
+    let metrics = Json::parse(service.handle_line(r#"{"op":"metrics"}"#).trim()).unwrap();
+    let search = metrics.get("region_search").expect("searched at boot");
+    let field = |name| search.get(name).and_then(Json::as_u64);
+    assert_eq!(field("truths"), Some(500), "one truth per master row");
+    assert_eq!(field("candidates"), Some(8));
+    assert_eq!(field("certified"), Some(0));
+    assert_eq!(field("vacuous"), Some(8));
+    assert_eq!(field("rejected_by_certification"), Some(0));
+    assert_eq!(field("truth_profiles"), Some(0), "no truth in any scope");
 }
 
 /// A journaled primary reports ready until the disk dies under the
