@@ -32,7 +32,9 @@
 
 use crate::engine::inference::RuleMasks;
 use crate::master::MasterData;
-use cerfix_relation::{AttrId, AttrSet, Cells, HashIndex, Probe, RowId, SchemaRef, Value};
+use cerfix_relation::{
+    AttrId, AttrSet, Cells, FiledRows, HashIndex, Probe, RowId, SchemaRef, Value,
+};
 use cerfix_rules::{PatternTuple, RuleId, RuleSet};
 use std::sync::Arc;
 
@@ -61,7 +63,7 @@ pub(crate) struct CompiledRule {
     pub(crate) index: Option<Arc<HashIndex>>,
     /// The rule's key group: the rules with this rule's `X` and `Xm`
     /// share one index probe per run (see [`KeyMemo`]).
-    group: usize,
+    pub(crate) group: usize,
 }
 
 impl CompiledRule {
@@ -232,6 +234,29 @@ impl CompiledRules {
         }
         let probe = memo.slots[group].probe();
         master.certain_verdict(probe, &rule.master_rhs_set).1
+    }
+
+    /// [`lookup`](Self::lookup) of the rule at `pos` for a tuple whose
+    /// key for it is master row `row`'s own: the same verdict, read from
+    /// `filed` — the rows of the rule's index by posting — with no key
+    /// projected or hashed. `row` is one of the matching rows, so when
+    /// they agree on `Bm` its cells there are the witness's: the null
+    /// check of [`MasterData::certain_verdict`] reads `row`, which the
+    /// caller is reading anyway, instead of the witness.
+    pub(crate) fn lookup_row(
+        &self,
+        pos: usize,
+        master: &MasterData,
+        filed: &FiledRows<'_>,
+        row: RowId,
+    ) -> Option<RowId> {
+        let rule = &self.rules[pos];
+        let own = master.tuple(row).expect("filed row in range");
+        let evidence = || !rule.master_rhs.iter().any(|&a| own.get(a).is_null());
+        filed
+            .probe(row)
+            .agreed(&rule.master_rhs_set)
+            .filter(|_| evidence())
     }
 
     /// Number of compiled rules.

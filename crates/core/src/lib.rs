@@ -89,6 +89,6 @@ pub use monitor::{
 pub use region::{
     certifies_for, certifies_for_with_plan, certify_region, certify_region_mode, find_regions,
     find_regions_from_scratch, recheck_regions, search_regions, CertifyMode, CertifyResult,
-    MasterTruth, MasterTruths, Region, RegionFinderOptions, RegionSearch, RegionSearchResult,
-    RegionSearchStats, Universe,
+    MasterRow, MasterTruth, MasterTruths, Region, RegionFinderOptions, RegionSearch,
+    RegionSearchResult, RegionSearchStats, Universe,
 };

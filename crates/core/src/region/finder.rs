@@ -27,8 +27,10 @@
 //! `i` read in place through the input → master attribute map, so a
 //! search copies no row — and generator- and test-built truths are a
 //! slice of tuples. Every step reads a truth through
-//! [`Cells`](cerfix_relation::Cells) alone; the data phase is
-//! monomorphised per universe.
+//! [`Cells`](cerfix_relation::Cells), and a truth that is a master row
+//! read in place ([`Universe::master_row`]) is profiled from the
+//! postings its row is filed under wherever a rule joins by name; the
+//! data phase is monomorphised per universe.
 //!
 //! Certified candidates with the same `Z` merge their contexts into one
 //! tableau; regions are ranked ascending by `|Z|` and cut to `top_k`.
@@ -51,7 +53,7 @@ use crate::engine::{CompiledRules, RuleMasks};
 use crate::exec::ordered_map;
 use crate::master::MasterData;
 use crate::region::certify::certify_region;
-use crate::region::lattice::{ContextCertifier, ProfileScratch, TruthProfile};
+use crate::region::lattice::{ContextCertifier, OwnKeys, ProfileScratch, TruthProfile};
 use crate::region::tableau::Region;
 use crate::region::universe::Universe;
 use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
@@ -439,7 +441,10 @@ pub(crate) fn chunk_candidates(
 /// the worker threads, and record which truths are poisoned. `needed`
 /// is cut into one run per thread, and each run profiles its truths on
 /// one [`ProfileScratch`], so the allocations here do not grow with the
-/// number of truths.
+/// number of truths. Truths that are master rows read in place
+/// ([`Universe::master_row`]) are profiled by row through one
+/// `OwnKeys`, made from the first of them, so a rule reading a truth's
+/// own key hashes none.
 pub(crate) fn build_profiles<U: Universe + ?Sized>(
     plan: &CompiledRules,
     master: &MasterData,
@@ -449,6 +454,9 @@ pub(crate) fn build_profiles<U: Universe + ?Sized>(
     profiles: &mut [Option<TruthProfile>],
     poisoned: &mut [bool],
 ) {
+    let own = needed
+        .first()
+        .and_then(|&idx| OwnKeys::of(plan, master, universe.master_row(idx)?));
     let run_len = needed.len().div_ceil(threads.max(1)).max(1);
     let built: Vec<Vec<TruthProfile>> = ordered_map::<_, _, std::convert::Infallible, _>(
         threads,
@@ -457,7 +465,12 @@ pub(crate) fn build_profiles<U: Universe + ?Sized>(
             let mut scratch = ProfileScratch::default();
             Ok(run
                 .iter()
-                .map(|&idx| TruthProfile::build(plan, master, &universe.truth(idx), &mut scratch))
+                .map(|&idx| {
+                    let own = own
+                        .as_ref()
+                        .and_then(|own| own.row(universe.master_row(idx)));
+                    TruthProfile::build(plan, master, &universe.truth(idx), own, &mut scratch)
+                })
                 .collect())
         },
     )

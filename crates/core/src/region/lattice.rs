@@ -43,12 +43,25 @@
 //! form is written into one tuple per certifier, made at its first
 //! poisoned truth.
 //!
+//! A truth that *is* a master row ([`Universe::master_row`]) is not
+//! even projected for a rule that reads its own key — every LHS pair
+//! `(x, xm)` mapped `x → xm`: the lookup's second arm reads the posting
+//! the index files the row under, with no key hashed
+//! ([`CompiledRules::lookup_row`]), from a row → posting vector per key
+//! group gathered once per batch of profiles ([`OwnKeys`]). When the RHS
+//! pairs map `b → bm` too, the truth's row is one of the matching rows,
+//! so a certain verdict is a fireable rule and never a poisoned one. On
+//! HOSP, whose eight rules all join by name, profiling 20 000 master rows
+//! hashes no key where it hashed 60 000. Cross-name joins, foreign RHS,
+//! slice universes and the unindexed arm keep the hashed probe; the two
+//! arms are held equal truth by truth in this module's tests.
+//!
 //! [`find_regions_from_scratch`]: crate::region::find_regions_from_scratch
 
 use crate::engine::{run_fixpoint_delta, CompiledRules, EngineStats, KeyMemo};
 use crate::master::MasterData;
-use crate::region::universe::Universe;
-use cerfix_relation::{AttrId, AttrSet, Cells, Tuple, Value};
+use crate::region::universe::{MasterRow, Universe};
+use cerfix_relation::{AttrId, AttrSet, Cells, FiledRows, RowId, Tuple, Value};
 
 /// Per-truth classification of every compiled rule (see module docs).
 #[derive(Debug, Clone)]
@@ -73,32 +86,52 @@ impl TruthProfile {
     /// every candidate probing this truth. The key is projected into, and
     /// the probes held in, `scratch`, which a worker reuses from one
     /// truth to the next.
+    ///
+    /// When `own` says the truth is master row `row` read in place, a
+    /// rule whose key group reads the row's own key takes the lookup's
+    /// second arm, the row's posting, with no key hashed
+    /// ([`CompiledRules::lookup_row`]). If the map also sends every RHS
+    /// pair `b → bm`, the truth's row is one of the matching rows, so a
+    /// certain verdict fires the truth's own values: the rule is fireable
+    /// with no witness compared, and never poisons.
     pub(crate) fn build<T: Cells + ?Sized>(
         plan: &CompiledRules,
         master: &MasterData,
         truth: &T,
+        own: Option<(RowId, &OwnKeys<'_>)>,
         scratch: &mut ProfileScratch,
     ) -> TruthProfile {
         let mut fireable = AttrSet::new();
         let mut poisoned = false;
-        let ProfileScratch { key_buf, keys } = scratch;
+        let ProfileScratch {
+            key_buf,
+            keys,
+            probes,
+        } = scratch;
         keys.clear();
-        let mut probes = 0;
         for (pos, rule) in plan.rules.iter().enumerate() {
             // In a truth-clean state the pattern reads truth values.
             if !rule.pattern.matches(truth) {
                 continue;
             }
-            let lookup = plan.lookup(pos, master, truth, key_buf, keys, &mut probes);
+            // The lookup's second arm reads the truth's own key by its row.
+            let filed = own.and_then(|(row, o)| Some((row, o.filed[rule.group].as_ref()?)));
+            let lookup = match filed {
+                Some((row, filed)) => plan.lookup_row(pos, master, filed, row),
+                None => plan.lookup(pos, master, truth, key_buf, keys, probes),
+            };
             let Some(witness) = lookup else {
                 continue; // no match / ambiguous / null fix: dead
             };
-            let s = master.tuple(witness).expect("index row in range");
-            let agrees = rule
-                .input_rhs
-                .iter()
-                .zip(rule.master_rhs.iter())
-                .all(|(&b, &bm)| s.get(bm) == truth.cell(b));
+            // A certain witness of a rule reading the truth's own key and
+            // fixing the truth's own values agrees with the truth's row.
+            let agrees = own.is_some_and(|(_, o)| o.fixes_own.contains(pos)) || {
+                let s = master.tuple(witness).expect("index row in range");
+                rule.input_rhs
+                    .iter()
+                    .zip(rule.master_rhs.iter())
+                    .all(|(&b, &bm)| s.get(bm) == truth.cell(b))
+            };
             if agrees {
                 fireable.insert(pos);
             } else {
@@ -116,6 +149,72 @@ impl TruthProfile {
 pub(crate) struct ProfileScratch {
     key_buf: Vec<Value>,
     keys: KeyMemo,
+    /// Index probes the profiles built on this scratch made: each one
+    /// hashed a truth's key.
+    pub(crate) probes: usize,
+}
+
+/// How [`TruthProfile::build`] reads truths that are rows of the
+/// searched master, read in place through one map
+/// ([`Universe::master_row`]). A key group of the plan whose every LHS
+/// pair `(x, xm)` the map sends `x → xm` reads a truth's *own* key, the
+/// key its row is filed under; per such group with an index, the rows
+/// of that index by posting ([`HashIndex::filed_rows`], one pass over
+/// its postings, no key hashed). Made once per batch of profiles, from
+/// the batch's first truth, and only when some group reads own keys.
+///
+/// [`HashIndex::filed_rows`]: cerfix_relation::HashIndex::filed_rows
+#[derive(Debug)]
+pub(crate) struct OwnKeys<'a> {
+    rows: &'a [Tuple],
+    map: &'a [Option<AttrId>],
+    /// Per key group, its index's filed rows when it reads own keys.
+    filed: Vec<Option<FiledRows<'a>>>,
+    /// Rule positions whose every LHS pair and every RHS pair `(b, bm)`
+    /// the map sends by name: a certain witness of such a rule agrees
+    /// with the truth's row, which is one of the matching rows.
+    fixes_own: AttrSet,
+}
+
+impl<'a> OwnKeys<'a> {
+    /// The own keys of truths read like `at`; `None` when `at` is not a
+    /// row of `master` or no indexed key group reads an own key.
+    pub(crate) fn of(
+        plan: &'a CompiledRules,
+        master: &MasterData,
+        at: MasterRow<'a>,
+    ) -> Option<OwnKeys<'a>> {
+        if !at.of(master) {
+            return None;
+        }
+        let mut own = OwnKeys {
+            rows: at.rows,
+            map: at.map,
+            filed: Vec::new(),
+            fixes_own: AttrSet::new(),
+        };
+        for (pos, rule) in plan.rules.iter().enumerate() {
+            let reads_own = at.reads_own(&rule.input_lhs, &rule.master_lhs);
+            // Groups are numbered in order of their first rule.
+            if rule.group == own.filed.len() {
+                let index = rule.index.as_deref().filter(|_| reads_own);
+                own.filed
+                    .push(index.map(|index| index.filed_rows(master.len())));
+            }
+            if reads_own && at.reads_own(&rule.input_rhs, &rule.master_rhs) {
+                own.fixes_own.insert(pos);
+            }
+        }
+        own.filed.iter().any(Option::is_some).then_some(own)
+    }
+
+    /// The row truth `at` is, when it is read as these own keys' truths
+    /// are.
+    pub(crate) fn row(&self, at: Option<MasterRow<'_>>) -> Option<(RowId, &Self)> {
+        let at = at?;
+        let alike = std::ptr::eq(at.rows, self.rows) && std::ptr::eq(at.map, self.map);
+        alike.then_some((at.row, self))
+    }
 }
 
 /// One node of the certification lattice: the closure of some seed under
@@ -476,8 +575,11 @@ impl<'a, U: Universe + ?Sized> ContextCertifier<'a, U> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cerfix_relation::{RelationBuilder, Schema, SchemaRef};
+    use crate::region::universe::{copied, MasterTruths};
+    use cerfix_relation::{Relation, RelationBuilder, Schema, SchemaRef};
     use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// zip→{AC,city}, AC→str chain with one ambiguous zip (G12) and one
     /// row whose AC disagrees with the truth we probe (poison source).
@@ -522,20 +624,20 @@ mod tests {
         let (input, rules, master) = fixture();
         let plan = CompiledRules::compile(&rules, &master);
         let truth = Tuple::of_strings(input.clone(), ["EH8", "131", "Edi", "Elm"]).unwrap();
-        let p = TruthProfile::build(&plan, &master, &truth, &mut ProfileScratch::default());
+        let p = TruthProfile::build(&plan, &master, &truth, None, &mut ProfileScratch::default());
         assert!(!p.poisoned);
         assert!(p.fireable.contains(0) && p.fireable.contains(1) && p.fireable.contains(2));
 
         // G12's city is ambiguous: zip_city dead, the others fire.
         let g12 = Tuple::of_strings(input.clone(), ["G12", "0141", "Gla", "Clyde"]).unwrap();
-        let p = TruthProfile::build(&plan, &master, &g12, &mut ProfileScratch::default());
+        let p = TruthProfile::build(&plan, &master, &g12, None, &mut ProfileScratch::default());
         assert!(!p.poisoned);
         assert!(p.fireable.contains(0) && !p.fireable.contains(1) && p.fireable.contains(2));
 
         // A truth disagreeing with its own master row: zip_ac would fire
         // the master's 131 over the truth's 999 — poisoned.
         let wrong = Tuple::of_strings(input, ["EH8", "999", "Edi", "Elm"]).unwrap();
-        let p = TruthProfile::build(&plan, &master, &wrong, &mut ProfileScratch::default());
+        let p = TruthProfile::build(&plan, &master, &wrong, None, &mut ProfileScratch::default());
         assert!(p.poisoned);
     }
 
@@ -551,7 +653,7 @@ mod tests {
         ];
         for truth in &truths {
             let profile =
-                TruthProfile::build(&plan, &master, truth, &mut ProfileScratch::default());
+                TruthProfile::build(&plan, &master, truth, None, &mut ProfileScratch::default());
             assert!(!profile.poisoned);
             for mask in 0u32..16 {
                 let seed: AttrSet = (0..arity).filter(|a| mask & (1 << a) != 0).collect();
@@ -574,7 +676,8 @@ mod tests {
         let (input, rules, master) = fixture();
         let plan = CompiledRules::compile(&rules, &master);
         let truth = Tuple::of_strings(input.clone(), ["EH8", "131", "Edi", "Elm"]).unwrap();
-        let profile = TruthProfile::build(&plan, &master, &truth, &mut ProfileScratch::default());
+        let profile =
+            TruthProfile::build(&plan, &master, &truth, None, &mut ProfileScratch::default());
         let zip = input.attr_id("zip").unwrap();
         let strr = input.attr_id("str").unwrap();
         let base = ClosureNode::root_of(&plan, &profile.fireable, &[strr].into());
@@ -582,5 +685,175 @@ mod tests {
         let scratch = ClosureNode::root_of(&plan, &profile.fireable, &[strr, zip].into());
         assert_eq!(extended.validated, scratch.validated);
         assert!(extended.complete(input.arity()));
+    }
+
+    /// Every truth of `universe` profiled on one scratch, as one run of
+    /// `build_profiles` profiles its truths.
+    fn profile_all<U: Universe + ?Sized>(
+        plan: &CompiledRules,
+        master: &MasterData,
+        universe: &U,
+    ) -> (Vec<TruthProfile>, ProfileScratch) {
+        let first = (universe.len() > 0).then(|| universe.master_row(0));
+        let own = first.flatten().and_then(|at| OwnKeys::of(plan, master, at));
+        let mut scratch = ProfileScratch::default();
+        let profiles = (0..universe.len())
+            .map(|idx| {
+                let own = own
+                    .as_ref()
+                    .and_then(|own| own.row(universe.master_row(idx)));
+                TruthProfile::build(plan, master, &universe.truth(idx), own, &mut scratch)
+            })
+            .collect();
+        (profiles, scratch)
+    }
+
+    /// Every truth of `master` read in place, profiled by row — the
+    /// lookup's second arm wherever a rule reads the truth's own key —
+    /// and copied into tuples, profiled by hashed probes alone: the same
+    /// fireable rules and the same poisoned flag. Returns the index
+    /// probes made each way.
+    fn row_read_equals_probed(name: &str, rules: &RuleSet, master: &MasterData) -> (usize, usize) {
+        let plan = CompiledRules::compile(rules, master);
+        let truths = MasterTruths::new(rules.input_schema(), master);
+        let copy = copied(&truths, rules.input_schema());
+        let (by_row, by_row_scratch) = profile_all(&plan, master, &truths);
+        let (probed, probed_scratch) = profile_all(&plan, master, &copy[..]);
+        for (idx, (a, b)) in by_row.iter().zip(&probed).enumerate() {
+            assert_eq!(
+                (&a.fireable, a.poisoned),
+                (&b.fireable, b.poisoned),
+                "{name}: truth {idx}"
+            );
+        }
+        (by_row_scratch.probes, probed_scratch.probes)
+    }
+
+    /// A master over `a0..a5` with null cells and four values a column,
+    /// so keys are shared — by rows that agree and rows that do not —
+    /// and rules over an input schema holding those names shuffled, or
+    /// five of them and one of its own, which no master column maps to.
+    /// A rule's pairs join by name three times in four and across names
+    /// otherwise, on either side; patterns gate on input attributes.
+    fn random_instance(seed: u64) -> (RuleSet, MasterData) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let master_names: Vec<String> = (0..6).map(|i| format!("a{i}")).collect();
+        let mut input_names = master_names.clone();
+        if rng.gen_bool(0.5) {
+            input_names[0] = "x0".to_string();
+        }
+        for i in (1..input_names.len()).rev() {
+            input_names.swap(i, rng.gen_range(0..=i));
+        }
+        let input = Schema::of_strings("in", input_names.iter().map(String::as_str)).unwrap();
+        let ms = Schema::of_strings("m", master_names.iter().map(String::as_str)).unwrap();
+        let cell = |rng: &mut StdRng| {
+            if rng.gen_bool(0.15) {
+                Value::Null
+            } else {
+                Value::str(format!("v{}", rng.gen_range(0..4u8)))
+            }
+        };
+        let mut relation = Relation::empty(ms.clone());
+        for _ in 0..rng.gen_range(4..40usize) {
+            let values: Vec<Value> = (0..6).map(|_| cell(&mut rng)).collect();
+            relation
+                .push(Tuple::new(ms.clone(), values).unwrap())
+                .unwrap();
+        }
+        let mut rules = RuleSet::new(input.clone(), ms.clone());
+        for r in 0..rng.gen_range(1..7usize) {
+            let mut attrs: Vec<usize> = (0..6).collect();
+            for i in (1..attrs.len()).rev() {
+                attrs.swap(i, rng.gen_range(0..=i));
+            }
+            let pair = |rng: &mut StdRng, a: usize| match ms.attr_id(input.attr_name(a)) {
+                Some(m) if rng.gen_bool(0.75) => (a, m),
+                _ => (a, rng.gen_range(0..6)),
+            };
+            let lhs_n = rng.gen_range(1..3usize);
+            let lhs: Vec<(usize, usize)> =
+                attrs[..lhs_n].iter().map(|&a| pair(&mut rng, a)).collect();
+            let rhs = vec![pair(&mut rng, attrs[lhs_n])];
+            let mut pattern = PatternTuple::empty();
+            if rng.gen_bool(0.3) {
+                let value = Value::str(format!("v{}", rng.gen_range(0..4u8)));
+                pattern = if rng.gen_bool(0.5) {
+                    pattern.with_eq(attrs[5], value)
+                } else {
+                    pattern.with_ne(attrs[5], value)
+                };
+            }
+            let rule = EditingRule::new(format!("r{r}"), &input, &ms, lhs, rhs, pattern).unwrap();
+            rules.add(rule).unwrap();
+        }
+        (rules, MasterData::new(relation))
+    }
+
+    #[test]
+    fn a_profile_read_by_row_is_the_probed_profile() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let hosp = cerfix_gen::hosp::generate_master(2_000, &mut rng);
+        let hosp = MasterData::new(hosp);
+        let (by_row, probed) = row_read_equals_probed("hosp", &cerfix_gen::hosp::rules(), &hosp);
+        assert_eq!((by_row, probed), (0, 3 * 2_000), "HOSP joins by name only");
+
+        let uk = MasterData::new(cerfix_gen::uk::generate_master(2_000, &mut rng));
+        let (by_row, probed) = row_read_equals_probed("uk", &cerfix_gen::uk::rules(), &uk);
+        assert!(
+            by_row < probed,
+            "UK joins some keys by name: {by_row} < {probed}"
+        );
+
+        // key → value with shared keys, some of whose values disagree.
+        let input = Schema::of_strings("in", ["key", "val", "note"]).unwrap();
+        let ms = Schema::of_strings("m", ["key", "val"]).unwrap();
+        let mut builder = RelationBuilder::new(ms.clone());
+        for i in 0..80 {
+            builder = builder.row_strs([format!("k{}", i % 70), format!("v{}", i % 75)]);
+        }
+        let kv = MasterData::new(builder.build().unwrap());
+        let mut rules = RuleSet::new(input.clone(), ms.clone());
+        let rule = EditingRule::new(
+            "kv",
+            &input,
+            &ms,
+            vec![(0, 0)],
+            vec![(1, 1)],
+            PatternTuple::empty(),
+        );
+        rules.add(rule.unwrap()).unwrap();
+        assert_eq!(row_read_equals_probed("kv", &rules, &kv), (0, 80));
+
+        // Unindexed, every lookup scans: the second arm has no posting.
+        let unindexed = MasterData::new_unindexed(kv.relation().clone());
+        assert_eq!(
+            row_read_equals_probed("kv unindexed", &rules, &unindexed),
+            (0, 0)
+        );
+
+        for seed in 0..400 {
+            let (rules, master) = random_instance(seed);
+            row_read_equals_probed(&format!("random {seed}"), &rules, &master);
+        }
+    }
+
+    /// Profiling the 20 000 HOSP master rows read in place hashes no
+    /// truth key and projects none: all eight rules join by name. The same
+    /// truths copied into tuples probe each of the three key groups once.
+    #[test]
+    fn hosp_master_rows_are_profiled_without_hashing_a_key() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let rules = cerfix_gen::hosp::rules();
+        let master = MasterData::new(cerfix_gen::hosp::generate_master(20_000, &mut rng));
+        let plan = CompiledRules::compile(&rules, &master);
+        let truths = MasterTruths::new(rules.input_schema(), &master);
+        let (_, scratch) = profile_all(&plan, &master, &truths);
+        assert_eq!(scratch.probes, 0, "hashed index probes");
+        assert_eq!(scratch.key_buf.capacity(), 0, "a key was projected");
+
+        let copy = copied(&truths, rules.input_schema());
+        let (_, scratch) = profile_all(&plan, &master, &copy[..]);
+        assert_eq!(scratch.probes, 3 * 20_000, "hashed index probes");
     }
 }

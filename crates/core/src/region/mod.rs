@@ -17,4 +17,4 @@ pub use finder::{
 };
 pub use recheck::recheck_regions;
 pub use tableau::Region;
-pub use universe::{MasterTruth, MasterTruths, Universe};
+pub use universe::{MasterRow, MasterTruth, MasterTruths, Universe};

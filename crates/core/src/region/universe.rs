@@ -13,9 +13,17 @@
 //! where an input attribute has no master column. It borrows the master
 //! and holds only the map, so a search over 20 000 master rows copies
 //! none of them.
+//!
+//! A universe also says where a truth lies, when it is a master row
+//! read in place ([`Universe::master_row`]: the row, and the map it is
+//! read through). A rule whose every LHS pair `(x, xm)` the map sends
+//! `x → xm` reads that truth's *own* key — the key the master index
+//! files the row under — so the truth's profile reads the row's posting
+//! instead of hashing its key. A slice of tuples answers `None`, and its
+//! profiles keep the hashed probe.
 
 use crate::master::MasterData;
-use cerfix_relation::{AttrId, Cells, SchemaRef, Tuple, Value};
+use cerfix_relation::{AttrId, Cells, RowId, SchemaRef, Tuple, Value};
 
 /// Indexed truths a region search certifies against (see module docs).
 ///
@@ -38,6 +46,44 @@ pub trait Universe: Sync {
 
     /// Truth `idx`, `idx < len()`.
     fn truth(&self, idx: usize) -> Self::Truth<'_>;
+
+    /// The master row truth `idx` is, read in place, and the map it is
+    /// read through; `None` when the truth is not a master row read in
+    /// place.
+    fn master_row(&self, _idx: usize) -> Option<MasterRow<'_>> {
+        None
+    }
+}
+
+/// Where a truth lies in master data: row `row` of `rows`, read over
+/// the input schema through `map` (see [`Universe::master_row`]). Only
+/// this crate's universes make one: a profile trusts it to name the
+/// truth's row.
+#[derive(Debug, Clone, Copy)]
+pub struct MasterRow<'a> {
+    /// The master rows the truth is one of.
+    pub(crate) rows: &'a [Tuple],
+    /// Its row id.
+    pub(crate) row: RowId,
+    /// Per input attribute, the master attribute it reads, if any.
+    pub(crate) map: &'a [Option<AttrId>],
+}
+
+impl MasterRow<'_> {
+    /// True iff this truth's projection on `input` is its row's on
+    /// `master`: the map sends every `input[i]` to `master[i]`.
+    pub(crate) fn reads_own(&self, input: &[AttrId], master: &[AttrId]) -> bool {
+        input
+            .iter()
+            .zip(master)
+            .all(|(&x, &xm)| self.map[x] == Some(xm))
+    }
+
+    /// True iff the rows are `master`'s, so `row` is a row id of its
+    /// indexes.
+    pub(crate) fn of(&self, master: &MasterData) -> bool {
+        std::ptr::eq(self.rows, master.relation().rows())
+    }
 }
 
 impl Universe for [Tuple] {
@@ -105,6 +151,14 @@ impl Universe for MasterTruths<'_> {
             map: &self.map,
         }
     }
+
+    fn master_row(&self, idx: usize) -> Option<MasterRow<'_>> {
+        Some(MasterRow {
+            rows: self.rows,
+            row: idx,
+            map: &self.map,
+        })
+    }
 }
 
 /// One master row read over the input schema (see [`MasterTruths`]).
@@ -125,6 +179,19 @@ impl Cells for MasterTruth<'_> {
             None => &NULL,
         }
     }
+}
+
+/// The truths of `universe` copied into tuples over `input`: the same
+/// truths, as a slice universe, which says of none where it lies.
+#[cfg(test)]
+pub(crate) fn copied<U: Universe + ?Sized>(universe: &U, input: &SchemaRef) -> Vec<Tuple> {
+    (0..universe.len())
+        .map(|idx| {
+            let truth = universe.truth(idx);
+            let cells: Vec<Value> = (0..input.arity()).map(|a| truth.cell(a).clone()).collect();
+            Tuple::new(input.clone(), cells).expect("a truth is a tuple of the input schema")
+        })
+        .collect()
 }
 
 #[cfg(test)]

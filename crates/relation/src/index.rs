@@ -36,6 +36,13 @@
 //!   moves to the arena's end with twice the room, and a finished build
 //!   packs the arena exactly.
 //!
+//! The index keeps no per-row state. A caller that asks about the
+//! indexed rows themselves — the region search, whose truths are master
+//! rows — takes [`HashIndex::filed_rows`]: per row id, the posting the
+//! row is filed under, from one pass over the postings, so
+//! [`FiledRows::probe`] answers for a row without projecting, hashing or
+//! comparing its key.
+//!
 //! A hit is always confirmed on the full key, never on the hash alone: a
 //! second key with the same hash takes an overflow slot chained from the
 //! first. The hash is SipHash-1-3 under a random key drawn per index
@@ -58,13 +65,18 @@ const END: u32 = u32::MAX;
 /// The rows of one key, in one word: a lone row's id — it agrees with
 /// itself on every attribute, so it needs no set — or [`SHARED`] plus
 /// the number of the key's [`Shared`] entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Posting(RowId);
 
 /// The bit that marks a [`Posting`] as a [`Shared`] entry's number. No
 /// row id reaches it: a relation's rows are one `Vec`, so there are
 /// fewer than `isize::MAX` of them.
 const SHARED: RowId = 1 << (RowId::BITS - 1);
+
+/// The posting [`FiledRows`] gives a row the index holds under no key:
+/// its key has a null, or it was never inserted. No shared entry's
+/// number reaches it.
+const UNFILED: Posting = Posting(RowId::MAX);
 
 impl Posting {
     /// The number of the key's [`Shared`] entry; `None` for a lone row,
@@ -214,6 +226,13 @@ impl Probe<'_> {
     }
 }
 
+/// What a probe of a key no row holds finds.
+const MISS: Probe<'static> = Probe {
+    matches: 0,
+    first: 0,
+    agree: None,
+};
+
 /// A hash index on a fixed attribute list of one relation: per key, the
 /// matching rows and the attributes those rows agree on, in the flat
 /// layout of the module docs.
@@ -339,17 +358,45 @@ impl HashIndex {
     /// any rule's `Bm` is asked about. No row is read: agreement was
     /// settled when the rows were inserted.
     pub fn probe(&self, key: &[Value]) -> Probe<'_> {
-        let Some(slot) = self.slot(key) else {
-            return Probe {
-                matches: 0,
-                first: 0,
-                agree: None,
-            };
+        match self.slot(key) {
+            Some(slot) => self.posted(slot.posting),
+            None => MISS,
+        }
+    }
+
+    /// Per row id below `rows`, the posting of the key the row is filed
+    /// under, gathered in one pass over the index's postings: no key is
+    /// projected, hashed or compared. What it answers holds until the
+    /// index next changes, which its borrow rules out.
+    pub fn filed_rows(&self, rows: usize) -> FiledRows<'_> {
+        let mut postings = vec![UNFILED; rows];
+        let mut file = |row: RowId, posting: Posting| {
+            if let Some(filed) = postings.get_mut(row) {
+                *filed = posting;
+            }
         };
-        match slot.posting.shared() {
+        for slot in self.table.values().chain(&self.overflow) {
+            match slot.posting.shared() {
+                None => file(slot.posting.0, slot.posting),
+                Some(shared) => {
+                    for &row in self.shared[shared].rows(&self.rows) {
+                        file(row, slot.posting);
+                    }
+                }
+            }
+        }
+        FiledRows {
+            index: self,
+            postings,
+        }
+    }
+
+    #[inline]
+    fn posted(&self, posting: Posting) -> Probe<'_> {
+        match posting.shared() {
             None => Probe {
                 matches: 1,
-                first: slot.posting.0,
+                first: posting.0,
                 agree: None,
             },
             Some(shared) => {
@@ -460,6 +507,28 @@ impl HashIndex {
     }
 }
 
+/// Which posting each row of an index is filed under
+/// ([`HashIndex::filed_rows`]): a probe by row id instead of by key.
+#[derive(Debug)]
+pub struct FiledRows<'a> {
+    index: &'a HashIndex,
+    /// Per row id, its key's posting, or [`UNFILED`].
+    postings: Vec<Posting>,
+}
+
+impl<'a> FiledRows<'a> {
+    /// [`HashIndex::probe`] of the key row `row` is filed under, read
+    /// from its posting: no key is projected, hashed or compared. A row
+    /// whose key has a null, or that the index does not hold, matches
+    /// nothing — as a probe of its key would.
+    pub fn probe(&self, row: RowId) -> Probe<'a> {
+        match self.postings.get(row) {
+            Some(&posting) if posting != UNFILED => self.index.posted(posting),
+            _ => MISS,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +626,38 @@ mod tests {
         idx.insert_row(&rel, row);
         assert_eq!(idx.certain(&[Value::str("020")], &city), (2, None));
         assert_eq!(idx.certain(&[Value::str("020")], &zip), (2, Some(1)));
+    }
+
+    #[test]
+    fn a_row_probe_reads_the_posting_its_key_is_filed_under() {
+        let mut rel = master();
+        let mut idx = HashIndex::build(&rel, vec![0]); // zip
+        let filed = idx.filed_rows(rel.len());
+        for row in 0..rel.len() {
+            let key = rel.row(row).unwrap().project(&[0]);
+            assert_eq!(filed.probe(row), idx.probe(&key), "row {row}");
+        }
+        // SW1A 1AA's lone row turns shared: both rows read the new entry.
+        let schema = rel.schema().clone();
+        let row = rel
+            .push(Tuple::of_strings(schema.clone(), ["SW1A 1AA", "020", "Westminster"]).unwrap())
+            .unwrap();
+        idx.insert_row(&rel, row);
+        // A null key, and a row the index was never given, are filed
+        // under nothing.
+        let null = rel.push(Tuple::all_null(schema.clone())).unwrap();
+        idx.insert_row(&rel, null);
+        let skipped = rel
+            .push(Tuple::of_strings(schema, ["EH8 9YL", "131", "Edi"]).unwrap())
+            .unwrap();
+        let filed = idx.filed_rows(rel.len());
+        let sw1 = idx.probe(&[Value::str("SW1A 1AA")]);
+        assert_eq!((sw1.matches, sw1.first), (2, 1));
+        assert_eq!(filed.probe(1), sw1);
+        assert_eq!(filed.probe(row), sw1);
+        assert_eq!(filed.probe(null).matches, 0);
+        assert_eq!(filed.probe(skipped).matches, 0);
+        assert_eq!(filed.probe(99).matches, 0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use csv::{
 pub use datatype::DataType;
 pub use display::{render_relation, render_relation_head, render_table, render_tuples};
 pub use error::{RelationError, Result};
-pub use index::{HashIndex, Probe};
+pub use index::{FiledRows, HashIndex, Probe};
 pub use predicate::{CompareOp, Predicate};
 pub use relation::{Relation, RowId};
 pub use schema::{AttrId, Attribute, Schema, SchemaRef};

@@ -49,9 +49,10 @@
 //! indexes of 5 000 keys shared by four rows each at most 64 apiece
 //! (measured 43; was 35 013, a box per row and a `Vec` per shared key).
 //! And the region search over such masters, at one thread: at most 211
-//! on UK and 168 on HOSP (measured 201 and 160 — the truths are the
+//! on UK and 168 on HOSP (measured 201 and 162 — the truths are the
 //! master rows read in place, the profiles run on one reused key buffer
-//! and memo; 20 202 and 60 158 while the master was first copied into a
+//! and memo, and HOSP's rows are profiled through one vector of
+//! postings per key group; 20 202 and 60 158 while the master was first copied into a
 //! `Vec<Tuple>` and every profile allocated two buffers of its own).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
@@ -428,8 +429,10 @@ fn hosp_shared_index_allocations() -> (u64, usize) {
 
 /// Most allocations one region search over a 20 000-row master may
 /// make, on the searching thread, per scenario: UK (measured 201 — eight
-/// candidates, no truth in any context's scope) and HOSP (measured 160 —
-/// every truth profiled); each bound is its measurement + 5 %. Neither grows with the master but for the
+/// candidates, no truth in any context's scope) and HOSP (measured 162 —
+/// every truth profiled, by row: its three key groups' postings per row
+/// are gathered once, and the probe memo is never sized; 160 while
+/// every profile hashed its keys); each bound is its measurement + 5 %. Neither grows with the master but for the
 /// doubling of the truth-scope lists: the truths are the master rows,
 /// read in place through the input → master attribute map, and the
 /// profiles run on one reused key buffer and probe memo. Measured

@@ -241,3 +241,86 @@ fn view_search_equals_copy_search_on_the_scenarios() {
     rules.add(kv.unwrap()).unwrap();
     check("kv", &rules, base, appended);
 }
+
+/// A random instance whose master has null cells and four values a
+/// column, so keys are shared — by agreeing and disagreeing rows — and
+/// some keys or fix values are null. Rules join mostly by name, and a
+/// rule joining by name may still fix a foreign attribute (its RHS
+/// crosses names). The appended rows copy a base row's cells with one
+/// changed or nulled, so a shared key can stop agreeing on an attribute
+/// it agreed on: a rule that fired for its truths dies.
+fn random_instance_with_nulls(seed: u64) -> (RuleSet, MasterData, Vec<Tuple>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let master_names: Vec<String> = (0..6).map(|i| format!("a{i}")).collect();
+    let mut input_names = master_names.clone();
+    if rng.gen_bool(0.3) {
+        input_names[0] = "x0".to_string();
+    }
+    for i in (1..input_names.len()).rev() {
+        input_names.swap(i, rng.gen_range(0..=i));
+    }
+    let input = Schema::of_strings("in", input_names.iter().map(String::as_str)).unwrap();
+    let ms = Schema::of_strings("m", master_names.iter().map(String::as_str)).unwrap();
+    let cell = |rng: &mut StdRng| {
+        if rng.gen_bool(0.15) {
+            Value::Null
+        } else {
+            Value::str(format!("v{}", rng.gen_range(0..4u8)))
+        }
+    };
+    let base: Vec<Tuple> = (0..18)
+        .map(|_| {
+            let values: Vec<Value> = (0..6).map(|_| cell(&mut rng)).collect();
+            Tuple::new(ms.clone(), values).unwrap()
+        })
+        .collect();
+    let appended: Vec<Tuple> = (0..6)
+        .map(|_| {
+            let mut row = base[rng.gen_range(0..base.len())].clone();
+            let attr = rng.gen_range(0..6usize);
+            row.set(attr, cell(&mut rng)).unwrap();
+            row
+        })
+        .collect();
+    let mut rules = RuleSet::new(input.clone(), ms.clone());
+    for r in 0..rng.gen_range(2..7usize) {
+        let mut attrs: Vec<usize> = (0..6).collect();
+        for i in (1..attrs.len()).rev() {
+            attrs.swap(i, rng.gen_range(0..=i));
+        }
+        let pair = |rng: &mut StdRng, a: usize, by_name: f64| match ms.attr_id(input.attr_name(a)) {
+            Some(m) if rng.gen_bool(by_name) => (a, m),
+            _ => (a, rng.gen_range(0..6)),
+        };
+        let lhs_n = rng.gen_range(1..3usize);
+        let lhs: Vec<(usize, usize)> = attrs[..lhs_n]
+            .iter()
+            .map(|&a| pair(&mut rng, a, 0.85))
+            .collect();
+        let rhs = vec![pair(&mut rng, attrs[lhs_n], 0.6)];
+        let mut pattern = PatternTuple::empty();
+        if rng.gen_bool(0.3) {
+            let value = Value::str(format!("v{}", rng.gen_range(0..4u8)));
+            pattern = if rng.gen_bool(0.5) {
+                pattern.with_eq(attrs[5], value)
+            } else {
+                pattern.with_ne(attrs[5], value)
+            };
+        }
+        let rule = EditingRule::new(format!("r{r}"), &input, &ms, lhs, rhs, pattern).unwrap();
+        rules.add(rule).unwrap();
+    }
+    let mut master = MasterData::new(RelationBuilder::new(ms).build().unwrap());
+    master.append_rows(base).unwrap();
+    (rules, master, appended)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn view_search_equals_copy_search_over_masters_with_nulls(seed in 0u64..100_000) {
+        let (rules, master, appended) = random_instance_with_nulls(seed);
+        check(&format!("nulls {seed}"), &rules, master, appended);
+    }
+}

@@ -152,7 +152,8 @@ fn scan_answer(rel: &Relation, attrs: &[usize], key: &[Value]) -> (Vec<usize>, O
 
 /// Every answer of `index` — `lookup`, `probe`, `distinct_keys`,
 /// `postings` — equals a scan of `rel`, for every row's key, keys that
-/// no row holds, and a key one cell too long.
+/// no row holds, and a key one cell too long; and every row's probe by
+/// `filed_rows` is the probe of its key.
 fn assert_index_is_scan(
     index: &HashIndex,
     rel: &Relation,
@@ -172,6 +173,12 @@ fn assert_index_is_scan(
             prop_assert_eq!(probe.first, first, "{} first {:?}", how, key);
         }
         prop_assert_eq!(probe.agree, agree.as_ref(), "{} agreement {:?}", how, key);
+    }
+    // A row's probe reads the posting its key is filed under.
+    let filed = index.filed_rows(rel.len());
+    for (row, s) in rel.iter() {
+        let key = s.project(attrs);
+        prop_assert_eq!(filed.probe(row), index.probe(&key), "{} row {}", how, row);
     }
     let indexed: Vec<Vec<Value>> = rel
         .iter()
@@ -272,8 +279,9 @@ proptest! {
     /// A `HashIndex` answers what a scan does, however it was built: in
     /// one `build`, row by row through `insert_row`, or cloned part-way
     /// and appended to — on keys of 1–3 attributes with duplicates, nulls
-    /// and cells either side of the inline boundary. The index cloned
-    /// from keeps answering for the rows it was built over.
+    /// and cells either side of the inline boundary. A row's probe
+    /// (`filed_rows`) is the probe of its key. The index cloned from
+    /// keeps answering for the rows it was built over.
     #[test]
     fn index_equals_scan_however_built(
         pool in proptest::collection::vec(index_text(), 3),
