@@ -146,7 +146,7 @@ mod tests {
     }
 
     /// key → val lookup service over 50 master rows.
-    fn kv_service(workers: usize) -> CleaningService {
+    pub(crate) fn kv_service(workers: usize) -> CleaningService {
         let (master, rules) = kv_setup();
         CleaningService::new(
             master,

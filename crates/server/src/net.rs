@@ -11,6 +11,19 @@
 //! thread too; a `clean` fans its tuples out across scoped threads it
 //! joins before replying.
 //!
+//! The lines of one read share one clock: the read's arrival stamp is
+//! every line's receipt (its queue wait and its deadline count from
+//! there) and the first line's start, and each later line starts where
+//! the line before it ended, at that line's end stamp. So the spans of
+//! one read tile — `queue_ns` of a line is the `queue_ns` plus the
+//! `total_ns` of the line before it — and a pipelined `session.get`
+//! reads the clock twice ([`crate::trace`]). A held `replica.sync` is
+//! answered from its own release stamp, and a line behind it is received
+//! at that release, so no span holds the hold. A write the connection
+//! makes mid-read (before a line that waits, or past the high-water
+//! mark) is transport, no line's service: the line after it starts at a
+//! fresh stamp, and its queue wait holds the write.
+//!
 //! Shutdown completes in milliseconds: the service's shutdown hook
 //! half-closes every connection (read side) and pokes the blocked
 //! `accept` with a loopback connect — no poll timeouts anywhere. A
@@ -23,6 +36,7 @@ use crate::metrics::ServiceMetrics;
 use crate::ops::OpId;
 use crate::protocol::{scan_line, RequestScratch};
 use crate::service::CleaningService;
+use crate::trace::stamp;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -435,7 +449,27 @@ struct Replies<'a> {
     metrics: &'a ServiceMetrics,
 }
 
+/// Where the next line of a read stands on the clock: when it was
+/// received (the read's arrival, or a hold's release) and when its
+/// service starts (where the line before it ended).
+#[derive(Clone, Copy)]
+struct LineClock {
+    received: Instant,
+    started: Instant,
+}
+
 impl Replies<'_> {
+    /// [`flush`](Self::flush) mid-read: a write that happens leaves the
+    /// next line to start after it.
+    fn flush_before(&mut self, clock: &mut LineClock) -> bool {
+        if self.out.is_empty() {
+            return true;
+        }
+        let written = self.flush();
+        clock.started = stamp();
+        written
+    }
+
     /// Write everything held, in one `write_all` (none when nothing is
     /// held). False once the peer is gone.
     fn flush(&mut self) -> bool {
@@ -485,12 +519,16 @@ fn serve_connection(mut stream: TcpStream, open: OpenConnection, live: &AtomicBo
         // Every line in this chunk shares one arrival stamp — queue wait
         // and deadlines are measured from the read, not from when the
         // loop got around to the line.
-        let received = Instant::now();
+        let arrived = stamp();
+        let mut clock = LineClock {
+            received: arrived,
+            started: arrived,
+        };
         while let Some(line_bytes) = buf.next_line() {
             let mut written =
-                respond_line(service, line_bytes, &mut replies, &mut scratch, received);
+                respond_line(service, line_bytes, &mut replies, &mut scratch, &mut clock);
             if replies.out.len() > WRITE_HIGH_WATER {
-                written &= replies.flush();
+                written &= replies.flush_before(&mut clock);
             }
             if !written {
                 return;
@@ -513,13 +551,14 @@ fn serve_connection(mut stream: TcpStream, open: OpenConnection, live: &AtomicBo
 /// trim, scan, dispatch — THE per-line semantics of the protocol, and
 /// the chunking proptest holds them independent of how lines arrive.
 /// A line that makes this thread wait writes what `replies` holds first.
-/// False once a write has failed.
+/// `clock` is where the line stands on the clock, moved on to where the
+/// next one does. False once a write has failed.
 fn respond_line(
     service: &CleaningService,
     line_bytes: &[u8],
     replies: &mut Replies<'_>,
     scratch: &mut RequestScratch,
-    received: Instant,
+    clock: &mut LineClock,
 ) -> bool {
     let Ok(line) = std::str::from_utf8(line_bytes) else {
         let error = ErrorCode::BadRequest.error("request line is not valid UTF-8");
@@ -530,7 +569,6 @@ fn respond_line(
     if trimmed.is_empty() {
         return true; // blank line: no reply
     }
-    let started = Instant::now();
     let scanned = scan_line(trimmed);
     // A caught-up follower's sync that asks to wait is kept on this
     // thread until there is something to say: it borrows the line, and
@@ -545,14 +583,20 @@ fn respond_line(
             return false;
         }
         service.wait_out(&held, &mut scratch.hold);
-        service.serve_held(held, &mut replies.out, &mut scratch.served);
+        let (released, ended) = service.serve_held(held, &mut replies.out, &mut scratch.served);
+        *clock = LineClock {
+            received: released,
+            started: ended,
+        };
     } else {
         // A journaled commit waits for its group fsync (and quorum).
         let waits = scanned.is(OpId::SessionCommit) && service.is_journaled();
-        if waits && !replies.flush() {
+        if waits && !replies.flush_before(clock) {
             return false;
         }
-        service.handle_scanned(&scanned, &mut replies.out, scratch, received, started);
+        let LineClock { received, started } = *clock;
+        clock.started =
+            service.handle_scanned(&scanned, &mut replies.out, scratch, received, started);
     }
     replies.out.push('\n');
     true

@@ -13,7 +13,7 @@ use cerfix::{AuditLog, MonitorSession};
 use cerfix_relation::Tuple;
 use cerfix_storage::{EventView, JournalEvent, RecoveredState, SnapshotData, SyncError};
 use std::sync::{Arc, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 impl CleaningService {
     /// Install a snapshot of all live state and truncate the journal,
@@ -198,7 +198,8 @@ impl CleaningService {
                         );
                         // Ignore per-event errors: replaying an op that
                         // failed live reproduces the failed state too.
-                        let _ = self.inner.sessions.with_session(session, |state| {
+                        let touched = Instant::now();
+                        let _ = self.inner.sessions.with_session(session, touched, |state| {
                             monitor
                                 .apply_validation_into(state, resolved, fixpoint)
                                 .map(|_| ())

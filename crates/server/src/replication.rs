@@ -56,7 +56,7 @@ use crate::errors::{ErrorCode, ServeError};
 use crate::ops::OpId;
 use crate::protocol::{RequestScratch, ScannedLine, SyncFields};
 use crate::service::{CleaningService, Reply};
-use crate::trace::Span;
+use crate::trace::{stamp, Span};
 use crate::wire::scan::{ObjectScanner, RawValue};
 use crate::wire::JsonWriter;
 use cerfix_storage::{CursorRead, EventView, SnapshotData, Waker};
@@ -784,7 +784,7 @@ impl CleaningService {
             return None;
         };
         let held = HeldSync {
-            deadline: Instant::now() + Duration::from_millis(wait_ms).min(MAX_HOLD),
+            deadline: stamp() + Duration::from_millis(wait_ms).min(MAX_HOLD),
             id: scanned.id,
             sync,
         };
@@ -814,7 +814,7 @@ impl CleaningService {
             || !journal.is_alive()
             || self.is_draining()
             || self.shutdown_requested()
-            || Instant::now() >= held.deadline
+            || stamp() >= held.deadline
     }
 
     /// Keep the calling thread — a connection's own — until `held` is
@@ -837,7 +837,7 @@ impl CleaningService {
         while !self.hold_over(held) {
             let mut woken = signal.0.lock().unwrap_or_else(PoisonError::into_inner);
             if !*woken {
-                let left = held.deadline.saturating_duration_since(Instant::now());
+                let left = held.deadline.saturating_duration_since(stamp());
                 woken = signal
                     .1
                     .wait_timeout(woken, left)
@@ -852,12 +852,20 @@ impl CleaningService {
     /// read into the connection's `served`. The request's clock starts
     /// here — arrival stamp, span, latency and the slow log all exclude
     /// the hold, which was the follower's choice and no work of ours.
-    pub(crate) fn serve_held(&self, held: HeldSync<'_>, out: &mut String, served: &mut CursorRead) {
-        let released = Instant::now();
+    /// Returns the release and the request's end stamp: a line behind
+    /// the sync is received at the release and starts at the end.
+    pub(crate) fn serve_held(
+        &self,
+        held: HeldSync<'_>,
+        out: &mut String,
+        served: &mut CursorRead,
+    ) -> (Instant, Instant) {
+        let released = stamp();
         let op = OpId::ReplicaSync.row();
-        self.answer(op, held.id, out, released, released, |reply| {
+        let ended = self.answer(op, held.id, out, released, released, |reply| {
             self.replica_sync(&held.sync, reply, served)
         });
+        (released, ended)
     }
 
     /// Something a held sync waits on besides the journal has changed —
@@ -964,7 +972,7 @@ impl CleaningService {
         cur_durable: u64,
     ) {
         let caught_up = epoch > cur_epoch || (epoch == cur_epoch && offset >= cur_durable);
-        let now = Instant::now();
+        let now = stamp();
         let mut followers = lock_followers(self.replication());
         // Looked up before the name is copied: only a follower's first
         // sync allocates.
@@ -1040,7 +1048,7 @@ impl CleaningService {
     ) -> Result<(), ServeError> {
         let repl = self.replication();
         let needed = repl.quorum().saturating_sub(1);
-        let since = Instant::now();
+        let since = stamp();
         // A client deadline tightens (never widens) the ack-timeout
         // bound: the caller has stopped listening past it, so waiting
         // longer only burns a thread.
@@ -1052,10 +1060,10 @@ impl CleaningService {
                 .values()
                 .filter(|f| f.epoch > epoch || (f.epoch == epoch && f.offset >= position))
                 .count();
-            let now = Instant::now();
+            let now = stamp();
             if acked >= needed || now >= deadline {
                 drop(followers);
-                let elapsed = since.elapsed();
+                let elapsed = now - since;
                 span.quorum_ns += elapsed.as_nanos() as u64;
                 return if acked >= needed {
                     self.metrics_raw().ack_latency.observe(elapsed);

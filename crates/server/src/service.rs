@@ -61,7 +61,7 @@ use crate::protocol::{scan_line, Request, RequestScratch, ScannedLine, SyncField
 use crate::replication::{FollowerLag, ReplicationState, Role};
 use crate::session::SessionManager;
 use crate::timeseries::TimeSeries;
-use crate::trace::{Span, TraceSink};
+use crate::trace::{stamp, Span, TraceSink};
 use crate::wire::{Json, JsonWriter};
 use cerfix::{AuditLog, AuditSink, MasterData, ThreadBudget};
 use cerfix_relation::{SchemaRef, Tuple};
@@ -672,7 +672,8 @@ impl CleaningService {
     /// correlate responses (which always arrive in request order per
     /// connection) without counting lines.
     pub fn handle_line_into(&self, line: &str, out: &mut String, scratch: &mut RequestScratch) {
-        self.handle_line_at(line, out, scratch, Instant::now());
+        let received = stamp();
+        self.handle_scanned(&scan_line(line), out, scratch, received, received);
     }
 
     /// [`handle_line_into`](Self::handle_line_into) with an explicit
@@ -688,14 +689,15 @@ impl CleaningService {
         scratch: &mut RequestScratch,
         received: Instant,
     ) {
-        let started = Instant::now();
+        let started = stamp();
         self.handle_scanned(&scan_line(line), out, scratch, received, started);
     }
 
     /// [`handle_line_at`](Self::handle_line_at) for a caller that has
     /// already scanned the line (the front end scans to see whether it
-    /// waits):
-    /// `started` is the instant just before that scan.
+    /// waits): `started` is where service began, before that scan — the
+    /// previous line's end, on a connection. Returns where it ended: the
+    /// next line's start.
     pub(crate) fn handle_scanned(
         &self,
         scanned: &ScannedLine<'_>,
@@ -703,7 +705,7 @@ impl CleaningService {
         scratch: &mut RequestScratch,
         received: Instant,
         started: Instant,
-    ) {
+    ) -> Instant {
         // The class the request is charged to.
         let op = match scanned.syntax {
             Some(_) => &ops::PARSE_ERROR,
@@ -711,7 +713,7 @@ impl CleaningService {
         };
         self.answer(op, scanned.id, out, received, started, |reply| {
             self.serve(scanned, op, reply, scratch, received, started)
-        });
+        })
     }
 
     /// The frame around every request: count it, run `serve` — which
@@ -721,6 +723,8 @@ impl CleaningService {
     /// before it failed is taken back first, so a request is answered
     /// with exactly one well-formed line. A request whose class can be
     /// shed is held in flight for the whole frame, unwinding included.
+    /// Returns the request's end stamp, which also closes a
+    /// `Reply::send`'s `serialize_ns`.
     pub(crate) fn answer(
         &self,
         op: &'static Op,
@@ -729,7 +733,7 @@ impl CleaningService {
         received: Instant,
         started: Instant,
         serve: impl FnOnce(Reply<'_>) -> Result<(), ServeError>,
-    ) {
+    ) -> Instant {
         let _held = (op.class != Priority::Critical).then(|| self.hold_request());
         let queue_wait = started.saturating_duration_since(received);
         self.inner.metrics.requests.inc();
@@ -742,35 +746,38 @@ impl CleaningService {
         let reply = Reply {
             w: JsonWriter::new(out),
             raw_id,
+            started,
             span: &mut span,
         };
-        if let Err(error) = serve(reply) {
+        let served = serve(reply);
+        if let Err(error) = &served {
             out.truncate(mark);
-            self.write_error(&error, raw_id, out);
+            self.write_error(error, raw_id, out);
         }
-        let elapsed = started.elapsed();
+        let ended = stamp();
+        if let (Ok(()), Some(sending)) = (served, span.sending) {
+            span.serialize_ns = (ended - sending).as_nanos() as u64;
+        }
+        let elapsed = ended - started;
         self.inner.metrics.latency[op].observe(elapsed);
         self.finish_span(&mut span, op, raw_id, elapsed);
+        ended
     }
 
     /// Close out a request's trace span: charge its engine-stat delta
-    /// to its op class and, when tracing is on, derive the trace id and
-    /// residual dispatch time and publish it into the ring. Atomics
-    /// only — no allocation, hot-path safe.
+    /// to its op class, derive the residual dispatch time and publish
+    /// it — the sink derives the trace id, and drops the span when
+    /// tracing is off. Atomics only — no allocation, hot-path safe.
     fn finish_span(&self, span: &mut Span, op: &Op, raw_id: Option<&str>, total: Duration) {
         if span.stats != cerfix::EngineStats::default() {
             self.inner.metrics.add_engine_stats(op, &span.stats);
         }
-        if !self.inner.trace.enabled() {
-            return;
-        }
-        span.trace_id = self.inner.trace.trace_id(raw_id);
         span.op = op.slot;
         span.total_ns = total.as_nanos() as u64;
         span.dispatch_ns = span.total_ns.saturating_sub(
             span.parse_ns + span.engine_ns + span.fsync_ns + span.quorum_ns + span.serialize_ns,
         );
-        self.inner.trace.record(span);
+        self.inner.trace.record(span, raw_id);
     }
 
     /// One scanned line, start to reply: syntax → deadline → shed →
@@ -788,7 +795,7 @@ impl CleaningService {
     ) -> Result<(), ServeError> {
         let admitted = self.admit(scanned, op, scratch, received, started, reply.span);
         // In hand or refused, the request is read: parse time ends here.
-        reply.span.parse_ns = started.elapsed().as_nanos() as u64;
+        reply.span.parse_ns = (stamp() - started).as_nanos() as u64;
         let request = admitted?;
         if op.writes {
             self.check_writable()?;
@@ -868,7 +875,7 @@ impl CleaningService {
     ) -> Result<(), ServeError> {
         match request {
             Request::SessionCreate { tuple } => self.session_create(tuple, reply),
-            Request::SessionGet { session } => self.session_view(session, None, reply),
+            Request::SessionGet { session } => self.session_view(session, reply),
             // `serve` resolved the validations into `scratch`.
             Request::SessionValidate { session, .. } => {
                 self.session_validate(session, scratch, reply)
@@ -1007,13 +1014,16 @@ impl Drop for InFlight<'_> {
 }
 
 /// Where a request's answer goes: the connection's reply buffer (behind
-/// the writer), the request's `id` to echo, and the trace span the
-/// request's stages are charged to. A handler either opens its success
-/// reply here or returns `Err`; whatever it wrote before failing,
-/// [`CleaningService::answer`] takes back.
+/// the writer), the request's `id` to echo, when its service began, and
+/// the trace span the request's stages are charged to. A handler either
+/// opens its success reply here or returns `Err`; whatever it wrote
+/// before failing, [`CleaningService::answer`] takes back.
 pub(crate) struct Reply<'a> {
     w: JsonWriter<'a>,
     raw_id: Option<&'a str>,
+    /// The request's start stamp: what a session it touches records as
+    /// its last use.
+    pub(crate) started: Instant,
     pub(crate) span: &'a mut Span,
 }
 
@@ -1029,16 +1039,16 @@ impl<'a> Reply<'a> {
 
     /// The whole success reply of a handler that has gathered what it
     /// says: opened, `fields` written, closed — and timed, as the span's
-    /// `serialize_ns`. Always `Ok`, so a handler ends with it.
+    /// `serialize_ns`, from here to the request's end stamp. Always
+    /// `Ok`, so a handler ends with it.
     pub(crate) fn send(
         mut self,
         fields: impl FnOnce(&mut JsonWriter<'a>),
     ) -> Result<(), ServeError> {
-        let started = Instant::now();
+        self.span.sending = Some(stamp());
         let w = self.ok();
         fields(w);
         w.end_obj();
-        self.span.serialize_ns = started.elapsed().as_nanos() as u64;
         Ok(())
     }
 }

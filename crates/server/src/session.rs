@@ -185,11 +185,14 @@ impl SessionManager {
         self.next_id.fetch_max(id, Ordering::Relaxed);
     }
 
-    /// Run `f` on the session, touching its idle clock. The map lock is
-    /// released before `f` runs; only that session's lock is held.
+    /// Run `f` on the session, setting its idle clock to `touched` (a
+    /// request passes its own start, so touching reads no clock). The
+    /// map lock is released before `f` runs; only that session's lock
+    /// is held.
     pub fn with_session<R>(
         &self,
         id: u64,
+        touched: Instant,
         f: impl FnOnce(&mut MonitorSession) -> R,
     ) -> Result<R, SessionError> {
         let entry = lock(&self.sessions)
@@ -197,7 +200,7 @@ impl SessionManager {
             .cloned()
             .ok_or(SessionError::NotFound(id))?;
         let mut guard = lock(&entry);
-        guard.last_touched = Instant::now();
+        guard.last_touched = touched;
         Ok(f(&mut guard.session))
     }
 
@@ -252,13 +255,15 @@ mod tests {
         let mgr = SessionManager::new(Duration::from_secs(60), 16);
         let id = mgr.create(mk_tuple()).unwrap();
         assert_eq!(mgr.len(), 1);
-        let arity = mgr.with_session(id, |s| s.tuple.arity()).unwrap();
+        let arity = mgr
+            .with_session(id, Instant::now(), |s| s.tuple.arity())
+            .unwrap();
         assert_eq!(arity, 2);
         let session = mgr.remove(id).unwrap();
         assert_eq!(session.tuple_id as u64, id, "the session carries its id");
         assert!(mgr.is_empty());
         assert_eq!(
-            mgr.with_session(id, |_| ()),
+            mgr.with_session(id, Instant::now(), |_| ()),
             Err(SessionError::NotFound(id))
         );
         assert!(matches!(mgr.remove(id), Err(SessionError::NotFound(_))));
@@ -280,7 +285,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(mgr.evict_idle(), vec![id]);
         assert!(matches!(
-            mgr.with_session(id, |_| ()),
+            mgr.with_session(id, Instant::now(), |_| ()),
             Err(SessionError::NotFound(_))
         ));
     }
@@ -307,7 +312,7 @@ mod tests {
         let id = mgr.create(mk_tuple()).unwrap();
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(15));
-            mgr.with_session(id, |_| ()).unwrap();
+            mgr.with_session(id, Instant::now(), |_| ()).unwrap();
         }
         assert!(mgr.evict_idle().is_empty(), "kept alive by touches");
     }

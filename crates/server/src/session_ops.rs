@@ -5,10 +5,10 @@
 use crate::errors::{ErrorCode, ServeError};
 use crate::protocol::RequestScratch;
 use crate::service::{write_attrs, write_tuple, CleaningService, Reply};
-use cerfix::{FixpointReport, MonitorSession};
+use crate::trace::stamp;
+use cerfix::{DataMonitor, FixpointReport, MonitorSession};
 use cerfix_relation::{AttrSet, SchemaRef, Tuple, Value};
 use cerfix_storage::{JournalEvent, SessionEvent, SessionSnapshot};
-use std::time::Instant;
 
 impl CleaningService {
     pub(crate) fn session_create(
@@ -45,77 +45,86 @@ impl CleaningService {
             })
         })?;
         self.inner.metrics.sessions_created.inc();
-        self.session_view(id, None, reply)
+        self.session_view(id, reply)
+    }
+
+    /// `session.get` (and the reply of `session.create`): the session's
+    /// view, written under its lock.
+    pub(crate) fn session_view(&self, id: u64, mut reply: Reply<'_>) -> Result<(), ServeError> {
+        let engine = self.engine();
+        let monitor = engine.monitor(&self.inner.audit);
+        self.inner
+            .sessions
+            .with_session(id, reply.started, |session| {
+                self.write_view(&monitor, id, session, None, &mut reply)
+            })
+            .map_err(ServeError::from)
     }
 
     /// Write the common session snapshot, with optional fixpoint-report
     /// extras — under the session's lock, as it is read. The suggestion
     /// is the monitor's bitset, written in ascending attribute order.
-    pub(crate) fn session_view(
+    fn write_view(
         &self,
+        monitor: &DataMonitor<'_>,
         id: u64,
+        session: &MonitorSession,
         report: Option<&FixpointReport>,
-        mut reply: Reply<'_>,
-    ) -> Result<(), ServeError> {
-        let engine = self.engine();
-        let monitor = engine.monitor(&self.inner.audit);
+        reply: &mut Reply<'_>,
+    ) {
         let schema = self.input_schema();
-        self.inner
-            .sessions
-            .with_session(id, |session| {
-                let complete = session.is_complete();
-                let suggestion = monitor.suggestion_attrs(session);
-                let w = reply.ok();
-                w.field("session", id);
-                let name = if complete {
-                    "complete"
-                } else if suggestion.is_some() {
-                    "awaiting_user"
-                } else {
-                    "stuck"
-                };
-                w.field("status", name);
-                write_tuple(w, &session.tuple);
-                w.field("rounds", session.rounds);
-                write_attrs(w, schema, "validated", session.validated.iter());
-                match suggestion {
-                    Some(attrs) => write_attrs(w, schema, "suggestion", attrs.iter()),
-                    None if !complete => {
-                        let open = (0..schema.arity()).filter(|&a| !session.validated.contains(a));
-                        write_attrs(w, schema, "unvalidated", open)
-                    }
-                    None => {}
-                }
-                if let Some(report) = report {
-                    w.array("fixes", &report.fixes, |w, fix| {
-                        w.begin_obj();
-                        w.field("attr", schema.attr_name(fix.attr));
-                        w.field("old", &fix.old);
-                        w.field("new", &fix.new);
-                        w.field("rule", fix.rule);
-                        w.field("master_row", fix.master_row);
-                        w.end_obj();
-                    });
-                    let newly = report.newly_validated.iter().copied();
-                    write_attrs(w, schema, "newly_validated", newly);
-                }
+        let complete = session.is_complete();
+        let suggestion = monitor.suggestion_attrs(session);
+        let w = reply.ok();
+        w.field("session", id);
+        let name = if complete {
+            "complete"
+        } else if suggestion.is_some() {
+            "awaiting_user"
+        } else {
+            "stuck"
+        };
+        w.field("status", name);
+        write_tuple(w, &session.tuple);
+        w.field("rounds", session.rounds);
+        write_attrs(w, schema, "validated", session.validated.iter());
+        match suggestion {
+            Some(attrs) => write_attrs(w, schema, "suggestion", attrs.iter()),
+            None if !complete => {
+                let open = (0..schema.arity()).filter(|&a| !session.validated.contains(a));
+                write_attrs(w, schema, "unvalidated", open)
+            }
+            None => {}
+        }
+        if let Some(report) = report {
+            w.array("fixes", &report.fixes, |w, fix| {
+                w.begin_obj();
+                w.field("attr", schema.attr_name(fix.attr));
+                w.field("old", &fix.old);
+                w.field("new", &fix.new);
+                w.field("rule", fix.rule);
+                w.field("master_row", fix.master_row);
                 w.end_obj();
-            })
-            .map_err(ServeError::from)
+            });
+            let newly = report.newly_validated.iter().copied();
+            write_attrs(w, schema, "newly_validated", newly);
+        }
+        w.end_obj();
     }
 
     /// `session.validate` / `session.fix`: apply the validations a
     /// parser resolved into `scratch` (none for `fix`), run the
     /// correcting process on `scratch`'s buffers, and write the session
-    /// view with the report it leaves there. Journals *before* applying,
-    /// inside the session lock: a mixed batch can mutate some cells and
-    /// then fail, and replay must reproduce exactly that — the event is
-    /// the attempt, and the deterministic engine re-derives its outcome.
+    /// view with the report it leaves there — all in one visit to the
+    /// session, under its lock. Journals *before* applying: a mixed
+    /// batch can mutate some cells and then fail, and replay must
+    /// reproduce exactly that — the event is the attempt, and the
+    /// deterministic engine re-derives its outcome.
     pub(crate) fn session_validate(
         &self,
         id: u64,
         scratch: &mut RequestScratch,
-        reply: Reply<'_>,
+        mut reply: Reply<'_>,
     ) -> Result<(), ServeError> {
         let RequestScratch {
             validations,
@@ -127,25 +136,24 @@ impl CleaningService {
             let monitor = engine.monitor(&self.inner.audit);
             self.inner
                 .sessions
-                .with_session(id, |session| {
+                .with_session(id, reply.started, |session| {
                     self.journal_session(SessionEvent::Validated {
                         session: id,
                         validations,
                     });
-                    let engine_started = Instant::now();
+                    let engine_started = stamp();
                     let result = monitor.apply_validation_into(session, validations, fixpoint);
-                    reply.span.engine_ns += engine_started.elapsed().as_nanos() as u64;
-                    result.map(|_| ())
-                })
-                .map_err(ServeError::from)
-        })??;
-        let report = fixpoint.report();
-        reply.span.stats += report.stats;
-        self.inner
-            .metrics
-            .cells_fixed
-            .add(report.fixes.len() as u64);
-        self.session_view(id, Some(report), reply)
+                    reply.span.engine_ns += (stamp() - engine_started).as_nanos() as u64;
+                    let report = result?;
+                    reply.span.stats += report.stats;
+                    self.inner
+                        .metrics
+                        .cells_fixed
+                        .add(report.fixes.len() as u64);
+                    self.write_view(&monitor, id, session, Some(report), &mut reply);
+                    Ok(())
+                })?
+        })
     }
 
     pub(crate) fn session_commit(&self, id: u64, mut reply: Reply<'_>) -> Result<(), ServeError> {
@@ -161,9 +169,9 @@ impl CleaningService {
         // then — under quorum-ack durability — for a majority of the
         // cluster to hold durable copies too.
         if let (Some(binding), Some((seq, at))) = (&self.inner.storage, journaled) {
-            let sync_started = Instant::now();
+            let sync_started = stamp();
             let synced = self.sync_commit(binding, seq);
-            reply.span.fsync_ns += sync_started.elapsed().as_nanos() as u64;
+            reply.span.fsync_ns += (stamp() - sync_started).as_nanos() as u64;
             // Applied in memory and queued in the journal, but NOT
             // durable — the ack must say so (quorum-timeout precedent).
             synced?;

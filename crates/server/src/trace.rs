@@ -17,12 +17,44 @@
 //!
 //! Telemetry reads ([`TraceRing::recent_spans`]) allocate (a `Vec` of
 //! spans) — they are off the hot path by construction.
+//!
+//! The request path reads the clock through one function, [`stamp`],
+//! and hands the instants it reads on as values: one stage's end is the
+//! next stage's start. A warmed pipelined `session.get` reads it twice
+//! (parse end, request end: its start is the previous line's end, or
+//! its read's arrival), a `session.fix` or `session.validate` four
+//! times (the engine run's two ends besides), and a handler that writes
+//! its reply through `Reply::send` once more (the send's start: its end
+//! is the request's). A unit test counts the reads and pins those
+//! figures. Recording a span takes the main ring's lock once; a slow
+//! span takes the slow ring's as well.
 
 use crate::seqring::{rlock, SeqRing};
 use cerfix::EngineStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's [`stamp`] calls, for the tests that pin them.
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The clock, as the request path reads it: every stage boundary of a
+/// request, every deadline and every wait it times comes from here.
+#[inline]
+pub(crate) fn stamp() -> Instant {
+    #[cfg(test)]
+    CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    Instant::now()
+}
+
+/// How many times this thread has called [`stamp`].
+#[cfg(test)]
+pub(crate) fn clock_reads() -> u64 {
+    CLOCK_READS.with(std::cell::Cell::get)
+}
 
 /// Words per slot: trace id, op index, eight timings, four engine-stat
 /// deltas (see `Span::to_words` / `Span::from_words`).
@@ -64,14 +96,18 @@ pub(crate) struct Span {
     /// session's lock, inside the dispatch share, and leave this 0.
     pub serialize_ns: u64,
     /// Receipt → dispatch queue wait: the time a line waits behind the
-    /// lines of the same `read` that come before it (~0 for a lone
-    /// request). Kept OUTSIDE `total_ns`, which starts when service
-    /// begins.
+    /// lines of the same `read` that come before it (0 for the first
+    /// line of a read, and for a line released from a hold). Kept
+    /// OUTSIDE `total_ns`, which starts when service begins — where the
+    /// line before it ended, so the spans of one read tile.
     pub queue_ns: u64,
     /// Absolute request deadline, when the client sent `deadline_ms` —
     /// threaded through dispatch so quorum waits can cut off early.
     /// Not serialized into the ring.
-    pub deadline: Option<std::time::Instant>,
+    pub deadline: Option<Instant>,
+    /// When `Reply::send` began writing: the request's end closes
+    /// `serialize_ns`. Not serialized into the ring.
+    pub sending: Option<Instant>,
     /// Engine work this request performed (deltas, not totals).
     pub stats: EngineStats,
 }
@@ -108,8 +144,10 @@ impl Span {
             quorum_ns: words[7],
             serialize_ns: words[8],
             queue_ns: words[9],
-            // Deadlines are live-request plumbing, not telemetry.
+            // Deadlines and send stamps are live-request plumbing, not
+            // telemetry.
             deadline: None,
+            sending: None,
             stats: EngineStats {
                 fixpoint_runs: words[10] as usize,
                 rule_attempts: words[11] as usize,
@@ -210,13 +248,15 @@ impl TraceSink {
         Arc::clone(&rlock(&self.slow))
     }
 
-    /// Publish a finished span; duplicates it into the slow ring when
-    /// it crosses the threshold.
-    pub(crate) fn record(&self, span: &Span) {
+    /// Publish a finished span under the trace id of its raw wire `id`
+    /// ([`trace_id`](Self::trace_id), derived only when tracing is on);
+    /// duplicates it into the slow ring when it crosses the threshold.
+    pub(crate) fn record(&self, span: &mut Span, raw_id: Option<&str>) {
         let ring = rlock(&self.ring);
         if !ring.enabled() {
             return;
         }
+        span.trace_id = self.trace_id(raw_id);
         ring.record_span(span);
         if span.total_ns >= self.slow_ns() {
             rlock(&self.slow).record_span(span);
@@ -266,6 +306,7 @@ mod tests {
             serialize_ns: 5,
             queue_ns: 11,
             deadline: None,
+            sending: None,
             stats: EngineStats {
                 fixpoint_runs: 1,
                 rule_attempts: 6,
@@ -273,6 +314,12 @@ mod tests {
                 index_probes: 8,
             },
         }
+    }
+
+    /// Record `span` as a request whose wire `id` is its trace id.
+    fn publish(sink: &TraceSink, mut span: Span) {
+        let id = span.trace_id.to_string();
+        sink.record(&mut span, Some(&id));
     }
 
     #[test]
@@ -296,7 +343,7 @@ mod tests {
     fn zero_capacity_disables_recording() {
         let sink = TraceSink::new(0, Duration::from_millis(1));
         assert!(!sink.enabled());
-        sink.record(&span(1, u64::MAX));
+        publish(&sink, span(1, u64::MAX));
         assert_eq!(sink.ring().recorded(), 0);
         assert_eq!(sink.slow().recorded(), 0);
     }
@@ -313,9 +360,9 @@ mod tests {
     #[test]
     fn slow_ring_captures_only_threshold_crossers() {
         let sink = TraceSink::new(8, Duration::from_micros(10));
-        sink.record(&span(1, 9_999));
-        sink.record(&span(2, 10_000));
-        sink.record(&span(3, 50_000));
+        publish(&sink, span(1, 9_999));
+        publish(&sink, span(2, 10_000));
+        publish(&sink, span(3, 50_000));
         let slow = sink.slow().recent_spans(16);
         let ids: Vec<u64> = slow.iter().map(|s| s.trace_id).collect();
         assert_eq!(ids, vec![3, 2]);
@@ -326,29 +373,80 @@ mod tests {
     fn resize_and_retune_apply_at_runtime() {
         let sink = TraceSink::new(0, Duration::from_millis(500));
         assert!(!sink.enabled());
-        sink.record(&span(1, u64::MAX));
+        publish(&sink, span(1, u64::MAX));
         assert_eq!(sink.ring().recorded(), 0);
 
         // config.set trace_buffer: the swapped-in ring records.
         sink.resize(4);
         assert!(sink.enabled());
         assert_eq!(sink.capacity(), 4);
-        sink.record(&span(2, 1_000));
+        publish(&sink, span(2, 1_000));
         assert_eq!(sink.ring().recorded(), 1);
         assert_eq!(sink.ring().recent_spans(4)[0], span(2, 1_000));
 
         // config.set slow_ms: the new threshold gates the slow ring.
         assert_eq!(sink.slow().recorded(), 0);
         sink.set_slow_ns(500);
-        sink.record(&span(3, 600));
+        publish(&sink, span(3, 600));
         assert_eq!(sink.slow().recorded(), 1);
 
         // Shrinking back to zero disables both rings again.
         sink.resize(0);
         assert!(!sink.enabled());
-        sink.record(&span(4, u64::MAX));
+        publish(&sink, span(4, u64::MAX));
         assert_eq!(sink.ring().recorded(), 0);
         assert_eq!(sink.slow().recorded(), 0);
+    }
+
+    /// The clock reads of a warmed session request, on this thread: a
+    /// line served as a connection serves one behind another of the same
+    /// read (its start the previous line's end, handed in), and the same
+    /// line through `handle_line_into`, which stamps its own start.
+    #[test]
+    fn a_warmed_session_request_reads_the_clock_this_often() {
+        let service = crate::tests::kv_service(1);
+        let (mut out, mut scratch) = (String::new(), crate::RequestScratch::default());
+        let create = r#"{"op":"session.create","tuple":["k3","WRONG","n"]}"#;
+        service.handle_line_into(create, &mut out, &mut scratch);
+        assert!(out.contains(r#""session":1,"#), "{out}");
+        let validate =
+            r#"{"op":"session.validate","session":1,"validations":{"key":"k3","note":"n"}}"#;
+        // (line, pipelined, through `handle_line_into`): parse end and
+        // request end; the engine run of a fix or a validate adds its
+        // two ends.
+        for (line, pipelined, in_process) in [
+            (r#"{"op":"session.get","session":1,"id":7}"#, 2, 3),
+            (r#"{"op":"session.fix","session":1}"#, 4, 5),
+            (validate, 4, 5),
+        ] {
+            for _ in 0..3 {
+                out.clear();
+                let before = clock_reads();
+                service.handle_line_into(line, &mut out, &mut scratch);
+                assert_eq!(clock_reads() - before, in_process, "{line}");
+                assert!(
+                    out.starts_with(r#"{"#) && out.contains(r#""ok":true"#),
+                    "{out}"
+                );
+
+                let previous_end = stamp();
+                let before = clock_reads();
+                let scanned = crate::protocol::scan_line(line);
+                service.handle_scanned(
+                    &scanned,
+                    &mut out,
+                    &mut scratch,
+                    previous_end,
+                    previous_end,
+                );
+                assert_eq!(clock_reads() - before, pipelined, "{line}");
+            }
+        }
+        // The spans recorded are whole: every stage inside the total.
+        for span in service.inner.trace.ring().recent_spans(18) {
+            let stages = span.parse_ns + span.engine_ns + span.dispatch_ns + span.serialize_ns;
+            assert_eq!(stages, span.total_ns, "{span:?}");
+        }
     }
 
     #[test]

@@ -767,9 +767,12 @@ pub mod scan {
 
     /// Past the plain bytes of a string body from `pos`, eight at a time:
     /// the position of the first `"`, `\` or control byte, or of the last
-    /// (fewer than eight) bytes, which the byte loop takes one by one.
+    /// (fewer than eight) bytes, which the caller takes one by one. The
+    /// lexer's string scan and the writer's escaping both run on it, so
+    /// one function decides, reading and writing, which bytes are
+    /// special.
     #[inline(always)]
-    fn plain_run(bytes: &[u8], mut pos: usize) -> usize {
+    pub(super) fn plain_run(bytes: &[u8], mut pos: usize) -> usize {
         const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
         const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
         // A byte's high bit is set iff that byte of `word` is below `n`

@@ -1,7 +1,15 @@
 //! The writing side of the wire format: [`JsonWriter`], the one place
 //! commas, colons, brackets, string escapes and number formatting are
 //! emitted.
+//!
+//! A string is copied by runs: the lexer's word-at-a-time `plain_run`
+//! finds the next byte that needs escaping — the one function that
+//! decides, reading and writing, which bytes are special — and the run
+//! before it is pushed whole. Integers are written from a digit buffer,
+//! not through `core::fmt`. The bytes are the char-by-char writer's and
+//! `format!`'s, which the unit tests keep as oracles.
 
+use super::scan::plain_run;
 use super::Json;
 use cerfix_relation::Value;
 
@@ -42,9 +50,8 @@ impl JsonScalar for f64 {
 
 impl JsonScalar for u64 {
     fn write(self, w: &mut JsonWriter<'_>) {
-        use std::fmt::Write;
         w.sep();
-        let _ = write!(w.out, "{self}");
+        push_digits(self, false, w.out);
     }
 }
 
@@ -186,9 +193,8 @@ impl<'a> JsonWriter<'a> {
             Value::Null => self.raw("null"),
             Value::Str(s) => self.str_val(s.as_str()),
             Value::Int(i) => {
-                use std::fmt::Write;
                 self.sep();
-                let _ = write!(self.out, "{i}");
+                push_digits(i.unsigned_abs(), *i < 0, self.out);
             }
             Value::Float(f) => self.num(*f),
             Value::Bool(b) => self.bool_val(*b),
@@ -229,7 +235,8 @@ impl<'a> JsonWriter<'a> {
 fn render_num(n: f64, out: &mut String) {
     use std::fmt::Write;
     if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        let _ = write!(out, "{}", n as i64);
+        let i = n as i64;
+        push_digits(i.unsigned_abs(), i < 0, out);
     } else if n.is_finite() {
         let _ = write!(out, "{n}");
     } else {
@@ -238,21 +245,162 @@ fn render_num(n: f64, out: &mut String) {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Write `magnitude`'s decimal digits, after a `-` when `negative`.
+fn push_digits(mut magnitude: u64, negative: bool, out: &mut String) {
+    let mut buf = [0u8; 21]; // `-` and u64::MAX's 20 digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (magnitude % 10) as u8;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
         }
     }
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
+}
+
+/// Write `s` as a JSON string: each run of bytes that need no escape
+/// pushed whole, each special byte — `"`, `\`, a control byte — escaped
+/// on its own.
+fn render_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
     out.push('"');
+    // `s[from..at]` is owed to `out`. A run is cut only at a special
+    // byte, which is ASCII, so both ends are char boundaries.
+    let (mut from, mut at) = (0, 0);
+    loop {
+        at = plain_run(bytes, at);
+        // Past the plain ones of the last few bytes, which `plain_run`
+        // leaves to be read one at a time.
+        while bytes
+            .get(at)
+            .is_some_and(|&b| !matches!(b, b'"' | b'\\' | 0..=0x1f))
+        {
+            at += 1;
+        }
+        let Some(&byte) = bytes.get(at) else { break };
+        out.push_str(&s[from..at]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(byte >> 4)] as char);
+                out.push(HEX[usize::from(byte & 0xf)] as char);
+            }
+        }
+        at += 1;
+        from = at;
+    }
+    out.push_str(&s[from..]);
+    out.push('"');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The char-by-char writer the run copy replaced: the oracle it must
+    /// agree with.
+    fn render_string_by_char(s: &str, out: &mut String) {
+        use std::fmt::Write;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Run-copied escaping writes what the char loop writes — and what
+    /// `Json::parse` reads back as the string — on random strings of
+    /// plain runs, every control byte, `"`, `\`, DEL and multi-byte
+    /// characters, each string behind 0 to 15 plain bytes, so each
+    /// special byte is met at every position inside a word.
+    #[test]
+    fn run_copied_strings_agree_with_the_char_loop() {
+        let mut pieces: Vec<String> = ["a", "zip", "EH8 4AH", "a longer plain run of text", " "]
+            .iter()
+            .flat_map(|plain| std::iter::repeat_n(plain.to_string(), 8))
+            .collect();
+        pieces.extend(["\"", "\\", "\u{7f}", "é", "🦀", "中文"].map(String::from));
+        pieces.extend((0u8..0x20).map(|byte| char::from(byte).to_string()));
+        let mut rng = StdRng::seed_from_u64(0x0571_31A7);
+        let mut escaped = 0;
+        for _ in 0..2000 {
+            let mut body = String::new();
+            for _ in 0..rng.gen_range(0..24) {
+                body.push_str(&pieces[rng.gen_range(0..pieces.len())]);
+            }
+            for offset in 0..16 {
+                let text = format!("{}{body}", "x".repeat(offset));
+                let (mut runs, mut chars) = (String::from("["), String::from("["));
+                render_string(&text, &mut runs);
+                render_string_by_char(&text, &mut chars);
+                assert_eq!(runs, chars, "{text:?}");
+                escaped += usize::from(runs.len() > text.len() + 3);
+                assert_eq!(Json::parse(&runs[1..]), Ok(Json::Str(text)));
+            }
+        }
+        assert!(escaped > 10_000, "{escaped} strings needed an escape");
+    }
+
+    /// Digits from the buffer are `format!`'s, for `u64`, `Value::Int`
+    /// and an integral `f64`, and parse back to the number written.
+    #[test]
+    fn digit_buffers_write_what_format_writes() {
+        let write = |fill: &dyn Fn(&mut JsonWriter<'_>)| {
+            let mut out = String::new();
+            fill(&mut JsonWriter::new(&mut out));
+            out
+        };
+        for n in [0, 9, 10, 99, 100, 12_345, 1 << 53, u64::MAX - 1, u64::MAX] {
+            let text = write(&|w| w.field("n", n));
+            assert_eq!(text, format!("\"n\":{n}"));
+            let parsed = Json::parse(&format!("{{{text}}}")).expect("an object");
+            assert_eq!(parsed.get("n"), Some(&Json::Num(n as f64)));
+        }
+        for i in [
+            0,
+            -1,
+            9,
+            -9,
+            10,
+            -10,
+            1 << 53,
+            (1 << 53) + 1,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let text = write(&|w| w.value(&Value::Int(i)));
+            assert_eq!(text, format!("{i}"));
+            assert_eq!(Json::parse(&text), Ok(Json::Num(i as f64)));
+        }
+        let exact = 2f64.powi(53) - 1.0;
+        for n in [0.0, -0.0, -1.0, 9.0, 10.0, -10.0, 1e15, exact, -exact] {
+            let text = write(&|w| w.num(n));
+            assert_eq!(text, format!("{}", n as i64));
+            assert_eq!(Json::parse(&text), Ok(Json::Num(n)));
+        }
+    }
 }

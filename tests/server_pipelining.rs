@@ -11,7 +11,10 @@
 //! arbitrary byte boundaries never changes a single response byte —
 //! also on a journaled service, where each commit waits for its group
 //! fsync with lines queued behind it, and where the replies must equal
-//! in-process `handle_line`'s.
+//! in-process `handle_line`'s. The spans of one read tile — a line's
+//! queue wait is the queue wait plus the total of the line before it —
+//! and a line behind a held `replica.sync` queues behind its reply, not
+//! its hold.
 
 use cerfix::MasterData;
 use cerfix_relation::{RelationBuilder, Schema, Value};
@@ -530,4 +533,129 @@ proptest! {
         let whole = run_chunked(&bytes, &[bytes.len()], n);
         prop_assert_eq!(&chunked, &whole, "chunk boundaries changed responses");
     }
+}
+
+/// `(queue_ns, total_ns)` of each span the service recorded, by the
+/// numeric wire `id` it was sent with.
+fn queue_and_total_by_id(service: &CleaningService) -> std::collections::HashMap<u64, (u64, u64)> {
+    let trace = service.handle(&Request::TraceRead { limit: Some(256) });
+    let spans = trace.get("spans").and_then(Json::as_arr).expect("spans");
+    spans
+        .iter()
+        .filter_map(|span| {
+            let ns = |key: &str| span.get(key).and_then(Json::as_u64).expect(key);
+            let id = span.get("trace").and_then(Json::as_str)?.parse().ok()?;
+            let synthetic = span.get("synthetic").and_then(Json::as_bool) == Some(true);
+            (!synthetic).then(|| (id, (ns("queue_ns"), ns("total_ns"))))
+        })
+        .collect()
+}
+
+/// One pipelined window over a real connection: each line starts where
+/// the line before it ended, so its queue wait is exactly the queue wait
+/// plus the total of the line before it — or 0, where a socket read
+/// began — and the lines of one read never overlap or leave a gap.
+#[test]
+fn the_spans_of_one_read_tile() {
+    const N: u64 = 48;
+    let (handle, service) = spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let session = client
+        .create_session(vec![Value::str("k4"), Value::str("WRONG"), Value::str("n")])
+        .expect("create")
+        .session;
+    let mut window = String::new();
+    for i in 0..N {
+        let id = 1000 + i;
+        window.push_str(&match i % 3 {
+            0 => format!(
+                "{{\"op\":\"session.validate\",\"session\":{session},\"validations\":{{\"key\":\"k4\"}},\"id\":{id}}}\n"
+            ),
+            1 => format!("{{\"op\":\"session.fix\",\"session\":{session},\"id\":{id}}}\n"),
+            _ => format!("{{\"op\":\"session.get\",\"session\":{session},\"id\":{id}}}\n"),
+        });
+    }
+    let reads_before = service.metrics().net_reads;
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    stream.write_all(window.as_bytes()).expect("write window");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reader = BufReader::new(stream);
+    for i in 0..N {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response line");
+        assert!(line.starts_with(&format!("{{\"id\":{},\"ok\":true,", 1000 + i)));
+    }
+    // Every read the window took, and the one that saw the half-close.
+    let reads = service.metrics().net_reads - reads_before;
+    let spans = queue_and_total_by_id(&service);
+    assert_eq!(spans[&1000].0, 0, "the first line of a read has no queue");
+    let (mut starts, mut tiled) = (0, 0);
+    for i in 0..N {
+        let (queue, total) = spans[&(1000 + i)];
+        assert!(total > 0);
+        if queue == 0 {
+            starts += 1;
+        } else {
+            let (before_queue, before_total) = spans[&(1000 + i - 1)];
+            assert_eq!(queue, before_queue + before_total, "span {i} does not tile");
+            tiled += 1;
+        }
+    }
+    assert!(
+        starts <= reads,
+        "{starts} spans start a read; {reads} reads"
+    );
+    assert_eq!(starts + tiled, N);
+    handle.shutdown().expect("shutdown");
+}
+
+/// A line pipelined behind a held `replica.sync` queues behind the
+/// sync's reply, not behind its hold: the sync's span starts at its
+/// release (queue 0), and the next line's queue wait is that span's
+/// total — exactly, and far below the 300 ms hold.
+#[test]
+fn a_line_behind_a_held_sync_does_not_queue_for_the_hold() {
+    const HOLD_MS: u64 = 300;
+    let (service, dir) = kv_service_journaled(20, 2);
+    let handle = Server::spawn("127.0.0.1:0", service.clone()).expect("bind ephemeral");
+    let mut stream = TcpStream::connect(handle.addr()).expect("raw connect");
+    let window = format!(
+        concat!(
+            "{{\"op\":\"hello\",\"id\":1}}\n",
+            "{{\"op\":\"replica.sync\",\"follower\":\"f\",\"epoch\":0,\"offset\":0,",
+            "\"wait_ms\":{},\"id\":2}}\n",
+            "{{\"op\":\"hello\",\"id\":3}}\n",
+        ),
+        HOLD_MS
+    );
+    let sent = Instant::now();
+    stream.write_all(window.as_bytes()).expect("write window");
+    let mut reader = BufReader::new(stream);
+    for id in 1..=3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response line");
+        assert!(
+            line.starts_with(&format!("{{\"id\":{id},\"ok\":true,")),
+            "{line}"
+        );
+    }
+    assert!(
+        sent.elapsed() >= Duration::from_millis(HOLD_MS),
+        "the sync was held"
+    );
+    let spans = queue_and_total_by_id(&service);
+    let (hello, sync, behind) = (spans[&1], spans[&2], spans[&3]);
+    assert!(behind.0 < HOLD_MS * 1_000_000, "{behind:?} holds the hold");
+    assert_eq!(sync.0, 0, "a held sync starts at its release");
+    assert_eq!(
+        behind.0,
+        sync.0 + sync.1,
+        "the line behind it tiles with its reply"
+    );
+    assert_eq!(hello.0, 0, "the first line of the read");
+    handle.shutdown().expect("shutdown");
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
