@@ -18,8 +18,10 @@
 //! one read tile — `queue_ns` of a line is the `queue_ns` plus the
 //! `total_ns` of the line before it — and a pipelined `session.get`
 //! reads the clock twice ([`crate::trace`]). A held `replica.sync` is
-//! answered from its own release stamp, and a line behind it is received
-//! at that release, so no span holds the hold. A write the connection
+//! answered from its own release stamp, and a line behind it queues
+//! from that release, so no span holds the hold; its deadline still
+//! counts from the read's arrival, so a caller that gave up during the
+//! hold is shed. A write the connection
 //! makes mid-read (before a line that waits, or past the high-water
 //! mark) is transport, no line's service: the line after it starts at a
 //! fresh stamp, and its queue wait holds the write.
@@ -35,7 +37,7 @@ use crate::errors::{ErrorCode, ServeError};
 use crate::metrics::ServiceMetrics;
 use crate::ops::OpId;
 use crate::protocol::{scan_line, RequestScratch};
-use crate::service::CleaningService;
+use crate::service::{CleaningService, LineClock};
 use crate::trace::stamp;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -449,15 +451,6 @@ struct Replies<'a> {
     metrics: &'a ServiceMetrics,
 }
 
-/// Where the next line of a read stands on the clock: when it was
-/// received (the read's arrival, or a hold's release) and when its
-/// service starts (where the line before it ended).
-#[derive(Clone, Copy)]
-struct LineClock {
-    received: Instant,
-    started: Instant,
-}
-
 impl Replies<'_> {
     /// [`flush`](Self::flush) mid-read: a write that happens leaves the
     /// next line to start after it.
@@ -520,10 +513,7 @@ fn serve_connection(mut stream: TcpStream, open: OpenConnection, live: &AtomicBo
         // and deadlines are measured from the read, not from when the
         // loop got around to the line.
         let arrived = stamp();
-        let mut clock = LineClock {
-            received: arrived,
-            started: arrived,
-        };
+        let mut clock = LineClock::at(arrived);
         while let Some(line_bytes) = buf.next_line() {
             let mut written =
                 respond_line(service, line_bytes, &mut replies, &mut scratch, &mut clock);
@@ -584,19 +574,15 @@ fn respond_line(
         }
         service.wait_out(&held, &mut scratch.hold);
         let (released, ended) = service.serve_held(held, &mut replies.out, &mut scratch.served);
-        *clock = LineClock {
-            received: released,
-            started: ended,
-        };
+        clock.received = released;
+        clock.started = ended;
     } else {
         // A journaled commit waits for its group fsync (and quorum).
         let waits = scanned.is(OpId::SessionCommit) && service.is_journaled();
         if waits && !replies.flush_before(clock) {
             return false;
         }
-        let LineClock { received, started } = *clock;
-        clock.started =
-            service.handle_scanned(&scanned, &mut replies.out, scratch, received, started);
+        clock.started = service.handle_scanned(&scanned, &mut replies.out, scratch, *clock);
     }
     replies.out.push('\n');
     true

@@ -853,7 +853,8 @@ impl CleaningService {
     /// here — arrival stamp, span, latency and the slow log all exclude
     /// the hold, which was the follower's choice and no work of ours.
     /// Returns the release and the request's end stamp: a line behind
-    /// the sync is received at the release and starts at the end.
+    /// the sync queues from the release (its deadline still counts from
+    /// its arrival) and starts at the end.
     pub(crate) fn serve_held(
         &self,
         held: HeldSync<'_>,

@@ -672,47 +672,32 @@ impl CleaningService {
     /// correlate responses (which always arrive in request order per
     /// connection) without counting lines.
     pub fn handle_line_into(&self, line: &str, out: &mut String, scratch: &mut RequestScratch) {
-        let received = stamp();
-        self.handle_scanned(&scan_line(line), out, scratch, received, received);
+        self.handle_scanned(&scan_line(line), out, scratch, LineClock::at(stamp()));
     }
 
-    /// [`handle_line_into`](Self::handle_line_into) with an explicit
-    /// receipt instant: `received` is when the line arrived (the socket
-    /// read that brought it), so the
-    /// receipt→dispatch gap is accounted as queue wait and a client
-    /// `deadline_ms` is measured from arrival — work whose caller has
-    /// already given up is shed before any engine or fsync cost.
-    pub fn handle_line_at(
-        &self,
-        line: &str,
-        out: &mut String,
-        scratch: &mut RequestScratch,
-        received: Instant,
-    ) {
-        let started = stamp();
-        self.handle_scanned(&scan_line(line), out, scratch, received, started);
-    }
-
-    /// [`handle_line_at`](Self::handle_line_at) for a caller that has
-    /// already scanned the line (the front end scans to see whether it
-    /// waits): `started` is where service began, before that scan — the
-    /// previous line's end, on a connection. Returns where it ended: the
-    /// next line's start.
+    /// [`handle_line_into`](Self::handle_line_into) for a caller that
+    /// has already scanned the line (the front end scans to see whether
+    /// it waits) and knows where the line stands on the `clock`. Returns
+    /// where the request ended: the next line's start.
     pub(crate) fn handle_scanned(
         &self,
         scanned: &ScannedLine<'_>,
         out: &mut String,
         scratch: &mut RequestScratch,
-        received: Instant,
-        started: Instant,
+        clock: LineClock,
     ) -> Instant {
         // The class the request is charged to.
         let op = match scanned.syntax {
             Some(_) => &ops::PARSE_ERROR,
             None => scanned.op.unwrap_or(&ops::OTHER),
         };
+        let LineClock {
+            arrived,
+            received,
+            started,
+        } = clock;
         self.answer(op, scanned.id, out, received, started, |reply| {
-            self.serve(scanned, op, reply, scratch, received, started)
+            self.serve(scanned, op, reply, scratch, arrived, started)
         })
     }
 
@@ -723,8 +708,7 @@ impl CleaningService {
     /// before it failed is taken back first, so a request is answered
     /// with exactly one well-formed line. A request whose class can be
     /// shed is held in flight for the whole frame, unwinding included.
-    /// Returns the request's end stamp, which also closes a
-    /// `Reply::send`'s `serialize_ns`.
+    /// Returns the request's end stamp.
     pub(crate) fn answer(
         &self,
         op: &'static Op,
@@ -749,15 +733,11 @@ impl CleaningService {
             started,
             span: &mut span,
         };
-        let served = serve(reply);
-        if let Err(error) = &served {
+        if let Err(error) = serve(reply) {
             out.truncate(mark);
-            self.write_error(error, raw_id, out);
+            self.write_error(&error, raw_id, out);
         }
         let ended = stamp();
-        if let (Ok(()), Some(sending)) = (served, span.sending) {
-            span.serialize_ns = (ended - sending).as_nanos() as u64;
-        }
         let elapsed = ended - started;
         self.inner.metrics.latency[op].observe(elapsed);
         self.finish_span(&mut span, op, raw_id, elapsed);
@@ -790,10 +770,10 @@ impl CleaningService {
         op: &'static Op,
         reply: Reply<'_>,
         scratch: &mut RequestScratch,
-        received: Instant,
+        arrived: Instant,
         started: Instant,
     ) -> Result<(), ServeError> {
-        let admitted = self.admit(scanned, op, scratch, received, started, reply.span);
+        let admitted = self.admit(scanned, op, scratch, arrived, started, reply.span);
         // In hand or refused, the request is read: parse time ends here.
         reply.span.parse_ns = (stamp() - started).as_nanos() as u64;
         let request = admitted?;
@@ -826,7 +806,7 @@ impl CleaningService {
         scanned: &ScannedLine<'_>,
         op: &'static Op,
         scratch: &mut RequestScratch,
-        received: Instant,
+        arrived: Instant,
         started: Instant,
         span: &mut Span,
     ) -> Result<Request, ServeError> {
@@ -834,11 +814,12 @@ impl CleaningService {
             return Err(ErrorCode::ParseError.error(&error.0));
         }
         // Deadline check before any engine, journal or fsync cost is
-        // paid. `deadline_ms: 0` is deterministically expired; an
+        // paid, counted from the line's arrival: a hold it waited out
+        // behind another line does not restart it. `deadline_ms: 0` is deterministically expired; an
         // absurd deadline that overflows `Instant` arithmetic can
         // never expire and is simply dropped.
         if let Some(ms) = scanned.deadline_ms() {
-            if let Some(deadline) = received.checked_add(Duration::from_millis(ms)) {
+            if let Some(deadline) = arrived.checked_add(Duration::from_millis(ms)) {
                 if started >= deadline {
                     self.inner.metrics.requests_shed_deadline.inc();
                     return Err(ErrorCode::DeadlineExceeded
@@ -1004,6 +985,29 @@ impl CleaningService {
     }
 }
 
+/// Where a line stands on the clock: when the read that brought it
+/// arrived (its `deadline_ms` counts from there), when it joined the
+/// queue it waits in (the arrival, or the release of a hold it waited
+/// out behind: its `queue_ns` counts from there), and when its service
+/// starts.
+#[derive(Clone, Copy)]
+pub(crate) struct LineClock {
+    pub(crate) arrived: Instant,
+    pub(crate) received: Instant,
+    pub(crate) started: Instant,
+}
+
+impl LineClock {
+    /// A line that arrived, and starts, `now`.
+    pub(crate) fn at(now: Instant) -> LineClock {
+        LineClock {
+            arrived: now,
+            received: now,
+            started: now,
+        }
+    }
+}
+
 /// A request held in flight: released when dropped.
 pub(crate) struct InFlight<'a>(&'a Cell);
 
@@ -1039,16 +1043,16 @@ impl<'a> Reply<'a> {
 
     /// The whole success reply of a handler that has gathered what it
     /// says: opened, `fields` written, closed — and timed, as the span's
-    /// `serialize_ns`, from here to the request's end stamp. Always
-    /// `Ok`, so a handler ends with it.
+    /// `serialize_ns`. Always `Ok`, so a handler ends with it.
     pub(crate) fn send(
         mut self,
         fields: impl FnOnce(&mut JsonWriter<'a>),
     ) -> Result<(), ServeError> {
-        self.span.sending = Some(stamp());
+        let sending = stamp();
         let w = self.ok();
         fields(w);
         w.end_obj();
+        self.span.serialize_ns = (stamp() - sending).as_nanos() as u64;
         Ok(())
     }
 }

@@ -24,9 +24,9 @@
 //! (parse end, request end: its start is the previous line's end, or
 //! its read's arrival), a `session.fix` or `session.validate` four
 //! times (the engine run's two ends besides), and a handler that writes
-//! its reply through `Reply::send` once more (the send's start: its end
-//! is the request's). A unit test counts the reads and pins those
-//! figures. Recording a span takes the main ring's lock once; a slow
+//! its reply through `Reply::send` twice more (the send's two ends, so
+//! `serialize_ns` is the writing alone). A unit test counts the reads
+//! and pins those figures. Recording a span takes the main ring's lock once; a slow
 //! span takes the slow ring's as well.
 
 use crate::seqring::{rlock, SeqRing};
@@ -105,9 +105,6 @@ pub(crate) struct Span {
     /// threaded through dispatch so quorum waits can cut off early.
     /// Not serialized into the ring.
     pub deadline: Option<Instant>,
-    /// When `Reply::send` began writing: the request's end closes
-    /// `serialize_ns`. Not serialized into the ring.
-    pub sending: Option<Instant>,
     /// Engine work this request performed (deltas, not totals).
     pub stats: EngineStats,
 }
@@ -147,7 +144,6 @@ impl Span {
             // Deadlines and send stamps are live-request plumbing, not
             // telemetry.
             deadline: None,
-            sending: None,
             stats: EngineStats {
                 fixpoint_runs: words[10] as usize,
                 rule_attempts: words[11] as usize,
@@ -306,7 +302,6 @@ mod tests {
             serialize_ns: 5,
             queue_ns: 11,
             deadline: None,
-            sending: None,
             stats: EngineStats {
                 fixpoint_runs: 1,
                 rule_attempts: 6,
@@ -429,16 +424,10 @@ mod tests {
                     "{out}"
                 );
 
-                let previous_end = stamp();
+                let previous_end = crate::service::LineClock::at(stamp());
                 let before = clock_reads();
                 let scanned = crate::protocol::scan_line(line);
-                service.handle_scanned(
-                    &scanned,
-                    &mut out,
-                    &mut scratch,
-                    previous_end,
-                    previous_end,
-                );
+                service.handle_scanned(&scanned, &mut out, &mut scratch, previous_end);
                 assert_eq!(clock_reads() - before, pipelined, "{line}");
             }
         }

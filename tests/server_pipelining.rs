@@ -614,7 +614,9 @@ fn the_spans_of_one_read_tile() {
 /// A line pipelined behind a held `replica.sync` queues behind the
 /// sync's reply, not behind its hold: the sync's span starts at its
 /// release (queue 0), and the next line's queue wait is that span's
-/// total — exactly, and far below the 300 ms hold.
+/// total — exactly, and far below the 300 ms hold. Its deadline still
+/// counts from the read's arrival: a line behind the hold whose
+/// `deadline_ms` is shorter than the hold is shed.
 #[test]
 fn a_line_behind_a_held_sync_does_not_queue_for_the_hold() {
     const HOLD_MS: u64 = 300;
@@ -627,8 +629,10 @@ fn a_line_behind_a_held_sync_does_not_queue_for_the_hold() {
             "{{\"op\":\"replica.sync\",\"follower\":\"f\",\"epoch\":0,\"offset\":0,",
             "\"wait_ms\":{},\"id\":2}}\n",
             "{{\"op\":\"hello\",\"id\":3}}\n",
+            "{{\"op\":\"hello\",\"deadline_ms\":{},\"id\":4}}\n",
         ),
-        HOLD_MS
+        HOLD_MS,
+        HOLD_MS / 3
     );
     let sent = Instant::now();
     stream.write_all(window.as_bytes()).expect("write window");
@@ -641,6 +645,12 @@ fn a_line_behind_a_held_sync_does_not_queue_for_the_hold() {
             "{line}"
         );
     }
+    let mut expired = String::new();
+    reader.read_line(&mut expired).expect("response line");
+    assert!(
+        expired.starts_with(r#"{"id":4,"ok":false,"code":"deadline_exceeded","#),
+        "{expired}"
+    );
     assert!(
         sent.elapsed() >= Duration::from_millis(HOLD_MS),
         "the sync was held"
