@@ -32,9 +32,7 @@
 
 use crate::engine::inference::RuleMasks;
 use crate::master::MasterData;
-use cerfix_relation::{
-    AttrId, AttrSet, Cells, FiledRows, HashIndex, Probe, RowId, SchemaRef, Value,
-};
+use cerfix_relation::{AttrId, AttrSet, Cells, HashIndex, Probe, RowId, SchemaRef, Value};
 use cerfix_rules::{PatternTuple, RuleId, RuleSet};
 use std::sync::Arc;
 
@@ -232,31 +230,24 @@ impl CompiledRules {
             memo.probed.insert(group);
             *probes += 1;
         }
-        let probe = memo.slots[group].probe();
-        master.certain_verdict(probe, &rule.master_rhs_set).1
+        self.verdict(pos, master, memo.slots[group].probe())
     }
 
-    /// [`lookup`](Self::lookup) of the rule at `pos` for a tuple whose
-    /// key for it is master row `row`'s own: the same verdict, read from
-    /// `filed` — the rows of the rule's index by posting — with no key
-    /// projected or hashed. `row` is one of the matching rows, so when
-    /// they agree on `Bm` its cells there are the witness's: the null
-    /// check of [`MasterData::certain_verdict`] reads `row`, which the
-    /// caller is reading anyway, instead of the witness.
-    pub(crate) fn lookup_row(
+    /// The certain verdict of the rule at `pos` on `probe`, a posting of
+    /// its index: the witness, iff the matching rows agree on the rule's
+    /// `Bm` and the first has no null there
+    /// ([`MasterData::certain_verdict`]). [`lookup`](Self::lookup) asks it
+    /// of a probed key; the region search asks it of a master row's own
+    /// posting, once per posting and rule.
+    pub(crate) fn verdict(
         &self,
         pos: usize,
         master: &MasterData,
-        filed: &FiledRows<'_>,
-        row: RowId,
+        probe: Probe<'_>,
     ) -> Option<RowId> {
-        let rule = &self.rules[pos];
-        let own = master.tuple(row).expect("filed row in range");
-        let evidence = || !rule.master_rhs.iter().any(|&a| own.get(a).is_null());
-        filed
-            .probe(row)
-            .agreed(&rule.master_rhs_set)
-            .filter(|_| evidence())
+        master
+            .certain_verdict(probe, &self.rules[pos].master_rhs_set)
+            .1
     }
 
     /// Number of compiled rules.

@@ -29,15 +29,17 @@
 //! slice of tuples. Every step reads a truth through
 //! [`Cells`](cerfix_relation::Cells), and a truth that is a master row
 //! read in place ([`Universe::master_row`]) is profiled from the
-//! postings its row is filed under wherever a rule joins by name; the
-//! data phase is monomorphised per universe.
+//! postings its row is filed under wherever a rule joins by name — each
+//! rule decided once per posting, not once per truth; the data phase is
+//! monomorphised per universe.
 //!
 //! Certified candidates with the same `Z` merge their contexts into one
 //! tableau; regions are ranked ascending by `|Z|` and cut to `top_k`.
 //!
 //! The data phase is **incremental and parallel** (see
 //! [`lattice`](crate::region::lattice)): per in-scope truth a
-//! [`TruthProfile`] classifies every rule once, after which each
+//! [`TruthProfile`] classifies every rule once — profiled in row order,
+//! stored as one word of rule bits per truth — after which each
 //! candidate's certification is a memoized bitset closure; candidates
 //! fan out across worker threads ([`ordered_map`]) with a deterministic
 //! in-order merge. [`find_regions_from_scratch`] keeps the pre-lattice
@@ -53,7 +55,7 @@ use crate::engine::{CompiledRules, RuleMasks};
 use crate::exec::ordered_map;
 use crate::master::MasterData;
 use crate::region::certify::certify_region;
-use crate::region::lattice::{ContextCertifier, OwnKeys, ProfileScratch, TruthProfile};
+use crate::region::lattice::{ContextCertifier, OwnKeys, ProfileScratch, TruthProfiles};
 use crate::region::tableau::Region;
 use crate::region::universe::Universe;
 use cerfix_relation::{AttrId, AttrSet, Tuple, Value};
@@ -437,48 +439,38 @@ pub(crate) fn chunk_candidates(
     chunks
 }
 
-/// Build [`TruthProfile`]s for `needed` universe indices, fanned across
-/// the worker threads, and record which truths are poisoned. `needed`
-/// is cut into one run per thread, and each run profiles its truths on
-/// one [`ProfileScratch`], so the allocations here do not grow with the
-/// number of truths. Truths that are master rows read in place
-/// ([`Universe::master_row`]) are profiled by row through one
-/// `OwnKeys`, made from the first of them, so a rule reading a truth's
-/// own key hashes none.
+/// Profile the `needed` universe indices, ascending, into `profiles`,
+/// fanned across the worker threads. `needed` is cut into one run per
+/// thread; each run writes the profiles of its own span of truths in
+/// place and profiles its truths on one [`ProfileScratch`], so the
+/// allocations here do not grow with the number of truths. Truths that
+/// are master rows read in place ([`Universe::master_row`]) are profiled
+/// through one `OwnKeys`, made from the first of them: a key group
+/// reading a truth's own key hashes no key and decides each of its rules
+/// once per posting a run meets, not once per truth. The walk in row
+/// order meets most postings at their first row, the row just read.
 pub(crate) fn build_profiles<U: Universe + ?Sized>(
     plan: &CompiledRules,
     master: &MasterData,
     universe: &U,
     needed: &[usize],
     threads: usize,
-    profiles: &mut [Option<TruthProfile>],
-    poisoned: &mut [bool],
+    profiles: &mut TruthProfiles,
 ) {
+    debug_assert!(needed.is_sorted(), "needed truths in row order");
     let own = needed
         .first()
         .and_then(|&idx| OwnKeys::of(plan, master, universe.master_row(idx)?));
     let run_len = needed.len().div_ceil(threads.max(1)).max(1);
-    let built: Vec<Vec<TruthProfile>> = ordered_map::<_, _, std::convert::Infallible, _>(
-        threads,
-        needed.chunks(run_len).collect(),
-        |_, run: &[usize]| {
-            let mut scratch = ProfileScratch::default();
-            Ok(run
-                .iter()
-                .map(|&idx| {
-                    let own = own
-                        .as_ref()
-                        .and_then(|own| own.row(universe.master_row(idx)));
-                    TruthProfile::build(plan, master, &universe.truth(idx), own, &mut scratch)
-                })
-                .collect())
-        },
-    )
+    let runs = needed.chunks(run_len);
+    let ends = runs.clone().map(|run| run[run.len() - 1] + 1);
+    let work: Vec<_> = runs.zip(profiles.split(ends)).collect();
+    ordered_map::<_, _, std::convert::Infallible, _>(threads, work, |_, (run, mut out)| {
+        let mut scratch = ProfileScratch::default();
+        out.profile(plan, master, universe, run, own.as_ref(), &mut scratch);
+        Ok(())
+    })
     .expect("profile building is infallible");
-    for (&idx, profile) in needed.iter().zip(built.into_iter().flatten()) {
-        poisoned[idx] = profile.poisoned();
-        profiles[idx] = Some(profile);
-    }
 }
 
 /// Compute top-k certain regions for `rules` against `master`, certified
@@ -534,29 +526,20 @@ pub fn search_regions<U: Universe + ?Sized>(
 
     let threads = resolve_threads(options.threads);
 
-    // Profile every in-scope truth (contexts partition the universe, but
-    // dedup defensively — overlapping patterns cost nothing extra).
-    let mut profiles: Vec<Option<TruthProfile>> = vec![None; universe.len()];
-    let mut poisoned = vec![false; universe.len()];
-    let mut seen = vec![false; universe.len()];
-    let mut needed: Vec<usize> = Vec::new();
+    // Profile every in-scope truth, in row order (contexts partition the
+    // universe, but dedup defensively — overlapping patterns cost nothing
+    // extra).
+    let mut in_scope = vec![false; universe.len()];
+    let mut scoped = 0;
     for record in &contexts {
         for &idx in &record.truths {
-            if !seen[idx] {
-                seen[idx] = true;
-                needed.push(idx);
-            }
+            scoped += usize::from(!std::mem::replace(&mut in_scope[idx], true));
         }
     }
-    build_profiles(
-        &plan,
-        master,
-        universe,
-        &needed,
-        threads,
-        &mut profiles,
-        &mut poisoned,
-    );
+    let mut needed = Vec::with_capacity(scoped);
+    needed.extend((0..universe.len()).filter(|&idx| in_scope[idx]));
+    let mut profiles = TruthProfiles::new(&plan, vec![false; universe.len()]);
+    build_profiles(&plan, master, universe, &needed, threads, &mut profiles);
     stats.truth_profiles = needed.len();
 
     // Data phase: chunks of sibling candidates, certified in parallel,
@@ -611,7 +594,7 @@ pub fn search_regions<U: Universe + ?Sized>(
         state: RegionSearchState {
             contexts,
             candidates,
-            poisoned,
+            poisoned: profiles.into_poisoned(),
             universe_len: universe.len(),
             master_rows: master.len(),
             master_generation: master.generation(),

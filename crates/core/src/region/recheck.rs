@@ -23,6 +23,15 @@
 //! `tests/region_incremental.rs`); when the prior state cannot be
 //! trusted (rules drifted, universe shrank, generation moved backwards)
 //! the function falls back to a full search.
+//!
+//! The truths to re-probe are re-profiled as a search profiles its own,
+//! in row order through the postings their rows are filed under: a
+//! touched truth costs the postings it is filed under times their key
+//! groups' rules, decided once for every truth of the batch filed there,
+//! not its own lookup per rule. That is every posting of a touched
+//! truth, not only the touched ones: a one-row HOSP append that touches
+//! 2 226 truths decides 13 340 verdicts, where a lookup per truth and
+//! rule would make 17 808.
 
 use crate::engine::CompiledRules;
 use crate::master::MasterData;
@@ -30,7 +39,7 @@ use crate::region::finder::{
     build_profiles, build_regions, resolve_threads, search_regions, static_phase, RegionSearch,
     RegionSearchState, RegionSearchStats,
 };
-use crate::region::lattice::{ContextCertifier, TruthProfile};
+use crate::region::lattice::{ContextCertifier, TruthProfiles};
 use crate::region::universe::Universe;
 use cerfix_relation::{Cells, Tuple, Value};
 use cerfix_rules::RuleSet;
@@ -190,8 +199,8 @@ pub fn recheck_regions<U: Universe + ?Sized>(
                     .is_some_and(|f| recheck[cand.context].contains(&f))
         })
         .collect();
-    let mut needed: Vec<usize> = Vec::new();
     let mut seen = vec![false; universe.len()];
+    let mut scoped = 0;
     for (ci, record) in contexts.iter().enumerate() {
         let full_context = candidates
             .iter()
@@ -203,24 +212,16 @@ pub fn recheck_regions<U: Universe + ?Sized>(
             &recheck[ci]
         };
         for &idx in scope {
-            if !seen[idx] {
-                seen[idx] = true;
-                needed.push(idx);
-            }
+            scoped += usize::from(!std::mem::replace(&mut seen[idx], true));
         }
     }
-    let mut profiles: Vec<Option<TruthProfile>> = vec![None; universe.len()];
+    // In row order: a posting is decided at the first of its truths met.
+    let mut needed = Vec::with_capacity(scoped);
+    needed.extend((0..universe.len()).filter(|&idx| seen[idx]));
     let mut poisoned = st.poisoned.clone();
     poisoned.resize(universe.len(), false);
-    build_profiles(
-        &plan,
-        master,
-        universe,
-        &needed,
-        threads,
-        &mut profiles,
-        &mut poisoned,
-    );
+    let mut profiles = TruthProfiles::new(&plan, poisoned);
+    build_profiles(&plan, master, universe, &needed, threads, &mut profiles);
     stats.truth_profiles = needed.len();
 
     // Re-probe, context by context. Two certifiers per context: one over
@@ -295,11 +296,57 @@ pub fn recheck_regions<U: Universe + ?Sized>(
         state: RegionSearchState {
             contexts,
             candidates,
-            poisoned,
+            poisoned: profiles.into_poisoned(),
             universe_len: universe.len(),
             master_rows: master.len(),
             master_generation: master.generation(),
             ranked,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::region::lattice::verdicts_decided;
+    use crate::region::{MasterTruths, RegionFinderOptions};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A one-row append to 20 000 HOSP rows — row 7 again, under another
+    /// hospital name — touches the truths under row 7's provider, zip and
+    /// measure keys: 2 226 truths with the new one, 2 222 of them under
+    /// the measure. Profiled by lookups they would make 8 each (17 808);
+    /// from postings, the re-check decides each rule once per posting
+    /// those truths are filed under: 2 222 providers × 4, as many zips ×
+    /// 2, and 4 measures × 2 (the three rows sharing row 7's provider
+    /// carry other measures) — 13 340. The three touched postings alone
+    /// hold 8 verdicts.
+    #[test]
+    fn a_one_row_append_decides_the_touched_truths_postings() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let rules = cerfix_gen::hosp::rules();
+        let mut master = MasterData::new(cerfix_gen::hosp::generate_master(20_000, &mut rng));
+        let options = RegionFinderOptions {
+            threads: 1,
+            ..Default::default()
+        };
+        let input = rules.input_schema();
+        let prior = search_regions(
+            &rules,
+            &master,
+            &MasterTruths::new(input, &master),
+            &options,
+        );
+        let mut row = master.tuple(7).unwrap().clone();
+        let hospital = master.schema().attr_id("hospital").unwrap();
+        row.set(hospital, Value::str("Renamed General Hospital"))
+            .unwrap();
+        master.append_rows(vec![row]).unwrap();
+        let truths = MasterTruths::new(input, &master);
+        let before = verdicts_decided();
+        let patched = recheck_regions(&rules, &master, &truths, &prior, &options);
+        assert_eq!(patched.result.stats.truth_profiles, 2_226);
+        assert_eq!(verdicts_decided() - before, 13_340);
     }
 }

@@ -49,11 +49,12 @@
 //! indexes of 5 000 keys shared by four rows each at most 64 apiece
 //! (measured 43; was 35 013, a box per row and a `Vec` per shared key).
 //! And the region search over such masters, at one thread: at most 211
-//! on UK and 168 on HOSP (measured 201 and 162 — the truths are the
+//! on UK and 158 on HOSP (measured 201 and 151 — the truths are the
 //! master rows read in place, the profiles run on one reused key buffer
 //! and memo, and HOSP's rows are profiled through one vector of
-//! postings per key group; 20 202 and 60 158 while the master was first copied into a
-//! `Vec<Tuple>` and every profile allocated two buffers of its own).
+//! postings per key group and one memo of posting verdicts; 20 202 and
+//! 60 158 while the master was first copied into a `Vec<Tuple>` and
+//! every profile allocated two buffers of its own).
 //!
 //! A counting global allocator wraps the full `handle_line_into`
 //! parse → execute → render path of an in-process service **with request
@@ -429,17 +430,21 @@ fn hosp_shared_index_allocations() -> (u64, usize) {
 
 /// Most allocations one region search over a 20 000-row master may
 /// make, on the searching thread, per scenario: UK (measured 201 — eight
-/// candidates, no truth in any context's scope) and HOSP (measured 162 —
+/// candidates, no truth in any context's scope) and HOSP (measured 151 —
 /// every truth profiled, by row: its three key groups' postings per row
-/// are gathered once, and the probe memo is never sized; 160 while
-/// every profile hashed its keys); each bound is its measurement + 5 %. Neither grows with the master but for the
+/// are gathered once and their verdicts kept in one memo, the probe memo
+/// is never sized, the profiles are one word per truth written in place,
+/// and the list of in-scope truths is sized once; 162 while each profile
+/// was a 40-byte entry copied between two lists, and 160 while every
+/// profile hashed its keys); each bound is its measurement + 5 %.
+/// Neither grows with the master but for the
 /// doubling of the truth-scope lists: the truths are the master rows,
 /// read in place through the input → master attribute map, and the
 /// profiles run on one reused key buffer and probe memo. Measured
 /// 20 002 + 200 and 20 002 + 40 156 while every search first copied the
 /// master into a `Vec<Tuple>` and each profile allocated its own key
 /// buffer and memo.
-const REGION_SEARCH_BOUND: [(&str, u64); 2] = [("uk", 211), ("hosp", 168)];
+const REGION_SEARCH_BOUND: [(&str, u64); 2] = [("uk", 211), ("hosp", 158)];
 
 /// A region search at one thread — so all of it runs on the counted
 /// thread — over 20 000 UK and 20 000 HOSP master rows, indexes built
