@@ -8,9 +8,7 @@
 use crate::engine::{check_consistency, ConsistencyOptions, ConsistencyReport};
 use crate::error::Result;
 use crate::master::{MasterData, MasterDelta};
-use crate::region::{
-    recheck_regions, search_regions, Region, RegionFinderOptions, RegionSearch, RegionSearchResult,
-};
+use crate::region::{search_regions, Region, RegionFinderOptions, RegionSearchResult};
 use cerfix_relation::{render_table, Tuple};
 use cerfix_rules::{parse_rules, render_er_dsl, RuleDecl, RuleSet};
 
@@ -20,9 +18,9 @@ pub struct Explorer {
     rules: RuleSet,
     master: MasterData,
     regions: Vec<Region>,
-    /// The last full region search, retained so master appends can be
-    /// served by delta re-certification instead of a re-search.
-    search: Option<RegionSearch>,
+    /// Regions have been searched since the rules last changed, so a
+    /// master append searches them again.
+    searched: bool,
 }
 
 impl Explorer {
@@ -33,7 +31,7 @@ impl Explorer {
             rules,
             master,
             regions: Vec::new(),
-            search: None,
+            searched: false,
         }
     }
 
@@ -83,7 +81,7 @@ impl Explorer {
             }
         }
         self.regions.clear(); // stale after rule changes
-        self.search = None;
+        self.searched = false;
         Ok(added)
     }
 
@@ -91,7 +89,7 @@ impl Explorer {
     pub fn delete_rule(&mut self, name: &str) -> Result<()> {
         self.rules.remove(name)?;
         self.regions.clear();
-        self.search = None;
+        self.searched = false;
         Ok(())
     }
 
@@ -107,7 +105,7 @@ impl Explorer {
         };
         self.rules.update(name, rule.clone())?;
         self.regions.clear();
-        self.search = None;
+        self.searched = false;
         Ok(())
     }
 
@@ -120,27 +118,22 @@ impl Explorer {
     }
 
     /// Recompute and cache the top-k certain regions for the given truth
-    /// universe. The full search is retained so a later
-    /// [`append_master`](Explorer::append_master) can patch it by delta
-    /// re-certification.
+    /// universe; a later [`append_master`](Explorer::append_master)
+    /// searches again.
     pub fn recompute_regions(
         &mut self,
         universe: &[Tuple],
         options: &RegionFinderOptions,
     ) -> RegionSearchResult {
-        let search = search_regions(&self.rules, &self.master, universe, options);
-        self.regions = search.result.regions.clone();
-        let result = search.result.clone();
-        self.search = Some(search);
+        let result = search_regions(&self.rules, &self.master, universe, options).result;
+        self.regions = result.regions.clone();
+        self.searched = true;
         result
     }
 
-    /// Append rows to the master repository. When a region search is
-    /// cached, it is patched by delta re-certification (only truths an
-    /// appended join key hits, poisoned truths and new ones are
-    /// re-probed);
-    /// `universe` must extend the one the cached search was computed
-    /// over with the new truths. Returns what changed.
+    /// Append rows to the master repository. When regions are cached,
+    /// they are searched again over the grown master, certified over
+    /// `universe` (the truths of the grown master). Returns what changed.
     pub fn append_master(
         &mut self,
         rows: Vec<Tuple>,
@@ -148,10 +141,8 @@ impl Explorer {
         options: &RegionFinderOptions,
     ) -> Result<MasterDelta> {
         let delta = self.master.append_rows(rows)?;
-        if let Some(prior) = self.search.take() {
-            let search = recheck_regions(&self.rules, &self.master, universe, &prior, options);
-            self.regions = search.result.regions.clone();
-            self.search = Some(search);
+        if self.searched {
+            self.recompute_regions(universe, options);
         }
         Ok(delta)
     }

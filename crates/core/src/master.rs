@@ -40,15 +40,15 @@
 //! hash chains behind the first): `master.append` takes rows from
 //! clients, so the table must not let them pick colliding keys — the
 //! reason there is no unkeyed hasher here. The indexes sit in a map
-//! ordered by attribute list, so everything that walks them — appends,
-//! [`MasterDelta::touched_keys`] — does so in one order every run.
+//! ordered by attribute list, so everything that walks them does so in
+//! one order every run.
 
 use cerfix_relation::{
     AttrId, AttrSet, HashIndex, Probe, Relation, RowId, SchemaRef, Tuple, Value,
 };
 use cerfix_rules::EditingRule;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -76,14 +76,7 @@ pub enum CertainLookup {
     },
 }
 
-/// What one master append batch changed, as the indexes saw it.
-///
-/// Delta re-certification does not read it:
-/// [`recheck_regions`](crate::region::recheck_regions) re-derives the
-/// appended join keys itself, per distinct `(X, Xm)` join of the compiled
-/// plan, from the rows past the ones its prior search saw — so it also
-/// covers joins no index has been built for yet — and re-probes only the
-/// truths those keys hit.
+/// What one master append batch changed.
 #[derive(Debug, Clone)]
 pub struct MasterDelta {
     /// Row id of the first appended row.
@@ -92,10 +85,6 @@ pub struct MasterDelta {
     pub appended: usize,
     /// The master generation after the append.
     pub generation: u64,
-    /// Per materialized index, in attribute-list order: the distinct
-    /// join keys the appended rows introduced or extended, in order of
-    /// first appearance — collected as the rows were inserted.
-    pub touched_keys: Vec<(Vec<AttrId>, Vec<Vec<Value>>)>,
 }
 
 /// The master data manager: `Dm` plus per-LHS lookup indexes.
@@ -341,8 +330,7 @@ impl MasterData {
     /// since new rows can introduce key ambiguities that invalidate both
     /// (the demo pre-computes regions for exactly this reason; see
     /// `Explorer::recompute_regions`). For batches,
-    /// [`append_rows`](Self::append_rows) additionally reports the
-    /// touched index keys.
+    /// [`append_rows`](Self::append_rows) reports the appended range.
     pub fn append(&mut self, tuple: Tuple) -> crate::error::Result<RowId> {
         let row_id = self.relation.push(tuple)?;
         if self.use_indexes {
@@ -358,12 +346,9 @@ impl MasterData {
     }
 
     /// Append a batch of rows, returning a [`MasterDelta`] describing
-    /// exactly what changed: the appended row range, the new generation,
-    /// and — per materialized index — the distinct join keys the rows
-    /// introduced or extended, collected as they are inserted (each index
-    /// names the key it filed a row under), in attribute-list order, then
-    /// order of first appearance. The index lock is taken once for the
-    /// batch. Validates every row up front, so a failure appends nothing.
+    /// what changed: the appended row range and the new generation. The
+    /// index lock is taken once for the batch. Validates every row up
+    /// front, so a failure appends nothing.
     pub fn append_rows(&mut self, rows: Vec<Tuple>) -> crate::error::Result<MasterDelta> {
         for row in &rows {
             if !self.schema().same_as(row.schema()) {
@@ -379,21 +364,13 @@ impl MasterData {
         for row in rows {
             self.relation.push(row).expect("pre-checked schema");
         }
-        let mut touched_keys = Vec::new();
         if self.use_indexes {
             let mut cache = self.indexes.write();
-            for (attrs, index) in cache.iter_mut() {
+            for index in cache.values_mut() {
                 let index = Arc::make_mut(index);
-                let mut seen = HashSet::new();
-                let mut keys = Vec::new();
                 for row_id in first_row..self.relation.len() {
-                    if let Some(key) = index.insert_row(&self.relation, row_id) {
-                        if seen.insert(key) {
-                            keys.push(index.key(key).to_vec());
-                        }
-                    }
+                    index.insert_row(&self.relation, row_id);
                 }
-                touched_keys.push((attrs.clone(), keys));
             }
         }
         self.generation
@@ -402,7 +379,6 @@ impl MasterData {
             first_row,
             appended,
             generation: self.generation(),
-            touched_keys,
         })
     }
 

@@ -43,9 +43,9 @@
 //! candidate's certification is a memoized bitset closure; candidates
 //! fan out across worker threads ([`ordered_map`]) with a deterministic
 //! in-order merge. [`find_regions_from_scratch`] keeps the pre-lattice
-//! `universe × candidates` fixpoint loop as the equivalence oracle, and
-//! [`recheck_regions`](crate::region::recheck_regions) patches a prior
-//! [`RegionSearch`] after a master-data append instead of re-searching.
+//! `universe × candidates` fixpoint loop as the equivalence oracle. A
+//! master-data append searches the grown master again: nothing of a
+//! prior search is carried over.
 //!
 //! [`TruthProfile`]: crate::region::lattice::TruthProfile
 //! [`ordered_map`]: crate::exec::ordered_map
@@ -93,7 +93,7 @@ impl Default for RegionFinderOptions {
     }
 }
 
-pub(crate) fn resolve_threads(threads: usize) -> usize {
+fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -224,11 +224,6 @@ pub struct RegionSearchStats {
     /// Closure probes that reused a memoized prefix snapshot (the base
     /// node or a shared sibling prefix) instead of closing from scratch.
     pub lattice_hits: usize,
-    /// Re-search only: candidates whose prior verdict was reused because
-    /// no rule they count on watches a changed master key.
-    pub candidates_reused: usize,
-    /// Re-search only: candidates actually re-certified.
-    pub recertified: usize,
     /// Full correcting-process fixpoints executed (`engine.fixpoint_runs`)
     /// and their work — the poisoned-truth fallback on the incremental
     /// path, every probe on the from-scratch oracle.
@@ -244,87 +239,59 @@ pub struct RegionSearchResult {
     pub stats: RegionSearchStats,
 }
 
-/// One pattern context retained by a [`RegionSearch`] for delta
-/// re-certification.
-#[derive(Debug, Clone)]
-pub(crate) struct ContextRecord {
-    pub(crate) pattern: PatternTuple,
-    pub(crate) mandatory: AttrSet,
+/// One pattern context of a search.
+#[derive(Debug)]
+struct ContextRecord {
+    pattern: PatternTuple,
+    mandatory: AttrSet,
     /// In-scope universe indices (populated only for contexts that
     /// produced candidates).
-    pub(crate) truths: Vec<usize>,
+    truths: Vec<usize>,
 }
 
 /// One `(Z, context)` candidate with its certification verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CandidateRecord {
-    pub(crate) context: usize,
-    pub(crate) attrs: AttrSet,
+#[derive(Debug)]
+struct CandidateRecord {
+    context: usize,
+    attrs: AttrSet,
     /// Extra evidence beyond the mandatory set, sorted ascending (the
     /// lattice's sibling-prefix order).
-    pub(crate) cover: Vec<AttrId>,
-    pub(crate) certified: bool,
-    /// A known-failing truth (universe index) for rejected candidates —
-    /// probed first on re-search so rejects die in O(1).
-    pub(crate) failing: Option<usize>,
+    cover: Vec<AttrId>,
+    certified: bool,
 }
 
-/// Everything [`recheck_regions`](crate::region::recheck_regions) needs
-/// to patch a search after a master append instead of redoing it.
-#[derive(Debug)]
-pub struct RegionSearchState {
-    pub(crate) contexts: Vec<ContextRecord>,
-    pub(crate) candidates: Vec<CandidateRecord>,
-    /// Per universe index: was the truth's profile poisoned (some rule
-    /// fires a non-truth value)? Poisoned truths are always re-probed on
-    /// a master delta — their fixpoints explore non-truth keys.
-    pub(crate) poisoned: Vec<bool>,
-    pub(crate) universe_len: usize,
-    pub(crate) master_rows: usize,
-    pub(crate) master_generation: u64,
-    /// Every certified region, ranked, *untruncated* — any `top_k` view
-    /// is a prefix of this.
-    pub(crate) ranked: Vec<Region>,
-}
-
-/// A region search whose full candidate lattice is retained, so a master
-/// append can be served by [`recheck_regions`] and any `top_k` can be
-/// answered without re-searching.
-///
-/// [`recheck_regions`]: crate::region::recheck_regions
+/// A region search whose untruncated ranking is retained, so any
+/// `top_k` can be answered without re-searching.
 #[derive(Debug)]
 pub struct RegionSearch {
     /// The ranked, truncated result (what [`find_regions`] returns).
     pub result: RegionSearchResult,
-    pub(crate) state: RegionSearchState,
+    /// Every certified region, ranked, *untruncated* — any `top_k` view
+    /// is a prefix of this.
+    ranked: Vec<Region>,
+    master_generation: u64,
 }
 
 impl RegionSearch {
     /// Every certified region, ranked ascending by size, untruncated.
     pub fn ranked(&self) -> &[Region] {
-        &self.state.ranked
+        &self.ranked
     }
 
     /// The first `k` ranked regions.
     pub fn top(&self, k: usize) -> Vec<Region> {
-        self.state.ranked.iter().take(k).cloned().collect()
+        self.ranked.iter().take(k).cloned().collect()
     }
 
     /// The master generation this search was certified against.
     pub fn master_generation(&self) -> u64 {
-        self.state.master_generation
-    }
-
-    /// The universe length this search was certified against.
-    pub fn universe_len(&self) -> usize {
-        self.state.universe_len
+        self.master_generation
     }
 }
 
-/// The static phase, shared by the search, the oracle, and the
-/// re-certifier: enumerate contexts, their mandatory sets, and the
-/// minimal-cover candidates.
-pub(crate) fn static_phase(
+/// The static phase, shared by the search and the oracle: enumerate
+/// contexts, their mandatory sets, and the minimal-cover candidates.
+fn static_phase(
     rules: &RuleSet,
     options: &RegionFinderOptions,
 ) -> (Vec<ContextRecord>, Vec<CandidateRecord>) {
@@ -359,7 +326,6 @@ pub(crate) fn static_phase(
                 attrs,
                 cover: cover.iter().collect(), // ascending
                 certified: false,
-                failing: None,
             });
         }
         records.push(ContextRecord {
@@ -375,7 +341,7 @@ pub(crate) fn static_phase(
 /// original sequential loop: candidates in static-phase order, regions
 /// ranked ascending by `(size, attrs)`). Returns the untruncated ranking
 /// and fills the verdict counters of `stats`.
-pub(crate) fn build_regions(
+fn build_regions(
     contexts: &[ContextRecord],
     candidates: &[CandidateRecord],
     options: &RegionFinderOptions,
@@ -410,10 +376,7 @@ pub(crate) fn build_regions(
 /// Split candidates into contiguous chunks that never cross a context
 /// boundary: each chunk is certified sequentially by one worker with a
 /// shared prefix lattice; chunks fan out across threads.
-pub(crate) fn chunk_candidates(
-    candidates: &[CandidateRecord],
-    threads: usize,
-) -> Vec<Range<usize>> {
+fn chunk_candidates(candidates: &[CandidateRecord], threads: usize) -> Vec<Range<usize>> {
     let total = candidates.len();
     let mut chunks = Vec::new();
     if total == 0 {
@@ -449,7 +412,7 @@ pub(crate) fn chunk_candidates(
 /// reading a truth's own key hashes no key and decides each of its rules
 /// once per posting a run meets, not once per truth. The walk in row
 /// order meets most postings at their first row, the row just read.
-pub(crate) fn build_profiles<U: Universe + ?Sized>(
+fn build_profiles<U: Universe + ?Sized>(
     plan: &CompiledRules,
     master: &MasterData,
     universe: &U,
@@ -477,9 +440,8 @@ pub(crate) fn build_profiles<U: Universe + ?Sized>(
 /// over the `universe` of possible ground-truth input tuples.
 ///
 /// Thin wrapper over [`search_regions`] for callers that only need the
-/// ranked result; long-lived services keep the [`RegionSearch`] so
-/// master appends can be served by
-/// [`recheck_regions`](crate::region::recheck_regions).
+/// ranked result; long-lived services keep the [`RegionSearch`] so any
+/// `top_k` is served from one search.
 pub fn find_regions<U: Universe + ?Sized>(
     rules: &RuleSet,
     master: &MasterData,
@@ -492,8 +454,7 @@ pub fn find_regions<U: Universe + ?Sized>(
 /// The incremental, parallel region search (see module docs): memoized
 /// per-truth rule profiles + lattice closures replace per-candidate
 /// fixpoints, candidates fan out across `options.threads` workers, and
-/// the returned [`RegionSearch`] retains the candidate verdicts needed
-/// for master-delta re-certification.
+/// the returned [`RegionSearch`] retains the untruncated ranking.
 pub fn search_regions<U: Universe + ?Sized>(
     rules: &RuleSet,
     master: &MasterData,
@@ -538,7 +499,7 @@ pub fn search_regions<U: Universe + ?Sized>(
     }
     let mut needed = Vec::with_capacity(scoped);
     needed.extend((0..universe.len()).filter(|&idx| in_scope[idx]));
-    let mut profiles = TruthProfiles::new(&plan, vec![false; universe.len()]);
+    let mut profiles = TruthProfiles::new(&plan, universe.len());
     build_profiles(&plan, master, universe, &needed, threads, &mut profiles);
     stats.truth_profiles = needed.len();
 
@@ -562,16 +523,12 @@ pub fn search_regions<U: Universe + ?Sized>(
             // sharing, but report outcomes in candidate order.
             let mut order: Vec<usize> = range.clone().collect();
             order.sort_by(|&a, &b| candidates[a].cover.cmp(&candidates[b].cover));
-            let mut out = vec![None; range.len()];
+            let mut certified = vec![false; range.len()];
             for i in order {
                 let cand = &candidates[i];
-                out[i - range.start] = Some(certifier.probe(&cand.attrs, &cand.cover, None));
+                certified[i - range.start] = certifier.probe(&cand.attrs, &cand.cover);
             }
-            let outcomes: Vec<_> = out
-                .into_iter()
-                .map(|o| o.expect("every slot probed"))
-                .collect();
-            Ok((outcomes, certifier.stats))
+            Ok((certified, certifier.stats))
         },
     )
     .expect("certification is infallible");
@@ -580,9 +537,8 @@ pub fn search_regions<U: Universe + ?Sized>(
         stats.closure_probes += probe_stats.closure_probes;
         stats.lattice_hits += probe_stats.lattice_hits;
         stats.engine += probe_stats.engine;
-        for (i, outcome) in range.zip(chunk_outcomes) {
-            candidates[i].certified = outcome.certified;
-            candidates[i].failing = outcome.failing;
+        for (i, certified) in range.zip(chunk_outcomes) {
+            candidates[i].certified = certified;
         }
     }
 
@@ -591,16 +547,23 @@ pub fn search_regions<U: Universe + ?Sized>(
     regions.truncate(options.top_k);
     RegionSearch {
         result: RegionSearchResult { regions, stats },
-        state: RegionSearchState {
-            contexts,
-            candidates,
-            poisoned: profiles.into_poisoned(),
-            universe_len: universe.len(),
-            master_rows: master.len(),
-            master_generation: master.generation(),
-            ranked,
-        },
+        ranked,
+        master_generation: master.generation(),
     }
+}
+
+/// The search after a master append, kept by name for the ledger's
+/// `region.recheck_*` probe only: it is [`search_regions`] over the
+/// grown master's `universe`, and reads nothing of `prior`. It goes when
+/// that probe does; nothing else calls it.
+pub fn recheck_regions<U: Universe + ?Sized>(
+    rules: &RuleSet,
+    master: &MasterData,
+    universe: &U,
+    _prior: &RegionSearch,
+    options: &RegionFinderOptions,
+) -> RegionSearch {
+    search_regions(rules, master, universe, options)
 }
 
 /// The pre-lattice data phase: one full diagnostic [`certify_region`]

@@ -114,14 +114,14 @@ pub(crate) struct TruthProfiles {
 }
 
 impl TruthProfiles {
-    /// Room for the profiles of `poisoned.len()` truths of `plan`, each
-    /// with no fireable rule and the flag `poisoned` gives it.
-    pub(crate) fn new(plan: &CompiledRules, poisoned: Vec<bool>) -> TruthProfiles {
+    /// Room for the profiles of `len` truths of `plan`, each with no
+    /// fireable rule and unpoisoned.
+    pub(crate) fn new(plan: &CompiledRules, len: usize) -> TruthProfiles {
         let words = rule_words(plan);
         TruthProfiles {
             words,
-            fireable: vec![0; poisoned.len() * words],
-            poisoned,
+            fireable: vec![0; len * words],
+            poisoned: vec![false; len],
         }
     }
 
@@ -131,11 +131,6 @@ impl TruthProfiles {
             fireable: &self.fireable[idx * self.words..][..self.words],
             poisoned: self.poisoned[idx],
         }
-    }
-
-    /// Every truth's poisoned flag, by universe index.
-    pub(crate) fn into_poisoned(self) -> Vec<bool> {
-        self.poisoned
     }
 
     /// The profiles to write, cut at each of `ends` (ascending): a run
@@ -748,17 +743,12 @@ pub(crate) struct ContextCertifier<'a, U: Universe + ?Sized> {
     plan: &'a CompiledRules,
     master: &'a MasterData,
     universe: &'a U,
-    /// In-scope universe indices for this context.
-    truths: &'a [usize],
     arity: usize,
     /// Distinct fireable sets of the unpoisoned in-scope truths.
     classes: Vec<AttrSet>,
-    /// Per class: a representative slot (for failure reporting).
-    class_rep: Vec<usize>,
-    /// Per in-scope truth slot: its class, or `None` when poisoned.
-    slot_class: Vec<Option<usize>>,
-    /// Slots whose truths need the fixpoint fallback.
-    poisoned_slots: Vec<usize>,
+    /// In-scope truths (universe indices) that need the fixpoint
+    /// fallback.
+    poisoned: Vec<usize>,
     /// Per class: the memoized closure of the mandatory set.
     bases: Vec<Option<ClosureNode>>,
     /// Per class: the prefix stack `[(attr, node)]` above the base,
@@ -770,58 +760,36 @@ pub(crate) struct ContextCertifier<'a, U: Universe + ?Sized> {
     pub(crate) stats: ProbeStats,
 }
 
-/// Outcome of probing one candidate.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ProbeOutcome {
-    pub(crate) certified: bool,
-    /// Universe index of a failing truth (probe order), if any.
-    pub(crate) failing: Option<usize>,
-}
-
 impl<'a, U: Universe + ?Sized> ContextCertifier<'a, U> {
     pub(crate) fn new(
         plan: &'a CompiledRules,
         master: &'a MasterData,
         universe: &'a U,
-        truths: &'a [usize],
+        truths: &[usize],
         profiles: &'a TruthProfiles,
         mandatory: AttrSet,
     ) -> ContextCertifier<'a, U> {
         // Each class's fireable rules as the profiles hold them.
         let mut class_bits: Vec<&[u64]> = Vec::new();
         let mut classes: Vec<AttrSet> = Vec::new();
-        let mut class_rep: Vec<usize> = Vec::new();
-        let mut slot_class: Vec<Option<usize>> = Vec::with_capacity(truths.len());
-        let mut poisoned_slots: Vec<usize> = Vec::new();
-        for (slot, &idx) in truths.iter().enumerate() {
+        let mut poisoned: Vec<usize> = Vec::new();
+        for &idx in truths {
             let profile = profiles.get(idx);
             if profile.poisoned {
-                poisoned_slots.push(slot);
-                slot_class.push(None);
-                continue;
+                poisoned.push(idx);
+            } else if !class_bits.contains(&profile.fireable) {
+                class_bits.push(profile.fireable);
+                classes.push(profile.fireable());
             }
-            let class = match class_bits.iter().position(|f| *f == profile.fireable) {
-                Some(c) => c,
-                None => {
-                    class_bits.push(profile.fireable);
-                    classes.push(profile.fireable());
-                    class_rep.push(slot);
-                    classes.len() - 1
-                }
-            };
-            slot_class.push(Some(class));
         }
         let n_classes = classes.len();
         ContextCertifier {
             plan,
             master,
             universe,
-            truths,
             arity: plan.input_schema().arity(),
             classes,
-            class_rep,
-            slot_class,
-            poisoned_slots,
+            poisoned,
             bases: vec![None; n_classes],
             stacks: vec![Vec::new(); n_classes],
             mandatory,
@@ -832,55 +800,16 @@ impl<'a, U: Universe + ?Sized> ContextCertifier<'a, U> {
 
     /// Probe one candidate `Z = mandatory ∪ cover` against every in-scope
     /// truth — one closure per profile class plus one fixpoint per
-    /// poisoned truth — early-exiting at the first failure. `cover` must
-    /// be sorted ascending (the lattice's sibling-prefix order).
-    /// `failing_first` biases the order so a previously-failing truth's
-    /// class is probed first — re-searches reject in O(1) probes.
-    pub(crate) fn probe(
-        &mut self,
-        attrs: &AttrSet,
-        cover: &[AttrId],
-        failing_first: Option<usize>,
-    ) -> ProbeOutcome {
-        let first_class = failing_first
-            .and_then(|f| self.truths.iter().position(|&u| u == f))
-            .and_then(|slot| self.slot_class[slot]);
-        if let Some(c) = first_class {
-            if !self.probe_class(c, cover) {
-                return ProbeOutcome {
-                    certified: false,
-                    failing: failing_first,
-                };
-            }
-        }
+    /// poisoned truth — early-exiting at the first failure; true iff it
+    /// certifies. `cover` must be sorted ascending (the lattice's
+    /// sibling-prefix order).
+    pub(crate) fn probe(&mut self, attrs: &AttrSet, cover: &[AttrId]) -> bool {
         for c in 0..self.classes.len() {
-            if first_class == Some(c) {
-                continue; // already probed
-            }
             if !self.probe_class(c, cover) {
-                return ProbeOutcome {
-                    certified: false,
-                    failing: Some(self.truths[self.class_rep[c]]),
-                };
+                return false;
             }
         }
-        // Poisoned truths: the failing-first bias applies here too.
-        let first_poisoned = failing_first
-            .and_then(|f| self.truths.iter().position(|&u| u == f))
-            .filter(|&slot| self.slot_class[slot].is_none());
-        for i in 0..=self.poisoned_slots.len() {
-            let slot = match (i, first_poisoned) {
-                (0, Some(slot)) => slot,
-                (0, None) => continue,
-                (i, first) => {
-                    let slot = self.poisoned_slots[i - 1];
-                    if Some(slot) == first {
-                        continue; // already probed first
-                    }
-                    slot
-                }
-            };
-            let idx = self.truths[slot];
+        for &idx in &self.poisoned {
             let input = self
                 .input
                 .get_or_insert_with(|| Tuple::all_null(self.plan.input_schema().clone()));
@@ -892,16 +821,10 @@ impl<'a, U: Universe + ?Sized> ContextCertifier<'a, U> {
                 input,
                 &mut self.stats.engine,
             ) {
-                return ProbeOutcome {
-                    certified: false,
-                    failing: Some(idx),
-                };
+                return false;
             }
         }
-        ProbeOutcome {
-            certified: true,
-            failing: None,
-        }
+        true
     }
 
     /// Probe one profile class; true iff the candidate certifies for its
@@ -1072,7 +995,7 @@ mod tests {
     ) -> (TruthProfiles, ProfileScratch, usize) {
         let first = (universe.len() > 0).then(|| universe.master_row(0));
         let own = first.flatten().and_then(|at| OwnKeys::of(plan, master, at));
-        let mut profiles = TruthProfiles::new(plan, vec![false; universe.len()]);
+        let mut profiles = TruthProfiles::new(plan, universe.len());
         let mut scratch = ProfileScratch::default();
         let before = verdicts_decided();
         let every: Vec<usize> = (0..universe.len()).collect();

@@ -3,7 +3,6 @@
 mod certify;
 mod finder;
 pub(crate) mod lattice;
-mod recheck;
 mod tableau;
 mod universe;
 
@@ -12,9 +11,8 @@ pub use certify::{
     CertifyMode, CertifyResult,
 };
 pub use finder::{
-    find_regions, find_regions_from_scratch, search_regions, RegionFinderOptions, RegionSearch,
-    RegionSearchResult, RegionSearchState, RegionSearchStats,
+    find_regions, find_regions_from_scratch, recheck_regions, search_regions, RegionFinderOptions,
+    RegionSearch, RegionSearchResult, RegionSearchStats,
 };
-pub use recheck::recheck_regions;
 pub use tableau::Region;
 pub use universe::{MasterRow, MasterTruth, MasterTruths, Universe};

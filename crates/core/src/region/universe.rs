@@ -27,7 +27,7 @@ use cerfix_relation::{AttrId, Cells, RowId, SchemaRef, Tuple, Value};
 
 /// Indexed truths a region search certifies against (see module docs).
 ///
-/// The search, the re-check and every certification probe are generic
+/// The search and every certification probe are generic
 /// over it, so each universe gets its own monomorphised copy of the data
 /// phase — no dynamic dispatch per cell.
 pub trait Universe: Sync {

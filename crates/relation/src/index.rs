@@ -315,8 +315,7 @@ impl HashIndex {
     }
 
     /// The cells of key number `key` (keys are numbered from 0 in order
-    /// of first insertion; [`insert_row`](Self::insert_row) returns the
-    /// number of the key it filed a row under).
+    /// of first insertion).
     pub fn key(&self, key: usize) -> &[Value] {
         let arity = self.attrs.len();
         &self.keys[key * arity..(key + 1) * arity]
@@ -419,11 +418,11 @@ impl HashIndex {
     }
 
     /// Register row `row_id` of `relation` (used when master data grows)
-    /// and return the number of the key it was filed under — a new key's
-    /// or the one it extends — or `None` when its key has a null and is
-    /// not indexed. `relation` must be the relation every earlier row
-    /// came from: the new row is compared with the first row of its key.
-    pub fn insert_row(&mut self, relation: &Relation, row_id: RowId) -> Option<usize> {
+    /// under its key — a new key, or the one it extends; a row whose key
+    /// has a null is not indexed. `relation` must be the relation every
+    /// earlier row came from: the new row is compared with the first row
+    /// of its key.
+    pub fn insert_row(&mut self, relation: &Relation, row_id: RowId) {
         let row = relation.row(row_id).expect("inserted row in range");
         let HashIndex {
             attrs,
@@ -436,7 +435,7 @@ impl HashIndex {
         } = self;
         let cells = || attrs.iter().map(|&a| row.get(a));
         if cells().any(Value::is_null) {
-            return None;
+            return;
         }
         let arity = attrs.len();
         let fresh = table.len() + overflow.len();
@@ -449,7 +448,7 @@ impl HashIndex {
             Entry::Vacant(vacant) => {
                 keys.extend(cells().cloned());
                 vacant.insert(fresh_slot());
-                return Some(fresh);
+                return;
             }
             Entry::Occupied(occupied) => occupied.into_mut(),
         };
@@ -483,13 +482,13 @@ impl HashIndex {
                     }
                     Some(at) => shared[at].push(rows, relation, row_id, row),
                 }
-                return Some(key);
+                return;
             }
             if slot.next == END {
                 slot.next = tail;
                 keys.extend(cells().cloned());
                 overflow.push(fresh_slot());
-                return Some(fresh);
+                return;
             }
             at = slot.next;
         }
@@ -696,12 +695,13 @@ mod tests {
         let d = rel
             .push(Tuple::of_strings(schema.clone(), ["d", "5"]).unwrap())
             .unwrap();
-        assert_eq!(idx.insert_row(&rel, d), Some(3));
+        idx.insert_row(&rel, d);
         assert_eq!(idx.key(3), &[Value::str("d")]);
         let c = rel
             .push(Tuple::of_strings(schema, ["c", "3"]).unwrap())
             .unwrap();
-        assert_eq!(idx.insert_row(&rel, c), Some(2));
+        idx.insert_row(&rel, c);
+        assert_eq!(idx.key(2), &[Value::str("c")]);
         assert_eq!(idx.lookup(&[Value::str("c")]), &[3, 6]);
         assert_eq!(idx.lookup(&[Value::str("d")]), &[5]);
         assert_eq!(idx.overflow.len(), 3);

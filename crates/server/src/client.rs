@@ -941,18 +941,14 @@ impl<T: Transport> Client<T> {
         ))
     }
 
-    /// Append rows to the master repository; `(appended, master_rows,
-    /// regions_recertified)`. Cached regions are patched by delta
-    /// re-certification on the server.
-    pub fn master_append(
-        &mut self,
-        tuples: Vec<Vec<Value>>,
-    ) -> Result<(u64, u64, u64), ClientError> {
+    /// Append rows to the master repository; `(appended, master_rows)`.
+    /// The server searches pre-computed regions again over the grown
+    /// master.
+    pub fn master_append(&mut self, tuples: Vec<Vec<Value>>) -> Result<(u64, u64), ClientError> {
         let response = self.request(&Request::MasterAppend { tuples })?;
         Ok((
             get_u64(&response, "appended")?,
             get_u64(&response, "master_rows")?,
-            get_u64(&response, "regions_recertified")?,
         ))
     }
 

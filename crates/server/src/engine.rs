@@ -11,9 +11,9 @@ use crate::service::{
 };
 use crate::wire::JsonWriter;
 use cerfix::{
-    check_consistency, recheck_regions, search_regions, AuditLog, CompiledRules,
-    ConsistencyOptions, ConsistencyReport, DataMonitor, FixpointScratch, MasterData, MasterTruths,
-    Region, RegionFinderOptions, RegionSearch,
+    check_consistency, search_regions, AuditLog, CompiledRules, ConsistencyOptions,
+    ConsistencyReport, DataMonitor, FixpointScratch, MasterData, MasterTruths, Region,
+    RegionFinderOptions, RegionSearch,
 };
 use cerfix_relation::{Tuple, Value};
 use cerfix_rules::{parse_rules, render_er_dsl, RuleDecl, RuleSet};
@@ -69,8 +69,7 @@ pub(crate) struct EngineState {
     /// empty when region pre-computation is off.
     pub(crate) regions: Arc<[Region]>,
     /// The full region search behind `regions` — set at compile time when
-    /// regions are pre-computed, otherwise by the first `regions` request;
-    /// the state master-delta re-certification patches.
+    /// regions are pre-computed, otherwise by the first `regions` request.
     pub(crate) search: OnceLock<Arc<RegionSearch>>,
     /// Consistency verdicts, each computed by the first `check` in its
     /// mode: `strict`, then `entity-coherent`.
@@ -79,32 +78,6 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
-    /// The state of `rules` over `master` with `plan` and, when one is
-    /// known, its region `search`; its `regions` are the search's top
-    /// when `config` pre-computes them, none otherwise.
-    fn new(
-        rules: Arc<RuleSet>,
-        master: Arc<MasterData>,
-        plan: CompiledRules,
-        search: Option<RegionSearch>,
-        fingerprint: u64,
-        config: &ServiceConfig,
-    ) -> Arc<EngineState> {
-        let regions = match &search {
-            Some(search) if config.precompute_regions => search.top(config.region_top_k),
-            _ => Vec::new(),
-        };
-        Arc::new(EngineState {
-            rules,
-            master,
-            plan: Arc::new(plan),
-            regions: regions.into(),
-            search: search.map_or_else(OnceLock::new, |search| Arc::new(search).into()),
-            consistency: Default::default(),
-            fingerprint,
-        })
-    }
-
     /// A monitor over this state recording into `audit` — refcount bumps
     /// only, so building one per request allocates nothing.
     pub(crate) fn monitor(&self, audit: &Arc<AuditLog>) -> DataMonitor<'_> {
@@ -152,9 +125,9 @@ impl CleaningService {
     }
 
     /// Apply appended master rows (recovery replay): copy-on-append the
-    /// current master, recompile, patch the region search by delta
-    /// re-certification, and swap — the same deterministic path the live
-    /// `master.append` op takes, minus journaling.
+    /// current master, compile its successor state, and swap — the same
+    /// deterministic path the live `master.append` op takes, minus
+    /// journaling.
     pub(crate) fn apply_master_rows(&self, rows: Vec<Vec<Value>>) -> Result<(), ServeError> {
         let _swap = self
             .inner
@@ -162,8 +135,7 @@ impl CleaningService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let engine = self.engine();
-        let (next, _, _) =
-            append_engine_master(&engine, rows, &self.inner.config, &self.inner.metrics)?;
+        let next = append_engine_master(&engine, rows, &self.inner.config, &self.inner.metrics)?;
         *self.inner.engine.write().unwrap_or_else(|e| e.into_inner()) = next;
         Ok(())
     }
@@ -274,7 +246,6 @@ impl CleaningService {
             w.field("candidates", stats.candidates);
             w.field("closure_probes", stats.closure_probes);
             w.field("certification_fixpoints", stats.engine.fixpoint_runs);
-            w.field("recertified", stats.recertified);
             w.field("master_generation", search.master_generation());
         })
     }
@@ -349,10 +320,11 @@ impl CleaningService {
         })
     }
 
-    /// Append rows to the master repository: copy-on-append, recompile
-    /// against the new generation, patch the region search by delta
-    /// re-certification, swap atomically, journal. Serialized with other
-    /// engine swaps; in-flight requests keep the consistent old state.
+    /// Append rows to the master repository: copy-on-append, compile the
+    /// successor state against the new generation (searching regions
+    /// again when they are pre-computed), swap atomically, journal.
+    /// Serialized with other engine swaps; in-flight requests keep the
+    /// consistent old state.
     pub(crate) fn master_append(
         &self,
         tuples: &[Vec<Value>],
@@ -367,7 +339,7 @@ impl CleaningService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let engine = self.engine();
-        let (next, appended, recertified) = append_engine_master(
+        let next = append_engine_master(
             &engine,
             tuples.to_vec(),
             &self.inner.config,
@@ -398,24 +370,17 @@ impl CleaningService {
             self.sync_commit(binding, seq)?; // an append ack must survive restart
         }
         self.inner.metrics.master_appends.inc();
-        if let Some(n) = recertified {
-            self.inner.metrics.regions_recertified.add(n);
-            self.inner.metrics.regions_cache_patched.inc();
-        }
         reply.send(|w| {
-            w.field("appended", appended);
+            w.field("appended", tuples.len());
             w.field("master_rows", master_rows);
             w.field("generation", generation);
-            w.field("regions_patched", recertified.is_some());
-            w.field("regions_recertified", recertified.unwrap_or(0));
         })
     }
 
     /// Search diagnostics of the active engine's region state (the
     /// `metrics` reply's `region_search` object, absent until the state
     /// has a search — pre-computed, or run by a `regions` request), so
-    /// operators can watch the incremental data phase — and delta
-    /// re-certification after master appends — doing less work.
+    /// operators can watch the incremental data phase doing less work.
     pub(crate) fn write_region_search(&self, w: &mut JsonWriter<'_>) {
         let engine = self.engine();
         let Some(search) = engine.search.get() else {
@@ -434,8 +399,6 @@ impl CleaningService {
         w.field("closure_probes", stats.closure_probes);
         w.field("lattice_hits", stats.lattice_hits);
         w.field("certification_fixpoints", stats.engine.fixpoint_runs);
-        w.field("recertified", stats.recertified);
-        w.field("candidates_reused", stats.candidates_reused);
         w.field("master_generation", search.master_generation());
         w.end_obj();
     }
@@ -468,25 +431,30 @@ pub(crate) fn compile_engine(
         let truths = MasterTruths::new(rules.input_schema(), &master);
         search_regions(&rules, &master, &truths, &region_options(config))
     });
-    let state = EngineState::new(rules, master, plan, search, fingerprint, config);
+    let regions = search
+        .as_ref()
+        .map_or_else(Vec::new, |search| search.top(config.region_top_k));
+    let state = Arc::new(EngineState {
+        rules,
+        master,
+        plan: Arc::new(plan),
+        regions: regions.into(),
+        search: search.map_or_else(OnceLock::new, |search| Arc::new(search).into()),
+        consistency: Default::default(),
+        fingerprint,
+    });
     metrics.engine_compile.observe(started.elapsed());
     state
 }
 
 /// Copy-on-append `rows` onto `engine`'s master and compile the
-/// successor engine state. The outgoing state's region search, if it has
-/// one, is patched by delta re-certification — only candidates whose
-/// entailed rules watch a touched index key (or whose context gained
-/// truths) are re-probed — and carried into the successor. The build is
-/// timed into `metrics`' `cerfix_engine_compile_seconds`. Returns
-/// `(next state, rows appended, candidates re-certified)`.
+/// successor state over it, as boot and `rules.reload` compile theirs.
 fn append_engine_master(
     engine: &EngineState,
     rows: Vec<Vec<Value>>,
     config: &ServiceConfig,
     metrics: &ServiceMetrics,
-) -> Result<(Arc<EngineState>, usize, Option<u64>), ServeError> {
-    let started = Instant::now();
+) -> Result<Arc<EngineState>, ServeError> {
     let master_schema = engine.rules.master_schema().clone();
     let tuples: Vec<Tuple> = rows
         .into_iter()
@@ -504,36 +472,13 @@ fn append_engine_master(
                 .map_err(|e| ErrorCode::BadRequest.error(format!("row {i}: {e}")))
         })
         .collect::<Result<_, ServeError>>()?;
-    let appended = tuples.len();
-    let (new_master, _delta) = engine.master.append_copy(tuples)?;
-    let new_master = Arc::new(new_master);
-    let plan = CompiledRules::compile(&engine.rules, &new_master);
-    // Patch the region search instead of discarding it: the new master's
-    // truths extend the old ones row for row, so the delta path
-    // re-certifies only what the appended keys can have changed.
-    let search = engine.search.get().map(|prior| {
-        let truths = MasterTruths::new(engine.rules.input_schema(), &new_master);
-        recheck_regions(
-            &engine.rules,
-            &new_master,
-            &truths,
-            prior,
-            &region_options(config),
-        )
-    });
-    let recertified = search
-        .as_ref()
-        .map(|patched| patched.result.stats.recertified as u64);
-    let next = EngineState::new(
+    let (master, _delta) = engine.master.append_copy(tuples)?;
+    Ok(compile_engine(
+        Arc::new(master),
         Arc::clone(&engine.rules),
-        new_master,
-        plan,
-        search,
-        engine.fingerprint,
         config,
-    );
-    metrics.engine_compile.observe(started.elapsed());
-    Ok((next, appended, recertified))
+        metrics,
+    ))
 }
 
 /// Canonical DSL rendering of a whole rule set (journals and snapshots
@@ -640,7 +585,10 @@ mod tests {
         drop(first);
         service.apply_master_rows(row("k501")).unwrap();
         assert_eq!(service.engine().master.len(), 52);
-        assert!(service.engine().search.get().is_some(), "search carried on");
+        assert!(
+            service.engine().search.get().is_some(),
+            "successor searched"
+        );
         assert_eq!(plan.strong_count(), 0, "first successor's plan");
         assert_eq!(search.strong_count(), 0, "first successor's search");
         drop(service);

@@ -453,8 +453,6 @@ instruments! {
         snapshots_written         Counter "cerfix_snapshots_written_total"         "Snapshots installed (journal truncations).";
         rules_reloaded            Counter "cerfix_rules_reloaded_total"            "Successful rules.reload swaps.";
         master_appends            Counter "cerfix_master_appends_total"            "Successful master.append batches.";
-        regions_recertified       Counter "cerfix_regions_recertified_total"       "Region candidates re-certified by master-delta rechecks (the probed slice; reused verdicts are not counted).";
-        regions_cache_patched     Counter "cerfix_regions_cache_patched_total"     "Region searches carried into a master append's successor state, patched by delta re-certification.";
         connections_open          Gauge   "cerfix_connections_open"                "TCP connections currently open.";
         connections_total         Counter "cerfix_connections_total"               "TCP connections ever accepted.";
         connections_refused       Counter "cerfix_connections_refused_total"       "Connections refused by the global quota or drain.";

@@ -341,8 +341,13 @@ fn scan_into<'a>(line: &'a str, scanned: &mut ScannedLine<'a>) -> Result<(), Wir
 /// version 10 gave every `ok:false` reply a `code` field — a row of the
 /// error table in `errors.rs` — and a follower's `not_primary` a
 /// `redirect` field; `error` keeps its text, so a v9 peer reads a v10
-/// refusal as it always did.
-pub const PROTOCOL_VERSION: u64 = 10;
+/// refusal as it always did;
+/// version 11 dropped the fields of the master-delta re-check a master
+/// append no longer runs — `regions_patched` and `regions_recertified`
+/// from `master.append`, `recertified` from `regions`, and `recertified`
+/// and `candidates_reused` from `metrics.region_search` (an append
+/// searches the grown master again).
+pub const PROTOCOL_VERSION: u64 = 11;
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -418,8 +423,8 @@ pub enum Request {
         rules: String,
     },
     /// Append rows to the master repository. The engine recompiles
-    /// against the new generation and cached certain regions are patched
-    /// by delta re-certification. Journaled.
+    /// against the new generation, searching pre-computed regions again.
+    /// Journaled.
     MasterAppend {
         /// Rows to append, each in master-schema order.
         tuples: Vec<Vec<Value>>,

@@ -150,7 +150,7 @@ impl CleaningService {
     /// local audit segment; re-recording it would duplicate the archive,
     /// so the monitor records into a one-record window dropped with the
     /// run). Adjacent `MasterAppended` events are coalesced into a
-    /// single copy-on-append + recompile + delta re-certification pass:
+    /// single copy-on-append + recompile pass:
     /// a burst of N appends costs one recompile instead of N (the merged
     /// batch lands on the same master state the per-event replay would,
     /// in the same order).

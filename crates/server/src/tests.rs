@@ -1,6 +1,6 @@
 use super::*;
 use cerfix::MasterData;
-use cerfix_relation::{RelationBuilder, Schema, Value};
+use cerfix_relation::{RelationBuilder, Schema, Tuple, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -470,7 +470,7 @@ const GOLDEN_REPLIES: &[(&str, &str)] = &[
     ),
     (
         "regions",
-        r#""ok":true,"cached":true,"top_k":8,"regions":[{"attrs":["key","note"],"size":2,"contexts":1,"rendered":"({key, note}, [()])"}],"candidates":1,"closure_probes":1,"certification_fixpoints":0,"recertified":0,"master_generation":0}"#,
+        r#""ok":true,"cached":true,"top_k":8,"regions":[{"attrs":["key","note"],"size":2,"contexts":1,"rendered":"({key, note}, [()])"}],"candidates":1,"closure_probes":1,"certification_fixpoints":0,"master_generation":0}"#,
     ),
     (
         "check",
@@ -486,7 +486,7 @@ const GOLDEN_REPLIES: &[(&str, &str)] = &[
     ),
     (
         "master.append",
-        r#""ok":true,"appended":1,"master_rows":51,"generation":1,"regions_patched":true,"regions_recertified":1}"#,
+        r#""ok":true,"appended":1,"master_rows":51,"generation":1}"#,
     ),
     ("config.set", r#""ok":true,"key":"slow_ms","value":250}"#),
     (
@@ -1038,6 +1038,27 @@ fn idle_sessions_are_evicted() {
     assert_eq!(service.metrics().sessions_evicted, 1);
 }
 
+/// The `regions` reply and the `metrics` reply's `region_search` of
+/// `service`, in that order.
+fn region_replies(service: &CleaningService) -> (String, Option<wire::Json>) {
+    let regions = service.handle_line(r#"{"op":"regions"}"#);
+    let metrics = wire::Json::parse(&service.handle_line(r#"{"op":"metrics"}"#)).unwrap();
+    (regions, metrics.get("region_search").cloned())
+}
+
+/// A service over the kv master grown by `rows`, as `master.append`
+/// grows it, built fresh.
+fn kv_service_over_grown(rows: &[[&str; 2]], config: ServiceConfig) -> CleaningService {
+    let (master, rules) = kv_setup();
+    let schema = rules.master_schema();
+    let rows = rows
+        .iter()
+        .map(|row| Tuple::of_strings(schema.clone(), *row).unwrap())
+        .collect();
+    let (grown, _) = master.append_copy(rows).unwrap();
+    CleaningService::new(Arc::new(grown), rules, config)
+}
+
 #[test]
 fn master_append_serves_new_entities_and_patches_regions() {
     let service = kv_service(2);
@@ -1054,7 +1075,7 @@ fn master_append_serves_new_entities_and_patches_regions() {
         .unwrap();
     assert!(!before[0].complete, "k100 not in master yet");
 
-    let (appended, master_rows, _) = client
+    let (appended, master_rows) = client
         .master_append(vec![vec![Value::str("k100"), Value::str("v100")]])
         .unwrap();
     assert_eq!(appended, 1);
@@ -1069,46 +1090,56 @@ fn master_append_serves_new_entities_and_patches_regions() {
         .unwrap();
     assert!(after[0].complete);
     assert_eq!(after[0].tuple[1], Value::str("v100"));
-    // ...and the region search was patched by delta
-    // re-certification, not discarded: the next regions call reads
-    // the one the new state carries.
-    let (cached, regions) = client.regions(None).unwrap();
-    assert!(cached, "patched search carried into the new state");
-    assert!(!regions.is_empty());
-    let metrics = service.metrics();
-    assert_eq!(metrics.master_appends, 1);
-    assert_eq!(metrics.regions_cache_patched, 1);
+    // ...and the append searched the grown master's regions: the state
+    // it installed answers what a service built over that master does,
+    // byte for byte.
+    let fresh = kv_service_over_grown(
+        &[["k100", "v100"]],
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let (regions, search) = region_replies(&service);
+    assert!(regions.contains(r#""cached":true"#), "{regions}");
+    assert_eq!((regions, search), region_replies(&fresh));
+    assert_eq!(service.metrics().master_appends, 1);
 
     // Wrong arity is rejected without mutating anything.
     assert!(client.master_append(vec![vec![Value::str("k1")]]).is_err());
     assert_eq!(service.metrics().master_appends, 1);
 }
 
+/// Without pre-computation an append leaves the region search lazy:
+/// the first `regions` after it runs the search over the grown master
+/// and answers what that request on a fresh service over it answers.
+/// The appended row gives `k1` a second `val`, so `{key, note}` no
+/// longer certifies: a search carried over from before the append
+/// would still offer it.
 #[test]
 fn master_append_patches_on_demand_cached_search_without_precompute() {
+    let config = || ServiceConfig {
+        workers: 1,
+        precompute_regions: false,
+        ..ServiceConfig::default()
+    };
     let (master, rules) = kv_setup();
-    let service = CleaningService::new(
-        master,
-        rules,
-        ServiceConfig {
-            workers: 1,
-            precompute_regions: false,
-            ..ServiceConfig::default()
-        },
-    );
+    let service = CleaningService::new(master, rules, config());
     let mut client = LocalClient::in_process(&service);
     // No startup search; the first regions call runs it on demand.
-    let (cached, _) = client.regions(None).unwrap();
+    let (cached, before) = client.regions(None).unwrap();
     assert!(!cached);
+    assert!(!before.is_empty());
     client
-        .master_append(vec![vec![Value::str("k300"), Value::str("v300")]])
+        .master_append(vec![vec![Value::str("k1"), Value::str("w1")]])
         .unwrap();
-    // The on-demand search was patched, not discarded: the next call
-    // reads the one the new state carries.
-    let metrics = service.metrics();
-    assert_eq!(metrics.regions_cache_patched, 1);
-    let (cached, _) = client.regions(None).unwrap();
-    assert!(cached, "patched search serves the new generation");
+    let fresh = kv_service_over_grown(&[["k1", "w1"]], config());
+    let (regions, search) = region_replies(&service);
+    assert!(regions.contains(r#""cached":false"#), "{regions}");
+    assert_eq!((regions, search), region_replies(&fresh));
+    let (cached, after) = client.regions(None).unwrap();
+    assert!(cached, "the search runs once per state");
+    assert!(after.is_empty(), "k1 is ambiguous: {after:?}");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Incremental/parallel region certification must be a drop-in
 //! replacement for the from-scratch sequential search.
 //!
-//! Three layers of evidence:
+//! Two layers of evidence:
 //!
 //! * **Property tests** — on fully randomized instances (random master,
 //!   rules, patterns, universes that mix master-derived truths with
@@ -9,19 +9,17 @@
 //!   poisoned-truth fixpoint fallback), [`search_regions`] at 1 and at
 //!   N threads produces exactly the regions of the
 //!   [`find_regions_from_scratch`] oracle.
-//! * **Delta equivalence** — splitting the master into a base plus an
-//!   appended suffix, `search(base)` + [`recheck_regions`] equals a full
-//!   `search(full)` — same regions, same verdict counters.
 //! * **Deterministic work guards** — on the UK fixture, on a 100- and a
 //!   500-rule mesh and on HOSP (the one scenario whose non-key joins
 //!   match many *agreeing* master rows) the incremental path runs
-//!   strictly fewer certification fixpoints than the oracle (none), and
-//!   a master-append recheck probes a small fraction of what the full
-//!   re-search probes. Counts, not wall-clock: cannot flake.
+//!   strictly fewer certification fixpoints than the oracle (none).
+//!   Counts, not wall-clock: cannot flake.
+//!
+//! A master append searches the grown master again; the last two tests
+//! hold that an append's ambiguity reaches the regions that way.
 
 use cerfix::{
-    find_regions_from_scratch, recheck_regions, search_regions, MasterData, RegionFinderOptions,
-    RegionSearch, RegionSearchResult,
+    find_regions_from_scratch, search_regions, MasterData, RegionFinderOptions, RegionSearchResult,
 };
 use cerfix_gen::{hosp, uk};
 use cerfix_relation::{AttrSet, RelationBuilder, Schema, Tuple, Value};
@@ -157,33 +155,6 @@ proptest! {
         assert_same_regions(&oracle, &par.result, "parallel");
     }
 
-    /// Master-append delta: `search(base)` + `recheck` equals a full
-    /// re-search on the appended master with the extended universe.
-    #[test]
-    fn recheck_equals_full_research(seed in 0u64..100_000, split in 1usize..6) {
-        let (rules, master_tuples, _) = random_instance(seed, 7);
-        let split = split.min(master_tuples.len().saturating_sub(1)).max(1);
-        let (base_rows, appended_rows) = master_tuples.split_at(split);
-
-        // Universe mirrors the server shape: one truth per master row,
-        // reinterpreted over the input schema, appended in row order.
-        let input = rules.input_schema().clone();
-        let truth_of = |t: &Tuple| {
-            Tuple::new(input.clone(), t.values().to_vec()).unwrap()
-        };
-        let base_universe: Vec<Tuple> = base_rows.iter().map(truth_of).collect();
-        let full_universe: Vec<Tuple> = master_tuples.iter().map(truth_of).collect();
-
-        let mut master = master_of(&rules, base_rows);
-        let prior = search_regions(&rules, &master, &base_universe, &options(2));
-        master.append_rows(appended_rows.to_vec()).unwrap();
-
-        let patched = recheck_regions(&rules, &master, &full_universe, &prior, &options(2));
-        let full = search_regions(&rules, &master, &full_universe, &options(2));
-        assert_same_regions(&full.result, &patched.result, "recheck");
-        prop_assert_eq!(patched.master_generation(), master.generation());
-        prop_assert_eq!(patched.universe_len(), full_universe.len());
-    }
 }
 
 fn uk_fixture() -> (RuleSet, MasterData, Vec<Tuple>) {
@@ -191,53 +162,6 @@ fn uk_fixture() -> (RuleSet, MasterData, Vec<Tuple>) {
     let scenario = uk::scenario(80, &mut rng);
     let master = MasterData::new(scenario.master.clone());
     (scenario.rules, master, scenario.universe)
-}
-
-/// A brand-new UK entity (fresh zip/phone keys): its master row and the
-/// two truths — home and mobile phone — it adds to the universe.
-fn uk_new_entity(rules: &RuleSet, master: &MasterData) -> (Tuple, Vec<Tuple>) {
-    let row = [
-        "Zoe",
-        "Quinn",
-        "0161",
-        "5550001",
-        "077999888",
-        "9 Void St",
-        "Mcr",
-        "M1 1AA",
-        "01/01/90",
-        "F",
-    ];
-    let home = [
-        "Zoe",
-        "Quinn",
-        "0161",
-        "5550001",
-        "1",
-        "9 Void St",
-        "Mcr",
-        "M1 1AA",
-        "CD",
-    ];
-    let mobile = [
-        "Zoe",
-        "Quinn",
-        "0161",
-        "077999888",
-        "2",
-        "9 Void St",
-        "Mcr",
-        "M1 1AA",
-        "DVD",
-    ];
-    let input = rules.input_schema();
-    (
-        Tuple::of_strings(master.schema().clone(), row).unwrap(),
-        vec![
-            Tuple::of_strings(input.clone(), home).unwrap(),
-            Tuple::of_strings(input.clone(), mobile).unwrap(),
-        ],
-    )
 }
 
 const MESH_ENTITIES: usize = 300;
@@ -321,17 +245,6 @@ fn mesh_fixture(n_rules: usize) -> (RuleSet, MasterData, Vec<Tuple>) {
     (rules, MasterData::new(builder.build().unwrap()), universe)
 }
 
-/// A brand-new mesh entity: master row and truth are the same cells.
-fn mesh_new_entity(rules: &RuleSet, master: &MasterData) -> (Tuple, Vec<Tuple>) {
-    let ms = master.schema();
-    let names: Vec<String> = ms.attributes().iter().map(|a| a.name().into()).collect();
-    let row = mesh_row(&names, MESH_ENTITIES + 1);
-    (
-        Tuple::of_strings(ms.clone(), row.iter().map(String::as_str)).unwrap(),
-        vec![Tuple::of_strings(rules.input_schema().clone(), row).unwrap()],
-    )
-}
-
 /// HOSP, small enough that the from-scratch oracle stays cheap: 100
 /// hospitals × 4 rows, 9 measures × 44 or 45 rows. None of its joins is
 /// a key of the master — `provider` and `zip` match 4 rows each,
@@ -344,30 +257,8 @@ fn hosp_fixture() -> (RuleSet, MasterData, Vec<Tuple>) {
     (scenario.rules, master, scenario.universe)
 }
 
-/// A new hospital reporting an existing measure: new `provider` and
-/// `zip` keys, and one more row on `AMI-1`'s key that has to agree with
-/// the 45 already there.
-fn hosp_new_entity(rules: &RuleSet, master: &MasterData) -> (Tuple, Vec<Tuple>) {
-    let row = [
-        "P999999",
-        "Void City General Hospital",
-        "9 Void St",
-        "Void City",
-        "NY",
-        "99999",
-        "5559999999",
-        "AMI-1",
-        "Aspirin at Arrival",
-        "Heart Attack",
-    ];
-    (
-        Tuple::of_strings(master.schema().clone(), row).unwrap(),
-        vec![Tuple::of_strings(rules.input_schema().clone(), row).unwrap()],
-    )
-}
-
-/// The work-guard fixtures: the search's exact shape (`contexts`,
-/// `candidates`) and one brand-new entity for the append guard.
+/// The work-guard fixtures and the search's exact shape (`contexts`,
+/// `candidates`).
 struct Fixture {
     name: &'static str,
     rules: RuleSet,
@@ -375,34 +266,22 @@ struct Fixture {
     universe: Vec<Tuple>,
     contexts: usize,
     candidates: usize,
-    new_entity: fn(&RuleSet, &MasterData) -> (Tuple, Vec<Tuple>),
-    /// Whether one appended entity leaves most of the search untouched.
-    /// Not on HOSP: its single candidate counts on every index, so any
-    /// append re-certifies it, and a row under an existing `measure`
-    /// re-profiles that measure's ninth of the universe. There the
-    /// recheck is held to the full re-search's answer, not to a budget.
-    cheap_recheck: bool,
 }
 
 fn fixtures() -> Vec<Fixture> {
-    let fixture =
-        |name, (rules, master, universe), contexts, candidates, new_entity, cheap_recheck| {
-            Fixture {
-                name,
-                rules,
-                master,
-                universe,
-                contexts,
-                candidates,
-                new_entity,
-                cheap_recheck,
-            }
-        };
+    let fixture = |name, (rules, master, universe), contexts, candidates| Fixture {
+        name,
+        rules,
+        master,
+        universe,
+        contexts,
+        candidates,
+    };
     vec![
-        fixture("uk", uk_fixture(), 6, 8, uk_new_entity, true),
-        fixture("mesh100", mesh_fixture(100), 4, 36, mesh_new_entity, true),
-        fixture("mesh500", mesh_fixture(500), 4, 36, mesh_new_entity, true),
-        fixture("hosp", hosp_fixture(), 1, 1, hosp_new_entity, false),
+        fixture("uk", uk_fixture(), 6, 8),
+        fixture("mesh100", mesh_fixture(100), 4, 36),
+        fixture("mesh500", mesh_fixture(500), 4, 36),
+        fixture("hosp", hosp_fixture(), 1, 1),
     ]
 }
 
@@ -463,66 +342,6 @@ fn parallel_is_deterministic() {
     }
 }
 
-/// Probe accounting for a recheck: appending one master entity
-/// re-certifies only what the new keys touch — an order of magnitude
-/// fewer probes than the full re-search, deterministically.
-#[test]
-fn master_append_recheck_is_cheap() {
-    for fixture in fixtures() {
-        let Fixture {
-            name,
-            rules,
-            mut master,
-            mut universe,
-            new_entity,
-            cheap_recheck,
-            ..
-        } = fixture;
-        let prior = search_regions(&rules, &master, &universe, &options(1));
-        assert!(!prior.result.regions.is_empty());
-
-        let (new_row, new_truths) = new_entity(&rules, &master);
-        let delta = master.append_rows(vec![new_row]).unwrap();
-        assert_eq!(delta.appended, 1);
-        assert!(
-            delta.touched_keys.iter().all(|(_, keys)| keys.len() <= 1),
-            "one row touches at most one key per index"
-        );
-        universe.extend(new_truths);
-
-        let patched = recheck_regions(&rules, &master, &universe, &prior, &options(1));
-        let full = search_regions(&rules, &master, &universe, &options(1));
-        assert_same_regions(&full.result, &patched.result, name);
-        if !cheap_recheck {
-            continue;
-        }
-
-        // Total certification work: per-truth rule profiles (the master
-        // lookups), lattice closures, and fallback fixpoints.
-        let probes = |search: &RegionSearch| {
-            let stats = &search.result.stats;
-            stats.truth_profiles + stats.closure_probes + stats.engine.fixpoint_runs
-        };
-        let (delta_probes, full_probes) = (probes(&patched), probes(&full));
-        assert!(
-            full_probes >= 10 * delta_probes.max(1),
-            "{name}: delta recheck must probe ≥10× less: {delta_probes} vs {full_probes}"
-        );
-        assert!(
-            patched.result.stats.candidates_reused > 0,
-            "{name}: untouched candidates must be reused"
-        );
-        // The from-scratch oracle would have re-run every fixpoint; the
-        // delta path runs none on these unpoisoned fixtures.
-        let oracle_full = find_regions_from_scratch(&rules, &master, &universe, &options(1));
-        assert!(
-            oracle_full.stats.engine.fixpoint_runs
-                >= 10 * patched.result.stats.engine.fixpoint_runs.max(1),
-            "{name}: ≥10× fewer certification fixpoints than a full from-scratch re-search"
-        );
-    }
-}
-
 /// HOSP certifies exactly the region its rules are written around:
 /// `{provider, measure}`, unconditionally — each truth's 8 certain
 /// lookups land on a key shared by 4 or some 45 agreeing master rows, and
@@ -557,8 +376,8 @@ fn hosp_certifies_provider_and_measure() {
 }
 
 /// Appends that poison existing keys (a second, disagreeing row) must
-/// flow through the recheck and reject the affected regions, exactly as
-/// a full re-search would.
+/// reject the affected regions when the grown master is searched, as
+/// the from-scratch oracle does.
 #[test]
 fn uk_master_append_ambiguity_propagates() {
     let (rules, mut master, universe) = uk_fixture();
@@ -583,21 +402,17 @@ fn uk_master_append_ambiguity_propagates() {
 
     // Universe unchanged: the appended row is a duplicate (dirty) entity,
     // not a new truth.
-    let patched = recheck_regions(&rules, &master, &universe, &prior, &options(1));
-    let full = search_regions(&rules, &master, &universe, &options(1));
-    assert_same_regions(&full.result, &patched.result, "ambiguous recheck");
-    assert!(
-        patched.result.stats.recertified > 0,
-        "touched-key candidates must be re-probed"
-    );
+    let grown = search_regions(&rules, &master, &universe, &options(1));
+    let oracle = find_regions_from_scratch(&rules, &master, &universe, &options(1));
+    assert_same_regions(&oracle, &grown.result, "ambiguous append");
     assert_ne!(
-        patched.result.regions, prior.result.regions,
+        grown.result.regions, prior.result.regions,
         "the introduced ambiguity must change the certified regions"
     );
 }
 
-/// The Explorer façade: master appends patch its cached regions in
-/// place via the retained search.
+/// The Explorer façade: a master append searches its cached regions
+/// again over the grown master.
 #[test]
 fn explorer_append_master_patches_regions() {
     let (rules, master, mut universe) = uk_fixture();

@@ -4,17 +4,14 @@
 //! each master row as an input tuple, attributes matched by name, null
 //! where the master has no column — and the two searches must agree on
 //! the regions, their ranking and every counter, at one thread and at
-//! four. So must a `recheck_regions` over the view after an append, with
-//! a full search over the grown master.
+//! four, and again over the master grown by an append.
 //!
 //! Covered: random instances whose input schema reorders, drops and adds
 //! attributes against the master's (so the attribute map is neither the
 //! identity nor total, and rules join across names, which poisons many
 //! truths), and the UK, HOSP, DBLP and key → value scenarios.
 
-use cerfix::{
-    recheck_regions, search_regions, MasterData, MasterTruths, RegionFinderOptions, RegionSearch,
-};
+use cerfix::{search_regions, MasterData, MasterTruths, RegionFinderOptions, RegionSearch};
 use cerfix_gen::{dblp, hosp, uk};
 use cerfix_relation::{Relation, RelationBuilder, Schema, SchemaRef, Tuple, Value};
 use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
@@ -59,7 +56,6 @@ fn assert_same(view: &RegionSearch, copy: &RegionSearch, what: &str) {
         format!("{:?}", copy.result.stats),
         "{what}: stats"
     );
-    assert_eq!(view.universe_len(), copy.universe_len(), "{what}: truths");
     assert_eq!(
         view.master_generation(),
         copy.master_generation(),
@@ -68,11 +64,9 @@ fn assert_same(view: &RegionSearch, copy: &RegionSearch, what: &str) {
 }
 
 /// Search `master` over the view and over the copy, at one thread and at
-/// four; then append `appended` and hold the view's re-check to a full
-/// search of the grown master, over the view and over the copy.
+/// four; then append `appended` and search the grown master over both.
 fn check(name: &str, rules: &RuleSet, mut master: MasterData, appended: Vec<Tuple>) {
     let input = rules.input_schema();
-    let mut prior = None;
     for threads in [1, 4] {
         let what = format!("{name} at {threads} threads");
         let view = search_regions(
@@ -84,36 +78,16 @@ fn check(name: &str, rules: &RuleSet, mut master: MasterData, appended: Vec<Tupl
         let copy = search_regions(rules, &master, &copy_of(input, &master), &options(threads));
         assert_same(&view, &copy, &what);
         assert_eq!(view.result.stats.truths, master.len(), "{what}: truths");
-        prior = Some(view);
     }
-    let prior = prior.expect("searched");
     master.append_rows(appended).unwrap();
     let truths = MasterTruths::new(input, &master);
-    let patched = recheck_regions(rules, &master, &truths, &prior, &options(2));
     let full = search_regions(rules, &master, &truths, &options(2));
     let copy = search_regions(rules, &master, &copy_of(input, &master), &options(2));
     assert_same(&full, &copy, &format!("{name} grown"));
-    assert_eq!(patched.ranked(), full.ranked(), "{name}: recheck ranking");
-    let (p, f) = (&patched.result.stats, &full.result.stats);
     assert_eq!(
-        (
-            p.truths,
-            p.certified,
-            p.vacuous,
-            p.rejected_by_certification
-        ),
-        (
-            f.truths,
-            f.certified,
-            f.vacuous,
-            f.rejected_by_certification
-        ),
-        "{name}: recheck verdicts"
-    );
-    assert_eq!(
-        patched.universe_len(),
+        full.result.stats.truths,
         master.len(),
-        "{name}: recheck truths"
+        "{name} grown: truths"
     );
 }
 

@@ -865,9 +865,9 @@ const GOLDEN_ROWS: &[(&str, &str)] = &[
     (r#"{"op":"master.append","tuples":[[]]}"#, r#"{"ok":false,"code":"bad_request","error":"row 0 has 0 values but master schema `m` has arity 2"}"#),
     (r#"{"op":"master.append","tuples":[["k30","x"],["k31",7]]}"#, r#"{"ok":false,"code":"bad_request","error":"type mismatch for attribute `val`: expected string, got Int(7)"}"#),
     ("{\"op\":\"master.append\",\"tuples\":[[\"k1\",\"x\t\"]]}", r#"{"ok":false,"code":"parse_error","error":"raw control byte in a string at byte 40"}"#),
-    (r#"{"op":"master.append","tuples":[["a\"b","x"]]}"#, r#"{"ok":true,"appended":1,"master_rows":21,"generation":1,"regions_patched":false,"regions_recertified":0}"#),
-    (r#"{"op":"master.append","tuples":[["k21","x"],["k22","y"]]}"#, r#"{"ok":true,"appended":2,"master_rows":23,"generation":3,"regions_patched":false,"regions_recertified":0}"#),
-    (r#"{"op":"master.append","tuples":[["k\u00324","x"]]}"#, r#"{"ok":true,"appended":1,"master_rows":24,"generation":4,"regions_patched":false,"regions_recertified":0}"#),
+    (r#"{"op":"master.append","tuples":[["a\"b","x"]]}"#, r#"{"ok":true,"appended":1,"master_rows":21,"generation":1}"#),
+    (r#"{"op":"master.append","tuples":[["k21","x"],["k22","y"]]}"#, r#"{"ok":true,"appended":2,"master_rows":23,"generation":3}"#),
+    (r#"{"op":"master.append","tuples":[["k\u00324","x"]]}"#, r#"{"ok":true,"appended":1,"master_rows":24,"generation":4}"#),
     (r#"{"op":"clean","tuples":[["k24","x","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":1,"complete":0,"cells_fixed":0,"outcomes":[{"index":0,"complete":false,"cells_fixed":0,"validated":2,"tuple":["k24","x","n"]}]}"#),
     (r#"{"op":"clean","tuples":[["k21","x","n"],["k22","y","n"]],"trust":["key"]}"#, r#"{"ok":true,"count":2,"complete":0,"cells_fixed":0,"outcomes":[{"index":0,"complete":false,"cells_fixed":0,"validated":2,"tuple":["k21","x","n"]},{"index":1,"complete":false,"cells_fixed":0,"validated":2,"tuple":["k22","y","n"]}]}"#),
 ];
