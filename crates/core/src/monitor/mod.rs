@@ -51,24 +51,43 @@ pub struct CleanOutcome {
     pub cells_corrected_by_user: usize,
 }
 
+/// One of the monitor's parts: shared with whoever else holds the
+/// `Arc`, or lent by an owner that outlives the monitor — a long-lived
+/// service's installed state lends its plan, regions and audit log, so
+/// building a per-request monitor touches no refcount.
+#[derive(Debug)]
+enum Part<'a, T: ?Sized> {
+    Shared(Arc<T>),
+    Lent(&'a T),
+}
+
+impl<T: ?Sized> std::ops::Deref for Part<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Part::Shared(shared) => shared,
+            Part::Lent(lent) => lent,
+        }
+    }
+}
+
 /// The data monitor: rules + master data + pre-computed regions + audit.
 #[derive(Debug)]
 pub struct DataMonitor<'a> {
     rules: &'a RuleSet,
     master: &'a MasterData,
     /// Compiled execution plan the correcting process runs on (delta
-    /// engine). Compiled in [`new`](Self::new); long-lived services share
-    /// one plan across per-request monitors via
-    /// [`from_plan`](Self::from_plan).
-    plan: Arc<CompiledRules>,
-    /// Shared so long-lived services hand one pre-computed set to every
-    /// per-request monitor without deep-cloning tableaux.
-    regions: std::sync::Arc<[Region]>,
-    /// `Arc` so long-lived services attach one shared (possibly
-    /// disk-spilled) log to every per-request monitor via
-    /// [`from_shared_parts`](Self::from_shared_parts); standalone
-    /// monitors own a private log.
-    audit: Arc<AuditLog>,
+    /// engine). Compiled in [`new`](Self::new), handed in by
+    /// [`from_plan`](Self::from_plan), or lent by
+    /// [`from_lent_parts`](Self::from_lent_parts).
+    plan: Part<'a, CompiledRules>,
+    /// Pre-computed regions for the first suggestion.
+    regions: Part<'a, [Region]>,
+    /// Standalone monitors own a private log; a long-lived service lends
+    /// its one shared (possibly disk-spilled) log to every per-request
+    /// monitor.
+    audit: Part<'a, AuditLog>,
     /// Hard cap on interaction rounds (defensive; a productive round
     /// always validates ≥ 1 attribute, so `arity` rounds suffice).
     max_rounds: usize,
@@ -90,7 +109,7 @@ impl<'a> DataMonitor<'a> {
     /// compiled from `rules` against `master`), with a private audit log
     /// and no regions until [`with_regions`](Self::with_regions).
     /// Long-lived services build theirs with
-    /// [`from_shared_parts`](Self::from_shared_parts) instead.
+    /// [`from_lent_parts`](Self::from_lent_parts) instead.
     pub fn from_plan(
         rules: &'a RuleSet,
         master: &'a MasterData,
@@ -99,60 +118,50 @@ impl<'a> DataMonitor<'a> {
         debug_assert_eq!(plan.len(), rules.len());
         debug_assert_eq!(plan.master_generation(), master.generation());
         DataMonitor {
-            plan,
             rules,
             master,
-            regions: std::sync::Arc::from(Vec::new()),
-            audit: Arc::new(AuditLog::new()),
+            plan: Part::Shared(plan),
+            regions: Part::Shared(Arc::from(Vec::new())),
+            audit: Part::Shared(Arc::new(AuditLog::new())),
             max_rounds: 64,
         }
     }
 
-    /// Create a monitor from fully shared parts — plan, regions and
-    /// audit log all pre-`Arc`'d, so construction is refcount bumps and
-    /// allocates nothing (unlike [`from_plan`](Self::from_plan), which
-    /// builds an empty region slice and a private audit log): the shape
-    /// every per-request monitor of a long-lived service takes.
-    pub fn from_shared_parts(
+    /// Create a monitor over parts its caller owns — plan (compiled from
+    /// `rules` against `master`), regions and audit log, all borrowed for
+    /// the monitor's life: construction copies references, touches no
+    /// refcount and allocates nothing. The shape every per-request
+    /// monitor of a long-lived service takes.
+    pub fn from_lent_parts(
         rules: &'a RuleSet,
         master: &'a MasterData,
-        plan: Arc<CompiledRules>,
-        regions: std::sync::Arc<[Region]>,
-        audit: Arc<AuditLog>,
+        plan: &'a CompiledRules,
+        regions: &'a [Region],
+        audit: &'a AuditLog,
     ) -> DataMonitor<'a> {
         debug_assert_eq!(plan.len(), rules.len());
         debug_assert_eq!(plan.master_generation(), master.generation());
         DataMonitor {
-            plan,
             rules,
             master,
-            regions,
-            audit,
+            plan: Part::Lent(plan),
+            regions: Part::Lent(regions),
+            audit: Part::Lent(audit),
             max_rounds: 64,
         }
-    }
-
-    /// The compiled execution plan (shareable across monitors).
-    pub fn plan(&self) -> &Arc<CompiledRules> {
-        &self.plan
     }
 
     /// Provide pre-computed certain regions for initial suggestions
     /// (the demo pre-computes these with the region finder "to reduce the
     /// cost", paper §3).
     pub fn with_regions(mut self, regions: Vec<Region>) -> DataMonitor<'a> {
-        self.regions = regions.into();
+        self.regions = Part::Shared(regions.into());
         self
     }
 
     /// The audit log accumulated by this monitor.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
-    }
-
-    /// The audit log as a shareable handle.
-    pub fn audit_handle(&self) -> Arc<AuditLog> {
-        Arc::clone(&self.audit)
     }
 
     /// The rule set in use.
@@ -163,14 +172,6 @@ impl<'a> DataMonitor<'a> {
     /// Begin a session for `tuple`.
     pub fn start(&self, tuple_id: usize, tuple: Tuple) -> MonitorSession {
         MonitorSession::new(tuple_id, tuple)
-    }
-
-    /// Diagnostic: would validating exactly `attrs` reach a full,
-    /// correct fix for `truth`? Runs on the monitor's cached plan — no
-    /// per-call compilation (the throwaway-plan shape of the standalone
-    /// [`certifies_for`](crate::region::certifies_for) helper).
-    pub fn certifies(&self, attrs: &cerfix_relation::AttrSet, truth: &Tuple) -> bool {
-        crate::region::certifies_for_with_plan(&self.plan, self.master, attrs, truth)
     }
 
     /// The session's live-rule mask (positions in the plan). A rule is

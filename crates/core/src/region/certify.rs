@@ -123,10 +123,7 @@ pub fn certify_region_mode(
 
 /// Convenience: does validating `attrs` yield a full correct fix for this
 /// single `truth` tuple? Compiles a throwaway plan — prefer
-/// [`certifies_for_with_plan`] (or
-/// [`DataMonitor::certifies`](crate::monitor::DataMonitor::certifies),
-/// which routes through the monitor's cached plan) anywhere the rule set
-/// is already compiled.
+/// [`certifies_for_with_plan`] anywhere the rule set is already compiled.
 pub fn certifies_for(rules: &RuleSet, master: &MasterData, attrs: &AttrSet, truth: &Tuple) -> bool {
     let plan = CompiledRules::compile(rules, master);
     certifies_for_with_plan(&plan, master, attrs, truth)

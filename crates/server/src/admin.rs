@@ -411,7 +411,7 @@ impl CleaningService {
                 w.key("followers");
                 w.begin_obj();
                 for lag in &lags {
-                    w.key(&lag.name);
+                    w.data_key(&lag.name);
                     w.begin_obj();
                     lag.write_fields(w);
                     w.end_obj();
@@ -520,7 +520,7 @@ fn write_peer_status(w: &mut JsonWriter<'_>, addr: &str, doc: &Result<Json, Serv
             Some(fields) => {
                 w.begin_obj();
                 for (key, value) in fields {
-                    w.key(key);
+                    w.data_key(key);
                     if key == "addr" {
                         w.str_val(addr);
                     } else {

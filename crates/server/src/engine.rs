@@ -61,12 +61,11 @@ pub(crate) struct EngineState {
     pub(crate) rules: Arc<RuleSet>,
     /// The master repository this state was compiled against.
     pub(crate) master: Arc<MasterData>,
-    /// Compiled execution plan shared by every per-request monitor
+    /// Compiled execution plan lent to every per-request monitor
     /// (masks + index snapshots resolved once per state).
     pub(crate) plan: Arc<CompiledRules>,
-    /// Pre-computed certain regions handed to every monitor (shared:
-    /// each monitor construction is a refcount bump, not a deep clone);
-    /// empty when region pre-computation is off.
+    /// Pre-computed certain regions lent to every monitor; empty when
+    /// region pre-computation is off.
     pub(crate) regions: Arc<[Region]>,
     /// The full region search behind `regions` — set at compile time when
     /// regions are pre-computed, otherwise by the first `regions` request.
@@ -78,16 +77,11 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
-    /// A monitor over this state recording into `audit` — refcount bumps
-    /// only, so building one per request allocates nothing.
-    pub(crate) fn monitor(&self, audit: &Arc<AuditLog>) -> DataMonitor<'_> {
-        DataMonitor::from_shared_parts(
-            &self.rules,
-            &self.master,
-            Arc::clone(&self.plan),
-            Arc::clone(&self.regions),
-            Arc::clone(audit),
-        )
+    /// A monitor over this state recording into `audit`, its parts lent
+    /// by the state: building one per request copies references — no
+    /// refcount is touched and nothing is allocated.
+    pub(crate) fn monitor<'s>(&'s self, audit: &'s AuditLog) -> DataMonitor<'s> {
+        DataMonitor::from_lent_parts(&self.rules, &self.master, &self.plan, &self.regions, audit)
     }
 }
 
@@ -449,13 +443,16 @@ pub(crate) fn compile_engine(
 
 /// Copy-on-append `rows` onto `engine`'s master and compile the
 /// successor state over it, as boot and `rules.reload` compile theirs.
+/// The rows are built on the master relation's own schema object, which
+/// the append checks them against: the rules' master schema may be an
+/// equal but distinct one.
 fn append_engine_master(
     engine: &EngineState,
     rows: Vec<Vec<Value>>,
     config: &ServiceConfig,
     metrics: &ServiceMetrics,
 ) -> Result<Arc<EngineState>, ServeError> {
-    let master_schema = engine.rules.master_schema().clone();
+    let master_schema = engine.master.schema().clone();
     let tuples: Vec<Tuple> = rows
         .into_iter()
         .enumerate()
@@ -539,7 +536,8 @@ fn clean_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{data_dir, kv_service_journaled};
+    use crate::service::engine_handles;
+    use crate::tests::{data_dir, kv_service, kv_service_journaled};
     use cerfix_relation::Schema;
     use std::sync::Weak;
 
@@ -593,5 +591,92 @@ mod tests {
         assert_eq!(search.strong_count(), 0, "first successor's search");
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A monitor borrows the state's plan and regions and the service's
+    /// audit log: building one, and running a round on it, leaves every
+    /// refcount where it was.
+    #[test]
+    fn a_monitor_borrows_the_installed_state() {
+        let service = kv_service(1);
+        let engine = service.engine();
+        let audit = &service.inner.audit;
+        let counts = || {
+            let plan = Arc::strong_count(&engine.plan);
+            let regions = Arc::strong_count(&engine.regions);
+            (plan, regions, Arc::strong_count(audit))
+        };
+        let before = counts();
+        let monitor = engine.monitor(audit);
+        assert_eq!(counts(), before, "(plan, regions, audit) while built");
+        let tuple = Tuple::of_strings(service.input_schema().clone(), ["k3", "WRONG", "n"]);
+        let mut session = monitor.start(0, tuple.unwrap());
+        let validations = [(0, Value::str("k3")), (2, Value::str("n"))];
+        let mut fixpoint = FixpointScratch::default();
+        monitor
+            .apply_validation_into(&mut session, &validations, &mut fixpoint)
+            .unwrap();
+        assert!(session.is_complete());
+        assert_eq!(counts(), before, "(plan, regions, audit) after a round");
+        drop(monitor);
+        assert_eq!(counts(), before, "(plan, regions, audit) once dropped");
+    }
+
+    /// A warmed `session.get`, `session.fix` and `session.validate` each
+    /// take one handle on the installed state, and borrow the rest.
+    #[test]
+    fn a_warmed_session_op_takes_one_engine_handle() {
+        let service = kv_service(1);
+        let (mut out, mut scratch) = (String::new(), crate::RequestScratch::default());
+        let create = r#"{"op":"session.create","tuple":["k3","WRONG","n"]}"#;
+        service.handle_line_into(create, &mut out, &mut scratch);
+        assert!(out.contains(r#""session":1,"#), "{out}");
+        let validate =
+            r#"{"op":"session.validate","session":1,"validations":{"key":"k3","note":"n"}}"#;
+        let lines = [
+            r#"{"op":"session.get","session":1,"id":7}"#,
+            r#"{"op":"session.fix","session":1}"#,
+            validate,
+        ];
+        for line in lines {
+            for _ in 0..3 {
+                out.clear();
+                let before = engine_handles();
+                service.handle_line_into(line, &mut out, &mut scratch);
+                assert_eq!(engine_handles() - before, 1, "{line}");
+                assert!(out.contains(r#""ok":true"#), "{out}");
+            }
+        }
+    }
+
+    /// A master append builds its rows on the master relation's own
+    /// schema object. HOSP's generator gives the master and the rules
+    /// equal but distinct master schemas; the append, live and replayed,
+    /// is installed, and a tuple keyed on the new row cleans completely.
+    #[test]
+    fn an_append_builds_rows_on_the_masters_schema() {
+        let mut rng = rand::SeedableRng::seed_from_u64(7);
+        let master = MasterData::new(cerfix_gen::hosp::generate_master(40, &mut rng));
+        let rules = cerfix_gen::hosp::rules();
+        assert!(!master.schema().same_as(rules.master_schema()));
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let service = CleaningService::new(Arc::new(master), Arc::new(rules), config);
+        let cells = ["P-new", "H", "A", "C", "S", "Z-new", "T", "M-new", "N", "D"];
+        let rendered = format!("{cells:?}");
+        let append = format!(r#"{{"op":"master.append","tuples":[{rendered}]}}"#);
+        let reply = service.handle_line(&append);
+        assert!(reply.contains(r#""master_rows":41,"#), "{reply}");
+        let replayed = cells.iter().map(|&c| Value::str(c.replace("new", "old")));
+        service.apply_master_rows(vec![replayed.collect()]).unwrap();
+        assert_eq!(service.engine().master.len(), 42);
+        let dirty = r#"["P-new","x","x","x","x","x","x","M-new","x","x"]"#;
+        let trust = r#""trust":["provider","measure"]"#;
+        let clean = format!(r#"{{"op":"clean","tuples":[{dirty}],{trust}}}"#);
+        let reply = service.handle_line(&clean);
+        assert!(reply.contains(r#""complete":1,"#), "{reply}");
+        assert!(reply.contains(r#""tuple":["P-new","H","A","C","S","Z-new","T","M-new","N","D"]"#));
     }
 }

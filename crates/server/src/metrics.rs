@@ -651,7 +651,7 @@ pub(crate) fn metrics_reply(service: &CleaningService, reply: Reply<'_>) -> Resu
             w.key("replication");
             w.begin_obj();
             for lag in &lags {
-                w.key(&lag.name);
+                w.data_key(&lag.name);
                 w.begin_obj();
                 lag.write_fields(w);
                 w.field("last_seen_secs", lag.last_seen_secs);

@@ -406,8 +406,11 @@ impl CleaningService {
     }
 
     /// The current engine state (a cheap refcounted handle; holders keep
-    /// serving the rule set they started with across a reload).
+    /// serving the rule set they started with across a reload). A
+    /// request takes it once and borrows everything else from it.
     pub(crate) fn engine(&self) -> Arc<EngineState> {
+        #[cfg(test)]
+        ENGINE_HANDLES.with(|handles| handles.set(handles.get() + 1));
         Arc::clone(&self.inner.engine.read().unwrap_or_else(|e| e.into_inner()))
     }
 
@@ -1066,8 +1069,21 @@ pub(crate) fn write_tuple(w: &mut JsonWriter<'_>, tuple: &Tuple) {
 pub(crate) fn write_attrs(
     w: &mut JsonWriter<'_>,
     schema: &SchemaRef,
-    key: &str,
+    key: &'static str,
     attrs: impl IntoIterator<Item = usize>,
 ) {
     w.array(key, attrs, |w, a| w.str_val(schema.attr_name(a)));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's [`CleaningService::engine`] calls, for the tests
+    /// that pin them.
+    static ENGINE_HANDLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times this thread has called [`CleaningService::engine`].
+#[cfg(test)]
+pub(crate) fn engine_handles() -> u64 {
+    ENGINE_HANDLES.with(std::cell::Cell::get)
 }

@@ -1327,6 +1327,33 @@ fn every_instrument_row_reaches_every_exposition() {
 /// A request's engine-stat delta lands field for field in the
 /// family of the same name (distinct totals, so a cross-wired field
 /// fails), and only under the op it was charged to.
+/// Names that come from data are escaped where a reply writes them as
+/// keys: a follower named with `"`, `\` and a control byte is listed
+/// under its exact name by `metrics` and by `cluster.status`, the two
+/// replies that name followers, and both still parse.
+#[test]
+fn a_follower_name_is_escaped_as_a_key() {
+    let dir = data_dir("escaped-follower");
+    let service = kv_service_journaled(&dir);
+    let sync = r#"{"op":"replica.sync","follower":"f\"1\\\u0001","epoch":0,"offset":0}"#;
+    let synced = service.handle_line(sync);
+    assert!(synced.contains("\"ok\":true"), "{synced}");
+    let parse = |line: &str| {
+        let reply = service.handle_line(line);
+        wire::Json::parse(reply.trim()).unwrap_or_else(|e| panic!("{e}: {reply}"))
+    };
+    let metrics = parse(r#"{"op":"metrics"}"#);
+    let status = parse(r#"{"op":"cluster.status","fanout":false}"#);
+    let own = &status.get("nodes").and_then(wire::Json::as_arr).unwrap()[0];
+    for followers in [metrics.get("replication"), own.get("followers")] {
+        let followers = followers.and_then(wire::Json::as_obj).unwrap();
+        let names: Vec<&str> = followers.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["f\"1\\\u{1}"]);
+    }
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn engine_stats_accumulate_per_op_class() {
     let service = kv_service(1);

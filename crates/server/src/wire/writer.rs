@@ -2,6 +2,12 @@
 //! commas, colons, brackets, string escapes and number formatting are
 //! emitted.
 //!
+//! A key named in the program's text — every `key`, `field` and
+//! `array` name, a `&'static str` — is written verbatim, and debug
+//! builds assert it needs no escape. A key that comes from data (a
+//! follower's name, a parsed document's member) goes through
+//! `data_key` and is escaped as a string value is.
+//!
 //! A string is copied by runs: the lexer's word-at-a-time `plain_run`
 //! finds the next byte that needs escaping — the one function that
 //! decides, reading and writing, which bytes are special — and the run
@@ -125,15 +131,30 @@ impl<'a> JsonWriter<'a> {
         self.out.push(']');
     }
 
-    /// Write an object key (the next write is its value).
-    pub fn key(&mut self, name: &str) {
+    /// Write an object key named in the program's text (the next write
+    /// is its value): `"name":`, copied verbatim — such a name needs no
+    /// escape, which debug builds assert.
+    pub fn key(&mut self, name: &'static str) {
+        debug_assert!(
+            !name.bytes().any(needs_escape),
+            "key {name:?} needs an escape"
+        );
+        self.sep();
+        self.out.push('"');
+        self.out.push_str(name);
+        self.out.push_str("\":");
+    }
+
+    /// Write an object key that comes from data (a follower's name, a
+    /// parsed document's member), escaped as a string value is.
+    pub fn data_key(&mut self, name: &str) {
         self.sep();
         render_string(name, self.out);
         self.out.push(':');
     }
 
     /// An object member with a scalar value: the key, then the value.
-    pub fn field(&mut self, name: &str, value: impl JsonScalar) {
+    pub fn field(&mut self, name: &'static str, value: impl JsonScalar) {
         self.key(name);
         value.write(self);
     }
@@ -142,7 +163,7 @@ impl<'a> JsonWriter<'a> {
     /// item, written by `each`.
     pub fn array<T>(
         &mut self,
-        name: &str,
+        name: &'static str,
         items: impl IntoIterator<Item = T>,
         mut each: impl FnMut(&mut Self, T),
     ) {
@@ -221,7 +242,7 @@ impl<'a> JsonWriter<'a> {
             Json::Obj(fields) => {
                 self.begin_obj();
                 for (key, value) in fields {
-                    self.key(key);
+                    self.data_key(key);
                     self.json(value);
                 }
                 self.end_obj();
@@ -264,6 +285,12 @@ fn push_digits(mut magnitude: u64, negative: bool, out: &mut String) {
     out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
 }
 
+/// Whether `byte` is written escaped inside a JSON string: `"`, `\` or
+/// a control byte.
+fn needs_escape(byte: u8) -> bool {
+    matches!(byte, b'"' | b'\\' | 0..=0x1f)
+}
+
 /// Write `s` as a JSON string: each run of bytes that need no escape
 /// pushed whole, each special byte — `"`, `\`, a control byte — escaped
 /// on its own.
@@ -278,10 +305,7 @@ fn render_string(s: &str, out: &mut String) {
         at = plain_run(bytes, at);
         // Past the plain ones of the last few bytes, which `plain_run`
         // leaves to be read one at a time.
-        while bytes
-            .get(at)
-            .is_some_and(|&b| !matches!(b, b'"' | b'\\' | 0..=0x1f))
-        {
+        while bytes.get(at).is_some_and(|&b| !needs_escape(b)) {
             at += 1;
         }
         let Some(&byte) = bytes.get(at) else { break };
@@ -363,6 +387,18 @@ mod tests {
             }
         }
         assert!(escaped > 10_000, "{escaped} strings needed an escape");
+    }
+
+    /// A key that comes from data is escaped: an object whose key holds
+    /// `"`, `\` and a control byte renders to text that parses back to
+    /// the same object.
+    #[test]
+    fn data_keys_are_escaped() {
+        let doc = Json::Obj(vec![("f\"1\\\u{1}".to_string(), Json::Num(1.0))]);
+        let mut out = String::new();
+        JsonWriter::new(&mut out).json(&doc);
+        assert_eq!(out, r#"{"f\"1\\\u0001":1}"#);
+        assert_eq!(Json::parse(&out), Ok(doc));
     }
 
     /// Digits from the buffer are `format!`'s, for `u64`, `Value::Int`

@@ -283,7 +283,7 @@ fn warmed_round_allocations() -> u64 {
     // `(AC, Hphn)`, φ9 on `AC`; a round's probes go through the key memo.
     let plan = Arc::new(cerfix::CompiledRules::compile(&rules, &master));
     let audit = Arc::new(AuditLog::windowed(64));
-    let monitor = DataMonitor::from_shared_parts(&rules, &master, plan, Vec::new().into(), audit);
+    let monitor = DataMonitor::from_lent_parts(&rules, &master, &plan, &[], &audit);
     let schema = rules.input_schema();
     let cells = [
         "M.",
