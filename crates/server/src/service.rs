@@ -409,8 +409,7 @@ impl CleaningService {
     /// serving the rule set they started with across a reload). A
     /// request takes it once and borrows everything else from it.
     pub(crate) fn engine(&self) -> Arc<EngineState> {
-        #[cfg(test)]
-        ENGINE_HANDLES.with(|handles| handles.set(handles.get() + 1));
+        note_engine_handle();
         Arc::clone(&self.inner.engine.read().unwrap_or_else(|e| e.into_inner()))
     }
 
@@ -1075,11 +1074,23 @@ pub(crate) fn write_attrs(
     w.array(key, attrs, |w, a| w.str_val(schema.attr_name(a)));
 }
 
+/// Count a [`CleaningService::engine`] call: a no-op outside the tests
+/// that pin them. (The test-only items sit last, so a scan of the file
+/// up to its first `cfg(test)` still reads every request path.)
+#[cfg(not(test))]
+#[inline(always)]
+fn note_engine_handle() {}
+
 #[cfg(test)]
 thread_local! {
     /// This thread's [`CleaningService::engine`] calls, for the tests
     /// that pin them.
     static ENGINE_HANDLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn note_engine_handle() {
+    ENGINE_HANDLES.with(|handles| handles.set(handles.get() + 1));
 }
 
 /// How many times this thread has called [`CleaningService::engine`].

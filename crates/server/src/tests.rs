@@ -1324,9 +1324,6 @@ fn every_instrument_row_reaches_every_exposition() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A request's engine-stat delta lands field for field in the
-/// family of the same name (distinct totals, so a cross-wired field
-/// fails), and only under the op it was charged to.
 /// Names that come from data are escaped where a reply writes them as
 /// keys: a follower named with `"`, `\` and a control byte is listed
 /// under its exact name by `metrics` and by `cluster.status`, the two
@@ -1354,6 +1351,9 @@ fn a_follower_name_is_escaped_as_a_key() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A request's engine-stat delta lands field for field in the
+/// family of the same name (distinct totals, so a cross-wired field
+/// fails), and only under the op it was charged to.
 #[test]
 fn engine_stats_accumulate_per_op_class() {
     let service = kv_service(1);
