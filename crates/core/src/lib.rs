@@ -61,6 +61,8 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+#[doc(hidden)]
+pub mod counters;
 pub mod engine;
 mod error;
 pub mod exec;

@@ -259,7 +259,7 @@ impl TruthProfile<'_> {
             if !plan.rules[pos].pattern.matches(truth) {
                 continue;
             }
-            decided(1);
+            crate::count!(VerdictsDecided);
             let Some(witness) = plan.lookup(pos, master, truth, key_buf, keys, probes) else {
                 continue; // no match / ambiguous / null fix: dead
             };
@@ -341,27 +341,6 @@ impl PostingVerdicts {
         }
         bits
     }
-}
-
-/// Count `n` rule verdicts decided by a profile: posting verdicts and
-/// hashed lookups alike. Tests read the count of their thread.
-#[inline]
-fn decided(n: usize) {
-    #[cfg(test)]
-    VERDICTS.with(|v| v.set(v.get() + n));
-    let _ = n;
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Rule verdicts the profiles built on this thread decided.
-    static VERDICTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// The rule verdicts profiles built on this thread have decided so far.
-#[cfg(test)]
-pub(crate) fn verdicts_decided() -> usize {
-    VERDICTS.with(std::cell::Cell::get)
 }
 
 /// How a batch of profiles reads truths that are rows of the searched
@@ -508,7 +487,7 @@ impl<'a> OwnKeys<'a> {
                 }
                 rules += 1;
             }
-            decided(rules);
+            crate::count!(VerdictsDecided, rules);
         });
         Some((probe.first, bits))
     }
@@ -866,11 +845,17 @@ impl<'a, U: Universe + ?Sized> ContextCertifier<'a, U> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{read, Counter};
     use crate::region::universe::{copied, MasterTruths};
     use cerfix_relation::{Relation, RelationBuilder, Schema, SchemaRef};
     use cerfix_rules::{EditingRule, PatternTuple, RuleSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The rule verdicts profiles built on this thread have decided so far.
+    fn verdicts_decided() -> usize {
+        read(Counter::VerdictsDecided) as usize
+    }
 
     /// zip→{AC,city}, AC→str chain with one ambiguous zip (G12) and one
     /// row whose AC disagrees with the truth we probe (poison source).

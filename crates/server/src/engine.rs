@@ -536,10 +536,15 @@ fn clean_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::engine_handles;
     use crate::tests::{data_dir, kv_service, kv_service_journaled};
+    use cerfix::counters::{read, Counter};
     use cerfix_relation::Schema;
     use std::sync::Weak;
+
+    /// How many times this thread has called [`CleaningService::engine`].
+    fn engine_handles() -> u64 {
+        read(Counter::EngineHandles)
+    }
 
     #[test]
     fn fingerprint_distinguishes_rulesets() {

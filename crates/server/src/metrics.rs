@@ -462,6 +462,7 @@ instruments! {
         net_writes                Counter "cerfix_net_writes_total"                "write_all calls made on connection sockets: one per read's replies, and one ahead of a line that waits.";
         replication_events_served Counter "cerfix_replication_events_served_total" "Journal events served to follower replication cursors.";
         quorum_timeouts           Counter "cerfix_quorum_timeouts_total"           "Commits that timed out waiting for a follower quorum (applied and locally durable, answered quorum_timeout).";
+        replica_syncs_led         Counter "cerfix_replica_syncs_led_total"         "Held replica.sync requests a quorum commit served on its own thread, reading the follower's ack itself, while the connection's thread slept through the round.";
         #[journaled]
         scrubs_run                Counter "cerfix_scrubs_total"                    "Integrity scrubs run via the scrub protocol op.";
         #[journaled]

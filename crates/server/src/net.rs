@@ -37,10 +37,12 @@ use crate::errors::{ErrorCode, ServeError};
 use crate::metrics::ServiceMetrics;
 use crate::ops::OpId;
 use crate::protocol::{scan_line, RequestScratch};
+use crate::replication::HeldSync;
 use crate::service::{CleaningService, LineClock};
 use crate::trace::stamp;
+use cerfix_storage::DurableWatch;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -373,22 +375,26 @@ impl LineBuffer {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Where the next complete line ends (its `\n`), if one is buffered.
+    fn line_end(&mut self) -> Option<usize> {
+        let from = self.scanned.max(self.start);
+        let end = self.buf[from..].iter().position(|&b| b == b'\n');
+        self.scanned = end.map_or(self.buf.len(), |rel| from + rel);
+        end.map(|rel| from + rel)
+    }
+
+    /// The next complete line (without its `\n`), left in place.
+    fn peek_line(&mut self) -> Option<&[u8]> {
+        let end = self.line_end()?;
+        Some(&self.buf[self.start..end])
+    }
+
     /// The next complete line (without its `\n`), consuming it.
     fn next_line(&mut self) -> Option<&[u8]> {
-        let from = self.scanned.max(self.start);
-        match self.buf[from..].iter().position(|&b| b == b'\n') {
-            Some(rel) => {
-                let end = from + rel;
-                let line = &self.buf[self.start..end];
-                self.start = end + 1;
-                self.scanned = self.start;
-                Some(line)
-            }
-            None => {
-                self.scanned = self.buf.len();
-                None
-            }
-        }
+        let (start, end) = (self.start, self.line_end()?);
+        self.start = end + 1;
+        self.scanned = self.start;
+        Some(&self.buf[start..end])
     }
 
     /// Bytes of the current partial line (no newline yet) — what the
@@ -445,147 +451,603 @@ impl Drop for OpenConnection {
 
 /// The replies a connection owes its peer, held until the lines of one
 /// read are answered and then written together.
-struct Replies<'a> {
+struct Replies {
     writer: TcpStream,
     out: String,
-    metrics: &'a ServiceMetrics,
 }
 
-impl Replies<'_> {
+impl Replies {
     /// [`flush`](Self::flush) mid-read: a write that happens leaves the
     /// next line to start after it.
-    fn flush_before(&mut self, clock: &mut LineClock) -> bool {
+    fn flush_before(&mut self, metrics: &ServiceMetrics, clock: &mut LineClock) -> bool {
         if self.out.is_empty() {
             return true;
         }
-        let written = self.flush();
+        let written = self.flush(metrics);
         clock.started = stamp();
         written
     }
 
     /// Write everything held, in one `write_all` (none when nothing is
     /// held). False once the peer is gone.
-    fn flush(&mut self) -> bool {
+    fn flush(&mut self, metrics: &ServiceMetrics) -> bool {
         if self.out.is_empty() {
             return true;
         }
         // Counted before the call, so a peer that has its reply already
         // sees it counted.
-        self.metrics.net_writes.inc();
+        metrics.net_writes.inc();
         let written = self.writer.write_all(self.out.as_bytes()).is_ok();
         if written {
-            self.metrics.bytes_out.add(self.out.len() as u64);
+            metrics.bytes_out.add(self.out.len() as u64);
+        }
+        self.out.clear();
+        written
+    }
+
+    /// [`flush`](Self::flush) in a round a commit leads: each `write`
+    /// waits no longer than `until`, the commit's deadline. A write cut
+    /// short leaves a torn reply on the wire, so the peer counts as gone.
+    fn flush_by(&mut self, metrics: &ServiceMetrics, until: Instant) -> bool {
+        if self.out.is_empty() {
+            return true;
+        }
+        metrics.net_writes.inc();
+        let mut rest = self.out.as_bytes();
+        while !rest.is_empty() {
+            let left = until.saturating_duration_since(stamp());
+            if left.is_zero() || self.writer.set_write_timeout(Some(left)).is_err() {
+                break;
+            }
+            match self.writer.write(rest) {
+                Ok(0) => break,
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        let written = rest.is_empty();
+        if written {
+            metrics.bytes_out.add(self.out.len() as u64);
         }
         self.out.clear();
         written
     }
 }
 
-fn serve_connection(mut stream: TcpStream, open: OpenConnection, live: &AtomicBool) {
+/// Everything one connection keeps between its reads: the socket's two
+/// ends, the bytes read and not yet answered, the replies it owes, its
+/// request buffers, where its next line stands on the clock, and the
+/// `replica.sync` it holds. Its own thread drives it; while it holds a
+/// sync it is parked in the connection's [`HoldSlot`], and whichever
+/// thread serves the sync drives it for that [`round`].
+pub(crate) struct Conn {
+    reader: TcpStream,
+    replies: Replies,
+    buf: LineBuffer,
+    chunk: Vec<u8>,
+    scratch: RequestScratch,
+    clock: LineClock,
+    held: HeldSync,
+    /// The peer is gone: a read saw its end, or a write failed.
+    closed: bool,
+}
+
+impl Conn {
+    pub(crate) fn new(stream: TcpStream) -> Option<Conn> {
+        let _ = stream.set_nodelay(true);
+        let writer = stream.try_clone().ok()?;
+        Some(Conn {
+            reader: stream,
+            replies: Replies {
+                writer,
+                out: String::new(),
+            },
+            buf: LineBuffer::new(),
+            chunk: vec![0u8; 16 * 1024],
+            scratch: RequestScratch::default(),
+            clock: LineClock::at(stamp()),
+            held: HeldSync::default(),
+            closed: false,
+        })
+    }
+
+    /// One blocking `read` into the line buffer. Every line it brings
+    /// shares one arrival stamp — queue wait and deadlines are measured
+    /// from the read, not from when a line's turn came. False when
+    /// nothing came: the peer is gone (`closed`), or a read timeout set
+    /// by a round a commit leads ran out.
+    fn read(&mut self, metrics: &ServiceMetrics) -> bool {
+        loop {
+            let read = self.reader.read(&mut self.chunk);
+            metrics.net_reads.inc();
+            match read {
+                Ok(0) => break, // the peer closed (or shutdown half-closed)
+                Ok(n) => {
+                    self.buf.extend(&self.chunk[..n]);
+                    metrics.bytes_in.add(n as u64);
+                    self.clock = LineClock::at(stamp());
+                    return true;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return false;
+                }
+                Err(_) => break,
+            }
+        }
+        self.closed = true;
+        false
+    }
+}
+
+fn serve_connection(stream: TcpStream, open: OpenConnection, live: &AtomicBool) {
     let service = &open.service;
     let metrics = service.metrics_raw();
-    let _ = stream.set_nodelay(true);
-    let Ok(writer) = stream.try_clone() else {
+    let Some(mut conn) = Conn::new(stream) else {
         return;
     };
-    let mut replies = Replies {
-        writer,
-        out: String::new(),
-        metrics,
-    };
-    let mut buf = LineBuffer::new();
-    let mut chunk = vec![0u8; 16 * 1024];
-    let mut scratch = RequestScratch::default();
+    // Made at the connection's first held sync and kept until it closes.
+    let mut holding: Option<Holding> = None;
     // Blocking reads, no timeout: shutdown half-closes the read side
     // through the registry, so a parked read returns 0 immediately.
     while live.load(Ordering::Acquire) && !service.shutdown_requested() {
-        let read = stream.read(&mut chunk);
-        metrics.net_reads.inc();
-        let n = match read {
-            Ok(0) => break, // client closed (or shutdown half-close)
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        };
-        buf.extend(&chunk[..n]);
-        metrics.bytes_in.add(n as u64);
-        // Every line in this chunk shares one arrival stamp — queue wait
-        // and deadlines are measured from the read, not from when the
-        // loop got around to the line.
-        let arrived = stamp();
-        let mut clock = LineClock::at(arrived);
-        while let Some(line_bytes) = buf.next_line() {
-            let mut written =
-                respond_line(service, line_bytes, &mut replies, &mut scratch, &mut clock);
-            if replies.out.len() > WRITE_HIGH_WATER {
-                written &= replies.flush_before(&mut clock);
+        if !conn.read(metrics) {
+            break;
+        }
+        while let Some(line_bytes) = conn.buf.next_line() {
+            let step = respond_line(
+                service,
+                line_bytes,
+                &mut conn.replies,
+                &mut conn.scratch,
+                &mut conn.clock,
+                &mut conn.held,
+            );
+            match step {
+                Step::Answered => {}
+                Step::Held => {
+                    // What is answered goes out before the hold.
+                    if !conn.replies.flush(metrics) {
+                        return;
+                    }
+                    let holding = holding.get_or_insert_with(|| Holding::open(service));
+                    conn = holding.park(service, conn);
+                    if conn.closed {
+                        return;
+                    }
+                }
+                Step::Gone => return,
             }
-            if !written {
+            if conn.replies.out.len() > WRITE_HIGH_WATER
+                && !conn.replies.flush_before(metrics, &mut conn.clock)
+            {
                 return;
             }
         }
         // Complete lines answered above; only an unbounded *partial*
         // line is hostile.
-        let oversize = buf.partial_len() > MAX_LINE_BYTES;
+        let oversize = conn.buf.partial_len() > MAX_LINE_BYTES;
         if oversize {
             let error = ErrorCode::BadRequest.error("request line exceeds 8 MiB; closing");
-            service.refuse_line(&error, &mut replies.out);
+            service.refuse_line(&error, &mut conn.replies.out);
         }
-        if !replies.flush() || oversize {
+        if !conn.replies.flush(metrics) || oversize {
             break;
         }
     }
 }
 
+/// What answering one line left the connection to do.
+enum Step {
+    /// Answered (or skipped): on to the next line.
+    Answered,
+    /// A caught-up `replica.sync` asking to wait, now in the connection's
+    /// `held`: park the connection with it.
+    Held,
+    /// A write failed: the peer is gone.
+    Gone,
+}
+
 /// Answer one raw request line into `replies`: UTF-8 check, blank skip,
 /// trim, scan, dispatch — THE per-line semantics of the protocol, and
 /// the chunking proptest holds them independent of how lines arrive.
-/// A line that makes this thread wait writes what `replies` holds first.
+/// A commit that makes this thread wait writes what `replies` holds
+/// first; a sync that is held is not answered here but kept in `held`.
 /// `clock` is where the line stands on the clock, moved on to where the
-/// next one does. False once a write has failed.
+/// next one does.
 fn respond_line(
     service: &CleaningService,
     line_bytes: &[u8],
-    replies: &mut Replies<'_>,
+    replies: &mut Replies,
     scratch: &mut RequestScratch,
     clock: &mut LineClock,
-) -> bool {
+    held: &mut HeldSync,
+) -> Step {
     let Ok(line) = std::str::from_utf8(line_bytes) else {
         let error = ErrorCode::BadRequest.error("request line is not valid UTF-8");
         service.refuse_line(&error, &mut replies.out);
-        return true; // the connection survives
+        return Step::Answered; // the connection survives
     };
     let trimmed = line.trim();
     if trimmed.is_empty() {
-        return true; // blank line: no reply
+        return Step::Answered; // blank line: no reply
     }
     let scanned = scan_line(trimmed);
-    // A caught-up follower's sync that asks to wait is kept on this
-    // thread until there is something to say: it borrows the line, and
-    // the connection's own buffers hold and serve it.
-    let held = if scanned.is(OpId::ReplicaSync) {
-        service.sync_arrival(&scanned, &mut scratch.unescape)
-    } else {
-        None
-    };
-    if let Some(held) = held {
-        if !replies.flush() {
-            return false;
-        }
-        service.wait_out(&held, &mut scratch.hold);
-        let (released, ended) = service.serve_held(held, &mut replies.out, &mut scratch.served);
-        clock.received = released;
-        clock.started = ended;
-    } else {
-        // A journaled commit waits for its group fsync (and quorum).
-        let waits = scanned.is(OpId::SessionCommit) && service.is_journaled();
-        if waits && !replies.flush_before(clock) {
-            return false;
-        }
-        clock.started = service.handle_scanned(&scanned, &mut replies.out, scratch, *clock);
+    if scanned.is(OpId::ReplicaSync) && service.sync_arrival(&scanned, &mut scratch.unescape, held)
+    {
+        return Step::Held;
     }
+    // A journaled commit waits for its group fsync (and quorum).
+    let waits = scanned.is(OpId::SessionCommit) && service.is_journaled();
+    if waits && !replies.flush_before(service.metrics_raw(), clock) {
+        return Step::Gone;
+    }
+    clock.started = service.handle_scanned(&scanned, &mut replies.out, scratch, *clock);
     replies.out.push('\n');
-    true
+    Step::Answered
+}
+
+/// How a [`round`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Round {
+    /// The follower's next line was a caught-up sync asking to wait: it
+    /// is the connection's new hold, and the connection parks again.
+    Parked,
+    /// Anything else: the connection goes back to its own thread, with
+    /// whatever was read still buffered.
+    HandedBack,
+}
+
+/// One replication round on a connection whose held sync is over, on
+/// whichever thread drives it: serve the sync
+/// ([`CleaningService::serve_held`], its span, metrics and `requests`
+/// count as any request's), then read the follower's next line — the
+/// ack. If it is a caught-up sync asking to wait, its arrival records
+/// the ack ([`CleaningService::sync_arrival`]) and it is the new hold.
+/// Anything else — another op, a sync with something to fetch, a torn
+/// line, the peer's end, `until` passing — is left buffered for the
+/// connection's own thread, which answers it as it answers any line.
+/// `until` is a leading committer's deadline, which its read does not
+/// wait past; the connection's own thread passes `None`.
+pub(crate) fn round(service: &CleaningService, conn: &mut Conn, until: Option<Instant>) -> Round {
+    let (released, ended) = service.serve_held(
+        &mut conn.held,
+        &mut conn.replies.out,
+        &mut conn.scratch.served,
+    );
+    conn.replies.out.push('\n');
+    if until.is_some() {
+        service.metrics_raw().replica_syncs_led.inc();
+    }
+    // A line behind the sync queues from its release, starts at its end.
+    conn.clock.received = released;
+    conn.clock.started = ended;
+    conn.next_hold(service, until)
+}
+
+impl Conn {
+    /// The second half of a [`round`]: take the follower's next line —
+    /// written what is owed and read first, when none is buffered — and
+    /// keep it as the connection's new hold if it is a caught-up sync
+    /// asking to wait. With `until` (a leading commit's deadline) the
+    /// write and the read wait no longer than it; the timeouts stay on
+    /// the socket until the connection's thread takes it back
+    /// ([`Holding::turn`]).
+    pub(crate) fn next_hold(&mut self, service: &CleaningService, until: Option<Instant>) -> Round {
+        let metrics = service.metrics_raw();
+        if self.buf.peek_line().is_none() {
+            if !self.flush(metrics, until) {
+                return Round::HandedBack;
+            }
+            if let Some(until) = until {
+                let left = until.saturating_duration_since(stamp());
+                if left.is_zero() || self.reader.set_read_timeout(Some(left)).is_err() {
+                    return Round::HandedBack;
+                }
+            }
+            if service.shutdown_requested() || !self.read(metrics) {
+                return Round::HandedBack;
+            }
+        }
+        let Some(line) = self.buf.peek_line() else {
+            return Round::HandedBack; // a torn line: its thread reads on
+        };
+        let held = match std::str::from_utf8(line).map(|line| scan_line(line.trim())) {
+            Ok(scanned) => {
+                scanned.is(OpId::ReplicaSync)
+                    && service.sync_arrival(&scanned, &mut self.scratch.unescape, &mut self.held)
+            }
+            Err(_) => false,
+        };
+        if !held {
+            return Round::HandedBack;
+        }
+        self.buf.next_line();
+        if !self.flush(metrics, until) {
+            return Round::HandedBack;
+        }
+        Round::Parked
+    }
+
+    /// Write what is owed, by `until` when a commit leads the round.
+    fn flush(&mut self, metrics: &ServiceMetrics, until: Option<Instant>) -> bool {
+        let written = match until {
+            Some(until) => self.replies.flush_by(metrics, until),
+            None => self.replies.flush(metrics),
+        };
+        self.closed |= !written;
+        written
+    }
+}
+
+/// Where a connection parks while it holds a `replica.sync`: the whole
+/// connection, and whose turn it is to drive it. Exactly one thread
+/// drives a connection at a time — its own, or a quorum commit leading
+/// the held sync's round ([`Claim::lead`]) — and its own thread sleeps
+/// on `turn` meanwhile.
+pub(crate) struct HoldSlot {
+    state: Mutex<Slot>,
+    turn: Condvar,
+}
+
+struct Slot {
+    phase: Phase,
+    /// The connection, while it is not its thread's or a leader's.
+    conn: Option<Conn>,
+    /// The connection's thread sleeps with no timeout: it found the
+    /// hold claimed or led, so had no expiry to wait for, and must be
+    /// woken when the connection is parked again.
+    untimed: bool,
+    /// A commit led a round since the connection's thread last drove it,
+    /// so the socket has write and read timeouts that thread clears.
+    bounded: bool,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Its own thread drives the connection.
+    Own,
+    /// Parked with its held sync, free to claim.
+    Parked,
+    /// Parked, and claimed by a quorum commit that will lead the round.
+    Claimed,
+    /// The claiming commit drives the connection.
+    Led,
+    /// A round handed the connection back to its thread.
+    Returned,
+}
+
+impl HoldSlot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slot> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// What a journal move calls: wake the connection's thread if the
+    /// hold is parked free. A claimed hold wakes nobody — the commit
+    /// that claimed it leads the round.
+    fn wake(&self) {
+        if self.lock().phase == Phase::Parked {
+            self.turn.notify_one();
+        }
+    }
+
+    /// Put `conn` back in `phase` after a claim or a round, and wake its
+    /// thread if the connection is its again, if it sleeps with no
+    /// timeout, or if the hold is already over (a journal move while the
+    /// slot was claimed or led woke nobody).
+    fn settle(
+        &self,
+        service: &CleaningService,
+        mut slot: std::sync::MutexGuard<'_, Slot>,
+        phase: Phase,
+    ) {
+        slot.phase = phase;
+        let over = || {
+            slot.conn
+                .as_ref()
+                .is_none_or(|conn| service.hold_over(&conn.held))
+        };
+        if phase == Phase::Returned || slot.untimed || over() {
+            self.turn.notify_one();
+        }
+    }
+}
+
+/// The slots of every connection that has held a `replica.sync` here.
+#[derive(Default)]
+pub(crate) struct Holds {
+    slots: Mutex<Vec<Arc<HoldSlot>>>,
+}
+
+impl Holds {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<HoldSlot>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claim the first hold parked free.
+    pub(crate) fn claim<'s>(&self, service: &'s CleaningService) -> Option<Claim<'s>> {
+        self.lock().iter().find_map(|slot| {
+            let mut state = slot.lock();
+            (state.phase == Phase::Parked).then(|| {
+                state.phase = Phase::Claimed;
+                Claim {
+                    service,
+                    slot: Some(Arc::clone(slot)),
+                }
+            })
+        })
+    }
+}
+
+/// A quorum commit's claim on a parked hold
+/// ([`CleaningService::claim_hold`]). Led, it serves the hold's round
+/// on the commit's thread; dropped unled (the fsync failed, or the hold
+/// had nothing to serve), it gives the hold back.
+pub(crate) struct Claim<'s> {
+    service: &'s CleaningService,
+    slot: Option<Arc<HoldSlot>>,
+}
+
+impl Claim<'_> {
+    /// Lead the claimed hold's round on this thread, reading the
+    /// follower's ack until `until` at the latest, then park the
+    /// connection again or hand it back to its thread.
+    pub(crate) fn lead(mut self, until: Instant) {
+        let service = self.service;
+        let Some(slot) = self.slot.take() else {
+            return;
+        };
+        if stamp() >= until {
+            self.slot = Some(slot);
+            return; // too late to lead: the claim, dropped, gives it back
+        }
+        let mut state = slot.lock();
+        let Some(mut conn) = state.conn.take_if(|conn| service.hold_over(&conn.held)) else {
+            drop(state);
+            self.slot = Some(slot);
+            return; // nothing to serve: the claim, dropped, gives it back
+        };
+        state.phase = Phase::Led;
+        state.bounded = true;
+        drop(state);
+        let round = round(service, &mut conn, Some(until));
+        let mut state = slot.lock();
+        state.conn = Some(conn);
+        let phase = match round {
+            Round::Parked => Phase::Parked,
+            Round::HandedBack => Phase::Returned,
+        };
+        slot.settle(service, state, phase);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            let state = slot.lock();
+            if state.phase == Phase::Claimed {
+                slot.settle(self.service, state, Phase::Parked);
+            }
+        }
+    }
+}
+
+/// A connection's [`HoldSlot`], registered where quorum commits claim
+/// holds and where a journal move wakes it, from the connection's first
+/// held sync until it closes — made once per connection, so a hold
+/// after that allocates nothing.
+pub(crate) struct Holding {
+    service: CleaningService,
+    slot: Arc<HoldSlot>,
+    _watch: Option<DurableWatch>,
+}
+
+impl Holding {
+    pub(crate) fn open(service: &CleaningService) -> Holding {
+        let slot = Arc::new(HoldSlot {
+            state: Mutex::new(Slot {
+                phase: Phase::Own,
+                conn: None,
+                untimed: false,
+                bounded: false,
+            }),
+            turn: Condvar::new(),
+        });
+        service.replication().holds.lock().push(Arc::clone(&slot));
+        let watch = service.storage().map(|storage| {
+            let slot = Arc::clone(&slot);
+            storage.journal().watch(Arc::new(move || slot.wake()))
+        });
+        Holding {
+            service: service.clone(),
+            slot,
+            _watch: watch,
+        }
+    }
+
+    /// Park `conn`, whose held sync is set, and sleep until the
+    /// connection is this thread's again: handed back by a round a
+    /// commit led, or its hold over with nobody leading it — then this
+    /// thread runs the round itself, and parks again if it ends in a new
+    /// hold. Returns the connection once it is handed back.
+    pub(crate) fn park(&self, service: &CleaningService, mut conn: Conn) -> Conn {
+        loop {
+            self.put(conn);
+            let (back, over) = self.turn(service);
+            conn = back;
+            if !over || round(service, &mut conn, None) == Round::HandedBack {
+                return conn;
+            }
+        }
+    }
+
+    /// Park `conn`, whose held sync is set, free to claim.
+    pub(crate) fn put(&self, conn: Conn) {
+        let mut state = self.slot.lock();
+        state.conn = Some(conn);
+        state.phase = Phase::Parked;
+    }
+
+    /// Sleep until the parked connection is this thread's again; `true`
+    /// when that is because its hold is over and nobody claimed it. The
+    /// timeouts a led round left on its socket are cleared.
+    pub(crate) fn turn(&self, service: &CleaningService) -> (Conn, bool) {
+        let mut state = self.slot.lock();
+        loop {
+            let wait = match state.phase {
+                Phase::Parked => match state.conn.as_ref().map(|conn| &conn.held) {
+                    Some(held) if !service.hold_over(held) => held
+                        .deadline
+                        .map(|deadline| deadline.saturating_duration_since(stamp())),
+                    _ => None,
+                },
+                Phase::Claimed | Phase::Led => {
+                    state.untimed = true;
+                    state = self
+                        .slot
+                        .turn
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    state.untimed = false;
+                    continue;
+                }
+                Phase::Returned => None,
+                Phase::Own => unreachable!("a connection's thread waits only while it is parked"),
+            };
+            if let Some(left) = wait {
+                state = self
+                    .slot
+                    .turn
+                    .wait_timeout(state, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                continue;
+            }
+            let over = state.phase == Phase::Parked;
+            state.phase = Phase::Own;
+            let mut conn = state
+                .conn
+                .take()
+                .expect("a parked slot holds its connection");
+            if std::mem::take(&mut state.bounded) {
+                let cleared = conn.reader.set_read_timeout(None).is_ok()
+                    && conn.replies.writer.set_write_timeout(None).is_ok();
+                conn.closed |= !cleared;
+            }
+            return (conn, over);
+        }
+    }
+}
+
+impl Drop for Holding {
+    fn drop(&mut self) {
+        self.service
+            .replication()
+            .holds
+            .lock()
+            .retain(|slot| !Arc::ptr_eq(slot, &self.slot));
+    }
 }
 
 /// A running server on a background thread.

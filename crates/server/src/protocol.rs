@@ -19,7 +19,6 @@
 //! field-wise by the [`Client`](crate::Client).
 
 use crate::ops::{self, Op, OpId};
-use crate::replication::HoldWaiter;
 use crate::wire::scan::{self, ObjectScanner, RawValue};
 use crate::wire::{Json, WireError};
 use cerfix::FixpointScratch;
@@ -45,8 +44,6 @@ pub struct RequestScratch {
     pub(crate) fixpoint: FixpointScratch,
     /// The journal frames a `replica.sync` is served from.
     pub(crate) served: CursorRead,
-    /// What a held `replica.sync` waits on, from the first one on.
-    pub(crate) hold: Option<HoldWaiter>,
 }
 
 /// Declares [`Field`] — every top-level field some op reads — from one

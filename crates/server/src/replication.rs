@@ -13,12 +13,27 @@
 //! `(epoch, offset)`; each `replica.sync` request both *asks* for
 //! events past the cursor and *acknowledges* everything before it
 //! (which is what quorum-ack commits on the primary wait for). A
-//! caught-up follower's request is *held* by the primary's front end
-//! ([`HeldSync`], on buffers the connection owns, so a warmed hold
-//! allocates nothing) until the journal's durable position moves, so one
-//! request is both "ack through the cursor" and "wake me when there is
-//! more": a quorum commit costs the local fsync, one loopback hop and
-//! the follower's fsync — no timer anywhere on the path.
+//! caught-up follower's request is *held* by the primary until the
+//! journal's durable position moves, so one request is both "ack
+//! through the cursor" and "wake me when there is more" — no timer
+//! anywhere on the path. A held sync is a value ([`HeldSync`], in
+//! buffers the connection reuses, so a warmed hold allocates nothing)
+//! parked with its whole connection in a slot (`net::HoldSlot`), and
+//! any thread may serve it. A quorum commit that needs every follower's
+//! ack (a two-node cluster) serves it itself: it claims the parked hold
+//! before its fsync, so the flush wakes nobody for it, then writes the
+//! frames to the follower and reads the follower's next sync — the ack —
+//! on its own thread, neither waiting past the commit's deadline, while
+//! the connection's thread sleeps through the round. So such a commit
+//! costs the local fsync, the follower's round trip and its fsync, and
+//! two thread hand-offs (commit → follower → commit). A commit that
+//! needs fewer acks than there are followers leads no round — waiting
+//! on one follower's ack, it could not take another's that came first —
+//! and waits for the acks its followers' connection threads record. The
+//! connection's own thread serves a held sync nobody leads: the hold's
+//! expiry (the heartbeat), a drain, shutdown, an epoch change, and a
+//! durable advance no committer claimed (the flusher's cadence, and
+//! every advance in a larger cluster).
 //!
 //! **Bytes are the one representation of a frame between the two
 //! journal files.** The primary never decodes what it serves:
@@ -53,16 +68,17 @@
 use crate::client::{jitter_seed, jittered, Client, ClientError, RetryPolicy};
 use crate::diag::Subsystem;
 use crate::errors::{ErrorCode, ServeError};
+use crate::net::{Claim, Holds};
 use crate::ops::OpId;
 use crate::protocol::{RequestScratch, ScannedLine, SyncFields};
 use crate::service::{CleaningService, Reply};
 use crate::trace::{stamp, Span};
 use crate::wire::scan::{ObjectScanner, RawValue};
 use crate::wire::JsonWriter;
-use cerfix_storage::{CursorRead, EventView, SnapshotData, Waker};
+use cerfix_storage::{CursorRead, EventView, SnapshotData};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -131,6 +147,13 @@ pub(crate) struct ReplicationState {
     /// Signaled whenever a follower ack lands; quorum-ack commits wait
     /// on it (paired with `followers`).
     pub ack_cv: Condvar,
+    /// Commits waiting on `ack_cv`, counted under the `followers` lock:
+    /// an ack with nobody waiting (a led round's, read by the commit
+    /// itself) signals no one.
+    pub ack_waiters: AtomicUsize,
+    /// One slot per connection that has held a `replica.sync` here:
+    /// where a quorum commit claims a parked hold to lead.
+    pub holds: Holds,
     /// Highest epoch seen on any `replica.sync` cursor — the fencing
     /// watermark. A node whose own epoch falls below it has been
     /// superseded by a promotion and refuses mutations.
@@ -173,6 +196,8 @@ impl ReplicationState {
             role: RwLock::new(Role::Primary),
             followers: Mutex::new(HashMap::new()),
             ack_cv: Condvar::new(),
+            ack_waiters: AtomicUsize::new(0),
+            holds: Holds::default(),
             max_epoch_seen: AtomicU64::new(0),
             cluster: cluster.max(1),
             ack_timeout,
@@ -254,16 +279,69 @@ impl FollowerLag {
     }
 }
 
+/// Each byte's two lowercase hex digits, by value.
+#[rustfmt::skip]
+const HEX_PAIRS: [&str; 256] = [
+    "00", "01", "02", "03", "04", "05", "06", "07",
+    "08", "09", "0a", "0b", "0c", "0d", "0e", "0f",
+    "10", "11", "12", "13", "14", "15", "16", "17",
+    "18", "19", "1a", "1b", "1c", "1d", "1e", "1f",
+    "20", "21", "22", "23", "24", "25", "26", "27",
+    "28", "29", "2a", "2b", "2c", "2d", "2e", "2f",
+    "30", "31", "32", "33", "34", "35", "36", "37",
+    "38", "39", "3a", "3b", "3c", "3d", "3e", "3f",
+    "40", "41", "42", "43", "44", "45", "46", "47",
+    "48", "49", "4a", "4b", "4c", "4d", "4e", "4f",
+    "50", "51", "52", "53", "54", "55", "56", "57",
+    "58", "59", "5a", "5b", "5c", "5d", "5e", "5f",
+    "60", "61", "62", "63", "64", "65", "66", "67",
+    "68", "69", "6a", "6b", "6c", "6d", "6e", "6f",
+    "70", "71", "72", "73", "74", "75", "76", "77",
+    "78", "79", "7a", "7b", "7c", "7d", "7e", "7f",
+    "80", "81", "82", "83", "84", "85", "86", "87",
+    "88", "89", "8a", "8b", "8c", "8d", "8e", "8f",
+    "90", "91", "92", "93", "94", "95", "96", "97",
+    "98", "99", "9a", "9b", "9c", "9d", "9e", "9f",
+    "a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7",
+    "a8", "a9", "aa", "ab", "ac", "ad", "ae", "af",
+    "b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7",
+    "b8", "b9", "ba", "bb", "bc", "bd", "be", "bf",
+    "c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7",
+    "c8", "c9", "ca", "cb", "cc", "cd", "ce", "cf",
+    "d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7",
+    "d8", "d9", "da", "db", "dc", "dd", "de", "df",
+    "e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7",
+    "e8", "e9", "ea", "eb", "ec", "ed", "ee", "ef",
+    "f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7",
+    "f8", "f9", "fa", "fb", "fc", "fd", "fe", "ff",
+];
+
+/// Each byte's value as a hex digit (either case), or `NOT_HEX`.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 10 {
+        table[b'0' as usize + d] = d as u8;
+        d += 1;
+    }
+    let mut d = 0;
+    while d < 6 {
+        table[b'a' as usize + d] = 10 + d as u8;
+        table[b'A' as usize + d] = 10 + d as u8;
+        d += 1;
+    }
+    table
+};
+const NOT_HEX: u8 = 0xff;
+
 /// Hex-encode a binary frame onto `out` for the wire (lowercase, two
-/// digits per byte). Hex over base64: no new dependency, and journal
-/// frames are small enough that 2x expansion is irrelevant next to the
-/// fsync.
+/// digits per byte, each byte's pair pushed whole from a table). Hex
+/// over base64: no new dependency, and journal frames are small enough
+/// that 2x expansion is irrelevant next to the fsync.
 pub(crate) fn push_hex(bytes: &[u8], out: &mut String) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     out.reserve(bytes.len() * 2);
     for &b in bytes {
-        out.push(DIGITS[(b >> 4) as usize] as char);
-        out.push(DIGITS[(b & 0xf) as usize] as char);
+        out.push_str(HEX_PAIRS[b as usize]);
     }
 }
 
@@ -271,20 +349,13 @@ pub(crate) fn push_hex(bytes: &[u8], out: &mut String) {
 /// non-hex digit (`out` then holds a partial decode to cut off).
 fn hex_decode_into(s: &str, out: &mut Vec<u8>) -> bool {
     let s = s.as_bytes();
-    let digit = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
     out.reserve(s.len() / 2);
     for pair in s.chunks_exact(2) {
-        match (digit(pair[0]), digit(pair[1])) {
-            (Some(hi), Some(lo)) => out.push((hi << 4) | lo),
-            _ => return false,
+        let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+        if hi == NOT_HEX || lo == NOT_HEX {
+            return false;
         }
+        out.push((hi << 4) | lo);
     }
     s.len().is_multiple_of(2)
 }
@@ -706,33 +777,25 @@ pub(crate) fn run_tail(service: CleaningService, primary: String) {
 /// carried was recorded as the follower's ack when it arrived
 /// ([`CleaningService::sync_arrival`]); the hold only delays the reply,
 /// and is over ([`CleaningService::hold_over`]) as soon as there is
-/// something to say. The front end keeps it on the connection's own
-/// thread ([`CleaningService::wait_out`]), and it borrows the line, which
-/// stays in the connection's read buffer meanwhile: a hold copies
-/// nothing.
-pub(crate) struct HeldSync<'l> {
+/// something to say. It is a value, not a parked thread: it owns its
+/// fields, in buffers the connection reuses hold after hold, and parks
+/// with the connection in its slot (`net::HoldSlot`), where a quorum
+/// commit that leads the round serves it on its own thread, and the
+/// connection's thread serves it when nobody leads.
+#[derive(Debug, Default)]
+pub(crate) struct HeldSync {
     /// The request's fields as its one scan read them — the hold lasts
     /// while the journal's durable position is the cursor's
     /// `(epoch, <= offset)` — and the `id` it asked to have echoed.
-    sync: SyncFields<'l>,
-    id: Option<&'l str>,
+    follower: String,
+    epoch: u64,
+    offset: u64,
+    max: Option<u64>,
+    id: String,
+    echo_id: bool,
     /// Hold expiry: then the ordinary empty reply — the heartbeat.
-    pub(crate) deadline: Instant,
-}
-
-/// What a connection waits out its held syncs on: a flag, the condvar
-/// that signals it, and the journal watcher that sets it — built at the
-/// connection's first hold and kept, so a hold after that allocates
-/// nothing.
-pub(crate) struct HoldWaiter {
-    signal: Arc<(Mutex<bool>, Condvar)>,
-    waker: Waker,
-}
-
-impl std::fmt::Debug for HoldWaiter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("HoldWaiter")
-    }
+    /// `None` once served (or never held).
+    pub(crate) deadline: Option<Instant>,
 }
 
 /// Write the fields of a `replica.sync` reply: the cursor echo, then
@@ -766,35 +829,40 @@ impl CleaningService {
     /// may park. When the request asks to wait and nothing durable lies
     /// past its cursor, record the cursor — it is the follower's ack,
     /// and a commit waiting on it must not wait out the hold as well —
-    /// and return the hold. `None`: serve the line now, like any other
-    /// (an ill-formed one gets its error there).
+    /// and keep the request in `held`. `false`: serve the line now, like
+    /// any other (an ill-formed one gets its error there).
     ///
-    /// The caller starts watching the journal
-    /// ([`Journal::watch`](cerfix_storage::Journal::watch)) before this
-    /// look at the durable position, or looks again
-    /// ([`hold_over`](Self::hold_over)) once it does: a move in between
+    /// Whoever parks the hold looks again ([`hold_over`](Self::hold_over))
+    /// once it is parked where a journal move wakes it: a move in between
     /// must not be missed, or a commit waits out the hold.
-    pub(crate) fn sync_arrival<'l>(
+    pub(crate) fn sync_arrival(
         &self,
-        scanned: &ScannedLine<'l>,
-        unescape: &'l mut String,
-    ) -> Option<HeldSync<'l>> {
-        let sync = scanned.fields.replica_sync(unescape).ok()?;
+        scanned: &ScannedLine<'_>,
+        unescape: &mut String,
+        held: &mut HeldSync,
+    ) -> bool {
+        held.deadline = None;
+        let Ok(sync) = scanned.fields.replica_sync(unescape) else {
+            return false;
+        };
         let (false, Some(wait_ms)) = (sync.resync, sync.wait_ms) else {
-            return None;
+            return false;
         };
-        let held = HeldSync {
-            deadline: stamp() + Duration::from_millis(wait_ms).min(MAX_HOLD),
-            id: scanned.id,
-            sync,
-        };
-        if self.hold_over(&held) {
-            return None;
+        held.follower.clear();
+        held.follower.push_str(sync.follower);
+        held.id.clear();
+        held.id.push_str(scanned.id.unwrap_or_default());
+        held.echo_id = scanned.id.is_some();
+        (held.epoch, held.offset, held.max) = (sync.epoch, sync.offset, sync.max);
+        held.deadline = Some(stamp() + Duration::from_millis(wait_ms).min(MAX_HOLD));
+        if self.hold_over(held) {
+            held.deadline = None;
+            return false;
         }
         // Caught up by definition: the durable position is the cursor's.
-        let (epoch, offset) = (held.sync.epoch, held.sync.offset);
-        self.record_follower(held.sync.follower, epoch, offset, epoch, offset);
-        Some(held)
+        let (epoch, offset) = (held.epoch, held.offset);
+        self.record_follower(&held.follower, epoch, offset, epoch, offset);
+        true
     }
 
     /// May a held sync be answered now? Yes once something durable lies
@@ -802,50 +870,19 @@ impl CleaningService {
     /// or the snapshot), once waiting is pointless (journal poisoned or
     /// stopped, server draining or shutting down), and when the hold
     /// expires.
-    pub(crate) fn hold_over(&self, held: &HeldSync<'_>) -> bool {
-        let Some(storage) = self.storage() else {
+    pub(crate) fn hold_over(&self, held: &HeldSync) -> bool {
+        let (Some(storage), Some(deadline)) = (self.storage(), held.deadline) else {
             return true;
         };
         let journal = storage.journal();
         let (epoch, durable) = journal.durable_position();
-        epoch != held.sync.epoch
-            || durable > held.sync.offset
+        epoch != held.epoch
+            || durable > held.offset
             || journal.poisoned().is_some()
             || !journal.is_alive()
             || self.is_draining()
             || self.shutdown_requested()
-            || stamp() >= held.deadline
-    }
-
-    /// Keep the calling thread — a connection's own — until `held` is
-    /// over, woken through the connection's `waiter`.
-    pub(crate) fn wait_out(&self, held: &HeldSync<'_>, waiter: &mut Option<HoldWaiter>) {
-        let Some(storage) = self.storage() else {
-            return;
-        };
-        let HoldWaiter { signal, waker } = waiter.get_or_insert_with(|| {
-            let signal = Arc::new((Mutex::new(false), Condvar::new()));
-            let flag = Arc::clone(&signal);
-            let waker: Waker = Arc::new(move || {
-                *flag.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
-                flag.1.notify_one();
-            });
-            HoldWaiter { signal, waker }
-        });
-        let _watch = storage.journal().watch(Arc::clone(waker));
-        // Watching before each look: a move in between sets the flag.
-        while !self.hold_over(held) {
-            let mut woken = signal.0.lock().unwrap_or_else(PoisonError::into_inner);
-            if !*woken {
-                let left = held.deadline.saturating_duration_since(stamp());
-                woken = signal
-                    .1
-                    .wait_timeout(woken, left)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-            *woken = false;
-        }
+            || stamp() >= deadline
     }
 
     /// Answer a held sync from the fields its arrival read, its frames
@@ -857,16 +894,42 @@ impl CleaningService {
     /// its arrival) and starts at the end.
     pub(crate) fn serve_held(
         &self,
-        held: HeldSync<'_>,
+        held: &mut HeldSync,
         out: &mut String,
         served: &mut CursorRead,
     ) -> (Instant, Instant) {
+        held.deadline = None;
         let released = stamp();
         let op = OpId::ReplicaSync.row();
-        let ended = self.answer(op, held.id, out, released, released, |reply| {
-            self.replica_sync(&held.sync, reply, served)
+        let sync = SyncFields {
+            follower: &held.follower,
+            epoch: held.epoch,
+            offset: held.offset,
+            max: held.max,
+            resync: false,
+            wait_ms: None,
+        };
+        let id = held.echo_id.then_some(held.id.as_str());
+        let ended = self.answer(op, id, out, released, released, |reply| {
+            self.replica_sync(&sync, reply, served)
         });
         (released, ended)
+    }
+
+    /// A quorum commit's claim on a parked hold, taken before its fsync
+    /// so the flush that makes the commit durable wakes nobody for it:
+    /// the commit serves the hold itself ([`Claim::lead`]) once the fsync
+    /// is done. `None` when no hold is parked free, or when the quorum
+    /// does not need every follower: a commit leading one follower then
+    /// waits on that one alone, so a slow follower would set the pace of
+    /// every commit, and a stalled one hold each to `ack_timeout`, while
+    /// the others' acks make the quorum.
+    pub(crate) fn claim_hold(&self) -> Option<Claim<'_>> {
+        let repl = self.replication();
+        if repl.quorum() < repl.cluster {
+            return None;
+        }
+        repl.holds.claim(self)
     }
 
     /// Something a held sync waits on besides the journal has changed —
@@ -996,7 +1059,10 @@ impl CleaningService {
             );
         }
         drop(followers);
-        self.replication().ack_cv.notify_all();
+        let repl = self.replication();
+        if repl.ack_waiters.load(Ordering::Acquire) > 0 {
+            repl.ack_cv.notify_all();
+        }
     }
 
     /// The committed snapshot bytes a stale follower resyncs from. If
@@ -1042,10 +1108,18 @@ impl CleaningService {
     /// commit stays applied and locally durable, but the client gets a
     /// `quorum_timeout` (or its own `deadline_exceeded`) error instead
     /// of an acknowledgement.
+    ///
+    /// With `claim` (a cluster whose quorum needs every follower) the
+    /// commit first leads its follower's round: it serves the held sync
+    /// and reads the follower's next sync — the ack — on this thread, up
+    /// to the same deadline ([`Claim::lead`]). An ack it did not read
+    /// (one served by a connection's own thread) arrives through
+    /// `ack_cv` as before.
     pub(crate) fn wait_for_quorum(
         &self,
         (epoch, position): (u64, u64),
         span: &mut Span,
+        claim: Option<Claim<'_>>,
     ) -> Result<(), ServeError> {
         let repl = self.replication();
         let needed = repl.quorum().saturating_sub(1);
@@ -1055,6 +1129,9 @@ impl CleaningService {
         // longer only burns a thread.
         let timeout = since + repl.ack_timeout;
         let deadline = span.deadline.map_or(timeout, |client| client.min(timeout));
+        if let Some(claim) = claim {
+            claim.lead(deadline);
+        }
         let mut followers = lock_followers(repl);
         loop {
             let acked = followers
@@ -1084,11 +1161,13 @@ impl CleaningService {
                     )))
                 };
             }
+            repl.ack_waiters.fetch_add(1, Ordering::AcqRel);
             followers = repl
                 .ack_cv
                 .wait_timeout(followers, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
+            repl.ack_waiters.fetch_sub(1, Ordering::AcqRel);
         }
     }
 

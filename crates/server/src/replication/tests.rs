@@ -1,9 +1,12 @@
 use super::*;
 use crate::alloc_count::allocations_in;
+use crate::net::{round, Conn, Holding, Round};
 use crate::protocol::{scan_line, Request};
 use crate::tests::{data_dir, kv_service_journaled};
 use cerfix_relation::Value;
 use cerfix_storage::JournalEvent;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 
 fn hex_decode(hex: &str) -> Option<Vec<u8>> {
     let mut frames = ReceivedFrames::default();
@@ -34,6 +37,39 @@ fn hex_rejects_torn_and_garbage() {
     assert!(!frames.is_empty() && frames.events().is_none());
     frames.clear();
     assert!(frames.is_empty() && !frames.push_hex(None) && !frames.is_empty());
+}
+
+/// The two hex tables against the rules they stand for: every byte is
+/// written as its two lowercase digits and read back from them in
+/// either case; an ASCII character reads as a digit iff it is one of
+/// either case; and a frame refused partway — an odd length, or a
+/// non-hex digit after whole pairs — leaves none of its bytes behind.
+#[test]
+fn hex_tables_hold_every_byte() {
+    for b in 0..=255u8 {
+        let mut hex = String::new();
+        push_hex(&[b], &mut hex);
+        assert_eq!(hex, format!("{b:02x}"));
+        assert_eq!(hex_decode(&hex), Some(vec![b]));
+        assert_eq!(hex_decode(&hex.to_uppercase()), Some(vec![b]));
+    }
+    for c in (0..128u8).map(char::from) {
+        let value = c.to_digit(16).map(|d| d as u8);
+        for (pair, decoded) in [
+            (format!("{c}0"), value.map(|d| d << 4)),
+            (format!("0{c}"), value),
+        ] {
+            assert_eq!(hex_decode(&pair), decoded.map(|d| vec![d]), "{pair:?}");
+        }
+    }
+    assert_eq!(hex_decode("é0"), None, "not a digit, and not ASCII");
+    let mut frames = ReceivedFrames::default();
+    assert!(frames.push_hex(Some("0a0b")));
+    assert!(!frames.push_hex(Some("0c0dz0")), "a non-hex digit");
+    assert_eq!(frames.bytes, [0x0a, 0x0b], "the partial decode is cut");
+    frames.clear();
+    assert!(!frames.push_hex(Some("0c0d0")), "an odd length");
+    assert!(frames.bytes.is_empty(), "the partial decode is cut");
 }
 
 /// `payloads` hex-encoded and received one frame after another, as
@@ -219,12 +255,11 @@ fn a_batch_is_read_in_place_as_the_owned_decoder_reads_it() {
     assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
 }
 
-fn arrival<'l>(
-    service: &CleaningService,
-    line: &'l str,
-    unescape: &'l mut String,
-) -> Option<HeldSync<'l>> {
-    service.sync_arrival(&scan_line(line), unescape)
+fn arrival(service: &CleaningService, line: &str, unescape: &mut String) -> Option<HeldSync> {
+    let mut held = HeldSync::default();
+    service
+        .sync_arrival(&scan_line(line), unescape, &mut held)
+        .then_some(held)
 }
 
 /// A caught-up `replica.sync` that asks to wait is held, its cursor
@@ -256,71 +291,102 @@ fn a_caught_up_sync_that_asks_to_wait_is_held() {
 }
 
 /// A warmed held sync allocates nothing on the primary, arrival to
-/// reply, as the front end runs it: it borrows its line, waits on the
-/// connection's `HoldWaiter` and is served from the connection's
-/// `CursorRead` — whether its hold runs out (the heartbeat) or a durable
-/// event ends it (a reply carrying that frame).
+/// reply, whoever serves it: the connection's own thread when its hold
+/// runs out (the heartbeat) or when a durable event nobody claimed ends
+/// it (a reply carrying that frame), and a quorum commit that claimed it
+/// before its fsync and leads its round. A round serves the sync from
+/// the connection's own buffers — its `HeldSync`, `CursorRead` and
+/// reply buffer — and reads the follower's next sync off the socket
+/// into its line buffer, where it is the next hold.
 #[test]
 fn a_warmed_held_sync_allocates_nothing() {
-    const WARM: u64 = 2;
-    const ROUNDS: u64 = WARM + 4;
+    const WARM: usize = 2;
+    const ROUNDS: usize = WARM + 4;
     let dir = data_dir("held-sync-allocs");
     let service = kv_service_journaled(&dir);
-    let line = |offset: u64, wait_ms: u64| {
-        format!(
-            r#"{{"op":"replica.sync","follower":"f1","epoch":0,"offset":{offset},"wait_ms":{wait_ms},"id":"s{offset}"}}"#
-        )
-    };
-    let heartbeats: Vec<String> = (0..ROUNDS).map(|offset| line(offset, 1)).collect();
-    let released: Vec<String> = (0..ROUNDS).map(|offset| line(offset, 60_000)).collect();
-    let (mut scratch, mut out) = (RequestScratch::default(), String::new());
-    let commit = std::sync::Barrier::new(2);
-    // The steps `net::respond_line` takes for a sync that is held; `ends`
-    // runs once the sync has arrived and before it is waited out. Nothing
-    // in here may panic: the committer would wait at the barrier forever.
-    let hold = |line: &str, ends: &dyn Fn(), scratch: &mut RequestScratch, out: &mut String| {
-        out.clear();
-        let scanned = scan_line(line);
-        let held = service.sync_arrival(&scanned, &mut scratch.unescape);
-        ends();
-        if let Some(held) = held {
-            service.wait_out(&held, &mut scratch.hold);
-            service.serve_held(held, out, &mut scratch.served);
-        }
-    };
-    // Per round: the heartbeat's allocations, the released sync's, and
-    // whether both were held and answered as they should be.
-    let mut rounds = [(0, 0, false); ROUNDS as usize];
-    std::thread::scope(|scope| {
-        // Another connection's commit: one durable event per release.
-        scope.spawn(|| {
-            for _ in 0..ROUNDS {
-                commit.wait();
-                service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":250}"#);
-            }
-        });
-        let ends = || {
-            commit.wait();
-        };
-        for (at, round) in rounds.iter_mut().enumerate() {
-            let heartbeat =
-                allocations_in(|| hold(&heartbeats[at], &|| {}, &mut scratch, &mut out));
-            let beat = out.ends_with(r#""events":[]}"#);
-            let release = allocations_in(|| hold(&released[at], &ends, &mut scratch, &mut out));
-            let id = format!(r#"{{"id":"s{at}","ok":true"#);
-            let frame = format!(r#""from":{at},"durable":{},"events":[""#, at + 1);
-            *round = (
-                heartbeat,
-                release,
-                beat && out.starts_with(&id) && out.contains(&frame),
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let follower = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    // One connection taken off the listener (not an accept loop).
+    let accepted = listener.incoming().next().unwrap().unwrap();
+    let mut conn = Conn::new(accepted).unwrap();
+    // The follower: after each reply it asks again from the durable
+    // count the reply names, its holds cycling through a heartbeat
+    // (1 ms), one a durable event ends, and one a commit leads (60 s).
+    let (epoch, mut offset) = service.durable_cursor().unwrap();
+    let asker = std::thread::spawn(move || {
+        let mut reader = BufReader::new(follower.try_clone().unwrap());
+        let mut writer = follower;
+        let mut replies = Vec::new();
+        for n in 0.. {
+            let wait_ms = if n % 3 == 0 { 1 } else { 60_000 };
+            let line = format!(
+                "{{\"op\":\"replica.sync\",\"follower\":\"f1\",\"epoch\":{epoch},\"offset\":{offset},\"wait_ms\":{wait_ms},\"id\":\"s{n}\"}}\n"
             );
+            let mut reply = String::new();
+            if writer.write_all(line.as_bytes()).is_err()
+                || reader.read_line(&mut reply).unwrap_or(0) == 0
+            {
+                return replies;
+            }
+            let durable = reply.split("\"durable\":").nth(1).unwrap_or_default();
+            offset = durable[..durable.find(',').unwrap_or(0)]
+                .parse()
+                .unwrap_or(offset);
+            replies.push(reply);
         }
+        replies
     });
-    for (at, &(heartbeat, release, answered)) in rounds.iter().enumerate() {
-        assert!(answered, "round {at}: both syncs held and answered");
-        if at as u64 >= WARM {
-            assert_eq!((heartbeat, release), (0, 0), "round {at}");
-        }
+    let holding = Holding::open(&service);
+    assert_eq!(
+        conn.next_hold(&service, None),
+        Round::Parked,
+        "the first sync is held"
+    );
+    holding.put(conn);
+    // Another connection's commit: one durable event.
+    let commit = || service.handle_line(r#"{"op":"config.set","key":"slow_ms","value":250}"#);
+    // Per round: the heartbeat's, the thread-served and the led round's
+    // allocations.
+    let mut rounds = [(0, 0, 0); ROUNDS];
+    for round_allocs in &mut rounds {
+        let (mut conn, over) = holding.turn(&service);
+        assert!(over, "the heartbeat's hold ran out");
+        let heartbeat =
+            allocations_in(|| assert_eq!(round(&service, &mut conn, None), Round::Parked));
+        holding.put(conn);
+        commit();
+        let (mut conn, over) = holding.turn(&service);
+        assert!(over, "a durable event ended the hold");
+        let served = allocations_in(|| assert_eq!(round(&service, &mut conn, None), Round::Parked));
+        holding.put(conn);
+        let claim = service.claim_hold().expect("the hold is parked free");
+        commit();
+        let until = stamp() + Duration::from_secs(20);
+        let led = allocations_in(|| claim.lead(until));
+        *round_allocs = (heartbeat, served, led);
+    }
+    drop(holding);
+    let replies = asker.join().unwrap();
+    assert_eq!(replies.len(), 3 * ROUNDS, "every held sync answered");
+    for (n, reply) in replies.iter().enumerate() {
+        assert!(
+            reply.starts_with(&format!(r#"{{"id":"s{n}","ok":true"#)),
+            "{reply}"
+        );
+        let events = if n % 3 == 0 {
+            r#""events":[]}"#
+        } else {
+            r#""events":[""#
+        };
+        assert!(reply.contains(events), "reply {n}: {reply}");
+    }
+    assert_eq!(service.metrics().replica_syncs_led, ROUNDS as u64);
+    for (at, &allocs) in rounds.iter().enumerate().skip(WARM) {
+        assert_eq!(
+            allocs,
+            (0, 0, 0),
+            "round {at}: heartbeat, thread-served, led"
+        );
     }
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);

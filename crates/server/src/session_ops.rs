@@ -169,14 +169,19 @@ impl CleaningService {
         // then — under quorum-ack durability — for a majority of the
         // cluster to hold durable copies too.
         if let (Some(binding), Some((seq, at))) = (&self.inner.storage, journaled) {
+            // Under quorum the commit may lead a follower's next round
+            // itself (`claim_hold` says when): the hold is claimed before
+            // the fsync, so the flush that releases it wakes nobody.
+            let quorum = self.inner.replication.cluster > 1;
+            let claim = quorum.then(|| self.claim_hold()).flatten();
             let sync_started = stamp();
             let synced = self.sync_commit(binding, seq);
             reply.span.fsync_ns += (stamp() - sync_started).as_nanos() as u64;
             // Applied in memory and queued in the journal, but NOT
             // durable — the ack must say so (quorum-timeout precedent).
             synced?;
-            if self.inner.replication.cluster > 1 {
-                self.wait_for_quorum(at, reply.span)?;
+            if quorum {
+                self.wait_for_quorum(at, reply.span, claim)?;
             }
         }
         let w = reply.ok();

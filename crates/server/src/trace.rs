@@ -35,25 +35,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-#[cfg(test)]
-thread_local! {
-    /// This thread's [`stamp`] calls, for the tests that pin them.
-    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// The clock, as the request path reads it: every stage boundary of a
 /// request, every deadline and every wait it times comes from here.
 #[inline]
 pub(crate) fn stamp() -> Instant {
-    #[cfg(test)]
-    CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    cerfix::count!(ClockReads);
     Instant::now()
-}
-
-/// How many times this thread has called [`stamp`].
-#[cfg(test)]
-pub(crate) fn clock_reads() -> u64 {
-    CLOCK_READS.with(std::cell::Cell::get)
 }
 
 /// Words per slot: trace id, op index, eight timings, four engine-stat
@@ -288,6 +275,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cerfix::counters::{read, Counter};
+
+    /// How many times this thread has called [`stamp`].
+    fn clock_reads() -> u64 {
+        read(Counter::ClockReads)
+    }
 
     fn span(trace_id: u64, total_ns: u64) -> Span {
         Span {

@@ -37,7 +37,11 @@
 //! group commit. A caller that must not block never leads: it kicks the
 //! flusher and [`watch`](Journal::watch)es for [`Journal::sync_status`].
 //! Either way the failure semantics below are the same, because it is
-//! the same function.
+//! the same function. The server applies the same rule one layer up: a
+//! quorum commit, which blocks until a follower acks anyway, serves the
+//! follower's held `replica.sync` and reads the ack on its own thread
+//! instead of waking the follower connection's thread to do it and
+//! being woken back (`cerfix_server`'s `replication.rs`).
 //!
 //! ## The read side
 //!

@@ -847,164 +847,18 @@ fn lagging_follower_past_max_lag_flips_exactly_its_readiness() {
 // 6. Long-poll `replica.sync`: held requests and what releases them.
 // ---------------------------------------------------------------------
 
-/// A hold no test outlives (the primary caps it at a minute): a commit
-/// released by its expiry fails the test through `ack_timeout` first.
-const FOREVER_MS: u64 = 600_000;
-
-/// An in-process primary over real TCP whose journal moves only when a
-/// commit syncs it (hour-long flush interval), so durable advances —
-/// and with them released syncs — can be counted.
-struct HoldRig {
-    primary: CleaningService,
-    server: Option<cerfix_server::ServerHandle>,
-    addr: SocketAddr,
-    dir: PathBuf,
-    tuple: Vec<Value>,
-    master: Arc<cerfix::MasterData>,
-    rules: Arc<cerfix_rules::RuleSet>,
-}
-
-fn hold_storage(dir: &Path) -> StorageConfig {
-    let mut cfg = manual_storage(dir);
-    cfg.flush_interval = Duration::from_secs(3600);
-    cfg
-}
-
-fn hold_rig(name: &str, workers: usize, cluster_size: usize) -> HoldRig {
-    let mut rng = StdRng::seed_from_u64(11);
-    let scenario = uk::scenario(40, &mut rng);
-    let master = Arc::new(scenario.master_data());
-    let rules = Arc::new(scenario.rules.clone());
-    let dir = tmp_dir(&format!("hold-{name}-{workers}"));
-    let primary = CleaningService::with_storage(
-        Arc::clone(&master),
-        Arc::clone(&rules),
-        ServiceConfig {
-            workers,
-            precompute_regions: false,
-            cluster_size,
-            ack_timeout: Duration::from_secs(10),
-            advertise: Some("primary".into()),
-            ..ServiceConfig::default()
-        },
-        hold_storage(&dir.join("p")),
-    )
-    .unwrap();
-    let server = Server::spawn("127.0.0.1:0", primary.clone()).unwrap();
-    HoldRig {
-        addr: server.addr(),
-        primary,
-        server: Some(server),
-        dir,
-        tuple: scenario.universe[0].values().to_vec(),
-        master,
-        rules,
-    }
-}
-
-impl HoldRig {
-    /// `replica.sync` requests answered so far (a held one counts when
-    /// it is released).
-    fn syncs_answered(&self) -> u64 {
-        self.primary
-            .metrics()
-            .latency
-            .iter()
-            .find(|l| l.op == "replica.sync")
-            .map_or(0, |l| l.count)
-    }
-
-    fn registered(&self, follower: &str) -> bool {
-        follower_stat(&self.primary.handle(&Request::Metrics), follower).is_some()
-    }
-
-    /// One locally durable commit, made in process.
-    fn commit_locally(&self) -> u64 {
-        let mut client = LocalClient::in_process(&self.primary);
-        let view = client.create_session(self.tuple.clone()).unwrap();
-        client.commit(view.session).unwrap();
-        view.session
-    }
-
-    fn stop(mut self) {
-        if let Some(server) = self.server.take() {
-            server.shutdown().unwrap();
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-/// A follower played by hand: one raw connection, one line at a time.
-struct RawFollower {
-    reader: std::io::BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl RawFollower {
-    fn connect(addr: SocketAddr) -> RawFollower {
-        let writer = TcpStream::connect(addr).unwrap();
-        // A reply that never comes fails the test instead of hanging it.
-        writer
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        RawFollower {
-            reader: std::io::BufReader::new(writer.try_clone().unwrap()),
-            writer,
-        }
-    }
-
-    fn sync(&mut self, name: &str, (epoch, offset): (u64, u64), wait_ms: Option<u64>) {
-        let wait = wait_ms.map_or(String::new(), |ms| format!(",\"wait_ms\":{ms}"));
-        let line = format!(
-            "{{\"op\":\"replica.sync\",\"follower\":\"{name}\",\"epoch\":{epoch},\"offset\":{offset}{wait}}}\n"
-        );
-        // A write the server no longer takes shows as a missing reply.
-        let _ = self.writer.write_all(line.as_bytes());
-    }
-
-    /// The next reply line; `None` if the server closed (or reset) the
-    /// connection. A reply that does not come in time is a failure.
-    fn reply(&mut self) -> Option<Json> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => None,
-            Ok(_) => Some(Json::parse(line.trim()).expect("a JSON reply")),
-            Err(e) => {
-                let timed_out = matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                );
-                assert!(!timed_out, "no reply in time");
-                None
-            }
-        }
-    }
-
-    fn events(reply: &Json) -> usize {
-        reply.get("events").and_then(Json::as_arr).unwrap().len()
-    }
-}
-
-/// A follower that acks whatever it is sent and asks again at once,
-/// keeping every request open "forever". Returns when the server goes.
-fn acking_follower(addr: SocketAddr, name: &'static str) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut conn = RawFollower::connect(addr);
-        conn.writer.set_read_timeout(None).unwrap();
-        let mut cursor = (0, 0);
-        loop {
-            conn.sync(name, cursor, Some(FOREVER_MS));
-            let Some(reply) = conn.reply() else { return };
-            cursor.1 += RawFollower::events(&reply) as u64;
-        }
-    })
-}
+#[path = "common/hold_rig.rs"]
+mod hold_rig;
+use hold_rig::{acking_follower, hold_rig, hold_storage, HoldRig, RawFollower, FOREVER_MS};
 
 /// (a) + (b): with the hold far above the test's runtime, N quorum
 /// commits all ack, each costs one sync, and none timed out — so no
 /// commit was released by a timer. With one worker too: the commit and
 /// the held sync each wait on their connection's thread, so a hold that
-/// took a worker would show as a deadlock until `ack_timeout`.
+/// took a worker would show as a deadlock until `ack_timeout`. And each
+/// commit leads its sync's round itself: it serves the held sync and
+/// reads the ack on its own thread, so the follower connection's thread
+/// answers next to none of them.
 fn quorum_commits_are_acked_by_events(workers: usize) {
     const N: u64 = 40;
     let rig = hold_rig("acked", workers, 2);
@@ -1023,6 +877,11 @@ fn quorum_commits_are_acked_by_events(workers: usize) {
         (N..=N + 2).contains(&syncs),
         "{N} commits released {syncs} syncs ({workers} workers)"
     );
+    let led = rig.syncs_led();
+    assert!(
+        led >= N - 2 && syncs - led <= 2,
+        "{led} of {syncs} syncs led by their commit ({workers} workers)"
+    );
     assert_eq!(rig.primary.metrics().quorum_timeouts, 0);
     rig.stop();
     follower.join().unwrap();
@@ -1033,6 +892,9 @@ fn quorum_commits_are_acked_by_events_not_timers() {
     quorum_commits_are_acked_by_events(2);
     quorum_commits_are_acked_by_events(1);
 }
+
+#[path = "common/led_rounds.rs"]
+mod led_rounds;
 
 /// (c) + (d): every cause that releases a held sync, by hand.
 #[test]
